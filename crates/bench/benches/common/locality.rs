@@ -90,7 +90,6 @@ pub fn run_paired(seed: u64, n_subs: usize, calls_n: usize, rate_aware: bool) ->
     let storm = OverlappingStorm::paired(seed, HUBS, CLUSTERS, PEERS_PER_CLUSTER);
     let mut monitor = Monitor::new(MonitorConfig {
         rate_aware_placement: rate_aware,
-        workers: 1,
         network: NetworkConfig {
             latency: storm.latency_model(),
             ..NetworkConfig::default()
@@ -139,7 +138,6 @@ pub fn run_massive(seed: u64, n_subs: usize, calls_n: usize, rate_aware: bool) -
         rate_aware_placement: rate_aware,
         enable_reuse: true,
         dht_nodes: storm.dht_nodes(),
-        workers: 1,
         network: NetworkConfig {
             latency: storm.latency_model(),
             ..NetworkConfig::default()

@@ -60,7 +60,6 @@ pub fn run_scale(seed: u64, n_subs: usize, calls_n: usize) -> ScaleRow {
     let mut monitor = Monitor::new(MonitorConfig {
         enable_reuse: true,
         dht_nodes: storm.dht_nodes(),
-        workers: 1,
         network: p2pmon_net::NetworkConfig {
             latency: storm.latency_model(),
             ..p2pmon_net::NetworkConfig::default()

@@ -67,7 +67,6 @@ fn monitor_over(storm: &SketchStorm) -> Monitor {
     let mut monitor = Monitor::new(MonitorConfig {
         enable_reuse: false,
         dht_nodes: storm.dht_nodes(),
-        workers: 1,
         ..MonitorConfig::default()
     });
     monitor.add_peer(storm.manager());

@@ -1,21 +1,15 @@
 //! Dispatch scaling: engine-gated fan-out vs. naive linear fan-out as the
-//! number of subscriptions hosted on one peer grows (16 / 64 / 256), plus
-//! the parallel-scaling axis of the work-stealing peer scheduler
-//! (1/2/4/8 workers over a storm spread across 8 monitored peers).
+//! number of subscriptions hosted on one peer grows (16 / 64 / 256).
 //!
 //! The paper's Figure 5 claim: each peer runs *one* shared two-stage
 //! filtering processor, so per-alert cost is sublinear in the number of
 //! hosted subscriptions.  `naive_dispatch = true` reproduces the
 //! pre-decomposition behaviour (every alert fans out to every consumer and
-//! each Select re-evaluates its conditions linearly) as the baseline, and
-//! `workers = 1` is the sequential scheduler oracle the parallel axis is
-//! measured against.  Parallel speedup is bounded by the host's cores (the
-//! recorded `host_parallelism`): on a single-core runner the axis documents
-//! scheduler overhead, on a multi-core one it documents the speedup.
+//! each Select re-evaluates its conditions linearly) as the baseline.
 //!
 //! Besides the Criterion groups, this bench writes the `BENCH_dispatch.json`
 //! trajectory to the workspace root so that CI can track the
-//! engine-vs-naive and parallel-scaling shapes per PR.
+//! engine-vs-naive shape per PR.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -26,39 +20,17 @@ use p2pmon_core::{Monitor, MonitorConfig, SubscriptionHandle};
 use p2pmon_workloads::SubscriptionStorm;
 
 const SUBSCRIPTION_COUNTS: [usize; 3] = [16, 64, 256];
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Monitored peers for the parallel axis: enough independent per-peer filter
-/// workloads to keep 8 workers busy.
-const PARALLEL_PEERS: usize = 8;
 
 fn storm_monitor(naive_dispatch: bool, n_subs: usize) -> (Monitor, Vec<SubscriptionHandle>) {
     let mut monitor = Monitor::new(MonitorConfig {
         enable_reuse: false,
         naive_dispatch,
-        workers: 1,
         ..MonitorConfig::default()
     });
     for peer in ["manager.org", "hub.net", "backend.net"] {
         monitor.add_peer(peer);
     }
     let storm = SubscriptionStorm::new(1);
-    let handles = storm
-        .subscriptions(n_subs)
-        .iter()
-        .map(|text| monitor.submit("manager.org", text).expect("storm deploys"))
-        .collect();
-    (monitor, handles)
-}
-
-fn parallel_storm_monitor(workers: usize, n_subs: usize) -> (Monitor, Vec<SubscriptionHandle>) {
-    let mut monitor = Monitor::new(MonitorConfig {
-        enable_reuse: false,
-        naive_dispatch: false,
-        workers,
-        ..MonitorConfig::default()
-    });
-    monitor.add_peer("manager.org");
-    let storm = SubscriptionStorm::with_peers(1, PARALLEL_PEERS);
     let handles = storm
         .subscriptions(n_subs)
         .iter()
@@ -108,26 +80,6 @@ fn deploy_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dispatch_parallel");
-    let calls = SubscriptionStorm::with_peers(9, PARALLEL_PEERS).calls(calls_per_run());
-    // The full workers × subscriptions grid lives in the trajectory; the
-    // Criterion group tracks the two ends of the axis at 256 subscriptions.
-    for workers in [1usize, 4] {
-        group.bench_function(BenchmarkId::new("workers", workers), |b| {
-            let (mut monitor, _) = parallel_storm_monitor(workers, 256);
-            b.iter(|| {
-                for call in &calls {
-                    monitor.inject_soap_call(black_box(call));
-                }
-                monitor.run_until_idle();
-                monitor.operator_invocations
-            })
-        });
-    }
-    group.finish();
-}
-
 /// One timed dispatch run; returns (ns per call, results delivered).
 fn timed_run(naive: bool, n_subs: usize, calls_n: usize) -> (f64, Monitor) {
     let (mut monitor, handles) = storm_monitor(naive, n_subs);
@@ -141,21 +93,6 @@ fn timed_run(naive: bool, n_subs: usize, calls_n: usize) -> (f64, Monitor) {
     let delivered: usize = handles.iter().map(|h| monitor.results(h).len()).sum();
     black_box(delivered);
     (elapsed, monitor)
-}
-
-/// One timed multi-peer run with the given worker-pool size.
-fn timed_parallel_run(workers: usize, n_subs: usize, calls_n: usize) -> f64 {
-    let (mut monitor, handles) = parallel_storm_monitor(workers, n_subs);
-    let calls = SubscriptionStorm::with_peers(9, PARALLEL_PEERS).calls(calls_n);
-    let start = Instant::now();
-    for call in &calls {
-        monitor.inject_soap_call(call);
-    }
-    monitor.run_until_idle();
-    let elapsed = start.elapsed().as_nanos() as f64 / calls_n as f64;
-    let delivered: usize = handles.iter().map(|h| monitor.results(h).len()).sum();
-    black_box(delivered);
-    elapsed
 }
 
 /// Emits the BENCH_dispatch.json trajectory at the workspace root.
@@ -194,48 +131,12 @@ fn emit_trajectory(_c: &mut Criterion) {
             dispatch.gate_passes
         ));
     }
-    // Parallel-scaling axis: workers × subscriptions over the multi-peer
-    // storm, each worker count measured against the workers = 1 oracle.
-    let parallel_calls = if full_run_requested() { calls_n } else { 100 };
-    let parallel_repeats = 3;
-    let host_parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut parallel_rows = Vec::new();
-    for n_subs in SUBSCRIPTION_COUNTS {
-        let mut sequential_ns = f64::NAN;
-        for workers in WORKER_COUNTS {
-            // Median-of-N: the speedup column is a ratio of two timings, so
-            // one lucky (or unlucky) repeat on either side would swing the
-            // CI-gated rows; the median absorbs single outliers.
-            let mut runs: Vec<f64> = (0..parallel_repeats)
-                .map(|_| timed_parallel_run(workers, n_subs, parallel_calls))
-                .collect();
-            runs.sort_by(f64::total_cmp);
-            let ns = runs[parallel_repeats / 2];
-            if workers == 1 {
-                sequential_ns = ns;
-            }
-            let speedup = sequential_ns / ns;
-            eprintln!(
-                "dispatch_parallel [{n_subs} subs, {workers} workers]: {ns:.0} ns/call \
-                 (speedup vs sequential {speedup:.2}x, host parallelism {host_parallelism})"
-            );
-            parallel_rows.push(format!(
-                "    {{\"workers\": {workers}, \"subscriptions\": {n_subs}, \
-                 \"ns_per_call\": {ns:.0}, \"speedup_vs_sequential\": {speedup:.3}}}"
-            ));
-        }
-    }
-
     let json =
         format!(
         "{{\n  \"bench\": \"dispatch\",\n  \"mode\": \"{}\",\n  \"calls_per_run\": {calls_n},\n  \
-         \"host_parallelism\": {host_parallelism},\n  \
-         \"results\": [\n{}\n  ],\n  \"parallel\": [\n{}\n  ]\n}}\n",
+         \"results\": [\n{}\n  ]\n}}\n",
         if full_run_requested() { "full" } else { "quick" },
-        rows.join(",\n"),
-        parallel_rows.join(",\n")
+        rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
     match std::fs::write(path, &json) {
@@ -247,6 +148,6 @@ fn emit_trajectory(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = dispatch_scaling, deploy_scaling, parallel_scaling, emit_trajectory
+    targets = dispatch_scaling, deploy_scaling, emit_trajectory
 }
 criterion_main!(benches);

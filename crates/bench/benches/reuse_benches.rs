@@ -37,7 +37,6 @@ const PEERS_PER_CLUSTER: usize = 4;
 fn storm_monitor(enable_reuse: bool, n_subs: usize) -> (Monitor, Vec<SubscriptionHandle>) {
     let mut monitor = Monitor::new(MonitorConfig {
         enable_reuse,
-        workers: 1,
         ..MonitorConfig::default()
     });
     for peer in ["manager.org", "backend.net"] {
@@ -143,7 +142,6 @@ fn replica_run(enable_replicas: bool, n_subs: usize, calls_n: usize) -> ReplicaR
     let storm = OverlappingStorm::clustered(1, SHAPES, CLUSTERS, PEERS_PER_CLUSTER);
     let mut monitor = Monitor::new(MonitorConfig {
         enable_replicas,
-        workers: 1,
         network: NetworkConfig {
             latency: storm.latency_model(),
             ..NetworkConfig::default()

@@ -1,10 +1,10 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! The paper's evaluation is qualitative (see EXPERIMENTS.md): every claim is
-//! reproduced by one Criterion group in `benches/`, and the groups print the
-//! non-timing quantities (bytes transferred, calls avoided, hops, state
-//! sizes) on stderr so that `cargo bench | tee bench_output.txt` captures the
-//! whole picture.
+//! The paper's evaluation is qualitative: every claim is reproduced by one
+//! Criterion group in `benches/`, and the groups print the non-timing
+//! quantities (bytes transferred, calls avoided, hops, state sizes) on
+//! stderr so that `cargo bench | tee bench_output.txt` captures the whole
+//! picture.
 
 use criterion::Criterion;
 use std::time::Duration;

@@ -4,24 +4,23 @@
 //! deployment time, the engine-gated batched fan-out of alerts into hosted
 //! tasks, the per-peer work loops and the channel/network delivery glue.
 //!
-//! Every dispatch round is a two-phase step:
+//! Every dispatch round is a two-phase step, run on the calling thread:
 //!
-//! 1. **Parallel phase** — every peer with local work is handed to the
-//!    work-stealing scheduler (`crate::scheduler`, sized by
-//!    [`crate::MonitorConfig::workers`]).  A worker owns the whole
-//!    [`PeerHost`] shard: it drains the peer's `PendingAlert` batch —
-//!    deduplicating identical documents and running **one** amortized pass
-//!    of the shared [`FilterEngine`] (preFilter → AESFilter → YFilterσ) per
-//!    unique document ([`p2pmon_filter::FilterEngine::match_batch`]) — and
-//!    then runs the work queue until empty.  Only matched subscriptions'
-//!    operators execute; the `Select` operator keeps its LET-derivation /
+//! 1. **Local phase** — every peer with local work runs `run_peer`, in
+//!    peer order, over its own [`PeerHost`] shard: it drains the peer's
+//!    `PendingAlert` batch — deduplicating identical documents and running
+//!    **one** amortized pass of the shared [`FilterEngine`] (preFilter →
+//!    AESFilter → YFilterσ) per unique document
+//!    ([`p2pmon_filter::FilterEngine::match_batch`]) — and then runs the
+//!    work queue until empty.  Only matched subscriptions' operators
+//!    execute; the `Select` operator keeps its LET-derivation /
 //!    general-condition tail as the residual check.  Cross-peer outputs are
 //!    buffered as `Effect`s; nothing touches the monitor façade.
-//! 2. **Commit phase** — the buffered effects are applied in deterministic
-//!    peer order: channel multicasts and publisher deliveries hit the
-//!    network and the sinks exactly as the sequential path would, so results
-//!    are identical for any worker count (`workers = 1` *is* the sequential
-//!    path and serves as the equivalence oracle).
+//! 2. **Commit phase** — the buffered effects are applied in the same peer
+//!    order: channel multicasts and publisher deliveries hit the network and
+//!    the sinks.  Buffering is what fixes the commit order (a peer's outputs
+//!    reach the network only after every peer of the round has run) and what
+//!    lets a host be borrowed mutably while the façade's tables are read.
 //!
 //! Channels are *shared physical streams*: every task output is also
 //! multicast on the task's canonical output channel whenever reuse
@@ -115,7 +114,7 @@ pub struct DispatchStats {
 }
 
 impl DispatchStats {
-    /// Accumulates another stats block (merging per-worker counters).
+    /// Accumulates another stats block (merging per-peer counters).
     pub(crate) fn absorb(&mut self, other: &DispatchStats) {
         self.engine_documents += other.engine_documents;
         self.batch_dedup_hits += other.batch_dedup_hits;
@@ -127,15 +126,15 @@ impl DispatchStats {
     }
 }
 
-/// The immutable, deployment-time view every scheduler worker shares during
-/// a parallel phase: subscription plans and routes.  All per-task mutable
-/// state (operators, engines, queues) lives in the per-peer shards, so
-/// workers never contend on the monitor façade.
+/// The immutable, deployment-time view every peer's local phase reads:
+/// subscription plans and routes.  All per-task mutable state (operators,
+/// engines, queues) lives in the per-peer shards, so a local phase never
+/// touches the monitor façade.
 pub(crate) struct DispatchSnapshot<'a> {
     /// The deployed subscriptions (placements and routes only).
     pub subs: &'a [DeployedSubscription],
     /// The channel-consumer registrations, read-only during a phase: lets a
-    /// worker see whether a task's canonical output channel has live
+    /// local phase see whether a task's canonical output channel has live
     /// subscribers (reuse taps) without touching the routing tables.
     pub taps: &'a HashMap<ChannelId, Vec<(usize, usize, usize)>>,
     /// Bypass the shared engines (naive fan-out oracle).
@@ -176,9 +175,9 @@ pub(crate) enum Effect {
 pub(crate) struct PeerEffects {
     /// Deferred effects, in generation order.
     pub effects: Vec<Effect>,
-    /// Dispatch counters accumulated by this worker.
+    /// Dispatch counters accumulated by this peer.
     pub stats: DispatchStats,
-    /// Operator invocations performed by this worker.
+    /// Operator invocations performed by this peer.
     pub operator_invocations: u64,
 }
 
@@ -240,8 +239,7 @@ impl DispatchSnapshot<'_> {
 }
 
 /// Runs one peer's whole local phase: the batched alert dispatch, then the
-/// work queue until it is empty.  Called by scheduler workers (and inline on
-/// the sequential path).
+/// work queue until it is empty.
 pub(crate) fn run_peer(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>) -> PeerEffects {
     let mut out = PeerEffects::default();
     drain_alert_batch(host, snapshot, &mut out);
@@ -546,11 +544,6 @@ impl Monitor {
     /// Work queued on a downed peer is discarded (the peer's processors are
     /// gone with it).
     pub(crate) fn process_pending(&mut self) {
-        // Workers beyond the host's actual parallelism cannot help — on a
-        // single-core host they only add hand-off overhead — so the phase
-        // runs with at most one worker per available core (`workers <= 1`
-        // takes the inline sequential path).
-        let workers = self.effective_workers();
         // Channel-consumer registrations and placements are immutable while
         // dispatch runs, so one multicast plan per channel serves every
         // commit of this call instead of being regrouped per emitted item.
@@ -579,29 +572,25 @@ impl Monitor {
                 }
             }
 
-            // Parallel phase: hand every peer with local work to the
-            // persistent worker pool; workers only touch their own host's
-            // shard plus the immutable snapshot.
-            let results = {
-                let snapshot = DispatchSnapshot {
-                    subs: &self.subscriptions,
-                    taps: &self.routing.channel_consumers,
-                    naive_dispatch: self.config.naive_dispatch,
-                    now: self.network.now(),
-                };
-                let jobs: Vec<&mut PeerHost> = self
-                    .hosts
-                    .values_mut()
-                    .filter(|host| host.has_local_work())
-                    .collect();
-                if jobs.is_empty() {
-                    break;
-                }
-                self.scheduler.run(jobs, workers, &snapshot)
+            // Local phase: every peer with local work runs over its own
+            // shard plus the immutable snapshot, in peer order.
+            let snapshot = DispatchSnapshot {
+                subs: &self.subscriptions,
+                taps: &self.routing.channel_consumers,
+                naive_dispatch: self.config.naive_dispatch,
+                now: self.network.now(),
             };
+            let results: Vec<PeerEffects> = self
+                .hosts
+                .values_mut()
+                .filter(|host| host.has_local_work())
+                .map(|host| run_peer(host, &snapshot))
+                .collect();
+            if results.is_empty() {
+                break;
+            }
 
-            // Commit phase: apply the buffered effects in deterministic peer
-            // order, exactly as the sequential path would have.
+            // Commit phase: apply the buffered effects in the same peer order.
             for result in results {
                 self.dispatch_stats.absorb(&result.stats);
                 self.operator_invocations += result.operator_invocations;
@@ -791,13 +780,13 @@ impl Monitor {
         delivered
     }
 
-    /// Round-boundary sketch pass.  Every dirty leaf/merge stage serializes
-    /// the partial it accumulated this round and forwards it along the
-    /// task's normal route — one bounded-size message per stage per round,
-    /// however many raw items the stage absorbed — and every root stage due
-    /// per its `every` cadence materializes an `<aggregate>` answer into
-    /// the subscription's ordinary delivery path.  Returns `true` while any
-    /// stage flushed or still holds unpropagated state, so
+    /// Round-boundary sketch pass.  Every non-empty leaf/merge stage
+    /// serializes the partial it accumulated this round and forwards it
+    /// along the task's normal route — one bounded-size message per stage
+    /// per round, however many raw items the stage absorbed — and every
+    /// root stage due per its `every` cadence materializes an `<aggregate>`
+    /// answer into the subscription's ordinary delivery path.  Returns
+    /// `true` while any stage flushed or still holds unpropagated state, so
     /// [`Monitor::run_until_idle`] keeps ticking until the merge tree has
     /// fully drained into root answers.
     fn flush_sketches(&mut self) -> bool {

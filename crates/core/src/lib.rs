@@ -33,7 +33,6 @@ pub mod peer;
 pub mod placement;
 pub mod reuse;
 pub mod runtime;
-pub(crate) mod scheduler;
 pub mod sink;
 
 pub use dispatch::DispatchStats;

@@ -34,8 +34,8 @@ use crate::sink::Sink;
 /// Configuration of a Monitor instance.
 ///
 /// Every knob has an equivalence guarantee: flipping `enable_reuse`,
-/// `enable_replicas`, `rate_aware_placement`, `naive_dispatch` or
-/// `workers` changes *cost*, never delivered results (property-tested).
+/// `enable_replicas`, `rate_aware_placement` or `naive_dispatch` changes
+/// *cost*, never delivered results (property-tested).
 ///
 /// # Example
 ///
@@ -45,7 +45,6 @@ use crate::sink::Sink;
 /// use p2pmon_core::{Monitor, MonitorConfig};
 ///
 /// let config = MonitorConfig {
-///     workers: 1,         // sequential dispatch: the equivalence oracle
 ///     self_monitor: true, // emit the built-in `monStats` metrics stream
 ///     ..MonitorConfig::default()
 /// };
@@ -84,20 +83,8 @@ pub struct MonitorConfig {
     /// operator mutated a tree it shares with other consumers).  Tests only
     /// — it undoes the zero-copy hot path's whole point.
     pub deep_clone_items: bool,
-    /// Give each peer a *cost-adaptive* filter engine: it starts as a
-    /// memoized linear scan (cheapest at the low fan-in most peers see) and
-    /// promotes itself to the staged prefilter → AES → YFilterσ pipeline
-    /// when its measured scan cost crosses the model's break-even threshold,
-    /// demoting again when unsubscriptions shrink it below hysteresis.  Off,
-    /// every peer runs the always-staged engine regardless of size.
-    pub adaptive_filter: bool,
-    /// Size of the persistent work-stealing pool driving the per-peer
-    /// dispatch phases (spun up on the first parallel phase and parked on a
-    /// condvar between rounds).  Defaults to the host's available
-    /// parallelism; `1` processes peers sequentially, in order — the
-    /// equivalence oracle — and is also what a single-core host should use
-    /// (threads cannot help there).  Results are identical for any value;
-    /// only wall-clock time changes.
+    /// Ignored; dispatch is sequential.  Kept only because the frozen
+    /// `benchmark/` package names it.
     pub workers: usize,
     /// Place multi-input operators (joins/unions) to minimize *expected
     /// bytes moved × latency-weighted hops* using the measured per-channel
@@ -184,10 +171,7 @@ impl Default for MonitorConfig {
             seed: 7,
             naive_dispatch: false,
             deep_clone_items: false,
-            adaptive_filter: true,
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            workers: 1,
             rate_aware_placement: true,
             replica_policy: ReplicaPolicy::default(),
             self_monitor: false,
@@ -394,13 +378,6 @@ pub struct Monitor {
     /// stream: channel metrics carry *deltas*, so repeated snapshots sum to
     /// the true totals under the sketch plane's additive merges.
     pub(crate) reported_channel_bytes: HashMap<ChannelId, u64>,
-    /// The persistent worker pool driving parallel dispatch phases.
-    pub(crate) scheduler: crate::scheduler::SchedulerPool,
-    /// The host machine's available parallelism, probed once at construction:
-    /// dispatch phases never run with more workers than cores (extra workers
-    /// only add hand-off overhead; on a single-core host they would turn the
-    /// scheduler into pure overhead).
-    host_parallelism: usize,
 }
 
 impl Monitor {
@@ -425,30 +402,24 @@ impl Monitor {
             operator_invocations: 0,
             round_micros: std::collections::VecDeque::new(),
             reported_channel_bytes: HashMap::new(),
-            scheduler: crate::scheduler::SchedulerPool::new(),
-            host_parallelism: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
             config,
         }
     }
 
-    /// The worker count dispatch phases actually run with:
-    /// [`MonitorConfig::workers`] clamped to the host's available
-    /// parallelism.  `1` (or a single-core host) takes the inline sequential
-    /// path — the equivalence oracle.
+    /// Always `1`: dispatch is sequential.  Kept, like
+    /// [`MonitorConfig::workers`], only because the frozen `benchmark/`
+    /// package names it.
     pub fn effective_workers(&self) -> usize {
-        self.config.workers.clamp(1, self.host_parallelism)
+        1
     }
 
     /// Registers a peer in both the monitored and the monitoring network.
     pub fn add_peer(&mut self, peer: impl Into<String>) {
         let peer = normalize_peer(&peer.into());
         self.network.add_peer(peer.clone());
-        let adaptive = self.config.adaptive_filter;
         let deep_clone = self.config.deep_clone_items;
         self.hosts.entry(peer.clone()).or_insert_with(|| {
-            let mut host = PeerHost::new(peer.clone(), adaptive);
+            let mut host = PeerHost::new(peer.clone());
             host.deep_clone_items = deep_clone;
             host
         });
@@ -470,10 +441,9 @@ impl Monitor {
     pub(crate) fn host_mut(&mut self, peer: &str) -> &mut PeerHost {
         self.network.add_peer(peer.to_string());
         self.peers.insert(peer.to_string());
-        let adaptive = self.config.adaptive_filter;
         let deep_clone = self.config.deep_clone_items;
         self.hosts.entry(peer.to_string()).or_insert_with(|| {
-            let mut host = PeerHost::new(peer.to_string(), adaptive);
+            let mut host = PeerHost::new(peer.to_string());
             host.deep_clone_items = deep_clone;
             host
         })
@@ -1515,13 +1485,6 @@ impl Monitor {
             .as_mut()
             .expect("checked installed above")
             .extend(metrics);
-    }
-
-    /// Number of live threads in the persistent dispatch worker pool (zero
-    /// until the first parallel phase spins it up; the pool then survives
-    /// across rounds instead of re-spawning per phase).
-    pub fn scheduler_threads(&self) -> usize {
-        self.scheduler.thread_count()
     }
 
     /// Aggregate stream-reuse effectiveness (E7): hit rate, covered plan

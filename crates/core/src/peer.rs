@@ -13,11 +13,10 @@
 //! * the peer's **alert batch** (`PendingAlert`s awaiting the next
 //!   amortized engine pass) and its **work queue** of pending `Work` items.
 //!
-//! Because a host owns every piece of mutable state its tasks need, whole
-//! hosts can be handed to scheduler workers (`crate::scheduler`) and
-//! processed in parallel without any contention on the [`crate::Monitor`]
-//! façade; the façade only keeps the immutable routing snapshot and commits
-//! the buffered cross-peer effects afterwards ([`crate::dispatch`]).
+//! Because a host owns every piece of mutable state its tasks need, a
+//! dispatch round can run each host's local phase against an immutable
+//! routing snapshot of the [`crate::Monitor`] façade, which commits the
+//! buffered cross-peer effects afterwards ([`crate::dispatch`]).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -167,9 +166,8 @@ pub struct PeerHost {
     pub(crate) queue: VecDeque<Work>,
     /// The alerters installed on this peer.
     pub(crate) alerters: AlerterSet,
-    /// Sequence numbers for items created on this peer.  Per-host counters
-    /// keep item creation contention-free under the parallel scheduler while
-    /// staying monotonic (and therefore deterministic) per peer.
+    /// Sequence numbers for items created on this peer: monotonic (and
+    /// therefore deterministic) per peer.
     next_seq: u64,
     /// Deep-copy every item at creation instead of sharing its `Arc` — the
     /// zero-copy equivalence oracle: with fully isolated trees no operator
@@ -179,18 +177,12 @@ pub struct PeerHost {
 }
 
 impl PeerHost {
-    /// Creates an empty host for `name`.  `adaptive` selects the
-    /// cost-adaptive engine (naive start, promotion past break-even) over the
-    /// always-staged one; most peers host few subscriptions, so the adaptive
-    /// engine is the [`MonitorConfig`](crate::MonitorConfig) default.
-    pub(crate) fn new(name: impl Into<String>, adaptive: bool) -> Self {
+    /// Creates an empty host for `name` with a cost-adaptive engine (naive
+    /// start, promotion past break-even): most peers host few subscriptions.
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         PeerHost {
             name: name.into(),
-            engine: if adaptive {
-                FilterEngine::adaptive()
-            } else {
-                FilterEngine::new()
-            },
+            engine: FilterEngine::adaptive(),
             gates: HashMap::new(),
             operators: HashMap::new(),
             sketch_tasks: std::collections::BTreeSet::new(),
@@ -232,8 +224,7 @@ impl PeerHost {
         self.engine.stats
     }
 
-    /// The strategy the shared engine is currently using (always `Staged`
-    /// for a non-adaptive engine).
+    /// The strategy the shared engine is currently using.
     pub fn filter_mode(&self) -> EngineMode {
         self.engine.mode()
     }
@@ -358,7 +349,7 @@ mod tests {
 
     #[test]
     fn select_registration_gates_through_the_shared_engine() {
-        let mut host = PeerHost::new("hub.net", true);
+        let mut host = PeerHost::new("hub.net");
         let filter = FilterSubscription::new(7).with_simple(vec![AttrCondition::new(
             "callMethod",
             CompareOp::Eq,

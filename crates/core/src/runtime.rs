@@ -90,18 +90,16 @@ pub enum RuntimeOperator {
     SketchLeaf {
         /// Key/weight extraction rules.
         spec: AggregateSpec,
-        /// The delta accumulated since the last flush.
+        /// The delta accumulated since the last flush; non-empty exactly
+        /// when the stage has something to flush.
         sketch: AnySketch,
-        /// Whether anything arrived since the last flush.
-        dirty: bool,
     },
     /// Interior sketch merge: folds serialized child partials, forwards the
     /// combined delta at the next flush.
     SketchMerge {
-        /// The delta accumulated since the last flush.
+        /// The delta accumulated since the last flush; non-empty exactly
+        /// when the stage has something to flush.
         sketch: AnySketch,
-        /// Whether anything arrived since the last flush.
-        dirty: bool,
     },
     /// Sketch root: accumulates partials *cumulatively* and materializes an
     /// XML answer every `spec.every` flush opportunities.
@@ -164,11 +162,9 @@ impl RuntimeOperator {
             TaskKind::SketchLeaf { spec } => RuntimeOperator::SketchLeaf {
                 spec: spec.clone(),
                 sketch: AnySketch::for_spec(spec),
-                dirty: false,
             },
             TaskKind::SketchMerge { spec } => RuntimeOperator::SketchMerge {
                 sketch: AnySketch::for_spec(spec),
-                dirty: false,
             },
             TaskKind::SketchRoot { spec } => RuntimeOperator::SketchRoot {
                 spec: spec.clone(),
@@ -217,14 +213,15 @@ impl RuntimeOperator {
     }
 
     /// Whether this operator holds sketch state awaiting a round-boundary
-    /// flush (leaf/merge deltas) or a pending root emission.  The dispatcher
-    /// keeps ticking while any operator reports pending sketch work, so
-    /// `run_until_idle` drains the merge tree completely.
+    /// flush (a leaf/merge delta a flush would serialize) or a pending root
+    /// emission.  The dispatcher keeps ticking while any operator reports
+    /// pending sketch work, so `run_until_idle` drains the merge tree
+    /// completely.
     pub fn sketch_pending(&self) -> bool {
         match self {
-            RuntimeOperator::SketchLeaf { dirty, .. }
-            | RuntimeOperator::SketchMerge { dirty, .. }
-            | RuntimeOperator::SketchRoot { dirty, .. } => *dirty,
+            RuntimeOperator::SketchLeaf { sketch, .. }
+            | RuntimeOperator::SketchMerge { sketch } => !sketch.is_empty(),
+            RuntimeOperator::SketchRoot { dirty, .. } => *dirty,
             _ => false,
         }
     }
@@ -234,14 +231,13 @@ impl RuntimeOperator {
     /// has nothing new (or for non-sketch operators).
     pub fn sketch_flush(&mut self) -> Option<Element> {
         match self {
-            RuntimeOperator::SketchLeaf { sketch, dirty, .. }
-            | RuntimeOperator::SketchMerge { sketch, dirty } => {
-                if !*dirty || sketch.is_empty() {
+            RuntimeOperator::SketchLeaf { sketch, .. }
+            | RuntimeOperator::SketchMerge { sketch } => {
+                if sketch.is_empty() {
                     return None;
                 }
                 let partial = sketch.to_element();
                 sketch.reset();
-                *dirty = false;
                 Some(partial)
             }
             _ => None,
@@ -343,22 +339,15 @@ impl RuntimeOperator {
                 }
                 RuntimeOutput::many(vec![Arc::new(template.instantiate(&bindings))])
             }
-            RuntimeOperator::SketchLeaf {
-                spec,
-                sketch,
-                dirty,
-            } => {
+            RuntimeOperator::SketchLeaf { spec, sketch } => {
                 let (key, weight) = spec.observe(&item.data);
                 if !key.is_empty() {
                     sketch.update(&key, weight);
-                    *dirty = true;
                 }
                 RuntimeOutput::none()
             }
-            RuntimeOperator::SketchMerge { sketch, dirty } => {
-                if sketch.absorb(&item.data) {
-                    *dirty = true;
-                }
+            RuntimeOperator::SketchMerge { sketch } => {
+                sketch.absorb(&item.data);
                 RuntimeOutput::none()
             }
             RuntimeOperator::SketchRoot { sketch, dirty, .. } => {

@@ -1,19 +1,16 @@
 //! Property tests: for random alert/subscription mixes, engine-gated
 //! batched dispatch delivers exactly the same sink results as the
 //! pre-refactor linear path (kept behind the `naive_dispatch` config flag as
-//! the equivalence oracle) — and it does so for *any* worker count of the
-//! parallel peer scheduler, with `workers = 1` (the in-order sequential
-//! path) as the second oracle.
+//! the equivalence oracle), and every optimization knob (reuse, replicas,
+//! rate-aware placement, the replica policy) leaves the sinks unchanged.
 
 use proptest::prelude::*;
 
 use p2pmon_core::{Monitor, MonitorConfig, PlacementStrategy, ReplicaPolicy, SubscriptionHandle};
 use p2pmon_workloads::{OverlappingStorm, SubscriptionStorm};
 
-#[allow(clippy::too_many_arguments)]
-fn run_storm_with_workers(
+fn run_storm(
     naive_dispatch: bool,
-    workers: usize,
     placement: PlacementStrategy,
     enable_reuse: bool,
     storm: &SubscriptionStorm,
@@ -25,7 +22,6 @@ fn run_storm_with_workers(
         placement,
         enable_reuse,
         naive_dispatch,
-        workers,
         ..MonitorConfig::default()
     });
     for peer in ["manager.org", "backend.net"] {
@@ -42,27 +38,6 @@ fn run_storm_with_workers(
     }
     monitor.run_until_idle();
     (monitor, handles)
-}
-
-fn run_storm(
-    naive_dispatch: bool,
-    placement: PlacementStrategy,
-    enable_reuse: bool,
-    storm: &SubscriptionStorm,
-    n_subs: usize,
-    n_calls: usize,
-    traffic_seed: u64,
-) -> (Monitor, Vec<SubscriptionHandle>) {
-    run_storm_with_workers(
-        naive_dispatch,
-        1,
-        placement,
-        enable_reuse,
-        storm,
-        n_subs,
-        n_calls,
-        traffic_seed,
-    )
 }
 
 trait CloneWithSeed {
@@ -125,16 +100,15 @@ proptest! {
         );
     }
 
-    /// Batched-parallel dispatch ≡ the sequential engine path ≡ naive
-    /// fan-out: same sinks for any worker count, across single- and
-    /// multi-peer storms.
+    /// Batched engine dispatch ≡ naive fan-out across storms whose
+    /// monitored functions are spread over several peers, so a round runs
+    /// more than one host's local phase before the commit.
     #[test]
-    fn parallel_dispatch_equals_sequential_and_naive_for_any_worker_count(
+    fn engine_dispatch_equals_naive_across_multi_peer_storms(
         seed in 0u64..10_000,
         n_subs in 1usize..24,
         n_calls in 1usize..32,
         n_peers in 1usize..5,
-        workers in 2usize..6,
         pattern_every in 0usize..4,
         residual_every in 0usize..5,
     ) {
@@ -143,55 +117,36 @@ proptest! {
         storm.residual_every = residual_every;
         let placement = PlacementStrategy::PushToSources;
 
-        let (parallel_monitor, parallel_handles) = run_storm_with_workers(
-            false, workers, placement, false, &storm, n_subs, n_calls, seed ^ 0xfeed);
-        let (sequential_monitor, sequential_handles) = run_storm_with_workers(
-            false, 1, placement, false, &storm, n_subs, n_calls, seed ^ 0xfeed);
-        let (naive_monitor, naive_handles) = run_storm_with_workers(
-            true, workers, placement, false, &storm, n_subs, n_calls, seed ^ 0xfeed);
+        let (engine_monitor, engine_handles) =
+            run_storm(false, placement, false, &storm, n_subs, n_calls, seed ^ 0xfeed);
+        let (naive_monitor, naive_handles) =
+            run_storm(true, placement, false, &storm, n_subs, n_calls, seed ^ 0xfeed);
 
-        for ((p, s), n) in parallel_handles.iter().zip(&sequential_handles).zip(&naive_handles) {
+        for (e, n) in engine_handles.iter().zip(&naive_handles) {
             prop_assert_eq!(
-                parallel_monitor.results(p),
-                sequential_monitor.results(s),
-                "parallel vs sequential sink divergence (seed {}, {} subs, {} calls, {} peers, {} workers)",
-                seed, n_subs, n_calls, n_peers, workers
-            );
-            prop_assert_eq!(
-                parallel_monitor.results(p),
+                engine_monitor.results(e),
                 naive_monitor.results(n),
-                "parallel vs naive sink divergence (seed {}, {} subs, {} calls, {} peers, {} workers)",
-                seed, n_subs, n_calls, n_peers, workers
+                "engine vs naive sink divergence (seed {}, {} subs, {} calls, {} peers)",
+                seed, n_subs, n_calls, n_peers
             );
         }
-        // The schedule must not change the work done, only who does it.
-        prop_assert_eq!(
-            parallel_monitor.operator_invocations,
-            sequential_monitor.operator_invocations
-        );
-        prop_assert_eq!(
-            parallel_monitor.dispatch_stats(),
-            sequential_monitor.dispatch_stats()
-        );
     }
 
     /// Live stream reuse is an optimization, not a semantics change:
     /// reuse-on delivers byte-identical sink output to reuse-off over
-    /// overlapping-subscription storms, for any worker count, without ever
-    /// sending more network messages or running more operators.
+    /// overlapping-subscription storms, without ever sending more network
+    /// messages or running more operators.
     #[test]
-    fn reuse_on_equals_reuse_off_for_any_worker_count(
+    fn reuse_on_equals_reuse_off(
         seed in 0u64..10_000,
         shapes in 1usize..6,
         n_subs in 1usize..28,
         n_calls in 1usize..32,
         n_peers in 1usize..4,
-        workers in 1usize..6,
     ) {
         let run = |enable_reuse: bool| -> (Monitor, Vec<SubscriptionHandle>) {
             let mut monitor = Monitor::new(MonitorConfig {
                 enable_reuse,
-                workers,
                 ..MonitorConfig::default()
             });
             for peer in ["manager.org", "backend.net"] {
@@ -216,8 +171,8 @@ proptest! {
             prop_assert_eq!(
                 reuse_on.results(a),
                 reuse_off.results(b),
-                "reuse sink divergence (seed {}, {} shapes, {} subs, {} calls, {} peers, {} workers)",
-                seed, shapes, n_subs, n_calls, n_peers, workers
+                "reuse sink divergence (seed {}, {} shapes, {} subs, {} calls, {} peers)",
+                seed, shapes, n_subs, n_calls, n_peers
             );
         }
         prop_assert!(
@@ -232,24 +187,21 @@ proptest! {
 
     /// Replica re-publication is an optimization, not a semantics change:
     /// with consumers spread over clustered manager peers, replica-on
-    /// delivers byte-identical sink output to replica-off for any worker
-    /// count — and the origin hub never sends *more* messages than the
-    /// replica-free baseline.
+    /// delivers byte-identical sink output to replica-off — and the origin
+    /// hub never sends *more* messages than the replica-free baseline.
     #[test]
-    fn replicas_on_equals_replicas_off_for_any_worker_count(
+    fn replicas_on_equals_replicas_off(
         seed in 0u64..10_000,
         shapes in 1usize..5,
         clusters in 1usize..4,
         per_cluster in 1usize..4,
         n_subs in 1usize..28,
         n_calls in 1usize..24,
-        workers in 1usize..5,
     ) {
         let storm = OverlappingStorm::clustered(seed, shapes, clusters, per_cluster);
         let run = |enable_replicas: bool| -> (Monitor, Vec<SubscriptionHandle>) {
             let mut monitor = Monitor::new(MonitorConfig {
                 enable_replicas,
-                workers,
                 network: p2pmon_net::NetworkConfig {
                     latency: storm.latency_model(),
                     ..p2pmon_net::NetworkConfig::default()
@@ -280,8 +232,8 @@ proptest! {
             prop_assert_eq!(
                 replica_on.results(a),
                 replica_off.results(b),
-                "replica sink divergence (seed {}, {} shapes, {}x{} consumers, {} subs, {} calls, {} workers)",
-                seed, shapes, clusters, per_cluster, n_subs, n_calls, workers
+                "replica sink divergence (seed {}, {} shapes, {}x{} consumers, {} subs, {} calls)",
+                seed, shapes, clusters, per_cluster, n_subs, n_calls
             );
         }
         let origin_out = |monitor: &Monitor| {
@@ -304,22 +256,20 @@ proptest! {
     /// with per-channel rates measured during a warmup phase (calls drained
     /// one at a time so the EWMA sees distinct instants), rate-aware-on
     /// delivers byte-identical sink output to rate-aware-off over paired
-    /// multi-input storms, for any worker count.
+    /// multi-input storms.
     #[test]
-    fn rate_aware_placement_on_equals_off_for_any_worker_count(
+    fn rate_aware_placement_on_equals_off(
         seed in 0u64..10_000,
         clusters in 1usize..3,
         per_cluster in 1usize..4,
         n_subs in 1usize..16,
         warmup_calls in 4usize..14,
         n_calls in 1usize..20,
-        workers in 1usize..5,
     ) {
         let storm = OverlappingStorm::paired(seed, 4, clusters, per_cluster);
         let run = |rate_aware: bool| -> (Monitor, Vec<SubscriptionHandle>) {
             let mut monitor = Monitor::new(MonitorConfig {
                 rate_aware_placement: rate_aware,
-                workers,
                 network: p2pmon_net::NetworkConfig {
                     latency: storm.latency_model(),
                     ..p2pmon_net::NetworkConfig::default()
@@ -360,8 +310,8 @@ proptest! {
             prop_assert_eq!(
                 aware.results(a),
                 count.results(b),
-                "rate-aware sink divergence (seed {}, {}x{} consumers, {} subs, {}+{} calls, {} workers)",
-                seed, clusters, per_cluster, n_subs, warmup_calls, n_calls, workers
+                "rate-aware sink divergence (seed {}, {}x{} consumers, {} subs, {}+{} calls)",
+                seed, clusters, per_cluster, n_subs, warmup_calls, n_calls
             );
         }
     }
@@ -381,7 +331,6 @@ proptest! {
         per_cluster in 1usize..4,
         n_subs in 1usize..20,
         n_calls in 2usize..16,
-        workers in 1usize..5,
         min_rate in 0u32..200,
         max_replicas in 0usize..5,
         prefer_median in proptest::bool::ANY,
@@ -396,7 +345,6 @@ proptest! {
             let mut monitor = Monitor::new(MonitorConfig {
                 enable_replicas,
                 replica_policy: policy,
-                workers,
                 network: p2pmon_net::NetworkConfig {
                     latency: storm.latency_model(),
                     ..p2pmon_net::NetworkConfig::default()
@@ -434,8 +382,8 @@ proptest! {
             prop_assert_eq!(
                 policy_on.results(a),
                 off.results(b),
-                "policy sink divergence (seed {}, {} shapes, {}x{} consumers, {} subs, {} calls, {} workers, {:?})",
-                seed, shapes, clusters, per_cluster, n_subs, n_calls, workers, policy
+                "policy sink divergence (seed {}, {} shapes, {}x{} consumers, {} subs, {} calls, {:?})",
+                seed, shapes, clusters, per_cluster, n_subs, n_calls, policy
             );
         }
         let origin_out = |monitor: &Monitor| {
@@ -463,12 +411,12 @@ proptest! {
 
     /// Churn under faults: random interleavings of subscribe, unsubscribe,
     /// cluster crash/recover, cluster-aligned partition/heal and traffic
-    /// processing preserve the equivalence chain — engine ≡ naive dispatch,
-    /// replica-on ≡ replica-off, and any worker count ≡ sequential.  Faults
-    /// are *cluster-granular* by construction: replica chains never leave a
-    /// cluster (ties go to the origin), so failing or splitting whole
-    /// clusters loses the same items under every variant, and the sinks must
-    /// stay byte-identical after the final heal.
+    /// processing preserve the equivalence chain — engine ≡ naive dispatch
+    /// and replica-on ≡ replica-off.  Faults are *cluster-granular* by
+    /// construction: replica chains never leave a cluster (ties go to the
+    /// origin), so failing or splitting whole clusters loses the same items
+    /// under every variant, and the sinks must stay byte-identical after the
+    /// final heal.
     #[test]
     fn churn_under_faults_preserves_the_equivalence_chain(
         seed in 0u64..10_000,
@@ -476,19 +424,17 @@ proptest! {
         clusters in 2usize..4,
         per_cluster in 1usize..4,
         n_base in 1usize..10,
-        workers in 2usize..5,
         ops in proptest::collection::vec((0u8..6, 0usize..16), 1..12),
     ) {
         let storm = OverlappingStorm::clustered(seed, shapes, clusters, per_cluster);
         let cluster_peers = |c: usize| -> Vec<String> {
             (0..per_cluster).map(|p| format!("c{c}-peer{p}.org")).collect()
         };
-        let run = |naive_dispatch: bool, enable_replicas: bool, workers: usize|
+        let run = |naive_dispatch: bool, enable_replicas: bool|
             -> (Monitor, Vec<Option<SubscriptionHandle>>) {
             let mut monitor = Monitor::new(MonitorConfig {
                 naive_dispatch,
                 enable_replicas,
-                workers,
                 network: p2pmon_net::NetworkConfig {
                     latency: storm.latency_model(),
                     ..p2pmon_net::NetworkConfig::default()
@@ -569,14 +515,12 @@ proptest! {
             (monitor, handles)
         };
 
-        let (engine, engine_h) = run(false, true, workers);
-        let (sequential, sequential_h) = run(false, true, 1);
-        let (no_replica, no_replica_h) = run(false, false, workers);
-        let (naive, naive_h) = run(true, false, workers);
+        let (engine, engine_h) = run(false, true);
+        let (no_replica, no_replica_h) = run(false, false);
+        let (naive, naive_h) = run(true, false);
 
         for (i, handle) in engine_h.iter().enumerate() {
             let Some(handle) = handle else {
-                prop_assert!(sequential_h[i].is_none());
                 prop_assert!(no_replica_h[i].is_none());
                 prop_assert!(naive_h[i].is_none());
                 continue;
@@ -584,26 +528,20 @@ proptest! {
             let expected = engine.results(handle);
             prop_assert_eq!(
                 &expected,
-                &sequential.results(sequential_h[i].as_ref().expect("aligned")),
-                "worker-count divergence at sub {} (seed {}, {} shapes, {}x{}, {} workers)",
-                i, seed, shapes, clusters, per_cluster, workers
-            );
-            prop_assert_eq!(
-                &expected,
                 &no_replica.results(no_replica_h[i].as_ref().expect("aligned")),
-                "replica divergence at sub {} (seed {}, {} shapes, {}x{}, {} workers)",
-                i, seed, shapes, clusters, per_cluster, workers
+                "replica divergence at sub {} (seed {}, {} shapes, {}x{})",
+                i, seed, shapes, clusters, per_cluster
             );
             prop_assert_eq!(
                 &expected,
                 &naive.results(naive_h[i].as_ref().expect("aligned")),
-                "engine-vs-naive divergence at sub {} (seed {}, {} shapes, {}x{}, {} workers)",
-                i, seed, shapes, clusters, per_cluster, workers
+                "engine-vs-naive divergence at sub {} (seed {}, {} shapes, {}x{})",
+                i, seed, shapes, clusters, per_cluster
             );
         }
         // Fault drops are accounted identically however the engine is
         // configured: the ledger identity holds in every variant.
-        for monitor in [&engine, &sequential, &no_replica, &naive] {
+        for monitor in [&engine, &no_replica, &naive] {
             let stats = monitor.network_stats();
             prop_assert_eq!(
                 stats.dropped_messages,

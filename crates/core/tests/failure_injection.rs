@@ -157,7 +157,6 @@ fn peer_down_mid_batch_loses_no_alert_and_duplicates_nothing() {
         let mut monitor = Monitor::new(MonitorConfig {
             placement: PlacementStrategy::PushToSources,
             enable_reuse: true,
-            workers: 3,
             ..MonitorConfig::default()
         });
         for peer in ["p", "observer.org", "a.com", "b.com", "meteo.com"] {

@@ -14,10 +14,9 @@ use p2pmon_workloads::OverlappingStorm;
 const ORIGIN: &str = "hub.net";
 
 /// A monitor over the clustered storm's latency topology.
-fn clustered_monitor(storm: &OverlappingStorm, enable_replicas: bool, workers: usize) -> Monitor {
+fn clustered_monitor(storm: &OverlappingStorm, enable_replicas: bool) -> Monitor {
     let mut monitor = Monitor::new(MonitorConfig {
         enable_replicas,
-        workers,
         network: NetworkConfig {
             latency: storm.latency_model(),
             ..NetworkConfig::default()
@@ -35,7 +34,7 @@ fn run_clustered(
     n_subs: usize,
     n_calls: usize,
 ) -> (Monitor, Vec<SubscriptionHandle>) {
-    let mut monitor = clustered_monitor(storm, enable_replicas, 1);
+    let mut monitor = clustered_monitor(storm, enable_replicas);
     let handles: Vec<SubscriptionHandle> = storm
         .subscriptions(n_subs)
         .iter()
@@ -122,7 +121,7 @@ fn clustered_storm_replicas_offload_the_origin_with_identical_sinks() {
 #[test]
 fn last_subscriber_retracts_the_replica_and_selection_falls_back_to_origin() {
     let storm = OverlappingStorm::clustered(3, 1, 1, 3);
-    let mut monitor = clustered_monitor(&storm, true, 1);
+    let mut monitor = clustered_monitor(&storm, true);
     let producer = monitor
         .submit("c0-peer0.org", &storm.subscription(0))
         .expect("producer deploys");
@@ -203,7 +202,7 @@ fn last_subscriber_retracts_the_replica_and_selection_falls_back_to_origin() {
 #[test]
 fn orphaned_replica_subscribers_fall_back_to_the_origin() {
     let storm = OverlappingStorm::clustered(5, 1, 1, 3);
-    let mut monitor = clustered_monitor(&storm, true, 1);
+    let mut monitor = clustered_monitor(&storm, true);
     let producer = monitor
         .submit("c0-peer0.org", &storm.subscription(0))
         .expect("producer deploys");
@@ -253,7 +252,7 @@ fn orphaned_replica_subscribers_fall_back_to_the_origin() {
 #[test]
 fn forwarder_hand_off_keeps_replica_subscribers_fed() {
     let storm = OverlappingStorm::clustered(7, 1, 1, 3);
-    let mut monitor = clustered_monitor(&storm, true, 1);
+    let mut monitor = clustered_monitor(&storm, true);
     let producer = monitor
         .submit("c0-peer0.org", &storm.subscription(0))
         .expect("producer deploys");
@@ -336,7 +335,6 @@ fn policy_monitor(storm: &OverlappingStorm, policy: ReplicaPolicy) -> Monitor {
     let mut monitor = Monitor::new(MonitorConfig {
         enable_replicas: true,
         replica_policy: policy,
-        workers: 1,
         network: NetworkConfig {
             latency: storm.latency_model(),
             ..NetworkConfig::default()
@@ -448,7 +446,7 @@ fn rate_decay_retracts_replicas_and_consumers_reattach_without_loss() {
 #[test]
 fn eager_default_policy_never_retracts_on_decay() {
     let storm = OverlappingStorm::clustered(17, 1, 1, 3);
-    let mut monitor = clustered_monitor(&storm, true, 1);
+    let mut monitor = clustered_monitor(&storm, true);
     let producer = monitor
         .submit("c0-peer0.org", &storm.subscription(0))
         .expect("producer deploys");
@@ -579,7 +577,7 @@ fn policy_gates_cold_streams_and_declares_at_the_cluster_median() {
 #[test]
 fn downed_replica_peer_is_skipped_by_provider_selection() {
     let storm = OverlappingStorm::clustered(9, 1, 1, 3);
-    let mut monitor = clustered_monitor(&storm, true, 1);
+    let mut monitor = clustered_monitor(&storm, true);
     let producer = monitor
         .submit("c0-peer0.org", &storm.subscription(0))
         .expect("producer deploys");
@@ -738,7 +736,7 @@ fn never_noted_subscriber_removal_does_not_retract_a_live_replica() {
 #[test]
 fn orphans_reattach_to_the_closest_surviving_replica_not_the_origin() {
     let storm = OverlappingStorm::clustered(11, 1, 1, 4);
-    let mut monitor = clustered_monitor(&storm, true, 1);
+    let mut monitor = clustered_monitor(&storm, true);
     let producer = monitor
         .submit("c0-peer0.org", &storm.subscription(0))
         .expect("producer deploys");
@@ -838,7 +836,7 @@ fn orphans_reattach_to_the_closest_surviving_replica_not_the_origin() {
 #[test]
 fn orphan_reattachment_skips_downed_replica_peers() {
     let storm = OverlappingStorm::clustered(13, 1, 1, 4);
-    let mut monitor = clustered_monitor(&storm, true, 1);
+    let mut monitor = clustered_monitor(&storm, true);
     let producer = monitor
         .submit("c0-peer0.org", &storm.subscription(0))
         .expect("producer deploys");

@@ -11,13 +11,11 @@ const SHAPES: usize = 8;
 
 fn run_storm(
     enable_reuse: bool,
-    workers: usize,
     n_subs: usize,
     n_calls: usize,
 ) -> (Monitor, Vec<SubscriptionHandle>) {
     let mut monitor = Monitor::new(MonitorConfig {
         enable_reuse,
-        workers,
         ..MonitorConfig::default()
     });
     for peer in ["manager.org", "backend.net"] {
@@ -44,8 +42,8 @@ fn run_storm(
 fn overlapping_storm_reuse_is_byte_identical_and_cheaper() {
     const SUBS: usize = 64;
     const CALLS: usize = 60;
-    let (on, on_handles) = run_storm(true, 1, SUBS, CALLS);
-    let (off, off_handles) = run_storm(false, 1, SUBS, CALLS);
+    let (on, on_handles) = run_storm(true, SUBS, CALLS);
+    let (off, off_handles) = run_storm(false, SUBS, CALLS);
 
     let mut delivered = 0;
     for (a, b) in on_handles.iter().zip(&off_handles) {
@@ -79,83 +77,47 @@ fn overlapping_storm_reuse_is_byte_identical_and_cheaper() {
     assert_eq!(off.reuse_stats().subscriptions, 0);
 }
 
-/// Reuse stays byte-identical under the parallel scheduler, and the
-/// persistent worker pool is spun up once and survives across rounds.
+/// Reuse stays byte-identical to reuse-off over a storm spread across four
+/// monitored peers, across successive bursts into the same live deployment.
 #[test]
-fn parallel_reuse_matches_sequential_and_reuses_the_pool() {
+fn multi_peer_reuse_matches_reuse_off_across_bursts() {
     const SUBS: usize = 24;
     const CALLS: usize = 40;
-    let (sequential, seq_handles) = run_storm(true, 1, SUBS, CALLS);
-    assert_eq!(
-        sequential.scheduler_threads(),
-        0,
-        "the sequential oracle never spawns pool threads"
-    );
-
-    let mut parallel = Monitor::new(MonitorConfig {
-        enable_reuse: true,
-        workers: 3,
-        ..MonitorConfig::default()
-    });
-    for peer in ["manager.org", "backend.net"] {
-        parallel.add_peer(peer);
-    }
     let storm = OverlappingStorm::with_peers(1, SHAPES, 4);
-    let handles: Vec<SubscriptionHandle> = storm
-        .subscriptions(SUBS)
-        .iter()
-        .map(|text| parallel.submit("manager.org", text).expect("deploys"))
-        .collect();
-    let mut reference = Monitor::new(MonitorConfig {
-        enable_reuse: true,
-        workers: 1,
-        ..MonitorConfig::default()
-    });
-    for peer in ["manager.org", "backend.net"] {
-        reference.add_peer(peer);
-    }
-    let ref_handles: Vec<SubscriptionHandle> = storm
-        .subscriptions(SUBS)
-        .iter()
-        .map(|text| reference.submit("manager.org", text).expect("deploys"))
-        .collect();
+    let deploy = |enable_reuse: bool| {
+        let mut monitor = Monitor::new(MonitorConfig {
+            enable_reuse,
+            ..MonitorConfig::default()
+        });
+        for peer in ["manager.org", "backend.net"] {
+            monitor.add_peer(peer);
+        }
+        let handles: Vec<SubscriptionHandle> = storm
+            .subscriptions(SUBS)
+            .iter()
+            .map(|text| monitor.submit("manager.org", text).expect("deploys"))
+            .collect();
+        (monitor, handles)
+    };
+    let (mut reusing, handles) = deploy(true);
+    let (mut reference, ref_handles) = deploy(false);
 
-    let calls = OverlappingStorm::with_peers(9, SHAPES, 4).calls(CALLS);
-    for call in &calls {
-        parallel.inject_soap_call(call);
-        reference.inject_soap_call(call);
+    for traffic_seed in [9, 11] {
+        for call in &OverlappingStorm::with_peers(traffic_seed, SHAPES, 4).calls(CALLS) {
+            reusing.inject_soap_call(call);
+            reference.inject_soap_call(call);
+        }
+        reusing.run_until_idle();
+        reference.run_until_idle();
     }
-    parallel.run_until_idle();
-    reference.run_until_idle();
-
-    let pool_after_first = parallel.scheduler_threads();
-    // Workers are clamped to the host's parallelism: on a multi-core host the
-    // pool matches the configured count; on a single core the monitor takes
-    // the inline sequential path and never spawns threads.
-    let clamped = parallel.effective_workers();
-    let expected_pool = if clamped > 1 { clamped } else { 0 };
-    assert_eq!(
-        pool_after_first, expected_pool,
-        "the pool matches the clamped worker count"
-    );
-    // A second burst reuses the same pool instead of respawning.
-    let more = OverlappingStorm::with_peers(11, SHAPES, 4).calls(CALLS);
-    for call in &more {
-        parallel.inject_soap_call(call);
-        reference.inject_soap_call(call);
-    }
-    parallel.run_until_idle();
-    reference.run_until_idle();
-    assert_eq!(parallel.scheduler_threads(), pool_after_first);
 
     for (p, r) in handles.iter().zip(&ref_handles) {
         assert_eq!(
-            parallel.results(p),
+            reusing.results(p),
             reference.results(r),
-            "parallel reuse must match the sequential oracle"
+            "reuse must match the reuse-off oracle"
         );
     }
-    let _ = seq_handles;
 }
 
 /// Shared-subtree teardown: with two overlapping subscriptions, tearing the
@@ -166,7 +128,6 @@ fn parallel_reuse_matches_sequential_and_reuses_the_pool() {
 fn shared_stream_survives_producer_unsubscribe_then_fully_retracts() {
     let mut monitor = Monitor::new(MonitorConfig {
         enable_reuse: true,
-        workers: 1,
         ..MonitorConfig::default()
     });
     monitor.add_peer("manager.org");
@@ -262,7 +223,6 @@ fn shared_stream_survives_producer_unsubscribe_then_fully_retracts() {
 fn retired_producer_chain_cascades_on_last_release() {
     let mut monitor = Monitor::new(MonitorConfig {
         enable_reuse: true,
-        workers: 1,
         ..MonitorConfig::default()
     });
     monitor.add_peer("manager.org");

@@ -3,6 +3,8 @@
 //! monitored peers, interior merges, one root at the manager) and answer
 //! through the normal delivery path with bounded-size partials on the wire.
 
+use proptest::prelude::*;
+
 use p2pmon_alerters::SoapCall;
 use p2pmon_core::{Monitor, MonitorConfig};
 use p2pmon_xmlkit::Element;
@@ -342,4 +344,59 @@ fn aggregates_survive_concurrent_subscriptions_and_unsubscribe() {
     monitor.run_until_idle();
     let second_answer = last_answer(&monitor, &second);
     assert_eq!(second_answer.attr("total"), Some("2"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Degenerate aggregate input — a zero weight, an empty or absent key, a
+    /// non-numeric `quantile` argument, an alert that reaches no leaf — may
+    /// produce no answer, but must never keep the round loop alive: a sketch
+    /// stage is pending only while a flush would produce output.
+    #[test]
+    fn degenerate_aggregate_input_goes_idle_within_a_round_budget(
+        kind in 0usize..4,
+        every in 1usize..4,
+        events in proptest::collection::vec((0usize..3, 0usize..3, 0u64..3), 1..12),
+    ) {
+        const ROUND_BUDGET: usize = 64;
+        let aggregate = [
+            "topk($c.callMethod, 3, $c.duration)", // weight 0 when duration is 0
+            "entropy($c.callMethod)",              // empty key when the method is ""
+            "quantile($c.callMethod, 0.5)",        // non-numeric observations
+            "topk($c.noSuchAttr, 2)",              // the key attribute never exists
+        ][kind];
+        // `idle.com` is registered but not monitored: its calls match no leaf.
+        let mut monitor = monitor_over(&["a.com", "b.com", "idle.com"]);
+        let handle = monitor
+            .submit(
+                "hub",
+                &format!(
+                    r#"for $c in inCOM(<p>a.com</p> <p>b.com</p>)
+                       return {aggregate} every {every}
+                       by email "ops@example.org";"#
+                ),
+            )
+            .unwrap();
+        let mut weighted_total = 0;
+        for (i, &(callee, method, duration)) in events.iter().enumerate() {
+            let callee = ["a.com", "b.com", "idle.com"][callee];
+            let method = ["Get", "", "12"][method];
+            if callee != "idle.com" && !method.is_empty() {
+                weighted_total += duration;
+            }
+            monitor.inject_soap_call(&call(i as u64, callee, method, duration));
+        }
+        let rounds = (0..ROUND_BUDGET).take_while(|_| monitor.tick()).count();
+        prop_assert!(
+            rounds < ROUND_BUDGET,
+            "`{}` still reports work after {} rounds over {:?}",
+            aggregate, ROUND_BUDGET, events
+        );
+        // Dropping the degenerate updates loses none of the real ones.
+        if kind == 0 && weighted_total > 0 {
+            let total = weighted_total.to_string();
+            prop_assert_eq!(last_answer(&monitor, &handle).attr("total"), Some(total.as_str()));
+        }
+    }
 }

@@ -2,10 +2,9 @@
 //! every consumer of an item) is an optimization, not a semantics change.
 //! The oracle is `deep_clone_items` — a config flag that deep-copies every
 //! item at creation, so no two operators can possibly alias a tree.  For
-//! any storm, any worker count, and a mutation-heavy operator mix
-//! (restructuring patterns and LET residuals rewrite trees — the
-//! copy-on-write points), sink output must be byte-identical between the
-//! shared and the isolated runs.
+//! any storm and a mutation-heavy operator mix (restructuring patterns and
+//! LET residuals rewrite trees — the copy-on-write points), sink output
+//! must be byte-identical between the shared and the isolated runs.
 
 use proptest::prelude::*;
 
@@ -15,7 +14,6 @@ use p2pmon_workloads::SubscriptionStorm;
 #[allow(clippy::too_many_arguments)]
 fn run_storm(
     deep_clone_items: bool,
-    workers: usize,
     enable_reuse: bool,
     storm_seed: u64,
     n_peers: usize,
@@ -31,7 +29,6 @@ fn run_storm(
         placement: PlacementStrategy::PushToSources,
         enable_reuse,
         deep_clone_items,
-        workers,
         ..MonitorConfig::default()
     });
     for peer in ["manager.org", "backend.net"] {
@@ -56,26 +53,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Shared-`Arc` dispatch ≡ the deep-clone-everything oracle: same sink
-    /// bytes for any worker count.  `pattern_every`/`residual_every` down to
-    /// 1 make every subscription rewrite its input (restructure + LET
-    /// residual), exercising the copy-on-write boundary on most items.
+    /// bytes.  `pattern_every`/`residual_every` down to 1 make every
+    /// subscription rewrite its input (restructure + LET residual),
+    /// exercising the copy-on-write boundary on most items.
     #[test]
     fn zero_copy_dispatch_equals_deep_clone_oracle(
         seed in 0u64..10_000,
         n_subs in 1usize..24,
         n_calls in 1usize..28,
         n_peers in 1usize..5,
-        workers in 1usize..6,
         pattern_every in 1usize..4,
         residual_every in 1usize..4,
         enable_reuse in proptest::bool::ANY,
     ) {
         let (shared, shared_handles) = run_storm(
-            false, workers, enable_reuse, seed, n_peers,
+            false, enable_reuse, seed, n_peers,
             pattern_every, residual_every, n_subs, n_calls,
         );
         let (isolated, isolated_handles) = run_storm(
-            true, workers, enable_reuse, seed, n_peers,
+            true, enable_reuse, seed, n_peers,
             pattern_every, residual_every, n_subs, n_calls,
         );
         for (s, i) in shared_handles.iter().zip(&isolated_handles) {
@@ -83,9 +79,9 @@ proptest! {
                 shared.results(s),
                 isolated.results(i),
                 "zero-copy sink divergence — an operator mutated a shared tree \
-                 (seed {}, {} subs, {} calls, {} peers, {} workers, \
+                 (seed {}, {} subs, {} calls, {} peers, \
                   pattern_every {}, residual_every {}, reuse {})",
-                seed, n_subs, n_calls, n_peers, workers,
+                seed, n_subs, n_calls, n_peers,
                 pattern_every, residual_every, enable_reuse
             );
         }

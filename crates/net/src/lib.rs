@@ -19,10 +19,9 @@
 //! * [`NetworkStats`] — message/byte counters, total and per link, used by
 //!   experiments E6–E8.
 //!
-//! Substitution note (DESIGN.md §2): replacing Axis/Tomcat with this
-//! simulator preserves the quantities the paper reasons about (who talks to
-//! whom, how often, with how many bytes) while making every run reproducible
-//! on a laptop.
+//! Substitution note: replacing Axis/Tomcat with this simulator preserves
+//! the quantities the paper reasons about (who talks to whom, how often,
+//! with how many bytes) while making every run reproducible on a laptop.
 
 pub mod latency;
 pub mod message;

@@ -353,8 +353,6 @@ pub struct ChaosReport {
 /// oracle in lockstep, checking conservation invariants along the way.
 #[derive(Debug, Clone)]
 pub struct ChaosRunner {
-    /// Worker threads per monitor (results are worker-count-invariant).
-    pub workers: usize,
     /// Whether replica re-publication is on (the interesting case — the
     /// fault schedule then exercises forwarder hand-off and orphan
     /// re-attachment).
@@ -364,7 +362,6 @@ pub struct ChaosRunner {
 impl Default for ChaosRunner {
     fn default() -> Self {
         ChaosRunner {
-            workers: 1,
             enable_replicas: true,
         }
     }
@@ -382,7 +379,6 @@ impl Lane {
         let storm = scenario.storm();
         let mut monitor = Monitor::new(MonitorConfig {
             enable_replicas: runner.enable_replicas,
-            workers: runner.workers,
             network: NetworkConfig {
                 latency: storm.latency_model(),
                 // Distinct network seeds keep the point explicit: drop

@@ -5,7 +5,7 @@
 //! RSS feeds, the Edos/Mandriva content-distribution network); none of that
 //! traffic is available, so each generator produces a statistically shaped,
 //! seeded and therefore reproducible stand-in that exercises the same code
-//! paths (see DESIGN.md §2 for the substitution rationale).
+//! paths.
 //!
 //! * [`SoapWorkload`] — Web-service RPC traffic between client peers and
 //!   server peers, with a configurable fraction of slow answers and faults
@@ -386,9 +386,8 @@ impl SubscriptionWorkload {
 /// monitored peers (pushdown) and register with those peers' shared filter
 /// engines — the scenario where per-alert cost must stay sublinear in the
 /// subscription count.  With [`SubscriptionStorm::with_peers`] the
-/// subscriptions are spread round-robin over several monitored peers, giving
-/// the parallel peer scheduler independent per-peer filter workloads to
-/// scale across.
+/// subscriptions are spread round-robin over several monitored peers, each
+/// with its own shared filter engine.
 #[derive(Debug, Clone)]
 pub struct SubscriptionStorm {
     /// The monitored peers whose `outCOM` alerters feed everything;
@@ -435,7 +434,7 @@ impl SubscriptionStorm {
 
     /// A storm spread round-robin over `peers` monitored hub peers
     /// (`hub0.net`, `hub1.net`, …), each hosting its own slice of the
-    /// subscriptions — the multi-peer workload for parallel-scaling runs.
+    /// subscriptions.
     pub fn with_peers(seed: u64, peers: usize) -> Self {
         let mut storm = SubscriptionStorm::new(seed);
         storm.monitored_peers = (0..peers.max(1)).map(|i| format!("hub{i}.net")).collect();
@@ -601,8 +600,7 @@ impl OverlappingStorm {
         }
     }
 
-    /// A storm spread round-robin over `peers` monitored hubs, giving the
-    /// parallel scheduler independent per-peer shards to drive.
+    /// A storm spread round-robin over `peers` monitored hubs.
     pub fn with_peers(seed: u64, shapes: usize, peers: usize) -> Self {
         let mut storm = OverlappingStorm::new(seed, shapes);
         storm.monitored_peers = (0..peers.max(1)).map(|i| format!("hub{i}.net")).collect();

@@ -68,28 +68,9 @@ fn faults_actually_bite_and_are_attributed_to_their_cause() {
 }
 
 #[test]
-fn results_are_worker_count_invariant() {
-    let sequential = ChaosRunner {
-        workers: 1,
-        ..ChaosRunner::default()
-    };
-    let parallel = ChaosRunner {
-        workers: 4,
-        ..ChaosRunner::default()
-    };
-    let scenario = ChaosScenario::cluster_failure(SEED);
-    assert_eq!(
-        sequential.run(&scenario).expect("sequential clean"),
-        parallel.run(&scenario).expect("parallel clean"),
-        "worker count must not change what a chaos run observes"
-    );
-}
-
-#[test]
 fn replica_off_runs_uphold_the_same_invariants() {
     let runner = ChaosRunner {
         enable_replicas: false,
-        ..ChaosRunner::default()
     };
     for scenario in ChaosScenario::all(SEED) {
         let report = runner

@@ -54,23 +54,6 @@ use crate::sink::{Sink, SinkKind};
 /// of that stream (the origin or one of its replicas).
 type SelectProviders<'a> = dyn Fn(&str, &str) -> (String, String) + 'a;
 
-/// The `(peer, stream)` definition key a deployed task holds a reference on
-/// while it is installed: the shared `src-<function>` definition for a
-/// source binding, the subscribed channel for a channel subscription.
-pub(crate) fn task_ref_key(kind: &TaskKind) -> Option<(String, String)> {
-    match kind {
-        TaskKind::Source {
-            function,
-            monitored_peer,
-            ..
-        } => Some((monitored_peer.clone(), format!("src-{function}"))),
-        TaskKind::ChannelSource { channel, .. } => {
-            Some((channel.peer.into(), channel.stream.into()))
-        }
-        _ => None,
-    }
-}
-
 /// Resolves every explicit channel reference in a plan to its canonical
 /// identity, then — when replica re-publication is enabled — routes it to
 /// the closest live *provider* of that stream.  A subscription addresses a
@@ -329,11 +312,7 @@ impl Monitor {
             let operator = RuntimeOperator::for_kind(&task.kind, self.config.join_window);
             self.host_mut(&task.peer)
                 .install_task(sub_idx, task.id, operator);
-            if let Some(key) = task_ref_key(&task.kind) {
-                // A subscriber of a replica still depends on the *origin's*
-                // producing subtree — references always count against the
-                // origin's definition.
-                let key = self.resolve_def_key(key);
+            if let Some(key) = self.task_def_key(&task.kind) {
                 self.def_refs.entry(key).or_default().refs += 1;
             }
             match &task.kind {

@@ -26,10 +26,22 @@
 //! multicast on the task's canonical output channel whenever reuse
 //! subscribers are attached (`DispatchSnapshot::tap`), and a channel
 //! emission sends **one** message per distinct destination peer — all of a
-//! peer's subscribers ride it (`Monitor::multicast_stream`); subscribers
-//! hosted on the producing peer attach with no network hop at all.  Messages
-//! avoided this way are recorded as
-//! `p2pmon_net::NetworkStats::multicast_saved_messages` (E7).
+//! peer's subscribers ride it (`Monitor::multicast_plan` groups them once per
+//! batch, `Monitor::run_multicast` emits); subscribers hosted on the producing
+//! peer attach with no network hop at all.  Messages avoided this way are
+//! recorded as `p2pmon_net::NetworkStats::multicast_saved_messages` (E7).
+//!
+//! **A round costs what it carries.**  In the paper every peer is its own
+//! machine, so a peer that observes nothing costs nothing; here one loop plays
+//! every peer, so the monitor keeps a *ready list* of the hosts that have
+//! something to do — an undrained alerter, batched or queued work, unflushed
+//! sketch state — and every phase of [`Monitor::tick`] walks that list, never
+//! the deployment.  A host enters the list on its idle→busy transition
+//! (`PeerHost::list_on`, an O(1) flag check at every site that feeds an
+//! alerter, batches an alert or enqueues work) and leaves at the end of a
+//! round it finished idle; the network likewise reports only the inboxes
+//! that were written to.  Debug builds re-derive the list from a full walk at
+//! the end of every round and assert the two agree.
 //!
 //! Setting [`crate::MonitorConfig::naive_dispatch`] disables the engine and
 //! fans every alert out to every consumer, re-evaluating each `Select`
@@ -111,6 +123,11 @@ pub struct DispatchStats {
     /// the single remaining copy point of the zero-copy hot path (results
     /// are detached so `Monitor::results` can hand out owned trees).
     pub sink_clone_bytes: u64,
+    /// Hosts visited through the ready list by the round phases (alerter
+    /// drain, each local-phase turn, sketch flush, inbox delivery, retirement
+    /// of idle hosts): bounded by the hosts that had something to do,
+    /// whatever the deployment's size.
+    pub host_visits: u64,
 }
 
 impl DispatchStats {
@@ -123,6 +140,7 @@ impl DispatchStats {
         self.plain_deliveries += other.plain_deliveries;
         self.dropped_by_failure += other.dropped_by_failure;
         self.sink_clone_bytes += other.sink_clone_bytes;
+        self.host_visits += other.host_visits;
     }
 }
 
@@ -367,17 +385,7 @@ fn execute(
         item,
         prefiltered,
     } = work;
-    let outputs = {
-        let operator = host
-            .operators
-            .get_mut(&(sub, task))
-            .expect("every placed task's operator lives in its host's shard");
-        if prefiltered {
-            operator.on_item_prefiltered(port, &item).items
-        } else {
-            operator.on_item(port, &item).items
-        }
-    };
+    let outputs = host.run_operator(sub, task, port, &item, prefiltered);
     if outputs.is_empty() {
         return;
     }
@@ -432,6 +440,7 @@ impl Monitor {
             .hosts
             .get_mut(peer)
             .expect("every placed task's host is created at deployment");
+        host.list_on(&mut self.ready);
         let item = host.make_item(now, data);
         host.enqueue(Work {
             sub,
@@ -461,19 +470,20 @@ impl Monitor {
         }
     }
 
-    /// Drains every live peer's alerters into the consuming peers' alert
-    /// batches (processed — engine-gated and deduplicated — by the next
-    /// dispatch phase).
+    /// Drains every live ready peer's alerters into the consuming peers'
+    /// alert batches (processed — engine-gated and deduplicated — by the
+    /// next dispatch phase).
     pub(crate) fn drain_alerters(&mut self) {
         let mut feeds: Vec<(String, String, Vec<Element>)> = Vec::new();
-        // Iterated in place: ticking a storm of idle peers must not allocate
-        // per peer (`network` and `hosts` are disjoint fields, so the downed
-        // check borrows alongside the mutable walk).
-        let network = &self.network;
-        for (peer, host) in self.hosts.iter_mut() {
-            if network.is_down(peer) {
+        // Feeds fan out in peer order: it fixes the order multicasts reach
+        // the network, and with it message ids and delivery order.
+        self.ready.sort_unstable();
+        self.dispatch_stats.host_visits += self.ready.len() as u64;
+        for peer in &self.ready {
+            if self.network.is_down(peer) {
                 continue;
             }
+            let host = self.hosts.get_mut(peer).expect("ready peers are hosted");
             for (function, alerts) in host.alerters.drain_all() {
                 feeds.push((function.to_string(), peer.clone(), alerts));
             }
@@ -518,14 +528,12 @@ impl Monitor {
                         .observe(source_channel, now, alert.byte_size());
                 }
                 if !targets.is_empty() {
-                    self.hosts
-                        .get_mut(&peer)
-                        .expect("alerting peer is hosted")
-                        .pending_alerts
-                        .push(PendingAlert {
-                            doc: Arc::clone(&alert),
-                            targets: Arc::clone(&targets),
-                        });
+                    let host = self.hosts.get_mut(&peer).expect("alerting peer is hosted");
+                    host.list_on(&mut self.ready);
+                    host.pending_alerts.push(PendingAlert {
+                        doc: Arc::clone(&alert),
+                        targets: Arc::clone(&targets),
+                    });
                 }
                 if let Some(plan) = &source_plan {
                     self.run_multicast(plan, &alert);
@@ -549,15 +557,15 @@ impl Monitor {
         // commit of this call instead of being regrouped per emitted item.
         let mut plan_cache: HashMap<ChannelId, Option<std::rc::Rc<MulticastPlan>>> = HashMap::new();
         loop {
-            // Downed peers lose their batched alerts and queued work.  The
-            // sweep only runs while a failure is active — the healthy path
-            // (every round of a large storm) skips the whole-map walk.
+            // Downed peers lose their batched alerts and queued work (only
+            // a listed host can hold either).  The sweep only runs while a
+            // failure is active.
             if self.network.any_down() {
-                let network = &self.network;
-                for (peer, host) in self.hosts.iter_mut() {
-                    if !network.is_down(peer) {
+                for peer in &self.ready {
+                    if !self.network.is_down(peer) {
                         continue;
                     }
+                    let host = self.hosts.get_mut(peer).expect("ready peers are hosted");
                     let dropped = host.queue.len() as u64
                         + host
                             .pending_alerts
@@ -573,18 +581,24 @@ impl Monitor {
             }
 
             // Local phase: every peer with local work runs over its own
-            // shard plus the immutable snapshot, in peer order.
+            // shard plus the immutable snapshot, in peer order (the commit
+            // below listed new hosts at the tail).
+            self.ready.sort_unstable();
+            self.dispatch_stats.host_visits += self.ready.len() as u64;
             let snapshot = DispatchSnapshot {
                 subs: &self.subscriptions,
                 taps: &self.routing.channel_consumers,
                 naive_dispatch: self.config.naive_dispatch,
                 now: self.network.now(),
             };
+            let hosts = &mut self.hosts;
             let results: Vec<PeerEffects> = self
-                .hosts
-                .values_mut()
-                .filter(|host| host.has_local_work())
-                .map(|host| run_peer(host, &snapshot))
+                .ready
+                .iter()
+                .filter_map(|peer| {
+                    let host = hosts.get_mut(peer).expect("ready peers are hosted");
+                    host.has_local_work().then(|| run_peer(host, &snapshot))
+                })
                 .collect();
             if results.is_empty() {
                 break;
@@ -651,14 +665,15 @@ impl Monitor {
                 // Local attachment: straight into the peer's alert batch.
                 if !self.network.is_down(&peer) {
                     saved += targets.len() as u64;
-                    self.hosts
+                    let host = self
+                        .hosts
                         .get_mut(peer.as_str())
-                        .expect("consumer peer is hosted")
-                        .pending_alerts
-                        .push(PendingAlert {
-                            doc: Arc::clone(output),
-                            targets: Arc::clone(targets),
-                        });
+                        .expect("consumer peer is hosted");
+                    host.list_on(&mut self.ready);
+                    host.pending_alerts.push(PendingAlert {
+                        doc: Arc::clone(output),
+                        targets: Arc::clone(targets),
+                    });
                 }
             } else if self
                 .network
@@ -738,12 +753,15 @@ impl Monitor {
         if delivered == 0 {
             return 0;
         }
-        let peers: Vec<String> = self.peers.iter().cloned().collect();
-        for peer in peers {
+        for (peer, inbox) in self.network.take_woken_inboxes() {
+            self.dispatch_stats.host_visits += 1;
+            // Resolved once: every use of an interned name as a string goes
+            // through the interner's lock.
+            let peer = peer.as_str();
             // Per-channel targets are the same for every message of a round:
             // compute once and share the list across the batch.
             let mut channel_targets: HashMap<ChannelId, SharedTargets> = HashMap::new();
-            for message in self.network.take_inbox(&peer) {
+            for message in inbox {
                 let Some(channel) = message.channel else {
                     continue;
                 };
@@ -767,50 +785,41 @@ impl Monitor {
                 if targets.is_empty() {
                     continue;
                 }
-                self.hosts
-                    .get_mut(&peer)
-                    .expect("inbox peer is hosted")
-                    .pending_alerts
-                    .push(PendingAlert {
-                        doc: message.payload,
-                        targets,
-                    });
+                let host = self.hosts.get_mut(peer).expect("inbox peer is hosted");
+                host.list_on(&mut self.ready);
+                host.pending_alerts.push(PendingAlert {
+                    doc: message.payload,
+                    targets,
+                });
             }
         }
         delivered
     }
 
-    /// Round-boundary sketch pass.  Every non-empty leaf/merge stage
-    /// serializes the partial it accumulated this round and forwards it
-    /// along the task's normal route — one bounded-size message per stage
-    /// per round, however many raw items the stage absorbed — and every
-    /// root stage due per its `every` cadence materializes an `<aggregate>`
-    /// answer into the subscription's ordinary delivery path.  Returns
-    /// `true` while any stage flushed or still holds unpropagated state, so
-    /// [`Monitor::run_until_idle`] keeps ticking until the merge tree has
-    /// fully drained into root answers.
+    /// Round-boundary sketch pass over the ready hosts.  Every non-empty
+    /// leaf/merge stage serializes the partial it accumulated this round and
+    /// forwards it along the task's normal route — one bounded-size message
+    /// per stage per round, however many raw items the stage absorbed — and
+    /// every root stage due per its `every` cadence materializes an
+    /// `<aggregate>` answer into the subscription's ordinary delivery path.
+    /// Returns `true` while any stage flushed or still holds unpropagated
+    /// state, so [`Monitor::run_until_idle`] keeps ticking until the merge
+    /// tree has fully drained into root answers.
     fn flush_sketches(&mut self) -> bool {
         // Collect first (per-host mutable walk), route after (routing needs
         // the whole façade).  Partials are sorted into (sub, task) order so
-        // the committed effects are identical for any host-map iteration
-        // order, mirroring the deterministic commit phase of
+        // the committed effects are identical for any order of the ready
+        // list, mirroring the deterministic commit phase of
         // `process_pending`.
         let mut flushed: Vec<(usize, usize, Element)> = Vec::new();
         let mut pending = false;
-        let network = &self.network;
-        for (peer, host) in self.hosts.iter_mut() {
-            if host.sketch_tasks.is_empty() || network.is_down(peer) {
-                continue;
-            }
-            for &(sub, task) in &host.sketch_tasks {
-                let Some(operator) = host.operators.get_mut(&(sub, task)) else {
-                    continue;
-                };
-                let output = operator.sketch_flush().or_else(|| operator.sketch_answer());
-                if let Some(output) = output {
-                    flushed.push((sub, task, output));
-                }
-                pending |= operator.sketch_pending();
+        self.dispatch_stats.host_visits += self.ready.len() as u64;
+        for peer in &self.ready {
+            // A downed host keeps its deltas for its recovery, and keeps
+            // nobody waiting for them.
+            if !self.network.is_down(peer) {
+                let host = self.hosts.get_mut(peer).expect("ready peers are hosted");
+                pending |= host.flush_sketches(&mut flushed);
             }
         }
         let any = !flushed.is_empty();
@@ -840,9 +849,15 @@ impl Monitor {
     /// One simulation round: drain alerters, process local work, flush
     /// sketch stages at the round boundary, deliver network traffic.
     /// Returns `true` when any work was done.
+    ///
+    /// Every phase walks the ready list — the hosts that have something to
+    /// do — so a round costs what it carries, not what is deployed.
     pub fn tick(&mut self) -> bool {
         self.drain_alerters();
-        let had_local = self.hosts.values().any(PeerHost::has_local_work);
+        let had_local = self
+            .ready
+            .iter()
+            .any(|peer| self.hosts[peer].has_local_work());
         // With self-monitoring on, the processing phase is timed and the
         // duration recorded for the next `monStats` snapshot (bounded ring,
         // so an unconsumed buffer cannot grow without limit).
@@ -857,7 +872,49 @@ impl Monitor {
         }
         let flushed = self.flush_sketches();
         let delivered = self.deliver_network();
+        self.retire_idle_hosts();
+        #[cfg(debug_assertions)]
+        self.audit_ready_list();
         had_local || flushed || delivered > 0
+    }
+
+    /// Drops from the ready list every host that has nothing left to do.  A
+    /// downed host with buffered alerts or sketch deltas stays listed until
+    /// its recovery lets a round drain them.
+    pub(crate) fn retire_idle_hosts(&mut self) {
+        self.dispatch_stats.host_visits += self.ready.len() as u64;
+        let hosts = &mut self.hosts;
+        self.ready.retain(|peer| {
+            let host = hosts.get_mut(peer).expect("ready peers are hosted");
+            host.ready = host.is_busy();
+            host.ready
+        });
+    }
+
+    /// The full walk the ready list replaced, kept as its test oracle (debug
+    /// builds only, so every `cargo test` round runs it and no measured
+    /// build does): no host off the list has anything to do, the list and
+    /// the hosts' flags agree, every pending sketch stage is listed on its
+    /// host, and no inbox holds a message past the round's delivery.
+    #[cfg(debug_assertions)]
+    fn audit_ready_list(&self) {
+        for (peer, host) in &self.hosts {
+            assert!(
+                host.ready || !host.is_busy(),
+                "{peer} has work but is not on the ready list"
+            );
+            host.audit_pending_sketches();
+            assert_eq!(
+                self.network.inbox_len(peer),
+                0,
+                "{peer} still has queued messages after the round's delivery"
+            );
+        }
+        let flagged = self.hosts.values().filter(|host| host.ready).count();
+        assert_eq!(flagged, self.ready.len(), "ready flags and list disagree");
+        for peer in &self.ready {
+            assert!(self.hosts[peer].ready, "{peer} is listed but not flagged");
+        }
     }
 
     /// Runs rounds until the system is quiescent.  With

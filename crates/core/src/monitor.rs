@@ -24,7 +24,6 @@ use p2pmon_streams::ops::Window;
 use p2pmon_streams::{ChannelId, RateTable};
 use p2pmon_xmlkit::Element;
 
-use crate::deployment::task_ref_key;
 use crate::dispatch::{DispatchStats, Route, RoutingTable};
 use crate::peer::PeerHost;
 use crate::placement::{PlacedPlan, PlacementStrategy, TaskKind};
@@ -291,6 +290,15 @@ pub(crate) struct ReplicaEntry {
     pub replica_stream: String,
 }
 
+/// Drops the registrations matching `removed` from a routing table, and
+/// the entries left empty.
+fn retract<K, V>(table: &mut HashMap<K, Vec<V>>, removed: impl Fn(&V) -> bool) {
+    table.retain(|_, consumers| {
+        consumers.retain(|consumer| !removed(consumer));
+        !consumers.is_empty()
+    });
+}
+
 /// The P2P Monitor.
 ///
 /// The façade over the per-peer runtimes: peers are registered with
@@ -337,8 +345,17 @@ pub struct Monitor {
     pub(crate) peers: BTreeSet<String>,
     pub(crate) stream_db: StreamDefinitionDatabase,
     pub(crate) subscriptions: Vec<DeployedSubscription>,
-    /// The per-peer runtimes, keyed by (normalized) peer name.
-    pub(crate) hosts: BTreeMap<String, PeerHost>,
+    /// The per-peer runtimes, keyed by (normalized) peer name.  Nothing
+    /// walks them in order — a round reaches its hosts by name, from the
+    /// sorted ready list — so the map is the one with the cheap lookup.
+    pub(crate) hosts: HashMap<String, PeerHost>,
+    /// The ready list: the hosts with an undrained alerter, batched or
+    /// queued work, or unflushed sketch state — the only hosts a dispatch
+    /// round visits.  Kept in step with [`PeerHost::ready`]; a plain `Vec`
+    /// (entered through [`PeerHost::list_on`], sorted once per phase where
+    /// peer order matters) because an ordered insert per delivery costs
+    /// more than the sort.
+    pub(crate) ready: Vec<String>,
     /// Deployment-time routing tables.
     pub(crate) routing: RoutingTable,
     /// Engine-gated dispatch counters.
@@ -389,7 +406,8 @@ impl Monitor {
             peers: BTreeSet::new(),
             stream_db: StreamDefinitionDatabase::new(dht),
             subscriptions: Vec::new(),
-            hosts: BTreeMap::new(),
+            hosts: HashMap::new(),
+            ready: Vec::new(),
             routing: RoutingTable::default(),
             dispatch_stats: DispatchStats::default(),
             def_refs: HashMap::new(),
@@ -556,11 +574,22 @@ impl Monitor {
     // Replica re-publication (Section 5's <InChannel> declarations)
     // ------------------------------------------------------------------
 
-    /// Resolves a `(peer, stream)` definition-reference key: a replica
-    /// channel's key maps to the origin identity the Stream Definition
-    /// Database actually keys on; anything else passes through.
-    pub(crate) fn resolve_def_key(&self, key: (String, String)) -> (String, String) {
-        self.channel_origin(&ChannelId::new(key.0, key.1))
+    /// The `(peer, stream)` definition a deployed task holds a reference on
+    /// while it is installed: the shared `src-<function>` definition for a
+    /// source binding (it names an alerter, which has no replica), and for a
+    /// channel subscription the *origin* of the subscribed channel — a
+    /// subscriber of a replica still depends on the origin's producing
+    /// subtree, and the Stream Definition Database keys on the origin.
+    pub(crate) fn task_def_key(&self, kind: &TaskKind) -> Option<(String, String)> {
+        match kind {
+            TaskKind::Source {
+                function,
+                monitored_peer,
+                ..
+            } => Some((monitored_peer.clone(), format!("src-{function}"))),
+            TaskKind::ChannelSource { channel, .. } => Some(self.channel_origin(channel)),
+            _ => None,
+        }
     }
 
     /// The origin identity behind a subscribed channel (the channel itself
@@ -1093,22 +1122,7 @@ impl Monitor {
                 .collect()
         };
 
-        // Reference keys resolve replica channels to their origin identity
-        // *now*, while the replica maps are untouched by this sweep — the
-        // definition reference a replica subscriber holds is always on the
-        // origin's descriptor.
-        type TaskTeardown = (usize, String, Option<(String, String)>, bool);
-        let tasks: Vec<TaskTeardown> = self.subscriptions[idx]
-            .placed
-            .tasks
-            .iter()
-            .filter(|t| !keep.contains(&t.id))
-            .map(|t| {
-                let ref_key = task_ref_key(&t.kind).map(|key| self.resolve_def_key(key));
-                let is_channel_sub = matches!(t.kind, TaskKind::ChannelSource { .. });
-                (t.id, t.peer.clone(), ref_key, is_channel_sub)
-            })
-            .collect();
+        let removed = |sub: usize, task: usize| sub == idx && !keep.contains(&task);
         let mut released = Vec::new();
         // Removed channel subscribers also release their replica reference:
         // (origin, replica peer, removed task) triples, processed after the
@@ -1116,46 +1130,48 @@ impl Monitor {
         // against clean consumer registrations.
         type ReplicaRelease = ((String, String), String, (usize, usize));
         let mut replica_releases: Vec<ReplicaRelease> = Vec::new();
-        for (task, peer, ref_key, is_channel_sub) in tasks {
-            if let Some(host) = self.hosts.get_mut(&peer) {
-                host.unregister_select(idx, task);
-                if host.remove_task(idx, task) {
-                    // The task was still deployed: its stream reference goes
-                    // with it.
-                    if is_channel_sub {
-                        if let Some(origin) = ref_key.clone() {
-                            replica_releases.push((origin, peer, (idx, task)));
-                        }
-                    }
-                    released.extend(ref_key);
-                }
+        let sub = &self.subscriptions[idx];
+        for task in &sub.placed.tasks {
+            if keep.contains(&task.id) {
+                continue;
             }
-        }
-        // In-flight local work addressed to the removed tasks is discarded.
-        for host in self.hosts.values_mut() {
-            host.purge_subscription_tasks(idx, &keep);
+            let Some(host) = self.hosts.get_mut(&task.peer) else {
+                continue;
+            };
+            host.unregister_select(idx, task.id);
+            if !host.remove_task(idx, task.id) {
+                continue;
+            }
+            // The task was still deployed: its stream reference goes with
+            // it.  (The replica maps are untouched until the releases below,
+            // so a replica subscriber's key resolves to the origin's
+            // descriptor — the one its reference is on.)
+            let ref_key = self.task_def_key(&task.kind);
+            if let (TaskKind::ChannelSource { .. }, Some(origin)) = (&task.kind, &ref_key) {
+                replica_releases.push((origin.clone(), task.peer.clone(), (idx, task.id)));
+            }
+            released.extend(ref_key);
         }
 
         // Route retraction: the removed tasks disappear from every consumer
         // registration (including the channels they subscribed to for
         // reuse); surviving tasks whose local consumer was removed now feed
         // nothing but their own output channel's subscribers.
-        let keep_entry = |task: usize| keep.contains(&task);
-        self.routing
-            .source_consumers
-            .values_mut()
-            .for_each(|v| v.retain(|&(sub, task)| sub != idx || keep_entry(task)));
-        self.routing.source_consumers.retain(|_, v| !v.is_empty());
-        self.routing
-            .dynamic_consumers
-            .values_mut()
-            .for_each(|v| v.retain(|&(sub, task)| sub != idx || keep_entry(task)));
-        self.routing.dynamic_consumers.retain(|_, v| !v.is_empty());
-        self.routing
-            .channel_consumers
-            .values_mut()
-            .for_each(|v| v.retain(|&(sub, task, _)| sub != idx || keep_entry(task)));
-        self.routing.channel_consumers.retain(|_, v| !v.is_empty());
+        let routing = &mut self.routing;
+        retract(&mut routing.source_consumers, |&(s, t)| removed(s, t));
+        retract(&mut routing.dynamic_consumers, |&(s, t)| removed(s, t));
+        retract(&mut routing.channel_consumers, |&(s, t, _)| removed(s, t));
+
+        // In-flight local work addressed to the removed tasks is discarded
+        // (only a host on the ready list can hold any); a host left with
+        // nothing to do leaves the list with its tasks.
+        for peer in &self.ready {
+            self.hosts
+                .get_mut(peer)
+                .expect("ready peers are hosted")
+                .purge_subscription_tasks(idx, &keep);
+        }
+        self.retire_idle_hosts();
 
         // Replica lifecycle: each removed channel subscriber lets go of its
         // peer's replica of the origin stream — retracting the declaration
@@ -1204,19 +1220,17 @@ impl Monitor {
     pub fn inject_soap_call(&mut self, call: &SoapCall) {
         let caller = normalize_peer(&call.caller);
         let callee = normalize_peer(&call.callee);
-        if let Some(alerter) = self
-            .hosts
-            .get_mut(&caller)
-            .and_then(|h| h.alerters.ws_out.as_mut())
-        {
-            alerter.observe(call);
+        if let Some(host) = self.hosts.get_mut(&caller) {
+            if let Some(alerter) = host.alerters.ws_out.as_mut() {
+                alerter.observe(call);
+                host.list_on(&mut self.ready);
+            }
         }
-        if let Some(alerter) = self
-            .hosts
-            .get_mut(&callee)
-            .and_then(|h| h.alerters.ws_in.as_mut())
-        {
-            alerter.observe(call);
+        if let Some(host) = self.hosts.get_mut(&callee) {
+            if let Some(alerter) = host.alerters.ws_in.as_mut() {
+                alerter.observe(call);
+                host.list_on(&mut self.ready);
+            }
         }
         // Dynamic sources see every call of their function, and filter by
         // membership themselves.
@@ -1242,22 +1256,36 @@ impl Monitor {
         }
     }
 
+    /// The host of `peer` with the alerter for `function` installed, entered
+    /// on the ready list: the caller is about to feed that alerter (or, for
+    /// the ActiveXML repository, hand out the means to), and the next round
+    /// must drain it.
+    fn alerter_host(&mut self, function: &str, peer: &str) -> &mut PeerHost {
+        self.ensure_alerter(function, peer);
+        let host = self
+            .hosts
+            .get_mut(&normalize_peer(peer))
+            .expect("just ensured");
+        host.list_on(&mut self.ready);
+        host
+    }
+
     /// Injects a new snapshot of an RSS feed observed at `peer`.
     pub fn inject_rss_snapshot(&mut self, peer: &str, url: &str, feed: &Element) -> usize {
-        self.ensure_alerter("rssFeed", peer);
-        self.hosts
-            .get_mut(&normalize_peer(peer))
-            .and_then(|h| h.alerters.rss.as_mut())
+        self.alerter_host("rssFeed", peer)
+            .alerters
+            .rss
+            .as_mut()
             .expect("just ensured")
             .observe_snapshot(url, feed)
     }
 
     /// Injects a new snapshot of a Web page observed at `peer`.
     pub fn inject_page_snapshot(&mut self, peer: &str, url: &str, page: &Element) -> bool {
-        self.ensure_alerter("webPage", peer);
-        self.hosts
-            .get_mut(&normalize_peer(peer))
-            .and_then(|h| h.alerters.page.as_mut())
+        self.alerter_host("webPage", peer)
+            .alerters
+            .page
+            .as_mut()
             .expect("just ensured")
             .observe_snapshot(url, page)
     }
@@ -1265,10 +1293,10 @@ impl Monitor {
     /// The ActiveXML repository monitored at `peer` (updates applied to it
     /// produce alerts).
     pub fn axml_repository_mut(&mut self, peer: &str) -> &mut p2pmon_activexml::Repository {
-        self.ensure_alerter("axmlUpdate", peer);
-        self.hosts
-            .get_mut(&normalize_peer(peer))
-            .and_then(|h| h.alerters.axml.as_mut())
+        self.alerter_host("axmlUpdate", peer)
+            .alerters
+            .axml
+            .as_mut()
             .expect("just ensured")
             .repository_mut()
     }
@@ -1276,20 +1304,20 @@ impl Monitor {
     /// Records a membership join in the monitored DHT whose `areRegistered`
     /// alerter runs at `alerter_peer`.
     pub fn inject_peer_join(&mut self, alerter_peer: &str, joining: &str) {
-        self.ensure_alerter("areRegistered", alerter_peer);
-        self.hosts
-            .get_mut(&normalize_peer(alerter_peer))
-            .and_then(|h| h.alerters.membership.as_mut())
+        self.alerter_host("areRegistered", alerter_peer)
+            .alerters
+            .membership
+            .as_mut()
             .expect("just ensured")
             .observe_join(normalize_peer(joining));
     }
 
     /// Records a membership leave.
     pub fn inject_peer_leave(&mut self, alerter_peer: &str, leaving: &str) {
-        self.ensure_alerter("areRegistered", alerter_peer);
-        self.hosts
-            .get_mut(&normalize_peer(alerter_peer))
-            .and_then(|h| h.alerters.membership.as_mut())
+        self.alerter_host("areRegistered", alerter_peer)
+            .alerters
+            .membership
+            .as_mut()
             .expect("just ensured")
             .observe_leave(&normalize_peer(leaving));
     }
@@ -1448,6 +1476,7 @@ impl Monitor {
         m.set_attr("gateRejections", d.gate_rejections.to_string());
         m.set_attr("plainDeliveries", d.plain_deliveries.to_string());
         m.set_attr("sinkCloneBytes", d.sink_clone_bytes.to_string());
+        m.set_attr("hostVisits", d.host_visits.to_string());
         m.set_attr("operatorInvocations", self.operator_invocations.to_string());
         metrics.push(m);
         let n = self.network.stats();
@@ -1480,6 +1509,7 @@ impl Monitor {
             .hosts
             .get_mut(SELF_PEER)
             .expect("checked installed above");
+        host.list_on(&mut self.ready);
         host.alerters
             .mon_stats
             .as_mut()

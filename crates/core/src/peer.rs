@@ -109,6 +109,20 @@ impl AlerterSet {
         }
     }
 
+    /// True when an installed alerter buffers an alert not yet drained.
+    pub fn has_pending(&self) -> bool {
+        fn pending(alerter: &Option<impl Alerter>) -> bool {
+            alerter.as_ref().is_some_and(|a| a.pending() > 0)
+        }
+        pending(&self.ws_in)
+            || pending(&self.ws_out)
+            || pending(&self.rss)
+            || pending(&self.page)
+            || pending(&self.axml)
+            || pending(&self.membership)
+            || self.mon_stats.as_ref().is_some_and(|b| !b.is_empty())
+    }
+
     /// Drains every installed alerter, returning `(function, alerts)` pairs
     /// in a fixed function order.
     pub fn drain_all(&mut self) -> Vec<(&'static str, Vec<Element>)> {
@@ -156,10 +170,17 @@ pub struct PeerHost {
     /// The operator instance of every task hosted here, keyed by
     /// `(subscription, task)` — the peer's mutable shard.
     pub(crate) operators: HashMap<(usize, usize), RuntimeOperator>,
-    /// The hosted tasks that are sketch stages, in deterministic order —
-    /// the round-boundary flush pass walks only these, so peers without
-    /// aggregates pay nothing per round.
-    pub(crate) sketch_tasks: std::collections::BTreeSet<(usize, usize)>,
+    /// The hosted sketch stages holding state the next round-boundary flush
+    /// must visit: a stage is listed exactly while its operator reports
+    /// [`RuntimeOperator::sketch_pending`] (it enters in
+    /// [`PeerHost::run_operator`], leaves in [`PeerHost::flush_sketches`] or
+    /// [`PeerHost::remove_task`]), so a flush costs the stages that absorbed
+    /// something, not the stages deployed.
+    pending_sketches: Vec<(usize, usize)>,
+    /// True while the host sits on the monitor's ready list (see
+    /// [`crate::Monitor::tick`]); only [`PeerHost::list_on`] and
+    /// `Monitor::retire_idle_hosts` flip it, in step with the list.
+    pub(crate) ready: bool,
     /// Alerts awaiting the next batched dispatch pass.
     pub(crate) pending_alerts: Vec<PendingAlert>,
     /// Pending work for tasks hosted on this peer.
@@ -185,7 +206,8 @@ impl PeerHost {
             engine: FilterEngine::adaptive(),
             gates: HashMap::new(),
             operators: HashMap::new(),
-            sketch_tasks: std::collections::BTreeSet::new(),
+            pending_sketches: Vec::new(),
+            ready: false,
             pending_alerts: Vec::new(),
             queue: VecDeque::new(),
             alerters: AlerterSet::default(),
@@ -231,17 +253,87 @@ impl PeerHost {
 
     /// Installs the operator instance of a task deployed here.
     pub(crate) fn install_task(&mut self, sub: usize, task: usize, operator: RuntimeOperator) {
-        if operator.is_sketch() {
-            self.sketch_tasks.insert((sub, task));
-        }
         self.operators.insert((sub, task), operator);
     }
 
     /// Removes a task's operator instance (teardown path); returns `true`
     /// when it was hosted here.
     pub(crate) fn remove_task(&mut self, sub: usize, task: usize) -> bool {
-        self.sketch_tasks.remove(&(sub, task));
+        self.pending_sketches.retain(|&stage| stage != (sub, task));
         self.operators.remove(&(sub, task)).is_some()
+    }
+
+    /// Runs one item through a hosted task's operator.  A sketch stage that
+    /// turns pending here (an empty delta absorbed its first item, a clean
+    /// root its first partial) is listed for the next flush.
+    pub(crate) fn run_operator(
+        &mut self,
+        sub: usize,
+        task: usize,
+        port: usize,
+        item: &StreamItem,
+        prefiltered: bool,
+    ) -> Vec<std::sync::Arc<Element>> {
+        let operator = self
+            .operators
+            .get_mut(&(sub, task))
+            .expect("every placed task's operator lives in its host's shard");
+        let was_pending = operator.sketch_pending();
+        let outputs = if prefiltered {
+            operator.on_item_prefiltered(port, item).items
+        } else {
+            operator.on_item(port, item).items
+        };
+        if !was_pending && operator.sketch_pending() {
+            self.pending_sketches.push((sub, task));
+        }
+        outputs
+    }
+
+    /// Round-boundary sketch pass over this host's pending stages: leaf and
+    /// merge stages serialize and reset their delta, a root due per its
+    /// `every` cadence materializes an answer; outputs are appended to `out`
+    /// as `(subscription, task, element)`.  Stages that flushed clean leave
+    /// the list; returns `true` while any stage stays pending (a root still
+    /// counting toward its cadence).
+    pub(crate) fn flush_sketches(&mut self, out: &mut Vec<(usize, usize, Element)>) -> bool {
+        let operators = &mut self.operators;
+        self.pending_sketches.retain(|&(sub, task)| {
+            let operator = operators
+                .get_mut(&(sub, task))
+                .expect("remove_task unlists a removed stage");
+            let output = operator.sketch_flush().or_else(|| operator.sketch_answer());
+            out.extend(output.map(|output| (sub, task, output)));
+            operator.sketch_pending()
+        });
+        !self.pending_sketches.is_empty()
+    }
+
+    /// True when the host has anything a dispatch round would act on: an
+    /// undrained alerter, batched or queued work, or unflushed sketch state.
+    /// Every host for which this holds is on the monitor's ready list.
+    pub(crate) fn is_busy(&self) -> bool {
+        self.has_local_work() || !self.pending_sketches.is_empty() || self.alerters.has_pending()
+    }
+
+    /// The test oracle behind the pending-stage list (debug builds only):
+    /// the hosted sketch stages reporting pending state are the listed ones.
+    #[cfg(debug_assertions)]
+    pub(crate) fn audit_pending_sketches(&self) {
+        let mut holding: Vec<(usize, usize)> = self
+            .operators
+            .iter()
+            .filter(|(_, operator)| operator.sketch_pending())
+            .map(|(&stage, _)| stage)
+            .collect();
+        holding.sort_unstable();
+        let mut listed = self.pending_sketches.clone();
+        listed.sort_unstable();
+        assert_eq!(
+            holding, listed,
+            "{}: sketch stages holding state vs stages listed for the flush",
+            self.name
+        );
     }
 
     /// Bytes of operator state held for one subscription's tasks.
@@ -272,6 +364,17 @@ impl PeerHost {
     /// The engine registration gating a hosted Select task, if any.
     pub(crate) fn gate(&self, sub: usize, task: usize) -> Option<SubscriptionId> {
         self.gates.get(&(sub, task)).copied()
+    }
+
+    /// Enters the host on the monitor's ready list unless it is there
+    /// already.  Every site that hands a host something a dispatch round
+    /// must act on — feeding an alerter, batching an alert, enqueuing work —
+    /// calls this first; the flag keeps the repeat case to one branch.
+    pub(crate) fn list_on(&mut self, ready: &mut Vec<String>) {
+        if !self.ready {
+            self.ready = true;
+            ready.push(self.name.clone());
+        }
     }
 
     /// Wraps a payload as a stream item with this peer's next sequence

@@ -200,18 +200,6 @@ impl RuntimeOperator {
         }
     }
 
-    /// Whether this operator is a sketch stage (leaf, merge or root) — used
-    /// by [`PeerHost`](crate::peer::PeerHost) to index the tasks the
-    /// round-boundary flush pass must visit.
-    pub fn is_sketch(&self) -> bool {
-        matches!(
-            self,
-            RuntimeOperator::SketchLeaf { .. }
-                | RuntimeOperator::SketchMerge { .. }
-                | RuntimeOperator::SketchRoot { .. }
-        )
-    }
-
     /// Whether this operator holds sketch state awaiting a round-boundary
     /// flush (a leaf/merge delta a flush would serialize) or a pending root
     /// emission.  The dispatcher keeps ticking while any operator reports

@@ -237,3 +237,72 @@ fn peer_down_mid_batch_loses_no_alert_and_duplicates_nothing() {
         faulty.dispatch_stats()
     );
 }
+
+/// A downed host stays on the dispatch ready list — its buffered alerts and
+/// its unflushed sketch state survive the outage — but it must not keep the
+/// round loop alive while it is down: `tick` goes idle, and the recovery
+/// drains everything into the answer a fault-free run produces.
+#[test]
+fn downed_peer_keeps_alerts_and_sketch_state_without_keeping_rounds_alive() {
+    const ROUND_BUDGET: usize = 64;
+    // a.com manages the aggregate it is also monitored by: its host carries
+    // a leaf, and the root whose `every 3` cadence holds state across rounds.
+    let deploy = || {
+        let mut monitor = Monitor::new(MonitorConfig::default());
+        monitor.add_peer("a.com");
+        monitor.add_peer("b.com");
+        let handle = monitor
+            .submit(
+                "a.com",
+                r#"for $c in inCOM(<p>a.com</p> <p>b.com</p>)
+                   return topk($c.callMethod, 2) every 3
+                   by email "ops@a.com";"#,
+            )
+            .unwrap();
+        (monitor, handle)
+    };
+    let call = |id: u64, callee: &str| SoapCall::new(id, "client.org", callee, "Get", 10, 15);
+    let first: Vec<SoapCall> = vec![call(1, "a.com"), call(2, "b.com")];
+    let second: Vec<SoapCall> = (3..6).map(|id| call(id, "a.com")).collect();
+
+    let (mut clean, clean_handle) = deploy();
+    let (mut faulty, faulty_handle) = deploy();
+    for monitor in [&mut clean, &mut faulty] {
+        for call in &first {
+            monitor.inject_soap_call(call);
+        }
+        // Two rounds: the leaves flush, the root absorbs a.com's delta and
+        // counts one flush opportunity of three — dirty, nothing emitted.
+        assert!(monitor.tick());
+        assert!(monitor.tick());
+    }
+    assert!(faulty.results(&faulty_handle).is_empty());
+
+    faulty.fail_peer("a.com");
+    for call in &second {
+        faulty.inject_soap_call(call);
+    }
+    let rounds = (0..ROUND_BUDGET).take_while(|_| faulty.tick()).count();
+    assert!(
+        rounds < ROUND_BUDGET,
+        "a downed host's buffered state kept `tick` reporting work"
+    );
+    assert!(
+        faulty.results(&faulty_handle).is_empty(),
+        "the downed root cannot have answered"
+    );
+
+    faulty.recover_peer("a.com");
+    faulty.run_until_idle();
+    for call in &second {
+        clean.inject_soap_call(call);
+    }
+    clean.run_until_idle();
+    let answer = faulty.results(&faulty_handle);
+    assert_eq!(answer.last().and_then(|a| a.attr("total")), Some("5"));
+    assert_eq!(
+        answer,
+        clean.results(&clean_handle),
+        "recovery must drain the buffered alerts and sketch state into the fault-free answer"
+    );
+}

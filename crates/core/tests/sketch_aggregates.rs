@@ -346,6 +346,53 @@ fn aggregates_survive_concurrent_subscriptions_and_unsubscribe() {
     assert_eq!(second_answer.attr("total"), Some("2"));
 }
 
+/// Host visits and rounds of one burst — three calls at three peers — over
+/// an aggregate spanning `peers` monitored peers.
+fn burst_cost(peers: usize) -> (u64, u64) {
+    let names: Vec<String> = (0..peers).map(|i| format!("s{i}.net")).collect();
+    let mut monitor = monitor_over(&names.iter().map(String::as_str).collect::<Vec<_>>());
+    let sources: String = names.iter().map(|p| format!("<p>{p}</p>")).collect();
+    let handle = monitor
+        .submit(
+            "hub",
+            &format!(
+                "for $c in inCOM({sources}) return topk($c.callMethod, 2) \
+                 by email \"ops@example.org\";"
+            ),
+        )
+        .unwrap();
+    let before = monitor.dispatch_stats().host_visits;
+    for (i, callee) in names.iter().take(3).enumerate() {
+        monitor.inject_soap_call(&call(i as u64, callee, "Get", 5));
+    }
+    let mut rounds = 1;
+    while monitor.tick() {
+        rounds += 1;
+    }
+    assert_eq!(last_answer(&monitor, &handle).attr("total"), Some("3"));
+    (monitor.dispatch_stats().host_visits - before, rounds)
+}
+
+/// A round costs what it carries: the hosts its phases visit are bounded by
+/// the hosts that had something to do, and the count — which repeats
+/// exactly, where a timing could not — does not move when the idle
+/// population doubles.
+#[test]
+fn round_phases_visit_busy_hosts_not_deployed_ones() {
+    let (visits, rounds) = burst_cost(2_000);
+    // Three leaves plus the merge path to the root: fewer than eight hosts
+    // ever have something to do, and none of them in every round.
+    assert!(
+        visits <= 2 * 8 * rounds,
+        "{visits} host visits over {rounds} rounds for a 3-peer burst"
+    );
+    assert_eq!(
+        burst_cost(4_000),
+        (visits, rounds),
+        "doubling the idle peers changed what a round visits"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

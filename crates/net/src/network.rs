@@ -36,12 +36,26 @@ impl Default for NetworkConfig {
     }
 }
 
+/// One peer's delivered-but-unread messages.
+#[derive(Debug, Default)]
+struct Inbox {
+    queue: VecDeque<Message>,
+    /// True while the peer sits on [`Network::woken`]: a delivery lists the
+    /// peer once, however many messages follow, so the list stays bounded by
+    /// the peer count even for a caller that only ever polls
+    /// [`Network::take_inbox`] by name.
+    listed: bool,
+}
+
 /// The simulated network: peers, in-flight messages and a logical clock.
 #[derive(Debug)]
 pub struct Network {
     peers: BTreeSet<PeerId>,
     down: BTreeSet<PeerId>,
-    inboxes: BTreeMap<PeerId, VecDeque<Message>>,
+    inboxes: BTreeMap<PeerId, Inbox>,
+    /// Peers that received a message since [`Network::take_woken_inboxes`]
+    /// last ran, each listed once ([`Inbox::listed`]) in delivery order.
+    woken: Vec<PeerId>,
     /// In-flight messages keyed by delivery time, then message id (total
     /// order ⇒ deterministic delivery order).
     in_flight: BTreeMap<(u64, u64), Message>,
@@ -65,6 +79,7 @@ impl Network {
             peers: BTreeSet::new(),
             down: BTreeSet::new(),
             inboxes: BTreeMap::new(),
+            woken: Vec::new(),
             in_flight: BTreeMap::new(),
             clock: 0,
             next_message_id: 0,
@@ -320,7 +335,12 @@ impl Network {
             message.is_channel_traffic(),
         );
         let to = message.to;
-        self.inboxes.entry(to).or_default().push_back(message);
+        let inbox = self.inboxes.entry(to).or_default();
+        if !inbox.listed {
+            inbox.listed = true;
+            self.woken.push(to);
+        }
+        inbox.queue.push_back(message);
         Some(to)
     }
 
@@ -357,8 +377,27 @@ impl Network {
     pub fn take_inbox(&mut self, peer: &str) -> Vec<Message> {
         self.inboxes
             .get_mut(&PeerId::from(peer))
-            .map(|q| q.drain(..).collect())
+            .map(|inbox| inbox.queue.drain(..).collect())
             .unwrap_or_default()
+    }
+
+    /// Drains the inbox of every peer that received a message since the last
+    /// call, in first-delivery order: the cost follows the peers that were
+    /// written to, not the peers that exist.  Inboxes already emptied through
+    /// [`Network::take_inbox`] are skipped.
+    pub fn take_woken_inboxes(&mut self) -> Vec<(PeerId, Vec<Message>)> {
+        let mut drained = Vec::with_capacity(self.woken.len());
+        for peer in self.woken.drain(..) {
+            let inbox = self
+                .inboxes
+                .get_mut(&peer)
+                .expect("a listed peer has an inbox");
+            inbox.listed = false;
+            if !inbox.queue.is_empty() {
+                drained.push((peer, inbox.queue.drain(..).collect()));
+            }
+        }
+        drained
     }
 
     /// Number of undelivered-to-application messages waiting in a peer's
@@ -366,7 +405,7 @@ impl Network {
     pub fn inbox_len(&self, peer: &str) -> usize {
         self.inboxes
             .get(&PeerId::from(peer))
-            .map(VecDeque::len)
+            .map(|inbox| inbox.queue.len())
             .unwrap_or(0)
     }
 }
@@ -416,6 +455,30 @@ mod tests {
         n.step();
         assert_eq!(n.now(), 0);
         assert_eq!(n.inbox_len("p"), 1);
+    }
+
+    #[test]
+    fn woken_inboxes_are_the_ones_written_to_each_listed_once() {
+        let mut n = net();
+        n.send("a.com", "p", None, Element::new("one"));
+        n.send("b.com", "p", None, Element::new("two"));
+        n.send("a.com", "meteo.com", None, Element::new("three"));
+        n.send("a.com", "b.com", None, Element::new("four"));
+        n.run_until_idle();
+        // Polling by name empties an inbox without unlisting its peer.
+        assert_eq!(n.take_inbox("b.com").len(), 1);
+        let woken = n.take_woken_inboxes();
+        let summary: Vec<(&str, usize)> = woken
+            .iter()
+            .map(|(peer, inbox)| (peer.as_str(), inbox.len()))
+            .collect();
+        assert_eq!(summary, vec![("p", 2), ("meteo.com", 1)]);
+        assert!(n.take_woken_inboxes().is_empty(), "nothing new arrived");
+        assert_eq!(n.inbox_len("p"), 0);
+        // A peer is listed again by its next delivery.
+        n.send("a.com", "b.com", None, Element::new("five"));
+        n.run_until_idle();
+        assert_eq!(n.take_woken_inboxes().len(), 1);
     }
 
     #[test]

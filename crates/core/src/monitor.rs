@@ -1393,7 +1393,7 @@ impl Monitor {
     }
 
     /// The strategy one peer's shared engine is currently using (adaptive
-    /// engines report their live naive/building/staged state).
+    /// engines report their live naive/staged state).
     pub fn peer_filter_mode(&self, peer: &str) -> Option<p2pmon_filter::EngineMode> {
         self.hosts
             .get(&normalize_peer(peer))

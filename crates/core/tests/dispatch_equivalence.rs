@@ -551,3 +551,122 @@ proptest! {
         }
     }
 }
+
+/// A monitor whose hub engine actually switches strategy: 220 subscriptions
+/// with pairwise distinct WHERE clauses on one hub (reuse cannot collapse
+/// them) take its adaptive engine past break-even, so the promotion falls
+/// *inside* a `match_batch` call, and unsubscribing half of them takes it
+/// back through the demotion.  Every round carries an alert each
+/// subscription takes, so one lost by either rebuild would show in its sink;
+/// the sinks stay byte-identical to the `naive_dispatch` oracle's.
+#[test]
+fn engine_switching_strategy_mid_batch_leaves_the_sinks_unchanged() {
+    use p2pmon_alerters::SoapCall;
+    use p2pmon_filter::EngineMode;
+    use p2pmon_xmlkit::Element;
+
+    /// The engine-dispatch monitor and its `naive_dispatch` oracle, each with
+    /// the handles of the same submissions.
+    type Deployments = Vec<(Monitor, Vec<SubscriptionHandle>)>;
+
+    const SUBS: usize = 220;
+    let mut storm = SubscriptionStorm::new(11);
+    storm.methods = (0..SUBS).map(|i| format!("Method{i}")).collect();
+    let mut deployments: Deployments = [false, true]
+        .into_iter()
+        .map(|naive_dispatch| {
+            let mut monitor = Monitor::new(MonitorConfig {
+                naive_dispatch,
+                ..MonitorConfig::default()
+            });
+            for peer in ["manager.org", "backend.net"] {
+                monitor.add_peer(peer);
+            }
+            let handles = storm
+                .subscriptions(SUBS)
+                .iter()
+                .map(|text| monitor.submit("manager.org", text).expect("storm deploys"))
+                .collect();
+            (monitor, handles)
+        })
+        .collect();
+
+    // Two calls per method: a slow one with a `<detail>` body, which every
+    // subscription on that method takes, and a fast bare one, which only
+    // those without pattern or residual do.
+    let mut next_id = 0u64;
+    let mut round = |deployments: &mut Deployments| {
+        for m in 0..2 * SUBS {
+            let sent = 1_000 + 50 * next_id;
+            let rich = m.is_multiple_of(2);
+            let mut call = SoapCall::new(
+                next_id,
+                "http://hub.net",
+                storm.service.clone(),
+                format!("Method{}", m / 2),
+                sent,
+                sent + if rich { 25 } else { 5 },
+            );
+            if rich {
+                call = call.with_body(Element::text_element("detail", "payload"));
+            }
+            next_id += 1;
+            for (monitor, _) in deployments.iter_mut() {
+                monitor.inject_soap_call(&call);
+            }
+        }
+        for (monitor, _) in deployments.iter_mut() {
+            monitor.run_until_idle();
+        }
+        let (engine, oracle) = (&deployments[0], &deployments[1]);
+        let mut delivered = 0;
+        for (e, o) in engine.1.iter().zip(&oracle.1) {
+            assert_eq!(engine.0.results(e), oracle.0.results(o), "sink of {e:?}");
+            delivered += engine.0.results(e).len();
+        }
+        delivered
+    };
+    let hub_mode = |deployments: &Deployments| deployments[0].0.peer_filter_mode("hub.net");
+
+    assert_eq!(hub_mode(&deployments), Some(EngineMode::Naive));
+    let first = round(&mut deployments);
+    assert!(
+        first >= SUBS,
+        "every subscription takes its slow call: {first}"
+    );
+    assert_eq!(hub_mode(&deployments), Some(EngineMode::Staged));
+    let hub = deployments[0].0.peer_filter_stats("hub.net").expect("hub");
+    assert_eq!(
+        hub.naive_documents, 8,
+        "the promotion fell inside the batch"
+    );
+    assert_eq!(hub.documents, 2 * SUBS as u64);
+    assert_eq!(
+        round(&mut deployments),
+        2 * first,
+        "staged rounds deliver too"
+    );
+
+    // 220 at promotion: the engine demotes on the removal that leaves 109.
+    // The victims come from the middle, so the first and the last
+    // subscription of either rebuild are still there to be missed.
+    let unsubscribe = |deployments: &mut Deployments, victims: std::ops::Range<usize>| {
+        for (monitor, handles) in deployments.iter_mut() {
+            for handle in &handles[victims.clone()] {
+                assert!(monitor.unsubscribe(handle));
+            }
+        }
+    };
+    unsubscribe(&mut deployments, 30..140);
+    assert_eq!(hub_mode(&deployments), Some(EngineMode::Staged));
+    unsubscribe(&mut deployments, 140..141);
+    assert_eq!(hub_mode(&deployments), Some(EngineMode::Naive));
+    // 109 distinct clauses would cross break-even again; 60 stay put.
+    unsubscribe(&mut deployments, 141..190);
+    let before = round(&mut deployments);
+    assert!(round(&mut deployments) > before, "demoted rounds deliver");
+    assert_eq!(hub_mode(&deployments), Some(EngineMode::Naive));
+
+    let stats = deployments[0].0.filter_stats();
+    assert_eq!((stats.promotions, stats.demotions), (1, 1));
+}

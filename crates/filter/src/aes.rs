@@ -169,14 +169,6 @@ impl AesFilter {
         result
     }
 
-    /// Read-only variant of [`AesFilter::matches`] (no statistics update).
-    pub fn matches_readonly(&self, satisfied: &[ConditionId]) -> AesMatch {
-        let mut result = AesMatch::default();
-        let mut visited = 0u64;
-        Self::walk(&self.root, satisfied, &mut result, &mut visited);
-        result
-    }
-
     fn walk(
         node: &HashTreeNode,
         satisfied: &[ConditionId],
@@ -316,14 +308,6 @@ mod tests {
         aes.insert(&[], sid(1), false);
         let m = aes.matches(&[]);
         assert_eq!(m.active_complex, vec![sid(1)]);
-    }
-
-    #[test]
-    fn readonly_agrees_with_mutating() {
-        let mut aes = paper_tree();
-        for satisfied in [vec![], vec![0], vec![0, 1], vec![0, 1, 2, 3], vec![2, 3]] {
-            assert_eq!(aes.matches_readonly(&satisfied), aes.matches(&satisfied));
-        }
     }
 
     #[test]

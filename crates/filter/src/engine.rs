@@ -9,22 +9,28 @@
 //! The staged pipeline has a fixed per-document overhead (prefilter alphabet
 //! scan, hash-tree walk, automaton set expansion) that only pays for itself
 //! past a break-even number of subscriptions; below it, a memoized linear
-//! scan is faster.  An engine created with [`FilterEngine::adaptive`] starts
-//! in **naive** mode and tracks an online cost model: an EWMA of the measured
-//! naive-scan cost (in deterministic work units, not wall-clock, so behaviour
-//! is reproducible) against an estimate of what the staged pipeline would
-//! cost given the current number of live conditions and patterns.  Past the
-//! break-even margin it **promotes** itself: the staged structures are built
-//! incrementally, a bounded chunk of subscriptions per processed document
-//! (never a stall), while matching continues naively; when the build drains
-//! the engine switches to **staged** mode and drops the scan tables.  When
-//! `remove` shrinks the database below a hysteresis fraction of its size at
-//! promotion time, the engine **demotes** back to naive mode.  Both paths
-//! produce identical match sets — the naive scan is the equivalence oracle
-//! for the staged pipeline (see `tests/prop_engine_vs_naive.rs`).
+//! scan is faster.  Both strategies answer the same two questions — which
+//! subscriptions do the root attributes settle (the *simple stage*), and
+//! which of the still-active ones do the tree patterns confirm (the *complex
+//! stage*) — so the engine holds **one index at a time** and runs one match
+//! path over whichever it holds.
 //!
-//! Engines created with [`FilterEngine::new`] are non-adaptive and always
-//! staged, preserving the original behaviour.
+//! An engine created with [`FilterEngine::adaptive`] starts on the **naive**
+//! scan and tracks an online cost model: an EWMA of the measured scan cost
+//! (in deterministic work units, not wall-clock, so behaviour is
+//! reproducible) against an estimate of what the staged pipeline would cost
+//! given the current number of live conditions and patterns.  Past the
+//! break-even margin it **promotes** itself: the staged index is built from
+//! the subscription database in one step, inside the `process` call that
+//! crossed the line, and replaces the scan tables.  When `remove` shrinks the
+//! database below a hysteresis fraction of its size at promotion time, the
+//! engine **demotes**: the scan tables are built from the database and
+//! replace the staged index.  Both indexes produce identical match sets — the
+//! naive scan is the equivalence oracle for the staged pipeline (see
+//! `tests/prop_engine_vs_naive.rs`).
+//!
+//! Engines created with [`FilterEngine::new`] are pinned to the staged
+//! pipeline, preserving the original behaviour.
 
 use std::collections::HashMap;
 
@@ -48,9 +54,6 @@ const DIRECT_EVALUATION_THRESHOLD: usize = 4;
 pub enum EngineMode {
     /// Memoized linear scan over the compiled subscriptions.
     Naive,
-    /// Still matching naively while the staged structures are being built
-    /// incrementally (a bounded chunk per processed document).
-    Building,
     /// The full prefilter → AES → YFilterσ pipeline.
     Staged,
 }
@@ -60,7 +63,6 @@ impl EngineMode {
     pub fn label(self) -> &'static str {
         match self {
             EngineMode::Naive => "naive",
-            EngineMode::Building => "building",
             EngineMode::Staged => "staged",
         }
     }
@@ -72,72 +74,43 @@ impl std::fmt::Display for EngineMode {
     }
 }
 
-/// Tunable constants of the adaptive cost model.  All costs are in abstract
-/// *work units* (one simple-condition evaluation = 1.0), never wall-clock, so
-/// promotion decisions are deterministic and testable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModelConfig {
-    /// EWMA smoothing factor for the measured naive cost per document.
-    pub ewma_alpha: f64,
-    /// Documents observed in naive mode before promotion is considered.
-    pub min_observations: u64,
-    /// Subscriptions required before promotion is considered at all.
-    pub min_subscriptions: usize,
-    /// Promote when `naive_ewma > staged_estimate × promote_margin`.
-    pub promote_margin: f64,
-    /// Demote when `remove` shrinks the database below this fraction of its
-    /// size at promotion time.
-    pub demote_fraction: f64,
-    /// Fixed per-document overhead of the staged pipeline, in work units.
-    pub staged_base: f64,
-    /// Estimated staged cost per live distinct simple condition.
-    pub condition_unit: f64,
-    /// Estimated staged cost per live distinct tree pattern.
-    pub pattern_unit: f64,
-    /// Subscriptions indexed per processed document while building.
-    pub build_chunk: usize,
-}
+// The adaptive cost model.  All costs are in abstract *work units* (one
+// simple-condition evaluation = 1.0), never wall-clock, so promotion
+// decisions are deterministic and testable.  The constants are not settable:
+// the engine adapts from what it measures.  They are the values
+// `BENCH_filter.json` was taken with; the `adaptive_probe` example of
+// `p2pmon-bench` prints the wall-clock figures they were calibrated against.
 
-impl Default for CostModelConfig {
-    fn default() -> Self {
-        CostModelConfig {
-            ewma_alpha: 0.2,
-            min_observations: 8,
-            min_subscriptions: 16,
-            promote_margin: 1.25,
-            demote_fraction: 0.5,
-            staged_base: 32.0,
-            condition_unit: 0.5,
-            pattern_unit: 0.5,
-            build_chunk: 512,
-        }
-    }
-}
+/// EWMA smoothing factor for the measured naive cost per document.
+const EWMA_ALPHA: f64 = 0.2;
+/// Documents observed in naive mode before promotion is considered.
+const MIN_OBSERVATIONS: u64 = 8;
+/// Subscriptions required before promotion is considered at all.
+const MIN_SUBSCRIPTIONS: usize = 16;
+/// Promote when `naive_ewma > staged_estimate × PROMOTE_MARGIN`.
+const PROMOTE_MARGIN: f64 = 1.25;
+/// Demote when `remove` shrinks the database below this fraction of its size
+/// at promotion time.
+const DEMOTE_FRACTION: f64 = 0.5;
+/// Fixed per-document overhead of the staged pipeline, in work units.
+const STAGED_BASE: f64 = 32.0;
+/// Estimated staged cost per live distinct simple condition.
+const CONDITION_UNIT: f64 = 0.5;
+/// Estimated staged cost per live tree pattern.
+const PATTERN_UNIT: f64 = 0.5;
 
-impl CostModelConfig {
-    /// An eager configuration for tests: promotes after a single observed
-    /// document with no margin and demotes as soon as any removal happens.
-    pub fn aggressive() -> Self {
-        CostModelConfig {
-            ewma_alpha: 1.0,
-            min_observations: 1,
-            min_subscriptions: 1,
-            promote_margin: 0.0,
-            demote_fraction: 1.0,
-            staged_base: 0.0,
-            condition_unit: 0.0,
-            pattern_unit: 0.0,
-            build_chunk: 4,
-        }
-    }
-}
-
-/// Work-unit prices of the naive scan (see [`CostModelConfig`]): a memo hit
-/// is an order of magnitude cheaper than re-evaluating a condition, and a
-/// tree-pattern evaluation an order of magnitude dearer.
+/// Work-unit prices of the naive scan: a memo hit is an order of magnitude
+/// cheaper than re-evaluating a condition, and a tree-pattern evaluation an
+/// order of magnitude dearer.
 const COND_EVAL_COST: f64 = 1.0;
 const MEMO_HIT_COST: f64 = 0.125;
 const PATTERN_EVAL_COST: f64 = 8.0;
+
+/// What the staged pipeline is estimated to cost per document, in work
+/// units, over this many live conditions and patterns.
+fn staged_estimate(conditions: usize, patterns: usize) -> f64 {
+    STAGED_BASE + CONDITION_UNIT * conditions as f64 + PATTERN_UNIT * patterns as f64
+}
 
 /// Aggregate statistics maintained by the engine (experiments E2–E5 read
 /// these).
@@ -157,9 +130,9 @@ pub struct FilterStats {
     /// Service calls avoided because no active subscription needed the
     /// payload.
     pub service_calls_avoided: u64,
-    /// Documents processed by the naive scan (naive or building mode).
+    /// Documents processed by the naive scan.
     pub naive_documents: u64,
-    /// Completed naive → staged promotions.
+    /// Naive → staged promotions.
     pub promotions: u64,
     /// Staged → naive demotions (hysteresis on `remove`).
     pub demotions: u64,
@@ -216,6 +189,21 @@ impl BatchOutcome {
     }
 }
 
+/// The subscription database both indexes are built from.
+type Database = HashMap<SubscriptionId, FilterSubscription>;
+
+/// The database in ascending id order: a deterministic build order keeps
+/// benches reproducible.
+fn sorted(database: &Database) -> Vec<&FilterSubscription> {
+    let mut subs: Vec<&FilterSubscription> = database.values().collect();
+    subs.sort_unstable_by_key(|s| s.id);
+    subs
+}
+
+/// What a simple stage hands back: the subscriptions the root attributes
+/// settled as matched, and the complex ones they left active.
+type SimpleStage = (Vec<SubscriptionId>, Vec<SubscriptionId>);
+
 /// A subscription compiled for the naive scan: its conditions and patterns
 /// are interned into shared tables so evaluations memoize across the many
 /// subscriptions that reuse the same condition or pattern.
@@ -226,9 +214,10 @@ struct CompiledSub {
     pattern_ids: Vec<u32>,
 }
 
-/// The memoized linear-scan tables of naive mode.  Conditions and patterns
-/// are deduplicated by their canonical text; per-document memo slots are
-/// stamped so clearing between documents is O(1).
+/// The memoized linear-scan tables of naive mode, with the cost the scan
+/// measures on itself.  Conditions and patterns are deduplicated by their
+/// canonical text; per-document memo slots are stamped so clearing between
+/// documents is O(1).
 #[derive(Debug, Clone, Default)]
 struct NaiveTables {
     conds: Vec<AttrCondition>,
@@ -249,17 +238,22 @@ struct NaiveTables {
     live_conds: usize,
     /// Distinct patterns with at least one referencing subscription.
     live_patterns: usize,
-}
-
-/// Result of one naive pass over a document.
-#[derive(Debug, Default)]
-struct NaiveScan {
-    matched: Vec<SubscriptionId>,
-    active_complex: Vec<SubscriptionId>,
+    /// Work units spent on the current document so far.
     work: f64,
+    /// EWMA of the work per document, over `observations` documents.
+    ewma: f64,
+    observations: u64,
 }
 
 impl NaiveTables {
+    fn build(database: &Database) -> Self {
+        let mut tables = NaiveTables::default();
+        for sub in sorted(database) {
+            tables.insert(sub);
+        }
+        tables
+    }
+
     fn intern_cond(&mut self, cond: &AttrCondition) -> u32 {
         let key = cond.key();
         if let Some(&i) = self.cond_index.get(&key) {
@@ -297,7 +291,7 @@ impl NaiveTables {
         i
     }
 
-    fn compile(&mut self, sub: &FilterSubscription) {
+    fn insert(&mut self, sub: &FilterSubscription) {
         let cond_ids = sub.simple.iter().map(|c| self.intern_cond(c)).collect();
         let pattern_ids = sub.complex.iter().map(|p| self.intern_pattern(p)).collect();
         self.pos.insert(sub.id, self.subs.len());
@@ -311,9 +305,9 @@ impl NaiveTables {
     /// Drops a compiled subscription in O(|sub|); dead table entries keep
     /// their slot (the memo stamps make them free) and are resurrected if the
     /// same condition or pattern is registered again.
-    fn drop_sub(&mut self, id: SubscriptionId) -> bool {
+    fn remove(&mut self, id: SubscriptionId) {
         let Some(pos) = self.pos.remove(&id) else {
-            return false;
+            return;
         };
         let cs = self.subs.swap_remove(pos);
         if pos < self.subs.len() {
@@ -331,26 +325,13 @@ impl NaiveTables {
                 self.live_patterns -= 1;
             }
         }
-        true
     }
 
-    /// Typed root attributes, parsed once per document: every condition
-    /// evaluation against the same document reuses them instead of re-finding
-    /// and re-parsing the attribute (`AttrCondition::eval` does both per
-    /// call — that repetition is most of the plain naive filter's cost).
-    fn typed_root_attrs(document: &Element) -> Vec<(&str, Value)> {
-        document
-            .attributes
-            .iter()
-            .map(|(k, v)| (k.as_str(), Value::from_literal(v)))
-            .collect()
-    }
-
-    fn eval_cond(&mut self, i: u32, root_attrs: &[(&str, Value)], work: &mut f64) -> bool {
+    fn eval_cond(&mut self, i: u32, root_attrs: &[(&str, Value)]) -> bool {
         let i = i as usize;
         let (stamp, value) = self.cond_memo[i];
         if stamp == self.stamp {
-            *work += MEMO_HIT_COST;
+            self.work += MEMO_HIT_COST;
             return value;
         }
         let cond = &self.conds[i];
@@ -360,120 +341,289 @@ impl NaiveTables {
             .map(|(_, v)| cond.op.apply(v, &self.cond_consts[i]))
             .unwrap_or(false);
         self.cond_memo[i] = (self.stamp, value);
-        *work += COND_EVAL_COST;
+        self.work += COND_EVAL_COST;
         value
     }
 
-    fn eval_pattern(&mut self, i: u32, document: &Element, work: &mut f64) -> bool {
+    fn eval_pattern(&mut self, i: u32, document: &Element) -> bool {
         let i = i as usize;
         let (stamp, value) = self.pattern_memo[i];
         if stamp == self.stamp {
-            *work += MEMO_HIT_COST;
+            self.work += MEMO_HIT_COST;
             return value;
         }
         let value = self.patterns[i].matches(document);
         self.pattern_memo[i] = (self.stamp, value);
-        *work += PATTERN_EVAL_COST;
+        self.work += PATTERN_EVAL_COST;
         value
     }
 
-    /// Whether all simple conditions of compiled sub `si` hold.
-    fn simple_holds(&mut self, si: usize, root_attrs: &[(&str, Value)], work: &mut f64) -> bool {
-        for k in 0..self.subs[si].cond_ids.len() {
-            let cid = self.subs[si].cond_ids[k];
-            if !self.eval_cond(cid, root_attrs, work) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Whether all tree patterns of compiled sub `si` match.
-    fn patterns_hold(&mut self, si: usize, document: &Element, work: &mut f64) -> bool {
-        for k in 0..self.subs[si].pattern_ids.len() {
-            let pid = self.subs[si].pattern_ids[k];
-            if !self.eval_pattern(pid, document, work) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// One full pass: simple conditions then tree patterns, memoized.
-    fn scan(&mut self, document: &Element) -> NaiveScan {
+    /// Simple conditions of every subscription, memoized.  Opens a new
+    /// document: one stamp serves both stages, because this one never writes
+    /// a pattern memo — so the complex stage may be handed the *materialised*
+    /// document (patterns must not run before materialisation).
+    fn simple_stage(&mut self, document: &Element) -> SimpleStage {
         self.stamp += 1;
-        let root_attrs = Self::typed_root_attrs(document);
-        let mut out = NaiveScan::default();
+        self.work = 0.0;
+        // Typed root attributes, parsed once per document: every condition
+        // evaluation against the same document reuses them instead of
+        // re-finding and re-parsing the attribute (`AttrCondition::eval` does
+        // both per call — that repetition is most of the plain naive filter's
+        // cost).
+        let root_attrs: Vec<(&str, Value)> = document
+            .attributes
+            .iter()
+            .map(|(k, v)| (k.as_str(), Value::from_literal(v)))
+            .collect();
+        let (mut matched, mut active) = (Vec::new(), Vec::new());
         for si in 0..self.subs.len() {
-            if !self.simple_holds(si, &root_attrs, &mut out.work) {
+            let holds = (0..self.subs[si].cond_ids.len())
+                .all(|k| self.eval_cond(self.subs[si].cond_ids[k], &root_attrs));
+            if !holds {
                 continue;
             }
-            let id = self.subs[si].id;
-            if self.subs[si].pattern_ids.is_empty() {
-                out.matched.push(id);
-                continue;
-            }
-            out.active_complex.push(id);
-            if self.patterns_hold(si, document, &mut out.work) {
-                out.matched.push(id);
-            }
-        }
-        out
-    }
-
-    /// Simple-conditions-only pass (for intensional documents: patterns must
-    /// not run before materialisation).  Active complex subs are returned for
-    /// a later [`NaiveTables::confirm_patterns`] call.
-    fn scan_simple(&mut self, document: &Element) -> NaiveScan {
-        self.stamp += 1;
-        let root_attrs = Self::typed_root_attrs(document);
-        let mut out = NaiveScan::default();
-        for si in 0..self.subs.len() {
-            if !self.simple_holds(si, &root_attrs, &mut out.work) {
-                continue;
-            }
-            let id = self.subs[si].id;
-            if self.subs[si].pattern_ids.is_empty() {
-                out.matched.push(id);
+            let sub = &self.subs[si];
+            if sub.pattern_ids.is_empty() {
+                matched.push(sub.id);
             } else {
-                out.active_complex.push(id);
+                active.push(sub.id);
             }
         }
-        out
+        (matched, active)
     }
 
-    /// Evaluates the patterns of the given (previously active) subs against a
-    /// materialised document.
-    fn confirm_patterns(
+    /// Tree patterns of the active subscriptions, memoized.
+    fn complex_stage(
         &mut self,
-        active: &[SubscriptionId],
         document: &Element,
-        work: &mut f64,
+        active: &[SubscriptionId],
     ) -> Vec<SubscriptionId> {
-        self.stamp += 1; // the materialised document differs from the raw one
         let mut confirmed = Vec::new();
         for &id in active {
-            let Some(&si) = self.pos.get(&id) else {
-                continue;
-            };
-            if self.patterns_hold(si, document, work) {
+            let si = self.pos[&id];
+            let holds = (0..self.subs[si].pattern_ids.len())
+                .all(|k| self.eval_pattern(self.subs[si].pattern_ids[k], document));
+            if holds {
                 confirmed.push(id);
             }
         }
         confirmed
     }
+
+    /// Feeds the finished document's work into the EWMA; true when the model
+    /// says the staged pipeline would be cheaper by the margin.
+    fn observe(&mut self) -> bool {
+        self.ewma = if self.observations == 0 {
+            self.work
+        } else {
+            EWMA_ALPHA * self.work + (1.0 - EWMA_ALPHA) * self.ewma
+        };
+        self.observations += 1;
+        self.observations >= MIN_OBSERVATIONS
+            && self.subs.len() >= MIN_SUBSCRIPTIONS
+            && self.ewma > staged_estimate(self.live_conds, self.live_patterns) * PROMOTE_MARGIN
+    }
 }
 
-/// Per-subscription bookkeeping of the staged structures, enabling O(|sub|)
-/// removal from the AES hash-tree and allowed-list construction without
-/// scanning the whole query table.
+/// Per-subscription back-references into the staged structures, enabling
+/// O(|sub|) removal from the AES hash-tree and allowed-list construction
+/// without scanning the whole query table.
 #[derive(Debug, Clone, Default)]
 struct StagedSub {
     /// Sorted, deduplicated condition ids as inserted into the AES tree.
     condition_ids: Vec<ConditionId>,
-    /// YFilter query indices owned by this subscription.
+    /// YFilter query indices owned by this subscription, one per pattern
+    /// (none: the subscription is simple).
     queries: Vec<QueryIdx>,
 }
+
+/// The staged index: preFilter alphabet, AES hash-tree and YFilter automaton.
+#[derive(Debug, Clone, Default)]
+struct StagedIndex {
+    prefilter: PreFilter,
+    aes: AesFilter,
+    yfilter: YFilter,
+    /// The subscription owning each YFilter query.
+    query_owner: Vec<SubscriptionId>,
+    /// Subscriptions with no simple conditions: always active.
+    always_active: Vec<SubscriptionId>,
+    subs: HashMap<SubscriptionId, StagedSub>,
+    /// Distinct prefilter conditions still referenced by some subscription
+    /// (the alphabet itself is append-only; this is the live count).
+    live_condition_refs: HashMap<ConditionId, u32>,
+}
+
+impl StagedIndex {
+    fn build(database: &Database) -> Self {
+        let mut index = StagedIndex::default();
+        for sub in sorted(database) {
+            index.insert(sub);
+        }
+        index
+    }
+
+    /// Indexes one subscription into the three stages; nothing already
+    /// indexed is rebuilt.
+    fn insert(&mut self, sub: &FilterSubscription) {
+        let mut condition_ids: Vec<ConditionId> = sub
+            .simple
+            .iter()
+            .map(|c| self.prefilter.register(c))
+            .collect();
+        condition_ids.sort_unstable();
+        condition_ids.dedup();
+        for &cid in &condition_ids {
+            *self.live_condition_refs.entry(cid).or_insert(0) += 1;
+        }
+        if condition_ids.is_empty() {
+            // Settled per document in `simple_stage`: matched outright when
+            // there is no complex part either.
+            self.always_active.push(sub.id);
+        } else {
+            self.aes.insert(&condition_ids, sub.id, sub.is_simple());
+        }
+        self.subs.insert(
+            sub.id,
+            StagedSub {
+                condition_ids,
+                queries: Vec::with_capacity(sub.complex.len()),
+            },
+        );
+        for pattern in &sub.complex {
+            self.add_query(sub.id, pattern.clone());
+        }
+    }
+
+    fn add_query(&mut self, owner: SubscriptionId, pattern: PathPattern) {
+        let q = self.yfilter.add(pattern);
+        debug_assert_eq!(q, self.query_owner.len());
+        self.query_owner.push(owner);
+        self.subs
+            .get_mut(&owner)
+            .expect("a query's owner is indexed")
+            .queries
+            .push(q);
+    }
+
+    /// Removes one subscription: AES prune in O(|sub|), automaton rebuild
+    /// only when the subscription owned patterns — so `aes.node_count` and
+    /// `yfilter.state_count` never report stale structure.
+    fn remove(&mut self, id: SubscriptionId) {
+        let Some(gone) = self.subs.remove(&id) else {
+            return;
+        };
+        if gone.condition_ids.is_empty() {
+            self.always_active.retain(|&a| a != id);
+        } else {
+            self.aes
+                .remove(&gone.condition_ids, id, gone.queries.is_empty());
+        }
+        for cid in &gone.condition_ids {
+            if let Some(refs) = self.live_condition_refs.get_mut(cid) {
+                *refs -= 1;
+                if *refs == 0 {
+                    self.live_condition_refs.remove(cid);
+                }
+            }
+        }
+        if !gone.queries.is_empty() {
+            // The automaton has no removal: re-add the survivors' queries.
+            let automaton = std::mem::take(&mut self.yfilter);
+            let owners = std::mem::take(&mut self.query_owner);
+            for sub in self.subs.values_mut() {
+                sub.queries.clear();
+            }
+            for (pattern, owner) in automaton.queries().iter().zip(owners) {
+                if owner != id {
+                    self.add_query(owner, pattern.clone());
+                }
+            }
+        }
+    }
+
+    /// The prefilter alphabet is append-only; when dead conditions dominate
+    /// it the per-document `satisfied` scan pays for structure nobody
+    /// references, and the index is due a rebuild.
+    fn alphabet_mostly_dead(&self) -> bool {
+        let alphabet = self.prefilter.alphabet_size();
+        alphabet > 64 && alphabet > 2 * self.live_condition_refs.len()
+    }
+
+    /// Stages 1 and 2: simple conditions on the root attributes, then the
+    /// AES hash-tree.
+    fn simple_stage(&mut self, document: &Element) -> SimpleStage {
+        let satisfied = self.prefilter.satisfied(document);
+        let hit = self.aes.matches(&satisfied);
+        let (mut matched, mut active) = (hit.matched_simple, hit.active_complex);
+        // Subscriptions with no simple conditions are always active (or
+        // always matched when they have no complex part either).
+        for &id in &self.always_active {
+            if self.subs[&id].queries.is_empty() {
+                matched.push(id);
+            } else {
+                active.push(id);
+            }
+        }
+        (matched, active)
+    }
+
+    /// Stage 3: YFilterσ over the active complex subscriptions only, either
+    /// directly (few active) or through the pruned automaton (many active).
+    fn complex_stage(
+        &mut self,
+        document: &Element,
+        active: &[SubscriptionId],
+    ) -> Vec<SubscriptionId> {
+        if active.len() <= DIRECT_EVALUATION_THRESHOLD {
+            let patterns = self.yfilter.queries();
+            return active
+                .iter()
+                .copied()
+                .filter(|id| {
+                    let owned = &self.subs[id].queries;
+                    owned.iter().all(|&q| patterns[q].matches(document))
+                })
+                .collect();
+        }
+        // Restrict the automaton's accepts to the queries owned by active
+        // subscriptions.  Each subscription knows its own query indices, so
+        // this is O(active · patterns-per-sub), not a scan of every
+        // registered query.
+        let mut allowed: Vec<QueryIdx> = active
+            .iter()
+            .flat_map(|id| self.subs[id].queries.iter().copied())
+            .collect();
+        allowed.sort_unstable();
+        let matched_queries = self
+            .yfilter
+            .matching_queries_filtered(document, Some(&allowed));
+        // A subscription is confirmed when *all* of its patterns matched.
+        let mut per_subscription: HashMap<SubscriptionId, usize> = HashMap::new();
+        for q in matched_queries {
+            *per_subscription.entry(self.query_owner[q]).or_insert(0) += 1;
+        }
+        per_subscription
+            .into_iter()
+            .filter(|(id, n)| self.subs[id].queries.len() == *n)
+            .map(|(id, _)| id)
+            .collect()
+    }
+}
+
+/// The one index an engine holds; [`FilterEngine::mode`] says which.
+#[derive(Debug, Clone)]
+enum Index {
+    Naive(NaiveTables),
+    Staged {
+        stages: StagedIndex,
+        /// Hysteresis: demote when `remove` shrinks the database below this
+        /// size.  Zero pins the engine to the staged pipeline.
+        demote_below: usize,
+    },
+}
+
+/// Performs the remote call behind an `sc` element on demand.
+type Resolver<'a> = dyn FnMut(&ServiceCall) -> Result<Vec<Element>, String> + 'a;
 
 /// The two-stage, many-subscription Filter.
 ///
@@ -501,33 +651,8 @@ struct StagedSub {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FilterEngine {
-    subscriptions: HashMap<SubscriptionId, FilterSubscription>,
-    prefilter: PreFilter,
-    aes: AesFilter,
-    yfilter: YFilter,
-    /// Maps a YFilter query index to (subscription, index of the pattern
-    /// within that subscription's complex part).
-    query_owner: Vec<(SubscriptionId, usize)>,
-    /// Per-subscription count of complex patterns (to know when all matched).
-    complex_counts: HashMap<SubscriptionId, usize>,
-    /// Subscriptions with no simple conditions: always active.
-    always_active: Vec<SubscriptionId>,
-    /// Staged bookkeeping per subscription (only while staged/building).
-    staged_subs: HashMap<SubscriptionId, StagedSub>,
-    /// Distinct prefilter conditions still referenced by some subscription
-    /// (the alphabet itself is append-only; this is the live count).
-    live_condition_refs: HashMap<ConditionId, u32>,
-    /// Adaptive state.
-    adaptive: bool,
-    mode: EngineMode,
-    cost: CostModelConfig,
-    naive: NaiveTables,
-    naive_ewma: f64,
-    observations: u64,
-    /// Subscriptions not yet indexed into the staged structures (building).
-    pending_build: Vec<SubscriptionId>,
-    /// Database size when promotion began (hysteresis reference).
-    promoted_at_len: usize,
+    subscriptions: Database,
+    index: Index,
     /// Engine statistics.
     pub stats: FilterStats,
 }
@@ -539,45 +664,27 @@ impl Default for FilterEngine {
 }
 
 impl FilterEngine {
+    fn with_index(index: Index) -> Self {
+        FilterEngine {
+            subscriptions: HashMap::new(),
+            index,
+            stats: FilterStats::default(),
+        }
+    }
+
     /// Creates an empty, non-adaptive engine: always staged, the original
     /// behaviour.
     pub fn new() -> Self {
-        FilterEngine {
-            subscriptions: HashMap::new(),
-            prefilter: PreFilter::new(),
-            aes: AesFilter::new(),
-            yfilter: YFilter::new(),
-            query_owner: Vec::new(),
-            complex_counts: HashMap::new(),
-            always_active: Vec::new(),
-            staged_subs: HashMap::new(),
-            live_condition_refs: HashMap::new(),
-            adaptive: false,
-            mode: EngineMode::Staged,
-            cost: CostModelConfig::default(),
-            naive: NaiveTables::default(),
-            naive_ewma: 0.0,
-            observations: 0,
-            pending_build: Vec::new(),
-            promoted_at_len: 0,
-            stats: FilterStats::default(),
-        }
+        FilterEngine::with_index(Index::Staged {
+            stages: StagedIndex::default(),
+            demote_below: 0,
+        })
     }
 
     /// Creates an empty cost-adaptive engine: starts in naive mode and
     /// promotes/demotes itself based on the online cost model.
     pub fn adaptive() -> Self {
-        FilterEngine::adaptive_with(CostModelConfig::default())
-    }
-
-    /// Creates an adaptive engine with explicit cost-model constants.
-    pub fn adaptive_with(cost: CostModelConfig) -> Self {
-        FilterEngine {
-            adaptive: true,
-            mode: EngineMode::Naive,
-            cost,
-            ..FilterEngine::new()
-        }
+        FilterEngine::with_index(Index::Naive(NaiveTables::default()))
     }
 
     /// Builds a (non-adaptive) engine from a set of subscriptions.
@@ -589,12 +696,10 @@ impl FilterEngine {
 
     /// The strategy the engine is currently using.
     pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Whether the engine adapts its strategy to measured cost.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
+        match self.index {
+            Index::Naive(_) => EngineMode::Naive,
+            Index::Staged { .. } => EngineMode::Staged,
+        }
     }
 
     /// Number of registered subscriptions.
@@ -605,11 +710,6 @@ impl FilterEngine {
     /// True when no subscription is registered.
     pub fn is_empty(&self) -> bool {
         self.subscriptions.is_empty()
-    }
-
-    /// Access to a registered subscription (e.g. to apply its template).
-    pub fn subscription(&self, id: SubscriptionId) -> Option<&FilterSubscription> {
-        self.subscriptions.get(&id)
     }
 
     /// Registers a subscription (offline adjustment).
@@ -626,56 +726,47 @@ impl FilterEngine {
         let id = subscription.id;
         if self.subscriptions.insert(id, subscription).is_some() {
             // Replacement: the old conditions/patterns must disappear.
-            self.rebuild_for_mode();
+            self.rebuild();
             return;
         }
-        match self.mode {
-            EngineMode::Naive => self.naive.compile(&self.subscriptions[&id]),
-            EngineMode::Building => {
-                self.naive.compile(&self.subscriptions[&id]);
-                self.pending_build.push(id);
-            }
-            EngineMode::Staged => self.index(id),
+        let sub = &self.subscriptions[&id];
+        match &mut self.index {
+            Index::Naive(tables) => tables.insert(sub),
+            Index::Staged { stages, .. } => stages.insert(sub),
         }
     }
 
-    /// Registers many subscriptions, rebuilding the structures once.
+    /// Registers many subscriptions, rebuilding the index once.
     pub fn add_all(&mut self, subscriptions: impl IntoIterator<Item = FilterSubscription>) {
         for s in subscriptions {
             self.subscriptions.insert(s.id, s);
         }
-        self.rebuild_for_mode();
+        self.rebuild();
     }
 
     /// Removes a subscription; returns `true` when it existed.
     ///
-    /// The staged structures shrink symmetrically: the AES path is pruned in
-    /// O(|sub|) and, when the subscription owned patterns, the automaton is
-    /// rebuilt from the survivors — so `aes_node_count` and
-    /// `yfilter_state_count` never report stale structure (the adaptive cost
-    /// model reads them).  An adaptive engine demotes to naive mode when the
-    /// database falls below the hysteresis fraction of its promotion size.
+    /// The staged structures shrink symmetrically, so `aes_node_count` and
+    /// `yfilter_state_count` never report stale structure.  An adaptive
+    /// engine demotes to naive mode when the database falls below the
+    /// hysteresis fraction of its promotion size: the scan tables are built
+    /// from the (now small) database and replace the staged index.
     pub fn remove(&mut self, id: SubscriptionId) -> bool {
-        let Some(sub) = self.subscriptions.remove(&id) else {
+        if self.subscriptions.remove(&id).is_none() {
             return false;
-        };
-        match self.mode {
-            EngineMode::Naive => {
-                self.naive.drop_sub(id);
-            }
-            EngineMode::Building => {
-                // Removal mid-build: abort back to naive (the partial staged
-                // structures may already index the removed subscription).
-                self.abort_build();
-                self.naive.drop_sub(id);
-            }
-            EngineMode::Staged => {
-                self.unindex(id, &sub);
-                if self.adaptive
-                    && self.len()
-                        < (self.promoted_at_len as f64 * self.cost.demote_fraction) as usize
-                {
-                    self.demote();
+        }
+        match &mut self.index {
+            Index::Naive(tables) => tables.remove(id),
+            Index::Staged {
+                stages,
+                demote_below,
+            } => {
+                stages.remove(id);
+                if self.subscriptions.len() < *demote_below {
+                    self.index = Index::Naive(NaiveTables::build(&self.subscriptions));
+                    self.stats.demotions += 1;
+                } else if stages.alphabet_mostly_dead() {
+                    *stages = StagedIndex::build(&self.subscriptions);
                 }
             }
         }
@@ -683,320 +774,100 @@ impl FilterEngine {
     }
 
     /// Size of the AES hash-tree (number of nodes), exposed for E3.  Zero in
-    /// naive mode — no staged structure exists, and the cost model must not
-    /// see a stale size.
+    /// naive mode: no staged structure exists.
     pub fn aes_node_count(&self) -> usize {
-        match self.mode {
-            EngineMode::Naive => 0,
-            _ => self.aes.node_count(),
+        match &self.index {
+            Index::Naive(_) => 0,
+            Index::Staged { stages, .. } => stages.aes.node_count(),
         }
     }
 
     /// Number of YFilter NFA states, exposed for E4.  Zero in naive mode.
     pub fn yfilter_state_count(&self) -> usize {
-        match self.mode {
-            EngineMode::Naive => 0,
-            _ => self.yfilter.state_count(),
+        match &self.index {
+            Index::Naive(_) => 0,
+            Index::Staged { stages, .. } => stages.yfilter.state_count(),
         }
     }
 
     /// The staged-pipeline cost estimate of the adaptive model, in work
     /// units, given the current live condition/pattern population.
     pub fn staged_estimate(&self) -> f64 {
-        let (conds, patterns) = match self.mode {
-            EngineMode::Staged => {
-                let patterns: usize = self.complex_counts.values().sum();
-                (self.live_condition_refs.len(), patterns)
+        match &self.index {
+            Index::Naive(tables) => staged_estimate(tables.live_conds, tables.live_patterns),
+            Index::Staged { stages, .. } => {
+                staged_estimate(stages.live_condition_refs.len(), stages.query_owner.len())
             }
-            _ => (self.naive.live_conds, self.naive.live_patterns),
-        };
-        self.cost.staged_base
-            + self.cost.condition_unit * conds as f64
-            + self.cost.pattern_unit * patterns as f64
+        }
     }
 
-    /// The measured naive-scan cost EWMA, in work units per document.
+    /// The measured naive-scan cost EWMA, in work units per document.  Zero
+    /// in staged mode: there is no scan to measure.
     pub fn naive_cost_ewma(&self) -> f64 {
-        self.naive_ewma
-    }
-
-    /// Rebuilds the current mode's structures from the subscription
-    /// database.  Building mode aborts to naive (the cost model will promote
-    /// again if still warranted).
-    fn rebuild_for_mode(&mut self) {
-        match self.mode {
-            EngineMode::Naive => self.rebuild_naive(),
-            EngineMode::Building => {
-                self.abort_build();
-                self.rebuild_naive();
-            }
-            EngineMode::Staged => self.rebuild_staged(),
+        match &self.index {
+            Index::Naive(tables) => tables.ewma,
+            Index::Staged { .. } => 0.0,
         }
     }
 
-    fn sorted_ids(&self) -> Vec<SubscriptionId> {
-        // Deterministic iteration order keeps benches reproducible.
-        let mut ids: Vec<SubscriptionId> = self.subscriptions.keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
-    fn rebuild_naive(&mut self) {
-        self.naive = NaiveTables::default();
-        for id in self.sorted_ids() {
-            self.naive.compile(&self.subscriptions[&id]);
-        }
-    }
-
-    /// Rebuilds the pre-filter alphabet, the AES hash-tree and the YFilter
-    /// automaton from the current subscription database.
-    fn rebuild_staged(&mut self) {
-        self.prefilter = PreFilter::new();
-        self.aes = AesFilter::new();
-        self.yfilter = YFilter::new();
-        self.query_owner.clear();
-        self.complex_counts.clear();
-        self.always_active.clear();
-        self.staged_subs.clear();
-        self.live_condition_refs.clear();
-        for id in self.sorted_ids() {
-            self.index(id);
-        }
-    }
-
-    /// Indexes one registered subscription into the three stages (the shared
-    /// step of [`FilterEngine::add`], the incremental build and the rebuild).
-    fn index(&mut self, id: SubscriptionId) {
-        let sub = &self.subscriptions[&id];
-        let simple = sub.simple.clone();
-        let complex = sub.complex.clone();
-        let is_simple = sub.is_simple();
-        let mut condition_ids: Vec<usize> =
-            simple.iter().map(|c| self.prefilter.register(c)).collect();
-        condition_ids.sort_unstable();
-        condition_ids.dedup();
-        for &cid in &condition_ids {
-            *self.live_condition_refs.entry(cid).or_insert(0) += 1;
-        }
-        if condition_ids.is_empty() {
-            self.always_active.push(id);
-            // Simple subscriptions with no conditions at all match
-            // everything; they are handled in `process`.
-        } else {
-            self.aes.insert(&condition_ids, id, is_simple);
-        }
-        let mut queries = Vec::with_capacity(complex.len());
-        if !complex.is_empty() {
-            self.complex_counts.insert(id, complex.len());
-            for (pattern_idx, pattern) in complex.into_iter().enumerate() {
-                let q = self.yfilter.add(pattern);
-                debug_assert_eq!(q, self.query_owner.len());
-                self.query_owner.push((id, pattern_idx));
-                queries.push(q);
-            }
-        }
-        self.staged_subs.insert(
-            id,
-            StagedSub {
-                condition_ids,
-                queries,
-            },
-        );
-    }
-
-    /// Removes one subscription from the staged structures: AES prune in
-    /// O(|sub|), automaton rebuild only when the subscription owned patterns.
-    fn unindex(&mut self, id: SubscriptionId, sub: &FilterSubscription) {
-        let staged = self.staged_subs.remove(&id).unwrap_or_default();
-        if staged.condition_ids.is_empty() {
-            self.always_active.retain(|&a| a != id);
-        } else {
-            self.aes.remove(&staged.condition_ids, id, sub.is_simple());
-        }
-        for cid in &staged.condition_ids {
-            if let Some(refs) = self.live_condition_refs.get_mut(cid) {
-                *refs -= 1;
-                if *refs == 0 {
-                    self.live_condition_refs.remove(cid);
-                }
-            }
-        }
-        self.complex_counts.remove(&id);
-        if !staged.queries.is_empty() {
-            self.rebuild_yfilter();
-        }
-        // The prefilter alphabet is append-only; when dead conditions
-        // dominate it the per-document satisfied() scan pays for structure
-        // nobody references, so rebuild everything.
-        if self.prefilter.alphabet_size() > 64
-            && self.prefilter.alphabet_size() > 2 * self.live_condition_refs.len()
-        {
-            self.rebuild_staged();
-        }
-    }
-
-    /// Rebuilds only the automaton (and the query ownership tables) from the
-    /// surviving subscriptions — the AES tree and prefilter are untouched.
-    fn rebuild_yfilter(&mut self) {
-        self.yfilter = YFilter::new();
-        self.query_owner.clear();
-        for id in self.sorted_ids() {
-            let sub = &self.subscriptions[&id];
-            if sub.complex.is_empty() {
-                continue;
-            }
-            let mut queries = Vec::with_capacity(sub.complex.len());
-            for (pattern_idx, pattern) in sub.complex.iter().enumerate() {
-                let q = self.yfilter.add(pattern.clone());
-                debug_assert_eq!(q, self.query_owner.len());
-                self.query_owner.push((id, pattern_idx));
-                queries.push(q);
-            }
-            if let Some(staged) = self.staged_subs.get_mut(&id) {
-                staged.queries = queries;
-            }
-        }
-    }
-
-    /// Starts the incremental naive → staged promotion.
-    fn begin_promotion(&mut self) {
-        self.mode = EngineMode::Building;
-        self.promoted_at_len = self.len();
-        self.pending_build = self.sorted_ids();
-        self.pending_build.reverse(); // pop() builds in ascending id order
-        self.prefilter = PreFilter::new();
-        self.aes = AesFilter::new();
-        self.yfilter = YFilter::new();
-        self.query_owner.clear();
-        self.complex_counts.clear();
-        self.always_active.clear();
-        self.staged_subs.clear();
-        self.live_condition_refs.clear();
-    }
-
-    /// Indexes up to `build_chunk` pending subscriptions; finishes the
-    /// promotion when the queue drains.
-    fn build_step(&mut self) {
-        for _ in 0..self.cost.build_chunk {
-            let Some(id) = self.pending_build.pop() else {
-                break;
-            };
-            self.index(id);
-        }
-        if self.pending_build.is_empty() {
-            self.mode = EngineMode::Staged;
-            self.stats.promotions += 1;
-            self.naive = NaiveTables::default();
-        }
-    }
-
-    /// Abandons a partial build (removal mid-build): clears the partial
-    /// staged structures and returns to naive matching.
-    fn abort_build(&mut self) {
-        self.mode = EngineMode::Naive;
-        self.pending_build.clear();
-        self.prefilter = PreFilter::new();
-        self.aes = AesFilter::new();
-        self.yfilter = YFilter::new();
-        self.query_owner.clear();
-        self.complex_counts.clear();
-        self.always_active.clear();
-        self.staged_subs.clear();
-        self.live_condition_refs.clear();
-        self.observations = 0;
-        self.naive_ewma = 0.0;
-    }
-
-    /// Staged → naive demotion: drops the staged structures and recompiles
-    /// the (now small) database into the scan tables.
-    fn demote(&mut self) {
-        self.abort_build();
-        self.rebuild_naive();
-        self.stats.demotions += 1;
-    }
-
-    /// Feeds one measured naive-scan cost into the EWMA and promotes when the
-    /// model says the staged pipeline would be cheaper by the margin.
-    fn observe_naive_cost(&mut self, work: f64) {
-        self.naive_ewma = if self.observations == 0 {
-            work
-        } else {
-            self.cost.ewma_alpha * work + (1.0 - self.cost.ewma_alpha) * self.naive_ewma
-        };
-        self.observations += 1;
-        if self.mode == EngineMode::Naive
-            && self.observations >= self.cost.min_observations
-            && self.len() >= self.cost.min_subscriptions
-            && self.naive_ewma > self.staged_estimate() * self.cost.promote_margin
-        {
-            self.begin_promotion();
+    /// Rebuilds the index the engine holds from the subscription database.
+    fn rebuild(&mut self) {
+        match &mut self.index {
+            Index::Naive(tables) => *tables = NaiveTables::build(&self.subscriptions),
+            Index::Staged { stages, .. } => *stages = StagedIndex::build(&self.subscriptions),
         }
     }
 
     /// Filters one (fully materialised) document.
     pub fn process(&mut self, document: &Element) -> FilterOutcome {
+        self.run(document, None).0
+    }
+
+    /// The one match path: simple stage → service calls, only if a resolver
+    /// was given and something is still active → complex stage → epilogue.
+    /// Returns the outcome together with the number of calls made.
+    fn run(
+        &mut self,
+        document: &Element,
+        resolver: Option<&mut Resolver<'_>>,
+    ) -> (FilterOutcome, usize) {
         self.stats.documents += 1;
-        if self.mode == EngineMode::Building {
-            self.build_step();
-        }
-        if self.mode == EngineMode::Staged {
-            return self.process_staged(document);
-        }
-        self.process_naive(document)
-    }
-
-    fn process_naive(&mut self, document: &Element) -> FilterOutcome {
-        self.stats.naive_documents += 1;
-        let mut scan = self.naive.scan(document);
-        if !scan.active_complex.is_empty() {
-            self.stats.complex_stage_entered += 1;
-            self.stats.complex_evaluations += scan.active_complex.len() as u64;
-        }
-        scan.matched.sort_unstable();
-        scan.matched.dedup();
-        scan.active_complex.sort_unstable();
-        scan.active_complex.dedup();
-        if !scan.matched.is_empty() {
-            self.stats.documents_matched += 1;
-        }
-        let outcome = FilterOutcome {
-            matched: scan.matched,
-            active_complex: scan.active_complex,
-        };
-        if self.adaptive && self.mode == EngineMode::Naive {
-            self.observe_naive_cost(scan.work);
-        }
-        outcome
-    }
-
-    fn process_staged(&mut self, document: &Element) -> FilterOutcome {
-        // Stage 1: simple conditions on the root attributes.
-        let satisfied = self.prefilter.satisfied(document);
-
-        // Stage 2: AES hash-tree.
-        let aes_match = self.aes.matches(&satisfied);
-        let mut matched: Vec<SubscriptionId> = aes_match.matched_simple;
-        let mut active: Vec<SubscriptionId> = aes_match.active_complex;
-
-        // Subscriptions with no simple conditions are always active (or
-        // always matched when they have no complex part either).
-        for &id in &self.always_active {
-            let sub = &self.subscriptions[&id];
-            if sub.is_simple() {
-                matched.push(id);
-            } else {
-                active.push(id);
+        let (mut matched, mut active) = match &mut self.index {
+            Index::Naive(tables) => {
+                self.stats.naive_documents += 1;
+                tables.simple_stage(document)
             }
-        }
+            Index::Staged { stages, .. } => stages.simple_stage(document),
+        };
         active.sort_unstable();
         active.dedup();
 
-        // Stage 3: YFilterσ over the active complex subscriptions only.
+        let mut calls = 0usize;
         if !active.is_empty() {
+            // Some complex subscription is active: materialise and evaluate.
+            let materialised = resolver.map(|resolver| {
+                let mut materialised = document.clone();
+                // A failing call ends materialisation, but the calls before
+                // it were made and their results merged into the document the
+                // patterns now see: count each where it succeeds.
+                let _ = materialize(&mut materialised, &mut |call| {
+                    let results = resolver(call)?;
+                    calls += 1;
+                    Ok(results)
+                });
+                materialised
+            });
+            self.stats.service_calls_made += calls as u64;
+            let document = materialised.as_ref().unwrap_or(document);
             self.stats.complex_stage_entered += 1;
             self.stats.complex_evaluations += active.len() as u64;
-            let confirmed = self.evaluate_complex(document, &active);
-            matched.extend(confirmed);
+            matched.extend(match &mut self.index {
+                Index::Naive(tables) => tables.complex_stage(document, &active),
+                Index::Staged { stages, .. } => stages.complex_stage(document, &active),
+            });
+        } else if resolver.is_some() {
+            // No complex subscription cares: the service calls are avoided.
+            self.stats.service_calls_avoided += ServiceCall::find_in(document).len() as u64;
         }
 
         matched.sort_unstable();
@@ -1004,53 +875,24 @@ impl FilterEngine {
         if !matched.is_empty() {
             self.stats.documents_matched += 1;
         }
-        FilterOutcome {
-            matched,
-            active_complex: active,
-        }
-    }
-
-    /// Evaluates the tree-pattern parts of the active subscriptions, either
-    /// directly (few active) or through the pruned automaton (many active).
-    fn evaluate_complex(
-        &mut self,
-        document: &Element,
-        active: &[SubscriptionId],
-    ) -> Vec<SubscriptionId> {
-        if active.len() <= DIRECT_EVALUATION_THRESHOLD {
-            let mut confirmed = Vec::new();
-            for &id in active {
-                let sub = &self.subscriptions[&id];
-                if sub.complex.iter().all(|p| p.matches(document)) {
-                    confirmed.push(id);
-                }
+        if let Index::Naive(tables) = &mut self.index {
+            if tables.observe() {
+                // Promotion: build the staged index from the whole database
+                // and drop the scan tables.
+                self.index = Index::Staged {
+                    stages: StagedIndex::build(&self.subscriptions),
+                    demote_below: (self.len() as f64 * DEMOTE_FRACTION) as usize,
+                };
+                self.stats.promotions += 1;
             }
-            return confirmed;
         }
-        // Restrict the automaton's accepts to the queries owned by active
-        // subscriptions.  Each subscription knows its own query indices, so
-        // this is O(active · patterns-per-sub), not a scan of every
-        // registered query.
-        let mut allowed: Vec<QueryIdx> = active
-            .iter()
-            .filter_map(|id| self.staged_subs.get(id))
-            .flat_map(|s| s.queries.iter().copied())
-            .collect();
-        allowed.sort_unstable();
-        let matched_queries = self
-            .yfilter
-            .matching_queries_filtered(document, Some(&allowed));
-        // A subscription is confirmed when *all* of its patterns matched.
-        let mut per_subscription: HashMap<SubscriptionId, usize> = HashMap::new();
-        for q in matched_queries {
-            let (owner, _) = self.query_owner[q];
-            *per_subscription.entry(owner).or_insert(0) += 1;
-        }
-        per_subscription
-            .into_iter()
-            .filter(|(id, n)| self.complex_counts.get(id) == Some(n))
-            .map(|(id, _)| id)
-            .collect()
+        (
+            FilterOutcome {
+                matched,
+                active_complex: active,
+            },
+            calls,
+        )
     }
 
     /// Filters a batch of documents, running the three stages once per
@@ -1088,90 +930,10 @@ impl FilterEngine {
     pub fn process_intensional(
         &mut self,
         document: &Element,
-        resolver: &mut dyn FnMut(&ServiceCall) -> Result<Vec<Element>, String>,
+        resolver: &mut Resolver<'_>,
     ) -> (FilterOutcome, usize) {
-        let has_calls = ServiceCall::document_is_intensional(document);
-        if !has_calls {
-            return (self.process(document), 0);
-        }
-        self.stats.documents += 1;
-        if self.mode == EngineMode::Building {
-            self.build_step();
-        }
-
-        // Run the cheap simple-condition stage on the document as-is.
-        let naive_mode = self.mode != EngineMode::Staged;
-        let (mut matched, mut active, mut work) = if naive_mode {
-            self.stats.naive_documents += 1;
-            let scan = self.naive.scan_simple(document);
-            (scan.matched, scan.active_complex, scan.work)
-        } else {
-            let satisfied = self.prefilter.satisfied(document);
-            let aes_match = self.aes.matches(&satisfied);
-            let mut matched = aes_match.matched_simple;
-            let mut active = aes_match.active_complex;
-            for &id in &self.always_active {
-                let sub = &self.subscriptions[&id];
-                if sub.is_simple() {
-                    matched.push(id);
-                } else {
-                    active.push(id);
-                }
-            }
-            (matched, active, 0.0)
-        };
-        active.sort_unstable();
-        active.dedup();
-
-        if active.is_empty() {
-            // No complex subscription cares: the service call is avoided.
-            let pending = ServiceCall::find_in(document).len();
-            self.stats.service_calls_avoided += pending as u64;
-            matched.sort_unstable();
-            matched.dedup();
-            if !matched.is_empty() {
-                self.stats.documents_matched += 1;
-            }
-            if self.adaptive && self.mode == EngineMode::Naive {
-                self.observe_naive_cost(work);
-            }
-            return (
-                FilterOutcome {
-                    matched,
-                    active_complex: active,
-                },
-                0,
-            );
-        }
-
-        // Some complex subscription is active: materialise and evaluate.
-        let mut materialised = document.clone();
-        let calls = materialize(&mut materialised, resolver).unwrap_or(0);
-        self.stats.service_calls_made += calls as u64;
-        self.stats.complex_stage_entered += 1;
-        self.stats.complex_evaluations += active.len() as u64;
-        let confirmed = if naive_mode {
-            self.naive
-                .confirm_patterns(&active, &materialised, &mut work)
-        } else {
-            self.evaluate_complex(&materialised, &active)
-        };
-        matched.extend(confirmed);
-        matched.sort_unstable();
-        matched.dedup();
-        if !matched.is_empty() {
-            self.stats.documents_matched += 1;
-        }
-        if self.adaptive && self.mode == EngineMode::Naive {
-            self.observe_naive_cost(work);
-        }
-        (
-            FilterOutcome {
-                matched,
-                active_complex: active,
-            },
-            calls,
-        )
+        let resolver = ServiceCall::document_is_intensional(document).then_some(resolver);
+        self.run(document, resolver)
     }
 }
 
@@ -1320,7 +1082,7 @@ mod tests {
             )]),
         ];
         let mut engine = FilterEngine::from_subscriptions(subs.clone());
-        let mut adaptive = FilterEngine::adaptive_with(CostModelConfig::aggressive());
+        let mut adaptive = FilterEngine::adaptive();
         adaptive.add_all(subs.clone());
         let mut naive = NaiveFilter::from_subscriptions(subs);
         let docs = [
@@ -1342,100 +1104,79 @@ mod tests {
         }
     }
 
+    /// An adaptive engine over `n` subscriptions with pairwise distinct
+    /// conditions, so the scan pays one evaluation per subscription.
+    fn adaptive_over_distinct_conditions(n: u64) -> FilterEngine {
+        let mut engine = FilterEngine::adaptive();
+        for i in 0..n {
+            engine.add(sub_simple(i, "k", &format!("v{i}")));
+        }
+        engine
+    }
+
     #[test]
     fn adaptive_engine_promotes_past_break_even() {
-        let mut engine = FilterEngine::adaptive_with(CostModelConfig {
-            min_observations: 2,
-            min_subscriptions: 4,
-            promote_margin: 1.0,
-            staged_base: 0.0,
-            condition_unit: 0.01,
-            pattern_unit: 0.01,
-            build_chunk: 3,
-            ..CostModelConfig::default()
-        });
-        for i in 0..8 {
-            engine.add(sub_simple(i, "k", &format!("v{}", i % 3)));
-        }
+        // 200 work units per document against 1.25 × (32 + 0.5 × 200) = 165:
+        // the model is convinced as soon as it may decide, on document 8.
+        let mut engine = adaptive_over_distinct_conditions(200);
         assert_eq!(engine.mode(), EngineMode::Naive);
         assert_eq!(engine.aes_node_count(), 0, "no staged structure yet");
         let doc = parse(r#"<r k="v1"/>"#).unwrap();
-        // Two observations trip the model; the build takes ceil(8/3) = 3
-        // chunked steps, during which matching continues (naively).
-        let mut modes = Vec::new();
-        for _ in 0..6 {
-            let outcome = engine.process(&doc);
-            assert!(!outcome.matched.is_empty());
-            modes.push(engine.mode());
+        for n in 1..=12 {
+            assert_eq!(engine.process(&doc).matched, vec![SubscriptionId(1)]);
+            let expected = if n < 8 {
+                EngineMode::Naive
+            } else {
+                EngineMode::Staged
+            };
+            assert_eq!(engine.mode(), expected, "after document {n}");
         }
-        assert_eq!(engine.mode(), EngineMode::Staged);
         assert_eq!(engine.stats.promotions, 1);
-        assert!(
-            modes.contains(&EngineMode::Building),
-            "promotion must be incremental, saw {modes:?}"
-        );
+        assert_eq!(engine.stats.naive_documents, 8);
         assert!(engine.aes_node_count() > 0);
-        assert!(engine.stats.naive_documents >= 3);
+        assert_eq!(engine.naive_cost_ewma(), 0.0, "nothing left to measure");
+    }
+
+    #[test]
+    fn adaptive_engine_stays_naive_below_break_even() {
+        // 40 work units per document against 1.25 × (32 + 0.5 × 40) = 65.
+        let mut engine = adaptive_over_distinct_conditions(40);
+        let doc = parse(r#"<r k="v1"/>"#).unwrap();
+        for _ in 0..64 {
+            assert_eq!(engine.process(&doc).matched, vec![SubscriptionId(1)]);
+        }
+        assert_eq!(engine.mode(), EngineMode::Naive);
+        assert_eq!(engine.stats.promotions, 0);
+        assert_eq!(engine.stats.naive_documents, 64);
+        assert_eq!(engine.naive_cost_ewma(), 40.0);
+        assert_eq!(engine.staged_estimate(), 52.0);
     }
 
     #[test]
     fn adaptive_engine_demotes_on_remove_hysteresis() {
-        let mut engine = FilterEngine::adaptive_with(CostModelConfig {
-            min_observations: 1,
-            min_subscriptions: 1,
-            promote_margin: 0.0,
-            staged_base: 0.0,
-            condition_unit: 0.0,
-            pattern_unit: 0.0,
-            demote_fraction: 0.5,
-            build_chunk: 100,
-            ..CostModelConfig::default()
-        });
-        for i in 0..10 {
-            engine.add(sub_simple(i, "k", &format!("v{i}")));
+        let mut engine = adaptive_over_distinct_conditions(200);
+        let doc = parse(r#"<r k="v150"/>"#).unwrap();
+        for _ in 0..8 {
+            engine.process(&doc);
         }
-        let doc = parse(r#"<r k="v0"/>"#).unwrap();
-        engine.process(&doc); // promote
-        engine.process(&doc); // finish build
         assert_eq!(engine.mode(), EngineMode::Staged);
-        // Dropping to 5 subscriptions (not < 10·0.5) keeps the engine staged;
-        // one more removal crosses the hysteresis.
-        for i in 0..5 {
+        // Dropping to 100 subscriptions (not < 200·0.5) keeps the engine
+        // staged; one more removal crosses the hysteresis.
+        for i in 0..100 {
             engine.remove(SubscriptionId(i));
         }
         assert_eq!(engine.mode(), EngineMode::Staged);
-        engine.remove(SubscriptionId(5));
+        assert_eq!(engine.process(&doc).matched, vec![SubscriptionId(150)]);
+        engine.remove(SubscriptionId(100));
         assert_eq!(engine.mode(), EngineMode::Naive);
         assert_eq!(engine.stats.demotions, 1);
         assert_eq!(engine.aes_node_count(), 0);
-        // The demoted engine still matches correctly.
-        let doc = parse(r#"<r k="v7"/>"#).unwrap();
-        assert_eq!(engine.process(&doc).matched, vec![SubscriptionId(7)]);
-    }
-
-    #[test]
-    fn removal_mid_build_aborts_cleanly() {
-        let mut engine = FilterEngine::adaptive_with(CostModelConfig {
-            min_observations: 1,
-            min_subscriptions: 1,
-            promote_margin: 0.0,
-            staged_base: 0.0,
-            condition_unit: 0.0,
-            pattern_unit: 0.0,
-            build_chunk: 2,
-            ..CostModelConfig::default()
-        });
-        for i in 0..10 {
-            engine.add(sub_simple(i, "k", &format!("v{i}")));
-        }
-        let doc = parse(r#"<r k="v3"/>"#).unwrap();
-        engine.process(&doc); // promote: mode is now Building
-        engine.process(&doc); // one chunk built
-        assert_eq!(engine.mode(), EngineMode::Building);
-        engine.remove(SubscriptionId(0));
-        assert_eq!(engine.mode(), EngineMode::Naive);
-        assert_eq!(engine.stats.promotions, 0, "aborted build is no promotion");
-        assert_eq!(engine.process(&doc).matched, vec![SubscriptionId(3)]);
+        // The demoted engine still matches correctly, and holds exactly the
+        // survivors.
+        assert_eq!(engine.process(&doc).matched, vec![SubscriptionId(150)]);
+        let gone = parse(r#"<r k="v100"/>"#).unwrap();
+        assert!(engine.process(&gone).matched.is_empty());
+        assert_eq!(engine.staged_estimate(), 32.0 + 0.5 * 99.0);
     }
 
     #[test]
@@ -1525,6 +1266,31 @@ mod tests {
         assert_eq!(outcome.matched, vec![SubscriptionId(1)]);
         assert_eq!(made, 1);
         assert_eq!(engine.stats.service_calls_made, 1);
+    }
+
+    #[test]
+    fn a_resolver_failing_part_way_keeps_the_calls_already_made() {
+        let mut engine = FilterEngine::new();
+        engine.add(sub_complex(1, "attr1", "x", "//c/d"));
+        engine.add(sub_complex(2, "attr1", "x", "//never"));
+        let sc = r#"<sc service="storage" address="site"><parameters/></sc>"#;
+        let doc = parse(&format!(r#"<root attr1="x">{sc}{sc}{sc}</root>"#)).unwrap();
+        let mut asked = 0usize;
+        let (outcome, made) = engine.process_intensional(&doc, &mut |_| {
+            asked += 1;
+            if asked == 2 {
+                return Err("service unreachable".into());
+            }
+            Ok(vec![parse("<c><d/></c>").unwrap()])
+        });
+        assert_eq!(asked, 2, "materialisation stops at the failure");
+        assert_eq!(made, 1, "the first call was made and merged");
+        assert_eq!(engine.stats.service_calls_made, 1);
+        assert_eq!(outcome.matched, vec![SubscriptionId(1)]);
+        assert_eq!(
+            outcome.active_complex,
+            vec![SubscriptionId(1), SubscriptionId(2)]
+        );
     }
 
     #[test]

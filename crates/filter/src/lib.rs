@@ -43,9 +43,7 @@ pub mod subscription;
 pub mod yfilter;
 
 pub use aes::AesFilter;
-pub use engine::{
-    BatchOutcome, CostModelConfig, EngineMode, FilterEngine, FilterOutcome, FilterStats,
-};
+pub use engine::{BatchOutcome, EngineMode, FilterEngine, FilterOutcome, FilterStats};
 pub use naive::NaiveFilter;
 pub use prefilter::PreFilter;
 pub use subscription::{FilterSubscription, SubscriptionId};

@@ -93,24 +93,6 @@ impl PreFilter {
         out.dedup();
         out
     }
-
-    /// Same as [`PreFilter::satisfied`] but without mutating the statistics —
-    /// used by read-only callers such as property tests.
-    pub fn satisfied_readonly(&self, document: &Element) -> Vec<ConditionId> {
-        let mut out = Vec::new();
-        for (attr, _value) in &document.attributes {
-            if let Some(candidates) = self.by_attr.get(attr) {
-                for &cid in candidates {
-                    if self.conditions[cid].eval(document) {
-                        out.push(cid);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -169,14 +151,5 @@ mod tests {
         assert_eq!(pf.satisfied(&doc), vec![le, ne]);
         let doc = parse(r#"<e size="200" kind="noise"/>"#).unwrap();
         assert!(pf.satisfied(&doc).is_empty());
-    }
-
-    #[test]
-    fn readonly_matches_mutating_version() {
-        let mut pf = PreFilter::new();
-        pf.register(&cond("a", CompareOp::Eq, "1"));
-        pf.register(&cond("b", CompareOp::Gt, "5"));
-        let doc = parse(r#"<e a="1" b="9"/>"#).unwrap();
-        assert_eq!(pf.satisfied_readonly(&doc), pf.satisfied(&doc));
     }
 }

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 
-use p2pmon_filter::{CostModelConfig, FilterEngine, FilterSubscription, NaiveFilter, YFilter};
+use p2pmon_filter::{
+    EngineMode, FilterEngine, FilterSubscription, NaiveFilter, SubscriptionId, YFilter,
+};
 use p2pmon_streams::AttrCondition;
 use p2pmon_xmlkit::path::CompareOp;
 use p2pmon_xmlkit::{Element, PathPattern};
@@ -98,6 +100,22 @@ fn document_strategy() -> impl Strategy<Value = Element> {
         })
 }
 
+/// A subscription only [`filler_probe`] of the same id matches: padding that
+/// takes a database past the adaptive engine's break-even.
+fn filler(id: u64) -> FilterSubscription {
+    FilterSubscription::new(id).with_simple(vec![AttrCondition::new(
+        "filler",
+        CompareOp::Eq,
+        format!("f{id}"),
+    )])
+}
+
+fn filler_probe(id: u64) -> Element {
+    let mut root = Element::new("alert");
+    root.set_attr("filler", format!("f{id}"));
+    root
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -140,26 +158,36 @@ proptest! {
     /// reference must produce identical match sets on every document of an
     /// interleaved add / process / remove schedule — mode transitions change
     /// nothing observable.
+    ///
+    /// The generated databases are far below break-even, so half the cases
+    /// are padded past it for steps 0–9 with fillers no generated document
+    /// matches: those process documents on the scan, across the promotion,
+    /// staged, across the demotion and on the scan again.
     #[test]
     fn adaptive_agrees_with_staged_and_naive_under_churn(
         subs in subscriptions_strategy(),
-        docs in proptest::collection::vec(document_strategy(), 2..10),
+        docs in proptest::collection::vec(document_strategy(), 14),
         removals in proptest::collection::vec(proptest::num::u8::ANY, 0..6),
-        aggressive in proptest::bool::ANY,
+        padded in proptest::bool::ANY,
     ) {
-        // Aggressive constants force promotion almost immediately; default
-        // constants usually keep these tiny databases naive.  Either way the
-        // outcomes must agree.
-        let mut adaptive = if aggressive {
-            FilterEngine::adaptive_with(CostModelConfig {
-                build_chunk: 2,
-                ..CostModelConfig::aggressive()
-            })
-        } else {
-            FilterEngine::adaptive()
-        };
+        // 240 one-condition fillers cost the scan 240 work units a document.
+        // The ≤ 19 generated subscriptions (≤ 2 conditions, ≤ 1 pattern each)
+        // lift the staged estimate to at most 32 + 0.5 × (240 + 57) = 180.5,
+        // and 240 > 1.25 × 180.5: the padded engine promotes on the first
+        // document it may (the 8th) whatever was generated, and removing the
+        // fillers takes it below half its promotion size.
+        const FILLERS: std::ops::Range<u64> = 1_000..1_240;
+        const FILLERS_LEAVE_AT: usize = 10;
+        let mut adaptive = FilterEngine::adaptive();
         let mut staged = FilterEngine::new();
         let mut naive = NaiveFilter::new();
+        if padded {
+            for id in FILLERS {
+                adaptive.add(filler(id));
+                staged.add(filler(id));
+                naive.add(filler(id));
+            }
+        }
 
         // Interleave: add a few subscriptions, process a document, remove an
         // arbitrary registered subscription, process again …
@@ -170,30 +198,57 @@ proptest! {
                 staged.add(sub.clone());
                 naive.add(sub);
             }
-            if let Some(&seed) = removals.get(step) {
-                let victim = p2pmon_filter::SubscriptionId(u64::from(seed) % 20);
-                let a = adaptive.remove(victim);
-                let s = staged.remove(victim);
-                let n = naive.remove(victim);
+            let victim = removals.get(step).map(|&seed| u64::from(seed) % 20);
+            let leaving = if padded && step == FILLERS_LEAVE_AT {
+                FILLERS
+            } else {
+                0..0
+            };
+            for id in victim.into_iter().chain(leaving) {
+                let a = adaptive.remove(SubscriptionId(id));
+                let s = staged.remove(SubscriptionId(id));
+                let n = naive.remove(SubscriptionId(id));
                 prop_assert_eq!(a, s);
                 prop_assert_eq!(a, n);
             }
-            let mut from_adaptive = adaptive.process(doc).matched;
-            let mut from_staged = staged.process(doc).matched;
-            let mut reference = naive.matching(doc);
-            from_adaptive.sort();
-            from_staged.sort();
-            reference.sort();
-            prop_assert_eq!(
-                &from_adaptive, &reference,
-                "adaptive ({} mode) diverged on step {}: {}",
-                adaptive.mode(), step, doc.to_xml()
-            );
-            prop_assert_eq!(
-                &from_staged, &reference,
-                "staged diverged on step {}: {}",
-                step, doc.to_xml()
-            );
+            // While the padded engine is staged, one probe per filler too:
+            // each must have reached the index the promotion built.
+            let probes: Vec<Element> = if padded && step == 8 {
+                FILLERS.map(filler_probe).collect()
+            } else {
+                Vec::new()
+            };
+            for doc in probes.iter().chain([doc]) {
+                let mut from_adaptive = adaptive.process(doc).matched;
+                let mut from_staged = staged.process(doc).matched;
+                let mut reference = naive.matching(doc);
+                from_adaptive.sort();
+                from_staged.sort();
+                reference.sort();
+                prop_assert_eq!(
+                    &from_adaptive, &reference,
+                    "adaptive ({} mode) diverged on step {}: {}",
+                    adaptive.mode(), step, doc.to_xml()
+                );
+                prop_assert_eq!(
+                    &from_staged, &reference,
+                    "staged diverged on step {}: {}",
+                    step, doc.to_xml()
+                );
+            }
+            if padded {
+                // A change to the cost constants that stops this test from
+                // crossing both switches must fail it, not hollow it out.
+                let expected = if (7..FILLERS_LEAVE_AT).contains(&step) {
+                    EngineMode::Staged
+                } else {
+                    EngineMode::Naive
+                };
+                prop_assert_eq!(adaptive.mode(), expected, "mode after step {}", step);
+            }
+        }
+        if padded {
+            prop_assert_eq!((adaptive.stats.promotions, adaptive.stats.demotions), (1, 1));
         }
     }
 

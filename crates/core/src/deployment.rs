@@ -178,31 +178,26 @@ impl Monitor {
         // itself as the closest possible provider (a replica on the
         // consumer's own peer costs no network hop) and downed peers marked
         // unavailable so replica selection never routes through a dead
-        // provider.  Only built when something reads it — with both reuse
-        // and replicas off (the naive baseline) no provider is ever
-        // selected.
-        let proximity = (self.config.enable_reuse || self.config.enable_replicas).then(|| {
-            let latencies: std::collections::BTreeMap<String, u64> = self
-                .peers
-                .iter()
-                .map(|p| {
-                    let score = if self.network.is_down(p) {
-                        u64::MAX
-                    } else if *p == manager {
-                        0
-                    } else {
-                        self.network.expected_latency(&manager, p)
-                    };
-                    (p.clone(), score)
-                })
-                .collect();
-            move |peer: &str| latencies.get(peer).copied().unwrap_or(u64::MAX / 2)
-        });
+        // provider.  Evaluated on demand: a submit scores the providers its
+        // selections compare (counted in `ReuseStats::providers_scored`),
+        // not the peers that exist.
+        let scored = std::cell::Cell::new(0u64);
+        let proximity = |peer: &str| {
+            scored.set(scored.get() + 1);
+            if !self.peers.contains(peer) {
+                u64::MAX / 2
+            } else if self.network.is_down(peer) {
+                u64::MAX
+            } else if peer == manager {
+                0
+            } else {
+                self.network.expected_latency(&manager, peer)
+            }
+        };
 
         // Stream reuse against the definition database.
         let (root, reuse) = if self.config.enable_reuse {
-            let proximity = proximity.as_ref().expect("built whenever reuse is on");
-            let (root, reuse) = apply_reuse(&plan.root, &mut self.stream_db, proximity);
+            let (root, reuse) = apply_reuse(&plan.root, &mut self.stream_db, &proximity);
             self.reuse_totals.absorb(&ReuseStats::of_report(&reuse));
             (root, reuse)
         } else {
@@ -223,32 +218,27 @@ impl Monitor {
                 }
                 loads
             });
-        let select_providers: Option<Box<SelectProviders<'_>>> = if self.config.enable_replicas {
-            proximity.as_ref().map(|prox| {
+        let select_providers: Option<Box<SelectProviders<'_>>> =
+            self.config.enable_replicas.then(|| {
                 let db = &self.stream_db;
                 match &provider_loads {
                     Some(loads) => Box::new(move |peer: &str, stream: &str| {
-                        db.select_provider_loaded(
-                            peer,
-                            stream,
-                            |p| prox(p),
-                            |p| loads.get(p).copied().unwrap_or(0),
-                        )
+                        db.select_provider_loaded(peer, stream, proximity, |p| {
+                            loads.get(p).copied().unwrap_or(0)
+                        })
                     }) as Box<SelectProviders<'_>>,
                     None => Box::new(move |peer: &str, stream: &str| {
-                        db.select_provider(peer, stream, |p| prox(p))
+                        db.select_provider(peer, stream, proximity)
                     }),
                 }
-            })
-        } else {
-            None
-        };
+            });
         let rewritten = LogicalPlan {
             root: canonicalize_channel_refs(&self.stream_db, select_providers.as_deref(), root),
             by: plan.by.clone(),
             distinct: plan.distinct,
         };
         drop(select_providers);
+        self.reuse_totals.providers_scored += scored.get();
 
         // Placement, and the canonical channel identity of every task output.
         // With rate-aware placement on, multi-input operators minimize

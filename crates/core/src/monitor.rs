@@ -272,7 +272,7 @@ pub(crate) struct DefEntry {
 /// stream)` is re-published by one peer, backed by the *forwarding* task —
 /// the `ChannelSource` whose canonical output channel is the replica's local
 /// stream; its output tap carries every item of the origin stream on to the
-/// replica's subscribers.  Keyed by `(origin identity, replica peer)` in
+/// replica's subscribers.  Keyed by origin identity, then replica peer, in
 /// [`Monitor::replica_refs`].
 #[derive(Debug, Clone)]
 pub(crate) struct ReplicaEntry {
@@ -363,8 +363,12 @@ pub struct Monitor {
     /// Reference counts (and owners) of every published stream definition,
     /// keyed by its canonical `(peer, stream)` identity.
     pub(crate) def_refs: HashMap<(String, String), DefEntry>,
-    /// Live replicas, keyed by `(origin (peer, stream), replica peer)`.
-    pub(crate) replica_refs: HashMap<((String, String), String), ReplicaEntry>,
+    /// Live replicas: origin `(peer, stream)` → replica peer → entry.  One
+    /// origin's entries are everything a replica-policy question reads: the
+    /// per-stream cap is the inner map's `len()`, and the origin's consumers
+    /// are those of its own channel plus each entry's replica channel
+    /// ([`Monitor::consumers_of`]).
+    pub(crate) replica_refs: HashMap<(String, String), HashMap<String, ReplicaEntry>>,
     /// Reverse index of live replica channels: the replica's local
     /// [`ChannelId`] → the origin's canonical `(peer, stream)` identity.
     /// Definition references and published operand lists always name the
@@ -635,8 +639,8 @@ impl Monitor {
         } else {
             self.replica_totals.consumers_via_origin += 1;
         }
-        let key = (origin.clone(), peer.to_string());
-        if let Some(entry) = self.replica_refs.get_mut(&key) {
+        let declared = self.replica_refs.get_mut(&origin);
+        if let Some(entry) = declared.and_then(|replicas| replicas.get_mut(peer)) {
             entry.subscribers.insert((sub, task));
             return;
         }
@@ -647,11 +651,7 @@ impl Monitor {
         if self.replica_pressure(&origin) < policy.min_rate {
             return;
         }
-        let live = self
-            .replica_refs
-            .keys()
-            .filter(|(o, _)| o == &origin)
-            .count();
+        let live = self.replica_refs.get(&origin).map_or(0, HashMap::len);
         if live >= policy.max_replicas_per_stream {
             return;
         }
@@ -681,12 +681,12 @@ impl Monitor {
         forwarder: (usize, usize),
         own_channel: &ChannelId,
     ) {
-        let key = (origin.clone(), peer.to_string());
-        if self.replica_refs.contains_key(&key) {
+        let replicas = self.replica_refs.entry(origin.clone()).or_default();
+        if replicas.contains_key(peer) {
             return;
         }
-        self.replica_refs.insert(
-            key,
+        replicas.insert(
+            peer.to_string(),
             ReplicaEntry {
                 subscribers: BTreeSet::from([forwarder]),
                 forwarder,
@@ -718,19 +718,36 @@ impl Monitor {
         rate * self.remote_consumers_of(origin) as f64
     }
 
+    /// Every channel-consumer registration of `origin`, as `(subscription,
+    /// task)`: the consumers of the origin channel itself and of each live
+    /// replica's local channel.  The replica index names those channels, so
+    /// no other entry of the routing table is read.
+    fn consumers_of<'a>(
+        &'a self,
+        origin: &'a (String, String),
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let replica_channels = self
+            .replica_refs
+            .get(origin)
+            .into_iter()
+            .flatten()
+            .map(|(peer, entry)| ChannelId::new(peer, &entry.replica_stream));
+        std::iter::once(ChannelId::new(&origin.0, &origin.1))
+            .chain(replica_channels)
+            .filter_map(|channel| self.routing.channel_consumers.get(&channel))
+            .flatten()
+            .map(|&(s, t, _)| (s, t))
+    }
+
     /// Number of channel consumers of `origin` (through the origin channel
     /// or any live replica of it) hosted away from the origin peer.
     fn remote_consumers_of(&self, origin: &(String, String)) -> usize {
-        self.routing
-            .channel_consumers
-            .iter()
-            .filter(|(channel, _)| &self.channel_origin(channel) == origin)
-            .flat_map(|(_, consumers)| consumers)
+        self.consumers_of(origin)
             // The subscription being deployed registers its consumers before
             // it is pushed onto `subscriptions`; those in-flight entries are
             // exactly the remote consumer whose arrival triggered the policy
             // question, so they count as remote.
-            .filter(|&&(s, t, _)| {
+            .filter(|&(s, t)| {
                 self.subscriptions
                     .get(s)
                     .is_none_or(|sub| sub.placed.tasks[t].peer != origin.0)
@@ -746,14 +763,10 @@ impl Monitor {
     /// first.
     fn cluster_median_peer(&self, origin: &(String, String), candidate: &str) -> String {
         let mut peers: BTreeSet<String> = self
-            .routing
-            .channel_consumers
-            .iter()
-            .filter(|(channel, _)| &self.channel_origin(channel) == origin)
-            .flat_map(|(_, consumers)| consumers)
+            .consumers_of(origin)
             // In-flight consumers (mid-deploy) have no subscription entry
             // yet; the triggering peer is added as `candidate` below.
-            .filter_map(|&(s, t, _)| Some(self.subscriptions.get(s)?.placed.tasks[t].peer.clone()))
+            .filter_map(|(s, t)| Some(self.subscriptions.get(s)?.placed.tasks[t].peer.clone()))
             .filter(|p| p != &origin.0)
             .collect();
         peers.insert(candidate.to_string());
@@ -778,12 +791,7 @@ impl Monitor {
     /// A deterministic consumer task of `origin` hosted on `peer` (lowest
     /// `(sub, task)` first), if any.
     fn consumer_task_on(&self, origin: &(String, String), peer: &str) -> Option<(usize, usize)> {
-        self.routing
-            .channel_consumers
-            .iter()
-            .filter(|(channel, _)| &self.channel_origin(channel) == origin)
-            .flat_map(|(_, consumers)| consumers)
-            .map(|&(s, t, _)| (s, t))
+        self.consumers_of(origin)
             // In-flight consumers (mid-deploy, no subscription entry yet)
             // cannot forward for the medoid.
             .filter(|&(s, t)| {
@@ -810,26 +818,46 @@ impl Monitor {
         if threshold <= 0.0 {
             return 0;
         }
-        let mut stale: Vec<((String, String), String)> = self
-            .replica_refs
-            .keys()
-            .filter(|(origin, _)| self.replica_pressure(origin) < threshold)
-            .cloned()
-            .collect();
-        stale.sort();
+        let mut stale = self.live_replicas();
+        stale.retain(|(origin, _)| self.replica_pressure(origin) < threshold);
         let retracted = stale.len();
         for (origin, peer) in stale {
-            let entry = self
-                .replica_refs
-                .remove(&(origin.clone(), peer.clone()))
-                .expect("key just listed");
-            let old_channel = ChannelId::new(peer.clone(), entry.replica_stream);
-            self.stream_db.retract_replica(&origin.0, &origin.1, &peer);
-            self.replica_channels.remove(&old_channel);
-            self.reattach_orphaned_consumers(&old_channel, &origin);
-            self.replica_totals.replicas_retracted += 1;
+            self.retract_replica(&origin, &peer);
         }
         retracted
+    }
+
+    /// Every live replica as `(origin, replica peer)`, sorted.
+    fn live_replicas(&self) -> Vec<((String, String), String)> {
+        let mut live: Vec<_> = self
+            .replica_refs
+            .iter()
+            .flat_map(|(origin, replicas)| {
+                replicas
+                    .keys()
+                    .map(move |peer| (origin.clone(), peer.clone()))
+            })
+            .collect();
+        live.sort();
+        live
+    }
+
+    /// Retracts the live replica of `origin` declared on `peer`: its entry,
+    /// its DHT declaration and its reverse channel entry go, and the
+    /// subscribers that attached to it re-attach to the closest *surviving*
+    /// provider of the same origin — another peer's live replica when one is
+    /// nearer, the origin otherwise.
+    fn retract_replica(&mut self, origin: &(String, String), peer: &str) {
+        let replicas = self.replica_refs.get_mut(origin).expect("a live replica");
+        let entry = replicas.remove(peer).expect("a live replica");
+        if replicas.is_empty() {
+            self.replica_refs.remove(origin);
+        }
+        let old_channel = ChannelId::new(peer, &entry.replica_stream);
+        self.stream_db.retract_replica(&origin.0, &origin.1, peer);
+        self.replica_channels.remove(&old_channel);
+        self.reattach_orphaned_consumers(&old_channel, origin);
+        self.replica_totals.replicas_retracted += 1;
     }
 
     /// Releases one removed `ChannelSource` consumer's replica reference.
@@ -843,8 +871,8 @@ impl Monitor {
         peer: &str,
         removed: (usize, usize),
     ) {
-        let key = (origin.clone(), peer.to_string());
-        let Some(entry) = self.replica_refs.get_mut(&key) else {
+        let declared = self.replica_refs.get_mut(origin);
+        let Some(entry) = declared.and_then(|replicas| replicas.get_mut(peer)) else {
             return;
         };
         // Only tasks that actually took a replica reference release one: a
@@ -854,18 +882,9 @@ impl Monitor {
             return;
         }
         if entry.subscribers.is_empty() {
-            let entry = self.replica_refs.remove(&key).expect("entry just seen");
-            let old_channel = ChannelId::new(peer.to_string(), entry.replica_stream);
-            self.stream_db.retract_replica(&origin.0, &origin.1, peer);
-            self.replica_channels.remove(&old_channel);
-            // Subscribers that attached to the retracted replica re-attach
-            // to the closest *surviving* provider of the same origin —
-            // another peer's live replica when one is nearer, the origin
-            // otherwise.
-            self.reattach_orphaned_consumers(&old_channel, origin);
-            self.replica_totals.replicas_retracted += 1;
+            self.retract_replica(origin, peer);
         } else if entry.forwarder == removed {
-            self.hand_off_replica_forwarder(&key);
+            self.hand_off_replica_forwarder(origin, peer);
         }
     }
 
@@ -932,7 +951,7 @@ impl Monitor {
             if !visited.insert(peer.clone()) {
                 return false;
             }
-            let Some(entry) = self.replica_refs.get(&(origin.clone(), peer.clone())) else {
+            let Some(entry) = self.replica_refs.get(origin).and_then(|r| r.get(&peer)) else {
                 return false;
             };
             let (s, t) = entry.forwarder;
@@ -960,12 +979,11 @@ impl Monitor {
     /// When every remaining local subscriber is also being removed in the
     /// same sweep, no candidate exists; the entry keeps its stale forwarder
     /// until the following releases drain it to zero.
-    fn hand_off_replica_forwarder(&mut self, key: &((String, String), String)) {
-        let (origin, peer) = key;
+    fn hand_off_replica_forwarder(&mut self, origin: &(String, String), peer: &str) {
         // The entry's remaining subscribers are exactly the tasks that can
         // take over; pick the first still installed on the host (a sweep may
         // be about to remove the others too).
-        let candidate = self.replica_refs[key]
+        let candidate = self.replica_refs[origin][peer]
             .subscribers
             .iter()
             .copied()
@@ -978,15 +996,19 @@ impl Monitor {
             return;
         };
         let new_channel = self.subscriptions[s].channels[t];
-        let entry = self.replica_refs.get_mut(key).expect("caller holds entry");
-        let old_channel = ChannelId::new(peer.clone(), entry.replica_stream.clone());
+        let replicas = self
+            .replica_refs
+            .get_mut(origin)
+            .expect("caller holds entry");
+        let entry = replicas.get_mut(peer).expect("caller holds entry");
+        let old_channel = ChannelId::new(peer, &entry.replica_stream);
         entry.forwarder = (s, t);
         entry.replica_stream = new_channel.stream.into();
         self.stream_db
             .publish_replica(p2pmon_dht::ReplicaDeclaration {
                 peer_id: origin.0.clone(),
                 stream_id: origin.1.clone(),
-                replica_peer: peer.clone(),
+                replica_peer: peer.to_string(),
                 replica_stream: new_channel.stream.into(),
             });
         self.replica_channels.remove(&old_channel);
@@ -1564,12 +1586,7 @@ impl Monitor {
             .map(|(key, entry)| (key.clone(), entry.refs))
             .collect();
         def_refs.sort();
-        let mut replicas: Vec<((String, String), String)> = self
-            .replica_refs
-            .keys()
-            .map(|(origin, peer)| (origin.clone(), peer.clone()))
-            .collect();
-        replicas.sort();
+        let replicas = self.live_replicas();
         let mut by_origin: BTreeMap<(String, String), usize> = BTreeMap::new();
         for (channel, consumers) in &self.routing.channel_consumers {
             if consumers.is_empty() {

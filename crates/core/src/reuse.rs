@@ -100,6 +100,11 @@ pub struct ReuseStats {
     /// subscribers (`NetworkStats::multicast_saved_messages` delta; filled on
     /// the monitor-wide aggregate, zero on per-subscription slices).
     pub messages_saved: u64,
+    /// Evaluations of the provider-proximity function across all
+    /// deployments (monitor-wide aggregate only): one per provider a
+    /// selection compared, so it follows the origins and replicas the plans
+    /// name, never the number of registered peers.
+    pub providers_scored: u64,
     /// Replica re-publication measures (monitor-wide aggregate only).
     pub replicas: ReplicaStats,
 }
@@ -113,6 +118,7 @@ impl ReuseStats {
             covered_nodes: report.reused_nodes as u64,
             operators_saved: report.operators_saved as u64,
             messages_saved: 0,
+            providers_scored: 0,
             replicas: ReplicaStats::default(),
         }
     }
@@ -134,6 +140,7 @@ impl ReuseStats {
         self.covered_nodes += other.covered_nodes;
         self.operators_saved += other.operators_saved;
         self.messages_saved += other.messages_saved;
+        self.providers_scored += other.providers_scored;
         self.replicas.absorb(&other.replicas);
     }
 }

@@ -60,6 +60,10 @@ struct NodeStorage {
 pub struct ChordNetwork {
     /// Ring positions of all live nodes (sorted by the BTreeMap).
     nodes: BTreeMap<NodeId, NodeStorage>,
+    /// The same positions as a sorted list, rebuilt with the finger tables
+    /// on every membership change, so a lookup picks its start node by
+    /// index instead of collecting the ring.
+    ids: Vec<NodeId>,
     /// Finger tables: node → fingers (successors of n + 2^i).
     fingers: HashMap<NodeId, Vec<NodeId>>,
     rng: StdRng,
@@ -76,6 +80,7 @@ impl ChordNetwork {
     pub fn with_nodes(n: usize, seed: u64) -> Self {
         let mut net = ChordNetwork {
             nodes: BTreeMap::new(),
+            ids: Vec::new(),
             fingers: HashMap::new(),
             rng: StdRng::seed_from_u64(seed),
             lookups: 0,
@@ -97,7 +102,7 @@ impl ChordNetwork {
 
     /// All node identifiers, sorted.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.ids.clone()
     }
 
     /// Average hops per lookup so far.
@@ -118,6 +123,8 @@ impl ChordNetwork {
         }
     }
 
+    /// Re-derives the sorted id list and every finger table from the ring
+    /// (called on every membership change).
     fn rebuild_fingers(&mut self) {
         self.fingers.clear();
         let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
@@ -129,6 +136,7 @@ impl ChordNetwork {
             }
             self.fingers.insert(n, table);
         }
+        self.ids = ids;
     }
 
     /// Distance from `a` to `b` going clockwise around the ring.
@@ -206,8 +214,7 @@ impl ChordNetwork {
     /// Lookup starting from a deterministic pseudo-random node (models "any
     /// peer asks the question").
     pub fn lookup(&mut self, key: NodeId) -> LookupResult {
-        let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        let start = ids[self.rng.gen_range(0..ids.len())];
+        let start = self.ids[self.rng.gen_range(0..self.ids.len())];
         self.lookup_from(start, key)
     }
 
@@ -265,9 +272,8 @@ impl ChordNetwork {
         self.rebuild_fingers();
         // The new node takes over keys in (predecessor, id] from its
         // successor.
-        let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        let pos = ids.iter().position(|&n| n == id).expect("just inserted");
-        let successor = ids[(pos + 1) % ids.len()];
+        let pos = self.ids.binary_search(&id).expect("just inserted");
+        let successor = self.ids[(pos + 1) % self.ids.len()];
         if successor == id {
             return;
         }
@@ -367,6 +373,30 @@ mod tests {
             large_hops < 3.0 * (512f64).log2(),
             "hops should stay O(log n), got {large_hops}"
         );
+    }
+
+    #[test]
+    fn lookup_starts_where_collecting_the_ring_would() {
+        // `lookup` used to collect every node id per operation and index the
+        // copy; the kept list must give the same draw over the same order —
+        // through joins and leaves — so every hop count stays what it was.
+        let mut kept = ChordNetwork::with_nodes(48, 9);
+        let mut collected = ChordNetwork::with_nodes(48, 9);
+        for round in 0..6u64 {
+            for i in 0..50 {
+                let key = hash_key(&format!("k{round}-{i}"));
+                let ids: Vec<NodeId> = collected.nodes.keys().copied().collect();
+                let start = ids[collected.rng.gen_range(0..ids.len())];
+                assert_eq!(kept.lookup(key), collected.lookup_from(start, key));
+            }
+            for net in [&mut kept, &mut collected] {
+                net.join(hash_key(&format!("joiner{round}")));
+                let victim = net.node_ids()[round as usize * 5];
+                assert!(net.leave(victim));
+            }
+            assert_eq!(kept.ids, kept.nodes.keys().copied().collect::<Vec<_>>());
+        }
+        assert_eq!(kept.total_hops, collected.total_hops);
     }
 
     #[test]

@@ -91,22 +91,6 @@ impl DistributedIndex {
         let removed = self.dht.remove_where(term, |v| v == posting);
         removed > 0
     }
-
-    /// Intersects the posting lists of several terms (conjunctive query).
-    pub fn query_all(&mut self, terms: &[&str]) -> Vec<Posting> {
-        let mut result: Option<Vec<Posting>> = None;
-        for term in terms {
-            let postings = self.query(term);
-            result = Some(match result {
-                None => postings,
-                Some(acc) => acc.into_iter().filter(|p| postings.contains(p)).collect(),
-            });
-            if matches!(&result, Some(r) if r.is_empty()) {
-                break;
-            }
-        }
-        result.unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -134,18 +118,6 @@ mod tests {
         idx.insert("t", "x");
         idx.insert("t", "x");
         assert_eq!(idx.query("t"), vec!["x"]);
-    }
-
-    #[test]
-    fn conjunctive_query_intersects() {
-        let mut idx = index();
-        idx.insert("a", "s1");
-        idx.insert("a", "s2");
-        idx.insert("b", "s2");
-        idx.insert("b", "s3");
-        assert_eq!(idx.query_all(&["a", "b"]), vec!["s2"]);
-        assert!(idx.query_all(&["a", "missing"]).is_empty());
-        assert!(idx.query_all(&[]).is_empty());
     }
 
     #[test]

@@ -24,6 +24,32 @@
 //! subscriber attaching to it would starve — so publishers (the monitor's
 //! deployment layer) mint one `ChannelId` per produced stream and use it for
 //! both the definition and the live routing tables.
+//!
+//! **What is indexed, and who reads it.**  A published definition posts one
+//! DHT term per discovery query that can find it (a term nobody queries is
+//! a posting list every retraction still has to walk, so `peer=` and
+//! `operand=`, which no query ever read, are no longer posted):
+//!
+//! | term | posted | read by |
+//! |---|---|---|
+//! | `peer+operator=<PeerId>\|<Operator>` | once per definition | [`StreamDefinitionDatabase::find_alerter_streams`] |
+//! | `operator+operand=<Operator>\|<OPeerId>\|<OStreamId>` | once per operand | [`StreamDefinitionDatabase::find_derived_streams`] |
+//! | `operator=<Operator>` | once per definition | `find_derived_streams` with an empty operand list |
+//!
+//! No caller issues the operand-less lookup today, and `operator=` lists
+//! are the longest in the system — dropping the term is a measured lead
+//! recorded in ROADMAP item 2, withheld because it triples a rate the
+//! acceptance check's spread rule cannot yet take.
+//!
+//! `<InChannel>` replica declarations are not index terms: they are kept
+//! keyed by the *origin* `(PeerId, StreamId)` they replicate, each origin's
+//! list in declaration order, so [`StreamDefinitionDatabase::replicas_of`],
+//! both `select_provider`s, `publish_replica`, `retract_replica` and
+//! `retract` touch one origin's declarations — never the whole table — and
+//! no lookup builds an owned key.  A reverse count per replica coordinate
+//! `(ReplicaPeerId, ReplicaStreamId)` answers
+//! [`StreamDefinitionDatabase::canonical_identity`]'s "is this a live
+//! replica?" the same way.
 
 use std::collections::HashMap;
 
@@ -210,7 +236,45 @@ pub struct StreamDefinitionDatabase {
     /// is also distributed; here the payload side is small so it rides along
     /// with the index postings.
     descriptors: HashMap<(String, String), StreamDefinition>,
-    replicas: Vec<ReplicaDeclaration>,
+    /// `<InChannel>` declarations by origin `(peer, stream)`, each origin's
+    /// list in declaration order.
+    replicas: PairMap<Vec<ReplicaDeclaration>>,
+    /// Reverse entry: how many live declarations name each replica
+    /// coordinate `(replica peer, replica stream)`.
+    replica_coordinates: PairMap<usize>,
+}
+
+/// A map keyed by a `(peer, stream)` pair, nested so that a lookup borrows
+/// both halves as `&str` and never builds an owned key.
+#[derive(Debug, Default)]
+struct PairMap<V>(HashMap<String, HashMap<String, V>>);
+
+impl<V> PairMap<V> {
+    fn get(&self, peer: &str, stream: &str) -> Option<&V> {
+        self.0.get(peer)?.get(stream)
+    }
+
+    fn get_mut(&mut self, peer: &str, stream: &str) -> Option<&mut V> {
+        self.0.get_mut(peer)?.get_mut(stream)
+    }
+
+    /// The entry for the pair, inserted as `V::default()` when missing.
+    fn get_or_default(&mut self, peer: &str, stream: &str) -> &mut V
+    where
+        V: Default,
+    {
+        let streams = self.0.entry(peer.to_string()).or_default();
+        streams.entry(stream.to_string()).or_default()
+    }
+
+    fn remove(&mut self, peer: &str, stream: &str) -> Option<V> {
+        let streams = self.0.get_mut(peer)?;
+        let removed = streams.remove(stream);
+        if streams.is_empty() {
+            self.0.remove(peer);
+        }
+        removed
+    }
 }
 
 impl StreamDefinitionDatabase {
@@ -219,7 +283,8 @@ impl StreamDefinitionDatabase {
         StreamDefinitionDatabase {
             index: DistributedIndex::new(dht),
             descriptors: HashMap::new(),
-            replicas: Vec::new(),
+            replicas: PairMap::default(),
+            replica_coordinates: PairMap::default(),
         }
     }
 
@@ -268,9 +333,23 @@ impl StreamDefinitionDatabase {
         for term in Self::index_terms(&definition) {
             self.index.remove(&term, &id);
         }
-        self.replicas
-            .retain(|r| !(r.peer_id == peer && r.stream_id == stream));
+        for replica in self.replicas.remove(peer, stream).unwrap_or_default() {
+            self.forget_coordinate(&replica);
+        }
         true
+    }
+
+    /// Drops one declaration's share of its reverse entry.
+    fn forget_coordinate(&mut self, replica: &ReplicaDeclaration) {
+        let (peer, stream) = (&replica.replica_peer, &replica.replica_stream);
+        let count = self
+            .replica_coordinates
+            .get_mut(peer, stream)
+            .expect("every live declaration is counted");
+        *count -= 1;
+        if *count == 0 {
+            self.replica_coordinates.remove(peer, stream);
+        }
     }
 
     /// Publishes a replica declaration.  One peer provides at most one
@@ -279,31 +358,42 @@ impl StreamDefinitionDatabase {
     /// (e.g. when the forwarding task behind the replica changes), so
     /// duplicate declarations can never accumulate.
     pub fn publish_replica(&mut self, replica: ReplicaDeclaration) {
-        self.replicas.retain(|r| {
-            !(r.peer_id == replica.peer_id
-                && r.stream_id == replica.stream_id
-                && r.replica_peer == replica.replica_peer)
-        });
-        self.replicas.push(replica);
+        self.retract_replica(&replica.peer_id, &replica.stream_id, &replica.replica_peer);
+        *self
+            .replica_coordinates
+            .get_or_default(&replica.replica_peer, &replica.replica_stream) += 1;
+        self.replicas
+            .get_or_default(&replica.peer_id, &replica.stream_id)
+            .push(replica);
     }
 
     /// Retracts the replica of `(peer, stream)` declared by `replica_peer`
     /// (replica teardown: the last local subscriber of the replicated channel
     /// unsubscribed).  Returns `true` when a declaration existed.
     pub fn retract_replica(&mut self, peer: &str, stream: &str, replica_peer: &str) -> bool {
-        let before = self.replicas.len();
-        self.replicas.retain(|r| {
-            !(r.peer_id == peer && r.stream_id == stream && r.replica_peer == replica_peer)
-        });
-        self.replicas.len() != before
+        let Some(declared) = self.replicas.get_mut(peer, stream) else {
+            return false;
+        };
+        let Some(at) = declared.iter().position(|r| r.replica_peer == replica_peer) else {
+            return false;
+        };
+        let removed = declared.remove(at);
+        if declared.is_empty() {
+            self.replicas.remove(peer, stream);
+        }
+        self.forget_coordinate(&removed);
+        true
     }
 
-    /// The replicas known for a given original channel.
+    /// The replicas known for a given original channel, in declaration
+    /// order.
     pub fn replicas_of(&self, peer: &str, stream: &str) -> Vec<&ReplicaDeclaration> {
-        self.replicas
-            .iter()
-            .filter(|r| r.peer_id == peer && r.stream_id == stream)
-            .collect()
+        self.declared(peer, stream).iter().collect()
+    }
+
+    /// One origin's declarations, borrowed from the index.
+    fn declared(&self, peer: &str, stream: &str) -> &[ReplicaDeclaration] {
+        self.replicas.get(peer, stream).map_or(&[], Vec::as_slice)
     }
 
     /// Looks up a full descriptor.
@@ -328,11 +418,7 @@ impl StreamDefinitionDatabase {
         // really multicasts the stream under its local id, so a reference the
         // reuse rewriting pointed at a selected replica must not be rewritten
         // away to the original.
-        if self
-            .replicas
-            .iter()
-            .any(|r| r.replica_peer == peer && r.replica_stream == stream)
-        {
+        if self.replica_coordinates.get(peer, stream).is_some() {
             return exact;
         }
         let mut by_name = self.descriptors.keys().filter(|(_, s)| s == stream);
@@ -342,20 +428,17 @@ impl StreamDefinitionDatabase {
         }
     }
 
-    /// Index terms of a descriptor: the operator, the producing peer, each
-    /// operand, and the (operator, operand) combinations used by the reuse
-    /// queries.
+    /// Index terms of a descriptor: one per discovery query that can find
+    /// it (see the module docs for which query reads which).
     fn index_terms(definition: &StreamDefinition) -> Vec<String> {
         let mut terms = vec![
             format!("operator={}", definition.operator),
-            format!("peer={}", definition.peer_id),
             format!(
                 "peer+operator={}|{}",
                 definition.peer_id, definition.operator
             ),
         ];
         for (op_peer, op_stream) in &definition.operands {
-            terms.push(format!("operand={op_peer}|{op_stream}"));
             terms.push(format!(
                 "operator+operand={}|{op_peer}|{op_stream}",
                 definition.operator
@@ -450,7 +533,7 @@ impl StreamDefinitionDatabase {
     ) -> (String, String) {
         let mut best = (peer.to_string(), stream.to_string());
         let mut best_score = proximity(peer);
-        for replica in self.replicas_of(peer, stream) {
+        for replica in self.declared(peer, stream) {
             let score = proximity(&replica.replica_peer);
             if score < best_score && score < u64::MAX {
                 best_score = score;
@@ -476,7 +559,7 @@ impl StreamDefinitionDatabase {
         let mut best = (peer.to_string(), stream.to_string());
         let mut best_score = proximity(peer);
         let mut best_load = load(peer);
-        for replica in self.replicas_of(peer, stream) {
+        for replica in self.declared(peer, stream) {
             let score = proximity(&replica.replica_peer);
             if score == u64::MAX {
                 continue;

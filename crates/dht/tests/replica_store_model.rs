@@ -1,0 +1,259 @@
+//! Model-based test of the Stream Definition Database's replica store.
+//!
+//! The store keeps `<InChannel>` declarations keyed by the origin they
+//! replicate, with a reverse count per replica coordinate.  The model below
+//! is the flat list it replaced — every operation a scan over all
+//! declarations — kept here as the oracle: after every step of a random
+//! `publish` / `publish_replica` / `retract_replica` / `retract` sequence
+//! both must give the same `replicas_of` (order included), the same
+//! `select_provider` / `select_provider_loaded` choice and the same
+//! `canonical_identity`, for every coordinate in the vocabulary.
+
+use p2pmon_dht::{ChordNetwork, ReplicaDeclaration, StreamDefinition, StreamDefinitionDatabase};
+use proptest::prelude::*;
+
+const PEERS: [&str; 4] = ["p0", "p1", "p2", "p3"];
+/// Origin stream ids and replica-local stream ids overlap on purpose: a
+/// replica coordinate may coincide with a published definition's identity.
+const STREAMS: [&str; 4] = ["s0", "s1", "r0", "r1"];
+
+/// The flat-`Vec` replica store, as the database implemented it before the
+/// origin-keyed index.
+#[derive(Default)]
+struct FlatModel {
+    descriptors: Vec<(String, String)>,
+    replicas: Vec<ReplicaDeclaration>,
+}
+
+impl FlatModel {
+    fn publish(&mut self, peer: &str, stream: &str) {
+        let key = (peer.to_string(), stream.to_string());
+        if !self.descriptors.contains(&key) {
+            self.descriptors.push(key);
+        }
+    }
+
+    fn retract(&mut self, peer: &str, stream: &str) -> bool {
+        let before = self.descriptors.len();
+        self.descriptors
+            .retain(|(p, s)| !(p == peer && s == stream));
+        if self.descriptors.len() == before {
+            return false;
+        }
+        self.replicas
+            .retain(|r| !(r.peer_id == peer && r.stream_id == stream));
+        true
+    }
+
+    fn publish_replica(&mut self, replica: ReplicaDeclaration) {
+        self.replicas.retain(|r| {
+            !(r.peer_id == replica.peer_id
+                && r.stream_id == replica.stream_id
+                && r.replica_peer == replica.replica_peer)
+        });
+        self.replicas.push(replica);
+    }
+
+    fn retract_replica(&mut self, peer: &str, stream: &str, replica_peer: &str) -> bool {
+        let before = self.replicas.len();
+        self.replicas.retain(|r| {
+            !(r.peer_id == peer && r.stream_id == stream && r.replica_peer == replica_peer)
+        });
+        self.replicas.len() != before
+    }
+
+    fn replicas_of(&self, peer: &str, stream: &str) -> Vec<ReplicaDeclaration> {
+        self.replicas
+            .iter()
+            .filter(|r| r.peer_id == peer && r.stream_id == stream)
+            .cloned()
+            .collect()
+    }
+
+    fn canonical_identity(&self, peer: &str, stream: &str) -> (String, String) {
+        let exact = (peer.to_string(), stream.to_string());
+        if self.descriptors.contains(&exact)
+            || self
+                .replicas
+                .iter()
+                .any(|r| r.replica_peer == peer && r.replica_stream == stream)
+        {
+            return exact;
+        }
+        let mut by_name = self.descriptors.iter().filter(|(_, s)| s == stream);
+        match (by_name.next(), by_name.next()) {
+            (Some(key), None) => key.clone(),
+            _ => exact,
+        }
+    }
+
+    fn select_provider(
+        &self,
+        peer: &str,
+        stream: &str,
+        proximity: impl Fn(&str) -> u64,
+    ) -> (String, String) {
+        let mut best = (peer.to_string(), stream.to_string());
+        let mut best_score = proximity(peer);
+        for replica in self.replicas_of(peer, stream) {
+            let score = proximity(&replica.replica_peer);
+            if score < best_score && score < u64::MAX {
+                best_score = score;
+                best = (replica.replica_peer, replica.replica_stream);
+            }
+        }
+        best
+    }
+
+    fn select_provider_loaded(
+        &self,
+        peer: &str,
+        stream: &str,
+        proximity: impl Fn(&str) -> u64,
+        load: impl Fn(&str) -> u64,
+    ) -> (String, String) {
+        let mut best = (peer.to_string(), stream.to_string());
+        let mut best_score = proximity(peer);
+        let mut best_load = load(peer);
+        for replica in self.replicas_of(peer, stream) {
+            let score = proximity(&replica.replica_peer);
+            if score == u64::MAX {
+                continue;
+            }
+            let closer = score < best_score;
+            let lighter = score == best_score && load(&replica.replica_peer) < best_load;
+            if closer || lighter {
+                best_score = score;
+                best_load = load(&replica.replica_peer);
+                best = (replica.replica_peer, replica.replica_stream);
+            }
+        }
+        best
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Publish(usize, usize),
+    Retract(usize, usize),
+    PublishReplica {
+        origin: (usize, usize),
+        replica: (usize, usize),
+    },
+    RetractReplica {
+        origin: (usize, usize),
+        replica_peer: usize,
+    },
+}
+
+fn op() -> BoxedStrategy<Op> {
+    // Replica declarations are weighted up (and origins drawn from two
+    // streams only) so lists grow, the same peer re-declares, and several
+    // declarations share one replica coordinate.
+    (0usize..8, 0usize..4, 0usize..2, 0usize..4, 0usize..4).prop_map(
+        |(kind, peer, stream, replica_peer, replica_stream)| match kind {
+            // Definitions land on all four stream names, replica-local ones
+            // included, so `canonical_identity` sees both kinds collide.
+            0 => Op::Publish(peer, replica_stream),
+            1 => Op::Retract(peer, stream),
+            2 => Op::RetractReplica {
+                origin: (peer, stream),
+                replica_peer,
+            },
+            _ => Op::PublishReplica {
+                origin: (peer, stream),
+                replica: (replica_peer, replica_stream),
+            },
+        },
+    )
+}
+
+/// A proximity or load score per peer; `0` stands for "unavailable"
+/// (`u64::MAX`) so downed providers show up in a quarter of the draws.
+fn scores() -> BoxedStrategy<Vec<u64>> {
+    proptest::collection::vec(0u64..4, PEERS.len())
+}
+
+fn score_of(table: &[u64], unavailable: bool) -> impl Fn(&str) -> u64 + '_ {
+    move |peer| {
+        let at = PEERS.iter().position(|p| *p == peer).expect("known peer");
+        match table[at] {
+            0 if unavailable => u64::MAX,
+            score => score,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn origin_keyed_store_agrees_with_the_flat_list(
+        ops in proptest::collection::vec(op(), 1..60),
+        proximity in scores(),
+        load in scores(),
+    ) {
+        let mut db = StreamDefinitionDatabase::new(ChordNetwork::with_nodes(8, 3));
+        let mut model = FlatModel::default();
+        for op in ops {
+            match &op {
+                Op::Publish(p, s) => {
+                    db.publish(StreamDefinition::source(PEERS[*p], STREAMS[*s], "inCOM"));
+                    model.publish(PEERS[*p], STREAMS[*s]);
+                }
+                Op::Retract(p, s) => prop_assert_eq!(
+                    db.retract(PEERS[*p], STREAMS[*s]),
+                    model.retract(PEERS[*p], STREAMS[*s])
+                ),
+                Op::PublishReplica { origin, replica } => {
+                    let declaration = ReplicaDeclaration {
+                        peer_id: PEERS[origin.0].into(),
+                        stream_id: STREAMS[origin.1].into(),
+                        replica_peer: PEERS[replica.0].into(),
+                        replica_stream: STREAMS[replica.1].into(),
+                    };
+                    db.publish_replica(declaration.clone());
+                    model.publish_replica(declaration);
+                }
+                Op::RetractReplica { origin, replica_peer } => prop_assert_eq!(
+                    db.retract_replica(PEERS[origin.0], STREAMS[origin.1], PEERS[*replica_peer]),
+                    model.retract_replica(PEERS[origin.0], STREAMS[origin.1], PEERS[*replica_peer])
+                ),
+            }
+            for peer in PEERS {
+                for stream in STREAMS {
+                    prop_assert_eq!(
+                        db.replicas_of(peer, stream),
+                        model.replicas_of(peer, stream).iter().collect::<Vec<_>>(),
+                        "replicas_of({}, {}) after {:?}", peer, stream, op
+                    );
+                    prop_assert_eq!(
+                        db.canonical_identity(peer, stream),
+                        model.canonical_identity(peer, stream),
+                        "canonical_identity({}, {}) after {:?}", peer, stream, op
+                    );
+                    prop_assert_eq!(
+                        db.select_provider(peer, stream, score_of(&proximity, true)),
+                        model.select_provider(peer, stream, score_of(&proximity, true)),
+                        "select_provider({}, {}) after {:?}", peer, stream, op
+                    );
+                    prop_assert_eq!(
+                        db.select_provider_loaded(
+                            peer,
+                            stream,
+                            score_of(&proximity, true),
+                            score_of(&load, false),
+                        ),
+                        model.select_provider_loaded(
+                            peer,
+                            stream,
+                            score_of(&proximity, true),
+                            score_of(&load, false),
+                        ),
+                        "select_provider_loaded({}, {}) after {:?}", peer, stream, op
+                    );
+                }
+            }
+        }
+    }
+}

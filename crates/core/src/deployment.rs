@@ -37,7 +37,7 @@ use p2pmon_p2pml::plan::{normalize_peer, LogicalPlan};
 use p2pmon_p2pml::{compile_subscription, ByClause, CompileError};
 use p2pmon_streams::ChannelId;
 
-use crate::dispatch::Route;
+use crate::dispatch::{source_channel, Route};
 use crate::monitor::{DeployedSubscription, Monitor, SubscriptionHandle};
 use crate::reuse::ReuseStats;
 
@@ -251,7 +251,7 @@ impl Monitor {
                     function,
                     monitored_peer,
                     ..
-                } => ChannelId::new(monitored_peer.clone(), format!("src-{function}")),
+                } => source_channel(function, monitored_peer),
                 TaskKind::ChannelSource { channel, .. } => {
                     if let Some(rate) = self.rate_table.bytes_per_second(channel, now) {
                         return Some(rate);
@@ -314,7 +314,7 @@ impl Monitor {
                     self.ensure_alerter(function, monitored_peer);
                     self.routing
                         .source_consumers
-                        .entry((function.clone(), monitored_peer.clone()))
+                        .entry(source_channel(function, monitored_peer))
                         .or_default()
                         .push((sub_idx, task.id));
                 }
@@ -417,7 +417,7 @@ impl Monitor {
         };
 
         self.subscriptions.push(DeployedSubscription {
-            manager,
+            manager: manager.into(),
             sink: Sink::new(SinkKind::from(&placed.by)),
             placed,
             routes,

@@ -49,9 +49,10 @@
 //!
 //! [`FilterEngine`]: p2pmon_filter::FilterEngine
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use p2pmon_net::PeerId;
 use p2pmon_streams::binding::TUPLE_TAG;
 use p2pmon_streams::ChannelId;
 use p2pmon_xmlkit::Element;
@@ -60,9 +61,12 @@ use crate::monitor::{DeployedSubscription, Monitor};
 use crate::peer::{PeerHost, PendingAlert, Work};
 use crate::placement::TaskKind;
 
-/// A shared list of delivery targets `(subscription, task, port)` — one
-/// alert batch fans out to the same consumers, so the list is built once.
-type SharedTargets = Arc<Vec<(usize, usize, usize)>>;
+/// A list of delivery targets `(subscription, task, port)`.
+type Targets = Vec<(usize, usize, usize)>;
+
+/// A shared target list — one alert batch fans out to the same consumers, so
+/// the list is built once.
+type SharedTargets = Arc<Targets>;
 
 /// How a task's output is routed.  Independently of the route, every task
 /// output is also multicast on the task's canonical output channel whenever
@@ -87,14 +91,22 @@ pub(crate) enum Route {
 /// The deployment-time routing tables shared by every peer.
 #[derive(Default)]
 pub(crate) struct RoutingTable {
-    /// (function, monitored peer) → consumer source tasks.
-    pub source_consumers: HashMap<(String, String), Vec<(usize, usize)>>,
+    /// An alerter's source stream ([`source_channel`]) → consumer source
+    /// tasks.
+    pub source_consumers: HashMap<ChannelId, Vec<(usize, usize)>>,
     /// function → dynamic-source tasks (membership-filtered feeds).
     pub dynamic_consumers: HashMap<String, Vec<(usize, usize)>>,
     /// channel → consumer (subscription, task, port).
     pub channel_consumers: HashMap<ChannelId, Vec<(usize, usize, usize)>>,
     /// Items published on externally visible channels (BY channel clauses).
     pub published_channels: HashMap<ChannelId, Vec<Arc<Element>>>,
+}
+
+/// The source stream of the `function` alerter at `peer`: `src-<function>`,
+/// published from the monitored peer itself.  Minted where an alerter is
+/// installed or a source task deployed; the alert path carries the id.
+pub(crate) fn source_channel(function: &str, peer: &str) -> ChannelId {
+    ChannelId::new(peer, format!("src-{function}"))
 }
 
 /// Counters for the engine-gated dispatch path.
@@ -166,7 +178,7 @@ pub(crate) struct DispatchSnapshot<'a> {
 /// batch by [`Monitor::multicast_plan`].
 pub(crate) struct MulticastPlan {
     channel: ChannelId,
-    by_peer: Vec<(p2pmon_net::PeerId, SharedTargets)>,
+    by_peer: Vec<(PeerId, SharedTargets)>,
 }
 
 /// A side effect a peer's local processing defers to the commit phase.
@@ -455,16 +467,16 @@ impl Monitor {
     /// they filter per item, so the engine does not gate them.
     pub(crate) fn feed_dynamic(
         &mut self,
-        origin: &str,
+        origin: PeerId,
         consumers: &[(usize, usize)],
         alert: &Arc<Element>,
     ) {
         for &(sub, task) in consumers {
-            let task_peer = self.subscriptions[sub].placed.tasks[task].peer.clone();
+            let task_peer = self.subscriptions[sub].channels[task].peer;
             if task_peer != origin {
                 // Account the transfer of the raw alert to the dynamic source.
                 self.network
-                    .send(origin, &task_peer, None, Arc::clone(alert));
+                    .send(origin, task_peer, None, Arc::clone(alert));
             }
             self.enqueue_data(sub, task, 0, Arc::clone(alert));
         }
@@ -474,7 +486,7 @@ impl Monitor {
     /// alert batches (processed — engine-gated and deduplicated — by the
     /// next dispatch phase).
     pub(crate) fn drain_alerters(&mut self) {
-        let mut feeds: Vec<(String, String, Vec<Element>)> = Vec::new();
+        let mut feeds: Vec<(&'static str, ChannelId, Vec<Element>)> = Vec::new();
         // Feeds fan out in peer order: it fixes the order multicasts reach
         // the network, and with it message ids and delivery order.
         self.ready.sort_unstable();
@@ -484,65 +496,60 @@ impl Monitor {
                 continue;
             }
             let host = self.hosts.get_mut(peer).expect("ready peers are hosted");
-            for (function, alerts) in host.alerters.drain_all() {
-                feeds.push((function.to_string(), peer.clone(), alerts));
-            }
+            feeds.extend(host.alerters.drain_all());
         }
 
-        for (function, peer, alerts) in feeds {
-            let consumers = self
-                .routing
-                .source_consumers
-                .get(&(function.clone(), peer.clone()))
-                .cloned()
-                .unwrap_or_default();
+        // Each feed names its source stream — `src-<function>` at the
+        // alerting peer, minted when the alerter was installed — and that one
+        // id finds the feed's consumers, its reuse subscribers and its rate.
+        for (function, source_channel, alerts) in feeds {
             // Every alert of this feed fans out to the same consumers: build
             // the target list once and share it across the batch.
-            let targets: Arc<Vec<(usize, usize, usize)>> = Arc::new(
-                consumers
-                    .iter()
+            let targets: SharedTargets = Arc::new(
+                self.routing
+                    .source_consumers
+                    .get(&source_channel)
+                    .into_iter()
+                    .flatten()
                     .map(|&(sub, task)| (sub, task, 0))
                     .collect(),
             );
-            let dynamic = self
-                .routing
-                .dynamic_consumers
-                .get(&function)
-                .cloned()
-                .unwrap_or_default();
+            // Membership alerters feed dynamic sources through the plan
+            // itself (port 1), so only non-membership functions are fanned
+            // out here.
+            let dynamic = match self.routing.dynamic_consumers.get(function) {
+                Some(consumers) if function != "areRegistered" => consumers.clone(),
+                _ => Vec::new(),
+            };
             // Subscribers of the alerter's *published source stream* (other
             // subscriptions that reuse `src-<function>@peer`) receive every
             // alert as one physical multicast from the alerting peer; the
             // per-peer grouping is computed once for the whole feed.
-            let source_channel = ChannelId::new(peer.clone(), format!("src-{function}"));
             let source_plan = self.multicast_plan(&source_channel);
+            let peer = source_channel.peer.as_str();
             let now = self.network.now();
             for alert in alerts {
                 // Wrap once; every consumer below shares the same tree.
                 let alert = Arc::new(alert);
-                // Source-channel rates are measured exactly once per alert:
-                // here when nobody multicasts the feed, otherwise by the
-                // multicast itself (which sees the same channel id).
-                if source_plan.is_none() {
-                    self.rate_table
-                        .observe(source_channel, now, alert.byte_size());
-                }
                 if !targets.is_empty() {
-                    let host = self.hosts.get_mut(&peer).expect("alerting peer is hosted");
+                    let host = self.hosts.get_mut(peer).expect("alerting peer is hosted");
                     host.list_on(&mut self.ready);
                     host.pending_alerts.push(PendingAlert {
                         doc: Arc::clone(&alert),
                         targets: Arc::clone(&targets),
                     });
                 }
-                if let Some(plan) = &source_plan {
-                    self.run_multicast(plan, &alert);
+                // Source-channel rates are measured exactly once per alert:
+                // by the multicast when somebody reuses the feed (it sees the
+                // same channel id), here otherwise.
+                match &source_plan {
+                    Some(plan) => self.run_multicast(plan, &alert),
+                    None => self
+                        .rate_table
+                        .observe(source_channel, now, alert.byte_size()),
                 }
-                // Membership alerters feed dynamic sources through the plan
-                // itself (port 1), so only non-membership functions are
-                // fanned out here.
-                if function != "areRegistered" {
-                    self.feed_dynamic(&peer.clone(), &dynamic, &alert);
+                if !dynamic.is_empty() {
+                    self.feed_dynamic(source_channel.peer, &dynamic, &alert);
                 }
             }
         }
@@ -631,33 +638,44 @@ impl Monitor {
     /// The per-destination-peer grouping of a channel's subscribers, built
     /// once and reused across a batch of emissions (every alert of a feed
     /// fans out to the same consumers).  `None` when nobody subscribes.
+    ///
+    /// A consumer's peer is read off its task's own canonical channel — an
+    /// id, minted beside the placement ([`PlacedPlan::output_channels`]) —
+    /// so grouping is integer work per consumer; only the *distinct* peers
+    /// are put in name order, which fixes the order the sends reach the
+    /// network.
+    ///
+    /// [`PlacedPlan::output_channels`]: crate::placement::PlacedPlan::output_channels
     pub(crate) fn multicast_plan(&self, channel: &ChannelId) -> Option<MulticastPlan> {
         let consumers = self.routing.channel_consumers.get(channel)?;
         if consumers.is_empty() {
             return None;
         }
-        let mut by_peer: BTreeMap<p2pmon_net::PeerId, Vec<(usize, usize, usize)>> = BTreeMap::new();
+        let mut grouped: HashMap<PeerId, Targets> = HashMap::new();
         for &(sub, task, port) in consumers {
-            let peer = p2pmon_net::PeerId::from(&self.subscriptions[sub].placed.tasks[task].peer);
-            by_peer.entry(peer).or_default().push((sub, task, port));
+            let peer = self.subscriptions[sub].channels[task].peer;
+            grouped.entry(peer).or_default().push((sub, task, port));
         }
+        let mut by_peer: Vec<(PeerId, SharedTargets)> = grouped
+            .into_iter()
+            .map(|(peer, targets)| (peer, Arc::new(targets)))
+            .collect();
+        by_peer.sort_by_cached_key(|&(peer, _)| peer.as_str());
         Some(MulticastPlan {
             channel: *channel,
-            by_peer: by_peer
-                .into_iter()
-                .map(|(peer, targets)| (peer, Arc::new(targets)))
-                .collect(),
+            by_peer,
         })
     }
 
-    /// Emits one item according to a multicast plan.
+    /// Emits one item according to a multicast plan.  The item is sized
+    /// once: the rate table and every destination are charged that number.
     pub(crate) fn run_multicast(&mut self, plan: &MulticastPlan, output: &Arc<Element>) {
         let producer = plan.channel.peer;
+        let bytes = output.byte_size();
         // Every emitted item updates the channel's measured rate; placement
         // and the replica policy read these through the monitor's rate table.
         let now = self.network.now();
-        self.rate_table
-            .observe(plan.channel, now, output.byte_size());
+        self.rate_table.observe(plan.channel, now, bytes);
         let mut saved = 0u64;
         let mut sent = 0u64;
         for &(peer, ref targets) in &plan.by_peer {
@@ -677,7 +695,13 @@ impl Monitor {
                 }
             } else if self
                 .network
-                .send(producer, peer, Some(plan.channel), Arc::clone(output))
+                .send_sized(
+                    producer,
+                    peer,
+                    Some(plan.channel),
+                    Arc::clone(output),
+                    bytes,
+                )
                 .is_some()
             {
                 // Only messages that actually went out count as shared; a
@@ -698,19 +722,22 @@ impl Monitor {
     /// Delivers a plan-root output to the subscription's sink.  (Channel
     /// subscribers — the BY-channel audience and any reuse attachments — are
     /// served by the root task's canonical-channel multicast, straight from
-    /// the producing peer.)
+    /// the producing peer.)  The result is sized once, for the rate table,
+    /// the hop to the manager and the sink counter alike.
     fn deliver_result(&mut self, sub_idx: usize, output: Arc<Element>) {
-        if self.subscriptions[sub_idx].retired {
+        let sub = &self.subscriptions[sub_idx];
+        if sub.retired {
             return;
         }
+        let bytes = output.byte_size();
+        // The root task's canonical channel names the peer that produced
+        // the result.
+        let root_channel = sub.channels[sub.placed.root];
+        let manager = sub.manager;
         // Keep the root channel's rate fresh even when nobody taps it yet:
         // a later subscription deciding whether to reuse this stream needs a
         // measured rate, and the multicast path (which also observes) only
         // runs once consumers exist.
-        let root_channel = {
-            let sub = &self.subscriptions[sub_idx];
-            sub.channels[sub.placed.root]
-        };
         let tapped = self
             .routing
             .channel_consumers
@@ -718,23 +745,17 @@ impl Monitor {
             .is_some_and(|consumers| !consumers.is_empty());
         if !tapped {
             let now = self.network.now();
-            self.rate_table
-                .observe(root_channel, now, output.byte_size());
+            self.rate_table.observe(root_channel, now, bytes);
         }
         // Ship the result from the peer that produced it to the manager's
         // publisher (counted as network traffic when they differ).
-        let root_peer = {
-            let sub = &self.subscriptions[sub_idx];
-            sub.placed.tasks[sub.placed.root].peer.clone()
-        };
-        let manager_peer = self.subscriptions[sub_idx].manager.clone();
-        if root_peer != manager_peer {
+        if root_channel.peer != manager {
             self.network
-                .send(&root_peer, &manager_peer, None, Arc::clone(&output));
+                .send_sized(root_channel.peer, manager, None, Arc::clone(&output), bytes);
         }
         // The sink is the one place a result tree is deep-copied: delivered
         // results are owned history, detached from the shared pipeline.
-        self.dispatch_stats.sink_clone_bytes += output.byte_size() as u64;
+        self.dispatch_stats.sink_clone_bytes += bytes as u64;
         self.subscriptions[sub_idx].sink.deliver((*output).clone());
         if let Some(channel) = self.subscriptions[sub_idx].published_channel {
             self.routing
@@ -755,9 +776,12 @@ impl Monitor {
         }
         for (peer, inbox) in self.network.take_woken_inboxes() {
             self.dispatch_stats.host_visits += 1;
-            // Resolved once: every use of an interned name as a string goes
-            // through the interner's lock.
-            let peer = peer.as_str();
+            // Resolved once per inbox: every use of an interned name as a
+            // string goes through the interner's lock.
+            let host = self
+                .hosts
+                .get_mut(peer.as_str())
+                .expect("every network peer is hosted");
             // Per-channel targets are the same for every message of a round:
             // compute once and share the list across the batch.
             let mut channel_targets: HashMap<ChannelId, SharedTargets> = HashMap::new();
@@ -765,31 +789,27 @@ impl Monitor {
                 let Some(channel) = message.channel else {
                     continue;
                 };
-                let targets = channel_targets
-                    .entry(channel)
-                    .or_insert_with(|| {
-                        Arc::new(
-                            self.routing
-                                .channel_consumers
-                                .get(&channel)
-                                .cloned()
-                                .unwrap_or_default()
-                                .into_iter()
-                                .filter(|&(sub, task, _)| {
-                                    self.subscriptions[sub].placed.tasks[task].peer == peer
-                                })
-                                .collect(),
-                        )
-                    })
-                    .clone();
+                let targets = channel_targets.entry(channel).or_insert_with(|| {
+                    Arc::new(
+                        self.routing
+                            .channel_consumers
+                            .get(&channel)
+                            .into_iter()
+                            .flatten()
+                            .copied()
+                            .filter(|&(sub, task, _)| {
+                                self.subscriptions[sub].channels[task].peer == peer
+                            })
+                            .collect(),
+                    )
+                });
                 if targets.is_empty() {
                     continue;
                 }
-                let host = self.hosts.get_mut(peer).expect("inbox peer is hosted");
                 host.list_on(&mut self.ready);
                 host.pending_alerts.push(PendingAlert {
                     doc: message.payload,
-                    targets,
+                    targets: Arc::clone(targets),
                 });
             }
         }
@@ -904,12 +924,12 @@ impl Monitor {
                 "{peer} has work but is not on the ready list"
             );
             host.audit_pending_sketches();
-            assert_eq!(
-                self.network.inbox_len(peer),
-                0,
-                "{peer} still has queued messages after the round's delivery"
-            );
         }
+        let unread = self.network.unread_peers();
+        assert!(
+            unread.is_empty(),
+            "{unread:?} still have queued messages after the round's delivery"
+        );
         let flagged = self.hosts.values().filter(|host| host.ready).count();
         assert_eq!(flagged, self.ready.len(), "ready flags and list disagree");
         for peer in &self.ready {

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use p2pmon_alerters::{SoapCall, WsAlerter};
 use p2pmon_dht::{ChordNetwork, StreamDefinitionDatabase};
 use p2pmon_filter::FilterStats;
-use p2pmon_net::{Network, NetworkConfig, NetworkStats};
+use p2pmon_net::{Network, NetworkConfig, NetworkStats, PeerId};
 use p2pmon_p2pml::plan::normalize_peer;
 use p2pmon_streams::ops::Window;
 use p2pmon_streams::{ChannelId, RateTable};
@@ -231,7 +231,7 @@ pub struct BookkeepingSnapshot {
 }
 
 pub(crate) struct DeployedSubscription {
-    pub manager: String,
+    pub manager: PeerId,
     pub placed: PlacedPlan,
     pub routes: Vec<Route>,
     /// The canonical output channel of every task, minted at deployment time
@@ -437,15 +437,7 @@ impl Monitor {
 
     /// Registers a peer in both the monitored and the monitoring network.
     pub fn add_peer(&mut self, peer: impl Into<String>) {
-        let peer = normalize_peer(&peer.into());
-        self.network.add_peer(peer.clone());
-        let deep_clone = self.config.deep_clone_items;
-        self.hosts.entry(peer.clone()).or_insert_with(|| {
-            let mut host = PeerHost::new(peer.clone());
-            host.deep_clone_items = deep_clone;
-            host
-        });
-        self.peers.insert(peer);
+        self.host_mut(&normalize_peer(&peer.into()));
     }
 
     /// All registered peers.
@@ -458,17 +450,18 @@ impl Monitor {
         self.hosts.get(&normalize_peer(peer))
     }
 
-    /// Mutable host accessor used by deployment and dispatch (creates the
-    /// host on demand so routing never dangles).
+    /// Mutable host accessor used by deployment and dispatch.  A peer nobody
+    /// registered is registered here — network, peer list and host together —
+    /// so routing never dangles; a known peer costs the lookup.
     pub(crate) fn host_mut(&mut self, peer: &str) -> &mut PeerHost {
-        self.network.add_peer(peer.to_string());
-        self.peers.insert(peer.to_string());
-        let deep_clone = self.config.deep_clone_items;
-        self.hosts.entry(peer.to_string()).or_insert_with(|| {
-            let mut host = PeerHost::new(peer.to_string());
-            host.deep_clone_items = deep_clone;
-            host
-        })
+        if !self.hosts.contains_key(peer) {
+            self.network.add_peer(peer);
+            self.peers.insert(peer.to_string());
+            let mut host = PeerHost::new(peer);
+            host.deep_clone_items = self.config.deep_clone_items;
+            self.hosts.insert(peer.to_string(), host);
+        }
+        self.hosts.get_mut(peer).expect("registered above")
     }
 
     /// The current logical time (ms).
@@ -1270,11 +1263,19 @@ impl Monitor {
             .unwrap_or_default();
         if !dynamic_in.is_empty() {
             let alert = WsAlerter::alert_for(call, p2pmon_alerters::CallDirection::Incoming);
-            self.feed_dynamic(&callee, &dynamic_in, &std::sync::Arc::new(alert));
+            self.feed_dynamic(
+                PeerId::from(&callee),
+                &dynamic_in,
+                &std::sync::Arc::new(alert),
+            );
         }
         if !dynamic_out.is_empty() {
             let alert = WsAlerter::alert_for(call, p2pmon_alerters::CallDirection::Outgoing);
-            self.feed_dynamic(&caller, &dynamic_out, &std::sync::Arc::new(alert));
+            self.feed_dynamic(
+                PeerId::from(&caller),
+                &dynamic_out,
+                &std::sync::Arc::new(alert),
+            );
         }
     }
 
@@ -1616,7 +1617,7 @@ impl Monitor {
             select_peers.sort();
             select_peers.dedup();
             SubscriptionReport {
-                manager: s.manager.clone(),
+                manager: s.manager.into(),
                 tasks: s.placed.tasks.len(),
                 cross_peer_edges: s.placed.cross_peer_edges(),
                 // The slice counts a reuse-search attempt, so it stays zero

@@ -24,9 +24,10 @@ use p2pmon_alerters::{
     Alerter, AxmlAlerter, CallDirection, MembershipAlerter, RssAlerter, WebPageAlerter, WsAlerter,
 };
 use p2pmon_filter::{EngineMode, FilterEngine, FilterStats, FilterSubscription, SubscriptionId};
-use p2pmon_streams::StreamItem;
+use p2pmon_streams::{ChannelId, StreamItem};
 use p2pmon_xmlkit::Element;
 
+use crate::dispatch::source_channel;
 use crate::runtime::RuntimeOperator;
 
 /// One unit of pending work: an item addressed to a hosted task.
@@ -74,38 +75,57 @@ pub(crate) struct AlerterSet {
     /// ([`crate::Monitor::emit_self_metrics`]); drained like any other
     /// alerter, so aggregate subscriptions ride the normal dispatch path.
     pub mon_stats: Option<Vec<Element>>,
+    /// The source stream each installed alerter feeds, by function
+    /// ([`source_channel`], minted at install): a drained feed carries the id
+    /// instead of rebuilding it from two strings per batch.
+    sources: Vec<(&'static str, ChannelId)>,
 }
 
 impl AlerterSet {
     /// Installs the alerter for `function` (idempotent).
     pub fn ensure(&mut self, function: &str, peer: &str) {
-        match function {
+        let function = match function {
             "inCOM" => {
                 self.ws_in
                     .get_or_insert_with(|| WsAlerter::new(peer, CallDirection::Incoming));
+                "inCOM"
             }
             "outCOM" => {
                 self.ws_out
                     .get_or_insert_with(|| WsAlerter::new(peer, CallDirection::Outgoing));
+                "outCOM"
             }
             "rssFeed" => {
                 self.rss.get_or_insert_with(|| RssAlerter::new(peer));
+                "rssFeed"
             }
             "webPage" => {
                 self.page
                     .get_or_insert_with(|| WebPageAlerter::new(peer, true));
+                "webPage"
             }
             "axmlUpdate" => {
                 self.axml.get_or_insert_with(|| AxmlAlerter::new(peer));
+                "axmlUpdate"
             }
             "areRegistered" => {
                 self.membership
                     .get_or_insert_with(|| MembershipAlerter::new(peer));
+                "areRegistered"
             }
             "monStats" => {
                 self.mon_stats.get_or_insert_with(Vec::new);
+                "monStats"
             }
-            _ => {}
+            _ => return,
+        };
+        if !self
+            .sources
+            .iter()
+            .any(|&(installed, _)| installed == function)
+        {
+            self.sources
+                .push((function, source_channel(function, peer)));
         }
     }
 
@@ -123,13 +143,18 @@ impl AlerterSet {
             || self.mon_stats.as_ref().is_some_and(|b| !b.is_empty())
     }
 
-    /// Drains every installed alerter, returning `(function, alerts)` pairs
-    /// in a fixed function order.
-    pub fn drain_all(&mut self) -> Vec<(&'static str, Vec<Element>)> {
+    /// Drains every installed alerter, returning `(function, source stream,
+    /// alerts)` triples in a fixed function order.
+    pub fn drain_all(&mut self) -> Vec<(&'static str, ChannelId, Vec<Element>)> {
         let mut out = Vec::new();
+        let sources = &self.sources;
         let mut take = |function: &'static str, alerts: Vec<Element>| {
             if !alerts.is_empty() {
-                out.push((function, alerts));
+                let &(_, source) = sources
+                    .iter()
+                    .find(|&&(installed, _)| installed == function)
+                    .expect("an installed alerter's source stream is minted with it");
+                out.push((function, source, alerts));
             }
         };
         if let Some(a) = &mut self.ws_in {
@@ -446,7 +471,8 @@ mod tests {
         let drained = set.drain_all();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].0, "outCOM");
-        assert_eq!(drained[0].1.len(), 1);
+        assert_eq!(drained[0].1, ChannelId::new("a.com", "src-outCOM"));
+        assert_eq!(drained[0].2.len(), 1);
         assert!(set.drain_all().is_empty(), "drained alerts do not reappear");
     }
 

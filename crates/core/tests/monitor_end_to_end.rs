@@ -58,6 +58,37 @@ fn meteo_subscription_detects_only_slow_answers() {
     assert_eq!(monitor.published_channel("p", "alertQoS").len(), 2);
 }
 
+/// Hosts are created on demand: a deploy may name a manager and monitored
+/// peers nobody registered, and each becomes a full peer — listed, hosted
+/// and known to the network, so nothing sent to it drops as unknown —
+/// exactly once, however many of the deploy's tasks land on it.
+#[test]
+fn a_deploy_registers_the_peers_it_names() {
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    assert!(monitor.peers().is_empty());
+    let handle = monitor.submit("http://p/", METEO_SUBSCRIPTION).unwrap();
+    assert_eq!(monitor.peers(), vec!["a.com", "b.com", "meteo.com", "p"]);
+    for peer in ["a.com", "b.com", "meteo.com", "p"] {
+        let host = monitor.peer_host(peer).expect("named peers are hosted");
+        assert_eq!(host.name(), peer);
+    }
+    assert!(monitor.peer_host("a.com").unwrap().hosted_tasks() > 1);
+    assert!(monitor.peer_host("other.com").is_none());
+    // A second deploy over the same peers registers nothing new and leaves
+    // the hosts (and the tasks they already run) in place.
+    let tasks_before = monitor.operator_count();
+    monitor.submit("p", METEO_SUBSCRIPTION).unwrap();
+    assert_eq!(monitor.peers().len(), 4);
+    assert!(monitor.operator_count() >= tasks_before);
+    monitor.inject_soap_call(&slow_call(1, "http://a.com"));
+    monitor.inject_soap_call(&slow_call(2, "http://b.com"));
+    monitor.run_until_idle();
+    assert_eq!(monitor.results(&handle).len(), 2);
+    let stats = monitor.network_stats();
+    assert!(stats.total_messages > 0, "results crossed to the manager");
+    assert_eq!(stats.dropped_by_cause.unknown_peer, 0);
+}
+
 #[test]
 fn centralized_and_pushdown_agree_on_results_but_not_on_traffic() {
     let mut results = Vec::new();

@@ -65,6 +65,18 @@ impl LatencySampler {
 
     /// Samples the latency for one message on the link `from → to`.
     pub fn sample(&mut self, from: &str, to: &str) -> u64 {
+        self.draw(|| (PeerId::from(from), PeerId::from(to)))
+    }
+
+    /// [`LatencySampler::sample`] for a caller that holds the link's ids
+    /// already (the network's per-message path): no name is resolved to a
+    /// string to be interned again.
+    pub fn sample_ids(&mut self, from: PeerId, to: PeerId) -> u64 {
+        self.draw(|| (from, to))
+    }
+
+    /// One draw from the model; only `PerLink` asks which link it is for.
+    fn draw(&mut self, link: impl FnOnce() -> (PeerId, PeerId)) -> u64 {
         match &self.model {
             LatencyModel::Constant(ms) => *ms,
             LatencyModel::Uniform { min, max, .. } => {
@@ -74,10 +86,9 @@ impl LatencySampler {
                     self.rng.gen_range(*min..=*max)
                 }
             }
-            LatencyModel::PerLink { links, default } => links
-                .get(&(PeerId::from(from), PeerId::from(to)))
-                .copied()
-                .unwrap_or(*default),
+            LatencyModel::PerLink { links, default } => {
+                links.get(&link()).copied().unwrap_or(*default)
+            }
         }
     }
 
@@ -134,6 +145,7 @@ mod tests {
         assert_eq!(s.sample("a", "b"), 5);
         assert_eq!(s.sample("a", "far"), 200);
         assert_eq!(s.sample("b", "a"), 50, "directional: unlisted reverse link");
+        assert_eq!(s.sample_ids("a".into(), "far".into()), 200);
     }
 
     #[test]

@@ -35,9 +35,14 @@ pub use stats::{DropBreakdown, DropCause, LinkStats, NetworkStats, PeerTraffic};
 
 /// Peers are identified by their DNS-like name, as in the paper
 /// (`a.com`, `meteo.com`, …).  The name is interned ([`p2pmon_xmlkit::Name`]):
-/// a `PeerId` is `Copy`, compares and hashes as a single integer, and still
-/// collates alphabetically — so per-peer maps iterate deterministically and
-/// the delivery hot path never allocates peer-name strings.
+/// a `PeerId` is `Copy`, and *equality and hashing* are single-integer
+/// operations — the delivery hot path never allocates or reads a peer-name
+/// string.  *Ordering* is not: `<` resolves both names through the
+/// interner's lock and compares the strings, which is what makes a
+/// `BTreeMap<PeerId, _>` iterate alphabetically and what makes it the wrong
+/// table for a per-message lookup.  So the simulator hashes
+/// ([`Network`]'s inboxes, [`NetworkStats::per_link`]) and sorts where a
+/// listing is read ([`Network::peers`], [`NetworkStats::per_peer`]).
 pub type PeerId = p2pmon_xmlkit::Name;
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The discrete-event network simulator.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -48,11 +48,17 @@ struct Inbox {
 }
 
 /// The simulated network: peers, in-flight messages and a logical clock.
+///
+/// Every table a message consults is hashed on the peer's interned id — an
+/// integer — so `send` and `step` cost the same among five peers and among
+/// ten thousand; the alphabetical order listings need is produced when
+/// [`Network::peers`] is read.  Nothing here iterates a hash table to decide
+/// behaviour.
 #[derive(Debug)]
 pub struct Network {
-    peers: BTreeSet<PeerId>,
-    down: BTreeSet<PeerId>,
-    inboxes: BTreeMap<PeerId, Inbox>,
+    /// One inbox per registered peer: the keys *are* the peer set.
+    inboxes: HashMap<PeerId, Inbox>,
+    down: HashSet<PeerId>,
     /// Peers that received a message since [`Network::take_woken_inboxes`]
     /// last ran, each listed once ([`Inbox::listed`]) in delivery order.
     woken: Vec<PeerId>,
@@ -67,7 +73,7 @@ pub struct Network {
     /// cannot exchange messages; peers not named by any group share an
     /// implicit extra group (they stay connected to each other, and are cut
     /// off from every explicit group).  Empty = fully connected.
-    partition: BTreeMap<PeerId, usize>,
+    partition: HashMap<PeerId, usize>,
     rng: StdRng,
     stats: NetworkStats,
 }
@@ -76,16 +82,15 @@ impl Network {
     /// Creates an empty network.
     pub fn new(config: NetworkConfig) -> Self {
         Network {
-            peers: BTreeSet::new(),
-            down: BTreeSet::new(),
-            inboxes: BTreeMap::new(),
+            inboxes: HashMap::new(),
+            down: HashSet::new(),
             woken: Vec::new(),
             in_flight: BTreeMap::new(),
             clock: 0,
             next_message_id: 0,
             latency: LatencySampler::new(config.latency),
             drop_probability: config.drop_probability.clamp(0.0, 1.0),
-            partition: BTreeMap::new(),
+            partition: HashMap::new(),
             rng: StdRng::seed_from_u64(config.seed),
             stats: NetworkStats::default(),
         }
@@ -93,25 +98,25 @@ impl Network {
 
     /// Registers a peer.  Registering an existing peer is a no-op.
     pub fn add_peer(&mut self, peer: impl Into<PeerId>) {
-        let peer = peer.into();
-        self.inboxes.entry(peer).or_default();
-        self.peers.insert(peer);
+        self.inboxes.entry(peer.into()).or_default();
     }
 
     /// All registered peers, sorted.
     pub fn peers(&self) -> Vec<&str> {
-        self.peers.iter().map(|p| p.as_str()).collect()
+        let mut peers: Vec<&str> = self.inboxes.keys().map(|p| p.as_str()).collect();
+        peers.sort_unstable();
+        peers
     }
 
     /// True when the peer is registered.
     pub fn has_peer(&self, peer: &str) -> bool {
-        self.peers.contains(&PeerId::from(peer))
+        self.inboxes.contains_key(&PeerId::from(peer))
     }
 
     /// Marks a peer as failed: messages to it are dropped until it recovers.
     pub fn fail_peer(&mut self, peer: &str) {
         let peer = PeerId::from(peer);
-        if self.peers.contains(&peer) {
+        if self.inboxes.contains_key(&peer) {
             self.down.insert(peer);
         }
     }
@@ -245,9 +250,26 @@ impl Network {
         channel: Option<ChannelId>,
         payload: impl Into<Arc<Element>>,
     ) -> Option<u64> {
-        let from = from.into();
-        let to = to.into();
-        if !self.peers.contains(&from) || !self.peers.contains(&to) {
+        let payload = payload.into();
+        let bytes = payload.byte_size();
+        self.send_sized(from.into(), to.into(), channel, payload, bytes)
+    }
+
+    /// [`Network::send`] for a caller that already sized the payload: one
+    /// emission is sized once, however many destinations, rate tables and
+    /// counters are charged with the number.  `bytes` must be the payload's
+    /// [`Element::byte_size`] (debug builds check), so the wire ledger cannot
+    /// drift from the tree it charges.
+    pub fn send_sized(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        channel: Option<ChannelId>,
+        payload: Arc<Element>,
+        bytes: usize,
+    ) -> Option<u64> {
+        debug_assert_eq!(bytes, payload.byte_size(), "a message is charged its size");
+        if !self.inboxes.contains_key(&from) || !self.inboxes.contains_key(&to) {
             self.stats.record_drop(from, to, DropCause::UnknownPeer);
             return None;
         }
@@ -263,12 +285,10 @@ impl Network {
             self.stats.record_drop(from, to, DropCause::Random);
             return None;
         }
-        let payload = payload.into();
-        let bytes = payload.byte_size();
         let latency = if from == to {
             0
         } else {
-            self.latency.sample(&from, &to)
+            self.latency.sample_ids(from, to)
         };
         let id = self.next_message_id;
         self.next_message_id += 1;
@@ -287,8 +307,8 @@ impl Network {
     }
 
     /// Multicasts a payload to several peers (one message per subscriber, as
-    /// a channel publication does; all messages share the same payload tree).
-    /// Returns the number of messages actually sent.
+    /// a channel publication does; all messages share the same payload tree,
+    /// sized once).  Returns the number of messages actually sent.
     pub fn multicast(
         &mut self,
         from: &str,
@@ -297,10 +317,11 @@ impl Network {
         payload: &Arc<Element>,
     ) -> usize {
         let from = PeerId::from(from);
+        let bytes = payload.byte_size();
         let mut sent = 0;
         for &peer in to {
             if self
-                .send(from, peer, channel, Arc::clone(payload))
+                .send_sized(from, peer, channel, Arc::clone(payload), bytes)
                 .is_some()
             {
                 sent += 1;
@@ -313,8 +334,7 @@ impl Network {
     /// delivery time).  Returns the recipient, or `None` when nothing is in
     /// flight.
     pub fn step(&mut self) -> Option<PeerId> {
-        let (&key, _) = self.in_flight.iter().next()?;
-        let message = self.in_flight.remove(&key).expect("key just observed");
+        let (_, message) = self.in_flight.pop_first()?;
         self.clock = self.clock.max(message.deliver_at);
         if !self.down.is_empty() && self.down.contains(&message.to) {
             self.stats
@@ -335,7 +355,10 @@ impl Network {
             message.is_channel_traffic(),
         );
         let to = message.to;
-        let inbox = self.inboxes.entry(to).or_default();
+        let inbox = self
+            .inboxes
+            .get_mut(&to)
+            .expect("only registered peers are sent to");
         if !inbox.listed {
             inbox.listed = true;
             self.woken.push(to);
@@ -361,7 +384,7 @@ impl Network {
     pub fn run_until(&mut self, deadline: u64) -> usize {
         let mut delivered = 0;
         loop {
-            match self.in_flight.iter().next() {
+            match self.in_flight.first_key_value() {
                 Some((&(t, _), _)) if t <= deadline => {
                     self.step();
                     delivered += 1;
@@ -398,6 +421,20 @@ impl Network {
             }
         }
         drained
+    }
+
+    /// The peers holding delivered-but-unread messages, sorted.  A walk over
+    /// every inbox that resolves no name unless it has one to report: what a
+    /// whole-network audit asks instead of [`Network::inbox_len`] per peer.
+    pub fn unread_peers(&self) -> Vec<&str> {
+        let mut unread: Vec<&str> = self
+            .inboxes
+            .iter()
+            .filter(|(_, inbox)| !inbox.queue.is_empty())
+            .map(|(peer, _)| peer.as_str())
+            .collect();
+        unread.sort_unstable();
+        unread
     }
 
     /// Number of undelivered-to-application messages waiting in a peer's
@@ -688,6 +725,66 @@ mod tests {
             (n.stats().clone(), n.now())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn unread_peers_lists_the_undrained_inboxes_in_name_order() {
+        let mut n = net();
+        n.send("a.com", "p", None, Element::new("one"));
+        n.send("a.com", "b.com", None, Element::new("two"));
+        n.send("a.com", "meteo.com", None, Element::new("three"));
+        assert!(n.unread_peers().is_empty(), "in flight is not unread");
+        n.run_until_idle();
+        n.take_inbox("meteo.com");
+        assert_eq!(n.unread_peers(), vec!["b.com", "p"]);
+        n.take_woken_inboxes();
+        assert!(n.unread_peers().is_empty());
+    }
+
+    /// The complexity pin of the per-message path: with the endpoints' ids in
+    /// hand, sending and delivering a message never reaches for the
+    /// interner's lock — no name is resolved, interned again or ordered —
+    /// however many peers are registered.  (An ordered table keyed by
+    /// `PeerId` takes two acquisitions per comparison, at every level.)
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_message_between_known_ids_never_takes_the_interner_lock() {
+        use p2pmon_xmlkit::intern::lock_acquisitions;
+        for registered in [16usize, 4096] {
+            let ids: Vec<PeerId> = (0..registered)
+                .map(|i| PeerId::from(format!("peer{i}.net")))
+                .collect();
+            let mut n = Network::new(NetworkConfig {
+                latency: LatencyModel::PerLink {
+                    links: [((ids[0], ids[1]), 3), ((ids[1], ids[8]), 40)]
+                        .into_iter()
+                        .collect(),
+                    default: 15,
+                },
+                ..NetworkConfig::default()
+            });
+            for &id in &ids {
+                n.add_peer(id);
+            }
+            n.fail_peer("peer2.net");
+            n.partition(&[vec!["peer3.net"]]);
+            let channel = Some(ChannelId::new("peer0.net", "s"));
+            let payload = Arc::new(Element::text_element("alert", "rain"));
+            let before = lock_acquisitions();
+            for i in 0..1000 {
+                let (from, to) = (ids[i % registered], ids[(7 * i + 1) % registered]);
+                n.send(from, to, channel, Arc::clone(&payload));
+                n.step();
+            }
+            assert_eq!(
+                lock_acquisitions() - before,
+                0,
+                "1 000 send + step among {registered} peers"
+            );
+            let stats = n.stats();
+            assert_eq!(stats.total_messages + stats.dropped_messages, 1000);
+            assert!(stats.dropped_by_cause.peer_down > 0 && stats.dropped_by_cause.partition > 0);
+        }
     }
 
     #[test]

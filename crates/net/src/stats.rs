@@ -4,7 +4,7 @@
 //! reuse saves traffic) are stated by the paper as qualitative claims; the
 //! benches measure them with these counters.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::PeerId;
 
@@ -89,6 +89,12 @@ pub struct PeerTraffic {
 }
 
 /// Aggregate traffic statistics.
+///
+/// The per-link and per-peer tables are written once or twice per message,
+/// so they are hashed on the interned ids and iterate in no particular
+/// order: sum over them freely, but sort (or go through
+/// [`NetworkStats::per_peer`], which is ordered) before printing or
+/// digesting their entries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// All messages delivered.
@@ -104,7 +110,7 @@ pub struct NetworkStats {
     /// Per-peer drop attribution: every loss is charged to both endpoints
     /// (once when sender and destination coincide), so a fault harness can
     /// ask "who lost traffic, and to which fault".
-    pub dropped_per_peer: BTreeMap<PeerId, DropBreakdown>,
+    pub dropped_per_peer: HashMap<PeerId, DropBreakdown>,
     /// Channel (data-plane) messages delivered.
     pub channel_messages: u64,
     /// Control-plane messages delivered (DHT lookups, deployment, …).
@@ -124,7 +130,7 @@ pub struct NetworkStats {
     /// moved onto a consumer — the replica-re-publication saving.
     pub replica_forwarded_messages: u64,
     /// Per-link counters, keyed by (from, to).
-    pub per_link: BTreeMap<(PeerId, PeerId), LinkStats>,
+    pub per_link: HashMap<(PeerId, PeerId), LinkStats>,
 }
 
 impl NetworkStats {
@@ -194,6 +200,7 @@ impl NetworkStats {
 
     /// Total bytes that crossed links *into* the given peer.
     pub fn bytes_into(&self, peer: &str) -> u64 {
+        let peer = PeerId::from(peer);
         self.per_link
             .iter()
             .filter(|((_, to), _)| *to == peer)
@@ -203,6 +210,7 @@ impl NetworkStats {
 
     /// Total bytes that crossed links *out of* the given peer.
     pub fn bytes_out_of(&self, peer: &str) -> u64 {
+        let peer = PeerId::from(peer);
         self.per_link
             .iter()
             .filter(|((from, _), _)| *from == peer)
@@ -212,7 +220,8 @@ impl NetworkStats {
 
     /// Per-peer traffic rollup over every link, keyed by peer — the summary
     /// the monitoring plane surfaces per [`crate::PeerId`] (e.g. to find the
-    /// busiest hosts of a deployment).
+    /// busiest hosts of a deployment).  Ordered by peer name: this is where
+    /// the hashed per-message tables become a listing.
     pub fn per_peer(&self) -> BTreeMap<PeerId, PeerTraffic> {
         let mut out: BTreeMap<PeerId, PeerTraffic> = BTreeMap::new();
         for (&(from, to), link) in &self.per_link {

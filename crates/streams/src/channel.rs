@@ -25,7 +25,9 @@ pub fn normalize_peer(raw: &str) -> String {
 ///
 /// Both halves are interned [`Name`]s, so a `ChannelId` is `Copy`, hashes as
 /// two integers (the routing tables and per-round target caches key on it
-/// constantly) and still collates alphabetically in `BTreeMap`s.
+/// constantly).  It still collates alphabetically in `BTreeMap`s, at
+/// [`Name`]'s price — each comparison resolves names through the interner's
+/// lock — so order it for listings, never on a per-message path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChannelId {
     /// The peer that published (or produces) the stream.

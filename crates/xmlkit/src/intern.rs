@@ -49,7 +49,25 @@ struct Interner {
 
 fn table() -> &'static RwLock<Interner> {
     static TABLE: OnceLock<RwLock<Interner>> = OnceLock::new();
+    #[cfg(debug_assertions)]
+    LOCK_ACQUISITIONS.with(|count| count.set(count.get() + 1));
     TABLE.get_or_init(|| RwLock::new(Interner::default()))
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static LOCK_ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times the calling thread has reached for the interner's lock —
+/// one per [`intern`] hit, [`lookup`], [`resolve`] and so per [`Name`]
+/// created from a string, resolved to one, or *ordered* against another.
+/// Debug builds only (release builds count nothing): tests read it to pin a
+/// path at zero acquisitions per message.  Per thread, so tests running in
+/// parallel do not disturb each other's reading.
+#[cfg(debug_assertions)]
+pub fn lock_acquisitions() -> u64 {
+    LOCK_ACQUISITIONS.with(std::cell::Cell::get)
 }
 
 /// Interns a name, returning its stable symbol.  Idempotent and thread-safe;
@@ -103,6 +121,13 @@ pub fn interned_count() -> usize {
 /// keyed by `Name` iterates in the same deterministic, alphabetical order a
 /// `String`-keyed map would, independent of interning order (which varies
 /// across processes and test schedules).
+///
+/// That makes the two halves cost very different things.  `==` and `Hash`
+/// touch nothing but the integer; `<` resolves *both* names through the
+/// interner's `RwLock` and compares the strings — at every level of a tree
+/// descent.  The rule that follows: **ordered containers keyed by a `Name`
+/// are for listings and reports, never for a per-message path.**  Key the hot
+/// table by hash, and sort when something is printed or digested.
 ///
 /// `Name` derefs to `str`, so read-only call sites (`&name` where `&str` is
 /// expected, `name.starts_with(..)`, `format!("{name}")`) compile unchanged.

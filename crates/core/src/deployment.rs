@@ -312,25 +312,17 @@ impl Monitor {
                     ..
                 } => {
                     self.ensure_alerter(function, monitored_peer);
-                    self.routing
-                        .source_consumers
-                        .entry(source_channel(function, monitored_peer))
-                        .or_default()
-                        .push((sub_idx, task.id));
+                    self.routing.attach_source(
+                        source_channel(function, monitored_peer),
+                        sub_idx,
+                        task.id,
+                    );
                 }
                 TaskKind::DynamicSource { function, .. } => {
-                    self.routing
-                        .dynamic_consumers
-                        .entry(function.clone())
-                        .or_default()
-                        .push((sub_idx, task.id));
+                    self.routing.attach_dynamic(function, sub_idx, task.id);
                 }
                 TaskKind::ChannelSource { channel, .. } => {
-                    self.routing
-                        .channel_consumers
-                        .entry(*channel)
-                        .or_default()
-                        .push((sub_idx, task.id, 0));
+                    self.routing.attach(*channel, sub_idx, task.id, 0);
                     // Replica accounting for remote consumers of a live
                     // stream: record whether this subscriber was served by a
                     // replica or pulls from the origin, and re-publish the
@@ -355,11 +347,7 @@ impl Monitor {
                         }
                     } else {
                         let channel = channels[task.id];
-                        self.routing
-                            .channel_consumers
-                            .entry(channel)
-                            .or_default()
-                            .push((sub_idx, consumer, port));
+                        self.routing.attach(channel, sub_idx, consumer, port);
                         Route::Channel { channel }
                     }
                 }
@@ -382,8 +370,10 @@ impl Monitor {
                 let filter = FilterSubscription::new(id)
                     .with_simple(simple.clone())
                     .with_complex(patterns.clone());
-                self.host_mut(&task.peer)
-                    .register_select(sub_idx, task.id, filter);
+                self.hosts
+                    .get_mut(&task.peer)
+                    .expect("the task was installed on its host above")
+                    .register_select(sub_idx, task.id, filter, &mut self.routing.epoch);
             }
         }
 

@@ -27,9 +27,36 @@
 //! subscribers are attached (`DispatchSnapshot::tap`), and a channel
 //! emission sends **one** message per distinct destination peer — all of a
 //! peer's subscribers ride it (`Monitor::multicast_plan` groups them once per
-//! batch, `Monitor::run_multicast` emits); subscribers hosted on the producing
-//! peer attach with no network hop at all.  Messages avoided this way are
-//! recorded as `p2pmon_net::NetworkStats::multicast_saved_messages` (E7).
+//! deployment epoch, `Monitor::run_multicast` emits); subscribers hosted on
+//! the producing peer attach with no network hop at all.  Messages avoided
+//! this way are recorded as
+//! `p2pmon_net::NetworkStats::multicast_saved_messages` (E7).
+//!
+//! **Deploy compiles, dispatch executes.**  The paper's peer adjusts its
+//! shared filter offline, when a subscription is deployed (Figure 5), and
+//! from then on only executes.  Three things are compiled from the
+//! deployment and read by every batch: a channel's `MulticastPlan`, an
+//! alerter feed's target list, and the hosting peer's resolution of the
+//! engine gates of each such list (kept in the list itself, `TargetList`:
+//! one peer hosts all of a list's targets, so one peer resolves it).  Each
+//! is stamped with the monitor's one `FanoutEpoch` and recompiled — by the
+//! function that compiled it before it was kept, at the next lookup — only
+//! when the stamp is stale.  The epoch is bumped, in O(1), by everything that
+//! edits what they are compiled from: the `RoutingTable`'s edit methods (the
+//! consumer maps are private behind them; `deploy_plan`, `sweep_retired`,
+//! `move_channel_consumers` and `reattach_orphaned_consumers` are the
+//! callers), `PeerHost::register_select` / `unregister_select`, and the
+//! `Route::Dropped` rewrite of a swept subscription.  `fail_peer` /
+//! `recover_peer` do not bump: down-ness is read at emission time.  Gates
+//! are still resolved at drain time against the current tables: an alert
+//! batched before a deploy carries a list of the older epoch, and the drain
+//! resolves a copy of it under the current stamp, so it sees the new tap.
+//! Debug builds recompile a kept value when a round (a host's batch, for
+//! gates) first hits it and assert the kept value equal — nothing edits a
+//! deployment while a round runs, so the first hit speaks for the rest — so
+//! every `cargo test` round runs the uncached code as the oracle and no
+//! measured build does; [`DispatchStats::plans_compiled`] and
+//! [`DispatchStats::gates_resolved`] count the real compiles.
 //!
 //! **A round costs what it carries.**  In the paper every peer is its own
 //! machine, so a peer that observes nothing costs nothing; here one loop plays
@@ -50,8 +77,9 @@
 //! [`FilterEngine`]: p2pmon_filter::FilterEngine
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use p2pmon_filter::SubscriptionId;
 use p2pmon_net::PeerId;
 use p2pmon_streams::binding::TUPLE_TAG;
 use p2pmon_streams::ChannelId;
@@ -61,12 +89,61 @@ use crate::monitor::{DeployedSubscription, Monitor};
 use crate::peer::{PeerHost, PendingAlert, Work};
 use crate::placement::TaskKind;
 
-/// A list of delivery targets `(subscription, task, port)`.
-type Targets = Vec<(usize, usize, usize)>;
+/// A delivery target `(subscription, task, port)`.
+pub(crate) type Target = (usize, usize, usize);
 
-/// A shared target list — one alert batch fans out to the same consumers, so
-/// the list is built once.
-type SharedTargets = Arc<Targets>;
+/// A shared target list — every alert of a feed or a channel fans out to the
+/// same consumers until the deployment changes, so the list is built once per
+/// [`FanoutEpoch`] — together with what its hosting peer made of it.
+///
+/// Every target of one list is hosted on one peer (a feed's list on the
+/// alerting peer, a [`MulticastPlan`] group on the group's peer), so only
+/// that peer ever drains it, and its resolution of the list's engine gates is
+/// kept here, in the list, rather than in a table of the host's: the drain
+/// already holds the list, so finding the resolution touches no memory a
+/// table would add.
+#[derive(Debug)]
+pub(crate) struct TargetList {
+    /// The epoch the list was compiled in.  Resolutions are kept only while
+    /// it is current: within one epoch every resolution of a list is the same.
+    epoch: FanoutEpoch,
+    targets: Box<[Target]>,
+    /// The gates of `targets` as resolved by the first batch that drained the
+    /// list, for ordinary documents and for tuples.
+    resolved: [OnceLock<ResolvedTargets>; 2],
+}
+
+/// The shared handle every alert of a feed or channel carries.
+pub(crate) type SharedTargets = Arc<TargetList>;
+
+impl TargetList {
+    /// A list compiled in `epoch`, not yet drained.
+    pub(crate) fn new(epoch: FanoutEpoch, targets: impl Into<Box<[Target]>>) -> SharedTargets {
+        Arc::new(TargetList {
+            epoch,
+            targets: targets.into(),
+            resolved: Default::default(),
+        })
+    }
+
+    /// The epoch the list was compiled in.
+    pub(crate) fn epoch(&self) -> FanoutEpoch {
+        self.epoch
+    }
+
+    /// The delivery targets.
+    pub(crate) fn targets(&self) -> &[Target] {
+        &self.targets
+    }
+}
+
+/// Two lists are the same fan-out when they were compiled in the same epoch
+/// from the same consumers; what their host resolved since is derived state.
+impl PartialEq for TargetList {
+    fn eq(&self, other: &Self) -> bool {
+        (self.epoch, &self.targets) == (other.epoch, &other.targets)
+    }
+}
 
 /// How a task's output is routed.  Independently of the route, every task
 /// output is also multicast on the task's canonical output channel whenever
@@ -88,18 +165,218 @@ pub(crate) enum Route {
     Dropped,
 }
 
+/// The monitor's one fan-out epoch: a counter bumped by every edit of what a
+/// fan-out is compiled from — the [`RoutingTable`]'s consumer registrations,
+/// a host's engine gates, a deployed task's [`Route`] or a `ChannelSource`'s
+/// channel.  Whatever is compiled from those tables is stamped with the epoch
+/// it was compiled in and is valid exactly while the stamp is current; a bump
+/// touches nothing else, so the stale entries are found (and replaced) by the
+/// next lookup that wants them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FanoutEpoch(u64);
+
+impl FanoutEpoch {
+    /// Invalidates every compiled fan-out and gate resolution.
+    pub(crate) fn bump(&mut self) {
+        self.0 += 1;
+    }
+}
+
+/// One routing entry: the registered consumers, and the fan-out compiled from
+/// them in the epoch it is stamped with.  The compiled form belongs to the
+/// entry it was compiled from, so finding it is the lookup that found the
+/// consumers, and a stream nobody consumes has nothing to look up.  It is
+/// boxed: most entries of a large deployment never carry an item, every
+/// teardown walks them all and every operator output probes the channel
+/// table for a tap, so an entry is one word larger than its consumer list.
+struct Fanout<C, P> {
+    consumers: Vec<C>,
+    compiled: Option<Box<(FanoutEpoch, P)>>,
+}
+
+impl<C, P> Default for Fanout<C, P> {
+    fn default() -> Self {
+        Fanout {
+            consumers: Vec::new(),
+            compiled: None,
+        }
+    }
+}
+
+impl<C, P: PartialEq + std::fmt::Debug> Fanout<C, P> {
+    /// The entry's compiled fan-out: the kept one when its stamp is current,
+    /// else compiled now (counted in `compiles`) and kept.  With `audit` set
+    /// — debug builds only, see [`RoutingTable::plan`] — a hit recompiles
+    /// and compares: the uncached code is the cache's oracle in every `cargo
+    /// test` round, and no measured build pays for it.
+    fn compiled(
+        &mut self,
+        epoch: FanoutEpoch,
+        audit: bool,
+        compiles: &mut u64,
+        compile: impl Fn(&[C]) -> P,
+    ) -> &P {
+        match self.compiled.as_deref() {
+            Some((stamp, plan)) if *stamp == epoch => {
+                if audit {
+                    assert_eq!(
+                        *plan,
+                        compile(&self.consumers),
+                        "an edit of this fan-out did not bump the epoch"
+                    );
+                }
+            }
+            _ => {
+                *compiles += 1;
+                self.compiled = Some(Box::new((epoch, compile(&self.consumers))));
+            }
+        }
+        let (_, plan) = self.compiled.as_deref().expect("compiled just above");
+        plan
+    }
+}
+
 /// The deployment-time routing tables shared by every peer.
+///
+/// The three consumer maps are private: they change only through the edit
+/// methods below, each of which bumps [`RoutingTable::epoch`], so no edit can
+/// leave a compiled fan-out or a resolved gate behind it.  No entry is ever
+/// empty — the last retraction removes it.
 #[derive(Default)]
 pub(crate) struct RoutingTable {
     /// An alerter's source stream ([`source_channel`]) → consumer source
-    /// tasks.
-    pub source_consumers: HashMap<ChannelId, Vec<(usize, usize)>>,
+    /// tasks, with the feed's shared target list.
+    source_consumers: HashMap<ChannelId, Fanout<(usize, usize), SharedTargets>>,
     /// function → dynamic-source tasks (membership-filtered feeds).
-    pub dynamic_consumers: HashMap<String, Vec<(usize, usize)>>,
-    /// channel → consumer (subscription, task, port).
-    pub channel_consumers: HashMap<ChannelId, Vec<(usize, usize, usize)>>,
+    dynamic_consumers: HashMap<String, Vec<(usize, usize)>>,
+    /// channel → consumer (subscription, task, port), with the channel's
+    /// multicast plan.
+    channel_consumers: HashMap<ChannelId, Fanout<Target, MulticastPlan>>,
     /// Items published on externally visible channels (BY channel clauses).
     pub published_channels: HashMap<ChannelId, Vec<Arc<Element>>>,
+    /// The fan-out epoch (see [`FanoutEpoch`]).  Public within the crate so
+    /// the edits that live outside this table — a host's gate registrations,
+    /// a route rewrite — bump through the same door.
+    pub epoch: FanoutEpoch,
+    /// The channels whose kept plan was audited this round (debug builds
+    /// only; [`Monitor::tick`] clears it).  Nothing edits a deployment while
+    /// a round runs, so a plan's first hit of the round speaks for the rest —
+    /// and the audit costs a round what compiling per batch used to.
+    #[cfg(debug_assertions)]
+    audited: std::collections::HashSet<ChannelId>,
+}
+
+impl RoutingTable {
+    /// Registers a source task as a consumer of an alerter's source stream.
+    pub(crate) fn attach_source(&mut self, source: ChannelId, sub: usize, task: usize) {
+        self.epoch.bump();
+        let entry = self.source_consumers.entry(source).or_default();
+        entry.consumers.push((sub, task));
+    }
+
+    /// Registers a dynamic-source task as a consumer of `function`'s alerts.
+    pub(crate) fn attach_dynamic(&mut self, function: &str, sub: usize, task: usize) {
+        self.epoch.bump();
+        let entry = self.dynamic_consumers.entry(function.to_string());
+        entry.or_default().push((sub, task));
+    }
+
+    /// Registers `(sub, task, port)` as a consumer of `channel`.
+    pub(crate) fn attach(&mut self, channel: ChannelId, sub: usize, task: usize, port: usize) {
+        self.epoch.bump();
+        let entry = self.channel_consumers.entry(channel).or_default();
+        entry.consumers.push((sub, task, port));
+    }
+
+    /// Drops every registration of the `(subscription, task)`s matching
+    /// `removed`, and the entries left empty.
+    pub(crate) fn retract_tasks(&mut self, removed: impl Fn(usize, usize) -> bool) {
+        self.epoch.bump();
+        self.source_consumers.retain(|_, entry| {
+            entry.consumers.retain(|&(s, t)| !removed(s, t));
+            !entry.consumers.is_empty()
+        });
+        self.dynamic_consumers.retain(|_, consumers| {
+            consumers.retain(|&(s, t)| !removed(s, t));
+            !consumers.is_empty()
+        });
+        self.channel_consumers.retain(|_, entry| {
+            entry.consumers.retain(|&(s, t, _)| !removed(s, t));
+            !entry.consumers.is_empty()
+        });
+    }
+
+    /// Takes every consumer registration off `channel`, for the caller to
+    /// [`RoutingTable::attach`] elsewhere (a replica hand-off, a re-pointed
+    /// declaration, orphan re-attachment).
+    pub(crate) fn detach_all(&mut self, channel: &ChannelId) -> Vec<Target> {
+        self.epoch.bump();
+        let entry = self.channel_consumers.remove(channel);
+        entry.map(|entry| entry.consumers).unwrap_or_default()
+    }
+
+    /// The consumers registered on `channel`.
+    pub(crate) fn consumers(&self, channel: &ChannelId) -> &[Target] {
+        self.channel_consumers
+            .get(channel)
+            .map_or(&[], |entry| &entry.consumers)
+    }
+
+    /// True when `channel` has at least one registered consumer.
+    pub(crate) fn has_consumers(&self, channel: &ChannelId) -> bool {
+        self.channel_consumers.contains_key(channel)
+    }
+
+    /// Every consumed channel with its number of registrations.
+    pub(crate) fn consumed_channels(&self) -> impl Iterator<Item = (&ChannelId, usize)> {
+        self.channel_consumers
+            .iter()
+            .map(|(channel, entry)| (channel, entry.consumers.len()))
+    }
+
+    /// The dynamic-source tasks fed by `function`'s alerts.
+    pub(crate) fn dynamic_consumers(&self, function: &str) -> &[(usize, usize)] {
+        self.dynamic_consumers
+            .get(function)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// The shared target list of an alerter feed — its source tasks, on port
+    /// 0 — compiled once per epoch.  `None` when no source task consumes it.
+    fn feed_targets(
+        &mut self,
+        source: &ChannelId,
+        stats: &mut DispatchStats,
+    ) -> Option<&SharedTargets> {
+        let entry = self.source_consumers.get_mut(source)?;
+        // One lookup per feed per round: every hit is audited.
+        let audit = cfg!(debug_assertions);
+        let epoch = self.epoch;
+        let compile = |consumers: &[(usize, usize)]| {
+            let targets: Vec<Target> = consumers.iter().map(|&(s, t)| (s, t, 0)).collect();
+            TargetList::new(epoch, targets)
+        };
+        Some(entry.compiled(self.epoch, audit, &mut stats.plans_compiled, compile))
+    }
+
+    /// The multicast plan of `channel`, compiled once per epoch by
+    /// [`MulticastPlan::compile`].  `None` when nobody subscribes.
+    fn plan(
+        &mut self,
+        channel: &ChannelId,
+        subs: &[DeployedSubscription],
+        stats: &mut DispatchStats,
+    ) -> Option<&MulticastPlan> {
+        let entry = self.channel_consumers.get_mut(channel)?;
+        #[cfg(debug_assertions)]
+        let audit = self.audited.insert(*channel);
+        #[cfg(not(debug_assertions))]
+        let audit = false;
+        let epoch = self.epoch;
+        let compile =
+            |consumers: &[Target]| MulticastPlan::compile(*channel, consumers, subs, epoch);
+        Some(entry.compiled(self.epoch, audit, &mut stats.plans_compiled, compile))
+    }
 }
 
 /// The source stream of the `function` alerter at `peer`: `src-<function>`,
@@ -140,6 +417,16 @@ pub struct DispatchStats {
     /// of idle hosts): bounded by the hosts that had something to do,
     /// whatever the deployment's size.
     pub host_visits: u64,
+    /// Fan-outs compiled: a channel's multicast plan or an alerter feed's
+    /// shared target list, each built when a batch wants it and the one kept
+    /// from the current deployment epoch is missing or stale.  A standing
+    /// deployment compiles what its first batch touches and nothing after.
+    pub plans_compiled: u64,
+    /// Delivery targets whose engine gate was resolved: the hosting peer
+    /// resolves each shared target list once per deployment epoch.  (Like
+    /// `plans_compiled`, never counts the debug-build audit's
+    /// recompilations.)
+    pub gates_resolved: u64,
 }
 
 impl DispatchStats {
@@ -153,6 +440,8 @@ impl DispatchStats {
         self.dropped_by_failure += other.dropped_by_failure;
         self.sink_clone_bytes += other.sink_clone_bytes;
         self.host_visits += other.host_visits;
+        self.plans_compiled += other.plans_compiled;
+        self.gates_resolved += other.gates_resolved;
     }
 }
 
@@ -163,22 +452,92 @@ impl DispatchStats {
 pub(crate) struct DispatchSnapshot<'a> {
     /// The deployed subscriptions (placements and routes only).
     pub subs: &'a [DeployedSubscription],
-    /// The channel-consumer registrations, read-only during a phase: lets a
-    /// local phase see whether a task's canonical output channel has live
-    /// subscribers (reuse taps) without touching the routing tables.
-    pub taps: &'a HashMap<ChannelId, Vec<(usize, usize, usize)>>,
+    /// The routing tables, read-only during a phase: lets a local phase see
+    /// whether a task's canonical output channel has live subscribers (reuse
+    /// taps), and which fan-out epoch its gate resolutions belong to.
+    pub routing: &'a RoutingTable,
     /// Bypass the shared engines (naive fan-out oracle).
     pub naive_dispatch: bool,
     /// The logical clock at phase start (constant during a phase).
     pub now: u64,
 }
 
-/// A channel emission plan: the channel plus its subscribers grouped by
-/// destination peer (one shared target list per peer), computed once per
-/// batch by [`Monitor::multicast_plan`].
+/// A channel's compiled fan-out: the channel plus its subscribers grouped by
+/// destination peer (one shared target list per peer).  Compiled once per
+/// deployment epoch ([`FanoutEpoch`]) and kept in the channel's routing
+/// entry; [`Monitor::multicast_plan`] hands it to the emitting side, and the
+/// receiving side reads its own group back out of it
+/// ([`MulticastPlan::targets_at`]).  Cloning shares the groups.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MulticastPlan {
     channel: ChannelId,
-    by_peer: Vec<(PeerId, SharedTargets)>,
+    /// In peer-name order: the order the sends reach the network.
+    groups: Arc<[PeerGroup]>,
+}
+
+/// One destination peer of a [`MulticastPlan`].
+#[derive(Debug, PartialEq)]
+struct PeerGroup {
+    peer: PeerId,
+    /// The channel's consumers hosted on `peer`.
+    targets: SharedTargets,
+    /// A second order over the same slice: the position of the group whose
+    /// peer has the `i`-th smallest symbol, stored in slot `i` — what lets a
+    /// receiving peer find its group by integer comparisons.
+    by_symbol: u32,
+}
+
+impl MulticastPlan {
+    /// Groups a channel's consumers by the peer hosting them.
+    ///
+    /// A consumer's peer is read off its task's own canonical channel — an
+    /// id, minted beside the placement ([`PlacedPlan::output_channels`]) —
+    /// so grouping is integer work per consumer; only the *distinct* peers
+    /// are put in name order, which fixes the order the sends reach the
+    /// network.
+    ///
+    /// [`PlacedPlan::output_channels`]: crate::placement::PlacedPlan::output_channels
+    fn compile(
+        channel: ChannelId,
+        consumers: &[Target],
+        subs: &[DeployedSubscription],
+        epoch: FanoutEpoch,
+    ) -> Self {
+        let mut grouped: HashMap<PeerId, Vec<Target>> = HashMap::new();
+        for &(sub, task, port) in consumers {
+            let peer = subs[sub].channels[task].peer;
+            grouped.entry(peer).or_default().push((sub, task, port));
+        }
+        let mut groups: Vec<PeerGroup> = grouped
+            .into_iter()
+            .map(|(peer, targets)| PeerGroup {
+                peer,
+                targets: TargetList::new(epoch, targets),
+                by_symbol: 0,
+            })
+            .collect();
+        groups.sort_by_cached_key(|group| group.peer.as_str());
+        let mut by_symbol: Vec<u32> = (0..groups.len() as u32).collect();
+        by_symbol.sort_unstable_by_key(|&at| groups[at as usize].peer.symbol());
+        for (slot, at) in groups.iter_mut().zip(by_symbol) {
+            slot.by_symbol = at;
+        }
+        MulticastPlan {
+            channel,
+            groups: groups.into(),
+        }
+    }
+
+    /// The channel's consumers hosted on `peer`: what a message of this
+    /// channel arriving there is delivered to.
+    fn targets_at(&self, peer: PeerId) -> Option<&SharedTargets> {
+        let ranked = |slot: &PeerGroup| &self.groups[slot.by_symbol as usize];
+        let slot = self
+            .groups
+            .binary_search_by_key(&peer.symbol(), |slot| ranked(slot).peer.symbol())
+            .ok()?;
+        Some(&ranked(&self.groups[slot]).targets)
+    }
 }
 
 /// A side effect a peer's local processing defers to the commit phase.
@@ -218,10 +577,7 @@ impl DispatchSnapshot<'_> {
     /// multicast already reaches every registered consumer.
     fn tap(&self, sub: usize, task: usize) -> Option<&ChannelId> {
         let channel = &self.subs[sub].channels[task];
-        match self.taps.get(channel) {
-            Some(consumers) if !consumers.is_empty() => Some(channel),
-            _ => None,
-        }
+        self.routing.has_consumers(channel).then_some(channel)
     }
 
     /// Resolves the engine gate for one delivery target, if any: either the
@@ -235,7 +591,7 @@ impl DispatchSnapshot<'_> {
         task: usize,
         port: usize,
         tuple: bool,
-    ) -> Option<(usize, p2pmon_filter::SubscriptionId)> {
+    ) -> Option<(usize, SubscriptionId)> {
         if self.naive_dispatch || port != 0 || tuple {
             return None;
         }
@@ -266,6 +622,39 @@ impl DispatchSnapshot<'_> {
             _ => None,
         }
     }
+
+    /// Resolves the engine gate of every target of one shared list, split by
+    /// gating.  Depends on the target list, on whether the document is a
+    /// tuple and on the deployment — never on the document's content.
+    fn resolve_targets(&self, host: &PeerHost, targets: &[Target], tuple: bool) -> ResolvedTargets {
+        let mut ungated = Vec::new();
+        let mut gated = Vec::new();
+        for &(sub, task, port) in targets {
+            match self.resolve_gate(host, sub, task, port, tuple) {
+                Some((select_task, id)) => gated.push((id, sub, select_task)),
+                None => ungated.push((sub, task, port)),
+            }
+        }
+        gated.sort_unstable_by_key(|&(id, _, _)| id);
+        ResolvedTargets {
+            ungated: (!gated.is_empty()).then(|| ungated.into()),
+            gated,
+        }
+    }
+}
+
+/// One shared target list with its engine gates resolved, split by gating so
+/// the per-alert loop of [`drain_alert_batch`] never walks rejected targets:
+/// ungated targets deliver unconditionally, and gated targets are looked up
+/// *from the engine's matched ids* — per alert that is O(matched) instead of
+/// O(targets).
+#[derive(Debug, PartialEq)]
+struct ResolvedTargets {
+    /// Targets delivered without an engine gate; `None` when no target of
+    /// the list is gated — the list is then its own ungated half.
+    ungated: Option<Box<[Target]>>,
+    /// Gated targets, sorted by filter id: (id, sub, select_task).
+    gated: Vec<(SubscriptionId, usize, usize)>,
 }
 
 /// Runs one peer's whole local phase: the batched alert dispatch, then the
@@ -279,49 +668,65 @@ pub(crate) fn run_peer(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>) -> 
     out
 }
 
-/// Drains the peer's pending alerts as one batch: resolves every delivery
-/// target's engine gate, runs one amortized engine pass per *unique* gated
-/// document, and enqueues work for the matched (or ungated) targets.
+/// Drains the peer's pending alerts as one batch: finds every alert's
+/// resolved target list — resolving it against the current tables when this
+/// is the first batch to drain the list in the current deployment epoch —
+/// runs one amortized engine pass per *unique* gated document, and enqueues
+/// work for the matched (or ungated) targets.
 fn drain_alert_batch(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>, out: &mut PeerEffects) {
     if host.pending_alerts.is_empty() {
         return;
     }
-    let batch = std::mem::take(&mut host.pending_alerts);
-    // Gate resolution depends only on the target list and on whether the
-    // document is a tuple — never on the document's content — and a whole
-    // feed fans out through one shared targets `Arc`, so each distinct
-    // (targets, tuple-ness) pair resolves once per batch instead of once per
-    // alert.  (All the `Arc`s are alive for the duration of the batch, so
-    // pointer identity is a sound cache key.)
-    // The resolved form is split by gating so the per-alert loop below never
-    // walks rejected targets: ungated targets deliver unconditionally, and
-    // gated targets are looked up *from the engine's matched ids* — per
-    // alert that is O(matched) instead of O(targets).
-    struct ResolvedTargets {
-        /// Targets delivered without an engine gate: (sub, task, port).
-        ungated: Vec<(usize, usize, usize)>,
-        /// Gated targets, sorted by filter id: (id, sub, select_task).
-        gated: Vec<(p2pmon_filter::SubscriptionId, usize, usize)>,
+    let mut batch = std::mem::take(&mut host.pending_alerts);
+    // An alert batched before the deployment was last edited carries a list
+    // of an older epoch, whose kept resolution (if it has one) predates the
+    // edit.  It gets a copy of its list under the current stamp, one per
+    // distinct list, so that every list of this batch — batched before the
+    // edit or after — resolves against the tables as they are now.
+    let epoch = snapshot.routing.epoch;
+    let mut restamped: Vec<(SharedTargets, SharedTargets)> = Vec::new();
+    for alert in &mut batch {
+        if alert.targets.epoch == epoch {
+            continue;
+        }
+        let copied = restamped
+            .iter()
+            .find(|(stale, _)| Arc::ptr_eq(stale, &alert.targets));
+        let current = match copied {
+            Some((_, current)) => Arc::clone(current),
+            None => {
+                let current = TargetList::new(epoch, alert.targets.targets.clone());
+                restamped.push((Arc::clone(&alert.targets), Arc::clone(&current)));
+                current
+            }
+        };
+        alert.targets = current;
     }
-    let mut resolution: HashMap<(usize, bool), ResolvedTargets> = HashMap::new();
-    let keys: Vec<(usize, bool)> = batch
+    // Debug builds re-resolve each kept resolution on its first hit of the
+    // batch and compare: the uncached resolution is the cache's oracle.
+    #[cfg(debug_assertions)]
+    let mut audited = std::collections::HashSet::new();
+    let resolution: Vec<&ResolvedTargets> = batch
         .iter()
         .map(|alert| {
             let tuple = alert.doc.name == TUPLE_TAG;
-            let key = (Arc::as_ptr(&alert.targets) as usize, tuple);
-            resolution.entry(key).or_insert_with(|| {
-                let mut ungated = Vec::new();
-                let mut gated = Vec::new();
-                for &(sub, task, port) in alert.targets.iter() {
-                    match snapshot.resolve_gate(host, sub, task, port, tuple) {
-                        Some((select_task, id)) => gated.push((id, sub, select_task)),
-                        None => ungated.push((sub, task, port)),
-                    }
+            let list = &*alert.targets;
+            let slot = &list.resolved[usize::from(tuple)];
+            #[cfg(debug_assertions)]
+            if let Some(kept) = slot.get() {
+                if audited.insert((Arc::as_ptr(&alert.targets), tuple)) {
+                    assert_eq!(
+                        *kept,
+                        snapshot.resolve_targets(host, &list.targets, tuple),
+                        "{}: an edit of a gate, a route or a tap did not bump the epoch",
+                        host.name()
+                    );
                 }
-                gated.sort_unstable_by_key(|&(id, _, _)| id);
-                ResolvedTargets { ungated, gated }
-            });
-            key
+            }
+            slot.get_or_init(|| {
+                out.stats.gates_resolved += list.targets.len() as u64;
+                snapshot.resolve_targets(host, &list.targets, tuple)
+            })
         })
         .collect();
 
@@ -330,8 +735,8 @@ fn drain_alert_batch(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>, out: 
     // its position in the engine's input (and thus its outcome index).
     let mut gated_pos: Vec<Option<usize>> = vec![None; batch.len()];
     let mut docs: Vec<&Element> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        if !resolution[key].gated.is_empty() {
+    for (i, resolved) in resolution.iter().enumerate() {
+        if !resolved.gated.is_empty() {
             gated_pos[i] = Some(docs.len());
             docs.push(batch[i].doc.as_ref());
         }
@@ -340,9 +745,12 @@ fn drain_alert_batch(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>, out: 
     out.stats.engine_documents += batch_outcome.passes() as u64;
     out.stats.batch_dedup_hits += (docs.len() - batch_outcome.passes()) as u64;
 
-    for (i, (alert, key)) in batch.iter().zip(&keys).enumerate() {
-        let resolved = &resolution[key];
-        for &(sub, task, port) in &resolved.ungated {
+    for (i, (alert, resolved)) in batch.iter().zip(&resolution).enumerate() {
+        let ungated = resolved
+            .ungated
+            .as_deref()
+            .unwrap_or(&alert.targets.targets);
+        for &(sub, task, port) in ungated {
             out.stats.plain_deliveries += 1;
             let item = host.make_item(snapshot.now, alert.doc.clone());
             host.enqueue(Work {
@@ -463,15 +871,15 @@ impl Monitor {
         });
     }
 
-    /// Feeds an alert to dynamic-source tasks (membership-filtered feeds);
-    /// they filter per item, so the engine does not gate them.
-    pub(crate) fn feed_dynamic(
-        &mut self,
-        origin: PeerId,
-        consumers: &[(usize, usize)],
-        alert: &Arc<Element>,
-    ) {
-        for &(sub, task) in consumers {
+    /// Feeds an alert to `function`'s dynamic-source tasks
+    /// (membership-filtered feeds); they filter per item, so the engine does
+    /// not gate them.
+    pub(crate) fn feed_dynamic(&mut self, origin: PeerId, function: &str, alert: &Arc<Element>) {
+        // Indexed, not borrowed: enqueuing needs the whole façade, and no
+        // step of the loop edits the registrations it walks.
+        let consumers = self.routing.dynamic_consumers(function).len();
+        for at in 0..consumers {
+            let (sub, task) = self.routing.dynamic_consumers(function)[at];
             let task_peer = self.subscriptions[sub].channels[task].peer;
             if task_peer != origin {
                 // Account the transfer of the raw alert to the dynamic source.
@@ -503,40 +911,32 @@ impl Monitor {
         // alerting peer, minted when the alerter was installed — and that one
         // id finds the feed's consumers, its reuse subscribers and its rate.
         for (function, source_channel, alerts) in feeds {
-            // Every alert of this feed fans out to the same consumers: build
-            // the target list once and share it across the batch.
-            let targets: SharedTargets = Arc::new(
-                self.routing
-                    .source_consumers
-                    .get(&source_channel)
-                    .into_iter()
-                    .flatten()
-                    .map(|&(sub, task)| (sub, task, 0))
-                    .collect(),
-            );
+            // Every alert of this feed fans out to the same consumers: one
+            // shared target list, kept from the first feed of the epoch.
+            let targets = self
+                .routing
+                .feed_targets(&source_channel, &mut self.dispatch_stats)
+                .cloned();
             // Membership alerters feed dynamic sources through the plan
             // itself (port 1), so only non-membership functions are fanned
             // out here.
-            let dynamic = match self.routing.dynamic_consumers.get(function) {
-                Some(consumers) if function != "areRegistered" => consumers.clone(),
-                _ => Vec::new(),
-            };
+            let dynamic =
+                function != "areRegistered" && !self.routing.dynamic_consumers(function).is_empty();
             // Subscribers of the alerter's *published source stream* (other
             // subscriptions that reuse `src-<function>@peer`) receive every
-            // alert as one physical multicast from the alerting peer; the
-            // per-peer grouping is computed once for the whole feed.
+            // alert as one physical multicast from the alerting peer.
             let source_plan = self.multicast_plan(&source_channel);
             let peer = source_channel.peer.as_str();
             let now = self.network.now();
             for alert in alerts {
                 // Wrap once; every consumer below shares the same tree.
                 let alert = Arc::new(alert);
-                if !targets.is_empty() {
+                if let Some(targets) = &targets {
                     let host = self.hosts.get_mut(peer).expect("alerting peer is hosted");
                     host.list_on(&mut self.ready);
                     host.pending_alerts.push(PendingAlert {
                         doc: Arc::clone(&alert),
-                        targets: Arc::clone(&targets),
+                        targets: Arc::clone(targets),
                     });
                 }
                 // Source-channel rates are measured exactly once per alert:
@@ -548,8 +948,8 @@ impl Monitor {
                         .rate_table
                         .observe(source_channel, now, alert.byte_size()),
                 }
-                if !dynamic.is_empty() {
-                    self.feed_dynamic(source_channel.peer, &dynamic, &alert);
+                if dynamic {
+                    self.feed_dynamic(source_channel.peer, function, &alert);
                 }
             }
         }
@@ -559,10 +959,6 @@ impl Monitor {
     /// Work queued on a downed peer is discarded (the peer's processors are
     /// gone with it).
     pub(crate) fn process_pending(&mut self) {
-        // Channel-consumer registrations and placements are immutable while
-        // dispatch runs, so one multicast plan per channel serves every
-        // commit of this call instead of being regrouped per emitted item.
-        let mut plan_cache: HashMap<ChannelId, Option<std::rc::Rc<MulticastPlan>>> = HashMap::new();
         loop {
             // Downed peers lose their batched alerts and queued work (only
             // a listed host can hold either).  The sweep only runs while a
@@ -577,7 +973,7 @@ impl Monitor {
                         + host
                             .pending_alerts
                             .iter()
-                            .map(|alert| alert.targets.len() as u64)
+                            .map(|alert| alert.targets.targets().len() as u64)
                             .sum::<u64>();
                     if dropped > 0 {
                         host.queue.clear();
@@ -594,7 +990,7 @@ impl Monitor {
             self.dispatch_stats.host_visits += self.ready.len() as u64;
             let snapshot = DispatchSnapshot {
                 subs: &self.subscriptions,
-                taps: &self.routing.channel_consumers,
+                routing: &self.routing,
                 naive_dispatch: self.config.naive_dispatch,
                 now: self.network.now(),
             };
@@ -618,13 +1014,7 @@ impl Monitor {
                 for effect in result.effects {
                     match effect {
                         Effect::Channel { channel, output } => {
-                            let plan = plan_cache
-                                .entry(channel)
-                                .or_insert_with(|| {
-                                    self.multicast_plan(&channel).map(std::rc::Rc::new)
-                                })
-                                .clone();
-                            if let Some(plan) = plan {
+                            if let Some(plan) = self.multicast_plan(&channel) {
                                 self.run_multicast(&plan, &output);
                             }
                         }
@@ -635,36 +1025,15 @@ impl Monitor {
         }
     }
 
-    /// The per-destination-peer grouping of a channel's subscribers, built
-    /// once and reused across a batch of emissions (every alert of a feed
-    /// fans out to the same consumers).  `None` when nobody subscribes.
-    ///
-    /// A consumer's peer is read off its task's own canonical channel — an
-    /// id, minted beside the placement ([`PlacedPlan::output_channels`]) —
-    /// so grouping is integer work per consumer; only the *distinct* peers
-    /// are put in name order, which fixes the order the sends reach the
-    /// network.
-    ///
-    /// [`PlacedPlan::output_channels`]: crate::placement::PlacedPlan::output_channels
-    pub(crate) fn multicast_plan(&self, channel: &ChannelId) -> Option<MulticastPlan> {
-        let consumers = self.routing.channel_consumers.get(channel)?;
-        if consumers.is_empty() {
-            return None;
-        }
-        let mut grouped: HashMap<PeerId, Targets> = HashMap::new();
-        for &(sub, task, port) in consumers {
-            let peer = self.subscriptions[sub].channels[task].peer;
-            grouped.entry(peer).or_default().push((sub, task, port));
-        }
-        let mut by_peer: Vec<(PeerId, SharedTargets)> = grouped
-            .into_iter()
-            .map(|(peer, targets)| (peer, Arc::new(targets)))
-            .collect();
-        by_peer.sort_by_cached_key(|&(peer, _)| peer.as_str());
-        Some(MulticastPlan {
-            channel: *channel,
-            by_peer,
-        })
+    /// The per-destination-peer grouping of a channel's subscribers: compiled
+    /// once per deployment epoch, kept in the channel's routing entry and
+    /// shared by every emission — an alerter feed's, a committed effect's, a
+    /// flushed sketch partial's — until a deploy or a teardown bumps the
+    /// epoch.  `None` when nobody subscribes.
+    pub(crate) fn multicast_plan(&mut self, channel: &ChannelId) -> Option<MulticastPlan> {
+        self.routing
+            .plan(channel, &self.subscriptions, &mut self.dispatch_stats)
+            .cloned()
     }
 
     /// Emits one item according to a multicast plan.  The item is sized
@@ -678,11 +1047,14 @@ impl Monitor {
         self.rate_table.observe(plan.channel, now, bytes);
         let mut saved = 0u64;
         let mut sent = 0u64;
-        for &(peer, ref targets) in &plan.by_peer {
+        for &PeerGroup {
+            peer, ref targets, ..
+        } in plan.groups.iter()
+        {
             if peer == producer {
                 // Local attachment: straight into the peer's alert batch.
                 if !self.network.is_down(&peer) {
-                    saved += targets.len() as u64;
+                    saved += targets.targets().len() as u64;
                     let host = self
                         .hosts
                         .get_mut(peer.as_str())
@@ -706,7 +1078,7 @@ impl Monitor {
             {
                 // Only messages that actually went out count as shared; a
                 // drop (downed peer, failure injection) saved nothing.
-                saved += targets.len() as u64 - 1;
+                saved += targets.targets().len() as u64 - 1;
                 sent += 1;
             }
         }
@@ -738,12 +1110,7 @@ impl Monitor {
         // a later subscription deciding whether to reuse this stream needs a
         // measured rate, and the multicast path (which also observes) only
         // runs once consumers exist.
-        let tapped = self
-            .routing
-            .channel_consumers
-            .get(&root_channel)
-            .is_some_and(|consumers| !consumers.is_empty());
-        if !tapped {
+        if !self.routing.has_consumers(&root_channel) {
             let now = self.network.now();
             self.rate_table.observe(root_channel, now, bytes);
         }
@@ -768,7 +1135,11 @@ impl Monitor {
 
     /// Delivers in-flight network messages and batches channel traffic into
     /// the consuming peers' alert inboxes (engine-gated and deduplicated by
-    /// the next dispatch phase).  Returns the number of delivered messages.
+    /// the next dispatch phase).  A message's targets are the receiving
+    /// peer's group of its channel's [`MulticastPlan`] — the plan the sender
+    /// emitted by, compiled once per deployment epoch — not a per-inbox
+    /// filter of the channel's consumers.  Returns the number of delivered
+    /// messages.
     pub(crate) fn deliver_network(&mut self) -> usize {
         let delivered = self.network.run_until_idle();
         if delivered == 0 {
@@ -782,30 +1153,20 @@ impl Monitor {
                 .hosts
                 .get_mut(peer.as_str())
                 .expect("every network peer is hosted");
-            // Per-channel targets are the same for every message of a round:
-            // compute once and share the list across the batch.
-            let mut channel_targets: HashMap<ChannelId, SharedTargets> = HashMap::new();
             for message in inbox {
                 let Some(channel) = message.channel else {
                     continue;
                 };
-                let targets = channel_targets.entry(channel).or_insert_with(|| {
-                    Arc::new(
-                        self.routing
-                            .channel_consumers
-                            .get(&channel)
-                            .into_iter()
-                            .flatten()
-                            .copied()
-                            .filter(|&(sub, task, _)| {
-                                self.subscriptions[sub].channels[task].peer == peer
-                            })
-                            .collect(),
-                    )
-                });
-                if targets.is_empty() {
+                // The channel's consumers on this peer are this peer's group
+                // of the plan the sender emitted by, read on the other side
+                // of the wire — from the plan as it is now, so a consumer
+                // retracted while the message was in flight is gone.
+                let plan =
+                    self.routing
+                        .plan(&channel, &self.subscriptions, &mut self.dispatch_stats);
+                let Some(targets) = plan.and_then(|plan| plan.targets_at(peer)) else {
                     continue;
-                }
+                };
                 host.list_on(&mut self.ready);
                 host.pending_alerts.push(PendingAlert {
                     doc: message.payload,
@@ -894,7 +1255,10 @@ impl Monitor {
         let delivered = self.deliver_network();
         self.retire_idle_hosts();
         #[cfg(debug_assertions)]
-        self.audit_ready_list();
+        {
+            self.audit_ready_list();
+            self.routing.audited.clear();
+        }
         had_local || flushed || delivered > 0
     }
 

@@ -290,15 +290,6 @@ pub(crate) struct ReplicaEntry {
     pub replica_stream: String,
 }
 
-/// Drops the registrations matching `removed` from a routing table, and
-/// the entries left empty.
-fn retract<K, V>(table: &mut HashMap<K, Vec<V>>, removed: impl Fn(&V) -> bool) {
-    table.retain(|_, consumers| {
-        consumers.retain(|consumer| !removed(consumer));
-        !consumers.is_empty()
-    });
-}
-
 /// The P2P Monitor.
 ///
 /// The façade over the per-peer runtimes: peers are registered with
@@ -727,8 +718,7 @@ impl Monitor {
             .map(|(peer, entry)| ChannelId::new(peer, &entry.replica_stream));
         std::iter::once(ChannelId::new(&origin.0, &origin.1))
             .chain(replica_channels)
-            .filter_map(|channel| self.routing.channel_consumers.get(&channel))
-            .flatten()
+            .flat_map(|channel| self.routing.consumers(&channel))
             .map(|&(s, t, _)| (s, t))
     }
 
@@ -892,9 +882,7 @@ impl Monitor {
     /// order) lands on the origin or an independent live replica, and later
     /// orphans may chain behind it.
     fn reattach_orphaned_consumers(&mut self, old_channel: &ChannelId, origin: &(String, String)) {
-        let Some(mut consumers) = self.routing.channel_consumers.remove(old_channel) else {
-            return;
-        };
+        let mut consumers = self.routing.detach_all(old_channel);
         consumers.sort_unstable();
         for (sub, task, port) in consumers {
             let consumer_peer = self.subscriptions[sub].placed.tasks[task].peer.clone();
@@ -922,11 +910,7 @@ impl Monitor {
             {
                 *channel = target;
             }
-            self.routing
-                .channel_consumers
-                .entry(target)
-                .or_default()
-                .push((sub, task, port));
+            self.routing.attach(target, sub, task, port);
         }
     }
 
@@ -1022,9 +1006,7 @@ impl Monitor {
         to: &ChannelId,
         divert: Option<((usize, usize), ChannelId)>,
     ) -> Vec<(usize, usize, usize)> {
-        let Some(consumers) = self.routing.channel_consumers.remove(from) else {
-            return Vec::new();
-        };
+        let consumers = self.routing.detach_all(from);
         for &(sub, task, port) in &consumers {
             let target = match &divert {
                 Some((diverted, channel)) if *diverted == (sub, task) => *channel,
@@ -1035,11 +1017,7 @@ impl Monitor {
             {
                 *channel = target;
             }
-            self.routing
-                .channel_consumers
-                .entry(target)
-                .or_default()
-                .push((sub, task, port));
+            self.routing.attach(target, sub, task, port);
         }
         consumers
     }
@@ -1153,7 +1131,7 @@ impl Monitor {
             let Some(host) = self.hosts.get_mut(&task.peer) else {
                 continue;
             };
-            host.unregister_select(idx, task.id);
+            host.unregister_select(idx, task.id, &mut self.routing.epoch);
             if !host.remove_task(idx, task.id) {
                 continue;
             }
@@ -1172,10 +1150,7 @@ impl Monitor {
         // registration (including the channels they subscribed to for
         // reuse); surviving tasks whose local consumer was removed now feed
         // nothing but their own output channel's subscribers.
-        let routing = &mut self.routing;
-        retract(&mut routing.source_consumers, |&(s, t)| removed(s, t));
-        retract(&mut routing.dynamic_consumers, |&(s, t)| removed(s, t));
-        retract(&mut routing.channel_consumers, |&(s, t, _)| removed(s, t));
+        self.routing.retract_tasks(removed);
 
         // In-flight local work addressed to the removed tasks is discarded
         // (only a host on the ready list can hold any); a host left with
@@ -1204,6 +1179,7 @@ impl Monitor {
             if let Route::Local { task: consumer, .. } = self.subscriptions[idx].routes[task] {
                 if !keep.contains(&consumer) {
                     self.subscriptions[idx].routes[task] = Route::Dropped;
+                    self.routing.epoch.bump();
                 }
             }
         }
@@ -1249,33 +1225,13 @@ impl Monitor {
         }
         // Dynamic sources see every call of their function, and filter by
         // membership themselves.
-        let dynamic_in: Vec<(usize, usize)> = self
-            .routing
-            .dynamic_consumers
-            .get("inCOM")
-            .cloned()
-            .unwrap_or_default();
-        let dynamic_out: Vec<(usize, usize)> = self
-            .routing
-            .dynamic_consumers
-            .get("outCOM")
-            .cloned()
-            .unwrap_or_default();
-        if !dynamic_in.is_empty() {
+        if !self.routing.dynamic_consumers("inCOM").is_empty() {
             let alert = WsAlerter::alert_for(call, p2pmon_alerters::CallDirection::Incoming);
-            self.feed_dynamic(
-                PeerId::from(&callee),
-                &dynamic_in,
-                &std::sync::Arc::new(alert),
-            );
+            self.feed_dynamic(PeerId::from(&callee), "inCOM", &std::sync::Arc::new(alert));
         }
-        if !dynamic_out.is_empty() {
+        if !self.routing.dynamic_consumers("outCOM").is_empty() {
             let alert = WsAlerter::alert_for(call, p2pmon_alerters::CallDirection::Outgoing);
-            self.feed_dynamic(
-                PeerId::from(&caller),
-                &dynamic_out,
-                &std::sync::Arc::new(alert),
-            );
+            self.feed_dynamic(PeerId::from(&caller), "outCOM", &std::sync::Arc::new(alert));
         }
     }
 
@@ -1500,6 +1456,8 @@ impl Monitor {
         m.set_attr("plainDeliveries", d.plain_deliveries.to_string());
         m.set_attr("sinkCloneBytes", d.sink_clone_bytes.to_string());
         m.set_attr("hostVisits", d.host_visits.to_string());
+        m.set_attr("plansCompiled", d.plans_compiled.to_string());
+        m.set_attr("gatesResolved", d.gates_resolved.to_string());
         m.set_attr("operatorInvocations", self.operator_invocations.to_string());
         metrics.push(m);
         let n = self.network.stats();
@@ -1589,11 +1547,8 @@ impl Monitor {
         def_refs.sort();
         let replicas = self.live_replicas();
         let mut by_origin: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for (channel, consumers) in &self.routing.channel_consumers {
-            if consumers.is_empty() {
-                continue;
-            }
-            *by_origin.entry(self.channel_origin(channel)).or_default() += consumers.len();
+        for (channel, consumers) in self.routing.consumed_channels() {
+            *by_origin.entry(self.channel_origin(channel)).or_default() += consumers;
         }
         BookkeepingSnapshot {
             subscriptions: self.subscription_count(),
@@ -1635,5 +1590,17 @@ impl Monitor {
                     .collect(),
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// A monitor can be built on one thread and driven on another: what it
+    /// keeps across rounds — compiled plans and gate resolutions included — is
+    /// owned or `Arc`-shared, never `Rc`.  Fails to compile otherwise.
+    #[test]
+    fn monitor_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<super::Monitor>();
     }
 }

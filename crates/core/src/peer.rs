@@ -27,7 +27,7 @@ use p2pmon_filter::{EngineMode, FilterEngine, FilterStats, FilterSubscription, S
 use p2pmon_streams::{ChannelId, StreamItem};
 use p2pmon_xmlkit::Element;
 
-use crate::dispatch::source_channel;
+use crate::dispatch::{source_channel, FanoutEpoch, SharedTargets, TargetList};
 use crate::runtime::RuntimeOperator;
 
 /// One unit of pending work: an item addressed to a hosted task.
@@ -51,13 +51,14 @@ pub(crate) struct Work {
 /// One alert awaiting the peer's next batched dispatch pass, together with
 /// its delivery targets `(subscription, task, port)` — all of them tasks
 /// hosted on this peer.  The target list is shared (`Arc`) because every
-/// alert of a drain fans out to the same consumers.
+/// alert of a feed or a channel fans out to the same consumers for as long as
+/// the deployment stands.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingAlert {
     /// The alert document (shared with every other consumer of the alert).
     pub doc: std::sync::Arc<Element>,
     /// Delivery targets on this peer.
-    pub targets: std::sync::Arc<Vec<(usize, usize, usize)>>,
+    pub targets: SharedTargets,
 }
 
 /// The alerters installed on one peer, at most one per function (plus one per
@@ -372,16 +373,33 @@ impl PeerHost {
 
     /// Registers a hosted Select task's simple conditions and tree patterns
     /// with the shared engine (the *offline adjustment* of Figure 5,
-    /// performed at deployment time).
-    pub(crate) fn register_select(&mut self, sub: usize, task: usize, filter: FilterSubscription) {
+    /// performed at deployment time).  Gate resolutions made before it are
+    /// stale: the caller hands in the monitor's fan-out epoch to bump.
+    pub(crate) fn register_select(
+        &mut self,
+        sub: usize,
+        task: usize,
+        filter: FilterSubscription,
+        epoch: &mut FanoutEpoch,
+    ) {
+        epoch.bump();
         self.gates.insert((sub, task), filter.id);
         self.engine.add(filter);
     }
 
-    /// Unregisters a Select task (teardown path).
-    pub(crate) fn unregister_select(&mut self, sub: usize, task: usize) -> bool {
+    /// Unregisters a Select task (teardown path), bumping the fan-out epoch
+    /// when there was a gate to remove.
+    pub(crate) fn unregister_select(
+        &mut self,
+        sub: usize,
+        task: usize,
+        epoch: &mut FanoutEpoch,
+    ) -> bool {
         match self.gates.remove(&(sub, task)) {
-            Some(id) => self.engine.remove(id),
+            Some(id) => {
+                epoch.bump();
+                self.engine.remove(id)
+            }
             None => false,
         }
     }
@@ -442,12 +460,15 @@ impl PeerHost {
         let removed = |s: usize, t: usize| s == sub && !keep.contains(&t);
         self.queue.retain(|work| !removed(work.sub, work.task));
         for alert in &mut self.pending_alerts {
-            if alert.targets.iter().any(|&(s, t, _)| removed(s, t)) {
-                std::sync::Arc::make_mut(&mut alert.targets).retain(|&(s, t, _)| !removed(s, t));
+            let targets = alert.targets.targets();
+            if targets.iter().any(|&(s, t, _)| removed(s, t)) {
+                let kept = targets.iter().filter(|&&(s, t, _)| !removed(s, t));
+                let kept: Vec<_> = kept.copied().collect();
+                alert.targets = TargetList::new(alert.targets.epoch(), kept);
             }
         }
         self.pending_alerts
-            .retain(|alert| !alert.targets.is_empty());
+            .retain(|alert| !alert.targets.targets().is_empty());
     }
 }
 
@@ -484,7 +505,9 @@ mod tests {
             CompareOp::Eq,
             "Get",
         )]);
-        host.register_select(3, 2, filter);
+        let mut epoch = FanoutEpoch::default();
+        host.register_select(3, 2, filter, &mut epoch);
+        assert_ne!(epoch, FanoutEpoch::default(), "a new gate bumps the epoch");
         assert_eq!(host.gate(3, 2), Some(SubscriptionId(7)));
         assert_eq!(host.gate(3, 1), None);
         assert_eq!(host.registered_selects(), 1);
@@ -497,8 +520,10 @@ mod tests {
             .contains(&SubscriptionId(7)));
         assert!(host.engine.process(&miss).matched.is_empty());
         assert_eq!(host.filter_stats().documents, 2);
-        assert!(host.unregister_select(3, 2));
-        assert!(!host.unregister_select(3, 2));
+        let registered = epoch;
+        assert!(host.unregister_select(3, 2, &mut epoch));
+        assert_ne!(epoch, registered, "a removed gate bumps the epoch");
+        assert!(!host.unregister_select(3, 2, &mut epoch));
         assert_eq!(host.registered_selects(), 0);
     }
 }

@@ -57,6 +57,116 @@ impl CloneWithSeed for SubscriptionStorm {
     }
 }
 
+/// One step of the churn alphabet: `(operation, argument, drained)`.
+/// Operations: 0 subscribe, 1 unsubscribe the `argument`-th live
+/// subscription, 2 crash a cluster, 3 recover every crashed cluster,
+/// 4 partition along cluster lines, 5 heal, 6 `enforce_replica_policy`,
+/// anything else nothing.  Every step then injects three calls and runs the
+/// monitor until idle — or, when `drained` is false, for one bare `tick()`,
+/// so the next step's deploy, teardown or fault finds alerts batched on
+/// their consuming hosts and messages in flight.
+type ChurnStep = (u8, usize, bool);
+
+/// Runs `n_base` subscriptions of the clustered `storm` and then `steps`
+/// through a monitor built from `config` (the storm's latency model
+/// applied); ends recovered, healed and drained.
+fn churn(
+    storm: &OverlappingStorm,
+    clusters: usize,
+    per_cluster: usize,
+    config: MonitorConfig,
+    n_base: usize,
+    steps: &[ChurnStep],
+) -> (Monitor, Vec<Option<SubscriptionHandle>>) {
+    let cluster_peers = |c: usize| -> Vec<String> {
+        (0..per_cluster)
+            .map(|p| format!("c{c}-peer{p}.org"))
+            .collect()
+    };
+    let mut monitor = Monitor::new(MonitorConfig {
+        network: p2pmon_net::NetworkConfig {
+            latency: storm.latency_model(),
+            ..p2pmon_net::NetworkConfig::default()
+        },
+        ..config
+    });
+    monitor.add_peer("backend.net");
+    let mut traffic = storm.clone();
+    let mut handles: Vec<Option<SubscriptionHandle>> = Vec::new();
+    let subscribe = |monitor: &mut Monitor, handles: &mut Vec<Option<SubscriptionHandle>>| {
+        let i = handles.len();
+        let handle = monitor
+            .submit(storm.manager_of(i), &storm.subscription(i))
+            .expect("churn storm deploys");
+        handles.push(Some(handle));
+    };
+    for _ in 0..n_base {
+        subscribe(&mut monitor, &mut handles);
+    }
+    let mut downed: Vec<usize> = Vec::new();
+    for &(op, arg, drained) in steps {
+        match op {
+            0 => subscribe(&mut monitor, &mut handles),
+            1 => {
+                let live: Vec<usize> = handles
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, h)| h.as_ref().map(|_| i))
+                    .collect();
+                if !live.is_empty() {
+                    let victim = live[arg % live.len()];
+                    let handle = handles[victim].take().expect("victim was live");
+                    monitor.unsubscribe(&handle);
+                }
+            }
+            2 => {
+                let c = arg % clusters;
+                if !downed.contains(&c) {
+                    downed.push(c);
+                    for peer in cluster_peers(c) {
+                        monitor.fail_peer(&peer);
+                    }
+                }
+            }
+            3 => {
+                for c in downed.drain(..) {
+                    for peer in cluster_peers(c) {
+                        monitor.recover_peer(&peer);
+                    }
+                }
+            }
+            4 => {
+                let groups: Vec<Vec<String>> = (0..clusters).map(cluster_peers).collect();
+                monitor.partition_peers(&groups);
+            }
+            5 => monitor.heal_partition(),
+            6 => {
+                monitor.enforce_replica_policy();
+            }
+            _ => {}
+        }
+        for call in traffic.calls(3) {
+            monitor.inject_soap_call(&call);
+        }
+        if drained {
+            monitor.run_until_idle();
+        } else {
+            monitor.tick();
+        }
+    }
+    for c in downed.drain(..) {
+        for peer in cluster_peers(c) {
+            monitor.recover_peer(&peer);
+        }
+    }
+    monitor.heal_partition();
+    for call in traffic.calls(10) {
+        monitor.inject_soap_call(&call);
+    }
+    monitor.run_until_idle();
+    (monitor, handles)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -427,92 +537,14 @@ proptest! {
         ops in proptest::collection::vec((0u8..6, 0usize..16), 1..12),
     ) {
         let storm = OverlappingStorm::clustered(seed, shapes, clusters, per_cluster);
-        let cluster_peers = |c: usize| -> Vec<String> {
-            (0..per_cluster).map(|p| format!("c{c}-peer{p}.org")).collect()
-        };
-        let run = |naive_dispatch: bool, enable_replicas: bool|
-            -> (Monitor, Vec<Option<SubscriptionHandle>>) {
-            let mut monitor = Monitor::new(MonitorConfig {
+        let steps: Vec<ChurnStep> = ops.iter().map(|&(op, arg)| (op, arg, true)).collect();
+        let run = |naive_dispatch: bool, enable_replicas: bool| {
+            let config = MonitorConfig {
                 naive_dispatch,
                 enable_replicas,
-                network: p2pmon_net::NetworkConfig {
-                    latency: storm.latency_model(),
-                    ..p2pmon_net::NetworkConfig::default()
-                },
                 ..MonitorConfig::default()
-            });
-            monitor.add_peer("backend.net");
-            let mut traffic = storm.clone();
-            let mut handles: Vec<Option<SubscriptionHandle>> = Vec::new();
-            let mut next_sub = 0usize;
-            let subscribe = |monitor: &mut Monitor,
-                                 handles: &mut Vec<Option<SubscriptionHandle>>,
-                                 next_sub: &mut usize| {
-                let i = *next_sub;
-                *next_sub += 1;
-                let handle = monitor
-                    .submit(storm.manager_of(i), &storm.subscription(i))
-                    .expect("churn storm deploys");
-                handles.push(Some(handle));
             };
-            for _ in 0..n_base {
-                subscribe(&mut monitor, &mut handles, &mut next_sub);
-            }
-            let mut downed: Vec<usize> = Vec::new();
-            for &(op, arg) in &ops {
-                match op {
-                    0 => subscribe(&mut monitor, &mut handles, &mut next_sub),
-                    1 => {
-                        let live: Vec<usize> = handles
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, h)| h.as_ref().map(|_| i))
-                            .collect();
-                        if !live.is_empty() {
-                            let victim = live[arg % live.len()];
-                            let handle = handles[victim].take().expect("victim was live");
-                            monitor.unsubscribe(&handle);
-                        }
-                    }
-                    2 => {
-                        let c = arg % clusters;
-                        if !downed.contains(&c) {
-                            downed.push(c);
-                            for peer in cluster_peers(c) {
-                                monitor.fail_peer(&peer);
-                            }
-                        }
-                    }
-                    3 => {
-                        for c in downed.drain(..) {
-                            for peer in cluster_peers(c) {
-                                monitor.recover_peer(&peer);
-                            }
-                        }
-                    }
-                    4 => {
-                        let groups: Vec<Vec<String>> =
-                            (0..clusters).map(cluster_peers).collect();
-                        monitor.partition_peers(&groups);
-                    }
-                    _ => monitor.heal_partition(),
-                }
-                for call in traffic.calls(3) {
-                    monitor.inject_soap_call(&call);
-                }
-                monitor.run_until_idle();
-            }
-            for c in downed.drain(..) {
-                for peer in cluster_peers(c) {
-                    monitor.recover_peer(&peer);
-                }
-            }
-            monitor.heal_partition();
-            for call in traffic.calls(10) {
-                monitor.inject_soap_call(&call);
-            }
-            monitor.run_until_idle();
-            (monitor, handles)
+            churn(&storm, clusters, per_cluster, config, n_base, &steps)
         };
 
         let (engine, engine_h) = run(false, true);
@@ -549,6 +581,67 @@ proptest! {
                 "drop ledger identity (seed {seed})"
             );
         }
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Engine ≡ naive with work in flight across every edit of the
+    /// deployment.  The properties above compare after `run_until_idle`,
+    /// where no alert is ever batched across a deploy; here a step may end
+    /// after one bare `tick()`, so the following `submit`, `unsubscribe`,
+    /// `enforce_replica_policy` or cluster crash finds alerts batched on
+    /// their consuming hosts under target lists, multicast plans and gate
+    /// resolutions compiled before it.  Both monitors run the same replica
+    /// policy over the same network, so they hold the same items in flight
+    /// at every step; whatever the engine side kept compiled across the
+    /// edit must deliver what the oracle — which gates nothing and keeps no
+    /// resolution — delivers.
+    #[test]
+    fn engine_equals_naive_with_alerts_in_flight_across_deployment_edits(
+        seed in 0u64..10_000,
+        shapes in 1usize..4,
+        clusters in 2usize..4,
+        per_cluster in 1usize..4,
+        n_base in 1usize..10,
+        min_rate in 0u32..120,
+        steps in proptest::collection::vec((0u8..8, 0usize..16, proptest::bool::ANY), 1..20),
+    ) {
+        let storm = OverlappingStorm::clustered(seed, shapes, clusters, per_cluster);
+        let run = |naive_dispatch: bool| {
+            let config = MonitorConfig {
+                naive_dispatch,
+                replica_policy: ReplicaPolicy {
+                    min_rate: min_rate as f64,
+                    ..ReplicaPolicy::default()
+                },
+                ..MonitorConfig::default()
+            };
+            churn(&storm, clusters, per_cluster, config, n_base, &steps)
+        };
+        let (engine, engine_h) = run(false);
+        let (naive, naive_h) = run(true);
+        prop_assert_eq!(engine_h.len(), naive_h.len());
+        for (i, (e, n)) in engine_h.iter().zip(&naive_h).enumerate() {
+            let (Some(e), Some(n)) = (e, n) else {
+                prop_assert!(e.is_none() && n.is_none());
+                continue;
+            };
+            prop_assert_eq!(
+                engine.results(e),
+                naive.results(n),
+                "engine-vs-naive divergence at sub {} (seed {}, {} shapes, {}x{}, min_rate {}, {:?})",
+                i, seed, shapes, clusters, per_cluster, min_rate, steps
+            );
+        }
+        prop_assert_eq!(
+            engine.network_stats().total_messages,
+            naive.network_stats().total_messages,
+            "gating never changes what crosses the wire"
+        );
+        prop_assert_eq!(engine.bookkeeping_snapshot(), naive.bookkeeping_snapshot());
     }
 }
 
@@ -669,4 +762,118 @@ fn engine_switching_strategy_mid_batch_leaves_the_sinks_unchanged() {
 
     let stats = deployments[0].0.filter_stats();
     assert_eq!((stats.promotions, stats.demotions), (1, 1));
+}
+
+/// The stale-gate case: an item is batched for a host whose pass-through
+/// `ChannelSource` is collapsed into the `Select` it feeds, and *then* a new
+/// subscription taps that pass-through's output channel (the host's replica
+/// of the stream).  Gates are resolved when the batch is drained, against the
+/// tables as they are then, so the pass-through runs after all and the new
+/// subscriber receives the item — exactly as under `naive_dispatch`, where
+/// nothing is ever collapsed.  A design that resolved the gate when the item
+/// was batched would deliver it to the select alone.
+#[test]
+fn an_item_batched_before_a_tap_is_deployed_reaches_the_new_subscriber() {
+    let sinks = |naive_dispatch: bool| {
+        // Centralized placement keeps every operator on its manager: the
+        // producer's root emits from p.org, the consumers run on watcher.org.
+        let mut monitor = Monitor::new(MonitorConfig {
+            naive_dispatch,
+            placement: PlacementStrategy::Centralized,
+            ..MonitorConfig::default()
+        });
+        for peer in ["p.org", "hub.net", "backend.net", "watcher.org"] {
+            monitor.add_peer(peer);
+        }
+        let producer = monitor
+            .submit(
+                "p.org",
+                r#"for $c in outCOM(<p>hub.net</p>)
+                   where $c.callMethod = "Get"
+                   return <hit method="{$c.callMethod}"/>
+                   by publish as channel "feed";"#,
+            )
+            .expect("producer deploys");
+        // A remote consumer: `ChannelSource → Select` on watcher.org, which
+        // also makes watcher.org re-publish the stream (its pass-through's
+        // output channel is the replica).
+        let filtered = monitor
+            .submit(
+                "watcher.org",
+                r##"for $x in channel("#feed@p.org")
+                    where $x.method = "Get"
+                    return <filtered method="{$x.method}"/>
+                    by email "ops@watcher.org";"##,
+            )
+            .expect("consumer deploys");
+
+        let call = |id: u64| {
+            p2pmon_alerters::SoapCall::new(
+                id,
+                "http://hub.net",
+                "http://backend.net",
+                "Get",
+                1_000 * id,
+                1_000 * id + 20,
+            )
+        };
+        // A first item, all the way through: watcher.org has now resolved
+        // the gates of the plan's target list once — collapsed — and keeps
+        // that resolution for as long as the deployment stands.
+        monitor.inject_soap_call(&call(1));
+        monitor.run_until_idle();
+        assert_eq!(monitor.results(&filtered).len(), 1);
+
+        monitor.inject_soap_call(&call(2));
+        // Bare rounds, until the network has delivered the item and it sits
+        // batched on watcher.org under the pass-through's target.
+        let batched = |monitor: &Monitor| {
+            let watcher = monitor.peer_host("watcher.org").expect("hosted");
+            watcher.pending_alert_count()
+        };
+        let mut rounds = 0;
+        while batched(&monitor) == 0 {
+            rounds += 1;
+            assert!(rounds <= 4 && monitor.tick(), "the item never arrived");
+        }
+        assert_eq!(batched(&monitor), 1, "the item is batched");
+        assert_eq!(monitor.results(&filtered).len(), 1);
+
+        // The closest provider of the stream for a watcher.org subscriber is
+        // watcher.org's own replica: the pass-through's output channel.
+        let tap = monitor
+            .submit(
+                "watcher.org",
+                r##"for $x in channel("#feed@p.org")
+                    return <tapped method="{$x.method}"/>
+                    by email "audit@watcher.org";"##,
+            )
+            .expect("tap deploys");
+        let attached = monitor.subscribed_providers(&tap);
+        assert_eq!(attached.len(), 1);
+        assert_eq!(attached[0].0, "watcher.org", "the tap rides the replica");
+        assert_eq!(
+            monitor.replica_stats().consumers_via_replica,
+            1,
+            "…and was served by it"
+        );
+
+        monitor.tick();
+        monitor.run_until_idle();
+        [producer, filtered, tap].map(|handle| monitor.results(&handle))
+    };
+    let [produced, filtered, tapped] = sinks(false);
+    assert_eq!(produced.len(), 2);
+    assert_eq!(filtered.len(), 2);
+    assert_eq!(
+        tapped.len(),
+        1,
+        "the item batched before the tap was deployed reaches the tap"
+    );
+    assert_eq!(tapped[0].attr("method"), Some("Get"));
+    assert_eq!(
+        [produced, filtered, tapped],
+        sinks(true),
+        "identically under naive dispatch"
+    );
 }

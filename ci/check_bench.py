@@ -72,6 +72,7 @@ REQUIRED = {
             "naive_ns_per_doc",
             "speedup",
             "staged_ns_per_doc",
+            "condition_probes_per_doc",
             "mode",
             "promotions",
             "demotions",
@@ -657,6 +658,7 @@ FIXTURE_FILTER = {
             "naive_ns_per_doc": 520,
             "speedup": 1.3,
             "staged_ns_per_doc": 900,
+            "condition_probes_per_doc": 4.0,
             "mode": "naive",
             "promotions": 0,
             "demotions": 0,
@@ -667,6 +669,7 @@ FIXTURE_FILTER = {
             "naive_ns_per_doc": 800,
             "speedup": 8.0,
             "staged_ns_per_doc": 95,
+            "condition_probes_per_doc": 4.0,
             "mode": "staged",
             "promotions": 1,
             "demotions": 0,

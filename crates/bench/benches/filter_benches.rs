@@ -238,8 +238,10 @@ fn best_ns_per_doc(repeats: usize, docs: usize, mut run: impl FnMut() -> usize) 
 /// Emits the BENCH_filter.json trajectory at the workspace root: the E2
 /// adaptive-engine-vs-naive shape per subscription count (with the mode the
 /// cost model settled on and its promotion/demotion counters), an
-/// always-staged reference column, the E3 (AES hash-tree) and E4 (YFilter
-/// NFA) structural sizes per row, plus the E5 lazy service-call counters.
+/// always-staged reference column with the preFilter probes it counted per
+/// document (deterministic, unlike the timings), the E3 (AES hash-tree) and
+/// E4 (YFilter NFA) structural sizes per row, plus the E5 lazy service-call
+/// counters.
 fn emit_trajectory(_c: &mut Criterion) {
     let repeats = if full_run_requested() { 5 } else { 3 };
     let n_docs = if full_run_requested() { 128 } else { 64 };
@@ -276,11 +278,13 @@ fn emit_trajectory(_c: &mut Criterion) {
         });
         let stats = &engine.stats;
         let complex_per_doc = stats.complex_evaluations as f64 / stats.documents.max(1) as f64;
+        let probes_per_doc =
+            staged.stats.condition_probes as f64 / staged.stats.documents.max(1) as f64;
         eprintln!(
             "filter [{subs} subs]: adaptive {engine_ns:.0} ns/doc ({} mode) vs naive \
-             {naive_ns:.0} ns/doc (speedup {:.2}x), staged reference {staged_ns:.0} ns/doc; \
-             {} promotions, {} demotions, {} AES nodes, {} NFA states, {complex_per_doc:.1} \
-             complex evaluations/doc",
+             {naive_ns:.0} ns/doc (speedup {:.2}x), staged reference {staged_ns:.0} ns/doc \
+             at {probes_per_doc:.2} preFilter probes/doc; {} promotions, {} demotions, \
+             {} AES nodes, {} NFA states, {complex_per_doc:.1} complex evaluations/doc",
             engine.mode(),
             naive_ns / engine_ns,
             stats.promotions,
@@ -291,7 +295,8 @@ fn emit_trajectory(_c: &mut Criterion) {
         rows.push(format!(
             "    {{\"subscriptions\": {subs}, \"engine_ns_per_doc\": {engine_ns:.0}, \
              \"naive_ns_per_doc\": {naive_ns:.0}, \"speedup\": {:.3}, \
-             \"staged_ns_per_doc\": {staged_ns:.0}, \"mode\": \"{}\", \
+             \"staged_ns_per_doc\": {staged_ns:.0}, \
+             \"condition_probes_per_doc\": {probes_per_doc:.2}, \"mode\": \"{}\", \
              \"promotions\": {}, \"demotions\": {}, \
              \"aes_nodes\": {}, \"yfilter_states\": {}, \
              \"complex_evaluations_per_doc\": {complex_per_doc:.2}}}",

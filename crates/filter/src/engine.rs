@@ -6,8 +6,8 @@
 //!
 //! # Cost-adaptive dispatch
 //!
-//! The staged pipeline has a fixed per-document overhead (prefilter alphabet
-//! scan, hash-tree walk, automaton set expansion) that only pays for itself
+//! The staged pipeline has a fixed per-document overhead (prefilter index
+//! lookups, hash-tree walk, automaton set expansion) that only pays for itself
 //! past a break-even number of subscriptions; below it, a memoized linear
 //! scan is faster.  Both strategies answer the same two questions — which
 //! subscriptions do the root attributes settle (the *simple stage*), and
@@ -94,7 +94,11 @@ const PROMOTE_MARGIN: f64 = 1.25;
 const DEMOTE_FRACTION: f64 = 0.5;
 /// Fixed per-document overhead of the staged pipeline, in work units.
 const STAGED_BASE: f64 = 32.0;
-/// Estimated staged cost per live distinct simple condition.
+/// Estimated staged cost per live distinct simple condition.  Calibrated
+/// when the preFilter evaluated every condition on an attribute the root
+/// carries; it now looks the value up, so a live condition costs the staged
+/// pipeline less than this says and the engine promotes later than it could
+/// (`adaptive_probe` prints where the break-even lies).
 const CONDITION_UNIT: f64 = 0.5;
 /// Estimated staged cost per live tree pattern.
 const PATTERN_UNIT: f64 = 0.5;
@@ -136,6 +140,11 @@ pub struct FilterStats {
     pub promotions: u64,
     /// Staged → naive demotions (hysteresis on `remove`).
     pub demotions: u64,
+    /// The preFilter's work on the staged path: index structures consulted
+    /// plus simple conditions evaluated one by one
+    /// ([`PreFilter::condition_probes`]).  The naive scan has no preFilter
+    /// and adds nothing.
+    pub condition_probes: u64,
 }
 
 impl FilterStats {
@@ -151,6 +160,7 @@ impl FilterStats {
         self.naive_documents += other.naive_documents;
         self.promotions += other.promotions;
         self.demotions += other.demotions;
+        self.condition_probes += other.condition_probes;
     }
 }
 
@@ -370,11 +380,7 @@ impl NaiveTables {
         // re-finding and re-parsing the attribute (`AttrCondition::eval` does
         // both per call — that repetition is most of the plain naive filter's
         // cost).
-        let root_attrs: Vec<(&str, Value)> = document
-            .attributes
-            .iter()
-            .map(|(k, v)| (k.as_str(), Value::from_literal(v)))
-            .collect();
+        let root_attrs: Vec<(&str, Value)> = document.typed_attrs().collect();
         let (mut matched, mut active) = (Vec::new(), Vec::new());
         for si in 0..self.subs.len() {
             let holds = (0..self.subs[si].cond_ids.len())
@@ -541,9 +547,11 @@ impl StagedIndex {
         }
     }
 
-    /// The prefilter alphabet is append-only; when dead conditions dominate
-    /// it the per-document `satisfied` scan pays for structure nobody
-    /// references, and the index is due a rebuild.
+    /// The prefilter alphabet is append-only.  A dead condition is not
+    /// scanned, but it keeps its memory, its place in a range list (so it is
+    /// still reported when a value satisfies it, and the AES walk steps over
+    /// it) and its slot in an `=` map; when dead conditions dominate, the
+    /// index is due a rebuild.
     fn alphabet_mostly_dead(&self) -> bool {
         let alphabet = self.prefilter.alphabet_size();
         alphabet > 64 && alphabet > 2 * self.live_condition_refs.len()
@@ -837,7 +845,12 @@ impl FilterEngine {
                 self.stats.naive_documents += 1;
                 tables.simple_stage(document)
             }
-            Index::Staged { stages, .. } => stages.simple_stage(document),
+            Index::Staged { stages, .. } => {
+                let probes_before = stages.prefilter.condition_probes;
+                let stage = stages.simple_stage(document);
+                self.stats.condition_probes += stages.prefilter.condition_probes - probes_before;
+                stage
+            }
         };
         active.sort_unstable();
         active.dedup();
@@ -1373,6 +1386,7 @@ mod tests {
             naive_documents: 2,
             promotions: 1,
             demotions: 1,
+            condition_probes: 7,
         };
         let mut b = a;
         b.absorb(&a);
@@ -1382,6 +1396,7 @@ mod tests {
         assert_eq!(b.naive_documents, 4);
         assert_eq!(b.promotions, 2);
         assert_eq!(b.demotions, 2);
+        assert_eq!(b.condition_probes, 14);
     }
 
     #[test]

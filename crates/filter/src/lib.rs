@@ -10,9 +10,12 @@
 //! `Q'ᵢ` (a linear tree-pattern query).  The filter exploits that split by
 //! running three modules in sequence:
 //!
-//! 1. [`PreFilter`] — reads only the root tag and evaluates every registered
-//!    simple condition, organised in a hash table keyed by attribute name.
-//!    It outputs the ordered list of satisfied conditions.
+//! 1. [`PreFilter`] — reads only the root tag and looks each attribute's
+//!    value up among the registered simple conditions, organised in a hash
+//!    table keyed by attribute name and, under each name, indexed by value
+//!    (`=` in hash maps, numeric ranges in sorted lists; only `!=` and
+//!    string-ordered ranges are evaluated one by one).  It outputs the
+//!    ordered list of satisfied conditions.
 //! 2. [`AesFilter`] — the Atomic Event Set hash-tree (Nguyen et al., SIGMOD
 //!    2001): feeding the satisfied-condition sequence through the tree yields
 //!    (i) the *simple* subscriptions that are fully matched and (ii) the

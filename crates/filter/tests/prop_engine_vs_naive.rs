@@ -12,7 +12,18 @@ use p2pmon_xmlkit::path::CompareOp;
 use p2pmon_xmlkit::{Element, PathPattern};
 
 const ATTRS: &[&str] = &["callMethod", "callee", "dur", "kind", "peer"];
-const VALUES: &[&str] = &["GetTemperature", "meteo.com", "5", "20", "rss", "p1"];
+/// Strings and numbers, two of them one number spelled twice: range
+/// conditions over these reach the staged preFilter's sorted lists.
+const VALUES: &[&str] = &[
+    "GetTemperature",
+    "meteo.com",
+    "5",
+    "5.0",
+    "20",
+    "-1.5",
+    "rss",
+    "p1",
+];
 const TAGS: &[&str] = &["soap", "body", "city", "item", "title", "error", "entry"];
 
 fn attr_condition_strategy() -> impl Strategy<Value = AttrCondition> {
@@ -22,7 +33,9 @@ fn attr_condition_strategy() -> impl Strategy<Value = AttrCondition> {
             CompareOp::Eq,
             CompareOp::Ne,
             CompareOp::Lt,
+            CompareOp::Le,
             CompareOp::Gt,
+            CompareOp::Ge,
         ]),
         proptest::sample::select(VALUES.to_vec()),
     )

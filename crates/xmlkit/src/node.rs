@@ -104,6 +104,18 @@ impl Element {
         self.attr(name).map(Value::from_literal)
     }
 
+    /// The attributes as typed [`Value`]s, in document order.  A repeated
+    /// name yields its first occurrence only, the one [`Element::attr`]
+    /// finds: whoever tests many conditions against one element types it
+    /// once through this instead of once per [`Element::attr_value`] call.
+    pub fn typed_attrs(&self) -> impl Iterator<Item = (&str, Value)> {
+        self.attributes
+            .iter()
+            .enumerate()
+            .filter(|&(i, (name, _))| self.attributes[..i].iter().all(|(seen, _)| seen != name))
+            .map(|(_, (name, raw))| (name.as_str(), Value::from_literal(raw)))
+    }
+
     /// Sets (or replaces) an attribute.
     pub fn set_attr(&mut self, name: impl Into<String>, value: impl Into<String>) -> &mut Self {
         let name = name.into();
@@ -292,6 +304,22 @@ mod tests {
         e.set_attr("callId", "8");
         assert_eq!(e.attr("callId"), Some("8"));
         assert_eq!(e.attributes.len(), 2, "set_attr must replace, not append");
+    }
+
+    #[test]
+    fn typed_attrs_keeps_the_first_of_a_repeated_name() {
+        let mut e = sample();
+        // Only a parser or a direct push can repeat a name; `set_attr` cannot.
+        e.attributes.push(("callId".into(), "8".into()));
+        let typed: Vec<(&str, Value)> = e.typed_attrs().collect();
+        assert_eq!(
+            typed,
+            vec![
+                ("callId", Value::Integer(7)),
+                ("caller", Value::Str("http://a.com".into())),
+            ]
+        );
+        assert_eq!(e.attr_value("callId"), Some(Value::Integer(7)));
     }
 
     #[test]

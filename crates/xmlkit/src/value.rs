@@ -7,6 +7,7 @@
 //! fractional.  Comparison follows XPath-like coercion: if both sides parse as
 //! numbers they compare numerically, otherwise as strings.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -81,11 +82,18 @@ impl Value {
     /// The canonical string representation (used when constructing RETURN
     /// output trees).
     pub fn as_string(&self) -> String {
+        self.canonical_str().into_owned()
+    }
+
+    /// The canonical string representation, borrowed when the value already
+    /// holds it: what non-numeric comparisons order by.
+    pub fn canonical_str(&self) -> Cow<'_, str> {
         match self {
-            Value::Integer(i) => i.to_string(),
-            Value::Float(f) => format_float(*f),
-            Value::Bool(b) => b.to_string(),
-            Value::Str(s) => s.clone(),
+            Value::Integer(i) => Cow::Owned(i.to_string()),
+            Value::Float(f) => Cow::Owned(format_float(*f)),
+            Value::Bool(true) => Cow::Borrowed("true"),
+            Value::Bool(false) => Cow::Borrowed("false"),
+            Value::Str(s) => Cow::Borrowed(s),
         }
     }
 
@@ -96,7 +104,7 @@ impl Value {
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self.as_number(), other.as_number()) {
             (Some(a), Some(b)) => a.partial_cmp(&b),
-            _ => Some(self.as_string().cmp(&other.as_string())),
+            _ => Some(self.canonical_str().cmp(&other.canonical_str())),
         }
     }
 
@@ -223,6 +231,54 @@ mod tests {
             Value::Str("abc".into()).compare(&Value::Str("abd".into())),
             Some(Ordering::Less)
         );
+    }
+
+    #[test]
+    fn compare_borrows_but_orders_as_the_cloning_definition_did() {
+        // `compare` as it was while it cloned both sides to order them.
+        fn by_cloning(a: &Value, b: &Value) -> Option<Ordering> {
+            match (a.as_number(), b.as_number()) {
+                (Some(a), Some(b)) => a.partial_cmp(&b),
+                _ => Some(a.as_string().cmp(&b.as_string())),
+            }
+        }
+        let spellings = [
+            "5",
+            "5.0",
+            " 5 ",
+            "-0",
+            "-0.0",
+            "0",
+            "1e1",
+            "9007199254740993",
+            "9007199254740992",
+            "true",
+            " true",
+            "false",
+            "inf",
+            "NaN",
+            "",
+            "abc",
+            "ABC",
+            " abc ",
+            "10",
+            "9a",
+        ];
+        // Each spelling as a literal would type it and as the raw string it
+        // is: `Str("5")` is numeric to `compare` though no literal yields it.
+        let values: Vec<Value> = spellings
+            .iter()
+            .flat_map(|s| [Value::from_literal(s), Value::Str(s.to_string())])
+            .collect();
+        for a in &values {
+            for b in &values {
+                assert_eq!(a.compare(b), by_cloning(a, b), "{a:?} vs {b:?}");
+            }
+        }
+        assert!(matches!(
+            Value::Str("x".into()).canonical_str(),
+            Cow::Borrowed("x")
+        ));
     }
 
     #[test]

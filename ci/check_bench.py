@@ -9,8 +9,8 @@ the workspace root:
     python3 ci/check_bench.py schema      # every trajectory parses and
                                           # carries the fields the gates read
     python3 ci/check_bench.py dispatch    # engine >= 3x naive at 256 subs
-    python3 ci/check_bench.py filter      # adaptive engine never slower than
-                                          # naive; >= 5.5x at 10000 subs
+    python3 ci/check_bench.py filter      # engine never slower than naive;
+                                          # >= 5.5x at 10000 subs
     python3 ci/check_bench.py reuse       # reuse hit rate >= 50% and no
                                           # added traffic at 256 subs
     python3 ci/check_bench.py replica     # replicas serve >= 50% of remote
@@ -71,11 +71,7 @@ REQUIRED = {
             "engine_ns_per_doc",
             "naive_ns_per_doc",
             "speedup",
-            "staged_ns_per_doc",
             "condition_probes_per_doc",
-            "mode",
-            "promotions",
-            "demotions",
         ],
     },
     "reuse": {
@@ -180,21 +176,20 @@ FILTER_CEILING_SPEEDUP = 5.5
 
 
 def gate_filter(data):
-    """The cost-adaptive filter engine must never be slower than the naive
-    scan at ANY measured subscription count (the small-N regression gate),
-    and must keep its large-N ceiling: >= 5.5x over naive at 10000
-    subscriptions, where the cost model should have promoted to staged."""
+    """The filter engine must never be slower than the naive scan at ANY
+    measured subscription count (the small-N regression gate), and must keep
+    its large-N ceiling: >= 5.5x over naive at 10000 subscriptions."""
     rows = data.get("results", [])
     if not rows:
         raise GateError("BENCH_filter.json has no 'results' rows — regenerate the trajectory")
     for row in rows:
         print(
             f"filter at {row['subscriptions']} subscriptions: {row['speedup']:.2f}x vs naive "
-            f"({row['mode']} mode, {row['promotions']} promotions, {row['demotions']} demotions)"
+            f"({row['condition_probes_per_doc']:.2f} preFilter probes/doc)"
         )
         if row["speedup"] < 1.0:
             raise GateError(
-                f"adaptive filter engine is SLOWER than naive at "
+                f"filter engine is SLOWER than naive at "
                 f"{row['subscriptions']} subscriptions — the small-N regression is back: {row}"
             )
     ceiling = next(
@@ -657,22 +652,14 @@ FIXTURE_FILTER = {
             "engine_ns_per_doc": 400,
             "naive_ns_per_doc": 520,
             "speedup": 1.3,
-            "staged_ns_per_doc": 900,
             "condition_probes_per_doc": 4.0,
-            "mode": "naive",
-            "promotions": 0,
-            "demotions": 0,
         },
         {
             "subscriptions": 10000,
             "engine_ns_per_doc": 100,
             "naive_ns_per_doc": 800,
             "speedup": 8.0,
-            "staged_ns_per_doc": 95,
             "condition_probes_per_doc": 4.0,
-            "mode": "staged",
-            "promotions": 1,
-            "demotions": 0,
         },
     ],
 }

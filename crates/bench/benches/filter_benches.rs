@@ -236,12 +236,10 @@ fn best_ns_per_doc(repeats: usize, docs: usize, mut run: impl FnMut() -> usize) 
 }
 
 /// Emits the BENCH_filter.json trajectory at the workspace root: the E2
-/// adaptive-engine-vs-naive shape per subscription count (with the mode the
-/// cost model settled on and its promotion/demotion counters), an
-/// always-staged reference column with the preFilter probes it counted per
-/// document (deterministic, unlike the timings), the E3 (AES hash-tree) and
-/// E4 (YFilter NFA) structural sizes per row, plus the E5 lazy service-call
-/// counters.
+/// engine-vs-naive shape per subscription count, the preFilter probes the
+/// engine counted per document (deterministic, unlike the timings), the E3
+/// (AES hash-tree) and E4 (YFilter NFA) structural sizes per row, plus the E5
+/// lazy service-call counters.
 fn emit_trajectory(_c: &mut Criterion) {
     let repeats = if full_run_requested() { 5 } else { 3 };
     let n_docs = if full_run_requested() { 128 } else { 64 };
@@ -250,27 +248,12 @@ fn emit_trajectory(_c: &mut Criterion) {
         let mut workload = SubscriptionWorkload::new(42);
         let subscriptions = workload.subscriptions(subs);
         let documents = workload.documents(n_docs, 4, 3);
-        let mut engine = FilterEngine::adaptive();
-        engine.add_all(subscriptions.clone());
-        let mut staged = FilterEngine::from_subscriptions(subscriptions.clone());
+        let mut engine = FilterEngine::from_subscriptions(subscriptions.clone());
         let mut naive = NaiveFilter::from_subscriptions(subscriptions);
-        // Warm the adaptive engine until its cost model settles on a mode, so
-        // the measured rows reflect steady-state behaviour.
-        for _ in 0..3 {
-            for doc in &documents {
-                engine.process(doc);
-            }
-        }
         let engine_ns = best_ns_per_doc(repeats, documents.len(), || {
             documents
                 .iter()
                 .map(|d| engine.process(d).matched.len())
-                .sum()
-        });
-        let staged_ns = best_ns_per_doc(repeats, documents.len(), || {
-            documents
-                .iter()
-                .map(|d| staged.process(d).matched.len())
                 .sum()
         });
         let naive_ns = best_ns_per_doc(repeats, documents.len(), || {
@@ -278,32 +261,22 @@ fn emit_trajectory(_c: &mut Criterion) {
         });
         let stats = &engine.stats;
         let complex_per_doc = stats.complex_evaluations as f64 / stats.documents.max(1) as f64;
-        let probes_per_doc =
-            staged.stats.condition_probes as f64 / staged.stats.documents.max(1) as f64;
+        let probes_per_doc = stats.condition_probes as f64 / stats.documents.max(1) as f64;
         eprintln!(
-            "filter [{subs} subs]: adaptive {engine_ns:.0} ns/doc ({} mode) vs naive \
-             {naive_ns:.0} ns/doc (speedup {:.2}x), staged reference {staged_ns:.0} ns/doc \
-             at {probes_per_doc:.2} preFilter probes/doc; {} promotions, {} demotions, \
-             {} AES nodes, {} NFA states, {complex_per_doc:.1} complex evaluations/doc",
-            engine.mode(),
+            "filter [{subs} subs]: engine {engine_ns:.0} ns/doc vs naive {naive_ns:.0} ns/doc \
+             (speedup {:.2}x) at {probes_per_doc:.2} preFilter probes/doc; {} AES nodes, \
+             {} NFA states, {complex_per_doc:.1} complex evaluations/doc",
             naive_ns / engine_ns,
-            stats.promotions,
-            stats.demotions,
             engine.aes_node_count(),
             engine.yfilter_state_count()
         );
         rows.push(format!(
             "    {{\"subscriptions\": {subs}, \"engine_ns_per_doc\": {engine_ns:.0}, \
              \"naive_ns_per_doc\": {naive_ns:.0}, \"speedup\": {:.3}, \
-             \"staged_ns_per_doc\": {staged_ns:.0}, \
-             \"condition_probes_per_doc\": {probes_per_doc:.2}, \"mode\": \"{}\", \
-             \"promotions\": {}, \"demotions\": {}, \
+             \"condition_probes_per_doc\": {probes_per_doc:.2}, \
              \"aes_nodes\": {}, \"yfilter_states\": {}, \
              \"complex_evaluations_per_doc\": {complex_per_doc:.2}}}",
             naive_ns / engine_ns,
-            engine.mode().label(),
-            engine.stats.promotions,
-            engine.stats.demotions,
             engine.aes_node_count(),
             engine.yfilter_state_count()
         ));

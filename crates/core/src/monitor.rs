@@ -1371,14 +1371,6 @@ impl Monitor {
             .map(PeerHost::filter_stats)
     }
 
-    /// The strategy one peer's shared engine is currently using (adaptive
-    /// engines report their live naive/staged state).
-    pub fn peer_filter_mode(&self, peer: &str) -> Option<p2pmon_filter::EngineMode> {
-        self.hosts
-            .get(&normalize_peer(peer))
-            .map(PeerHost::filter_mode)
-    }
-
     /// Aggregate filter-engine statistics across every peer.
     pub fn filter_stats(&self) -> FilterStats {
         let mut total = FilterStats::default();

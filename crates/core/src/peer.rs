@@ -224,12 +224,11 @@ pub struct PeerHost {
 }
 
 impl PeerHost {
-    /// Creates an empty host for `name` with a cost-adaptive engine (naive
-    /// start, promotion past break-even): most peers host few subscriptions.
+    /// Creates an empty host for `name`.
     pub(crate) fn new(name: impl Into<String>) -> Self {
         PeerHost {
             name: name.into(),
-            engine: FilterEngine::adaptive(),
+            engine: FilterEngine::new(),
             gates: HashMap::new(),
             operators: HashMap::new(),
             pending_sketches: Vec::new(),
@@ -272,9 +271,11 @@ impl PeerHost {
         self.engine.stats
     }
 
-    /// The strategy the shared engine is currently using.
+    /// Always [`EngineMode::Staged`].  Kept only because the frozen
+    /// `benchmark/` package names it.
+    #[doc(hidden)]
     pub fn filter_mode(&self) -> EngineMode {
-        self.engine.mode()
+        EngineMode::Staged
     }
 
     /// Installs the operator instance of a task deployed here.

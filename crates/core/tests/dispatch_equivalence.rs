@@ -645,17 +645,17 @@ proptest! {
     }
 }
 
-/// A monitor whose hub engine actually switches strategy: 220 subscriptions
-/// with pairwise distinct WHERE clauses on one hub (reuse cannot collapse
-/// them) take its adaptive engine past break-even, so the promotion falls
-/// *inside* a `match_batch` call, and unsubscribing half of them takes it
-/// back through the demotion.  Every round carries an alert each
-/// subscription takes, so one lost by either rebuild would show in its sink;
-/// the sinks stay byte-identical to the `naive_dispatch` oracle's.
+/// Removals from a large index, end to end: 220 subscriptions with pairwise
+/// distinct WHERE clauses on one hub (reuse cannot collapse them) fill its
+/// engine, and most of them are unsubscribed between rounds — first one by
+/// one out of the hash-tree and the automaton, then across the rebuild a
+/// mostly dead alphabet triggers.  Every round carries an alert each
+/// subscription takes, so a survivor lost by a prune (or a victim kept) would
+/// show in its sink; the sinks stay byte-identical to the `naive_dispatch`
+/// oracle's.
 #[test]
-fn engine_switching_strategy_mid_batch_leaves_the_sinks_unchanged() {
+fn unsubscribing_most_of_a_large_index_between_rounds_leaves_the_sinks_unchanged() {
     use p2pmon_alerters::SoapCall;
-    use p2pmon_filter::EngineMode;
     use p2pmon_xmlkit::Element;
 
     /// The engine-dispatch monitor and its `naive_dispatch` oracle, each with
@@ -719,30 +719,17 @@ fn engine_switching_strategy_mid_batch_leaves_the_sinks_unchanged() {
         }
         delivered
     };
-    let hub_mode = |deployments: &Deployments| deployments[0].0.peer_filter_mode("hub.net");
-
-    assert_eq!(hub_mode(&deployments), Some(EngineMode::Naive));
     let first = round(&mut deployments);
     assert!(
         first >= SUBS,
         "every subscription takes its slow call: {first}"
     );
-    assert_eq!(hub_mode(&deployments), Some(EngineMode::Staged));
     let hub = deployments[0].0.peer_filter_stats("hub.net").expect("hub");
-    assert_eq!(
-        hub.naive_documents, 8,
-        "the promotion fell inside the batch"
-    );
     assert_eq!(hub.documents, 2 * SUBS as u64);
-    assert_eq!(
-        round(&mut deployments),
-        2 * first,
-        "staged rounds deliver too"
-    );
+    assert_eq!(round(&mut deployments), 2 * first);
 
-    // 220 at promotion: the engine demotes on the removal that leaves 109.
     // The victims come from the middle, so the first and the last
-    // subscription of either rebuild are still there to be missed.
+    // subscription are still there to be missed.
     let unsubscribe = |deployments: &mut Deployments, victims: std::ops::Range<usize>| {
         for (monitor, handles) in deployments.iter_mut() {
             for handle in &handles[victims.clone()] {
@@ -751,17 +738,12 @@ fn engine_switching_strategy_mid_batch_leaves_the_sinks_unchanged() {
         }
     };
     unsubscribe(&mut deployments, 30..140);
-    assert_eq!(hub_mode(&deployments), Some(EngineMode::Staged));
-    unsubscribe(&mut deployments, 140..141);
-    assert_eq!(hub_mode(&deployments), Some(EngineMode::Naive));
-    // 109 distinct clauses would cross break-even again; 60 stay put.
-    unsubscribe(&mut deployments, 141..190);
+    let half = round(&mut deployments);
+    assert!(half > 2 * first, "the 110 left deliver");
+    assert!(half < 3 * first, "the 110 gone do not");
+    unsubscribe(&mut deployments, 140..190);
     let before = round(&mut deployments);
-    assert!(round(&mut deployments) > before, "demoted rounds deliver");
-    assert_eq!(hub_mode(&deployments), Some(EngineMode::Naive));
-
-    let stats = deployments[0].0.filter_stats();
-    assert_eq!((stats.promotions, stats.demotions), (1, 1));
+    assert!(round(&mut deployments) > before, "the 60 left deliver");
 }
 
 /// The stale-gate case: an item is batched for a host whose pass-through

@@ -27,7 +27,9 @@
 //!    [`FilterEngine`] either restricts the NFA's accept set or, when very
 //!    few subscriptions are active, evaluates them directly.
 //!
-//! The combined pipeline is [`FilterEngine`].  [`NaiveFilter`] is the
+//! The combined pipeline is [`FilterEngine`], the one index every peer runs:
+//! registering and removing a subscription adjust the three modules in place,
+//! at the cost of the subscription.  [`NaiveFilter`] is the
 //! baseline that evaluates every subscription from scratch on every
 //! document; the benches of experiments E2–E4 compare the two, and the
 //! property tests assert they always agree.

@@ -20,6 +20,11 @@
 //! * `//` is implemented with explicit self-loop states reached by an
 //!   ε-closure, the standard NFA encoding.
 //!
+//! Queries also *leave*: every state counts the live queries whose path
+//! passes through it, so [`YFilter::remove`] walks the removed query's own
+//! steps, unlinks the first state nobody else reaches and hands that suffix
+//! to a free list — O(|pattern|), like registration.
+//!
 //! Hot-path engineering: transition tables are keyed by interned QName
 //! [`Symbol`]s (hashed once per *element*, not once per active state), with a
 //! Fibonacci-multiply hasher — the per-state lookup is integer arithmetic,
@@ -85,15 +90,52 @@ struct State {
     self_loop: bool,
     /// Queries accepted when this state is reached.
     accepts: Vec<QueryIdx>,
+    /// Live queries whose path passes through this state.  Every query
+    /// through a state passes through its parent, so the count never grows
+    /// along a path.  (The start state is on every path and is not counted.)
+    refs: u32,
+}
+
+/// How a state on a query's path hangs off its parent.
+#[derive(Debug, Clone, Copy)]
+enum Link {
+    /// The parent's `//` ε-successor.
+    Descendant,
+    /// The parent's transition for the name test and predicate of this step.
+    Step(usize),
+}
+
+/// Stores `value` in a freed slot if there is one, at the end otherwise;
+/// returns where.
+fn place<T>(slots: &mut Vec<T>, free: &mut Vec<usize>, value: T) -> usize {
+    match free.pop() {
+        Some(slot) => {
+            slots[slot] = value;
+            slot
+        }
+        None => {
+            slots.push(value);
+            slots.len() - 1
+        }
+    }
 }
 
 /// The shared path-query automaton.
 #[derive(Debug, Clone)]
 pub struct YFilter {
     states: Vec<State>,
+    /// Released state slots, reused by `new_state`.
+    free_states: Vec<usize>,
+    /// Dense by query index; a removed query's slot keeps its pattern until
+    /// `add` reuses it.
     queries: Vec<PathPattern>,
+    /// Removed query indices, reused by `add`.
+    free_queries: Vec<QueryIdx>,
     /// Number of state-set expansions performed, a work measure for E4.
     pub expansions: u64,
+    /// Number of states created (or re-created in a freed slot) so far: the
+    /// difference across an adjustment is what it cost.  Removal builds none.
+    pub states_built: u64,
 }
 
 impl Default for YFilter {
@@ -107,8 +149,11 @@ impl YFilter {
     pub fn new() -> Self {
         YFilter {
             states: vec![State::default()],
+            free_states: Vec::new(),
             queries: Vec::new(),
+            free_queries: Vec::new(),
             expansions: 0,
+            states_built: 0,
         }
     }
 
@@ -121,25 +166,27 @@ impl YFilter {
         yf
     }
 
-    /// Number of registered queries.
+    /// Number of registered (live) queries.
     pub fn query_count(&self) -> usize {
-        self.queries.len()
+        self.queries.len() - self.free_queries.len()
     }
 
-    /// Number of NFA states — the sharing measure: with heavily overlapping
-    /// queries this grows much more slowly than the total number of steps.
+    /// Number of live NFA states — the sharing measure: with heavily
+    /// overlapping queries this grows much more slowly than the total number
+    /// of steps, and it shrinks when queries are removed.
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.states.len() - self.free_states.len()
     }
 
-    /// The registered queries.
+    /// The patterns by query index.  The slice is dense: the slot of a
+    /// removed query holds its old pattern until [`YFilter::add`] reuses it.
     pub fn queries(&self) -> &[PathPattern] {
         &self.queries
     }
 
-    /// Registers a pattern and returns its query index.
+    /// Registers a pattern and returns its query index (a slot a removal
+    /// freed, if there is one).
     pub fn add(&mut self, pattern: PathPattern) -> QueryIdx {
-        let idx = self.queries.len();
         let mut current = 0usize;
         for step in &pattern.steps {
             // Descendant axis: go through (or create) the self-loop state.
@@ -152,20 +199,110 @@ impl YFilter {
                         d
                     }
                 };
+                self.states[current].refs += 1;
             }
             current = self.transition_target(current, &step.name, &step.predicate);
+            self.states[current].refs += 1;
         }
+        let idx = place(&mut self.queries, &mut self.free_queries, pattern);
         self.states[current].accepts.push(idx);
-        self.queries.push(pattern);
         idx
     }
 
+    /// Unregisters a query in O(|pattern|); returns whether it was
+    /// registered.  The states only this query reached are released for
+    /// reuse, so [`YFilter::state_count`] reads what a fresh automaton over
+    /// the surviving queries would.
+    pub fn remove(&mut self, idx: QueryIdx) -> bool {
+        // The query's own path, as (parent, link, state) per state entered.
+        let Some(pattern) = self.queries.get(idx) else {
+            return false;
+        };
+        let mut path: Vec<(usize, Link, usize)> = Vec::with_capacity(2 * pattern.steps.len());
+        let mut current = 0usize;
+        for (i, step) in pattern.steps.iter().enumerate() {
+            if step.axis == Axis::Descendant {
+                let Some(d) = self.states[current].descendant else {
+                    return false;
+                };
+                path.push((current, Link::Descendant, d));
+                current = d;
+            }
+            let Some(target) = self.find_transition(current, &step.name, &step.predicate) else {
+                return false;
+            };
+            path.push((current, Link::Step(i), target));
+            current = target;
+        }
+        // A freed slot's pattern may still spell a live path: the accept
+        // list is what says the query itself is registered.
+        let accepts = &mut self.states[current].accepts;
+        let Some(pos) = accepts.iter().position(|&q| q == idx) else {
+            return false;
+        };
+        accepts.swap_remove(pos);
+        for &(_, _, state) in &path {
+            self.states[state].refs -= 1;
+        }
+        // Counts never grow along a path, so the states nobody else reaches
+        // are a suffix of it: unlink the first from its parent, release all.
+        if let Some(first) = path.iter().position(|&(_, _, s)| self.states[s].refs == 0) {
+            let (parent, link, dead) = path[first];
+            match link {
+                Link::Descendant => self.states[parent].descendant = None,
+                Link::Step(i) => {
+                    let parent = &mut self.states[parent];
+                    match &self.queries[idx].steps[i].name {
+                        NameTest::Name(n) => {
+                            let sym = intern(n);
+                            let transitions = parent
+                                .by_name
+                                .get_mut(&sym)
+                                .expect("the walk found this transition");
+                            transitions.retain(|t| t.target != dead);
+                            if transitions.is_empty() {
+                                parent.by_name.remove(&sym);
+                            }
+                        }
+                        NameTest::Wildcard => parent.wildcard.retain(|t| t.target != dead),
+                    }
+                }
+            }
+            for &(_, _, state) in &path[first..] {
+                debug_assert_eq!(self.states[state].refs, 0, "dead states form a suffix");
+                self.states[state] = State::default();
+                self.free_states.push(state);
+            }
+        }
+        self.free_queries.push(idx);
+        true
+    }
+
     fn new_state(&mut self, self_loop: bool) -> usize {
-        self.states.push(State {
+        self.states_built += 1;
+        let state = State {
             self_loop,
             ..State::default()
-        });
-        self.states.len() - 1
+        };
+        place(&mut self.states, &mut self.free_states, state)
+    }
+
+    /// The target of the transition for (name test, predicate) out of `from`,
+    /// if one exists.
+    fn find_transition(
+        &self,
+        from: usize,
+        name: &NameTest,
+        predicate: &Option<ValuePredicate>,
+    ) -> Option<usize> {
+        let transitions = match name {
+            NameTest::Name(n) => self.states[from].by_name.get(&intern(n))?,
+            NameTest::Wildcard => &self.states[from].wildcard,
+        };
+        transitions
+            .iter()
+            .find(|t| &t.predicate == predicate)
+            .map(|t| t.target)
     }
 
     /// Finds or creates the transition for (name test, predicate) out of
@@ -178,22 +315,7 @@ impl YFilter {
         predicate: &Option<ValuePredicate>,
     ) -> usize {
         // Look for an existing, shareable transition.
-        let existing = match name {
-            NameTest::Name(n) => {
-                let sym = intern(n);
-                self.states[from]
-                    .by_name
-                    .get(&sym)
-                    .and_then(|ts| ts.iter().find(|t| &t.predicate == predicate))
-                    .map(|t| t.target)
-            }
-            NameTest::Wildcard => self.states[from]
-                .wildcard
-                .iter()
-                .find(|t| &t.predicate == predicate)
-                .map(|t| t.target),
-        };
-        if let Some(target) = existing {
+        if let Some(target) = self.find_transition(from, name, predicate) {
             return target;
         }
         let target = self.new_state(false);

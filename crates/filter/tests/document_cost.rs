@@ -4,11 +4,16 @@
 //! the alphabet.  The same documents read the same probes against 70 registered `=` / range
 //! conditions and against 7 000.  Restoring a per-condition loop in
 //! `PreFilter::satisfied` fails the first test here.
+//!
+//! And what an unsubscribe costs the automaton, as a count: removing one
+//! patterned subscription builds no state, beside 100 subscriptions or
+//! 10 000.  Re-adding the survivors' patterns in `StagedIndex::remove` fails
+//! the last test here.
 
-use p2pmon_filter::{EngineMode, FilterEngine, FilterSubscription};
+use p2pmon_filter::{FilterEngine, FilterSubscription, SubscriptionId};
 use p2pmon_streams::AttrCondition;
 use p2pmon_xmlkit::path::CompareOp;
-use p2pmon_xmlkit::Element;
+use p2pmon_xmlkit::{Element, PathPattern};
 
 /// One subscription per condition: `methods` `callMethod =`, as many
 /// `callee =`, and `thresholds` over `duration`, alternating `>` and `<=` —
@@ -50,10 +55,9 @@ fn documents() -> Vec<Element> {
         .collect()
 }
 
-/// Probes and matches per document of a pinned-staged engine.
+/// Probes and matches per document.
 fn run(subscriptions: Vec<FilterSubscription>) -> Vec<(u64, usize)> {
     let mut engine = FilterEngine::from_subscriptions(subscriptions);
-    assert_eq!(engine.mode(), EngineMode::Staged);
     documents()
         .iter()
         .map(|document| {
@@ -114,13 +118,49 @@ fn an_alphabet_of_inequalities_is_allowed_to_be_linear() {
     }
 }
 
+/// `n` subscriptions, each one condition and one pattern; a tenth of the
+/// patterns share the `//soap/body` prefix, the rest are their own.
+fn patterned(n: u64) -> Vec<FilterSubscription> {
+    (0..n)
+        .map(|i| {
+            let pattern = if i % 10 == 0 {
+                format!("//soap/body/city{i}")
+            } else {
+                format!("//entry{i}/*")
+            };
+            FilterSubscription::new(i)
+                .with_simple(vec![AttrCondition::new(
+                    "callMethod",
+                    CompareOp::Eq,
+                    format!("M{i}"),
+                )])
+                .with_complex(vec![PathPattern::parse(&pattern).expect("valid pattern")])
+        })
+        .collect()
+}
+
 #[test]
-fn the_naive_scan_reports_no_probes() {
-    let mut engine = FilterEngine::adaptive();
-    engine.add_all(alphabet(4, 2));
-    for document in &documents() {
-        engine.process(document);
+fn removing_a_patterned_subscription_builds_no_state() {
+    for n in [100u64, 10_000] {
+        let mut engine = FilterEngine::from_subscriptions(patterned(n));
+        let built = engine.yfilter_states_built();
+        assert!(built > n, "{n} patterns built {built} states");
+        // One whose prefix others share, one that shares nothing.
+        for victim in [50, 51] {
+            assert!(engine.remove(SubscriptionId(victim)));
+        }
+        assert_eq!(
+            engine.yfilter_states_built(),
+            built,
+            "removal from {n} subscriptions built states"
+        );
+        let survivors = patterned(n)
+            .into_iter()
+            .filter(|s| ![50, 51].contains(&s.id.0));
+        assert_eq!(
+            engine.yfilter_state_count(),
+            FilterEngine::from_subscriptions(survivors).yfilter_state_count(),
+            "{n} subscriptions: the automaton is what a fresh build makes it"
+        );
     }
-    assert_eq!(engine.mode(), EngineMode::Naive);
-    assert_eq!(engine.stats.condition_probes, 0);
 }

@@ -1,12 +1,10 @@
-//! Property tests: the staged FilterEngine must agree with the naive
+//! Property tests: the FilterEngine must agree with the naive
 //! reference filter on arbitrary subscription sets and documents, and the
 //! YFilter automaton must agree with naive per-pattern matching.
 
 use proptest::prelude::*;
 
-use p2pmon_filter::{
-    EngineMode, FilterEngine, FilterSubscription, NaiveFilter, SubscriptionId, YFilter,
-};
+use p2pmon_filter::{FilterEngine, FilterSubscription, NaiveFilter, SubscriptionId, YFilter};
 use p2pmon_streams::AttrCondition;
 use p2pmon_xmlkit::path::CompareOp;
 use p2pmon_xmlkit::{Element, PathPattern};
@@ -113,8 +111,8 @@ fn document_strategy() -> impl Strategy<Value = Element> {
         })
 }
 
-/// A subscription only [`filler_probe`] of the same id matches: padding that
-/// takes a database past the adaptive engine's break-even.
+/// A subscription only [`filler_probe`] of the same id matches: padding whose
+/// departure leaves most of the preFilter alphabet dead.
 fn filler(id: u64) -> FilterSubscription {
     FilterSubscription::new(id).with_simple(vec![AttrCondition::new(
         "filler",
@@ -140,11 +138,11 @@ proptest! {
         let mut engine = FilterEngine::from_subscriptions(subs.clone());
         let mut naive = NaiveFilter::from_subscriptions(subs);
         for doc in &docs {
-            let mut staged = engine.process(doc).matched;
+            let mut matched = engine.process(doc).matched;
             let mut reference = naive.matching(doc);
-            staged.sort();
+            matched.sort();
             reference.sort();
-            prop_assert_eq!(staged, reference, "document: {}", doc.to_xml());
+            prop_assert_eq!(matched, reference, "document: {}", doc.to_xml());
         }
     }
 
@@ -166,38 +164,28 @@ proptest! {
         }
     }
 
-    /// The tentpole equivalence: a cost-adaptive engine (which promotes and
-    /// demotes itself mid-stream), an always-staged engine and the naive
-    /// reference must produce identical match sets on every document of an
-    /// interleaved add / process / remove schedule — mode transitions change
-    /// nothing observable.
+    /// The engine and the naive reference must produce identical match sets
+    /// on every document of an interleaved add / process / remove schedule.
     ///
-    /// The generated databases are far below break-even, so half the cases
-    /// are padded past it for steps 0–9 with fillers no generated document
-    /// matches: those process documents on the scan, across the promotion,
-    /// staged, across the demotion and on the scan again.
+    /// Half the cases are padded for steps 0–9 with 240 fillers no generated
+    /// document matches.  When they leave, the alphabet is mostly dead, so
+    /// the engine rebuilds its index mid-schedule — and the generated
+    /// subscriptions' automaton states and query slots are freed and reused
+    /// on both sides of that rebuild.
     #[test]
-    fn adaptive_agrees_with_staged_and_naive_under_churn(
+    fn engine_agrees_with_naive_under_churn(
         subs in subscriptions_strategy(),
         docs in proptest::collection::vec(document_strategy(), 14),
         removals in proptest::collection::vec(proptest::num::u8::ANY, 0..6),
         padded in proptest::bool::ANY,
     ) {
-        // 240 one-condition fillers cost the scan 240 work units a document.
-        // The ≤ 19 generated subscriptions (≤ 2 conditions, ≤ 1 pattern each)
-        // lift the staged estimate to at most 32 + 0.5 × (240 + 57) = 180.5,
-        // and 240 > 1.25 × 180.5: the padded engine promotes on the first
-        // document it may (the 8th) whatever was generated, and removing the
-        // fillers takes it below half its promotion size.
         const FILLERS: std::ops::Range<u64> = 1_000..1_240;
         const FILLERS_LEAVE_AT: usize = 10;
-        let mut adaptive = FilterEngine::adaptive();
-        let mut staged = FilterEngine::new();
+        let mut engine = FilterEngine::new();
         let mut naive = NaiveFilter::new();
         if padded {
             for id in FILLERS {
-                adaptive.add(filler(id));
-                staged.add(filler(id));
+                engine.add(filler(id));
                 naive.add(filler(id));
             }
         }
@@ -207,8 +195,7 @@ proptest! {
         let mut pending = subs.into_iter();
         for (step, doc) in docs.iter().enumerate() {
             for sub in pending.by_ref().take(3) {
-                adaptive.add(sub.clone());
-                staged.add(sub.clone());
+                engine.add(sub.clone());
                 naive.add(sub);
             }
             let victim = removals.get(step).map(|&seed| u64::from(seed) % 20);
@@ -218,50 +205,24 @@ proptest! {
                 0..0
             };
             for id in victim.into_iter().chain(leaving) {
-                let a = adaptive.remove(SubscriptionId(id));
-                let s = staged.remove(SubscriptionId(id));
-                let n = naive.remove(SubscriptionId(id));
-                prop_assert_eq!(a, s);
-                prop_assert_eq!(a, n);
+                prop_assert_eq!(
+                    engine.remove(SubscriptionId(id)),
+                    naive.remove(SubscriptionId(id))
+                );
             }
-            // While the padded engine is staged, one probe per filler too:
-            // each must have reached the index the promotion built.
+            // Once, one probe per filler too: each must be in the index.
             let probes: Vec<Element> = if padded && step == 8 {
                 FILLERS.map(filler_probe).collect()
             } else {
                 Vec::new()
             };
             for doc in probes.iter().chain([doc]) {
-                let mut from_adaptive = adaptive.process(doc).matched;
-                let mut from_staged = staged.process(doc).matched;
+                let mut matched = engine.process(doc).matched;
                 let mut reference = naive.matching(doc);
-                from_adaptive.sort();
-                from_staged.sort();
+                matched.sort();
                 reference.sort();
-                prop_assert_eq!(
-                    &from_adaptive, &reference,
-                    "adaptive ({} mode) diverged on step {}: {}",
-                    adaptive.mode(), step, doc.to_xml()
-                );
-                prop_assert_eq!(
-                    &from_staged, &reference,
-                    "staged diverged on step {}: {}",
-                    step, doc.to_xml()
-                );
+                prop_assert_eq!(matched, reference, "step {}: {}", step, doc.to_xml());
             }
-            if padded {
-                // A change to the cost constants that stops this test from
-                // crossing both switches must fail it, not hollow it out.
-                let expected = if (7..FILLERS_LEAVE_AT).contains(&step) {
-                    EngineMode::Staged
-                } else {
-                    EngineMode::Naive
-                };
-                prop_assert_eq!(adaptive.mode(), expected, "mode after step {}", step);
-            }
-        }
-        if padded {
-            prop_assert_eq!((adaptive.stats.promotions, adaptive.stats.demotions), (1, 1));
         }
     }
 

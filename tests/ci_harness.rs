@@ -44,7 +44,7 @@ fn committed_trajectories_satisfy_the_gate_schema() {
 
 #[test]
 fn committed_filter_trajectory_passes_the_filter_gate() {
-    // The committed BENCH_filter.json must satisfy the adaptive-filter gate:
+    // The committed BENCH_filter.json must satisfy the filter gate:
     // never slower than naive at any measured count, >= 5.5x at 10000 subs.
     if let Some(output) = run_harness(&["filter"]) {
         assert_success(output, "ci/check_bench.py filter");

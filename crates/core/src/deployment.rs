@@ -206,30 +206,27 @@ impl Monitor {
         // Measured per-provider-peer load (total outbound channel rate,
         // bytes/sec): with rate-aware placement on, `select_provider` breaks
         // proximity ties toward the least-loaded provider, spreading
-        // consumers across equally-near replicas.  Rounding to u64 keeps the
-        // ordering deterministic.
+        // consumers across equally-near replicas.  Read per candidate peer
+        // from its own channels (counted in `ReuseStats::loads_read`);
+        // rounding to u64 keeps the ordering deterministic.
         let now = self.network.now();
-        let provider_loads: Option<std::collections::BTreeMap<String, u64>> =
-            (self.config.enable_replicas && self.config.rate_aware_placement).then(|| {
-                let mut loads = std::collections::BTreeMap::new();
-                for (channel, stats) in self.rate_table.channels() {
-                    *loads.entry(String::from(channel.peer)).or_default() +=
-                        stats.bytes_per_second_at(now).round() as u64;
-                }
-                loads
-            });
+        let loads_read = std::cell::Cell::new(0u64);
         let select_providers: Option<Box<SelectProviders<'_>>> =
             self.config.enable_replicas.then(|| {
                 let db = &self.stream_db;
-                match &provider_loads {
-                    Some(loads) => Box::new(move |peer: &str, stream: &str| {
+                if self.config.rate_aware_placement {
+                    let (rate_table, loads_read) = (&self.rate_table, &loads_read);
+                    Box::new(move |peer: &str, stream: &str| {
                         db.select_provider_loaded(peer, stream, proximity, |p| {
-                            loads.get(p).copied().unwrap_or(0)
+                            let (load, read) = rate_table.peer_load_at(p, now);
+                            loads_read.set(loads_read.get() + read as u64);
+                            load
                         })
-                    }) as Box<SelectProviders<'_>>,
-                    None => Box::new(move |peer: &str, stream: &str| {
+                    }) as Box<SelectProviders<'_>>
+                } else {
+                    Box::new(move |peer: &str, stream: &str| {
                         db.select_provider(peer, stream, proximity)
-                    }),
+                    })
                 }
             });
         let rewritten = LogicalPlan {
@@ -239,6 +236,7 @@ impl Monitor {
         };
         drop(select_providers);
         self.reuse_totals.providers_scored += scored.get();
+        self.reuse_totals.loads_read += loads_read.get();
 
         // Placement, and the canonical channel identity of every task output.
         // With rate-aware placement on, multi-input operators minimize

@@ -8,6 +8,8 @@
 //! runs the cover, and rewrites the plan so that every covered subtree is
 //! replaced by a subscription to the covering channel (original or replica).
 
+use std::collections::HashSet;
+
 use p2pmon_dht::{CoverOutcome, PlanNode, ReuseEngine, StreamDefinitionDatabase};
 use p2pmon_p2pml::plan::LogicalNode;
 use p2pmon_p2pml::ValueExpr;
@@ -105,6 +107,10 @@ pub struct ReuseStats {
     /// selection compared, so it follows the origins and replicas the plans
     /// name, never the number of registered peers.
     pub providers_scored: u64,
+    /// Rate-table channels summed into provider loads across all
+    /// deployments (monitor-wide aggregate only): a load-aware selection
+    /// reads the channels of the peers it compares, never the whole table.
+    pub loads_read: u64,
     /// Replica re-publication measures (monitor-wide aggregate only).
     pub replicas: ReplicaStats,
 }
@@ -119,6 +125,7 @@ impl ReuseStats {
             operators_saved: report.operators_saved as u64,
             messages_saved: 0,
             providers_scored: 0,
+            loads_read: 0,
             replicas: ReplicaStats::default(),
         }
     }
@@ -141,6 +148,7 @@ impl ReuseStats {
         self.operators_saved += other.operators_saved;
         self.messages_saved += other.messages_saved;
         self.providers_scored += other.providers_scored;
+        self.loads_read += other.loads_read;
         self.replicas.absorb(&other.replicas);
     }
 }
@@ -267,14 +275,19 @@ pub fn apply_reuse(
     let reuse_plan = logical_to_plan_node(plan);
     let plan_nodes = reuse_plan.size();
     let outcome = ReuseEngine::new(db).cover(&reuse_plan, proximity);
-    let mut report = ReuseReport {
-        reused_nodes: outcome.reused,
-        new_nodes: outcome.new_streams,
-        subscribed_channels: Vec::new(),
-        reused_defs: Vec::new(),
-        operators_saved: 0,
+    let mut rewriter = Rewriter {
+        outcome: &outcome,
+        report: ReuseReport {
+            reused_nodes: outcome.reused,
+            new_nodes: outcome.new_streams,
+            subscribed_channels: Vec::new(),
+            reused_defs: Vec::new(),
+            operators_saved: 0,
+        },
+        listed: HashSet::new(),
     };
-    let rewritten = rewrite(plan, "0", &outcome, &mut report);
+    let rewritten = rewriter.rewrite(plan, "0");
+    let mut report = rewriter.report;
     // Every covered subtree collapses to one ChannelIn leaf; the difference
     // in node count is the operator work the deployment never instantiates.
     let rewritten_nodes = logical_to_plan_node(&rewritten).size();
@@ -282,98 +295,105 @@ pub fn apply_reuse(
     (rewritten, report)
 }
 
-fn rewrite(
-    node: &LogicalNode,
-    path: &str,
-    outcome: &CoverOutcome,
-    report: &mut ReuseReport,
-) -> LogicalNode {
-    if let Some(p2pmon_dht::reuse::NodeCover::Existing { original, provider }) = outcome.cover(path)
-    {
-        // The whole subtree is served by an existing stream: subscribe to it.
-        let var = node
-            .output_vars()
-            .first()
-            .cloned()
-            .unwrap_or_else(|| "item".to_string());
-        report
-            .subscribed_channels
-            .push((provider.0.clone(), provider.1.clone()));
-        if !report.reused_defs.contains(original) {
-            report.reused_defs.push(original.clone());
+/// Rewrites covered subtrees into channel subscriptions, filling `report`.
+struct Rewriter<'a> {
+    outcome: &'a CoverOutcome,
+    report: ReuseReport,
+    /// The originals already in `report.reused_defs`, so each is listed
+    /// once, in first-seen order, without scanning the list.
+    listed: HashSet<&'a (String, String)>,
+}
+
+impl<'a> Rewriter<'a> {
+    fn rewrite(&mut self, node: &LogicalNode, path: &str) -> LogicalNode {
+        if let Some(p2pmon_dht::reuse::NodeCover::Existing { original, provider }) =
+            self.outcome.cover(path)
+        {
+            // The whole subtree is served by an existing stream: subscribe to it.
+            let var = node
+                .output_vars()
+                .first()
+                .cloned()
+                .unwrap_or_else(|| "item".to_string());
+            self.report
+                .subscribed_channels
+                .push((provider.0.clone(), provider.1.clone()));
+            if self.listed.insert(original) {
+                self.report.reused_defs.push(original.clone());
+            }
+            return LogicalNode::ChannelIn {
+                peer: provider.0.clone(),
+                stream: provider.1.clone(),
+                var,
+            };
         }
-        return LogicalNode::ChannelIn {
-            peer: provider.0.clone(),
-            stream: provider.1.clone(),
-            var,
-        };
-    }
-    // Not covered: keep the operator, recurse into its children with the same
-    // path numbering the cover used.
-    match node {
-        LogicalNode::Alerter { .. } | LogicalNode::ChannelIn { .. } => node.clone(),
-        LogicalNode::DynamicAlerter {
-            function,
-            var,
-            driver,
-        } => LogicalNode::DynamicAlerter {
-            function: function.clone(),
-            var: var.clone(),
-            driver: Box::new(rewrite(driver, &format!("{path}.0"), outcome, report)),
-        },
-        LogicalNode::Union { var, inputs } => LogicalNode::Union {
-            var: var.clone(),
-            inputs: inputs
-                .iter()
-                .enumerate()
-                .map(|(i, input)| rewrite(input, &format!("{path}.{i}"), outcome, report))
-                .collect(),
-        },
-        LogicalNode::Select {
-            var,
-            input,
-            simple,
-            patterns,
-            derived,
-            conditions,
-        } => LogicalNode::Select {
-            var: var.clone(),
-            input: Box::new(rewrite(input, &format!("{path}.0"), outcome, report)),
-            simple: simple.clone(),
-            patterns: patterns.clone(),
-            derived: derived.clone(),
-            conditions: conditions.clone(),
-        },
-        LogicalNode::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-            residual,
-        } => LogicalNode::Join {
-            left: Box::new(rewrite(left, &format!("{path}.0"), outcome, report)),
-            right: Box::new(rewrite(right, &format!("{path}.1"), outcome, report)),
-            left_key: left_key.clone(),
-            right_key: right_key.clone(),
-            residual: residual.clone(),
-        },
-        LogicalNode::Dedup { input } => LogicalNode::Dedup {
-            input: Box::new(rewrite(input, &format!("{path}.0"), outcome, report)),
-        },
-        LogicalNode::Restructure {
-            input,
-            template,
-            derived,
-        } => LogicalNode::Restructure {
-            input: Box::new(rewrite(input, &format!("{path}.0"), outcome, report)),
-            template: template.clone(),
-            derived: derived.clone(),
-        },
-        LogicalNode::Aggregate { var, input, spec } => LogicalNode::Aggregate {
-            var: var.clone(),
-            input: Box::new(rewrite(input, &format!("{path}.0"), outcome, report)),
-            spec: spec.clone(),
-        },
+        // Not covered: keep the operator, recurse into its children with the
+        // same path numbering the cover used.
+        match node {
+            LogicalNode::Alerter { .. } | LogicalNode::ChannelIn { .. } => node.clone(),
+            LogicalNode::DynamicAlerter {
+                function,
+                var,
+                driver,
+            } => LogicalNode::DynamicAlerter {
+                function: function.clone(),
+                var: var.clone(),
+                driver: Box::new(self.rewrite(driver, &format!("{path}.0"))),
+            },
+            LogicalNode::Union { var, inputs } => LogicalNode::Union {
+                var: var.clone(),
+                inputs: inputs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, input)| self.rewrite(input, &format!("{path}.{i}")))
+                    .collect(),
+            },
+            LogicalNode::Select {
+                var,
+                input,
+                simple,
+                patterns,
+                derived,
+                conditions,
+            } => LogicalNode::Select {
+                var: var.clone(),
+                input: Box::new(self.rewrite(input, &format!("{path}.0"))),
+                simple: simple.clone(),
+                patterns: patterns.clone(),
+                derived: derived.clone(),
+                conditions: conditions.clone(),
+            },
+            LogicalNode::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                residual,
+            } => LogicalNode::Join {
+                left: Box::new(self.rewrite(left, &format!("{path}.0"))),
+                right: Box::new(self.rewrite(right, &format!("{path}.1"))),
+                left_key: left_key.clone(),
+                right_key: right_key.clone(),
+                residual: residual.clone(),
+            },
+            LogicalNode::Dedup { input } => LogicalNode::Dedup {
+                input: Box::new(self.rewrite(input, &format!("{path}.0"))),
+            },
+            LogicalNode::Restructure {
+                input,
+                template,
+                derived,
+            } => LogicalNode::Restructure {
+                input: Box::new(self.rewrite(input, &format!("{path}.0"))),
+                template: template.clone(),
+                derived: derived.clone(),
+            },
+            LogicalNode::Aggregate { var, input, spec } => LogicalNode::Aggregate {
+                var: var.clone(),
+                input: Box::new(self.rewrite(input, &format!("{path}.0"))),
+                spec: spec.clone(),
+            },
+        }
     }
 }
 
@@ -456,6 +476,46 @@ mod tests {
         assert!(
             matches!(input.as_ref(), LogicalNode::ChannelIn { stream, .. } if stream == "filtered-7")
         );
+    }
+
+    #[test]
+    fn an_original_covered_twice_is_listed_once_in_first_seen_order() {
+        use p2pmon_xmlkit::path::CompareOp;
+        let condition = |method: &str| AttrCondition::new("callMethod", CompareOp::Eq, method);
+        let select = |method: &str| LogicalNode::Select {
+            var: "c".into(),
+            input: Box::new(LogicalNode::Alerter {
+                function: "inCOM".into(),
+                peer: "meteo.com".into(),
+                var: "c".into(),
+            }),
+            simple: vec![condition(method)],
+            patterns: Vec::new(),
+            derived: Vec::new(),
+            conditions: Vec::new(),
+        };
+        let mut db = StreamDefinitionDatabase::new(ChordNetwork::with_nodes(16, 3));
+        db.publish(StreamDefinition::source("meteo.com", "src-inCOM", "inCOM"));
+        for method in ["A", "B"] {
+            db.publish(StreamDefinition::derived(
+                "meteo.com",
+                format!("only-{method}"),
+                "Filter",
+                select_parameters(&[condition(method)], &[], &[], &[]),
+                vec![("meteo.com".into(), "src-inCOM".into())],
+            ));
+        }
+        let plan = LogicalNode::Union {
+            var: "c".into(),
+            inputs: vec![select("B"), select("A"), select("B")],
+        };
+        let (_, report) = apply_reuse(&plan, &mut db, &|_| 10);
+        let only = |method: &str| ("meteo.com".to_string(), format!("only-{method}"));
+        assert_eq!(
+            report.subscribed_channels,
+            vec![only("B"), only("A"), only("B")]
+        );
+        assert_eq!(report.reused_defs, vec![only("B"), only("A")]);
     }
 
     #[test]

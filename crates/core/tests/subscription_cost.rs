@@ -1,0 +1,176 @@
+//! A subscription costs what it touches.
+//!
+//! Three pins on the subscription lifetime's history walks, each a
+//! deterministic counter compared across two sizes of what is already
+//! deployed:
+//!
+//! * `IndexStats::postings_read` for the reuse query.  A Filter's operand
+//!   term carries a digest of its parameters, so a new Filter over a hub
+//!   reads the postings of its own clause — not one per Filter the hub
+//!   already runs.
+//! * `ReuseStats::loads_read` for load-aware provider selection.  A submit
+//!   sums the rate-table channels of the peers it compares, not every
+//!   channel the monitor has observed.
+//! * `IndexStats::postings_read` for teardown.  A retraction scans the
+//!   lists its definition was posted under; with no operator-wide term, no
+//!   list holds every source of an aggregate, and tearing one down is
+//!   linear in its leaves rather than quadratic.
+
+use p2pmon_alerters::SoapCall;
+use p2pmon_core::{Monitor, MonitorConfig};
+use p2pmon_net::NetworkConfig;
+use p2pmon_workloads::{OverlappingStorm, SketchStorm};
+
+const HUB: &str = "f-hub.net";
+const MANAGER: &str = "f-mgr.org";
+
+/// Subscription `i` of a storm of Filters no two of which share a clause.
+fn distinct_filter(i: usize) -> String {
+    format!(
+        "for $c in outCOM(<p>{HUB}</p>)\nwhere $c.callMethod = \"M{i}\" and $c.duration > 8\n\
+         return <hit sub=\"f{i}\"/>\nby email \"f{i}@example.org\";"
+    )
+}
+
+/// Deploys `standing` distinct Filters over one hub, then returns the
+/// postings read by one more distinct Filter and by an exact duplicate of
+/// the first — asserting the duplicate was found.
+fn postings_per_submit(standing: usize) -> (u64, u64) {
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    for i in 0..standing {
+        monitor
+            .submit(MANAGER, &distinct_filter(i))
+            .expect("filter deploys");
+    }
+    let read_by = |monitor: &mut Monitor, text: &str| {
+        let before = monitor.dht_stats().postings_read;
+        let handle = monitor.submit(MANAGER, text).expect("filter deploys");
+        let reuse = monitor.report(&handle).expect("report").reuse;
+        (monitor.dht_stats().postings_read - before, reuse)
+    };
+    let (distinct, _) = read_by(&mut monitor, &distinct_filter(standing));
+    let (duplicate, reuse) = read_by(&mut monitor, &distinct_filter(0));
+    assert_eq!(
+        reuse.new_nodes, 0,
+        "an exact duplicate is covered up to its root among {standing} Filters"
+    );
+    (distinct, duplicate)
+}
+
+#[test]
+fn a_filter_reads_the_postings_of_its_clause_not_of_the_hub() {
+    let (distinct_100, duplicate_100) = postings_per_submit(100);
+    let (distinct_1000, duplicate_1000) = postings_per_submit(1_000);
+    assert_eq!(
+        distinct_100, distinct_1000,
+        "900 more Filters over the hub must not change what a new one reads"
+    );
+    assert_eq!(
+        duplicate_100, duplicate_1000,
+        "nor what finding an exact duplicate reads"
+    );
+    assert!(duplicate_100 > 0, "the duplicate's covers are read");
+}
+
+/// Brings `bystanders` peers into the rate table, one observed alerter
+/// channel each, through one subscription over all of them.
+fn observe_bystanders(monitor: &mut Monitor, bystanders: usize) {
+    let peers: Vec<String> = (0..bystanders).map(|i| format!("by{i}.org")).collect();
+    let list: Vec<String> = peers.iter().map(|p| format!("<p>{p}</p>")).collect();
+    let text = format!(
+        "for $c in inCOM({})\nreturn <seen m=\"{{$c.callMethod}}\"/>\nby email \"by@example.org\";",
+        list.join(" ")
+    );
+    monitor
+        .submit("by-mgr.org", &text)
+        .expect("bystander subscription deploys");
+    for (id, peer) in peers.iter().enumerate() {
+        let call = SoapCall::new(id as u64, "http://client.org", peer.as_str(), "Get", 10, 20);
+        monitor.inject_soap_call(&call);
+    }
+    monitor.run_until_idle();
+}
+
+/// Drives `n` calls one at a time, so the storm's channels carry rates.
+fn drive(monitor: &mut Monitor, traffic: &mut OverlappingStorm, n: usize) {
+    for call in traffic.calls(n) {
+        monitor.inject_soap_call(&call);
+        monitor.run_until_idle();
+    }
+}
+
+/// Loads read by one churn-shaped submit — a duplicate shape arriving in a
+/// cluster whose replicas compete on load — after `bystanders` other peers'
+/// channels were observed.
+fn loads_read_per_submit(bystanders: usize) -> u64 {
+    const SHAPES: usize = 4;
+    let storm = OverlappingStorm::clustered(3, SHAPES, 2, 4);
+    let mut monitor = Monitor::new(MonitorConfig {
+        network: NetworkConfig {
+            latency: storm.latency_model(),
+            ..NetworkConfig::default()
+        },
+        ..MonitorConfig::default()
+    });
+    observe_bystanders(&mut monitor, bystanders);
+    assert!(monitor.rate_table().len() >= bystanders);
+    let mut traffic = storm.clone();
+    let mut next = 0;
+    for _ in 0..6 {
+        for _ in 0..SHAPES {
+            monitor
+                .submit(storm.manager_of(next), &storm.subscription(next))
+                .expect("storm subscription deploys");
+            next += 1;
+        }
+        drive(&mut monitor, &mut traffic, 16);
+    }
+    let before = monitor.reuse_stats().loads_read;
+    monitor
+        .submit(storm.manager_of(next), &storm.subscription(next))
+        .expect("storm subscription deploys");
+    monitor.reuse_stats().loads_read - before
+}
+
+#[test]
+fn a_submit_reads_the_loads_of_the_peers_it_compares() {
+    let few = loads_read_per_submit(200);
+    let many = loads_read_per_submit(2_000);
+    assert_eq!(
+        few, many,
+        "1 800 more observed channels elsewhere must not change what a submit sums"
+    );
+    assert!(few > 0, "the submit compares providers by load");
+}
+
+/// Postings scanned while tearing down one aggregate over `leaves` peers.
+fn postings_per_teardown(leaves: usize) -> u64 {
+    let storm = SketchStorm::sized(1, leaves);
+    let mut monitor = Monitor::new(MonitorConfig {
+        dht_nodes: storm.dht_nodes(),
+        ..MonitorConfig::default()
+    });
+    let text = storm.aggregate_subscriptions(3, 0.99).swap_remove(0);
+    let handle = monitor
+        .submit(storm.manager(), &text)
+        .expect("aggregate deploys");
+    let before = monitor.dht_stats().postings_read;
+    assert!(monitor.unsubscribe(&handle));
+    monitor.dht_stats().postings_read - before
+}
+
+#[test]
+fn tearing_an_aggregate_down_scans_postings_linearly_in_its_leaves() {
+    let small = postings_per_teardown(1_000);
+    let large = postings_per_teardown(4_000);
+    assert!(
+        small >= 1_000,
+        "every leaf's source definition is retracted"
+    );
+    let ratio = large as f64 / small as f64;
+    assert!(
+        (3.5..=4.5).contains(&ratio),
+        "4x the leaves scanned {large} postings against {small}: ratio {ratio:.2}, \
+         linear would be 4"
+    );
+}

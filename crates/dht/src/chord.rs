@@ -248,8 +248,9 @@ impl ChordNetwork {
     }
 
     /// Removes values matching a predicate under a key; returns how many were
-    /// removed.
-    pub fn remove_where(&mut self, key: &str, predicate: impl Fn(&str) -> bool) -> usize {
+    /// removed and how many the predicate was asked about (the key's whole
+    /// list).
+    pub fn remove_where(&mut self, key: &str, predicate: impl Fn(&str) -> bool) -> (usize, usize) {
         let k = hash_key(key);
         let result = self.lookup(k);
         let storage = self.nodes.get_mut(&result.node).expect("node exists");
@@ -257,9 +258,9 @@ impl ChordNetwork {
             Some(values) => {
                 let before = values.len();
                 values.retain(|v| !predicate(v));
-                before - values.len()
+                (before - values.len(), before)
             }
-            None => 0,
+            None => (0, 0),
         }
     }
 
@@ -456,7 +457,7 @@ mod tests {
         let mut net = ChordNetwork::with_nodes(8, 7);
         net.put("k", "keep".into());
         net.put("k", "drop-me".into());
-        assert_eq!(net.remove_where("k", |v| v.starts_with("drop")), 1);
+        assert_eq!(net.remove_where("k", |v| v.starts_with("drop")), (1, 2));
         let (values, _) = net.get("k");
         assert_eq!(values, vec!["keep"]);
     }

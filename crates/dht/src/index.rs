@@ -23,6 +23,10 @@ pub struct IndexStats {
     pub total_hops: u64,
     /// DHT messages (each hop is one request/response pair, counted once).
     pub messages: u64,
+    /// Postings touched: the length of every list a query returned plus
+    /// every entry a removal scanned — what a lookup or a retraction costs
+    /// beyond its routing hops.
+    pub postings_read: u64,
 }
 
 impl IndexStats {
@@ -83,12 +87,14 @@ impl DistributedIndex {
         self.record(&result);
         let mut seen = std::collections::HashSet::new();
         values.retain(|v| seen.insert(v.clone()));
+        self.stats.postings_read += values.len() as u64;
         values
     }
 
     /// Removes a posting from a term's list; returns `true` when it existed.
     pub fn remove(&mut self, term: &str, posting: &str) -> bool {
-        let removed = self.dht.remove_where(term, |v| v == posting);
+        let (removed, scanned) = self.dht.remove_where(term, |v| v == posting);
+        self.stats.postings_read += scanned as u64;
         removed > 0
     }
 }
@@ -141,5 +147,20 @@ mod tests {
         assert_eq!(s.query_operations, 2);
         assert!(s.messages >= 3, "at least one message per operation");
         assert!(s.avg_hops() >= 0.0);
+    }
+
+    #[test]
+    fn postings_read_counts_returned_lists_and_scanned_removals() {
+        let mut idx = index();
+        for posting in ["a", "b", "a", "c"] {
+            idx.insert("t", posting);
+        }
+        assert_eq!(idx.stats().postings_read, 0, "inserts read nothing");
+        idx.query("t");
+        assert_eq!(idx.stats().postings_read, 3, "the deduplicated list");
+        idx.query("missing");
+        assert_eq!(idx.stats().postings_read, 3);
+        assert!(idx.remove("t", "b"));
+        assert_eq!(idx.stats().postings_read, 3 + 4, "a removal scans the list");
     }
 }

@@ -26,20 +26,23 @@
 //! both the definition and the live routing tables.
 //!
 //! **What is indexed, and who reads it.**  A published definition posts one
-//! DHT term per discovery query that can find it (a term nobody queries is
-//! a posting list every retraction still has to walk, so `peer=` and
-//! `operand=`, which no query ever read, are no longer posted):
+//! DHT term per discovery query that can find it — a term nobody queries is
+//! a posting list every retraction still has to walk, so no such term is
+//! posted:
 //!
 //! | term | posted | read by |
 //! |---|---|---|
 //! | `peer+operator=<PeerId>\|<Operator>` | once per definition | [`StreamDefinitionDatabase::find_alerter_streams`] |
-//! | `operator+operand=<Operator>\|<OPeerId>\|<OStreamId>` | once per operand | [`StreamDefinitionDatabase::find_derived_streams`] |
-//! | `operator=<Operator>` | once per definition | `find_derived_streams` with an empty operand list |
+//! | `operator+operand=<Operator>\|<digest>\|<OPeerId>\|<OStreamId>` | once per operand | [`StreamDefinitionDatabase::find_derived_streams`] |
 //!
-//! No caller issues the operand-less lookup today, and `operator=` lists
-//! are the longest in the system — dropping the term is a measured lead
-//! recorded in ROADMAP item 2, withheld because it triples a rate the
-//! acceptance check's spread rule cannot yet take.
+//! `<digest>` is [`hash_key`] of the definition's `parameters` as 16 hex
+//! digits, so Section 5's reuse query — an equality on operator, operands
+//! *and* parameters — reads one list of candidates that already agree on
+//! all three, however many other Filters run over the same source.  The
+//! query still checks the parameters on the descriptor: a digest collision
+//! only merges two lists.  Within one term, postings keep publish order.
+//! There is no operator-only term, so a derived-stream query without
+//! operands finds nothing.
 //!
 //! `<InChannel>` replica declarations are not index terms: they are kept
 //! keyed by the *origin* `(PeerId, StreamId)` they replicate, each origin's
@@ -56,7 +59,7 @@ use std::collections::HashMap;
 use p2pmon_streams::{ChannelId, StreamStats};
 use p2pmon_xmlkit::{Element, ElementBuilder};
 
-use crate::chord::ChordNetwork;
+use crate::chord::{hash_key, ChordNetwork};
 use crate::index::{DistributedIndex, IndexStats};
 
 /// The description of one stream.
@@ -431,20 +434,25 @@ impl StreamDefinitionDatabase {
     /// Index terms of a descriptor: one per discovery query that can find
     /// it (see the module docs for which query reads which).
     fn index_terms(definition: &StreamDefinition) -> Vec<String> {
-        let mut terms = vec![
-            format!("operator={}", definition.operator),
-            format!(
-                "peer+operator={}|{}",
-                definition.peer_id, definition.operator
-            ),
-        ];
+        let mut terms = vec![format!(
+            "peer+operator={}|{}",
+            definition.peer_id, definition.operator
+        )];
         for (op_peer, op_stream) in &definition.operands {
-            terms.push(format!(
-                "operator+operand={}|{op_peer}|{op_stream}",
-                definition.operator
+            terms.push(Self::operand_term(
+                &definition.operator,
+                &definition.parameters,
+                op_peer,
+                op_stream,
             ));
         }
         terms
+    }
+
+    /// The reuse query's term for one operand.
+    fn operand_term(operator: &str, parameters: &str, peer: &str, stream: &str) -> String {
+        let digest = hash_key(parameters);
+        format!("operator+operand={operator}|{digest:016x}|{peer}|{stream}")
     }
 
     fn resolve(&self, ids: Vec<String>) -> Vec<&StreamDefinition> {
@@ -476,7 +484,8 @@ impl StreamDefinitionDatabase {
     /// Finds streams produced by `operator` over exactly the given operands —
     /// the `/Stream[Operator/Filter][Operands/Operand[@OPeerId=…]…]` queries.
     /// `parameters` must also match, so that only the *same* filter/join is
-    /// reused.
+    /// reused.  Results come in publish order.  Without operands nothing is
+    /// found: definitions are indexed by their operands only.
     pub fn find_derived_streams(
         &mut self,
         operator: &str,
@@ -485,13 +494,10 @@ impl StreamDefinitionDatabase {
     ) -> Vec<&StreamDefinition> {
         // Query the index once per operand and intersect.
         let mut candidate_ids: Option<Vec<String>> = None;
-        if operands.is_empty() {
-            candidate_ids = Some(self.index.query(&format!("operator={operator}")));
-        }
         for (peer, stream) in operands {
             let ids = self
                 .index
-                .query(&format!("operator+operand={operator}|{peer}|{stream}"));
+                .query(&Self::operand_term(operator, parameters, peer, stream));
             candidate_ids = Some(match candidate_ids {
                 None => ids,
                 Some(existing) => existing.into_iter().filter(|i| ids.contains(i)).collect(),
@@ -675,6 +681,46 @@ mod tests {
         assert!(db
             .find_derived_streams("Filter", "F", &[("p9".into(), "s9".into())])
             .is_empty());
+        // No operands: nothing either — there is no operator-only term.
+        assert!(db.find_derived_streams("Filter", "F", &[]).is_empty());
+    }
+
+    #[test]
+    fn a_publish_posts_one_term_per_operand_plus_one() {
+        let mut db = db();
+        db.publish(StreamDefinition::source("p1", "s1", "inCOM"));
+        assert_eq!(db.index_stats().insert_operations, 1);
+        db.publish(StreamDefinition::derived(
+            "p1",
+            "sj",
+            "Join",
+            "callId",
+            vec![("p1".into(), "s1".into()), ("p2".into(), "s2".into())],
+        ));
+        assert_eq!(db.index_stats().insert_operations, 1 + 3);
+    }
+
+    #[test]
+    fn a_query_reads_the_postings_of_its_parameters_only() {
+        let mut db = db();
+        let operand = vec![("hub".to_string(), "src".to_string())];
+        for i in 0..50 {
+            db.publish(StreamDefinition::derived(
+                "hub",
+                format!("f{i}"),
+                "Filter",
+                format!("x={i}"),
+                operand.clone(),
+            ));
+        }
+        let before = db.index_stats().postings_read;
+        let found: Vec<String> = db
+            .find_derived_streams("Filter", "x=7", &operand)
+            .iter()
+            .map(|d| d.stream_id.clone())
+            .collect();
+        assert_eq!(found, vec!["f7"]);
+        assert_eq!(db.index_stats().postings_read - before, 1);
     }
 
     #[test]

@@ -1,0 +1,166 @@
+//! Model-based test of the reuse query, `find_derived_streams`.
+//!
+//! The database indexes a derived definition under one term per operand
+//! that also carries a digest of its parameters, and the query reads only
+//! those terms.  The model below is the definition of what the query must
+//! answer — a flat scan of the live descriptors in publish order, keeping
+//! those with the same operator, the same parameters and the same operands
+//! — kept here as the oracle: after every step of a random `publish` /
+//! `retract` sequence both must give the same answer, in the same order,
+//! for every query in the vocabulary.
+//!
+//! The vocabulary is small on purpose: several definitions share
+//! parameters, operands and whole operand lists, and a definition may name
+//! one operand twice, so the posting lists the index keeps are shared,
+//! emptied and refilled.
+
+use p2pmon_dht::{ChordNetwork, StreamDefinition, StreamDefinitionDatabase};
+use proptest::prelude::*;
+
+const PEERS: [&str; 3] = ["p0", "p1", "p2"];
+const STREAMS: [&str; 4] = ["s0", "s1", "s2", "s3"];
+const OPERATORS: [&str; 2] = ["Filter", "Join"];
+const PARAMETERS: [&str; 3] = ["", "x=1", "x=2"];
+/// Operands are drawn from three streams, two of them on one peer.
+const OPERANDS: [(&str, &str); 3] = [("p0", "s0"), ("p0", "s1"), ("p1", "s0")];
+
+type Key = (String, String);
+
+/// Every operand list of one or two operands, duplicates included.
+fn operand_lists() -> Vec<Vec<Key>> {
+    let pair = |i: usize| (OPERANDS[i].0.to_string(), OPERANDS[i].1.to_string());
+    let mut lists: Vec<Vec<Key>> = (0..OPERANDS.len()).map(|i| vec![pair(i)]).collect();
+    for i in 0..OPERANDS.len() {
+        for j in 0..OPERANDS.len() {
+            lists.push(vec![pair(i), pair(j)]);
+        }
+    }
+    lists
+}
+
+/// The live descriptors in publish order, scanned whole on every query.
+#[derive(Default)]
+struct FlatModel {
+    live: Vec<StreamDefinition>,
+}
+
+impl FlatModel {
+    fn publish(&mut self, definition: StreamDefinition) {
+        self.live.push(definition);
+    }
+
+    fn retract(&mut self, peer: &str, stream: &str) -> bool {
+        let before = self.live.len();
+        self.live
+            .retain(|d| !(d.peer_id == peer && d.stream_id == stream));
+        self.live.len() != before
+    }
+
+    fn find_derived_streams(&self, operator: &str, parameters: &str, operands: &[Key]) -> Vec<Key> {
+        if operands.is_empty() {
+            return Vec::new();
+        }
+        self.live
+            .iter()
+            .filter(|d| {
+                d.operator == operator
+                    && d.parameters == parameters
+                    && d.operands.len() == operands.len()
+                    && operands.iter().all(|o| d.operands.contains(o))
+            })
+            .map(|d| (d.peer_id.clone(), d.stream_id.clone()))
+            .collect()
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Publish {
+        key: (usize, usize),
+        operator: usize,
+        parameters: usize,
+        operands: usize,
+    },
+    Retract(usize, usize),
+}
+
+fn op() -> BoxedStrategy<Op> {
+    // Publishes outnumber retractions two to one so lists grow long enough
+    // to share, and twelve keys make re-publishing a retracted key common.
+    (
+        0usize..3,
+        0usize..3,
+        0usize..4,
+        0usize..2,
+        0usize..3,
+        0usize..12,
+    )
+        .prop_map(|(kind, peer, stream, operator, parameters, operands)| {
+            if kind == 0 {
+                Op::Retract(peer, stream)
+            } else {
+                Op::Publish {
+                    key: (peer, stream),
+                    operator,
+                    parameters,
+                    operands,
+                }
+            }
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_digest_keyed_index_agrees_with_a_flat_scan(
+        ops in proptest::collection::vec(op(), 1..60),
+    ) {
+        let lists = operand_lists();
+        let mut db = StreamDefinitionDatabase::new(ChordNetwork::with_nodes(8, 5));
+        let mut model = FlatModel::default();
+        for op in ops {
+            match &op {
+                Op::Publish { key, operator, parameters, operands } => {
+                    let (peer, stream) = (PEERS[key.0], STREAMS[key.1]);
+                    // As the monitor does: a live key is never published over.
+                    if db.get(peer, stream).is_some() {
+                        continue;
+                    }
+                    let definition = StreamDefinition::derived(
+                        peer,
+                        stream,
+                        OPERATORS[*operator],
+                        PARAMETERS[*parameters],
+                        lists[*operands].clone(),
+                    );
+                    db.publish(definition.clone());
+                    model.publish(definition);
+                }
+                Op::Retract(p, s) => prop_assert_eq!(
+                    db.retract(PEERS[*p], STREAMS[*s]),
+                    model.retract(PEERS[*p], STREAMS[*s])
+                ),
+            }
+            prop_assert_eq!(db.len(), model.live.len());
+            for operator in OPERATORS {
+                for parameters in PARAMETERS {
+                    for operands in lists.iter().chain([&Vec::new()]) {
+                        let found: Vec<Key> = db
+                            .find_derived_streams(operator, parameters, operands)
+                            .iter()
+                            .map(|d| (d.peer_id.clone(), d.stream_id.clone()))
+                            .collect();
+                        prop_assert_eq!(
+                            found,
+                            model.find_derived_streams(operator, parameters, operands),
+                            "find_derived_streams({}, {:?}, {:?}) after {:?}",
+                            operator, parameters, operands, op
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -17,9 +17,10 @@
 //!   under churn, while the EWMA decays toward zero when a stream falls
 //!   silent, which is what replica retraction and placement want to see.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use p2pmon_xmlkit::{Element, ElementBuilder};
+use p2pmon_xmlkit::{intern, Element, ElementBuilder, Symbol};
 
 use crate::channel::ChannelId;
 
@@ -266,6 +267,10 @@ impl StreamStats {
 #[derive(Debug, Default)]
 pub struct RateTable {
     entries: HashMap<ChannelId, StreamStats>,
+    /// Each producing peer's observed channels, in first-observation order,
+    /// keyed by the peer's interned symbol: what [`RateTable::peer_load_at`]
+    /// reads instead of the whole table.
+    by_peer: HashMap<Symbol, Vec<ChannelId>>,
 }
 
 impl RateTable {
@@ -276,10 +281,32 @@ impl RateTable {
 
     /// Records one item of `bytes` bytes on `channel` at logical `timestamp`.
     pub fn observe(&mut self, channel: ChannelId, timestamp: u64, bytes: usize) {
-        self.entries
-            .entry(channel)
-            .or_default()
-            .record(timestamp, bytes);
+        let stats = match self.entries.entry(channel) {
+            Entry::Occupied(known) => known.into_mut(),
+            Entry::Vacant(first) => {
+                self.by_peer
+                    .entry(channel.peer.symbol())
+                    .or_default()
+                    .push(channel);
+                first.insert(StreamStats::default())
+            }
+        };
+        stats.record(timestamp, bytes);
+    }
+
+    /// The load `peer` carries at `now`: the recent data rate (bytes/sec,
+    /// EWMA decayed to `now`) of every channel it produces, each rounded to
+    /// a whole number, summed — and how many channels that read.  A peer
+    /// with no observed channel, or a name never interned, carries 0.
+    pub fn peer_load_at(&self, peer: &str, now: u64) -> (u64, usize) {
+        let channels = intern::lookup(peer)
+            .and_then(|symbol| self.by_peer.get(&symbol))
+            .map_or(&[][..], Vec::as_slice);
+        let load = channels
+            .iter()
+            .map(|channel| self.entries[channel].bytes_per_second_at(now).round() as u64)
+            .sum();
+        (load, channels.len())
     }
 
     /// The statistics recorded for a channel, if any traffic was seen.
@@ -482,5 +509,55 @@ mod tests {
         assert!(hot_rate > cold_rate);
         assert_eq!(t.bytes_per_second(&ChannelId::new("x", "y"), now), None);
         assert_eq!(t.len(), 2);
+    }
+
+    mod peer_load {
+        use super::*;
+        use proptest::prelude::*;
+
+        const PEERS: [&str; 3] = ["load-a.net", "load-b.net", "load-c.net"];
+        const STREAMS: [&str; 3] = ["s0", "s1", "s2"];
+
+        /// The load as every submit used to compute it: one pass over the
+        /// whole table, each channel's rounded rate added to its peer.
+        fn whole_table_sum(table: &RateTable, peer: &str, now: u64) -> u64 {
+            table
+                .channels()
+                .filter(|(channel, _)| channel.peer == peer)
+                .map(|(_, stats)| stats.bytes_per_second_at(now).round() as u64)
+                .sum()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn per_peer_load_equals_the_whole_table_sum(
+                observations in proptest::collection::vec(
+                    (0usize..3, 0usize..3, 0u64..400, 1usize..2_000),
+                    0..40,
+                ),
+                probes in proptest::collection::vec(0u64..6_000, 1..4),
+            ) {
+                let mut table = RateTable::new();
+                let mut clock = 0u64;
+                for (peer, stream, dt, bytes) in observations {
+                    clock += dt;
+                    table.observe(ChannelId::new(PEERS[peer], STREAMS[stream]), clock, bytes);
+                    for ahead in &probes {
+                        let now = clock + ahead;
+                        for peer in PEERS {
+                            let (load, read) = table.peer_load_at(peer, now);
+                            prop_assert_eq!(load, whole_table_sum(&table, peer, now));
+                            prop_assert_eq!(
+                                read,
+                                table.channels().filter(|(c, _)| c.peer == peer).count()
+                            );
+                        }
+                    }
+                }
+                prop_assert_eq!(table.peer_load_at("load-never-interned.net", clock), (0, 0));
+            }
+        }
     }
 }

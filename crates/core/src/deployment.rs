@@ -37,7 +37,7 @@ use p2pmon_p2pml::plan::{normalize_peer, LogicalPlan};
 use p2pmon_p2pml::{compile_subscription, ByClause, CompileError};
 use p2pmon_streams::ChannelId;
 
-use crate::dispatch::{source_channel, Route};
+use crate::dispatch::Route;
 use crate::monitor::{DeployedSubscription, Monitor, SubscriptionHandle};
 use crate::reuse::ReuseStats;
 
@@ -245,11 +245,7 @@ impl Monitor {
         // learned from the traffic of earlier ones.
         let rate_of = |kind: &TaskKind| -> Option<f64> {
             let channel = match kind {
-                TaskKind::Source {
-                    function,
-                    monitored_peer,
-                    ..
-                } => source_channel(function, monitored_peer),
+                TaskKind::Source { feed, .. } => *feed,
                 TaskKind::ChannelSource { channel, .. } => {
                     if let Some(rate) = self.rate_table.bytes_per_second(channel, now) {
                         return Some(rate);
@@ -307,14 +303,11 @@ impl Monitor {
                 TaskKind::Source {
                     function,
                     monitored_peer,
+                    feed,
                     ..
                 } => {
                     self.ensure_alerter(function, monitored_peer);
-                    self.routing.attach_source(
-                        source_channel(function, monitored_peer),
-                        sub_idx,
-                        task.id,
-                    );
+                    self.routing.attach_source(*feed, sub_idx, task.id);
                 }
                 TaskKind::DynamicSource { function, .. } => {
                     self.routing.attach_dynamic(function, sub_idx, task.id);
@@ -398,7 +391,8 @@ impl Monitor {
                 if declared != channel {
                     self.repoint_channel_consumers(&declared, &channel);
                 }
-                self.routing.published_channels.entry(channel).or_default();
+                let published = self.routing.published_channels.entry(channel);
+                published.or_default().publishers += 1;
                 Some(channel)
             }
             _ => None,

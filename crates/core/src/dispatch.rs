@@ -43,9 +43,11 @@
 //! function that compiled it before it was kept, at the next lookup — only
 //! when the stamp is stale.  The epoch is bumped, in O(1), by everything that
 //! edits what they are compiled from: the `RoutingTable`'s edit methods (the
-//! consumer maps are private behind them; `deploy_plan`, `sweep_retired`,
-//! `move_channel_consumers` and `reattach_orphaned_consumers` are the
-//! callers), `PeerHost::register_select` / `unregister_select`, and the
+//! consumer maps are private behind them; `deploy_plan` attaches,
+//! `sweep_retired` retracts through `RoutingTable::retract`, which edits only
+//! the entries the removed tasks registered in, and `move_channel_consumers`
+//! and `reattach_orphaned_consumers` move), `PeerHost::register_select` /
+//! `unregister_select`, and the
 //! `Route::Dropped` rewrite of a swept subscription.  `fail_peer` /
 //! `recover_peer` do not bump: down-ness is read at emission time.  Gates
 //! are still resolved at drain time against the current tables: an alert
@@ -76,6 +78,7 @@
 //!
 //! [`FilterEngine`]: p2pmon_filter::FilterEngine
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -186,9 +189,9 @@ impl FanoutEpoch {
 /// them in the epoch it is stamped with.  The compiled form belongs to the
 /// entry it was compiled from, so finding it is the lookup that found the
 /// consumers, and a stream nobody consumes has nothing to look up.  It is
-/// boxed: most entries of a large deployment never carry an item, every
-/// teardown walks them all and every operator output probes the channel
-/// table for a tap, so an entry is one word larger than its consumer list.
+/// boxed: most entries of a large deployment never carry an item and every
+/// operator output probes the channel table for a tap, so an entry is one
+/// word larger than its consumer list.
 struct Fanout<C, P> {
     consumers: Vec<C>,
     compiled: Option<Box<(FanoutEpoch, P)>>,
@@ -253,7 +256,7 @@ pub(crate) struct RoutingTable {
     /// multicast plan.
     channel_consumers: HashMap<ChannelId, Fanout<Target, MulticastPlan>>,
     /// Items published on externally visible channels (BY channel clauses).
-    pub published_channels: HashMap<ChannelId, Vec<Arc<Element>>>,
+    pub published_channels: HashMap<ChannelId, PublishedChannel>,
     /// The fan-out epoch (see [`FanoutEpoch`]).  Public within the crate so
     /// the edits that live outside this table — a host's gate registrations,
     /// a route rewrite — bump through the same door.
@@ -288,22 +291,66 @@ impl RoutingTable {
         entry.consumers.push((sub, task, port));
     }
 
-    /// Drops every registration of the `(subscription, task)`s matching
-    /// `removed`, and the entries left empty.
-    pub(crate) fn retract_tasks(&mut self, removed: impl Fn(usize, usize) -> bool) {
+    /// Drops the registrations of the `(subscription, task)`s matching
+    /// `removed` from the entries `named` lists, and the entries left empty.
+    /// Only those entries are read (counted in
+    /// [`DispatchStats::registrations_scanned`]): a retraction costs the
+    /// lists its tasks registered in, not the deployment.  The caller must
+    /// name every entry a removed task is registered in; debug builds walk
+    /// the whole table afterwards and assert that it did.
+    pub(crate) fn retract(
+        &mut self,
+        named: &RouteEntries<'_>,
+        removed: impl Fn(usize, usize) -> bool,
+        stats: &mut DispatchStats,
+    ) {
         self.epoch.bump();
-        self.source_consumers.retain(|_, entry| {
-            entry.consumers.retain(|&(s, t)| !removed(s, t));
-            !entry.consumers.is_empty()
-        });
-        self.dynamic_consumers.retain(|_, consumers| {
-            consumers.retain(|&(s, t)| !removed(s, t));
-            !consumers.is_empty()
-        });
-        self.channel_consumers.retain(|_, entry| {
-            entry.consumers.retain(|&(s, t, _)| !removed(s, t));
-            !entry.consumers.is_empty()
-        });
+        let scanned = &mut stats.registrations_scanned;
+        for &source in &named.sources {
+            let Entry::Occupied(mut entry) = self.source_consumers.entry(source) else {
+                continue;
+            };
+            if retract_from(
+                &mut entry.get_mut().consumers,
+                |&(s, t)| removed(s, t),
+                scanned,
+            ) {
+                entry.remove();
+            }
+        }
+        for &function in &named.functions {
+            let Some(consumers) = self.dynamic_consumers.get_mut(function) else {
+                continue;
+            };
+            if retract_from(consumers, |&(s, t)| removed(s, t), scanned) {
+                self.dynamic_consumers.remove(function);
+            }
+        }
+        for &channel in &named.channels {
+            let Entry::Occupied(mut entry) = self.channel_consumers.entry(channel) else {
+                continue;
+            };
+            if retract_from(
+                &mut entry.get_mut().consumers,
+                |&(s, t, _)| removed(s, t),
+                scanned,
+            ) {
+                entry.remove();
+            }
+        }
+        debug_assert!(
+            self.source_consumers
+                .values()
+                .flat_map(|entry| &entry.consumers)
+                .chain(self.dynamic_consumers.values().flatten())
+                .all(|&(s, t)| !removed(s, t))
+                && self
+                    .channel_consumers
+                    .values()
+                    .flat_map(|entry| &entry.consumers)
+                    .all(|&(s, t, _)| !removed(s, t)),
+            "a removed task is still registered in an entry its retraction did not name"
+        );
     }
 
     /// Takes every consumer registration off `channel`, for the caller to
@@ -379,6 +426,35 @@ impl RoutingTable {
     }
 }
 
+/// A BY channel's history, and the number of deployments publishing under
+/// its identity whose producing subtree is not yet swept (colliding names on
+/// one peer share the entry).  The entry goes when the count reaches zero.
+#[derive(Default)]
+pub(crate) struct PublishedChannel {
+    pub publishers: usize,
+    pub items: Vec<Arc<Element>>,
+}
+
+/// The routing entries a [`RoutingTable::retract`] edits, named from the
+/// removed tasks' plan: the alerter feeds their `Source`s consume, the
+/// functions their `DynamicSource`s follow, and the channels holding their
+/// channel registrations — a `ChannelSource`'s current channel, and the
+/// channel of each cross-peer edge into a removed consumer.
+#[derive(Default)]
+pub(crate) struct RouteEntries<'a> {
+    pub sources: Vec<ChannelId>,
+    pub functions: Vec<&'a str>,
+    pub channels: Vec<ChannelId>,
+}
+
+/// Drops the registrations `gone` matches from one consumer list, counting
+/// the registrations read; true when the list is left empty.
+fn retract_from<C>(consumers: &mut Vec<C>, gone: impl Fn(&C) -> bool, scanned: &mut u64) -> bool {
+    *scanned += consumers.len() as u64;
+    consumers.retain(|c| !gone(c));
+    consumers.is_empty()
+}
+
 /// The source stream of the `function` alerter at `peer`: `src-<function>`,
 /// published from the monitored peer itself.  Minted where an alerter is
 /// installed or a source task deployed; the alert path carries the id.
@@ -427,6 +503,10 @@ pub struct DispatchStats {
     /// `plans_compiled`, never counts the debug-build audit's
     /// recompilations.)
     pub gates_resolved: u64,
+    /// Consumer registrations read by teardowns: a retraction reads the
+    /// lists its removed tasks registered in, whatever else is deployed.
+    /// (The debug-build check that nothing else held one is not counted.)
+    pub registrations_scanned: u64,
 }
 
 impl DispatchStats {
@@ -442,6 +522,7 @@ impl DispatchStats {
         self.host_visits += other.host_visits;
         self.plans_compiled += other.plans_compiled;
         self.gates_resolved += other.gates_resolved;
+        self.registrations_scanned += other.registrations_scanned;
     }
 }
 
@@ -1129,6 +1210,7 @@ impl Monitor {
                 .published_channels
                 .entry(channel)
                 .or_default()
+                .items
                 .push(output);
         }
     }

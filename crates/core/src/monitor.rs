@@ -24,7 +24,7 @@ use p2pmon_streams::ops::Window;
 use p2pmon_streams::{ChannelId, RateTable};
 use p2pmon_xmlkit::Element;
 
-use crate::dispatch::{DispatchStats, Route, RoutingTable};
+use crate::dispatch::{DispatchStats, PublishedChannel, Route, RouteEntries, RoutingTable};
 use crate::peer::PeerHost;
 use crate::placement::{PlacedPlan, PlacementStrategy, TaskKind};
 use crate::reuse::{ReuseReport, ReuseStats};
@@ -873,36 +873,43 @@ impl Monitor {
 
     /// Re-attaches every consumer of a just-retracted replica channel to the
     /// closest surviving provider of the same origin, scored from the
-    /// consumer's own peer (`select_provider`; downed peers and the
-    /// consumer's own dangling declaration are unavailable).  A replica is
+    /// consumer's own peer (downed peers are unavailable).  A replica is
     /// only eligible while its forwarder verifiably still pulls toward the
-    /// origin ([`Monitor::replica_chain_reaches_origin`]); an orphan moved
-    /// earlier in this same sweep counts once re-anchored, so re-attachment
-    /// stays cycle-free — the first orphan (deterministic `(sub, task)`
-    /// order) lands on the origin or an independent live replica, and later
-    /// orphans may chain behind it.
+    /// origin ([`Monitor::replica_chain_reaches_origin`]), which rules out
+    /// the consumer's own dangling declaration; an orphan moved earlier in
+    /// this same sweep counts once re-anchored, so re-attachment stays
+    /// cycle-free — the first orphan (deterministic `(sub, task)` order)
+    /// lands on the origin or an independent live replica, and later orphans
+    /// may chain behind it.  Eligibility is asked last
+    /// (`select_provider_where`): only of a replica closer than the best so
+    /// far, so an orphan walks a chain per improvement, not per replica
+    /// (counted in [`ReplicaStats::chains_walked`]).
+    ///
+    /// [`ReplicaStats::chains_walked`]: crate::ReplicaStats::chains_walked
     fn reattach_orphaned_consumers(&mut self, old_channel: &ChannelId, origin: &(String, String)) {
         let mut consumers = self.routing.detach_all(old_channel);
         consumers.sort_unstable();
+        let origin_channel = ChannelId::new(&origin.0, &origin.1);
+        let chains_walked = std::cell::Cell::new(0u64);
         for (sub, task, port) in consumers {
-            let consumer_peer = self.subscriptions[sub].placed.tasks[task].peer.clone();
+            let consumer_peer = PeerId::from(&self.subscriptions[sub].placed.tasks[task].peer);
             let target = {
                 let proximity = |p: &str| {
                     if self.network.is_down(p) {
-                        return u64::MAX;
-                    }
-                    if p != origin.0 && !self.replica_chain_reaches_origin(origin, p) {
-                        return u64::MAX;
-                    }
-                    if p == consumer_peer {
+                        u64::MAX
+                    } else if consumer_peer == p {
                         0
                     } else {
-                        self.network.expected_latency(&consumer_peer, p)
+                        self.network.expected_latency(consumer_peer, p)
                     }
+                };
+                let eligible = |p: &str| {
+                    chains_walked.set(chains_walked.get() + 1);
+                    self.replica_chain_reaches_origin(origin, origin_channel, p)
                 };
                 let (p, s) = self
                     .stream_db
-                    .select_provider(&origin.0, &origin.1, proximity);
+                    .select_provider_where(&origin.0, &origin.1, proximity, eligible);
                 ChannelId::new(p, s)
             };
             if let TaskKind::ChannelSource { channel, .. } =
@@ -912,23 +919,29 @@ impl Monitor {
             }
             self.routing.attach(target, sub, task, port);
         }
+        self.replica_totals.chains_walked += chains_walked.get();
     }
 
     /// True when the replica declared at `replica_peer` for `origin` still
     /// pulls items toward the origin: its forwarder's channel subscription,
     /// followed transitively through other live replicas of the same origin,
-    /// terminates at the origin channel.  A forwarder still pointed at a
+    /// terminates at `origin_channel`.  A forwarder still pointed at a
     /// retracted channel (an orphan not yet re-attached) — or any cycle —
-    /// fails the walk, which is what makes orphan re-attachment safe.
-    fn replica_chain_reaches_origin(&self, origin: &(String, String), replica_peer: &str) -> bool {
-        let origin_channel = ChannelId::new(origin.0.clone(), origin.1.clone());
-        let mut peer = replica_peer.to_string();
-        let mut visited = BTreeSet::new();
-        loop {
-            if !visited.insert(peer.clone()) {
-                return false;
-            }
-            let Some(entry) = self.replica_refs.get(origin).and_then(|r| r.get(&peer)) else {
+    /// fails the walk, which is what makes orphan re-attachment safe.  The
+    /// walk is bounded by the origin's replica count: a chain longer than
+    /// that revisits a peer, and a chain that revisits one is a cycle.
+    fn replica_chain_reaches_origin(
+        &self,
+        origin: &(String, String),
+        origin_channel: ChannelId,
+        replica_peer: &str,
+    ) -> bool {
+        let Some(replicas) = self.replica_refs.get(origin) else {
+            return false;
+        };
+        let mut peer = replica_peer;
+        for _ in 0..replicas.len() {
+            let Some(entry) = replicas.get(peer) else {
                 return false;
             };
             let (s, t) = entry.forwarder;
@@ -941,10 +954,11 @@ impl Monitor {
                 return true;
             }
             match self.replica_channels.get(channel) {
-                Some(o) if o == origin => peer = channel.peer.into(),
+                Some(o) if o == origin => peer = channel.peer.as_str(),
                 _ => return false,
             }
         }
+        false
     }
 
     /// Hands a replica whose forwarding task was torn down over to another
@@ -1124,6 +1138,12 @@ impl Monitor {
         type ReplicaRelease = ((String, String), String, (usize, usize));
         let mut replica_releases: Vec<ReplicaRelease> = Vec::new();
         let sub = &self.subscriptions[idx];
+        // The routing entries the tasks removed now registered in, read off
+        // the plan: a leaf's feed, function or current channel, and the
+        // channel of every cross-peer edge into one of them.  (A task removed
+        // by an earlier sweep took its registrations with it.)
+        let mut entries = RouteEntries::default();
+        let mut removed_now = vec![false; sub.placed.tasks.len()];
         for task in &sub.placed.tasks {
             if keep.contains(&task.id) {
                 continue;
@@ -1135,6 +1155,13 @@ impl Monitor {
             if !host.remove_task(idx, task.id) {
                 continue;
             }
+            removed_now[task.id] = true;
+            match &task.kind {
+                TaskKind::Source { feed, .. } => entries.sources.push(*feed),
+                TaskKind::DynamicSource { function, .. } => entries.functions.push(function),
+                TaskKind::ChannelSource { channel, .. } => entries.channels.push(*channel),
+                _ => {}
+            }
             // The task was still deployed: its stream reference goes with
             // it.  (The replica maps are untouched until the releases below,
             // so a replica subscriber's key resolves to the origin's
@@ -1145,12 +1172,20 @@ impl Monitor {
             }
             released.extend(ref_key);
         }
+        for (task, route) in sub.placed.tasks.iter().zip(&sub.routes) {
+            if let (Route::Channel { channel }, Some((consumer, _))) = (route, task.downstream) {
+                if removed_now[consumer] {
+                    entries.channels.push(*channel);
+                }
+            }
+        }
 
         // Route retraction: the removed tasks disappear from every consumer
         // registration (including the channels they subscribed to for
         // reuse); surviving tasks whose local consumer was removed now feed
         // nothing but their own output channel's subscribers.
-        self.routing.retract_tasks(removed);
+        self.routing
+            .retract(&entries, removed, &mut self.dispatch_stats);
 
         // In-flight local work addressed to the removed tasks is discarded
         // (only a host on the ready list can hold any); a host left with
@@ -1185,15 +1220,15 @@ impl Monitor {
         }
 
         // The published result channel stops existing once its producing
-        // subtree is fully gone — unless another live subscription publishes
+        // subtree is fully gone — unless another subscription publishes
         // under the same identity (colliding BY-channel names on one peer),
         // in which case the survivor keeps the channel and its history.
         if keep.is_empty() {
             if let Some(channel) = self.subscriptions[idx].published_channel.take() {
-                let still_published = self.subscriptions.iter().enumerate().any(|(i, s)| {
-                    i != idx && !s.retired && s.published_channel.as_ref() == Some(&channel)
-                });
-                if !still_published {
+                let published = self.routing.published_channels.get_mut(&channel);
+                let published = published.expect("a publisher keeps its channel's entry");
+                published.publishers -= 1;
+                if published.publishers == 0 {
                     self.routing.published_channels.remove(&channel);
                 }
             }
@@ -1325,12 +1360,16 @@ impl Monitor {
     /// subscribers usually know the channel by the name their subscription
     /// declared, wherever placement put the producer.
     pub fn published_channel(&self, peer: &str, name: &str) -> Vec<Element> {
-        let detach = |items: &Vec<std::sync::Arc<Element>>| {
-            items.iter().map(|item| (**item).clone()).collect()
+        let detach = |published: &PublishedChannel| {
+            published
+                .items
+                .iter()
+                .map(|item| (**item).clone())
+                .collect()
         };
         let exact = ChannelId::new(normalize_peer(peer), name);
-        if let Some(items) = self.routing.published_channels.get(&exact) {
-            return detach(items);
+        if let Some(published) = self.routing.published_channels.get(&exact) {
+            return detach(published);
         }
         let mut by_name = self
             .routing
@@ -1338,7 +1377,7 @@ impl Monitor {
             .iter()
             .filter(|(channel, _)| channel.stream == name);
         match (by_name.next(), by_name.next()) {
-            (Some((_, items)), None) => detach(items),
+            (Some((_, published)), None) => detach(published),
             _ => Vec::new(),
         }
     }

@@ -16,6 +16,8 @@ use p2pmon_p2pml::{ByClause, ValueExpr};
 use p2pmon_streams::{AggregateSpec, AttrCondition, ChannelId, Condition, Template};
 use p2pmon_xmlkit::PathPattern;
 
+use crate::dispatch::source_channel;
+
 /// How operators are assigned to peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementStrategy {
@@ -41,6 +43,10 @@ pub enum TaskKind {
         monitored_peer: String,
         /// The variable the alerts bind to.
         var: String,
+        /// The alerter's source stream, `src-<function>` at the monitored
+        /// peer: minted once, where the task is placed, and the id the task
+        /// is registered and retracted under in the routing table.
+        feed: ChannelId,
     },
     /// A membership-driven source: alerts of `function` from any monitored
     /// peer currently in the membership set (fed by the driver input on
@@ -544,6 +550,7 @@ impl Builder<'_> {
                     function: function.clone(),
                     monitored_peer: peer.clone(),
                     var: var.clone(),
+                    feed: source_channel(function, peer),
                 },
             ),
             LogicalNode::DynamicAlerter {

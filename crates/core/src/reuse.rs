@@ -58,6 +58,11 @@ pub struct ReplicaStats {
     /// (`NetworkStats::replica_forwarded_messages`) — origin-peer load moved
     /// onto consumers.
     pub origin_messages_saved: u64,
+    /// Forwarder chains walked to decide whether a surviving replica is
+    /// eligible for an orphaned consumer: asked only of a replica closer than
+    /// the best provider so far, so this follows the improvements an orphan's
+    /// choice makes, not the number of declared replicas.
+    pub chains_walked: u64,
 }
 
 impl ReplicaStats {
@@ -79,6 +84,7 @@ impl ReplicaStats {
         self.consumers_via_replica += other.consumers_via_replica;
         self.consumers_via_origin += other.consumers_via_origin;
         self.origin_messages_saved += other.origin_messages_saved;
+        self.chains_walked += other.chains_walked;
     }
 }
 

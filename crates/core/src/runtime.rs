@@ -499,6 +499,7 @@ mod tests {
                 function: "inCOM".into(),
                 monitored_peer: "a".into(),
                 var: "x".into(),
+                feed: crate::dispatch::source_channel("inCOM", "a"),
             },
             Window::unbounded(),
         );

@@ -307,7 +307,8 @@ fn explicit_channel_reference_resolves_to_the_emitting_peer() {
 /// Two live subscriptions publishing the same BY-channel name from the same
 /// peer: the second must not take an owner reference on the first's
 /// definition — its pipeline tears down normally on unsubscribe instead of
-/// being pinned forever.
+/// being pinned forever.  The channel they share, and its history, lasts
+/// until the last of them is gone.
 #[test]
 fn colliding_published_channels_do_not_pin_the_second_publisher() {
     let mut monitor = Monitor::new(MonitorConfig {
@@ -327,6 +328,18 @@ fn colliding_published_channels_do_not_pin_the_second_publisher() {
     // definition key collides.
     let first = monitor.submit("manager.org", &text(0)).expect("deploys");
     let second = monitor.submit("manager.org", &text(1)).expect("deploys");
+    for (id, method) in ["Method0", "Method1"].into_iter().enumerate() {
+        monitor.inject_soap_call(&p2pmon_alerters::SoapCall::new(
+            id as u64,
+            "http://hub.net",
+            "http://backend.net",
+            method,
+            10,
+            20,
+        ));
+    }
+    monitor.run_until_idle();
+    assert_eq!(monitor.published_channel("hub.net", "shared").len(), 2);
 
     let hub = monitor.peer_host("hub.net").expect("hub is registered");
     let hosted_with_both = hub.hosted_tasks();
@@ -336,12 +349,20 @@ fn colliding_published_channels_do_not_pin_the_second_publisher() {
         hub.hosted_tasks() < hosted_with_both,
         "the second publisher's tasks must not be pinned by the first's definition"
     );
+    assert_eq!(
+        monitor.published_channel("hub.net", "shared").len(),
+        2,
+        "the first publisher keeps the shared channel and its history"
+    );
 
     assert!(monitor.unsubscribe(&first));
     let hub = monitor.peer_host("hub.net").expect("hub is registered");
     assert_eq!(hub.hosted_tasks(), 0);
     assert!(monitor.stream_db_mut().is_empty());
-    let _ = first;
+    assert!(
+        monitor.published_channel("hub.net", "shared").is_empty(),
+        "the channel goes with its last publisher"
+    );
 }
 
 /// Submit order is not a contract: a subscriber that attaches to a

@@ -1,6 +1,6 @@
 //! A subscription costs what it touches.
 //!
-//! Three pins on the subscription lifetime's history walks, each a
+//! Five pins on the subscription lifetime's history walks, each a
 //! deterministic counter compared across two sizes of what is already
 //! deployed:
 //!
@@ -15,6 +15,12 @@
 //!   lists its definition was posted under; with no operator-wide term, no
 //!   list holds every source of an aggregate, and tearing one down is
 //!   linear in its leaves rather than quadratic.
+//! * `DispatchStats::registrations_scanned` for route retraction.  A
+//!   teardown edits the routing entries its tasks registered in, not every
+//!   consumer list of the deployment.
+//! * `ReplicaStats::chains_walked` for orphan re-attachment.  An orphan asks
+//!   whether a replica's forwarder chain reaches the origin only of a
+//!   replica closer than its best choice so far, not of every declared one.
 
 use p2pmon_alerters::SoapCall;
 use p2pmon_core::{Monitor, MonitorConfig};
@@ -26,10 +32,28 @@ const MANAGER: &str = "f-mgr.org";
 
 /// Subscription `i` of a storm of Filters no two of which share a clause.
 fn distinct_filter(i: usize) -> String {
+    filter_on(&[HUB], i)
+}
+
+/// The `i`-th distinct Filter over the calls of `hubs`.
+fn filter_on(hubs: &[&str], i: usize) -> String {
+    let peers: Vec<String> = hubs.iter().map(|hub| format!("<p>{hub}</p>")).collect();
     format!(
-        "for $c in outCOM(<p>{HUB}</p>)\nwhere $c.callMethod = \"M{i}\" and $c.duration > 8\n\
-         return <hit sub=\"f{i}\"/>\nby email \"f{i}@example.org\";"
+        "for $c in outCOM({})\nwhere $c.callMethod = \"M{i}\" and $c.duration > 8\n\
+         return <hit sub=\"f{i}\"/>\nby email \"f{i}@example.org\";",
+        peers.join(" ")
     )
+}
+
+/// A monitor with the clustered latency model of `storm`.
+fn clustered_monitor(storm: &OverlappingStorm) -> Monitor {
+    Monitor::new(MonitorConfig {
+        network: NetworkConfig {
+            latency: storm.latency_model(),
+            ..NetworkConfig::default()
+        },
+        ..MonitorConfig::default()
+    })
 }
 
 /// Deploys `standing` distinct Filters over one hub, then returns the
@@ -105,13 +129,7 @@ fn drive(monitor: &mut Monitor, traffic: &mut OverlappingStorm, n: usize) {
 fn loads_read_per_submit(bystanders: usize) -> u64 {
     const SHAPES: usize = 4;
     let storm = OverlappingStorm::clustered(3, SHAPES, 2, 4);
-    let mut monitor = Monitor::new(MonitorConfig {
-        network: NetworkConfig {
-            latency: storm.latency_model(),
-            ..NetworkConfig::default()
-        },
-        ..MonitorConfig::default()
-    });
+    let mut monitor = clustered_monitor(&storm);
     observe_bystanders(&mut monitor, bystanders);
     assert!(monitor.rate_table().len() >= bystanders);
     let mut traffic = storm.clone();
@@ -172,5 +190,77 @@ fn tearing_an_aggregate_down_scans_postings_linearly_in_its_leaves() {
         (3.5..=4.5).contains(&ratio),
         "4x the leaves scanned {large} postings against {small}: ratio {ratio:.2}, \
          linear would be 4"
+    );
+}
+
+/// Consumer registrations read by tearing down one Filter over two hubs — two
+/// alerter feeds and the channel one hub's half crosses to the union on the
+/// other — deployed beside `bystanders` distinct Filters over ten other hubs.
+fn registrations_per_unsubscribe(bystanders: usize) -> u64 {
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    for i in 0..bystanders {
+        let hub = format!("by{}.net", i % 10);
+        monitor
+            .submit(MANAGER, &filter_on(&[&hub], i))
+            .expect("bystander deploys");
+    }
+    let handle = monitor
+        .submit(MANAGER, &filter_on(&[HUB, "g-hub.net"], 0))
+        .expect("filter deploys");
+    let before = monitor.dispatch_stats().registrations_scanned;
+    assert!(monitor.unsubscribe(&handle));
+    monitor.dispatch_stats().registrations_scanned - before
+}
+
+#[test]
+fn a_teardown_reads_the_registrations_of_its_own_routes() {
+    let few = registrations_per_unsubscribe(100);
+    let many = registrations_per_unsubscribe(1_000);
+    assert_eq!(
+        few, many,
+        "900 more subscriptions on other hubs must not change what a teardown reads"
+    );
+    assert!(few > 0, "the teardown retracts its own registrations");
+}
+
+/// Forwarder chains walked when the replica forwarding for cluster 1 of a
+/// one-shape clustered storm (`clusters` clusters of four consumers, one
+/// subscription per consumer) is retracted: its three orphans choose among
+/// the origin and one replica per other consumer peer.
+fn chains_per_retraction(clusters: usize) -> u64 {
+    const PER_CLUSTER: usize = 4;
+    let storm = OverlappingStorm::clustered(5, 1, clusters, PER_CLUSTER);
+    let mut monitor = clustered_monitor(&storm);
+    let handles: Vec<_> = (0..storm.consumer_peers.len())
+        .map(|i| {
+            monitor
+                .submit(storm.manager_of(i), &storm.subscription(i))
+                .expect("storm subscription deploys")
+        })
+        .collect();
+    let before = monitor.replica_stats();
+    assert!(
+        before.replicas_created as usize >= clusters * PER_CLUSTER - 1,
+        "every consumer peer but the producer's re-publishes the stream"
+    );
+    // The first subscription of cluster 1 forwards the replica the rest of
+    // its cluster attached to.
+    assert!(monitor.unsubscribe(&handles[PER_CLUSTER]));
+    let after = monitor.replica_stats();
+    assert_eq!(after.replicas_retracted - before.replicas_retracted, 1);
+    after.chains_walked - before.chains_walked
+}
+
+#[test]
+fn an_orphan_walks_the_chains_of_the_replicas_that_would_win() {
+    let two = chains_per_retraction(2);
+    let eight = chains_per_retraction(8);
+    assert_eq!(
+        two, eight,
+        "replicas in six more clusters, none closer, must not be walked"
+    );
+    assert!(
+        two > 0,
+        "an orphan's own dangling declaration is walked and refused"
     );
 }

@@ -47,7 +47,7 @@
 //! `<InChannel>` replica declarations are not index terms: they are kept
 //! keyed by the *origin* `(PeerId, StreamId)` they replicate, each origin's
 //! list in declaration order, so [`StreamDefinitionDatabase::replicas_of`],
-//! both `select_provider`s, `publish_replica`, `retract_replica` and
+//! the `select_provider`s, `publish_replica`, `retract_replica` and
 //! `retract` touch one origin's declarations — never the whole table — and
 //! no lookup builds an owned key.  A reverse count per replica coordinate
 //! `(ReplicaPeerId, ReplicaStreamId)` answers
@@ -537,16 +537,35 @@ impl StreamDefinitionDatabase {
         stream: &str,
         proximity: impl Fn(&str) -> u64,
     ) -> (String, String) {
-        let mut best = (peer.to_string(), stream.to_string());
+        self.select_provider_where(peer, stream, proximity, |_| true)
+    }
+
+    /// [`select_provider`](Self::select_provider) over the replicas
+    /// `eligible` admits: the same choice as a `proximity` that gave
+    /// [`u64::MAX`] to every ineligible replica.  `eligible` is the
+    /// expensive question, so it is asked last — once per replica at most,
+    /// and only of a replica whose score would beat the best so far.  The
+    /// original publisher is never asked.
+    pub fn select_provider_where(
+        &self,
+        peer: &str,
+        stream: &str,
+        proximity: impl Fn(&str) -> u64,
+        eligible: impl Fn(&str) -> bool,
+    ) -> (String, String) {
+        let mut best = (peer, stream);
         let mut best_score = proximity(peer);
         for replica in self.declared(peer, stream) {
             let score = proximity(&replica.replica_peer);
-            if score < best_score && score < u64::MAX {
+            if score < best_score && score < u64::MAX && eligible(&replica.replica_peer) {
                 best_score = score;
-                best = (replica.replica_peer.clone(), replica.replica_stream.clone());
+                best = (
+                    replica.replica_peer.as_str(),
+                    replica.replica_stream.as_str(),
+                );
             }
         }
-        best
+        (best.0.to_string(), best.1.to_string())
     }
 
     /// Like [`select_provider`](Self::select_provider), but with a second,

@@ -8,6 +8,13 @@
 //! both must give the same `replicas_of` (order included), the same
 //! `select_provider` / `select_provider_loaded` choice and the same
 //! `canonical_identity`, for every coordinate in the vocabulary.
+//!
+//! `select_provider_where` is held to the model's `select_provider` with
+//! every ineligible replica scored `u64::MAX`, and to the questions it may
+//! ask: eligibility once per replica at most, and only of a replica scoring
+//! below the best eligible provider before it.
+
+use std::cell::RefCell;
 
 use p2pmon_dht::{ChordNetwork, ReplicaDeclaration, StreamDefinition, StreamDefinitionDatabase};
 use proptest::prelude::*;
@@ -105,6 +112,33 @@ impl FlatModel {
         best
     }
 
+    /// The replicas a selection over the `eligible` ones may ask about, in
+    /// declaration order: the available ones scoring below the original and
+    /// below every earlier eligible replica.
+    fn eligibility_questions(
+        &self,
+        peer: &str,
+        stream: &str,
+        proximity: impl Fn(&str) -> u64,
+        eligible: impl Fn(&str) -> bool,
+    ) -> Vec<String> {
+        let replicas = self.replicas_of(peer, stream);
+        let best_before = |k: usize| {
+            replicas[..k]
+                .iter()
+                .filter(|r| eligible(&r.replica_peer))
+                .map(|r| proximity(&r.replica_peer))
+                .fold(proximity(peer), u64::min)
+        };
+        (0..replicas.len())
+            .filter(|&k| {
+                let score = proximity(&replicas[k].replica_peer);
+                score < u64::MAX && score < best_before(k)
+            })
+            .map(|k| replicas[k].replica_peer.clone())
+            .collect()
+    }
+
     fn select_provider_loaded(
         &self,
         peer: &str,
@@ -192,7 +226,10 @@ proptest! {
         ops in proptest::collection::vec(op(), 1..60),
         proximity in scores(),
         load in scores(),
+        eligible in proptest::collection::vec(proptest::bool::ANY, PEERS.len()),
     ) {
+        let near = score_of(&proximity, true);
+        let is_eligible = |peer: &str| eligible[PEERS.iter().position(|p| *p == peer).expect("known peer")];
         let mut db = StreamDefinitionDatabase::new(ChordNetwork::with_nodes(8, 3));
         let mut model = FlatModel::default();
         for op in ops {
@@ -251,6 +288,26 @@ proptest! {
                             score_of(&load, false),
                         ),
                         "select_provider_loaded({}, {}) after {:?}", peer, stream, op
+                    );
+                    let asked = RefCell::new(Vec::new());
+                    let chosen = db.select_provider_where(peer, stream, &near, |p| {
+                        asked.borrow_mut().push(p.to_string());
+                        is_eligible(p)
+                    });
+                    // A replica on the original's own peer is exempt: it
+                    // scores what the original does, so it never wins.
+                    let unless_ineligible =
+                        |p: &str| if p != peer && !is_eligible(p) { u64::MAX } else { near(p) };
+                    prop_assert_eq!(
+                        chosen,
+                        model.select_provider(peer, stream, unless_ineligible),
+                        "select_provider_where({}, {}) after {:?}", peer, stream, op
+                    );
+                    prop_assert_eq!(
+                        asked.into_inner(),
+                        model.eligibility_questions(peer, stream, &near, is_eligible),
+                        "eligibility asked by select_provider_where({}, {}) after {:?}",
+                        peer, stream, op
                     );
                 }
             }

@@ -93,13 +93,15 @@ impl LatencySampler {
     }
 
     /// The *expected* latency of a link, used by the optimizer / replica
-    /// selection as a proximity measure without consuming randomness.
-    pub fn expected(&self, from: &str, to: &str) -> u64 {
+    /// selection as a proximity measure without consuming randomness.  Takes
+    /// names or ids: a caller scoring many links from one peer interns that
+    /// peer once, and only `PerLink` resolves either end.
+    pub fn expected(&self, from: impl Into<PeerId>, to: impl Into<PeerId>) -> u64 {
         match &self.model {
             LatencyModel::Constant(ms) => *ms,
             LatencyModel::Uniform { min, max, .. } => (min + max) / 2,
             LatencyModel::PerLink { links, default } => links
-                .get(&(PeerId::from(from), PeerId::from(to)))
+                .get(&(from.into(), to.into()))
                 .copied()
                 .unwrap_or(*default),
         }

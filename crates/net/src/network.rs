@@ -226,8 +226,8 @@ impl Network {
     }
 
     /// Expected latency of a link — the proximity measure used by replica
-    /// selection.
-    pub fn expected_latency(&self, from: &str, to: &str) -> u64 {
+    /// selection.  Either end may be a name or an already interned id.
+    pub fn expected_latency(&self, from: impl Into<PeerId>, to: impl Into<PeerId>) -> u64 {
         self.latency.expected(from, to)
     }
 

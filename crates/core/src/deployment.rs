@@ -512,7 +512,7 @@ impl Monitor {
                     identities[task.id] = Some(self.channel_origin(channel));
                 }
                 TaskKind::DynamicSource { .. } => {}
-                // Sketch stages exchange opaque serialized partials, not
+                // Sketch stages exchange partials as values, not
                 // reusable streams: a later identical subscription cannot
                 // attach mid-window (it would miss every delta already
                 // folded into the tree), so none of them is published to

@@ -7,10 +7,11 @@
 //! Every dispatch round is a two-phase step, run on the calling thread:
 //!
 //! 1. **Local phase** — every peer with local work runs `run_peer`, in
-//!    peer order, over its own [`PeerHost`] shard: it drains the peer's
-//!    `PendingAlert` batch — deduplicating identical documents and running
-//!    **one** amortized pass of the shared [`FilterEngine`] (preFilter →
-//!    AESFilter → YFilterσ) per unique document
+//!    peer order, over its own [`PeerHost`] shard: it folds the sketch
+//!    partials handed to the peer's merge and root stages into them, drains
+//!    the peer's `PendingAlert` batch — deduplicating identical documents
+//!    and running **one** amortized pass of the shared [`FilterEngine`]
+//!    (preFilter → AESFilter → YFilterσ) per unique document
 //!    ([`p2pmon_filter::FilterEngine::match_batch`]) — and then runs the
 //!    work queue until empty.  Only matched subscriptions' operators
 //!    execute; the `Select` operator keeps its LET-derivation /
@@ -63,14 +64,15 @@
 //! **A round costs what it carries.**  In the paper every peer is its own
 //! machine, so a peer that observes nothing costs nothing; here one loop plays
 //! every peer, so the monitor keeps a *ready list* of the hosts that have
-//! something to do — an undrained alerter, batched or queued work, unflushed
-//! sketch state — and every phase of [`Monitor::tick`] walks that list, never
-//! the deployment.  A host enters the list on its idle→busy transition
-//! (`PeerHost::list_on`, an O(1) flag check at every site that feeds an
-//! alerter, batches an alert or enqueues work) and leaves at the end of a
-//! round it finished idle; the network likewise reports only the inboxes
-//! that were written to.  Debug builds re-derive the list from a full walk at
-//! the end of every round and assert the two agree.
+//! something to do — an undrained alerter, batched or queued work, handed-over
+//! or unflushed sketch state — and every phase of [`Monitor::tick`] walks
+//! that list, never the deployment.  A host enters the list on its idle→busy
+//! transition (`PeerHost::list_on`, an O(1) flag check at every site that
+//! feeds an alerter, batches an alert, hands over a partial or enqueues
+//! work) and leaves at the end of a round it finished idle; the network
+//! likewise reports only the inboxes that were written to.  Debug builds
+//! re-derive the list from a full walk at the end of every round and assert
+//! the two agree.
 //!
 //! Setting [`crate::MonitorConfig::naive_dispatch`] disables the engine and
 //! fans every alert out to every consumer, re-evaluating each `Select`
@@ -83,7 +85,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use p2pmon_filter::SubscriptionId;
-use p2pmon_net::PeerId;
+use p2pmon_net::{Payload, PeerId};
 use p2pmon_streams::binding::TUPLE_TAG;
 use p2pmon_streams::ChannelId;
 use p2pmon_xmlkit::Element;
@@ -476,13 +478,14 @@ pub struct DispatchStats {
     /// naive path would have spent on a full `Select` evaluation.
     pub gate_rejections: u64,
     /// Deliveries that bypassed the engine (non-Select consumers, tuple
-    /// items, or `naive_dispatch` mode).
+    /// items, or `naive_dispatch` mode).  Sketch partials are not among
+    /// them: they go straight to the stage they are handed to.
     pub plain_deliveries: u64,
     /// Deliveries discarded because their host peer was down: queued work
-    /// items plus batched alert targets.  Batched targets are counted before
-    /// their engine pass runs, so gated targets the engine would have
-    /// rejected are included — the counter measures deliveries the peer
-    /// never got to attempt, not results lost.
+    /// items, handed-over sketch partials and batched alert targets.
+    /// Batched targets are counted before their engine pass runs, so gated
+    /// targets the engine would have rejected are included — the counter
+    /// measures deliveries the peer never got to attempt, not results lost.
     pub dropped_by_failure: u64,
     /// Bytes deep-copied out of the shared `Arc` plane at sink delivery —
     /// the single remaining copy point of the zero-copy hot path (results
@@ -738,10 +741,11 @@ struct ResolvedTargets {
     gated: Vec<(SubscriptionId, usize, usize)>,
 }
 
-/// Runs one peer's whole local phase: the batched alert dispatch, then the
-/// work queue until it is empty.
+/// Runs one peer's whole local phase: the sketch partials handed to its
+/// stages, the batched alert dispatch, then the work queue until it is empty.
 pub(crate) fn run_peer(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>) -> PeerEffects {
     let mut out = PeerEffects::default();
+    out.operator_invocations += host.absorb_partials();
     drain_alert_batch(host, snapshot, &mut out);
     while let Some(work) = host.queue.pop_front() {
         execute(host, snapshot, work, &mut out);
@@ -1011,12 +1015,15 @@ impl Monitor {
             let now = self.network.now();
             for alert in alerts {
                 // Wrap once; every consumer below shares the same tree.
-                let alert = Arc::new(alert);
+                let payload = Payload::from(alert);
+                let Payload::Xml(alert) = &payload else {
+                    unreachable!("an alert is wrapped as a tree");
+                };
                 if let Some(targets) = &targets {
                     let host = self.hosts.get_mut(peer).expect("alerting peer is hosted");
                     host.list_on(&mut self.ready);
                     host.pending_alerts.push(PendingAlert {
-                        doc: Arc::clone(&alert),
+                        doc: Arc::clone(alert),
                         targets: Arc::clone(targets),
                     });
                 }
@@ -1024,13 +1031,13 @@ impl Monitor {
                 // by the multicast when somebody reuses the feed (it sees the
                 // same channel id), here otherwise.
                 match &source_plan {
-                    Some(plan) => self.run_multicast(plan, &alert),
+                    Some(plan) => self.run_multicast(plan, &payload),
                     None => self
                         .rate_table
                         .observe(source_channel, now, alert.byte_size()),
                 }
                 if dynamic {
-                    self.feed_dynamic(source_channel.peer, function, &alert);
+                    self.feed_dynamic(source_channel.peer, function, alert);
                 }
             }
         }
@@ -1041,9 +1048,9 @@ impl Monitor {
     /// gone with it).
     pub(crate) fn process_pending(&mut self) {
         loop {
-            // Downed peers lose their batched alerts and queued work (only
-            // a listed host can hold either).  The sweep only runs while a
-            // failure is active.
+            // Downed peers lose their batched alerts, handed-over partials
+            // and queued work (only a listed host can hold any).  The sweep
+            // only runs while a failure is active.
             if self.network.any_down() {
                 for peer in &self.ready {
                     if !self.network.is_down(peer) {
@@ -1051,6 +1058,7 @@ impl Monitor {
                     }
                     let host = self.hosts.get_mut(peer).expect("ready peers are hosted");
                     let dropped = host.queue.len() as u64
+                        + host.pending_partials.len() as u64
                         + host
                             .pending_alerts
                             .iter()
@@ -1058,6 +1066,7 @@ impl Monitor {
                             .sum::<u64>();
                     if dropped > 0 {
                         host.queue.clear();
+                        host.pending_partials.clear();
                         host.pending_alerts.clear();
                         self.dispatch_stats.dropped_by_failure += dropped;
                     }
@@ -1096,7 +1105,7 @@ impl Monitor {
                     match effect {
                         Effect::Channel { channel, output } => {
                             if let Some(plan) = self.multicast_plan(&channel) {
-                                self.run_multicast(&plan, &output);
+                                self.run_multicast(&plan, &Payload::Xml(output));
                             }
                         }
                         Effect::Result { sub, output } => self.deliver_result(sub, output),
@@ -1117,9 +1126,10 @@ impl Monitor {
             .cloned()
     }
 
-    /// Emits one item according to a multicast plan.  The item is sized
-    /// once: the rate table and every destination are charged that number.
-    pub(crate) fn run_multicast(&mut self, plan: &MulticastPlan, output: &Arc<Element>) {
+    /// Emits one payload according to a multicast plan.  The payload is
+    /// sized once: the rate table and every destination are charged that
+    /// number.
+    pub(crate) fn run_multicast(&mut self, plan: &MulticastPlan, output: &Payload) {
         let producer = plan.channel.peer;
         let bytes = output.byte_size();
         // Every emitted item updates the channel's measured rate; placement
@@ -1133,28 +1143,18 @@ impl Monitor {
         } in plan.groups.iter()
         {
             if peer == producer {
-                // Local attachment: straight into the peer's alert batch.
+                // Local attachment: straight to the peer's consumers.
                 if !self.network.is_down(&peer) {
                     saved += targets.targets().len() as u64;
                     let host = self
                         .hosts
                         .get_mut(peer.as_str())
                         .expect("consumer peer is hosted");
-                    host.list_on(&mut self.ready);
-                    host.pending_alerts.push(PendingAlert {
-                        doc: Arc::clone(output),
-                        targets: Arc::clone(targets),
-                    });
+                    host.receive(output.clone(), targets, &mut self.ready);
                 }
             } else if self
                 .network
-                .send_sized(
-                    producer,
-                    peer,
-                    Some(plan.channel),
-                    Arc::clone(output),
-                    bytes,
-                )
+                .send_sized(producer, peer, Some(plan.channel), output.clone(), bytes)
                 .is_some()
             {
                 // Only messages that actually went out count as shared; a
@@ -1215,9 +1215,10 @@ impl Monitor {
         }
     }
 
-    /// Delivers in-flight network messages and batches channel traffic into
-    /// the consuming peers' alert inboxes (engine-gated and deduplicated by
-    /// the next dispatch phase).  A message's targets are the receiving
+    /// Delivers in-flight network messages and files channel traffic with
+    /// the consuming peers: items join the alert batch (engine-gated and
+    /// deduplicated by the next dispatch phase), sketch partials are handed
+    /// to their stages.  A message's targets are the receiving
     /// peer's group of its channel's [`MulticastPlan`] — the plan the sender
     /// emitted by, compiled once per deployment epoch — not a per-inbox
     /// filter of the channel's consumers.  Returns the number of delivered
@@ -1249,32 +1250,30 @@ impl Monitor {
                 let Some(targets) = plan.and_then(|plan| plan.targets_at(peer)) else {
                     continue;
                 };
-                host.list_on(&mut self.ready);
-                host.pending_alerts.push(PendingAlert {
-                    doc: message.payload,
-                    targets: Arc::clone(targets),
-                });
+                host.receive(message.payload, targets, &mut self.ready);
             }
         }
         delivered
     }
 
     /// Round-boundary sketch pass over the ready hosts.  Every non-empty
-    /// leaf/merge stage serializes the partial it accumulated this round and
-    /// forwards it along the task's normal route — one bounded-size message
-    /// per stage per round, however many raw items the stage absorbed — and
-    /// every root stage due per its `every` cadence materializes an
-    /// `<aggregate>` answer into the subscription's ordinary delivery path.
-    /// Returns `true` while any stage flushed or still holds unpropagated
-    /// state, so [`Monitor::run_until_idle`] keeps ticking until the merge
-    /// tree has fully drained into root answers.
+    /// leaf/merge stage hands the partial it accumulated this round to its
+    /// parent stage, as a value — on the parent's host when the edge is
+    /// local, else as one bounded-size message per stage per round, however
+    /// many raw items the stage absorbed — and every root stage due per its
+    /// `every` cadence materializes an `<aggregate>` answer into the
+    /// subscription's ordinary delivery path.  Either way the parent absorbs
+    /// the partial in the next round.  Returns `true` while any stage
+    /// flushed or still holds unpropagated state, so
+    /// [`Monitor::run_until_idle`] keeps ticking until the merge tree has
+    /// fully drained into root answers.
     fn flush_sketches(&mut self) -> bool {
         // Collect first (per-host mutable walk), route after (routing needs
         // the whole façade).  Partials are sorted into (sub, task) order so
         // the committed effects are identical for any order of the ready
         // list, mirroring the deterministic commit phase of
         // `process_pending`.
-        let mut flushed: Vec<(usize, usize, Element)> = Vec::new();
+        let mut flushed: Vec<(usize, usize, Payload)> = Vec::new();
         let mut pending = false;
         self.dispatch_stats.host_visits += self.ready.len() as u64;
         for peer in &self.ready {
@@ -1288,22 +1287,43 @@ impl Monitor {
         let any = !flushed.is_empty();
         flushed.sort_by_key(|entry| (entry.0, entry.1));
         for (sub, task, output) in flushed {
-            if self.subscriptions[sub].retired {
+            let subscription = &self.subscriptions[sub];
+            if subscription.retired {
                 continue;
             }
-            match self.subscriptions[sub].routes[task] {
-                Route::Local { task: next, port } => self.enqueue_data(sub, next, port, output),
-                Route::Channel { channel } => {
-                    // The multicast path counts the partial's bytes on the
-                    // wire and feeds the channel's measured rate — the
+            let route = subscription.routes[task];
+            debug_assert!(
+                matches!(
+                    (&output, route),
+                    (
+                        Payload::Sketch(_),
+                        Route::Local { .. } | Route::Channel { .. }
+                    ) | (Payload::Xml(_), Route::Publisher)
+                ),
+                "placement gives every leaf and merge stage a parent and makes \
+                 the root its plan's root"
+            );
+            match (output, route) {
+                (Payload::Sketch(partial), Route::Local { task: parent, .. }) => {
+                    let peer = &subscription.placed.tasks[parent].peer;
+                    let host = self
+                        .hosts
+                        .get_mut(peer)
+                        .expect("every placed task's host is created at deployment");
+                    host.list_on(&mut self.ready);
+                    host.pending_partials.push((sub, parent, partial));
+                }
+                (partial @ Payload::Sketch(_), Route::Channel { channel }) => {
+                    // The multicast path charges the partial's wire size to
+                    // the network and the channel's measured rate — the
                     // sublinearity the sketch bench gates rides exactly
                     // this accounting.
                     if let Some(plan) = self.multicast_plan(&channel) {
-                        self.run_multicast(&plan, &Arc::new(output));
+                        self.run_multicast(&plan, &partial);
                     }
                 }
-                Route::Publisher => self.deliver_result(sub, Arc::new(output)),
-                Route::Dropped => {}
+                (Payload::Xml(answer), Route::Publisher) => self.deliver_result(sub, answer),
+                _ => {}
             }
         }
         any || pending

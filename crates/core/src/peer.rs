@@ -11,7 +11,8 @@
 //! * the peer's **operator instances** (one [`RuntimeOperator`] per task
 //!   hosted here — the peer's *mutable shard*, touched by no other peer),
 //! * the peer's **alert batch** (`PendingAlert`s awaiting the next
-//!   amortized engine pass) and its **work queue** of pending `Work` items.
+//!   amortized engine pass), the **sketch partials** handed to its merge and
+//!   root stages, and its **work queue** of pending `Work` items.
 //!
 //! Because a host owns every piece of mutable state its tasks need, a
 //! dispatch round can run each host's local phase against an immutable
@@ -19,12 +20,14 @@
 //! buffered cross-peer effects afterwards ([`crate::dispatch`]).
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use p2pmon_alerters::{
     Alerter, AxmlAlerter, CallDirection, MembershipAlerter, RssAlerter, WebPageAlerter, WsAlerter,
 };
 use p2pmon_filter::{EngineMode, FilterEngine, FilterStats, FilterSubscription, SubscriptionId};
-use p2pmon_streams::{ChannelId, StreamItem};
+use p2pmon_net::Payload;
+use p2pmon_streams::{AnySketch, ChannelId, StreamItem};
 use p2pmon_xmlkit::Element;
 
 use crate::dispatch::{source_channel, FanoutEpoch, SharedTargets, TargetList};
@@ -56,7 +59,7 @@ pub(crate) struct Work {
 #[derive(Debug, Clone)]
 pub(crate) struct PendingAlert {
     /// The alert document (shared with every other consumer of the alert).
-    pub doc: std::sync::Arc<Element>,
+    pub doc: Arc<Element>,
     /// Delivery targets on this peer.
     pub targets: SharedTargets,
 }
@@ -209,6 +212,10 @@ pub struct PeerHost {
     pub(crate) ready: bool,
     /// Alerts awaiting the next batched dispatch pass.
     pub(crate) pending_alerts: Vec<PendingAlert>,
+    /// Sketch partials handed to hosted merge and root stages, as
+    /// `(subscription, task, partial)`, in the order they were handed over:
+    /// the next local phase absorbs them before anything else.
+    pub(crate) pending_partials: Vec<(usize, usize, Arc<AnySketch>)>,
     /// Pending work for tasks hosted on this peer.
     pub(crate) queue: VecDeque<Work>,
     /// The alerters installed on this peer.
@@ -234,6 +241,7 @@ impl PeerHost {
             pending_sketches: Vec::new(),
             ready: false,
             pending_alerts: Vec::new(),
+            pending_partials: Vec::new(),
             queue: VecDeque::new(),
             alerters: AlerterSet::default(),
             next_seq: 0,
@@ -290,9 +298,28 @@ impl PeerHost {
         self.operators.remove(&(sub, task)).is_some()
     }
 
-    /// Runs one item through a hosted task's operator.  A sketch stage that
-    /// turns pending here (an empty delta absorbed its first item, a clean
-    /// root its first partial) is listed for the next flush.
+    /// Applies `run` to a hosted task's operator.  A sketch stage that turns
+    /// pending here (an empty delta absorbed its first item, a clean root its
+    /// first partial) is listed for the next flush.
+    fn with_operator<R>(
+        &mut self,
+        sub: usize,
+        task: usize,
+        run: impl FnOnce(&mut RuntimeOperator) -> R,
+    ) -> R {
+        let operator = self
+            .operators
+            .get_mut(&(sub, task))
+            .expect("every placed task's operator lives in its host's shard");
+        let was_pending = operator.sketch_pending();
+        let result = run(operator);
+        if !was_pending && operator.sketch_pending() {
+            self.pending_sketches.push((sub, task));
+        }
+        result
+    }
+
+    /// Runs one item through a hosted task's operator.
     pub(crate) fn run_operator(
         &mut self,
         sub: usize,
@@ -300,36 +327,68 @@ impl PeerHost {
         port: usize,
         item: &StreamItem,
         prefiltered: bool,
-    ) -> Vec<std::sync::Arc<Element>> {
-        let operator = self
-            .operators
-            .get_mut(&(sub, task))
-            .expect("every placed task's operator lives in its host's shard");
-        let was_pending = operator.sketch_pending();
-        let outputs = if prefiltered {
-            operator.on_item_prefiltered(port, item).items
-        } else {
-            operator.on_item(port, item).items
-        };
-        if !was_pending && operator.sketch_pending() {
-            self.pending_sketches.push((sub, task));
+    ) -> Vec<Arc<Element>> {
+        self.with_operator(sub, task, |operator| {
+            if prefiltered {
+                operator.on_item_prefiltered(port, item).items
+            } else {
+                operator.on_item(port, item).items
+            }
+        })
+    }
+
+    /// Folds every pending partial into the stage it was handed to, in the
+    /// order they were handed over; returns how many were absorbed.
+    pub(crate) fn absorb_partials(&mut self) -> u64 {
+        let mut partials = std::mem::take(&mut self.pending_partials);
+        let absorbed = partials.len() as u64;
+        for (sub, task, partial) in partials.drain(..) {
+            self.with_operator(sub, task, |operator| operator.absorb_partial(&partial));
         }
-        outputs
+        // The emptied list keeps its capacity for the next round.
+        self.pending_partials = partials;
+        absorbed
+    }
+
+    /// Files a channel payload that reached this peer for its consumers
+    /// here: an XML item joins the alert batch, a sketch partial is handed to
+    /// every consuming stage.
+    pub(crate) fn receive(
+        &mut self,
+        payload: Payload,
+        targets: &SharedTargets,
+        ready: &mut Vec<String>,
+    ) {
+        self.list_on(ready);
+        match payload {
+            Payload::Xml(doc) => self.pending_alerts.push(PendingAlert {
+                doc,
+                targets: Arc::clone(targets),
+            }),
+            Payload::Sketch(partial) => {
+                let handed = targets.targets().iter();
+                let handed = handed.map(|&(sub, task, _)| (sub, task, Arc::clone(&partial)));
+                self.pending_partials.extend(handed);
+            }
+        }
     }
 
     /// Round-boundary sketch pass over this host's pending stages: leaf and
-    /// merge stages serialize and reset their delta, a root due per its
-    /// `every` cadence materializes an answer; outputs are appended to `out`
-    /// as `(subscription, task, element)`.  Stages that flushed clean leave
-    /// the list; returns `true` while any stage stays pending (a root still
-    /// counting toward its cadence).
-    pub(crate) fn flush_sketches(&mut self, out: &mut Vec<(usize, usize, Element)>) -> bool {
+    /// merge stages hand on their delta (a sketch payload), a root due per
+    /// its `every` cadence materializes an answer (an XML payload); outputs
+    /// are appended to `out` as `(subscription, task, output)`.  Stages that
+    /// flushed clean leave the list; returns `true` while any stage stays
+    /// pending (a root still counting toward its cadence).
+    pub(crate) fn flush_sketches(&mut self, out: &mut Vec<(usize, usize, Payload)>) -> bool {
         let operators = &mut self.operators;
         self.pending_sketches.retain(|&(sub, task)| {
             let operator = operators
                 .get_mut(&(sub, task))
                 .expect("remove_task unlists a removed stage");
-            let output = operator.sketch_flush().or_else(|| operator.sketch_answer());
+            let output = match operator.sketch_flush() {
+                Some(partial) => Some(Payload::Sketch(Arc::new(partial))),
+                None => operator.sketch_answer().map(Payload::from),
+            };
             out.extend(output.map(|output| (sub, task, output)));
             operator.sketch_pending()
         });
@@ -337,7 +396,8 @@ impl PeerHost {
     }
 
     /// True when the host has anything a dispatch round would act on: an
-    /// undrained alerter, batched or queued work, or unflushed sketch state.
+    /// undrained alerter, batched or queued work, handed-over partials, or
+    /// unflushed sketch state.
     /// Every host for which this holds is on the monitor's ready list.
     pub(crate) fn is_busy(&self) -> bool {
         self.has_local_work() || !self.pending_sketches.is_empty() || self.alerters.has_pending()
@@ -423,14 +483,10 @@ impl PeerHost {
 
     /// Wraps a payload as a stream item with this peer's next sequence
     /// number.
-    pub(crate) fn make_item(
-        &mut self,
-        now: u64,
-        data: impl Into<std::sync::Arc<Element>>,
-    ) -> StreamItem {
+    pub(crate) fn make_item(&mut self, now: u64, data: impl Into<Arc<Element>>) -> StreamItem {
         let data = data.into();
         let data = if self.deep_clone_items {
-            std::sync::Arc::new((*data).clone())
+            Arc::new((*data).clone())
         } else {
             data
         };
@@ -444,15 +500,18 @@ impl PeerHost {
         self.queue.push_back(work);
     }
 
-    /// True when the peer has batched alerts or queued work to process.
+    /// True when the peer has batched alerts, handed-over partials or queued
+    /// work to process.
     pub(crate) fn has_local_work(&self) -> bool {
-        !self.queue.is_empty() || !self.pending_alerts.is_empty()
+        !self.queue.is_empty()
+            || !self.pending_alerts.is_empty()
+            || !self.pending_partials.is_empty()
     }
 
-    /// Discards every batched alert target and queued work item addressed to
-    /// a subscription's removed tasks (unsubscribe / shared-teardown path).
-    /// Tasks in `keep` — the producing subtrees of streams that still have
-    /// subscribers — keep their queued work.
+    /// Discards every batched alert target, handed-over partial and queued
+    /// work item addressed to a subscription's removed tasks (unsubscribe /
+    /// shared-teardown path).  Tasks in `keep` — the producing subtrees of
+    /// streams that still have subscribers — keep their queued work.
     pub(crate) fn purge_subscription_tasks(
         &mut self,
         sub: usize,
@@ -460,6 +519,7 @@ impl PeerHost {
     ) {
         let removed = |s: usize, t: usize| s == sub && !keep.contains(&t);
         self.queue.retain(|work| !removed(work.sub, work.task));
+        self.pending_partials.retain(|&(s, t, _)| !removed(s, t));
         for alert in &mut self.pending_alerts {
             let targets = alert.targets.targets();
             if targets.iter().any(|&(s, t, _)| removed(s, t)) {

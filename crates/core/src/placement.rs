@@ -101,8 +101,8 @@ pub enum TaskKind {
         /// Derived values the template may reference.
         derived: Vec<(String, ValueExpr)>,
     },
-    /// Sketch leaf: absorbs raw items next to a source and forwards a
-    /// serialized *delta* partial on each dispatch-round boundary.
+    /// Sketch leaf: absorbs raw items next to a source and hands a *delta*
+    /// partial to its parent stage on each dispatch-round boundary.
     SketchLeaf {
         /// Which sketch to maintain and how to key it.
         spec: AggregateSpec,

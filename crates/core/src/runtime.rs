@@ -86,7 +86,7 @@ pub enum RuntimeOperator {
         default_var: String,
     },
     /// Sketch leaf: absorbs raw items; emits nothing until the dispatch
-    /// round's flush pass serializes its delta.
+    /// round's flush pass hands its delta to the parent stage.
     SketchLeaf {
         /// Key/weight extraction rules.
         spec: AggregateSpec,
@@ -94,8 +94,9 @@ pub enum RuntimeOperator {
         /// when the stage has something to flush.
         sketch: AnySketch,
     },
-    /// Interior sketch merge: folds serialized child partials, forwards the
-    /// combined delta at the next flush.
+    /// Interior sketch merge: folds its children's partials
+    /// ([`RuntimeOperator::absorb_partial`]), forwards the combined delta at
+    /// the next flush.
     SketchMerge {
         /// The delta accumulated since the last flush; non-empty exactly
         /// when the stage has something to flush.
@@ -201,7 +202,7 @@ impl RuntimeOperator {
     }
 
     /// Whether this operator holds sketch state awaiting a round-boundary
-    /// flush (a leaf/merge delta a flush would serialize) or a pending root
+    /// flush (a leaf/merge delta a flush would hand on) or a pending root
     /// emission.  The dispatcher keeps ticking while any operator reports
     /// pending sketch work, so `run_until_idle` drains the merge tree
     /// completely.
@@ -214,21 +215,31 @@ impl RuntimeOperator {
         }
     }
 
-    /// Round-boundary flush for leaf and merge stages: serializes the delta
-    /// accumulated since the last flush and resets it.  `None` when the stage
-    /// has nothing new (or for non-sketch operators).
-    pub fn sketch_flush(&mut self) -> Option<Element> {
+    /// Round-boundary flush for leaf and merge stages: moves out the delta
+    /// accumulated since the last flush, leaving an empty sketch behind.
+    /// `None` when the stage has nothing new (or for non-sketch operators).
+    pub fn sketch_flush(&mut self) -> Option<AnySketch> {
         match self {
             RuntimeOperator::SketchLeaf { sketch, .. }
             | RuntimeOperator::SketchMerge { sketch } => {
-                if sketch.is_empty() {
-                    return None;
-                }
-                let partial = sketch.to_element();
-                sketch.reset();
-                Some(partial)
+                (!sketch.is_empty()).then(|| sketch.take())
             }
             _ => None,
+        }
+    }
+
+    /// Folds a child stage's partial into a merge or root stage — the only
+    /// way a partial enters one.  Any other operator, or a partial of
+    /// another kind, is left unchanged.
+    pub fn absorb_partial(&mut self, partial: &AnySketch) {
+        match self {
+            RuntimeOperator::SketchMerge { sketch } => {
+                sketch.merge_from(partial);
+            }
+            RuntimeOperator::SketchRoot { sketch, dirty, .. } => {
+                *dirty |= sketch.merge_from(partial)
+            }
+            _ => {}
         }
     }
 
@@ -334,14 +345,9 @@ impl RuntimeOperator {
                 }
                 RuntimeOutput::none()
             }
-            RuntimeOperator::SketchMerge { sketch } => {
-                sketch.absorb(&item.data);
-                RuntimeOutput::none()
-            }
-            RuntimeOperator::SketchRoot { sketch, dirty, .. } => {
-                if sketch.absorb(&item.data) {
-                    *dirty = true;
-                }
+            // Partials reach these stages through `absorb_partial`, never
+            // as items.
+            RuntimeOperator::SketchMerge { .. } | RuntimeOperator::SketchRoot { .. } => {
                 RuntimeOutput::none()
             }
         }

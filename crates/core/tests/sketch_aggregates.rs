@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 
 use p2pmon_alerters::SoapCall;
-use p2pmon_core::{Monitor, MonitorConfig};
+use p2pmon_core::{Monitor, MonitorConfig, SubscriptionHandle};
+use p2pmon_workloads::SketchStorm;
 use p2pmon_xmlkit::Element;
 
 fn monitor_over(peers: &[&str]) -> Monitor {
@@ -391,6 +392,235 @@ fn round_phases_visit_busy_hosts_not_deployed_ones() {
         (visits, rounds),
         "doubling the idle peers changed what a round visits"
     );
+}
+
+/// FNV-1a over a byte stream, to compare outcomes without embedding them.
+fn fnv(hash: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *hash ^= u64::from(*b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The three SketchStorm aggregates (`topk`, `entropy`, `quantile`) over
+/// 1 000 monitored peers: merge trees three levels deep, with local and
+/// cross-peer edges.
+fn storm_monitor() -> (Monitor, SketchStorm, Vec<SubscriptionHandle>) {
+    let storm = SketchStorm::sized(1, 1_000);
+    let mut monitor = Monitor::new(MonitorConfig {
+        dht_nodes: storm.dht_nodes(),
+        ..MonitorConfig::default()
+    });
+    monitor.add_peer(storm.manager());
+    for peer in &storm.monitored_peers {
+        monitor.add_peer(peer.as_str());
+    }
+    let handles = storm
+        .aggregate_subscriptions(3, 0.99)
+        .iter()
+        .map(|text| {
+            monitor
+                .submit(storm.manager(), text)
+                .expect("aggregate subscriptions deploy")
+        })
+        .collect();
+    (monitor, storm, handles)
+}
+
+/// Ticks until the monitor reports no work; returns the ticks that did some.
+fn ticks_until_idle(monitor: &mut Monitor) -> usize {
+    let mut ticks = 0;
+    while monitor.tick() {
+        ticks += 1;
+    }
+    ticks
+}
+
+/// Everything a round may not change, as text: the network's totals and a
+/// digest of its per-peer traffic, the operator invocations and host visits
+/// so far, every answer delivered so far (counted and digested) and the
+/// latest answer of each aggregate in full.
+fn storm_outcome(monitor: &Monitor, handles: &[SubscriptionHandle]) -> String {
+    let net = monitor.network_stats();
+    let dispatch = monitor.dispatch_stats();
+    let mut peers = 0xcbf2_9ce4_8422_2325u64;
+    for (peer, t) in net.per_peer() {
+        let line = format!(
+            "{peer} {} {} {} {} {} {}|",
+            t.messages_in, t.messages_out, t.bytes_in, t.bytes_out, t.dropped_in, t.dropped_out
+        );
+        fnv(&mut peers, line.as_bytes());
+    }
+    let mut out = format!(
+        "net: messages {} bytes {} channel {} control {} dropped {} saved {}, peers {peers:016x}\n\
+         invocations {} host visits {} dropped by failure {}\n",
+        net.total_messages,
+        net.total_bytes,
+        net.channel_messages,
+        net.control_messages,
+        net.dropped_messages,
+        net.multicast_saved_messages,
+        monitor.operator_invocations,
+        dispatch.host_visits,
+        dispatch.dropped_by_failure,
+    );
+    let (mut answers, mut digest) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+    for handle in handles {
+        let results = monitor.results(handle);
+        for answer in &results {
+            answers += 1;
+            fnv(&mut digest, answer.to_xml().as_bytes());
+        }
+        fnv(&mut digest, b"|");
+        let last = results.last().map(Element::to_xml).unwrap_or_default();
+        out.push_str(&format!("last: {last}\n"));
+    }
+    out.push_str(&format!("answers: {answers}, digest {digest:016x}\n"));
+    out
+}
+
+/// Three rounds of 1 000 calls, each ticked until idle: the outcome after
+/// each round, each round's plain deliveries, and the partials that reached
+/// their parent stage over the network in it (every channel message of this
+/// deployment is one).
+fn drive_storm() -> (String, [u64; 3], [u64; 3]) {
+    let (mut monitor, mut storm, handles) = storm_monitor();
+    let mut outcome = String::new();
+    let (mut plain, mut over_network) = ([0; 3], [0; 3]);
+    for round in 0..3 {
+        let (plain_before, channel_before) = (
+            monitor.dispatch_stats().plain_deliveries,
+            monitor.network_stats().channel_messages,
+        );
+        for call in storm.calls(1_000) {
+            monitor.inject_soap_call(&call);
+        }
+        let ticks = ticks_until_idle(&mut monitor);
+        plain[round] = monitor.dispatch_stats().plain_deliveries - plain_before;
+        over_network[round] = monitor.network_stats().channel_messages - channel_before;
+        outcome.push_str(&format!("--- round {round}: {ticks} ticks\n"));
+        outcome.push_str(&storm_outcome(&monitor, &handles));
+    }
+    (outcome, plain, over_network)
+}
+
+/// The storm's outcome at the parent commit of the by-value partial path
+/// (8aa5ed6), where every partial was serialized at its stage, shipped or
+/// enqueued as an XML item and parsed back by the parent stage — captured by
+/// running this very test there.
+const PARENT_STORM_OUTCOME: &str = "\
+--- round 0: 4 ticks
+net: messages 600 bytes 162998 channel 600 control 0 dropped 0 saved 2000, peers 997d6e7fdabf5c8b
+invocations 6642 host visits 1091 dropped by failure 0
+last: <aggregate kind=\"topk\" total=\"1000\" seq=\"1\"><entry rank=\"1\" key=\"Method0\" count=\"430\"/><entry rank=\"2\" key=\"Method1\" count=\"182\"/><entry rank=\"3\" key=\"Method2\" count=\"106\"/></aggregate>
+last: <aggregate kind=\"entropy\" total=\"1000\" bits=\"2.461955\" seq=\"1\"/>
+last: <aggregate kind=\"quantile\" total=\"1000\" q=\"990\" value=\"198\" seq=\"1\"/>
+answers: 3, digest b7f10a39b5d3f6ce
+--- round 1: 4 ticks
+net: messages 1197 bytes 331118 channel 1197 control 0 dropped 0 saved 4000, peers eb3833fe14ca2ab8
+invocations 13281 host visits 2177 dropped by failure 0
+last: <aggregate kind=\"topk\" total=\"2000\" seq=\"2\"><entry rank=\"1\" key=\"Method0\" count=\"846\"/><entry rank=\"2\" key=\"Method1\" count=\"378\"/><entry rank=\"3\" key=\"Method2\" count=\"209\"/></aggregate>
+last: <aggregate kind=\"entropy\" total=\"2000\" bits=\"2.473475\" seq=\"2\"/>
+last: <aggregate kind=\"quantile\" total=\"2000\" q=\"990\" value=\"198\" seq=\"2\"/>
+answers: 6, digest bd6f86f1cfc7a01f
+--- round 2: 4 ticks
+net: messages 1785 bytes 497939 channel 1785 control 0 dropped 0 saved 6000, peers 3154475dfb4a0a73
+invocations 19911 host visits 3248 dropped by failure 0
+last: <aggregate kind=\"topk\" total=\"3000\" seq=\"3\"><entry rank=\"1\" key=\"Method0\" count=\"1268\"/><entry rank=\"2\" key=\"Method1\" count=\"556\"/><entry rank=\"3\" key=\"Method2\" count=\"320\"/></aggregate>
+last: <aggregate kind=\"entropy\" total=\"3000\" bits=\"2.482213\" seq=\"3\"/>
+last: <aggregate kind=\"quantile\" total=\"3000\" q=\"990\" value=\"198\" seq=\"3\"/>
+answers: 9, digest 13894871e4271e4b
+";
+
+/// Each round's `plain_deliveries` at that commit, where every partial
+/// delivered over the network was also one.
+const PARENT_PLAIN_DELIVERIES: [u64; 3] = [3_600, 3_597, 3_588];
+
+/// A partial travels as a value and is charged its XML form: answers, wire
+/// bytes and messages, per-peer traffic, ticks, invocations and host visits
+/// are the XML path's, bit for bit.  Only the item plane shrinks — by one
+/// plain delivery per partial that arrived over the network.
+#[test]
+fn partials_by_value_reproduce_the_xml_path_bit_for_bit() {
+    let (outcome, plain, over_network) = drive_storm();
+    assert_eq!(outcome, PARENT_STORM_OUTCOME, "outcome:\n{outcome}");
+    for round in 0..3 {
+        assert!(over_network[round] > 0, "round {round} crossed no partial");
+        assert_eq!(
+            plain[round],
+            PARENT_PLAIN_DELIVERIES[round] - over_network[round],
+            "round {round}: plain deliveries {plain:?}, partials over the network {over_network:?}"
+        );
+    }
+}
+
+/// The failure variant: a merge host goes down right after the round's
+/// first flush, stays down for two more ticks and recovers.  What the flush
+/// had handed it — its own leaves' partials and those delivered over the
+/// network — is lost and counted exactly as the XML path counted it, and
+/// the roots' totals miss exactly what the XML path's missed.
+fn drive_storm_with_a_failed_merge_host() -> String {
+    let (mut monitor, mut storm, handles) = storm_monitor();
+    // Merges sit on the first peer of each chunk of 16 leaves: `s16.net`
+    // hosts, per aggregate, its own source and leaf plus the merge of
+    // leaves 16–31.
+    let merge_host = "s16.net";
+    let hosted = |monitor: &Monitor, peer: &str| monitor.peer_host(peer).unwrap().hosted_tasks();
+    assert!(hosted(&monitor, merge_host) > hosted(&monitor, "s17.net"));
+    let mut outcome = String::new();
+    for round in 0..3 {
+        for call in storm.calls(1_000) {
+            monitor.inject_soap_call(&call);
+        }
+        let mut ticks = 0;
+        if round == 1 {
+            assert!(monitor.tick(), "the round's first tick flushes the leaves");
+            monitor.fail_peer(merge_host);
+            monitor.tick();
+            monitor.tick();
+            monitor.recover_peer(merge_host);
+            ticks = 3;
+            assert!(
+                monitor.dispatch_stats().dropped_by_failure > 0,
+                "the failed merge host held partials"
+            );
+        }
+        ticks += ticks_until_idle(&mut monitor);
+        outcome.push_str(&format!("--- round {round}: {ticks} ticks\n"));
+        outcome.push_str(&storm_outcome(&monitor, &handles));
+    }
+    outcome
+}
+
+/// [`drive_storm_with_a_failed_merge_host`] at the parent commit.
+const PARENT_FAILURE_OUTCOME: &str = "\
+--- round 0: 4 ticks
+net: messages 600 bytes 162998 channel 600 control 0 dropped 0 saved 2000, peers 997d6e7fdabf5c8b
+invocations 6642 host visits 1091 dropped by failure 0
+last: <aggregate kind=\"topk\" total=\"1000\" seq=\"1\"><entry rank=\"1\" key=\"Method0\" count=\"430\"/><entry rank=\"2\" key=\"Method1\" count=\"182\"/><entry rank=\"3\" key=\"Method2\" count=\"106\"/></aggregate>
+last: <aggregate kind=\"entropy\" total=\"1000\" bits=\"2.461955\" seq=\"1\"/>
+last: <aggregate kind=\"quantile\" total=\"1000\" q=\"990\" value=\"198\" seq=\"1\"/>
+answers: 3, digest b7f10a39b5d3f6ce
+--- round 1: 4 ticks
+net: messages 1194 bytes 329127 channel 1194 control 0 dropped 0 saved 4000, peers 66a36709792afcbc
+invocations 13230 host visits 2177 dropped by failure 48
+last: <aggregate kind=\"topk\" total=\"1908\" seq=\"2\"><entry rank=\"1\" key=\"Method0\" count=\"805\"/><entry rank=\"2\" key=\"Method1\" count=\"359\"/><entry rank=\"3\" key=\"Method2\" count=\"200\"/></aggregate>
+last: <aggregate kind=\"entropy\" total=\"1908\" bits=\"2.476067\" seq=\"2\"/>
+last: <aggregate kind=\"quantile\" total=\"1908\" q=\"990\" value=\"198\" seq=\"2\"/>
+answers: 6, digest 50fd49bed456d3c8
+--- round 2: 4 ticks
+net: messages 1782 bytes 495948 channel 1782 control 0 dropped 0 saved 6000, peers 0131a26f1c4b29b7
+invocations 19860 host visits 3248 dropped by failure 48
+last: <aggregate kind=\"topk\" total=\"2908\" seq=\"3\"><entry rank=\"1\" key=\"Method0\" count=\"1227\"/><entry rank=\"2\" key=\"Method1\" count=\"537\"/><entry rank=\"3\" key=\"Method2\" count=\"311\"/></aggregate>
+last: <aggregate kind=\"entropy\" total=\"2908\" bits=\"2.484363\" seq=\"3\"/>
+last: <aggregate kind=\"quantile\" total=\"2908\" q=\"990\" value=\"198\" seq=\"3\"/>
+answers: 9, digest 1bcdb9b042e52640
+";
+
+#[test]
+fn a_failed_merge_host_loses_and_counts_what_the_xml_path_did() {
+    let outcome = drive_storm_with_a_failed_merge_host();
+    assert_eq!(outcome, PARENT_FAILURE_OUTCOME, "outcome:\n{outcome}");
 }
 
 proptest! {

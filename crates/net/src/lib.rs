@@ -13,8 +13,9 @@
 //! * [`Network`] — the simulator: peers, in-flight messages ordered by
 //!   delivery time, a logical clock in milliseconds, per-link statistics and
 //!   failure injection.
-//! * [`Message`] — an envelope carrying one XML tree between two peers,
-//!   optionally tagged with the channel it belongs to.
+//! * [`Message`] — an envelope carrying one [`Payload`] — an XML tree or a
+//!   sketch partial — between two peers, optionally tagged with the channel
+//!   it belongs to.
 //! * [`LatencyModel`] — constant, per-link or seeded-random latencies.
 //! * [`NetworkStats`] — message/byte counters, total and per link, used by
 //!   experiments E6–E8.
@@ -29,7 +30,7 @@ pub mod network;
 pub mod stats;
 
 pub use latency::LatencyModel;
-pub use message::Message;
+pub use message::{Message, Payload};
 pub use network::{Network, NetworkConfig};
 pub use stats::{DropBreakdown, DropCause, LinkStats, NetworkStats, PeerTraffic};
 
@@ -59,7 +60,7 @@ mod lib_tests {
         net.run_until_idle();
         let delivered = net.take_inbox("b.com");
         assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].payload.name, "ping");
+        assert_eq!(delivered[0].payload, Element::new("ping").into());
         assert_eq!(net.stats().total_messages, 1);
     }
 }

@@ -2,13 +2,49 @@
 
 use std::sync::Arc;
 
-use p2pmon_streams::ChannelId;
+use p2pmon_streams::{AnySketch, ChannelId};
 use p2pmon_xmlkit::Element;
 
 use crate::PeerId;
 
-/// One message in flight (or delivered): an XML tree travelling from `from`
-/// to `to`, possibly on behalf of a published channel.
+/// What a message carries: an XML tree, or a sketch partial of an aggregate
+/// merge tree.  Both are shared: a multicast of one payload to *n*
+/// destinations enqueues *n* envelopes around one reference-counted value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Payload {
+    /// An XML tree (an alert, an operator output, a control document).
+    Xml(Arc<Element>),
+    /// A sketch partial, travelling as a value; its XML form is what the
+    /// wire is charged for ([`AnySketch::wire_size`]).
+    Sketch(Arc<AnySketch>),
+}
+
+impl Payload {
+    /// The serialized size a message carrying this payload is charged: the
+    /// tree's [`Element::byte_size`], or the byte size of the sketch's XML
+    /// form.
+    pub fn byte_size(&self) -> usize {
+        match self {
+            Payload::Xml(doc) => doc.byte_size(),
+            Payload::Sketch(partial) => partial.wire_size(),
+        }
+    }
+}
+
+impl From<Element> for Payload {
+    fn from(doc: Element) -> Self {
+        Payload::Xml(Arc::new(doc))
+    }
+}
+
+impl From<Arc<Element>> for Payload {
+    fn from(doc: Arc<Element>) -> Self {
+        Payload::Xml(doc)
+    }
+}
+
+/// One message in flight (or delivered): a payload travelling from `from` to
+/// `to`, possibly on behalf of a published channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Monotonically increasing message identifier (assigned by the network).
@@ -20,10 +56,9 @@ pub struct Message {
     /// The channel this message belongs to, when it is a channel publication
     /// (`None` for control traffic such as DHT lookups or plan deployment).
     pub channel: Option<ChannelId>,
-    /// The XML payload.  Shared: a multicast of one tree to *n* destinations
-    /// enqueues *n* envelopes around one reference-counted payload — `bytes`
+    /// The payload.  Shared across the envelopes of one multicast — `bytes`
     /// still charges the full serialized size to every delivery.
-    pub payload: Arc<Element>,
+    pub payload: Payload,
     /// Payload size in bytes (computed once at send time).
     pub bytes: usize,
     /// Logical time at which the message was sent.
@@ -48,6 +83,7 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2pmon_streams::{AggregateKind, AggregateSpec};
 
     #[test]
     fn latency_and_kind() {
@@ -63,5 +99,17 @@ mod tests {
         };
         assert_eq!(m.latency(), 30);
         assert!(m.is_channel_traffic());
+    }
+
+    #[test]
+    fn a_sketch_payload_is_charged_its_xml_form() {
+        let spec = AggregateSpec::new(AggregateKind::Entropy, "c", None);
+        let mut partial = AnySketch::for_spec(&spec);
+        partial.update("Get", 3);
+        partial.update("Put", 1);
+        let payload = Payload::Sketch(Arc::new(partial.clone()));
+        assert_eq!(payload.byte_size(), partial.to_element().byte_size());
+        let tree = Payload::from(partial.to_element());
+        assert_eq!(tree.byte_size(), payload.byte_size());
     }
 }

@@ -1,16 +1,14 @@
 //! The discrete-event network simulator.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use p2pmon_streams::ChannelId;
-use p2pmon_xmlkit::Element;
 
 use crate::latency::{LatencyModel, LatencySampler};
-use crate::message::Message;
+use crate::message::{Message, Payload};
 use crate::stats::{DropCause, NetworkStats};
 use crate::PeerId;
 
@@ -236,19 +234,19 @@ impl Network {
         self.in_flight.len()
     }
 
-    /// Sends an XML payload from `from` to `to`.  Returns the message id, or
+    /// Sends a payload from `from` to `to`.  Returns the message id, or
     /// `None` when the message was dropped (failure injection, unknown or
     /// failed destination).
     ///
-    /// The payload may be owned (wrapped once) or already shared — a channel
-    /// multicast passes the same `Arc` to every destination, so enqueuing is
-    /// a reference-count bump, not a tree copy.
+    /// An XML payload may be owned (wrapped once) or already shared — a
+    /// channel multicast passes the same `Arc` to every destination, so
+    /// enqueuing is a reference-count bump, not a tree copy.
     pub fn send(
         &mut self,
         from: impl Into<PeerId>,
         to: impl Into<PeerId>,
         channel: Option<ChannelId>,
-        payload: impl Into<Arc<Element>>,
+        payload: impl Into<Payload>,
     ) -> Option<u64> {
         let payload = payload.into();
         let bytes = payload.byte_size();
@@ -258,17 +256,26 @@ impl Network {
     /// [`Network::send`] for a caller that already sized the payload: one
     /// emission is sized once, however many destinations, rate tables and
     /// counters are charged with the number.  `bytes` must be the payload's
-    /// [`Element::byte_size`] (debug builds check), so the wire ledger cannot
-    /// drift from the tree it charges.
+    /// [`Payload::byte_size`], so the wire ledger cannot drift from what it
+    /// charges.  Debug builds check that, and check a sketch's charge against
+    /// the byte size of its built XML form: the tree is the formula's oracle.
     pub fn send_sized(
         &mut self,
         from: PeerId,
         to: PeerId,
         channel: Option<ChannelId>,
-        payload: Arc<Element>,
+        payload: impl Into<Payload>,
         bytes: usize,
     ) -> Option<u64> {
+        let payload = payload.into();
         debug_assert_eq!(bytes, payload.byte_size(), "a message is charged its size");
+        debug_assert!(
+            match &payload {
+                Payload::Sketch(partial) => bytes == partial.to_element().byte_size(),
+                Payload::Xml(_) => true,
+            },
+            "a sketch partial is charged the byte size of its XML form"
+        );
         if !self.inboxes.contains_key(&from) || !self.inboxes.contains_key(&to) {
             self.stats.record_drop(from, to, DropCause::UnknownPeer);
             return None;
@@ -307,21 +314,22 @@ impl Network {
     }
 
     /// Multicasts a payload to several peers (one message per subscriber, as
-    /// a channel publication does; all messages share the same payload tree,
+    /// a channel publication does; all messages share the same payload,
     /// sized once).  Returns the number of messages actually sent.
     pub fn multicast(
         &mut self,
         from: &str,
         to: &[PeerId],
         channel: Option<ChannelId>,
-        payload: &Arc<Element>,
+        payload: impl Into<Payload>,
     ) -> usize {
         let from = PeerId::from(from);
+        let payload = payload.into();
         let bytes = payload.byte_size();
         let mut sent = 0;
         for &peer in to {
             if self
-                .send_sized(from, peer, channel, Arc::clone(payload), bytes)
+                .send_sized(from, peer, channel, payload.clone(), bytes)
                 .is_some()
             {
                 sent += 1;
@@ -450,6 +458,8 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2pmon_xmlkit::Element;
+    use std::sync::Arc;
 
     fn net() -> Network {
         let mut n = Network::new(NetworkConfig::default());
@@ -480,8 +490,8 @@ mod tests {
         n.send("b.com", "p", None, Element::new("fast"));
         n.run_until_idle();
         let inbox = n.take_inbox("p");
-        assert_eq!(inbox[0].payload.name, "fast");
-        assert_eq!(inbox[1].payload.name, "slow");
+        assert_eq!(inbox[0].payload, Element::new("fast").into());
+        assert_eq!(inbox[1].payload, Element::new("slow").into());
         assert_eq!(n.now(), 100);
     }
 
@@ -561,7 +571,7 @@ mod tests {
             "a.com",
             &["b.com".into(), "meteo.com".into()],
             Some(ch),
-            &Arc::new(Element::new("item")),
+            Element::new("item"),
         );
         assert_eq!(sent, 2);
         n.run_until_idle();
@@ -580,7 +590,7 @@ mod tests {
         let payload = Arc::new(Element::text_element("alert", "meteo.com says rain"));
         let per_message = payload.byte_size() as u64;
         let recipients: Vec<PeerId> = vec!["b.com".into(), "meteo.com".into(), "p".into()];
-        let sent = n.multicast("a.com", &recipients, None, &payload);
+        let sent = n.multicast("a.com", &recipients, None, Arc::clone(&payload));
         assert_eq!(sent, 3);
         n.run_until_idle();
         assert_eq!(

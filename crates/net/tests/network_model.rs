@@ -480,7 +480,7 @@ proptest! {
                         let id = model.send(NAMES[*from], NAMES[*p], false, payload.byte_size());
                         sent += usize::from(id.is_some());
                     }
-                    prop_assert_eq!(network.multicast(NAMES[*from], &peers, None, &payload), sent);
+                    prop_assert_eq!(network.multicast(NAMES[*from], &peers, None, Arc::clone(&payload)), sent);
                 }
                 Op::Fail(p) => {
                     network.fail_peer(NAMES[*p]);

@@ -12,6 +12,14 @@
 //! is bounded by [`Sketch::max_serialized_entries`] regardless of how many
 //! events were absorbed.
 //!
+//! Inside the monitor a partial moves between stages as a value: a leaf or
+//! merge stage hands its delta on with [`AnySketch::take`] and the parent
+//! folds it in with [`AnySketch::merge_from`], locally and across the
+//! simulated network alike.  The XML form is the external and ledger form:
+//! [`AnySketch::absorb`] reads it, and a message carrying a partial is
+//! charged [`AnySketch::wire_size`] — the byte size of
+//! [`AnySketch::to_element`]'s tree, computed without building it.
+//!
 //! The concrete summaries:
 //!
 //! * [`CountMinSketch`] — counter matrix with point-query overestimates
@@ -44,6 +52,10 @@ use std::collections::BTreeMap;
 ///    [`max_serialized_entries`](Sketch::max_serialized_entries) entries, no
 ///    matter how many events were absorbed.
 ///
+/// The XML round-trip is the external form of a summary, and what the wire
+/// ledger charges for it; the merge tree itself hands summaries to one
+/// another as values (see [`AnySketch`]).
+///
 /// # Examples
 ///
 /// ```
@@ -74,7 +86,8 @@ pub trait Sketch: Sized {
     /// Fold another sketch of the same shape into this one.
     fn merge(&mut self, other: &Self);
 
-    /// Serialize into a bounded-size XML partial.
+    /// Serialize into a bounded-size XML partial: the external form, and the
+    /// tree whose byte size a message carrying the summary is charged.
     fn to_element(&self) -> Element;
 
     /// Rebuild a sketch from [`to_element`](Sketch::to_element) output.
@@ -89,8 +102,9 @@ pub trait Sketch: Sized {
     /// last [`reset`](Sketch::reset)).
     fn is_empty(&self) -> bool;
 
-    /// Clear all absorbed state, keeping the configured shape.  Leaf
-    /// operators reset after flushing so each wire partial is a *delta*.
+    /// Clear all absorbed state, keeping the configured shape.  (A flushing
+    /// stage moves its state out with [`AnySketch::take`] instead, so each
+    /// partial it hands on is a *delta*.)
     fn reset(&mut self);
 }
 
@@ -106,6 +120,34 @@ fn row_hash(row: u64, key: &str) -> u64 {
 
 fn parse_u64(el: &Element, attr: &str) -> Option<u64> {
     el.attr(attr)?.parse().ok()
+}
+
+// The `wire_size` methods below compute `to_element().byte_size()` without
+// building the tree.  `Element::byte_size` charges an element its open and
+// close tags and each attribute its raw name and value lengths plus four
+// bytes of syntax — no escaping — so the size is a sum of tag-name lengths,
+// key lengths and decimal digit counts.
+
+/// `Element::byte_size` of an element named `name`, without its attributes
+/// and children.
+fn tag_bytes(name: &str) -> usize {
+    2 * name.len() + 5
+}
+
+/// `Element::byte_size` of one attribute named `name` whose value is
+/// `value_len` bytes long.
+fn attr_bytes(name: &str, value_len: usize) -> usize {
+    name.len() + value_len + 4
+}
+
+/// Length of `n.to_string()`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// Length of `n.to_string()` for a signed bucket index.
+fn signed_digits(n: i32) -> usize {
+    usize::from(n < 0) + digits(u64::from(n.unsigned_abs()))
 }
 
 /// Count-min sketch: a `depth × width` counter matrix where each row hashes
@@ -163,6 +205,30 @@ impl CountMinSketch {
     /// Total weight absorbed across all keys.
     pub fn total(&self) -> u64 {
         self.total
+    }
+
+    /// An empty sketch of this one's shape.
+    fn empty_like(&self) -> Self {
+        CountMinSketch::new(self.width, self.depth)
+    }
+
+    /// `self.to_element().byte_size()`, computed from the state.
+    fn wire_size(&self) -> usize {
+        let cells: usize = self
+            .cells
+            .iter()
+            .map(|(&(r, c), &count)| {
+                tag_bytes("cell")
+                    + attr_bytes("r", digits(r.into()))
+                    + attr_bytes("c", digits(c.into()))
+                    + attr_bytes("n", digits(count))
+            })
+            .sum();
+        tag_bytes("cm")
+            + attr_bytes("w", digits(self.width as u64))
+            + attr_bytes("d", digits(self.depth as u64))
+            + attr_bytes("total", digits(self.total))
+            + cells
     }
 }
 
@@ -273,6 +339,29 @@ impl TopKSketch {
     /// Total weight absorbed across all keys.
     pub fn total(&self) -> u64 {
         self.cm.total()
+    }
+
+    /// An empty sketch of this one's shape.
+    fn empty_like(&self) -> Self {
+        TopKSketch {
+            capacity: self.capacity,
+            cm: self.cm.empty_like(),
+            candidates: BTreeMap::new(),
+        }
+    }
+
+    /// `self.to_element().byte_size()`, computed from the state.
+    fn wire_size(&self) -> usize {
+        let candidates: usize = self
+            .candidates
+            .keys()
+            .map(|key| tag_bytes("cand") + attr_bytes("k", key.len()))
+            .sum();
+        tag_bytes("sketch")
+            + attr_bytes("kind", "topk".len())
+            + attr_bytes("cap", digits(self.capacity as u64))
+            + self.cm.wire_size()
+            + candidates
     }
 
     fn admit(&mut self, key: &str, estimate: u64) {
@@ -437,6 +526,29 @@ impl EntropySketch {
         self.total
     }
 
+    /// An empty sketch of this one's shape.
+    fn empty_like(&self) -> Self {
+        EntropySketch::new(self.capacity)
+    }
+
+    /// `self.to_element().byte_size()`, computed from the state.
+    fn wire_size(&self) -> usize {
+        let counts: usize = self
+            .counts
+            .iter()
+            .map(|(key, &count)| {
+                tag_bytes("kv") + attr_bytes("k", key.len()) + attr_bytes("n", digits(count))
+            })
+            .sum();
+        tag_bytes("sketch")
+            + attr_bytes("kind", "entropy".len())
+            + attr_bytes("cap", digits(self.capacity as u64))
+            + attr_bytes("rm", digits(self.residual_mass))
+            + attr_bytes("rk", digits(self.residual_keys))
+            + attr_bytes("total", digits(self.total))
+            + counts
+    }
+
     fn evict_to_capacity(&mut self) {
         while self.counts.len() > self.capacity {
             let lightest = self
@@ -454,7 +566,13 @@ impl EntropySketch {
 
 impl Sketch for EntropySketch {
     fn update(&mut self, key: &str, weight: u64) {
-        *self.counts.entry(key.to_string()).or_insert(0) += weight;
+        // A counted key is found by reference; only a new one is copied.
+        match self.counts.get_mut(key) {
+            Some(count) => *count += weight,
+            None => {
+                self.counts.insert(key.to_string(), weight);
+            }
+        }
         self.total += weight;
         self.evict_to_capacity();
     }
@@ -606,6 +724,31 @@ impl QuantileSummary {
     /// Total weight absorbed.
     pub fn total(&self) -> u64 {
         self.total
+    }
+
+    /// An empty summary of this one's shape.
+    fn empty_like(&self) -> Self {
+        QuantileSummary::new(self.alpha_permille, self.max_buckets)
+    }
+
+    /// `self.to_element().byte_size()`, computed from the state.
+    fn wire_size(&self) -> usize {
+        let buckets: usize = self
+            .buckets
+            .iter()
+            .map(|(&idx, &count)| {
+                tag_bytes("b")
+                    + attr_bytes("i", signed_digits(idx))
+                    + attr_bytes("n", digits(count))
+            })
+            .sum();
+        tag_bytes("sketch")
+            + attr_bytes("kind", "quantile".len())
+            + attr_bytes("alpha", digits(self.alpha_permille.into()))
+            + attr_bytes("maxb", digits(self.max_buckets as u64))
+            + attr_bytes("zero", digits(self.zero_count))
+            + attr_bytes("total", digits(self.total))
+            + buckets
     }
 
     fn collapse(&mut self) {
@@ -789,7 +932,9 @@ pub const DEFAULT_QUANTILE_MAX_BUCKETS: usize = 256;
 ///
 /// The planner knows only the [`AggregateSpec`]; `AnySketch::for_spec` picks
 /// the summary, and the leaf/merge/root operators drive it through this enum
-/// without caring which concrete sketch is inside.
+/// without caring which concrete sketch is inside.  A stage hands its delta
+/// to its parent as a value ([`AnySketch::take`], [`AnySketch::merge_from`]);
+/// [`AnySketch::wire_size`] is what a message carrying it is charged.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnySketch {
     /// Heavy-hitters state.
@@ -826,32 +971,50 @@ impl AnySketch {
         }
     }
 
-    /// Absorb a serialized partial produced by [`AnySketch::to_element`].
+    /// Fold another sketch of the same kind into this one (see
+    /// [`Sketch::merge`]).  Returns `false` (and changes nothing) when
+    /// `other` is of another kind.
+    pub fn merge_from(&mut self, other: &AnySketch) -> bool {
+        match (self, other) {
+            (AnySketch::TopK(s), AnySketch::TopK(o)) => s.merge(o),
+            (AnySketch::Entropy(s), AnySketch::Entropy(o)) => s.merge(o),
+            (AnySketch::Quantile(s), AnySketch::Quantile(o)) => s.merge(o),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Move the absorbed state out, leaving an empty sketch of the same
+    /// shape: how a leaf or merge stage hands on the delta of a round.
+    pub fn take(&mut self) -> AnySketch {
+        let empty = match self {
+            AnySketch::TopK(s) => AnySketch::TopK(s.empty_like()),
+            AnySketch::Entropy(s) => AnySketch::Entropy(s.empty_like()),
+            AnySketch::Quantile(s) => AnySketch::Quantile(s.empty_like()),
+        };
+        std::mem::replace(self, empty)
+    }
+
+    /// Absorb a serialized partial produced by [`AnySketch::to_element`]:
+    /// the XML entry point, parsed and then [merged](AnySketch::merge_from).
     /// Returns `false` (and changes nothing) when the element is not a
     /// partial of this sketch's kind.
     pub fn absorb(&mut self, el: &Element) -> bool {
+        let other = match self {
+            AnySketch::TopK(_) => TopKSketch::from_element(el).map(AnySketch::TopK),
+            AnySketch::Entropy(_) => EntropySketch::from_element(el).map(AnySketch::Entropy),
+            AnySketch::Quantile(_) => QuantileSummary::from_element(el).map(AnySketch::Quantile),
+        };
+        other.is_some_and(|other| self.merge_from(&other))
+    }
+
+    /// `self.to_element().byte_size()` — what a message carrying this sketch
+    /// is charged — computed from the state without building the tree.
+    pub fn wire_size(&self) -> usize {
         match self {
-            AnySketch::TopK(s) => match TopKSketch::from_element(el) {
-                Some(other) => {
-                    s.merge(&other);
-                    true
-                }
-                None => false,
-            },
-            AnySketch::Entropy(s) => match EntropySketch::from_element(el) {
-                Some(other) => {
-                    s.merge(&other);
-                    true
-                }
-                None => false,
-            },
-            AnySketch::Quantile(s) => match QuantileSummary::from_element(el) {
-                Some(other) => {
-                    s.merge(&other);
-                    true
-                }
-                None => false,
-            },
+            AnySketch::TopK(s) => s.wire_size(),
+            AnySketch::Entropy(s) => s.wire_size(),
+            AnySketch::Quantile(s) => s.wire_size(),
         }
     }
 
@@ -864,21 +1027,13 @@ impl AnySketch {
         }
     }
 
-    /// True when nothing has been absorbed since construction or reset.
+    /// True when nothing has been absorbed since construction or the last
+    /// [`take`](AnySketch::take).
     pub fn is_empty(&self) -> bool {
         match self {
             AnySketch::TopK(s) => s.is_empty(),
             AnySketch::Entropy(s) => s.is_empty(),
             AnySketch::Quantile(s) => s.is_empty(),
-        }
-    }
-
-    /// Clear absorbed state, keeping the configured shape.
-    pub fn reset(&mut self) {
-        match self {
-            AnySketch::TopK(s) => s.reset(),
-            AnySketch::Entropy(s) => s.reset(),
-            AnySketch::Quantile(s) => s.reset(),
         }
     }
 
@@ -1102,15 +1257,14 @@ mod tests {
     fn reset_produces_delta_semantics() {
         let mut leaf = AnySketch::for_spec(&AggregateSpec::new(AggregateKind::Entropy, "c", None));
         leaf.update("a", 2);
-        let first_delta = leaf.to_element();
-        leaf.reset();
+        let first_delta = leaf.take();
         assert!(leaf.is_empty());
         leaf.update("b", 3);
-        let second_delta = leaf.to_element();
+        let second_delta = leaf.take();
 
         let mut root = AnySketch::for_spec(&AggregateSpec::new(AggregateKind::Entropy, "c", None));
-        root.absorb(&first_delta);
-        root.absorb(&second_delta);
+        assert!(root.merge_from(&first_delta));
+        assert!(root.absorb(&second_delta.to_element()));
         let mut single = EntropySketch::new(DEFAULT_ENTROPY_CAPACITY);
         single.update("a", 2);
         single.update("b", 3);

@@ -6,12 +6,22 @@
 //! tree leans on: leaves flush deltas whenever their round boundary happens
 //! to fall, interior nodes merge in whatever order the network delivers,
 //! and the root must still answer as if it had seen every event itself.
+//!
+//! The second half pins the by-value partial path of [`AnySketch`] to the
+//! XML form it replaced: `wire_size` is the byte size of the built tree,
+//! `merge_from` is `absorb` of the serialized partial, `take` hands the state
+//! on and leaves a fresh sketch of the shape, and a kind mismatch merges
+//! nothing.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use p2pmon_streams::sketch::{CountMinSketch, EntropySketch, QuantileSummary, Sketch, TopKSketch};
+use p2pmon_streams::sketch::{
+    AggregateKind, AggregateSpec, AnySketch, CountMinSketch, EntropySketch, QuantileSummary,
+    Sketch, TopKSketch,
+};
+use p2pmon_xmlkit::Element;
 
 /// Distinct keys in the generated streams — kept under every sketch's
 /// capacity so the "merged ≡ whole ≡ exact" regime applies.
@@ -263,5 +273,185 @@ proptest! {
                 bound
             );
         }
+    }
+}
+
+/// The sketch shapes the by-value properties run over: the three the
+/// operators build, and a tight one of each kind so that candidate eviction,
+/// residual folding and bucket collapse all happen within a short stream.
+const SHAPES: usize = 6;
+
+fn shape(at: usize) -> AnySketch {
+    let spec = |kind| AggregateSpec::new(kind, "c", None);
+    match at {
+        0 => AnySketch::for_spec(&spec(AggregateKind::TopK { k: 3 })),
+        1 => AnySketch::for_spec(&spec(AggregateKind::Entropy)),
+        2 => AnySketch::for_spec(&spec(AggregateKind::Quantile { q_permille: 990 })),
+        3 => AnySketch::TopK(TopKSketch::new(2)),
+        4 => AnySketch::Entropy(EntropySketch::new(3)),
+        _ => AnySketch::Quantile(QuantileSummary::new(200, 3)),
+    }
+}
+
+/// The kind a shape belongs to (shapes `k` and `k + 3` share one).
+fn kind_of(at: usize) -> usize {
+    at % 3
+}
+
+/// Keys that stress the size formula: the empty key, keys XML would have to
+/// escape (`Element::byte_size` counts them raw), plain names, and decimal
+/// numbers of every width — quantile observations among them.
+fn key_strategy() -> BoxedStrategy<String> {
+    const FIXED: [&str; 6] = ["", "Get", "a<b", "x&y", "\"q\"", "<&\">"];
+    (0usize..4, proptest::num::u64::ANY, 0usize..40).prop_map(|(form, n, i)| match form {
+        0 => FIXED[i % FIXED.len()].to_string(),
+        1 => n.to_string(),
+        2 => (n % 1_000).to_string(),
+        _ => format!("k{i}"),
+    })
+}
+
+/// Zero, small and many-digit weights (bounded so sums cannot overflow).
+fn weight_strategy() -> BoxedStrategy<u64> {
+    (0usize..3, 0u64..1 << 40).prop_map(|(form, n)| match form {
+        0 => 0,
+        1 => n % 10,
+        _ => n,
+    })
+}
+
+fn updates_strategy() -> BoxedStrategy<Vec<(String, u64)>> {
+    proptest::collection::vec((key_strategy(), weight_strategy()), 0..24)
+}
+
+/// One step of a stage's life: absorb an observation, fold in a sibling
+/// partial, or flush.
+#[derive(Debug, Clone)]
+enum Op {
+    Update(String, u64),
+    MergeIn(Vec<(String, u64)>),
+    Take,
+}
+
+fn ops_strategy() -> BoxedStrategy<Vec<Op>> {
+    let op = (
+        0usize..10,
+        key_strategy(),
+        weight_strategy(),
+        updates_strategy(),
+    )
+        .prop_map(|(pick, key, weight, updates)| match pick {
+            0..=6 => Op::Update(key, weight),
+            7 | 8 => Op::MergeIn(updates),
+            _ => Op::Take,
+        });
+    proptest::collection::vec(op, 0..48)
+}
+
+fn fed(at: usize, updates: &[(String, u64)]) -> AnySketch {
+    let mut sketch = shape(at);
+    for (key, weight) in updates {
+        sketch.update(key, *weight);
+    }
+    sketch
+}
+
+fn assert_charged_its_xml_form(sketch: &AnySketch) {
+    let el = sketch.to_element();
+    assert_eq!(
+        sketch.wire_size(),
+        el.byte_size(),
+        "wire_size drifted from the XML form {}",
+        el.to_xml()
+    );
+}
+
+proptest! {
+    #[test]
+    fn wire_size_is_the_byte_size_of_the_xml_form(at in 0usize..SHAPES, ops in ops_strategy()) {
+        let mut sketch = shape(at);
+        assert_charged_its_xml_form(&sketch);
+        for op in ops {
+            match op {
+                Op::Update(key, weight) => sketch.update(&key, weight),
+                Op::MergeIn(updates) => prop_assert!(sketch.merge_from(&fed(at, &updates))),
+                Op::Take => assert_charged_its_xml_form(&sketch.take()),
+            }
+            assert_charged_its_xml_form(&sketch);
+        }
+    }
+
+    #[test]
+    fn wire_size_holds_for_parsed_partials_with_negative_bucket_indices(
+        buckets in proptest::collection::vec((proptest::num::i32::ANY, 0u64..1 << 40), 0..12),
+        low in -40i32..0,
+        zero in 0u64..1 << 40,
+        max_buckets in 2u64..8,
+    ) {
+        // No observation lands below bucket 0, but a parsed partial may
+        // carry any index; the tight bound makes the parse collapse some.
+        let mut el = Element::new("sketch");
+        el.set_attr("kind", "quantile");
+        el.set_attr("alpha", "10");
+        el.set_attr("maxb", max_buckets.to_string());
+        el.set_attr("zero", zero.to_string());
+        el.set_attr("total", "0");
+        for (i, &(idx, n)) in buckets.iter().enumerate() {
+            let mut b = Element::new("b");
+            // Every other bucket sits just below zero.
+            let idx = if i % 2 == 0 { low - i as i32 } else { idx };
+            b.set_attr("i", idx.to_string());
+            b.set_attr("n", n.to_string());
+            el.push_element(b);
+        }
+        let parsed = QuantileSummary::from_element(&el).expect("a well-formed quantile partial");
+        let sketch = AnySketch::Quantile(parsed);
+        assert_charged_its_xml_form(&sketch);
+        let mut merged = shape(2);
+        prop_assert!(merged.merge_from(&sketch));
+        assert_charged_its_xml_form(&merged);
+    }
+
+    #[test]
+    fn merge_from_leaves_the_state_absorb_of_the_xml_form_leaves(
+        at in 0usize..SHAPES,
+        mine in updates_strategy(),
+        theirs in updates_strategy(),
+    ) {
+        let base = fed(at, &mine);
+        let partial = fed(at, &theirs);
+        let mut by_value = base.clone();
+        prop_assert!(by_value.merge_from(&partial));
+        let mut by_xml = base;
+        prop_assert!(by_xml.absorb(&partial.to_element()));
+        prop_assert_eq!(by_value, by_xml);
+    }
+
+    #[test]
+    fn take_hands_on_the_state_and_leaves_a_fresh_sketch_of_the_shape(
+        at in 0usize..SHAPES,
+        updates in updates_strategy(),
+    ) {
+        let mut sketch = fed(at, &updates);
+        let before = sketch.clone();
+        prop_assert_eq!(sketch.take(), before);
+        prop_assert_eq!(&sketch, &shape(at));
+        prop_assert_eq!(sketch.wire_size(), shape(at).wire_size());
+    }
+
+    #[test]
+    fn a_kind_mismatch_merges_nothing(
+        at in 0usize..SHAPES,
+        other in 0usize..SHAPES,
+        mine in updates_strategy(),
+        theirs in updates_strategy(),
+    ) {
+        prop_assume!(kind_of(at) != kind_of(other));
+        let mut sketch = fed(at, &mine);
+        let before = sketch.clone();
+        let foreign = fed(other, &theirs);
+        prop_assert!(!sketch.merge_from(&foreign));
+        prop_assert!(!sketch.absorb(&foreign.to_element()));
+        prop_assert_eq!(sketch, before);
     }
 }

@@ -10,7 +10,8 @@
 
 use std::collections::HashSet;
 
-use p2pmon_dht::{CoverOutcome, PlanNode, ReuseEngine, StreamDefinitionDatabase};
+use p2pmon_dht::reuse::NodeCover;
+use p2pmon_dht::{PlanNode, ReuseEngine, StreamDefinitionDatabase};
 use p2pmon_p2pml::plan::LogicalNode;
 use p2pmon_p2pml::ValueExpr;
 use p2pmon_streams::{AttrCondition, Condition};
@@ -200,8 +201,9 @@ pub fn join_parameters(
 }
 
 /// Converts a logical plan node into the reuse algorithm's [`PlanNode`]
-/// shape.  Children appear in the same order as the logical node's inputs so
-/// that cover paths line up.
+/// shape: one plan node per logical node, children in the same order as the
+/// logical node's inputs, so the cover's preorder indices line up with a
+/// preorder walk of the logical plan.
 pub fn logical_to_plan_node(node: &LogicalNode) -> PlanNode {
     match node {
         LogicalNode::Alerter { function, peer, .. } => {
@@ -278,11 +280,10 @@ pub fn apply_reuse(
     db: &mut StreamDefinitionDatabase,
     proximity: &dyn Fn(&str) -> u64,
 ) -> (LogicalNode, ReuseReport) {
-    let reuse_plan = logical_to_plan_node(plan);
-    let plan_nodes = reuse_plan.size();
-    let outcome = ReuseEngine::new(db).cover(&reuse_plan, proximity);
+    let outcome = ReuseEngine::new(db).cover(&logical_to_plan_node(plan), proximity);
     let mut rewriter = Rewriter {
-        outcome: &outcome,
+        covers: &outcome.covers,
+        next: 0,
         report: ReuseReport {
             reused_nodes: outcome.reused,
             new_nodes: outcome.new_streams,
@@ -292,18 +293,21 @@ pub fn apply_reuse(
         },
         listed: HashSet::new(),
     };
-    let rewritten = rewriter.rewrite(plan, "0");
-    let mut report = rewriter.report;
-    // Every covered subtree collapses to one ChannelIn leaf; the difference
-    // in node count is the operator work the deployment never instantiates.
-    let rewritten_nodes = logical_to_plan_node(&rewritten).size();
-    report.operators_saved = plan_nodes.saturating_sub(rewritten_nodes);
-    (rewritten, report)
+    let rewritten = rewriter.rewrite(plan);
+    debug_assert_eq!(
+        rewriter.next,
+        outcome.covers.len(),
+        "one cover per plan node"
+    );
+    (rewritten, rewriter.report)
 }
 
 /// Rewrites covered subtrees into channel subscriptions, filling `report`.
 struct Rewriter<'a> {
-    outcome: &'a CoverOutcome,
+    /// The cover, by preorder index of the plan node.
+    covers: &'a [NodeCover],
+    /// Preorder index of the next logical node `rewrite` visits.
+    next: usize,
     report: ReuseReport,
     /// The originals already in `report.reused_defs`, so each is listed
     /// once, in first-seen order, without scanning the list.
@@ -311,11 +315,20 @@ struct Rewriter<'a> {
 }
 
 impl<'a> Rewriter<'a> {
-    fn rewrite(&mut self, node: &LogicalNode, path: &str) -> LogicalNode {
-        if let Some(p2pmon_dht::reuse::NodeCover::Existing { original, provider }) =
-            self.outcome.cover(path)
+    fn rewrite(&mut self, node: &LogicalNode) -> LogicalNode {
+        let covers = self.covers;
+        if let NodeCover::Existing {
+            original,
+            provider,
+            nodes,
+        } = &covers[self.next]
         {
-            // The whole subtree is served by an existing stream: subscribe to it.
+            // The whole subtree is served by an existing stream: subscribe to
+            // it, and skip the subtree's covers.  Its nodes collapse to one
+            // ChannelIn leaf; the rest is operator work the deployment never
+            // instantiates.
+            self.next += nodes;
+            self.report.operators_saved += nodes - 1;
             let var = node
                 .output_vars()
                 .first()
@@ -333,8 +346,9 @@ impl<'a> Rewriter<'a> {
                 var,
             };
         }
-        // Not covered: keep the operator, recurse into its children with the
-        // same path numbering the cover used.
+        // Not covered: keep the operator, recurse into its children in the
+        // order the cover numbered them.
+        self.next += 1;
         match node {
             LogicalNode::Alerter { .. } | LogicalNode::ChannelIn { .. } => node.clone(),
             LogicalNode::DynamicAlerter {
@@ -344,15 +358,11 @@ impl<'a> Rewriter<'a> {
             } => LogicalNode::DynamicAlerter {
                 function: function.clone(),
                 var: var.clone(),
-                driver: Box::new(self.rewrite(driver, &format!("{path}.0"))),
+                driver: Box::new(self.rewrite(driver)),
             },
             LogicalNode::Union { var, inputs } => LogicalNode::Union {
                 var: var.clone(),
-                inputs: inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, input)| self.rewrite(input, &format!("{path}.{i}")))
-                    .collect(),
+                inputs: inputs.iter().map(|input| self.rewrite(input)).collect(),
             },
             LogicalNode::Select {
                 var,
@@ -363,7 +373,7 @@ impl<'a> Rewriter<'a> {
                 conditions,
             } => LogicalNode::Select {
                 var: var.clone(),
-                input: Box::new(self.rewrite(input, &format!("{path}.0"))),
+                input: Box::new(self.rewrite(input)),
                 simple: simple.clone(),
                 patterns: patterns.clone(),
                 derived: derived.clone(),
@@ -376,27 +386,27 @@ impl<'a> Rewriter<'a> {
                 right_key,
                 residual,
             } => LogicalNode::Join {
-                left: Box::new(self.rewrite(left, &format!("{path}.0"))),
-                right: Box::new(self.rewrite(right, &format!("{path}.1"))),
+                left: Box::new(self.rewrite(left)),
+                right: Box::new(self.rewrite(right)),
                 left_key: left_key.clone(),
                 right_key: right_key.clone(),
                 residual: residual.clone(),
             },
             LogicalNode::Dedup { input } => LogicalNode::Dedup {
-                input: Box::new(self.rewrite(input, &format!("{path}.0"))),
+                input: Box::new(self.rewrite(input)),
             },
             LogicalNode::Restructure {
                 input,
                 template,
                 derived,
             } => LogicalNode::Restructure {
-                input: Box::new(self.rewrite(input, &format!("{path}.0"))),
+                input: Box::new(self.rewrite(input)),
                 template: template.clone(),
                 derived: derived.clone(),
             },
             LogicalNode::Aggregate { var, input, spec } => LogicalNode::Aggregate {
                 var: var.clone(),
-                input: Box::new(self.rewrite(input, &format!("{path}.0"))),
+                input: Box::new(self.rewrite(input)),
                 spec: spec.clone(),
             },
         }

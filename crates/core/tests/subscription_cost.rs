@@ -1,13 +1,16 @@
 //! A subscription costs what it touches.
 //!
-//! Five pins on the subscription lifetime's history walks, each a
+//! Six pins on the subscription lifetime's history walks, each a
 //! deterministic counter compared across two sizes of what is already
-//! deployed:
+//! deployed or of the plan itself:
 //!
 //! * `IndexStats::postings_read` for the reuse query.  A Filter's operand
 //!   term carries a digest of its parameters, so a new Filter over a hub
 //!   reads the postings of its own clause — not one per Filter the hub
 //!   already runs.
+//! * `IndexStats::query_operations` for the reuse query over many operands.
+//!   The query stops at its first empty posting list, so an aggregate's
+//!   unpublished Union asks one operand, not every leaf.
 //! * `ReuseStats::loads_read` for load-aware provider selection.  A submit
 //!   sums the rate-table channels of the peers it compares, not every
 //!   channel the monitor has observed.
@@ -159,6 +162,47 @@ fn a_submit_reads_the_loads_of_the_peers_it_compares() {
         "1 800 more observed channels elsewhere must not change what a submit sums"
     );
     assert!(few > 0, "the submit compares providers by load");
+}
+
+/// Index queries and postings read by the second of two aggregates over the
+/// same `leaves` sources.
+fn queries_per_second_aggregate(leaves: usize) -> (u64, u64) {
+    let storm = SketchStorm::sized(1, leaves);
+    let mut monitor = Monitor::new(MonitorConfig {
+        dht_nodes: storm.dht_nodes(),
+        ..MonitorConfig::default()
+    });
+    let texts = storm.aggregate_subscriptions(3, 0.99);
+    monitor
+        .submit(storm.manager(), &texts[0])
+        .expect("aggregate deploys");
+    let before = monitor.dht_stats();
+    monitor
+        .submit(storm.manager(), &texts[1])
+        .expect("aggregate deploys");
+    let after = monitor.dht_stats();
+    (
+        after.query_operations - before.query_operations,
+        after.postings_read - before.postings_read,
+    )
+}
+
+#[test]
+fn a_reuse_query_stops_at_its_first_empty_posting_list() {
+    for leaves in [64, 512] {
+        let (queries, postings) = queries_per_second_aggregate(leaves);
+        // Every leaf finds the source the first aggregate published; the
+        // Union over them was never published, so its query ends at the
+        // first operand's empty list instead of asking all `leaves`.
+        assert_eq!(
+            queries,
+            leaves as u64 + 1,
+            "{leaves} leaf queries and one operand query"
+        );
+        // As many as when the union asked every operand: the lists it no
+        // longer asks are all empty.
+        assert_eq!(postings, leaves as u64, "one source posting per leaf");
+    }
 }
 
 /// Postings scanned while tearing down one aggregate over `leaves` peers.

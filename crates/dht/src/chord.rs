@@ -1,18 +1,26 @@
 //! A Chord-style DHT simulation.
 //!
 //! The ring is the 64-bit key space.  Each node owns the keys between its
-//! predecessor (exclusive) and itself (inclusive) and keeps a finger table of
-//! up to 64 entries (`finger[i]` = the successor of `n + 2^i`).  Lookups are
-//! *iterative*: starting from an arbitrary node, each step jumps to the
-//! closest preceding finger, and the number of steps is counted — that hop
-//! count, logarithmic in the number of nodes, is the quantity experiment E8
-//! reports.
+//! predecessor (exclusive) and itself (inclusive); its fingers are the
+//! successors of `n + 2^i` for `i` in `0..64`.  Lookups are *iterative*:
+//! starting from an arbitrary node, each step jumps to the closest preceding
+//! finger, and the number of steps is counted — that hop count, logarithmic
+//! in the number of nodes, is the quantity experiment E8 reports.
+//!
+//! Nodes are addressed by their *ring position*, the index into the sorted
+//! list of live ids: a node's ring successor is the next position, the node
+//! responsible for a key is found by binary search, and each node's finger
+//! table lists the positions of its distinct fingers.  Of the 64 fingers
+//! most repeat (a 640-node ring has about ten distinct ones), and
+//! consecutive repeats are dropped: the fingers' clockwise distances never
+//! decrease, so dropping them cannot change which finger a hop takes, nor
+//! any hop count.
 //!
 //! This is a *simulation*: all node state lives in one process and "messages"
 //! are counted rather than sent, which is exactly what is needed to reproduce
 //! the scaling shape of the paper's KadoP-based stream discovery.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,14 +66,15 @@ struct NodeStorage {
 /// The simulated Chord ring.
 #[derive(Debug)]
 pub struct ChordNetwork {
-    /// Ring positions of all live nodes (sorted by the BTreeMap).
-    nodes: BTreeMap<NodeId, NodeStorage>,
-    /// The same positions as a sorted list, rebuilt with the finger tables
-    /// on every membership change, so a lookup picks its start node by
-    /// index instead of collecting the ring.
+    /// Ids of all live nodes, sorted: a node's index here is its ring
+    /// position.
     ids: Vec<NodeId>,
-    /// Finger tables: node → fingers (successors of n + 2^i).
-    fingers: HashMap<NodeId, Vec<NodeId>>,
+    /// Storage of the node at each ring position.
+    storage: Vec<NodeStorage>,
+    /// Finger tables by ring position: the positions of the node's distinct
+    /// fingers other than itself, in increasing clockwise distance.  Rebuilt
+    /// on every membership change.
+    fingers: Vec<Vec<usize>>,
     rng: StdRng,
     /// Total lookup operations performed.
     pub lookups: u64,
@@ -75,29 +84,40 @@ pub struct ChordNetwork {
     pub keys_transferred: u64,
 }
 
+/// The ring position of the node responsible for `key`: the first id at or
+/// after it, wrapping to the first position.
+fn successor_position(ids: &[NodeId], key: NodeId) -> usize {
+    let at = ids.partition_point(|&id| id < key);
+    if at == ids.len() {
+        0
+    } else {
+        at
+    }
+}
+
 impl ChordNetwork {
     /// Creates a ring with `n` nodes at random (seeded) positions.
     pub fn with_nodes(n: usize, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ids: Vec<NodeId> = (0..n.max(1)).map(|_| rng.gen::<u64>()).collect();
+        ids.sort_unstable();
+        ids.dedup();
         let mut net = ChordNetwork {
-            nodes: BTreeMap::new(),
-            ids: Vec::new(),
-            fingers: HashMap::new(),
-            rng: StdRng::seed_from_u64(seed),
+            storage: vec![NodeStorage::default(); ids.len()],
+            ids,
+            fingers: Vec::new(),
+            rng,
             lookups: 0,
             total_hops: 0,
             keys_transferred: 0,
         };
-        for _ in 0..n.max(1) {
-            let id = net.rng.gen::<u64>();
-            net.nodes.insert(id, NodeStorage::default());
-        }
         net.rebuild_fingers();
         net
     }
 
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.ids.len()
     }
 
     /// All node identifiers, sorted.
@@ -117,119 +137,115 @@ impl ChordNetwork {
     /// The node responsible for a key: the first node clockwise from the key
     /// (its successor).
     pub fn successor(&self, key: NodeId) -> NodeId {
-        match self.nodes.range(key..).next() {
-            Some((&id, _)) => id,
-            None => *self.nodes.keys().next().expect("ring is never empty"),
-        }
+        self.ids[successor_position(&self.ids, key)]
     }
 
-    /// Re-derives the sorted id list and every finger table from the ring
-    /// (called on every membership change).
+    /// Re-derives every finger table from the ring (called on every
+    /// membership change).
     fn rebuild_fingers(&mut self) {
-        self.fingers.clear();
-        let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        for &n in &ids {
-            let mut table = Vec::with_capacity(64);
-            for i in 0..64 {
-                let target = n.wrapping_add(1u64 << i);
-                table.push(self.successor(target));
-            }
-            self.fingers.insert(n, table);
-        }
-        self.ids = ids;
+        let ids = &self.ids;
+        self.fingers = (0..ids.len())
+            .map(|at| {
+                let mut table = Vec::new();
+                for i in 0..64 {
+                    let finger = successor_position(ids, ids[at].wrapping_add(1u64 << i));
+                    // Once a finger wraps around to the node itself, every
+                    // further one does too.
+                    if finger == at {
+                        break;
+                    }
+                    if table.last() != Some(&finger) {
+                        table.push(finger);
+                    }
+                }
+                table
+            })
+            .collect();
     }
 
-    /// Distance from `a` to `b` going clockwise around the ring.
-    fn clockwise_distance(a: NodeId, b: NodeId) -> u64 {
-        b.wrapping_sub(a)
-    }
-
-    /// The next node clockwise after `node` (its ring successor).
-    fn ring_successor(&self, node: NodeId) -> NodeId {
-        match self.nodes.range(node.wrapping_add(1)..).next() {
-            Some((&id, _)) => id,
-            None => *self.nodes.keys().next().expect("ring is never empty"),
-        }
-    }
-
-    /// Iterative lookup from a given start node, counting hops.
+    /// Iterative lookup from a given start node, counting hops.  `start`
+    /// must be a live node.
     ///
     /// Standard Chord routing: while the key is not owned by the current
     /// node's ring successor, jump to the closest finger that precedes the
     /// key; the final hop goes to the responsible node itself.
     pub fn lookup_from(&mut self, start: NodeId, key: NodeId) -> LookupResult {
+        let at = self.ids.binary_search(&start);
+        debug_assert!(at.is_ok(), "lookup_from({start}) must start at a live node");
+        let (at, hops) = match at {
+            Ok(at) => (at, 0),
+            // A start between nodes steps onto its successor first.
+            Err(_) => (successor_position(&self.ids, start), 1),
+        };
+        let (responsible, hops) = self.route(at, hops, key);
+        LookupResult {
+            node: self.ids[responsible],
+            hops,
+        }
+    }
+
+    /// Routes from ring position `current`, `hops` already taken, to the
+    /// position responsible for `key`; counts the lookup and its hops and
+    /// returns `(responsible position, hops)`.
+    fn route(&mut self, mut current: usize, mut hops: usize, key: NodeId) -> (usize, usize) {
         self.lookups += 1;
-        let responsible = self.successor(key);
-        let mut current = start;
-        let mut hops = 0usize;
+        let n = self.ids.len();
+        let responsible = successor_position(&self.ids, key);
         while current != responsible {
             // If the current node's ring successor owns the key, one final
             // hop reaches it.
-            if self.ring_successor(current) == responsible {
+            let next = (current + 1) % n;
+            if next == responsible {
                 hops += 1;
                 break;
             }
-            // Closest preceding finger: the finger landing strictly between
-            // `current` and `key` (clockwise) that is furthest along.
-            let distance_to_key = Self::clockwise_distance(current, key);
-            let mut best: Option<(u64, NodeId)> = None;
-            if let Some(table) = self.fingers.get(&current) {
-                for &f in table {
-                    if f == current {
-                        continue;
-                    }
-                    let forward = Self::clockwise_distance(current, f);
-                    if forward > 0 && forward < distance_to_key {
-                        match best {
-                            Some((best_forward, _)) if forward <= best_forward => {}
-                            _ => best = Some((forward, f)),
-                        }
-                    }
-                }
-            }
-            match best {
-                Some((_, next)) => {
-                    current = next;
-                    hops += 1;
-                }
-                None => {
-                    // No finger precedes the key: fall through via the ring
-                    // successor (handles tiny rings and sparse fingers).
-                    current = self.ring_successor(current);
-                    hops += 1;
-                }
-            }
+            // Closest preceding finger: the furthest one landing strictly
+            // between `current` and `key` (clockwise).  Fingers ascend in
+            // distance, so it is the last one short of the key; without one
+            // (tiny rings, sparse fingers) the hop goes to the ring
+            // successor.
+            let from = self.ids[current];
+            let distance_to_key = key.wrapping_sub(from);
+            current = self.fingers[current]
+                .iter()
+                .rev()
+                .copied()
+                .find(|&f| self.ids[f].wrapping_sub(from) < distance_to_key)
+                .unwrap_or(next);
+            hops += 1;
             if hops > 2 * 64 {
                 // Safety net against pathological rings in the simulation.
                 current = responsible;
             }
         }
         self.total_hops += hops as u64;
-        LookupResult {
-            node: responsible,
+        (responsible, hops)
+    }
+
+    /// Routes to the node responsible for `key` from a deterministic
+    /// pseudo-random node; returns its ring position and the lookup result.
+    fn locate(&mut self, key: NodeId) -> (usize, LookupResult) {
+        let start = self.rng.gen_range(0..self.ids.len());
+        let (at, hops) = self.route(start, 0, key);
+        let result = LookupResult {
+            node: self.ids[at],
             hops,
-        }
+        };
+        (at, result)
     }
 
     /// Lookup starting from a deterministic pseudo-random node (models "any
     /// peer asks the question").
     pub fn lookup(&mut self, key: NodeId) -> LookupResult {
-        let start = self.ids[self.rng.gen_range(0..self.ids.len())];
-        self.lookup_from(start, key)
+        self.locate(key).1
     }
 
     /// Stores a value under a string key at the responsible node.  Returns
     /// the lookup result used for routing.
     pub fn put(&mut self, key: &str, value: String) -> LookupResult {
         let k = hash_key(key);
-        let result = self.lookup(k);
-        self.nodes
-            .get_mut(&result.node)
-            .expect("responsible node exists")
-            .entries
-            .entry(k)
-            .or_default()
-            .push(value);
+        let (at, result) = self.locate(k);
+        self.storage[at].entries.entry(k).or_default().push(value);
         result
     }
 
@@ -237,11 +253,10 @@ impl ChordNetwork {
     /// and the lookup result.
     pub fn get(&mut self, key: &str) -> (Vec<String>, LookupResult) {
         let k = hash_key(key);
-        let result = self.lookup(k);
-        let values = self
-            .nodes
-            .get(&result.node)
-            .and_then(|s| s.entries.get(&k))
+        let (at, result) = self.locate(k);
+        let values = self.storage[at]
+            .entries
+            .get(&k)
             .cloned()
             .unwrap_or_default();
         (values, result)
@@ -252,9 +267,8 @@ impl ChordNetwork {
     /// list).
     pub fn remove_where(&mut self, key: &str, predicate: impl Fn(&str) -> bool) -> (usize, usize) {
         let k = hash_key(key);
-        let result = self.lookup(k);
-        let storage = self.nodes.get_mut(&result.node).expect("node exists");
-        match storage.entries.get_mut(&k) {
+        let (at, _) = self.locate(k);
+        match self.storage[at].entries.get_mut(&k) {
             Some(values) => {
                 let before = values.len();
                 values.retain(|v| !predicate(v));
@@ -266,70 +280,56 @@ impl ChordNetwork {
 
     /// A new node joins the ring: keys it now owns are handed over.
     pub fn join(&mut self, id: NodeId) {
-        if self.nodes.contains_key(&id) {
+        let Err(at) = self.ids.binary_search(&id) else {
             return;
-        }
-        self.nodes.insert(id, NodeStorage::default());
+        };
+        self.ids.insert(at, id);
+        self.storage.insert(at, NodeStorage::default());
         self.rebuild_fingers();
         // The new node takes over keys in (predecessor, id] from its
-        // successor.
-        let pos = self.ids.binary_search(&id).expect("just inserted");
-        let successor = self.ids[(pos + 1) % self.ids.len()];
-        if successor == id {
-            return;
-        }
-        let to_move: Vec<u64> = self
-            .nodes
-            .get(&successor)
-            .map(|s| {
-                s.entries
-                    .keys()
-                    .copied()
-                    .filter(|&k| self.successor(k) == id)
-                    .collect()
-            })
-            .unwrap_or_default();
+        // successor.  The ring had a node before, so the successor is
+        // another node.
+        let successor = (at + 1) % self.ids.len();
+        let to_move: Vec<u64> = self.storage[successor]
+            .entries
+            .keys()
+            .copied()
+            .filter(|&k| successor_position(&self.ids, k) == at)
+            .collect();
         for k in to_move {
-            if let Some(values) = self
-                .nodes
-                .get_mut(&successor)
-                .and_then(|s| s.entries.remove(&k))
-            {
-                self.keys_transferred += values.len() as u64;
-                self.nodes
-                    .get_mut(&id)
-                    .expect("new node")
-                    .entries
-                    .insert(k, values);
-            }
+            let values = self.storage[successor]
+                .entries
+                .remove(&k)
+                .expect("listed above");
+            self.keys_transferred += values.len() as u64;
+            self.storage[at].entries.insert(k, values);
         }
     }
 
     /// A node leaves the ring gracefully: its keys move to its successor.
     /// Returns `false` when the node does not exist or is the last node.
     pub fn leave(&mut self, id: NodeId) -> bool {
-        if !self.nodes.contains_key(&id) || self.nodes.len() == 1 {
+        let Ok(at) = self.ids.binary_search(&id) else {
+            return false;
+        };
+        if self.ids.len() == 1 {
             return false;
         }
-        let storage = self.nodes.remove(&id).expect("checked");
+        self.ids.remove(at);
+        let storage = self.storage.remove(at);
         self.rebuild_fingers();
-        let heir = self.successor(id);
-        let heir_storage = self.nodes.get_mut(&heir).expect("ring not empty");
+        let heir = &mut self.storage[at % self.ids.len()];
         for (k, mut values) in storage.entries {
             self.keys_transferred += values.len() as u64;
-            heir_storage
-                .entries
-                .entry(k)
-                .or_default()
-                .append(&mut values);
+            heir.entries.entry(k).or_default().append(&mut values);
         }
         true
     }
 
     /// Total number of stored values across the ring.
     pub fn stored_values(&self) -> usize {
-        self.nodes
-            .values()
+        self.storage
+            .iter()
             .flat_map(|s| s.entries.values())
             .map(Vec::len)
             .sum()
@@ -386,7 +386,7 @@ mod tests {
         for round in 0..6u64 {
             for i in 0..50 {
                 let key = hash_key(&format!("k{round}-{i}"));
-                let ids: Vec<NodeId> = collected.nodes.keys().copied().collect();
+                let ids = collected.node_ids();
                 let start = ids[collected.rng.gen_range(0..ids.len())];
                 assert_eq!(kept.lookup(key), collected.lookup_from(start, key));
             }
@@ -395,7 +395,8 @@ mod tests {
                 let victim = net.node_ids()[round as usize * 5];
                 assert!(net.leave(victim));
             }
-            assert_eq!(kept.ids, kept.nodes.keys().copied().collect::<Vec<_>>());
+            assert!(kept.ids.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(kept.storage.len(), kept.ids.len());
         }
         assert_eq!(kept.total_hops, collected.total_hops);
     }

@@ -85,8 +85,10 @@ impl DistributedIndex {
         let (mut values, result) = self.dht.get(term);
         self.stats.query_operations += 1;
         self.record(&result);
-        let mut seen = std::collections::HashSet::new();
-        values.retain(|v| seen.insert(v.clone()));
+        if values.len() > 1 {
+            let mut seen = std::collections::HashSet::with_capacity(values.len());
+            values.retain(|v| seen.insert(v.clone()));
+        }
         self.stats.postings_read += values.len() as u64;
         values
     }

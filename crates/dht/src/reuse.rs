@@ -11,8 +11,6 @@
 //! of the streams to substitute for that node.  The nodes that have not been
 //! matched correspond to new streams that have to be produced."
 
-use std::collections::HashMap;
-
 use crate::streamdef::StreamDefinitionDatabase;
 
 /// A node of a monitoring plan, in the shape the Reuse algorithm needs: an
@@ -65,8 +63,8 @@ impl PlanNode {
 }
 
 /// One place where a rewritten plan attaches to an existing stream:
-/// `(plan path, original (peer, stream) identity, selected provider)`.
-pub type SubscriptionPoint<'a> = (&'a str, &'a (String, String), &'a (String, String));
+/// `(preorder index, original (peer, stream) identity, selected provider)`.
+pub type SubscriptionPoint<'a> = (usize, &'a (String, String), &'a (String, String));
 
 /// How one plan node was covered.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,6 +77,9 @@ pub enum NodeCover {
         original: (String, String),
         /// The selected provider (original or replica).
         provider: (String, String),
+        /// Plan nodes the stream serves: this node and its descendants,
+        /// which follow it in preorder.
+        nodes: usize,
     },
     /// No existing stream covers this node: it has to be produced anew.
     New,
@@ -87,9 +88,10 @@ pub enum NodeCover {
 /// The outcome of running Reuse on a plan.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoverOutcome {
-    /// Per plan-node coverage, keyed by the node's path in the plan
-    /// ("0", "0.1", "0.1.0", … — root is "0").
-    pub covers: HashMap<String, NodeCover>,
+    /// Per plan-node coverage, indexed by the node's position in a preorder
+    /// walk of the plan (the root is 0, its first child 1, …; children in
+    /// plan order).
+    pub covers: Vec<NodeCover>,
     /// Number of nodes covered by existing streams.
     pub reused: usize,
     /// Number of nodes that must be newly produced.
@@ -97,39 +99,40 @@ pub struct CoverOutcome {
 }
 
 impl CoverOutcome {
-    /// The cover decided for a plan path.
-    pub fn cover(&self, path: &str) -> Option<&NodeCover> {
-        self.covers.get(path)
+    /// The cover decided for the plan node at a preorder index.
+    pub fn cover(&self, index: usize) -> Option<&NodeCover> {
+        self.covers.get(index)
     }
 
     /// True when the whole plan (its root) is served by an existing stream.
     pub fn root_is_reused(&self) -> bool {
-        matches!(self.covers.get("0"), Some(NodeCover::Existing { .. }))
+        matches!(self.covers.first(), Some(NodeCover::Existing { .. }))
     }
 
     /// The *subscription points* of the cover: the top-most covered nodes —
     /// covered nodes whose parent is not covered (or that are the root).
     /// These are exactly the places where the rewritten plan attaches to an
     /// existing stream; nodes covered deeper inside such a subtree ride along
-    /// without their own subscription.  Returns `(path, original, provider)`
-    /// triples: `original` is the stream's canonical `(PeerId, StreamId)`
-    /// identity (what the Stream Definition Database keys on), `provider` the
-    /// replica actually subscribed to.
+    /// without their own subscription.  Returns `(index, original, provider)`
+    /// triples in plan order: `original` is the stream's canonical
+    /// `(PeerId, StreamId)` identity (what the Stream Definition Database
+    /// keys on), `provider` the replica actually subscribed to.
     pub fn subscription_points(&self) -> Vec<SubscriptionPoint<'_>> {
-        let mut points: Vec<SubscriptionPoint<'_>> = self
-            .covers
-            .iter()
-            .filter_map(|(path, cover)| match cover {
-                NodeCover::Existing { original, provider } => {
-                    let parent_covered = path.rsplit_once('.').is_some_and(|(parent, _)| {
-                        matches!(self.covers.get(parent), Some(NodeCover::Existing { .. }))
-                    });
-                    (!parent_covered).then_some((path.as_str(), original, provider))
+        let mut points = Vec::new();
+        let mut at = 0;
+        while let Some(cover) = self.covers.get(at) {
+            match cover {
+                NodeCover::Existing {
+                    original,
+                    provider,
+                    nodes,
+                } => {
+                    points.push((at, original, provider));
+                    at += nodes;
                 }
-                NodeCover::New => None,
-            })
-            .collect();
-        points.sort_by_key(|(path, _, _)| *path);
+                NodeCover::New => at += 1,
+            }
+        }
         points
     }
 }
@@ -150,25 +153,26 @@ impl<'a> ReuseEngine<'a> {
     /// drives replica selection.
     pub fn cover(&mut self, plan: &PlanNode, proximity: &dyn Fn(&str) -> u64) -> CoverOutcome {
         let mut outcome = CoverOutcome::default();
-        self.cover_node(plan, "0", proximity, &mut outcome);
+        self.cover_node(plan, proximity, &mut outcome);
         outcome
     }
 
-    /// Covers one node; returns the (peer, stream) of the *original* stream
-    /// serving it when it is covered.
+    /// Covers one node, recording it at the next preorder index; returns
+    /// the (peer, stream) of the *original* stream serving it when it is
+    /// covered.
     fn cover_node(
         &mut self,
         node: &PlanNode,
-        path: &str,
         proximity: &dyn Fn(&str) -> u64,
         outcome: &mut CoverOutcome,
     ) -> Option<(String, String)> {
+        let at = outcome.covers.len();
+        outcome.covers.push(NodeCover::New);
         // 1. Cover the children first (leaves of the plan first).
         let mut child_streams = Vec::with_capacity(node.children.len());
         let mut all_children_covered = true;
-        for (i, child) in node.children.iter().enumerate() {
-            let child_path = format!("{path}.{i}");
-            match self.cover_node(child, &child_path, proximity, outcome) {
+        for child in &node.children {
+            match self.cover_node(child, proximity, outcome) {
                 Some(stream) => child_streams.push(stream),
                 None => all_children_covered = false,
             }
@@ -196,18 +200,15 @@ impl<'a> ReuseEngine<'a> {
             Some(original) => {
                 // 3. Replica selection for the matched node.
                 let provider = self.db.select_provider(&original.0, &original.1, proximity);
-                outcome.covers.insert(
-                    path.to_string(),
-                    NodeCover::Existing {
-                        original: original.clone(),
-                        provider,
-                    },
-                );
+                outcome.covers[at] = NodeCover::Existing {
+                    original: original.clone(),
+                    provider,
+                    nodes: outcome.covers.len() - at,
+                };
                 outcome.reused += 1;
                 Some(original)
             }
             None => {
-                outcome.covers.insert(path.to_string(), NodeCover::New);
                 outcome.new_streams += 1;
                 None
             }
@@ -259,13 +260,13 @@ mod tests {
         assert_eq!(outcome.reused, 3);
         assert_eq!(outcome.new_streams, 1);
         assert!(!outcome.root_is_reused());
-        match outcome.cover("0.0").unwrap() {
+        match outcome.cover(1).unwrap() {
             NodeCover::Existing { original, .. } => {
                 assert_eq!(original, &("p1".to_string(), "s3".to_string()));
             }
             other => panic!("filter should be reused, got {other:?}"),
         }
-        assert_eq!(outcome.cover("0").unwrap(), &NodeCover::New);
+        assert_eq!(outcome.cover(0).unwrap(), &NodeCover::New);
     }
 
     #[test]
@@ -294,10 +295,10 @@ mod tests {
             vec![PlanNode::alerter("inCOM", "p1")],
         );
         let outcome = engine.cover(&plan, &|_| 10);
-        assert_eq!(outcome.cover("0").unwrap(), &NodeCover::New);
+        assert_eq!(outcome.cover(0).unwrap(), &NodeCover::New);
         // The alerter itself is still reused.
         assert!(matches!(
-            outcome.cover("0.0").unwrap(),
+            outcome.cover(1).unwrap(),
             NodeCover::Existing { .. }
         ));
     }
@@ -328,8 +329,10 @@ mod tests {
         // edge.com is much closer than p1.
         let proximity = |peer: &str| if peer == "edge.com" { 1 } else { 100 };
         let outcome = engine.cover(&plan, &proximity);
-        match outcome.cover("0").unwrap() {
-            NodeCover::Existing { original, provider } => {
+        match outcome.cover(0).unwrap() {
+            NodeCover::Existing {
+                original, provider, ..
+            } => {
                 assert_eq!(original, &("p1".to_string(), "s3".to_string()));
                 assert_eq!(provider, &("edge.com".to_string(), "copy3".to_string()));
             }
@@ -347,11 +350,11 @@ mod tests {
         let mut db = database_with_meteo_streams();
         let mut engine = ReuseEngine::new(&mut db);
         let outcome = engine.cover(&section5_plan(), &|_| 10);
-        // Covered: the filter subtree ("0.0", absorbing its alerter "0.0.0")
-        // and the right alerter ("0.1"); the join root is new.
+        // Covered: the filter subtree (index 1, absorbing its alerter at 2)
+        // and the right alerter (3); the join root is new.
         let points = outcome.subscription_points();
-        let paths: Vec<&str> = points.iter().map(|(p, _, _)| *p).collect();
-        assert_eq!(paths, vec!["0.0", "0.1"]);
+        let indices: Vec<usize> = points.iter().map(|(at, _, _)| *at).collect();
+        assert_eq!(indices, vec![1, 3]);
         assert_eq!(points[0].1, &("p1".to_string(), "s3".to_string()));
         // A fully covered plan has exactly one subscription point: the root.
         db.publish(StreamDefinition::derived(
@@ -364,6 +367,29 @@ mod tests {
         let outcome = ReuseEngine::new(&mut db).cover(&section5_plan(), &|_| 10);
         let points = outcome.subscription_points();
         assert_eq!(points.len(), 1);
-        assert_eq!(points[0].0, "0");
+        assert_eq!(points[0].0, 0);
+    }
+
+    #[test]
+    fn subscription_points_of_a_wide_union_come_in_plan_order() {
+        // Twelve covered branches under a new Union: sorting "0.10" before
+        // "0.2" as text would put the eleventh branch third.
+        let mut db = StreamDefinitionDatabase::new(ChordNetwork::with_nodes(32, 5));
+        let branches: Vec<PlanNode> = (0..12)
+            .map(|i| {
+                let peer = format!("p{i}");
+                db.publish(StreamDefinition::source(peer.clone(), "s", "inCOM"));
+                PlanNode::alerter("inCOM", peer)
+            })
+            .collect();
+        let plan = PlanNode::operator("Union", "", branches);
+        let outcome = ReuseEngine::new(&mut db).cover(&plan, &|_| 10);
+        assert_eq!(outcome.cover(0), Some(&NodeCover::New));
+        let points = outcome.subscription_points();
+        let indices: Vec<usize> = points.iter().map(|(at, _, _)| *at).collect();
+        assert_eq!(indices, (1..=12).collect::<Vec<_>>());
+        let peers: Vec<&str> = points.iter().map(|(_, o, _)| o.0.as_str()).collect();
+        let expected: Vec<String> = (0..12).map(|i| format!("p{i}")).collect();
+        assert_eq!(peers, expected);
     }
 }

@@ -235,10 +235,11 @@ impl ReplicaDeclaration {
 #[derive(Debug)]
 pub struct StreamDefinitionDatabase {
     index: DistributedIndex,
-    /// Full descriptors kept by (peer, stream) — in KadoP the repository part
-    /// is also distributed; here the payload side is small so it rides along
-    /// with the index postings.
-    descriptors: HashMap<(String, String), StreamDefinition>,
+    /// Full descriptors keyed by their posting id, `"peer|stream"` — in
+    /// KadoP the repository part is also distributed; here the payload side
+    /// is small so it rides along with the index postings, and a posting a
+    /// query returns is looked up as it is.
+    descriptors: HashMap<String, StreamDefinition>,
     /// `<InChannel>` declarations by origin `(peer, stream)`, each origin's
     /// list in declaration order.
     replicas: PairMap<Vec<ReplicaDeclaration>>,
@@ -315,24 +316,26 @@ impl StreamDefinitionDatabase {
     /// Publishes a stream definition: stores the descriptor and posts its
     /// index terms into the DHT.
     pub fn publish(&mut self, definition: StreamDefinition) {
-        let key = (definition.peer_id.clone(), definition.stream_id.clone());
-        let terms = Self::index_terms(&definition);
-        let id = format!("{}|{}", definition.peer_id, definition.stream_id);
-        for term in terms {
+        let id = Self::posting_id(&definition.peer_id, &definition.stream_id);
+        for term in Self::index_terms(&definition) {
             self.index.insert(&term, &id);
         }
-        self.descriptors.insert(key, definition);
+        self.descriptors.insert(id, definition);
+    }
+
+    /// The id a definition is posted under and its descriptor kept by.
+    fn posting_id(peer: &str, stream: &str) -> String {
+        format!("{peer}|{stream}")
     }
 
     /// Retracts a published stream definition: removes the descriptor, its
     /// index postings and any replica declarations for it (subscription
     /// teardown).  Returns `true` when the definition existed.
     pub fn retract(&mut self, peer: &str, stream: &str) -> bool {
-        let key = (peer.to_string(), stream.to_string());
-        let Some(definition) = self.descriptors.remove(&key) else {
+        let id = Self::posting_id(peer, stream);
+        let Some(definition) = self.descriptors.remove(&id) else {
             return false;
         };
-        let id = format!("{peer}|{stream}");
         for term in Self::index_terms(&definition) {
             self.index.remove(&term, &id);
         }
@@ -401,8 +404,7 @@ impl StreamDefinitionDatabase {
 
     /// Looks up a full descriptor.
     pub fn get(&self, peer: &str, stream: &str) -> Option<&StreamDefinition> {
-        self.descriptors
-            .get(&(peer.to_string(), stream.to_string()))
+        self.descriptors.get(&Self::posting_id(peer, stream))
     }
 
     /// Resolves a channel reference to its canonical identity.  Users
@@ -414,7 +416,7 @@ impl StreamDefinitionDatabase {
     /// ambiguous) is returned unchanged.
     pub fn canonical_identity(&self, peer: &str, stream: &str) -> (String, String) {
         let exact = (peer.to_string(), stream.to_string());
-        if self.descriptors.contains_key(&exact) {
+        if self.get(peer, stream).is_some() {
             return exact;
         }
         // A live replica's coordinates are canonical too: the replica peer
@@ -424,9 +426,9 @@ impl StreamDefinitionDatabase {
         if self.replica_coordinates.get(peer, stream).is_some() {
             return exact;
         }
-        let mut by_name = self.descriptors.keys().filter(|(_, s)| s == stream);
+        let mut by_name = self.descriptors.values().filter(|d| d.stream_id == stream);
         match (by_name.next(), by_name.next()) {
-            (Some(key), None) => key.clone(),
+            (Some(d), None) => (d.peer_id.clone(), d.stream_id.clone()),
             _ => exact,
         }
     }
@@ -455,13 +457,16 @@ impl StreamDefinitionDatabase {
         format!("operator+operand={operator}|{digest:016x}|{peer}|{stream}")
     }
 
-    fn resolve(&self, ids: Vec<String>) -> Vec<&StreamDefinition> {
+    /// The live descriptors behind posting ids that `keep` admits, in id
+    /// order.
+    fn resolve(
+        &self,
+        ids: &[String],
+        keep: impl Fn(&StreamDefinition) -> bool,
+    ) -> Vec<&StreamDefinition> {
         ids.iter()
-            .filter_map(|id| {
-                let (peer, stream) = id.split_once('|')?;
-                self.descriptors
-                    .get(&(peer.to_string(), stream.to_string()))
-            })
+            .filter_map(|id| self.descriptors.get(id))
+            .filter(|d| keep(d))
             .collect()
     }
 
@@ -469,16 +474,7 @@ impl StreamDefinitionDatabase {
     /// `/Stream[@PeerId = $p1][Operator/inCom]` of the paper.
     pub fn find_alerter_streams(&mut self, peer: &str, alerter: &str) -> Vec<&StreamDefinition> {
         let ids = self.index.query(&format!("peer+operator={peer}|{alerter}"));
-        let ids: Vec<String> = ids
-            .into_iter()
-            .filter(|id| {
-                id.split_once('|')
-                    .and_then(|(p, s)| self.descriptors.get(&(p.to_string(), s.to_string())))
-                    .map(|d| d.operands.is_empty())
-                    .unwrap_or(false)
-            })
-            .collect();
-        self.resolve(ids)
+        self.resolve(&ids, |d| d.operands.is_empty())
     }
 
     /// Finds streams produced by `operator` over exactly the given operands —
@@ -486,40 +482,38 @@ impl StreamDefinitionDatabase {
     /// `parameters` must also match, so that only the *same* filter/join is
     /// reused.  Results come in publish order.  Without operands nothing is
     /// found: definitions are indexed by their operands only.
+    ///
+    /// The index is queried operand by operand, intersecting as it goes, and
+    /// stops at the first empty intersection: no further operand can add a
+    /// candidate back.  So a query over operands nobody combined yet costs
+    /// one lookup, not one per operand.
     pub fn find_derived_streams(
         &mut self,
         operator: &str,
         parameters: &str,
         operands: &[(String, String)],
     ) -> Vec<&StreamDefinition> {
-        // Query the index once per operand and intersect.
-        let mut candidate_ids: Option<Vec<String>> = None;
-        for (peer, stream) in operands {
-            let ids = self
-                .index
-                .query(&Self::operand_term(operator, parameters, peer, stream));
-            candidate_ids = Some(match candidate_ids {
-                None => ids,
-                Some(existing) => existing.into_iter().filter(|i| ids.contains(i)).collect(),
-            });
+        let mut terms = operands
+            .iter()
+            .map(|(peer, stream)| Self::operand_term(operator, parameters, peer, stream));
+        let Some(first) = terms.next() else {
+            return Vec::new();
+        };
+        let mut ids = self.index.query(&first);
+        for term in terms {
+            if ids.is_empty() {
+                break;
+            }
+            let listed = self.index.query(&term);
+            ids.retain(|id| listed.contains(id));
         }
-        let ids = candidate_ids.unwrap_or_default();
         // Verify the exact operand set and parameters on the descriptor.
-        let ids: Vec<String> = ids
-            .into_iter()
-            .filter(|id| {
-                id.split_once('|')
-                    .and_then(|(p, s)| self.descriptors.get(&(p.to_string(), s.to_string())))
-                    .map(|d| {
-                        d.operator == operator
-                            && d.parameters == parameters
-                            && d.operands.len() == operands.len()
-                            && operands.iter().all(|o| d.operands.contains(o))
-                    })
-                    .unwrap_or(false)
-            })
-            .collect();
-        self.resolve(ids)
+        self.resolve(&ids, |d| {
+            d.operator == operator
+                && d.parameters == parameters
+                && d.operands.len() == operands.len()
+                && operands.iter().all(|o| d.operands.contains(o))
+        })
     }
 
     /// Selects the provider for a discovered stream: the original publisher or

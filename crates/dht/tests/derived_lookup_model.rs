@@ -12,7 +12,12 @@
 //! The vocabulary is small on purpose: several definitions share
 //! parameters, operands and whole operand lists, and a definition may name
 //! one operand twice, so the posting lists the index keeps are shared,
-//! emptied and refilled.
+//! emptied and refilled.  Lists run to four operands, and queries also
+//! name an operand nothing is published over — first, or in the middle —
+//! so the query's early exit at an empty intersection runs against the
+//! flat scan.  The model also states how many index lookups that exit
+//! leaves: one per operand up to the first prefix no live definition
+//! names whole.
 
 use p2pmon_dht::{ChordNetwork, StreamDefinition, StreamDefinitionDatabase};
 use proptest::prelude::*;
@@ -26,15 +31,48 @@ const OPERANDS: [(&str, &str); 3] = [("p0", "s0"), ("p0", "s1"), ("p1", "s0")];
 
 type Key = (String, String);
 
-/// Every operand list of one or two operands, duplicates included.
+/// Never an operand of a published definition: its posting lists stay
+/// empty.
+const GHOST: (&str, &str) = ("p2", "s9");
+
+fn key((peer, stream): (&str, &str)) -> Key {
+    (peer.to_string(), stream.to_string())
+}
+
+/// The operand lists definitions are published with: every list of one or
+/// two operands, duplicates included, and some of three and four.
 fn operand_lists() -> Vec<Vec<Key>> {
-    let pair = |i: usize| (OPERANDS[i].0.to_string(), OPERANDS[i].1.to_string());
-    let mut lists: Vec<Vec<Key>> = (0..OPERANDS.len()).map(|i| vec![pair(i)]).collect();
-    for i in 0..OPERANDS.len() {
-        for j in 0..OPERANDS.len() {
-            lists.push(vec![pair(i), pair(j)]);
+    let mut lists: Vec<Vec<Key>> = OPERANDS.iter().map(|&o| vec![key(o)]).collect();
+    for &i in &OPERANDS {
+        for &j in &OPERANDS {
+            lists.push(vec![key(i), key(j)]);
         }
     }
+    for picks in [
+        &[0, 1, 2][..],
+        &[2, 1, 0],
+        &[0, 0, 1],
+        &[1, 2, 2],
+        &[0, 1, 2, 0],
+        &[2, 2, 1, 0],
+    ] {
+        lists.push(picks.iter().map(|&i| key(OPERANDS[i])).collect());
+    }
+    lists
+}
+
+/// The operand lists queried: the published ones, lists naming [`GHOST`]
+/// first or in the middle, and the empty list.
+fn query_lists() -> Vec<Vec<Key>> {
+    let mut lists = operand_lists();
+    let (ghost, o) = (key(GHOST), |i: usize| key(OPERANDS[i]));
+    lists.push(vec![ghost.clone()]);
+    lists.push(vec![ghost.clone(), o(0)]);
+    lists.push(vec![ghost.clone(), o(0), o(1)]);
+    lists.push(vec![ghost.clone(), o(1), o(2), o(0)]);
+    lists.push(vec![o(0), ghost.clone(), o(1)]);
+    lists.push(vec![o(2), o(1), ghost]);
+    lists.push(Vec::new());
     lists
 }
 
@@ -71,6 +109,25 @@ impl FlatModel {
             .map(|d| (d.peer_id.clone(), d.stream_id.clone()))
             .collect()
     }
+
+    /// Index lookups the query makes: operand by operand, up to the first
+    /// prefix of `operands` that no live definition of this operator and
+    /// these parameters names in full.
+    fn lookups(&self, operator: &str, parameters: &str, operands: &[Key]) -> u64 {
+        let mut asked = 0;
+        for k in 1..=operands.len() {
+            asked += 1;
+            let named = self.live.iter().any(|d| {
+                d.operator == operator
+                    && d.parameters == parameters
+                    && operands[..k].iter().all(|o| d.operands.contains(o))
+            });
+            if !named {
+                break;
+            }
+        }
+        asked
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -93,7 +150,7 @@ fn op() -> BoxedStrategy<Op> {
         0usize..4,
         0usize..2,
         0usize..3,
-        0usize..12,
+        0usize..operand_lists().len(),
     )
         .prop_map(|(kind, peer, stream, operator, parameters, operands)| {
             if kind == 0 {
@@ -117,7 +174,7 @@ proptest! {
     fn the_digest_keyed_index_agrees_with_a_flat_scan(
         ops in proptest::collection::vec(op(), 1..60),
     ) {
-        let lists = operand_lists();
+        let (lists, queries) = (operand_lists(), query_lists());
         let mut db = StreamDefinitionDatabase::new(ChordNetwork::with_nodes(8, 5));
         let mut model = FlatModel::default();
         for op in ops {
@@ -146,7 +203,8 @@ proptest! {
             prop_assert_eq!(db.len(), model.live.len());
             for operator in OPERATORS {
                 for parameters in PARAMETERS {
-                    for operands in lists.iter().chain([&Vec::new()]) {
+                    for operands in &queries {
+                        let before = db.index_stats().query_operations;
                         let found: Vec<Key> = db
                             .find_derived_streams(operator, parameters, operands)
                             .iter()
@@ -157,6 +215,11 @@ proptest! {
                             model.find_derived_streams(operator, parameters, operands),
                             "find_derived_streams({}, {:?}, {:?}) after {:?}",
                             operator, parameters, operands, op
+                        );
+                        prop_assert_eq!(
+                            db.index_stats().query_operations - before,
+                            model.lookups(operator, parameters, operands),
+                            "lookups of ({}, {:?}, {:?})", operator, parameters, operands
                         );
                     }
                 }

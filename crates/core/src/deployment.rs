@@ -38,15 +38,11 @@ use p2pmon_p2pml::{compile_subscription, ByClause, CompileError};
 use p2pmon_streams::ChannelId;
 
 use crate::dispatch::Route;
-use crate::monitor::{DeployedSubscription, Monitor, SubscriptionHandle};
-use crate::reuse::ReuseStats;
-
-/// `(peer, stream)` keys of published stream definitions.
-type DefKeys = Vec<(String, String)>;
+use crate::monitor::{identity, DeployedSubscription, Monitor, SubscriptionHandle};
 use crate::placement::{
     place_with, push_selections_below_unions, PlacedPlan, PlacementRates, TaskKind,
 };
-use crate::reuse::{apply_reuse, join_parameters, select_parameters, ReuseReport};
+use crate::reuse::{apply_reuse, join_parameters, select_parameters, ReuseReport, ReuseStats};
 use crate::runtime::RuntimeOperator;
 use crate::sink::{Sink, SinkKind};
 
@@ -163,7 +159,7 @@ impl Monitor {
     /// the parser).
     pub fn deploy_plan(&mut self, manager: &str, plan: LogicalPlan) -> SubscriptionHandle {
         let manager = normalize_peer(manager);
-        self.add_peer(manager.clone());
+        self.host_mut(&manager);
 
         // Algebraic optimization: push selections below unions so that every
         // monitored peer filters its own alerts (Section 3.3's plan shape).
@@ -252,8 +248,7 @@ impl Monitor {
                     }
                     // A replica channel without its own measurements yet
                     // carries the origin's stream at the origin's rate.
-                    let origin = self.channel_origin(channel);
-                    ChannelId::new(origin.0, origin.1)
+                    self.channel_origin(channel)
                 }
                 _ => return None,
             };
@@ -278,35 +273,29 @@ impl Monitor {
             self.config.placement,
             self.config.rate_aware_placement.then_some(&rates),
         );
-        for task in &placed.tasks {
-            self.add_peer(task.peer.clone());
-            if let TaskKind::Source { monitored_peer, .. } = &task.kind {
-                self.add_peer(monitored_peer.clone());
-            }
-        }
         let sub_idx = self.subscriptions.len();
         let channels = placed.output_channels(sub_idx);
 
         let mut routes = Vec::with_capacity(placed.tasks.len());
 
         // Build operators, routes and consumer registrations; hand every task
-        // (and its operator instance) to its host peer's shard.  Tasks that
-        // consume a shared stream take a reference on its definition.
+        // (and its operator instance) to its host peer's shard, registering
+        // a peer nobody named before.  A source runs on its monitored peer
+        // (placement puts it there), so its alerter goes on the same host.
+        // Tasks that consume a shared stream take a reference on its
+        // definition.
         for task in &placed.tasks {
             let operator = RuntimeOperator::for_kind(&task.kind, self.config.join_window);
-            self.host_mut(&task.peer)
-                .install_task(sub_idx, task.id, operator);
+            let host = self.host_mut(&task.peer);
+            host.install_task(sub_idx, task.id, operator);
+            if let TaskKind::Source { function, .. } = &task.kind {
+                host.alerters.ensure(function, &task.peer);
+            }
             if let Some(key) = self.task_def_key(&task.kind) {
                 self.def_refs.entry(key).or_default().refs += 1;
             }
             match &task.kind {
-                TaskKind::Source {
-                    function,
-                    monitored_peer,
-                    feed,
-                    ..
-                } => {
-                    self.ensure_alerter(function, monitored_peer);
+                TaskKind::Source { feed, .. } => {
                     self.routing.attach_source(*feed, sub_idx, task.id);
                 }
                 TaskKind::DynamicSource { function, .. } => {
@@ -373,7 +362,7 @@ impl Monitor {
         // each definition's producing subtree for shared teardown.
         let (owned_defs, def_tasks) = self.publish_definitions(&placed, &channels);
         for key in &owned_defs {
-            let entry = self.def_refs.entry(key.clone()).or_default();
+            let entry = self.def_refs.entry(*key).or_default();
             entry.refs += 1;
             entry.owner.get_or_insert(sub_idx);
         }
@@ -422,25 +411,18 @@ impl Monitor {
     ///
     /// [`StreamDefinitionDatabase::canonical_identity`]: p2pmon_dht::StreamDefinitionDatabase::canonical_identity
     fn repoint_channel_consumers(&mut self, declared: &ChannelId, canonical: &ChannelId) {
-        let declared_key = (declared.peer.into(), declared.stream.into());
-        let canonical_key: (String, String) = (canonical.peer.into(), canonical.stream.into());
         let moved = self.move_channel_consumers(declared, canonical, None);
         for _ in &moved {
-            if let Some(entry) = self.def_refs.get_mut(&declared_key) {
+            if let Some(entry) = self.def_refs.get_mut(declared) {
+                // An entry leaves the map with its last reference.
+                debug_assert!(entry.refs > 0, "definition {declared} released twice");
                 entry.refs = entry.refs.saturating_sub(1);
                 if entry.refs == 0 {
-                    self.def_refs.remove(&declared_key);
+                    self.def_refs.remove(declared);
                 }
             }
-            self.def_refs.entry(canonical_key.clone()).or_default().refs += 1;
+            self.def_refs.entry(*canonical).or_default().refs += 1;
         }
-    }
-
-    /// Installs the alerter for `function` on `peer` (idempotent).
-    pub(crate) fn ensure_alerter(&mut self, function: &str, peer: &str) {
-        self.add_peer(peer.to_string());
-        let peer = normalize_peer(peer);
-        self.host_mut(&peer).alerters.ensure(function, &peer);
     }
 
     /// Publishes the stream definitions created by a deployment: one source
@@ -449,18 +431,18 @@ impl Monitor {
     /// produced stream is discoverable, so a later identical subscription can
     /// be covered node by node up to its root and attach to the live output
     /// channel.  Each derived definition carries its canonical channel
-    /// identity (the minted `channels[task]`).  Returns the `(peer, stream)`
-    /// keys of the derived definitions this deployment owns, plus each
-    /// definition's *producing subtree* (the upstream task closure that must
-    /// stay deployed while the stream has subscribers).
+    /// identity (the minted `channels[task]`).  Returns the channels of the
+    /// derived definitions this deployment owns, plus each definition's
+    /// *producing subtree* (the upstream task closure that must stay
+    /// deployed while the stream has subscribers).
     fn publish_definitions(
         &mut self,
         placed: &PlacedPlan,
         channels: &[ChannelId],
-    ) -> (DefKeys, HashMap<(String, String), Vec<usize>>) {
-        // identities[task] = the (peer, stream) this task's output stream is
-        // known as system-wide, when it is discoverable.
-        let mut identities: Vec<Option<(String, String)>> = vec![None; placed.tasks.len()];
+    ) -> (Vec<ChannelId>, HashMap<ChannelId, Vec<usize>>) {
+        // identities[task] = the channel this task's output stream is known
+        // as system-wide, when it is discoverable.
+        let mut identities: Vec<Option<ChannelId>> = vec![None; placed.tasks.len()];
         // children[task] = producers feeding it, ordered by port.
         let mut children: Vec<Vec<(usize, usize)>> = vec![Vec::new(); placed.tasks.len()];
         for task in &placed.tasks {
@@ -483,24 +465,19 @@ impl Monitor {
             seen.into_iter().collect()
         };
 
-        let mut owned_defs: DefKeys = Vec::new();
-        let mut def_tasks: HashMap<(String, String), Vec<usize>> = HashMap::new();
+        let mut owned_defs = Vec::new();
+        let mut def_tasks = HashMap::new();
         for task in &placed.tasks {
             match &task.kind {
-                TaskKind::Source {
-                    function,
-                    monitored_peer,
-                    ..
-                } => {
-                    let stream = format!("src-{function}");
-                    if self.stream_db.get(monitored_peer, &stream).is_none() {
+                TaskKind::Source { function, feed, .. } => {
+                    if self.stream_db.get(&feed.peer, &feed.stream).is_none() {
                         self.stream_db.publish(StreamDefinition::source(
-                            monitored_peer.clone(),
-                            stream.clone(),
+                            feed.peer,
+                            feed.stream,
                             function.clone(),
                         ));
                     }
-                    identities[task.id] = Some((monitored_peer.clone(), stream));
+                    identities[task.id] = Some(*feed);
                 }
                 TaskKind::ChannelSource { channel, .. } => {
                     // "Derived streams are always described with respect to
@@ -524,7 +501,7 @@ impl Monitor {
                 _ => {
                     let operand_ids: Option<Vec<(String, String)>> = children[task.id]
                         .iter()
-                        .map(|(_, child)| identities[*child].clone())
+                        .map(|(_, child)| identities[*child].as_ref().map(identity))
                         .collect();
                     let Some(operands) = operand_ids else {
                         continue;
@@ -555,23 +532,18 @@ impl Monitor {
                         }
                         _ => unreachable!("sources handled above"),
                     };
-                    let channel = &channels[task.id];
-                    let key: (String, String) = (channel.peer.into(), channel.stream.into());
+                    let key = channels[task.id];
                     // Ownership follows publication: when another live
                     // deployment already published this key (two `by channel
                     // "X"` roots placed on the same peer), this one must not
                     // take an owner reference it can never release — its
                     // tasks stay its own and are torn down normally.
-                    if self.stream_db.get(&key.0, &key.1).is_none() {
+                    if self.stream_db.get(&key.peer, &key.stream).is_none() {
                         self.stream_db.publish(StreamDefinition::derived(
-                            key.0.clone(),
-                            key.1.clone(),
-                            operator,
-                            parameters,
-                            operands,
+                            key.peer, key.stream, operator, parameters, operands,
                         ));
-                        def_tasks.insert(key.clone(), upstream(task.id));
-                        owned_defs.push(key.clone());
+                        def_tasks.insert(key, upstream(task.id));
+                        owned_defs.push(key);
                     }
                     identities[task.id] = Some(key);
                 }

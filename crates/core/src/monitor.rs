@@ -243,15 +243,16 @@ pub(crate) struct DeployedSubscription {
     /// The channel this subscription publishes (for BY channel clauses) —
     /// the root task's canonical channel, emitted from the producing peer.
     pub published_channel: Option<ChannelId>,
-    /// Derived stream definitions this deployment published.  The owner
-    /// holds one reference on each; they are retracted when the last
-    /// reference (owner or subscriber) is released.
-    pub owned_defs: Vec<(String, String)>,
+    /// Derived stream definitions this deployment published, by the
+    /// canonical channel of the publishing task.  The owner holds one
+    /// reference on each; they are retracted when the last reference (owner
+    /// or subscriber) is released.
+    pub owned_defs: Vec<ChannelId>,
     /// For each owned definition, the ids of the tasks producing it (the
     /// definition's upstream closure, including the publishing task).  While
     /// a definition keeps references, its producing subtree survives
     /// unsubscription.
-    pub def_tasks: HashMap<(String, String), Vec<usize>>,
+    pub def_tasks: HashMap<ChannelId, Vec<usize>>,
     /// True once the subscription has been torn down ([`Monitor::unsubscribe`]).
     pub retired: bool,
 }
@@ -268,11 +269,10 @@ pub(crate) struct DefEntry {
     pub owner: Option<usize>,
 }
 
-/// Bookkeeping of one live replica: the channel `(origin peer, origin
-/// stream)` is re-published by one peer, backed by the *forwarding* task —
-/// the `ChannelSource` whose canonical output channel is the replica's local
-/// stream; its output tap carries every item of the origin stream on to the
-/// replica's subscribers.  Keyed by origin identity, then replica peer, in
+/// Bookkeeping of one live replica: the origin channel is re-published by
+/// one peer, backed by the *forwarding* task — the `ChannelSource` whose
+/// canonical output channel is the replica's local stream; its output tap
+/// carries every item of the origin stream on to the replica's subscribers.  Keyed by origin identity, then replica peer, in
 /// [`Monitor::replica_refs`].
 #[derive(Debug, Clone)]
 pub(crate) struct ReplicaEntry {
@@ -352,21 +352,22 @@ pub struct Monitor {
     /// Engine-gated dispatch counters.
     pub(crate) dispatch_stats: DispatchStats,
     /// Reference counts (and owners) of every published stream definition,
-    /// keyed by its canonical `(peer, stream)` identity.
-    pub(crate) def_refs: HashMap<(String, String), DefEntry>,
-    /// Live replicas: origin `(peer, stream)` → replica peer → entry.  One
+    /// keyed by its canonical channel — the id placement or
+    /// [`PlacedPlan::output_channels`] minted, so no key is built per task.
+    pub(crate) def_refs: HashMap<ChannelId, DefEntry>,
+    /// Live replicas: origin channel → replica peer → entry.  One
     /// origin's entries are everything a replica-policy question reads: the
     /// per-stream cap is the inner map's `len()`, and the origin's consumers
     /// are those of its own channel plus each entry's replica channel
     /// ([`Monitor::consumers_of`]).
-    pub(crate) replica_refs: HashMap<(String, String), HashMap<String, ReplicaEntry>>,
+    pub(crate) replica_refs: HashMap<ChannelId, HashMap<String, ReplicaEntry>>,
     /// Reverse index of live replica channels: the replica's local
-    /// [`ChannelId`] → the origin's canonical `(peer, stream)` identity.
+    /// [`ChannelId`] → the origin's canonical channel.
     /// Definition references and published operand lists always name the
     /// origin ("derived streams are described with respect to the original
     /// streams, not the replicas" — Section 5), so every key that might be a
     /// replica channel resolves through this map first.
-    pub(crate) replica_channels: HashMap<ChannelId, (String, String)>,
+    pub(crate) replica_channels: HashMap<ChannelId, ChannelId>,
     /// Aggregate reuse effectiveness across deployments (E7).
     pub(crate) reuse_totals: ReuseStats,
     /// Aggregate replica re-publication counters (created/retracted and
@@ -562,31 +563,28 @@ impl Monitor {
     // Replica re-publication (Section 5's <InChannel> declarations)
     // ------------------------------------------------------------------
 
-    /// The `(peer, stream)` definition a deployed task holds a reference on
-    /// while it is installed: the shared `src-<function>` definition for a
-    /// source binding (it names an alerter, which has no replica), and for a
-    /// channel subscription the *origin* of the subscribed channel — a
-    /// subscriber of a replica still depends on the origin's producing
-    /// subtree, and the Stream Definition Database keys on the origin.
-    pub(crate) fn task_def_key(&self, kind: &TaskKind) -> Option<(String, String)> {
+    /// The definition a deployed task holds a reference on while it is
+    /// installed: for a source binding its feed, the shared `src-<function>`
+    /// stream placement minted at the monitored peer (it names an alerter,
+    /// which has no replica), and for a channel subscription the *origin* of
+    /// the subscribed channel — a subscriber of a replica still depends on
+    /// the origin's producing subtree, and the Stream Definition Database
+    /// keys on the origin.
+    pub(crate) fn task_def_key(&self, kind: &TaskKind) -> Option<ChannelId> {
         match kind {
-            TaskKind::Source {
-                function,
-                monitored_peer,
-                ..
-            } => Some((monitored_peer.clone(), format!("src-{function}"))),
+            TaskKind::Source { feed, .. } => Some(*feed),
             TaskKind::ChannelSource { channel, .. } => Some(self.channel_origin(channel)),
             _ => None,
         }
     }
 
-    /// The origin identity behind a subscribed channel (the channel itself
-    /// unless it is a live replica).
-    pub(crate) fn channel_origin(&self, channel: &ChannelId) -> (String, String) {
+    /// The origin behind a subscribed channel (the channel itself unless it
+    /// is a live replica).
+    pub(crate) fn channel_origin(&self, channel: &ChannelId) -> ChannelId {
         self.replica_channels
             .get(channel)
-            .cloned()
-            .unwrap_or_else(|| (channel.peer.into(), channel.stream.into()))
+            .copied()
+            .unwrap_or(*channel)
     }
 
     /// Notes one deployed `ChannelSource` consumer for replica bookkeeping:
@@ -613,7 +611,7 @@ impl Monitor {
         // Only a stream that actually exists can be re-published; a
         // subscriber of a not-yet-deployed channel (submit order is not a
         // contract) declares nothing.
-        if origin.0 == peer || self.stream_db.get(&origin.0, &origin.1).is_none() {
+        if origin.peer == peer || self.stream_db.get(&origin.peer, &origin.stream).is_none() {
             return;
         }
         // This is a remote consumer of a live stream: record how it was
@@ -648,24 +646,24 @@ impl Monitor {
                 // peer.
                 if let Some((s, t)) = self.consumer_task_on(&origin, &median) {
                     let channel = self.subscriptions[s].channels[t];
-                    self.declare_replica(origin, &median, (s, t), &channel);
+                    self.declare_replica(&origin, &median, (s, t), &channel);
                     return;
                 }
             }
         }
-        self.declare_replica(origin, peer, (sub, task), own_channel);
+        self.declare_replica(&origin, peer, (sub, task), own_channel);
     }
 
     /// Declares a replica of `origin` on `peer`, forwarded by the given
     /// task's canonical output channel.
     fn declare_replica(
         &mut self,
-        origin: (String, String),
+        origin: &ChannelId,
         peer: &str,
         forwarder: (usize, usize),
         own_channel: &ChannelId,
     ) {
-        let replicas = self.replica_refs.entry(origin.clone()).or_default();
+        let replicas = self.replica_refs.entry(*origin).or_default();
         if replicas.contains_key(peer) {
             return;
         }
@@ -677,11 +675,11 @@ impl Monitor {
                 replica_stream: own_channel.stream.into(),
             },
         );
-        self.replica_channels.insert(*own_channel, origin.clone());
+        self.replica_channels.insert(*own_channel, *origin);
         self.stream_db
             .publish_replica(p2pmon_dht::ReplicaDeclaration {
-                peer_id: origin.0,
-                stream_id: origin.1,
+                peer_id: origin.peer.into(),
+                stream_id: origin.stream.into(),
                 replica_peer: peer.to_string(),
                 replica_stream: own_channel.stream.into(),
             });
@@ -691,12 +689,9 @@ impl Monitor {
     /// The replica-policy pressure of an origin stream: its measured data
     /// rate (bytes/sec, EWMA decayed to now) times the number of remote
     /// consumers currently attached to the origin or any of its replicas.
-    fn replica_pressure(&self, origin: &(String, String)) -> f64 {
+    fn replica_pressure(&self, origin: &ChannelId) -> f64 {
         let now = self.network.now();
-        let rate = self
-            .rate_table
-            .bytes_per_second(&ChannelId::new(origin.0.clone(), origin.1.clone()), now)
-            .unwrap_or(0.0);
+        let rate = self.rate_table.bytes_per_second(origin, now).unwrap_or(0.0);
         // Consumers register in routing before the policy is asked, so the
         // triggering consumer is already counted.
         rate * self.remote_consumers_of(origin) as f64
@@ -706,17 +701,14 @@ impl Monitor {
     /// task)`: the consumers of the origin channel itself and of each live
     /// replica's local channel.  The replica index names those channels, so
     /// no other entry of the routing table is read.
-    fn consumers_of<'a>(
-        &'a self,
-        origin: &'a (String, String),
-    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+    fn consumers_of<'a>(&'a self, origin: &ChannelId) -> impl Iterator<Item = (usize, usize)> + 'a {
         let replica_channels = self
             .replica_refs
             .get(origin)
             .into_iter()
             .flatten()
             .map(|(peer, entry)| ChannelId::new(peer, &entry.replica_stream));
-        std::iter::once(ChannelId::new(&origin.0, &origin.1))
+        std::iter::once(*origin)
             .chain(replica_channels)
             .flat_map(|channel| self.routing.consumers(&channel))
             .map(|&(s, t, _)| (s, t))
@@ -724,7 +716,7 @@ impl Monitor {
 
     /// Number of channel consumers of `origin` (through the origin channel
     /// or any live replica of it) hosted away from the origin peer.
-    fn remote_consumers_of(&self, origin: &(String, String)) -> usize {
+    fn remote_consumers_of(&self, origin: &ChannelId) -> usize {
         self.consumers_of(origin)
             // The subscription being deployed registers its consumers before
             // it is pushed onto `subscriptions`; those in-flight entries are
@@ -733,7 +725,7 @@ impl Monitor {
             .filter(|&(s, t)| {
                 self.subscriptions
                     .get(s)
-                    .is_none_or(|sub| sub.placed.tasks[t].peer != origin.0)
+                    .is_none_or(|sub| sub.placed.tasks[t].peer != origin.peer)
             })
             .count()
     }
@@ -744,16 +736,16 @@ impl Monitor {
     /// the peer with minimal total latency to the others.  Deterministic —
     /// peers are scanned in sorted order and ties keep the lexicographically
     /// first.
-    fn cluster_median_peer(&self, origin: &(String, String), candidate: &str) -> String {
+    fn cluster_median_peer(&self, origin: &ChannelId, candidate: &str) -> String {
         let mut peers: BTreeSet<String> = self
             .consumers_of(origin)
             // In-flight consumers (mid-deploy) have no subscription entry
             // yet; the triggering peer is added as `candidate` below.
             .filter_map(|(s, t)| Some(self.subscriptions.get(s)?.placed.tasks[t].peer.clone()))
-            .filter(|p| p != &origin.0)
+            .filter(|p| *p != origin.peer)
             .collect();
         peers.insert(candidate.to_string());
-        let origin_latency = self.expected_latency(candidate, &origin.0);
+        let origin_latency = self.expected_latency(candidate, &origin.peer);
         let cluster: Vec<String> = peers
             .into_iter()
             .filter(|p| p == candidate || self.expected_latency(candidate, p) < origin_latency)
@@ -773,7 +765,7 @@ impl Monitor {
 
     /// A deterministic consumer task of `origin` hosted on `peer` (lowest
     /// `(sub, task)` first), if any.
-    fn consumer_task_on(&self, origin: &(String, String), peer: &str) -> Option<(usize, usize)> {
+    fn consumer_task_on(&self, origin: &ChannelId, peer: &str) -> Option<(usize, usize)> {
         self.consumers_of(origin)
             // In-flight consumers (mid-deploy, no subscription entry yet)
             // cannot forward for the medoid.
@@ -811,15 +803,11 @@ impl Monitor {
     }
 
     /// Every live replica as `(origin, replica peer)`, sorted.
-    fn live_replicas(&self) -> Vec<((String, String), String)> {
+    fn live_replicas(&self) -> Vec<(ChannelId, String)> {
         let mut live: Vec<_> = self
             .replica_refs
             .iter()
-            .flat_map(|(origin, replicas)| {
-                replicas
-                    .keys()
-                    .map(move |peer| (origin.clone(), peer.clone()))
-            })
+            .flat_map(|(origin, replicas)| replicas.keys().map(move |peer| (*origin, peer.clone())))
             .collect();
         live.sort();
         live
@@ -830,14 +818,15 @@ impl Monitor {
     /// subscribers that attached to it re-attach to the closest *surviving*
     /// provider of the same origin — another peer's live replica when one is
     /// nearer, the origin otherwise.
-    fn retract_replica(&mut self, origin: &(String, String), peer: &str) {
+    fn retract_replica(&mut self, origin: &ChannelId, peer: &str) {
         let replicas = self.replica_refs.get_mut(origin).expect("a live replica");
         let entry = replicas.remove(peer).expect("a live replica");
         if replicas.is_empty() {
             self.replica_refs.remove(origin);
         }
         let old_channel = ChannelId::new(peer, &entry.replica_stream);
-        self.stream_db.retract_replica(&origin.0, &origin.1, peer);
+        self.stream_db
+            .retract_replica(&origin.peer, &origin.stream, peer);
         self.replica_channels.remove(&old_channel);
         self.reattach_orphaned_consumers(&old_channel, origin);
         self.replica_totals.replicas_retracted += 1;
@@ -850,7 +839,7 @@ impl Monitor {
     /// one of them instead.
     pub(crate) fn release_replica_consumer(
         &mut self,
-        origin: &(String, String),
+        origin: &ChannelId,
         peer: &str,
         removed: (usize, usize),
     ) {
@@ -886,10 +875,9 @@ impl Monitor {
     /// (counted in [`ReplicaStats::chains_walked`]).
     ///
     /// [`ReplicaStats::chains_walked`]: crate::ReplicaStats::chains_walked
-    fn reattach_orphaned_consumers(&mut self, old_channel: &ChannelId, origin: &(String, String)) {
+    fn reattach_orphaned_consumers(&mut self, old_channel: &ChannelId, origin: &ChannelId) {
         let mut consumers = self.routing.detach_all(old_channel);
         consumers.sort_unstable();
-        let origin_channel = ChannelId::new(&origin.0, &origin.1);
         let chains_walked = std::cell::Cell::new(0u64);
         for (sub, task, port) in consumers {
             let consumer_peer = PeerId::from(&self.subscriptions[sub].placed.tasks[task].peer);
@@ -905,11 +893,14 @@ impl Monitor {
                 };
                 let eligible = |p: &str| {
                     chains_walked.set(chains_walked.get() + 1);
-                    self.replica_chain_reaches_origin(origin, origin_channel, p)
+                    self.replica_chain_reaches_origin(origin, p)
                 };
-                let (p, s) = self
-                    .stream_db
-                    .select_provider_where(&origin.0, &origin.1, proximity, eligible);
+                let (p, s) = self.stream_db.select_provider_where(
+                    &origin.peer,
+                    &origin.stream,
+                    proximity,
+                    eligible,
+                );
                 ChannelId::new(p, s)
             };
             if let TaskKind::ChannelSource { channel, .. } =
@@ -925,17 +916,12 @@ impl Monitor {
     /// True when the replica declared at `replica_peer` for `origin` still
     /// pulls items toward the origin: its forwarder's channel subscription,
     /// followed transitively through other live replicas of the same origin,
-    /// terminates at `origin_channel`.  A forwarder still pointed at a
+    /// terminates at the origin channel.  A forwarder still pointed at a
     /// retracted channel (an orphan not yet re-attached) — or any cycle —
     /// fails the walk, which is what makes orphan re-attachment safe.  The
     /// walk is bounded by the origin's replica count: a chain longer than
     /// that revisits a peer, and a chain that revisits one is a cycle.
-    fn replica_chain_reaches_origin(
-        &self,
-        origin: &(String, String),
-        origin_channel: ChannelId,
-        replica_peer: &str,
-    ) -> bool {
+    fn replica_chain_reaches_origin(&self, origin: &ChannelId, replica_peer: &str) -> bool {
         let Some(replicas) = self.replica_refs.get(origin) else {
             return false;
         };
@@ -950,7 +936,7 @@ impl Monitor {
             else {
                 return false;
             };
-            if *channel == origin_channel {
+            if channel == origin {
                 return true;
             }
             match self.replica_channels.get(channel) {
@@ -970,7 +956,7 @@ impl Monitor {
     /// When every remaining local subscriber is also being removed in the
     /// same sweep, no candidate exists; the entry keeps its stale forwarder
     /// until the following releases drain it to zero.
-    fn hand_off_replica_forwarder(&mut self, origin: &(String, String), peer: &str) {
+    fn hand_off_replica_forwarder(&mut self, origin: &ChannelId, peer: &str) {
         // The entry's remaining subscribers are exactly the tasks that can
         // take over; pick the first still installed on the host (a sweep may
         // be about to remove the others too).
@@ -997,15 +983,14 @@ impl Monitor {
         entry.replica_stream = new_channel.stream.into();
         self.stream_db
             .publish_replica(p2pmon_dht::ReplicaDeclaration {
-                peer_id: origin.0.clone(),
-                stream_id: origin.1.clone(),
+                peer_id: origin.peer.into(),
+                stream_id: origin.stream.into(),
                 replica_peer: peer.to_string(),
                 replica_stream: new_channel.stream.into(),
             });
         self.replica_channels.remove(&old_channel);
-        self.replica_channels.insert(new_channel, origin.clone());
-        let origin_channel = ChannelId::new(origin.0.clone(), origin.1.clone());
-        self.move_channel_consumers(&old_channel, &new_channel, Some(((s, t), origin_channel)));
+        self.replica_channels.insert(new_channel, *origin);
+        self.move_channel_consumers(&old_channel, &new_channel, Some(((s, t), *origin)));
     }
 
     /// Moves every channel-consumer registration from one channel to
@@ -1092,19 +1077,22 @@ impl Monitor {
     /// owning subscription is already retired — the producing subtree is
     /// swept, which may release further references (a chain of retired
     /// producers tears down back to front).
-    pub(crate) fn release_refs(&mut self, initial: Vec<(String, String)>) {
+    pub(crate) fn release_refs(&mut self, initial: Vec<ChannelId>) {
         let mut pending = initial;
         while let Some(key) = pending.pop() {
             let Some(entry) = self.def_refs.get_mut(&key) else {
                 continue;
             };
+            // An entry leaves the map with its last reference, so a zero
+            // here is a double release.
+            debug_assert!(entry.refs > 0, "definition {key} released twice");
             entry.refs = entry.refs.saturating_sub(1);
             if entry.refs > 0 {
                 continue;
             }
             let owner = entry.owner;
             self.def_refs.remove(&key);
-            self.stream_db.retract(&key.0, &key.1);
+            self.stream_db.retract(&key.peer, &key.stream);
             if let Some(owner) = owner {
                 if self.subscriptions[owner].retired {
                     pending.extend(self.sweep_retired(owner));
@@ -1118,24 +1106,26 @@ impl Monitor {
     /// queued work.  Returns the definition references held by the removed
     /// tasks (source bindings and channel subscriptions), for the caller to
     /// release.  Idempotent: already-removed tasks are skipped.
-    fn sweep_retired(&mut self, idx: usize) -> Vec<(String, String)> {
+    fn sweep_retired(&mut self, idx: usize) -> Vec<ChannelId> {
         // Tasks pinned by a definition that still has references.
         let keep: BTreeSet<usize> = {
             let sub = &self.subscriptions[idx];
             sub.owned_defs
                 .iter()
                 .filter(|key| self.def_refs.get(*key).is_some_and(|e| e.refs > 0))
-                .flat_map(|key| sub.def_tasks.get(key).cloned().unwrap_or_default())
+                .flat_map(|key| sub.def_tasks.get(key).into_iter().flatten().copied())
                 .collect()
         };
 
         let removed = |sub: usize, task: usize| sub == idx && !keep.contains(&task);
         let mut released = Vec::new();
-        // Removed channel subscribers also release their replica reference:
-        // (origin, replica peer, removed task) triples, processed after the
-        // route retraction below so orphaned replica subscribers are moved
-        // against clean consumer registrations.
-        type ReplicaRelease = ((String, String), String, (usize, usize));
+        // Removed channel subscribers of a replicated origin also release
+        // their replica reference: (origin, replica peer, removed task)
+        // triples, processed after the route retraction below so orphaned
+        // replica subscribers are moved against clean consumer registrations.
+        // No release declares a replica, so an origin without one when it is
+        // collected has none to release.
+        type ReplicaRelease = (ChannelId, String, (usize, usize));
         let mut replica_releases: Vec<ReplicaRelease> = Vec::new();
         let sub = &self.subscriptions[idx];
         // The routing entries the tasks removed now registered in, read off
@@ -1151,7 +1141,10 @@ impl Monitor {
             let Some(host) = self.hosts.get_mut(&task.peer) else {
                 continue;
             };
-            host.unregister_select(idx, task.id, &mut self.routing.epoch);
+            // Only a Select registers an engine gate.
+            if matches!(task.kind, TaskKind::Select { .. }) {
+                host.unregister_select(idx, task.id, &mut self.routing.epoch);
+            }
             if !host.remove_task(idx, task.id) {
                 continue;
             }
@@ -1167,8 +1160,10 @@ impl Monitor {
             // so a replica subscriber's key resolves to the origin's
             // descriptor — the one its reference is on.)
             let ref_key = self.task_def_key(&task.kind);
-            if let (TaskKind::ChannelSource { .. }, Some(origin)) = (&task.kind, &ref_key) {
-                replica_releases.push((origin.clone(), task.peer.clone(), (idx, task.id)));
+            if let (TaskKind::ChannelSource { .. }, Some(origin)) = (&task.kind, ref_key) {
+                if self.replica_refs.contains_key(&origin) {
+                    replica_releases.push((origin, task.peer.clone(), (idx, task.id)));
+                }
             }
             released.extend(ref_key);
         }
@@ -1275,11 +1270,9 @@ impl Monitor {
     /// the ActiveXML repository, hand out the means to), and the next round
     /// must drain it.
     fn alerter_host(&mut self, function: &str, peer: &str) -> &mut PeerHost {
-        self.ensure_alerter(function, peer);
-        let host = self
-            .hosts
-            .get_mut(&normalize_peer(peer))
-            .expect("just ensured");
+        let peer = normalize_peer(peer);
+        self.host_mut(&peer).alerters.ensure(function, &peer);
+        let host = self.hosts.get_mut(&peer).expect("registered above");
         host.list_on(&mut self.ready);
         host
     }
@@ -1553,9 +1546,7 @@ impl Monitor {
                     .tasks
                     .iter()
                     .filter_map(|t| match &t.kind {
-                        TaskKind::ChannelSource { channel, .. } => {
-                            Some((channel.peer.into(), channel.stream.into()))
-                        }
+                        TaskKind::ChannelSource { channel, .. } => Some(identity(channel)),
                         _ => None,
                     })
                     .collect()
@@ -1573,13 +1564,19 @@ impl Monitor {
         let mut def_refs: Vec<((String, String), usize)> = self
             .def_refs
             .iter()
-            .map(|(key, entry)| (key.clone(), entry.refs))
+            .map(|(key, entry)| (identity(key), entry.refs))
             .collect();
         def_refs.sort();
-        let replicas = self.live_replicas();
+        let replicas = self
+            .live_replicas()
+            .into_iter()
+            .map(|(origin, peer)| (identity(&origin), peer))
+            .collect();
         let mut by_origin: BTreeMap<(String, String), usize> = BTreeMap::new();
         for (channel, consumers) in self.routing.consumed_channels() {
-            *by_origin.entry(self.channel_origin(channel)).or_default() += consumers;
+            *by_origin
+                .entry(identity(&self.channel_origin(channel)))
+                .or_default() += consumers;
         }
         BookkeepingSnapshot {
             subscriptions: self.subscription_count(),
@@ -1622,6 +1619,12 @@ impl Monitor {
             }
         })
     }
+}
+
+/// A channel as the `(peer, stream)` pair the report types and the Stream
+/// Definition Database speak.
+pub(crate) fn identity(channel: &ChannelId) -> (String, String) {
+    (channel.peer.into(), channel.stream.into())
 }
 
 #[cfg(test)]

@@ -230,6 +230,11 @@ impl PlacedPlan {
 /// Section 3.3 plan `∪(σF(out@a.com), σF(out@b.com))`.  Pushing below the
 /// union also makes each per-source filter an independently publishable
 /// (and therefore reusable) stream.
+///
+/// Alerter peers come out normalized as compilation leaves them
+/// ([`normalize_peer`]), so a hand-built plan naming `http://a.com/` is
+/// searched for reuse, placed and installed at `a.com`, like its compiled
+/// twin.
 pub fn push_selections_below_unions(node: LogicalNode) -> LogicalNode {
     match node {
         LogicalNode::Select {
@@ -317,7 +322,16 @@ pub fn push_selections_below_unions(node: LogicalNode) -> LogicalNode {
             input: Box::new(push_selections_below_unions(*input)),
             spec,
         },
-        leaf @ (LogicalNode::Alerter { .. } | LogicalNode::ChannelIn { .. }) => leaf,
+        LogicalNode::Alerter {
+            function,
+            peer,
+            var,
+        } => LogicalNode::Alerter {
+            function,
+            peer: normalize_peer(&peer),
+            var,
+        },
+        leaf @ LogicalNode::ChannelIn { .. } => leaf,
     }
 }
 

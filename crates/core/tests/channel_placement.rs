@@ -139,3 +139,84 @@ fn co_placement_cuts_the_manager_hop_per_alert() {
         "the consumer peer ingests the reused stream directly"
     );
 }
+
+/// A compiled plan with every alerter peer rewritten as a URL, as a
+/// hand-built plan may name it.
+fn with_url_peers(node: LogicalNode) -> LogicalNode {
+    match node {
+        LogicalNode::Alerter {
+            function,
+            peer,
+            var,
+        } => LogicalNode::Alerter {
+            function,
+            peer: format!("http://{peer}/"),
+            var,
+        },
+        LogicalNode::Select {
+            var,
+            input,
+            simple,
+            patterns,
+            derived,
+            conditions,
+        } => LogicalNode::Select {
+            var,
+            input: Box::new(with_url_peers(*input)),
+            simple,
+            patterns,
+            derived,
+            conditions,
+        },
+        LogicalNode::Restructure {
+            input,
+            template,
+            derived,
+        } => LogicalNode::Restructure {
+            input: Box::new(with_url_peers(*input)),
+            template,
+            derived,
+        },
+        other => panic!("not part of the test plan: {other:?}"),
+    }
+}
+
+#[test]
+fn a_plan_naming_its_alerter_peer_by_url_delivers_like_its_compiled_twin() {
+    const TEXT: &str = r#"for $c in outCOM(<p>a.com</p>)
+        where $c.callMethod = "Get"
+        return <got/>
+        by email "ops@example.org";"#;
+    let call = SoapCall::new(1, "http://a.com", "b.com", "Get", 10, 20);
+    let deliver = |monitor: &mut Monitor| {
+        monitor.inject_soap_call(&call);
+        monitor.run_until_idle();
+    };
+
+    let mut compiled = Monitor::new(MonitorConfig::default());
+    let twin = compiled.submit("manager.org", TEXT).expect("compiles");
+    deliver(&mut compiled);
+    assert_eq!(compiled.results(&twin).len(), 1);
+
+    let plan = p2pmon_p2pml::compile_subscription(TEXT).expect("compiles");
+    let raw = LogicalPlan {
+        root: with_url_peers(plan.root),
+        ..plan
+    };
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    let first = monitor.deploy_plan("manager.org", raw.clone());
+    let second = monitor.deploy_plan("manager.org", raw);
+    assert_eq!(
+        monitor.report(&second).expect("report").reuse.new_nodes,
+        0,
+        "an identical plan is covered up to its root"
+    );
+    assert_eq!(
+        monitor.peers(),
+        compiled.peers(),
+        "no peer is registered under its URL"
+    );
+    deliver(&mut monitor);
+    assert_eq!(monitor.results(&first), compiled.results(&twin));
+    assert_eq!(monitor.results(&second), compiled.results(&twin));
+}

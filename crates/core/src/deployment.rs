@@ -42,6 +42,7 @@ use crate::monitor::{identity, DeployedSubscription, Monitor, SubscriptionHandle
 use crate::placement::{
     place_with, push_selections_below_unions, PlacedPlan, PlacementRates, TaskKind,
 };
+use crate::profile::{LifetimeProfile, PhaseClock, SUBMIT_PHASES};
 use crate::reuse::{apply_reuse, join_parameters, select_parameters, ReuseReport, ReuseStats};
 use crate::runtime::RuntimeOperator;
 use crate::sink::{Sink, SinkKind};
@@ -62,15 +63,17 @@ type SelectProviders<'a> = dyn Fn(&str, &str) -> (String, String) + 'a;
 /// and `select_provider` is a no-op on them: the reuse cover already picked
 /// the closest provider with the same proximity function, and a replica has
 /// no replicas of its own.  Unknown or ambiguous names pass through
-/// unchanged.
+/// unchanged.  Counts the references it resolves in `resolved`.
 fn canonicalize_channel_refs(
     db: &p2pmon_dht::StreamDefinitionDatabase,
     proximity: Option<&SelectProviders<'_>>,
     node: p2pmon_p2pml::plan::LogicalNode,
+    resolved: &mut u64,
 ) -> p2pmon_p2pml::plan::LogicalNode {
     use p2pmon_p2pml::plan::LogicalNode;
     match node {
         LogicalNode::ChannelIn { peer, stream, var } => {
+            *resolved += 1;
             let (peer, stream) = db.canonical_identity(&normalize_peer(&peer), &stream);
             let (peer, stream) = match proximity {
                 Some(select) => select(&peer, &stream),
@@ -85,13 +88,13 @@ fn canonicalize_channel_refs(
         } => LogicalNode::DynamicAlerter {
             function,
             var,
-            driver: Box::new(canonicalize_channel_refs(db, proximity, *driver)),
+            driver: Box::new(canonicalize_channel_refs(db, proximity, *driver, resolved)),
         },
         LogicalNode::Union { var, inputs } => LogicalNode::Union {
             var,
             inputs: inputs
                 .into_iter()
-                .map(|input| canonicalize_channel_refs(db, proximity, input))
+                .map(|input| canonicalize_channel_refs(db, proximity, input, resolved))
                 .collect(),
         },
         LogicalNode::Select {
@@ -103,7 +106,7 @@ fn canonicalize_channel_refs(
             conditions,
         } => LogicalNode::Select {
             var,
-            input: Box::new(canonicalize_channel_refs(db, proximity, *input)),
+            input: Box::new(canonicalize_channel_refs(db, proximity, *input, resolved)),
             simple,
             patterns,
             derived,
@@ -116,27 +119,27 @@ fn canonicalize_channel_refs(
             right_key,
             residual,
         } => LogicalNode::Join {
-            left: Box::new(canonicalize_channel_refs(db, proximity, *left)),
-            right: Box::new(canonicalize_channel_refs(db, proximity, *right)),
+            left: Box::new(canonicalize_channel_refs(db, proximity, *left, resolved)),
+            right: Box::new(canonicalize_channel_refs(db, proximity, *right, resolved)),
             left_key,
             right_key,
             residual,
         },
         LogicalNode::Dedup { input } => LogicalNode::Dedup {
-            input: Box::new(canonicalize_channel_refs(db, proximity, *input)),
+            input: Box::new(canonicalize_channel_refs(db, proximity, *input, resolved)),
         },
         LogicalNode::Restructure {
             input,
             template,
             derived,
         } => LogicalNode::Restructure {
-            input: Box::new(canonicalize_channel_refs(db, proximity, *input)),
+            input: Box::new(canonicalize_channel_refs(db, proximity, *input, resolved)),
             template,
             derived,
         },
         LogicalNode::Aggregate { var, input, spec } => LogicalNode::Aggregate {
             var,
-            input: Box::new(canonicalize_channel_refs(db, proximity, *input)),
+            input: Box::new(canonicalize_channel_refs(db, proximity, *input, resolved)),
             spec,
         },
         leaf @ LogicalNode::Alerter { .. } => leaf,
@@ -151,13 +154,31 @@ impl Monitor {
         manager: &str,
         subscription_text: &str,
     ) -> Result<SubscriptionHandle, CompileError> {
+        let mut clock = PhaseClock::start(&SUBMIT_PHASES);
         let plan = compile_subscription(subscription_text)?;
-        Ok(self.deploy_plan(manager, plan))
+        clock.lap("core.submit.compile", plan.root.size() as u64);
+        Ok(self.deploy_timed(manager, plan, clock))
     }
 
     /// Deploys an already-compiled logical plan (used by benches that bypass
-    /// the parser).
+    /// the parser).  Its profile's compile phase is empty.
     pub fn deploy_plan(&mut self, manager: &str, plan: LogicalPlan) -> SubscriptionHandle {
+        self.deploy_timed(manager, plan, PhaseClock::start(&SUBMIT_PHASES))
+    }
+
+    /// The per-phase split of the last successful submit or
+    /// [`Monitor::deploy_plan`] (see [`crate::profile`]).
+    pub fn last_submit_profile(&self) -> &LifetimeProfile {
+        &self.last_submit
+    }
+
+    /// [`Monitor::deploy_plan`], lapping `clock` at the end of every phase.
+    fn deploy_timed(
+        &mut self,
+        manager: &str,
+        plan: LogicalPlan,
+        mut clock: PhaseClock,
+    ) -> SubscriptionHandle {
         let manager = normalize_peer(manager);
         self.host_mut(&manager);
 
@@ -168,6 +189,7 @@ impl Monitor {
             by: plan.by,
             distinct: plan.distinct,
         };
+        clock.lap("core.submit.pushdown", plan.root.size() as u64);
 
         // Provider proximity, the "close networkwise" criterion of Section 5:
         // the expected latency from the subscribing manager, with the manager
@@ -192,6 +214,7 @@ impl Monitor {
         };
 
         // Stream reuse against the definition database.
+        let queries = self.stream_db.index_stats().query_operations;
         let (root, reuse) = if self.config.enable_reuse {
             let (root, reuse) = apply_reuse(&plan.root, &mut self.stream_db, &proximity);
             self.reuse_totals.absorb(&ReuseStats::of_report(&reuse));
@@ -199,6 +222,8 @@ impl Monitor {
         } else {
             (plan.root.clone(), ReuseReport::default())
         };
+        let queries = self.stream_db.index_stats().query_operations - queries;
+        clock.lap("core.submit.reuse", queries);
         // Measured per-provider-peer load (total outbound channel rate,
         // bytes/sec): with rate-aware placement on, `select_provider` breaks
         // proximity ties toward the least-loaded provider, spreading
@@ -225,14 +250,21 @@ impl Monitor {
                     })
                 }
             });
+        let mut resolved = 0;
         let rewritten = LogicalPlan {
-            root: canonicalize_channel_refs(&self.stream_db, select_providers.as_deref(), root),
+            root: canonicalize_channel_refs(
+                &self.stream_db,
+                select_providers.as_deref(),
+                root,
+                &mut resolved,
+            ),
             by: plan.by.clone(),
             distinct: plan.distinct,
         };
         drop(select_providers);
         self.reuse_totals.providers_scored += scored.get();
         self.reuse_totals.loads_read += loads_read.get();
+        clock.lap("core.submit.canonicalize", resolved);
 
         // Placement, and the canonical channel identity of every task output.
         // With rate-aware placement on, multi-input operators minimize
@@ -273,8 +305,10 @@ impl Monitor {
             self.config.placement,
             self.config.rate_aware_placement.then_some(&rates),
         );
+        clock.lap("core.submit.place", placed.tasks.len() as u64);
         let sub_idx = self.subscriptions.len();
         let channels = placed.output_channels(sub_idx);
+        clock.lap("core.submit.output_channels", channels.len() as u64);
 
         let mut routes = Vec::with_capacity(placed.tasks.len());
 
@@ -357,9 +391,12 @@ impl Monitor {
             }
         }
 
+        clock.lap("core.submit.install", placed.tasks.len() as u64);
+
         // Publish stream definitions for the streams this deployment
         // produces, under their canonical channel identities, and remember
         // each definition's producing subtree for shared teardown.
+        let inserts = self.stream_db.index_stats().insert_operations;
         let (owned_defs, def_tasks) = self.publish_definitions(&placed, &channels);
         for key in &owned_defs {
             let entry = self.def_refs.entry(*key).or_default();
@@ -399,6 +436,9 @@ impl Monitor {
             def_tasks,
             retired: false,
         });
+        let inserts = self.stream_db.index_stats().insert_operations - inserts;
+        clock.lap("core.submit.publish", inserts);
+        self.last_submit = clock.finish();
         SubscriptionHandle(sub_idx)
     }
 

@@ -31,6 +31,7 @@ pub mod dispatch;
 pub mod monitor;
 pub mod peer;
 pub mod placement;
+pub mod profile;
 pub mod reuse;
 pub mod runtime;
 pub mod sink;
@@ -45,6 +46,7 @@ pub use placement::{
     place, place_with, push_selections_below_unions, PlacedPlan, PlacedTask, PlacementRates,
     PlacementStrategy, TaskKind,
 };
+pub use profile::{LifetimeProfile, Phase};
 pub use reuse::{apply_reuse, logical_to_plan_node, ReplicaStats, ReuseReport, ReuseStats};
 pub use runtime::{RuntimeOperator, RuntimeOutput};
 pub use sink::{Sink, SinkKind};

@@ -27,6 +27,7 @@ use p2pmon_xmlkit::Element;
 use crate::dispatch::{DispatchStats, PublishedChannel, Route, RouteEntries, RoutingTable};
 use crate::peer::PeerHost;
 use crate::placement::{PlacedPlan, PlacementStrategy, TaskKind};
+use crate::profile::{LifetimeProfile, PhaseClock, UNSUBSCRIBE_PHASES};
 use crate::reuse::{ReuseReport, ReuseStats};
 use crate::sink::Sink;
 
@@ -391,6 +392,11 @@ pub struct Monitor {
     /// stream: channel metrics carry *deltas*, so repeated snapshots sum to
     /// the true totals under the sketch plane's additive merges.
     pub(crate) reported_channel_bytes: HashMap<ChannelId, u64>,
+    /// The per-phase split of the last submit ([`Monitor::last_submit_profile`]).
+    pub(crate) last_submit: LifetimeProfile,
+    /// The per-phase split of the last teardown
+    /// ([`Monitor::last_unsubscribe_profile`]).
+    last_unsubscribe: LifetimeProfile,
 }
 
 impl Monitor {
@@ -416,6 +422,8 @@ impl Monitor {
             operator_invocations: 0,
             round_micros: std::collections::VecDeque::new(),
             reported_channel_bytes: HashMap::new(),
+            last_submit: LifetimeProfile::default(),
+            last_unsubscribe: LifetimeProfile::default(),
             config,
         }
     }
@@ -1062,24 +1070,40 @@ impl Monitor {
             _ => return false,
         }
         self.subscriptions[idx].retired = true;
+        let mut clock = PhaseClock::start(&UNSUBSCRIBE_PHASES);
         // Release the owner references on the definitions this deployment
         // published (cascading into its own sweep when they reach zero), then
         // sweep whatever the remaining references do not pin.
         let owner_refs = self.subscriptions[idx].owned_defs.clone();
-        self.release_refs(owner_refs);
-        let released = self.sweep_retired(idx);
-        self.release_refs(released);
+        self.release_refs(owner_refs, &mut clock, "core.unsubscribe.owner_release");
+        let released = self.sweep_retired(idx, &mut clock);
+        self.release_refs(released, &mut clock, "core.unsubscribe.release");
+        self.last_unsubscribe = clock.finish();
         true
+    }
+
+    /// The per-phase split of the last successful [`Monitor::unsubscribe`]
+    /// (see [`crate::profile`]).
+    pub fn last_unsubscribe_profile(&self) -> &LifetimeProfile {
+        &self.last_unsubscribe
     }
 
     /// Releases definition references; every definition whose count reaches
     /// zero is retracted from the Stream Definition Database, and — when its
     /// owning subscription is already retired — the producing subtree is
     /// swept, which may release further references (a chain of retired
-    /// producers tears down back to front).
-    pub(crate) fn release_refs(&mut self, initial: Vec<ChannelId>) {
+    /// producers tears down back to front).  The releases are charged to
+    /// `phase`, each nested sweep to its own phases.
+    fn release_refs(
+        &mut self,
+        initial: Vec<ChannelId>,
+        clock: &mut PhaseClock,
+        phase: &'static str,
+    ) {
         let mut pending = initial;
+        let mut released = 0;
         while let Some(key) = pending.pop() {
+            released += 1;
             let Some(entry) = self.def_refs.get_mut(&key) else {
                 continue;
             };
@@ -1095,10 +1119,12 @@ impl Monitor {
             self.stream_db.retract(&key.peer, &key.stream);
             if let Some(owner) = owner {
                 if self.subscriptions[owner].retired {
-                    pending.extend(self.sweep_retired(owner));
+                    clock.lap(phase, std::mem::take(&mut released));
+                    pending.extend(self.sweep_retired(owner, clock));
                 }
             }
         }
+        clock.lap(phase, released);
     }
 
     /// Removes every task of a retired subscription that no still-referenced
@@ -1106,7 +1132,7 @@ impl Monitor {
     /// queued work.  Returns the definition references held by the removed
     /// tasks (source bindings and channel subscriptions), for the caller to
     /// release.  Idempotent: already-removed tasks are skipped.
-    fn sweep_retired(&mut self, idx: usize) -> Vec<ChannelId> {
+    fn sweep_retired(&mut self, idx: usize, clock: &mut PhaseClock) -> Vec<ChannelId> {
         // Tasks pinned by a definition that still has references.
         let keep: BTreeSet<usize> = {
             let sub = &self.subscriptions[idx];
@@ -1174,34 +1200,16 @@ impl Monitor {
                 }
             }
         }
+        let emptied = removed_now.iter().filter(|&&removed| removed).count();
+        clock.lap("core.unsubscribe.remove", emptied as u64);
 
         // Route retraction: the removed tasks disappear from every consumer
         // registration (including the channels they subscribed to for
         // reuse); surviving tasks whose local consumer was removed now feed
         // nothing but their own output channel's subscribers.
+        let scanned = self.dispatch_stats.registrations_scanned;
         self.routing
             .retract(&entries, removed, &mut self.dispatch_stats);
-
-        // In-flight local work addressed to the removed tasks is discarded
-        // (only a host on the ready list can hold any); a host left with
-        // nothing to do leaves the list with its tasks.
-        for peer in &self.ready {
-            self.hosts
-                .get_mut(peer)
-                .expect("ready peers are hosted")
-                .purge_subscription_tasks(idx, &keep);
-        }
-        self.retire_idle_hosts();
-
-        // Replica lifecycle: each removed channel subscriber lets go of its
-        // peer's replica of the origin stream — retracting the declaration
-        // (and re-attaching orphaned replica subscribers to the origin) when
-        // it was the last, or handing the forwarding role to a surviving
-        // local subscriber when it was the forwarder.
-        for (origin, peer, removed) in replica_releases {
-            self.release_replica_consumer(&origin, &peer, removed);
-        }
-
         for task in 0..self.subscriptions[idx].routes.len() {
             if !keep.contains(&task) {
                 continue;
@@ -1212,6 +1220,31 @@ impl Monitor {
                     self.routing.epoch.bump();
                 }
             }
+        }
+        let scanned = self.dispatch_stats.registrations_scanned - scanned;
+        clock.lap("core.unsubscribe.retract", scanned);
+
+        // In-flight local work addressed to the removed tasks is discarded
+        // (only a host on the ready list can hold any); a host left with
+        // nothing to do leaves the list with its tasks.
+        let purged = self.ready.len();
+        for peer in &self.ready {
+            self.hosts
+                .get_mut(peer)
+                .expect("ready peers are hosted")
+                .purge_subscription_tasks(idx, &keep);
+        }
+        self.retire_idle_hosts();
+        clock.lap("core.unsubscribe.purge", purged as u64);
+
+        // Replica lifecycle: each removed channel subscriber lets go of its
+        // peer's replica of the origin stream — retracting the declaration
+        // (and re-attaching orphaned replica subscribers to the origin) when
+        // it was the last, or handing the forwarding role to a surviving
+        // local subscriber when it was the forwarder.
+        let replica_released = replica_releases.len();
+        for (origin, peer, removed) in replica_releases {
+            self.release_replica_consumer(&origin, &peer, removed);
         }
 
         // The published result channel stops existing once its producing
@@ -1228,6 +1261,7 @@ impl Monitor {
                 }
             }
         }
+        clock.lap("core.unsubscribe.replica", replica_released as u64);
         released
     }
 

@@ -311,19 +311,39 @@ impl Monitor {
         clock.lap("core.submit.output_channels", channels.len() as u64);
 
         let mut routes = Vec::with_capacity(placed.tasks.len());
+        let mut operators = Vec::with_capacity(placed.tasks.len());
 
-        // Build operators, routes and consumer registrations; hand every task
-        // (and its operator instance) to its host peer's shard, registering
-        // a peer nobody named before.  A source runs on its monitored peer
-        // (placement puts it there), so its alerter goes on the same host.
-        // Tasks that consume a shared stream take a reference on its
-        // definition.
+        // Build operators, routes and consumer registrations, fetching each
+        // task's host once and registering a peer nobody named before.  A
+        // source runs on its monitored peer (placement puts it there), so its
+        // alerter goes on the same host.  The offline adjustment of the
+        // per-peer shared filter engines happens on the same visit: a Select
+        // task's simple conditions and tree patterns register with its host's
+        // engine, so that an incoming alert is filtered once per peer rather
+        // than once per subscription.  Tasks that consume a shared stream
+        // take a reference on its definition.
         for task in &placed.tasks {
-            let operator = RuntimeOperator::for_kind(&task.kind, self.config.join_window);
-            let host = self.host_mut(&task.peer);
-            host.install_task(sub_idx, task.id, operator);
+            operators.push(RuntimeOperator::for_kind(
+                &task.kind,
+                self.config.join_window,
+            ));
+            let filter = match &task.kind {
+                TaskKind::Select {
+                    simple, patterns, ..
+                } => {
+                    let id = self.next_filter_id;
+                    self.next_filter_id += 1;
+                    let filter = FilterSubscription::new(id).with_simple(simple.clone());
+                    Some(filter.with_complex(patterns.clone()))
+                }
+                _ => None,
+            };
+            let (host, epoch) = self.host_and_epoch(&task.peer);
             if let TaskKind::Source { function, .. } = &task.kind {
                 host.alerters.ensure(function, &task.peer);
+            }
+            if let Some(filter) = filter {
+                host.register_select(sub_idx, task.id, filter, epoch);
             }
             if let Some(key) = self.task_def_key(&task.kind) {
                 self.def_refs.entry(key).or_default().refs += 1;
@@ -369,28 +389,7 @@ impl Monitor {
             };
             routes.push(route);
         }
-
-        // Offline adjustment of the per-peer shared filter engines: register
-        // every Select task's simple conditions and tree patterns, so that an
-        // incoming alert is filtered once per peer rather than once per
-        // subscription.
-        for task in &placed.tasks {
-            if let TaskKind::Select {
-                simple, patterns, ..
-            } = &task.kind
-            {
-                let id = self.next_filter_id;
-                self.next_filter_id += 1;
-                let filter = FilterSubscription::new(id)
-                    .with_simple(simple.clone())
-                    .with_complex(patterns.clone());
-                self.hosts
-                    .get_mut(&task.peer)
-                    .expect("the task was installed on its host above")
-                    .register_select(sub_idx, task.id, filter, &mut self.routing.epoch);
-            }
-        }
-
+        self.operators.deploy(sub_idx, operators);
         clock.lap("core.submit.install", placed.tasks.len() as u64);
 
         // Publish stream definitions for the streams this deployment

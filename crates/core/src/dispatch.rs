@@ -7,7 +7,9 @@
 //! Every dispatch round is a two-phase step, run on the calling thread:
 //!
 //! 1. **Local phase** — every peer with local work runs `run_peer`, in
-//!    peer order, over its own [`PeerHost`] shard: it folds the sketch
+//!    peer order, over its [`PeerHost`] and the operators of the tasks it
+//!    hosts (two `Vec` indexes into the monitor's operator store, a field
+//!    apart from the hosts and the snapshot): it folds the sketch
 //!    partials handed to the peer's merge and root stages into them, drains
 //!    the peer's `PendingAlert` batch — deduplicating identical documents
 //!    and running **one** amortized pass of the shared [`FilterEngine`]
@@ -93,6 +95,7 @@ use p2pmon_xmlkit::Element;
 use crate::monitor::{DeployedSubscription, Monitor};
 use crate::peer::{PeerHost, PendingAlert, Work};
 use crate::placement::TaskKind;
+use crate::slots::OperatorSlots;
 
 /// A delivery target `(subscription, task, port)`.
 pub(crate) type Target = (usize, usize, usize);
@@ -530,9 +533,9 @@ impl DispatchStats {
 }
 
 /// The immutable, deployment-time view every peer's local phase reads:
-/// subscription plans and routes.  All per-task mutable state (operators,
-/// engines, queues) lives in the per-peer shards, so a local phase never
-/// touches the monitor façade.
+/// subscription plans and routes.  What a local phase mutates is the host
+/// (engine, batch, queue) and the operator store, both lent beside this
+/// view, so it never touches the rest of the monitor façade.
 pub(crate) struct DispatchSnapshot<'a> {
     /// The deployed subscriptions (placements and routes only).
     pub subs: &'a [DeployedSubscription],
@@ -743,12 +746,16 @@ struct ResolvedTargets {
 
 /// Runs one peer's whole local phase: the sketch partials handed to its
 /// stages, the batched alert dispatch, then the work queue until it is empty.
-pub(crate) fn run_peer(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>) -> PeerEffects {
+pub(crate) fn run_peer(
+    host: &mut PeerHost,
+    slots: &mut OperatorSlots,
+    snapshot: &DispatchSnapshot<'_>,
+) -> PeerEffects {
     let mut out = PeerEffects::default();
-    out.operator_invocations += host.absorb_partials();
+    out.operator_invocations += host.absorb_partials(slots);
     drain_alert_batch(host, snapshot, &mut out);
     while let Some(work) = host.queue.pop_front() {
-        execute(host, snapshot, work, &mut out);
+        execute(host, slots, snapshot, work, &mut out);
     }
     out
 }
@@ -878,6 +885,7 @@ fn drain_alert_batch(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>, out: 
 /// edges re-enter the host's queue, everything else is buffered as an effect.
 fn execute(
     host: &mut PeerHost,
+    slots: &mut OperatorSlots,
     snapshot: &DispatchSnapshot<'_>,
     work: Work,
     out: &mut PeerEffects,
@@ -890,7 +898,7 @@ fn execute(
         item,
         prefiltered,
     } = work;
-    let outputs = host.run_operator(sub, task, port, &item, prefiltered);
+    let outputs = host.run_operator(slots, sub, task, port, &item, prefiltered);
     if outputs.is_empty() {
         return;
     }
@@ -1073,9 +1081,9 @@ impl Monitor {
                 }
             }
 
-            // Local phase: every peer with local work runs over its own
-            // shard plus the immutable snapshot, in peer order (the commit
-            // below listed new hosts at the tail).
+            // Local phase: every peer with local work runs over its host
+            // and the operator store plus the immutable snapshot, in peer
+            // order (the commit below listed new hosts at the tail).
             self.ready.sort_unstable();
             self.dispatch_stats.host_visits += self.ready.len() as u64;
             let snapshot = DispatchSnapshot {
@@ -1085,12 +1093,14 @@ impl Monitor {
                 now: self.network.now(),
             };
             let hosts = &mut self.hosts;
+            let slots = &mut self.operators;
             let results: Vec<PeerEffects> = self
                 .ready
                 .iter()
                 .filter_map(|peer| {
                     let host = hosts.get_mut(peer).expect("ready peers are hosted");
-                    host.has_local_work().then(|| run_peer(host, &snapshot))
+                    host.has_local_work()
+                        .then(|| run_peer(host, slots, &snapshot))
                 })
                 .collect();
             if results.is_empty() {
@@ -1281,7 +1291,7 @@ impl Monitor {
             // nobody waiting for them.
             if !self.network.is_down(peer) {
                 let host = self.hosts.get_mut(peer).expect("ready peers are hosted");
-                pending |= host.flush_sketches(&mut flushed);
+                pending |= host.flush_sketches(&mut self.operators, &mut flushed);
             }
         }
         let any = !flushed.is_empty();
@@ -1380,8 +1390,9 @@ impl Monitor {
     /// The full walk the ready list replaced, kept as its test oracle (debug
     /// builds only, so every `cargo test` round runs it and no measured
     /// build does): no host off the list has anything to do, the list and
-    /// the hosts' flags agree, every pending sketch stage is listed on its
-    /// host, and no inbox holds a message past the round's delivery.
+    /// the hosts' flags agree, the sketch stages holding state are exactly
+    /// the stages listed on their tasks' hosts, and no inbox holds a message
+    /// past the round's delivery.
     #[cfg(debug_assertions)]
     fn audit_ready_list(&self) {
         for (peer, host) in &self.hosts {
@@ -1389,8 +1400,30 @@ impl Monitor {
                 host.ready || !host.is_busy(),
                 "{peer} has work but is not on the ready list"
             );
-            host.audit_pending_sketches();
         }
+        let mut holding: Vec<(&str, usize, usize)> = self
+            .operators
+            .iter()
+            .filter(|(_, _, operator)| operator.sketch_pending())
+            .map(|(sub, task, _)| {
+                let peer = self.subscriptions[sub].placed.tasks[task].peer.as_str();
+                (peer, sub, task)
+            })
+            .collect();
+        holding.sort_unstable();
+        let mut listed: Vec<(&str, usize, usize)> = self
+            .hosts
+            .iter()
+            .flat_map(|(peer, host)| {
+                let stages = host.pending_sketches.iter();
+                stages.map(move |&(sub, task)| (peer.as_str(), sub, task))
+            })
+            .collect();
+        listed.sort_unstable();
+        assert_eq!(
+            holding, listed,
+            "sketch stages holding state vs stages listed for the flush, as (host, sub, task)"
+        );
         let unread = self.network.unread_peers();
         assert!(
             unread.is_empty(),

@@ -35,6 +35,7 @@ pub mod profile;
 pub mod reuse;
 pub mod runtime;
 pub mod sink;
+mod slots;
 
 pub use dispatch::DispatchStats;
 pub use monitor::{

@@ -1,9 +1,9 @@
 //! The Monitor: a thin façade over the per-peer runtime.
 //!
 //! A [`Monitor`] owns the simulated network, the DHT-backed Stream Definition
-//! Database and one [`PeerHost`] per participating peer; each host carries
-//! its own alerters, its hosted operator tasks, its work queue and the shared
-//! two-stage filtering processor of Figure 5.  Drive it by registering peers
+//! Database, one [`PeerHost`] per participating peer — its alerters, its work
+//! queue and the shared two-stage filtering processor of Figure 5 — and the
+//! operator of every deployed task, in its subscription's slot.  Drive it by registering peers
 //! ([`Monitor::add_peer`]), submitting P2PML subscriptions
 //! ([`Monitor::submit`] — compile → reuse → place → deploy, see
 //! [`crate::deployment`]), injecting monitored-system events
@@ -24,12 +24,15 @@ use p2pmon_streams::ops::Window;
 use p2pmon_streams::{ChannelId, RateTable};
 use p2pmon_xmlkit::Element;
 
-use crate::dispatch::{DispatchStats, PublishedChannel, Route, RouteEntries, RoutingTable};
+use crate::dispatch::{
+    DispatchStats, FanoutEpoch, PublishedChannel, Route, RouteEntries, RoutingTable,
+};
 use crate::peer::PeerHost;
 use crate::placement::{PlacedPlan, PlacementStrategy, TaskKind};
 use crate::profile::{LifetimeProfile, PhaseClock, UNSUBSCRIBE_PHASES};
 use crate::reuse::{ReuseReport, ReuseStats};
 use crate::sink::Sink;
+use crate::slots::OperatorSlots;
 
 /// Configuration of a Monitor instance.
 ///
@@ -337,6 +340,9 @@ pub struct Monitor {
     pub(crate) peers: BTreeSet<String>,
     pub(crate) stream_db: StreamDefinitionDatabase,
     pub(crate) subscriptions: Vec<DeployedSubscription>,
+    /// Every deployed task's operator, in its subscription's slot: filled by
+    /// a deploy, emptied by a teardown, lent to each host's local phase.
+    pub(crate) operators: OperatorSlots,
     /// The per-peer runtimes, keyed by (normalized) peer name.  Nothing
     /// walks them in order — a round reaches its hosts by name, from the
     /// sorted ready list — so the map is the one with the cheap lookup.
@@ -408,6 +414,7 @@ impl Monitor {
             peers: BTreeSet::new(),
             stream_db: StreamDefinitionDatabase::new(dht),
             subscriptions: Vec::new(),
+            operators: OperatorSlots::default(),
             hosts: HashMap::new(),
             ready: Vec::new(),
             routing: RoutingTable::default(),
@@ -454,6 +461,12 @@ impl Monitor {
     /// registered is registered here — network, peer list and host together —
     /// so routing never dangles; a known peer costs the lookup.
     pub(crate) fn host_mut(&mut self, peer: &str) -> &mut PeerHost {
+        self.host_and_epoch(peer).0
+    }
+
+    /// [`Monitor::host_mut`], beside the fan-out epoch that registering an
+    /// engine gate on the host bumps.
+    pub(crate) fn host_and_epoch(&mut self, peer: &str) -> (&mut PeerHost, &mut FanoutEpoch) {
         if !self.hosts.contains_key(peer) {
             self.network.add_peer(peer);
             self.peers.insert(peer.to_string());
@@ -461,7 +474,8 @@ impl Monitor {
             host.deep_clone_items = self.config.deep_clone_items;
             self.hosts.insert(peer.to_string(), host);
         }
-        self.hosts.get_mut(peer).expect("registered above")
+        let host = self.hosts.get_mut(peer).expect("registered above");
+        (host, &mut self.routing.epoch)
     }
 
     /// The current logical time (ms).
@@ -966,17 +980,13 @@ impl Monitor {
     /// until the following releases drain it to zero.
     fn hand_off_replica_forwarder(&mut self, origin: &ChannelId, peer: &str) {
         // The entry's remaining subscribers are exactly the tasks that can
-        // take over; pick the first still installed on the host (a sweep may
-        // be about to remove the others too).
+        // take over; pick the first still deployed (a sweep may be about to
+        // remove the others too).
         let candidate = self.replica_refs[origin][peer]
             .subscribers
             .iter()
             .copied()
-            .find(|&(s, t)| {
-                self.hosts
-                    .get(peer)
-                    .is_some_and(|h| h.operators.contains_key(&(s, t)))
-            });
+            .find(|&(s, t)| self.operators.get(s, t).is_some());
         let Some((s, t)) = candidate else {
             return;
         };
@@ -1161,20 +1171,18 @@ impl Monitor {
         let mut entries = RouteEntries::default();
         let mut removed_now = vec![false; sub.placed.tasks.len()];
         for task in &sub.placed.tasks {
-            if keep.contains(&task.id) {
-                continue;
-            }
-            let Some(host) = self.hosts.get_mut(&task.peer) else {
-                continue;
-            };
-            // Only a Select registers an engine gate.
-            if matches!(task.kind, TaskKind::Select { .. }) {
-                host.unregister_select(idx, task.id, &mut self.routing.epoch);
-            }
-            if !host.remove_task(idx, task.id) {
+            if keep.contains(&task.id) || self.operators.remove(idx, task.id).is_none() {
                 continue;
             }
             removed_now[task.id] = true;
+            // Only a Select registers an engine gate, so only its host is
+            // visited.  (A removed sketch stage leaves its host's flush list
+            // in the purge below.)
+            if matches!(task.kind, TaskKind::Select { .. }) {
+                let host = self.hosts.get_mut(&task.peer);
+                let host = host.expect("every placed task's host is created at deployment");
+                host.unregister_select(idx, task.id, &mut self.routing.epoch);
+            }
             match &task.kind {
                 TaskKind::Source { feed, .. } => entries.sources.push(*feed),
                 TaskKind::DynamicSource { function, .. } => entries.functions.push(function),
@@ -1224,9 +1232,10 @@ impl Monitor {
         let scanned = self.dispatch_stats.registrations_scanned - scanned;
         clock.lap("core.unsubscribe.retract", scanned);
 
-        // In-flight local work addressed to the removed tasks is discarded
-        // (only a host on the ready list can hold any); a host left with
-        // nothing to do leaves the list with its tasks.
+        // In-flight local work and pending sketch state of the removed tasks
+        // are discarded (only a host on the ready list can hold any: pending
+        // stages keep their host busy); a host left with nothing to do leaves
+        // the list with its tasks.
         let purged = self.ready.len();
         for peer in &self.ready {
             self.hosts
@@ -1414,20 +1423,38 @@ impl Monitor {
     /// so this stays near the number of *shapes*, not subscriptions — the
     /// quantity the scale trajectory tracks.
     pub fn operator_count(&self) -> usize {
-        self.hosts.values().map(PeerHost::hosted_tasks).sum()
+        self.operators.len()
+    }
+
+    /// Number of deployed tasks hosted on `peer` (a walk over every
+    /// deployed operator).
+    pub fn hosted_tasks(&self, peer: &str) -> usize {
+        let peer = normalize_peer(peer);
+        self.operators
+            .iter()
+            .filter(|&(sub, task, _)| self.subscriptions[sub].placed.tasks[task].peer == peer)
+            .count()
+    }
+
+    /// Operators of a subscription still deployed: all of its tasks while
+    /// it is active, and after [`Monitor::unsubscribe`] the producing
+    /// subtrees other subscriptions still consume.
+    pub fn deployed_operators(&self, handle: &SubscriptionHandle) -> usize {
+        self.operators.live_of(handle.0)
+    }
+
+    /// Operator slots a subscription holds storage for: one per placed task
+    /// while any of its operators is deployed, none once the last one left.
+    pub fn operator_slots(&self, handle: &SubscriptionHandle) -> usize {
+        self.operators.held_by(handle.0)
     }
 
     /// Total bytes of operator state held by a subscription's stateful
-    /// operators (joins, dedups) — the quantity bounded by the join window.
-    /// The operators live in the per-peer shards, so this sums over hosts.
+    /// operators (joins, dedups, sketches) — the quantity bounded by the
+    /// join window.  Reads the subscription's own slots.
     pub fn state_bytes(&self, handle: &SubscriptionHandle) -> usize {
-        if self.subscriptions.get(handle.0).is_none() {
-            return 0;
-        }
-        self.hosts
-            .values()
-            .map(|host| host.state_bytes_of(handle.0))
-            .sum()
+        let operators = self.operators.of(handle.0);
+        operators.map(|(_, operator)| operator.state_size()).sum()
     }
 
     /// The shared filter engine statistics of one peer.

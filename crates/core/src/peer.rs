@@ -8,16 +8,18 @@
 //! * the peer's **alerters** (one per alerter function, `AlerterSet`),
 //! * the peer's **shared [`FilterEngine`]**, holding the simple conditions
 //!   and tree patterns of every `Select` task deployed on this peer,
-//! * the peer's **operator instances** (one [`RuntimeOperator`] per task
-//!   hosted here — the peer's *mutable shard*, touched by no other peer),
 //! * the peer's **alert batch** (`PendingAlert`s awaiting the next
 //!   amortized engine pass), the **sketch partials** handed to its merge and
-//!   root stages, and its **work queue** of pending `Work` items.
+//!   root stages, the sketch stages its next flush must visit, and its
+//!   **work queue** of pending `Work` items.
 //!
-//! Because a host owns every piece of mutable state its tasks need, a
-//! dispatch round can run each host's local phase against an immutable
-//! routing snapshot of the [`crate::Monitor`] façade, which commits the
-//! buffered cross-peer effects afterwards ([`crate::dispatch`]).
+//! The [`RuntimeOperator`] of a task hosted here is not the host's: it lives
+//! in its subscription's slot of the monitor's operator store, which a
+//! deploy fills with one `Vec` and a teardown empties without visiting a
+//! host.  A dispatch round runs each host's local phase with that store
+//! beside it, against an immutable routing snapshot of the
+//! [`crate::Monitor`] façade, which commits the buffered cross-peer effects
+//! afterwards ([`crate::dispatch`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -32,6 +34,7 @@ use p2pmon_xmlkit::Element;
 
 use crate::dispatch::{source_channel, FanoutEpoch, SharedTargets, TargetList};
 use crate::runtime::RuntimeOperator;
+use crate::slots::OperatorSlots;
 
 /// One unit of pending work: an item addressed to a hosted task.
 #[derive(Debug, Clone)]
@@ -196,16 +199,13 @@ pub struct PeerHost {
     pub(crate) engine: FilterEngine,
     /// `(subscription, task)` of a hosted Select → its engine registration.
     gates: HashMap<(usize, usize), SubscriptionId>,
-    /// The operator instance of every task hosted here, keyed by
-    /// `(subscription, task)` — the peer's mutable shard.
-    pub(crate) operators: HashMap<(usize, usize), RuntimeOperator>,
     /// The hosted sketch stages holding state the next round-boundary flush
     /// must visit: a stage is listed exactly while its operator reports
     /// [`RuntimeOperator::sketch_pending`] (it enters in
     /// [`PeerHost::run_operator`], leaves in [`PeerHost::flush_sketches`] or
-    /// [`PeerHost::remove_task`]), so a flush costs the stages that absorbed
-    /// something, not the stages deployed.
-    pending_sketches: Vec<(usize, usize)>,
+    /// [`PeerHost::purge_subscription_tasks`]), so a flush costs the stages
+    /// that absorbed something, not the stages deployed.
+    pub(crate) pending_sketches: Vec<(usize, usize)>,
     /// True while the host sits on the monitor's ready list (see
     /// [`crate::Monitor::tick`]); only [`PeerHost::list_on`] and
     /// `Monitor::retire_idle_hosts` flip it, in step with the list.
@@ -237,7 +237,6 @@ impl PeerHost {
             name: name.into(),
             engine: FilterEngine::new(),
             gates: HashMap::new(),
-            operators: HashMap::new(),
             pending_sketches: Vec::new(),
             ready: false,
             pending_alerts: Vec::new(),
@@ -252,11 +251,6 @@ impl PeerHost {
     /// The peer's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Number of tasks deployed on this peer.
-    pub fn hosted_tasks(&self) -> usize {
-        self.operators.len()
     }
 
     /// Number of `Select` tasks registered with the shared engine.
@@ -286,31 +280,19 @@ impl PeerHost {
         EngineMode::Staged
     }
 
-    /// Installs the operator instance of a task deployed here.
-    pub(crate) fn install_task(&mut self, sub: usize, task: usize, operator: RuntimeOperator) {
-        self.operators.insert((sub, task), operator);
-    }
-
-    /// Removes a task's operator instance (teardown path); returns `true`
-    /// when it was hosted here.
-    pub(crate) fn remove_task(&mut self, sub: usize, task: usize) -> bool {
-        self.pending_sketches.retain(|&stage| stage != (sub, task));
-        self.operators.remove(&(sub, task)).is_some()
-    }
-
     /// Applies `run` to a hosted task's operator.  A sketch stage that turns
     /// pending here (an empty delta absorbed its first item, a clean root its
     /// first partial) is listed for the next flush.
     fn with_operator<R>(
         &mut self,
+        slots: &mut OperatorSlots,
         sub: usize,
         task: usize,
         run: impl FnOnce(&mut RuntimeOperator) -> R,
     ) -> R {
-        let operator = self
-            .operators
-            .get_mut(&(sub, task))
-            .expect("every placed task's operator lives in its host's shard");
+        let operator = slots
+            .get_mut(sub, task)
+            .expect("work reaches only deployed tasks");
         let was_pending = operator.sketch_pending();
         let result = run(operator);
         if !was_pending && operator.sketch_pending() {
@@ -322,13 +304,14 @@ impl PeerHost {
     /// Runs one item through a hosted task's operator.
     pub(crate) fn run_operator(
         &mut self,
+        slots: &mut OperatorSlots,
         sub: usize,
         task: usize,
         port: usize,
         item: &StreamItem,
         prefiltered: bool,
     ) -> Vec<Arc<Element>> {
-        self.with_operator(sub, task, |operator| {
+        self.with_operator(slots, sub, task, |operator| {
             if prefiltered {
                 operator.on_item_prefiltered(port, item).items
             } else {
@@ -339,11 +322,13 @@ impl PeerHost {
 
     /// Folds every pending partial into the stage it was handed to, in the
     /// order they were handed over; returns how many were absorbed.
-    pub(crate) fn absorb_partials(&mut self) -> u64 {
+    pub(crate) fn absorb_partials(&mut self, slots: &mut OperatorSlots) -> u64 {
         let mut partials = std::mem::take(&mut self.pending_partials);
         let absorbed = partials.len() as u64;
         for (sub, task, partial) in partials.drain(..) {
-            self.with_operator(sub, task, |operator| operator.absorb_partial(&partial));
+            self.with_operator(slots, sub, task, |operator| {
+                operator.absorb_partial(&partial)
+            });
         }
         // The emptied list keeps its capacity for the next round.
         self.pending_partials = partials;
@@ -379,12 +364,15 @@ impl PeerHost {
     /// are appended to `out` as `(subscription, task, output)`.  Stages that
     /// flushed clean leave the list; returns `true` while any stage stays
     /// pending (a root still counting toward its cadence).
-    pub(crate) fn flush_sketches(&mut self, out: &mut Vec<(usize, usize, Payload)>) -> bool {
-        let operators = &mut self.operators;
+    pub(crate) fn flush_sketches(
+        &mut self,
+        slots: &mut OperatorSlots,
+        out: &mut Vec<(usize, usize, Payload)>,
+    ) -> bool {
         self.pending_sketches.retain(|&(sub, task)| {
-            let operator = operators
-                .get_mut(&(sub, task))
-                .expect("remove_task unlists a removed stage");
+            let operator = slots
+                .get_mut(sub, task)
+                .expect("a teardown's purge unlists a removed stage");
             let output = match operator.sketch_flush() {
                 Some(partial) => Some(Payload::Sketch(Arc::new(partial))),
                 None => operator.sketch_answer().map(Payload::from),
@@ -401,35 +389,6 @@ impl PeerHost {
     /// Every host for which this holds is on the monitor's ready list.
     pub(crate) fn is_busy(&self) -> bool {
         self.has_local_work() || !self.pending_sketches.is_empty() || self.alerters.has_pending()
-    }
-
-    /// The test oracle behind the pending-stage list (debug builds only):
-    /// the hosted sketch stages reporting pending state are the listed ones.
-    #[cfg(debug_assertions)]
-    pub(crate) fn audit_pending_sketches(&self) {
-        let mut holding: Vec<(usize, usize)> = self
-            .operators
-            .iter()
-            .filter(|(_, operator)| operator.sketch_pending())
-            .map(|(&stage, _)| stage)
-            .collect();
-        holding.sort_unstable();
-        let mut listed = self.pending_sketches.clone();
-        listed.sort_unstable();
-        assert_eq!(
-            holding, listed,
-            "{}: sketch stages holding state vs stages listed for the flush",
-            self.name
-        );
-    }
-
-    /// Bytes of operator state held for one subscription's tasks.
-    pub(crate) fn state_bytes_of(&self, sub: usize) -> usize {
-        self.operators
-            .iter()
-            .filter(|((s, _), _)| *s == sub)
-            .map(|(_, operator)| operator.state_size())
-            .sum()
     }
 
     /// Registers a hosted Select task's simple conditions and tree patterns
@@ -509,9 +468,10 @@ impl PeerHost {
     }
 
     /// Discards every batched alert target, handed-over partial and queued
-    /// work item addressed to a subscription's removed tasks (unsubscribe /
-    /// shared-teardown path).  Tasks in `keep` — the producing subtrees of
-    /// streams that still have subscribers — keep their queued work.
+    /// work item addressed to a subscription's removed tasks, and unlists
+    /// its removed sketch stages (unsubscribe / shared-teardown path).  Tasks
+    /// in `keep` — the producing subtrees of streams that still have
+    /// subscribers — keep their queued work and their pending state.
     pub(crate) fn purge_subscription_tasks(
         &mut self,
         sub: usize,
@@ -520,6 +480,7 @@ impl PeerHost {
         let removed = |s: usize, t: usize| s == sub && !keep.contains(&t);
         self.queue.retain(|work| !removed(work.sub, work.task));
         self.pending_partials.retain(|&(s, t, _)| !removed(s, t));
+        self.pending_sketches.retain(|&(s, t)| !removed(s, t));
         for alert in &mut self.pending_alerts {
             let targets = alert.targets.targets();
             if targets.iter().any(|&(s, t, _)| removed(s, t)) {

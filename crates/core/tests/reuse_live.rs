@@ -166,7 +166,7 @@ fn shared_stream_survives_producer_unsubscribe_then_fully_retracts() {
     let producer_frozen = monitor.results(&producer).len();
     let hub = monitor.peer_host("hub.net").expect("hub is registered");
     assert!(
-        hub.hosted_tasks() > 0,
+        monitor.hosted_tasks("hub.net") > 0,
         "the shared producing subtree must survive the producer's unsubscribe"
     );
     assert_eq!(
@@ -202,7 +202,7 @@ fn shared_stream_survives_producer_unsubscribe_then_fully_retracts() {
     );
     for peer in ["hub.net", "manager.org"] {
         let host = monitor.peer_host(peer).expect("registered");
-        assert_eq!(host.hosted_tasks(), 0, "{peer} must host no tasks");
+        assert_eq!(monitor.hosted_tasks(peer), 0, "{peer} must host no tasks");
         assert_eq!(host.registered_selects(), 0);
         assert_eq!(host.queued_work(), 0);
         assert_eq!(host.pending_alert_count(), 0);
@@ -256,8 +256,7 @@ fn retired_producer_chain_cascades_on_last_release() {
         "the last subscriber's release cascades through every retired owner"
     );
     for peer in ["hub.net", "manager.org"] {
-        let host = monitor.peer_host(peer).expect("registered");
-        assert_eq!(host.hosted_tasks(), 0, "{peer} must host no tasks");
+        assert_eq!(monitor.hosted_tasks(peer), 0, "{peer} must host no tasks");
     }
 }
 
@@ -341,12 +340,10 @@ fn colliding_published_channels_do_not_pin_the_second_publisher() {
     monitor.run_until_idle();
     assert_eq!(monitor.published_channel("hub.net", "shared").len(), 2);
 
-    let hub = monitor.peer_host("hub.net").expect("hub is registered");
-    let hosted_with_both = hub.hosted_tasks();
+    let hosted_with_both = monitor.hosted_tasks("hub.net");
     assert!(monitor.unsubscribe(&second));
-    let hub = monitor.peer_host("hub.net").expect("hub is registered");
     assert!(
-        hub.hosted_tasks() < hosted_with_both,
+        monitor.hosted_tasks("hub.net") < hosted_with_both,
         "the second publisher's tasks must not be pinned by the first's definition"
     );
     assert_eq!(
@@ -356,8 +353,7 @@ fn colliding_published_channels_do_not_pin_the_second_publisher() {
     );
 
     assert!(monitor.unsubscribe(&first));
-    let hub = monitor.peer_host("hub.net").expect("hub is registered");
-    assert_eq!(hub.hosted_tasks(), 0);
+    assert_eq!(monitor.hosted_tasks("hub.net"), 0);
     assert!(monitor.stream_db_mut().is_empty());
     assert!(
         monitor.published_channel("hub.net", "shared").is_empty(),

@@ -565,7 +565,7 @@ fn drive_storm_with_a_failed_merge_host() -> String {
     // hosts, per aggregate, its own source and leaf plus the merge of
     // leaves 16–31.
     let merge_host = "s16.net";
-    let hosted = |monitor: &Monitor, peer: &str| monitor.peer_host(peer).unwrap().hosted_tasks();
+    let hosted = |monitor: &Monitor, peer: &str| monitor.hosted_tasks(peer);
     assert!(hosted(&monitor, merge_host) > hosted(&monitor, "s17.net"));
     let mut outcome = String::new();
     for round in 0..3 {

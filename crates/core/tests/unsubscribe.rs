@@ -29,7 +29,7 @@ fn unsubscribe_stops_deliveries_and_unregisters_from_the_shared_engine() {
     let (mut monitor, handles) = storm_monitor(SUBS);
     let hub = monitor.peer_host("hub.net").expect("hub is registered");
     assert_eq!(hub.registered_selects(), SUBS);
-    let hosted_before = hub.hosted_tasks();
+    let hosted_before = monitor.hosted_tasks("hub.net");
 
     for call in SubscriptionStorm::new(5).calls(40) {
         monitor.inject_soap_call(&call);
@@ -51,8 +51,8 @@ fn unsubscribe_stops_deliveries_and_unregisters_from_the_shared_engine() {
         "the victim's Select left the shared engine"
     );
     assert!(
-        hub.hosted_tasks() < hosted_before,
-        "the victim's operator instances left the host shard"
+        monitor.hosted_tasks("hub.net") < hosted_before,
+        "the victim's operator instances left their slots"
     );
 
     // Fresh traffic: everyone else keeps delivering, the victim is frozen.
@@ -94,7 +94,7 @@ fn unsubscribing_every_subscription_retracts_all_stream_definitions() {
     );
     let hub = monitor.peer_host("hub.net").expect("hub is registered");
     assert_eq!(hub.registered_selects(), 0);
-    assert_eq!(hub.hosted_tasks(), 0);
+    assert_eq!(monitor.hosted_tasks("hub.net"), 0);
     // The monitor stays usable: fresh traffic is simply unobserved.
     for call in SubscriptionStorm::new(7).calls(10) {
         monitor.inject_soap_call(&call);

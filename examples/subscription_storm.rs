@@ -39,7 +39,7 @@ fn main() {
     println!(
         "deployed {SUBSCRIPTIONS} subscriptions: {} tasks on hub.net, \
          {} selects registered with its shared filter engine",
-        hub.hosted_tasks(),
+        monitor.hosted_tasks("hub.net"),
         hub.registered_selects()
     );
 

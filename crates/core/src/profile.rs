@@ -82,16 +82,6 @@ impl LifetimeProfile {
         &self.phases
     }
 
-    /// The work count of the phase named `name`.
-    pub fn work(&self, name: &str) -> Option<u64> {
-        self.phases.iter().find(|p| p.name == name).map(|p| p.work)
-    }
-
-    /// Every phase's work count, in order.
-    pub fn work_counts(&self) -> Vec<u64> {
-        self.phases.iter().map(|p| p.work).collect()
-    }
-
     /// The phases' total time.
     pub fn total(&self) -> Duration {
         self.phases.iter().map(|p| p.elapsed).sum()
@@ -171,9 +161,8 @@ mod tests {
         clock.lap("core.unsubscribe.owner_release", 1);
         clock.lap("core.unsubscribe.remove", 2);
         let profile = clock.finish();
-        assert_eq!(profile.work_counts(), [1, 5, 0, 0, 0, 0]);
-        assert_eq!(profile.work("core.unsubscribe.remove"), Some(5));
-        assert_eq!(profile.work("core.submit.place"), None);
+        let work: Vec<_> = profile.phases().iter().map(|p| p.work).collect();
+        assert_eq!(work, [1, 5, 0, 0, 0, 0]);
         let names: Vec<_> = profile.phases().iter().map(|p| p.name).collect();
         assert_eq!(names, UNSUBSCRIBE_PHASES);
         assert_eq!(profile.to_string().lines().count(), 7);

@@ -280,7 +280,7 @@ impl Monitor {
                     }
                     // A replica channel without its own measurements yet
                     // carries the origin's stream at the origin's rate.
-                    self.channel_origin(channel)
+                    self.replicas.origin(channel)
                 }
                 _ => return None,
             };
@@ -525,7 +525,7 @@ impl Monitor {
                     // operand lists naming the origin, so identical plans
                     // keep matching in the reuse queries no matter which
                     // provider each of them attached to.
-                    identities[task.id] = Some(self.channel_origin(channel));
+                    identities[task.id] = Some(self.replicas.origin(channel));
                 }
                 TaskKind::DynamicSource { .. } => {}
                 // Sketch stages exchange partials as values, not

@@ -367,13 +367,6 @@ impl RoutingTable {
         entry.map(|entry| entry.consumers).unwrap_or_default()
     }
 
-    /// The consumers registered on `channel`.
-    pub(crate) fn consumers(&self, channel: &ChannelId) -> &[Target] {
-        self.channel_consumers
-            .get(channel)
-            .map_or(&[], |entry| &entry.consumers)
-    }
-
     /// True when `channel` has at least one registered consumer.
     pub(crate) fn has_consumers(&self, channel: &ChannelId) -> bool {
         self.channel_consumers.contains_key(channel)
@@ -1143,7 +1136,7 @@ impl Monitor {
         let producer = plan.channel.peer;
         let bytes = output.byte_size();
         // Every emitted item updates the channel's measured rate; placement
-        // and the replica policy read these through the monitor's rate table.
+        // and provider selection read these through the monitor's rate table.
         let now = self.network.now();
         self.rate_table.observe(plan.channel, now, bytes);
         let mut saved = 0u64;
@@ -1177,7 +1170,7 @@ impl Monitor {
         // A multicast on a replica channel is the forwarded hop of replica
         // re-publication: the consuming peer carries fan-out messages the
         // origin would otherwise have sent itself.
-        if self.replica_channels.contains_key(&plan.channel) {
+        if self.replicas.is_replica(&plan.channel) {
             self.network.record_replica_forward(sent);
         }
     }

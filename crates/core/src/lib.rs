@@ -32,6 +32,7 @@ pub mod monitor;
 pub mod peer;
 pub mod placement;
 pub mod profile;
+mod replica;
 pub mod reuse;
 pub mod runtime;
 pub mod sink;
@@ -39,8 +40,7 @@ mod slots;
 
 pub use dispatch::DispatchStats;
 pub use monitor::{
-    BookkeepingSnapshot, Monitor, MonitorConfig, ReplicaPolicy, SubscriptionHandle,
-    SubscriptionReport,
+    BookkeepingSnapshot, Monitor, MonitorConfig, SubscriptionHandle, SubscriptionReport,
 };
 pub use peer::PeerHost;
 pub use placement::{

@@ -30,15 +30,17 @@ use crate::dispatch::{
 use crate::peer::PeerHost;
 use crate::placement::{PlacedPlan, PlacementStrategy, TaskKind};
 use crate::profile::{LifetimeProfile, PhaseClock, UNSUBSCRIBE_PHASES};
+use crate::replica::Replicas;
 use crate::reuse::{ReuseReport, ReuseStats};
 use crate::sink::Sink;
 use crate::slots::OperatorSlots;
 
 /// Configuration of a Monitor instance.
 ///
-/// Every knob has an equivalence guarantee: flipping `enable_reuse`,
-/// `enable_replicas`, `rate_aware_placement` or `naive_dispatch` changes
-/// *cost*, never delivered results (property-tested).
+/// The optimization switches carry an equivalence guarantee: flipping
+/// `enable_reuse`, `enable_replicas`, `rate_aware_placement`,
+/// `naive_dispatch` or `deep_clone_items` changes *cost*, never delivered
+/// results (property-tested).
 ///
 /// # Example
 ///
@@ -98,10 +100,6 @@ pub struct MonitorConfig {
     /// count heuristic.  A placement optimization, never a semantics change:
     /// sink bytes are byte-identical either way.
     pub rate_aware_placement: bool,
-    /// When replicas re-publish a channel (see
-    /// [`MonitorConfig::enable_replicas`]), this policy decides *which*
-    /// remote consumers actually declare one.
-    pub replica_policy: ReplicaPolicy,
     /// Expose the monitor's own runtime statistics as a built-in monitored
     /// stream: a `monStats(<p>self</p>)` alerter source on the synthetic
     /// peer `self` that, once per [`Monitor::run_until_idle`] call, emits
@@ -113,53 +111,6 @@ pub struct MonitorConfig {
     /// $m.bytes)`) or "p99 dispatch latency" (`quantile($m.micros,
     /// 0.99)`) with the same sketch plane that monitors everything else.
     pub self_monitor: bool,
-}
-
-/// When a remote consumer's peer re-publishes a subscribed channel as a
-/// replica.  The default is the permissive pre-policy behaviour (every first
-/// remote consumer per peer forwards); tightening the fields trades fan-out
-/// relief at the origin against replica bookkeeping:
-///
-/// * a replica is declared only once `measured channel rate (bytes/sec) ×
-///   remote-consumer count` reaches [`ReplicaPolicy::min_rate`] — cold or
-///   trickling streams are not worth forwarding;
-/// * at most [`ReplicaPolicy::max_replicas_per_stream`] replicas exist per
-///   origin stream;
-/// * with [`ReplicaPolicy::prefer_cluster_median`], the declaration lands on
-///   the *medoid* of the consuming cluster (the consumer peer with minimal
-///   total latency to the origin's other nearby consumers) instead of on
-///   whichever consumer happened to arrive first;
-/// * a replica whose pressure decays below `min_rate / 2` (hysteresis, so a
-///   borderline stream does not flap) is retracted by
-///   [`Monitor::enforce_replica_policy`], and its consumers re-attach to the
-///   origin or a surviving replica.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicaPolicy {
-    /// Minimum `rate × remote consumers` pressure (bytes/sec) before a
-    /// replica is declared.  `0.0` declares eagerly (the historical rule).
-    pub min_rate: f64,
-    /// Cap on concurrent replica declarations per origin stream.
-    pub max_replicas_per_stream: usize,
-    /// Prefer declaring on the cluster-median consumer peer.
-    pub prefer_cluster_median: bool,
-}
-
-impl Default for ReplicaPolicy {
-    fn default() -> Self {
-        ReplicaPolicy {
-            min_rate: 0.0,
-            max_replicas_per_stream: usize::MAX,
-            prefer_cluster_median: false,
-        }
-    }
-}
-
-impl ReplicaPolicy {
-    /// Retraction threshold: half the creation threshold, so a stream
-    /// hovering at `min_rate` does not create and retract in alternation.
-    pub fn retract_below(&self) -> f64 {
-        self.min_rate * 0.5
-    }
 }
 
 impl Default for MonitorConfig {
@@ -176,7 +127,6 @@ impl Default for MonitorConfig {
             deep_clone_items: false,
             workers: 1,
             rate_aware_placement: true,
-            replica_policy: ReplicaPolicy::default(),
             self_monitor: false,
         }
     }
@@ -273,27 +223,6 @@ pub(crate) struct DefEntry {
     pub owner: Option<usize>,
 }
 
-/// Bookkeeping of one live replica: the origin channel is re-published by
-/// one peer, backed by the *forwarding* task — the `ChannelSource` whose
-/// canonical output channel is the replica's local stream; its output tap
-/// carries every item of the origin stream on to the replica's subscribers.  Keyed by origin identity, then replica peer, in
-/// [`Monitor::replica_refs`].
-#[derive(Debug, Clone)]
-pub(crate) struct ReplicaEntry {
-    /// The local subscriber tasks of the replicated channel hosted on the
-    /// replica peer (the forwarder plus any later same-peer consumers), as
-    /// `(subscription, task)`.  The declaration retracts when the last one
-    /// goes; membership makes releases exact — a removed task that never
-    /// took a replica reference (e.g. a subscriber deployed before the
-    /// producer published, later re-pointed) cannot shrink the count.
-    pub subscribers: BTreeSet<(usize, usize)>,
-    /// The forwarding task, as `(subscription, task)`.
-    pub forwarder: (usize, usize),
-    /// The replica's local stream id (= the forwarder's canonical output
-    /// channel stream).
-    pub replica_stream: String,
-}
-
 /// The P2P Monitor.
 ///
 /// The façade over the per-peer runtimes: peers are registered with
@@ -362,27 +291,14 @@ pub struct Monitor {
     /// keyed by its canonical channel — the id placement or
     /// [`PlacedPlan::output_channels`] minted, so no key is built per task.
     pub(crate) def_refs: HashMap<ChannelId, DefEntry>,
-    /// Live replicas: origin channel → replica peer → entry.  One
-    /// origin's entries are everything a replica-policy question reads: the
-    /// per-stream cap is the inner map's `len()`, and the origin's consumers
-    /// are those of its own channel plus each entry's replica channel
-    /// ([`Monitor::consumers_of`]).
-    pub(crate) replica_refs: HashMap<ChannelId, HashMap<String, ReplicaEntry>>,
-    /// Reverse index of live replica channels: the replica's local
-    /// [`ChannelId`] → the origin's canonical channel.
-    /// Definition references and published operand lists always name the
-    /// origin ("derived streams are described with respect to the original
-    /// streams, not the replicas" — Section 5), so every key that might be a
-    /// replica channel resolves through this map first.
-    pub(crate) replica_channels: HashMap<ChannelId, ChannelId>,
+    /// Live replica declarations, the origin each replica channel resolves
+    /// to, and the re-publication counters.
+    pub(crate) replicas: Replicas,
     /// Aggregate reuse effectiveness across deployments (E7).
     pub(crate) reuse_totals: ReuseStats,
-    /// Aggregate replica re-publication counters (created/retracted and
-    /// consumer routing; `origin_messages_saved` is read off the network).
-    pub(crate) replica_totals: crate::reuse::ReplicaStats,
     /// Measured per-channel rates: every multicast emission, alerter feed
-    /// and sink delivery is observed here.  Rate-aware placement and the
-    /// replica policy read it at deployment time.
+    /// and sink delivery is observed here.  Rate-aware placement and
+    /// load-aware provider selection read it at deployment time.
     pub(crate) rate_table: RateTable,
     /// Ids handed to per-peer engine registrations, globally unique.
     pub(crate) next_filter_id: u64,
@@ -420,10 +336,8 @@ impl Monitor {
             routing: RoutingTable::default(),
             dispatch_stats: DispatchStats::default(),
             def_refs: HashMap::new(),
-            replica_refs: HashMap::new(),
-            replica_channels: HashMap::new(),
+            replicas: Replicas::default(),
             reuse_totals: ReuseStats::default(),
-            replica_totals: crate::reuse::ReplicaStats::default(),
             rate_table: RateTable::new(),
             next_filter_id: 0,
             operator_invocations: 0,
@@ -494,7 +408,7 @@ impl Monitor {
     }
 
     /// The measured per-channel rates (see [`p2pmon_streams::RateTable`]):
-    /// what rate-aware placement and the replica policy consult.
+    /// what rate-aware placement and load-aware provider selection consult.
     pub fn rate_table(&self) -> &RateTable {
         &self.rate_table
     }
@@ -581,10 +495,6 @@ impl Monitor {
         self.network.set_drop_probability(probability);
     }
 
-    // ------------------------------------------------------------------
-    // Replica re-publication (Section 5's <InChannel> declarations)
-    // ------------------------------------------------------------------
-
     /// The definition a deployed task holds a reference on while it is
     /// installed: for a source binding its feed, the shared `src-<function>`
     /// stream placement minted at the monitored peer (it names an alerter,
@@ -595,458 +505,9 @@ impl Monitor {
     pub(crate) fn task_def_key(&self, kind: &TaskKind) -> Option<ChannelId> {
         match kind {
             TaskKind::Source { feed, .. } => Some(*feed),
-            TaskKind::ChannelSource { channel, .. } => Some(self.channel_origin(channel)),
+            TaskKind::ChannelSource { channel, .. } => Some(self.replicas.origin(channel)),
             _ => None,
         }
-    }
-
-    /// The origin behind a subscribed channel (the channel itself unless it
-    /// is a live replica).
-    pub(crate) fn channel_origin(&self, channel: &ChannelId) -> ChannelId {
-        self.replica_channels
-            .get(channel)
-            .copied()
-            .unwrap_or(*channel)
-    }
-
-    /// Notes one deployed `ChannelSource` consumer for replica bookkeeping:
-    /// a subscriber of a published channel hosted away from the stream's
-    /// origin may *re-publish* the stream from its own peer, subject to the
-    /// [`ReplicaPolicy`].  The first such subscriber on a peer becomes the
-    /// **forwarder** — its canonical output channel is declared as the
-    /// replica's local stream, so its output tap carries every item of the
-    /// origin stream on to later subscribers that attach to the replica.
-    /// Further same-peer subscribers share the declaration (duplicate
-    /// `<InChannel>` entries from one peer never accumulate).
-    pub(crate) fn note_replica_consumer(
-        &mut self,
-        sub: usize,
-        task: usize,
-        peer: &str,
-        subscribed: &ChannelId,
-        own_channel: &ChannelId,
-    ) {
-        if !self.config.enable_replicas {
-            return;
-        }
-        let origin = self.channel_origin(subscribed);
-        // Only a stream that actually exists can be re-published; a
-        // subscriber of a not-yet-deployed channel (submit order is not a
-        // contract) declares nothing.
-        if origin.peer == peer || self.stream_db.get(&origin.peer, &origin.stream).is_none() {
-            return;
-        }
-        // This is a remote consumer of a live stream: record how it was
-        // served (a re-published copy vs the origin itself).
-        if self.replica_channels.contains_key(subscribed) {
-            self.replica_totals.consumers_via_replica += 1;
-        } else {
-            self.replica_totals.consumers_via_origin += 1;
-        }
-        let declared = self.replica_refs.get_mut(&origin);
-        if let Some(entry) = declared.and_then(|replicas| replicas.get_mut(peer)) {
-            entry.subscribers.insert((sub, task));
-            return;
-        }
-        // Policy gate: forward only streams whose measured pressure (rate ×
-        // remote consumers) earns the bookkeeping, and respect the
-        // per-stream cap.  `min_rate == 0` declares eagerly.
-        let policy = self.config.replica_policy.clone();
-        if self.replica_pressure(&origin) < policy.min_rate {
-            return;
-        }
-        let live = self.replica_refs.get(&origin).map_or(0, HashMap::len);
-        if live >= policy.max_replicas_per_stream {
-            return;
-        }
-        if policy.prefer_cluster_median {
-            let median = self.cluster_median_peer(&origin, peer);
-            if median != peer {
-                // The medoid of the consuming cluster already hosts a
-                // consumer of this stream; declare the replica there (with
-                // that consumer as forwarder) instead of on the first-come
-                // peer.
-                if let Some((s, t)) = self.consumer_task_on(&origin, &median) {
-                    let channel = self.subscriptions[s].channels[t];
-                    self.declare_replica(&origin, &median, (s, t), &channel);
-                    return;
-                }
-            }
-        }
-        self.declare_replica(&origin, peer, (sub, task), own_channel);
-    }
-
-    /// Declares a replica of `origin` on `peer`, forwarded by the given
-    /// task's canonical output channel.
-    fn declare_replica(
-        &mut self,
-        origin: &ChannelId,
-        peer: &str,
-        forwarder: (usize, usize),
-        own_channel: &ChannelId,
-    ) {
-        let replicas = self.replica_refs.entry(*origin).or_default();
-        if replicas.contains_key(peer) {
-            return;
-        }
-        replicas.insert(
-            peer.to_string(),
-            ReplicaEntry {
-                subscribers: BTreeSet::from([forwarder]),
-                forwarder,
-                replica_stream: own_channel.stream.into(),
-            },
-        );
-        self.replica_channels.insert(*own_channel, *origin);
-        self.stream_db
-            .publish_replica(p2pmon_dht::ReplicaDeclaration {
-                peer_id: origin.peer.into(),
-                stream_id: origin.stream.into(),
-                replica_peer: peer.to_string(),
-                replica_stream: own_channel.stream.into(),
-            });
-        self.replica_totals.replicas_created += 1;
-    }
-
-    /// The replica-policy pressure of an origin stream: its measured data
-    /// rate (bytes/sec, EWMA decayed to now) times the number of remote
-    /// consumers currently attached to the origin or any of its replicas.
-    fn replica_pressure(&self, origin: &ChannelId) -> f64 {
-        let now = self.network.now();
-        let rate = self.rate_table.bytes_per_second(origin, now).unwrap_or(0.0);
-        // Consumers register in routing before the policy is asked, so the
-        // triggering consumer is already counted.
-        rate * self.remote_consumers_of(origin) as f64
-    }
-
-    /// Every channel-consumer registration of `origin`, as `(subscription,
-    /// task)`: the consumers of the origin channel itself and of each live
-    /// replica's local channel.  The replica index names those channels, so
-    /// no other entry of the routing table is read.
-    fn consumers_of<'a>(&'a self, origin: &ChannelId) -> impl Iterator<Item = (usize, usize)> + 'a {
-        let replica_channels = self
-            .replica_refs
-            .get(origin)
-            .into_iter()
-            .flatten()
-            .map(|(peer, entry)| ChannelId::new(peer, &entry.replica_stream));
-        std::iter::once(*origin)
-            .chain(replica_channels)
-            .flat_map(|channel| self.routing.consumers(&channel))
-            .map(|&(s, t, _)| (s, t))
-    }
-
-    /// Number of channel consumers of `origin` (through the origin channel
-    /// or any live replica of it) hosted away from the origin peer.
-    fn remote_consumers_of(&self, origin: &ChannelId) -> usize {
-        self.consumers_of(origin)
-            // The subscription being deployed registers its consumers before
-            // it is pushed onto `subscriptions`; those in-flight entries are
-            // exactly the remote consumer whose arrival triggered the policy
-            // question, so they count as remote.
-            .filter(|&(s, t)| {
-                self.subscriptions
-                    .get(s)
-                    .is_none_or(|sub| sub.placed.tasks[t].peer != origin.peer)
-            })
-            .count()
-    }
-
-    /// The consumer peers of `origin` that form the candidate's latency
-    /// cluster, and their medoid: among the remote consumer peers at least
-    /// as close to `candidate` as the origin is (plus the candidate itself),
-    /// the peer with minimal total latency to the others.  Deterministic —
-    /// peers are scanned in sorted order and ties keep the lexicographically
-    /// first.
-    fn cluster_median_peer(&self, origin: &ChannelId, candidate: &str) -> String {
-        let mut peers: BTreeSet<String> = self
-            .consumers_of(origin)
-            // In-flight consumers (mid-deploy) have no subscription entry
-            // yet; the triggering peer is added as `candidate` below.
-            .filter_map(|(s, t)| Some(self.subscriptions.get(s)?.placed.tasks[t].peer.clone()))
-            .filter(|p| *p != origin.peer)
-            .collect();
-        peers.insert(candidate.to_string());
-        let origin_latency = self.expected_latency(candidate, &origin.peer);
-        let cluster: Vec<String> = peers
-            .into_iter()
-            .filter(|p| p == candidate || self.expected_latency(candidate, p) < origin_latency)
-            .collect();
-        cluster
-            .iter()
-            .min_by_key(|p| {
-                let total: u64 = cluster
-                    .iter()
-                    .map(|q| self.expected_latency(p, q))
-                    .fold(0u64, u64::saturating_add);
-                (total, (*p).clone())
-            })
-            .cloned()
-            .unwrap_or_else(|| candidate.to_string())
-    }
-
-    /// A deterministic consumer task of `origin` hosted on `peer` (lowest
-    /// `(sub, task)` first), if any.
-    fn consumer_task_on(&self, origin: &ChannelId, peer: &str) -> Option<(usize, usize)> {
-        self.consumers_of(origin)
-            // In-flight consumers (mid-deploy, no subscription entry yet)
-            // cannot forward for the medoid.
-            .filter(|&(s, t)| {
-                self.subscriptions
-                    .get(s)
-                    .is_some_and(|sub| sub.placed.tasks[t].peer == peer)
-            })
-            .min()
-    }
-
-    /// Applies the [`ReplicaPolicy`] to the *existing* replicas: any whose
-    /// origin-stream pressure has decayed below the hysteresis threshold
-    /// (`min_rate / 2`) is retracted, and its consumers re-attach to the
-    /// origin or the closest surviving replica — nothing is lost or
-    /// duplicated, because retraction reuses the same orphan re-attachment
-    /// path as teardown.  Returns the number of replicas retracted.  Call it
-    /// between dispatch rounds (it is deliberately not implicit in `tick`,
-    /// so equivalence oracles can hold the topology still).
-    pub fn enforce_replica_policy(&mut self) -> usize {
-        if !self.config.enable_replicas {
-            return 0;
-        }
-        let threshold = self.config.replica_policy.retract_below();
-        if threshold <= 0.0 {
-            return 0;
-        }
-        let mut stale = self.live_replicas();
-        stale.retain(|(origin, _)| self.replica_pressure(origin) < threshold);
-        let retracted = stale.len();
-        for (origin, peer) in stale {
-            self.retract_replica(&origin, &peer);
-        }
-        retracted
-    }
-
-    /// Every live replica as `(origin, replica peer)`, sorted.
-    fn live_replicas(&self) -> Vec<(ChannelId, String)> {
-        let mut live: Vec<_> = self
-            .replica_refs
-            .iter()
-            .flat_map(|(origin, replicas)| replicas.keys().map(move |peer| (*origin, peer.clone())))
-            .collect();
-        live.sort();
-        live
-    }
-
-    /// Retracts the live replica of `origin` declared on `peer`: its entry,
-    /// its DHT declaration and its reverse channel entry go, and the
-    /// subscribers that attached to it re-attach to the closest *surviving*
-    /// provider of the same origin — another peer's live replica when one is
-    /// nearer, the origin otherwise.
-    fn retract_replica(&mut self, origin: &ChannelId, peer: &str) {
-        let replicas = self.replica_refs.get_mut(origin).expect("a live replica");
-        let entry = replicas.remove(peer).expect("a live replica");
-        if replicas.is_empty() {
-            self.replica_refs.remove(origin);
-        }
-        let old_channel = ChannelId::new(peer, &entry.replica_stream);
-        self.stream_db
-            .retract_replica(&origin.peer, &origin.stream, peer);
-        self.replica_channels.remove(&old_channel);
-        self.reattach_orphaned_consumers(&old_channel, origin);
-        self.replica_totals.replicas_retracted += 1;
-    }
-
-    /// Releases one removed `ChannelSource` consumer's replica reference.
-    /// The last local subscriber retracts the peer's declaration and hands
-    /// any orphaned replica subscribers back to the origin; a removed
-    /// *forwarder* with surviving local subscribers hands the replica off to
-    /// one of them instead.
-    pub(crate) fn release_replica_consumer(
-        &mut self,
-        origin: &ChannelId,
-        peer: &str,
-        removed: (usize, usize),
-    ) {
-        let declared = self.replica_refs.get_mut(origin);
-        let Some(entry) = declared.and_then(|replicas| replicas.get_mut(peer)) else {
-            return;
-        };
-        // Only tasks that actually took a replica reference release one: a
-        // removed subscriber that pre-dates the replica (never noted) must
-        // not retract a declaration other tasks still back.
-        if !entry.subscribers.remove(&removed) {
-            return;
-        }
-        if entry.subscribers.is_empty() {
-            self.retract_replica(origin, peer);
-        } else if entry.forwarder == removed {
-            self.hand_off_replica_forwarder(origin, peer);
-        }
-    }
-
-    /// Re-attaches every consumer of a just-retracted replica channel to the
-    /// closest surviving provider of the same origin, scored from the
-    /// consumer's own peer (downed peers are unavailable).  A replica is
-    /// only eligible while its forwarder verifiably still pulls toward the
-    /// origin ([`Monitor::replica_chain_reaches_origin`]), which rules out
-    /// the consumer's own dangling declaration; an orphan moved earlier in
-    /// this same sweep counts once re-anchored, so re-attachment stays
-    /// cycle-free — the first orphan (deterministic `(sub, task)` order)
-    /// lands on the origin or an independent live replica, and later orphans
-    /// may chain behind it.  Eligibility is asked last
-    /// (`select_provider_where`): only of a replica closer than the best so
-    /// far, so an orphan walks a chain per improvement, not per replica
-    /// (counted in [`ReplicaStats::chains_walked`]).
-    ///
-    /// [`ReplicaStats::chains_walked`]: crate::ReplicaStats::chains_walked
-    fn reattach_orphaned_consumers(&mut self, old_channel: &ChannelId, origin: &ChannelId) {
-        let mut consumers = self.routing.detach_all(old_channel);
-        consumers.sort_unstable();
-        let chains_walked = std::cell::Cell::new(0u64);
-        for (sub, task, port) in consumers {
-            let consumer_peer = PeerId::from(&self.subscriptions[sub].placed.tasks[task].peer);
-            let target = {
-                let proximity = |p: &str| {
-                    if self.network.is_down(p) {
-                        u64::MAX
-                    } else if consumer_peer == p {
-                        0
-                    } else {
-                        self.network.expected_latency(consumer_peer, p)
-                    }
-                };
-                let eligible = |p: &str| {
-                    chains_walked.set(chains_walked.get() + 1);
-                    self.replica_chain_reaches_origin(origin, p)
-                };
-                let (p, s) = self.stream_db.select_provider_where(
-                    &origin.peer,
-                    &origin.stream,
-                    proximity,
-                    eligible,
-                );
-                ChannelId::new(p, s)
-            };
-            if let TaskKind::ChannelSource { channel, .. } =
-                &mut self.subscriptions[sub].placed.tasks[task].kind
-            {
-                *channel = target;
-            }
-            self.routing.attach(target, sub, task, port);
-        }
-        self.replica_totals.chains_walked += chains_walked.get();
-    }
-
-    /// True when the replica declared at `replica_peer` for `origin` still
-    /// pulls items toward the origin: its forwarder's channel subscription,
-    /// followed transitively through other live replicas of the same origin,
-    /// terminates at the origin channel.  A forwarder still pointed at a
-    /// retracted channel (an orphan not yet re-attached) — or any cycle —
-    /// fails the walk, which is what makes orphan re-attachment safe.  The
-    /// walk is bounded by the origin's replica count: a chain longer than
-    /// that revisits a peer, and a chain that revisits one is a cycle.
-    fn replica_chain_reaches_origin(&self, origin: &ChannelId, replica_peer: &str) -> bool {
-        let Some(replicas) = self.replica_refs.get(origin) else {
-            return false;
-        };
-        let mut peer = replica_peer;
-        for _ in 0..replicas.len() {
-            let Some(entry) = replicas.get(peer) else {
-                return false;
-            };
-            let (s, t) = entry.forwarder;
-            let TaskKind::ChannelSource { channel, .. } =
-                &self.subscriptions[s].placed.tasks[t].kind
-            else {
-                return false;
-            };
-            if channel == origin {
-                return true;
-            }
-            match self.replica_channels.get(channel) {
-                Some(o) if o == origin => peer = channel.peer.as_str(),
-                _ => return false,
-            }
-        }
-        false
-    }
-
-    /// Hands a replica whose forwarding task was torn down over to another
-    /// still-installed subscriber on the same peer: the survivor's canonical
-    /// output channel becomes the replica's new local stream (the DHT
-    /// declaration is replaced in place), the old replica channel's
-    /// subscribers move over, and the new forwarder itself re-attaches to
-    /// the origin — someone must keep pulling the stream toward this peer.
-    /// When every remaining local subscriber is also being removed in the
-    /// same sweep, no candidate exists; the entry keeps its stale forwarder
-    /// until the following releases drain it to zero.
-    fn hand_off_replica_forwarder(&mut self, origin: &ChannelId, peer: &str) {
-        // The entry's remaining subscribers are exactly the tasks that can
-        // take over; pick the first still deployed (a sweep may be about to
-        // remove the others too).
-        let candidate = self.replica_refs[origin][peer]
-            .subscribers
-            .iter()
-            .copied()
-            .find(|&(s, t)| self.operators.get(s, t).is_some());
-        let Some((s, t)) = candidate else {
-            return;
-        };
-        let new_channel = self.subscriptions[s].channels[t];
-        let replicas = self
-            .replica_refs
-            .get_mut(origin)
-            .expect("caller holds entry");
-        let entry = replicas.get_mut(peer).expect("caller holds entry");
-        let old_channel = ChannelId::new(peer, &entry.replica_stream);
-        entry.forwarder = (s, t);
-        entry.replica_stream = new_channel.stream.into();
-        self.stream_db
-            .publish_replica(p2pmon_dht::ReplicaDeclaration {
-                peer_id: origin.peer.into(),
-                stream_id: origin.stream.into(),
-                replica_peer: peer.to_string(),
-                replica_stream: new_channel.stream.into(),
-            });
-        self.replica_channels.remove(&old_channel);
-        self.replica_channels.insert(new_channel, *origin);
-        self.move_channel_consumers(&old_channel, &new_channel, Some(((s, t), *origin)));
-    }
-
-    /// Moves every channel-consumer registration from one channel to
-    /// another, updating each subscribing task's stored [`ChannelId`].
-    /// Definition references are *not* touched — replica moves always stay
-    /// within one origin identity.  `divert` re-attaches one specific task
-    /// (the new forwarder of a hand-off) to a different channel than the
-    /// rest.  Returns the moved registrations.
-    pub(crate) fn move_channel_consumers(
-        &mut self,
-        from: &ChannelId,
-        to: &ChannelId,
-        divert: Option<((usize, usize), ChannelId)>,
-    ) -> Vec<(usize, usize, usize)> {
-        let consumers = self.routing.detach_all(from);
-        for &(sub, task, port) in &consumers {
-            let target = match &divert {
-                Some((diverted, channel)) if *diverted == (sub, task) => *channel,
-                _ => *to,
-            };
-            if let TaskKind::ChannelSource { channel, .. } =
-                &mut self.subscriptions[sub].placed.tasks[task].kind
-            {
-                *channel = target;
-            }
-            self.routing.attach(target, sub, task, port);
-        }
-        consumers
-    }
-
-    /// Replica re-publication effectiveness: declarations created and
-    /// retracted, remote consumers served by a replica vs the origin, and
-    /// the origin-peer messages replica forwarders carried instead
-    /// (`NetworkStats::replica_forwarded_messages`).
-    pub fn replica_stats(&self) -> crate::reuse::ReplicaStats {
-        let mut totals = self.replica_totals;
-        totals.origin_messages_saved = self.network.stats().replica_forwarded_messages;
-        totals
     }
 
     // ------------------------------------------------------------------
@@ -1195,7 +656,7 @@ impl Monitor {
             // descriptor — the one its reference is on.)
             let ref_key = self.task_def_key(&task.kind);
             if let (TaskKind::ChannelSource { .. }, Some(origin)) = (&task.kind, ref_key) {
-                if self.replica_refs.contains_key(&origin) {
+                if self.replicas.is_replicated(&origin) {
                     replica_releases.push((origin, task.peer.clone(), (idx, task.id)));
                 }
             }
@@ -1628,22 +1089,17 @@ impl Monitor {
             .map(|(key, entry)| (identity(key), entry.refs))
             .collect();
         def_refs.sort();
-        let replicas = self
-            .live_replicas()
-            .into_iter()
-            .map(|(origin, peer)| (identity(&origin), peer))
-            .collect();
         let mut by_origin: BTreeMap<(String, String), usize> = BTreeMap::new();
         for (channel, consumers) in self.routing.consumed_channels() {
             *by_origin
-                .entry(identity(&self.channel_origin(channel)))
+                .entry(identity(&self.replicas.origin(channel)))
                 .or_default() += consumers;
         }
         BookkeepingSnapshot {
             subscriptions: self.subscription_count(),
             operators: self.operator_count(),
             def_refs,
-            replicas,
+            replicas: self.replicas.live(),
             consumers_by_origin: by_origin.into_iter().collect(),
         }
     }

@@ -77,16 +77,6 @@ impl ReplicaStats {
             self.consumers_via_replica as f64 / remote as f64
         }
     }
-
-    /// Accumulates another stats block.
-    pub(crate) fn absorb(&mut self, other: &ReplicaStats) {
-        self.replicas_created += other.replicas_created;
-        self.replicas_retracted += other.replicas_retracted;
-        self.consumers_via_replica += other.consumers_via_replica;
-        self.consumers_via_origin += other.consumers_via_origin;
-        self.origin_messages_saved += other.origin_messages_saved;
-        self.chains_walked += other.chains_walked;
-    }
 }
 
 /// Aggregate stream-reuse effectiveness — the E7 measures.  Per-subscription
@@ -147,7 +137,8 @@ impl ReuseStats {
         }
     }
 
-    /// Accumulates another stats block.
+    /// Accumulates another stats block.  The replica measures have one
+    /// owner, the monitor's replica bookkeeping, and are not summed.
     pub(crate) fn absorb(&mut self, other: &ReuseStats) {
         self.subscriptions += other.subscriptions;
         self.hits += other.hits;
@@ -156,7 +147,6 @@ impl ReuseStats {
         self.messages_saved += other.messages_saved;
         self.providers_scored += other.providers_scored;
         self.loads_read += other.loads_read;
-        self.replicas.absorb(&other.replicas);
     }
 }
 

@@ -2,11 +2,11 @@
 //! batched dispatch delivers exactly the same sink results as the
 //! pre-refactor linear path (kept behind the `naive_dispatch` config flag as
 //! the equivalence oracle), and every optimization knob (reuse, replicas,
-//! rate-aware placement, the replica policy) leaves the sinks unchanged.
+//! rate-aware placement) leaves the sinks unchanged.
 
 use proptest::prelude::*;
 
-use p2pmon_core::{Monitor, MonitorConfig, PlacementStrategy, ReplicaPolicy, SubscriptionHandle};
+use p2pmon_core::{Monitor, MonitorConfig, PlacementStrategy, SubscriptionHandle};
 use p2pmon_workloads::{OverlappingStorm, SubscriptionStorm};
 
 fn run_storm(
@@ -60,8 +60,7 @@ impl CloneWithSeed for SubscriptionStorm {
 /// One step of the churn alphabet: `(operation, argument, drained)`.
 /// Operations: 0 subscribe, 1 unsubscribe the `argument`-th live
 /// subscription, 2 crash a cluster, 3 recover every crashed cluster,
-/// 4 partition along cluster lines, 5 heal, 6 `enforce_replica_policy`,
-/// anything else nothing.  Every step then injects three calls and runs the
+/// 4 partition along cluster lines, 5 heal, anything else nothing.  Every step then injects three calls and runs the
 /// monitor until idle — or, when `drained` is false, for one bare `tick()`,
 /// so the next step's deploy, teardown or fault finds alerts batched on
 /// their consuming hosts and messages in flight.
@@ -140,9 +139,6 @@ fn churn(
                 monitor.partition_peers(&groups);
             }
             5 => monitor.heal_partition(),
-            6 => {
-                monitor.enforce_replica_policy();
-            }
             _ => {}
         }
         for call in traffic.calls(3) {
@@ -426,99 +422,6 @@ proptest! {
         }
     }
 
-    /// The replica *policy* is a restriction of eager replication: however
-    /// its knobs are set — rate gate, per-stream cap, cluster-median
-    /// steering — policy-on delivers byte-identical sink output to
-    /// replica-off, and the origin hub never sends *more* messages than the
-    /// replica-free baseline.  A mid-run `enforce_replica_policy` sweep
-    /// (which may retract decayed replicas and re-attach their consumers)
-    /// must not lose or duplicate items either.
-    #[test]
-    fn replica_policy_never_increases_origin_egress(
-        seed in 0u64..10_000,
-        shapes in 1usize..4,
-        clusters in 1usize..4,
-        per_cluster in 1usize..4,
-        n_subs in 1usize..20,
-        n_calls in 2usize..16,
-        min_rate in 0u32..200,
-        max_replicas in 0usize..5,
-        prefer_median in proptest::bool::ANY,
-    ) {
-        let storm = OverlappingStorm::clustered(seed, shapes, clusters, per_cluster);
-        let policy = ReplicaPolicy {
-            min_rate: min_rate as f64,
-            max_replicas_per_stream: max_replicas,
-            prefer_cluster_median: prefer_median,
-        };
-        let run = |enable_replicas: bool, policy: ReplicaPolicy| {
-            let mut monitor = Monitor::new(MonitorConfig {
-                enable_replicas,
-                replica_policy: policy,
-                network: p2pmon_net::NetworkConfig {
-                    latency: storm.latency_model(),
-                    ..p2pmon_net::NetworkConfig::default()
-                },
-                ..MonitorConfig::default()
-            });
-            monitor.add_peer("backend.net");
-            let handles: Vec<SubscriptionHandle> = storm
-                .subscriptions(n_subs)
-                .iter()
-                .enumerate()
-                .map(|(i, text)| {
-                    monitor
-                        .submit(storm.manager_of(i), text)
-                        .expect("clustered storm deploys")
-                })
-                .collect();
-            let mut traffic = storm.clone();
-            // Drained per call so a `min_rate > 0` gate sees live EWMA
-            // rates instead of one collapsed logical instant.
-            for call in traffic.calls(n_calls) {
-                monitor.inject_soap_call(&call);
-                monitor.run_until_idle();
-            }
-            monitor.enforce_replica_policy();
-            for call in traffic.calls(n_calls) {
-                monitor.inject_soap_call(&call);
-            }
-            monitor.run_until_idle();
-            (monitor, handles)
-        };
-        let (policy_on, on_handles) = run(true, policy.clone());
-        let (off, off_handles) = run(false, ReplicaPolicy::default());
-        for (a, b) in on_handles.iter().zip(&off_handles) {
-            prop_assert_eq!(
-                policy_on.results(a),
-                off.results(b),
-                "policy sink divergence (seed {}, {} shapes, {}x{} consumers, {} subs, {} calls, {:?})",
-                seed, shapes, clusters, per_cluster, n_subs, n_calls, policy
-            );
-        }
-        let origin_out = |monitor: &Monitor| {
-            monitor
-                .network_stats()
-                .per_peer()
-                .get(&"hub.net".into())
-                .map(|t| t.messages_out)
-                .unwrap_or(0)
-        };
-        prop_assert!(
-            origin_out(&policy_on) <= origin_out(&off),
-            "the replica policy must never add origin-peer load ({} vs {}, {:?})",
-            origin_out(&policy_on),
-            origin_out(&off),
-            policy
-        );
-        if max_replicas == 0 {
-            prop_assert_eq!(
-                policy_on.replica_stats().replicas_created, 0,
-                "a zero cap must suppress every declaration"
-            );
-        }
-    }
-
     /// Churn under faults: random interleavings of subscribe, unsubscribe,
     /// cluster crash/recover, cluster-aligned partition/heal and traffic
     /// processing preserve the equivalence chain — engine ≡ naive dispatch
@@ -591,14 +494,13 @@ proptest! {
     /// Engine ≡ naive with work in flight across every edit of the
     /// deployment.  The properties above compare after `run_until_idle`,
     /// where no alert is ever batched across a deploy; here a step may end
-    /// after one bare `tick()`, so the following `submit`, `unsubscribe`,
-    /// `enforce_replica_policy` or cluster crash finds alerts batched on
-    /// their consuming hosts under target lists, multicast plans and gate
-    /// resolutions compiled before it.  Both monitors run the same replica
-    /// policy over the same network, so they hold the same items in flight
-    /// at every step; whatever the engine side kept compiled across the
-    /// edit must deliver what the oracle — which gates nothing and keeps no
-    /// resolution — delivers.
+    /// after one bare `tick()`, so the following `submit`, `unsubscribe` or
+    /// cluster crash finds alerts batched on their consuming hosts under
+    /// target lists, multicast plans and gate resolutions compiled before
+    /// it.  Both monitors declare the same replicas over the same network,
+    /// so they hold the same items in flight at every step; whatever the
+    /// engine side kept compiled across the edit must deliver what the
+    /// oracle — which gates nothing and keeps no resolution — delivers.
     #[test]
     fn engine_equals_naive_with_alerts_in_flight_across_deployment_edits(
         seed in 0u64..10_000,
@@ -606,17 +508,12 @@ proptest! {
         clusters in 2usize..4,
         per_cluster in 1usize..4,
         n_base in 1usize..10,
-        min_rate in 0u32..120,
         steps in proptest::collection::vec((0u8..8, 0usize..16, proptest::bool::ANY), 1..20),
     ) {
         let storm = OverlappingStorm::clustered(seed, shapes, clusters, per_cluster);
         let run = |naive_dispatch: bool| {
             let config = MonitorConfig {
                 naive_dispatch,
-                replica_policy: ReplicaPolicy {
-                    min_rate: min_rate as f64,
-                    ..ReplicaPolicy::default()
-                },
                 ..MonitorConfig::default()
             };
             churn(&storm, clusters, per_cluster, config, n_base, &steps)
@@ -632,8 +529,8 @@ proptest! {
             prop_assert_eq!(
                 engine.results(e),
                 naive.results(n),
-                "engine-vs-naive divergence at sub {} (seed {}, {} shapes, {}x{}, min_rate {}, {:?})",
-                i, seed, shapes, clusters, per_cluster, min_rate, steps
+                "engine-vs-naive divergence at sub {} (seed {}, {} shapes, {}x{}, {:?})",
+                i, seed, shapes, clusters, per_cluster, steps
             );
         }
         prop_assert_eq!(

@@ -7,7 +7,7 @@
 //! over when the forwarder leaves first, and provider selection skips
 //! downed replica peers.
 
-use p2pmon_core::{Monitor, MonitorConfig, ReplicaPolicy, SubscriptionHandle};
+use p2pmon_core::{Monitor, MonitorConfig, SubscriptionHandle};
 use p2pmon_net::NetworkConfig;
 use p2pmon_workloads::OverlappingStorm;
 
@@ -326,250 +326,6 @@ fn forwarder_hand_off_keeps_replica_subscribers_fed() {
         .stream_db_mut()
         .replicas_of(&origin.0, &origin.1)
         .is_empty());
-}
-
-/// A monitor over the clustered storm's topology with an explicit
-/// [`ReplicaPolicy`] (the plain [`clustered_monitor`] keeps the eager
-/// default).
-fn policy_monitor(storm: &OverlappingStorm, policy: ReplicaPolicy) -> Monitor {
-    let mut monitor = Monitor::new(MonitorConfig {
-        enable_replicas: true,
-        replica_policy: policy,
-        network: NetworkConfig {
-            latency: storm.latency_model(),
-            ..NetworkConfig::default()
-        },
-        ..MonitorConfig::default()
-    });
-    monitor.add_peer("backend.net");
-    monitor
-}
-
-/// Drives `n` calls one at a time with the network drained in between, so
-/// the per-channel EWMA rates see distinct logical instants (bulk injection
-/// collapses every alert onto one timestamp and the rates read as zero).
-fn drive(monitor: &mut Monitor, traffic: &mut OverlappingStorm, n: usize) {
-    for call in traffic.calls(n) {
-        monitor.inject_soap_call(&call);
-        monitor.run_until_idle();
-    }
-}
-
-/// Rate decay: replicas created while a stream was hot are retracted by
-/// `enforce_replica_policy` once the measured pressure decays below the
-/// hysteresis threshold, and their consumers re-attach to the origin with
-/// no lost or duplicated items.
-#[test]
-fn rate_decay_retracts_replicas_and_consumers_reattach_without_loss() {
-    let storm = OverlappingStorm::clustered(3, 1, 1, 3);
-    let mut monitor = policy_monitor(
-        &storm,
-        ReplicaPolicy {
-            min_rate: 1.0,
-            max_replicas_per_stream: usize::MAX,
-            prefer_cluster_median: false,
-        },
-    );
-    let producer = monitor
-        .submit("c0-peer0.org", &storm.subscription(0))
-        .expect("producer deploys");
-    let mut traffic = storm.clone();
-    // Warm the stream so the remote consumers clear the `min_rate` gate.
-    drive(&mut monitor, &mut traffic, 40);
-    let dup1 = monitor
-        .submit("c0-peer1.org", &storm.subscription(1))
-        .expect("dup1 deploys");
-    let dup2 = monitor
-        .submit("c0-peer2.org", &storm.subscription(2))
-        .expect("dup2 deploys");
-    let origin = monitor
-        .report(&dup1)
-        .expect("report")
-        .reuse
-        .reused_defs
-        .first()
-        .cloned()
-        .expect("dup1 reuses the producer's stream");
-    assert!(
-        !monitor
-            .stream_db_mut()
-            .replicas_of(&origin.0, &origin.1)
-            .is_empty(),
-        "a hot stream earns replica declarations"
-    );
-    assert_eq!(
-        monitor.subscribed_providers(&dup2)[0].0,
-        "c0-peer1.org",
-        "the later consumer rides the close replica"
-    );
-    drive(&mut monitor, &mut traffic, 60);
-    let before = (monitor.results(&dup1).len(), monitor.results(&dup2).len());
-    assert!(before.0 > 0 && before.1 > 0, "the replica chain delivers");
-
-    // Silence: with no traffic, the EWMA decays far below the hysteresis
-    // threshold (`min_rate / 2`) and the policy sweep retracts every copy.
-    monitor.advance_time(60_000);
-    let retracted = monitor.enforce_replica_policy();
-    assert!(retracted >= 1, "decayed replicas must retract");
-    assert!(
-        monitor
-            .stream_db_mut()
-            .replicas_of(&origin.0, &origin.1)
-            .is_empty(),
-        "no declaration survives a fully decayed stream"
-    );
-    assert_eq!(
-        monitor.replica_stats().replicas_retracted as usize,
-        retracted
-    );
-    assert_eq!(
-        monitor.subscribed_providers(&dup2)[0],
-        origin,
-        "orphans re-attach to the origin once every replica is gone"
-    );
-
-    // The re-homed consumers keep receiving, byte-identically: nothing was
-    // lost or duplicated across the retraction.
-    drive(&mut monitor, &mut traffic, 60);
-    assert!(monitor.results(&dup1).len() > before.0);
-    assert!(monitor.results(&dup2).len() > before.1);
-    assert_eq!(
-        monitor.results(&dup1),
-        monitor.results(&dup2),
-        "co-deployed duplicates stay byte-identical through the retraction"
-    );
-    let _ = producer;
-}
-
-/// The eager default (`min_rate == 0`) never retracts, however long the
-/// stream stays silent — `enforce_replica_policy` is a no-op.
-#[test]
-fn eager_default_policy_never_retracts_on_decay() {
-    let storm = OverlappingStorm::clustered(17, 1, 1, 3);
-    let mut monitor = clustered_monitor(&storm, true);
-    let producer = monitor
-        .submit("c0-peer0.org", &storm.subscription(0))
-        .expect("producer deploys");
-    let dup = monitor
-        .submit("c0-peer1.org", &storm.subscription(1))
-        .expect("dup deploys");
-    let origin = monitor
-        .report(&dup)
-        .expect("report")
-        .reuse
-        .reused_defs
-        .first()
-        .cloned()
-        .expect("dup reuses the producer's stream");
-    assert_eq!(
-        monitor
-            .stream_db_mut()
-            .replicas_of(&origin.0, &origin.1)
-            .len(),
-        1
-    );
-    monitor.advance_time(600_000);
-    assert_eq!(
-        monitor.enforce_replica_policy(),
-        0,
-        "min_rate == 0 keeps the historical eager rule: nothing retracts"
-    );
-    assert_eq!(
-        monitor
-            .stream_db_mut()
-            .replicas_of(&origin.0, &origin.1)
-            .len(),
-        1
-    );
-    let _ = producer;
-}
-
-/// The creation side of the policy: a cold stream is not replicated at all,
-/// and once traffic makes it hot, the declaration lands on the cluster
-/// *medoid* (a peer that already hosts a consumer) rather than on whichever
-/// consumer happened to arrive next — later consumers then ride that copy.
-#[test]
-fn policy_gates_cold_streams_and_declares_at_the_cluster_median() {
-    let storm = OverlappingStorm::clustered(3, 1, 1, 4);
-    let mut monitor = policy_monitor(
-        &storm,
-        ReplicaPolicy {
-            min_rate: 1.0,
-            max_replicas_per_stream: usize::MAX,
-            prefer_cluster_median: true,
-        },
-    );
-    let producer = monitor
-        .submit("c0-peer0.org", &storm.subscription(0))
-        .expect("producer deploys");
-    // Cold stream: no measured rate yet, so the first remote consumer is
-    // served by the origin and declares nothing.
-    let cold = monitor
-        .submit("c0-peer1.org", &storm.subscription(1))
-        .expect("cold consumer deploys");
-    let origin = monitor
-        .report(&cold)
-        .expect("report")
-        .reuse
-        .reused_defs
-        .first()
-        .cloned()
-        .expect("the consumer reuses the producer's stream");
-    assert!(
-        monitor
-            .stream_db_mut()
-            .replicas_of(&origin.0, &origin.1)
-            .is_empty(),
-        "a cold stream is not worth forwarding"
-    );
-    assert_eq!(monitor.subscribed_providers(&cold)[0], origin);
-
-    let mut traffic = storm.clone();
-    drive(&mut monitor, &mut traffic, 40);
-
-    // Hot now: the next arrival clears the gate, and the declaration lands
-    // on the cluster medoid — peer1, which already hosts a consumer — not
-    // on the arriving peer3.
-    let late = monitor
-        .submit("c0-peer3.org", &storm.subscription(2))
-        .expect("late consumer deploys");
-    let replica_peers: Vec<String> = monitor
-        .stream_db_mut()
-        .replicas_of(&origin.0, &origin.1)
-        .iter()
-        .map(|r| r.replica_peer.clone())
-        .collect();
-    assert_eq!(
-        replica_peers,
-        vec!["c0-peer1.org".to_string()],
-        "the declaration goes to the cluster medoid, not the arriving peer"
-    );
-    // The medoid copy serves later consumers, and no duplicate declaration
-    // piles up behind it.
-    let rider = monitor
-        .submit("c0-peer2.org", &storm.subscription(3))
-        .expect("rider deploys");
-    assert_eq!(monitor.subscribed_providers(&rider)[0].0, "c0-peer1.org");
-    assert_eq!(
-        monitor
-            .stream_db_mut()
-            .replicas_of(&origin.0, &origin.1)
-            .len(),
-        1,
-        "median steering keeps one copy per cluster"
-    );
-
-    drive(&mut monitor, &mut traffic, 60);
-    assert!(
-        !monitor.results(&late).is_empty(),
-        "the medoid copy delivers"
-    );
-    assert_eq!(
-        monitor.results(&late),
-        monitor.results(&rider),
-        "riders of the medoid copy match the origin-fed consumer"
-    );
-    assert_eq!(monitor.results(&cold), monitor.results(&producer));
 }
 
 /// Failure injection: provider selection never routes a new consumer

@@ -262,7 +262,7 @@ impl StreamStats {
 
 /// Measured per-channel rates for one monitor: every multicast emission,
 /// alerter feed and sink delivery lands here, keyed by the canonical
-/// [`ChannelId`].  Placement and the replica policy read it — this is the
+/// [`ChannelId`].  Placement and provider selection read it — this is the
 /// paper's "statistical information maintained for the stream" made live.
 #[derive(Debug, Default)]
 pub struct RateTable {

@@ -21,7 +21,7 @@ use crate::reuse::ReplicaStats;
 
 /// One live replica: the origin channel re-published by one peer, backed by
 /// the forwarding task.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ReplicaEntry {
     /// The local subscriber tasks of the replicated channel hosted on the
     /// replica peer (the forwarder plus any later same-peer consumers), as

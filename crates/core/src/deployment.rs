@@ -450,8 +450,13 @@ impl Monitor {
     ///
     /// [`StreamDefinitionDatabase::canonical_identity`]: p2pmon_dht::StreamDefinitionDatabase::canonical_identity
     fn repoint_channel_consumers(&mut self, declared: &ChannelId, canonical: &ChannelId) {
-        let moved = self.move_channel_consumers(declared, canonical, None);
-        for _ in &moved {
+        for (sub, task, port) in self.routing.detach_all(declared) {
+            if let TaskKind::ChannelSource { channel, .. } =
+                &mut self.subscriptions[sub].placed.tasks[task].kind
+            {
+                *channel = *canonical;
+            }
+            self.routing.attach(*canonical, sub, task, port);
             if let Some(entry) = self.def_refs.get_mut(declared) {
                 // An entry leaves the map with its last reference.
                 debug_assert!(entry.refs > 0, "definition {declared} released twice");

@@ -48,8 +48,9 @@
 //! edits what they are compiled from: the `RoutingTable`'s edit methods (the
 //! consumer maps are private behind them; `deploy_plan` attaches,
 //! `sweep_retired` retracts through `RoutingTable::retract`, which edits only
-//! the entries the removed tasks registered in, and `move_channel_consumers`
-//! and `reattach_orphaned_consumers` move), `PeerHost::register_select` /
+//! the entries the removed tasks registered in, and
+//! `repoint_channel_consumers` and `reattach_orphaned_consumers` move),
+//! `PeerHost::register_select` /
 //! `unregister_select`, and the
 //! `Route::Dropped` rewrite of a swept subscription.  `fail_peer` /
 //! `recover_peer` do not bump: down-ness is read at emission time.  Gates
@@ -359,8 +360,8 @@ impl RoutingTable {
     }
 
     /// Takes every consumer registration off `channel`, for the caller to
-    /// [`RoutingTable::attach`] elsewhere (a replica hand-off, a re-pointed
-    /// declaration, orphan re-attachment).
+    /// [`RoutingTable::attach`] elsewhere (a re-pointed declaration, orphan
+    /// re-attachment).
     pub(crate) fn detach_all(&mut self, channel: &ChannelId) -> Vec<Target> {
         self.epoch.bump();
         let entry = self.channel_consumers.remove(channel);

@@ -600,12 +600,15 @@ impl Monitor {
 
     /// Removes every task of a retired subscription that no still-referenced
     /// stream depends on, retracting its routes, engine registrations and
-    /// queued work.  Returns the definition references held by the removed
-    /// tasks (source bindings and channel subscriptions), for the caller to
-    /// release.  Idempotent: already-removed tasks are skipped.
-    fn sweep_retired(&mut self, idx: usize, clock: &mut PhaseClock) -> Vec<ChannelId> {
+    /// queued work.  A replica's forwarder also stays while another of the
+    /// replica's subscribers outlives the sweep (`Replicas::pins`).
+    /// Returns the definition references held by the removed tasks (source
+    /// bindings and channel subscriptions) and by whatever a drained
+    /// forwarder took with it, for the caller to release.  Idempotent:
+    /// already-removed tasks are skipped.
+    pub(crate) fn sweep_retired(&mut self, idx: usize, clock: &mut PhaseClock) -> Vec<ChannelId> {
         // Tasks pinned by a definition that still has references.
-        let keep: BTreeSet<usize> = {
+        let mut keep: BTreeSet<usize> = {
             let sub = &self.subscriptions[idx];
             sub.owned_defs
                 .iter()
@@ -613,8 +616,10 @@ impl Monitor {
                 .flat_map(|key| sub.def_tasks.get(key).into_iter().flatten().copied())
                 .collect()
         };
+        // A pinned forwarder feeds its replica, not this subscription's
+        // result, so only a definition keeps the result channel published.
+        let producing = !keep.is_empty();
 
-        let removed = |sub: usize, task: usize| sub == idx && !keep.contains(&task);
         let mut released = Vec::new();
         // Removed channel subscribers of a replicated origin also release
         // their replica reference: (origin, replica peer, removed task)
@@ -632,7 +637,34 @@ impl Monitor {
         let mut entries = RouteEntries::default();
         let mut removed_now = vec![false; sub.placed.tasks.len()];
         for task in &sub.placed.tasks {
-            if keep.contains(&task.id) || self.operators.remove(idx, task.id).is_none() {
+            if keep.contains(&task.id) {
+                continue;
+            }
+            // The task's stream reference.  (The replica maps are untouched
+            // until the releases below, so a replica subscriber's key
+            // resolves to the origin's descriptor — the one its reference is
+            // on.)
+            let ref_key = self.task_def_key(&task.kind);
+            // A replica's subscriber outlives this sweep when it is another
+            // subscription's or a definition keeps it.
+            let replicated = match (&task.kind, ref_key) {
+                (TaskKind::ChannelSource { .. }, Some(origin)) => {
+                    let outlives = |(s, t): (usize, usize)| s != idx || keep.contains(&t);
+                    match self
+                        .replicas
+                        .pins(&origin, &task.peer, (idx, task.id), outlives)
+                    {
+                        Some(true) => {
+                            keep.insert(task.id);
+                            continue;
+                        }
+                        Some(false) => Some(origin),
+                        None => None,
+                    }
+                }
+                _ => None,
+            };
+            if self.operators.remove(idx, task.id).is_none() {
                 continue;
             }
             removed_now[task.id] = true;
@@ -650,15 +682,8 @@ impl Monitor {
                 TaskKind::ChannelSource { channel, .. } => entries.channels.push(*channel),
                 _ => {}
             }
-            // The task was still deployed: its stream reference goes with
-            // it.  (The replica maps are untouched until the releases below,
-            // so a replica subscriber's key resolves to the origin's
-            // descriptor — the one its reference is on.)
-            let ref_key = self.task_def_key(&task.kind);
-            if let (TaskKind::ChannelSource { .. }, Some(origin)) = (&task.kind, ref_key) {
-                if self.replicas.is_replicated(&origin) {
-                    replica_releases.push((origin, task.peer.clone(), (idx, task.id)));
-                }
+            if let Some(origin) = replicated {
+                replica_releases.push((origin, task.peer.clone(), (idx, task.id)));
             }
             released.extend(ref_key);
         }
@@ -677,6 +702,7 @@ impl Monitor {
         // reuse); surviving tasks whose local consumer was removed now feed
         // nothing but their own output channel's subscribers.
         let scanned = self.dispatch_stats.registrations_scanned;
+        let removed = |sub: usize, task: usize| sub == idx && !keep.contains(&task);
         self.routing
             .retract(&entries, removed, &mut self.dispatch_stats);
         for task in 0..self.subscriptions[idx].routes.len() {
@@ -709,19 +735,18 @@ impl Monitor {
 
         // Replica lifecycle: each removed channel subscriber lets go of its
         // peer's replica of the origin stream — retracting the declaration
-        // (and re-attaching orphaned replica subscribers to the origin) when
-        // it was the last, or handing the forwarding role to a surviving
-        // local subscriber when it was the forwarder.
+        // (and re-attaching orphaned replica subscribers) when it was the
+        // last, or draining a retired forwarder it leaves alone.
         let replica_released = replica_releases.len();
         for (origin, peer, removed) in replica_releases {
-            self.release_replica_consumer(&origin, &peer, removed);
+            released.extend(self.release_replica_consumer(&origin, &peer, removed, clock));
         }
 
         // The published result channel stops existing once its producing
         // subtree is fully gone — unless another subscription publishes
         // under the same identity (colliding BY-channel names on one peer),
         // in which case the survivor keeps the channel and its history.
-        if keep.is_empty() {
+        if !producing {
             if let Some(channel) = self.subscriptions[idx].published_channel.take() {
                 let published = self.routing.published_channels.get_mut(&channel);
                 let published = published.expect("a publisher keeps its channel's entry");
@@ -1058,8 +1083,7 @@ impl Monitor {
     /// The channels each of the subscription's `ChannelSource` tasks is
     /// *currently* attached to, as `(peer, stream)` pairs in task order.
     /// Unlike the deploy-time [`ReuseReport::subscribed_channels`] snapshot,
-    /// this reflects later replica retractions, hand-offs and orphan
-    /// re-attachments.
+    /// this reflects later replica retractions and orphan re-attachments.
     pub fn subscribed_providers(&self, handle: &SubscriptionHandle) -> Vec<(String, String)> {
         self.subscriptions
             .get(handle.0)

@@ -5,8 +5,10 @@
 //! **forwarder**, its canonical output channel is declared as the replica's
 //! local stream, and later consumers attach to the closest copy.  Further
 //! same-peer subscribers share the declaration; there is no cap on copies.
-//! [`Replicas`] holds the declarations and answers which origin a channel
-//! carries; the `Monitor` methods here run their lifecycle.
+//! The forwarding role never moves: a departing forwarder stays deployed
+//! until its replica's other subscribers have left.  [`Replicas`] holds the
+//! declarations and answers which origin a channel carries; the `Monitor`
+//! methods here run their lifecycle.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
@@ -17,6 +19,7 @@ use p2pmon_streams::ChannelId;
 
 use crate::monitor::{identity, Monitor};
 use crate::placement::TaskKind;
+use crate::profile::PhaseClock;
 use crate::reuse::ReplicaStats;
 
 /// One live replica: the origin channel re-published by one peer, backed by
@@ -30,7 +33,8 @@ struct ReplicaEntry {
     /// took a replica reference (e.g. a subscriber deployed before the
     /// producer published, later re-pointed) cannot shrink the count.
     subscribers: BTreeSet<(usize, usize)>,
-    /// The forwarding task, as `(subscription, task)`.
+    /// The forwarding task, as `(subscription, task)`: the first subscriber,
+    /// and a member of `subscribers` until the entry retracts.
     forwarder: (usize, usize),
     /// The replica's local channel: the forwarder's canonical output channel.
     channel: ChannelId,
@@ -64,9 +68,26 @@ impl Replicas {
         self.channels.contains_key(channel)
     }
 
-    /// True when `origin` has at least one live replica.
-    pub(crate) fn is_replicated(&self, origin: &ChannelId) -> bool {
-        self.refs.contains_key(origin)
+    /// Whether a sweep keeps the channel subscriber `task` on `peer` of
+    /// `origin`: `None` when the origin has no live replica (there is no
+    /// reference to release), `Some(true)` when `task` forwards `peer`'s
+    /// replica and another of its subscribers `outlives` the sweep, so the
+    /// forwarder stays until the replica drains.
+    pub(crate) fn pins(
+        &self,
+        origin: &ChannelId,
+        peer: &str,
+        task: (usize, usize),
+        outlives: impl Fn((usize, usize)) -> bool,
+    ) -> Option<bool> {
+        let replicas = self.refs.get(origin)?;
+        Some(replicas.get(peer).is_some_and(|entry| {
+            entry.forwarder == task
+                && entry
+                    .subscribers
+                    .iter()
+                    .any(|&other| other != task && outlives(other))
+        }))
     }
 
     /// Every live replica as `(origin identity, replica peer)`, sorted.
@@ -194,31 +215,48 @@ impl Monitor {
     /// Releases one removed `ChannelSource` consumer's replica reference.
     /// The last local subscriber retracts the peer's declaration — its
     /// entry, its DHT declaration and its reverse channel entry go — and
-    /// re-attaches the replica's orphans; a removed *forwarder* with
-    /// surviving local subscribers hands the replica off to one of them.
+    /// re-attaches the replica's orphans.  A forwarder never leaves before
+    /// its replica's other subscribers ([`Replicas::pins`]): when the last
+    /// of another subscription leaves a retired forwarder alone, this sweeps
+    /// the forwarder's subscription, whose release of the forwarder then
+    /// retracts the declaration.  Returns the definition references that
+    /// sweep freed, for the caller to release.
     pub(crate) fn release_replica_consumer(
         &mut self,
         origin: &ChannelId,
         peer: &str,
         removed: (usize, usize),
-    ) {
+        clock: &mut PhaseClock,
+    ) -> Vec<ChannelId> {
         let Some(entry) = self.replicas.entry_mut(origin, peer) else {
-            return;
+            return Vec::new();
         };
         // Only tasks that actually took a replica reference release one: a
         // removed subscriber that pre-dates the replica (never noted) must
         // not retract a declaration other tasks still back.
         if !entry.subscribers.remove(&removed) {
-            return;
+            return Vec::new();
         }
+        let forwarder = entry.forwarder;
         if entry.subscribers.is_empty() {
             let old_channel = self.replicas.retract(origin, peer);
             self.stream_db
                 .retract_replica(&origin.peer, &origin.stream, peer);
             self.reattach_orphaned_consumers(&old_channel, origin);
-        } else if entry.forwarder == removed {
-            self.hand_off_replica_forwarder(origin, peer);
+        } else if entry.subscribers.len() == 1
+            && removed.0 != forwarder.0
+            && self.subscriptions[forwarder.0].retired
+        {
+            // (A sibling of the forwarder leaves in the forwarder's sweep.)
+            debug_assert!(
+                entry.subscribers.contains(&forwarder),
+                "a forwarder outlives its replica's subscribers"
+            );
+            // The sweep charges its own phases from here.
+            clock.lap("core.unsubscribe.replica", 0);
+            return self.sweep_retired(forwarder.0, clock);
         }
+        Vec::new()
     }
 
     /// Re-attaches every consumer of a just-retracted replica channel to the
@@ -276,73 +314,6 @@ impl Monitor {
             self.routing.attach(target, sub, task, port);
         }
         self.replicas.totals.chains_walked += chains_walked.get();
-    }
-
-    /// Hands a replica whose forwarding task was torn down over to another
-    /// still-installed subscriber on the same peer: the survivor's canonical
-    /// output channel becomes the replica's new local stream (the DHT
-    /// declaration is replaced in place), the old replica channel's
-    /// subscribers move over, and the new forwarder itself re-attaches to
-    /// the origin — someone must keep pulling the stream toward this peer.
-    /// When every remaining local subscriber is also being removed in the
-    /// same sweep, no candidate exists; the entry keeps its stale forwarder
-    /// until the following releases drain it to zero.
-    fn hand_off_replica_forwarder(&mut self, origin: &ChannelId, peer: &str) {
-        // The entry's remaining subscribers are exactly the tasks that can
-        // take over; pick the first still deployed (a sweep may be about to
-        // remove the others too).
-        let candidate = self.replicas.refs[origin][peer]
-            .subscribers
-            .iter()
-            .copied()
-            .find(|&(s, t)| self.operators.get(s, t).is_some());
-        let Some((s, t)) = candidate else {
-            return;
-        };
-        let new_channel = self.subscriptions[s].channels[t];
-        let entry = self
-            .replicas
-            .entry_mut(origin, peer)
-            .expect("caller holds entry");
-        let old_channel = std::mem::replace(&mut entry.channel, new_channel);
-        entry.forwarder = (s, t);
-        self.stream_db.publish_replica(ReplicaDeclaration {
-            peer_id: origin.peer.into(),
-            stream_id: origin.stream.into(),
-            replica_peer: peer.to_string(),
-            replica_stream: new_channel.stream.into(),
-        });
-        self.replicas.channels.remove(&old_channel);
-        self.replicas.channels.insert(new_channel, *origin);
-        self.move_channel_consumers(&old_channel, &new_channel, Some(((s, t), *origin)));
-    }
-
-    /// Moves every channel-consumer registration from one channel to
-    /// another, updating each subscribing task's stored [`ChannelId`].
-    /// Definition references are *not* touched — replica moves always stay
-    /// within one origin identity.  `divert` re-attaches one specific task
-    /// (the new forwarder of a hand-off) to a different channel than the
-    /// rest.  Returns the moved registrations.
-    pub(crate) fn move_channel_consumers(
-        &mut self,
-        from: &ChannelId,
-        to: &ChannelId,
-        divert: Option<((usize, usize), ChannelId)>,
-    ) -> Vec<(usize, usize, usize)> {
-        let consumers = self.routing.detach_all(from);
-        for &(sub, task, port) in &consumers {
-            let target = match &divert {
-                Some((diverted, channel)) if *diverted == (sub, task) => *channel,
-                _ => *to,
-            };
-            if let TaskKind::ChannelSource { channel, .. } =
-                &mut self.subscriptions[sub].placed.tasks[task].kind
-            {
-                *channel = target;
-            }
-            self.routing.attach(target, sub, task, port);
-        }
-        consumers
     }
 
     /// Replica re-publication effectiveness: declarations created and

@@ -39,11 +39,6 @@ impl OperatorSlots {
         });
     }
 
-    /// The deployed operator of `(sub, task)`.
-    pub(crate) fn get(&self, sub: usize, task: usize) -> Option<&RuntimeOperator> {
-        self.subs.get(sub)?.operators.get(task)?.as_ref()
-    }
-
     /// The deployed operator of `(sub, task)`, mutably.
     pub(crate) fn get_mut(&mut self, sub: usize, task: usize) -> Option<&mut RuntimeOperator> {
         self.subs.get_mut(sub)?.operators.get_mut(task)?.as_mut()
@@ -117,9 +112,9 @@ mod tests {
         slots.deploy(1, operators(2));
         assert_eq!(slots.len(), 5);
         assert_eq!((slots.live_of(0), slots.live_of(1)), (3, 2));
-        assert!(slots.get(1, 1).is_some());
-        assert!(slots.get(1, 2).is_none(), "past the plan");
-        assert!(slots.get(2, 0).is_none(), "never deployed");
+        assert!(slots.get_mut(1, 1).is_some());
+        assert!(slots.get_mut(1, 2).is_none(), "past the plan");
+        assert!(slots.get_mut(2, 0).is_none(), "never deployed");
         assert!(slots.get_mut(0, 2).is_some());
         let all: Vec<_> = slots.iter().map(|(s, t, _)| (s, t)).collect();
         assert_eq!(all, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]);
@@ -143,7 +138,7 @@ mod tests {
         assert_eq!((slots.len(), slots.live_of(0)), (2, 2));
         let left: Vec<_> = slots.of(0).map(|(task, _)| task).collect();
         assert_eq!(left, [0, 2]);
-        assert!(slots.get(0, 1).is_none());
+        assert!(slots.get_mut(0, 1).is_none());
     }
 
     #[test]

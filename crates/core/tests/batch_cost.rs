@@ -177,8 +177,8 @@ fn multicast_plans_and_receiving_side_gates_are_compiled_once_too() {
         monitor.network_stats().total_messages > messages,
         "the steady rounds did cross the wire"
     );
-    // A teardown that hands a replica's forwarding role over moves channel
-    // consumers: the next batch recompiles, the one after does not.
+    // A teardown retracts its consumers from the channels they read: the
+    // next batch recompiles, the one after does not.
     assert!(monitor.unsubscribe(&handles[6]));
     let (plans, gates) = cost_of(&mut monitor, &mut batch);
     assert!(

@@ -11,7 +11,8 @@
 //! * a `churn_mix`-shaped storm (16 shapes over 8 hubs, duplicates spread
 //!   over 8 clusters of 8 consumer peers): 256 standing subscriptions, then
 //!   40 steps that each retire the 8 oldest, submit 8 and dispatch 64 calls.
-//!   Replicas are declared, handed off and retracted, and orphans re-attach.
+//!   Replicas are declared, outlive their forwarders' owners and retract,
+//!   and orphans re-attach.
 //! * the three aggregates of a 256-peer sketch storm, torn down in submit
 //!   order, down to no operator at all.
 //!

@@ -3,8 +3,8 @@
 //! and the subscription's last operator gives the storage back.
 //!
 //! * Under `churn_mix`'s shape — 16 shapes over 8 hubs, duplicates spread
-//!   over 8 clusters of 8 consumer peers, so producing subtrees outlive their
-//!   owners and replicas hand off — the operator count stays the sum of what
+//!   over 8 clusters of 8 consumer peers, so producing subtrees and replica
+//!   forwarders outlive their owners — the operator count stays the sum of what
 //!   each peer hosts after every retire, submit and round, and a fully
 //!   retired subscription holds no slot.
 //! * A teardown between two ticks of a round unlists the removed sketch

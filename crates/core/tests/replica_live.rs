@@ -3,13 +3,16 @@
 //! the stream from its own peer, later consumers attach to the closest
 //! copy, and the consuming peers carry the fan-out hops the origin would
 //! otherwise send — with byte-identical sink output, replica-on vs
-//! replica-off.  Teardown retracts declarations, hands the forwarding role
-//! over when the forwarder leaves first, and provider selection skips
-//! downed replica peers.
+//! replica-off.  Teardown retracts declarations, keeps a forwarder that
+//! leaves first deployed until its replica's other subscribers have gone,
+//! and provider selection skips downed replica peers.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use p2pmon_core::{Monitor, MonitorConfig, SubscriptionHandle};
+use p2pmon_dht::ReplicaDeclaration;
 use p2pmon_net::NetworkConfig;
-use p2pmon_workloads::OverlappingStorm;
+use p2pmon_workloads::{MassiveStorm, OverlappingStorm};
 
 const ORIGIN: &str = "hub.net";
 
@@ -245,12 +248,27 @@ fn orphaned_replica_subscribers_fall_back_to_the_origin() {
     assert_eq!(monitor.results(&orphan), monitor.results(&producer));
 }
 
-/// A removed *forwarder* with surviving same-peer subscribers hands the
-/// replica over instead of retracting it: the declaration is replaced in
-/// place, the survivor pulls from the origin, and downstream replica
-/// subscribers keep receiving.
+/// The declarations of `origin`'s replica on `peer`.
+fn declarations_on(
+    monitor: &mut Monitor,
+    origin: &(String, String),
+    peer: &str,
+) -> Vec<ReplicaDeclaration> {
+    monitor
+        .stream_db_mut()
+        .replicas_of(&origin.0, &origin.1)
+        .into_iter()
+        .filter(|r| r.replica_peer == peer)
+        .cloned()
+        .collect()
+}
+
+/// A removed *forwarder* with surviving same-peer subscribers stays deployed
+/// until they leave: the declaration, every consumer's provider and the
+/// forwarded stream are untouched, and the last survivor's departure
+/// retracts the replica and re-attaches its remote consumers.
 #[test]
-fn forwarder_hand_off_keeps_replica_subscribers_fed() {
+fn a_departing_forwarder_keeps_forwarding_until_its_replica_drains() {
     let storm = OverlappingStorm::clustered(7, 1, 1, 3);
     let mut monitor = clustered_monitor(&storm, true);
     let producer = monitor
@@ -273,15 +291,15 @@ fn forwarder_hand_off_keeps_replica_subscribers_fed() {
         .reuse
         .reused_defs[0]
         .clone();
+    let declared = declarations_on(&mut monitor, &origin, "c0-peer1.org");
     assert_eq!(
-        monitor
-            .stream_db_mut()
-            .replicas_of(&origin.0, &origin.1)
-            .iter()
-            .filter(|r| r.replica_peer == "c0-peer1.org")
-            .count(),
+        declared.len(),
         1,
         "same-peer subscribers share one declaration"
+    );
+    assert_eq!(
+        monitor.subscribed_providers(&downstream)[0].0,
+        "c0-peer1.org"
     );
 
     let mut traffic = storm.clone();
@@ -292,16 +310,25 @@ fn forwarder_hand_off_keeps_replica_subscribers_fed() {
     let fed = monitor.results(&downstream).len();
     assert!(fed > 0);
 
-    // The forwarder leaves first: the survivor takes the forwarding role.
+    // The forwarder leaves first: only its forwarding task stays, and
+    // nothing the replica's consumers see moves.
+    let providers =
+        |monitor: &Monitor| [&survivor, &downstream].map(|h| monitor.subscribed_providers(h));
+    let before = providers(&monitor);
+    let operators = monitor.operator_count();
+    let forwarder_tasks = monitor.report(&forwarder).expect("report").tasks;
     assert!(monitor.unsubscribe(&forwarder));
-    let replicas = monitor
-        .stream_db_mut()
-        .replicas_of(&origin.0, &origin.1)
-        .into_iter()
-        .filter(|r| r.replica_peer == "c0-peer1.org")
-        .cloned()
-        .collect::<Vec<_>>();
-    assert_eq!(replicas.len(), 1, "the declaration survives the hand-off");
+    assert_eq!(
+        declarations_on(&mut monitor, &origin, "c0-peer1.org"),
+        declared,
+        "the declaration keeps its replica stream"
+    );
+    assert_eq!(providers(&monitor), before, "no consumer is re-pointed");
+    assert_eq!(
+        monitor.operator_count(),
+        operators - (forwarder_tasks - 1),
+        "the forwarding task stays deployed"
+    );
 
     for call in traffic.calls(40) {
         monitor.inject_soap_call(&call);
@@ -309,23 +336,38 @@ fn forwarder_hand_off_keeps_replica_subscribers_fed() {
     monitor.run_until_idle();
     assert!(
         monitor.results(&survivor).len() > fed,
-        "the new forwarder keeps receiving"
+        "the replica's local subscriber keeps receiving"
     );
     assert!(
         monitor.results(&downstream).len() > fed,
-        "downstream replica subscribers keep receiving through the hand-off"
+        "downstream replica subscribers keep receiving through the pinned forwarder"
     );
     assert_eq!(monitor.results(&downstream), monitor.results(&producer));
 
+    // The last other subscriber leaves: the forwarder drains with it, the
+    // declaration retracts and the remote consumer is re-attached.
+    assert!(monitor.unsubscribe(&survivor));
+    assert!(declarations_on(&mut monitor, &origin, "c0-peer1.org").is_empty());
+    assert_ne!(
+        monitor.subscribed_providers(&downstream)[0].0,
+        "c0-peer1.org"
+    );
+    let fed = monitor.results(&downstream).len();
+    for call in traffic.calls(40) {
+        monitor.inject_soap_call(&call);
+    }
+    monitor.run_until_idle();
+    assert!(monitor.results(&downstream).len() > fed);
+    assert_eq!(monitor.results(&downstream), monitor.results(&producer));
+
     // Full teardown still balances: nothing is left behind.
-    for handle in [survivor, downstream, producer] {
+    for handle in [downstream, producer] {
         assert!(monitor.unsubscribe(&handle));
     }
     assert!(monitor.stream_db_mut().is_empty());
-    assert!(monitor
-        .stream_db_mut()
-        .replicas_of(&origin.0, &origin.1)
-        .is_empty());
+    assert_eq!(monitor.operator_count(), 0);
+    let stats = monitor.replica_stats();
+    assert_eq!(stats.replicas_created, stats.replicas_retracted);
 }
 
 /// Failure injection: provider selection never routes a new consumer
@@ -631,4 +673,169 @@ fn orphan_reattachment_skips_downed_replica_peers() {
     monitor.run_until_idle();
     assert_eq!(monitor.results(&x3), monitor.results(&producer));
     let _ = x2;
+}
+
+/// A self-join: one subscription whose two channel subscriptions of the same
+/// remote stream share one peer, beside a second subscriber there.  The
+/// first of the pair forwards the replica; its own sibling never keeps it,
+/// whichever subscription leaves first, so no teardown leaves a pin behind.
+#[test]
+fn a_self_joins_own_subscribers_never_pin_its_forwarder() {
+    // Reuse off keeps the join's alerter source a real Source task, so the
+    // join and both its channel subscriptions land on hub2.net — away from
+    // the channel's origin.
+    let self_join = r##"for $c in outCOM(<p>hub2.net</p>),
+            $x in channel("#shared@mgr.org"),
+            $y in channel("#shared@mgr.org")
+        where $c.callMethod = $x.method and $x.method = $y.method
+        return <twice m="{$c.callMethod}"/>
+        by email "twice@example.org";"##;
+    let joiner = r##"for $x in channel("#shared@mgr.org"),
+            $c in outCOM(<p>hub2.net</p>)
+        where $x.method = $c.callMethod
+        return <pair m="{$c.callMethod}"/>
+        by email "pair@example.org";"##;
+    for self_join_leaves_first in [true, false] {
+        let mut monitor = Monitor::new(MonitorConfig {
+            enable_reuse: false,
+            ..MonitorConfig::default()
+        });
+        monitor.add_peer("backend.net");
+        let producer = monitor
+            .submit(
+                "mgr.org",
+                r#"for $c in outCOM(<p>hub.net</p>)
+                   where $c.callee = "http://backend.net"
+                   return <hit method="{$c.callMethod}"/>
+                   by publish as channel "shared";"#,
+            )
+            .expect("producer deploys");
+        let twice = monitor
+            .submit("mgr.org", self_join)
+            .expect("self-join deploys");
+        let other = monitor.submit("mgr.org", joiner).expect("joiner deploys");
+        assert_eq!(monitor.subscribed_providers(&twice).len(), 2);
+        let origin = (ORIGIN.to_string(), "shared".to_string());
+        let declared = declarations_on(&mut monitor, &origin, "hub2.net");
+        assert_eq!(
+            declared.len(),
+            1,
+            "one declaration for all three subscribers"
+        );
+        assert!(
+            declared[0]
+                .replica_stream
+                .starts_with(&format!("s{}-", twice.0)),
+            "the self-join forwards it"
+        );
+        let producer_tasks = monitor.report(&producer).expect("report").tasks;
+
+        let (first, second) = if self_join_leaves_first {
+            (twice, other)
+        } else {
+            (other, twice)
+        };
+        assert!(monitor.unsubscribe(&first));
+        assert_eq!(
+            declarations_on(&mut monitor, &origin, "hub2.net"),
+            declared,
+            "a subscriber is left, so the replica stays"
+        );
+        assert!(monitor.unsubscribe(&second));
+        assert!(
+            declarations_on(&mut monitor, &origin, "hub2.net").is_empty(),
+            "the last subscriber retracts the replica"
+        );
+        assert_eq!(
+            monitor.operator_count(),
+            producer_tasks,
+            "no forwarder is left pinned"
+        );
+        let stats = monitor.replica_stats();
+        assert_eq!((stats.replicas_created, stats.replicas_retracted), (1, 1));
+        assert!(monitor.unsubscribe(&producer));
+        assert_eq!(monitor.operator_count(), 0);
+    }
+}
+
+/// An oldest-first teardown of the 1k-tier storm — the order in which every
+/// forwarder leaves before the subscribers riding its replica.  A
+/// subscription's provider only changes once the replica it rode has been
+/// retracted, and the teardown leaves no operator and no declaration.
+#[test]
+fn an_oldest_first_storm_teardown_never_moves_a_live_replicas_consumers() {
+    let storm = MassiveStorm::sized(1, 1024);
+    let mut monitor = Monitor::new(MonitorConfig {
+        network: NetworkConfig {
+            latency: storm.latency_model(),
+            ..NetworkConfig::default()
+        },
+        dht_nodes: storm.dht_nodes(),
+        ..MonitorConfig::default()
+    });
+    for peer in storm.monitored_peers.iter().chain(&storm.manager_peers()) {
+        monitor.add_peer(peer.as_str());
+    }
+    let mut handles = Vec::new();
+    let mut origins: Vec<(String, String)> = Vec::new();
+    for i in 0..1024 {
+        let handle = monitor
+            .submit(&storm.manager_of(i), &storm.subscription(i))
+            .expect("storm subscription deploys");
+        for origin in monitor.report(&handle).expect("report").reuse.reused_defs {
+            if !origins.contains(&origin) {
+                origins.push(origin);
+            }
+        }
+        handles.push(handle);
+    }
+    // Every live replica channel, with the origin it copies.
+    let live_replicas = |monitor: &mut Monitor| -> BTreeMap<(String, String), (String, String)> {
+        let db = monitor.stream_db_mut();
+        origins
+            .iter()
+            .flat_map(|o| db.replicas_of(&o.0, &o.1).into_iter().map(move |r| (o, r)))
+            .map(|(o, r)| {
+                (
+                    (r.replica_peer.clone(), r.replica_stream.clone()),
+                    o.clone(),
+                )
+            })
+            .collect()
+    };
+    let mut live = live_replicas(&mut monitor);
+    assert!(!live.is_empty(), "the storm re-publishes");
+    let mut providers: Vec<_> = handles
+        .iter()
+        .map(|h| monitor.subscribed_providers(h))
+        .collect();
+    for (i, handle) in handles.iter().enumerate() {
+        assert!(monitor.unsubscribe(handle));
+        let now_live = live_replicas(&mut monitor);
+        // A replica is its origin copied on one peer, whatever it is named.
+        let declared: BTreeSet<_> = now_live
+            .iter()
+            .map(|((peer, _), origin)| (origin, peer))
+            .collect();
+        for (handle, recorded) in handles.iter().zip(&mut providers).skip(i + 1) {
+            let current = monitor.subscribed_providers(handle);
+            for (was, is) in recorded.iter().zip(&current) {
+                let retracted = live
+                    .get(was)
+                    .is_some_and(|origin| !declared.contains(&(origin, &was.0)));
+                assert!(
+                    was == is || retracted,
+                    "subscription {} moved from {was:?} to {is:?} while its provider lived",
+                    handle.0
+                );
+            }
+            *recorded = current;
+        }
+        live = now_live;
+    }
+    assert_eq!(monitor.operator_count(), 0);
+    assert!(live.is_empty(), "every declaration is retracted");
+    let stats = monitor.replica_stats();
+    assert_eq!(stats.replicas_created, stats.replicas_retracted);
+    assert!(monitor.stream_db_mut().is_empty());
 }

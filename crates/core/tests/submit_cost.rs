@@ -10,8 +10,10 @@
 //!   stream on a peer re-publishes it, with no cap.  A scripted clustered
 //!   storm (consumers arriving between bursts of traffic, then a teardown
 //!   from the middle) is compared, declaration by declaration, with the
-//!   outcome recorded by running this very test with 3fcdad0's code, the
-//!   last to carry a replica policy.  To re-record, run
+//!   outcome recorded by running this very test with the code that first
+//!   kept a departing forwarder until its replica drained (before it, a
+//!   forwarder handed its replica to a survivor, which renamed the
+//!   declaration; every count and sink digest is unchanged).  To re-record, run
 //!   `cargo test -q --release -p p2pmon-core --test submit_cost
 //!   default_replica_rule -- --nocapture`: the test prints the outcome.
 
@@ -149,8 +151,8 @@ fn replica_outcome(
     out
 }
 
-/// The two outcomes of the script below with 3fcdad0's code, captured by
-/// running this very test there.
+/// The two outcomes of the script below with the forwarder-pinning code,
+/// captured by running this very test there.
 const PARENT_OUTCOME: &str = "\
 -- hot
 hub.net/s0-t2: [c0-peer1.org/s4-t0 c0-peer2.org/s8-t0 c0-peer3.org/s12-t0 c1-peer0.org/s16-t0 c1-peer1.org/s20-t0 c1-peer2.org/s24-t0 c1-peer3.org/s28-t0 c0-peer0.org/s32-t0]
@@ -162,12 +164,12 @@ providers: 0= 1=hub.net/src-outCOM 2=hub.net/src-outCOM 3=hub.net/src-outCOM 4=h
 created 32 retracted 0 via_replica 32 via_origin 4
 sinks: 941 results, digest 71d66b057d025b31
 -- after teardown from the middle
-hub.net/s0-t2: [c0-peer2.org/s8-t0 c0-peer3.org/s12-t0 c1-peer1.org/s20-t0 c1-peer2.org/s24-t0 c0-peer0.org/s32-t0 c0-peer1.org/s36-t0]
+hub.net/s0-t2: [c0-peer1.org/s4-t0 c0-peer2.org/s8-t0 c0-peer3.org/s12-t0 c1-peer1.org/s20-t0 c1-peer2.org/s24-t0 c0-peer0.org/s32-t0]
 hub.net/s1-t2: [c0-peer1.org/s5-t0 c0-peer2.org/s9-t0 c1-peer0.org/s17-t0 c1-peer1.org/s21-t0 c1-peer3.org/s29-t0 c0-peer0.org/s33-t0]
 hub.net/s2-t2: [c0-peer1.org/s6-t0 c0-peer3.org/s14-t0 c1-peer0.org/s18-t0 c1-peer2.org/s26-t0 c1-peer3.org/s30-t0]
-hub.net/s3-t2: [c0-peer2.org/s11-t0 c0-peer3.org/s15-t0 c1-peer1.org/s23-t0 c1-peer2.org/s27-t0 c0-peer0.org/s35-t0 c0-peer1.org/s39-t0]
+hub.net/s3-t2: [c0-peer1.org/s7-t0 c0-peer2.org/s11-t0 c0-peer3.org/s15-t0 c1-peer1.org/s23-t0 c1-peer2.org/s27-t0 c0-peer0.org/s35-t0]
 hub.net/src-outCOM: []
-providers: 0= 1=hub.net/src-outCOM 2=hub.net/src-outCOM 3=hub.net/src-outCOM 5=hub.net/s1-t2 6=hub.net/s2-t2 8=c0-peer1.org/s36-t0 9=c0-peer1.org/s5-t0 11=c0-peer1.org/s39-t0 12=c0-peer1.org/s36-t0 14=c0-peer1.org/s6-t0 15=c0-peer1.org/s39-t0 17=c0-peer1.org/s5-t0 18=c0-peer1.org/s6-t0 20=hub.net/s0-t2 21=c1-peer0.org/s17-t0 23=hub.net/s3-t2 24=c1-peer1.org/s20-t0 26=c1-peer0.org/s18-t0 27=c1-peer1.org/s23-t0 29=c1-peer0.org/s17-t0 30=c1-peer0.org/s18-t0 32=c0-peer1.org/s36-t0 33=c0-peer1.org/s5-t0 35=c0-peer1.org/s39-t0 36=hub.net/s0-t2 38=c0-peer1.org/s6-t0 39=hub.net/s3-t2
+providers: 0= 1=hub.net/src-outCOM 2=hub.net/src-outCOM 3=hub.net/src-outCOM 5=hub.net/s1-t2 6=hub.net/s2-t2 8=c0-peer1.org/s4-t0 9=c0-peer1.org/s5-t0 11=c0-peer1.org/s7-t0 12=c0-peer1.org/s4-t0 14=c0-peer1.org/s6-t0 15=c0-peer1.org/s7-t0 17=c0-peer1.org/s5-t0 18=c0-peer1.org/s6-t0 20=hub.net/s0-t2 21=c1-peer0.org/s17-t0 23=hub.net/s3-t2 24=c1-peer1.org/s20-t0 26=c1-peer0.org/s18-t0 27=c1-peer1.org/s23-t0 29=c1-peer0.org/s17-t0 30=c1-peer0.org/s18-t0 32=c0-peer1.org/s4-t0 33=c0-peer1.org/s5-t0 35=c0-peer1.org/s7-t0 36=c0-peer1.org/s4-t0 38=c0-peer1.org/s6-t0 39=c0-peer1.org/s7-t0
 created 32 retracted 9 via_replica 32 via_origin 4
 sinks: 1074 results, digest bfbfe59e531d2d71
 ";
@@ -220,8 +222,8 @@ fn the_default_replica_rule_keeps_its_recorded_outcome() {
     let mut outcome = String::from("-- hot\n");
     outcome += &replica_outcome(&mut monitor, &handles, &origins);
 
-    // Teardown from the middle: forwarders leave before their riders
-    // (hand-off), last subscribers retract, orphans re-attach.
+    // Teardown from the middle: a forwarder leaving before its riders stays
+    // until they drain, last subscribers retract, orphans re-attach.
     for at in (SHAPES..handles.len()).step_by(3) {
         assert!(monitor.unsubscribe(&handles[at]));
     }

@@ -360,9 +360,8 @@ impl StreamDefinitionDatabase {
 
     /// Publishes a replica declaration.  One peer provides at most one
     /// replica of a given channel: a re-declaration from the same
-    /// `replica_peer` for the same original *replaces* the previous entry
-    /// (e.g. when the forwarding task behind the replica changes), so
-    /// duplicate declarations can never accumulate.
+    /// `replica_peer` for the same original *replaces* the previous entry,
+    /// so duplicate declarations can never accumulate.
     pub fn publish_replica(&mut self, replica: ReplicaDeclaration) {
         self.retract_replica(&replica.peer_id, &replica.stream_id, &replica.replica_peer);
         *self

@@ -16,7 +16,7 @@
 //!
 //! * **No double delivery** — per subscription, the faulty sink is a
 //!   multiset subset of the oracle sink (faults may only *lose* items;
-//!   re-attachment and replica hand-off must never replay one).
+//!   orphan re-attachment must never replay one).
 //! * **Every alert accounted** — items missing from a faulty sink are
 //!   explained by recorded network drops
 //!   (`NetworkStats::dropped_messages` and its per-cause breakdown);
@@ -354,8 +354,8 @@ pub struct ChaosReport {
 #[derive(Debug, Clone)]
 pub struct ChaosRunner {
     /// Whether replica re-publication is on (the interesting case — the
-    /// fault schedule then exercises forwarder hand-off and orphan
-    /// re-attachment).
+    /// fault schedule then exercises forwarders outliving their owners and
+    /// orphan re-attachment).
     pub enable_replicas: bool,
 }
 

@@ -48,7 +48,7 @@ pub struct ScaleRow {
 }
 
 impl ScaleRow {
-    /// The Chord bound the `dht` gate checks: `log2(nodes)`.
+    /// The Chord bound `scale_benches` asserts on every tier: `log2(nodes)`.
     pub fn hops_bound(&self) -> f64 {
         (self.dht_nodes as f64).log2()
     }

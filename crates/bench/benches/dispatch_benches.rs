@@ -8,8 +8,9 @@
 //! each Select re-evaluates its conditions linearly) as the baseline.
 //!
 //! Besides the Criterion groups, this bench writes the `BENCH_dispatch.json`
-//! trajectory to the workspace root so that CI can track the
-//! engine-vs-naive shape per PR.
+//! trajectory to the workspace root.  Before it writes the file it asserts
+//! the axis's contract: the engine stays ≥ 3x over naive at 256
+//! subscriptions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -20,6 +21,8 @@ use p2pmon_core::{Monitor, MonitorConfig, SubscriptionHandle};
 use p2pmon_workloads::SubscriptionStorm;
 
 const SUBSCRIPTION_COUNTS: [usize; 3] = [16, 64, 256];
+/// The subscription count whose speedup the contract bounds.
+const GATED_SUBSCRIPTIONS: usize = 256;
 
 fn storm_monitor(naive_dispatch: bool, n_subs: usize) -> (Monitor, Vec<SubscriptionHandle>) {
     let mut monitor = Monitor::new(MonitorConfig {
@@ -95,11 +98,13 @@ fn timed_run(naive: bool, n_subs: usize, calls_n: usize) -> (f64, Monitor) {
     (elapsed, monitor)
 }
 
-/// Emits the BENCH_dispatch.json trajectory at the workspace root.
+/// Asserts the dispatch contract, then emits the BENCH_dispatch.json
+/// trajectory at the workspace root.
 fn emit_trajectory(_c: &mut Criterion) {
     let calls_n = calls_per_run();
     let repeats = if full_run_requested() { 5 } else { 3 };
     let mut rows = Vec::new();
+    let mut speedups = Vec::new();
     for n_subs in SUBSCRIPTION_COUNTS {
         let best = |naive: bool| -> (f64, Monitor) {
             (0..repeats)
@@ -114,23 +119,30 @@ fn emit_trajectory(_c: &mut Criterion) {
             .expect("hub engine stats");
         let dispatch = engine_monitor.dispatch_stats();
         let complex_per_alert = stats.complex_evaluations as f64 / stats.documents.max(1) as f64;
+        let speedup = naive_ns / engine_ns;
         eprintln!(
             "dispatch [{n_subs} subs]: engine {engine_ns:.0} ns/call vs naive {naive_ns:.0} \
-             ns/call (speedup {:.2}x); {complex_per_alert:.1} complex evaluations/alert, \
+             ns/call (speedup {speedup:.2}x); {complex_per_alert:.1} complex evaluations/alert, \
              {} gate rejections",
-            naive_ns / engine_ns,
             dispatch.gate_rejections
         );
         rows.push(format!(
             "    {{\"subscriptions\": {n_subs}, \"engine_ns_per_call\": {engine_ns:.0}, \
-             \"naive_ns_per_call\": {naive_ns:.0}, \"speedup\": {:.3}, \
+             \"naive_ns_per_call\": {naive_ns:.0}, \"speedup\": {speedup:.3}, \
              \"complex_evaluations_per_alert\": {complex_per_alert:.2}, \
              \"gate_rejections\": {}, \"gate_passes\": {}}}",
-            naive_ns / engine_ns,
-            dispatch.gate_rejections,
-            dispatch.gate_passes
+            dispatch.gate_rejections, dispatch.gate_passes
         ));
+        speedups.push((n_subs, speedup));
     }
+    let (_, speedup) = speedups
+        .into_iter()
+        .find(|&(n_subs, _)| n_subs == GATED_SUBSCRIPTIONS)
+        .expect("the trajectory has a row at the gated subscription count");
+    assert!(
+        speedup >= 3.0,
+        "dispatch speedup regressed below 3x: {speedup:.3}x at {GATED_SUBSCRIPTIONS} subscriptions"
+    );
     let json =
         format!(
         "{{\n  \"bench\": \"dispatch\",\n  \"mode\": \"{}\",\n  \"calls_per_run\": {calls_n},\n  \
@@ -139,10 +151,8 @@ fn emit_trajectory(_c: &mut Criterion) {
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+    eprintln!("wrote {path}");
 }
 
 criterion_group! {

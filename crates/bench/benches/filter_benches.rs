@@ -11,8 +11,9 @@
 //!
 //! Besides the Criterion groups, this bench writes the `BENCH_filter.json`
 //! trajectory to the workspace root (prefilter/AES/YFilter stage shapes for
-//! E2–E4) so that CI tracks the filter hot path per PR alongside
-//! `BENCH_dispatch.json`.
+//! E2–E4).  Before it writes the file it asserts the axis's contract: the
+//! engine is never slower than naive at any measured count, and ≥ 5.5x at
+//! 10 000 subscriptions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -239,11 +240,12 @@ fn best_ns_per_doc(repeats: usize, docs: usize, mut run: impl FnMut() -> usize) 
 /// engine-vs-naive shape per subscription count, the preFilter probes the
 /// engine counted per document (deterministic, unlike the timings), the E3
 /// (AES hash-tree) and E4 (YFilter NFA) structural sizes per row, plus the E5
-/// lazy service-call counters.
+/// lazy service-call counters.  Asserts the filter contract before writing.
 fn emit_trajectory(_c: &mut Criterion) {
     let repeats = if full_run_requested() { 5 } else { 3 };
     let n_docs = if full_run_requested() { 128 } else { 64 };
     let mut rows = Vec::new();
+    let mut speedups = Vec::new();
     for &subs in &[100usize, 1_000, 10_000] {
         let mut workload = SubscriptionWorkload::new(42);
         let subscriptions = workload.subscriptions(subs);
@@ -262,25 +264,38 @@ fn emit_trajectory(_c: &mut Criterion) {
         let stats = &engine.stats;
         let complex_per_doc = stats.complex_evaluations as f64 / stats.documents.max(1) as f64;
         let probes_per_doc = stats.condition_probes as f64 / stats.documents.max(1) as f64;
+        let speedup = naive_ns / engine_ns;
         eprintln!(
             "filter [{subs} subs]: engine {engine_ns:.0} ns/doc vs naive {naive_ns:.0} ns/doc \
-             (speedup {:.2}x) at {probes_per_doc:.2} preFilter probes/doc; {} AES nodes, \
+             (speedup {speedup:.2}x) at {probes_per_doc:.2} preFilter probes/doc; {} AES nodes, \
              {} NFA states, {complex_per_doc:.1} complex evaluations/doc",
-            naive_ns / engine_ns,
             engine.aes_node_count(),
             engine.yfilter_state_count()
         );
+        assert!(
+            speedup >= 1.0,
+            "filter engine is SLOWER than naive at {subs} subscriptions — the small-N \
+             regression is back: {speedup:.3}x"
+        );
         rows.push(format!(
             "    {{\"subscriptions\": {subs}, \"engine_ns_per_doc\": {engine_ns:.0}, \
-             \"naive_ns_per_doc\": {naive_ns:.0}, \"speedup\": {:.3}, \
+             \"naive_ns_per_doc\": {naive_ns:.0}, \"speedup\": {speedup:.3}, \
              \"condition_probes_per_doc\": {probes_per_doc:.2}, \
              \"aes_nodes\": {}, \"yfilter_states\": {}, \
              \"complex_evaluations_per_doc\": {complex_per_doc:.2}}}",
-            naive_ns / engine_ns,
             engine.aes_node_count(),
             engine.yfilter_state_count()
         ));
+        speedups.push((subs, speedup));
     }
+    let (_, ceiling) = speedups
+        .into_iter()
+        .find(|&(subs, _)| subs == 10_000)
+        .expect("the trajectory has a row at 10000 subscriptions");
+    assert!(
+        ceiling >= 5.5,
+        "filter speedup at 10000 subscriptions regressed below 5.5x: {ceiling:.3}x"
+    );
 
     // E5: service calls avoided on intensional documents.
     let mut workload = SubscriptionWorkload::new(3);
@@ -312,10 +327,8 @@ fn emit_trajectory(_c: &mut Criterion) {
         lazy.stats.service_calls_avoided
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_filter.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+    eprintln!("wrote {path}");
 }
 
 criterion_group! {

@@ -12,8 +12,8 @@
 //! `p2pmon-core`); the difference is pure cost.
 //!
 //! Besides the Criterion groups, this bench writes the `BENCH_reuse.json`
-//! trajectory to the workspace root so that CI can track hit rate and
-//! traffic savings per PR.
+//! trajectory to the workspace root.  Before it writes the file it asserts
+//! the contract of each of its three axes (reuse, replica, locality).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -28,6 +28,8 @@ use p2pmon_workloads::OverlappingStorm;
 mod locality;
 
 const SUBSCRIPTION_COUNTS: [usize; 3] = [16, 64, 256];
+/// The subscription count whose row each axis's contract bounds.
+const GATED_SUBSCRIPTIONS: usize = 256;
 const SHAPES: usize = 8;
 /// The clustered replica axis: consumers on CLUSTERS × PEERS_PER_CLUSTER
 /// distinct manager peers, close inside a cluster, far from the origin hub.
@@ -180,10 +182,12 @@ fn replica_run(enable_replicas: bool, n_subs: usize, calls_n: usize) -> ReplicaR
     }
 }
 
-/// Emits the BENCH_reuse.json trajectory at the workspace root.
+/// Asserts the reuse, replica and locality contracts, then emits the
+/// BENCH_reuse.json trajectory at the workspace root.
 fn emit_trajectory(_c: &mut Criterion) {
     let calls_n = calls_per_run();
     let mut rows = Vec::new();
+    let mut reuse_axis = Vec::new();
     for n_subs in SUBSCRIPTION_COUNTS {
         let on = timed_run(true, n_subs, calls_n);
         let off = timed_run(false, n_subs, calls_n);
@@ -233,11 +237,26 @@ fn emit_trajectory(_c: &mut Criterion) {
             off.deploy_ns,
             on.results,
         ));
+        reuse_axis.push((n_subs, reuse.hit_rate(), on.messages, off.messages));
     }
+    let (_, hit_rate, on_messages, off_messages) = reuse_axis
+        .into_iter()
+        .find(|row| row.0 == GATED_SUBSCRIPTIONS)
+        .expect("the reuse axis has a row at the gated subscription count");
+    assert!(
+        hit_rate >= 0.5,
+        "reuse hit rate regressed below 50%: {hit_rate:.4} at {GATED_SUBSCRIPTIONS} subscriptions"
+    );
+    assert!(
+        on_messages <= off_messages,
+        "stream reuse sent MORE network messages than the reuse-off baseline: \
+         {on_messages} vs {off_messages} at {GATED_SUBSCRIPTIONS} subscriptions"
+    );
     // The replica axis: same shapes, but consumers spread over clustered
     // manager peers — replica-on must serve most remote consumers from
     // re-published copies and take load off the origin hub.
     let mut replica_rows = Vec::new();
+    let mut replica_axis = Vec::new();
     for n_subs in SUBSCRIPTION_COUNTS {
         let on = replica_run(true, n_subs, calls_n);
         let off = replica_run(false, n_subs, calls_n);
@@ -276,12 +295,37 @@ fn emit_trajectory(_c: &mut Criterion) {
             stats.origin_messages_saved,
             on.results,
         ));
+        replica_axis.push((
+            n_subs,
+            remote,
+            stats.consumers_via_replica,
+            on.origin_messages,
+            off.origin_messages,
+        ));
     }
+    let (_, remote, served, on_origin, off_origin) = replica_axis
+        .into_iter()
+        .find(|row| row.0 == GATED_SUBSCRIPTIONS)
+        .expect("the replica axis has a row at the gated subscription count");
+    assert!(
+        remote > 0,
+        "the clustered storm produced no remote consumers at {GATED_SUBSCRIPTIONS} subscriptions"
+    );
+    assert!(
+        served as f64 / remote as f64 >= 0.5,
+        "replicas serve fewer than 50% of remote consumers: {served}/{remote} at \
+         {GATED_SUBSCRIPTIONS} subscriptions"
+    );
+    assert!(
+        on_origin <= off_origin,
+        "replica-on sent MORE origin-peer messages than replica-off: {on_origin} vs \
+         {off_origin} at {GATED_SUBSCRIPTIONS} subscriptions"
+    );
     // The locality axis: rate- and load-aware placement vs the count-based
     // heuristic on the paired (multi-input) storm, scored by bytes ×
     // latency-weighted hops, plus the 10k MassiveStorm no-regression tier.
     // Placement must never change semantics: every row asserts byte-identical
-    // sink output across the two modes.
+    // sink output across the two modes, and that the sinks received something.
     let mut locality_rows = Vec::new();
     let locality_row =
         |workload: &str, aware: &locality::LocalityRow, count: &locality::LocalityRow| {
@@ -289,6 +333,12 @@ fn emit_trajectory(_c: &mut Criterion) {
                 (aware.results, aware.sink_fingerprint),
                 (count.results, count.sink_fingerprint),
                 "placement must not change what the sinks receive ({workload})"
+            );
+            assert!(
+                aware.results > 0,
+                "the {workload} locality row at {} subscriptions delivered nothing — the \
+                 score passed vacuously: {aware:?}",
+                aware.subscriptions
             );
             format!(
                 "    {{\"workload\": \"{workload}\", \"subscriptions\": {}, \
@@ -309,6 +359,7 @@ fn emit_trajectory(_c: &mut Criterion) {
                 aware.results,
             )
         };
+    let mut paired = Vec::new();
     for n_subs in SUBSCRIPTION_COUNTS {
         let aware = locality::run_paired(1, n_subs, calls_n, true);
         let count = locality::run_paired(1, n_subs, calls_n, false);
@@ -322,7 +373,22 @@ fn emit_trajectory(_c: &mut Criterion) {
             count.origin_egress,
         );
         locality_rows.push(locality_row("paired-storm", &aware, &count));
+        paired.push((aware, count));
     }
+    let (aware, count) = paired
+        .iter()
+        .find(|(aware, _)| aware.subscriptions == GATED_SUBSCRIPTIONS)
+        .expect("the locality axis has a paired-storm row at the gated subscription count");
+    assert!(
+        aware.bytes_hops < count.bytes_hops,
+        "rate-aware placement no longer beats count-based on bytes x latency-weighted hops \
+         over the paired storm at {GATED_SUBSCRIPTIONS} subscriptions: {aware:?} vs {count:?}"
+    );
+    assert!(
+        aware.origin_egress <= count.origin_egress,
+        "rate-aware placement sent MORE bytes out of the origin hubs than count-based at \
+         {GATED_SUBSCRIPTIONS} subscriptions: {aware:?} vs {count:?}"
+    );
     {
         let aware = locality::run_massive(1, 10_000, 400, true);
         let count = locality::run_massive(1, 10_000, 400, false);
@@ -332,6 +398,11 @@ fn emit_trajectory(_c: &mut Criterion) {
             aware.bytes_hops, count.bytes_hops,
         );
         locality_rows.push(locality_row("massive-storm", &aware, &count));
+        assert!(
+            aware.bytes_hops <= count.bytes_hops,
+            "rate-aware placement regressed the single-input MassiveStorm tier at 10000 \
+             subscriptions — it must change nothing there: {aware:?} vs {count:?}"
+        );
     }
     let json = format!(
         "{{\n  \"bench\": \"reuse\",\n  \"mode\": \"{}\",\n  \"calls_per_run\": {calls_n},\n  \
@@ -346,10 +417,8 @@ fn emit_trajectory(_c: &mut Criterion) {
         locality_rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_reuse.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+    eprintln!("wrote {path}");
 }
 
 criterion_group! {

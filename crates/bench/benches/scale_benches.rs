@@ -6,9 +6,9 @@
 //! more monitored peers, so per-alert dispatch cost must stay near-flat
 //! (sublinear in the subscription count) and definition lookups must stay
 //! logarithmic in the peer count.  Besides the Criterion group, this bench
-//! writes `BENCH_scale.json` to the workspace root; CI gates it with
-//! `ci/check_bench.py scale` (per-alert growth) and `ci/check_bench.py dht`
-//! (Chord hop bound).
+//! writes `BENCH_scale.json` to the workspace root, after asserting both
+//! contracts: per-alert growth from the 1k to the 10k tier under 3x, and on
+//! every tier definition lookups through the DHT within the Chord hop bound.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -44,11 +44,13 @@ fn massive_storm(c: &mut Criterion) {
     group.finish();
 }
 
-/// Emits the BENCH_scale.json trajectory at the workspace root.
+/// Asserts the scale and DHT contracts, then emits the BENCH_scale.json
+/// trajectory at the workspace root.
 fn emit_trajectory(_c: &mut Criterion) {
     let calls_n = calls_per_run();
     let repeats = 3;
     let mut rows = Vec::new();
+    let mut tiers = Vec::new();
     for n_subs in TIERS {
         // Median-of-N on the timing (min would let one lucky 1k run inflate
         // the gated 10k/1k ratio); the structural quantities (hops, bytes,
@@ -72,6 +74,20 @@ fn emit_trajectory(_c: &mut Criterion) {
             row.operators,
             row.deploy_ms,
         );
+        assert!(
+            row.dht_operations > 0,
+            "no definition-index operations went through the DHT at {} subscriptions — \
+             lookups are bypassing Chord: {row:?}",
+            row.subscriptions
+        );
+        assert!(
+            row.dht_avg_hops <= row.hops_bound(),
+            "Chord routing exceeded the log2(nodes) hop bound at {} subscriptions \
+             ({:.2} > {:.2}): {row:?}",
+            row.subscriptions,
+            row.dht_avg_hops,
+            row.hops_bound()
+        );
         rows.push(format!(
             "    {{\"subscriptions\": {}, \"peers\": {}, \"dht_nodes\": {}, \
              \"ns_per_alert\": {:.0}, \"alerts\": {}, \"results_delivered\": {}, \
@@ -91,7 +107,30 @@ fn emit_trajectory(_c: &mut Criterion) {
             row.operators,
             row.deploy_ms,
         ));
+        tiers.push(row);
     }
+    let tier = |n_subs: usize| {
+        tiers
+            .iter()
+            .find(|row| row.subscriptions == n_subs)
+            .expect("the trajectory has a row at every gated tier")
+    };
+    let (base, top) = (tier(1_000), tier(10_000));
+    assert!(
+        base.ns_per_alert > 0.0,
+        "degenerate base tier (ns_per_alert <= 0): {base:?}"
+    );
+    let growth = top.ns_per_alert / base.ns_per_alert;
+    eprintln!("per-alert growth 1000 -> 10000 subscriptions: {growth:.2}x (bound 3x)");
+    assert!(
+        growth < 3.0,
+        "per-alert cost at 10000 subscriptions grew {growth:.2}x over the 1000 tier \
+         (bound 3x) — dispatch stopped scaling sublinearly: {top:?}"
+    );
+    assert!(
+        top.results_delivered > 0,
+        "the 10000-subscription tier delivered nothing: {top:?}"
+    );
     let json = format!(
         "{{\n  \"bench\": \"scale\",\n  \"mode\": \"{}\",\n  \"calls_per_run\": {calls_n},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
@@ -103,10 +142,8 @@ fn emit_trajectory(_c: &mut Criterion) {
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+    eprintln!("wrote {path}");
 }
 
 // The trajectory runs first: Criterion's repeated 1k-tier sampling would

@@ -7,8 +7,8 @@
 //! count) grows, sketch-on bytes stay near-flat while the baseline grows
 //! linearly — and the answers stay within the sketches' accuracy bounds of
 //! the exact oracle.  Besides the Criterion group, this bench writes
-//! `BENCH_sketch.json` to the workspace root; CI gates it with
-//! `ci/check_bench.py sketch` (top-tier byte ratio, sublinearity, accuracy).
+//! `BENCH_sketch.json` to the workspace root, after asserting that contract:
+//! the top tier's byte ratio, sublinear byte growth, and accuracy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -22,6 +22,15 @@ mod sketch;
 const TIERS: [usize; 3] = [1_000, 4_000, 10_000];
 /// Dispatch-round batches per run.
 const ROUNDS: usize = 2;
+/// The top tier's ship/sketch byte ratio must reach this.
+const MIN_RATIO: f64 = 5.0;
+/// Sketch bytes may grow at most this share of the peer growth (sublinear
+/// with real margin: the measured trajectory is near-flat).
+const MAX_SUBLINEAR_SHARE: f64 = 0.5;
+/// Accuracy bounds against the exact oracle.
+const TOPK_MAX_REL_ERR: f64 = 0.05;
+const ENTROPY_MAX_ERR_BITS: f64 = 0.05;
+const QUANTILE_MAX_REL_ERR: f64 = 0.10;
 
 fn events_per_peer() -> usize {
     // The byte trajectory is structural (deterministic per seed), so the
@@ -45,10 +54,12 @@ fn sketch_storm(c: &mut Criterion) {
     group.finish();
 }
 
-/// Emits the BENCH_sketch.json trajectory at the workspace root.
+/// Asserts the sketch contract, then emits the BENCH_sketch.json trajectory
+/// at the workspace root.
 fn emit_trajectory(_c: &mut Criterion) {
     let epp = events_per_peer();
     let mut rows = Vec::new();
+    let mut tiers = Vec::new();
     for n_peers in TIERS {
         // One run per tier: every gated quantity (bytes, messages, answer
         // accuracy) is a pure function of the seed.
@@ -67,6 +78,30 @@ fn emit_trajectory(_c: &mut Criterion) {
             row.quantile_rel_err,
             row.answers,
             row.deploy_ms,
+        );
+        assert!(
+            row.events > 0 && row.answers > 0,
+            "the {}-peer tier drove no events or produced no aggregate answers — the byte \
+             comparison passed vacuously: {row:?}",
+            row.peers
+        );
+        assert!(
+            row.topk_max_rel_err <= TOPK_MAX_REL_ERR,
+            "topk heavy-hitter counts drifted beyond {TOPK_MAX_REL_ERR} of exact at {} \
+             peers: {row:?}",
+            row.peers
+        );
+        assert!(
+            row.entropy_err_bits <= ENTROPY_MAX_ERR_BITS,
+            "entropy answer drifted beyond {ENTROPY_MAX_ERR_BITS} bits of exact at {} \
+             peers: {row:?}",
+            row.peers
+        );
+        assert!(
+            row.quantile_rel_err <= QUANTILE_MAX_REL_ERR,
+            "quantile answer drifted beyond {QUANTILE_MAX_REL_ERR} of exact at {} \
+             peers: {row:?}",
+            row.peers
         );
         rows.push(format!(
             "    {{\"peers\": {}, \"events\": {}, \"rounds\": {}, \
@@ -89,6 +124,50 @@ fn emit_trajectory(_c: &mut Criterion) {
             row.quantile_rel_err,
             row.deploy_ms,
         ));
+        tiers.push(row);
+    }
+    let tier = |n_peers: usize| {
+        tiers
+            .iter()
+            .find(|row| row.peers == n_peers)
+            .expect("the trajectory has a row at every gated tier")
+    };
+    let (base, top) = (tier(1_000), tier(10_000));
+    assert!(
+        top.ratio() >= MIN_RATIO,
+        "the sketch plane moves only {:.1}x fewer bytes than the ship-items baseline at \
+         {} peers (bound {MIN_RATIO}x) — partials stopped paying for themselves: {top:?}",
+        top.ratio(),
+        top.peers
+    );
+    assert!(
+        base.sketch_bytes > 0,
+        "degenerate base tier (sketch_bytes <= 0): {base:?}"
+    );
+    let byte_growth = top.sketch_bytes as f64 / base.sketch_bytes as f64;
+    let peer_growth = top.peers as f64 / base.peers as f64;
+    eprintln!(
+        "sketch bytes growth {} -> {} peers: {byte_growth:.2}x against {peer_growth:.0}x \
+         peers (bound {:.1}x)",
+        base.peers,
+        top.peers,
+        MAX_SUBLINEAR_SHARE * peer_growth
+    );
+    assert!(
+        byte_growth <= MAX_SUBLINEAR_SHARE * peer_growth,
+        "sketch wire bytes grew {byte_growth:.2}x while the peer count grew \
+         {peer_growth:.0}x — the partial flow is no longer sublinear: {top:?}"
+    );
+    for pair in tiers.windows(2) {
+        assert!(
+            pair[1].ratio() >= pair[0].ratio() * 0.9,
+            "the bytes-saved ratio fell as the population grew ({:.3}x at {} peers, \
+             {:.3}x at {}) — sketching should pay MORE at scale, not less",
+            pair[0].ratio(),
+            pair[0].peers,
+            pair[1].ratio(),
+            pair[1].peers
+        );
     }
     let json = format!(
         "{{\n  \"bench\": \"sketch\",\n  \"mode\": \"{}\",\n  \
@@ -101,10 +180,8 @@ fn emit_trajectory(_c: &mut Criterion) {
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sketch.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+    eprintln!("wrote {path}");
 }
 
 criterion_group! {

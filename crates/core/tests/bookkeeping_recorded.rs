@@ -17,7 +17,10 @@
 //!   order, down to no operator at all.
 //!
 //! A step's digest covers `bookkeeping_snapshot()`, `replica_stats()`,
-//! `reuse_stats()` and the network's total bytes and messages.
+//! `reuse_stats()` and the network's total bytes and messages.  To
+//! re-record, run `cargo test -q --release -p p2pmon-core --test
+//! bookkeeping_recorded -- --nocapture --test-threads 1`: each test prints
+//! its constant's digests as they appear in the source.
 
 use std::collections::VecDeque;
 
@@ -160,6 +163,7 @@ fn churn_bookkeeping_matches_the_string_keyed_maps_step_by_step() {
         monitor.run_until_idle();
         digests.push(digest(&monitor));
     }
+    println!("CHURN_PARENT: {digests:#018x?}");
     let replicas = monitor.replica_stats();
     assert!(replicas.replicas_created > 0, "replicas are declared");
     assert!(replicas.replicas_retracted > 0, "replicas are retracted");
@@ -200,6 +204,7 @@ fn aggregate_teardowns_match_the_string_keyed_maps_and_leave_nothing() {
         assert!(monitor.unsubscribe(handle));
         digests.push(digest(&monitor));
     }
+    println!("SKETCH_PARENT: {digests:#018x?}");
     assert_eq!(monitor.operator_count(), 0, "every aggregate is gone");
     let swept = monitor.bookkeeping_snapshot();
     assert!(swept.def_refs.is_empty() && swept.consumers_by_origin.is_empty());

@@ -12,7 +12,9 @@
 //! (`s<sub>-t<task>`) per task, and the names outlive the subscription.
 //!
 //! One `#[test]` in its own binary, so no other thread interns into the table
-//! while this one counts.
+//! while this one counts.  To re-record, run `cargo test -q --release -p
+//! p2pmon-core --test interned_names -- --nocapture`: the test prints
+//! `PARENT_SUBMITS`.
 
 use p2pmon_core::{Monitor, MonitorConfig};
 use p2pmon_workloads::SketchStorm;
@@ -44,6 +46,7 @@ fn keys_reuse_minted_names_and_a_teardown_interns_none() {
         assert!(monitor.unsubscribe(handle));
         teardowns.push(interned_count() - before);
     }
+    println!("PARENT_SUBMITS: {submits:?}");
     assert_eq!(submits, PARENT_SUBMITS);
     assert_eq!(teardowns, [0; 3], "a teardown mints no name");
 }

@@ -507,7 +507,10 @@ fn drive_storm() -> (String, [u64; 3], [u64; 3]) {
 /// The storm's outcome at the parent commit of the by-value partial path
 /// (8aa5ed6), where every partial was serialized at its stage, shipped or
 /// enqueued as an XML item and parsed back by the parent stage — captured by
-/// running this very test there.
+/// running this very test there.  To re-record this constant,
+/// `PARENT_PLAIN_DELIVERIES` and `PARENT_FAILURE_OUTCOME`, run `cargo test -q
+/// --release -p p2pmon-core --test sketch_aggregates -- xml_path --nocapture
+/// --test-threads 1`: the two tests print them as they appear in the source.
 const PARENT_STORM_OUTCOME: &str = "\
 --- round 0: 4 ticks
 net: messages 600 bytes 162998 channel 600 control 0 dropped 0 saved 2000, peers 997d6e7fdabf5c8b
@@ -543,6 +546,11 @@ const PARENT_PLAIN_DELIVERIES: [u64; 3] = [3_600, 3_597, 3_588];
 #[test]
 fn partials_by_value_reproduce_the_xml_path_bit_for_bit() {
     let (outcome, plain, over_network) = drive_storm();
+    println!("PARENT_STORM_OUTCOME:\n{}", outcome.replace('"', "\\\""));
+    println!(
+        "PARENT_PLAIN_DELIVERIES: {:?}",
+        [0, 1, 2].map(|round| plain[round] + over_network[round])
+    );
     assert_eq!(outcome, PARENT_STORM_OUTCOME, "outcome:\n{outcome}");
     for round in 0..3 {
         assert!(over_network[round] > 0, "round {round} crossed no partial");
@@ -620,6 +628,7 @@ answers: 9, digest 1bcdb9b042e52640
 #[test]
 fn a_failed_merge_host_loses_and_counts_what_the_xml_path_did() {
     let outcome = drive_storm_with_a_failed_merge_host();
+    println!("PARENT_FAILURE_OUTCOME:\n{}", outcome.replace('"', "\\\""));
     assert_eq!(outcome, PARENT_FAILURE_OUTCOME, "outcome:\n{outcome}");
 }
 

@@ -2,7 +2,9 @@
 //! deterministically and satisfy the conservation invariants — no double
 //! delivery, every lost sink item explained by a recorded network drop,
 //! drop-ledger identities, post-heal convergence to the fault-free
-//! oracle, and clean teardown.
+//! oracle, and clean teardown.  This is the whole contract of the chaos
+//! axis: `chaos_benches` runs the same suite at the same seed with the same
+//! runner and only records the reports in `BENCH_chaos.json`.
 
 use p2pmon_workloads::chaos::{ChaosRunner, ChaosScenario, Fault, FaultKind};
 
@@ -10,14 +12,35 @@ const SEED: u64 = 17;
 
 #[test]
 fn every_builtin_scenario_upholds_the_conservation_invariants() {
+    let scenarios = ChaosScenario::all(SEED);
+    assert!(
+        scenarios.len() >= 6,
+        "the built-in suite covers only {} scenarios (need >= 6) — a fault family lost \
+         its coverage",
+        scenarios.len()
+    );
+    let mut names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(
+        names.len(),
+        scenarios.len(),
+        "duplicate scenario names in the built-in suite: {names:?}"
+    );
     let runner = ChaosRunner::default();
-    for scenario in ChaosScenario::all(SEED) {
+    for scenario in scenarios {
         let report = runner
             .run(&scenario)
             .unwrap_or_else(|violations| panic!("{}: {violations:?}", scenario.name));
         assert!(report.converged, "{} must converge", report.scenario);
         assert_eq!(report.double_delivered, 0, "{}", report.scenario);
         assert_eq!(report.unaccounted, 0, "{}", report.scenario);
+        assert!(
+            report.missing == 0 || report.dropped_messages > 0,
+            "{}: {} missing items but a clean drop ledger — the accounting identity broke",
+            report.scenario,
+            report.missing
+        );
         assert!(
             report.oracle_delivered > 0,
             "{}: the oracle must see traffic",

@@ -258,8 +258,15 @@ impl Element {
         crate::writer::write_element(self, true)
     }
 
-    /// Approximate serialized size in bytes, used by the network simulator
-    /// for transfer-cost accounting without actually serializing.
+    /// The network's cost model: the bytes a message carrying this element
+    /// is charged, computed without serializing.  Every wire-byte figure of
+    /// the simulator, the benches and the benchmark rests on this formula,
+    /// so changing it changes them all.
+    ///
+    /// It is not `to_xml().len()`.  Every element is charged an open and a
+    /// close tag (`2·name + 5`), also an empty one, which serializes
+    /// self-closed as `<name/>` (`name + 3`); text and attribute values are
+    /// charged unescaped.  `tests/prop_roundtrip.rs` pins the exact relation.
     pub fn byte_size(&self) -> usize {
         let mut size = 2 * self.name.len() + 5; // open + close tags
         for (k, v) in &self.attributes {

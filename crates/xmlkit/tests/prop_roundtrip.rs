@@ -87,6 +87,37 @@ proptest! {
     }
 
     #[test]
+    fn byte_size_is_the_compact_form_before_escaping_and_self_closing(el in element_strategy()) {
+        // `byte_size()` charges `2·name + 5` per element, `k + v + 4` per
+        // attribute and raw text.  The compact form writes an empty element
+        // as `<name/>`, `name + 2` bytes less, and escapes: `&` grows by 4,
+        // `<` and `>` by 3, and in attribute values `"` and `'` by 5.
+        let grown = |s: &str, quotes: bool| -> usize {
+            s.chars()
+                .map(|c| match c {
+                    '&' => 4,
+                    '<' | '>' => 3,
+                    '"' | '\'' if quotes => 5,
+                    _ => 0,
+                })
+                .sum()
+        };
+        let (mut escaped, mut self_closed) = (0, 0);
+        el.walk(&mut |e| {
+            if e.children.is_empty() {
+                self_closed += e.name.len() + 2;
+            }
+            escaped += e.attributes.iter().map(|(_, v)| grown(v, true)).sum::<usize>();
+            for child in &e.children {
+                if let Node::Text(t) = child {
+                    escaped += grown(t, false);
+                }
+            }
+        });
+        prop_assert_eq!(el.to_xml().len() + self_closed, el.byte_size() + escaped);
+    }
+
+    #[test]
     fn descendant_xpath_finds_every_tag_present(el in element_strategy()) {
         // For every element name present in the tree, `//name` must select at
         // least one node, and for absent names it must select none.

@@ -33,6 +33,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use p2pmon_dht::StreamDefinition;
 use p2pmon_filter::FilterSubscription;
+use p2pmon_net::PeerId;
 use p2pmon_p2pml::plan::{normalize_peer, LogicalPlan};
 use p2pmon_p2pml::{compile_subscription, ByClause, CompileError};
 use p2pmon_streams::ChannelId;
@@ -43,7 +44,7 @@ use crate::placement::{
     place_with, push_selections_below_unions, PlacedPlan, PlacementRates, TaskKind,
 };
 use crate::profile::{LifetimeProfile, PhaseClock, SUBMIT_PHASES};
-use crate::reuse::{apply_reuse, join_parameters, select_parameters, ReuseReport, ReuseStats};
+use crate::reuse::{apply_reuse_ids, join_parameters, select_parameters, ReuseReport, ReuseStats};
 use crate::runtime::RuntimeOperator;
 use crate::sink::{Sink, SinkKind};
 
@@ -198,25 +199,27 @@ impl Monitor {
         // unavailable so replica selection never routes through a dead
         // provider.  Evaluated on demand: a submit scores the providers its
         // selections compare (counted in `ReuseStats::providers_scored`),
-        // not the peers that exist.
+        // not the peers that exist.  Scored by id: the manager is interned
+        // once per submit, and a candidate's name is never resolved.
         let scored = std::cell::Cell::new(0u64);
-        let proximity = |peer: &str| {
+        let manager_id = PeerId::from(manager.as_str());
+        let proximity = |peer: PeerId| {
             scored.set(scored.get() + 1);
-            if !self.peers.contains(peer) {
+            if !self.network.has_peer(peer) {
                 u64::MAX / 2
             } else if self.network.is_down(peer) {
                 u64::MAX
-            } else if peer == manager {
+            } else if peer == manager_id {
                 0
             } else {
-                self.network.expected_latency(&manager, peer)
+                self.network.expected_latency(manager_id, peer)
             }
         };
 
         // Stream reuse against the definition database.
         let queries = self.stream_db.index_stats().query_operations;
         let (root, reuse) = if self.config.enable_reuse {
-            let (root, reuse) = apply_reuse(&plan.root, &mut self.stream_db, &proximity);
+            let (root, reuse) = apply_reuse_ids(&plan.root, &mut self.stream_db, proximity);
             self.reuse_totals.absorb(&ReuseStats::of_report(&reuse));
             (root, reuse)
         } else {
@@ -238,7 +241,7 @@ impl Monitor {
                 if self.config.rate_aware_placement {
                     let (rate_table, loads_read) = (&self.rate_table, &loads_read);
                     Box::new(move |peer: &str, stream: &str| {
-                        db.select_provider_loaded(peer, stream, proximity, |p| {
+                        db.select_provider_loaded(peer, stream, proximity, |p: PeerId| {
                             let (load, read) = rate_table.peer_load_at(p, now);
                             loads_read.set(loads_read.get() + read as u64);
                             load
@@ -286,7 +289,7 @@ impl Monitor {
             };
             self.rate_table.bytes_per_second(&channel, now)
         };
-        let latency = |from: &str, to: &str| {
+        let latency = |from: PeerId, to: PeerId| {
             if from == to {
                 0
             } else if self.network.is_down(from) || self.network.is_down(to) {
@@ -362,13 +365,7 @@ impl Monitor {
                     // replica or pulls from the origin, and re-publish the
                     // stream from the consuming peer so *later* subscribers
                     // can attach to the closest copy.
-                    self.note_replica_consumer(
-                        sub_idx,
-                        task.id,
-                        &task.peer,
-                        channel,
-                        &channels[task.id],
-                    );
+                    self.note_replica_consumer(sub_idx, task.id, channel, &channels[task.id]);
                 }
                 _ => {}
             }

@@ -1148,7 +1148,7 @@ impl Monitor {
         {
             if peer == producer {
                 // Local attachment: straight to the peer's consumers.
-                if !self.network.is_down(&peer) {
+                if !self.network.is_down(peer) {
                     saved += targets.targets().len() as u64;
                     let host = self
                         .hosts

@@ -266,7 +266,6 @@ pub(crate) struct DefEntry {
 pub struct Monitor {
     pub(crate) config: MonitorConfig,
     pub(crate) network: Network,
-    pub(crate) peers: BTreeSet<String>,
     pub(crate) stream_db: StreamDefinitionDatabase,
     pub(crate) subscriptions: Vec<DeployedSubscription>,
     /// Every deployed task's operator, in its subscription's slot: filled by
@@ -327,7 +326,6 @@ impl Monitor {
         let dht = ChordNetwork::with_nodes(config.dht_nodes.max(1), config.seed);
         Monitor {
             network: Network::new(config.network.clone()),
-            peers: BTreeSet::new(),
             stream_db: StreamDefinitionDatabase::new(dht),
             subscriptions: Vec::new(),
             operators: OperatorSlots::default(),
@@ -361,9 +359,9 @@ impl Monitor {
         self.host_mut(&normalize_peer(&peer.into()));
     }
 
-    /// All registered peers.
+    /// All registered peers, sorted.
     pub fn peers(&self) -> Vec<&str> {
-        self.peers.iter().map(String::as_str).collect()
+        self.network.peers()
     }
 
     /// The per-peer runtime of a registered peer.
@@ -372,8 +370,8 @@ impl Monitor {
     }
 
     /// Mutable host accessor used by deployment and dispatch.  A peer nobody
-    /// registered is registered here — network, peer list and host together —
-    /// so routing never dangles; a known peer costs the lookup.
+    /// registered is registered here — network and host together — so
+    /// routing never dangles; a known peer costs the lookup.
     pub(crate) fn host_mut(&mut self, peer: &str) -> &mut PeerHost {
         self.host_and_epoch(peer).0
     }
@@ -383,7 +381,6 @@ impl Monitor {
     pub(crate) fn host_and_epoch(&mut self, peer: &str) -> (&mut PeerHost, &mut FanoutEpoch) {
         if !self.hosts.contains_key(peer) {
             self.network.add_peer(peer);
-            self.peers.insert(peer.to_string());
             let mut host = PeerHost::new(peer);
             host.deep_clone_items = self.config.deep_clone_items;
             self.hosts.insert(peer.to_string(), host);
@@ -461,7 +458,7 @@ impl Monitor {
 
     /// True when the peer is currently failed.
     pub fn is_peer_down(&self, peer: &str) -> bool {
-        self.network.is_down(&normalize_peer(peer))
+        self.network.is_down(normalize_peer(peer))
     }
 
     /// Splits the network into isolated groups (see
@@ -627,7 +624,7 @@ impl Monitor {
         // replica subscribers are moved against clean consumer registrations.
         // No release declares a replica, so an origin without one when it is
         // collected has none to release.
-        type ReplicaRelease = (ChannelId, String, (usize, usize));
+        type ReplicaRelease = (ChannelId, PeerId, (usize, usize));
         let mut replica_releases: Vec<ReplicaRelease> = Vec::new();
         let sub = &self.subscriptions[idx];
         // The routing entries the tasks removed now registered in, read off
@@ -650,10 +647,12 @@ impl Monitor {
             let replicated = match (&task.kind, ref_key) {
                 (TaskKind::ChannelSource { .. }, Some(origin)) => {
                     let outlives = |(s, t): (usize, usize)| s != idx || keep.contains(&t);
-                    match self
-                        .replicas
-                        .pins(&origin, &task.peer, (idx, task.id), outlives)
-                    {
+                    match self.replicas.pins(
+                        &origin,
+                        sub.channels[task.id].peer,
+                        (idx, task.id),
+                        outlives,
+                    ) {
                         Some(true) => {
                             keep.insert(task.id);
                             continue;
@@ -683,7 +682,7 @@ impl Monitor {
                 _ => {}
             }
             if let Some(origin) = replicated {
-                replica_releases.push((origin, task.peer.clone(), (idx, task.id)));
+                replica_releases.push((origin, sub.channels[task.id].peer, (idx, task.id)));
             }
             released.extend(ref_key);
         }
@@ -739,7 +738,7 @@ impl Monitor {
         // last, or draining a retired forwarder it leaves alone.
         let replica_released = replica_releases.len();
         for (origin, peer, removed) in replica_releases {
-            released.extend(self.release_replica_consumer(&origin, &peer, removed, clock));
+            released.extend(self.release_replica_consumer(&origin, peer, removed, clock));
         }
 
         // The published result channel stops existing once its producing

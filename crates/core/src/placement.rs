@@ -11,6 +11,7 @@
 //! manager.  [`PlacementStrategy::Centralized`] ships every alert to the
 //! manager and computes there — the baseline of experiment E6.
 
+use p2pmon_net::PeerId;
 use p2pmon_p2pml::plan::{normalize_peer, LogicalNode, LogicalPlan};
 use p2pmon_p2pml::{ByClause, ValueExpr};
 use p2pmon_streams::{AggregateSpec, AttrCondition, ChannelId, Condition, Template};
@@ -346,8 +347,9 @@ pub struct PlacementRates<'a> {
     /// `TaskKind::Source` looks up the alerter feed, `TaskKind::ChannelSource`
     /// the subscribed channel.  `None` when never observed.
     pub rate_of: &'a dyn Fn(&TaskKind) -> Option<f64>,
-    /// Expected latency (ms) between two peers, from the `LatencyModel`.
-    pub latency: &'a dyn Fn(&str, &str) -> u64,
+    /// Expected latency (ms) between two peers, by interned id, from the
+    /// `LatencyModel`.
+    pub latency: &'a dyn Fn(PeerId, PeerId) -> u64,
 }
 
 /// Places a logical plan.  `manager` is the subscription-manager peer.
@@ -472,6 +474,11 @@ impl Builder<'_> {
             return None;
         }
         let fallback = known.iter().sum::<f64>() / known.len() as f64;
+        // Each input peer and each candidate is interned once, not per link.
+        let input_peers: Vec<PeerId> = input_tasks
+            .iter()
+            .map(|&t| PeerId::from(&self.tasks[t].peer))
+            .collect();
         let mut best: Option<(f64, &String)> = None;
         let mut seen: Vec<&String> = Vec::new();
         for candidate in candidates {
@@ -479,15 +486,15 @@ impl Builder<'_> {
                 continue;
             }
             seen.push(candidate);
-            let cost: f64 = input_tasks
+            let to = PeerId::from(candidate);
+            let cost: f64 = input_peers
                 .iter()
                 .zip(&measured)
-                .map(|(&t, m)| {
-                    let peer = &self.tasks[t].peer;
-                    if peer == candidate {
+                .map(|(&from, m)| {
+                    if from == to {
                         0.0
                     } else {
-                        m.unwrap_or(fallback) * (rates.latency)(peer, candidate) as f64
+                        m.unwrap_or(fallback) * (rates.latency)(from, to) as f64
                     }
                 })
                 .sum();
@@ -862,7 +869,7 @@ by email "ops@example.org"
     #[test]
     fn rate_aware_union_lands_on_the_hotter_input_peer() {
         let plan = compile_subscription(TWO_PEER_UNION).unwrap();
-        let latency = |a: &str, b: &str| if a == b { 0 } else { 100 };
+        let latency = |a: PeerId, b: PeerId| if a == b { 0 } else { 100 };
         // b.com produces 500× the traffic of a.com: moving a.com's trickle to
         // b.com is cheaper than moving b.com's firehose to a.com.
         let rate_of = |kind: &TaskKind| match kind {
@@ -904,7 +911,7 @@ by email "ops@example.org"
     #[test]
     fn rate_aware_placement_without_measurements_matches_count_based() {
         let plan = compile_subscription(METEO_SUBSCRIPTION).unwrap();
-        let latency = |_: &str, _: &str| 10;
+        let latency = |_: PeerId, _: PeerId| 10;
         let rate_of = |_: &TaskKind| None;
         let rates = PlacementRates {
             rate_of: &rate_of,
@@ -922,7 +929,7 @@ by email "ops@example.org"
         // (per-link latencies are directional): shipping meteo.com's stream
         // out costs 200 ms while shipping data *to* meteo.com costs 50 ms.
         // Latency weighting alone must pin the join to meteo.com's side.
-        let latency = |from: &str, to: &str| {
+        let latency = |from: PeerId, to: PeerId| {
             if from == to {
                 0
             } else if from == "meteo.com" {

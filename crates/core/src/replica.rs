@@ -44,7 +44,7 @@ struct ReplicaEntry {
 #[derive(Debug, Default)]
 pub(crate) struct Replicas {
     /// Origin channel → replica peer → entry.
-    refs: HashMap<ChannelId, HashMap<String, ReplicaEntry>>,
+    refs: HashMap<ChannelId, HashMap<PeerId, ReplicaEntry>>,
     /// A live replica's local channel → its origin.  Definition references
     /// and published operand lists always name the origin ("derived streams
     /// are described with respect to the original streams, not the
@@ -76,12 +76,12 @@ impl Replicas {
     pub(crate) fn pins(
         &self,
         origin: &ChannelId,
-        peer: &str,
+        peer: PeerId,
         task: (usize, usize),
         outlives: impl Fn((usize, usize)) -> bool,
     ) -> Option<bool> {
         let replicas = self.refs.get(origin)?;
-        Some(replicas.get(peer).is_some_and(|entry| {
+        Some(replicas.get(&peer).is_some_and(|entry| {
             entry.forwarder == task
                 && entry
                     .subscribers
@@ -96,7 +96,9 @@ impl Replicas {
             .refs
             .iter()
             .flat_map(|(origin, replicas)| {
-                replicas.keys().map(|peer| (identity(origin), peer.clone()))
+                replicas
+                    .keys()
+                    .map(|peer| (identity(origin), peer.to_string()))
             })
             .collect();
         live.sort();
@@ -104,29 +106,35 @@ impl Replicas {
     }
 
     /// The entry of `peer`'s replica of `origin`, if it declared one.
-    fn entry_mut(&mut self, origin: &ChannelId, peer: &str) -> Option<&mut ReplicaEntry> {
-        self.refs.get_mut(origin)?.get_mut(peer)
+    fn entry_mut(&mut self, origin: &ChannelId, peer: PeerId) -> Option<&mut ReplicaEntry> {
+        self.refs.get_mut(origin)?.get_mut(&peer)
     }
 
     /// Records a new replica of `origin` on `peer`, forwarded by `task`
     /// through its canonical output `channel`.
-    fn declare(&mut self, origin: ChannelId, peer: &str, task: (usize, usize), channel: ChannelId) {
+    fn declare(
+        &mut self,
+        origin: ChannelId,
+        peer: PeerId,
+        task: (usize, usize),
+        channel: ChannelId,
+    ) {
         let entry = ReplicaEntry {
             subscribers: BTreeSet::from([task]),
             forwarder: task,
             channel,
         };
         let replicas = self.refs.entry(origin).or_default();
-        replicas.insert(peer.to_string(), entry);
+        replicas.insert(peer, entry);
         self.channels.insert(channel, origin);
         self.totals.replicas_created += 1;
     }
 
     /// Removes the live replica of `origin` declared on `peer` and returns
     /// its local channel.
-    fn retract(&mut self, origin: &ChannelId, peer: &str) -> ChannelId {
+    fn retract(&mut self, origin: &ChannelId, peer: PeerId) -> ChannelId {
         let replicas = self.refs.get_mut(origin).expect("a live replica");
-        let entry = replicas.remove(peer).expect("a live replica");
+        let entry = replicas.remove(&peer).expect("a live replica");
         if replicas.is_empty() {
             self.refs.remove(origin);
         }
@@ -143,11 +151,12 @@ impl Replicas {
     /// orphan not yet re-attached) — or any cycle — fails the walk, which is
     /// what makes orphan re-attachment safe.  The walk is bounded by the
     /// origin's replica count: a chain longer than that revisits a peer, and
-    /// a chain that revisits one is a cycle.
+    /// a chain that revisits one is a cycle.  It walks ids: no name is
+    /// resolved.
     fn chain_reaches_origin(
         &self,
         origin: &ChannelId,
-        replica_peer: &str,
+        replica_peer: PeerId,
         subscribed: impl Fn((usize, usize)) -> Option<ChannelId>,
     ) -> bool {
         let Some(replicas) = self.refs.get(origin) else {
@@ -155,14 +164,14 @@ impl Replicas {
         };
         let mut peer = replica_peer;
         for _ in 0..replicas.len() {
-            let Some(channel) = replicas.get(peer).and_then(|e| subscribed(e.forwarder)) else {
+            let Some(channel) = replicas.get(&peer).and_then(|e| subscribed(e.forwarder)) else {
                 return false;
             };
             if channel == *origin {
                 return true;
             }
             match self.channels.get(&channel) {
-                Some(o) if o == origin => peer = channel.peer.as_str(),
+                Some(o) if o == origin => peer = channel.peer,
                 _ => return false,
             }
         }
@@ -179,7 +188,6 @@ impl Monitor {
         &mut self,
         sub: usize,
         task: usize,
-        peer: &str,
         subscribed: &ChannelId,
         own_channel: &ChannelId,
     ) {
@@ -187,6 +195,8 @@ impl Monitor {
             return;
         }
         let origin = self.replicas.origin(subscribed);
+        // The consumer's own output channel names its host.
+        let peer = own_channel.peer;
         // Only a stream that actually exists can be re-published; a
         // subscriber of a not-yet-deployed channel (submit order is not a
         // contract) declares nothing.
@@ -207,7 +217,7 @@ impl Monitor {
         self.stream_db.publish_replica(ReplicaDeclaration {
             peer_id: origin.peer.into(),
             stream_id: origin.stream.into(),
-            replica_peer: peer.to_string(),
+            replica_peer: peer.into(),
             replica_stream: own_channel.stream.into(),
         });
     }
@@ -224,7 +234,7 @@ impl Monitor {
     pub(crate) fn release_replica_consumer(
         &mut self,
         origin: &ChannelId,
-        peer: &str,
+        peer: PeerId,
         removed: (usize, usize),
         clock: &mut PhaseClock,
     ) -> Vec<ChannelId> {
@@ -278,9 +288,9 @@ impl Monitor {
         consumers.sort_unstable();
         let chains_walked = Cell::new(0u64);
         for (sub, task, port) in consumers {
-            let consumer_peer = PeerId::from(&self.subscriptions[sub].placed.tasks[task].peer);
+            let consumer_peer = self.subscriptions[sub].channels[task].peer;
             let target = {
-                let proximity = |p: &str| {
+                let proximity = |p: PeerId| {
                     if self.network.is_down(p) {
                         u64::MAX
                     } else if consumer_peer == p {
@@ -294,7 +304,7 @@ impl Monitor {
                         TaskKind::ChannelSource { channel, .. } => Some(*channel),
                         _ => None,
                     };
-                let eligible = |p: &str| {
+                let eligible = |p: PeerId| {
                     chains_walked.set(chains_walked.get() + 1);
                     self.replicas.chain_reaches_origin(origin, p, subscribed)
                 };
@@ -340,8 +350,8 @@ mod tests {
             ChannelId::new("b.org", "s2-t0"),
         );
         let mut replicas = Replicas::default();
-        replicas.declare(origin, "a.org", (1, 0), a);
-        replicas.declare(origin, "b.org", (2, 0), b);
+        replicas.declare(origin, a.peer, (1, 0), a);
+        replicas.declare(origin, b.peer, (2, 0), b);
         (replicas, [origin, a, b])
     }
 
@@ -357,7 +367,7 @@ mod tests {
         ] {
             assert_eq!(replicas.origin(&channel), resolved, "{channel}");
         }
-        assert_eq!(replicas.retract(&origin, "a.org"), a);
+        assert_eq!(replicas.retract(&origin, a.peer), a);
         assert_eq!(replicas.origin(&a), a, "a retracted copy resolves no more");
     }
 
@@ -370,7 +380,7 @@ mod tests {
             let subscribed = |forwarder: (usize, usize)| {
                 Some(if forwarder == (1, 0) { a_pulls_from } else { a })
             };
-            for peer in ["a.org", "b.org"] {
+            for peer in [a.peer, b.peer] {
                 assert_eq!(
                     replicas.chain_reaches_origin(&origin, peer, subscribed),
                     reaches

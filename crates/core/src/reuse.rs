@@ -12,6 +12,7 @@ use std::collections::HashSet;
 
 use p2pmon_dht::reuse::NodeCover;
 use p2pmon_dht::{PlanNode, ReuseEngine, StreamDefinitionDatabase};
+use p2pmon_net::PeerId;
 use p2pmon_p2pml::plan::LogicalNode;
 use p2pmon_p2pml::ValueExpr;
 use p2pmon_streams::{AttrCondition, Condition};
@@ -263,12 +264,26 @@ pub fn logical_to_plan_node(node: &LogicalNode) -> PlanNode {
 }
 
 /// Runs the Reuse algorithm over a plan and rewrites covered subtrees into
-/// channel subscriptions.  `proximity` scores candidate provider peers
-/// (lower = closer), driving replica selection.
+/// channel subscriptions.  `proximity` scores candidate provider peers by
+/// name (lower = closer), driving replica selection.
+///
+/// The cover scores providers by interned id (`apply_reuse_ids`, what a
+/// deployment runs); this entry point resolves each scored id to its name
+/// for a caller whose proximity table is keyed by name.
 pub fn apply_reuse(
     plan: &LogicalNode,
     db: &mut StreamDefinitionDatabase,
     proximity: &dyn Fn(&str) -> u64,
+) -> (LogicalNode, ReuseReport) {
+    apply_reuse_ids(plan, db, |peer: PeerId| proximity(&peer))
+}
+
+/// [`apply_reuse`] with `proximity` scoring candidate provider peers by
+/// interned id: no candidate's name is resolved.
+pub(crate) fn apply_reuse_ids(
+    plan: &LogicalNode,
+    db: &mut StreamDefinitionDatabase,
+    proximity: impl Fn(PeerId) -> u64,
 ) -> (LogicalNode, ReuseReport) {
     let outcome = ReuseEngine::new(db).cover(&logical_to_plan_node(plan), proximity);
     let mut rewriter = Rewriter {

@@ -11,6 +11,8 @@
 //! of the streams to substitute for that node.  The nodes that have not been
 //! matched correspond to new streams that have to be produced."
 
+use p2pmon_xmlkit::Name;
+
 use crate::streamdef::StreamDefinitionDatabase;
 
 /// A node of a monitoring plan, in the shape the Reuse algorithm needs: an
@@ -149,11 +151,11 @@ impl<'a> ReuseEngine<'a> {
     }
 
     /// Runs the bottom-up covering algorithm.  `proximity` gives the
-    /// "network closeness" of a candidate provider peer (lower is closer) and
-    /// drives replica selection.
-    pub fn cover(&mut self, plan: &PlanNode, proximity: &dyn Fn(&str) -> u64) -> CoverOutcome {
+    /// "network closeness" of a candidate provider peer, by interned id
+    /// (lower is closer), and drives replica selection.
+    pub fn cover(&mut self, plan: &PlanNode, proximity: impl Fn(Name) -> u64) -> CoverOutcome {
         let mut outcome = CoverOutcome::default();
-        self.cover_node(plan, proximity, &mut outcome);
+        self.cover_node(plan, &proximity, &mut outcome);
         outcome
     }
 
@@ -163,7 +165,7 @@ impl<'a> ReuseEngine<'a> {
     fn cover_node(
         &mut self,
         node: &PlanNode,
-        proximity: &dyn Fn(&str) -> u64,
+        proximity: &dyn Fn(Name) -> u64,
         outcome: &mut CoverOutcome,
     ) -> Option<(String, String)> {
         let at = outcome.covers.len();
@@ -254,7 +256,7 @@ mod tests {
     fn leaves_and_filter_are_reused_join_is_new() {
         let mut db = database_with_meteo_streams();
         let mut engine = ReuseEngine::new(&mut db);
-        let outcome = engine.cover(&section5_plan(), &|_| 10);
+        let outcome = engine.cover(&section5_plan(), |_| 10);
         // inCOM@p1 → s1@p1 ; Filter(F) over s1 → s3@p1 ; outCOM@p2 → s2@p2 ;
         // Join not yet published → New.
         assert_eq!(outcome.reused, 3);
@@ -280,7 +282,7 @@ mod tests {
             vec![("p1".into(), "s3".into()), ("p2".into(), "s2".into())],
         ));
         let mut engine = ReuseEngine::new(&mut db);
-        let outcome = engine.cover(&section5_plan(), &|_| 10);
+        let outcome = engine.cover(&section5_plan(), |_| 10);
         assert!(outcome.root_is_reused());
         assert_eq!(outcome.new_streams, 0);
     }
@@ -294,7 +296,7 @@ mod tests {
             "DIFFERENT",
             vec![PlanNode::alerter("inCOM", "p1")],
         );
-        let outcome = engine.cover(&plan, &|_| 10);
+        let outcome = engine.cover(&plan, |_| 10);
         assert_eq!(outcome.cover(0).unwrap(), &NodeCover::New);
         // The alerter itself is still reused.
         assert!(matches!(
@@ -310,7 +312,7 @@ mod tests {
         // No alerter published at p9, so even though a Filter(F) stream over
         // *p1*'s alerts exists, the parent must not be mapped.
         let plan = PlanNode::operator("Filter", "F", vec![PlanNode::alerter("inCOM", "p9")]);
-        let outcome = engine.cover(&plan, &|_| 10);
+        let outcome = engine.cover(&plan, |_| 10);
         assert_eq!(outcome.reused, 0);
         assert_eq!(outcome.new_streams, 2);
     }
@@ -327,8 +329,8 @@ mod tests {
         let mut engine = ReuseEngine::new(&mut db);
         let plan = PlanNode::operator("Filter", "F", vec![PlanNode::alerter("inCOM", "p1")]);
         // edge.com is much closer than p1.
-        let proximity = |peer: &str| if peer == "edge.com" { 1 } else { 100 };
-        let outcome = engine.cover(&plan, &proximity);
+        let proximity = |peer: Name| if peer == "edge.com" { 1 } else { 100 };
+        let outcome = engine.cover(&plan, proximity);
         match outcome.cover(0).unwrap() {
             NodeCover::Existing {
                 original, provider, ..
@@ -349,7 +351,7 @@ mod tests {
     fn subscription_points_are_the_topmost_covered_nodes() {
         let mut db = database_with_meteo_streams();
         let mut engine = ReuseEngine::new(&mut db);
-        let outcome = engine.cover(&section5_plan(), &|_| 10);
+        let outcome = engine.cover(&section5_plan(), |_| 10);
         // Covered: the filter subtree (index 1, absorbing its alerter at 2)
         // and the right alerter (3); the join root is new.
         let points = outcome.subscription_points();
@@ -364,7 +366,7 @@ mod tests {
             "P",
             vec![("p1".into(), "s3".into()), ("p2".into(), "s2".into())],
         ));
-        let outcome = ReuseEngine::new(&mut db).cover(&section5_plan(), &|_| 10);
+        let outcome = ReuseEngine::new(&mut db).cover(&section5_plan(), |_| 10);
         let points = outcome.subscription_points();
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].0, 0);
@@ -383,7 +385,7 @@ mod tests {
             })
             .collect();
         let plan = PlanNode::operator("Union", "", branches);
-        let outcome = ReuseEngine::new(&mut db).cover(&plan, &|_| 10);
+        let outcome = ReuseEngine::new(&mut db).cover(&plan, |_| 10);
         assert_eq!(outcome.cover(0), Some(&NodeCover::New));
         let points = outcome.subscription_points();
         let indices: Vec<usize> = points.iter().map(|(at, _, _)| *at).collect();

@@ -53,11 +53,18 @@
 //! `(ReplicaPeerId, ReplicaStreamId)` answers
 //! [`StreamDefinitionDatabase::canonical_identity`]'s "is this a live
 //! replica?" the same way.
+//!
+//! Each origin's list carries every declaration's replica peer as an
+//! interned [`Name`], interned once by `publish_replica`, so provider
+//! selection is integer work: every candidate is scored by its `Name`
+//! (proximity and load are `Fn(Name) -> u64`), and `retract_replica` finds
+//! the declaring peer by comparing ids.  A selection interns no name per
+//! candidate — only the origin's, once.
 
 use std::collections::HashMap;
 
 use p2pmon_streams::{ChannelId, StreamStats};
-use p2pmon_xmlkit::{Element, ElementBuilder};
+use p2pmon_xmlkit::{Element, ElementBuilder, Name};
 
 use crate::chord::{hash_key, ChordNetwork};
 use crate::index::{DistributedIndex, IndexStats};
@@ -242,10 +249,18 @@ pub struct StreamDefinitionDatabase {
     descriptors: HashMap<String, StreamDefinition>,
     /// `<InChannel>` declarations by origin `(peer, stream)`, each origin's
     /// list in declaration order.
-    replicas: PairMap<Vec<ReplicaDeclaration>>,
+    replicas: PairMap<Vec<Declared>>,
     /// Reverse entry: how many live declarations name each replica
     /// coordinate `(replica peer, replica stream)`.
     replica_coordinates: PairMap<usize>,
+}
+
+/// One live declaration, beside its replica peer interned at publish: what
+/// selection scores and retraction compares.
+#[derive(Debug)]
+struct Declared {
+    replica_peer: Name,
+    declaration: ReplicaDeclaration,
 }
 
 /// A map keyed by a `(peer, stream)` pair, nested so that a lookup borrows
@@ -340,7 +355,7 @@ impl StreamDefinitionDatabase {
             self.index.remove(&term, &id);
         }
         for replica in self.replicas.remove(peer, stream).unwrap_or_default() {
-            self.forget_coordinate(&replica);
+            self.forget_coordinate(&replica.declaration);
         }
         true
     }
@@ -363,22 +378,32 @@ impl StreamDefinitionDatabase {
     /// `replica_peer` for the same original *replaces* the previous entry,
     /// so duplicate declarations can never accumulate.
     pub fn publish_replica(&mut self, replica: ReplicaDeclaration) {
-        self.retract_replica(&replica.peer_id, &replica.stream_id, &replica.replica_peer);
+        let replica_peer = Name::new(&replica.replica_peer);
+        self.retract_replica(&replica.peer_id, &replica.stream_id, replica_peer);
         *self
             .replica_coordinates
             .get_or_default(&replica.replica_peer, &replica.replica_stream) += 1;
         self.replicas
             .get_or_default(&replica.peer_id, &replica.stream_id)
-            .push(replica);
+            .push(Declared {
+                replica_peer,
+                declaration: replica,
+            });
     }
 
     /// Retracts the replica of `(peer, stream)` declared by `replica_peer`
     /// (replica teardown: the last local subscriber of the replicated channel
     /// unsubscribed).  Returns `true` when a declaration existed.
-    pub fn retract_replica(&mut self, peer: &str, stream: &str, replica_peer: &str) -> bool {
+    pub fn retract_replica(
+        &mut self,
+        peer: &str,
+        stream: &str,
+        replica_peer: impl Into<Name>,
+    ) -> bool {
         let Some(declared) = self.replicas.get_mut(peer, stream) else {
             return false;
         };
+        let replica_peer = replica_peer.into();
         let Some(at) = declared.iter().position(|r| r.replica_peer == replica_peer) else {
             return false;
         };
@@ -386,18 +411,21 @@ impl StreamDefinitionDatabase {
         if declared.is_empty() {
             self.replicas.remove(peer, stream);
         }
-        self.forget_coordinate(&removed);
+        self.forget_coordinate(&removed.declaration);
         true
     }
 
     /// The replicas known for a given original channel, in declaration
     /// order.
     pub fn replicas_of(&self, peer: &str, stream: &str) -> Vec<&ReplicaDeclaration> {
-        self.declared(peer, stream).iter().collect()
+        self.declared(peer, stream)
+            .iter()
+            .map(|d| &d.declaration)
+            .collect()
     }
 
     /// One origin's declarations, borrowed from the index.
-    fn declared(&self, peer: &str, stream: &str) -> &[ReplicaDeclaration] {
+    fn declared(&self, peer: &str, stream: &str) -> &[Declared] {
         self.replicas.get(peer, stream).map_or(&[], Vec::as_slice)
     }
 
@@ -517,18 +545,22 @@ impl StreamDefinitionDatabase {
 
     /// Selects the provider for a discovered stream: the original publisher or
     /// one of its replicas, whichever is "closest" according to `proximity`
-    /// (lower is closer) — the replica-selection step of Section 5.
+    /// (lower is closer) — the replica-selection step of Section 5.  Ties
+    /// keep the original, then declaration order.
     ///
     /// A proximity of [`u64::MAX`] marks a provider as *unavailable* (the
     /// monitor maps downed peers to it): an unavailable replica is never
     /// selected, and when the original itself is unavailable any reachable
     /// replica wins.  Only when nothing is reachable does the original come
     /// back as the (dead) default.
+    ///
+    /// Providers are scored by interned peer id: the origin's name is
+    /// interned once per selection, and no candidate's name is resolved.
     pub fn select_provider(
         &self,
         peer: &str,
         stream: &str,
-        proximity: impl Fn(&str) -> u64,
+        proximity: impl Fn(Name) -> u64,
     ) -> (String, String) {
         self.select_provider_where(peer, stream, proximity, |_| true)
     }
@@ -543,22 +575,19 @@ impl StreamDefinitionDatabase {
         &self,
         peer: &str,
         stream: &str,
-        proximity: impl Fn(&str) -> u64,
-        eligible: impl Fn(&str) -> bool,
+        proximity: impl Fn(Name) -> u64,
+        eligible: impl Fn(Name) -> bool,
     ) -> (String, String) {
-        let mut best = (peer, stream);
-        let mut best_score = proximity(peer);
+        let mut best = None;
+        let mut best_score = proximity(Name::new(peer));
         for replica in self.declared(peer, stream) {
-            let score = proximity(&replica.replica_peer);
-            if score < best_score && score < u64::MAX && eligible(&replica.replica_peer) {
+            let score = proximity(replica.replica_peer);
+            if score < best_score && score < u64::MAX && eligible(replica.replica_peer) {
                 best_score = score;
-                best = (
-                    replica.replica_peer.as_str(),
-                    replica.replica_stream.as_str(),
-                );
+                best = Some(replica);
             }
         }
-        (best.0.to_string(), best.1.to_string())
+        Self::provider(peer, stream, best)
     }
 
     /// Like [`select_provider`](Self::select_provider), but with a second,
@@ -571,26 +600,39 @@ impl StreamDefinitionDatabase {
         &self,
         peer: &str,
         stream: &str,
-        proximity: impl Fn(&str) -> u64,
-        load: impl Fn(&str) -> u64,
+        proximity: impl Fn(Name) -> u64,
+        load: impl Fn(Name) -> u64,
     ) -> (String, String) {
-        let mut best = (peer.to_string(), stream.to_string());
-        let mut best_score = proximity(peer);
-        let mut best_load = load(peer);
+        let origin = Name::new(peer);
+        let mut best = None;
+        let mut best_score = proximity(origin);
+        let mut best_load = load(origin);
         for replica in self.declared(peer, stream) {
-            let score = proximity(&replica.replica_peer);
+            let score = proximity(replica.replica_peer);
             if score == u64::MAX {
                 continue;
             }
             let closer = score < best_score;
-            let lighter = score == best_score && load(&replica.replica_peer) < best_load;
+            let lighter = score == best_score && load(replica.replica_peer) < best_load;
             if closer || lighter {
                 best_score = score;
-                best_load = load(&replica.replica_peer);
-                best = (replica.replica_peer.clone(), replica.replica_stream.clone());
+                best_load = load(replica.replica_peer);
+                best = Some(replica);
             }
         }
-        best
+        Self::provider(peer, stream, best)
+    }
+
+    /// The selected provider as `(peer, stream)`: the chosen replica's
+    /// coordinates, or the origin's when none beat it.
+    fn provider(peer: &str, stream: &str, chosen: Option<&Declared>) -> (String, String) {
+        match chosen {
+            Some(d) => (
+                d.declaration.replica_peer.clone(),
+                d.declaration.replica_stream.clone(),
+            ),
+            None => (peer.to_string(), stream.to_string()),
+        }
     }
 }
 
@@ -765,13 +807,13 @@ mod tests {
             replica_peer: "nearby.com".into(),
             replica_stream: "r1".into(),
         });
-        let proximity = |peer: &str| if peer == "nearby.com" { 5 } else { 100 };
+        let proximity = |peer: Name| if peer == "nearby.com" { 5 } else { 100 };
         assert_eq!(
             db.select_provider("origin.com", "s1", proximity),
             ("nearby.com".to_string(), "r1".to_string())
         );
         // When the original is closest, keep it.
-        let proximity = |peer: &str| if peer == "origin.com" { 1 } else { 50 };
+        let proximity = |peer: Name| if peer == "origin.com" { 1 } else { 50 };
         assert_eq!(
             db.select_provider("origin.com", "s1", proximity),
             ("origin.com".to_string(), "s1".to_string())
@@ -790,7 +832,7 @@ mod tests {
         });
         // Equal proximity everywhere: with zero load the original wins, just
         // like `select_provider`; under load the lighter twin takes over.
-        let flat = |_: &str| 10u64;
+        let flat = |_: Name| 10u64;
         assert_eq!(
             db.select_provider_loaded("origin.com", "s1", flat, |_| 0),
             db.select_provider("origin.com", "s1", flat)
@@ -807,7 +849,7 @@ mod tests {
         );
         // Load never overrides proximity: a busier but strictly closer
         // provider still wins.
-        let near_origin = |p: &str| if p == "origin.com" { 1 } else { 50 };
+        let near_origin = |p: Name| if p == "origin.com" { 1 } else { 50 };
         assert_eq!(
             db.select_provider_loaded("origin.com", "s1", near_origin, |p| {
                 if p == "origin.com" {
@@ -819,7 +861,7 @@ mod tests {
             ("origin.com".to_string(), "s1".to_string())
         );
         // An unavailable provider is skipped regardless of load.
-        let origin_down = |p: &str| if p == "origin.com" { u64::MAX } else { 50 };
+        let origin_down = |p: Name| if p == "origin.com" { u64::MAX } else { 50 };
         assert_eq!(
             db.select_provider_loaded("origin.com", "s1", origin_down, |_| 0),
             ("twin.com".to_string(), "r1".to_string())
@@ -877,7 +919,7 @@ mod tests {
         });
         // The replica would be closest, but it is down (proximity = MAX):
         // selection falls back to the origin.
-        let proximity = |peer: &str| if peer == "down.com" { u64::MAX } else { 80 };
+        let proximity = |peer: Name| if peer == "down.com" { u64::MAX } else { 80 };
         assert_eq!(
             db.select_provider("origin.com", "s1", proximity),
             ("origin.com".to_string(), "s1".to_string())
@@ -889,7 +931,7 @@ mod tests {
             replica_peer: "alive.com".into(),
             replica_stream: "r2".into(),
         });
-        let proximity = |peer: &str| match peer {
+        let proximity = |peer: Name| match peer.as_str() {
             "origin.com" | "down.com" => u64::MAX,
             _ => 200,
         };

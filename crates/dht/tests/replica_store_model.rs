@@ -13,10 +13,20 @@
 //! every ineligible replica scored `u64::MAX`, and to the questions it may
 //! ask: eligibility once per replica at most, and only of a replica scoring
 //! below the best eligible provider before it.
+//!
+//! The database scores providers by interned peer id; the model still
+//! scores them by name, from the same tables, so every comparison below also
+//! holds the id-keyed selection to the string-scored one it replaced.  Over
+//! origins with 8 and 64 declarations, a selection must agree with the model
+//! and — in debug builds, where the interner counts its lock acquisitions —
+//! take the same number of interner locks: a constant per selection, none
+//! per scored candidate.
 
 use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 use p2pmon_dht::{ChordNetwork, ReplicaDeclaration, StreamDefinition, StreamDefinitionDatabase};
+use p2pmon_xmlkit::Name;
 use proptest::prelude::*;
 
 const PEERS: [&str; 4] = ["p0", "p1", "p2", "p3"];
@@ -218,6 +228,12 @@ fn score_of(table: &[u64], unavailable: bool) -> impl Fn(&str) -> u64 + '_ {
     }
 }
 
+/// The same scores by interned id, as the database asks for them.
+fn id_score_of(table: &[u64], unavailable: bool) -> impl Fn(Name) -> u64 + '_ {
+    let by_name = score_of(table, unavailable);
+    move |peer| by_name(peer.as_str())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -270,7 +286,7 @@ proptest! {
                         "canonical_identity({}, {}) after {:?}", peer, stream, op
                     );
                     prop_assert_eq!(
-                        db.select_provider(peer, stream, score_of(&proximity, true)),
+                        db.select_provider(peer, stream, id_score_of(&proximity, true)),
                         model.select_provider(peer, stream, score_of(&proximity, true)),
                         "select_provider({}, {}) after {:?}", peer, stream, op
                     );
@@ -278,8 +294,8 @@ proptest! {
                         db.select_provider_loaded(
                             peer,
                             stream,
-                            score_of(&proximity, true),
-                            score_of(&load, false),
+                            id_score_of(&proximity, true),
+                            id_score_of(&load, false),
                         ),
                         model.select_provider_loaded(
                             peer,
@@ -290,9 +306,9 @@ proptest! {
                         "select_provider_loaded({}, {}) after {:?}", peer, stream, op
                     );
                     let asked = RefCell::new(Vec::new());
-                    let chosen = db.select_provider_where(peer, stream, &near, |p| {
+                    let chosen = db.select_provider_where(peer, stream, |p: Name| near(&p), |p: Name| {
                         asked.borrow_mut().push(p.to_string());
-                        is_eligible(p)
+                        is_eligible(&p)
                     });
                     // A replica on the original's own peer is exempt: it
                     // scores what the original does, so it never wins.
@@ -313,4 +329,97 @@ proptest! {
             }
         }
     }
+}
+
+/// One origin, `hub.net/s`, with `declared` replicas on `edge<k>.org`, every
+/// name interned: the database, the flat model holding the same
+/// declarations, each peer's proximity by name (a spread with ties, a
+/// quarter of the replicas unavailable) and the replicas eligibility admits
+/// (two in three).
+fn wide_origin(
+    declared: usize,
+) -> (
+    StreamDefinitionDatabase,
+    FlatModel,
+    HashMap<String, u64>,
+    HashSet<String>,
+) {
+    let mut db = StreamDefinitionDatabase::new(ChordNetwork::with_nodes(8, 3));
+    let mut model = FlatModel::default();
+    db.publish(StreamDefinition::source("hub.net", "s", "inCOM"));
+    model.publish("hub.net", "s");
+    let mut proximity = HashMap::from([("hub.net".to_string(), 60)]);
+    let mut eligible = HashSet::new();
+    for k in 0..declared {
+        let peer = format!("edge{k}.org");
+        let declaration = ReplicaDeclaration {
+            peer_id: "hub.net".into(),
+            stream_id: "s".into(),
+            replica_peer: peer.clone(),
+            replica_stream: format!("s-r{k}"),
+        };
+        db.publish_replica(declaration.clone());
+        model.publish_replica(declaration);
+        let score = if k % 4 == 0 {
+            u64::MAX
+        } else {
+            (k as u64 * 37) % 89 + 10
+        };
+        proximity.insert(peer.clone(), score);
+        if k % 3 != 1 {
+            eligible.insert(peer);
+        }
+    }
+    (db, model, proximity, eligible)
+}
+
+/// `select_provider_where` over [`wide_origin`], scored by id, and what the
+/// string-scored model picks with every ineligible replica unavailable.
+fn select_wide(declared: usize) -> ((String, String), (String, String)) {
+    let (db, model, proximity, eligible) = wide_origin(declared);
+    let by_id: HashMap<Name, u64> = proximity.iter().map(|(p, s)| (p.into(), *s)).collect();
+    let eligible_ids: HashSet<Name> = eligible.iter().map(Name::from).collect();
+    let chosen =
+        db.select_provider_where("hub.net", "s", |p| by_id[&p], |p| eligible_ids.contains(&p));
+    let expected = model.select_provider("hub.net", "s", |p| {
+        if p != "hub.net" && !eligible.contains(p) {
+            u64::MAX
+        } else {
+            proximity[p]
+        }
+    });
+    (chosen, expected)
+}
+
+#[test]
+fn wide_selections_agree_with_the_string_scored_model() {
+    for declared in [8, 64] {
+        let (chosen, expected) = select_wide(declared);
+        assert_eq!(chosen, expected, "{declared} declarations");
+        assert_ne!(chosen.0, "hub.net", "a closer eligible replica wins");
+    }
+}
+
+#[cfg(debug_assertions)]
+#[test]
+fn a_selection_takes_no_interner_lock_per_score() {
+    use p2pmon_xmlkit::intern::lock_acquisitions;
+
+    let locks = |declared: usize| {
+        let (db, _, proximity, eligible) = wide_origin(declared);
+        let by_id: HashMap<Name, u64> = proximity.iter().map(|(p, s)| (p.into(), *s)).collect();
+        let eligible_ids: HashSet<Name> = eligible.iter().map(Name::from).collect();
+        let before = lock_acquisitions();
+        db.select_provider_where("hub.net", "s", |p| by_id[&p], |p| eligible_ids.contains(&p));
+        lock_acquisitions() - before
+    };
+    let (few, many) = (locks(8), locks(64));
+    assert_eq!(
+        few, many,
+        "56 more declarations must not take one more interner lock"
+    );
+    assert!(
+        few <= 4,
+        "a selection resolves a constant few names, took {few}"
+    );
 }

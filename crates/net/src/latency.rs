@@ -1,6 +1,14 @@
 //! Latency models for links between peers.
+//!
+//! A [`LatencyModel::PerLink`] map is what replica selection and placement
+//! read as "network proximity", once per scored candidate.  The sampler
+//! compiles it once into a link table keyed by the link's two interned
+//! symbols packed into one `u64`, hashed as that integer: a lookup by
+//! [`PeerId`]s neither resolves a name nor hashes a string.  The model itself
+//! is kept as it was given, and stays the table's oracle.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,10 +46,47 @@ impl Default for LatencyModel {
     }
 }
 
-/// A latency sampler: owns the RNG state for the `Uniform` model.
+/// A hasher for a link's packed symbol pair, hashed as the integer it is:
+/// one multiply, then the high half folded into the low one, since the low
+/// bits of the product see only the `to` symbol and a hash table picks its
+/// bucket from the low bits.
+#[derive(Default)]
+struct LinkHasher(u64);
+
+impl Hasher for LinkHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only used via write_u64 on packed links; fold arbitrary bytes
+        // anyway so the hasher stays correct for any key type.
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let mixed = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = mixed ^ (mixed >> 32);
+    }
+}
+
+/// `PerLink`'s map, compiled: packed `(from, to)` symbols → latency (ms).
+type LinkTable = HashMap<u64, u64, BuildHasherDefault<LinkHasher>>;
+
+/// The key of the directional link `from → to` in a [`LinkTable`].
+fn link_key(from: PeerId, to: PeerId) -> u64 {
+    (u64::from(from.symbol().0) << 32) | u64::from(to.symbol().0)
+}
+
+/// A latency sampler: owns the RNG state for the `Uniform` model and the
+/// compiled link table of the `PerLink` one.
 #[derive(Debug)]
 pub struct LatencySampler {
     model: LatencyModel,
+    /// The `PerLink` map by packed link key (empty for the other models).
+    links: LinkTable,
     rng: StdRng,
 }
 
@@ -52,8 +97,16 @@ impl LatencySampler {
             LatencyModel::Uniform { seed, .. } => *seed,
             _ => 0,
         };
+        let links = match &model {
+            LatencyModel::PerLink { links, .. } => links
+                .iter()
+                .map(|(&(from, to), &ms)| (link_key(from, to), ms))
+                .collect(),
+            _ => LinkTable::default(),
+        };
         LatencySampler {
             model,
+            links,
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -86,8 +139,9 @@ impl LatencySampler {
                     self.rng.gen_range(*min..=*max)
                 }
             }
-            LatencyModel::PerLink { links, default } => {
-                links.get(&link()).copied().unwrap_or(*default)
+            LatencyModel::PerLink { default, .. } => {
+                let (from, to) = link();
+                self.link(from, to).unwrap_or(*default)
             }
         }
     }
@@ -95,16 +149,20 @@ impl LatencySampler {
     /// The *expected* latency of a link, used by the optimizer / replica
     /// selection as a proximity measure without consuming randomness.  Takes
     /// names or ids: a caller scoring many links from one peer interns that
-    /// peer once, and only `PerLink` resolves either end.
+    /// peer once, and only `PerLink` interns either end.
     pub fn expected(&self, from: impl Into<PeerId>, to: impl Into<PeerId>) -> u64 {
         match &self.model {
             LatencyModel::Constant(ms) => *ms,
             LatencyModel::Uniform { min, max, .. } => (min + max) / 2,
-            LatencyModel::PerLink { links, default } => links
-                .get(&(from.into(), to.into()))
-                .copied()
-                .unwrap_or(*default),
+            LatencyModel::PerLink { default, .. } => {
+                self.link(from.into(), to.into()).unwrap_or(*default)
+            }
         }
+    }
+
+    /// The listed latency of `from → to` in the compiled `PerLink` table.
+    fn link(&self, from: PeerId, to: PeerId) -> Option<u64> {
+        self.links.get(&link_key(from, to)).copied()
     }
 }
 

@@ -106,9 +106,9 @@ impl Network {
         peers
     }
 
-    /// True when the peer is registered.
-    pub fn has_peer(&self, peer: &str) -> bool {
-        self.inboxes.contains_key(&PeerId::from(peer))
+    /// True when the peer is registered.  Takes a name or an id.
+    pub fn has_peer(&self, peer: impl Into<PeerId>) -> bool {
+        self.inboxes.contains_key(&peer.into())
     }
 
     /// Marks a peer as failed: messages to it are dropped until it recovers.
@@ -124,9 +124,10 @@ impl Network {
         self.down.remove(&PeerId::from(peer));
     }
 
-    /// True when the peer is currently failed.
-    pub fn is_down(&self, peer: &str) -> bool {
-        !self.down.is_empty() && self.down.contains(&PeerId::from(peer))
+    /// True when the peer is currently failed.  Takes a name or an id; a
+    /// name is only interned while some peer is down.
+    pub fn is_down(&self, peer: impl Into<PeerId>) -> bool {
+        !self.down.is_empty() && self.down.contains(&peer.into())
     }
 
     /// True when any peer is currently failed (lets dispatch skip its

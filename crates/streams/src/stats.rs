@@ -20,7 +20,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use p2pmon_xmlkit::{intern, Element, ElementBuilder, Symbol};
+use p2pmon_xmlkit::{Element, ElementBuilder, Name, Symbol};
 
 use crate::channel::ChannelId;
 
@@ -297,10 +297,12 @@ impl RateTable {
     /// The load `peer` carries at `now`: the recent data rate (bytes/sec,
     /// EWMA decayed to `now`) of every channel it produces, each rounded to
     /// a whole number, summed — and how many channels that read.  A peer
-    /// with no observed channel, or a name never interned, carries 0.
-    pub fn peer_load_at(&self, peer: &str, now: u64) -> (u64, usize) {
-        let channels = intern::lookup(peer)
-            .and_then(|symbol| self.by_peer.get(&symbol))
+    /// with no observed channel carries 0.  Keyed by the interned id, so a
+    /// provider selection reading one load per candidate resolves no name.
+    pub fn peer_load_at(&self, peer: Name, now: u64) -> (u64, usize) {
+        let channels = self
+            .by_peer
+            .get(&peer.symbol())
             .map_or(&[][..], Vec::as_slice);
         let load = channels
             .iter()
@@ -547,7 +549,7 @@ mod tests {
                     for ahead in &probes {
                         let now = clock + ahead;
                         for peer in PEERS {
-                            let (load, read) = table.peer_load_at(peer, now);
+                            let (load, read) = table.peer_load_at(peer.into(), now);
                             prop_assert_eq!(load, whole_table_sum(&table, peer, now));
                             prop_assert_eq!(
                                 read,
@@ -556,7 +558,7 @@ mod tests {
                         }
                     }
                 }
-                prop_assert_eq!(table.peer_load_at("load-never-interned.net", clock), (0, 0));
+                prop_assert_eq!(table.peer_load_at("load-never-observed.net".into(), clock), (0, 0));
             }
         }
     }

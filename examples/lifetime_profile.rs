@@ -13,14 +13,23 @@
 //! before the subscribers riding its copy — and prints each teardown phase's
 //! work summed over the teardown and its median and mean time.
 //!
+//! Last, it runs the end-to-end benchmark's `churn_mix` script at seed 1
+//! (16 shapes over 8 hubs, consumers in 8 clusters of 8 peers, 1 024
+//! standing subscriptions, then 30 steps that each retire the 8 oldest,
+//! submit 8 and dispatch 64 calls) and prints the same split over the
+//! churned teardowns, with the provider scorings and forwarder chain walks
+//! the script cost: nearly every one of those teardowns retracts a replica
+//! and re-attaches its orphans, which is `core.unsubscribe.replica`'s work.
+//!
 //! Run with: `cargo run --release --example lifetime_profile -- [N]`
-//! (N defaults to 10 000).
+//! (N defaults to 10 000; the churn script does not depend on it).
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
-use p2pmon::core::{Monitor, MonitorConfig};
+use p2pmon::core::{Monitor, MonitorConfig, SubscriptionHandle};
 use p2pmon::net::NetworkConfig;
-use p2pmon::workloads::{MassiveStorm, SketchStorm};
+use p2pmon::workloads::{MassiveStorm, OverlappingStorm, SketchStorm};
 
 fn main() {
     let peers: usize = match std::env::args().nth(1) {
@@ -64,6 +73,38 @@ fn main() {
     assert_eq!(monitor.operator_count(), 0, "every aggregate is gone");
 
     storm_teardown(peers);
+    churn_teardown();
+}
+
+/// Each teardown phase's name, its work summed and every teardown's time.
+#[derive(Default)]
+struct TeardownSplit(Vec<(&'static str, u64, Vec<Duration>)>);
+
+impl TeardownSplit {
+    /// Tears `handle` down and adds its profile to the split.
+    fn unsubscribe(&mut self, monitor: &mut Monitor, handle: &SubscriptionHandle) {
+        assert!(
+            monitor.unsubscribe(handle),
+            "a live subscription tears down"
+        );
+        let profile = monitor.last_unsubscribe_profile().phases();
+        self.0.resize_with(profile.len(), Default::default);
+        for (total, phase) in self.0.iter_mut().zip(profile) {
+            total.0 = phase.name;
+            total.1 += phase.work;
+            total.2.push(phase.elapsed);
+        }
+    }
+
+    /// Prints every phase's summed work, p50 and mean time.
+    fn print(self) {
+        for (name, work, mut times) in self.0 {
+            times.sort_unstable();
+            let p50 = times[times.len() / 2].as_secs_f64() * 1e6;
+            let mean = times.iter().sum::<Duration>().as_secs_f64() * 1e6 / times.len() as f64;
+            println!("{name:<32} {work:>9} {p50:>9.2} us {mean:>9.2} us");
+        }
+    }
 }
 
 /// Submits the `n` subscriptions of `MassiveStorm::sized(1, n)`, tears them
@@ -89,31 +130,80 @@ fn storm_teardown(n: usize) {
         })
         .collect();
 
-    // Per phase: its name, its work summed and each teardown's time.
-    let mut phases: Vec<(&str, u64, Vec<Duration>)> = Vec::new();
+    let mut split = TeardownSplit::default();
     for handle in &handles {
-        assert!(
-            monitor.unsubscribe(handle),
-            "a live subscription tears down"
-        );
-        let profile = monitor.last_unsubscribe_profile().phases();
-        phases.resize_with(profile.len(), Default::default);
-        for (total, phase) in phases.iter_mut().zip(profile) {
-            total.0 = phase.name;
-            total.1 += phase.work;
-            total.2.push(phase.elapsed);
-        }
+        split.unsubscribe(&mut monitor, handle);
     }
     println!("oldest-first teardown of {n} storm subscriptions (work summed, p50 and mean time):");
-    for (name, work, mut times) in phases {
-        times.sort_unstable();
-        let p50 = times[times.len() / 2].as_secs_f64() * 1e6;
-        let mean = times.iter().sum::<Duration>().as_secs_f64() * 1e6 / times.len() as f64;
-        println!("{name:<32} {work:>9} {p50:>9.2} us {mean:>9.2} us");
-    }
+    split.print();
     assert_eq!(
         monitor.operator_count(),
         0,
         "the storm tears down to no operator"
     );
+}
+
+/// Runs the `churn_mix` script and prints the churned teardowns' per-phase
+/// split, then the provider scorings and chain walks of the whole script.
+fn churn_teardown() {
+    const STANDING: usize = 1_024;
+    const STEPS: usize = 30;
+    const CHURN: usize = 8;
+    const BATCH: usize = 64;
+    let mut storm = OverlappingStorm::clustered(1, 16, 8, 8);
+    storm.monitored_peers = (0..8).map(|h| format!("hub{h}.net")).collect();
+    let peers: Vec<String> = storm
+        .monitored_peers
+        .iter()
+        .chain(&storm.consumer_peers)
+        .cloned()
+        .collect();
+    let mut monitor = Monitor::new(MonitorConfig {
+        network: NetworkConfig {
+            latency: storm.latency_model(),
+            ..NetworkConfig::default()
+        },
+        dht_nodes: peers.len(),
+        ..MonitorConfig::default()
+    });
+    for peer in peers {
+        monitor.add_peer(peer);
+    }
+    let mut traffic = storm.clone();
+    let submit = |monitor: &mut Monitor, i: usize| {
+        monitor
+            .submit(storm.manager_of(i), &storm.subscription(i))
+            .expect("churn storm subscription deploys")
+    };
+    let mut live: VecDeque<_> = (0..STANDING).map(|i| submit(&mut monitor, i)).collect();
+    let mut split = TeardownSplit::default();
+    for step in 0..STEPS {
+        for _ in 0..CHURN {
+            let oldest = live.pop_front().expect("standing subscriptions");
+            split.unsubscribe(&mut monitor, &oldest);
+        }
+        for i in 0..CHURN {
+            live.push_back(submit(&mut monitor, STANDING + step * CHURN + i));
+        }
+        for call in traffic.calls(BATCH) {
+            monitor.inject_soap_call(&call);
+        }
+        monitor.run_until_idle();
+    }
+    println!(
+        "\nchurn_mix script: {} teardowns among {STANDING} standing subscriptions \
+         (work summed, p50 and mean time):",
+        STEPS * CHURN
+    );
+    split.print();
+    let (reuse, replicas) = (monitor.reuse_stats(), monitor.replica_stats());
+    println!(
+        "providers_scored {}  loads_read {}  chains_walked {}  replicas_retracted {}",
+        reuse.providers_scored,
+        reuse.loads_read,
+        replicas.chains_walked,
+        replicas.replicas_retracted
+    );
+    assert!(replicas.replicas_retracted > 0, "churn retracts replicas");
+    assert!(replicas.chains_walked > 0, "orphans re-attach");
 }

@@ -6,17 +6,16 @@
 //! more monitored peers, so per-alert dispatch cost must stay near-flat
 //! (sublinear in the subscription count) and definition lookups must stay
 //! logarithmic in the peer count.  Besides the Criterion group, this bench
-//! writes `BENCH_scale.json` to the workspace root, after asserting both
-//! contracts: per-alert growth from the 1k to the 10k tier under 3x, and on
-//! every tier definition lookups through the DHT within the Chord hop bound.
+//! writes `BENCH_scale.json` to the workspace root, after asserting the
+//! timing contract: per-alert growth from the 1k to the 10k tier under 3x.
+//! The Chord hop bound on definition lookups is a deterministic contract,
+//! asserted on the same runner at 1k by `crates/core/tests/bench_contracts.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use p2pmon_bench::{full_run_requested, quick_criterion};
-
-#[path = "common/scale.rs"]
-mod scale;
+use p2pmon_workloads::runners::{run_scale, ScaleRow};
 
 /// The gated trajectory: per-alert cost at 10k must stay under 3x the 1k
 /// tier while the subscription count grows 10x.
@@ -39,13 +38,13 @@ fn massive_storm(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale_massive_storm");
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("subs", TIERS[0]), |b| {
-        b.iter(|| scale::run_scale(1, black_box(TIERS[0]), 50).results_delivered)
+        b.iter(|| run_scale(1, black_box(TIERS[0]), 50).results_delivered)
     });
     group.finish();
 }
 
-/// Asserts the scale and DHT contracts, then emits the BENCH_scale.json
-/// trajectory at the workspace root.
+/// Asserts the scale contract, then emits the BENCH_scale.json trajectory at
+/// the workspace root.
 fn emit_trajectory(_c: &mut Criterion) {
     let calls_n = calls_per_run();
     let repeats = 3;
@@ -55,8 +54,8 @@ fn emit_trajectory(_c: &mut Criterion) {
         // Median-of-N on the timing (min would let one lucky 1k run inflate
         // the gated 10k/1k ratio); the structural quantities (hops, bytes,
         // operators) are identical across repeats of one seed.
-        let mut runs: Vec<scale::ScaleRow> = (0..repeats)
-            .map(|_| scale::run_scale(1, n_subs, calls_n))
+        let mut runs: Vec<ScaleRow> = (0..repeats)
+            .map(|_| run_scale(1, n_subs, calls_n))
             .collect();
         runs.sort_by(|a, b| a.ns_per_alert.total_cmp(&b.ns_per_alert));
         let row = runs.swap_remove(repeats / 2);
@@ -73,20 +72,6 @@ fn emit_trajectory(_c: &mut Criterion) {
             row.hops_bound(),
             row.operators,
             row.deploy_ms,
-        );
-        assert!(
-            row.dht_operations > 0,
-            "no definition-index operations went through the DHT at {} subscriptions — \
-             lookups are bypassing Chord: {row:?}",
-            row.subscriptions
-        );
-        assert!(
-            row.dht_avg_hops <= row.hops_bound(),
-            "Chord routing exceeded the log2(nodes) hop bound at {} subscriptions \
-             ({:.2} > {:.2}): {row:?}",
-            row.subscriptions,
-            row.dht_avg_hops,
-            row.hops_bound()
         );
         rows.push(format!(
             "    {{\"subscriptions\": {}, \"peers\": {}, \"dht_nodes\": {}, \
@@ -127,6 +112,8 @@ fn emit_trajectory(_c: &mut Criterion) {
         "per-alert cost at 10000 subscriptions grew {growth:.2}x over the 1000 tier \
          (bound 3x) — dispatch stopped scaling sublinearly: {top:?}"
     );
+    // A tier that delivers nothing dispatches nothing: the ratio above would
+    // pass vacuously.  `cargo test` runs no 10k tier.
     assert!(
         top.results_delivered > 0,
         "the 10000-subscription tier delivered nothing: {top:?}"

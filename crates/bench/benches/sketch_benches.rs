@@ -7,16 +7,17 @@
 //! count) grows, sketch-on bytes stay near-flat while the baseline grows
 //! linearly — and the answers stay within the sketches' accuracy bounds of
 //! the exact oracle.  Besides the Criterion group, this bench writes
-//! `BENCH_sketch.json` to the workspace root, after asserting that contract:
-//! the top tier's byte ratio, sublinear byte growth, and accuracy.
+//! `BENCH_sketch.json` to the workspace root, after asserting the part of
+//! that contract only the full trajectory has: the top tier's byte ratio,
+//! sublinear byte growth and a ratio that never falls across tiers.  Answer
+//! accuracy is asserted on the same runner at 1k peers by
+//! `crates/core/tests/bench_contracts.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use p2pmon_bench::{full_run_requested, quick_criterion};
-
-#[path = "common/sketch.rs"]
-mod sketch;
+use p2pmon_workloads::runners::run_sketch;
 
 /// The gated trajectory: monitored-peer tiers.
 const TIERS: [usize; 3] = [1_000, 4_000, 10_000];
@@ -27,10 +28,6 @@ const MIN_RATIO: f64 = 5.0;
 /// Sketch bytes may grow at most this share of the peer growth (sublinear
 /// with real margin: the measured trajectory is near-flat).
 const MAX_SUBLINEAR_SHARE: f64 = 0.5;
-/// Accuracy bounds against the exact oracle.
-const TOPK_MAX_REL_ERR: f64 = 0.05;
-const ENTROPY_MAX_ERR_BITS: f64 = 0.05;
-const QUANTILE_MAX_REL_ERR: f64 = 0.10;
 
 fn events_per_peer() -> usize {
     // The byte trajectory is structural (deterministic per seed), so the
@@ -49,21 +46,21 @@ fn sketch_storm(c: &mut Criterion) {
     let mut group = c.benchmark_group("sketch_storm");
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("peers", TIERS[0]), |b| {
-        b.iter(|| sketch::run_sketch(1, black_box(TIERS[0]), 2, ROUNDS).answers)
+        b.iter(|| run_sketch(1, black_box(TIERS[0]), 2, ROUNDS).answers)
     });
     group.finish();
 }
 
-/// Asserts the sketch contract, then emits the BENCH_sketch.json trajectory
-/// at the workspace root.
+/// Asserts the full-trajectory sketch contract, then emits the
+/// BENCH_sketch.json trajectory at the workspace root.
 fn emit_trajectory(_c: &mut Criterion) {
     let epp = events_per_peer();
     let mut rows = Vec::new();
     let mut tiers = Vec::new();
     for n_peers in TIERS {
-        // One run per tier: every gated quantity (bytes, messages, answer
-        // accuracy) is a pure function of the seed.
-        let row = sketch::run_sketch(1, n_peers, epp, ROUNDS);
+        // One run per tier: every recorded quantity but `deploy_ms` (bytes,
+        // messages, answer accuracy) is a pure function of the seed.
+        let row = run_sketch(1, n_peers, epp, ROUNDS);
         eprintln!(
             "sketch [{} peers, {} events]: {} sketch bytes vs {} ship bytes \
              ({:.1}x), topk err {:.4}, entropy err {:.4} bits, quantile err \
@@ -78,30 +75,6 @@ fn emit_trajectory(_c: &mut Criterion) {
             row.quantile_rel_err,
             row.answers,
             row.deploy_ms,
-        );
-        assert!(
-            row.events > 0 && row.answers > 0,
-            "the {}-peer tier drove no events or produced no aggregate answers — the byte \
-             comparison passed vacuously: {row:?}",
-            row.peers
-        );
-        assert!(
-            row.topk_max_rel_err <= TOPK_MAX_REL_ERR,
-            "topk heavy-hitter counts drifted beyond {TOPK_MAX_REL_ERR} of exact at {} \
-             peers: {row:?}",
-            row.peers
-        );
-        assert!(
-            row.entropy_err_bits <= ENTROPY_MAX_ERR_BITS,
-            "entropy answer drifted beyond {ENTROPY_MAX_ERR_BITS} bits of exact at {} \
-             peers: {row:?}",
-            row.peers
-        );
-        assert!(
-            row.quantile_rel_err <= QUANTILE_MAX_REL_ERR,
-            "quantile answer drifted beyond {QUANTILE_MAX_REL_ERR} of exact at {} \
-             peers: {row:?}",
-            row.peers
         );
         rows.push(format!(
             "    {{\"peers\": {}, \"events\": {}, \"rounds\": {}, \

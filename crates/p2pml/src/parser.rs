@@ -116,12 +116,10 @@ impl<'a> Scanner<'a> {
     /// non-identifier character.
     fn eat_keyword(&mut self, keyword: &str) -> bool {
         let rest = self.rest();
-        if rest.len() < keyword.len() {
-            return false;
-        }
-        let candidate = &rest[..keyword.len()];
-        if !candidate.eq_ignore_ascii_case(keyword) {
-            return false;
+        // `get` is `None` when the keyword's length ends inside a char.
+        match rest.get(..keyword.len()) {
+            Some(candidate) if candidate.eq_ignore_ascii_case(keyword) => {}
+            _ => return false,
         }
         let next = rest[keyword.len()..].chars().next();
         if matches!(next, Some(c) if c.is_alphanumeric() || c == '_') {
@@ -694,8 +692,10 @@ fn capture_return_body(scanner: &mut Scanner<'_>, nested: bool) -> Result<String
                     if nested && c == ')' {
                         break;
                     }
-                    if scanner.rest().len() >= 2
-                        && scanner.rest()[..2].eq_ignore_ascii_case("by")
+                    if scanner
+                        .rest()
+                        .get(..2)
+                        .is_some_and(|by| by.eq_ignore_ascii_case("by"))
                         && scanner.rest()[2..]
                             .chars()
                             .next()

@@ -1,0 +1,56 @@
+//! Hostile text gets a parse error, never a panic.
+//!
+//! A deterministic sweep over the paper's Figure 1 subscription: at every
+//! char boundary it is truncated, split (the tail on its own) and has a 2-,
+//! 3- and 4-byte UTF-8 char inserted, and each variant goes through
+//! `compile_subscription`.  Keyword and `by` lookahead compare the rest of
+//! the input up to a byte count, which may fall inside a multi-byte char.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use p2pmon_p2pml::{compile_subscription, METEO_SUBSCRIPTION};
+
+fn variants(text: &str) -> Vec<String> {
+    let boundaries = text.char_indices().map(|(i, _)| i).chain([text.len()]);
+    let mut out = Vec::new();
+    for i in boundaries {
+        let (head, tail) = text.split_at(i);
+        out.push(head.to_string());
+        out.push(tail.to_string());
+        for wide in ['é', '€', '𝄞'] {
+            out.push(format!("{head}{wide}{tail}"));
+        }
+    }
+    out
+}
+
+#[test]
+fn compile_subscription_never_panics_on_non_ascii_input() {
+    let mut inputs = variants(METEO_SUBSCRIPTION);
+    inputs.extend(["abé", "for $c in é", "b€", "by"].map(String::from));
+    let panicking: Vec<&String> = inputs
+        .iter()
+        .filter(|input| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let _ = compile_subscription(input);
+            }))
+            .is_err()
+        })
+        .collect();
+    assert!(
+        panicking.is_empty(),
+        "{} of {} inputs panicked, first: {:?}",
+        panicking.len(),
+        inputs.len(),
+        panicking.first()
+    );
+}
+
+#[test]
+fn wide_chars_get_a_parse_error_or_parse_normally() {
+    assert!(compile_subscription("abé").is_err());
+    let text = METEO_SUBSCRIPTION
+        .replace("alertQoS", "alertQoS-é€𝄞")
+        .replace("slowAnswer", "slowAnswer-é€𝄞");
+    compile_subscription(&text).expect("wide chars inside literals compile");
+}

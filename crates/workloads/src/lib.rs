@@ -32,8 +32,12 @@
 //!   adding subscriptions adds monitored peers, so per-peer (and therefore
 //!   per-alert) load stays bounded while definition lookups route through
 //!   the real Chord overlay.
+//!
+//! [`runners`] drives these workloads through the monitor and measures them:
+//! the contract tests and the bench trajectories call the same runs.
 
 pub mod chaos;
+pub mod runners;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -4,9 +4,7 @@
 //!
 //! The paper builds its monitoring system on top of the ActiveXML framework
 //! (\[4\], \[5\] in the paper): documents may embed *service-call elements*
-//! (`sc`), streams are sequences of (Active)XML trees, and distributed
-//! evaluation is expressed in an *algebra* whose rewrite rules introduce
-//! `eval`, `send` and `receive` services to ship work between peers.
+//! (`sc`), and streams are sequences of (Active)XML trees.
 //!
 //! This crate provides:
 //!
@@ -17,23 +15,14 @@
 //!   elements without materialising them.
 //! * [`AxmlDocument`] and [`Repository`] — a small versioned document store;
 //!   every update produces an update event consumed by the ActiveXML alerter.
-//! * [`algebra`] — the algebraic expressions of Section 3.3
-//!   (`l⟨e…⟩`, `s@p(e…)`, `d@p`, `eval@p(e)`, `send@p(n@p', e)`,
-//!   `receive@p()`), peer-located or generic (`s@any`) services, and service
-//!   execution states (`◦s@p`, `•s@p`).
-//! * [`rewrite`] — the rewrite rules: local service invocation, external
-//!   service invocation (delegation through `send`/`receive` pairs) and the
-//!   query-decomposition rule used by the optimizer, plus the extraction of
-//!   per-peer task groups exactly as in the Section 3.4 example.
+//!
+//! The paper's distributed-evaluation rules (Sections 3.3–3.4) live in the
+//! plan `p2pmon-core` places and runs (see `docs/architecture.md`).
 
-pub mod algebra;
 pub mod repository;
-pub mod rewrite;
 pub mod sc;
 
-pub use algebra::{AlgebraError, Expr, PeerRef, ServiceState};
 pub use repository::{AxmlDocument, Repository, UpdateEvent, UpdateKind};
-pub use rewrite::{extract_peer_tasks, rewrite_distributed, PeerTask, RewriteStats};
 pub use sc::{MergeMode, ServiceCall};
 
 #[cfg(test)]

@@ -5,16 +5,18 @@
 //! ```xml
 //! <Stream PeerId="..." StreamId="..." isAChannel="...">
 //!   <Operator>...</Operator><Operands>...</Operands>
-//!   <Stats>...</Stats>
 //! </Stream>
 //! ```
 //!
 //! The pair `(StreamId, PeerId)` identifies the stream; `Operands` lists the
 //! `(OPeerId, OStreamId)` pairs of its inputs (empty for alerter-produced
 //! sources); `Operator` says which operator produced it; `isAChannel` tells
-//! whether the stream is published.  Replicas are declared separately with
-//! `<InChannel>` elements, and — crucially for reuse — derived streams are
-//! always described *with respect to the original streams, not the replicas*.
+//! whether the stream is published.  The paper's `<Stats>` child is not
+//! published: a stream's rates are measured where it flows, in the
+//! monitor's `RateTable`, and read there by placement and provider
+//! selection.  Replicas are declared separately with `<InChannel>`
+//! elements, and — crucially for reuse — derived streams are always
+//! described *with respect to the original streams, not the replicas*.
 //!
 //! **Identity invariant.**  `(PeerId, StreamId)` is the *canonical channel
 //! identity* ([`StreamDefinition::channel_id`]): `PeerId` must be the peer
@@ -63,7 +65,7 @@
 
 use std::collections::HashMap;
 
-use p2pmon_streams::{ChannelId, StreamStats};
+use p2pmon_streams::ChannelId;
 use p2pmon_xmlkit::{Element, ElementBuilder, Name};
 
 use crate::chord::{hash_key, ChordNetwork};
@@ -89,8 +91,6 @@ pub struct StreamDefinition {
     pub operands: Vec<(String, String)>,
     /// Whether the stream is published as a channel.
     pub is_channel: bool,
-    /// Published statistics.
-    pub stats: StreamStats,
 }
 
 impl StreamDefinition {
@@ -107,7 +107,6 @@ impl StreamDefinition {
             parameters: String::new(),
             operands: Vec::new(),
             is_channel: true,
-            stats: StreamStats::new(),
         }
     }
 
@@ -126,7 +125,6 @@ impl StreamDefinition {
             parameters: parameters.into(),
             operands,
             is_channel: true,
-            stats: StreamStats::new(),
         }
     }
 
@@ -160,7 +158,6 @@ impl StreamDefinition {
             .attr("isAChannel", self.is_channel.to_string())
             .child_element(operator)
             .child_element(operands)
-            .child_element(self.stats.to_element())
             .build()
     }
 
@@ -190,10 +187,6 @@ impl StreamDefinition {
             parameters: operator_el.attr("params").unwrap_or("").to_string(),
             operands,
             is_channel: element.attr("isAChannel") == Some("true"),
-            stats: element
-                .child("Stats")
-                .map(StreamStats::from_element)
-                .unwrap_or_default(),
         })
     }
 }
@@ -647,14 +640,13 @@ mod tests {
 
     #[test]
     fn stream_definition_xml_round_trip() {
-        let mut def = StreamDefinition::derived(
+        let def = StreamDefinition::derived(
             "p2",
             "s5",
             "Filter",
             "callee=meteo.com",
             vec![("p1".into(), "s1".into())],
         );
-        def.stats.record(0, 128);
         let el = def.to_element();
         assert_eq!(el.attr("PeerId"), Some("p2"));
         let parsed = StreamDefinition::from_element(&el).unwrap();
@@ -663,7 +655,6 @@ mod tests {
         assert_eq!(parsed.parameters, "callee=meteo.com");
         assert_eq!(parsed.operands, def.operands);
         assert!(parsed.is_channel);
-        assert_eq!(parsed.stats.items, 1);
     }
 
     #[test]

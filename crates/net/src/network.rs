@@ -18,7 +18,8 @@ pub struct NetworkConfig {
     /// Latency model for all links.
     pub latency: LatencyModel,
     /// Probability in `[0, 1]` that any message is silently dropped
-    /// (failure injection; 0 by default).
+    /// (failure injection; 0 by default).  Values outside the range are
+    /// clamped into it, and NaN means 0.
     pub drop_probability: f64,
     /// Seed for the drop-decision generator.
     pub seed: u64,
@@ -76,6 +77,16 @@ pub struct Network {
     stats: NetworkStats,
 }
 
+/// A requested loss probability as the network stores it: clamped into
+/// `[0, 1]`, NaN (which `clamp` passes through) read as no loss.
+fn loss_probability(requested: f64) -> f64 {
+    if requested.is_nan() {
+        0.0
+    } else {
+        requested.clamp(0.0, 1.0)
+    }
+}
+
 impl Network {
     /// Creates an empty network.
     pub fn new(config: NetworkConfig) -> Self {
@@ -87,7 +98,7 @@ impl Network {
             clock: 0,
             next_message_id: 0,
             latency: LatencySampler::new(config.latency),
-            drop_probability: config.drop_probability.clamp(0.0, 1.0),
+            drop_probability: loss_probability(config.drop_probability),
             partition: HashMap::new(),
             rng: StdRng::seed_from_u64(config.seed),
             stats: NetworkStats::default(),
@@ -199,8 +210,9 @@ impl Network {
     /// injection).  The seeded drop-decision generator is only consulted —
     /// and only advanced — while the probability is above zero, so a burst
     /// window's decisions replay bit-identically from the network seed.
+    /// Clamped and NaN-mapped like [`NetworkConfig::drop_probability`].
     pub fn set_drop_probability(&mut self, probability: f64) {
-        self.drop_probability = probability.clamp(0.0, 1.0);
+        self.drop_probability = loss_probability(probability);
     }
 
     /// The current random-loss probability.
@@ -615,6 +627,23 @@ mod tests {
         }
         let dropped = n.stats().dropped_messages;
         assert!(dropped > 60 && dropped < 140, "dropped {dropped} of 200");
+    }
+
+    #[test]
+    fn a_nan_drop_probability_means_no_loss() {
+        let mut n = Network::new(NetworkConfig {
+            drop_probability: f64::NAN,
+            ..NetworkConfig::default()
+        });
+        assert_eq!(n.drop_probability(), 0.0);
+        n.set_drop_probability(2.0);
+        assert_eq!(n.drop_probability(), 1.0);
+        n.set_drop_probability(f64::NAN);
+        assert_eq!(n.drop_probability(), 0.0);
+        n.add_peer("a");
+        n.add_peer("b");
+        assert!(n.send("a", "b", None, Element::new("x")).is_some());
+        assert_eq!(n.stats().dropped_messages, 0);
     }
 
     #[test]

@@ -27,9 +27,8 @@
 //!   two-stage Filter exploits ([`condition`]),
 //! * [`Template`] — RETURN-clause templates with `{…}` placeholders
 //!   ([`template`]),
-//! * [`StreamStats`] / [`RateTable`] — per-stream statistics (lifetime and
-//!   EWMA rates) kept for the Stream Definition Database and the per-monitor
-//!   rate table that drives load-aware placement ([`stats`]),
+//! * [`StreamStats`] / [`RateTable`] — per-stream EWMA rates and the
+//!   per-monitor rate table that drives load-aware placement ([`stats`]),
 //! * [`Sketch`] summaries ([`CountMinSketch`], [`TopKSketch`],
 //!   [`EntropySketch`], [`QuantileSummary`]) — bounded-size mergeable state
 //!   behind the aggregate operators (`TopK`, `Entropy`, `Quantile`), which

@@ -2,25 +2,21 @@
 //!
 //! The Stream Definition Database of Section 5 stores, along with each stream
 //! description, "statistical information maintained for the stream such as
-//! the average volume of data in the stream for some period of time".  The
-//! optimizer uses these statistics to decide where to place operators and
-//! which replica of a stream to subscribe to.
+//! the average volume of data in the stream for some period of time".  Here
+//! that information is measured where the stream flows: the monitor's
+//! [`RateTable`] records every item of every channel, and placement and
+//! provider selection read it.
 //!
-//! Two rate notions coexist:
-//!
-//! * **Lifetime averages** (`items_per_second`, `bytes_per_second`) over the
-//!   total *observed* time.  Observed time is tracked per observer, so
-//!   merging statistics from concurrent replicas of the same stream averages
-//!   their rates instead of summing them.
-//! * **EWMA rates** (`ewma_items_per_second`, `*_at(now)`) that track the
-//!   recent rate with an exponential time decay — lifetime averages go stale
-//!   under churn, while the EWMA decays toward zero when a stream falls
-//!   silent, which is what replica retraction and placement want to see.
+//! There is one rate notion: an **EWMA** of the item and data rates
+//! (`ewma_*_per_second`, `*_per_second_at(now)`) with an exponential time
+//! decay.  It tracks the recent rate and decays toward zero when a stream
+//! falls silent, which is what replica retraction and placement want to see;
+//! a lifetime average would go stale under churn.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use p2pmon_xmlkit::{Element, ElementBuilder, Name, Symbol};
+use p2pmon_xmlkit::{Name, Symbol};
 
 use crate::channel::ChannelId;
 
@@ -36,13 +32,11 @@ pub struct StreamStats {
     pub items: u64,
     /// Total bytes observed.
     pub bytes: u64,
-    /// Timestamp of the first item (logical ms).
-    pub first_timestamp: Option<u64>,
     /// Timestamp of the most recent item (logical ms).
     pub last_timestamp: Option<u64>,
-    /// Milliseconds of observation covered by this recorder (summed across
-    /// observers on merge, so overlapping windows do not inflate rates).
-    observed_ms: u64,
+    /// True once an interval has folded into the EWMA; until then only one
+    /// logical instant was seen and every rate reads 0.
+    folded: bool,
     /// EWMA of the arrival rate (items/sec) over folded intervals.
     ewma_items_per_sec: f64,
     /// EWMA of the data rate (bytes/sec) over folded intervals.
@@ -66,7 +60,6 @@ impl StreamStats {
         self.items += 1;
         self.bytes += bytes as u64;
         let Some(last) = self.last_timestamp else {
-            self.first_timestamp = Some(timestamp);
             self.last_timestamp = Some(timestamp);
             self.bucket_items = 1;
             self.bucket_bytes = bytes as u64;
@@ -78,9 +71,7 @@ impl StreamStats {
             self.bucket_bytes += bytes as u64;
             return;
         }
-        let dt = timestamp - last;
-        self.fold_bucket(dt);
-        self.observed_ms += dt;
+        self.fold_bucket(timestamp - last);
         self.last_timestamp = Some(timestamp);
         self.bucket_items = 1;
         self.bucket_bytes = bytes as u64;
@@ -91,8 +82,9 @@ impl StreamStats {
         let dt = dt as f64;
         let inst_items = self.bucket_items as f64 * 1000.0 / dt;
         let inst_bytes = self.bucket_bytes as f64 * 1000.0 / dt;
-        if self.observed_ms == 0 {
+        if !self.folded {
             // Bootstrap: the first completed interval defines the estimate.
+            self.folded = true;
             self.ewma_items_per_sec = inst_items;
             self.ewma_bytes_per_sec = inst_bytes;
         } else {
@@ -102,160 +94,32 @@ impl StreamStats {
         }
     }
 
-    /// Observed duration in milliseconds (0 when fewer than two items).
-    pub fn duration_ms(&self) -> u64 {
-        match (self.first_timestamp, self.last_timestamp) {
-            (Some(a), Some(b)) if b > a => b - a,
-            _ => 0,
-        }
-    }
-
-    /// Milliseconds of observation time backing the lifetime rates.  Equal to
-    /// `duration_ms` for a single recorder; the *sum* of the parts after a
-    /// merge.
-    pub fn observed_ms(&self) -> u64 {
-        self.observed_ms
-    }
-
-    /// Average item rate in items per second over the observed time.
-    pub fn items_per_second(&self) -> f64 {
-        let d = if self.observed_ms > 0 {
-            self.observed_ms
-        } else {
-            self.duration_ms()
-        };
-        if d == 0 {
-            0.0
-        } else {
-            self.items as f64 * 1000.0 / d as f64
-        }
-    }
-
-    /// Average data volume in bytes per second.
-    pub fn bytes_per_second(&self) -> f64 {
-        let d = if self.observed_ms > 0 {
-            self.observed_ms
-        } else {
-            self.duration_ms()
-        };
-        if d == 0 {
-            0.0
-        } else {
-            self.bytes as f64 * 1000.0 / d as f64
-        }
-    }
-
-    /// Recent item rate (items/sec): EWMA over completed intervals, falling
-    /// back to the lifetime average while fewer than two instants were seen.
+    /// Recent item rate (items/sec): EWMA over completed intervals, 0 while
+    /// fewer than two instants were seen.
     pub fn ewma_items_per_second(&self) -> f64 {
-        if self.observed_ms > 0 {
-            self.ewma_items_per_sec
-        } else {
-            self.items_per_second()
-        }
+        self.ewma_items_per_sec
     }
 
     /// Recent data rate (bytes/sec), EWMA; see [`Self::ewma_items_per_second`].
     pub fn ewma_bytes_per_second(&self) -> f64 {
-        if self.observed_ms > 0 {
-            self.ewma_bytes_per_sec
-        } else {
-            self.bytes_per_second()
-        }
+        self.ewma_bytes_per_sec
     }
 
     /// The EWMA item rate decayed to `now`: a stream that has been silent for
     /// a few time constants reads as (nearly) zero.
     pub fn items_per_second_at(&self, now: u64) -> f64 {
-        self.ewma_items_per_second() * self.decay_to(now)
+        self.ewma_items_per_sec * self.decay_to(now)
     }
 
     /// The EWMA data rate decayed to `now`; see [`Self::items_per_second_at`].
     pub fn bytes_per_second_at(&self, now: u64) -> f64 {
-        self.ewma_bytes_per_second() * self.decay_to(now)
+        self.ewma_bytes_per_sec * self.decay_to(now)
     }
 
     fn decay_to(&self, now: u64) -> f64 {
         match self.last_timestamp {
             Some(last) if now > last => (-((now - last) as f64) / RATE_TAU_MS).exp(),
             _ => 1.0,
-        }
-    }
-
-    /// Average item size in bytes.
-    pub fn avg_item_bytes(&self) -> f64 {
-        if self.items == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.items as f64
-        }
-    }
-
-    /// Merges another statistics record into this one (used when a stream is
-    /// re-published by a replica peer).
-    ///
-    /// Volumes add; the reported window is the union of the two windows; the
-    /// observation time is the *sum* of both observers' covered time.  Two
-    /// concurrent replicas that each saw the same 1 item/s stream therefore
-    /// merge to 1 item/s (2× the items over 2× the observer time), where the
-    /// old min/max-window denominator would have doubled the rate.
-    pub fn merge(&mut self, other: &StreamStats) {
-        // Weight the EWMA by observation time so the longer-lived recorder
-        // dominates; a never-folded side contributes nothing.
-        let (a, b) = (self.observed_ms, other.observed_ms);
-        if a + b > 0 {
-            let w = |r: f64, ms: u64| r * ms as f64;
-            self.ewma_items_per_sec =
-                (w(self.ewma_items_per_sec, a) + w(other.ewma_items_per_sec, b)) / (a + b) as f64;
-            self.ewma_bytes_per_sec =
-                (w(self.ewma_bytes_per_sec, a) + w(other.ewma_bytes_per_sec, b)) / (a + b) as f64;
-        }
-        self.items += other.items;
-        self.bytes += other.bytes;
-        self.observed_ms += other.observed_ms;
-        self.first_timestamp = match (self.first_timestamp, other.first_timestamp) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        // The merged recorder keeps its own pending burst; the other side's
-        // burst is already counted in the volume totals.
-        self.last_timestamp = match (self.last_timestamp, other.last_timestamp) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
-    /// Renders the `<Stats>` element embedded in stream descriptions.
-    pub fn to_element(&self) -> Element {
-        ElementBuilder::new("Stats")
-            .attr("items", self.items)
-            .attr("bytes", self.bytes)
-            .attr("observedMs", self.observed_ms)
-            .attr("avgItemBytes", format!("{:.1}", self.avg_item_bytes()))
-            .attr("itemsPerSecond", format!("{:.3}", self.items_per_second()))
-            .attr("bytesPerSecond", format!("{:.3}", self.bytes_per_second()))
-            .attr(
-                "ewmaBytesPerSecond",
-                format!("{:.3}", self.ewma_bytes_per_second()),
-            )
-            .build()
-    }
-
-    /// Parses a `<Stats>` element back (volumes, observation time and the
-    /// published rates; timestamps are not published).
-    pub fn from_element(element: &Element) -> StreamStats {
-        fn num<T: std::str::FromStr>(element: &Element, name: &str) -> Option<T> {
-            element.attr(name).and_then(|v| v.parse().ok())
-        }
-        StreamStats {
-            items: num(element, "items").unwrap_or(0),
-            bytes: num(element, "bytes").unwrap_or(0),
-            observed_ms: num(element, "observedMs").unwrap_or(0),
-            ewma_items_per_sec: num(element, "itemsPerSecond").unwrap_or(0.0),
-            ewma_bytes_per_sec: num(element, "ewmaBytesPerSecond")
-                .or_else(|| num(element, "bytesPerSecond"))
-                .unwrap_or(0.0),
-            ..StreamStats::default()
         }
     }
 }
@@ -311,24 +175,12 @@ impl RateTable {
         (load, channels.len())
     }
 
-    /// The statistics recorded for a channel, if any traffic was seen.
-    pub fn stats(&self, channel: &ChannelId) -> Option<&StreamStats> {
-        self.entries.get(channel)
-    }
-
     /// Recent data rate of a channel (bytes/sec, EWMA decayed to `now`), or
     /// `None` when the channel has never been observed.
     pub fn bytes_per_second(&self, channel: &ChannelId, now: u64) -> Option<f64> {
         self.entries
             .get(channel)
             .map(|s| s.bytes_per_second_at(now))
-    }
-
-    /// Recent item rate of a channel (items/sec, EWMA decayed to `now`).
-    pub fn items_per_second(&self, channel: &ChannelId, now: u64) -> Option<f64> {
-        self.entries
-            .get(channel)
-            .map(|s| s.items_per_second_at(now))
     }
 
     /// Number of channels with recorded traffic.
@@ -352,80 +204,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_and_rates() {
-        let mut s = StreamStats::new();
-        s.record(1000, 100);
-        s.record(2000, 300);
-        s.record(3000, 200);
-        assert_eq!(s.items, 3);
-        assert_eq!(s.bytes, 600);
-        assert_eq!(s.duration_ms(), 2000);
-        assert_eq!(s.observed_ms(), 2000);
-        assert!((s.items_per_second() - 1.5).abs() < 1e-9);
-        assert!((s.bytes_per_second() - 300.0).abs() < 1e-9);
-        assert!((s.avg_item_bytes() - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_stats_have_zero_rates() {
         let s = StreamStats::new();
-        assert_eq!(s.items_per_second(), 0.0);
-        assert_eq!(s.avg_item_bytes(), 0.0);
-        assert_eq!(s.duration_ms(), 0);
         assert_eq!(s.ewma_items_per_second(), 0.0);
         assert_eq!(s.items_per_second_at(5000), 0.0);
-    }
-
-    #[test]
-    fn merge_combines_windows() {
-        let mut a = StreamStats::new();
-        a.record(1000, 10);
-        let mut b = StreamStats::new();
-        b.record(500, 20);
-        b.record(3000, 30);
-        a.merge(&b);
-        assert_eq!(a.items, 3);
-        assert_eq!(a.bytes, 60);
-        assert_eq!(a.first_timestamp, Some(500));
-        assert_eq!(a.last_timestamp, Some(3000));
-        // a covered no time on its own; the merged observation time is b's.
-        assert_eq!(a.observed_ms(), 2500);
-        assert!((a.items_per_second() - 1.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_of_concurrent_replicas_does_not_inflate_rates() {
-        // Two replicas of the same 10 items/s stream, observed over the SAME
-        // 1-second window.  The union-window denominator used to report
-        // 20 items over 1 s = 20 items/s; observer-time accounting reports
-        // 20 items over 2 observer-seconds = the true 10 items/s.
-        let mut a = StreamStats::new();
-        let mut b = StreamStats::new();
-        for i in 0..=10u64 {
-            a.record(i * 100, 50);
-            b.record(i * 100, 50);
-        }
-        assert!((a.items_per_second() - 11.0).abs() < 1e-9);
-        a.merge(&b);
-        assert_eq!(a.items, 22);
-        assert_eq!(a.observed_ms(), 2000);
-        assert!(
-            (a.items_per_second() - 11.0).abs() < 1e-9,
-            "merged rate must match the per-replica rate, got {}",
-            a.items_per_second()
-        );
-        assert!((a.bytes_per_second() - 550.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_for_rates() {
-        let mut a = StreamStats::new();
-        a.record(0, 100);
-        a.record(1000, 100);
-        let before = a.items_per_second();
-        a.merge(&StreamStats::new());
-        assert_eq!(a.items_per_second(), before);
-        assert_eq!(a.observed_ms(), 1000);
     }
 
     #[test]
@@ -440,11 +222,9 @@ mod tests {
             (busy - 10.0).abs() < 1.0,
             "steady 10/s stream should read ≈10/s, got {busy}"
         );
-        // Idle for 5 time constants: the decayed estimate collapses while the
-        // lifetime average barely moves.
+        // Idle for 5 time constants: the decayed estimate collapses.
         let now = 2900 + 5000;
         assert!(s.items_per_second_at(now) < 0.1);
-        assert!(s.items_per_second() > 9.0);
     }
 
     #[test]
@@ -462,8 +242,6 @@ mod tests {
             "EWMA must converge to the new rate, got {}",
             s.ewma_items_per_second()
         );
-        // The lifetime average still remembers the slow era.
-        assert!(s.items_per_second() < 11.0);
     }
 
     #[test]
@@ -473,26 +251,17 @@ mod tests {
         for _ in 0..5 {
             s.record(0, 10);
         }
+        // One instant seen: nothing has folded, so every recent rate is 0.
+        assert_eq!(s.ewma_items_per_second(), 0.0);
+        assert_eq!(s.ewma_bytes_per_second(), 0.0);
+        assert_eq!(s.items_per_second_at(0), 0.0);
+        assert_eq!(s.bytes_per_second_at(0), 0.0);
         for _ in 0..5 {
             s.record(1000, 10);
         }
         // One folded interval: 5 items / 1 s.
         assert!((s.ewma_items_per_second() - 5.0).abs() < 1e-9);
         assert_eq!(s.items, 10);
-    }
-
-    #[test]
-    fn xml_round_trip_of_volumes_and_rates() {
-        let mut s = StreamStats::new();
-        s.record(0, 128);
-        s.record(1000, 128);
-        let el = s.to_element();
-        let back = StreamStats::from_element(&el);
-        assert_eq!(back.items, 2);
-        assert_eq!(back.bytes, 256);
-        assert_eq!(back.observed_ms(), 1000);
-        assert!((back.items_per_second() - 2.0).abs() < 1e-9);
-        assert!(back.ewma_bytes_per_second() > 0.0);
     }
 
     #[test]

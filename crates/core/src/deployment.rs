@@ -566,7 +566,7 @@ impl Monitor {
                             "Join".to_string(),
                             join_parameters(left_key, right_key, residual),
                         ),
-                        TaskKind::Union { .. } => ("Union".to_string(), String::new()),
+                        TaskKind::Union => ("Union".to_string(), String::new()),
                         TaskKind::Dedup => ("DuplicateRemoval".to_string(), String::new()),
                         TaskKind::Restructure { template, .. } => {
                             ("Restructure".to_string(), template.source().to_string())

@@ -49,7 +49,7 @@ pub use placement::{
 };
 pub use profile::{LifetimeProfile, Phase};
 pub use reuse::{apply_reuse, logical_to_plan_node, ReplicaStats, ReuseReport, ReuseStats};
-pub use runtime::{RuntimeOperator, RuntimeOutput};
+pub use runtime::RuntimeOperator;
 pub use sink::{Sink, SinkKind};
 
 #[cfg(test)]

@@ -313,9 +313,9 @@ impl PeerHost {
     ) -> Vec<Arc<Element>> {
         self.with_operator(slots, sub, task, |operator| {
             if prefiltered {
-                operator.on_item_prefiltered(port, item).items
+                operator.on_item_prefiltered(port, item)
             } else {
-                operator.on_item(port, item).items
+                operator.on_item(port, item)
             }
         })
     }

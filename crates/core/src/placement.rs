@@ -79,11 +79,8 @@ pub enum TaskKind {
         /// General conditions.
         conditions: Vec<Condition>,
     },
-    /// Union (∪) over `arity` inputs.
-    Union {
-        /// Number of input ports.
-        arity: usize,
-    },
+    /// Union (∪) of its inputs, one per port.
+    Union,
     /// Join (⋈) on attribute equality.
     Join {
         /// (variable, attribute) of the left key.
@@ -130,7 +127,7 @@ impl TaskKind {
             TaskKind::DynamicSource { .. } => "DynamicAlerter",
             TaskKind::ChannelSource { .. } => "Channel",
             TaskKind::Select { .. } => "Filter",
-            TaskKind::Union { .. } => "Union",
+            TaskKind::Union => "Union",
             TaskKind::Join { .. } => "Join",
             TaskKind::Dedup => "DuplicateRemoval",
             TaskKind::Restructure { .. } => "Restructure",
@@ -615,12 +612,7 @@ impl Builder<'_> {
                 let input_tasks: Vec<usize> = inputs.iter().map(|i| self.place_node(i)).collect();
                 let input_peers = self.anchor_peers(&input_tasks);
                 let peer = self.inner_peer(&input_tasks, &input_peers);
-                let union = self.push(
-                    peer,
-                    TaskKind::Union {
-                        arity: input_tasks.len(),
-                    },
-                );
+                let union = self.push(peer, TaskKind::Union);
                 for (port, task) in input_tasks.into_iter().enumerate() {
                     self.connect(task, union, port);
                 }
@@ -885,7 +877,7 @@ by email "ops@example.org"
         let union = placed
             .tasks
             .iter()
-            .find(|t| matches!(t.kind, TaskKind::Union { .. }))
+            .find(|t| matches!(t.kind, TaskKind::Union))
             .unwrap();
         assert_eq!(union.peer, "b.com");
 
@@ -903,7 +895,7 @@ by email "ops@example.org"
         let union = placed
             .tasks
             .iter()
-            .find(|t| matches!(t.kind, TaskKind::Union { .. }))
+            .find(|t| matches!(t.kind, TaskKind::Union))
             .unwrap();
         assert_eq!(union.peer, "a.com");
     }

@@ -1,46 +1,30 @@
 //! The per-task runtime operators.
 //!
-//! Deployment instantiates one [`RuntimeOperator`] per placed task.  Most of
-//! them wrap the operators of `p2pmon-streams`; Select and Restructure are
-//! reimplemented here because the compiled plans carry general
-//! [`ValueExpr`] derivations (LET clauses) that the runtime evaluates over
-//! the tuple bindings before checking conditions or instantiating the
-//! template.
+//! Deployment instantiates one [`RuntimeOperator`] per placed task, and each
+//! of the paper's stream processors runs as one of its arms.  Join and
+//! Duplicate-removal wrap the stateful operators of `p2pmon-streams`; Select
+//! and Restructure are evaluated here because the compiled plans carry
+//! general [`ValueExpr`] derivations (LET clauses) that the runtime evaluates
+//! over the tuple bindings before checking conditions or instantiating the
+//! template; a Union forwards every input unchanged, as a
+//! [`RuntimeOperator::Passthrough`].
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use p2pmon_p2pml::ValueExpr;
-use p2pmon_streams::ops::{Dedup, DedupKey, Join, JoinSpec, Union, Window};
+use p2pmon_streams::ops::{Dedup, Join, JoinSpec, Window};
 use p2pmon_streams::{
-    AggregateSpec, AnySketch, AttrCondition, Bindings, Condition, Operator, StreamItem, Template,
+    AggregateSpec, AnySketch, AttrCondition, Bindings, Condition, StreamItem, Template,
 };
 use p2pmon_xmlkit::{Element, PathPattern};
 
 use crate::placement::TaskKind;
 
-/// Output of delivering one item to a runtime operator.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RuntimeOutput {
-    /// Items produced (shared trees; pass-through operators forward their
-    /// input for a reference-count bump).
-    pub items: Vec<Arc<Element>>,
-}
-
-impl RuntimeOutput {
-    fn none() -> Self {
-        RuntimeOutput::default()
-    }
-
-    fn many(items: Vec<Arc<Element>>) -> Self {
-        RuntimeOutput { items }
-    }
-}
-
 /// A deployed operator instance.
 pub enum RuntimeOperator {
-    /// Pass-through for Source / ChannelSource tasks: incoming alerts are
-    /// forwarded downstream unchanged.
+    /// Pass-through for Source / ChannelSource / Union tasks: incoming items
+    /// are forwarded downstream unchanged, whatever their port.
     Passthrough,
     /// Membership-driven source: forwards alerts whose peer (caller for
     /// out-calls, callee for in-calls — both are checked) is currently in the
@@ -70,8 +54,6 @@ pub enum RuntimeOperator {
         /// Items that passed the filter.
         passed: u64,
     },
-    /// Union of several inputs.
-    Union(Union),
     /// Join on attribute equality.
     Join(Box<Join>),
     /// Duplicate removal over whole output trees.
@@ -122,7 +104,7 @@ impl RuntimeOperator {
     /// Builds the runtime operator for a task kind.
     pub fn for_kind(kind: &TaskKind, join_window: Window) -> RuntimeOperator {
         match kind {
-            TaskKind::Source { .. } | TaskKind::ChannelSource { .. } => {
+            TaskKind::Source { .. } | TaskKind::ChannelSource { .. } | TaskKind::Union => {
                 RuntimeOperator::Passthrough
             }
             TaskKind::DynamicSource { function, .. } => RuntimeOperator::DynamicSource {
@@ -144,7 +126,6 @@ impl RuntimeOperator {
                 examined: 0,
                 passed: 0,
             },
-            TaskKind::Union { arity } => RuntimeOperator::Union(Union::new(*arity)),
             TaskKind::Join {
                 left_key,
                 right_key,
@@ -153,13 +134,13 @@ impl RuntimeOperator {
                 let spec = JoinSpec {
                     left_var: left_key.0.clone(),
                     right_var: right_key.0.clone(),
-                    left_key: p2pmon_streams::ops::join::KeyExtractor::Attr(left_key.1.clone()),
-                    right_key: p2pmon_streams::ops::join::KeyExtractor::Attr(right_key.1.clone()),
+                    left_key: left_key.1.clone(),
+                    right_key: right_key.1.clone(),
                     residual: residual.clone(),
                 };
                 RuntimeOperator::Join(Box::new(Join::new(spec, join_window)))
             }
-            TaskKind::Dedup => RuntimeOperator::Dedup(Dedup::new(DedupKey::WholeTree)),
+            TaskKind::Dedup => RuntimeOperator::Dedup(Dedup::new()),
             TaskKind::SketchLeaf { spec } => RuntimeOperator::SketchLeaf {
                 spec: spec.clone(),
                 sketch: AnySketch::for_spec(spec),
@@ -276,9 +257,9 @@ impl RuntimeOperator {
     }
 
     /// Delivers one item on a port.
-    pub fn on_item(&mut self, port: usize, item: &StreamItem) -> RuntimeOutput {
+    pub fn on_item(&mut self, port: usize, item: &StreamItem) -> Vec<Arc<Element>> {
         match self {
-            RuntimeOperator::Passthrough => RuntimeOutput::many(vec![item.data.clone()]),
+            RuntimeOperator::Passthrough => vec![item.data.clone()],
             RuntimeOperator::DynamicSource { function, members } => {
                 if port == 1 {
                     // Membership event.
@@ -291,7 +272,7 @@ impl RuntimeOperator {
                         }
                         _ => {}
                     }
-                    return RuntimeOutput::none();
+                    return Vec::new();
                 }
                 // An alert: forward only when the monitored peer is a member.
                 let attr = if function == "outCOM" {
@@ -306,9 +287,9 @@ impl RuntimeOperator {
                     .map(p2pmon_p2pml::plan::normalize_peer)
                     .unwrap_or_default();
                 if members.contains(&peer) {
-                    RuntimeOutput::many(vec![item.data.clone()])
+                    vec![item.data.clone()]
                 } else {
-                    RuntimeOutput::none()
+                    Vec::new()
                 }
             }
             RuntimeOperator::Select {
@@ -322,9 +303,8 @@ impl RuntimeOperator {
             } => eval_select(
                 var, simple, patterns, derived, conditions, examined, passed, item, false,
             ),
-            RuntimeOperator::Union(op) => RuntimeOutput::many(op.on_item(port, item).items),
-            RuntimeOperator::Join(op) => RuntimeOutput::many(op.on_item(port, item).items),
-            RuntimeOperator::Dedup(op) => RuntimeOutput::many(op.on_item(port, item).items),
+            RuntimeOperator::Join(op) => op.on_item(port, item),
+            RuntimeOperator::Dedup(op) => op.on_item(item),
             RuntimeOperator::Restructure {
                 template,
                 derived,
@@ -336,20 +316,18 @@ impl RuntimeOperator {
                         bindings.bind_value(name.clone(), value);
                     }
                 }
-                RuntimeOutput::many(vec![Arc::new(template.instantiate(&bindings))])
+                vec![Arc::new(template.instantiate(&bindings))]
             }
             RuntimeOperator::SketchLeaf { spec, sketch } => {
                 let (key, weight) = spec.observe(&item.data);
                 if !key.is_empty() {
                     sketch.update(&key, weight);
                 }
-                RuntimeOutput::none()
+                Vec::new()
             }
             // Partials reach these stages through `absorb_partial`, never
             // as items.
-            RuntimeOperator::SketchMerge { .. } | RuntimeOperator::SketchRoot { .. } => {
-                RuntimeOutput::none()
-            }
+            RuntimeOperator::SketchMerge { .. } | RuntimeOperator::SketchRoot { .. } => Vec::new(),
         }
     }
 
@@ -357,7 +335,7 @@ impl RuntimeOperator {
     /// already verified by the host peer's shared filter engine: a `Select`
     /// only runs its residual check (LET derivations + general conditions);
     /// every other operator behaves exactly like [`RuntimeOperator::on_item`].
-    pub fn on_item_prefiltered(&mut self, port: usize, item: &StreamItem) -> RuntimeOutput {
+    pub fn on_item_prefiltered(&mut self, port: usize, item: &StreamItem) -> Vec<Arc<Element>> {
         match self {
             RuntimeOperator::Select {
                 var,
@@ -389,16 +367,16 @@ fn eval_select(
     passed: &mut u64,
     item: &StreamItem,
     prefiltered: bool,
-) -> RuntimeOutput {
+) -> Vec<Arc<Element>> {
     *examined += 1;
     let mut bindings = Bindings::from_item(&item.data, var);
     if !prefiltered {
         let tree: &Element = bindings.tree(var).unwrap_or(&item.data);
         if !simple.iter().all(|c| c.eval(tree)) {
-            return RuntimeOutput::none();
+            return Vec::new();
         }
         if !patterns.iter().all(|p| p.matches(tree)) {
-            return RuntimeOutput::none();
+            return Vec::new();
         }
     }
     for (name, expr) in derived.iter() {
@@ -407,10 +385,10 @@ fn eval_select(
         }
     }
     if !conditions.iter().all(|c| c.eval(&bindings)) {
-        return RuntimeOutput::none();
+        return Vec::new();
     }
     *passed += 1;
-    RuntimeOutput::many(vec![item.data.clone()])
+    vec![item.data.clone()]
 }
 
 #[cfg(test)]
@@ -461,8 +439,21 @@ mod tests {
         let fast = item(
             r#"<alert callMethod="GetTemperature" callTimestamp="100" responseTimestamp="105"/>"#,
         );
-        assert_eq!(op.on_item(0, &slow).items.len(), 1);
-        assert_eq!(op.on_item(0, &fast).items.len(), 0);
+        assert_eq!(op.on_item(0, &slow).len(), 1);
+        assert_eq!(op.on_item(0, &fast).len(), 0);
+        // Without the timestamps the LET binds nothing, and a condition
+        // over an unbound variable fails.
+        let untimed = item(r#"<alert callMethod="GetTemperature"/>"#);
+        assert!(op.on_item(0, &untimed).is_empty());
+        // Prefiltered items skip the simple conditions but still run the
+        // LET and the general conditions.
+        assert_eq!(op.on_item_prefiltered(0, &slow).len(), 1);
+        assert!(op.on_item_prefiltered(0, &untimed).is_empty());
+        let other_method = item(
+            r#"<alert callMethod="GetHumidity" callTimestamp="100" responseTimestamp="120"/>"#,
+        );
+        assert!(op.on_item(0, &other_method).is_empty());
+        assert_eq!(op.on_item_prefiltered(0, &other_method).len(), 1);
     }
 
     #[test]
@@ -473,11 +464,11 @@ mod tests {
         };
         let mut op = RuntimeOperator::for_kind(&kind, Window::unbounded());
         let alert = item(r#"<alert callee="http://a.com" callId="1"/>"#);
-        assert!(op.on_item(0, &alert).items.is_empty(), "not yet a member");
+        assert!(op.on_item(0, &alert).is_empty(), "not yet a member");
         op.on_item(1, &item("<p-join>a.com</p-join>"));
-        assert_eq!(op.on_item(0, &alert).items.len(), 1);
+        assert_eq!(op.on_item(0, &alert).len(), 1);
         op.on_item(1, &item("<p-leave>a.com</p-leave>"));
-        assert!(op.on_item(0, &alert).items.is_empty(), "left the system");
+        assert!(op.on_item(0, &alert).is_empty(), "left the system");
     }
 
     #[test]
@@ -494,8 +485,8 @@ mod tests {
         };
         let mut op = RuntimeOperator::for_kind(&kind, Window::unbounded());
         let out = op.on_item(0, &item(r#"<q peer="x" latency="7"/>"#));
-        assert_eq!(out.items[0].attr("d"), Some("7"));
-        assert_eq!(out.items[0].text(), "x");
+        assert_eq!(out[0].attr("d"), Some("7"));
+        assert_eq!(out[0].text(), "x");
     }
 
     #[test]
@@ -509,8 +500,17 @@ mod tests {
             },
             Window::unbounded(),
         );
-        assert_eq!(pass.on_item(0, &item("<a/>")).items.len(), 1);
+        assert_eq!(pass.on_item(0, &item("<a/>")).len(), 1);
         assert_eq!(pass.state_size(), 0);
+
+        // A Union forwards each item from every port as the same tree.
+        let mut union = RuntimeOperator::for_kind(&TaskKind::Union, Window::unbounded());
+        for port in [0, 1] {
+            let input = item(&format!(r#"<a port="{port}"/>"#));
+            let out = union.on_item(port, &input);
+            assert_eq!(out.len(), 1);
+            assert!(Arc::ptr_eq(&out[0], &input.data));
+        }
 
         let mut join = RuntimeOperator::for_kind(
             &TaskKind::Join {
@@ -522,6 +522,6 @@ mod tests {
         );
         join.on_item(0, &item(r#"<a id="1"/>"#));
         assert!(join.state_size() > 0);
-        assert_eq!(join.on_item(1, &item(r#"<b id="1"/>"#)).items.len(), 1);
+        assert_eq!(join.on_item(1, &item(r#"<b id="1"/>"#)).len(), 1);
     }
 }

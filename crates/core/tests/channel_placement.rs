@@ -60,7 +60,7 @@ fn channel_sources_are_placed_on_their_consumers_peer() {
     let union = placed
         .tasks
         .iter()
-        .find(|t| matches!(t.kind, TaskKind::Union { .. }))
+        .find(|t| matches!(t.kind, TaskKind::Union))
         .expect("union exists");
     assert_eq!(
         union.peer, "backend.net",

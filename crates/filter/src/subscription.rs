@@ -2,10 +2,11 @@
 //!
 //! At the Filter level, a subscription is the pair `(Qᵢ, Tᵢ)` of a
 //! conjunctive query and a report template.  Since "the main performance
-//! issue is to detect the matchings", the engine works with `Qᵢ` only; the
-//! template is carried along opaquely for the caller to apply.
+//! issue is to detect the matchings", the engine works with `Qᵢ` only.  The
+//! template `Tᵢ` is not carried here: it is the `Restructure` task the
+//! subscribing plan places downstream of its Select.
 
-use p2pmon_streams::{AttrCondition, Template};
+use p2pmon_streams::AttrCondition;
 use p2pmon_xmlkit::PathPattern;
 
 /// Identifier of a subscription registered with the Filter.
@@ -29,8 +30,6 @@ pub struct FilterSubscription {
     /// The complex part `Q'ᵢ`: zero or more tree patterns that must all
     /// match.  Empty means the subscription is *simple*.
     pub complex: Vec<PathPattern>,
-    /// The report template `Tᵢ`, applied by the caller once a match is found.
-    pub template: Option<Template>,
 }
 
 impl FilterSubscription {
@@ -40,7 +39,6 @@ impl FilterSubscription {
             id: SubscriptionId(id),
             simple: Vec::new(),
             complex: Vec::new(),
-            template: None,
         }
     }
 
@@ -53,12 +51,6 @@ impl FilterSubscription {
     /// Sets the complex tree patterns.
     pub fn with_complex(mut self, complex: Vec<PathPattern>) -> Self {
         self.complex = complex;
-        self
-    }
-
-    /// Sets the report template.
-    pub fn with_template(mut self, template: Template) -> Self {
-        self.template = Some(template);
         self
     }
 

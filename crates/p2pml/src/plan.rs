@@ -18,6 +18,8 @@ use p2pmon_xmlkit::PathPattern;
 use crate::ast::{ByClause, SourceExpr, Subscription, ValueExpr};
 use crate::parser::EXISTENCE_SENTINEL;
 
+pub use p2pmon_streams::normalize_peer;
+
 /// Errors raised during plan construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanError {
@@ -40,12 +42,6 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
-
-/// Strips the URL scheme and trailing slash from a monitored-peer reference
-/// so that `http://a.com` and `a.com` denote the same peer.
-pub fn normalize_peer(raw: &str) -> String {
-    p2pmon_streams::normalize_peer(raw)
-}
 
 /// One node of a logical monitoring plan.
 #[derive(Debug, Clone, PartialEq)]

@@ -76,16 +76,6 @@ impl Bindings {
         self.values.iter().find(|(v, _)| v == var).map(|(_, t)| t)
     }
 
-    /// All tree variables, in binding order.
-    pub fn tree_vars(&self) -> Vec<&str> {
-        self.trees.iter().map(|(v, _)| v.as_str()).collect()
-    }
-
-    /// All value variables, in binding order.
-    pub fn value_vars(&self) -> Vec<&str> {
-        self.values.iter().map(|(v, _)| v.as_str()).collect()
-    }
-
     /// Number of tree bindings.
     pub fn len(&self) -> usize {
         self.trees.len()

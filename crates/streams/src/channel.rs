@@ -6,10 +6,13 @@
 //! call in ActiveXML terms — the subscriber keeps receiving trees
 //! asynchronously.  Channels are also the unit of *stream reuse*: a replica
 //! subscriber may itself re-publish the channel (Section 5).
+//!
+//! The subscriber sets live in `p2pmon-core`'s routing table; this module
+//! holds the identifiers both ends agree on.
 
 use std::fmt;
 
-use p2pmon_xmlkit::{Element, ElementBuilder, Name};
+use p2pmon_xmlkit::Name;
 
 /// Strips the URL scheme and trailing slash from a peer reference so that
 /// `http://a.com` and `a.com` denote the same peer throughout the system
@@ -52,103 +55,12 @@ impl fmt::Display for ChannelId {
     }
 }
 
-/// The state of a published channel at its publishing peer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelSpec {
-    /// The channel identifier.
-    pub id: ChannelId,
-    /// Peers currently subscribed.
-    pub subscribers: Vec<String>,
-    /// Items published so far (for statistics, not retained content).
-    pub published_items: u64,
-    /// Bytes published so far.
-    pub published_bytes: u64,
-}
-
-impl ChannelSpec {
-    /// Creates a channel with no subscribers yet.
-    pub fn new(id: ChannelId) -> Self {
-        ChannelSpec {
-            id,
-            subscribers: Vec::new(),
-            published_items: 0,
-            published_bytes: 0,
-        }
-    }
-
-    /// Adds a subscriber; returns `false` if it was already subscribed.
-    pub fn subscribe(&mut self, peer: impl Into<String>) -> bool {
-        let peer = peer.into();
-        if self.subscribers.contains(&peer) {
-            false
-        } else {
-            self.subscribers.push(peer);
-            true
-        }
-    }
-
-    /// Removes a subscriber; returns `false` if it was not subscribed.
-    pub fn unsubscribe(&mut self, peer: &str) -> bool {
-        let before = self.subscribers.len();
-        self.subscribers.retain(|p| p != peer);
-        self.subscribers.len() != before
-    }
-
-    /// Records the publication of one item of `bytes` size.
-    pub fn record_publication(&mut self, bytes: usize) {
-        self.published_items += 1;
-        self.published_bytes += bytes as u64;
-    }
-
-    /// Renders the `<InChannel>` replica declaration of Section 5: peer
-    /// `replica_peer` announces it can also provide this channel under the
-    /// local id `replica_stream`.
-    pub fn replica_declaration(&self, replica_peer: &str, replica_stream: &str) -> Element {
-        ElementBuilder::new("InChannel")
-            .attr("PeerId", self.id.peer)
-            .attr("StreamId", self.id.stream)
-            .attr("ReplicaPeerId", replica_peer)
-            .attr("ReplicaStreamId", replica_stream)
-            .build()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn subscribe_unsubscribe() {
-        let mut ch = ChannelSpec::new(ChannelId::new("a.com", "X"));
-        assert!(ch.subscribe("b.com"));
-        assert!(!ch.subscribe("b.com"), "double subscribe is a no-op");
-        assert!(ch.subscribe("c.com"));
-        assert!(ch.unsubscribe("b.com"));
-        assert!(!ch.unsubscribe("b.com"));
-        assert_eq!(ch.subscribers, vec!["c.com"]);
-    }
-
-    #[test]
-    fn publication_accounting() {
-        let mut ch = ChannelSpec::new(ChannelId::new("p", "s"));
-        ch.record_publication(100);
-        ch.record_publication(50);
-        assert_eq!(ch.published_items, 2);
-        assert_eq!(ch.published_bytes, 150);
-    }
-
-    #[test]
     fn display_matches_paper_notation() {
         assert_eq!(ChannelId::new("b.com", "X").to_string(), "#X@b.com");
-    }
-
-    #[test]
-    fn replica_declaration_xml() {
-        let ch = ChannelSpec::new(ChannelId::new("p", "s"));
-        let decl = ch.replica_declaration("p2", "s2");
-        assert_eq!(decl.name, "InChannel");
-        assert_eq!(decl.attr("PeerId"), Some("p"));
-        assert_eq!(decl.attr("ReplicaPeerId"), Some("p2"));
-        assert_eq!(decl.attr("ReplicaStreamId"), Some("s2"));
     }
 }

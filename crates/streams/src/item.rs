@@ -1,4 +1,4 @@
-//! Stream items and events.
+//! Stream items.
 
 use std::sync::Arc;
 
@@ -48,31 +48,6 @@ impl StreamItem {
     }
 }
 
-/// A stream event: an item or the end-of-stream marker.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamEvent {
-    /// A data item.
-    Item(StreamItem),
-    /// The `eos` symbol: no more items will follow.  Non-continuous services
-    /// return one tree followed by `Eos`.
-    Eos,
-}
-
-impl StreamEvent {
-    /// Returns the carried item, if any.
-    pub fn item(&self) -> Option<&StreamItem> {
-        match self {
-            StreamEvent::Item(i) => Some(i),
-            StreamEvent::Eos => None,
-        }
-    }
-
-    /// True for the end-of-stream marker.
-    pub fn is_eos(&self) -> bool {
-        matches!(self, StreamEvent::Eos)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,15 +59,5 @@ mod tests {
         assert_eq!(item.root_attr("callId"), Some("42"));
         assert_eq!(item.root_attr("none"), None);
         assert!(item.byte_size() > 16);
-    }
-
-    #[test]
-    fn event_helpers() {
-        let item = StreamItem::new(0, 0, Element::new("a"));
-        let ev = StreamEvent::Item(item.clone());
-        assert_eq!(ev.item(), Some(&item));
-        assert!(!ev.is_eos());
-        assert!(StreamEvent::Eos.is_eos());
-        assert!(StreamEvent::Eos.item().is_none());
     }
 }

@@ -1,43 +1,21 @@
 //! The Duplicate-removal operator.
 //!
 //! "Duplicate-removal detects similar trees based on a duplicate criteria."
-//! The criterion is pluggable: the whole serialized tree, a root attribute or
-//! an XPath-selected value.  The seen-set can be bounded (keep only the most
-//! recent `N` keys) so that long-running monitoring tasks do not grow without
-//! bound — the same garbage-collection concern as the Join history.
+//! The criterion is the whole tree: two items are duplicates when their trees
+//! serialize identically.  The seen-set can be bounded (keep only the most
+//! recent `N` trees) so that long-running monitoring tasks do not grow
+//! without bound — the same garbage-collection concern as the Join history.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use p2pmon_xmlkit::{Element, XPath};
+use p2pmon_xmlkit::Element;
 
 use crate::item::StreamItem;
-use crate::operator::{Operator, OperatorOutput};
-
-/// The duplicate criterion.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DedupKey {
-    /// Two items are duplicates when their whole trees serialize identically.
-    WholeTree,
-    /// Duplicates share the value of this root attribute.
-    Attr(String),
-    /// Duplicates share the first value selected by this path.
-    Path(XPath),
-}
-
-impl DedupKey {
-    fn key_of(&self, element: &Element) -> Option<String> {
-        match self {
-            DedupKey::WholeTree => Some(element.to_xml()),
-            DedupKey::Attr(a) => element.attr(a).map(str::to_string),
-            DedupKey::Path(p) => p.first_value(element).map(|v| v.as_string()),
-        }
-    }
-}
 
 /// The Duplicate-removal operator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Dedup {
-    key: DedupKey,
     seen: HashSet<String>,
     /// FIFO of keys for bounded memory.
     order: Vec<String>,
@@ -48,14 +26,8 @@ pub struct Dedup {
 
 impl Dedup {
     /// Creates a duplicate-removal operator with an unbounded seen-set.
-    pub fn new(key: DedupKey) -> Self {
-        Dedup {
-            key,
-            seen: HashSet::new(),
-            order: Vec::new(),
-            max_keys: None,
-            duplicates_dropped: 0,
-        }
+    pub fn new() -> Self {
+        Dedup::default()
     }
 
     /// Bounds the seen-set to the most recent `max_keys` keys.
@@ -69,16 +41,12 @@ impl Dedup {
         self.seen.len()
     }
 
-    /// Items without an extractable key are passed through: they cannot be
-    /// compared, so the safe behaviour is to deliver them.
-    fn check(&mut self, element: &Element) -> bool {
-        let key = match self.key.key_of(element) {
-            Some(k) => k,
-            None => return true,
-        };
+    /// Delivers one item: returns it unless an identical tree was seen.
+    pub fn on_item(&mut self, item: &StreamItem) -> Vec<Arc<Element>> {
+        let key = item.data.to_xml();
         if self.seen.contains(&key) {
             self.duplicates_dropped += 1;
-            return false;
+            return Vec::new();
         }
         self.seen.insert(key.clone());
         self.order.push(key);
@@ -88,32 +56,11 @@ impl Dedup {
                 self.seen.remove(&oldest);
             }
         }
-        true
-    }
-}
-
-impl Operator for Dedup {
-    fn name(&self) -> &str {
-        "dedup"
+        vec![item.data.clone()]
     }
 
-    fn arity(&self) -> usize {
-        1
-    }
-
-    fn is_stateful(&self) -> bool {
-        true
-    }
-
-    fn on_item(&mut self, _port: usize, item: &StreamItem) -> OperatorOutput {
-        if self.check(&item.data) {
-            OperatorOutput::one(item.data.clone())
-        } else {
-            OperatorOutput::none()
-        }
-    }
-
-    fn state_size(&self) -> usize {
+    /// Approximate number of bytes held in the seen-set.
+    pub fn state_size(&self) -> usize {
         self.seen.iter().map(String::len).sum()
     }
 }
@@ -129,47 +76,22 @@ mod tests {
 
     #[test]
     fn whole_tree_deduplication() {
-        let mut d = Dedup::new(DedupKey::WholeTree);
-        assert_eq!(d.on_item(0, &item("<a x=\"1\"/>")).items.len(), 1);
-        assert_eq!(d.on_item(0, &item("<a x=\"1\"/>")).items.len(), 0);
-        assert_eq!(d.on_item(0, &item("<a x=\"2\"/>")).items.len(), 1);
+        let mut d = Dedup::new();
+        assert_eq!(d.on_item(&item("<a x=\"1\"/>")).len(), 1);
+        assert_eq!(d.on_item(&item("<a x=\"1\"/>")).len(), 0);
+        assert_eq!(d.on_item(&item("<a x=\"2\"/>")).len(), 1);
         assert_eq!(d.duplicates_dropped, 1);
     }
 
     #[test]
-    fn attribute_key_deduplication() {
-        let mut d = Dedup::new(DedupKey::Attr("guid".into()));
-        assert_eq!(d.on_item(0, &item(r#"<e guid="1" v="a"/>"#)).items.len(), 1);
-        // Same guid, different content: still a duplicate under this criterion.
-        assert_eq!(d.on_item(0, &item(r#"<e guid="1" v="b"/>"#)).items.len(), 0);
-        assert_eq!(d.on_item(0, &item(r#"<e guid="2" v="a"/>"#)).items.len(), 1);
-    }
-
-    #[test]
-    fn path_key_deduplication() {
-        let mut d = Dedup::new(DedupKey::Path(XPath::parse("//id/text()").unwrap()));
-        assert_eq!(d.on_item(0, &item("<e><id>7</id></e>")).items.len(), 1);
-        assert_eq!(d.on_item(0, &item("<e><id>7</id><x/></e>")).items.len(), 0);
-    }
-
-    #[test]
-    fn keyless_items_pass_through() {
-        let mut d = Dedup::new(DedupKey::Attr("guid".into()));
-        assert_eq!(d.on_item(0, &item("<e/>")).items.len(), 1);
-        assert_eq!(d.on_item(0, &item("<e/>")).items.len(), 1);
-        assert_eq!(d.duplicates_dropped, 0);
-    }
-
-    #[test]
     fn bounded_memory_forgets_old_keys() {
-        let mut d = Dedup::new(DedupKey::Attr("k".into())).with_max_keys(2);
-        d.on_item(0, &item(r#"<e k="1"/>"#));
-        d.on_item(0, &item(r#"<e k="2"/>"#));
-        d.on_item(0, &item(r#"<e k="3"/>"#));
+        let mut d = Dedup::new().with_max_keys(2);
+        d.on_item(&item(r#"<e k="1"/>"#));
+        d.on_item(&item(r#"<e k="2"/>"#));
+        d.on_item(&item(r#"<e k="3"/>"#));
         assert_eq!(d.remembered(), 2);
         // Key 1 was evicted, so it is delivered again.
-        assert_eq!(d.on_item(0, &item(r#"<e k="1"/>"#)).items.len(), 1);
+        assert_eq!(d.on_item(&item(r#"<e k="1"/>"#)).len(), 1);
         assert!(d.state_size() > 0);
-        assert!(d.is_stateful());
     }
 }

@@ -15,44 +15,25 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use p2pmon_xmlkit::{Element, XPath};
+use p2pmon_xmlkit::Element;
 
 use crate::binding::Bindings;
 use crate::condition::Condition;
 use crate::item::StreamItem;
-use crate::operator::{Operator, OperatorOutput};
 
-/// How the join key is extracted from an item.
-#[derive(Debug, Clone, PartialEq)]
-pub enum KeyExtractor {
-    /// A root attribute of the item.
-    Attr(String),
-    /// The first value selected by an XPath.
-    Path(XPath),
-}
-
-impl KeyExtractor {
-    fn extract(&self, element: &Element) -> Option<String> {
-        match self {
-            KeyExtractor::Attr(a) => element.attr(a).map(str::to_string),
-            KeyExtractor::Path(p) => p.first_value(element).map(|v| v.as_string()),
-        }
-    }
-}
-
-/// The join specification: variable names for the two sides, key extractors
-/// for the equality predicate, and optional residual conditions evaluated on
-/// the merged bindings.
+/// The join specification: variable names for the two sides, the root
+/// attributes of the equality predicate, and optional residual conditions
+/// evaluated on the merged bindings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinSpec {
     /// Variable bound to items arriving on port 0.
     pub left_var: String,
     /// Variable bound to items arriving on port 1.
     pub right_var: String,
-    /// Key extractor for port-0 items.
-    pub left_key: KeyExtractor,
-    /// Key extractor for port-1 items.
-    pub right_key: KeyExtractor,
+    /// Key attribute of port-0 items.
+    pub left_key: String,
+    /// Key attribute of port-1 items.
+    pub right_key: String,
     /// Residual conditions checked on each candidate pair.
     pub residual: Vec<Condition>,
 }
@@ -69,8 +50,8 @@ impl JoinSpec {
         JoinSpec {
             left_var: left_var.into(),
             right_var: right_var.into(),
-            left_key: KeyExtractor::Attr(attr.clone()),
-            right_key: KeyExtractor::Attr(attr),
+            left_key: attr.clone(),
+            right_key: attr,
             residual: Vec::new(),
         }
     }
@@ -162,16 +143,8 @@ impl History {
         });
         for entries in self.index.values_mut() {
             let before = entries.len();
-            entries.retain(|(_, ts, e)| {
-                let keep = *ts >= min_timestamp;
-                if !keep {
-                    evicted += 1;
-                    // state size bookkeeping handled below
-                }
-                let _ = e;
-                keep
-            });
-            let _ = before;
+            entries.retain(|(_, ts, _)| *ts >= min_timestamp);
+            evicted += before - entries.len();
         }
         self.index.retain(|_, v| !v.is_empty());
         self.recompute_bytes();
@@ -217,7 +190,6 @@ pub struct Join {
     window: Window,
     left: History,
     right: History,
-    eos: [bool; 2],
     /// Pairs emitted so far.
     pub emitted: u64,
     /// Items evicted by garbage collection so far.
@@ -232,15 +204,9 @@ impl Join {
             window,
             left: History::default(),
             right: History::default(),
-            eos: [false, false],
             emitted: 0,
             evicted: 0,
         }
-    }
-
-    /// The join specification.
-    pub fn spec(&self) -> &JoinSpec {
-        &self.spec
     }
 
     /// Number of items currently retained in both histories.
@@ -270,39 +236,22 @@ impl Join {
             None
         }
     }
-}
 
-impl Operator for Join {
-    fn name(&self) -> &str {
-        "join"
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn is_stateful(&self) -> bool {
-        true
-    }
-
-    fn on_item(&mut self, port: usize, item: &StreamItem) -> OperatorOutput {
-        // Extract the key with the extractor for this side.  A `<tuple>`
-        // input uses its binding for this side's variable.
-        let own_var = if port == 0 {
-            &self.spec.left_var
+    /// Delivers one item on port 0 (left) or 1 (right) and returns the
+    /// joined `<tuple>`s it completes.  An item without its side's key
+    /// attribute neither joins nor is retained.
+    pub fn on_item(&mut self, port: usize, item: &StreamItem) -> Vec<Arc<Element>> {
+        // A `<tuple>` input uses its binding for this side's variable.
+        let (own_var, key_attr) = if port == 0 {
+            (&self.spec.left_var, &self.spec.left_key)
         } else {
-            &self.spec.right_var
+            (&self.spec.right_var, &self.spec.right_key)
         };
         let own_bindings = Bindings::from_item(&item.data, own_var);
         let own_tree: &Element = own_bindings.tree(own_var).unwrap_or(&item.data);
-        let extractor = if port == 0 {
-            &self.spec.left_key
-        } else {
-            &self.spec.right_key
-        };
-        let key = match extractor.extract(own_tree) {
-            Some(k) => k,
-            None => return OperatorOutput::none(),
+        let key = match own_tree.attr(key_attr) {
+            Some(k) => k.to_string(),
+            None => return Vec::new(),
         };
 
         // Probe the other side's history.
@@ -322,37 +271,18 @@ impl Operator for Join {
         }
         self.emitted += outputs.len() as u64;
 
-        // Insert into own history, unless the other side has already ended
-        // (no future match can involve this item).
-        let other_port = 1 - port;
-        if !self.eos[other_port] {
-            let own = if port == 0 {
-                &mut self.left
-            } else {
-                &mut self.right
-            };
-            own.insert(key, item.seq, item.timestamp, item.data.clone());
-        }
-        self.gc(item.timestamp);
-        OperatorOutput::many(outputs)
-    }
-
-    fn on_eos(&mut self, port: usize) -> OperatorOutput {
-        if port < 2 {
-            self.eos[port] = true;
-            // The finished side's history can never be probed again by new
-            // items on that side; but the *other* side still probes it, so we
-            // keep it.  What we can drop is the other side's need to retain
-            // new items — handled in on_item.
-        }
-        if self.eos[0] && self.eos[1] {
-            OperatorOutput::finished(Vec::new())
+        let own = if port == 0 {
+            &mut self.left
         } else {
-            OperatorOutput::none()
-        }
+            &mut self.right
+        };
+        own.insert(key, item.seq, item.timestamp, item.data.clone());
+        self.gc(item.timestamp);
+        outputs
     }
 
-    fn state_size(&self) -> usize {
+    /// Approximate number of bytes held in both histories.
+    pub fn state_size(&self) -> usize {
         self.left.bytes + self.right.bytes
     }
 }
@@ -380,10 +310,10 @@ mod tests {
     #[test]
     fn matching_call_ids_produce_a_pair() {
         let mut j = join();
-        assert!(j.on_item(0, &call("out", 42, 10)).items.is_empty());
+        assert!(j.on_item(0, &call("out", 42, 10)).is_empty());
         let out = j.on_item(1, &call("in", 42, 11));
-        assert_eq!(out.items.len(), 1);
-        let tuple = &out.items[0];
+        assert_eq!(out.len(), 1);
+        let tuple = &out[0];
         let b = Bindings::from_element(tuple, "_");
         assert_eq!(b.tree("c1").unwrap().attr("side"), Some("out"));
         assert_eq!(b.tree("c2").unwrap().attr("side"), Some("in"));
@@ -394,14 +324,14 @@ mod tests {
     fn non_matching_ids_do_not_join() {
         let mut j = join();
         j.on_item(0, &call("out", 1, 0));
-        assert!(j.on_item(1, &call("in", 2, 1)).items.is_empty());
+        assert!(j.on_item(1, &call("in", 2, 1)).is_empty());
     }
 
     #[test]
     fn join_works_in_both_arrival_orders() {
         let mut j = join();
         j.on_item(1, &call("in", 7, 0));
-        assert_eq!(j.on_item(0, &call("out", 7, 1)).items.len(), 1);
+        assert_eq!(j.on_item(0, &call("out", 7, 1)).len(), 1);
     }
 
     #[test]
@@ -410,7 +340,7 @@ mod tests {
         j.on_item(0, &call("out", 5, 0));
         j.on_item(0, &call("out", 5, 1));
         let out = j.on_item(1, &call("in", 5, 2));
-        assert_eq!(out.items.len(), 2);
+        assert_eq!(out.len(), 2);
     }
 
     #[test]
@@ -429,8 +359,8 @@ mod tests {
         )]);
         let mut j = Join::new(spec, Window::unbounded());
         j.on_item(0, &call("out", 1, 10));
-        assert!(j.on_item(1, &call("in", 1, 50)).items.is_empty());
-        assert_eq!(j.on_item(1, &call("in", 1, 150)).items.len(), 1);
+        assert!(j.on_item(1, &call("in", 1, 50)).is_empty());
+        assert_eq!(j.on_item(1, &call("in", 1, 150)).len(), 1);
     }
 
     #[test]
@@ -442,8 +372,8 @@ mod tests {
         assert!(j.history_len() <= 2);
         assert!(j.evicted >= 8);
         // Only the most recent two left-side items can still join.
-        assert!(j.on_item(1, &call("in", 0, 100)).items.is_empty());
-        assert_eq!(j.on_item(1, &call("in", 9, 101)).items.len(), 1);
+        assert!(j.on_item(1, &call("in", 0, 100)).is_empty());
+        assert_eq!(j.on_item(1, &call("in", 9, 101)).len(), 1);
     }
 
     #[test]
@@ -452,8 +382,8 @@ mod tests {
         j.on_item(0, &call("out", 1, 0));
         j.on_item(0, &call("out", 2, 100));
         // Item with ts=0 is now older than 100-50.
-        assert!(j.on_item(1, &call("in", 1, 110)).items.is_empty());
-        assert_eq!(j.on_item(1, &call("in", 2, 110)).items.len(), 1);
+        assert!(j.on_item(1, &call("in", 1, 110)).is_empty());
+        assert_eq!(j.on_item(1, &call("in", 2, 110)).len(), 1);
     }
 
     #[test]
@@ -462,42 +392,13 @@ mod tests {
         assert_eq!(j.state_size(), 0);
         j.on_item(0, &call("out", 1, 0));
         assert!(j.state_size() > 0);
-        assert!(j.is_stateful());
-    }
-
-    #[test]
-    fn eos_semantics() {
-        let mut j = join();
-        assert!(!j.on_eos(0).eos);
-        // After the left side ends, new right items are not retained but
-        // still probe the left history.
-        j.on_item(0, &call("out", 3, 0)); // ignored retention: left already eos? no — port 0 eos'd, item on port 0 still inserts
-        assert!(j.on_eos(1).eos);
     }
 
     #[test]
     fn items_without_key_are_skipped() {
         let mut j = join();
         let keyless = StreamItem::new(0, 0, parse("<alert/>").unwrap());
-        assert!(j.on_item(0, &keyless).items.is_empty());
+        assert!(j.on_item(0, &keyless).is_empty());
         assert_eq!(j.history_len(), 0);
-    }
-
-    #[test]
-    fn xpath_key_extractor() {
-        let spec = JoinSpec {
-            left_var: "l".into(),
-            right_var: "r".into(),
-            left_key: KeyExtractor::Path(XPath::parse("//id/text()").unwrap()),
-            right_key: KeyExtractor::Attr("id".into()),
-            residual: vec![],
-        };
-        let mut j = Join::new(spec, Window::unbounded());
-        j.on_item(
-            0,
-            &StreamItem::new(0, 0, parse("<m><id>9</id></m>").unwrap()),
-        );
-        let out = j.on_item(1, &StreamItem::new(0, 1, parse(r#"<n id="9"/>"#).unwrap()));
-        assert_eq!(out.items.len(), 1);
     }
 }

@@ -1,16 +1,9 @@
-//! The stream processors of Section 3: Filter/Select (σ), Restructure (Π),
-//! Union (∪), Join (⋈), Duplicate-removal and Group.
+//! The two stateful stream processors of Section 3 that the runtime wraps:
+//! Join (⋈) and Duplicate-removal.  Select (σ), Restructure (Π) and
+//! Union (∪) are evaluated directly by `p2pmon-core`'s runtime operators.
 
 pub mod dedup;
-pub mod group;
 pub mod join;
-pub mod restructure;
-pub mod select;
-pub mod union;
 
-pub use dedup::{Dedup, DedupKey};
-pub use group::{Aggregate, Group, GroupSpec};
+pub use dedup::Dedup;
 pub use join::{Join, JoinSpec, Window};
-pub use restructure::Restructure;
-pub use select::Select;
-pub use union::Union;

@@ -7,8 +7,9 @@
 //! arriving at the master server, and builds three statistics with the
 //! monitor's operators:
 //!
-//! * query volume per mirror (the Group operator, via repeated counting in
-//!   the consumer),
+//! * query volume per mirror (the monitor has no Group operator: the
+//!   subscription publishes every query and the consumer counts them per
+//!   mirror),
 //! * unreliable mirrors (calls that faulted),
 //! * slow downloads (incidents like the meteo example).
 //!

@@ -31,10 +31,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use p2pmon_dht::StreamDefinition;
+use p2pmon_dht::{StreamDefinition, StreamDefinitionDatabase};
 use p2pmon_filter::FilterSubscription;
 use p2pmon_net::PeerId;
-use p2pmon_p2pml::plan::{normalize_peer, LogicalPlan};
+use p2pmon_p2pml::plan::{normalize_peer, LogicalNode, LogicalPlan};
 use p2pmon_p2pml::{compile_subscription, ByClause, CompileError};
 use p2pmon_streams::ChannelId;
 
@@ -44,7 +44,10 @@ use crate::placement::{
     place_with, push_selections_below_unions, PlacedPlan, PlacementRates, TaskKind,
 };
 use crate::profile::{LifetimeProfile, PhaseClock, SUBMIT_PHASES};
-use crate::reuse::{apply_reuse_ids, join_parameters, select_parameters, ReuseReport, ReuseStats};
+use crate::reuse::{
+    apply_reuse_ids, join_parameters, select_parameters, ReuseReport, ReuseStats,
+    DUPLICATE_REMOVAL, FILTER, JOIN, RESTRUCTURE, UNION,
+};
 use crate::runtime::RuntimeOperator;
 use crate::sink::{Sink, SinkKind};
 
@@ -59,19 +62,21 @@ type SelectProviders<'a> = dyn Fn(&str, &str) -> (String, String) + 'a;
 /// (`channel("#alertQoS@p")`), but the canonical identity names the peer
 /// that actually emits the stream (wherever placement put the producer's
 /// root); without this step the subscriber would attach to a channel nobody
-/// multicasts on.  References minted by the reuse rewriting are already
-/// canonical (an exact descriptor match, or a live replica's coordinates),
-/// and `select_provider` is a no-op on them: the reuse cover already picked
-/// the closest provider with the same proximity function, and a replica has
-/// no replicas of its own.  Unknown or ambiguous names pass through
-/// unchanged.  Counts the references it resolves in `resolved`.
+/// multicasts on.  References minted by the reuse rewriting pass through the
+/// same two steps.  Their identity is already canonical (an exact descriptor
+/// match, or a live replica's coordinates), but the selection is asked
+/// again: under the default load tie-break
+/// ([`StreamDefinitionDatabase::select_provider_loaded`]) it can move an
+/// origin the reuse search picked by proximity alone to a replica that is as
+/// near and carries less load (ROADMAP item 2 asks whether minted references
+/// should be re-canonicalized at all).  Unknown or ambiguous names pass
+/// through unchanged.  Counts the references it resolves in `resolved`.
 fn canonicalize_channel_refs(
-    db: &p2pmon_dht::StreamDefinitionDatabase,
+    db: &StreamDefinitionDatabase,
     proximity: Option<&SelectProviders<'_>>,
-    node: p2pmon_p2pml::plan::LogicalNode,
+    node: LogicalNode,
     resolved: &mut u64,
-) -> p2pmon_p2pml::plan::LogicalNode {
-    use p2pmon_p2pml::plan::LogicalNode;
+) -> LogicalNode {
     match node {
         LogicalNode::ChannelIn { peer, stream, var } => {
             *resolved += 1;
@@ -82,68 +87,9 @@ fn canonicalize_channel_refs(
             };
             LogicalNode::ChannelIn { peer, stream, var }
         }
-        LogicalNode::DynamicAlerter {
-            function,
-            var,
-            driver,
-        } => LogicalNode::DynamicAlerter {
-            function,
-            var,
-            driver: Box::new(canonicalize_channel_refs(db, proximity, *driver, resolved)),
-        },
-        LogicalNode::Union { var, inputs } => LogicalNode::Union {
-            var,
-            inputs: inputs
-                .into_iter()
-                .map(|input| canonicalize_channel_refs(db, proximity, input, resolved))
-                .collect(),
-        },
-        LogicalNode::Select {
-            var,
-            input,
-            simple,
-            patterns,
-            derived,
-            conditions,
-        } => LogicalNode::Select {
-            var,
-            input: Box::new(canonicalize_channel_refs(db, proximity, *input, resolved)),
-            simple,
-            patterns,
-            derived,
-            conditions,
-        },
-        LogicalNode::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-            residual,
-        } => LogicalNode::Join {
-            left: Box::new(canonicalize_channel_refs(db, proximity, *left, resolved)),
-            right: Box::new(canonicalize_channel_refs(db, proximity, *right, resolved)),
-            left_key,
-            right_key,
-            residual,
-        },
-        LogicalNode::Dedup { input } => LogicalNode::Dedup {
-            input: Box::new(canonicalize_channel_refs(db, proximity, *input, resolved)),
-        },
-        LogicalNode::Restructure {
-            input,
-            template,
-            derived,
-        } => LogicalNode::Restructure {
-            input: Box::new(canonicalize_channel_refs(db, proximity, *input, resolved)),
-            template,
-            derived,
-        },
-        LogicalNode::Aggregate { var, input, spec } => LogicalNode::Aggregate {
-            var,
-            input: Box::new(canonicalize_channel_refs(db, proximity, *input, resolved)),
-            spec,
-        },
-        leaf @ LogicalNode::Alerter { .. } => leaf,
+        node => {
+            node.map_children(|input| canonicalize_channel_refs(db, proximity, input, resolved))
+        }
     }
 }
 
@@ -219,11 +165,11 @@ impl Monitor {
         // Stream reuse against the definition database.
         let queries = self.stream_db.index_stats().query_operations;
         let (root, reuse) = if self.config.enable_reuse {
-            let (root, reuse) = apply_reuse_ids(&plan.root, &mut self.stream_db, proximity);
+            let (root, reuse) = apply_reuse_ids(plan.root, &mut self.stream_db, proximity);
             self.reuse_totals.absorb(&ReuseStats::of_report(&reuse));
             (root, reuse)
         } else {
-            (plan.root.clone(), ReuseReport::default())
+            (plan.root, ReuseReport::default())
         };
         let queries = self.stream_db.index_stats().query_operations - queries;
         clock.lap("core.submit.reuse", queries);
@@ -261,7 +207,7 @@ impl Monitor {
                 root,
                 &mut resolved,
             ),
-            by: plan.by.clone(),
+            by: plan.by,
             distinct: plan.distinct,
         };
         drop(select_providers);
@@ -555,21 +501,18 @@ impl Monitor {
                             conditions,
                             ..
                         } => (
-                            "Filter".to_string(),
+                            FILTER,
                             select_parameters(simple, patterns, derived, conditions),
                         ),
                         TaskKind::Join {
                             left_key,
                             right_key,
                             residual,
-                        } => (
-                            "Join".to_string(),
-                            join_parameters(left_key, right_key, residual),
-                        ),
-                        TaskKind::Union => ("Union".to_string(), String::new()),
-                        TaskKind::Dedup => ("DuplicateRemoval".to_string(), String::new()),
+                        } => (JOIN, join_parameters(left_key, right_key, residual)),
+                        TaskKind::Union => (UNION, String::new()),
+                        TaskKind::Dedup => (DUPLICATE_REMOVAL, String::new()),
                         TaskKind::Restructure { template, .. } => {
-                            ("Restructure".to_string(), template.source().to_string())
+                            (RESTRUCTURE, template.source().to_string())
                         }
                         _ => unreachable!("sources handled above"),
                     };

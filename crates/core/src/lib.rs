@@ -48,7 +48,7 @@ pub use placement::{
     PlacementStrategy, TaskKind,
 };
 pub use profile::{LifetimeProfile, Phase};
-pub use reuse::{apply_reuse, logical_to_plan_node, ReplicaStats, ReuseReport, ReuseStats};
+pub use reuse::{apply_reuse, ReplicaStats, ReuseReport, ReuseStats};
 pub use runtime::RuntimeOperator;
 pub use sink::{Sink, SinkKind};
 

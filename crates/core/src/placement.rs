@@ -242,83 +242,32 @@ pub fn push_selections_below_unions(node: LogicalNode) -> LogicalNode {
             patterns,
             derived,
             conditions,
-        } => {
-            let input = push_selections_below_unions(*input);
-            if let LogicalNode::Union {
+        } => match push_selections_below_unions(*input) {
+            LogicalNode::Union {
                 var: union_var,
                 inputs,
-            } = input
-            {
-                LogicalNode::Union {
-                    var: union_var,
-                    inputs: inputs
-                        .into_iter()
-                        .map(|child| LogicalNode::Select {
-                            var: var.clone(),
-                            input: Box::new(push_selections_below_unions(child)),
-                            simple: simple.clone(),
-                            patterns: patterns.clone(),
-                            derived: derived.clone(),
-                            conditions: conditions.clone(),
-                        })
-                        .collect(),
-                }
-            } else {
-                LogicalNode::Select {
-                    var,
-                    input: Box::new(input),
-                    simple,
-                    patterns,
-                    derived,
-                    conditions,
-                }
-            }
-        }
-        LogicalNode::Union { var, inputs } => LogicalNode::Union {
-            var,
-            inputs: inputs
-                .into_iter()
-                .map(push_selections_below_unions)
-                .collect(),
-        },
-        LogicalNode::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-            residual,
-        } => LogicalNode::Join {
-            left: Box::new(push_selections_below_unions(*left)),
-            right: Box::new(push_selections_below_unions(*right)),
-            left_key,
-            right_key,
-            residual,
-        },
-        LogicalNode::Dedup { input } => LogicalNode::Dedup {
-            input: Box::new(push_selections_below_unions(*input)),
-        },
-        LogicalNode::Restructure {
-            input,
-            template,
-            derived,
-        } => LogicalNode::Restructure {
-            input: Box::new(push_selections_below_unions(*input)),
-            template,
-            derived,
-        },
-        LogicalNode::DynamicAlerter {
-            function,
-            var,
-            driver,
-        } => LogicalNode::DynamicAlerter {
-            function,
-            var,
-            driver: Box::new(push_selections_below_unions(*driver)),
-        },
-        LogicalNode::Aggregate { var, input, spec } => LogicalNode::Aggregate {
-            var,
-            input: Box::new(push_selections_below_unions(*input)),
-            spec,
+            } => LogicalNode::Union {
+                var: union_var,
+                inputs: inputs
+                    .into_iter()
+                    .map(|child| LogicalNode::Select {
+                        var: var.clone(),
+                        input: Box::new(push_selections_below_unions(child)),
+                        simple: simple.clone(),
+                        patterns: patterns.clone(),
+                        derived: derived.clone(),
+                        conditions: conditions.clone(),
+                    })
+                    .collect(),
+            },
+            input => LogicalNode::Select {
+                var,
+                input: Box::new(input),
+                simple,
+                patterns,
+                derived,
+                conditions,
+            },
         },
         LogicalNode::Alerter {
             function,
@@ -329,7 +278,7 @@ pub fn push_selections_below_unions(node: LogicalNode) -> LogicalNode {
             peer: normalize_peer(&peer),
             var,
         },
-        leaf @ LogicalNode::ChannelIn { .. } => leaf,
+        node => node.map_children(push_selections_below_unions),
     }
 }
 
@@ -424,6 +373,17 @@ impl Builder<'_> {
 
     fn connect(&mut self, producer: usize, consumer: usize, port: usize) {
         self.tasks[producer].downstream = Some((consumer, port));
+    }
+
+    /// The peer a single-input stage runs on: next to its input, so only
+    /// its (smaller) output crosses the network — the paper's example
+    /// restructures at the join peer and ships only the incidents to the
+    /// manager — or at the manager under the centralized strategy.
+    fn beside(&self, input_task: usize) -> String {
+        match self.strategy {
+            PlacementStrategy::Centralized => self.manager.clone(),
+            PlacementStrategy::PushToSources => self.tasks[input_task].peer.clone(),
+        }
     }
 
     /// The peer an inner operator should run on, given its input tasks and
@@ -577,13 +537,8 @@ impl Builder<'_> {
                 driver,
             } => {
                 let driver_task = self.place_node(driver);
-                let driver_peer = self.tasks[driver_task].peer.clone();
-                let peer = match self.strategy {
-                    PlacementStrategy::Centralized => self.manager.clone(),
-                    PlacementStrategy::PushToSources => driver_peer,
-                };
                 let dynamic = self.push(
-                    peer,
+                    self.beside(driver_task),
                     TaskKind::DynamicSource {
                         function: function.clone(),
                         var: var.clone(),
@@ -627,13 +582,8 @@ impl Builder<'_> {
                 conditions,
             } => {
                 let input_task = self.place_node(input);
-                let peer = match self.strategy {
-                    PlacementStrategy::Centralized => self.manager.clone(),
-                    // Pushed next to its input.
-                    PlacementStrategy::PushToSources => self.tasks[input_task].peer.clone(),
-                };
                 let select = self.push(
-                    peer,
+                    self.beside(input_task),
                     TaskKind::Select {
                         var: var.clone(),
                         simple: simple.clone(),
@@ -671,11 +621,7 @@ impl Builder<'_> {
             }
             LogicalNode::Dedup { input } => {
                 let input_task = self.place_node(input);
-                let peer = match self.strategy {
-                    PlacementStrategy::Centralized => self.manager.clone(),
-                    PlacementStrategy::PushToSources => self.tasks[input_task].peer.clone(),
-                };
-                let dedup = self.push(peer, TaskKind::Dedup);
+                let dedup = self.push(self.beside(input_task), TaskKind::Dedup);
                 self.connect(input_task, dedup, 0);
                 dedup
             }
@@ -685,15 +631,8 @@ impl Builder<'_> {
                 derived,
             } => {
                 let input_task = self.place_node(input);
-                let peer = match self.strategy {
-                    PlacementStrategy::Centralized => self.manager.clone(),
-                    // The paper's example restructures at the join peer, i.e.
-                    // where the input lives, and ships only the (small)
-                    // incidents to the manager.
-                    PlacementStrategy::PushToSources => self.tasks[input_task].peer.clone(),
-                };
                 let restructure = self.push(
-                    peer,
+                    self.beside(input_task),
                     TaskKind::Restructure {
                         template: template.clone(),
                         derived: derived.clone(),
@@ -721,11 +660,10 @@ impl Builder<'_> {
                 let mut level: Vec<usize> = Vec::with_capacity(branches.len());
                 for branch in branches {
                     let upstream = self.place_node(branch);
-                    let peer = match self.strategy {
-                        PlacementStrategy::Centralized => self.manager.clone(),
-                        PlacementStrategy::PushToSources => self.tasks[upstream].peer.clone(),
-                    };
-                    let leaf = self.push(peer, TaskKind::SketchLeaf { spec: spec.clone() });
+                    let leaf = self.push(
+                        self.beside(upstream),
+                        TaskKind::SketchLeaf { spec: spec.clone() },
+                    );
                     self.connect(upstream, leaf, 0);
                     level.push(leaf);
                 }
@@ -737,11 +675,10 @@ impl Builder<'_> {
                         // and unions there is no rate asymmetry for the
                         // rate-aware chooser to exploit, and scoring
                         // candidates would cost O(tasks²) at 10k leaves.
-                        let peer = match self.strategy {
-                            PlacementStrategy::Centralized => self.manager.clone(),
-                            PlacementStrategy::PushToSources => self.tasks[chunk[0]].peer.clone(),
-                        };
-                        let merge = self.push(peer, TaskKind::SketchMerge { spec: spec.clone() });
+                        let merge = self.push(
+                            self.beside(chunk[0]),
+                            TaskKind::SketchMerge { spec: spec.clone() },
+                        );
                         for (port, &task) in chunk.iter().enumerate() {
                             self.connect(task, merge, port);
                         }

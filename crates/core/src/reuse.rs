@@ -1,17 +1,28 @@
-//! Stream-reuse integration: rewriting a logical plan against the Stream
-//! Definition Database before deployment.
+//! The Reuse algorithm of Section 5: rewriting a logical plan against the
+//! Stream Definition Database before deployment.
 //!
-//! The Subscription Manager, "when a new monitoring subscription arrives,
-//! […] searches for existing streams that could help support (portions of)
-//! the new task".  This module converts a compiled [`LogicalNode`] tree into
-//! the [`PlanNode`] shape the Reuse algorithm of `p2pmon-dht` understands,
-//! runs the cover, and rewrites the plan so that every covered subtree is
-//! replaced by a subscription to the covering channel (original or replica).
+//! "The Reuse algorithm works on a monitoring plan, trying to find sub-plans
+//! already supported by existing streams. […] the algorithm proceeds from
+//! the leaves of the monitoring plan, attempting to map nodes in the plan to
+//! existing streams.  Operators that have all their operands matched
+//! generate queries to the database.  The result of the queries determines
+//! whether this operator will be mapped to an existing stream.  For a node
+//! that is matched, the algorithm searches for possible replicas of the
+//! streams to substitute for that node."
+//!
+//! [`apply_reuse`] runs that search as one bottom-up pass over the owned
+//! [`LogicalNode`] tree.  Each node covers its inputs, queries the database
+//! once all of them are matched, and lets the database select the closest
+//! provider (origin or replica) when the query finds a stream.  An unmatched
+//! node rewrites each matched input into a [`LogicalNode::ChannelIn`]
+//! subscription to its provider as the pass returns; a matched node leaves
+//! that to its own parent, so only the topmost matched subtrees become
+//! subscriptions.  Only what deployment publishes is looked up: alerter
+//! sources, and the five derived operators named below.
 
 use std::collections::HashSet;
 
-use p2pmon_dht::reuse::NodeCover;
-use p2pmon_dht::{PlanNode, ReuseEngine, StreamDefinitionDatabase};
+use p2pmon_dht::StreamDefinitionDatabase;
 use p2pmon_net::PeerId;
 use p2pmon_p2pml::plan::LogicalNode;
 use p2pmon_p2pml::ValueExpr;
@@ -191,83 +202,19 @@ pub fn join_parameters(
     parts.join("&")
 }
 
-/// Converts a logical plan node into the reuse algorithm's [`PlanNode`]
-/// shape: one plan node per logical node, children in the same order as the
-/// logical node's inputs, so the cover's preorder indices line up with a
-/// preorder walk of the logical plan.
-pub fn logical_to_plan_node(node: &LogicalNode) -> PlanNode {
-    match node {
-        LogicalNode::Alerter { function, peer, .. } => {
-            PlanNode::alerter(function.clone(), peer.clone())
-        }
-        LogicalNode::DynamicAlerter {
-            function, driver, ..
-        } => PlanNode::operator(
-            "DynamicAlerter",
-            function.clone(),
-            vec![logical_to_plan_node(driver)],
-        ),
-        // Channel sources refer to streams that already exist, but their
-        // identity is resolved at deployment time; for covering purposes they
-        // are opaque leaves that never match.
-        LogicalNode::ChannelIn { peer, stream, .. } => {
-            PlanNode::alerter(format!("__channel__{stream}"), peer.clone())
-        }
-        LogicalNode::Union { inputs, .. } => PlanNode::operator(
-            "Union",
-            "",
-            inputs.iter().map(logical_to_plan_node).collect(),
-        ),
-        LogicalNode::Select {
-            input,
-            simple,
-            patterns,
-            derived,
-            conditions,
-            ..
-        } => PlanNode::operator(
-            "Filter",
-            select_parameters(simple, patterns, derived, conditions),
-            vec![logical_to_plan_node(input)],
-        ),
-        LogicalNode::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-            residual,
-        } => PlanNode::operator(
-            "Join",
-            join_parameters(left_key, right_key, residual),
-            vec![logical_to_plan_node(left), logical_to_plan_node(right)],
-        ),
-        LogicalNode::Dedup { input } => {
-            PlanNode::operator("DuplicateRemoval", "", vec![logical_to_plan_node(input)])
-        }
-        LogicalNode::Restructure {
-            input, template, ..
-        } => PlanNode::operator(
-            "Restructure",
-            template.source().to_string(),
-            vec![logical_to_plan_node(input)],
-        ),
-        // Aggregates are never published as reusable streams (their output
-        // is bounded-size partials, not a subscribable item stream), so the
-        // node can never be covered — but its *input* subtrees still
-        // participate in the cover search.
-        LogicalNode::Aggregate { input, spec, .. } => PlanNode::operator(
-            "Aggregate",
-            format!("{spec:?}"),
-            vec![logical_to_plan_node(input)],
-        ),
-    }
-}
+// The operator names derived streams are published under by deployment and
+// looked up under by the reuse search.
+pub(crate) const FILTER: &str = "Filter";
+pub(crate) const JOIN: &str = "Join";
+pub(crate) const UNION: &str = "Union";
+pub(crate) const DUPLICATE_REMOVAL: &str = "DuplicateRemoval";
+pub(crate) const RESTRUCTURE: &str = "Restructure";
 
 /// Runs the Reuse algorithm over a plan and rewrites covered subtrees into
 /// channel subscriptions.  `proximity` scores candidate provider peers by
 /// name (lower = closer), driving replica selection.
 ///
-/// The cover scores providers by interned id (`apply_reuse_ids`, what a
+/// The search scores providers by interned id (`apply_reuse_ids`, what a
 /// deployment runs); this entry point resolves each scored id to its name
 /// for a caller whose proximity table is keyed by name.
 pub fn apply_reuse(
@@ -275,153 +222,193 @@ pub fn apply_reuse(
     db: &mut StreamDefinitionDatabase,
     proximity: &dyn Fn(&str) -> u64,
 ) -> (LogicalNode, ReuseReport) {
-    apply_reuse_ids(plan, db, |peer: PeerId| proximity(&peer))
+    apply_reuse_ids(plan.clone(), db, |peer: PeerId| proximity(&peer))
 }
 
-/// [`apply_reuse`] with `proximity` scoring candidate provider peers by
-/// interned id: no candidate's name is resolved.
+/// [`apply_reuse`] over an owned plan, with `proximity` scoring candidate
+/// provider peers by interned id: no candidate's name is resolved.
 pub(crate) fn apply_reuse_ids(
-    plan: &LogicalNode,
+    plan: LogicalNode,
     db: &mut StreamDefinitionDatabase,
     proximity: impl Fn(PeerId) -> u64,
 ) -> (LogicalNode, ReuseReport) {
-    let outcome = ReuseEngine::new(db).cover(&logical_to_plan_node(plan), proximity);
-    let mut rewriter = Rewriter {
-        covers: &outcome.covers,
-        next: 0,
-        report: ReuseReport {
-            reused_nodes: outcome.reused,
-            new_nodes: outcome.new_streams,
-            subscribed_channels: Vec::new(),
-            reused_defs: Vec::new(),
-            operators_saved: 0,
-        },
-        listed: HashSet::new(),
+    let mut search = Search {
+        db,
+        proximity,
+        originals: Vec::new(),
+        providers: Vec::new(),
+        inputs: Vec::new(),
+        reused: 0,
+        new: 0,
     };
-    let rewritten = rewriter.rewrite(plan);
-    debug_assert_eq!(
-        rewriter.next,
-        outcome.covers.len(),
-        "one cover per plan node"
-    );
-    (rewritten, rewriter.report)
+    let root = match search.cover(plan) {
+        Cover::Covered(root) => subscribe(root, &search.providers[0]),
+        Cover::New(root) => root,
+    };
+    let mut listed = HashSet::new();
+    let reused_defs = search
+        .originals
+        .iter()
+        .filter(|original| listed.insert(*original))
+        .cloned()
+        .collect();
+    let report = ReuseReport {
+        reused_nodes: search.reused,
+        new_nodes: search.new,
+        // Every covered node lies in exactly one topmost covered subtree,
+        // which collapses to one subscription.
+        operators_saved: search.reused - search.providers.len(),
+        subscribed_channels: search.providers,
+        reused_defs,
+    };
+    (root, report)
 }
 
-/// Rewrites covered subtrees into channel subscriptions, filling `report`.
-struct Rewriter<'a> {
-    /// The cover, by preorder index of the plan node.
-    covers: &'a [NodeCover],
-    /// Preorder index of the next logical node `rewrite` visits.
-    next: usize,
-    report: ReuseReport,
-    /// The originals already in `report.reused_defs`, so each is listed
-    /// once, in first-seen order, without scanning the list.
-    listed: HashSet<&'a (String, String)>,
+/// How the search left one node.
+enum Cover {
+    /// An existing stream serves the node, whose subtree is unchanged; its
+    /// identity is the last entry of [`Search::originals`].
+    Covered(LogicalNode),
+    /// The node has to be produced anew; its covered inputs are channel
+    /// subscriptions.
+    New(LogicalNode),
 }
 
-impl<'a> Rewriter<'a> {
-    fn rewrite(&mut self, node: &LogicalNode) -> LogicalNode {
-        let covers = self.covers;
-        if let NodeCover::Existing {
-            original,
-            provider,
-            nodes,
-        } = &covers[self.next]
-        {
-            // The whole subtree is served by an existing stream: subscribe to
-            // it, and skip the subtree's covers.  Its nodes collapse to one
-            // ChannelIn leaf; the rest is operator work the deployment never
-            // instantiates.
-            self.next += nodes;
-            self.report.operators_saved += nodes - 1;
-            let var = node
-                .output_vars()
-                .first()
-                .cloned()
-                .unwrap_or_else(|| "item".to_string());
-            self.report
-                .subscribed_channels
-                .push((provider.0.clone(), provider.1.clone()));
-            if self.listed.insert(original) {
-                self.report.reused_defs.push(original.clone());
-            }
-            return LogicalNode::ChannelIn {
-                peer: provider.0.clone(),
-                stream: provider.1.clone(),
-                var,
+/// The state of one bottom-up Reuse pass.
+struct Search<'a, P> {
+    db: &'a mut StreamDefinitionDatabase,
+    proximity: P,
+    /// The `(peer, stream)` identities of the covered nodes whose parent is
+    /// not known to be covered, in plan order: what the definition database
+    /// keys on, whichever replica serves them.  A node that turns out
+    /// covered truncates the list back to its length when the node was
+    /// entered (dropping its inputs' entries) and pushes its own, so a node
+    /// whose inputs are all covered finds their identities, in input
+    /// order, from that mark on — the operands of its query.  At the end the
+    /// list holds the topmost covered subtrees.
+    originals: Vec<(String, String)>,
+    /// The provider selected for each entry of `originals`.
+    providers: Vec<(String, String)>,
+    /// For each input of the nodes on the path being covered, the index of
+    /// its entry in `originals` when it is covered.
+    inputs: Vec<Option<usize>>,
+    reused: usize,
+    new: usize,
+}
+
+impl<P: Fn(PeerId) -> u64> Search<'_, P> {
+    fn cover(&mut self, node: LogicalNode) -> Cover {
+        let mark = self.originals.len();
+        let first_input = self.inputs.len();
+        let node = node.map_children(|input| {
+            let (input, entry) = match self.cover(input) {
+                Cover::Covered(input) => (input, Some(self.originals.len() - 1)),
+                Cover::New(input) => (input, None),
             };
+            self.inputs.push(entry);
+            input
+        });
+        let matched = self.inputs[first_input..].iter().all(Option::is_some);
+        let found = if matched {
+            self.query(&node, mark)
+        } else {
+            None
+        };
+        match found {
+            Some(original) => {
+                let provider = self
+                    .db
+                    .select_provider(&original.0, &original.1, &self.proximity);
+                self.inputs.truncate(first_input);
+                self.originals.truncate(mark);
+                self.providers.truncate(mark);
+                self.originals.push(original);
+                self.providers.push(provider);
+                self.reused += 1;
+                Cover::Covered(node)
+            }
+            None => {
+                self.new += 1;
+                let providers = &self.providers;
+                let mut entries = self.inputs.drain(first_input..);
+                let node = node.map_children(|input| match entries.next().flatten() {
+                    Some(entry) => subscribe(input, &providers[entry]),
+                    None => input,
+                });
+                Cover::New(node)
+            }
         }
-        // Not covered: keep the operator, recurse into its children in the
-        // order the cover numbered them.
-        self.next += 1;
-        match node {
-            LogicalNode::Alerter { .. } | LogicalNode::ChannelIn { .. } => node.clone(),
-            LogicalNode::DynamicAlerter {
-                function,
-                var,
-                driver,
-            } => LogicalNode::DynamicAlerter {
-                function: function.clone(),
-                var: var.clone(),
-                driver: Box::new(self.rewrite(driver)),
-            },
-            LogicalNode::Union { var, inputs } => LogicalNode::Union {
-                var: var.clone(),
-                inputs: inputs.iter().map(|input| self.rewrite(input)).collect(),
-            },
+    }
+
+    /// The stream already published for `node`, whose inputs are the
+    /// entries of `originals` from `mark` on.  Channel subscriptions,
+    /// dynamic alerters and aggregates are never published, so they are
+    /// never looked up.
+    fn query(&mut self, node: &LogicalNode, mark: usize) -> Option<(String, String)> {
+        let operands = &self.originals[mark..];
+        let found = match node {
+            LogicalNode::Alerter { function, peer, .. } => {
+                self.db.find_alerter_streams(peer, function)
+            }
             LogicalNode::Select {
-                var,
-                input,
                 simple,
                 patterns,
                 derived,
                 conditions,
-            } => LogicalNode::Select {
-                var: var.clone(),
-                input: Box::new(self.rewrite(input)),
-                simple: simple.clone(),
-                patterns: patterns.clone(),
-                derived: derived.clone(),
-                conditions: conditions.clone(),
-            },
+                ..
+            } => self.db.find_derived_streams(
+                FILTER,
+                &select_parameters(simple, patterns, derived, conditions),
+                operands,
+            ),
             LogicalNode::Join {
-                left,
-                right,
                 left_key,
                 right_key,
                 residual,
-            } => LogicalNode::Join {
-                left: Box::new(self.rewrite(left)),
-                right: Box::new(self.rewrite(right)),
-                left_key: left_key.clone(),
-                right_key: right_key.clone(),
-                residual: residual.clone(),
-            },
-            LogicalNode::Dedup { input } => LogicalNode::Dedup {
-                input: Box::new(self.rewrite(input)),
-            },
-            LogicalNode::Restructure {
-                input,
-                template,
-                derived,
-            } => LogicalNode::Restructure {
-                input: Box::new(self.rewrite(input)),
-                template: template.clone(),
-                derived: derived.clone(),
-            },
-            LogicalNode::Aggregate { var, input, spec } => LogicalNode::Aggregate {
-                var: var.clone(),
-                input: Box::new(self.rewrite(input)),
-                spec: spec.clone(),
-            },
-        }
+                ..
+            } => self.db.find_derived_streams(
+                JOIN,
+                &join_parameters(left_key, right_key, residual),
+                operands,
+            ),
+            LogicalNode::Union { .. } => self.db.find_derived_streams(UNION, "", operands),
+            LogicalNode::Dedup { .. } => {
+                self.db
+                    .find_derived_streams(DUPLICATE_REMOVAL, "", operands)
+            }
+            LogicalNode::Restructure { template, .. } => {
+                self.db
+                    .find_derived_streams(RESTRUCTURE, template.source(), operands)
+            }
+            LogicalNode::ChannelIn { .. }
+            | LogicalNode::DynamicAlerter { .. }
+            | LogicalNode::Aggregate { .. } => return None,
+        };
+        found
+            .first()
+            .map(|d| (d.peer_id.clone(), d.stream_id.clone()))
+    }
+}
+
+/// The subscription that replaces a covered subtree: its provider's
+/// channel, bound to the subtree's variable.
+fn subscribe(covered: LogicalNode, provider: &(String, String)) -> LogicalNode {
+    let var = covered
+        .output_vars()
+        .into_iter()
+        .next()
+        .unwrap_or_else(|| "item".to_string());
+    LogicalNode::ChannelIn {
+        peer: provider.0.clone(),
+        stream: provider.1.clone(),
+        var,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2pmon_dht::{ChordNetwork, StreamDefinition};
+    use p2pmon_dht::{ChordNetwork, ReplicaDeclaration, StreamDefinition};
     use p2pmon_p2pml::compile_subscription;
 
     fn subscription_plan() -> LogicalNode {
@@ -537,6 +524,220 @@ mod tests {
             vec![only("B"), only("A"), only("B")]
         );
         assert_eq!(report.reused_defs, vec![only("B"), only("A")]);
+    }
+
+    fn alerter(function: &str, peer: &str, var: &str) -> LogicalNode {
+        LogicalNode::Alerter {
+            function: function.into(),
+            peer: peer.into(),
+            var: var.into(),
+        }
+    }
+
+    fn channel(peer: &str, stream: &str, var: &str) -> LogicalNode {
+        LogicalNode::ChannelIn {
+            peer: peer.into(),
+            stream: stream.into(),
+            var: var.into(),
+        }
+    }
+
+    fn id(peer: &str, stream: &str) -> (String, String) {
+        (peer.to_string(), stream.to_string())
+    }
+
+    fn method_is(method: &str) -> AttrCondition {
+        use p2pmon_xmlkit::path::CompareOp;
+        AttrCondition::new("callMethod", CompareOp::Eq, method)
+    }
+
+    /// σ[callMethod = method] over `input`, bound to `$c`.
+    fn filter(method: &str, input: LogicalNode) -> LogicalNode {
+        LogicalNode::Select {
+            var: "c".into(),
+            input: Box::new(input),
+            simple: vec![method_is(method)],
+            patterns: Vec::new(),
+            derived: Vec::new(),
+            conditions: Vec::new(),
+        }
+    }
+
+    fn filter_parameters(method: &str) -> String {
+        select_parameters(&[method_is(method)], &[], &[], &[])
+    }
+
+    const LEFT_KEY: (&str, &str) = ("c", "callId");
+    const RIGHT_KEY: (&str, &str) = ("d", "callId");
+
+    fn section5_join_parameters() -> String {
+        let key = |(var, attr): (&str, &str)| (var.to_string(), attr.to_string());
+        join_parameters(&key(LEFT_KEY), &key(RIGHT_KEY), &[])
+    }
+
+    /// ⋈P(left, right), the join of Section 5's plan.
+    fn section5_join(left: LogicalNode, right: LogicalNode) -> LogicalNode {
+        let key = |(var, attr): (&str, &str)| (var.to_string(), attr.to_string());
+        LogicalNode::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            left_key: key(LEFT_KEY),
+            right_key: key(RIGHT_KEY),
+            residual: Vec::new(),
+        }
+    }
+
+    /// The plan of Section 5: ⋈P(σF(inCOM@p1), outCOM@p2).
+    fn section5_plan() -> LogicalNode {
+        section5_join(
+            filter("F", alerter("inCOM", "p1", "c")),
+            alerter("outCOM", "p2", "d"),
+        )
+    }
+
+    /// s1@p1: inCOM at p1; s2@p2: outCOM at p2; s3@p1: σF over s1.
+    fn database_with_meteo_streams() -> StreamDefinitionDatabase {
+        let mut db = StreamDefinitionDatabase::new(ChordNetwork::with_nodes(32, 5));
+        db.publish(StreamDefinition::source("p1", "s1", "inCOM"));
+        db.publish(StreamDefinition::source("p2", "s2", "outCOM"));
+        db.publish(StreamDefinition::derived(
+            "p1",
+            "s3",
+            FILTER,
+            filter_parameters("F"),
+            vec![id("p1", "s1")],
+        ));
+        db
+    }
+
+    fn publish_section5_join(db: &mut StreamDefinitionDatabase) {
+        db.publish(StreamDefinition::derived(
+            "p1",
+            "sJ",
+            JOIN,
+            section5_join_parameters(),
+            vec![id("p1", "s3"), id("p2", "s2")],
+        ));
+    }
+
+    #[test]
+    fn leaves_and_filter_are_reused_join_is_new() {
+        let mut db = database_with_meteo_streams();
+        let (rewritten, report) = apply_reuse(&section5_plan(), &mut db, &|_| 10);
+        // inCOM@p1 → s1@p1; σF over s1 → s3@p1; outCOM@p2 → s2@p2; the join
+        // is not published yet.
+        assert_eq!(report.reused_nodes, 3);
+        assert_eq!(report.new_nodes, 1);
+        assert_eq!(
+            rewritten,
+            section5_join(channel("p1", "s3", "c"), channel("p2", "s2", "d"))
+        );
+    }
+
+    #[test]
+    fn published_join_makes_the_whole_plan_reusable() {
+        let mut db = database_with_meteo_streams();
+        publish_section5_join(&mut db);
+        let (rewritten, report) = apply_reuse(&section5_plan(), &mut db, &|_| 10);
+        assert_eq!(rewritten, channel("p1", "sJ", "c"));
+        assert_eq!((report.reused_nodes, report.new_nodes), (4, 0));
+        assert_eq!(report.operators_saved, 3);
+    }
+
+    #[test]
+    fn different_filter_parameters_are_not_reused() {
+        let mut db = database_with_meteo_streams();
+        let plan = filter("DIFFERENT", alerter("inCOM", "p1", "c"));
+        let (rewritten, report) = apply_reuse(&plan, &mut db, &|_| 10);
+        assert_eq!((report.reused_nodes, report.new_nodes), (1, 1));
+        // The alerter itself is still reused.
+        assert_eq!(rewritten, filter("DIFFERENT", channel("p1", "s1", "c")));
+    }
+
+    #[test]
+    fn unmatched_child_blocks_parent_matching() {
+        let mut db = database_with_meteo_streams();
+        // No alerter is published at p9, so even though σF over p1's alerts
+        // exists, the filter must not be mapped — nor looked up.
+        let plan = filter("F", alerter("inCOM", "p9", "c"));
+        let before = db.index_stats().query_operations;
+        db.find_alerter_streams("p9", "inCOM");
+        let alerter_lookup = db.index_stats().query_operations - before;
+        let (rewritten, report) = apply_reuse(&plan, &mut db, &|_| 10);
+        assert_eq!((report.reused_nodes, report.new_nodes), (0, 2));
+        assert_eq!(rewritten, plan);
+        assert_eq!(
+            db.index_stats().query_operations - before,
+            2 * alerter_lookup,
+            "only the alerter is looked up"
+        );
+    }
+
+    #[test]
+    fn replica_substitution_uses_proximity() {
+        let mut db = database_with_meteo_streams();
+        db.publish_replica(ReplicaDeclaration {
+            peer_id: "p1".into(),
+            stream_id: "s3".into(),
+            replica_peer: "edge.com".into(),
+            replica_stream: "copy3".into(),
+        });
+        let plan = filter("F", alerter("inCOM", "p1", "c"));
+        // edge.com is much closer than p1.
+        let proximity = |peer: &str| if peer == "edge.com" { 1 } else { 100 };
+        let (rewritten, report) = apply_reuse(&plan, &mut db, &proximity);
+        assert_eq!(rewritten, channel("edge.com", "copy3", "c"));
+        assert_eq!(report.subscribed_channels, vec![id("edge.com", "copy3")]);
+        assert_eq!(report.reused_defs, vec![id("p1", "s3")]);
+    }
+
+    #[test]
+    fn subscription_points_are_the_topmost_covered_nodes() {
+        let mut db = database_with_meteo_streams();
+        // Covered: the filter subtree (absorbing its alerter) and the right
+        // alerter; the join root is new.
+        let (_, report) = apply_reuse(&section5_plan(), &mut db, &|_| 10);
+        assert_eq!(
+            report.subscribed_channels,
+            vec![id("p1", "s3"), id("p2", "s2")]
+        );
+        assert_eq!(report.reused_defs, report.subscribed_channels);
+        assert_eq!(report.operators_saved, 1);
+        // A fully covered plan has exactly one subscription point: the root.
+        publish_section5_join(&mut db);
+        let (_, report) = apply_reuse(&section5_plan(), &mut db, &|_| 10);
+        assert_eq!(report.subscribed_channels, vec![id("p1", "sJ")]);
+        assert_eq!(report.reused_defs, vec![id("p1", "sJ")]);
+    }
+
+    #[test]
+    fn subscription_points_of_a_wide_union_come_in_plan_order() {
+        // Twelve covered branches under a new union: the eleventh (`p10`)
+        // comes after the tenth (`p9`), not third as "10" sorts as text.
+        let mut db = StreamDefinitionDatabase::new(ChordNetwork::with_nodes(32, 5));
+        let peers: Vec<String> = (0..12).map(|i| format!("p{i}")).collect();
+        for peer in &peers {
+            db.publish(StreamDefinition::source(peer.clone(), "s", "inCOM"));
+        }
+        let plan = LogicalNode::Union {
+            var: "c".into(),
+            inputs: peers.iter().map(|p| alerter("inCOM", p, "c")).collect(),
+        };
+        let (rewritten, report) = apply_reuse(&plan, &mut db, &|_| 10);
+        assert_eq!((report.reused_nodes, report.new_nodes), (12, 1));
+        let subscribed: Vec<&str> = report
+            .subscribed_channels
+            .iter()
+            .map(|(peer, _)| peer.as_str())
+            .collect();
+        assert_eq!(subscribed, peers);
+        assert_eq!(
+            rewritten,
+            LogicalNode::Union {
+                var: "c".into(),
+                inputs: peers.iter().map(|p| channel(p, "s", "c")).collect(),
+            }
+        );
     }
 
     #[test]

@@ -405,3 +405,41 @@ fn channel_subscriber_deployed_before_the_producer_still_receives() {
     assert!(monitor.unsubscribe(&producer));
     assert!(monitor.stream_db_mut().is_empty());
 }
+
+/// A channel subscription is never covered by an alerter's source stream.
+/// The search once looked channel leaves up as the alerter
+/// `__channel__<stream>` at the channel's peer, so an alerter of that very
+/// name "covered" `channel("#feed@p.org")` with its `src-__channel__feed`
+/// stream, and the subscriber attached to alerts instead of the channel.
+#[test]
+fn a_channel_subscription_is_not_covered_by_a_like_named_alerter() {
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    for peer in ["p.org", "watcher.org"] {
+        monitor.add_peer(peer);
+    }
+    monitor
+        .submit(
+            "p.org",
+            r#"for $x in __channel__feed(<p>p.org</p>)
+               return <raw/>
+               by email "raw@example.org";"#,
+        )
+        .expect("alerter subscription deploys");
+    let queries = monitor.dht_stats().query_operations;
+    let watcher = monitor
+        .submit(
+            "watcher.org",
+            r##"for $x in channel("#feed@p.org")
+                return <seen/>
+                by email "ops@example.org";"##,
+        )
+        .expect("channel subscription deploys");
+    let reuse = monitor.report(&watcher).expect("report").reuse;
+    assert_eq!(reuse.reused_nodes, 0, "{reuse:?}");
+    assert!(reuse.subscribed_channels.is_empty(), "{reuse:?}");
+    assert_eq!(
+        monitor.dht_stats().query_operations,
+        queries,
+        "a channel leaf, and the restructure blocked by it, are not looked up"
+    );
+}

@@ -188,7 +188,7 @@ fn paired_storm_reuses_what_the_parent_reused() {
     assert_eq!(recorder.finish(&monitor, "PAIRED"), PAIRED);
 }
 
-const CHANNEL_CHAIN: [u64; 3] = [0x1a8858e51c4d643d, 12, 11];
+const CHANNEL_CHAIN: [u64; 3] = [0x1a8858e51c4d643d, 1, 11];
 
 #[test]
 fn channel_chain_reuses_what_the_parent_reused() {

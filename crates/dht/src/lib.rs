@@ -21,19 +21,18 @@
 //!   operands, statistics and channel flag, plus `<InChannel>` replica
 //!   declarations.
 //! * [`StreamDefinitionDatabase`] — publish / query / replica-selection API
-//!   on top of the index.
-//! * [`reuse`] — the Reuse algorithm: walk a monitoring plan bottom-up,
-//!   mapping each operator node onto an already-published stream when one
-//!   exists, then substituting replicas chosen by network proximity.
+//!   on top of the index: it answers the discovery queries of the Reuse
+//!   algorithm (which streams an alerter or an operator over given operands
+//!   already produces) and selects, for a discovered stream, the closest
+//!   provider among its origin and replicas.  The algorithm's walk of the
+//!   monitoring plan is `p2pmon-core`'s.
 
 pub mod chord;
 pub mod index;
-pub mod reuse;
 pub mod streamdef;
 
 pub use chord::{ChordNetwork, LookupResult, NodeId};
 pub use index::{DistributedIndex, IndexStats, Posting};
-pub use reuse::{CoverOutcome, PlanNode, ReuseEngine};
 pub use streamdef::{ReplicaDeclaration, StreamDefinition, StreamDefinitionDatabase};
 
 #[cfg(test)]

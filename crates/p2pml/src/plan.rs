@@ -171,35 +171,59 @@ impl LogicalNode {
             LogicalNode::Alerter { peer, .. } | LogicalNode::ChannelIn { peer, .. } => {
                 out.push(peer.clone());
             }
-            LogicalNode::DynamicAlerter { driver, .. } => driver.collect_peers(out),
-            LogicalNode::Union { inputs, .. } => {
-                for i in inputs {
-                    i.collect_peers(out);
-                }
-            }
-            LogicalNode::Select { input, .. }
-            | LogicalNode::Dedup { input }
-            | LogicalNode::Restructure { input, .. }
-            | LogicalNode::Aggregate { input, .. } => input.collect_peers(out),
-            LogicalNode::Join { left, right, .. } => {
-                left.collect_peers(out);
-                right.collect_peers(out);
-            }
+            _ => self.children().for_each(|input| input.collect_peers(out)),
         }
     }
 
     /// Number of operator nodes in the plan.
     pub fn size(&self) -> usize {
-        1 + match self {
-            LogicalNode::Alerter { .. } | LogicalNode::ChannelIn { .. } => 0,
-            LogicalNode::DynamicAlerter { driver, .. } => driver.size(),
-            LogicalNode::Union { inputs, .. } => inputs.iter().map(LogicalNode::size).sum(),
-            LogicalNode::Select { input, .. }
+        1 + self.children().map(LogicalNode::size).sum::<usize>()
+    }
+
+    /// The node's inputs in plan order: a dynamic alerter's driver, a
+    /// union's inputs in order, a join's left then right input, or the
+    /// single input of every other operator.  Leaves have none.
+    pub fn children(&self) -> impl Iterator<Item = &LogicalNode> {
+        let (inputs, right): (&[LogicalNode], Option<&LogicalNode>) = match self {
+            LogicalNode::Alerter { .. } | LogicalNode::ChannelIn { .. } => (&[], None),
+            LogicalNode::Union { inputs, .. } => (inputs, None),
+            LogicalNode::Join { left, right, .. } => (std::slice::from_ref(left), Some(right)),
+            LogicalNode::DynamicAlerter { driver: input, .. }
+            | LogicalNode::Select { input, .. }
             | LogicalNode::Dedup { input }
             | LogicalNode::Restructure { input, .. }
-            | LogicalNode::Aggregate { input, .. } => input.size(),
-            LogicalNode::Join { left, right, .. } => left.size() + right.size(),
+            | LogicalNode::Aggregate { input, .. } => (std::slice::from_ref(input), None),
+        };
+        inputs.iter().chain(right)
+    }
+
+    /// Replaces each input with `f` of it, in [`LogicalNode::children`]'s
+    /// order, and keeps every other field.  Nothing is allocated: each
+    /// input is rewritten in the slot it occupies.
+    pub fn map_children(mut self, mut f: impl FnMut(LogicalNode) -> LogicalNode) -> LogicalNode {
+        let mut map = |slot: &mut LogicalNode| {
+            // An input-less union is the placeholder: it owns no heap memory.
+            let empty = LogicalNode::Union {
+                var: String::new(),
+                inputs: Vec::new(),
+            };
+            let input = std::mem::replace(slot, empty);
+            *slot = f(input);
+        };
+        match &mut self {
+            LogicalNode::Alerter { .. } | LogicalNode::ChannelIn { .. } => {}
+            LogicalNode::Union { inputs, .. } => inputs.iter_mut().for_each(map),
+            LogicalNode::Join { left, right, .. } => {
+                map(left);
+                map(right);
+            }
+            LogicalNode::DynamicAlerter { driver: input, .. }
+            | LogicalNode::Select { input, .. }
+            | LogicalNode::Dedup { input }
+            | LogicalNode::Restructure { input, .. }
+            | LogicalNode::Aggregate { input, .. } => map(input),
         }
+        self
     }
 }
 
@@ -624,6 +648,66 @@ mod tests {
 
     fn meteo_plan() -> LogicalPlan {
         compile(&parse_subscription(METEO_SUBSCRIPTION).unwrap()).unwrap()
+    }
+
+    /// Preorder of a plan through `children()`, one label per node.
+    fn preorder(node: &LogicalNode, out: &mut Vec<String>) {
+        out.push(match node {
+            LogicalNode::Alerter { peer, .. } | LogicalNode::ChannelIn { peer, .. } => peer.clone(),
+            LogicalNode::DynamicAlerter { .. } => "dynamic".into(),
+            LogicalNode::Union { .. } => "union".into(),
+            LogicalNode::Join { .. } => "join".into(),
+            _ => "unary".into(),
+        });
+        node.children().for_each(|input| preorder(input, out));
+    }
+
+    #[test]
+    fn plan_node_size() {
+        let alerter = |peer: &str| LogicalNode::Alerter {
+            function: "inCOM".into(),
+            peer: peer.into(),
+            var: "c".into(),
+        };
+        // join(dynamic[driver], union(a, #b, dedup(c)))
+        let plan = LogicalNode::Join {
+            left: Box::new(LogicalNode::DynamicAlerter {
+                function: "inCOM".into(),
+                var: "j".into(),
+                driver: Box::new(alerter("driver")),
+            }),
+            right: Box::new(LogicalNode::Union {
+                var: "c".into(),
+                inputs: vec![
+                    alerter("a"),
+                    LogicalNode::ChannelIn {
+                        peer: "b".into(),
+                        stream: "s".into(),
+                        var: "c".into(),
+                    },
+                    LogicalNode::Dedup {
+                        input: Box::new(alerter("c")),
+                    },
+                ],
+            }),
+            left_key: ("j".into(), "id".into()),
+            right_key: ("c".into(), "id".into()),
+            residual: Vec::new(),
+        };
+        let mut order = Vec::new();
+        preorder(&plan, &mut order);
+        let expected = ["join", "dynamic", "driver", "union", "a", "b", "unary", "c"];
+        assert_eq!(order, expected);
+        assert_eq!(plan.size(), expected.len());
+
+        let mut mapped = Vec::new();
+        let same = plan.clone().map_children(|input| {
+            mapped.push(input.to_string());
+            input
+        });
+        assert_eq!(same, plan);
+        let children: Vec<String> = plan.children().map(ToString::to_string).collect();
+        assert_eq!(mapped, children, "map_children visits children() in order");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!    apart from the hosts and the snapshot): it folds the sketch
 //!    partials handed to the peer's merge and root stages into them, drains
 //!    the peer's `PendingAlert` batch — deduplicating identical documents
-//!    and running **one** amortized pass of the shared [`FilterEngine`]
+//!    (an alert batched twice as one `Arc` by address, a copy by its root
+//!    and then its whole tree) and running **one** amortized pass of the
+//!    shared [`FilterEngine`]
 //!    (preFilter → AESFilter → YFilterσ) per unique document
 //!    ([`p2pmon_filter::FilterEngine::match_batch`]) — and then runs the
 //!    work queue until empty.  Only matched subscriptions' operators
@@ -87,7 +89,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use p2pmon_filter::SubscriptionId;
+use p2pmon_filter::{BatchOutcome, SubscriptionId};
 use p2pmon_net::{Payload, PeerId};
 use p2pmon_streams::binding::TUPLE_TAG;
 use p2pmon_streams::ChannelId;
@@ -827,7 +829,11 @@ fn drain_alert_batch(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>, out: 
             docs.push(batch[i].doc.as_ref());
         }
     }
-    let batch_outcome = host.engine.match_batch(&docs);
+    let batch_outcome = if docs.is_empty() {
+        BatchOutcome::default()
+    } else {
+        host.engine.match_batch(&docs)
+    };
     out.stats.engine_documents += batch_outcome.passes() as u64;
     out.stats.batch_dedup_hits += (docs.len() - batch_outcome.passes()) as u64;
 

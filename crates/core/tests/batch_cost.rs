@@ -13,6 +13,7 @@
 //! registered beside the deployment.
 
 use p2pmon_core::{Monitor, MonitorConfig, SubscriptionHandle};
+use p2pmon_filter::FilterStats;
 use p2pmon_net::NetworkConfig;
 use p2pmon_workloads::{OverlappingStorm, SubscriptionStorm};
 
@@ -36,12 +37,8 @@ fn cost_of(monitor: &mut Monitor, batch: impl FnOnce(&mut Monitor)) -> (u64, u64
 /// hosts one registered select per subscription.
 const SELECTS: usize = 1_000;
 
-/// Deploys the storm beside `idle_peers` peers no plan names and returns the
-/// per-batch compile costs of: the first batch, 10 more, 100 more, the batch
-/// after one `submit` and the one after it, the batch after one
-/// `unsubscribe` and the one after it — with the number of results the whole
-/// run delivered.
-fn standing_filter_storm(idle_peers: usize) -> (Vec<(u64, u64)>, usize) {
+/// Deploys the storm beside `idle_peers` peers no plan names.
+fn deploy_filter_storm(idle_peers: usize) -> (Monitor, SubscriptionStorm, Vec<SubscriptionHandle>) {
     let mut storm = SubscriptionStorm::new(5);
     storm.methods = (0..=SELECTS).map(|i| format!("Method{i}")).collect();
     let mut monitor = Monitor::new(MonitorConfig::default());
@@ -51,14 +48,23 @@ fn standing_filter_storm(idle_peers: usize) -> (Vec<(u64, u64)>, usize) {
     for i in 0..idle_peers {
         monitor.add_peer(format!("idle{i}.org"));
     }
-    let mut handles: Vec<SubscriptionHandle> = storm
+    let handles: Vec<SubscriptionHandle> = storm
         .subscriptions(SELECTS)
         .iter()
         .map(|text| monitor.submit("manager.org", text).expect("storm deploys"))
         .collect();
     let hub = monitor.peer_host("hub.net").expect("the hub is hosted");
     assert_eq!(hub.registered_selects(), SELECTS, "reuse collapses nothing");
+    (monitor, storm, handles)
+}
 
+/// Deploys the storm beside `idle_peers` peers no plan names and returns the
+/// per-batch compile costs of: the first batch, 10 more, 100 more, the batch
+/// after one `submit` and the one after it, the batch after one
+/// `unsubscribe` and the one after it — with the number of results the whole
+/// run delivered.
+fn standing_filter_storm(idle_peers: usize) -> (Vec<(u64, u64)>, usize) {
+    let (mut monitor, storm, mut handles) = deploy_filter_storm(idle_peers);
     let mut traffic = storm.clone();
     let mut batch = |monitor: &mut Monitor| {
         for call in traffic.calls(16) {
@@ -123,6 +129,53 @@ fn a_standing_deployment_compiles_once_and_an_edit_makes_the_next_batch_pay() {
         (beside_idle_peers, delivered_beside),
         "2 000 idle peers must not change what a batch compiles"
     );
+}
+
+const ENGINE_DOCUMENTS: u64 = 16;
+const BATCH_DEDUP_HITS: u64 = 16;
+const HUB_STATS: FilterStats = FilterStats {
+    documents: 16,
+    documents_matched: 12,
+    complex_evaluations: 9,
+    complex_stage_entered: 9,
+    service_calls_made: 0,
+    service_calls_avoided: 0,
+    promotions: 0,
+    condition_probes: 32,
+    trees_compared: 0,
+};
+
+/// What one batch of the storm costs the hub's engine, recorded when
+/// `match_batch` found duplicates by hashing whole trees (137e24c):
+/// `cargo test -q -p p2pmon-core --test batch_cost -- one_batch --nocapture`
+/// prints the values to re-record.
+///
+/// Every alert enters the hub's batch twice, as one `Arc`: once on the feed
+/// list of the first subscription's `Source` task, and once on the local
+/// multicast group of the source stream every later subscription reuses.
+/// So half of the documents are dedup hits, and every one of them is a
+/// second reference to an allocation already in the batch: no tree is
+/// compared (`trees_compared`, which that commit did not count, reads 0).
+#[test]
+fn one_batch_costs_the_recorded_engine_work_and_compares_no_tree() {
+    let (mut monitor, mut traffic, _handles) = deploy_filter_storm(0);
+    for call in traffic.calls(16) {
+        monitor.inject_soap_call(&call);
+    }
+    monitor.run_until_idle();
+    let dispatch = monitor.dispatch_stats();
+    let hub = monitor
+        .peer_filter_stats("hub.net")
+        .expect("the hub has an engine");
+    println!(
+        "engine_documents {} batch_dedup_hits {} hub {hub:?}",
+        dispatch.engine_documents, dispatch.batch_dedup_hits
+    );
+    assert_eq!(
+        (dispatch.engine_documents, dispatch.batch_dedup_hits),
+        (ENGINE_DOCUMENTS, BATCH_DEDUP_HITS)
+    );
+    assert_eq!(hub, HUB_STATS);
 }
 
 /// The same claim where the fan-out crosses the wire: the clustered storm's

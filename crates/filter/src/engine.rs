@@ -13,6 +13,7 @@
 //! the equivalence oracle (see `tests/prop_engine_vs_naive.rs`).
 
 use std::collections::HashMap;
+use std::ptr;
 
 use p2pmon_activexml::sc::{materialize, ServiceCall};
 use p2pmon_xmlkit::{Element, PathPattern};
@@ -62,6 +63,11 @@ pub struct FilterStats {
     /// The preFilter's work: index structures consulted plus simple
     /// conditions evaluated one by one ([`PreFilter::condition_probes`]).
     pub condition_probes: u64,
+    /// Whole-tree equality checks [`FilterEngine::match_batch`] made: one per
+    /// earlier distinct document of the same root tag and attributes that a
+    /// new allocation is checked against.  A second reference to an
+    /// allocation costs none.
+    pub trees_compared: u64,
 }
 
 impl FilterStats {
@@ -75,6 +81,7 @@ impl FilterStats {
         self.service_calls_made += other.service_calls_made;
         self.service_calls_avoided += other.service_calls_avoided;
         self.condition_probes += other.condition_probes;
+        self.trees_compared += other.trees_compared;
     }
 }
 
@@ -92,6 +99,8 @@ pub struct FilterOutcome {
 /// ([`FilterEngine::match_batch`]): one [`FilterOutcome`] per *unique*
 /// document, with an index mapping every input document to its (possibly
 /// shared) outcome — duplicates cost neither an engine pass nor a clone.
+/// Documents equal by value are duplicates; a second reference to one
+/// allocation is found by address, a copy by its root and then its tree.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchOutcome {
     /// One outcome per unique document, in first-seen order.  Its length is
@@ -115,6 +124,10 @@ impl BatchOutcome {
 
 /// The subscription database the index is built from.
 type Database = HashMap<SubscriptionId, FilterSubscription>;
+
+/// A document's root tag and root attributes, in order: documents equal by
+/// value have equal keys, and hashing one reads nothing below the root.
+type RootKey<'a> = (&'a str, &'a [(String, String)]);
 
 /// What the simple stage hands back: the subscriptions the root attributes
 /// settled as matched, and the complex ones they left active.
@@ -497,22 +510,43 @@ impl FilterEngine {
     /// *distinct* document: identical documents share a single pass, which is
     /// what amortizes per-tick batched alert dispatch — a peer whose inbox
     /// holds the same alert for many subscriptions pays for one engine
-    /// evaluation.  Duplicates are detected by hashing the trees directly
-    /// (no serialization) and share their outcome by index instead of cloning
-    /// it; read per-input results through [`BatchOutcome::outcome`].
+    /// evaluation.  Duplicates are found by address first: a second
+    /// reference to an allocation already seen costs one pointer probe.  A
+    /// new allocation is keyed by its root tag and root attributes only, and
+    /// compared whole ([`FilterStats::trees_compared`]) against the earlier
+    /// documents that share that key; no tree is hashed below its root.
+    /// Duplicates share their outcome by index instead of cloning it; read
+    /// per-input results through [`BatchOutcome::outcome`].
     pub fn match_batch(&mut self, docs: &[&Element]) -> BatchOutcome {
-        let mut outcomes: Vec<FilterOutcome> = Vec::new();
-        let mut index: Vec<usize> = Vec::with_capacity(docs.len());
-        let mut first_seen: HashMap<&Element, usize> = HashMap::new();
-        for doc in docs {
-            match first_seen.get(doc).copied() {
-                Some(i) => index.push(i),
-                None => {
-                    first_seen.insert(doc, outcomes.len());
-                    index.push(outcomes.len());
-                    outcomes.push(self.process(doc));
+        // Sized for the batch up front: growing `by_root` would hash every
+        // root key again.
+        let n = docs.len();
+        let mut outcomes: Vec<FilterOutcome> = Vec::with_capacity(n);
+        let mut index: Vec<usize> = Vec::with_capacity(n);
+        let mut by_address: HashMap<*const Element, usize> = HashMap::with_capacity(n);
+        // The latest distinct document per root key; `distinct[i]` is outcome
+        // `i`'s document and the distinct document before it with that key.
+        let mut by_root: HashMap<RootKey<'_>, Option<usize>> = HashMap::with_capacity(n);
+        let mut distinct: Vec<(&Element, Option<usize>)> = Vec::with_capacity(n);
+        for &doc in docs {
+            let i = *by_address.entry(ptr::from_ref(doc)).or_insert_with(|| {
+                let latest = by_root
+                    .entry((doc.name.as_str(), doc.attributes.as_slice()))
+                    .or_default();
+                let mut candidate = *latest;
+                while let Some(i) = candidate {
+                    self.stats.trees_compared += 1;
+                    if distinct[i].0 == doc {
+                        return i;
+                    }
+                    candidate = distinct[i].1;
                 }
-            }
+                let i = outcomes.len();
+                distinct.push((doc, latest.replace(i)));
+                outcomes.push(self.process(doc));
+                i
+            });
+            index.push(i);
         }
         BatchOutcome { outcomes, index }
     }
@@ -849,6 +883,9 @@ mod tests {
         assert!(batch.outcome(1).matched.is_empty());
         assert_eq!(batch.index, vec![0, 1, 0, 0], "duplicates share by index");
         assert_eq!(batch.outcome(2), batch.outcome(0));
+        // `hit_again` is a new allocation with `hit`'s root: one whole-tree
+        // comparison.  The second `&hit` is found by address.
+        assert_eq!(engine.stats.trees_compared, 1);
         // The batched outcomes agree with one-at-a-time processing.
         let mut fresh = FilterEngine::new();
         fresh.add(sub_simple(1, "kind", "rss"));
@@ -869,6 +906,7 @@ mod tests {
             service_calls_avoided: 4,
             promotions: 0,
             condition_probes: 7,
+            trees_compared: 2,
         };
         let mut b = a;
         b.absorb(&a);
@@ -876,6 +914,7 @@ mod tests {
         assert_eq!(b.complex_evaluations, 10);
         assert_eq!(b.service_calls_avoided, 8);
         assert_eq!(b.condition_probes, 14);
+        assert_eq!(b.trees_compared, 4);
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! conditions and against 7 000.  Restoring a per-condition loop in
 //! `PreFilter::satisfied` fails the first test here.
 //!
+//! What a batch costs its dedup, as a count: `FilterStats::trees_compared`
+//! reads 0 when every duplicate is a second reference to one allocation, as
+//! it is in a monitor's batch, and one per clone whose root no other
+//! document shares.  Comparing trees to find a shared allocation fails the
+//! third test here.
+//!
 //! And what an unsubscribe costs the automaton, as a count: removing one
 //! patterned subscription builds no state, beside 100 subscriptions or
 //! 10 000.  Re-adding the survivors' patterns in `StagedIndex::remove` fails
@@ -115,6 +121,30 @@ fn an_alphabet_of_inequalities_is_allowed_to_be_linear() {
             (n * documents.len()) as u64,
             "{n} `!=` conditions"
         );
+    }
+}
+
+#[test]
+fn a_shared_allocation_is_found_without_comparing_trees() {
+    let documents = documents();
+    let clones = documents.clone();
+    // Each alert twice, as a monitor's hub batches it: once for its feed and
+    // once for its source stream's local multicast group, one allocation.
+    let shared: Vec<&Element> = documents.iter().flat_map(|d| [d, d]).collect();
+    // Each alert beside a clone of it: equal by value, two allocations.
+    let cloned: Vec<&Element> = documents
+        .iter()
+        .zip(&clones)
+        .flat_map(|(d, c)| [d, c])
+        .collect();
+    for (batch, compared) in [(shared, 0), (cloned, 40)] {
+        let mut engine = FilterEngine::from_subscriptions(alphabet(32, 6));
+        let outcome = engine.match_batch(&batch);
+        assert_eq!(outcome.passes(), 40, "one pass per alert");
+        assert_eq!(engine.stats.documents, 40);
+        // Every root carries its own `callId`: a clone is compared with the
+        // one earlier document of its root, and nothing else is.
+        assert_eq!(engine.stats.trees_compared, compared);
     }
 }
 

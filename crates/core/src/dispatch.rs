@@ -486,9 +486,9 @@ pub struct DispatchStats {
     /// targets the engine would have rejected are included — the counter
     /// measures deliveries the peer never got to attempt, not results lost.
     pub dropped_by_failure: u64,
-    /// Bytes deep-copied out of the shared `Arc` plane at sink delivery —
-    /// the single remaining copy point of the zero-copy hot path (results
-    /// are detached so `Monitor::results` can hand out owned trees).
+    /// Bytes deep-copied out of the shared `Arc` plane at sink delivery.
+    /// Always 0: a sink keeps the handle the plane shares, so the hot path
+    /// copies no result tree from alerter to sink.
     pub sink_clone_bytes: u64,
     /// Hosts visited through the ready list by the round phases (alerter
     /// drain, each local-phase turn, sketch flush, inbox delivery, retirement
@@ -1185,8 +1185,8 @@ impl Monitor {
     /// Delivers a plan-root output to the subscription's sink.  (Channel
     /// subscribers — the BY-channel audience and any reuse attachments — are
     /// served by the root task's canonical-channel multicast, straight from
-    /// the producing peer.)  The result is sized once, for the rate table,
-    /// the hop to the manager and the sink counter alike.
+    /// the producing peer.)  The result is sized once, for the rate table
+    /// and the hop to the manager alike, and the sink keeps its handle.
     fn deliver_result(&mut self, sub_idx: usize, output: Arc<Element>) {
         let sub = &self.subscriptions[sub_idx];
         if sub.retired {
@@ -1211,18 +1211,18 @@ impl Monitor {
             self.network
                 .send_sized(root_channel.peer, manager, None, Arc::clone(&output), bytes);
         }
-        // The sink is the one place a result tree is deep-copied: delivered
-        // results are owned history, detached from the shared pipeline.
-        self.dispatch_stats.sink_clone_bytes += bytes as u64;
-        self.subscriptions[sub_idx].sink.deliver((*output).clone());
-        if let Some(channel) = self.subscriptions[sub_idx].published_channel {
+        // The sink keeps the shared tree: every sink of a reused stream and
+        // the published channel's history hold one copy of a result.
+        let sub = &mut self.subscriptions[sub_idx];
+        if let Some(channel) = sub.published_channel {
             self.routing
                 .published_channels
                 .entry(channel)
                 .or_default()
                 .items
-                .push(output);
+                .push(Arc::clone(&output));
         }
+        sub.sink.deliver(output);
     }
 
     /// Delivers in-flight network messages and files channel traffic with

@@ -14,6 +14,7 @@
 //! [`Monitor::dispatch_stats`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use p2pmon_alerters::{SoapCall, WsAlerter};
 use p2pmon_dht::{ChordNetwork, StreamDefinitionDatabase};
@@ -24,9 +25,7 @@ use p2pmon_streams::ops::Window;
 use p2pmon_streams::{ChannelId, RateTable};
 use p2pmon_xmlkit::Element;
 
-use crate::dispatch::{
-    DispatchStats, FanoutEpoch, PublishedChannel, Route, RouteEntries, RoutingTable,
-};
+use crate::dispatch::{DispatchStats, FanoutEpoch, Route, RouteEntries, RoutingTable};
 use crate::peer::PeerHost;
 use crate::placement::{PlacedPlan, PlacementStrategy, TaskKind};
 use crate::profile::{LifetimeProfile, PhaseClock, UNSUBSCRIBE_PHASES};
@@ -796,11 +795,11 @@ impl Monitor {
         // membership themselves.
         if !self.routing.dynamic_consumers("inCOM").is_empty() {
             let alert = WsAlerter::alert_for(call, p2pmon_alerters::CallDirection::Incoming);
-            self.feed_dynamic(PeerId::from(&callee), "inCOM", &std::sync::Arc::new(alert));
+            self.feed_dynamic(PeerId::from(&callee), "inCOM", &Arc::new(alert));
         }
         if !self.routing.dynamic_consumers("outCOM").is_empty() {
             let alert = WsAlerter::alert_for(call, p2pmon_alerters::CallDirection::Outgoing);
-            self.feed_dynamic(PeerId::from(&caller), "outCOM", &std::sync::Arc::new(alert));
+            self.feed_dynamic(PeerId::from(&caller), "outCOM", &Arc::new(alert));
         }
     }
 
@@ -872,11 +871,12 @@ impl Monitor {
     // Results and reporting
     // ------------------------------------------------------------------
 
-    /// The results delivered to a subscription's sink.
-    pub fn results(&self, handle: &SubscriptionHandle) -> Vec<Element> {
+    /// The results delivered to a subscription's sink, in delivery order:
+    /// the trees the sink shares with the dispatch plane, not copies.
+    pub fn results(&self, handle: &SubscriptionHandle) -> Vec<Arc<Element>> {
         self.subscriptions
             .get(handle.0)
-            .map(|s| s.sink.results().to_vec())
+            .map(|s| s.sink.handles())
             .unwrap_or_default()
     }
 
@@ -891,17 +891,10 @@ impl Monitor {
     /// the managing peer falls back to a unique match on the channel name —
     /// subscribers usually know the channel by the name their subscription
     /// declared, wherever placement put the producer.
-    pub fn published_channel(&self, peer: &str, name: &str) -> Vec<Element> {
-        let detach = |published: &PublishedChannel| {
-            published
-                .items
-                .iter()
-                .map(|item| (**item).clone())
-                .collect()
-        };
+    pub fn published_channel(&self, peer: &str, name: &str) -> Vec<Arc<Element>> {
         let exact = ChannelId::new(normalize_peer(peer), name);
         if let Some(published) = self.routing.published_channels.get(&exact) {
-            return detach(published);
+            return published.items.clone();
         }
         let mut by_name = self
             .routing
@@ -909,7 +902,7 @@ impl Monitor {
             .iter()
             .filter(|(channel, _)| channel.stream == name);
         match (by_name.next(), by_name.next()) {
-            (Some((_, published)), None) => detach(published),
+            (Some((_, published)), None) => published.items.clone(),
             _ => Vec::new(),
         }
     }

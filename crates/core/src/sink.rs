@@ -8,6 +8,13 @@
 //! multicast to the channel's subscribers and registered in the Stream
 //! Definition Database); the other publishers are simulated delivery sinks
 //! that collect results and can render the documents the paper describes.
+//!
+//! A sink keeps the `Arc<Element>` the dispatch plane delivered: one result
+//! tree is shared by every sink of a reused stream and by the published
+//! channel's history, and delivery copies no bytes.
+
+use std::mem;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use p2pmon_p2pml::ByClause;
 use p2pmon_xmlkit::{Element, ElementBuilder};
@@ -37,10 +44,16 @@ impl From<&ByClause> for SinkKind {
 }
 
 /// A collecting sink.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Sink {
     kind: SinkKind,
-    results: Vec<Element>,
+    /// Delivered results, shared with the plane.  Written through
+    /// `Mutex::get_mut` on delivery, so the hot path takes no lock; the lock
+    /// exists for [`Sink::results`], which empties it through `&self`.
+    shared: Mutex<Vec<Arc<Element>>>,
+    /// The owned trees [`Sink::results`] moved out of `shared`, followed by
+    /// every result delivered after that.
+    owned: OnceLock<Vec<Element>>,
 }
 
 impl Sink {
@@ -48,7 +61,8 @@ impl Sink {
     pub fn new(kind: SinkKind) -> Self {
         Sink {
             kind,
-            results: Vec::new(),
+            shared: Mutex::new(Vec::new()),
+            owned: OnceLock::new(),
         }
     }
 
@@ -57,24 +71,57 @@ impl Sink {
         &self.kind
     }
 
-    /// Delivers one result.
-    pub fn deliver(&mut self, result: Element) {
-        self.results.push(result);
+    /// Delivers one result, keeping the handle the caller shares.
+    pub fn deliver(&mut self, result: Arc<Element>) {
+        match self.owned.get_mut() {
+            Some(owned) => owned.push(Arc::unwrap_or_clone(result)),
+            None => self
+                .shared
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(result),
+        }
     }
 
-    /// All results delivered so far.
+    /// Every delivered result, in delivery order, as shared handles.  Results
+    /// [`Sink::results`] has moved out come back as fresh handles.
+    pub fn handles(&self) -> Vec<Arc<Element>> {
+        match self.owned.get() {
+            Some(owned) => owned.iter().cloned().map(Arc::new).collect(),
+            None => self.lock_shared().clone(),
+        }
+    }
+
+    /// All results delivered so far, as owned trees.  Kept only for the
+    /// end-to-end benchmark's oracle check, which reads `&[Element]`; every
+    /// other reader takes [`Sink::handles`].  The first call moves each tree
+    /// out of its handle (copying only a tree the plane still shares), and
+    /// later deliveries are stored owned.
+    #[doc(hidden)]
     pub fn results(&self) -> &[Element] {
-        &self.results
+        self.owned.get_or_init(|| {
+            let shared = mem::take(&mut *self.lock_shared());
+            shared.into_iter().map(Arc::unwrap_or_clone).collect()
+        })
     }
 
     /// Number of delivered results.
     pub fn len(&self) -> usize {
-        self.results.len()
+        match self.owned.get() {
+            Some(owned) => owned.len(),
+            None => self.lock_shared().len(),
+        }
     }
 
     /// True when nothing has been delivered.
     pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
+        self.len() == 0
+    }
+
+    /// Every update of `shared` is one push or one take, so a poisoned lock
+    /// still guards a whole list.
+    fn lock_shared(&self) -> MutexGuard<'_, Vec<Arc<Element>>> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Renders the sink's contents in its natural textual form:
@@ -84,10 +131,11 @@ impl Sink {
     /// * file — a well-formed XML document wrapping the results,
     /// * RSS — an RSS 2.0 feed with one `<item>` per result.
     pub fn render(&self) -> String {
+        let results = self.handles();
         match &self.kind {
             SinkKind::Channel(name) => {
                 let mut out = format!("channel {name}\n");
-                for r in &self.results {
+                for r in &results {
                     out.push_str(&r.to_xml());
                     out.push('\n');
                 }
@@ -95,7 +143,7 @@ impl Sink {
             }
             SinkKind::Email(address) => {
                 let mut out = String::new();
-                for (i, r) in self.results.iter().enumerate() {
+                for (i, r) in results.iter().enumerate() {
                     out.push_str(&format!(
                         "To: {address}\nSubject: [p2pmon] notification {}\n\n{}\n\n",
                         i + 1,
@@ -108,8 +156,8 @@ impl Sink {
                 let mut doc = ElementBuilder::new("results")
                     .attr("file", path.clone())
                     .build();
-                for r in &self.results {
-                    doc.push_element(r.clone());
+                for r in &results {
+                    doc.push_element(Element::clone(r));
                 }
                 doc.to_pretty_xml()
             }
@@ -117,7 +165,7 @@ impl Sink {
                 let mut channel = Element::new("channel");
                 channel.push_element(Element::text_element("title", "p2pmon notifications"));
                 channel.push_element(Element::text_element("link", path.clone()));
-                for (i, r) in self.results.iter().enumerate() {
+                for (i, r) in results.iter().enumerate() {
                     let mut item = Element::new("item");
                     item.push_element(Element::text_element("guid", (i + 1).to_string()));
                     item.push_element(Element::text_element(
@@ -125,7 +173,7 @@ impl Sink {
                         format!("notification {}", i + 1),
                     ));
                     let mut description = Element::new("description");
-                    description.push_element(r.clone());
+                    description.push_element(Element::clone(r));
                     item.push_element(description);
                     channel.push_element(item);
                 }
@@ -162,8 +210,8 @@ mod tests {
     #[test]
     fn email_rendering() {
         let mut sink = Sink::new(SinkKind::Email("ops@example.org".into()));
-        sink.deliver(incident());
-        sink.deliver(incident());
+        sink.deliver(Arc::new(incident()));
+        sink.deliver(Arc::new(incident()));
         let rendered = sink.render();
         assert_eq!(rendered.matches("To: ops@example.org").count(), 2);
         assert!(rendered.contains("slowAnswer"));
@@ -173,7 +221,7 @@ mod tests {
     #[test]
     fn file_rendering_is_well_formed() {
         let mut sink = Sink::new(SinkKind::File("alerts.xml".into()));
-        sink.deliver(incident());
+        sink.deliver(Arc::new(incident()));
         let doc = parse(&sink.render()).unwrap();
         assert_eq!(doc.name, "results");
         assert_eq!(doc.children_named("incident").count(), 1);
@@ -182,19 +230,74 @@ mod tests {
     #[test]
     fn rss_rendering_has_one_item_per_result() {
         let mut sink = Sink::new(SinkKind::Rss("alerts.rss".into()));
-        sink.deliver(incident());
-        sink.deliver(incident());
+        sink.deliver(Arc::new(incident()));
+        sink.deliver(Arc::new(incident()));
         let feed = parse(&sink.render()).unwrap();
         assert_eq!(feed.name, "rss");
         let channel = feed.child("channel").unwrap();
         assert_eq!(channel.children_named("item").count(), 2);
     }
 
+    fn numbered(i: usize) -> Arc<Element> {
+        Arc::new(Element::text_element("n", i.to_string()))
+    }
+
+    /// Fails to compile unless a sink, and the monitor holding one per
+    /// subscription, can be shared across threads.
+    #[test]
+    fn sink_and_monitor_are_send_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Sink>();
+        assert_send_sync::<crate::Monitor>();
+    }
+
+    #[test]
+    fn results_are_the_delivered_values_in_order() {
+        let mut sink = Sink::new(SinkKind::Email("ops@example.org".into()));
+        let delivered: Vec<Arc<Element>> = (0..5).map(numbered).collect();
+        for result in &delivered {
+            sink.deliver(Arc::clone(result));
+        }
+        let handles = sink.handles();
+        assert!(handles
+            .iter()
+            .zip(&delivered)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        let expected: Vec<Element> = delivered.iter().map(|r| Element::clone(r)).collect();
+        assert_eq!(sink.results(), &expected[..]);
+    }
+
+    #[test]
+    fn results_move_a_tree_the_sink_alone_holds() {
+        let mut sink = Sink::new(SinkKind::File("alerts.xml".into()));
+        let result = numbered(7);
+        let name = result.name.as_ptr();
+        sink.deliver(result);
+        assert_eq!(sink.results()[0].name.as_ptr(), name, "moved, not copied");
+    }
+
+    #[test]
+    fn deliveries_after_the_first_read_still_appear() {
+        let mut sink = Sink::new(SinkKind::Rss("alerts.rss".into()));
+        sink.deliver(numbered(0));
+        sink.deliver(numbered(1));
+        assert_eq!(sink.len(), 2, "shared state");
+        assert_eq!(sink.results().len(), 2);
+        sink.deliver(numbered(2));
+        assert_eq!(sink.len(), 3, "owned state");
+        let texts: Vec<String> = sink.results().iter().map(Element::text).collect();
+        assert_eq!(texts, ["0", "1", "2"]);
+        let handles = sink.handles();
+        assert_eq!(handles.len(), 3);
+        assert!(handles.iter().map(|r| &**r).eq(sink.results()));
+        assert_eq!(sink.render().matches("<item>").count(), 3);
+    }
+
     #[test]
     fn channel_rendering_lists_items() {
         let mut sink = Sink::new(SinkKind::Channel("alertQoS".into()));
         assert!(sink.is_empty());
-        sink.deliver(incident());
+        sink.deliver(Arc::new(incident()));
         assert!(sink.render().starts_with("channel alertQoS"));
         assert_eq!(sink.kind(), &SinkKind::Channel("alertQoS".into()));
     }

@@ -3,6 +3,7 @@
 //! panicking or deadlocking `run_until_idle`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use p2pmon_alerters::SoapCall;
 use p2pmon_core::{Monitor, MonitorConfig, PlacementStrategy};
@@ -210,7 +211,7 @@ fn peer_down_mid_batch_loses_no_alert_and_duplicates_nothing() {
         "subscription on live peers must deliver exactly the clean results"
     );
     // Downed peer: a duplicate-free subset of the clean multiset.
-    let multiset = |results: Vec<p2pmon_xmlkit::Element>| -> HashMap<String, usize> {
+    let multiset = |results: Vec<Arc<p2pmon_xmlkit::Element>>| -> HashMap<String, usize> {
         let mut counts = HashMap::new();
         for r in results {
             *counts.entry(r.to_xml()).or_insert(0) += 1;

@@ -27,7 +27,7 @@ fn call(id: u64, callee: &str, method: &str, duration: u64) -> SoapCall {
 fn last_answer(monitor: &Monitor, handle: &p2pmon_core::SubscriptionHandle) -> Element {
     let results = monitor.results(handle);
     assert!(!results.is_empty(), "aggregate produced no answers");
-    results.last().unwrap().clone()
+    Element::clone(results.last().unwrap())
 }
 
 #[test]
@@ -472,7 +472,7 @@ fn storm_outcome(monitor: &Monitor, handles: &[SubscriptionHandle]) -> String {
             fnv(&mut digest, answer.to_xml().as_bytes());
         }
         fnv(&mut digest, b"|");
-        let last = results.last().map(Element::to_xml).unwrap_or_default();
+        let last = results.last().map(|r| r.to_xml()).unwrap_or_default();
         out.push_str(&format!("last: {last}\n"));
     }
     out.push_str(&format!("answers: {answers}, digest {digest:016x}\n"));

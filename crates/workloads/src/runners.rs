@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use p2pmon_core::{Monitor, MonitorConfig, ReplicaStats, ReuseStats, SubscriptionHandle};
+use p2pmon_core::{Monitor, MonitorConfig, ReplicaStats, ReuseStats, Sink, SubscriptionHandle};
 use p2pmon_net::NetworkConfig;
 
 use crate::{MassiveStorm, OverlappingStorm, SketchStorm};
@@ -42,6 +42,14 @@ pub const PEERS_PER_CLUSTER: usize = 4;
 const TOPK: usize = 3;
 /// Quantile requested from the `quantile` aggregate.
 const QUANTILE: f64 = 0.99;
+
+/// Results sitting in the sinks of `handles`, counted without reading them.
+fn delivered(monitor: &Monitor, handles: &[SubscriptionHandle]) -> usize {
+    handles
+        .iter()
+        .map(|h| monitor.sink(h).map_or(0, Sink::len))
+        .sum()
+}
 
 /// A monitor holding `n_subs` subscriptions of the reuse storm
 /// (`OverlappingStorm::new(1, SHAPES)`), all submitted from `manager.org`.
@@ -100,7 +108,7 @@ fn reuse_run(enable_reuse: bool, n_subs: usize, calls_n: usize) -> ReuseRun {
         tasks,
         messages: stats.total_messages,
         bytes: stats.total_bytes,
-        results: handles.iter().map(|h| monitor.results(h).len()).sum(),
+        results: delivered(&monitor, &handles),
         reuse: monitor.reuse_stats(),
     }
 }
@@ -179,7 +187,7 @@ fn replica_run(enable_replicas: bool, n_subs: usize, calls_n: usize) -> ReplicaR
             .map(|t| t.messages_out)
             .unwrap_or(0),
         total_messages: stats.total_messages,
-        results: handles.iter().map(|h| monitor.results(h).len()).sum(),
+        results: delivered(&monitor, &handles),
         replicas: monitor.replica_stats(),
     }
 }
@@ -396,8 +404,8 @@ pub struct ScaleRow {
     pub alerts: usize,
     /// Results delivered to sinks across the run.
     pub results_delivered: u64,
-    /// Bytes deep-copied at sink delivery (the zero-copy path's single
-    /// remaining copy point).
+    /// Bytes deep-copied at sink delivery: 0, since a sink keeps the tree the
+    /// dispatch plane shares.
     pub sink_clone_bytes: u64,
     /// Payload bytes that crossed simulated links.
     pub network_bytes: u64,
@@ -460,10 +468,7 @@ pub fn run_scale(seed: u64, n_subs: usize, calls_n: usize) -> ScaleRow {
         deploy_ms,
         ns_per_alert,
         alerts: calls_n,
-        results_delivered: handles
-            .iter()
-            .map(|h| monitor.results(h).len() as u64)
-            .sum(),
+        results_delivered: delivered(&monitor, &handles) as u64,
         sink_clone_bytes: monitor.dispatch_stats().sink_clone_bytes,
         network_bytes: monitor.network_stats().total_bytes,
         dht_avg_hops: dht.avg_hops(),
@@ -592,10 +597,7 @@ pub fn run_sketch(seed: u64, n_peers: usize, events_per_peer: usize, rounds: usi
     };
 
     // Sketch answers vs the oracle.
-    let answers: u64 = handles
-        .iter()
-        .map(|h| sketch_mon.results(h).len() as u64)
-        .sum();
+    let answers = delivered(&sketch_mon, &handles) as u64;
     let last = |i: usize| {
         sketch_mon
             .results(&handles[i])

@@ -507,27 +507,33 @@ fn drive_storm() -> (String, [u64; 3], [u64; 3]) {
 /// The storm's outcome at the parent commit of the by-value partial path
 /// (8aa5ed6), where every partial was serialized at its stage, shipped or
 /// enqueued as an XML item and parsed back by the parent stage — captured by
-/// running this very test there.  To re-record this constant,
+/// running this very test there.  Re-recorded when the top-k partial became
+/// a Misra–Gries key-count list instead of count-min cells plus candidate
+/// keys: each top-k partial is smaller, so the `bytes` totals and the
+/// per-peer traffic digest (`peers`) moved here and in
+/// `PARENT_FAILURE_OUTCOME`; answers, messages, ticks, invocations, host
+/// visits, `dropped by failure` and `PARENT_PLAIN_DELIVERIES` did not.  To
+/// re-record this constant,
 /// `PARENT_PLAIN_DELIVERIES` and `PARENT_FAILURE_OUTCOME`, run `cargo test -q
 /// --release -p p2pmon-core --test sketch_aggregates -- xml_path --nocapture
 /// --test-threads 1`: the two tests print them as they appear in the source.
 const PARENT_STORM_OUTCOME: &str = "\
 --- round 0: 4 ticks
-net: messages 600 bytes 162998 channel 600 control 0 dropped 0 saved 2000, peers 997d6e7fdabf5c8b
+net: messages 600 bytes 95099 channel 600 control 0 dropped 0 saved 2000, peers 0c1b376606e5ed1f
 invocations 6642 host visits 1091 dropped by failure 0
 last: <aggregate kind=\"topk\" total=\"1000\" seq=\"1\"><entry rank=\"1\" key=\"Method0\" count=\"430\"/><entry rank=\"2\" key=\"Method1\" count=\"182\"/><entry rank=\"3\" key=\"Method2\" count=\"106\"/></aggregate>
 last: <aggregate kind=\"entropy\" total=\"1000\" bits=\"2.461955\" seq=\"1\"/>
 last: <aggregate kind=\"quantile\" total=\"1000\" q=\"990\" value=\"198\" seq=\"1\"/>
 answers: 3, digest b7f10a39b5d3f6ce
 --- round 1: 4 ticks
-net: messages 1197 bytes 331118 channel 1197 control 0 dropped 0 saved 4000, peers eb3833fe14ca2ab8
+net: messages 1197 bytes 192709 channel 1197 control 0 dropped 0 saved 4000, peers 039ad852cdaf844e
 invocations 13281 host visits 2177 dropped by failure 0
 last: <aggregate kind=\"topk\" total=\"2000\" seq=\"2\"><entry rank=\"1\" key=\"Method0\" count=\"846\"/><entry rank=\"2\" key=\"Method1\" count=\"378\"/><entry rank=\"3\" key=\"Method2\" count=\"209\"/></aggregate>
 last: <aggregate kind=\"entropy\" total=\"2000\" bits=\"2.473475\" seq=\"2\"/>
 last: <aggregate kind=\"quantile\" total=\"2000\" q=\"990\" value=\"198\" seq=\"2\"/>
 answers: 6, digest bd6f86f1cfc7a01f
 --- round 2: 4 ticks
-net: messages 1785 bytes 497939 channel 1785 control 0 dropped 0 saved 6000, peers 3154475dfb4a0a73
+net: messages 1785 bytes 289432 channel 1785 control 0 dropped 0 saved 6000, peers 8dd5555a5ce79518
 invocations 19911 host visits 3248 dropped by failure 0
 last: <aggregate kind=\"topk\" total=\"3000\" seq=\"3\"><entry rank=\"1\" key=\"Method0\" count=\"1268\"/><entry rank=\"2\" key=\"Method1\" count=\"556\"/><entry rank=\"3\" key=\"Method2\" count=\"320\"/></aggregate>
 last: <aggregate kind=\"entropy\" total=\"3000\" bits=\"2.482213\" seq=\"3\"/>
@@ -541,8 +547,10 @@ const PARENT_PLAIN_DELIVERIES: [u64; 3] = [3_600, 3_597, 3_588];
 
 /// A partial travels as a value and is charged its XML form: answers, wire
 /// bytes and messages, per-peer traffic, ticks, invocations and host visits
-/// are the XML path's, bit for bit.  Only the item plane shrinks — by one
-/// plain delivery per partial that arrived over the network.
+/// are the XML path's, bit for bit (bytes and per-peer traffic as
+/// re-recorded for the Misra–Gries top-k partial).  Only the item plane
+/// shrinks — by one plain delivery per partial that arrived over the
+/// network.
 #[test]
 fn partials_by_value_reproduce_the_xml_path_bit_for_bit() {
     let (outcome, plain, over_network) = drive_storm();
@@ -600,24 +608,25 @@ fn drive_storm_with_a_failed_merge_host() -> String {
     outcome
 }
 
-/// [`drive_storm_with_a_failed_merge_host`] at the parent commit.
+/// [`drive_storm_with_a_failed_merge_host`] at the parent commit, with
+/// `bytes` and `peers` re-recorded as [`PARENT_STORM_OUTCOME`]'s were.
 const PARENT_FAILURE_OUTCOME: &str = "\
 --- round 0: 4 ticks
-net: messages 600 bytes 162998 channel 600 control 0 dropped 0 saved 2000, peers 997d6e7fdabf5c8b
+net: messages 600 bytes 95099 channel 600 control 0 dropped 0 saved 2000, peers 0c1b376606e5ed1f
 invocations 6642 host visits 1091 dropped by failure 0
 last: <aggregate kind=\"topk\" total=\"1000\" seq=\"1\"><entry rank=\"1\" key=\"Method0\" count=\"430\"/><entry rank=\"2\" key=\"Method1\" count=\"182\"/><entry rank=\"3\" key=\"Method2\" count=\"106\"/></aggregate>
 last: <aggregate kind=\"entropy\" total=\"1000\" bits=\"2.461955\" seq=\"1\"/>
 last: <aggregate kind=\"quantile\" total=\"1000\" q=\"990\" value=\"198\" seq=\"1\"/>
 answers: 3, digest b7f10a39b5d3f6ce
 --- round 1: 4 ticks
-net: messages 1194 bytes 329127 channel 1194 control 0 dropped 0 saved 4000, peers 66a36709792afcbc
+net: messages 1194 bytes 191515 channel 1194 control 0 dropped 0 saved 4000, peers 8355d393c8ac56ab
 invocations 13230 host visits 2177 dropped by failure 48
 last: <aggregate kind=\"topk\" total=\"1908\" seq=\"2\"><entry rank=\"1\" key=\"Method0\" count=\"805\"/><entry rank=\"2\" key=\"Method1\" count=\"359\"/><entry rank=\"3\" key=\"Method2\" count=\"200\"/></aggregate>
 last: <aggregate kind=\"entropy\" total=\"1908\" bits=\"2.476067\" seq=\"2\"/>
 last: <aggregate kind=\"quantile\" total=\"1908\" q=\"990\" value=\"198\" seq=\"2\"/>
 answers: 6, digest 50fd49bed456d3c8
 --- round 2: 4 ticks
-net: messages 1782 bytes 495948 channel 1782 control 0 dropped 0 saved 6000, peers 0131a26f1c4b29b7
+net: messages 1782 bytes 288238 channel 1782 control 0 dropped 0 saved 6000, peers e1ff9554e983e1af
 invocations 19860 host visits 3248 dropped by failure 48
 last: <aggregate kind=\"topk\" total=\"2908\" seq=\"3\"><entry rank=\"1\" key=\"Method0\" count=\"1227\"/><entry rank=\"2\" key=\"Method1\" count=\"537\"/><entry rank=\"3\" key=\"Method2\" count=\"311\"/></aggregate>
 last: <aggregate kind=\"entropy\" total=\"2908\" bits=\"2.484363\" seq=\"3\"/>

@@ -26,8 +26,8 @@
 //!   ([`template`]),
 //! * [`StreamStats`] / [`RateTable`] — per-stream EWMA rates and the
 //!   per-monitor rate table that drives load-aware placement ([`stats`]),
-//! * [`Sketch`] summaries ([`CountMinSketch`], [`TopKSketch`],
-//!   [`EntropySketch`], [`QuantileSummary`]) — bounded-size mergeable state
+//! * [`Sketch`] summaries ([`TopKSketch`], [`EntropySketch`],
+//!   [`QuantileSummary`]) — bounded-size mergeable state
 //!   behind the aggregate operators (`TopK`, `Entropy`, `Quantile`), which
 //!   ship serialized partials up a merge tree instead of whole items
 //!   ([`sketch`]).
@@ -48,8 +48,7 @@ pub use channel::{normalize_peer, ChannelId};
 pub use condition::{AttrCondition, Condition, Operand};
 pub use item::StreamItem;
 pub use sketch::{
-    AggregateKind, AggregateSpec, AnySketch, CountMinSketch, EntropySketch, QuantileSummary,
-    Sketch, TopKSketch,
+    AggregateKind, AggregateSpec, AnySketch, EntropySketch, QuantileSummary, Sketch, TopKSketch,
 };
 pub use stats::{RateTable, StreamStats};
 pub use template::Template;

@@ -6,6 +6,9 @@
 //! tree leans on: leaves flush deltas whenever their round boundary happens
 //! to fall, interior nodes merge in whatever order the network delivers,
 //! and the root must still answer as if it had seen every event itself.
+//! Over capacity, the top-k sketch's counts must stay within its stated
+//! Misra–Gries bound, for random partitions and for zipf streams merged
+//! from 100 sites.
 //!
 //! The second half pins the by-value partial path of [`AnySketch`] to the
 //! XML form it replaced: `wire_size` is the byte size of the built tree,
@@ -18,8 +21,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use p2pmon_streams::sketch::{
-    AggregateKind, AggregateSpec, AnySketch, CountMinSketch, EntropySketch, QuantileSummary,
-    Sketch, TopKSketch,
+    AggregateKind, AggregateSpec, AnySketch, EntropySketch, QuantileSummary, Sketch, TopKSketch,
+    DEFAULT_TOPK_CAPACITY,
 };
 use p2pmon_xmlkit::Element;
 
@@ -27,8 +30,8 @@ use p2pmon_xmlkit::Element;
 /// capacity so the "merged ≡ whole ≡ exact" regime applies.
 const VOCAB: u8 = 12;
 const CAPACITY: usize = 64;
-const CM_WIDTH: usize = 512;
-const CM_DEPTH: usize = 3;
+/// A top-k capacity under `VOCAB`: the over-capacity regime.
+const TIGHT: usize = 4;
 const ALPHA_PERMILLE: u32 = 20;
 const MAX_BUCKETS: usize = 512;
 
@@ -70,11 +73,11 @@ fn split<S: Sketch + Clone>(
     }
     let mut forward = fresh();
     for part in &parts {
-        forward.merge(part);
+        assert!(forward.merge(part));
     }
     let mut backward = fresh();
     for part in parts.iter().rev() {
-        backward.merge(part);
+        assert!(backward.merge(part));
     }
     (whole, forward, backward)
 }
@@ -94,37 +97,18 @@ fn drive_rounds<S: Sketch>(
         leaf.update(&keyer(k), w);
         if (i + 1) % flush_every == 0 {
             let delta = S::from_element(&leaf.to_element()).expect("partials round-trip");
-            root.merge(&delta);
+            assert!(root.merge(&delta));
             leaf.reset();
         }
     }
     if !leaf.is_empty() {
         let delta = S::from_element(&leaf.to_element()).expect("partials round-trip");
-        root.merge(&delta);
+        assert!(root.merge(&delta));
     }
     root
 }
 
 proptest! {
-    #[test]
-    fn count_min_merge_is_order_insensitive_and_equals_the_whole(events in events_strategy()) {
-        let (whole, forward, backward) =
-            split(|| CountMinSketch::new(CM_WIDTH, CM_DEPTH), &events, key);
-        // Cell-for-cell equality: merging adds the same increments the
-        // whole-stream sketch absorbed one by one.
-        prop_assert_eq!(&forward, &whole);
-        prop_assert_eq!(&backward, &whole);
-        // And the estimates never undercount, staying within total/width.
-        for (k, exact) in exact_counts(&events) {
-            let est = whole.estimate(&k);
-            prop_assert!(est >= exact, "count-min undercounted {k}: {est} < {exact}");
-            prop_assert!(
-                est - exact <= whole.total() / CM_WIDTH as u64 + 1,
-                "count-min overshoot beyond the total/width bound for {k}"
-            );
-        }
-    }
-
     #[test]
     fn topk_merge_agrees_with_the_whole_stream_and_the_exact_oracle(events in events_strategy()) {
         let (whole, forward, backward) = split(|| TopKSketch::new(CAPACITY), &events, key);
@@ -242,29 +226,29 @@ proptest! {
         let mut topk = TopKSketch::new(CAPACITY);
         let mut entropy = EntropySketch::new(CAPACITY);
         let mut quantile = QuantileSummary::new(ALPHA_PERMILLE, MAX_BUCKETS);
-        let mut cm = CountMinSketch::new(CM_WIDTH, CM_DEPTH);
+        let mut tight = TopKSketch::new(TIGHT);
         for &(k, w, _) in &events {
             topk.update(&key(k), w);
             entropy.update(&key(k), w);
             quantile.update(&value(k).to_string(), w);
-            cm.update(&key(k), w);
+            tight.update(&key(k), w);
         }
-        let topk_back = TopKSketch::from_element(&topk.to_element()).expect("topk round-trips");
-        prop_assert_eq!(topk_back.top(VOCAB as usize), topk.top(VOCAB as usize));
+        for topk in [&topk, &tight] {
+            let back = TopKSketch::from_element(&topk.to_element()).expect("topk round-trips");
+            prop_assert_eq!(&back, topk);
+        }
         let entropy_back =
             EntropySketch::from_element(&entropy.to_element()).expect("entropy round-trips");
         prop_assert_eq!(&entropy_back, &entropy);
         let quantile_back =
             QuantileSummary::from_element(&quantile.to_element()).expect("quantile round-trips");
         prop_assert_eq!(&quantile_back, &quantile);
-        let cm_back = CountMinSketch::from_element(&cm.to_element()).expect("cm round-trips");
-        prop_assert_eq!(&cm_back, &cm);
         // The wire partial stays within the declared entry bound no matter
         // how many events were absorbed.
         for (el, bound) in [
             (entropy.to_element(), entropy.max_serialized_entries()),
             (quantile.to_element(), quantile.max_serialized_entries()),
-            (cm.to_element(), cm.max_serialized_entries()),
+            (tight.to_element(), tight.max_serialized_entries()),
         ] {
             prop_assert!(
                 el.children.len() <= bound,
@@ -276,9 +260,131 @@ proptest! {
     }
 }
 
+/// Asserts the Misra–Gries bound of a top-k sketch against the exact
+/// counts of the stream it absorbed: every key's count `ĉ` (0 when dropped)
+/// satisfies `exact − (N − Σĉ) / (capacity + 1) ≤ ĉ ≤ exact`.  Returns
+/// whether a reduction happened (`Σĉ < N`).
+fn assert_misra_gries_bound(
+    sketch: &TopKSketch,
+    capacity: usize,
+    exact: &BTreeMap<String, u64>,
+) -> bool {
+    let kept: BTreeMap<String, u64> = sketch.top(usize::MAX).into_iter().collect();
+    assert!(
+        kept.len() <= capacity,
+        "{} counts kept over {capacity}",
+        kept.len()
+    );
+    let n: u64 = exact.values().sum();
+    assert_eq!(sketch.total(), n);
+    let mass: u64 = kept.values().sum();
+    for (k, &count) in exact {
+        let estimate = kept.get(k).copied().unwrap_or(0);
+        assert!(estimate <= count, "{k} overcounted: {estimate} > {count}");
+        assert!(
+            (count - estimate) * (capacity as u64 + 1) <= n - mass,
+            "{k} undercounted past the bound: {estimate} for {count}, N {n}, kept {mass}"
+        );
+    }
+    assert!(
+        kept.keys().all(|k| exact.contains_key(k)),
+        "a key no event carried"
+    );
+    mass < n
+}
+
+/// The over-capacity regime beside the exact one: a tight top-k over
+/// `VOCAB` keys, split into four partials and merged in both orders, holds
+/// its bound for the whole stream and for either fold — and at least one
+/// generated case reduces, so the bound is not held vacuously.
+#[test]
+fn topk_over_capacity_holds_the_misra_gries_bound_in_any_partition_and_order() {
+    // Driven by the runner directly, so the cases can be counted.
+    let mut reduced = 0;
+    TestRunner::new(ProptestConfig::default()).run(|rng| {
+        let events = events_strategy().new_value(rng);
+        let exact = exact_counts(&events);
+        let (whole, forward, backward) = split(|| TopKSketch::new(TIGHT), &events, key);
+        for sketch in [&forward, &backward] {
+            assert_misra_gries_bound(sketch, TIGHT, &exact);
+        }
+        let whole_reduced = assert_misra_gries_bound(&whole, TIGHT, &exact);
+        // One sketch reduces exactly when the stream outgrows its capacity.
+        assert_eq!(whole_reduced, exact.len() > TIGHT);
+        reduced += usize::from(whole_reduced);
+        Ok(())
+    });
+    assert!(reduced > 0, "no generated case reduced");
+}
+
+/// `n` zipf(`skew`) draws over `keys` keys, each with the site (of 100)
+/// that observes it; deterministic (xorshift64*).
+fn zipf_events(keys: usize, skew: f64, n: usize, mut seed: u64) -> Vec<(usize, usize)> {
+    let mut cumulative = Vec::with_capacity(keys);
+    let mut sum = 0.0;
+    for rank in 1..=keys {
+        sum += 1.0 / (rank as f64).powf(skew);
+        cumulative.push(sum);
+    }
+    let mut next = move || {
+        seed ^= seed >> 12;
+        seed ^= seed << 25;
+        seed ^= seed >> 27;
+        seed.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    };
+    (0..n)
+        .map(|_| {
+            let u = (next() >> 11) as f64 / (1u64 << 53) as f64 * sum;
+            let key = cumulative.partition_point(|&c| c <= u).min(keys - 1);
+            (key, (next() % 100) as usize)
+        })
+        .collect()
+}
+
+/// The operators' top-k over 100 000 zipf events whose distinct keys far
+/// outnumber its capacity: one sketch over the whole stream and the merge of
+/// 100 sites' sketches both hold the Misra–Gries bound, and both reduced.
+#[test]
+fn topk_holds_the_misra_gries_bound_on_zipf_streams_for_one_sketch_and_100_sites() {
+    for (keys, skew) in [(5_000, 0.5), (5_000, 1.0), (50_000, 1.1)] {
+        let names: Vec<String> = (0..keys).map(|k| format!("key{k}")).collect();
+        let events = zipf_events(keys, skew, 100_000, 0x9e37_79b9_7f4a_7c15);
+        let mut exact = BTreeMap::new();
+        let mut whole = TopKSketch::new(DEFAULT_TOPK_CAPACITY);
+        let mut sites = vec![TopKSketch::new(DEFAULT_TOPK_CAPACITY); 100];
+        for &(k, site) in &events {
+            *exact.entry(names[k].clone()).or_insert(0) += 1;
+            whole.update(&names[k], 1);
+            sites[site].update(&names[k], 1);
+        }
+        let mut merged = TopKSketch::new(DEFAULT_TOPK_CAPACITY);
+        for site in &sites {
+            assert!(merged.merge(site));
+        }
+        for (name, sketch) in [("one sketch", &whole), ("100 sites", &merged)] {
+            assert!(
+                assert_misra_gries_bound(sketch, DEFAULT_TOPK_CAPACITY, &exact),
+                "{keys} keys at skew {skew}: {name} never reduced"
+            );
+            let mut heaviest: Vec<(&String, &u64)> = exact.iter().collect();
+            heaviest.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
+            let kept: BTreeMap<String, u64> = sketch.top(usize::MAX).into_iter().collect();
+            let top10_err = heaviest[..10]
+                .iter()
+                .map(|&(k, &c)| (c - kept.get(k).copied().unwrap_or(0)) as f64 / c as f64)
+                .fold(0.0, f64::max);
+            println!(
+                "{keys} keys · skew {skew} · {name}: kept mass {:.3} of N, top-10 max rel err {top10_err:.3}",
+                kept.values().sum::<u64>() as f64 / events.len() as f64
+            );
+        }
+    }
+}
+
 /// The sketch shapes the by-value properties run over: the three the
-/// operators build, and a tight one of each kind so that candidate eviction,
-/// residual folding and bucket collapse all happen within a short stream.
+/// operators build, and a tight one of each kind so that Misra–Gries
+/// reduction, residual folding and bucket collapse all happen within a short
+/// stream.
 const SHAPES: usize = 6;
 
 fn shape(at: usize) -> AnySketch {
@@ -407,7 +513,11 @@ proptest! {
         let parsed = QuantileSummary::from_element(&el).expect("a well-formed quantile partial");
         let sketch = AnySketch::Quantile(parsed);
         assert_charged_its_xml_form(&sketch);
-        let mut merged = shape(2);
+        // The operators' summary refuses a partial of another bucket bound;
+        // one of the partial's own shape folds it in.
+        prop_assert!(!shape(2).merge_from(&sketch));
+        let mut merged = AnySketch::Quantile(QuantileSummary::new(10, max_buckets as usize));
+        merged.update("1000", 3);
         prop_assert!(merged.merge_from(&sketch));
         assert_charged_its_xml_form(&merged);
     }

@@ -143,6 +143,9 @@ fn entropy_aggregate_measures_key_skew() {
         (bits - 2.0).abs() < 1e-9,
         "four uniform keys carry exactly 2 bits, got {bits}"
     );
+    // The keys fit the capacity, so the interval is that point.
+    assert_eq!(answer.attr("lo"), answer.attr("bits"));
+    assert_eq!(answer.attr("hi"), answer.attr("bits"));
 }
 
 #[test]
@@ -507,38 +510,43 @@ fn drive_storm() -> (String, [u64; 3], [u64; 3]) {
 /// The storm's outcome at the parent commit of the by-value partial path
 /// (8aa5ed6), where every partial was serialized at its stage, shipped or
 /// enqueued as an XML item and parsed back by the parent stage — captured by
-/// running this very test there.  Re-recorded when the top-k partial became
-/// a Misra–Gries key-count list instead of count-min cells plus candidate
-/// keys: each top-k partial is smaller, so the `bytes` totals and the
-/// per-peer traffic digest (`peers`) moved here and in
-/// `PARENT_FAILURE_OUTCOME`; answers, messages, ticks, invocations, host
-/// visits, `dropped by failure` and `PARENT_PLAIN_DELIVERIES` did not.  To
-/// re-record this constant,
+/// running this very test there.  Re-recorded twice since.  First when the
+/// top-k partial became a Misra–Gries key-count list instead of count-min
+/// cells plus candidate keys: each top-k partial is smaller, so the `bytes`
+/// totals and the per-peer traffic digest (`peers`) moved here and in
+/// `PARENT_FAILURE_OUTCOME`.  Then when the entropy aggregate moved onto the
+/// top-k key counts: each entropy partial became the top-k form (17 B
+/// smaller, no `rm`/`rk`) and each top-k partial gained a byte for
+/// `cap="512"`, so `bytes` and `peers` moved again, and each entropy answer
+/// gained `lo`/`hi` (equal to its unchanged `bits`, the 8 keys fitting the
+/// capacity), which moved the answers digest.  Neither time did `bits`,
+/// messages, ticks, invocations, host visits, `dropped by failure` or
+/// `PARENT_PLAIN_DELIVERIES` move.  To re-record this constant,
 /// `PARENT_PLAIN_DELIVERIES` and `PARENT_FAILURE_OUTCOME`, run `cargo test -q
 /// --release -p p2pmon-core --test sketch_aggregates -- xml_path --nocapture
 /// --test-threads 1`: the two tests print them as they appear in the source.
 const PARENT_STORM_OUTCOME: &str = "\
 --- round 0: 4 ticks
-net: messages 600 bytes 95099 channel 600 control 0 dropped 0 saved 2000, peers 0c1b376606e5ed1f
+net: messages 600 bytes 91899 channel 600 control 0 dropped 0 saved 2000, peers fe6a554e377fb23f
 invocations 6642 host visits 1091 dropped by failure 0
 last: <aggregate kind=\"topk\" total=\"1000\" seq=\"1\"><entry rank=\"1\" key=\"Method0\" count=\"430\"/><entry rank=\"2\" key=\"Method1\" count=\"182\"/><entry rank=\"3\" key=\"Method2\" count=\"106\"/></aggregate>
-last: <aggregate kind=\"entropy\" total=\"1000\" bits=\"2.461955\" seq=\"1\"/>
+last: <aggregate kind=\"entropy\" total=\"1000\" bits=\"2.461955\" lo=\"2.461955\" hi=\"2.461955\" seq=\"1\"/>
 last: <aggregate kind=\"quantile\" total=\"1000\" q=\"990\" value=\"198\" seq=\"1\"/>
-answers: 3, digest b7f10a39b5d3f6ce
+answers: 3, digest 3dcbcab9bf8c4178
 --- round 1: 4 ticks
-net: messages 1197 bytes 192709 channel 1197 control 0 dropped 0 saved 4000, peers 039ad852cdaf844e
+net: messages 1197 bytes 186325 channel 1197 control 0 dropped 0 saved 4000, peers 99ef3ddb49bd6d21
 invocations 13281 host visits 2177 dropped by failure 0
 last: <aggregate kind=\"topk\" total=\"2000\" seq=\"2\"><entry rank=\"1\" key=\"Method0\" count=\"846\"/><entry rank=\"2\" key=\"Method1\" count=\"378\"/><entry rank=\"3\" key=\"Method2\" count=\"209\"/></aggregate>
-last: <aggregate kind=\"entropy\" total=\"2000\" bits=\"2.473475\" seq=\"2\"/>
+last: <aggregate kind=\"entropy\" total=\"2000\" bits=\"2.473475\" lo=\"2.473475\" hi=\"2.473475\" seq=\"2\"/>
 last: <aggregate kind=\"quantile\" total=\"2000\" q=\"990\" value=\"198\" seq=\"2\"/>
-answers: 6, digest bd6f86f1cfc7a01f
+answers: 6, digest 91c04d4ae2c82847
 --- round 2: 4 ticks
-net: messages 1785 bytes 289432 channel 1785 control 0 dropped 0 saved 6000, peers 8dd5555a5ce79518
+net: messages 1785 bytes 279912 channel 1785 control 0 dropped 0 saved 6000, peers 33e25bbd750c024e
 invocations 19911 host visits 3248 dropped by failure 0
 last: <aggregate kind=\"topk\" total=\"3000\" seq=\"3\"><entry rank=\"1\" key=\"Method0\" count=\"1268\"/><entry rank=\"2\" key=\"Method1\" count=\"556\"/><entry rank=\"3\" key=\"Method2\" count=\"320\"/></aggregate>
-last: <aggregate kind=\"entropy\" total=\"3000\" bits=\"2.482213\" seq=\"3\"/>
+last: <aggregate kind=\"entropy\" total=\"3000\" bits=\"2.482213\" lo=\"2.482213\" hi=\"2.482213\" seq=\"3\"/>
 last: <aggregate kind=\"quantile\" total=\"3000\" q=\"990\" value=\"198\" seq=\"3\"/>
-answers: 9, digest 13894871e4271e4b
+answers: 9, digest 474e9074c2a1d3c9
 ";
 
 /// Each round's `plain_deliveries` at that commit, where every partial
@@ -547,8 +555,8 @@ const PARENT_PLAIN_DELIVERIES: [u64; 3] = [3_600, 3_597, 3_588];
 
 /// A partial travels as a value and is charged its XML form: answers, wire
 /// bytes and messages, per-peer traffic, ticks, invocations and host visits
-/// are the XML path's, bit for bit (bytes and per-peer traffic as
-/// re-recorded for the Misra–Gries top-k partial).  Only the item plane
+/// are the XML path's, bit for bit (bytes, per-peer traffic and the entropy
+/// answers as re-recorded for the Misra–Gries partials).  Only the item plane
 /// shrinks — by one plain delivery per partial that arrived over the
 /// network.
 #[test]
@@ -609,29 +617,30 @@ fn drive_storm_with_a_failed_merge_host() -> String {
 }
 
 /// [`drive_storm_with_a_failed_merge_host`] at the parent commit, with
-/// `bytes` and `peers` re-recorded as [`PARENT_STORM_OUTCOME`]'s were.
+/// `bytes`, `peers` and the entropy answers re-recorded as
+/// [`PARENT_STORM_OUTCOME`]'s were.
 const PARENT_FAILURE_OUTCOME: &str = "\
 --- round 0: 4 ticks
-net: messages 600 bytes 95099 channel 600 control 0 dropped 0 saved 2000, peers 0c1b376606e5ed1f
+net: messages 600 bytes 91899 channel 600 control 0 dropped 0 saved 2000, peers fe6a554e377fb23f
 invocations 6642 host visits 1091 dropped by failure 0
 last: <aggregate kind=\"topk\" total=\"1000\" seq=\"1\"><entry rank=\"1\" key=\"Method0\" count=\"430\"/><entry rank=\"2\" key=\"Method1\" count=\"182\"/><entry rank=\"3\" key=\"Method2\" count=\"106\"/></aggregate>
-last: <aggregate kind=\"entropy\" total=\"1000\" bits=\"2.461955\" seq=\"1\"/>
+last: <aggregate kind=\"entropy\" total=\"1000\" bits=\"2.461955\" lo=\"2.461955\" hi=\"2.461955\" seq=\"1\"/>
 last: <aggregate kind=\"quantile\" total=\"1000\" q=\"990\" value=\"198\" seq=\"1\"/>
-answers: 3, digest b7f10a39b5d3f6ce
+answers: 3, digest 3dcbcab9bf8c4178
 --- round 1: 4 ticks
-net: messages 1194 bytes 191515 channel 1194 control 0 dropped 0 saved 4000, peers 8355d393c8ac56ab
+net: messages 1194 bytes 185147 channel 1194 control 0 dropped 0 saved 4000, peers 74a6b3829a782d16
 invocations 13230 host visits 2177 dropped by failure 48
 last: <aggregate kind=\"topk\" total=\"1908\" seq=\"2\"><entry rank=\"1\" key=\"Method0\" count=\"805\"/><entry rank=\"2\" key=\"Method1\" count=\"359\"/><entry rank=\"3\" key=\"Method2\" count=\"200\"/></aggregate>
-last: <aggregate kind=\"entropy\" total=\"1908\" bits=\"2.476067\" seq=\"2\"/>
+last: <aggregate kind=\"entropy\" total=\"1908\" bits=\"2.476067\" lo=\"2.476067\" hi=\"2.476067\" seq=\"2\"/>
 last: <aggregate kind=\"quantile\" total=\"1908\" q=\"990\" value=\"198\" seq=\"2\"/>
-answers: 6, digest 50fd49bed456d3c8
+answers: 6, digest ca58f561bd78c8e0
 --- round 2: 4 ticks
-net: messages 1782 bytes 288238 channel 1782 control 0 dropped 0 saved 6000, peers e1ff9554e983e1af
+net: messages 1782 bytes 278734 channel 1782 control 0 dropped 0 saved 6000, peers 0816d8b28535f1cb
 invocations 19860 host visits 3248 dropped by failure 48
 last: <aggregate kind=\"topk\" total=\"2908\" seq=\"3\"><entry rank=\"1\" key=\"Method0\" count=\"1227\"/><entry rank=\"2\" key=\"Method1\" count=\"537\"/><entry rank=\"3\" key=\"Method2\" count=\"311\"/></aggregate>
-last: <aggregate kind=\"entropy\" total=\"2908\" bits=\"2.484363\" seq=\"3\"/>
+last: <aggregate kind=\"entropy\" total=\"2908\" bits=\"2.484363\" lo=\"2.484363\" hi=\"2.484363\" seq=\"3\"/>
 last: <aggregate kind=\"quantile\" total=\"2908\" q=\"990\" value=\"198\" seq=\"3\"/>
-answers: 9, digest 1bcdb9b042e52640
+answers: 9, digest 41fde638dc76d72e
 ";
 
 #[test]

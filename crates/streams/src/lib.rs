@@ -26,11 +26,10 @@
 //!   ([`template`]),
 //! * [`StreamStats`] / [`RateTable`] — per-stream EWMA rates and the
 //!   per-monitor rate table that drives load-aware placement ([`stats`]),
-//! * [`Sketch`] summaries ([`TopKSketch`], [`EntropySketch`],
-//!   [`QuantileSummary`]) — bounded-size mergeable state
-//!   behind the aggregate operators (`TopK`, `Entropy`, `Quantile`), which
-//!   ship serialized partials up a merge tree instead of whole items
-//!   ([`sketch`]).
+//! * [`Sketch`] summaries ([`TopKSketch`], [`QuantileSummary`]) —
+//!   bounded-size mergeable state behind the aggregate operators (`TopK`
+//!   and `Entropy` share the Misra–Gries key counts; `Quantile`), which
+//!   ship partials up a merge tree instead of whole items ([`sketch`]).
 
 #![warn(missing_docs)]
 
@@ -47,8 +46,6 @@ pub use binding::Bindings;
 pub use channel::{normalize_peer, ChannelId};
 pub use condition::{AttrCondition, Condition, Operand};
 pub use item::StreamItem;
-pub use sketch::{
-    AggregateKind, AggregateSpec, AnySketch, EntropySketch, QuantileSummary, Sketch, TopKSketch,
-};
+pub use sketch::{AggregateKind, AggregateSpec, AnySketch, QuantileSummary, Sketch, TopKSketch};
 pub use stats::{RateTable, StreamStats};
 pub use template::Template;

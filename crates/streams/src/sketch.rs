@@ -24,14 +24,15 @@
 //!
 //! * [`TopKSketch`] — a Misra–Gries summary: at most `capacity` key counts,
 //!   each an undercount by at most `(total − Σ counts) / (capacity + 1)`.
-//! * [`EntropySketch`] — bounded key→count map with lossy eviction into a
-//!   residual mass, yielding an empirical-entropy estimate.
+//!   `topk` answers its heaviest counts; `entropy` answers an interval
+//!   proven from the same counts ([`TopKSketch::entropy_bounds`]), exact
+//!   while the distinct keys fit the capacity.
 //! * [`QuantileSummary`] — logarithmic buckets with relative-accuracy
 //!   guarantee `alpha` (DDSketch-style); merge is exact (bucket-wise add).
 //!
 //! [`AggregateSpec`] describes one aggregate subscription (which sketch, over
 //! which key attribute, at which cadence) and [`AnySketch`] dispatches over
-//! the three summaries at runtime.  Counts and totals add saturating, so no
+//! the two summaries at runtime.  Counts and totals add saturating, so no
 //! partial, however hostile, overflows them.
 
 use p2pmon_xmlkit::Element;
@@ -149,61 +150,10 @@ fn signed_digits(n: i32) -> usize {
     usize::from(n < 0) + digits(u64::from(n.unsigned_abs()))
 }
 
-/// The key→count map [`TopKSketch`] and [`EntropySketch`] keep, and the
-/// `<kv k=".." n=".."/>` entry list their partials carry.  Each sketch
-/// bounds it with its own overflow policy.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct KeyCounts(BTreeMap<String, u64>);
-
-impl KeyCounts {
-    /// Adds `weight` to `key`'s count, saturating.  A counted key is found by
-    /// reference; only a new one is copied.
-    fn add(&mut self, key: &str, weight: u64) {
-        match self.0.get_mut(key) {
-            Some(count) => add_to(count, weight),
-            None => {
-                self.0.insert(key.to_string(), weight);
-            }
-        }
-    }
-
-    fn add_all(&mut self, other: &KeyCounts) {
-        for (key, &count) in &other.0 {
-            self.add(key, count);
-        }
-    }
-
-    /// Byte size of the `<kv>` children [`KeyCounts::write`] appends.
-    fn wire_size(&self) -> usize {
-        self.0
-            .iter()
-            .map(|(key, &count)| {
-                tag_bytes("kv") + attr_bytes("k", key.len()) + attr_bytes("n", digits(count))
-            })
-            .sum()
-    }
-
-    fn write(&self, el: &mut Element) {
-        for (key, &count) in &self.0 {
-            let mut kv = Element::new("kv");
-            kv.set_attr("k", key.clone());
-            kv.set_attr("n", count.to_string());
-            el.push_element(kv);
-        }
-    }
-
-    /// The `<kv>` children of `el`; a repeated key adds up.
-    fn read(el: &Element) -> Option<Self> {
-        let mut counts = KeyCounts::default();
-        for kv in el.children_named("kv") {
-            counts.add(kv.attr("k")?, parse_u64(kv, "n")?);
-        }
-        Some(counts)
-    }
-}
-
 /// Heavy-hitters sketch: a Misra–Gries summary of at most `capacity` key
-/// counts (Agarwal et al., "Mergeable Summaries", PODS 2012).
+/// counts (Agarwal et al., "Mergeable Summaries", PODS 2012).  It backs
+/// both key aggregates: `topk` reads its heaviest counts and `entropy` an
+/// interval proven from them ([`TopKSketch::entropy_bounds`]).
 ///
 /// An update adds its weight to its key.  When that makes `capacity + 1`
 /// keys, the smallest count is subtracted from every count and the keys at
@@ -215,10 +165,12 @@ impl KeyCounts {
 /// key reads 0).  While the distinct keys fit the capacity no reduction
 /// happens and the counts are exact, merged in any partition and order.
 /// Ties break on the key string so answers are reproducible across runs.
+/// The partial is `<sketch kind="topk" cap total>` with one
+/// `<kv k=".." n=".."/>` per kept key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopKSketch {
     capacity: usize,
-    counts: KeyCounts,
+    counts: BTreeMap<String, u64>,
     total: u64,
 }
 
@@ -227,7 +179,7 @@ impl TopKSketch {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            counts: KeyCounts::default(),
+            counts: BTreeMap::new(),
             total: 0,
         }
     }
@@ -237,7 +189,6 @@ impl TopKSketch {
     pub fn top(&self, k: usize) -> Vec<(String, u64)> {
         let mut all: Vec<(String, u64)> = self
             .counts
-            .0
             .iter()
             .map(|(key, &count)| (key.clone(), count))
             .collect();
@@ -251,24 +202,83 @@ impl TopKSketch {
         self.total
     }
 
+    /// An interval `(lo, hi)` that contains the Shannon entropy, in bits, of
+    /// the key distribution absorbed.
+    ///
+    /// With `N` the total, `T` the kept keys, `R = N − Σĉ` the mass the
+    /// reductions removed, `Δ = R / (capacity + 1)` and
+    /// `h(c) = −(c/N)·log2(c/N)`: every kept key's exact count lies in
+    /// `[ĉ, ĉ + Δ]`, and every other key's in `[1, Δ]`.  So
+    /// `hi = Σ_T h(ĉ) + (R/N)·log2 N` — each unit of mass `R` adds at most
+    /// `log2 N` — and `lo = Σ_T min(h(ĉ), h(ĉ + Δ)) + max(0, R − |T|·Δ)/N ·
+    /// log2(N/Δ)`, since `h` is concave and the mass outside `T` sits on
+    /// keys of count at most `Δ`.  While the distinct keys fit the capacity
+    /// `R = 0` and `lo = hi` is the exact entropy.  `N = 0` answers `(0, 0)`.
+    pub fn entropy_bounds(&self) -> (f64, f64) {
+        if self.total == 0 {
+            return (0.0, 0.0);
+        }
+        let n = self.total as f64;
+        // Every kept count is positive, so `h` never reads log2(0).
+        let h = |c: f64| -(c / n) * (c / n).log2();
+        let mass = self
+            .counts
+            .values()
+            .fold(0, |sum: u64, &c| sum.saturating_add(c));
+        let r = self.total.saturating_sub(mass) as f64;
+        let delta = r / (self.capacity as f64 + 1.0);
+        let (mut lo, mut hi) = (0.0, 0.0);
+        for &count in self.counts.values() {
+            let c = count as f64;
+            lo += h(c).min(h(c + delta));
+            hi += h(c);
+        }
+        if r > 0.0 {
+            hi += r / n * n.log2();
+            let outside = r - self.counts.len() as f64 * delta;
+            if outside > 0.0 {
+                lo += outside / n * (n / delta).log2();
+            }
+        }
+        (lo, hi)
+    }
+
+    /// Adds `weight` to `key`'s count, saturating.  A counted key is found by
+    /// reference; only a new one is copied.
+    fn add(&mut self, key: &str, weight: u64) {
+        match self.counts.get_mut(key) {
+            Some(count) => add_to(count, weight),
+            None => {
+                self.counts.insert(key.to_string(), weight);
+            }
+        }
+    }
+
     /// `self.to_element().byte_size()`, computed from the state.
     fn wire_size(&self) -> usize {
+        let entries: usize = self
+            .counts
+            .iter()
+            .map(|(key, &count)| {
+                tag_bytes("kv") + attr_bytes("k", key.len()) + attr_bytes("n", digits(count))
+            })
+            .sum();
         tag_bytes("sketch")
             + attr_bytes("kind", "topk".len())
             + attr_bytes("cap", digits(self.capacity as u64))
             + attr_bytes("total", digits(self.total))
-            + self.counts.wire_size()
+            + entries
     }
 
     /// Past `capacity` keys, subtracts the `(capacity + 1)`-th largest count
     /// from every count and drops the keys it takes to zero.
     fn reduce(&mut self) {
-        if self.counts.0.len() <= self.capacity {
+        if self.counts.len() <= self.capacity {
             return;
         }
-        let mut counts: Vec<u64> = self.counts.0.values().copied().collect();
+        let mut counts: Vec<u64> = self.counts.values().copied().collect();
         let (_, &mut cut, _) = counts.select_nth_unstable_by(self.capacity, |a, b| b.cmp(a));
-        self.counts.0.retain(|_, count| {
+        self.counts.retain(|_, count| {
             *count = count.saturating_sub(cut);
             *count > 0
         });
@@ -280,7 +290,7 @@ impl Sketch for TopKSketch {
         if weight == 0 {
             return;
         }
-        self.counts.add(key, weight);
+        self.add(key, weight);
         self.total = self.total.saturating_add(weight);
         self.reduce();
     }
@@ -289,7 +299,9 @@ impl Sketch for TopKSketch {
         if self.capacity != other.capacity {
             return false;
         }
-        self.counts.add_all(&other.counts);
+        for (key, &count) in &other.counts {
+            self.add(key, count);
+        }
         self.total = self.total.saturating_add(other.total);
         self.reduce();
         true
@@ -300,29 +312,40 @@ impl Sketch for TopKSketch {
         el.set_attr("kind", "topk");
         el.set_attr("cap", self.capacity.to_string());
         el.set_attr("total", self.total.to_string());
-        self.counts.write(&mut el);
+        for (key, &count) in &self.counts {
+            let mut kv = Element::new("kv");
+            kv.set_attr("k", key.clone());
+            kv.set_attr("n", count.to_string());
+            el.push_element(kv);
+        }
         el
     }
 
-    /// `None` also when the counts add up to more than the partial's total.
-    /// An over-capacity entry list (not one [`to_element`](Sketch::to_element)
-    /// writes) is reduced to the capacity.
+    /// `None` also when `cap` is not a capacity [`TopKSketch::new`] keeps,
+    /// or the counts add up to more than the partial's total.  A repeated
+    /// key adds up, and an over-capacity entry list (not one
+    /// [`to_element`](Sketch::to_element) writes) is reduced to the capacity.
     fn from_element(el: &Element) -> Option<Self> {
         if el.name != "sketch" || el.attr("kind") != Some("topk") {
             return None;
         }
-        let mut sketch = TopKSketch::new(parse_u64(el, "cap")? as usize);
+        let capacity = usize::try_from(parse_u64(el, "cap")?).ok()?;
+        let mut sketch = TopKSketch::new(capacity);
+        if sketch.capacity != capacity {
+            return None;
+        }
         sketch.total = parse_u64(el, "total")?;
-        sketch.counts = KeyCounts::read(el)?;
+        for kv in el.children_named("kv") {
+            sketch.add(kv.attr("k")?, parse_u64(kv, "n")?);
+        }
         let mass = sketch
             .counts
-            .0
             .values()
             .fold(0, |sum: u64, &n| sum.saturating_add(n));
         if mass > sketch.total {
             return None;
         }
-        sketch.counts.0.retain(|_, count| *count > 0);
+        sketch.counts.retain(|_, count| *count > 0);
         sketch.reduce();
         Some(sketch)
     }
@@ -336,153 +359,7 @@ impl Sketch for TopKSketch {
     }
 
     fn reset(&mut self) {
-        self.counts.0.clear();
-        self.total = 0;
-    }
-}
-
-/// Empirical-entropy estimator: a bounded key→count map whose overflow is
-/// evicted into a residual `(mass, evictions)` pair treated as uniform.
-///
-/// When the live key population fits the capacity the estimate is *exact*
-/// empirical entropy.  Over capacity it has no stated bound: the lightest
-/// key is folded into the residual, and the residual is modeled as
-/// `residual_keys` equally likely keys, where `residual_keys` counts
-/// *evictions*, not distinct keys — a key evicted, seen again and evicted
-/// again counts twice, and a merge adds the evictions of sites that evicted
-/// the same key.  The estimate can then exceed log2 of the distinct keys
-/// seen: 15.37 bits for 100 000 zipf(0.5) events over 5 000 keys at the
-/// default capacity, where log2 5 000 = 12.29.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EntropySketch {
-    capacity: usize,
-    counts: KeyCounts,
-    residual_mass: u64,
-    residual_keys: u64,
-    total: u64,
-}
-
-impl EntropySketch {
-    /// Track up to `capacity` exact key counts before evicting.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            counts: KeyCounts::default(),
-            residual_mass: 0,
-            residual_keys: 0,
-            total: 0,
-        }
-    }
-
-    /// Estimated Shannon entropy of the key distribution, in bits.
-    pub fn entropy_bits(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let total = self.total as f64;
-        let mut h = 0.0;
-        for &count in self.counts.0.values() {
-            if count > 0 {
-                let p = count as f64 / total;
-                h -= p * p.log2();
-            }
-        }
-        if self.residual_mass > 0 && self.residual_keys > 0 {
-            // Residual modeled as `residual_keys` equally likely keys.
-            let per_key = self.residual_mass as f64 / self.residual_keys as f64;
-            let p = per_key / total;
-            h -= self.residual_keys as f64 * p * p.log2();
-        }
-        h
-    }
-
-    /// Total weight absorbed across all keys.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// `self.to_element().byte_size()`, computed from the state.
-    fn wire_size(&self) -> usize {
-        tag_bytes("sketch")
-            + attr_bytes("kind", "entropy".len())
-            + attr_bytes("cap", digits(self.capacity as u64))
-            + attr_bytes("rm", digits(self.residual_mass))
-            + attr_bytes("rk", digits(self.residual_keys))
-            + attr_bytes("total", digits(self.total))
-            + self.counts.wire_size()
-    }
-
-    fn evict_to_capacity(&mut self) {
-        while self.counts.0.len() > self.capacity {
-            let lightest = self
-                .counts
-                .0
-                .iter()
-                .min_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-                .map(|(k, _)| k.clone())
-                .expect("over capacity implies non-empty");
-            let mass = self.counts.0.remove(&lightest).unwrap_or(0);
-            self.residual_mass = self.residual_mass.saturating_add(mass);
-            self.residual_keys = self.residual_keys.saturating_add(1);
-        }
-    }
-}
-
-impl Sketch for EntropySketch {
-    fn update(&mut self, key: &str, weight: u64) {
-        self.counts.add(key, weight);
-        self.total = self.total.saturating_add(weight);
-        self.evict_to_capacity();
-    }
-
-    fn merge(&mut self, other: &Self) -> bool {
-        if self.capacity != other.capacity {
-            return false;
-        }
-        self.counts.add_all(&other.counts);
-        self.residual_mass = self.residual_mass.saturating_add(other.residual_mass);
-        self.residual_keys = self.residual_keys.saturating_add(other.residual_keys);
-        self.total = self.total.saturating_add(other.total);
-        self.evict_to_capacity();
-        true
-    }
-
-    fn to_element(&self) -> Element {
-        let mut el = Element::new("sketch");
-        el.set_attr("kind", "entropy");
-        el.set_attr("cap", self.capacity.to_string());
-        el.set_attr("rm", self.residual_mass.to_string());
-        el.set_attr("rk", self.residual_keys.to_string());
-        el.set_attr("total", self.total.to_string());
-        self.counts.write(&mut el);
-        el
-    }
-
-    fn from_element(el: &Element) -> Option<Self> {
-        if el.name != "sketch" || el.attr("kind") != Some("entropy") {
-            return None;
-        }
-        let mut sketch = EntropySketch::new(parse_u64(el, "cap")? as usize);
-        sketch.residual_mass = parse_u64(el, "rm")?;
-        sketch.residual_keys = parse_u64(el, "rk")?;
-        sketch.total = parse_u64(el, "total")?;
-        sketch.counts = KeyCounts::read(el)?;
-        sketch.evict_to_capacity();
-        Some(sketch)
-    }
-
-    fn max_serialized_entries(&self) -> usize {
-        self.capacity
-    }
-
-    fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    fn reset(&mut self) {
-        self.counts.0.clear();
-        self.residual_mass = 0;
-        self.residual_keys = 0;
+        self.counts.clear();
         self.total = 0;
     }
 }
@@ -641,10 +518,12 @@ impl Sketch for QuantileSummary {
         if el.name != "sketch" || el.attr("kind") != Some("quantile") {
             return None;
         }
-        let mut summary = QuantileSummary::new(
-            parse_u64(el, "alpha")? as u32,
-            parse_u64(el, "maxb")? as usize,
-        );
+        let alpha_permille = u32::try_from(parse_u64(el, "alpha")?).ok()?;
+        let max_buckets = usize::try_from(parse_u64(el, "maxb")?).ok()?;
+        let mut summary = QuantileSummary::new(alpha_permille, max_buckets);
+        if (summary.alpha_permille, summary.max_buckets) != (alpha_permille, max_buckets) {
+            return None;
+        }
         summary.zero_count = parse_u64(el, "zero")?;
         summary.total = parse_u64(el, "total")?;
         for b in el.children_named("b") {
@@ -760,16 +639,15 @@ fn find_attr(el: &Element, attr: &str) -> Option<String> {
     None
 }
 
-/// Key-count bound used for operator-level [`TopKSketch`]es.
-pub const DEFAULT_TOPK_CAPACITY: usize = 64;
-/// Key-map bound used for operator-level [`EntropySketch`]es.
-pub const DEFAULT_ENTROPY_CAPACITY: usize = 512;
+/// Key-count bound used for operator-level [`TopKSketch`]es, `topk` and
+/// `entropy` alike (`topk(k)` keeps at least `k`).
+pub const DEFAULT_TOPK_CAPACITY: usize = 512;
 /// Relative accuracy (per-mille) for operator-level [`QuantileSummary`]s.
 pub const DEFAULT_QUANTILE_ALPHA_PERMILLE: u32 = 10;
 /// Bucket bound for operator-level [`QuantileSummary`]s.
 pub const DEFAULT_QUANTILE_MAX_BUCKETS: usize = 256;
 
-/// Runtime dispatch over the three operator-facing summaries.
+/// Runtime dispatch over the two operator-facing summaries.
 ///
 /// The planner knows only the [`AggregateSpec`]; `AnySketch::for_spec` picks
 /// the summary, and the leaf/merge/root operators drive it through this enum
@@ -778,10 +656,8 @@ pub const DEFAULT_QUANTILE_MAX_BUCKETS: usize = 256;
 /// [`AnySketch::wire_size`] is what a message carrying it is charged.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnySketch {
-    /// Heavy-hitters state.
+    /// Key-count state, for `topk` and `entropy` aggregates.
     TopK(TopKSketch),
-    /// Entropy-estimator state.
-    Entropy(EntropySketch),
     /// Quantile-summary state.
     Quantile(QuantileSummary),
 }
@@ -793,9 +669,7 @@ impl AnySketch {
             AggregateKind::TopK { k } => {
                 AnySketch::TopK(TopKSketch::new(DEFAULT_TOPK_CAPACITY.max(k)))
             }
-            AggregateKind::Entropy => {
-                AnySketch::Entropy(EntropySketch::new(DEFAULT_ENTROPY_CAPACITY))
-            }
+            AggregateKind::Entropy => AnySketch::TopK(TopKSketch::new(DEFAULT_TOPK_CAPACITY)),
             AggregateKind::Quantile { .. } => AnySketch::Quantile(QuantileSummary::new(
                 DEFAULT_QUANTILE_ALPHA_PERMILLE,
                 DEFAULT_QUANTILE_MAX_BUCKETS,
@@ -807,19 +681,17 @@ impl AnySketch {
     pub fn update(&mut self, key: &str, weight: u64) {
         match self {
             AnySketch::TopK(s) => s.update(key, weight),
-            AnySketch::Entropy(s) => s.update(key, weight),
             AnySketch::Quantile(s) => s.update(key, weight),
         }
     }
 
     /// Fold another sketch of the same kind and shape into this one (see
     /// [`Sketch::merge`]).  Returns `false` (and changes nothing) when
-    /// `other` is of another kind, or of another shape: a top-k or entropy
+    /// `other` is of another kind, or of another shape: a key-count
     /// capacity, a quantile accuracy or bucket bound that differs.
     pub fn merge_from(&mut self, other: &AnySketch) -> bool {
         match (self, other) {
             (AnySketch::TopK(s), AnySketch::TopK(o)) => s.merge(o),
-            (AnySketch::Entropy(s), AnySketch::Entropy(o)) => s.merge(o),
             (AnySketch::Quantile(s), AnySketch::Quantile(o)) => s.merge(o),
             _ => false,
         }
@@ -830,7 +702,6 @@ impl AnySketch {
     pub fn take(&mut self) -> AnySketch {
         let empty = match self {
             AnySketch::TopK(s) => AnySketch::TopK(TopKSketch::new(s.capacity)),
-            AnySketch::Entropy(s) => AnySketch::Entropy(EntropySketch::new(s.capacity)),
             AnySketch::Quantile(s) => {
                 AnySketch::Quantile(QuantileSummary::new(s.alpha_permille, s.max_buckets))
             }
@@ -845,7 +716,6 @@ impl AnySketch {
     pub fn absorb(&mut self, el: &Element) -> bool {
         let other = match self {
             AnySketch::TopK(_) => TopKSketch::from_element(el).map(AnySketch::TopK),
-            AnySketch::Entropy(_) => EntropySketch::from_element(el).map(AnySketch::Entropy),
             AnySketch::Quantile(_) => QuantileSummary::from_element(el).map(AnySketch::Quantile),
         };
         other.is_some_and(|other| self.merge_from(&other))
@@ -856,7 +726,6 @@ impl AnySketch {
     pub fn wire_size(&self) -> usize {
         match self {
             AnySketch::TopK(s) => s.wire_size(),
-            AnySketch::Entropy(s) => s.wire_size(),
             AnySketch::Quantile(s) => s.wire_size(),
         }
     }
@@ -865,7 +734,6 @@ impl AnySketch {
     pub fn to_element(&self) -> Element {
         match self {
             AnySketch::TopK(s) => s.to_element(),
-            AnySketch::Entropy(s) => s.to_element(),
             AnySketch::Quantile(s) => s.to_element(),
         }
     }
@@ -875,7 +743,6 @@ impl AnySketch {
     pub fn is_empty(&self) -> bool {
         match self {
             AnySketch::TopK(s) => s.is_empty(),
-            AnySketch::Entropy(s) => s.is_empty(),
             AnySketch::Quantile(s) => s.is_empty(),
         }
     }
@@ -883,8 +750,7 @@ impl AnySketch {
     /// Approximate in-memory footprint, for operator state accounting.
     pub fn state_bytes(&self) -> usize {
         match self {
-            AnySketch::TopK(TopKSketch { counts, .. })
-            | AnySketch::Entropy(EntropySketch { counts, .. }) => 48 * counts.0.len() + 64,
+            AnySketch::TopK(s) => 48 * s.counts.len() + 64,
             AnySketch::Quantile(s) => 16 * s.buckets.len() + 64,
         }
     }
@@ -905,9 +771,12 @@ impl AnySketch {
                     el.push_element(entry);
                 }
             }
-            (AnySketch::Entropy(s), AggregateKind::Entropy) => {
+            (AnySketch::TopK(s), AggregateKind::Entropy) => {
+                let (lo, hi) = s.entropy_bounds();
                 el.set_attr("total", s.total().to_string());
-                el.set_attr("bits", format!("{:.6}", s.entropy_bits()));
+                el.set_attr("bits", format!("{:.6}", (lo + hi) / 2.0));
+                el.set_attr("lo", format!("{lo:.6}"));
+                el.set_attr("hi", format!("{hi:.6}"));
             }
             (AnySketch::Quantile(s), AggregateKind::Quantile { q_permille }) => {
                 el.set_attr("total", s.total().to_string());
@@ -981,24 +850,41 @@ mod tests {
 
     #[test]
     fn entropy_exact_when_under_capacity() {
-        let mut sketch = EntropySketch::new(16);
+        assert_eq!(TopKSketch::new(16).entropy_bounds(), (0.0, 0.0));
+        let mut sketch = TopKSketch::new(16);
         // Uniform over 4 keys => exactly 2 bits.
         feed(&mut sketch, &[("a", 5), ("b", 5), ("c", 5), ("d", 5)]);
-        assert!((sketch.entropy_bits() - 2.0).abs() < 1e-9);
-        let back = EntropySketch::from_element(&sketch.to_element()).expect("round trip");
-        assert!((back.entropy_bits() - 2.0).abs() < 1e-9);
+        assert_eq!(sketch.entropy_bounds(), (2.0, 2.0));
+        let back = TopKSketch::from_element(&sketch.to_element()).expect("round trip");
+        assert_eq!(back.entropy_bounds(), (2.0, 2.0));
+
+        // Five keys over a capacity of four: one reduction takes 1 from
+        // each, so the interval widens around the exact value.
+        let mut tight = TopKSketch::new(4);
+        feed(
+            &mut tight,
+            &[("a", 2), ("b", 2), ("c", 2), ("d", 2), ("e", 1)],
+        );
+        assert_eq!(tight.top(5).len(), 4);
+        let (lo, hi) = tight.entropy_bounds();
+        let h = |p: f64| -p * p.log2();
+        let exact = 4.0 * h(2.0 / 9.0) + h(1.0 / 9.0);
+        assert!(lo < exact && exact < hi, "{lo} < {exact} < {hi}");
     }
 
     #[test]
     fn entropy_merge_matches_single_sketch() {
-        let mut a = EntropySketch::new(32);
-        let mut b = EntropySketch::new(32);
+        let mut a = TopKSketch::new(32);
+        let mut b = TopKSketch::new(32);
         feed(&mut a, &[("a", 3), ("b", 1)]);
         feed(&mut b, &[("a", 1), ("c", 5)]);
-        a.merge(&b);
-        let mut single = EntropySketch::new(32);
+        assert!(a.merge(&b));
+        let mut single = TopKSketch::new(32);
         feed(&mut single, &[("a", 4), ("b", 1), ("c", 5)]);
-        assert!((a.entropy_bits() - single.entropy_bits()).abs() < 1e-9);
+        assert_eq!(a, single);
+        let (lo, hi) = a.entropy_bounds();
+        assert_eq!(lo, hi);
+        assert_eq!((lo, hi), single.entropy_bounds());
     }
 
     #[test]
@@ -1064,12 +950,17 @@ mod tests {
 
     #[test]
     fn absorb_rejects_foreign_partials() {
-        let spec = AggregateSpec::new(AggregateKind::Entropy, "c", None);
-        let mut sketch = AnySketch::for_spec(&spec);
-        let other =
-            AnySketch::for_spec(&AggregateSpec::new(AggregateKind::TopK { k: 1 }, "c", None));
+        let spec = |kind| AggregateSpec::new(kind, "c", None);
+        let mut sketch = AnySketch::for_spec(&spec(AggregateKind::Entropy));
+        let mut other = AnySketch::for_spec(&spec(AggregateKind::Quantile { q_permille: 500 }));
+        other.update("7", 1);
         assert!(!sketch.absorb(&other.to_element()));
         assert!(sketch.is_empty());
+        // Entropy and top-k aggregates keep the same key counts.
+        let mut topk = AnySketch::for_spec(&spec(AggregateKind::TopK { k: 1 }));
+        topk.update("get", 1);
+        assert!(sketch.absorb(&topk.to_element()));
+        assert_eq!(sketch, topk);
     }
 
     #[test]
@@ -1089,25 +980,24 @@ mod tests {
 
     #[test]
     fn reset_produces_delta_semantics() {
-        let mut leaf = AnySketch::for_spec(&AggregateSpec::new(AggregateKind::Entropy, "c", None));
+        let spec = AggregateSpec::new(AggregateKind::Entropy, "c", None);
+        let mut leaf = AnySketch::for_spec(&spec);
         leaf.update("a", 2);
         let first_delta = leaf.take();
         assert!(leaf.is_empty());
         leaf.update("b", 3);
         let second_delta = leaf.take();
 
-        let mut root = AnySketch::for_spec(&AggregateSpec::new(AggregateKind::Entropy, "c", None));
+        let mut root = AnySketch::for_spec(&spec);
         assert!(root.merge_from(&first_delta));
         assert!(root.absorb(&second_delta.to_element()));
-        let mut single = EntropySketch::new(DEFAULT_ENTROPY_CAPACITY);
+        let mut single = TopKSketch::new(DEFAULT_TOPK_CAPACITY);
         single.update("a", 2);
         single.update("b", 3);
-        match root {
-            AnySketch::Entropy(merged) => {
-                assert!((merged.entropy_bits() - single.entropy_bits()).abs() < 1e-9)
-            }
-            _ => unreachable!(),
-        }
+        assert_eq!(root, AnySketch::TopK(single));
+        let answer = root.answer(&spec);
+        assert_eq!(answer.attr("bits"), answer.attr("lo"));
+        assert_eq!(answer.attr("bits"), answer.attr("hi"));
     }
 
     /// A top-k partial in the retired count-min form: one row of `cells`
@@ -1154,7 +1044,6 @@ mod tests {
     fn assert_within_entry_bound(sketch: &AnySketch) {
         let bound = match sketch {
             AnySketch::TopK(s) => s.max_serialized_entries(),
-            AnySketch::Entropy(s) => s.max_serialized_entries(),
             AnySketch::Quantile(s) => s.max_serialized_entries(),
         };
         assert!(sketch.to_element().children.len() <= bound);
@@ -1187,6 +1076,8 @@ mod tests {
 
         // Another capacity, and counts adding up past the total.
         let max = u64::MAX.to_string();
+        let cap = DEFAULT_TOPK_CAPACITY.to_string();
+        let cap = cap.as_str();
         absorb_hostile(
             topk(),
             &kv_partial("topk", &[("cap", "8"), ("total", "1")], &[("a", "1")]),
@@ -1196,44 +1087,43 @@ mod tests {
             topk(),
             &kv_partial(
                 "topk",
-                &[("cap", "64"), ("total", "1")],
+                &[("cap", cap), ("total", "1")],
                 &[("a", "1"), ("b", "1")],
             ),
             true,
         );
         // Counts at the top of the range saturate instead of overflowing.
-        let topk_max = kv_partial("topk", &[("cap", "64"), ("total", &max)], &[("a", &max)]);
+        let topk_max = kv_partial("topk", &[("cap", cap), ("total", &max)], &[("a", &max)]);
         let AnySketch::TopK(s) = absorb_hostile(topk(), &topk_max, false) else {
             unreachable!()
         };
         assert_eq!((s.total(), s.top(1)[0].1), (u64::MAX, u64::MAX));
 
         // More entries than the capacity are reduced to it.
-        let many: Vec<(String, String)> = (0..200).map(|i| (format!("k{i}"), "1".into())).collect();
+        let many: Vec<(String, String)> = (0..600).map(|i| (format!("k{i}"), "1".into())).collect();
         let many: Vec<(&str, &str)> = many.iter().map(|(k, n)| (k.as_str(), n.as_str())).collect();
         absorb_hostile(
             topk(),
-            &kv_partial("topk", &[("cap", "64"), ("total", "200")], &many),
+            &kv_partial("topk", &[("cap", cap), ("total", "600")], &many),
             false,
         );
 
+        // A capacity `new` would not keep as written (it clamps 0 to 1).
+        let cap_zero = kv_partial("topk", &[("cap", "0"), ("total", "1")], &[("a", "1")]);
+        assert_eq!(TopKSketch::from_element(&cap_zero), None);
+        absorb_hostile(topk(), &cap_zero, true);
+
+        // An entropy aggregate reads the top-k partial, and refuses the
+        // retired residual form.
         let entropy = || AggregateKind::Entropy;
-        let entropy_attrs = |cap| {
-            [
-                ("cap", cap),
-                ("rm", "0"),
-                ("rk", "0"),
-                ("total", max.as_str()),
-            ]
-        };
-        let entropy_max = kv_partial("entropy", &entropy_attrs("512"), &[("a", &max)]);
-        let AnySketch::Entropy(s) = absorb_hostile(entropy(), &entropy_max, false) else {
+        let AnySketch::TopK(s) = absorb_hostile(entropy(), &topk_max, false) else {
             unreachable!()
         };
         assert_eq!(s.total(), u64::MAX);
+        let residual = [("cap", "512"), ("rm", "4"), ("rk", "2"), ("total", "5")];
         absorb_hostile(
             entropy(),
-            &kv_partial("entropy", &entropy_attrs("3"), &[("a", "1")]),
+            &kv_partial("entropy", &residual, &[("a", "1")]),
             true,
         );
 
@@ -1244,7 +1134,25 @@ mod tests {
             partial.observe(1_000, 1);
             absorb_hostile(quantile(), &partial.to_element(), true);
         }
+        // An accuracy or bucket bound `new` would clamp, or one that
+        // truncates to the operators' shape (2^32 + 10 ⇒ 10).
         let mut partial = QuantileSummary::new(10, 256);
+        for (alpha, maxb) in [
+            ("0", "256"),
+            ("501", "256"),
+            ("4294967306", "256"),
+            ("10", "1"),
+        ] {
+            let mut el = partial.to_element();
+            el.set_attr("alpha", alpha);
+            el.set_attr("maxb", maxb);
+            assert_eq!(
+                QuantileSummary::from_element(&el),
+                None,
+                "alpha {alpha} maxb {maxb}"
+            );
+            absorb_hostile(quantile(), &el, true);
+        }
         partial.observe(1_000, u64::MAX);
         absorb_hostile(quantile(), &partial.to_element(), false);
         // The lowest bucket index a partial can name, answered at p0.

@@ -7,7 +7,8 @@
 //! to fall, interior nodes merge in whatever order the network delivers,
 //! and the root must still answer as if it had seen every event itself.
 //! Over capacity, the top-k sketch's counts must stay within its stated
-//! Misra–Gries bound, for random partitions and for zipf streams merged
+//! Misra–Gries bound, and the entropy interval read off them must contain
+//! the exact entropy, for random partitions and for zipf streams merged
 //! from 100 sites.
 //!
 //! The second half pins the by-value partial path of [`AnySketch`] to the
@@ -21,7 +22,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use p2pmon_streams::sketch::{
-    AggregateKind, AggregateSpec, AnySketch, EntropySketch, QuantileSummary, Sketch, TopKSketch,
+    AggregateKind, AggregateSpec, AnySketch, QuantileSummary, Sketch, TopKSketch,
     DEFAULT_TOPK_CAPACITY,
 };
 use p2pmon_xmlkit::Element;
@@ -56,6 +57,26 @@ fn exact_counts(events: &[(u8, u64, u8)]) -> BTreeMap<String, u64> {
         *counts.entry(key(k)).or_insert(0) += w;
     }
     counts
+}
+
+/// Shannon entropy, in bits, of the distribution `counts` describe.
+fn exact_entropy(counts: &BTreeMap<String, u64>) -> f64 {
+    let total = counts.values().sum::<u64>() as f64;
+    -counts
+        .values()
+        .map(|&c| {
+            let p = c as f64 / total;
+            p * p.log2()
+        })
+        .sum::<f64>()
+}
+
+/// The `(bits, lo, hi)` of the entropy answer over `sketch`'s counts.
+fn entropy_answer(sketch: &TopKSketch) -> (f64, f64, f64) {
+    let spec = AggregateSpec::new(AggregateKind::Entropy, "c", None);
+    let answer = AnySketch::TopK(sketch.clone()).answer(&spec);
+    let read = |attr| answer.attr(attr).expect("entropy answer").parse().unwrap();
+    (read("bits"), read("lo"), read("hi"))
 }
 
 /// Build one sketch over the whole stream and four partial sketches over
@@ -128,26 +149,22 @@ proptest! {
     fn entropy_merge_agrees_with_the_whole_stream_and_is_exact_under_capacity(
         events in events_strategy()
     ) {
-        let (whole, forward, backward) = split(|| EntropySketch::new(CAPACITY), &events, key);
+        // What `AnySketch::for_spec` builds for an entropy aggregate.
+        let fresh = || TopKSketch::new(DEFAULT_TOPK_CAPACITY);
+        let (whole, forward, backward) = split(fresh, &events, key);
         prop_assert_eq!(&forward, &whole);
         prop_assert_eq!(&backward, &whole);
-        let exact = {
-            let counts = exact_counts(&events);
-            let total: u64 = counts.values().sum();
-            -counts
-                .values()
-                .map(|&c| {
-                    let p = c as f64 / total as f64;
-                    p * p.log2()
-                })
-                .sum::<f64>()
-        };
+        let exact = exact_entropy(&exact_counts(&events));
+        let (lo, hi) = whole.entropy_bounds();
+        prop_assert_eq!(lo, hi, "under capacity the interval is a point");
         prop_assert!(
-            (whole.entropy_bits() - exact).abs() < 1e-9,
+            (lo - exact).abs() < 1e-9,
             "under-capacity entropy must be exact: {} vs {}",
-            whole.entropy_bits(),
+            lo,
             exact
         );
+        let (bits, lo, hi) = entropy_answer(&whole);
+        prop_assert!((bits - exact).abs() < 1e-6 && bits == lo && bits == hi);
     }
 
     #[test]
@@ -182,14 +199,13 @@ proptest! {
         events in events_strategy(),
         flush_every in 1usize..25
     ) {
-        // TopK / entropy: the root after arbitrary flush cadences equals a
-        // single sketch fed every event (through XML partials each cycle).
+        // The root after arbitrary flush cadences equals a single sketch
+        // fed every event (through XML partials each cycle) — top-k and
+        // entropy answers alike, since both read the key counts.
         let mut whole_topk = TopKSketch::new(CAPACITY);
-        let mut whole_entropy = EntropySketch::new(CAPACITY);
         let mut whole_quantile = QuantileSummary::new(ALPHA_PERMILLE, MAX_BUCKETS);
         for &(k, w, _) in &events {
             whole_topk.update(&key(k), w);
-            whole_entropy.update(&key(k), w);
             whole_quantile.update(&value(k).to_string(), w);
         }
         let root_topk = drive_rounds(
@@ -201,14 +217,7 @@ proptest! {
         );
         prop_assert_eq!(root_topk.top(VOCAB as usize), whole_topk.top(VOCAB as usize));
         prop_assert_eq!(root_topk.total(), whole_topk.total());
-        let root_entropy = drive_rounds(
-            EntropySketch::new(CAPACITY),
-            EntropySketch::new(CAPACITY),
-            &events,
-            flush_every,
-            key,
-        );
-        prop_assert_eq!(&root_entropy, &whole_entropy);
+        prop_assert_eq!(&root_topk, &whole_topk);
         let root_quantile = drive_rounds(
             QuantileSummary::new(ALPHA_PERMILLE, MAX_BUCKETS),
             QuantileSummary::new(ALPHA_PERMILLE, MAX_BUCKETS),
@@ -224,29 +233,26 @@ proptest! {
         events in events_strategy()
     ) {
         let mut topk = TopKSketch::new(CAPACITY);
-        let mut entropy = EntropySketch::new(CAPACITY);
         let mut quantile = QuantileSummary::new(ALPHA_PERMILLE, MAX_BUCKETS);
         let mut tight = TopKSketch::new(TIGHT);
         for &(k, w, _) in &events {
             topk.update(&key(k), w);
-            entropy.update(&key(k), w);
             quantile.update(&value(k).to_string(), w);
             tight.update(&key(k), w);
         }
         for topk in [&topk, &tight] {
             let back = TopKSketch::from_element(&topk.to_element()).expect("topk round-trips");
             prop_assert_eq!(&back, topk);
+            // The entropy answer is read off the same counts.
+            prop_assert_eq!(entropy_answer(&back), entropy_answer(topk));
         }
-        let entropy_back =
-            EntropySketch::from_element(&entropy.to_element()).expect("entropy round-trips");
-        prop_assert_eq!(&entropy_back, &entropy);
         let quantile_back =
             QuantileSummary::from_element(&quantile.to_element()).expect("quantile round-trips");
         prop_assert_eq!(&quantile_back, &quantile);
         // The wire partial stays within the declared entry bound no matter
         // how many events were absorbed.
         for (el, bound) in [
-            (entropy.to_element(), entropy.max_serialized_entries()),
+            (topk.to_element(), topk.max_serialized_entries()),
             (quantile.to_element(), quantile.max_serialized_entries()),
             (tight.to_element(), tight.max_serialized_entries()),
         ] {
@@ -317,6 +323,57 @@ fn topk_over_capacity_holds_the_misra_gries_bound_in_any_partition_and_order() {
     assert!(reduced > 0, "no generated case reduced");
 }
 
+/// Asserts that the entropy answer over `sketch` contains `exact`:
+/// `lo ≤ exact ≤ hi` and `|bits − exact| ≤ (hi − lo)/2`, up to rounding.
+/// Returns the mass the reductions removed, `R = N − Σĉ`.
+fn assert_entropy_interval(sketch: &TopKSketch, exact: f64) -> u64 {
+    const EPS: f64 = 1e-9;
+    let (lo, hi) = sketch.entropy_bounds();
+    assert!(
+        lo <= exact + EPS && exact <= hi + EPS,
+        "exact entropy {exact} outside [{lo}, {hi}]"
+    );
+    // The answer prints six decimals.
+    let (bits, _, _) = entropy_answer(sketch);
+    assert!(
+        (bits - exact).abs() <= (hi - lo) / 2.0 + 1e-6,
+        "bits {bits}, exact {exact}"
+    );
+    let mass: u64 = sketch.top(usize::MAX).iter().map(|(_, c)| c).sum();
+    sketch.total() - mass
+}
+
+/// The entropy interval over a tight key map: `VOCAB` keys through a
+/// capacity-4 sketch, whole and split into four partials folded in both
+/// orders.  Every fold contains the exact entropy; the interval is the
+/// exact point when no reduction happened and has width otherwise — and at
+/// least one generated case reduces, so the bound is not held vacuously.
+#[test]
+fn entropy_interval_holds_the_exact_value_in_any_partition_and_order() {
+    let mut reduced = 0;
+    TestRunner::new(ProptestConfig::default()).run(|rng| {
+        let events = events_strategy().new_value(rng);
+        let exact = exact_entropy(&exact_counts(&events));
+        let (whole, forward, backward) = split(|| TopKSketch::new(TIGHT), &events, key);
+        for sketch in [&whole, &forward, &backward] {
+            let r = assert_entropy_interval(sketch, exact);
+            let (lo, hi) = sketch.entropy_bounds();
+            if r == 0 {
+                assert_eq!(lo, hi, "no reduction, yet an interval");
+                assert!((lo - exact).abs() < 1e-9, "{lo} is not exact {exact}");
+            } else {
+                // One exception: every key reduced away with Δ = 1 pins
+                // the entropy at log2 N, and the interval is that point.
+                let all_gone = r == sketch.total() && r == TIGHT as u64 + 1;
+                assert!(lo < hi || all_gone, "R {r} > 0, yet [{lo}, {hi}]");
+            }
+            reduced += usize::from(r > 0);
+        }
+        Ok(())
+    });
+    assert!(reduced > 0, "no generated case reduced");
+}
+
 /// `n` zipf(`skew`) draws over `keys` keys, each with the site (of 100)
 /// that observes it; deterministic (xorshift64*).
 fn zipf_events(keys: usize, skew: f64, n: usize, mut seed: u64) -> Vec<(usize, usize)> {
@@ -341,26 +398,33 @@ fn zipf_events(keys: usize, skew: f64, n: usize, mut seed: u64) -> Vec<(usize, u
         .collect()
 }
 
+/// 100 000 zipf(`skew`) events over `keys` keys, counted exactly, by one
+/// sketch of the operators' capacity and by the merge of 100 sites'.
+fn zipf_sketches(keys: usize, skew: f64) -> (BTreeMap<String, u64>, TopKSketch, TopKSketch) {
+    let names: Vec<String> = (0..keys).map(|k| format!("key{k}")).collect();
+    let mut exact = BTreeMap::new();
+    let mut whole = TopKSketch::new(DEFAULT_TOPK_CAPACITY);
+    let mut sites = vec![TopKSketch::new(DEFAULT_TOPK_CAPACITY); 100];
+    for (k, site) in zipf_events(keys, skew, 100_000, 0x9e37_79b9_7f4a_7c15) {
+        *exact.entry(names[k].clone()).or_insert(0) += 1;
+        whole.update(&names[k], 1);
+        sites[site].update(&names[k], 1);
+    }
+    let mut merged = TopKSketch::new(DEFAULT_TOPK_CAPACITY);
+    for site in &sites {
+        assert!(merged.merge(site));
+    }
+    (exact, whole, merged)
+}
+
 /// The operators' top-k over 100 000 zipf events whose distinct keys far
 /// outnumber its capacity: one sketch over the whole stream and the merge of
 /// 100 sites' sketches both hold the Misra–Gries bound, and both reduced.
 #[test]
 fn topk_holds_the_misra_gries_bound_on_zipf_streams_for_one_sketch_and_100_sites() {
     for (keys, skew) in [(5_000, 0.5), (5_000, 1.0), (50_000, 1.1)] {
-        let names: Vec<String> = (0..keys).map(|k| format!("key{k}")).collect();
-        let events = zipf_events(keys, skew, 100_000, 0x9e37_79b9_7f4a_7c15);
-        let mut exact = BTreeMap::new();
-        let mut whole = TopKSketch::new(DEFAULT_TOPK_CAPACITY);
-        let mut sites = vec![TopKSketch::new(DEFAULT_TOPK_CAPACITY); 100];
-        for &(k, site) in &events {
-            *exact.entry(names[k].clone()).or_insert(0) += 1;
-            whole.update(&names[k], 1);
-            sites[site].update(&names[k], 1);
-        }
-        let mut merged = TopKSketch::new(DEFAULT_TOPK_CAPACITY);
-        for site in &sites {
-            assert!(merged.merge(site));
-        }
+        let (exact, whole, merged) = zipf_sketches(keys, skew);
+        let n: u64 = exact.values().sum();
         for (name, sketch) in [("one sketch", &whole), ("100 sites", &merged)] {
             assert!(
                 assert_misra_gries_bound(sketch, DEFAULT_TOPK_CAPACITY, &exact),
@@ -375,16 +439,40 @@ fn topk_holds_the_misra_gries_bound_on_zipf_streams_for_one_sketch_and_100_sites
                 .fold(0.0, f64::max);
             println!(
                 "{keys} keys · skew {skew} · {name}: kept mass {:.3} of N, top-10 max rel err {top10_err:.3}",
-                kept.values().sum::<u64>() as f64 / events.len() as f64
+                kept.values().sum::<u64>() as f64 / n as f64
             );
         }
     }
 }
 
+/// The entropy answer at the operators' capacity over 100 000 zipf events
+/// at five shapes whose distinct keys outnumber it, the uniform stream
+/// among them: one sketch and the merge of 100 sites both reduced, and both
+/// intervals contain the exact entropy.
+#[test]
+fn entropy_interval_contains_the_exact_value_on_zipf_streams_for_one_sketch_and_100_sites() {
+    for (keys, skew) in [
+        (600, 1.0),
+        (5_000, 1.0),
+        (5_000, 0.5),
+        (50_000, 1.1),
+        (5_000, 0.0),
+    ] {
+        let (exact, whole, merged) = zipf_sketches(keys, skew);
+        let h = exact_entropy(&exact);
+        for (name, sketch) in [("one sketch", &whole), ("100 sites", &merged)] {
+            let r = assert_entropy_interval(sketch, h);
+            assert!(r > 0, "{keys} keys at skew {skew}: {name} never reduced");
+            let (lo, hi) = sketch.entropy_bounds();
+            println!("{keys} keys · skew {skew} · {name}: exact {h:.3} in [{lo:.2}, {hi:.2}]");
+        }
+    }
+}
+
 /// The sketch shapes the by-value properties run over: the three the
-/// operators build, and a tight one of each kind so that Misra–Gries
-/// reduction, residual folding and bucket collapse all happen within a short
-/// stream.
+/// operators build (top-k and entropy build the same key counts), and a
+/// tight one beside each so that Misra–Gries reduction and bucket collapse
+/// happen within a short stream.
 const SHAPES: usize = 6;
 
 fn shape(at: usize) -> AnySketch {
@@ -394,14 +482,15 @@ fn shape(at: usize) -> AnySketch {
         1 => AnySketch::for_spec(&spec(AggregateKind::Entropy)),
         2 => AnySketch::for_spec(&spec(AggregateKind::Quantile { q_permille: 990 })),
         3 => AnySketch::TopK(TopKSketch::new(2)),
-        4 => AnySketch::Entropy(EntropySketch::new(3)),
+        4 => AnySketch::TopK(TopKSketch::new(3)),
         _ => AnySketch::Quantile(QuantileSummary::new(200, 3)),
     }
 }
 
-/// The kind a shape belongs to (shapes `k` and `k + 3` share one).
-fn kind_of(at: usize) -> usize {
-    at % 3
+/// The summary a shape runs on: key counts for the top-k and entropy
+/// shapes, buckets for the quantile ones (`2` and `5`).
+fn kind_of(at: usize) -> bool {
+    at % 3 == 2
 }
 
 /// Keys that stress the size formula: the empty key, keys XML would have to

@@ -40,9 +40,7 @@ use p2pmon_streams::ChannelId;
 
 use crate::dispatch::Route;
 use crate::monitor::{identity, DeployedSubscription, Monitor, SubscriptionHandle};
-use crate::placement::{
-    place_with, push_selections_below_unions, PlacedPlan, PlacementRates, TaskKind,
-};
+use crate::placement::{place, push_selections_below_unions, PlacedPlan, TaskKind};
 use crate::profile::{LifetimeProfile, PhaseClock, SUBMIT_PHASES};
 use crate::reuse::{
     apply_reuse_ids, join_parameters, select_parameters, ReuseReport, ReuseStats,
@@ -65,12 +63,11 @@ type SelectProviders<'a> = dyn Fn(&str, &str) -> (String, String) + 'a;
 /// multicasts on.  References minted by the reuse rewriting pass through the
 /// same two steps.  Their identity is already canonical (an exact descriptor
 /// match, or a live replica's coordinates), but the selection is asked
-/// again: under the default load tie-break
-/// ([`StreamDefinitionDatabase::select_provider_loaded`]) it can move an
+/// again, because only this step breaks ties by load
+/// ([`StreamDefinitionDatabase::select_provider_loaded`]): it can move an
 /// origin the reuse search picked by proximity alone to a replica that is as
-/// near and carries less load (ROADMAP item 2 asks whether minted references
-/// should be re-canonicalized at all).  Unknown or ambiguous names pass
-/// through unchanged.  Counts the references it resolves in `resolved`.
+/// near and carries less load.  Unknown or ambiguous names pass through
+/// unchanged.  Counts the references it resolves in `resolved`.
 fn canonicalize_channel_refs(
     db: &StreamDefinitionDatabase,
     proximity: Option<&SelectProviders<'_>>,
@@ -174,86 +171,40 @@ impl Monitor {
         let queries = self.stream_db.index_stats().query_operations - queries;
         clock.lap("core.submit.reuse", queries);
         // Measured per-provider-peer load (total outbound channel rate,
-        // bytes/sec): with rate-aware placement on, `select_provider` breaks
-        // proximity ties toward the least-loaded provider, spreading
-        // consumers across equally-near replicas.  Read per candidate peer
-        // from its own channels (counted in `ReuseStats::loads_read`);
-        // rounding to u64 keeps the ordering deterministic.
+        // bytes/sec): `select_provider_loaded` breaks proximity ties toward
+        // the least-loaded provider, spreading consumers across equally-near
+        // replicas.  Read per candidate peer from its own channels (counted
+        // in `ReuseStats::loads_read`); rounding to u64 keeps the ordering
+        // deterministic.
         let now = self.network.now();
         let loads_read = std::cell::Cell::new(0u64);
-        let select_providers: Option<Box<SelectProviders<'_>>> =
-            self.config.enable_replicas.then(|| {
-                let db = &self.stream_db;
-                if self.config.rate_aware_placement {
-                    let (rate_table, loads_read) = (&self.rate_table, &loads_read);
-                    Box::new(move |peer: &str, stream: &str| {
-                        db.select_provider_loaded(peer, stream, proximity, |p: PeerId| {
-                            let (load, read) = rate_table.peer_load_at(p, now);
-                            loads_read.set(loads_read.get() + read as u64);
-                            load
-                        })
-                    }) as Box<SelectProviders<'_>>
-                } else {
-                    Box::new(move |peer: &str, stream: &str| {
-                        db.select_provider(peer, stream, proximity)
-                    })
-                }
-            });
+        let select_provider = |peer: &str, stream: &str| {
+            self.stream_db
+                .select_provider_loaded(peer, stream, proximity, |p: PeerId| {
+                    let (load, read) = self.rate_table.peer_load_at(p, now);
+                    loads_read.set(loads_read.get() + read as u64);
+                    load
+                })
+        };
         let mut resolved = 0;
         let rewritten = LogicalPlan {
             root: canonicalize_channel_refs(
                 &self.stream_db,
-                select_providers.as_deref(),
+                self.config
+                    .enable_replicas
+                    .then_some(&select_provider as &SelectProviders<'_>),
                 root,
                 &mut resolved,
             ),
             by: plan.by,
             distinct: plan.distinct,
         };
-        drop(select_providers);
         self.reuse_totals.providers_scored += scored.get();
         self.reuse_totals.loads_read += loads_read.get();
         clock.lap("core.submit.canonicalize", resolved);
 
         // Placement, and the canonical channel identity of every task output.
-        // With rate-aware placement on, multi-input operators minimize
-        // `Σ input rate × latency(input peer, host)` using the rates measured
-        // so far — each new subscription is placed with what the monitor has
-        // learned from the traffic of earlier ones.
-        let rate_of = |kind: &TaskKind| -> Option<f64> {
-            let channel = match kind {
-                TaskKind::Source { feed, .. } => *feed,
-                TaskKind::ChannelSource { channel, .. } => {
-                    if let Some(rate) = self.rate_table.bytes_per_second(channel, now) {
-                        return Some(rate);
-                    }
-                    // A replica channel without its own measurements yet
-                    // carries the origin's stream at the origin's rate.
-                    self.replicas.origin(channel)
-                }
-                _ => return None,
-            };
-            self.rate_table.bytes_per_second(&channel, now)
-        };
-        let latency = |from: PeerId, to: PeerId| {
-            if from == to {
-                0
-            } else if self.network.is_down(from) || self.network.is_down(to) {
-                u64::MAX
-            } else {
-                self.network.expected_latency(from, to)
-            }
-        };
-        let rates = PlacementRates {
-            rate_of: &rate_of,
-            latency: &latency,
-        };
-        let placed = place_with(
-            &rewritten,
-            &manager,
-            self.config.placement,
-            self.config.rate_aware_placement.then_some(&rates),
-        );
+        let placed = place(&rewritten, &manager, self.config.placement);
         clock.lap("core.submit.place", placed.tasks.len() as u64);
         let sub_idx = self.subscriptions.len();
         let channels = placed.output_channels(sub_idx);

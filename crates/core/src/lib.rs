@@ -44,8 +44,7 @@ pub use monitor::{
 };
 pub use peer::PeerHost;
 pub use placement::{
-    place, place_with, push_selections_below_unions, PlacedPlan, PlacedTask, PlacementRates,
-    PlacementStrategy, TaskKind,
+    place, push_selections_below_unions, PlacedPlan, PlacedTask, PlacementStrategy, TaskKind,
 };
 pub use profile::{LifetimeProfile, Phase};
 pub use reuse::{apply_reuse, ReplicaStats, ReuseReport, ReuseStats};

@@ -37,9 +37,9 @@ use crate::slots::OperatorSlots;
 /// Configuration of a Monitor instance.
 ///
 /// The optimization switches carry an equivalence guarantee: flipping
-/// `enable_reuse`, `enable_replicas`, `rate_aware_placement`,
-/// `naive_dispatch` or `deep_clone_items` changes *cost*, never delivered
-/// results (property-tested).
+/// `enable_reuse`, `enable_replicas`, `naive_dispatch` or
+/// `deep_clone_items` changes *cost*, never delivered results
+/// (property-tested).
 ///
 /// # Example
 ///
@@ -69,8 +69,10 @@ pub struct MonitorConfig {
     /// replica (Section 5's `<InChannel>` declarations): later consumers then
     /// attach to the closest live copy instead of the origin, and the
     /// consuming peers carry the fan-out hops the origin would otherwise
-    /// send.  Off, every consumer pulls from the single origin peer — the
-    /// equivalence oracle (sink output is byte-identical either way).
+    /// send.  Among equally-near providers the one with the least measured
+    /// outbound rate wins.  Off, every consumer pulls from the single origin
+    /// peer — the equivalence oracle (sink output is byte-identical either
+    /// way).
     pub enable_replicas: bool,
     /// Number of DHT nodes backing the Stream Definition Database.
     pub dht_nodes: usize,
@@ -90,26 +92,6 @@ pub struct MonitorConfig {
     /// Ignored; dispatch is sequential.  Kept only because the frozen
     /// `benchmark/` package names it.
     pub workers: usize,
-    /// Switches two readers of the measured per-channel rates in the
-    /// monitor's [`RateTable`]; off, both fall back to counts.
-    ///
-    /// * **Join/union placement.**  Multi-input operators are placed to
-    ///   minimize *expected bytes moved × latency-weighted hops* from those
-    ///   rates plus the network's latency model, instead of input-task
-    ///   counts.  Placement is decided per new subscription, so later
-    ///   arrivals benefit from rates learned on streams deployed earlier;
-    ///   with no measurements yet the choice degrades to the count heuristic.
-    /// * **Provider tie-break.**  Among equally-near providers of a stream
-    ///   (origin and replicas), reuse picks the least-loaded peer by its
-    ///   measured outbound rate instead of the first in origin-then-
-    ///   declaration order.
-    ///
-    /// On the paired-hub storm (seed 1, 256 subscriptions) placement alone
-    /// cuts byte·hops from 888 030 to 786 530; the tie-break moves none of
-    /// them but cuts origin egress from 7 526 to 6 395 bytes (8 541 with
-    /// both off).  A placement optimization, never a semantics change: sink
-    /// bytes are byte-identical either way.
-    pub rate_aware_placement: bool,
     /// Expose the monitor's own runtime statistics as a built-in monitored
     /// stream: a `monStats(<p>self</p>)` alerter source on the synthetic
     /// peer `self` that, once per [`Monitor::run_until_idle`] call, emits
@@ -136,7 +118,6 @@ impl Default for MonitorConfig {
             naive_dispatch: false,
             deep_clone_items: false,
             workers: 1,
-            rate_aware_placement: true,
             self_monitor: false,
         }
     }
@@ -415,7 +396,7 @@ impl Monitor {
     }
 
     /// The measured per-channel rates (see [`p2pmon_streams::RateTable`]):
-    /// what rate-aware placement and load-aware provider selection consult.
+    /// what load-aware provider selection and the `monStats` stream read.
     pub fn rate_table(&self) -> &RateTable {
         &self.rate_table
     }

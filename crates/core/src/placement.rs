@@ -11,7 +11,6 @@
 //! manager.  [`PlacementStrategy::Centralized`] ships every alert to the
 //! manager and computes there — the baseline of experiment E6.
 
-use p2pmon_net::PeerId;
 use p2pmon_p2pml::plan::{normalize_peer, LogicalNode, LogicalPlan};
 use p2pmon_p2pml::{ByClause, ValueExpr};
 use p2pmon_streams::{AggregateSpec, AttrCondition, ChannelId, Condition, Template};
@@ -282,43 +281,12 @@ pub fn push_selections_below_unions(node: LogicalNode) -> LogicalNode {
     }
 }
 
-/// Measured inputs for rate-aware placement: per-stream data rates and
-/// inter-peer latencies (the paper's "statistical information" consulted by
-/// the optimizer).  Both are best-effort — `rate_of` returns `None` for
-/// streams that have not produced traffic yet, and placement falls back to
-/// the count-based heuristic when *no* input of an operator has a measured
-/// rate.
-pub struct PlacementRates<'a> {
-    /// Recent data rate (bytes/sec) of the stream a leaf task binds:
-    /// `TaskKind::Source` looks up the alerter feed, `TaskKind::ChannelSource`
-    /// the subscribed channel.  `None` when never observed.
-    pub rate_of: &'a dyn Fn(&TaskKind) -> Option<f64>,
-    /// Expected latency (ms) between two peers, by interned id, from the
-    /// `LatencyModel`.
-    pub latency: &'a dyn Fn(PeerId, PeerId) -> u64,
-}
-
 /// Places a logical plan.  `manager` is the subscription-manager peer.
 pub fn place(plan: &LogicalPlan, manager: &str, strategy: PlacementStrategy) -> PlacedPlan {
-    place_with(plan, manager, strategy, None)
-}
-
-/// Places a logical plan, optionally minimizing *expected bytes moved ×
-/// latency-weighted hops* for multi-input operators (joins/unions) using
-/// measured channel rates.  Each new subscription is placed with the rates
-/// known *at deployment time*, so later arrivals benefit from traffic
-/// observed on streams deployed earlier.
-pub fn place_with(
-    plan: &LogicalPlan,
-    manager: &str,
-    strategy: PlacementStrategy,
-    rates: Option<&PlacementRates>,
-) -> PlacedPlan {
     let mut builder = Builder {
         tasks: Vec::new(),
         manager: manager.to_string(),
         strategy,
-        rates,
     };
     let root = builder.place_node(&plan.root);
     let mut placed = PlacedPlan {
@@ -352,14 +320,13 @@ pub fn place_with(
     placed
 }
 
-struct Builder<'a> {
+struct Builder {
     tasks: Vec<PlacedTask>,
     manager: String,
     strategy: PlacementStrategy,
-    rates: Option<&'a PlacementRates<'a>>,
 }
 
-impl Builder<'_> {
+impl Builder {
     fn push(&mut self, peer: String, kind: TaskKind) -> usize {
         let id = self.tasks.len();
         self.tasks.push(PlacedTask {
@@ -386,111 +353,19 @@ impl Builder<'_> {
         }
     }
 
-    /// The peer an inner operator should run on, given its input tasks and
-    /// the candidate (anchor) peers.
-    fn inner_peer(&self, input_tasks: &[usize], candidates: &[String]) -> String {
+    /// The peer an inner operator should run on, given its candidate
+    /// (anchor) peers: the one currently hosting the fewest tasks, ties to
+    /// the first in input order — or the manager under the centralized
+    /// strategy.
+    fn inner_peer(&self, candidates: &[String]) -> String {
         match self.strategy {
             PlacementStrategy::Centralized => self.manager.clone(),
-            PlacementStrategy::PushToSources => {
-                if let Some(peer) = self
-                    .rates
-                    .and_then(|r| self.rate_weighted_peer(input_tasks, candidates, r))
-                {
-                    return peer;
-                }
-                // Load balancing heuristic: among the input peers, pick the one
-                // currently hosting the fewest tasks.
-                candidates
-                    .iter()
-                    .min_by_key(|p| self.tasks.iter().filter(|t| &&t.peer == p).count())
-                    .cloned()
-                    .unwrap_or_else(|| self.manager.clone())
-            }
-        }
-    }
-
-    /// Rate-aware choice: the candidate minimizing the expected traffic cost
-    /// `Σ_inputs rate(input) × latency(input peer, candidate)` — bytes moved
-    /// weighted by how far they move.  Inputs without a measured rate weigh
-    /// in at the mean of the measured ones; when *nothing* is measured the
-    /// caller falls back to the count heuristic, so cold starts place exactly
-    /// like before.  Ties keep the first (input-order) candidate, which makes
-    /// the choice deterministic.
-    fn rate_weighted_peer(
-        &self,
-        input_tasks: &[usize],
-        candidates: &[String],
-        rates: &PlacementRates,
-    ) -> Option<String> {
-        let measured: Vec<Option<f64>> = input_tasks
-            .iter()
-            .map(|&t| self.subtree_rate(t, rates))
-            .collect();
-        let known: Vec<f64> = measured.iter().filter_map(|m| *m).collect();
-        if known.is_empty() {
-            return None;
-        }
-        let fallback = known.iter().sum::<f64>() / known.len() as f64;
-        // Each input peer and each candidate is interned once, not per link.
-        let input_peers: Vec<PeerId> = input_tasks
-            .iter()
-            .map(|&t| PeerId::from(&self.tasks[t].peer))
-            .collect();
-        let mut best: Option<(f64, &String)> = None;
-        let mut seen: Vec<&String> = Vec::new();
-        for candidate in candidates {
-            if seen.contains(&candidate) {
-                continue;
-            }
-            seen.push(candidate);
-            let to = PeerId::from(candidate);
-            let cost: f64 = input_peers
+            PlacementStrategy::PushToSources => candidates
                 .iter()
-                .zip(&measured)
-                .map(|(&from, m)| {
-                    if from == to {
-                        0.0
-                    } else {
-                        m.unwrap_or(fallback) * (rates.latency)(from, to) as f64
-                    }
-                })
-                .sum();
-            match best {
-                Some((c, _)) if cost >= c => {}
-                _ => best = Some((cost, candidate)),
-            }
+                .min_by_key(|p| self.tasks.iter().filter(|t| &&t.peer == p).count())
+                .cloned()
+                .unwrap_or_else(|| self.manager.clone()),
         }
-        best.map(|(_, peer)| peer.clone())
-    }
-
-    /// Estimated data rate (bytes/sec) of a task's output: the sum of the
-    /// measured rates of the source/channel leaves feeding it.  An upper
-    /// bound — intermediate selections only shrink the stream, and since the
-    /// same operators sit on every input branch of a union, relative
-    /// comparisons between branches survive the approximation.  `None` when
-    /// no leaf underneath has ever been observed.
-    fn subtree_rate(&self, root: usize, rates: &PlacementRates) -> Option<f64> {
-        let mut total: Option<f64> = None;
-        let mut stack = vec![root];
-        while let Some(t) = stack.pop() {
-            let kind = &self.tasks[t].kind;
-            if matches!(
-                kind,
-                TaskKind::Source { .. }
-                    | TaskKind::DynamicSource { .. }
-                    | TaskKind::ChannelSource { .. }
-            ) {
-                if let Some(rate) = (rates.rate_of)(kind) {
-                    total = Some(total.unwrap_or(0.0) + rate);
-                }
-            }
-            for task in &self.tasks {
-                if task.downstream.map(|(consumer, _)| consumer) == Some(t) {
-                    stack.push(task.id);
-                }
-            }
-        }
-        total
     }
 
     /// The input peers that anchor an inner operator's placement.  Channel
@@ -566,7 +441,7 @@ impl Builder<'_> {
             LogicalNode::Union { var: _, inputs } => {
                 let input_tasks: Vec<usize> = inputs.iter().map(|i| self.place_node(i)).collect();
                 let input_peers = self.anchor_peers(&input_tasks);
-                let peer = self.inner_peer(&input_tasks, &input_peers);
+                let peer = self.inner_peer(&input_peers);
                 let union = self.push(peer, TaskKind::Union);
                 for (port, task) in input_tasks.into_iter().enumerate() {
                     self.connect(task, union, port);
@@ -606,7 +481,7 @@ impl Builder<'_> {
                 let right_task = self.place_node(right);
                 let input_tasks = [left_task, right_task];
                 let peers = self.anchor_peers(&input_tasks);
-                let peer = self.inner_peer(&input_tasks, &peers);
+                let peer = self.inner_peer(&peers);
                 let join = self.push(
                     peer,
                     TaskKind::Join {
@@ -671,10 +546,9 @@ impl Builder<'_> {
                     let mut next = Vec::with_capacity(level.len() / SKETCH_MERGE_FANIN + 1);
                     for chunk in level.chunks(SKETCH_MERGE_FANIN) {
                         // The first chunk member's peer: deterministic and
-                        // O(1).  Partials are bounded-size, so unlike joins
-                        // and unions there is no rate asymmetry for the
-                        // rate-aware chooser to exploit, and scoring
-                        // candidates would cost O(tasks²) at 10k leaves.
+                        // O(1).  Scoring candidates by task count, as joins
+                        // and unions do, would cost O(tasks²) at 10k
+                        // leaves.
                         let merge = self.push(
                             self.beside(chunk[0]),
                             TaskKind::SketchMerge { spec: spec.clone() },
@@ -786,104 +660,6 @@ mod tests {
         let placed = meteo_placed(PlacementStrategy::PushToSources);
         let total: usize = placed.peers().iter().map(|p| placed.tasks_on(p)).sum();
         assert_eq!(total, placed.tasks.len());
-    }
-
-    const TWO_PEER_UNION: &str = r#"
-for $c in outCOM(<p>http://a.com</p> <p>http://b.com</p>)
-where $c.callMethod = "Ping"
-return <pong><caller>{$c.caller}</caller></pong>
-by email "ops@example.org"
-"#;
-
-    #[test]
-    fn rate_aware_union_lands_on_the_hotter_input_peer() {
-        let plan = compile_subscription(TWO_PEER_UNION).unwrap();
-        let latency = |a: PeerId, b: PeerId| if a == b { 0 } else { 100 };
-        // b.com produces 500× the traffic of a.com: moving a.com's trickle to
-        // b.com is cheaper than moving b.com's firehose to a.com.
-        let rate_of = |kind: &TaskKind| match kind {
-            TaskKind::Source { monitored_peer, .. } if monitored_peer == "b.com" => Some(5000.0),
-            TaskKind::Source { .. } => Some(10.0),
-            _ => None,
-        };
-        let rates = PlacementRates {
-            rate_of: &rate_of,
-            latency: &latency,
-        };
-        let placed = place_with(&plan, "p", PlacementStrategy::PushToSources, Some(&rates));
-        let union = placed
-            .tasks
-            .iter()
-            .find(|t| matches!(t.kind, TaskKind::Union))
-            .unwrap();
-        assert_eq!(union.peer, "b.com");
-
-        // Flip the rates and the union follows the data.
-        let rate_of = |kind: &TaskKind| match kind {
-            TaskKind::Source { monitored_peer, .. } if monitored_peer == "a.com" => Some(5000.0),
-            TaskKind::Source { .. } => Some(10.0),
-            _ => None,
-        };
-        let rates = PlacementRates {
-            rate_of: &rate_of,
-            latency: &latency,
-        };
-        let placed = place_with(&plan, "p", PlacementStrategy::PushToSources, Some(&rates));
-        let union = placed
-            .tasks
-            .iter()
-            .find(|t| matches!(t.kind, TaskKind::Union))
-            .unwrap();
-        assert_eq!(union.peer, "a.com");
-    }
-
-    #[test]
-    fn rate_aware_placement_without_measurements_matches_count_based() {
-        let plan = compile_subscription(METEO_SUBSCRIPTION).unwrap();
-        let latency = |_: PeerId, _: PeerId| 10;
-        let rate_of = |_: &TaskKind| None;
-        let rates = PlacementRates {
-            rate_of: &rate_of,
-            latency: &latency,
-        };
-        let with = place_with(&plan, "p", PlacementStrategy::PushToSources, Some(&rates));
-        let without = place(&plan, "p", PlacementStrategy::PushToSources);
-        assert_eq!(with, without, "cold start must place exactly like before");
-    }
-
-    #[test]
-    fn rate_aware_join_weighs_latency_not_just_rate() {
-        let plan = compile_subscription(METEO_SUBSCRIPTION).unwrap();
-        // Both join inputs carry the same rate, but links are asymmetric
-        // (per-link latencies are directional): shipping meteo.com's stream
-        // out costs 200 ms while shipping data *to* meteo.com costs 50 ms.
-        // Latency weighting alone must pin the join to meteo.com's side.
-        let latency = |from: PeerId, to: PeerId| {
-            if from == to {
-                0
-            } else if from == "meteo.com" {
-                200
-            } else if to == "meteo.com" {
-                50
-            } else {
-                10
-            }
-        };
-        let rate_of = |kind: &TaskKind| match kind {
-            TaskKind::Source { .. } => Some(1000.0),
-            _ => None,
-        };
-        let rates = PlacementRates {
-            rate_of: &rate_of,
-            latency: &latency,
-        };
-        let placed = place_with(&plan, "p", PlacementStrategy::PushToSources, Some(&rates));
-        let join = placed
-            .tasks
-            .iter()
-            .find(|t| matches!(t.kind, TaskKind::Join { .. }))
-            .unwrap();
-        assert_eq!(join.peer, "meteo.com");
     }
 
     #[test]

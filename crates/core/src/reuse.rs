@@ -316,9 +316,12 @@ impl<P: Fn(PeerId) -> u64> Search<'_, P> {
         };
         match found {
             Some(original) => {
-                let provider = self
-                    .db
-                    .select_provider(&original.0, &original.1, &self.proximity);
+                let provider = self.db.select_provider_where(
+                    &original.0,
+                    &original.1,
+                    &self.proximity,
+                    |_| true,
+                );
                 self.inputs.truncate(first_input);
                 self.originals.truncate(mark);
                 self.providers.truncate(mark);

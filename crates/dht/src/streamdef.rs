@@ -49,7 +49,7 @@
 //! `<InChannel>` replica declarations are not index terms: they are kept
 //! keyed by the *origin* `(PeerId, StreamId)` they replicate, each origin's
 //! list in declaration order, so [`StreamDefinitionDatabase::replicas_of`],
-//! the `select_provider`s, `publish_replica`, `retract_replica` and
+//! the `select_provider_*`s, `publish_replica`, `retract_replica` and
 //! `retract` touch one origin's declarations — never the whole table — and
 //! no lookup builds an owned key.  A reverse count per replica coordinate
 //! `(ReplicaPeerId, ReplicaStreamId)` answers
@@ -537,33 +537,22 @@ impl StreamDefinitionDatabase {
     }
 
     /// Selects the provider for a discovered stream: the original publisher or
-    /// one of its replicas, whichever is "closest" according to `proximity`
-    /// (lower is closer) — the replica-selection step of Section 5.  Ties
-    /// keep the original, then declaration order.
+    /// one of the replicas `eligible` admits, whichever is "closest"
+    /// according to `proximity` (lower is closer) — the replica-selection
+    /// step of Section 5.  Ties keep the original, then declaration order.
+    /// `eligible = |_| true` admits every replica.
     ///
     /// A proximity of [`u64::MAX`] marks a provider as *unavailable* (the
     /// monitor maps downed peers to it): an unavailable replica is never
     /// selected, and when the original itself is unavailable any reachable
     /// replica wins.  Only when nothing is reachable does the original come
-    /// back as the (dead) default.
+    /// back as the (dead) default.  An ineligible replica is treated the
+    /// same way.  `eligible` is the expensive question, so it is asked
+    /// last — once per replica at most, and only of a replica whose score
+    /// would beat the best so far.  The original publisher is never asked.
     ///
     /// Providers are scored by interned peer id: the origin's name is
     /// interned once per selection, and no candidate's name is resolved.
-    pub fn select_provider(
-        &self,
-        peer: &str,
-        stream: &str,
-        proximity: impl Fn(Name) -> u64,
-    ) -> (String, String) {
-        self.select_provider_where(peer, stream, proximity, |_| true)
-    }
-
-    /// [`select_provider`](Self::select_provider) over the replicas
-    /// `eligible` admits: the same choice as a `proximity` that gave
-    /// [`u64::MAX`] to every ineligible replica.  `eligible` is the
-    /// expensive question, so it is asked last — once per replica at most,
-    /// and only of a replica whose score would beat the best so far.  The
-    /// original publisher is never asked.
     pub fn select_provider_where(
         &self,
         peer: &str,
@@ -583,11 +572,12 @@ impl StreamDefinitionDatabase {
         Self::provider(peer, stream, best)
     }
 
-    /// Like [`select_provider`](Self::select_provider), but with a second,
-    /// load-based tie-break: among providers at the minimal proximity, the
-    /// one currently serving the fewest measured bytes per second wins.
-    /// Remaining ties keep the original-then-declaration order, so with an
-    /// all-zero `load` this selects exactly what `select_provider` would —
+    /// Like [`select_provider_where`](Self::select_provider_where) over
+    /// every replica, but with a second, load-based tie-break: among
+    /// providers at the minimal proximity, the one currently serving the
+    /// fewest measured bytes per second wins.  Remaining ties keep the
+    /// original-then-declaration order, so with an all-zero `load` this
+    /// selects exactly what `select_provider_where(.., |_| true)` would —
     /// load shedding only ever redirects between equally-close providers.
     pub fn select_provider_loaded(
         &self,
@@ -800,13 +790,13 @@ mod tests {
         });
         let proximity = |peer: Name| if peer == "nearby.com" { 5 } else { 100 };
         assert_eq!(
-            db.select_provider("origin.com", "s1", proximity),
+            db.select_provider_where("origin.com", "s1", proximity, |_| true),
             ("nearby.com".to_string(), "r1".to_string())
         );
         // When the original is closest, keep it.
         let proximity = |peer: Name| if peer == "origin.com" { 1 } else { 50 };
         assert_eq!(
-            db.select_provider("origin.com", "s1", proximity),
+            db.select_provider_where("origin.com", "s1", proximity, |_| true),
             ("origin.com".to_string(), "s1".to_string())
         );
     }
@@ -822,11 +812,11 @@ mod tests {
             replica_stream: "r1".into(),
         });
         // Equal proximity everywhere: with zero load the original wins, just
-        // like `select_provider`; under load the lighter twin takes over.
+        // like `select_provider_where`; under load the lighter twin takes over.
         let flat = |_: Name| 10u64;
         assert_eq!(
             db.select_provider_loaded("origin.com", "s1", flat, |_| 0),
-            db.select_provider("origin.com", "s1", flat)
+            db.select_provider_where("origin.com", "s1", flat, |_| true)
         );
         assert_eq!(
             db.select_provider_loaded("origin.com", "s1", flat, |p| {
@@ -912,7 +902,7 @@ mod tests {
         // selection falls back to the origin.
         let proximity = |peer: Name| if peer == "down.com" { u64::MAX } else { 80 };
         assert_eq!(
-            db.select_provider("origin.com", "s1", proximity),
+            db.select_provider_where("origin.com", "s1", proximity, |_| true),
             ("origin.com".to_string(), "s1".to_string())
         );
         // A downed *origin* yields to any reachable replica.
@@ -927,12 +917,12 @@ mod tests {
             _ => 200,
         };
         assert_eq!(
-            db.select_provider("origin.com", "s1", proximity),
+            db.select_provider_where("origin.com", "s1", proximity, |_| true),
             ("alive.com".to_string(), "r2".to_string())
         );
         // Nothing reachable: the (dead) original is the default.
         assert_eq!(
-            db.select_provider("origin.com", "s1", |_| u64::MAX),
+            db.select_provider_where("origin.com", "s1", |_| u64::MAX, |_| true),
             ("origin.com".to_string(), "s1".to_string())
         );
     }

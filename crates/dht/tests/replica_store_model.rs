@@ -6,13 +6,15 @@
 //! declarations — kept here as the oracle: after every step of a random
 //! `publish` / `publish_replica` / `retract_replica` / `retract` sequence
 //! both must give the same `replicas_of` (order included), the same
-//! `select_provider` / `select_provider_loaded` choice and the same
-//! `canonical_identity`, for every coordinate in the vocabulary.
+//! provider choice (`select_provider_where` admitting every replica against
+//! the model's `select_provider`, and `select_provider_loaded`) and the
+//! same `canonical_identity`, for every coordinate in the vocabulary.
 //!
-//! `select_provider_where` is held to the model's `select_provider` with
-//! every ineligible replica scored `u64::MAX`, and to the questions it may
-//! ask: eligibility once per replica at most, and only of a replica scoring
-//! below the best eligible provider before it.
+//! `select_provider_where` with an eligibility filter is held to the
+//! model's `select_provider` with every ineligible replica scored
+//! `u64::MAX`, and to the questions it may ask: eligibility once per replica
+//! at most, and only of a replica scoring below the best eligible provider
+//! before it.
 //!
 //! The database scores providers by interned peer id; the model still
 //! scores them by name, from the same tables, so every comparison below also
@@ -286,9 +288,14 @@ proptest! {
                         "canonical_identity({}, {}) after {:?}", peer, stream, op
                     );
                     prop_assert_eq!(
-                        db.select_provider(peer, stream, id_score_of(&proximity, true)),
+                        db.select_provider_where(
+                            peer,
+                            stream,
+                            id_score_of(&proximity, true),
+                            |_| true,
+                        ),
                         model.select_provider(peer, stream, score_of(&proximity, true)),
-                        "select_provider({}, {}) after {:?}", peer, stream, op
+                        "select_provider_where({}, {}, all) after {:?}", peer, stream, op
                     );
                     prop_assert_eq!(
                         db.select_provider_loaded(

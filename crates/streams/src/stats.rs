@@ -126,8 +126,9 @@ impl StreamStats {
 
 /// Measured per-channel rates for one monitor: every multicast emission,
 /// alerter feed and sink delivery lands here, keyed by the canonical
-/// [`ChannelId`].  Placement and provider selection read it — this is the
-/// paper's "statistical information maintained for the stream" made live.
+/// [`ChannelId`].  Provider selection reads it ([`RateTable::peer_load_at`])
+/// and so does the `monStats` stream — this is the paper's "statistical
+/// information maintained for the stream" made live.
 #[derive(Debug, Default)]
 pub struct RateTable {
     entries: HashMap<ChannelId, StreamStats>,
@@ -173,14 +174,6 @@ impl RateTable {
             .map(|channel| self.entries[channel].bytes_per_second_at(now).round() as u64)
             .sum();
         (load, channels.len())
-    }
-
-    /// Recent data rate of a channel (bytes/sec, EWMA decayed to `now`), or
-    /// `None` when the channel has never been observed.
-    pub fn bytes_per_second(&self, channel: &ChannelId, now: u64) -> Option<f64> {
-        self.entries
-            .get(channel)
-            .map(|s| s.bytes_per_second_at(now))
     }
 
     /// Number of channels with recorded traffic.
@@ -275,10 +268,13 @@ mod tests {
         t.observe(cold, 0, 10);
         t.observe(cold, 900, 10);
         let now = 1000;
-        let hot_rate = t.bytes_per_second(&hot, now).unwrap();
-        let cold_rate = t.bytes_per_second(&cold, now).unwrap();
-        assert!(hot_rate > cold_rate);
-        assert_eq!(t.bytes_per_second(&ChannelId::new("x", "y"), now), None);
+        let rate = |channel: ChannelId| {
+            t.channels()
+                .find(|(c, _)| **c == channel)
+                .map(|(_, s)| s.bytes_per_second_at(now))
+        };
+        assert!(rate(hot).unwrap() > rate(cold).unwrap());
+        assert_eq!(rate(ChannelId::new("x", "y")), None);
         assert_eq!(t.len(), 2);
     }
 

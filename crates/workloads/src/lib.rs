@@ -567,12 +567,12 @@ pub struct OverlappingStorm {
     pub detail_fraction: f64,
     /// Paired-hub mode: shape `k` watches *two* hubs (see
     /// [`OverlappingStorm::hub_pair_of_shape`]), so its plan is a union of
-    /// two per-hub alerter streams — the multi-input workload rate-aware
-    /// placement is measured on.
+    /// two per-hub alerter streams — the multi-input workload the locality
+    /// axis is measured on.
     pub paired_hubs: bool,
     /// Cumulative skewed hub-popularity distribution (empty ⇒ uniform
     /// traffic): with paired hubs, the two inputs of every union carry
-    /// *different* measured rates, so placement has something to optimize.
+    /// *different* measured rates, so where each union lands shows.
     hub_cdf: Vec<f64>,
     rng: StdRng,
     next_id: u64,
@@ -633,16 +633,13 @@ impl OverlappingStorm {
     /// `k` watches the **pair** of hubs `(k, (k + hubs/2) mod hubs)` — a
     /// union over two alerter streams with measurably different rates.
     ///
-    /// The pairing makes the count-based placement heuristic provably
-    /// indifferent (each union input anchors exactly one task, so the tie
-    /// falls to whichever hub is listed first) while the rate-aware cost
-    /// `Σ rate × latency` always prefers the hotter hub; for shapes with
-    /// `k >= hubs/2` the hotter hub is listed *second*, so the two
-    /// heuristics place those unions differently and the bytes ×
-    /// latency-weighted-hops gap is the measured quantity.  Shapes
-    /// `0..hubs/2` cover every hub between them — deploying them first and
-    /// driving traffic teaches the monitor every per-hub rate before the
-    /// remaining shapes arrive.
+    /// The pairing leaves placement's task-count rule indifferent (each
+    /// union input anchors exactly one task, so the tie falls to whichever
+    /// hub is listed first); for shapes with `k >= hubs/2` the hotter hub
+    /// is listed *second*, so those unions move the hot stream across the
+    /// network.  Shapes `0..hubs/2` cover every hub between them —
+    /// deploying them first and driving traffic lets the monitor measure
+    /// every provider's load before the remaining shapes arrive.
     pub fn paired(seed: u64, hubs: usize, clusters: usize, peers_per_cluster: usize) -> Self {
         let hubs = hubs.max(2);
         let mut storm = OverlappingStorm::clustered(seed, hubs, clusters, peers_per_cluster);

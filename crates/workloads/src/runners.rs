@@ -9,9 +9,9 @@
 //! * **Replicas** ([`replica_pair`]) — the same shapes submitted from
 //!   clustered consumer peers, replicas on vs off: how many remote consumers
 //!   a re-published copy serves and what the origin hub sends.
-//! * **Locality** ([`placement_pair`] over [`run_paired`] or
-//!   [`run_massive`]) — rate-aware vs count-based placement, scored by
-//!   bytes × latency-weighted hops.
+//! * **Locality** ([`run_paired`], [`run_massive`]) — where placement and
+//!   the provider load tie-break put the traffic, scored by bytes ×
+//!   latency-weighted hops and origin egress.
 //! * **Scale** ([`run_scale`]) — one [`MassiveStorm`] tier: per-alert
 //!   dispatch cost and the Chord hops of its definition lookups.
 //! * **Sketch** ([`run_sketch`]) — the three sketch aggregates of a
@@ -21,6 +21,7 @@
 //! `ns_per_alert`) is a pure function of the arguments.  A pair runner
 //! asserts that both sides delivered the same sink output: the comparison is
 //! a cost comparison only when the two sides agree on what they computed.
+//! A locality run has one side and asserts only that it delivered something.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -211,7 +212,7 @@ pub struct LocalityRow {
     /// Subscriptions deployed.
     pub subscriptions: usize,
     /// Σ over directed links of `bytes × expected latency` (byte·ms) — the
-    /// locality score placement minimizes.
+    /// locality score.
     pub bytes_hops: f64,
     /// Payload bytes sent by the monitored hub peers (origin egress).
     pub origin_egress: u64,
@@ -221,9 +222,6 @@ pub struct LocalityRow {
     pub replicas: u64,
     /// Results delivered across every sink.
     pub results: usize,
-    /// FNV-1a fingerprint of every sink's serialized results, in handle
-    /// order — equal fingerprints mean byte-identical sink output.
-    pub sink_fingerprint: u64,
 }
 
 fn locality_row(
@@ -240,17 +238,12 @@ fn locality_row(
             link.bytes as f64 * monitor.expected_latency(from.as_str(), to.as_str()) as f64
         })
         .sum();
-    let mut sink_fingerprint: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut results = 0usize;
-    for handle in handles {
-        for element in monitor.results(handle) {
-            results += 1;
-            for byte in element.to_xml().bytes() {
-                sink_fingerprint ^= byte as u64;
-                sink_fingerprint = sink_fingerprint.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    }
+    let results = handles.iter().map(|h| monitor.results(h).len()).sum();
+    assert!(
+        results > 0,
+        "the locality run at {n} subscriptions delivered nothing — its score \
+         would hold vacuously"
+    );
     LocalityRow {
         subscriptions: n,
         bytes_hops,
@@ -258,49 +251,19 @@ fn locality_row(
         total_bytes: stats.total_bytes,
         replicas: monitor.replica_stats().replicas_created,
         results,
-        sink_fingerprint,
     }
 }
 
-/// Rate-aware, then count-based placement of one workload:
-/// `(aware, count)`.  `run(rate_aware)` is [`run_paired`] or
-/// [`run_massive`] at fixed arguments.
-pub fn placement_pair(
-    workload: &str,
-    run: impl Fn(bool) -> LocalityRow,
-) -> (LocalityRow, LocalityRow) {
-    let (aware, count) = (run(true), run(false));
-    assert_eq!(
-        (aware.results, aware.sink_fingerprint),
-        (count.results, count.sink_fingerprint),
-        "placement must not change what the sinks receive ({workload})"
-    );
-    assert!(
-        aware.results > 0,
-        "the {workload} locality row at {} subscriptions delivered nothing — the \
-         score passed vacuously: {aware:?}",
-        aware.subscriptions
-    );
-    (aware, count)
-}
-
 /// One paired-storm run (`OverlappingStorm::paired`): every shape unions two
-/// hub streams with *different* measured rates.  The first half of the
-/// shapes deploy, warmup traffic lets the monitor measure every hub's rate,
-/// then the remaining subscriptions deploy with rates in hand and the
-/// measured traffic runs.  Count-based placement breaks the two-candidate
-/// tie by input order and moves the hot stream across the network for the
-/// wrapped half of the shapes; rate-aware placement puts every union next
-/// to its hotter input.
-pub fn run_paired(seed: u64, n_subs: usize, calls_n: usize, rate_aware: bool) -> LocalityRow {
+/// hub streams with *different* rates.  The first half of the shapes
+/// deploy, warmup traffic lets the monitor measure every provider's load,
+/// then the remaining subscriptions deploy — their provider selections
+/// break proximity ties by that load — and the measured traffic runs.
+/// Placement breaks each union's two-candidate tie by task count, then
+/// input order.
+pub fn run_paired(seed: u64, n_subs: usize, calls_n: usize) -> LocalityRow {
     let storm = OverlappingStorm::paired(seed, HUBS, CLUSTERS, PEERS_PER_CLUSTER);
-    let mut monitor = clustered_monitor(
-        &storm,
-        MonitorConfig {
-            rate_aware_placement: rate_aware,
-            ..MonitorConfig::default()
-        },
-    );
+    let mut monitor = clustered_monitor(&storm, MonitorConfig::default());
     let mut handles: Vec<SubscriptionHandle> = Vec::with_capacity(n_subs);
     let mut submit = |monitor: &mut Monitor, i: usize| {
         handles.push(
@@ -314,7 +277,7 @@ pub fn run_paired(seed: u64, n_subs: usize, calls_n: usize, rate_aware: bool) ->
         submit(&mut monitor, i);
     }
     let mut traffic = storm.clone();
-    // Rate-learning phase: calls are injected one at a time with the
+    // Load-learning phase: calls are injected one at a time with the
     // network drained in between, so alerts land at *distinct* logical
     // instants and the per-channel EWMA rates measure the hub skew (bulk
     // injection would collapse every alert onto one timestamp).
@@ -334,9 +297,8 @@ pub fn run_paired(seed: u64, n_subs: usize, calls_n: usize, rate_aware: bool) ->
 
 /// A monitor over a MassiveStorm's topology: its Chord size, latency model,
 /// hubs and cluster managers.
-fn massive_monitor(storm: &MassiveStorm, rate_aware_placement: bool) -> Monitor {
+fn massive_monitor(storm: &MassiveStorm) -> Monitor {
     let mut monitor = Monitor::new(MonitorConfig {
-        rate_aware_placement,
         dht_nodes: storm.dht_nodes(),
         network: NetworkConfig {
             latency: storm.latency_model(),
@@ -353,12 +315,11 @@ fn massive_monitor(storm: &MassiveStorm, rate_aware_placement: bool) -> Monitor 
     monitor
 }
 
-/// One MassiveStorm run with [`run_paired`]'s two-phase protocol.  Every
-/// shape there is single-input, so rate-aware placement must change
-/// *nothing*: the row guards the no-regression side of the locality axis.
-pub fn run_massive(seed: u64, n_subs: usize, calls_n: usize, rate_aware: bool) -> LocalityRow {
+/// One MassiveStorm run with [`run_paired`]'s two-phase protocol over
+/// single-input shapes: the locality row of the storm that scales.
+pub fn run_massive(seed: u64, n_subs: usize, calls_n: usize) -> LocalityRow {
     let mut storm = MassiveStorm::sized(seed, n_subs);
-    let mut monitor = massive_monitor(&storm, rate_aware);
+    let mut monitor = massive_monitor(&storm);
     let mut handles: Vec<SubscriptionHandle> = Vec::with_capacity(n_subs);
     for i in 0..n_subs / 2 {
         handles.push(
@@ -368,7 +329,7 @@ pub fn run_massive(seed: u64, n_subs: usize, calls_n: usize, rate_aware: bool) -
         );
     }
     // Same per-call draining as `run_paired`: the second half of the
-    // deployments must see real measured rates, not one collapsed instant.
+    // deployments must see real measured loads, not one collapsed instant.
     for call in storm.calls(calls_n / 2) {
         monitor.inject_soap_call(&call);
         monitor.run_until_idle();
@@ -432,7 +393,7 @@ impl ScaleRow {
 /// overlay), warms up, then times `calls_n` alerts of steady-state dispatch.
 pub fn run_scale(seed: u64, n_subs: usize, calls_n: usize) -> ScaleRow {
     let mut storm = MassiveStorm::sized(seed, n_subs);
-    let mut monitor = massive_monitor(&storm, true);
+    let mut monitor = massive_monitor(&storm);
 
     let deploy_start = Instant::now();
     let handles: Vec<_> = (0..n_subs)

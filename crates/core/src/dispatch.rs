@@ -98,6 +98,7 @@ use p2pmon_xmlkit::Element;
 use crate::monitor::{DeployedSubscription, Monitor};
 use crate::peer::{PeerHost, PendingAlert, Work};
 use crate::placement::TaskKind;
+use crate::profile::{LifetimeProfile, PhaseClock, ROUND_PHASES};
 use crate::slots::OperatorSlots;
 
 /// A delivery target `(subscription, task, port)`.
@@ -985,8 +986,8 @@ impl Monitor {
 
     /// Drains every live ready peer's alerters into the consuming peers'
     /// alert batches (processed — engine-gated and deduplicated — by the
-    /// next dispatch phase).
-    pub(crate) fn drain_alerters(&mut self) {
+    /// next dispatch phase).  Returns the number of alerts drained.
+    pub(crate) fn drain_alerters(&mut self) -> u64 {
         let mut feeds: Vec<(&'static str, ChannelId, Vec<Element>)> = Vec::new();
         // Feeds fan out in peer order: it fixes the order multicasts reach
         // the network, and with it message ids and delivery order.
@@ -999,6 +1000,7 @@ impl Monitor {
             let host = self.hosts.get_mut(peer).expect("ready peers are hosted");
             feeds.extend(host.alerters.drain_all());
         }
+        let drained = feeds.iter().map(|(_, _, alerts)| alerts.len() as u64).sum();
 
         // Each feed names its source stream — `src-<function>` at the
         // alerting peer, minted when the alerter was installed — and that one
@@ -1049,6 +1051,7 @@ impl Monitor {
                 }
             }
         }
+        drained
     }
 
     /// Runs dispatch phases until every peer's batch and queue are empty.
@@ -1276,8 +1279,8 @@ impl Monitor {
     /// the partial in the next round.  Returns `true` while any stage
     /// flushed or still holds unpropagated state, so
     /// [`Monitor::run_until_idle`] keeps ticking until the merge tree has
-    /// fully drained into root answers.
-    fn flush_sketches(&mut self) -> bool {
+    /// fully drained into root answers, beside the number of stage outputs.
+    fn flush_sketches(&mut self) -> (bool, u64) {
         // Collect first (per-host mutable walk), route after (routing needs
         // the whole façade).  Partials are sorted into (sub, task) order so
         // the committed effects are identical for any order of the ready
@@ -1294,7 +1297,7 @@ impl Monitor {
                 pending |= host.flush_sketches(&mut self.operators, &mut flushed);
             }
         }
-        let any = !flushed.is_empty();
+        let outputs = flushed.len() as u64;
         flushed.sort_by_key(|entry| (entry.0, entry.1));
         for (sub, task, output) in flushed {
             let subscription = &self.subscriptions[sub];
@@ -1336,36 +1339,49 @@ impl Monitor {
                 _ => {}
             }
         }
-        any || pending
+        (outputs > 0 || pending, outputs)
     }
 
     /// One simulation round: drain alerters, process local work, flush
-    /// sketch stages at the round boundary, deliver network traffic.
-    /// Returns `true` when any work was done.
+    /// sketch stages at the round boundary, deliver network traffic, retire
+    /// idle hosts.  Returns `true` when any work was done.
     ///
     /// Every phase walks the ready list — the hosts that have something to
-    /// do — so a round costs what it carries, not what is deployed.
+    /// do — so a round costs what it carries, not what is deployed.  Each
+    /// phase is lapped into the round's profile
+    /// ([`Monitor::last_round_profile`]) with the work it did.
     pub fn tick(&mut self) -> bool {
-        self.drain_alerters();
+        let mut clock = PhaseClock::start(&ROUND_PHASES);
+        let drained = self.drain_alerters();
+        clock.lap("core.round.drain_alerters", drained);
         let had_local = self
             .ready
             .iter()
             .any(|peer| self.hosts[peer].has_local_work());
-        // With self-monitoring on, the processing phase is timed and the
-        // duration recorded for the next `monStats` snapshot (bounded ring,
-        // so an unconsumed buffer cannot grow without limit).
-        let round_start = self.config.self_monitor.then(std::time::Instant::now);
+        let invocations = self.operator_invocations;
         self.process_pending();
-        if let Some(start) = round_start {
+        let processed = self.operator_invocations - invocations;
+        clock.lap("core.round.process_pending", processed);
+        let (flushed, outputs) = self.flush_sketches();
+        clock.lap("core.round.flush_sketches", outputs);
+        let delivered = self.deliver_network();
+        clock.lap("core.round.deliver_network", delivered as u64);
+        let retired = self.retire_idle_hosts();
+        clock.lap("core.round.retire_idle_hosts", retired);
+        self.last_round = clock.finish();
+        self.rounds.absorb(&self.last_round);
+        // With self-monitoring on, the processing phase's time is kept for
+        // the next `monStats` snapshot (a bounded ring, so an unconsumed
+        // buffer cannot grow without limit).
+        if self.config.self_monitor {
             if self.round_micros.len() >= 4096 {
                 self.round_micros.pop_front();
             }
+            let pending = self.last_round.phase("core.round.process_pending");
+            let micros = pending.map_or(0, |p| p.elapsed.as_micros());
             self.round_micros
-                .push_back(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+                .push_back(u64::try_from(micros).unwrap_or(u64::MAX));
         }
-        let flushed = self.flush_sketches();
-        let delivered = self.deliver_network();
-        self.retire_idle_hosts();
         #[cfg(debug_assertions)]
         {
             self.audit_ready_list();
@@ -1374,17 +1390,33 @@ impl Monitor {
         had_local || flushed || delivered > 0
     }
 
+    /// The per-phase split of the last [`Monitor::tick`] (see
+    /// [`crate::profile`]): alerts drained, operator invocations, sketch
+    /// outputs flushed, messages delivered and hosts retired, each with its
+    /// time.
+    pub fn last_round_profile(&self) -> &LifetimeProfile {
+        &self.last_round
+    }
+
+    /// Every round's split so far, summed phase by phase.
+    pub fn round_profile(&self) -> &LifetimeProfile {
+        &self.rounds
+    }
+
     /// Drops from the ready list every host that has nothing left to do.  A
     /// downed host with buffered alerts or sketch deltas stays listed until
-    /// its recovery lets a round drain them.
-    pub(crate) fn retire_idle_hosts(&mut self) {
+    /// its recovery lets a round drain them.  Returns the number of hosts
+    /// that left.
+    pub(crate) fn retire_idle_hosts(&mut self) -> u64 {
         self.dispatch_stats.host_visits += self.ready.len() as u64;
+        let listed = self.ready.len();
         let hosts = &mut self.hosts;
         self.ready.retain(|peer| {
             let host = hosts.get_mut(peer).expect("ready peers are hosted");
             host.ready = host.is_busy();
             host.ready
         });
+        (listed - self.ready.len()) as u64
     }
 
     /// The full walk the ready list replaced, kept as its test oracle (debug

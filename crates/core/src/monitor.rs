@@ -294,11 +294,11 @@ pub struct Monitor {
     pub(crate) next_filter_id: u64,
     /// Total operator invocations (a processing-cost measure for E6/E7).
     pub operator_invocations: u64,
-    /// Wall-clock duration of recent dispatch rounds in microseconds,
-    /// recorded only with [`MonitorConfig::self_monitor`] on and drained
-    /// into `<metric kind="dispatchRound"/>` items by
-    /// [`Monitor::emit_self_metrics`].  Bounded, so an unconsumed buffer
-    /// cannot grow without limit.
+    /// The `core.round.process_pending` time of recent dispatch rounds in
+    /// microseconds, read off each round's profile only with
+    /// [`MonitorConfig::self_monitor`] on and drained into `<metric
+    /// kind="dispatchRound"/>` items by [`Monitor::emit_self_metrics`].
+    /// Bounded, so an unconsumed buffer cannot grow without limit.
     pub(crate) round_micros: std::collections::VecDeque<u64>,
     /// Per-channel byte counts already reported through the self-monitoring
     /// stream: channel metrics carry *deltas*, so repeated snapshots sum to
@@ -309,6 +309,10 @@ pub struct Monitor {
     /// The per-phase split of the last teardown
     /// ([`Monitor::last_unsubscribe_profile`]).
     last_unsubscribe: LifetimeProfile,
+    /// The per-phase split of the last round ([`Monitor::last_round_profile`]).
+    pub(crate) last_round: LifetimeProfile,
+    /// Every round's split, summed ([`Monitor::round_profile`]).
+    pub(crate) rounds: LifetimeProfile,
 }
 
 impl Monitor {
@@ -334,6 +338,8 @@ impl Monitor {
             reported_channel_bytes: HashMap::new(),
             last_submit: LifetimeProfile::default(),
             last_unsubscribe: LifetimeProfile::default(),
+            last_round: LifetimeProfile::default(),
+            rounds: LifetimeProfile::default(),
             config,
         }
     }

@@ -1,6 +1,8 @@
 //! The subscription lifetime times itself: a per-phase split of the last
 //! submit ([`Monitor::last_submit_profile`]) and of the last teardown
-//! ([`Monitor::last_unsubscribe_profile`]).
+//! ([`Monitor::last_unsubscribe_profile`]).  So does the alert round: a
+//! split of the last [`Monitor::tick`] ([`Monitor::last_round_profile`])
+//! and of every tick so far ([`Monitor::round_profile`]).
 //!
 //! Each phase records a deterministic *work* count — what the phase did,
 //! identical for a seed on any host — beside the wall-clock time it took.  A
@@ -24,6 +26,11 @@
 //! | `core.unsubscribe.purge` | ready hosts purged |
 //! | `core.unsubscribe.replica` | replica references released |
 //! | `core.unsubscribe.release` | task references released |
+//! | `core.round.drain_alerters` | alerts drained from the ready hosts' alerters |
+//! | `core.round.process_pending` | operator invocations: work items run and partials absorbed |
+//! | `core.round.flush_sketches` | sketch stage outputs: partials handed on and root answers |
+//! | `core.round.deliver_network` | network messages delivered |
+//! | `core.round.retire_idle_hosts` | hosts that left the ready list |
 //!
 //! A teardown that cascades (a released definition sweeps a retired
 //! producer) charges each nested sweep to the sweep's own phases, so the
@@ -32,6 +39,9 @@
 //! [`Monitor::last_submit_profile`]: crate::Monitor::last_submit_profile
 //! [`Monitor::last_unsubscribe_profile`]: crate::Monitor::last_unsubscribe_profile
 //! [`Monitor::submit`]: crate::Monitor::submit
+//! [`Monitor::tick`]: crate::Monitor::tick
+//! [`Monitor::last_round_profile`]: crate::Monitor::last_round_profile
+//! [`Monitor::round_profile`]: crate::Monitor::round_profile
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -58,7 +68,17 @@ pub(crate) const UNSUBSCRIBE_PHASES: [&str; 6] = [
     "core.unsubscribe.release",
 ];
 
-/// One phase of a submit or a teardown.
+/// The phases of a dispatch round, in the order [`crate::Monitor::tick`]
+/// runs them.
+pub(crate) const ROUND_PHASES: [&str; 5] = [
+    "core.round.drain_alerters",
+    "core.round.process_pending",
+    "core.round.flush_sketches",
+    "core.round.deliver_network",
+    "core.round.retire_idle_hosts",
+];
+
+/// One phase of a submit, a teardown or a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Phase {
     /// The phase's span name (see the [module docs](self)).
@@ -69,8 +89,8 @@ pub struct Phase {
     pub elapsed: Duration,
 }
 
-/// The per-phase split of one submit or one teardown; every phase is listed,
-/// in order, including those that did nothing.
+/// The per-phase split of one submit, one teardown or one or more rounds;
+/// every phase is listed, in order, including those that did nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LifetimeProfile {
     phases: Vec<Phase>,
@@ -85,6 +105,26 @@ impl LifetimeProfile {
     /// The phases' total time.
     pub fn total(&self) -> Duration {
         self.phases.iter().map(|p| p.elapsed).sum()
+    }
+
+    /// Adds another profile of the same phases, phase by phase: what a
+    /// cumulative profile is made of.  An empty profile takes the other's
+    /// phases.
+    pub(crate) fn absorb(&mut self, other: &LifetimeProfile) {
+        if self.phases.is_empty() {
+            self.phases.clone_from(&other.phases);
+            return;
+        }
+        debug_assert_eq!(self.phases.len(), other.phases.len(), "same phases");
+        for (total, phase) in self.phases.iter_mut().zip(&other.phases) {
+            total.work += phase.work;
+            total.elapsed += phase.elapsed;
+        }
+    }
+
+    /// The phase named `name`, when the profile lists it.
+    pub fn phase(&self, name: &str) -> Option<&Phase> {
+        self.phases.iter().find(|p| p.name == name)
     }
 }
 
@@ -166,5 +206,21 @@ mod tests {
         let names: Vec<_> = profile.phases().iter().map(|p| p.name).collect();
         assert_eq!(names, UNSUBSCRIBE_PHASES);
         assert_eq!(profile.to_string().lines().count(), 7);
+    }
+
+    #[test]
+    fn absorbing_adds_phase_by_phase() {
+        let mut total = LifetimeProfile::default();
+        for work in [2, 5] {
+            let mut clock = PhaseClock::start(&ROUND_PHASES);
+            clock.lap("core.round.process_pending", work);
+            clock.lap("core.round.retire_idle_hosts", 1);
+            total.absorb(&clock.finish());
+        }
+        let work: Vec<_> = total.phases().iter().map(|p| p.work).collect();
+        assert_eq!(work, [0, 7, 0, 0, 2]);
+        let pending = total.phase("core.round.process_pending");
+        assert_eq!(pending.map(|p| p.work), Some(7));
+        assert!(total.phase("core.submit.place").is_none());
     }
 }

@@ -3,10 +3,11 @@
 //!
 //! Deploys the three aggregates of a sketch storm over N monitored peers
 //! (top-k methods, call-latency entropy and a 0.99 quantile, each a merge
-//! tree over every peer), dispatches one round of traffic through them, then
+//! tree over every peer), dispatches one batch of traffic through them, then
 //! tears them down in submit order.  After each submit and each unsubscribe
 //! it prints the monitor's own per-phase split: the work each phase did (a
-//! count that is the same on every host) and the time it took.
+//! count that is the same on every host) and the time it took; after the
+//! batch, the same split of its dispatch rounds, summed.
 //!
 //! Then it submits the N subscriptions of a `MassiveStorm` and tears them
 //! down oldest first — the order in which every replica's forwarder leaves
@@ -61,6 +62,8 @@ fn main() {
         monitor.inject_soap_call(&call);
     }
     monitor.run_until_idle();
+    println!("dispatch rounds of one 1 000-call batch (work and time summed):");
+    println!("{}\n", monitor.round_profile());
     let answers: usize = handles.iter().map(|h| monitor.results(h).len()).sum();
 
     for (i, handle) in handles.iter().enumerate() {

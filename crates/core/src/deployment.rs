@@ -4,7 +4,8 @@
 //! a P2PML subscription is compiled into a logical plan, selections are
 //! pushed below unions, the Stream Definition Database is searched for
 //! reusable streams, the rewritten plan is placed on peers and finally
-//! deployed — instantiating one [`RuntimeOperator`] per task, wiring routes
+//! deployed — instantiating one [`RuntimeOperator`] per task (an
+//! aggregate's root with its whole merge tree), wiring routes
 //! and consumer registrations, registering every `Select` task's simple
 //! conditions and tree patterns with its host peer's shared filter engine
 //! (the *offline adjustment* of Figure 5), and publishing the definitions of
@@ -223,10 +224,11 @@ impl Monitor {
         // than once per subscription.  Tasks that consume a shared stream
         // take a reference on its definition.
         for task in &placed.tasks {
-            operators.push(RuntimeOperator::for_kind(
-                &task.kind,
-                self.config.join_window,
-            ));
+            let operator = RuntimeOperator::for_kind(&task.kind, self.config.join_window);
+            operators.push(match placed.tree_of(task.id) {
+                Some(tree) => operator.with_tree(tree),
+                None => operator,
+            });
             let filter = match &task.kind {
                 TaskKind::Select {
                     simple, patterns, ..
@@ -266,9 +268,12 @@ impl Monitor {
                 }
                 _ => {}
             }
+            // An aggregate's root runs each input on the leaf of its port.
             let route = match task.downstream {
                 Some((consumer, port)) => {
-                    if placed.tasks[consumer].peer == task.peer {
+                    let consumer_peer = placed.leaf_host(consumer, port);
+                    let consumer_peer = consumer_peer.unwrap_or(channels[consumer].peer);
+                    if consumer_peer == channels[task.id].peer {
                         Route::Local {
                             task: consumer,
                             port,
@@ -427,15 +432,13 @@ impl Monitor {
                     identities[task.id] = Some(self.replicas.origin(channel));
                 }
                 TaskKind::DynamicSource { .. } => {}
-                // Sketch stages exchange partials as values, not
-                // reusable streams: a later identical subscription cannot
-                // attach mid-window (it would miss every delta already
-                // folded into the tree), so none of them is published to
-                // the definition database.  Leaving the identity unset also
-                // keeps any downstream stage unpublished.
-                TaskKind::SketchLeaf { .. }
-                | TaskKind::SketchMerge { .. }
-                | TaskKind::SketchRoot { .. } => {}
+                // A merge tree exchanges partials as values, not reusable
+                // streams: a later identical subscription cannot attach
+                // mid-window (it would miss every delta already folded into
+                // the tree), so its root is not published to the definition
+                // database.  Leaving the identity unset also keeps anything
+                // downstream unpublished.
+                TaskKind::SketchRoot { .. } => {}
                 _ => {
                     let operand_ids: Option<Vec<(String, String)>> = children[task.id]
                         .iter()

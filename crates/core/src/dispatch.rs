@@ -90,9 +90,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use p2pmon_filter::{BatchOutcome, SubscriptionId};
-use p2pmon_net::{Payload, PeerId};
+use p2pmon_net::{Payload, PeerId, StageId};
 use p2pmon_streams::binding::TUPLE_TAG;
-use p2pmon_streams::ChannelId;
+use p2pmon_streams::{AnySketch, ChannelId};
 use p2pmon_xmlkit::Element;
 
 use crate::monitor::{DeployedSubscription, Monitor};
@@ -376,6 +376,15 @@ impl RoutingTable {
         self.channel_consumers.contains_key(channel)
     }
 
+    /// Consumer registrations across the table: alerter feeds, dynamic
+    /// sources and channels.
+    pub(crate) fn registrations(&self) -> usize {
+        let feeds = self.source_consumers.values().map(|e| e.consumers.len());
+        let dynamic = self.dynamic_consumers.values().map(Vec::len);
+        let channels = self.channel_consumers.values().map(|e| e.consumers.len());
+        feeds.chain(dynamic).chain(channels).sum()
+    }
+
     /// Every consumed channel with its number of registrations.
     pub(crate) fn consumed_channels(&self) -> impl Iterator<Item = (&ChannelId, usize)> {
         self.channel_consumers
@@ -576,9 +585,10 @@ impl MulticastPlan {
     ///
     /// A consumer's peer is read off its task's own canonical channel — an
     /// id, minted beside the placement ([`PlacedPlan::output_channels`]) —
-    /// so grouping is integer work per consumer; only the *distinct* peers
-    /// are put in name order, which fixes the order the sends reach the
-    /// network.
+    /// or, for an aggregate's root, off the placed host of the leaf its port
+    /// feeds, so grouping is integer work per consumer; only the *distinct*
+    /// peers are put in name order, which fixes the order the sends reach
+    /// the network.
     ///
     /// [`PlacedPlan::output_channels`]: crate::placement::PlacedPlan::output_channels
     fn compile(
@@ -589,7 +599,9 @@ impl MulticastPlan {
     ) -> Self {
         let mut grouped: HashMap<PeerId, Vec<Target>> = HashMap::new();
         for &(sub, task, port) in consumers {
-            let peer = subs[sub].channels[task].peer;
+            let subscription = &subs[sub];
+            let peer = subscription.placed.leaf_host(task, port);
+            let peer = peer.unwrap_or(subscription.channels[task].peer);
             grouped.entry(peer).or_default().push((sub, task, port));
         }
         let mut groups: Vec<PeerGroup> = grouped
@@ -1025,10 +1037,7 @@ impl Monitor {
             let now = self.network.now();
             for alert in alerts {
                 // Wrap once; every consumer below shares the same tree.
-                let payload = Payload::from(alert);
-                let Payload::Xml(alert) = &payload else {
-                    unreachable!("an alert is wrapped as a tree");
-                };
+                let alert = &Arc::new(alert);
                 if let Some(targets) = &targets {
                     let host = self.hosts.get_mut(peer).expect("alerting peer is hosted");
                     host.list_on(&mut self.ready);
@@ -1041,7 +1050,7 @@ impl Monitor {
                 // by the multicast when somebody reuses the feed (it sees the
                 // same channel id), here otherwise.
                 match &source_plan {
-                    Some(plan) => self.run_multicast(plan, &payload),
+                    Some(plan) => self.run_multicast(plan, alert),
                     None => self
                         .rate_table
                         .observe(source_channel, now, alert.byte_size()),
@@ -1118,7 +1127,7 @@ impl Monitor {
                     match effect {
                         Effect::Channel { channel, output } => {
                             if let Some(plan) = self.multicast_plan(&channel) {
-                                self.run_multicast(&plan, &Payload::Xml(output));
+                                self.run_multicast(&plan, &output);
                             }
                         }
                         Effect::Result { sub, output } => self.deliver_result(sub, output),
@@ -1130,19 +1139,18 @@ impl Monitor {
 
     /// The per-destination-peer grouping of a channel's subscribers: compiled
     /// once per deployment epoch, kept in the channel's routing entry and
-    /// shared by every emission — an alerter feed's, a committed effect's, a
-    /// flushed sketch partial's — until a deploy or a teardown bumps the
-    /// epoch.  `None` when nobody subscribes.
+    /// shared by every emission — an alerter feed's or a committed effect's
+    /// — until a deploy or a teardown bumps the epoch.  `None` when nobody
+    /// subscribes.
     pub(crate) fn multicast_plan(&mut self, channel: &ChannelId) -> Option<MulticastPlan> {
         self.routing
             .plan(channel, &self.subscriptions, &mut self.dispatch_stats)
             .cloned()
     }
 
-    /// Emits one payload according to a multicast plan.  The payload is
-    /// sized once: the rate table and every destination are charged that
-    /// number.
-    pub(crate) fn run_multicast(&mut self, plan: &MulticastPlan, output: &Payload) {
+    /// Emits one item according to a multicast plan.  The item is sized
+    /// once: the rate table and every destination are charged that number.
+    pub(crate) fn run_multicast(&mut self, plan: &MulticastPlan, output: &Arc<Element>) {
         let producer = plan.channel.peer;
         let bytes = output.byte_size();
         // Every emitted item updates the channel's measured rate; placement
@@ -1163,11 +1171,17 @@ impl Monitor {
                         .hosts
                         .get_mut(peer.as_str())
                         .expect("consumer peer is hosted");
-                    host.receive(output.clone(), targets, &mut self.ready);
+                    host.receive(Arc::clone(output), targets, &mut self.ready);
                 }
             } else if self
                 .network
-                .send_sized(producer, peer, Some(plan.channel), output.clone(), bytes)
+                .send_sized(
+                    producer,
+                    peer,
+                    Some(plan.channel),
+                    Arc::clone(output),
+                    bytes,
+                )
                 .is_some()
             {
                 // Only messages that actually went out count as shared; a
@@ -1231,11 +1245,11 @@ impl Monitor {
     /// Delivers in-flight network messages and files channel traffic with
     /// the consuming peers: items join the alert batch (engine-gated and
     /// deduplicated by the next dispatch phase), sketch partials are handed
-    /// to their stages.  A message's targets are the receiving
-    /// peer's group of its channel's [`MulticastPlan`] — the plan the sender
-    /// emitted by, compiled once per deployment epoch — not a per-inbox
-    /// filter of the channel's consumers.  Returns the number of delivered
-    /// messages.
+    /// to the stage they are addressed to.  An item's targets are the
+    /// receiving peer's group of its channel's [`MulticastPlan`] — the plan
+    /// the sender emitted by, compiled once per deployment epoch — not a
+    /// per-inbox filter of the channel's consumers.  Returns the number of
+    /// delivered messages.
     pub(crate) fn deliver_network(&mut self) -> usize {
         let delivered = self.network.run_until_idle();
         if delivered == 0 {
@@ -1253,17 +1267,30 @@ impl Monitor {
                 let Some(channel) = message.channel else {
                     continue;
                 };
-                // The channel's consumers on this peer are this peer's group
-                // of the plan the sender emitted by, read on the other side
-                // of the wire — from the plan as it is now, so a consumer
-                // retracted while the message was in flight is gone.
-                let plan =
-                    self.routing
-                        .plan(&channel, &self.subscriptions, &mut self.dispatch_stats);
-                let Some(targets) = plan.and_then(|plan| plan.targets_at(peer)) else {
-                    continue;
-                };
-                host.receive(message.payload, targets, &mut self.ready);
+                match message.payload {
+                    // A tree torn down while its partial was in flight took
+                    // the stage with it.
+                    Payload::Sketch { to, partial } => {
+                        if self.operators.get(to.sub, to.root).is_some() {
+                            host.hand_partial(to, partial, &mut self.ready);
+                        }
+                    }
+                    // The channel's consumers on this peer are this peer's
+                    // group of the plan the sender emitted by, read on the
+                    // other side of the wire — from the plan as it is now,
+                    // so a consumer retracted while the message was in
+                    // flight is gone.
+                    Payload::Xml(doc) => {
+                        let plan = self.routing.plan(
+                            &channel,
+                            &self.subscriptions,
+                            &mut self.dispatch_stats,
+                        );
+                        if let Some(targets) = plan.and_then(|plan| plan.targets_at(peer)) {
+                            host.receive(doc, targets, &mut self.ready);
+                        }
+                    }
+                }
             }
         }
         delivered
@@ -1271,9 +1298,9 @@ impl Monitor {
 
     /// Round-boundary sketch pass over the ready hosts.  Every non-empty
     /// leaf/merge stage hands the partial it accumulated this round to its
-    /// parent stage, as a value — on the parent's host when the edge is
-    /// local, else as one bounded-size message per stage per round, however
-    /// many raw items the stage absorbed — and every root stage due per its
+    /// parent stage, as a value — on the parent's host when the two share
+    /// one, else as one bounded-size message per stage per round, however
+    /// many raw items the stage absorbed — and every root due per its
     /// `every` cadence materializes an `<aggregate>` answer into the
     /// subscription's ordinary delivery path.  Either way the parent absorbs
     /// the partial in the next round.  Returns `true` while any stage
@@ -1282,11 +1309,11 @@ impl Monitor {
     /// fully drained into root answers, beside the number of stage outputs.
     fn flush_sketches(&mut self) -> (bool, u64) {
         // Collect first (per-host mutable walk), route after (routing needs
-        // the whole façade).  Partials are sorted into (sub, task) order so
-        // the committed effects are identical for any order of the ready
-        // list, mirroring the deterministic commit phase of
-        // `process_pending`.
-        let mut flushed: Vec<(usize, usize, Payload)> = Vec::new();
+        // the whole façade).  Outputs are sorted by stage — leaves, then
+        // each merge level, then the root, per tree — so the committed
+        // effects are identical for any order of the ready list, mirroring
+        // the deterministic commit phase of `process_pending`.
+        let mut flushed: Vec<(StageId, Payload)> = Vec::new();
         let mut pending = false;
         self.dispatch_stats.host_visits += self.ready.len() as u64;
         for peer in &self.ready {
@@ -1298,48 +1325,61 @@ impl Monitor {
             }
         }
         let outputs = flushed.len() as u64;
-        flushed.sort_by_key(|entry| (entry.0, entry.1));
-        for (sub, task, output) in flushed {
-            let subscription = &self.subscriptions[sub];
-            if subscription.retired {
+        flushed.sort_by_key(|&(stage, _)| stage);
+        for (stage, output) in flushed {
+            if self.subscriptions[stage.sub].retired {
                 continue;
             }
-            let route = subscription.routes[task];
-            debug_assert!(
-                matches!(
-                    (&output, route),
-                    (
-                        Payload::Sketch(_),
-                        Route::Local { .. } | Route::Channel { .. }
-                    ) | (Payload::Xml(_), Route::Publisher)
-                ),
-                "placement gives every leaf and merge stage a parent and makes \
-                 the root its plan's root"
-            );
-            match (output, route) {
-                (Payload::Sketch(partial), Route::Local { task: parent, .. }) => {
-                    let peer = &subscription.placed.tasks[parent].peer;
-                    let host = self
-                        .hosts
-                        .get_mut(peer)
-                        .expect("every placed task's host is created at deployment");
-                    host.list_on(&mut self.ready);
-                    host.pending_partials.push((sub, parent, partial));
+            match output {
+                Payload::Sketch { to, partial } => self.hand_up(stage, to, partial),
+                Payload::Xml(answer) => {
+                    debug_assert_eq!(
+                        self.subscriptions[stage.sub].routes[stage.root],
+                        Route::Publisher,
+                        "placement makes an aggregate's root its plan's root"
+                    );
+                    self.deliver_result(stage.sub, answer);
                 }
-                (partial @ Payload::Sketch(_), Route::Channel { channel }) => {
-                    // The multicast path charges the partial's wire size to
-                    // the network and the channel's measured rate — the
-                    // sublinearity the sketch bench gates rides exactly
-                    // this accounting.
-                    if let Some(plan) = self.multicast_plan(&channel) {
-                        self.run_multicast(&plan, &partial);
-                    }
-                }
-                (Payload::Xml(answer), Route::Publisher) => self.deliver_result(sub, answer),
-                _ => {}
             }
         }
         (outputs > 0 || pending, outputs)
+    }
+
+    /// Hands the partial stage `from` flushed to its parent stage `to`: onto
+    /// the parent host's pending partials when one peer hosts both, else as
+    /// one channel-counted message charged the partial's wire size to the
+    /// network and to the edge's row of the rate table — the sublinearity
+    /// the sketch bench gates rides exactly this accounting.  The edge's
+    /// rate key, `s<sub>-t<root>.<level>.<slot>` at the child's host, is
+    /// minted at its first such message.
+    fn hand_up(&mut self, from: StageId, to: StageId, partial: Arc<AnySketch>) {
+        let subscription = &self.subscriptions[from.sub];
+        let tree = subscription.placed.tree_of(from.root);
+        let tree = tree.expect("a flushed stage belongs to a placed tree");
+        let child = tree.host(from.level, from.slot);
+        let child = child.expect("a flushed partial leaves a leaf or merge stage");
+        let parent = tree.host(to.level, to.slot);
+        let parent = parent.unwrap_or(subscription.channels[from.root].peer);
+        if child == parent {
+            let host = self.hosts.get_mut(parent.as_str());
+            let host = host.expect("every placed stage's host is created at deployment");
+            host.hand_partial(to, partial, &mut self.ready);
+            return;
+        }
+        let root = self.operators.get_mut(from.sub, from.root);
+        let edge = root.and_then(|root| {
+            root.stage_edge(from.level, from.slot, || {
+                let stream = format!("s{}-t{}.{}.{}", from.sub, from.root, from.level, from.slot);
+                ChannelId::new(child, stream)
+            })
+        });
+        let edge = edge.expect("a flushed stage's tree is deployed");
+        let bytes = partial.wire_size();
+        let now = self.network.now();
+        self.rate_table.observe(edge, now, bytes);
+        let partial = Payload::Sketch { to, partial };
+        self.network
+            .send_sized(child, parent, Some(edge), partial, bytes);
     }
 
     /// One simulation round: drain alerters, process local work, flush
@@ -1433,28 +1473,36 @@ impl Monitor {
                 "{peer} has work but is not on the ready list"
             );
         }
-        let mut holding: Vec<(&str, usize, usize)> = self
-            .operators
-            .iter()
-            .filter(|(_, _, operator)| operator.sketch_pending())
-            .map(|(sub, task, _)| {
-                let peer = self.subscriptions[sub].placed.tasks[task].peer.as_str();
-                (peer, sub, task)
-            })
-            .collect();
+        let mut holding: Vec<(&str, StageId)> = Vec::new();
+        for (sub, root, operator) in self.operators.iter() {
+            let placed = &self.subscriptions[sub].placed;
+            for (level, slot) in operator.pending_stages() {
+                let host = placed.tree_of(root).and_then(|tree| tree.host(level, slot));
+                let peer = host.map_or(placed.tasks[root].peer.as_str(), |host| host.as_str());
+                holding.push((
+                    peer,
+                    StageId {
+                        sub,
+                        root,
+                        level,
+                        slot,
+                    },
+                ));
+            }
+        }
         holding.sort_unstable();
-        let mut listed: Vec<(&str, usize, usize)> = self
+        let mut listed: Vec<(&str, StageId)> = self
             .hosts
             .iter()
             .flat_map(|(peer, host)| {
                 let stages = host.pending_sketches.iter();
-                stages.map(move |&(sub, task)| (peer.as_str(), sub, task))
+                stages.map(move |&stage| (peer.as_str(), stage))
             })
             .collect();
         listed.sort_unstable();
         assert_eq!(
             holding, listed,
-            "sketch stages holding state vs stages listed for the flush, as (host, sub, task)"
+            "sketch stages holding state vs stages listed for the flush, as (host, stage)"
         );
         let unread = self.network.unread_peers();
         assert!(

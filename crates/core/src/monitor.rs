@@ -137,7 +137,8 @@ pub struct SubscriptionHandle(pub usize);
 pub struct SubscriptionReport {
     /// The manager peer.
     pub manager: String,
-    /// Number of deployed tasks.
+    /// Number of operators the plan deployed: its tasks plus the leaf and
+    /// merge stages of its merge trees.
     pub tasks: usize,
     /// Number of plan edges that became network channels.
     pub cross_peer_edges: usize,
@@ -630,6 +631,8 @@ impl Monitor {
         // by an earlier sweep took its registrations with it.)
         let mut entries = RouteEntries::default();
         let mut removed_now = vec![false; sub.placed.tasks.len()];
+        // Operators removed, a merge tree's stages with its root.
+        let mut emptied = 0;
         for task in &sub.placed.tasks {
             if keep.contains(&task.id) {
                 continue;
@@ -660,13 +663,14 @@ impl Monitor {
                 }
                 _ => None,
             };
-            if self.operators.remove(idx, task.id).is_none() {
+            let Some(operator) = self.operators.remove(idx, task.id) else {
                 continue;
-            }
+            };
+            emptied += operator.operators();
             removed_now[task.id] = true;
             // Only a Select registers an engine gate, so only its host is
-            // visited.  (A removed sketch stage leaves its host's flush list
-            // in the purge below.)
+            // visited.  (A removed root takes its merge tree's stages with
+            // it; they leave their hosts' flush lists in the purge below.)
             if matches!(task.kind, TaskKind::Select { .. }) {
                 let host = self.hosts.get_mut(&task.peer);
                 let host = host.expect("every placed task's host is created at deployment");
@@ -690,7 +694,6 @@ impl Monitor {
                 }
             }
         }
-        let emptied = removed_now.iter().filter(|&&removed| removed).count();
         clock.lap("core.unsubscribe.remove", emptied as u64);
 
         // Route retraction: the removed tasks disappear from every consumer
@@ -902,14 +905,31 @@ impl Monitor {
         self.operators.len()
     }
 
-    /// Number of deployed tasks hosted on `peer` (a walk over every
-    /// deployed operator).
+    /// Consumer registrations in the routing table: every source task on
+    /// its alerter feed, every dynamic source on its function and every
+    /// channel consumer — a `ChannelSource` task or the consumer of a
+    /// task's cross-peer edge — on its channel.  A merge tree registers
+    /// nothing of its own.
+    pub fn routing_registrations(&self) -> usize {
+        self.routing.registrations()
+    }
+
+    /// Number of deployed tasks and merge-tree stages hosted on `peer` (a
+    /// walk over every deployed operator).
     pub fn hosted_tasks(&self, peer: &str) -> usize {
         let peer = normalize_peer(peer);
+        let id = p2pmon_xmlkit::intern::lookup(&peer);
         self.operators
             .iter()
-            .filter(|&(sub, task, _)| self.subscriptions[sub].placed.tasks[task].peer == peer)
-            .count()
+            .map(|(sub, task, _)| {
+                let placed = &self.subscriptions[sub].placed;
+                let stages = placed.tree_of(task).map_or(0, |tree| {
+                    let hosts = tree.levels.iter().flatten();
+                    hosts.filter(|host| Some(host.symbol()) == id).count()
+                });
+                usize::from(placed.tasks[task].peer == peer) + stages
+            })
+            .sum()
     }
 
     /// Operators of a subscription still deployed: all of its tasks while
@@ -1132,7 +1152,7 @@ impl Monitor {
             select_peers.dedup();
             SubscriptionReport {
                 manager: s.manager.into(),
-                tasks: s.placed.tasks.len(),
+                tasks: s.placed.operators(),
                 cross_peer_edges: s.placed.cross_peer_edges(),
                 // The slice counts a reuse-search attempt, so it stays zero
                 // when the search is disabled (matching the aggregate).

@@ -16,7 +16,8 @@
 //! The [`RuntimeOperator`] of a task hosted here is not the host's: it lives
 //! in its subscription's slot of the monitor's operator store, which a
 //! deploy fills with one `Vec` and a teardown empties without visiting a
-//! host.  A dispatch round runs each host's local phase with that store
+//! host.  A merge-tree stage hosted here lives in its root's operator, and
+//! the host names it by its [`StageId`].  A dispatch round runs each host's local phase with that store
 //! beside it, against an immutable routing snapshot of the
 //! [`crate::Monitor`] façade, which commits the buffered cross-peer effects
 //! afterwards ([`crate::dispatch`]).
@@ -28,7 +29,7 @@ use p2pmon_alerters::{
     Alerter, AxmlAlerter, CallDirection, MembershipAlerter, RssAlerter, WebPageAlerter, WsAlerter,
 };
 use p2pmon_filter::{EngineMode, FilterEngine, FilterStats, FilterSubscription, SubscriptionId};
-use p2pmon_net::Payload;
+use p2pmon_net::{Payload, StageId};
 use p2pmon_streams::{AnySketch, ChannelId, StreamItem};
 use p2pmon_xmlkit::Element;
 
@@ -200,22 +201,23 @@ pub struct PeerHost {
     /// `(subscription, task)` of a hosted Select → its engine registration.
     gates: HashMap<(usize, usize), SubscriptionId>,
     /// The hosted sketch stages holding state the next round-boundary flush
-    /// must visit: a stage is listed exactly while its operator reports
-    /// [`RuntimeOperator::sketch_pending`] (it enters in
-    /// [`PeerHost::run_operator`], leaves in [`PeerHost::flush_sketches`] or
+    /// must visit: a stage is listed exactly while its root reports it
+    /// [`RuntimeOperator::stage_pending`] (it enters in
+    /// [`PeerHost::run_operator`] or [`PeerHost::absorb_partials`], leaves in
+    /// [`PeerHost::flush_sketches`] or
     /// [`PeerHost::purge_subscription_tasks`]), so a flush costs the stages
     /// that absorbed something, not the stages deployed.
-    pub(crate) pending_sketches: Vec<(usize, usize)>,
+    pub(crate) pending_sketches: Vec<StageId>,
     /// True while the host sits on the monitor's ready list (see
     /// [`crate::Monitor::tick`]); only [`PeerHost::list_on`] and
     /// `Monitor::retire_idle_hosts` flip it, in step with the list.
     pub(crate) ready: bool,
     /// Alerts awaiting the next batched dispatch pass.
     pub(crate) pending_alerts: Vec<PendingAlert>,
-    /// Sketch partials handed to hosted merge and root stages, as
-    /// `(subscription, task, partial)`, in the order they were handed over:
-    /// the next local phase absorbs them before anything else.
-    pub(crate) pending_partials: Vec<(usize, usize, Arc<AnySketch>)>,
+    /// Sketch partials handed to hosted merge and root stages, in the order
+    /// they were handed over: the next local phase absorbs them before
+    /// anything else.
+    pub(crate) pending_partials: Vec<(StageId, Arc<AnySketch>)>,
     /// Pending work for tasks hosted on this peer.
     pub(crate) queue: VecDeque<Work>,
     /// The alerters installed on this peer.
@@ -280,28 +282,28 @@ impl PeerHost {
         EngineMode::Staged
     }
 
-    /// Applies `run` to a hosted task's operator.  A sketch stage that turns
-    /// pending here (an empty delta absorbed its first item, a clean root its
-    /// first partial) is listed for the next flush.
-    fn with_operator<R>(
+    /// Applies `run` to the root operator of a hosted sketch stage, and
+    /// lists the stage for the next flush when it turns pending here (an
+    /// empty delta absorbed its first item or partial, a clean root its
+    /// first partial).
+    fn with_stage(
         &mut self,
         slots: &mut OperatorSlots,
-        sub: usize,
-        task: usize,
-        run: impl FnOnce(&mut RuntimeOperator) -> R,
-    ) -> R {
+        stage: StageId,
+        run: impl FnOnce(&mut RuntimeOperator),
+    ) {
         let operator = slots
-            .get_mut(sub, task)
-            .expect("work reaches only deployed tasks");
-        let was_pending = operator.sketch_pending();
-        let result = run(operator);
-        if !was_pending && operator.sketch_pending() {
-            self.pending_sketches.push((sub, task));
+            .get_mut(stage.sub, stage.root)
+            .expect("work and partials reach only deployed trees");
+        let was_pending = operator.stage_pending(stage.level, stage.slot);
+        run(operator);
+        if !was_pending && operator.stage_pending(stage.level, stage.slot) {
+            self.pending_sketches.push(stage);
         }
-        result
     }
 
-    /// Runs one item through a hosted task's operator.
+    /// Runs one item through a hosted task's operator — for an aggregate's
+    /// root, through the leaf of the item's port, which this host runs.
     pub(crate) fn run_operator(
         &mut self,
         slots: &mut OperatorSlots,
@@ -311,13 +313,26 @@ impl PeerHost {
         item: &StreamItem,
         prefiltered: bool,
     ) -> Vec<Arc<Element>> {
-        self.with_operator(slots, sub, task, |operator| {
-            if prefiltered {
-                operator.on_item_prefiltered(port, item)
-            } else {
-                operator.on_item(port, item)
-            }
-        })
+        let operator = slots
+            .get_mut(sub, task)
+            .expect("work reaches only deployed tasks");
+        if let RuntimeOperator::SketchRoot { .. } = operator {
+            let leaf = StageId {
+                sub,
+                root: task,
+                level: 0,
+                slot: port,
+            };
+            self.with_stage(slots, leaf, |root| {
+                root.on_item(port, item);
+            });
+            return Vec::new();
+        }
+        if prefiltered {
+            operator.on_item_prefiltered(port, item)
+        } else {
+            operator.on_item(port, item)
+        }
     }
 
     /// Folds every pending partial into the stage it was handed to, in the
@@ -325,9 +340,9 @@ impl PeerHost {
     pub(crate) fn absorb_partials(&mut self, slots: &mut OperatorSlots) -> u64 {
         let mut partials = std::mem::take(&mut self.pending_partials);
         let absorbed = partials.len() as u64;
-        for (sub, task, partial) in partials.drain(..) {
-            self.with_operator(slots, sub, task, |operator| {
-                operator.absorb_partial(&partial)
+        for (stage, partial) in partials.drain(..) {
+            self.with_stage(slots, stage, |root| {
+                root.absorb_partial(stage.level, stage.slot, &partial)
             });
         }
         // The emptied list keeps its capacity for the next round.
@@ -335,50 +350,51 @@ impl PeerHost {
         absorbed
     }
 
-    /// Files a channel payload that reached this peer for its consumers
-    /// here: an XML item joins the alert batch, a sketch partial is handed to
-    /// every consuming stage.
+    /// Files a channel item that reached this peer in the alert batch, for
+    /// its consumers here.
     pub(crate) fn receive(
         &mut self,
-        payload: Payload,
+        doc: Arc<Element>,
         targets: &SharedTargets,
         ready: &mut Vec<String>,
     ) {
         self.list_on(ready);
-        match payload {
-            Payload::Xml(doc) => self.pending_alerts.push(PendingAlert {
-                doc,
-                targets: Arc::clone(targets),
-            }),
-            Payload::Sketch(partial) => {
-                let handed = targets.targets().iter();
-                let handed = handed.map(|&(sub, task, _)| (sub, task, Arc::clone(&partial)));
-                self.pending_partials.extend(handed);
-            }
-        }
+        self.pending_alerts.push(PendingAlert {
+            doc,
+            targets: Arc::clone(targets),
+        });
+    }
+
+    /// Hands a sketch partial to the hosted stage it is addressed to; the
+    /// next local phase absorbs it.
+    pub(crate) fn hand_partial(
+        &mut self,
+        to: StageId,
+        partial: Arc<AnySketch>,
+        ready: &mut Vec<String>,
+    ) {
+        self.list_on(ready);
+        self.pending_partials.push((to, partial));
     }
 
     /// Round-boundary sketch pass over this host's pending stages: leaf and
-    /// merge stages hand on their delta (a sketch payload), a root due per
-    /// its `every` cadence materializes an answer (an XML payload); outputs
-    /// are appended to `out` as `(subscription, task, output)`.  Stages that
-    /// flushed clean leave the list; returns `true` while any stage stays
-    /// pending (a root still counting toward its cadence).
+    /// merge stages hand on their delta (a sketch payload addressed to the
+    /// parent stage), a root due per its `every` cadence materializes an
+    /// answer (an XML payload); outputs are appended to `out` with the
+    /// stage that flushed them.  Stages that flushed clean leave the list;
+    /// returns `true` while any stage stays pending (a root still counting
+    /// toward its cadence).
     pub(crate) fn flush_sketches(
         &mut self,
         slots: &mut OperatorSlots,
-        out: &mut Vec<(usize, usize, Payload)>,
+        out: &mut Vec<(StageId, Payload)>,
     ) -> bool {
-        self.pending_sketches.retain(|&(sub, task)| {
-            let operator = slots
-                .get_mut(sub, task)
+        self.pending_sketches.retain(|&stage| {
+            let root = slots
+                .get_mut(stage.sub, stage.root)
                 .expect("a teardown's purge unlists a removed stage");
-            let output = match operator.sketch_flush() {
-                Some(partial) => Some(Payload::Sketch(Arc::new(partial))),
-                None => operator.sketch_answer().map(Payload::from),
-            };
-            out.extend(output.map(|output| (sub, task, output)));
-            operator.sketch_pending()
+            out.extend(root.flush_stage(stage).map(|output| (stage, output)));
+            root.stage_pending(stage.level, stage.slot)
         });
         !self.pending_sketches.is_empty()
     }
@@ -479,8 +495,10 @@ impl PeerHost {
     ) {
         let removed = |s: usize, t: usize| s == sub && !keep.contains(&t);
         self.queue.retain(|work| !removed(work.sub, work.task));
-        self.pending_partials.retain(|&(s, t, _)| !removed(s, t));
-        self.pending_sketches.retain(|&(s, t)| !removed(s, t));
+        self.pending_partials
+            .retain(|(stage, _)| !removed(stage.sub, stage.root));
+        self.pending_sketches
+            .retain(|stage| !removed(stage.sub, stage.root));
         for alert in &mut self.pending_alerts {
             let targets = alert.targets.targets();
             if targets.iter().any(|&(s, t, _)| removed(s, t)) {

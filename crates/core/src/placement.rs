@@ -11,6 +11,7 @@
 //! manager.  [`PlacementStrategy::Centralized`] ships every alert to the
 //! manager and computes there — the baseline of experiment E6.
 
+use p2pmon_net::PeerId;
 use p2pmon_p2pml::plan::{normalize_peer, LogicalNode, LogicalPlan};
 use p2pmon_p2pml::{ByClause, ValueExpr};
 use p2pmon_streams::{AggregateSpec, AttrCondition, ChannelId, Condition, Template};
@@ -98,20 +99,11 @@ pub enum TaskKind {
         /// Derived values the template may reference.
         derived: Vec<(String, ValueExpr)>,
     },
-    /// Sketch leaf: absorbs raw items next to a source and hands a *delta*
-    /// partial to its parent stage on each dispatch-round boundary.
-    SketchLeaf {
-        /// Which sketch to maintain and how to key it.
-        spec: AggregateSpec,
-    },
-    /// Interior sketch merge: folds the partials of up to
-    /// [`SKETCH_MERGE_FANIN`] children and forwards the combined delta.
-    SketchMerge {
-        /// Which sketch to maintain.
-        spec: AggregateSpec,
-    },
-    /// Sketch root: accumulates partials cumulatively and materializes the
-    /// XML answer items that enter the normal channel/multicast path.
+    /// Sketch root: the top of an aggregate's [`MergeTree`].  Input port
+    /// `p` is the tree's leaf `p`, which absorbs raw items next to its
+    /// input; the root accumulates the partials the tree hands up
+    /// cumulatively and materializes the XML answer items that enter the
+    /// normal channel/multicast path.
     SketchRoot {
         /// Which sketch to maintain and how often to emit answers.
         spec: AggregateSpec,
@@ -130,17 +122,68 @@ impl TaskKind {
             TaskKind::Join { .. } => "Join",
             TaskKind::Dedup => "DuplicateRemoval",
             TaskKind::Restructure { .. } => "Restructure",
-            TaskKind::SketchLeaf { .. } => "SketchLeaf",
-            TaskKind::SketchMerge { .. } => "SketchMerge",
             TaskKind::SketchRoot { .. } => "SketchRoot",
         }
     }
 }
 
-/// Maximum fan-in of an interior sketch-merge node.  Keeping it constant
-/// bounds every merge's work per round and yields a tree of depth
-/// `log_16(leaves)` — 3 levels at 10k monitored peers.
+/// Maximum fan-in of a merge-tree stage: a merge folds the partials of up to
+/// this many stages of the level below, and the root those of the top
+/// level.  Keeping it constant bounds every stage's work per round and
+/// yields `ceil(log_16(leaves))` levels of stages below the root — leaves
+/// and three merge levels at 10k monitored peers.
 pub const SKETCH_MERGE_FANIN: usize = 16;
+
+/// An aggregate's merge tree, placed as one unit: where each of its leaf
+/// and merge stages runs.  The stages are no tasks — they get no
+/// [`TaskKind`], channel or route — and deploy as one operator slot with
+/// the root ([`TaskKind::SketchRoot`]), whose input port `p` feeds leaf
+/// `p`.  Stage `(level, slot)` hands its partial to stage
+/// `(level + 1, slot / SKETCH_MERGE_FANIN)`; level [`MergeTree::depth`] is
+/// the root.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MergeTree {
+    /// The [`TaskKind::SketchRoot`] task the tree feeds.
+    pub root: usize,
+    /// Every stage's host, level by level: `levels[0]` holds one leaf per
+    /// input branch, on the branch's peer, so raw items never cross the
+    /// network; each level above holds one merge per
+    /// [`SKETCH_MERGE_FANIN`] stages of the level below, on the first of
+    /// those stages' hosts; the top level has at most that many stages.
+    pub levels: Vec<Vec<PeerId>>,
+}
+
+impl MergeTree {
+    /// The root's level: the number of stage levels below it.
+    pub fn depth(&self) -> usize {
+        self.levels.len()
+    }
+
+    /// Number of leaf and merge stages.
+    pub fn stages(&self) -> usize {
+        self.levels.iter().map(Vec::len).sum()
+    }
+
+    /// The host of stage `(level, slot)`; `None` for the root's level.
+    pub fn host(&self, level: usize, slot: usize) -> Option<PeerId> {
+        self.levels.get(level)?.get(slot).copied()
+    }
+
+    /// Pairs of (child host, parent host) of every edge of the tree: a
+    /// stage and the stage it hands its partial to, the top level's
+    /// parent being the root on `root_peer`.
+    fn edges(&self, root_peer: PeerId) -> impl Iterator<Item = (PeerId, PeerId)> + '_ {
+        self.levels
+            .iter()
+            .enumerate()
+            .flat_map(move |(level, hosts)| {
+                hosts.iter().enumerate().map(move |(slot, &host)| {
+                    let parent = self.host(level + 1, slot / SKETCH_MERGE_FANIN);
+                    (host, parent.unwrap_or(root_peer))
+                })
+            })
+    }
+}
 
 /// One placed task.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,6 +204,8 @@ pub struct PlacedTask {
 pub struct PlacedPlan {
     /// All tasks, indexed by their id.
     pub tasks: Vec<PlacedTask>,
+    /// The merge tree of every aggregate, each feeding its root task.
+    pub trees: Vec<MergeTree>,
     /// The root task (whose output feeds the publisher).
     pub root: usize,
     /// The manager peer (hosting the publisher).
@@ -170,6 +215,24 @@ pub struct PlacedPlan {
 }
 
 impl PlacedPlan {
+    /// The merge tree task `root` roots, when it is an aggregate's root.
+    pub fn tree_of(&self, root: usize) -> Option<&MergeTree> {
+        self.trees.iter().find(|tree| tree.root == root)
+    }
+
+    /// The host of the leaf that input `port` of task `consumer` feeds,
+    /// when the consumer is an aggregate's root; any other task runs its
+    /// inputs on its own peer.
+    pub fn leaf_host(&self, consumer: usize, port: usize) -> Option<PeerId> {
+        self.tree_of(consumer)?.host(0, port)
+    }
+
+    /// Operators the plan deploys: its tasks, plus the leaf and merge
+    /// stages of its merge trees.
+    pub fn operators(&self) -> usize {
+        self.tasks.len() + self.trees.iter().map(MergeTree::stages).sum::<usize>()
+    }
+
     /// Number of tasks placed on the given peer.
     pub fn tasks_on(&self, peer: &str) -> usize {
         self.tasks.iter().filter(|t| t.peer == peer).count()
@@ -208,16 +271,22 @@ impl PlacedPlan {
             .collect()
     }
 
-    /// Number of plan edges that cross from one peer to another — each such
-    /// edge becomes a channel at deployment time.
+    /// Number of plan edges that cross from one peer to another.  A task's
+    /// such edge becomes a channel at deployment time, a merge tree's a
+    /// partial message per round that the stage absorbed something.
     pub fn cross_peer_edges(&self) -> usize {
-        self.tasks
-            .iter()
-            .filter(|t| match t.downstream {
-                Some((consumer, _)) => self.tasks[consumer].peer != t.peer,
-                None => t.peer != self.manager,
-            })
-            .count()
+        let tasks = self.tasks.iter().filter(|t| match t.downstream {
+            Some((consumer, port)) => match self.leaf_host(consumer, port) {
+                Some(leaf) => *leaf != *t.peer,
+                None => self.tasks[consumer].peer != t.peer,
+            },
+            None => t.peer != self.manager,
+        });
+        let trees = self.trees.iter().flat_map(|tree| {
+            let root = PeerId::from(&self.tasks[tree.root].peer);
+            tree.edges(root).filter(|(child, parent)| child != parent)
+        });
+        tasks.count() + trees.count()
     }
 }
 
@@ -285,12 +354,14 @@ pub fn push_selections_below_unions(node: LogicalNode) -> LogicalNode {
 pub fn place(plan: &LogicalPlan, manager: &str, strategy: PlacementStrategy) -> PlacedPlan {
     let mut builder = Builder {
         tasks: Vec::new(),
+        trees: Vec::new(),
         manager: manager.to_string(),
         strategy,
     };
     let root = builder.place_node(&plan.root);
     let mut placed = PlacedPlan {
         tasks: builder.tasks,
+        trees: builder.trees,
         root,
         manager: manager.to_string(),
         by: plan.by.clone(),
@@ -302,13 +373,18 @@ pub fn place(plan: &LogicalPlan, manager: &str, strategy: PlacementStrategy) -> 
     // one network hop fewer per item.  A channel source that *is* the plan
     // root has no consumer; it moves to the manager, where the publisher
     // wants the results anyway — and where all of a shared stream's
-    // same-manager subscribers ride one multicast message.
+    // same-manager subscribers ride one multicast message.  (A channel
+    // source feeding an aggregate moves to its leaf.)
     let moves: Vec<(usize, String)> = placed
         .tasks
         .iter()
         .filter_map(|task| match (&task.kind, task.downstream) {
-            (TaskKind::ChannelSource { .. }, Some((consumer, _))) => {
-                Some((task.id, placed.tasks[consumer].peer.clone()))
+            (TaskKind::ChannelSource { .. }, Some((consumer, port))) => {
+                let peer = match placed.leaf_host(consumer, port) {
+                    Some(leaf) => leaf.to_string(),
+                    None => placed.tasks[consumer].peer.clone(),
+                };
+                Some((task.id, peer))
             }
             (TaskKind::ChannelSource { .. }, None) => Some((task.id, manager.to_string())),
             _ => None,
@@ -322,6 +398,7 @@ pub fn place(plan: &LogicalPlan, manager: &str, strategy: PlacementStrategy) -> 
 
 struct Builder {
     tasks: Vec<PlacedTask>,
+    trees: Vec<MergeTree>,
     manager: String,
     strategy: PlacementStrategy,
 }
@@ -346,10 +423,10 @@ impl Builder {
     /// its (smaller) output crosses the network — the paper's example
     /// restructures at the join peer and ships only the incidents to the
     /// manager — or at the manager under the centralized strategy.
-    fn beside(&self, input_task: usize) -> String {
+    fn beside(&self, input_task: usize) -> &str {
         match self.strategy {
-            PlacementStrategy::Centralized => self.manager.clone(),
-            PlacementStrategy::PushToSources => self.tasks[input_task].peer.clone(),
+            PlacementStrategy::Centralized => &self.manager,
+            PlacementStrategy::PushToSources => &self.tasks[input_task].peer,
         }
     }
 
@@ -413,7 +490,7 @@ impl Builder {
             } => {
                 let driver_task = self.place_node(driver);
                 let dynamic = self.push(
-                    self.beside(driver_task),
+                    self.beside(driver_task).to_string(),
                     TaskKind::DynamicSource {
                         function: function.clone(),
                         var: var.clone(),
@@ -458,7 +535,7 @@ impl Builder {
             } => {
                 let input_task = self.place_node(input);
                 let select = self.push(
-                    self.beside(input_task),
+                    self.beside(input_task).to_string(),
                     TaskKind::Select {
                         var: var.clone(),
                         simple: simple.clone(),
@@ -496,7 +573,7 @@ impl Builder {
             }
             LogicalNode::Dedup { input } => {
                 let input_task = self.place_node(input);
-                let dedup = self.push(self.beside(input_task), TaskKind::Dedup);
+                let dedup = self.push(self.beside(input_task).to_string(), TaskKind::Dedup);
                 self.connect(input_task, dedup, 0);
                 dedup
             }
@@ -507,7 +584,7 @@ impl Builder {
             } => {
                 let input_task = self.place_node(input);
                 let restructure = self.push(
-                    self.beside(input_task),
+                    self.beside(input_task).to_string(),
                     TaskKind::Restructure {
                         template: template.clone(),
                         derived: derived.clone(),
@@ -522,9 +599,9 @@ impl Builder {
                 spec,
             } => {
                 // The single logical aggregate expands into a merge tree: one
-                // sketch leaf per input branch (on the branch's peer, so raw
-                // items never cross the network), interior merges over chunks
-                // of SKETCH_MERGE_FANIN, and the root at the manager.  A
+                // leaf per input branch (on the branch's peer, so raw items
+                // never cross the network), merges over chunks of
+                // SKETCH_MERGE_FANIN, and the root task at the manager.  A
                 // union input contributes one leaf per union branch — the
                 // union node itself would only concentrate all raw items on a
                 // single peer, defeating the point.
@@ -532,39 +609,27 @@ impl Builder {
                     LogicalNode::Union { inputs, .. } => inputs.iter().collect(),
                     other => vec![other],
                 };
-                let mut level: Vec<usize> = Vec::with_capacity(branches.len());
+                let mut inputs = Vec::with_capacity(branches.len());
+                let mut leaves = Vec::with_capacity(branches.len());
                 for branch in branches {
                     let upstream = self.place_node(branch);
-                    let leaf = self.push(
-                        self.beside(upstream),
-                        TaskKind::SketchLeaf { spec: spec.clone() },
-                    );
-                    self.connect(upstream, leaf, 0);
-                    level.push(leaf);
+                    leaves.push(PeerId::from(self.beside(upstream)));
+                    inputs.push(upstream);
                 }
-                while level.len() > SKETCH_MERGE_FANIN {
-                    let mut next = Vec::with_capacity(level.len() / SKETCH_MERGE_FANIN + 1);
-                    for chunk in level.chunks(SKETCH_MERGE_FANIN) {
-                        // The first chunk member's peer: deterministic and
-                        // O(1).  Scoring candidates by task count, as joins
-                        // and unions do, would cost O(tasks²) at 10k
-                        // leaves.
-                        let merge = self.push(
-                            self.beside(chunk[0]),
-                            TaskKind::SketchMerge { spec: spec.clone() },
-                        );
-                        for (port, &task) in chunk.iter().enumerate() {
-                            self.connect(task, merge, port);
-                        }
-                        next.push(merge);
-                    }
-                    level = next;
+                let mut levels = vec![leaves];
+                while let Some(level) = levels.last().filter(|l| l.len() > SKETCH_MERGE_FANIN) {
+                    // A merge runs on its first child's host: deterministic
+                    // and O(1).  Scoring candidates by task count, as joins
+                    // and unions do, would cost O(tasks²) at 10k leaves.
+                    let merges = level.chunks(SKETCH_MERGE_FANIN).map(|chunk| chunk[0]);
+                    levels.push(merges.collect());
                 }
                 let manager = self.manager.clone();
                 let root = self.push(manager, TaskKind::SketchRoot { spec: spec.clone() });
-                for (port, task) in level.into_iter().enumerate() {
+                for (port, task) in inputs.into_iter().enumerate() {
                     self.connect(task, root, port);
                 }
+                self.trees.push(MergeTree { root, levels });
                 root
             }
         }
@@ -682,5 +747,60 @@ mod tests {
                 assert_ne!(task.peer, placed.manager);
             }
         }
+    }
+
+    /// The placed plan of a top-k aggregate over `peers` monitored peers,
+    /// managed at `hub`.
+    fn aggregate_over(peers: usize, strategy: PlacementStrategy) -> PlacedPlan {
+        let list: String = (0..peers).map(|i| format!("<p>s{i}.net</p>")).collect();
+        let text =
+            format!("for $c in inCOM({list}) return topk($c.callMethod, 1) by email \"o@x.org\";");
+        let plan = compile_subscription(&text).unwrap();
+        place(&plan, "hub", strategy)
+    }
+
+    /// An aggregate over 40 monitored peers places 40 sources and one root
+    /// task; its merge tree has 40 leaves on the sources' peers and 3
+    /// merges on the peers of leaves 0, 16 and 32.
+    #[test]
+    fn an_aggregate_places_one_root_task_and_one_merge_tree() {
+        let placed = aggregate_over(40, PlacementStrategy::PushToSources);
+        assert_eq!(placed.tasks.len(), 41, "40 sources and the root");
+        let root = &placed.tasks[placed.root];
+        assert!(matches!(root.kind, TaskKind::SketchRoot { .. }));
+        assert_eq!(root.peer, "hub");
+        let tree = placed.tree_of(placed.root).expect("the root's tree");
+        let widths: Vec<usize> = tree.levels.iter().map(Vec::len).collect();
+        assert_eq!(widths, [40, 3]);
+        assert_eq!(
+            (tree.depth(), tree.stages(), placed.operators()),
+            (2, 43, 84)
+        );
+        for task in &placed.tasks[..40] {
+            let (consumer, port) = task.downstream.expect("a source feeds the root");
+            assert_eq!(consumer, placed.root);
+            assert_eq!(
+                placed.leaf_host(consumer, port).unwrap().as_str(),
+                task.peer
+            );
+        }
+        let merges: Vec<&str> = tree.levels[1].iter().map(|p| p.as_str()).collect();
+        assert_eq!(merges, ["s0.net", "s16.net", "s32.net"]);
+        assert_eq!(tree.host(2, 0), None, "the root's level");
+        // 37 leaves feed a merge on another peer, 3 merges the root.
+        assert_eq!(placed.cross_peer_edges(), 40);
+    }
+
+    #[test]
+    fn a_centralized_aggregate_runs_its_tree_at_the_manager() {
+        let placed = aggregate_over(20, PlacementStrategy::Centralized);
+        let tree = placed.tree_of(placed.root).expect("the root's tree");
+        assert!(tree
+            .levels
+            .iter()
+            .flatten()
+            .all(|host| host.as_str() == "hub"));
+        // Every raw alert crosses to its leaf; the tree itself is local.
+        assert_eq!(placed.cross_peer_edges(), 20);
     }
 }

@@ -7,19 +7,23 @@
 //! general [`ValueExpr`] derivations (LET clauses) that the runtime evaluates
 //! over the tuple bindings before checking conditions or instantiating the
 //! template; a Union forwards every input unchanged, as a
-//! [`RuntimeOperator::Passthrough`].
+//! [`RuntimeOperator::Passthrough`].  An aggregate's root carries the leaf
+//! and merge stages of its merge tree: one operator, deployed and torn down
+//! in one step, whose stages run on the hosts the placed [`MergeTree`]
+//! names.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use p2pmon_net::{Payload, StageId};
 use p2pmon_p2pml::ValueExpr;
 use p2pmon_streams::ops::{Dedup, Join, JoinSpec, Window};
 use p2pmon_streams::{
-    AggregateSpec, AnySketch, AttrCondition, Bindings, Condition, StreamItem, Template,
+    AggregateSpec, AnySketch, AttrCondition, Bindings, ChannelId, Condition, StreamItem, Template,
 };
 use p2pmon_xmlkit::{Element, PathPattern};
 
-use crate::placement::TaskKind;
+use crate::placement::{MergeTree, TaskKind, SKETCH_MERGE_FANIN};
 
 /// A deployed operator instance.
 pub enum RuntimeOperator {
@@ -67,28 +71,17 @@ pub enum RuntimeOperator {
         /// Fallback variable for bare (non-tuple) inputs.
         default_var: String,
     },
-    /// Sketch leaf: absorbs raw items; emits nothing until the dispatch
-    /// round's flush pass hands its delta to the parent stage.
-    SketchLeaf {
-        /// Key/weight extraction rules.
-        spec: AggregateSpec,
-        /// The delta accumulated since the last flush; non-empty exactly
-        /// when the stage has something to flush.
-        sketch: AnySketch,
-    },
-    /// Interior sketch merge: folds its children's partials
-    /// ([`RuntimeOperator::absorb_partial`]), forwards the combined delta at
-    /// the next flush.
-    SketchMerge {
-        /// The delta accumulated since the last flush; non-empty exactly
-        /// when the stage has something to flush.
-        sketch: AnySketch,
-    },
-    /// Sketch root: accumulates partials *cumulatively* and materializes an
-    /// XML answer every `spec.every` flush opportunities.
+    /// Sketch root with its merge tree's stages: an item on port `p` updates
+    /// leaf `p`; each flush hands a stage's delta to its parent
+    /// ([`RuntimeOperator::flush_stage`]), which absorbs it
+    /// ([`RuntimeOperator::absorb_partial`]); the root accumulates partials
+    /// *cumulatively* and materializes an XML answer every `spec.every`
+    /// flush opportunities.
     SketchRoot {
-        /// What to answer and how often.
+        /// What to answer and how often, and how a leaf keys an item.
         spec: AggregateSpec,
+        /// The leaf and merge stages, level by level (see [`MergeTree`]).
+        stages: Vec<Vec<Stage>>,
         /// The cumulative sketch over the subscription's lifetime.
         sketch: AnySketch,
         /// Whether new partials arrived since the last emitted answer.
@@ -98,6 +91,16 @@ pub enum RuntimeOperator {
         /// Answers materialized so far (the answer's sequence attribute).
         emitted: u64,
     },
+}
+
+/// One leaf or merge stage of a merge tree.
+pub struct Stage {
+    /// The delta accumulated since the last flush; non-empty exactly when
+    /// the stage has something to flush.
+    delta: AnySketch,
+    /// The rate-table key of the stage's edge to its parent, minted at its
+    /// first partial over the network (a local edge never gets one).
+    edge: Option<ChannelId>,
 }
 
 impl RuntimeOperator {
@@ -141,15 +144,9 @@ impl RuntimeOperator {
                 RuntimeOperator::Join(Box::new(Join::new(spec, join_window)))
             }
             TaskKind::Dedup => RuntimeOperator::Dedup(Dedup::new()),
-            TaskKind::SketchLeaf { spec } => RuntimeOperator::SketchLeaf {
-                spec: spec.clone(),
-                sketch: AnySketch::for_spec(spec),
-            },
-            TaskKind::SketchMerge { spec } => RuntimeOperator::SketchMerge {
-                sketch: AnySketch::for_spec(spec),
-            },
             TaskKind::SketchRoot { spec } => RuntimeOperator::SketchRoot {
                 spec: spec.clone(),
+                stages: Vec::new(),
                 sketch: AnySketch::for_spec(spec),
                 dirty: false,
                 flushes_since_emit: 0,
@@ -170,66 +167,162 @@ impl RuntimeOperator {
         }
     }
 
-    /// Memory held by stateful operators (joins, dedups, sketches), in bytes.
+    /// Gives an aggregate's root the stages of its placed merge tree, each
+    /// with an empty delta.  Any other operator is returned unchanged.
+    pub fn with_tree(mut self, tree: &MergeTree) -> Self {
+        if let RuntimeOperator::SketchRoot { spec, stages, .. } = &mut self {
+            let stage = || Stage {
+                delta: AnySketch::for_spec(spec),
+                edge: None,
+            };
+            let levels = tree.levels.iter();
+            *stages = levels
+                .map(|hosts| hosts.iter().map(|_| stage()).collect())
+                .collect();
+        }
+        self
+    }
+
+    /// The operators this instance stands for: one, plus a root's leaf and
+    /// merge stages.
+    pub fn operators(&self) -> usize {
+        match self {
+            RuntimeOperator::SketchRoot { stages, .. } => {
+                1 + stages.iter().map(Vec::len).sum::<usize>()
+            }
+            _ => 1,
+        }
+    }
+
+    /// Memory held by stateful operators (joins, dedups, sketches — a
+    /// root's stages included), in bytes.
     pub fn state_size(&self) -> usize {
         match self {
             RuntimeOperator::Join(j) => j.state_size(),
             RuntimeOperator::Dedup(d) => d.state_size(),
-            RuntimeOperator::SketchLeaf { sketch, .. }
-            | RuntimeOperator::SketchMerge { sketch, .. }
-            | RuntimeOperator::SketchRoot { sketch, .. } => sketch.state_bytes(),
+            RuntimeOperator::SketchRoot { sketch, stages, .. } => {
+                let deltas = stages
+                    .iter()
+                    .flatten()
+                    .map(|stage| stage.delta.state_bytes());
+                sketch.state_bytes() + deltas.sum::<usize>()
+            }
             _ => 0,
         }
     }
 
-    /// Whether this operator holds sketch state awaiting a round-boundary
-    /// flush (a leaf/merge delta a flush would hand on) or a pending root
-    /// emission.  The dispatcher keeps ticking while any operator reports
-    /// pending sketch work, so `run_until_idle` drains the merge tree
-    /// completely.
-    pub fn sketch_pending(&self) -> bool {
+    /// Whether the root's stage at `(level, slot)` holds sketch state
+    /// awaiting a round-boundary flush: a leaf or merge delta a flush would
+    /// hand on, or — at the root's own level — a pending emission.  The
+    /// dispatcher keeps ticking while any stage is pending, so
+    /// `run_until_idle` drains the merge tree completely.  `false` for any
+    /// other operator.
+    pub fn stage_pending(&self, level: usize, slot: usize) -> bool {
         match self {
-            RuntimeOperator::SketchLeaf { sketch, .. }
-            | RuntimeOperator::SketchMerge { sketch } => !sketch.is_empty(),
-            RuntimeOperator::SketchRoot { dirty, .. } => *dirty,
+            RuntimeOperator::SketchRoot { stages, dirty, .. } => match stages.get(level) {
+                Some(level) => level.get(slot).is_some_and(|stage| !stage.delta.is_empty()),
+                None => *dirty,
+            },
             _ => false,
         }
     }
 
-    /// Round-boundary flush for leaf and merge stages: moves out the delta
-    /// accumulated since the last flush, leaving an empty sketch behind.
-    /// `None` when the stage has nothing new (or for non-sketch operators).
-    pub fn sketch_flush(&mut self) -> Option<AnySketch> {
-        match self {
-            RuntimeOperator::SketchLeaf { sketch, .. }
-            | RuntimeOperator::SketchMerge { sketch } => {
-                (!sketch.is_empty()).then(|| sketch.take())
-            }
-            _ => None,
+    /// Every pending stage of a root, as `(level, slot)`, the root's own
+    /// level last (see [`RuntimeOperator::stage_pending`]).
+    pub fn pending_stages(&self) -> Vec<(usize, usize)> {
+        let RuntimeOperator::SketchRoot { stages, dirty, .. } = self else {
+            return Vec::new();
+        };
+        let mut pending: Vec<(usize, usize)> = stages
+            .iter()
+            .enumerate()
+            .flat_map(|(level, stages)| {
+                let held = stages
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| !s.delta.is_empty());
+                held.map(move |(slot, _)| (level, slot))
+            })
+            .collect();
+        if *dirty {
+            pending.push((stages.len(), 0));
         }
+        pending
     }
 
-    /// Folds a child stage's partial into a merge or root stage — the only
-    /// way a partial enters one.  Any other operator, or a partial of
+    /// Round-boundary flush of stage `at` of this root: a leaf or merge
+    /// moves out the delta it accumulated since the last flush, leaving an
+    /// empty sketch behind, addressed to its parent stage; the root itself
+    /// counts a flush opportunity and, every `spec.every` of them,
+    /// materializes the XML answer from the cumulative sketch.  `None` when
+    /// the stage has nothing to hand on (or for non-sketch operators).
+    pub fn flush_stage(&mut self, at: StageId) -> Option<Payload> {
+        let RuntimeOperator::SketchRoot { stages, .. } = self else {
+            return None;
+        };
+        if at.level == stages.len() {
+            return self.sketch_answer().map(Payload::from);
+        }
+        let stage = stages.get_mut(at.level)?.get_mut(at.slot)?;
+        let partial = (!stage.delta.is_empty()).then(|| stage.delta.take())?;
+        // The top level has at most SKETCH_MERGE_FANIN stages, so its
+        // parent slot is the root's 0.
+        let to = StageId {
+            level: at.level + 1,
+            slot: at.slot / SKETCH_MERGE_FANIN,
+            ..at
+        };
+        Some(Payload::Sketch {
+            to,
+            partial: Arc::new(partial),
+        })
+    }
+
+    /// The rate-table key of the edge from stage `(level, slot)` to its
+    /// parent: the one minted at the edge's first partial over the network,
+    /// else `mint`'s, kept.  `None` for a stage this operator does not have.
+    pub(crate) fn stage_edge(
+        &mut self,
+        level: usize,
+        slot: usize,
+        mint: impl FnOnce() -> ChannelId,
+    ) -> Option<ChannelId> {
+        let RuntimeOperator::SketchRoot { stages, .. } = self else {
+            return None;
+        };
+        let stage = stages.get_mut(level)?.get_mut(slot)?;
+        Some(*stage.edge.get_or_insert_with(mint))
+    }
+
+    /// Folds a child stage's partial into the root's stage `(level, slot)`
+    /// — a merge, or at the root's own level the cumulative sketch — the
+    /// only way a partial enters one.  Any other operator, or a partial of
     /// another kind, is left unchanged.
-    pub fn absorb_partial(&mut self, partial: &AnySketch) {
-        match self {
-            RuntimeOperator::SketchMerge { sketch } => {
-                sketch.merge_from(partial);
+    pub fn absorb_partial(&mut self, level: usize, slot: usize, partial: &AnySketch) {
+        if let RuntimeOperator::SketchRoot {
+            stages,
+            sketch,
+            dirty,
+            ..
+        } = self
+        {
+            match stages.get_mut(level) {
+                Some(level) => {
+                    if let Some(stage) = level.get_mut(slot) {
+                        stage.delta.merge_from(partial);
+                    }
+                }
+                None => *dirty |= sketch.merge_from(partial),
             }
-            RuntimeOperator::SketchRoot { sketch, dirty, .. } => {
-                *dirty |= sketch.merge_from(partial)
-            }
-            _ => {}
         }
     }
 
     /// Round-boundary emission for the root stage: counts a flush
     /// opportunity and, every `spec.every` of them, materializes the XML
     /// answer from the cumulative sketch.  `None` while the cadence has not
-    /// been reached (the root stays `sketch_pending` so dispatch keeps
-    /// ticking toward the emission).
-    pub fn sketch_answer(&mut self) -> Option<Element> {
+    /// been reached (the root stays pending so dispatch keeps ticking toward
+    /// the emission).
+    fn sketch_answer(&mut self) -> Option<Element> {
         match self {
             RuntimeOperator::SketchRoot {
                 spec,
@@ -237,6 +330,7 @@ impl RuntimeOperator {
                 dirty,
                 flushes_since_emit,
                 emitted,
+                ..
             } => {
                 if !*dirty {
                     return None;
@@ -318,16 +412,18 @@ impl RuntimeOperator {
                 }
                 vec![Arc::new(template.instantiate(&bindings))]
             }
-            RuntimeOperator::SketchLeaf { spec, sketch } => {
-                let (key, weight) = spec.observe(&item.data);
-                if !key.is_empty() {
-                    sketch.update(&key, weight);
+            // Port `p` is leaf `p`; partials reach the merges and the root
+            // through `absorb_partial`, never as items.
+            RuntimeOperator::SketchRoot { spec, stages, .. } => {
+                let leaf = stages.first_mut().and_then(|leaves| leaves.get_mut(port));
+                if let Some(leaf) = leaf {
+                    let (key, weight) = spec.observe(&item.data);
+                    if !key.is_empty() {
+                        leaf.delta.update(&key, weight);
+                    }
                 }
                 Vec::new()
             }
-            // Partials reach these stages through `absorb_partial`, never
-            // as items.
-            RuntimeOperator::SketchMerge { .. } | RuntimeOperator::SketchRoot { .. } => Vec::new(),
         }
     }
 

@@ -4,8 +4,10 @@
 //! undeploys it as one plan, and the operator store has the same shape: a
 //! deploy hands over one `Vec` with an operator per placed task, indexed by
 //! task id, and a teardown empties slots of it.  Finding an operator is two
-//! `Vec` indexes.  The host a task runs on is its plan's business (the
-//! placed task names it); the store never asks.
+//! `Vec` indexes.  An aggregate's root holds its merge tree's stages, so a
+//! tree fills one slot and leaves in one step, but the counts below count
+//! each stage as an operator.  The host a task or stage runs on is its
+//! plan's business (the placed plan names it); the store never asks.
 //!
 //! A subscription whose last operator leaves gives its `Vec` back, so a
 //! retired subscription holds no slot storage.
@@ -17,13 +19,17 @@ use crate::runtime::RuntimeOperator;
 #[derive(Default)]
 pub(crate) struct OperatorSlots {
     subs: Vec<SubscriptionSlots>,
-    /// Operators deployed across every subscription.
+    /// Operators deployed across every subscription, merge-tree stages
+    /// included.
     live: usize,
 }
 
 /// One subscription's slots: `None` once the task is torn down.
 struct SubscriptionSlots {
     operators: Vec<Option<RuntimeOperator>>,
+    /// Slots still filled.
+    filled: usize,
+    /// Operators still deployed, merge-tree stages included.
     live: usize,
 }
 
@@ -32,11 +38,18 @@ impl OperatorSlots {
     /// task order.  Subscriptions are deployed in index order.
     pub(crate) fn deploy(&mut self, sub: usize, operators: Vec<RuntimeOperator>) {
         assert_eq!(sub, self.subs.len(), "subscriptions deploy in index order");
-        self.live += operators.len();
+        let live = operators.iter().map(RuntimeOperator::operators).sum();
+        self.live += live;
         self.subs.push(SubscriptionSlots {
-            live: operators.len(),
+            filled: operators.len(),
+            live,
             operators: operators.into_iter().map(Some).collect(),
         });
+    }
+
+    /// The deployed operator of `(sub, task)`.
+    pub(crate) fn get(&self, sub: usize, task: usize) -> Option<&RuntimeOperator> {
+        self.subs.get(sub)?.operators.get(task)?.as_ref()
     }
 
     /// The deployed operator of `(sub, task)`, mutably.
@@ -49,20 +62,23 @@ impl OperatorSlots {
     pub(crate) fn remove(&mut self, sub: usize, task: usize) -> Option<RuntimeOperator> {
         let slots = self.subs.get_mut(sub)?;
         let operator = slots.operators.get_mut(task)?.take()?;
-        slots.live -= 1;
-        self.live -= 1;
-        if slots.live == 0 {
+        slots.filled -= 1;
+        slots.live -= operator.operators();
+        self.live -= operator.operators();
+        if slots.filled == 0 {
             slots.operators = Vec::new();
         }
         Some(operator)
     }
 
-    /// Operators deployed across every subscription.
+    /// Operators deployed across every subscription, merge-tree stages
+    /// included.
     pub(crate) fn len(&self) -> usize {
         self.live
     }
 
-    /// Operators of subscription `sub` still deployed.
+    /// Operators of subscription `sub` still deployed, merge-tree stages
+    /// included.
     pub(crate) fn live_of(&self, sub: usize) -> usize {
         self.subs.get(sub).map_or(0, |slots| slots.live)
     }

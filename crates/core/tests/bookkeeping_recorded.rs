@@ -21,6 +21,12 @@
 //! re-record, run `cargo test -q --release -p p2pmon-core --test
 //! bookkeeping_recorded -- --nocapture --test-threads 1`: each test prints
 //! its constant's digests as they appear in the source.
+//!
+//! `SKETCH_PARENT`'s first three digests were re-recorded when an
+//! aggregate's leaf and merge stages stopped being tasks: a merge tree's
+//! cross-peer edges register no channel consumer any more, so
+//! `consumers_by_origin` no longer lists one entry per edge.  The last
+//! digest (everything torn down) and all of `CHURN_PARENT` did not move.
 
 use std::collections::VecDeque;
 
@@ -173,9 +179,9 @@ fn churn_bookkeeping_matches_the_string_keyed_maps_step_by_step() {
 
 /// Digests after the three aggregates deployed, then after each teardown.
 const SKETCH_PARENT: [u64; 4] = [
-    0x4860c23f841a977f,
-    0x0fad26b6768eb120,
-    0x1dd8225731aec156,
+    0x9b0325724de6526b,
+    0xe59e6f3db673cca0,
+    0x67d221810cec40de,
     0x5950f77980ed9498,
 ];
 

@@ -11,6 +11,12 @@
 //! rather than what is deployed: `output_channels` mints one channel name
 //! (`s<sub>-t<task>`) per task, and the names outlive the subscription.
 //!
+//! `PARENT_SUBMITS` was re-recorded when an aggregate's leaf and merge
+//! stages stopped being tasks: each submit mints 68 names fewer (64 leaves
+//! and 4 merges at 64 peers), `[201, 133, 133]` → `[133, 65, 65]`.  A
+//! tree's cross-peer edge names its rate row at its first partial, in a
+//! round, never in a submit.
+//!
 //! One `#[test]` in its own binary, so no other thread interns into the table
 //! while this one counts.  To re-record, run `cargo test -q --release -p
 //! p2pmon-core --test interned_names -- --nocapture`: the test prints
@@ -20,8 +26,9 @@ use p2pmon_core::{Monitor, MonitorConfig};
 use p2pmon_workloads::SketchStorm;
 use p2pmon_xmlkit::intern::interned_count;
 
-/// Names interned by each of the three aggregate submits at 67099a2.
-const PARENT_SUBMITS: [usize; 3] = [201, 133, 133];
+/// Names interned by each of the three aggregate submits at 67099a2, less
+/// the 68 stage names per submit no longer minted.
+const PARENT_SUBMITS: [usize; 3] = [133, 65, 65];
 
 #[test]
 fn keys_reuse_minted_names_and_a_teardown_interns_none() {

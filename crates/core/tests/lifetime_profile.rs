@@ -7,6 +7,16 @@
 //! stores what they touch: a change to the operator store, the routing
 //! table or the host map must leave every count where it is, and a count
 //! that moves names the phase whose work changed.
+//!
+//! Re-recorded when an aggregate's leaf and merge stages stopped being
+//! tasks and became one merge tree deployed with its root: `place`,
+//! `output_channels` and `install` went from 133 (64 sources, 64 leaves, 4
+//! merges, the root) to 65 (the sources and the root), and `retract` from
+//! 128/192/128 to 64/128/64 — the 64 channel registrations of the tree's
+//! cross-peer edges are gone.  `remove` still counts every operator
+//! removed, the stages with their root (133).  To re-record, run `cargo
+//! test -q --release -p p2pmon-core --test lifetime_profile -- --nocapture`
+//! and read the work column of each printed profile.
 
 use p2pmon_core::{LifetimeProfile, Monitor, MonitorConfig};
 use p2pmon_workloads::SketchStorm;
@@ -14,17 +24,17 @@ use p2pmon_workloads::SketchStorm;
 /// Work per submit phase: compile, pushdown, reuse, canonicalize, place,
 /// output_channels, install, publish.
 const SUBMITS: [[u64; 8]; 3] = [
-    [66, 66, 64, 0, 133, 133, 133, 64],
-    [66, 66, 65, 64, 133, 133, 133, 0],
-    [66, 66, 65, 64, 133, 133, 133, 0],
+    [66, 66, 64, 0, 65, 65, 65, 64],
+    [66, 66, 65, 64, 65, 65, 65, 0],
+    [66, 66, 65, 64, 65, 65, 65, 0],
 ];
 
 /// Work per teardown phase: owner_release, remove, retract, purge, replica,
 /// release.
 const TEARDOWNS: [[u64; 6]; 3] = [
+    [0, 133, 64, 0, 0, 64],
     [0, 133, 128, 0, 0, 64],
-    [0, 133, 192, 0, 0, 64],
-    [0, 133, 128, 0, 0, 64],
+    [0, 133, 64, 0, 0, 64],
 ];
 
 /// Prints the profile and returns its work counts.

@@ -121,6 +121,39 @@ fn centralized_and_pushdown_agree_on_results_but_not_on_traffic() {
     );
 }
 
+/// An aggregate's merge tree runs beside its sources or, centralized, at
+/// the manager, where every raw alert travels to its leaf; the answers
+/// agree, and only the centralized tree's inputs cross the network.
+#[test]
+fn centralized_and_pushdown_aggregates_answer_alike() {
+    let text = r#"for $c in inCOM(<p>a.com</p> <p>b.com</p> <p>meteo.com</p>)
+                  return topk($c.callMethod, 2)
+                  by email "ops@example.org";"#;
+    let mut answers = Vec::new();
+    let mut messages = Vec::new();
+    for placement in [
+        PlacementStrategy::PushToSources,
+        PlacementStrategy::Centralized,
+    ] {
+        let mut monitor = meteo_monitor(placement, false);
+        let handle = monitor.submit("p", text).unwrap();
+        for i in 0..30u64 {
+            let callee = ["a.com", "b.com", "meteo.com"][i as usize % 3];
+            let method = if i % 5 == 0 { "Put" } else { "Get" };
+            monitor.inject_soap_call(&SoapCall::new(i, "client.org", callee, method, 0, 5));
+        }
+        monitor.run_until_idle();
+        let results = monitor.results(&handle);
+        answers.push(results.last().expect("the root answers").to_xml());
+        messages.push(monitor.network_stats().total_messages);
+    }
+    assert_eq!(answers[0], answers[1]);
+    assert!(answers[0].contains(r#"total="30""#), "{}", answers[0]);
+    // Pushed down: one partial per leaf; centralized: every alert and no
+    // partial (the tree and the root share the manager).
+    assert_eq!(messages, [3, 30]);
+}
+
 #[test]
 fn second_identical_subscription_reuses_published_streams() {
     let mut monitor = meteo_monitor(PlacementStrategy::PushToSources, true);

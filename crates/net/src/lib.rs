@@ -14,8 +14,8 @@
 //!   delivery time, a logical clock in milliseconds, per-link statistics and
 //!   failure injection.
 //! * [`Message`] — an envelope carrying one [`Payload`] — an XML tree or a
-//!   sketch partial — between two peers, optionally tagged with the channel
-//!   it belongs to.
+//!   sketch partial addressed to a merge-tree stage ([`StageId`]) — between
+//!   two peers, optionally tagged with the channel it belongs to.
 //! * [`LatencyModel`] — constant, per-link or seeded-random latencies.
 //! * [`NetworkStats`] — message/byte counters, total and per link, used by
 //!   experiments E6–E8.
@@ -30,7 +30,7 @@ pub mod network;
 pub mod stats;
 
 pub use latency::LatencyModel;
-pub use message::{Message, Payload};
+pub use message::{Message, Payload, StageId};
 pub use network::{Network, NetworkConfig};
 pub use stats::{DropBreakdown, DropCause, LinkStats, NetworkStats, PeerTraffic};
 

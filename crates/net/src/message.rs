@@ -14,9 +14,32 @@ use crate::PeerId;
 pub enum Payload {
     /// An XML tree (an alert, an operator output, a control document).
     Xml(Arc<Element>),
-    /// A sketch partial, travelling as a value; its XML form is what the
-    /// wire is charged for ([`AnySketch::wire_size`]).
-    Sketch(Arc<AnySketch>),
+    /// A sketch partial, travelling as a value to the merge-tree stage it
+    /// is addressed to; its XML form is what the wire is charged for
+    /// ([`AnySketch::wire_size`]), the address nothing.
+    Sketch {
+        /// The stage that absorbs the partial.
+        to: StageId,
+        /// The partial.
+        partial: Arc<AnySketch>,
+    },
+}
+
+/// A stage of an aggregate's merge tree: the tree rooted at task `root` of
+/// deployment `sub`, and the stage's `level` (0 for a leaf, one more per
+/// merge above it; the tree's depth names the root itself) and `slot`
+/// within the level.  Orders by tree, then level, then slot: leaves before
+/// the merges above them, the root last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct StageId {
+    /// The deployment (subscription index) the tree belongs to.
+    pub sub: usize,
+    /// The tree's root task.
+    pub root: usize,
+    /// The stage's level.
+    pub level: usize,
+    /// The stage's position within its level.
+    pub slot: usize,
 }
 
 impl Payload {
@@ -26,7 +49,7 @@ impl Payload {
     pub fn byte_size(&self) -> usize {
         match self {
             Payload::Xml(doc) => doc.byte_size(),
-            Payload::Sketch(partial) => partial.wire_size(),
+            Payload::Sketch { partial, .. } => partial.wire_size(),
         }
     }
 }
@@ -107,7 +130,16 @@ mod tests {
         let mut partial = AnySketch::for_spec(&spec);
         partial.update("Get", 3);
         partial.update("Put", 1);
-        let payload = Payload::Sketch(Arc::new(partial.clone()));
+        let to = StageId {
+            sub: 0,
+            root: 1,
+            level: 0,
+            slot: 2,
+        };
+        let payload = Payload::Sketch {
+            to,
+            partial: Arc::new(partial.clone()),
+        };
         assert_eq!(payload.byte_size(), partial.to_element().byte_size());
         let tree = Payload::from(partial.to_element());
         assert_eq!(tree.byte_size(), payload.byte_size());

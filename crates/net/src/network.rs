@@ -284,7 +284,7 @@ impl Network {
         debug_assert_eq!(bytes, payload.byte_size(), "a message is charged its size");
         debug_assert!(
             match &payload {
-                Payload::Sketch(partial) => bytes == partial.to_element().byte_size(),
+                Payload::Sketch { partial, .. } => bytes == partial.to_element().byte_size(),
                 Payload::Xml(_) => true,
             },
             "a sketch partial is charged the byte size of its XML form"

@@ -2,8 +2,9 @@
 //! time, phase by phase.
 //!
 //! Deploys the three aggregates of a sketch storm over N monitored peers
-//! (top-k methods, call-latency entropy and a 0.99 quantile, each a merge
-//! tree over every peer), dispatches one batch of traffic through them, then
+//! (top-k methods, the method-mix entropy and a 0.99 quantile of the call
+//! duration, each a merge tree over every peer, placed and installed as one
+//! unit with its root), dispatches one batch of traffic through them, then
 //! tears them down in submit order.  After each submit and each unsubscribe
 //! it prints the monitor's own per-phase split: the work each phase did (a
 //! count that is the same on every host) and the time it took; after the

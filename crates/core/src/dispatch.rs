@@ -1171,17 +1171,11 @@ impl Monitor {
                         .hosts
                         .get_mut(peer.as_str())
                         .expect("consumer peer is hosted");
-                    host.receive(Arc::clone(output), targets, &mut self.ready);
+                    host.receive(output.clone(), targets, &mut self.ready);
                 }
             } else if self
                 .network
-                .send_sized(
-                    producer,
-                    peer,
-                    Some(plan.channel),
-                    Arc::clone(output),
-                    bytes,
-                )
+                .send_sized(producer, peer, Some(plan.channel), output.clone(), bytes)
                 .is_some()
             {
                 // Only messages that actually went out count as shared; a

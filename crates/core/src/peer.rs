@@ -17,10 +17,10 @@
 //! in its subscription's slot of the monitor's operator store, which a
 //! deploy fills with one `Vec` and a teardown empties without visiting a
 //! host.  A merge-tree stage hosted here lives in its root's operator, and
-//! the host names it by its [`StageId`].  A dispatch round runs each host's local phase with that store
-//! beside it, against an immutable routing snapshot of the
-//! [`crate::Monitor`] façade, which commits the buffered cross-peer effects
-//! afterwards ([`crate::dispatch`]).
+//! the host names it by its [`StageId`].  A dispatch round runs each host's
+//! local phase with that store beside it, against an immutable routing
+//! snapshot of the [`crate::Monitor`] façade, which commits the buffered
+//! cross-peer effects afterwards ([`crate::dispatch`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;

@@ -169,7 +169,7 @@ impl RuntimeOperator {
 
     /// Gives an aggregate's root the stages of its placed merge tree, each
     /// with an empty delta.  Any other operator is returned unchanged.
-    pub fn with_tree(mut self, tree: &MergeTree) -> Self {
+    pub(crate) fn with_tree(mut self, tree: &MergeTree) -> Self {
         if let RuntimeOperator::SketchRoot { spec, stages, .. } = &mut self {
             let stage = || Stage {
                 delta: AnySketch::for_spec(spec),
@@ -185,7 +185,7 @@ impl RuntimeOperator {
 
     /// The operators this instance stands for: one, plus a root's leaf and
     /// merge stages.
-    pub fn operators(&self) -> usize {
+    pub(crate) fn operators(&self) -> usize {
         match self {
             RuntimeOperator::SketchRoot { stages, .. } => {
                 1 + stages.iter().map(Vec::len).sum::<usize>()
@@ -217,7 +217,7 @@ impl RuntimeOperator {
     /// dispatcher keeps ticking while any stage is pending, so
     /// `run_until_idle` drains the merge tree completely.  `false` for any
     /// other operator.
-    pub fn stage_pending(&self, level: usize, slot: usize) -> bool {
+    pub(crate) fn stage_pending(&self, level: usize, slot: usize) -> bool {
         match self {
             RuntimeOperator::SketchRoot { stages, dirty, .. } => match stages.get(level) {
                 Some(level) => level.get(slot).is_some_and(|stage| !stage.delta.is_empty()),
@@ -228,26 +228,19 @@ impl RuntimeOperator {
     }
 
     /// Every pending stage of a root, as `(level, slot)`, the root's own
-    /// level last (see [`RuntimeOperator::stage_pending`]).
-    pub fn pending_stages(&self) -> Vec<(usize, usize)> {
-        let RuntimeOperator::SketchRoot { stages, dirty, .. } = self else {
+    /// level last (see [`RuntimeOperator::stage_pending`]): what the debug
+    /// builds' audit compares with the hosts' flush lists.
+    #[cfg(debug_assertions)]
+    pub(crate) fn pending_stages(&self) -> Vec<(usize, usize)> {
+        let RuntimeOperator::SketchRoot { stages, .. } = self else {
             return Vec::new();
         };
-        let mut pending: Vec<(usize, usize)> = stages
-            .iter()
-            .enumerate()
-            .flat_map(|(level, stages)| {
-                let held = stages
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.delta.is_empty());
-                held.map(move |(slot, _)| (level, slot))
-            })
-            .collect();
-        if *dirty {
-            pending.push((stages.len(), 0));
-        }
-        pending
+        let slots = stages.iter().enumerate();
+        let slots = slots.flat_map(|(level, s)| (0..s.len()).map(move |slot| (level, slot)));
+        let root = (stages.len(), 0);
+        let all = slots.chain([root]);
+        all.filter(|&(level, slot)| self.stage_pending(level, slot))
+            .collect()
     }
 
     /// Round-boundary flush of stage `at` of this root: a leaf or merge
@@ -256,7 +249,7 @@ impl RuntimeOperator {
     /// counts a flush opportunity and, every `spec.every` of them,
     /// materializes the XML answer from the cumulative sketch.  `None` when
     /// the stage has nothing to hand on (or for non-sketch operators).
-    pub fn flush_stage(&mut self, at: StageId) -> Option<Payload> {
+    pub(crate) fn flush_stage(&mut self, at: StageId) -> Option<Payload> {
         let RuntimeOperator::SketchRoot { stages, .. } = self else {
             return None;
         };
@@ -298,7 +291,7 @@ impl RuntimeOperator {
     /// — a merge, or at the root's own level the cumulative sketch — the
     /// only way a partial enters one.  Any other operator, or a partial of
     /// another kind, is left unchanged.
-    pub fn absorb_partial(&mut self, level: usize, slot: usize, partial: &AnySketch) {
+    pub(crate) fn absorb_partial(&mut self, level: usize, slot: usize, partial: &AnySketch) {
         if let RuntimeOperator::SketchRoot {
             stages,
             sketch,

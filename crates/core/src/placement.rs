@@ -139,8 +139,8 @@ pub const SKETCH_MERGE_FANIN: usize = 16;
 /// [`TaskKind`], channel or route — and deploy as one operator slot with
 /// the root ([`TaskKind::SketchRoot`]), whose input port `p` feeds leaf
 /// `p`.  Stage `(level, slot)` hands its partial to stage
-/// `(level + 1, slot / SKETCH_MERGE_FANIN)`; level [`MergeTree::depth`] is
-/// the root.
+/// `(level + 1, slot / SKETCH_MERGE_FANIN)`; the level past the last, the
+/// root.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeTree {
     /// The [`TaskKind::SketchRoot`] task the tree feeds.
@@ -154,11 +154,6 @@ pub struct MergeTree {
 }
 
 impl MergeTree {
-    /// The root's level: the number of stage levels below it.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Number of leaf and merge stages.
     pub fn stages(&self) -> usize {
         self.levels.iter().map(Vec::len).sum()
@@ -772,10 +767,7 @@ mod tests {
         let tree = placed.tree_of(placed.root).expect("the root's tree");
         let widths: Vec<usize> = tree.levels.iter().map(Vec::len).collect();
         assert_eq!(widths, [40, 3]);
-        assert_eq!(
-            (tree.depth(), tree.stages(), placed.operators()),
-            (2, 43, 84)
-        );
+        assert_eq!((tree.stages(), placed.operators()), (43, 84));
         for task in &placed.tasks[..40] {
             let (consumer, port) = task.downstream.expect("a source feeds the root");
             assert_eq!(consumer, placed.root);

@@ -72,9 +72,8 @@ pub enum RuntimeOperator {
         default_var: String,
     },
     /// Sketch root with its merge tree's stages: an item on port `p` updates
-    /// leaf `p`; each flush hands a stage's delta to its parent
-    /// ([`RuntimeOperator::flush_stage`]), which absorbs it
-    /// ([`RuntimeOperator::absorb_partial`]); the root accumulates partials
+    /// leaf `p`; each round-boundary flush hands a stage's delta to its
+    /// parent stage, which absorbs it; the root accumulates partials
     /// *cumulatively* and materializes an XML answer every `spec.every`
     /// flush opportunities.
     SketchRoot {

@@ -62,9 +62,10 @@ impl OperatorSlots {
     pub(crate) fn remove(&mut self, sub: usize, task: usize) -> Option<RuntimeOperator> {
         let slots = self.subs.get_mut(sub)?;
         let operator = slots.operators.get_mut(task)?.take()?;
+        let operators = operator.operators();
         slots.filled -= 1;
-        slots.live -= operator.operators();
-        self.live -= operator.operators();
+        slots.live -= operators;
+        self.live -= operators;
         if slots.filled == 0 {
             slots.operators = Vec::new();
         }

@@ -27,10 +27,10 @@ pub enum Payload {
 
 /// A stage of an aggregate's merge tree: the tree rooted at task `root` of
 /// deployment `sub`, and the stage's `level` (0 for a leaf, one more per
-/// merge above it; the tree's depth names the root itself) and `slot`
-/// within the level.  Orders by tree, then level, then slot: leaves before
-/// the merges above them, the root last.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// merge level above it; the level past the last names the root itself)
+/// and `slot` within the level.  Orders by tree, then level, then slot:
+/// leaves before the merges above them, the root last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct StageId {
     /// The deployment (subscription index) the tree belongs to.
     pub sub: usize,

@@ -1327,12 +1327,15 @@ impl Monitor {
             match output {
                 Payload::Sketch { to, partial } => self.hand_up(stage, to, partial),
                 Payload::Xml(answer) => {
+                    let route = self.subscriptions[stage.sub].routes[stage.root];
                     debug_assert_eq!(
-                        self.subscriptions[stage.sub].routes[stage.root],
+                        route,
                         Route::Publisher,
                         "placement makes an aggregate's root its plan's root"
                     );
-                    self.deliver_result(stage.sub, answer);
+                    if route == Route::Publisher {
+                        self.deliver_result(stage.sub, answer);
+                    }
                 }
             }
         }

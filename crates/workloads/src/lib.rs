@@ -44,6 +44,7 @@ use rand::{Rng, SeedableRng};
 
 use p2pmon_alerters::SoapCall;
 use p2pmon_filter::FilterSubscription;
+use p2pmon_net::LatencyModel;
 use p2pmon_streams::AttrCondition;
 use p2pmon_xmlkit::path::CompareOp;
 use p2pmon_xmlkit::{Element, ElementBuilder, PathPattern};
@@ -380,6 +381,147 @@ impl SubscriptionWorkload {
     }
 }
 
+/// The seeded state behind a storm's SOAP traffic: its RNG, the next call
+/// id and the logical clock.
+#[derive(Debug, Clone)]
+struct Draws {
+    rng: StdRng,
+    next_id: u64,
+    clock: u64,
+}
+
+impl Draws {
+    fn new(seed: u64) -> Self {
+        Draws {
+            rng: StdRng::seed_from_u64(seed),
+            next_id: 0,
+            clock: 1_000,
+        }
+    }
+
+    /// Advances the clock by a draw from `1..=max_step` ms and takes the
+    /// next call id: `(id, call timestamp)`.
+    fn tick(&mut self, max_step: u64) -> (u64, u64) {
+        self.clock += self.rng.gen_range(1..=max_step);
+        self.next_id += 1;
+        (self.next_id - 1, self.clock)
+    }
+
+    /// One call of hub traffic: a uniformly drawn method, then the hub
+    /// `pick_hub` draws calling `service`, a clock step, a latency slower
+    /// than `slow_threshold_ms` with `slow_fraction` (faster otherwise) and,
+    /// with `detail_fraction`, the `<detail>` body the pattern
+    /// subscriptions look for.
+    fn hub_call<'a>(
+        &mut self,
+        methods: &[String],
+        pick_hub: impl FnOnce(&mut StdRng) -> &'a String,
+        service: &str,
+        slow_threshold_ms: u64,
+        slow_fraction: f64,
+        detail_fraction: f64,
+    ) -> SoapCall {
+        let method = methods[self.rng.gen_range(0..methods.len())].clone();
+        let hub = pick_hub(&mut self.rng);
+        let (id, clock) = self.tick(20);
+        let latency = if self.rng.gen::<f64>() < slow_fraction {
+            slow_threshold_ms + self.rng.gen_range(1..=30u64)
+        } else {
+            self.rng.gen_range(1..=slow_threshold_ms.max(2) - 1)
+        };
+        let call = SoapCall::new(
+            id,
+            format!("http://{hub}"),
+            service,
+            method,
+            clock,
+            clock + latency,
+        );
+        if self.rng.gen::<f64>() < detail_fraction {
+            call.with_body(Element::text_element("detail", "payload"))
+        } else {
+            call
+        }
+    }
+}
+
+/// Whether every-`step`-th item `n` is picked (`step` 0 picks none).
+fn every(step: usize, n: usize) -> bool {
+    step > 0 && n.is_multiple_of(step)
+}
+
+/// The `outCOM` subscription the hub storms write: calls from `sources`
+/// (a `<p>…</p>` list) to `service` with `method`, plus the `$c//detail`
+/// pattern if `pattern` and a LET-derived duration residual over
+/// `residual_ms` if given, returning a `<hit>` carrying `tag` to sink
+/// `watch{sink}@example.org`.
+fn outcom_subscription(
+    sources: &str,
+    service: &str,
+    method: &str,
+    pattern: bool,
+    residual_ms: Option<u64>,
+    tag: &str,
+    sink: usize,
+) -> String {
+    let (let_clause, residual) = match residual_ms {
+        Some(ms) => (
+            "let $d := $c.responseTimestamp - $c.callTimestamp\n",
+            format!(" and $d > {ms}"),
+        ),
+        None => ("", String::new()),
+    };
+    let pattern = if pattern { " and $c//detail" } else { "" };
+    format!(
+        "for $c in outCOM({sources})\n{let_clause}where $c.callee = \"{service}\" and $c.callMethod = \"{method}\"{pattern}{residual}\nreturn <hit {tag} method=\"{{$c.callMethod}}\"/>\nby email \"watch{sink}@example.org\";"
+    )
+}
+
+/// The cumulative zipf distribution over `n` items: item `k` (from 0)
+/// weighs `1/(k+1)^exponent`.
+fn zipf_cdf(n: usize, exponent: f64) -> Vec<f64> {
+    let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(exponent)).collect();
+    let total: f64 = weights.iter().sum();
+    let mut acc = 0.0;
+    weights
+        .iter()
+        .map(|w| {
+            acc += w / total;
+            acc
+        })
+        .collect()
+}
+
+/// An index below `len` drawn from the cumulative distribution `cdf`.
+fn weighted(cdf: &[f64], len: usize, rng: &mut StdRng) -> usize {
+    let u: f64 = rng.gen();
+    cdf.partition_point(|&c| c < u).min(len - 1)
+}
+
+/// The clustered latency model: two distinct peers of one cluster are
+/// `intra_ms` apart, every other link costs `cross_ms`.
+fn clustered_latency<C: AsRef<[String]>>(
+    clusters: impl IntoIterator<Item = C>,
+    intra_ms: u64,
+    cross_ms: u64,
+) -> LatencyModel {
+    let mut links = std::collections::HashMap::new();
+    for cluster in clusters {
+        let members = cluster.as_ref();
+        for (i, from) in members.iter().enumerate() {
+            for (j, to) in members.iter().enumerate() {
+                if i != j {
+                    links.insert((from.into(), to.into()), intra_ms);
+                }
+            }
+        }
+    }
+    LatencyModel::PerLink {
+        links,
+        default: cross_ms,
+    }
+}
+
 /// Many shared-prefix P2PML subscriptions over one alerter function.
 ///
 /// Every subscription watches `outCOM` at one of the monitored peers and
@@ -413,9 +555,7 @@ pub struct SubscriptionStorm {
     pub slow_fraction: f64,
     /// Fraction of generated calls carrying a `<detail>` body element.
     pub detail_fraction: f64,
-    rng: StdRng,
-    next_id: u64,
-    clock: u64,
+    draws: Draws,
 }
 
 impl SubscriptionStorm {
@@ -430,9 +570,7 @@ impl SubscriptionStorm {
             slow_threshold_ms: 10,
             slow_fraction: 0.3,
             detail_fraction: 0.5,
-            rng: StdRng::seed_from_u64(seed),
-            next_id: 0,
-            clock: 1_000,
+            draws: Draws::new(seed),
         }
     }
 
@@ -447,28 +585,16 @@ impl SubscriptionStorm {
 
     /// The P2PML text of subscription `i`.
     pub fn subscription(&self, i: usize) -> String {
-        let method = &self.methods[i % self.methods.len().max(1)];
         let peer = &self.monitored_peers[i % self.monitored_peers.len().max(1)];
-        let with_pattern = self.pattern_every > 0 && i.is_multiple_of(self.pattern_every);
-        let with_residual = self.residual_every > 0 && i.is_multiple_of(self.residual_every);
-        let mut text = format!("for $c in outCOM(<p>{peer}</p>)\n");
-        if with_residual {
-            text.push_str("let $d := $c.responseTimestamp - $c.callTimestamp\n");
-        }
-        text.push_str(&format!(
-            "where $c.callee = \"{}\" and $c.callMethod = \"{method}\"",
-            self.service
-        ));
-        if with_pattern {
-            text.push_str(" and $c//detail");
-        }
-        if with_residual {
-            text.push_str(&format!(" and $d > {}", self.slow_threshold_ms));
-        }
-        text.push_str(&format!(
-            "\nreturn <hit sub=\"s{i}\" method=\"{{$c.callMethod}}\"/>\nby email \"watch{i}@example.org\";"
-        ));
-        text
+        outcom_subscription(
+            &format!("<p>{peer}</p>"),
+            &self.service,
+            &self.methods[i % self.methods.len().max(1)],
+            every(self.pattern_every, i),
+            every(self.residual_every, i).then_some(self.slow_threshold_ms),
+            &format!("sub=\"s{i}\""),
+            i,
+        )
     }
 
     /// The texts of subscriptions `0..n`.
@@ -480,29 +606,15 @@ impl SubscriptionStorm {
     /// the backend with a random method, sometimes slow, sometimes carrying
     /// the `<detail>` element the pattern subscriptions look for.
     pub fn next_call(&mut self) -> SoapCall {
-        let method = self.methods[self.rng.gen_range(0..self.methods.len())].clone();
-        let peer = self.monitored_peers[self.rng.gen_range(0..self.monitored_peers.len())].clone();
-        self.clock += self.rng.gen_range(1..=20u64);
-        let slow = self.rng.gen::<f64>() < self.slow_fraction;
-        let latency = if slow {
-            self.slow_threshold_ms + self.rng.gen_range(1..=30u64)
-        } else {
-            self.rng.gen_range(1..=self.slow_threshold_ms.max(2) - 1)
-        };
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut call = SoapCall::new(
-            id,
-            format!("http://{peer}"),
-            self.service.clone(),
-            method,
-            self.clock,
-            self.clock + latency,
-        );
-        if self.rng.gen::<f64>() < self.detail_fraction {
-            call = call.with_body(Element::text_element("detail", "payload"));
-        }
-        call
+        let hubs = &self.monitored_peers;
+        self.draws.hub_call(
+            &self.methods,
+            |rng| &hubs[rng.gen_range(0..hubs.len())],
+            &self.service,
+            self.slow_threshold_ms,
+            self.slow_fraction,
+            self.detail_fraction,
+        )
     }
 
     /// A batch of calls.
@@ -574,9 +686,7 @@ pub struct OverlappingStorm {
     /// traffic): with paired hubs, the two inputs of every union carry
     /// *different* measured rates, so where each union lands shows.
     hub_cdf: Vec<f64>,
-    rng: StdRng,
-    next_id: u64,
-    clock: u64,
+    draws: Draws,
 }
 
 impl OverlappingStorm {
@@ -598,9 +708,7 @@ impl OverlappingStorm {
             detail_fraction: 0.5,
             paired_hubs: false,
             hub_cdf: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
-            next_id: 0,
-            clock: 1_000,
+            draws: Draws::new(seed),
         }
     }
 
@@ -645,16 +753,7 @@ impl OverlappingStorm {
         let mut storm = OverlappingStorm::clustered(seed, hubs, clusters, peers_per_cluster);
         storm.monitored_peers = (0..hubs).map(|i| format!("hub{i}.net")).collect();
         storm.paired_hubs = true;
-        let weights: Vec<f64> = (0..hubs).map(|h| 1.0 / (h as f64 + 1.0)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        storm.hub_cdf = weights
-            .iter()
-            .map(|w| {
-                acc += w / total;
-                acc
-            })
-            .collect();
+        storm.hub_cdf = zipf_cdf(hubs, 1.0);
         storm
     }
 
@@ -687,52 +786,36 @@ impl OverlappingStorm {
     /// [`OverlappingStorm::cross_cluster_ms`].  This is the proximity
     /// function replica selection reads through
     /// `Network::expected_latency`.
-    pub fn latency_model(&self) -> p2pmon_net::LatencyModel {
-        let mut links = std::collections::HashMap::new();
-        for (i, from) in self.consumer_peers.iter().enumerate() {
-            for (j, to) in self.consumer_peers.iter().enumerate() {
-                if i != j && i / self.peers_per_cluster == j / self.peers_per_cluster {
-                    links.insert((from.into(), to.into()), self.intra_cluster_ms);
-                }
-            }
-        }
-        p2pmon_net::LatencyModel::PerLink {
-            links,
-            default: self.cross_cluster_ms,
-        }
+    pub fn latency_model(&self) -> LatencyModel {
+        clustered_latency(
+            self.consumer_peers.chunks(self.peers_per_cluster),
+            self.intra_cluster_ms,
+            self.cross_cluster_ms,
+        )
     }
 
     /// The P2PML text of subscription `i`.  Subscriptions with the same
     /// shape (`i % shapes`) differ only in the sink address.
     pub fn subscription(&self, i: usize) -> String {
         let shape = i % self.shapes;
-        let method = &self.methods[shape % self.methods.len()];
-        let with_pattern = self.pattern_every > 0 && shape.is_multiple_of(self.pattern_every);
-        let with_residual = self.residual_every > 0 && shape.is_multiple_of(self.residual_every);
-        let mut text = if self.paired_hubs {
+        let sources = if self.paired_hubs {
             let (a, b) = self.hub_pair_of_shape(shape);
-            format!("for $c in outCOM(<p>{a}</p> <p>{b}</p>)\n")
+            format!("<p>{a}</p> <p>{b}</p>")
         } else {
-            let peer = &self.monitored_peers[shape % self.monitored_peers.len()];
-            format!("for $c in outCOM(<p>{peer}</p>)\n")
+            format!(
+                "<p>{}</p>",
+                self.monitored_peers[shape % self.monitored_peers.len()]
+            )
         };
-        if with_residual {
-            text.push_str("let $d := $c.responseTimestamp - $c.callTimestamp\n");
-        }
-        text.push_str(&format!(
-            "where $c.callee = \"{}\" and $c.callMethod = \"{method}\"",
-            self.service
-        ));
-        if with_pattern {
-            text.push_str(" and $c//detail");
-        }
-        if with_residual {
-            text.push_str(&format!(" and $d > {}", self.slow_threshold_ms));
-        }
-        text.push_str(&format!(
-            "\nreturn <hit shape=\"g{shape}\" method=\"{{$c.callMethod}}\"/>\nby email \"watch{i}@example.org\";"
-        ));
-        text
+        outcom_subscription(
+            &sources,
+            &self.service,
+            &self.methods[shape % self.methods.len()],
+            every(self.pattern_every, shape),
+            every(self.residual_every, shape).then_some(self.slow_threshold_ms),
+            &format!("shape=\"g{shape}\""),
+            i,
+        )
     }
 
     /// The texts of subscriptions `0..n`.
@@ -745,38 +828,21 @@ impl OverlappingStorm {
     /// measurably more traffic than high-index ones; otherwise hubs are
     /// drawn uniformly.
     pub fn next_call(&mut self) -> SoapCall {
-        let method = self.methods[self.rng.gen_range(0..self.methods.len())].clone();
-        let peer = if self.hub_cdf.is_empty() {
-            self.monitored_peers[self.rng.gen_range(0..self.monitored_peers.len())].clone()
-        } else {
-            let u: f64 = self.rng.gen();
-            let idx = self
-                .hub_cdf
-                .partition_point(|&c| c < u)
-                .min(self.monitored_peers.len() - 1);
-            self.monitored_peers[idx].clone()
-        };
-        self.clock += self.rng.gen_range(1..=20u64);
-        let slow = self.rng.gen::<f64>() < self.slow_fraction;
-        let latency = if slow {
-            self.slow_threshold_ms + self.rng.gen_range(1..=30u64)
-        } else {
-            self.rng.gen_range(1..=self.slow_threshold_ms.max(2) - 1)
-        };
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut call = SoapCall::new(
-            id,
-            format!("http://{peer}"),
-            self.service.clone(),
-            method,
-            self.clock,
-            self.clock + latency,
-        );
-        if self.rng.gen::<f64>() < self.detail_fraction {
-            call = call.with_body(Element::text_element("detail", "payload"));
-        }
-        call
+        let (hubs, cdf) = (&self.monitored_peers, &self.hub_cdf);
+        self.draws.hub_call(
+            &self.methods,
+            |rng| {
+                &hubs[if cdf.is_empty() {
+                    rng.gen_range(0..hubs.len())
+                } else {
+                    weighted(cdf, hubs.len(), rng)
+                }]
+            },
+            &self.service,
+            self.slow_threshold_ms,
+            self.slow_fraction,
+            self.detail_fraction,
+        )
     }
 
     /// A batch of calls.
@@ -833,9 +899,7 @@ pub struct MassiveStorm {
     /// Cumulative zipf distribution over the shapes (precomputed).
     zipf_cdf: Vec<f64>,
     seed: u64,
-    rng: StdRng,
-    next_id: u64,
-    clock: u64,
+    draws: Draws,
 }
 
 impl MassiveStorm {
@@ -855,15 +919,6 @@ impl MassiveStorm {
         let hubs = clusters * hubs_per_cluster;
         let shapes = hubs * Self::SHAPES_PER_HUB;
         let zipf_exponent = 1.0;
-        let mut weights: Vec<f64> = (1..=shapes)
-            .map(|k| 1.0 / (k as f64).powf(zipf_exponent))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        for w in &mut weights {
-            acc += *w / total;
-            *w = acc;
-        }
         MassiveStorm {
             monitored_peers: (0..clusters)
                 .flat_map(|c| (0..hubs_per_cluster).map(move |h| format!("c{c}-hub{h}.net")))
@@ -882,11 +937,9 @@ impl MassiveStorm {
             detail_fraction: 0.5,
             intra_cluster_ms: 5,
             cross_cluster_ms: 100,
-            zipf_cdf: weights,
+            zipf_cdf: zipf_cdf(shapes, zipf_exponent),
             seed,
-            rng: StdRng::seed_from_u64(seed),
-            next_id: 0,
-            clock: 1_000,
+            draws: Draws::new(seed),
         }
     }
 
@@ -916,10 +969,7 @@ impl MassiveStorm {
         let mut rng = StdRng::seed_from_u64(
             self.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)),
         );
-        let u: f64 = rng.gen();
-        self.zipf_cdf
-            .partition_point(|&c| c < u)
-            .min(self.shapes - 1)
+        weighted(&self.zipf_cdf, self.shapes, &mut rng)
     }
 
     /// The hub shape `k` watches.
@@ -936,28 +986,11 @@ impl MassiveStorm {
 
     /// The clustered latency model (same-cluster links are close, every
     /// other link is far).
-    pub fn latency_model(&self) -> p2pmon_net::LatencyModel {
-        let mut links = std::collections::HashMap::new();
-        let mut cluster_peers: Vec<Vec<String>> = vec![Vec::new(); self.clusters()];
-        for (h, hub) in self.monitored_peers.iter().enumerate() {
-            cluster_peers[h / self.hubs_per_cluster].push(hub.clone());
-        }
-        for (c, members) in cluster_peers.iter_mut().enumerate() {
-            members.push(format!("c{c}-mgr.org"));
-        }
-        for members in &cluster_peers {
-            for (i, from) in members.iter().enumerate() {
-                for (j, to) in members.iter().enumerate() {
-                    if i != j {
-                        links.insert((from.into(), to.into()), self.intra_cluster_ms);
-                    }
-                }
-            }
-        }
-        p2pmon_net::LatencyModel::PerLink {
-            links,
-            default: self.cross_cluster_ms,
-        }
+    pub fn latency_model(&self) -> LatencyModel {
+        let clusters = (self.monitored_peers.chunks(self.hubs_per_cluster))
+            .zip(self.manager_peers())
+            .map(|(hubs, manager)| [hubs, &[manager]].concat());
+        clustered_latency(clusters, self.intra_cluster_ms, self.cross_cluster_ms)
     }
 
     /// The P2PML text of subscription `i`.  Subscriptions with the same
@@ -965,28 +998,15 @@ impl MassiveStorm {
     /// the zipf head onto shared live streams.
     pub fn subscription(&self, i: usize) -> String {
         let shape = self.shape_of(i);
-        let peer = self.hub_of_shape(shape);
-        let method = &self.methods[shape % self.methods.len()];
-        let with_pattern = self.pattern_every > 0 && shape.is_multiple_of(self.pattern_every);
-        let with_residual = self.residual_every > 0 && shape.is_multiple_of(self.residual_every);
-        let mut text = format!("for $c in outCOM(<p>{peer}</p>)\n");
-        if with_residual {
-            text.push_str("let $d := $c.responseTimestamp - $c.callTimestamp\n");
-        }
-        text.push_str(&format!(
-            "where $c.callee = \"{}\" and $c.callMethod = \"{method}\"",
-            self.service
-        ));
-        if with_pattern {
-            text.push_str(" and $c//detail");
-        }
-        if with_residual {
-            text.push_str(&format!(" and $d > {}", self.slow_threshold_ms));
-        }
-        text.push_str(&format!(
-            "\nreturn <hit shape=\"g{shape}\" method=\"{{$c.callMethod}}\"/>\nby email \"watch{i}@example.org\";"
-        ));
-        text
+        outcom_subscription(
+            &format!("<p>{}</p>", self.hub_of_shape(shape)),
+            &self.service,
+            &self.methods[shape % self.methods.len()],
+            every(self.pattern_every, shape),
+            every(self.residual_every, shape).then_some(self.slow_threshold_ms),
+            &format!("shape=\"g{shape}\""),
+            i,
+        )
     }
 
     /// The texts of subscriptions `0..n`.
@@ -999,29 +1019,15 @@ impl MassiveStorm {
     /// over the whole (growing) hub population, which is what keeps the
     /// average per-alert cost flat as the system scales.
     pub fn next_call(&mut self) -> SoapCall {
-        let method = self.methods[self.rng.gen_range(0..self.methods.len())].clone();
-        let peer = self.monitored_peers[self.rng.gen_range(0..self.monitored_peers.len())].clone();
-        self.clock += self.rng.gen_range(1..=20u64);
-        let slow = self.rng.gen::<f64>() < self.slow_fraction;
-        let latency = if slow {
-            self.slow_threshold_ms + self.rng.gen_range(1..=30u64)
-        } else {
-            self.rng.gen_range(1..=self.slow_threshold_ms.max(2) - 1)
-        };
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut call = SoapCall::new(
-            id,
-            format!("http://{peer}"),
-            self.service.clone(),
-            method,
-            self.clock,
-            self.clock + latency,
-        );
-        if self.rng.gen::<f64>() < self.detail_fraction {
-            call = call.with_body(Element::text_element("detail", "payload"));
-        }
-        call
+        let hubs = &self.monitored_peers;
+        self.draws.hub_call(
+            &self.methods,
+            |rng| &hubs[rng.gen_range(0..hubs.len())],
+            &self.service,
+            self.slow_threshold_ms,
+            self.slow_fraction,
+            self.detail_fraction,
+        )
     }
 
     /// A batch of calls.
@@ -1064,9 +1070,7 @@ pub struct SketchStorm {
     pub durations_ms: Vec<u64>,
     /// Cumulative zipf distribution over the methods (precomputed).
     method_cdf: Vec<f64>,
-    rng: StdRng,
-    next_id: u64,
-    clock: u64,
+    draws: Draws,
 }
 
 impl SketchStorm {
@@ -1081,15 +1085,6 @@ impl SketchStorm {
     pub fn sized(seed: u64, n_peers: usize) -> Self {
         let n_peers = n_peers.max(1);
         let zipf_exponent = 1.2;
-        let mut weights: Vec<f64> = (1..=Self::METHODS)
-            .map(|k| 1.0 / (k as f64).powf(zipf_exponent))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        for w in &mut weights {
-            acc += *w / total;
-            *w = acc;
-        }
         SketchStorm {
             monitored_peers: (0..n_peers).map(|i| format!("s{i}.net")).collect(),
             active_peers: Self::ACTIVE_PEERS.min(n_peers),
@@ -1098,10 +1093,8 @@ impl SketchStorm {
             durations_ms: (0..32)
                 .map(|i| (2.0 * 1.16f64.powi(i)).round() as u64)
                 .collect(),
-            method_cdf: weights,
-            rng: StdRng::seed_from_u64(seed),
-            next_id: 0,
-            clock: 1_000,
+            method_cdf: zipf_cdf(Self::METHODS, zipf_exponent),
+            draws: Draws::new(seed),
         }
     }
 
@@ -1166,26 +1159,21 @@ impl SketchStorm {
     /// toward the fast end (quadratic skew, so high quantiles land in the
     /// tail of the grid).
     pub fn next_call(&mut self) -> SoapCall {
-        let u: f64 = self.rng.gen();
-        let m = self
-            .method_cdf
-            .partition_point(|&c| c < u)
-            .min(self.methods.len() - 1);
-        let peer = self.monitored_peers[self.rng.gen_range(0..self.active_peers)].clone();
-        let v: f64 = self.rng.gen();
+        let rng = &mut self.draws.rng;
+        let m = weighted(&self.method_cdf, self.methods.len(), rng);
+        let peer = self.monitored_peers[rng.gen_range(0..self.active_peers)].clone();
+        let v: f64 = rng.gen();
         let d_idx =
             ((v * v * self.durations_ms.len() as f64) as usize).min(self.durations_ms.len() - 1);
         let duration = self.durations_ms[d_idx];
-        self.clock += self.rng.gen_range(1..=5u64);
-        let id = self.next_id;
-        self.next_id += 1;
+        let (id, clock) = self.draws.tick(5);
         SoapCall::new(
             id,
             "http://client.org",
             peer,
             self.methods[m].clone(),
-            self.clock,
-            self.clock + duration,
+            clock,
+            clock + duration,
         )
     }
 

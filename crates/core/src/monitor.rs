@@ -288,8 +288,8 @@ pub struct Monitor {
     /// Aggregate reuse effectiveness across deployments (E7).
     pub(crate) reuse_totals: ReuseStats,
     /// Measured per-channel rates: every multicast emission, alerter feed
-    /// and sink delivery is observed here.  Rate-aware placement and
-    /// load-aware provider selection read it at deployment time.
+    /// and sink delivery is observed here.  Load-aware provider selection
+    /// and the `monStats` stream read it.
     pub(crate) rate_table: RateTable,
     /// Ids handed to per-peer engine registrations, globally unique.
     pub(crate) next_filter_id: u64,
@@ -409,8 +409,8 @@ impl Monitor {
     }
 
     /// Expected latency (ms) between two registered peers, from the
-    /// network's latency model — the proximity measure placement weighs
-    /// bytes with.
+    /// network's latency model — the proximity measure provider selection
+    /// reads.
     pub fn expected_latency(&self, from: &str, to: &str) -> u64 {
         let (from, to) = (normalize_peer(from), normalize_peer(to));
         if from == to {

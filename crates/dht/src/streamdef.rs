@@ -13,8 +13,8 @@
 //! sources); `Operator` says which operator produced it; `isAChannel` tells
 //! whether the stream is published.  The paper's `<Stats>` child is not
 //! published: a stream's rates are measured where it flows, in the
-//! monitor's `RateTable`, and read there by placement and provider
-//! selection.  Replicas are declared separately with `<InChannel>`
+//! monitor's `RateTable`, and read there by load-aware provider selection
+//! and the `monStats` stream.  Replicas are declared separately with `<InChannel>`
 //! elements, and — crucially for reuse — derived streams are always
 //! described *with respect to the original streams, not the replicas*.
 //!

@@ -1,7 +1,7 @@
 //! Latency models for links between peers.
 //!
-//! A [`LatencyModel::PerLink`] map is what replica selection and placement
-//! read as "network proximity", once per scored candidate.  The sampler
+//! A [`LatencyModel::PerLink`] map is what provider selection reads as
+//! "network proximity", once per scored candidate.  The sampler
 //! compiles it once into a link table keyed by the link's two interned
 //! symbols packed into one `u64`, hashed as that integer: a lookup by
 //! [`PeerId`]s neither resolves a name nor hashes a string.  The model itself

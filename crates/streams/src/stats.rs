@@ -4,14 +4,14 @@
 //! description, "statistical information maintained for the stream such as
 //! the average volume of data in the stream for some period of time".  Here
 //! that information is measured where the stream flows: the monitor's
-//! [`RateTable`] records every item of every channel, and placement and
-//! provider selection read it.
+//! [`RateTable`] records every item of every channel, and load-aware
+//! provider selection and the `monStats` stream read it.
 //!
 //! There is one rate notion: an **EWMA** of the item and data rates
 //! (`ewma_*_per_second`, `*_per_second_at(now)`) with an exponential time
 //! decay.  It tracks the recent rate and decays toward zero when a stream
-//! falls silent, which is what replica retraction and placement want to see;
-//! a lifetime average would go stale under churn.
+//! falls silent, which is what provider selection's load tie-break wants to
+//! see; a lifetime average would go stale under churn.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

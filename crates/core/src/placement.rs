@@ -110,23 +110,6 @@ pub enum TaskKind {
     },
 }
 
-impl TaskKind {
-    /// The operator name used in stream definitions and plan displays.
-    pub fn operator_name(&self) -> &'static str {
-        match self {
-            TaskKind::Source { .. } => "Alerter",
-            TaskKind::DynamicSource { .. } => "DynamicAlerter",
-            TaskKind::ChannelSource { .. } => "Channel",
-            TaskKind::Select { .. } => "Filter",
-            TaskKind::Union => "Union",
-            TaskKind::Join { .. } => "Join",
-            TaskKind::Dedup => "DuplicateRemoval",
-            TaskKind::Restructure { .. } => "Restructure",
-            TaskKind::SketchRoot { .. } => "SketchRoot",
-        }
-    }
-}
-
 /// Maximum fan-in of a merge-tree stage: a merge folds the partials of up to
 /// this many stages of the level below, and the root those of the top
 /// level.  Keeping it constant bounds every stage's work per round and

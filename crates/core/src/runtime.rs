@@ -53,10 +53,6 @@ pub enum RuntimeOperator {
         derived: Vec<(String, ValueExpr)>,
         /// General conditions.
         conditions: Vec<Condition>,
-        /// Items examined / passed (statistics).
-        examined: u64,
-        /// Items that passed the filter.
-        passed: u64,
     },
     /// Join on attribute equality.
     Join(Box<Join>),
@@ -125,8 +121,6 @@ impl RuntimeOperator {
                 patterns: patterns.clone(),
                 derived: derived.clone(),
                 conditions: conditions.clone(),
-                examined: 0,
-                passed: 0,
             },
             TaskKind::Join {
                 left_key,
@@ -384,11 +378,7 @@ impl RuntimeOperator {
                 patterns,
                 derived,
                 conditions,
-                examined,
-                passed,
-            } => eval_select(
-                var, simple, patterns, derived, conditions, examined, passed, item, false,
-            ),
+            } => eval_select(var, simple, patterns, derived, conditions, item, false),
             RuntimeOperator::Join(op) => op.on_item(port, item),
             RuntimeOperator::Dedup(op) => op.on_item(item),
             RuntimeOperator::Restructure {
@@ -431,11 +421,7 @@ impl RuntimeOperator {
                 patterns,
                 derived,
                 conditions,
-                examined,
-                passed,
-            } => eval_select(
-                var, simple, patterns, derived, conditions, examined, passed, item, true,
-            ),
+            } => eval_select(var, simple, patterns, derived, conditions, item, true),
             _ => self.on_item(port, item),
         }
     }
@@ -444,19 +430,15 @@ impl RuntimeOperator {
 /// The shared Select evaluation.  With `prefiltered` the simple-condition and
 /// tree-pattern stages are skipped — the peer's shared engine already ran
 /// them — leaving only the residual LET/general-condition tail.
-#[allow(clippy::too_many_arguments)]
 fn eval_select(
     var: &str,
     simple: &[AttrCondition],
     patterns: &[PathPattern],
     derived: &[(String, ValueExpr)],
     conditions: &[Condition],
-    examined: &mut u64,
-    passed: &mut u64,
     item: &StreamItem,
     prefiltered: bool,
 ) -> Vec<Arc<Element>> {
-    *examined += 1;
     let mut bindings = Bindings::from_item(&item.data, var);
     if !prefiltered {
         let tree: &Element = bindings.tree(var).unwrap_or(&item.data);
@@ -475,7 +457,6 @@ fn eval_select(
     if !conditions.iter().all(|c| c.eval(&bindings)) {
         return Vec::new();
     }
-    *passed += 1;
     vec![item.data.clone()]
 }
 

@@ -163,8 +163,6 @@ pub struct PreFilter {
     by_key: HashMap<String, ConditionId>,
     /// Attribute name → the conditions mentioning it, indexed by value.
     by_attr: HashMap<String, AttrIndex>,
-    /// Documents processed (for statistics).
-    pub documents_seen: u64,
     /// Index structures consulted plus conditions evaluated one by one, over
     /// all documents: the work [`PreFilter::satisfied`] did, as a count.
     pub condition_probes: u64,
@@ -214,7 +212,6 @@ impl PreFilter {
     /// lookup per index structure plus whatever must be evaluated one by
     /// one.  A repeated attribute name counts once, by its first value.
     pub fn satisfied(&mut self, document: &Element) -> Vec<ConditionId> {
-        self.documents_seen += 1;
         let mut out = Vec::new();
         for (attr, value) in document.typed_attrs() {
             if let Some(index) = self.by_attr.get(attr) {

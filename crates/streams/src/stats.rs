@@ -7,9 +7,9 @@
 //! [`RateTable`] records every item of every channel, and load-aware
 //! provider selection and the `monStats` stream read it.
 //!
-//! There is one rate notion: an **EWMA** of the item and data rates
-//! (`ewma_*_per_second`, `*_per_second_at(now)`) with an exponential time
-//! decay.  It tracks the recent rate and decays toward zero when a stream
+//! There is one rate notion: an **EWMA** of the data rate
+//! (`ewma_bytes_per_second`, `bytes_per_second_at(now)`) with an
+//! exponential time decay.  It tracks the recent rate and decays toward zero when a stream
 //! falls silent, which is what provider selection's load tie-break wants to
 //! see; a lifetime average would go stale under churn.
 
@@ -28,8 +28,6 @@ const RATE_TAU_MS: f64 = 1000.0;
 /// Running statistics for one stream.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamStats {
-    /// Total items observed.
-    pub items: u64,
     /// Total bytes observed.
     pub bytes: u64,
     /// Timestamp of the most recent item (logical ms).
@@ -37,15 +35,11 @@ pub struct StreamStats {
     /// True once an interval has folded into the EWMA; until then only one
     /// logical instant was seen and every rate reads 0.
     folded: bool,
-    /// EWMA of the arrival rate (items/sec) over folded intervals.
-    ewma_items_per_sec: f64,
     /// EWMA of the data rate (bytes/sec) over folded intervals.
     ewma_bytes_per_sec: f64,
-    /// Items recorded at `last_timestamp` but not yet folded into the EWMA
+    /// Bytes recorded at `last_timestamp` but not yet folded into the EWMA
     /// (dispatch delivers bursts at one logical instant; the burst folds in
     /// when the clock next advances).
-    bucket_items: u64,
-    /// Bytes pending alongside `bucket_items`.
     bucket_bytes: u64,
 }
 
@@ -57,61 +51,44 @@ impl StreamStats {
 
     /// Records one item.
     pub fn record(&mut self, timestamp: u64, bytes: usize) {
-        self.items += 1;
         self.bytes += bytes as u64;
         let Some(last) = self.last_timestamp else {
             self.last_timestamp = Some(timestamp);
-            self.bucket_items = 1;
             self.bucket_bytes = bytes as u64;
             return;
         };
         if timestamp <= last {
             // Same logical instant (or out-of-order delivery): grow the burst.
-            self.bucket_items += 1;
             self.bucket_bytes += bytes as u64;
             return;
         }
         self.fold_bucket(timestamp - last);
         self.last_timestamp = Some(timestamp);
-        self.bucket_items = 1;
         self.bucket_bytes = bytes as u64;
     }
 
     /// Folds the pending burst into the EWMA as one interval of `dt` ms.
     fn fold_bucket(&mut self, dt: u64) {
         let dt = dt as f64;
-        let inst_items = self.bucket_items as f64 * 1000.0 / dt;
         let inst_bytes = self.bucket_bytes as f64 * 1000.0 / dt;
         if !self.folded {
             // Bootstrap: the first completed interval defines the estimate.
             self.folded = true;
-            self.ewma_items_per_sec = inst_items;
             self.ewma_bytes_per_sec = inst_bytes;
         } else {
             let alpha = 1.0 - (-dt / RATE_TAU_MS).exp();
-            self.ewma_items_per_sec += alpha * (inst_items - self.ewma_items_per_sec);
             self.ewma_bytes_per_sec += alpha * (inst_bytes - self.ewma_bytes_per_sec);
         }
     }
 
-    /// Recent item rate (items/sec): EWMA over completed intervals, 0 while
+    /// Recent data rate (bytes/sec): EWMA over completed intervals, 0 while
     /// fewer than two instants were seen.
-    pub fn ewma_items_per_second(&self) -> f64 {
-        self.ewma_items_per_sec
-    }
-
-    /// Recent data rate (bytes/sec), EWMA; see [`Self::ewma_items_per_second`].
     pub fn ewma_bytes_per_second(&self) -> f64 {
         self.ewma_bytes_per_sec
     }
 
-    /// The EWMA item rate decayed to `now`: a stream that has been silent for
+    /// The EWMA data rate decayed to `now`: a stream that has been silent for
     /// a few time constants reads as (nearly) zero.
-    pub fn items_per_second_at(&self, now: u64) -> f64 {
-        self.ewma_items_per_sec * self.decay_to(now)
-    }
-
-    /// The EWMA data rate decayed to `now`; see [`Self::items_per_second_at`].
     pub fn bytes_per_second_at(&self, now: u64) -> f64 {
         self.ewma_bytes_per_sec * self.decay_to(now)
     }
@@ -199,31 +176,31 @@ mod tests {
     #[test]
     fn empty_stats_have_zero_rates() {
         let s = StreamStats::new();
-        assert_eq!(s.ewma_items_per_second(), 0.0);
-        assert_eq!(s.items_per_second_at(5000), 0.0);
+        assert_eq!(s.ewma_bytes_per_second(), 0.0);
+        assert_eq!(s.bytes_per_second_at(5000), 0.0);
     }
 
     #[test]
     fn ewma_tracks_recent_rate_and_decays_when_idle() {
         let mut s = StreamStats::new();
-        // 10 items/s for 3 seconds.
+        // 10 items of 100 bytes a second for 3 seconds.
         for i in 0..30u64 {
             s.record(i * 100, 100);
         }
-        let busy = s.ewma_items_per_second();
+        let busy = s.ewma_bytes_per_second();
         assert!(
-            (busy - 10.0).abs() < 1.0,
-            "steady 10/s stream should read ≈10/s, got {busy}"
+            (busy - 1000.0).abs() < 100.0,
+            "steady 1000 B/s stream should read ≈1000 B/s, got {busy}"
         );
         // Idle for 5 time constants: the decayed estimate collapses.
         let now = 2900 + 5000;
-        assert!(s.items_per_second_at(now) < 0.1);
+        assert!(s.bytes_per_second_at(now) < 10.0);
     }
 
     #[test]
     fn ewma_rises_after_a_rate_change() {
         let mut s = StreamStats::new();
-        // 1 item/s for 5 s, then 20 items/s for 5 s.
+        // 100 B/s for 5 s, then 2000 B/s for 5 s.
         for i in 0..5u64 {
             s.record(i * 1000, 100);
         }
@@ -231,9 +208,9 @@ mod tests {
             s.record(5000 + i * 50, 100);
         }
         assert!(
-            s.ewma_items_per_second() > 15.0,
+            s.ewma_bytes_per_second() > 1500.0,
             "EWMA must converge to the new rate, got {}",
-            s.ewma_items_per_second()
+            s.ewma_bytes_per_second()
         );
     }
 
@@ -245,16 +222,14 @@ mod tests {
             s.record(0, 10);
         }
         // One instant seen: nothing has folded, so every recent rate is 0.
-        assert_eq!(s.ewma_items_per_second(), 0.0);
         assert_eq!(s.ewma_bytes_per_second(), 0.0);
-        assert_eq!(s.items_per_second_at(0), 0.0);
         assert_eq!(s.bytes_per_second_at(0), 0.0);
         for _ in 0..5 {
             s.record(1000, 10);
         }
-        // One folded interval: 5 items / 1 s.
-        assert!((s.ewma_items_per_second() - 5.0).abs() < 1e-9);
-        assert_eq!(s.items, 10);
+        // One folded interval: 5 items of 10 bytes / 1 s.
+        assert!((s.ewma_bytes_per_second() - 50.0).abs() < 1e-9);
+        assert_eq!(s.bytes, 100);
     }
 
     #[test]

@@ -34,19 +34,6 @@ impl Node {
             Node::Text(_) => None,
         }
     }
-
-    /// Returns the text content, if this node is a text run.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Node::Text(t) => Some(t),
-            Node::Element(_) => None,
-        }
-    }
-
-    /// True if the node is an element with the given name.
-    pub fn is_element_named(&self, name: &str) -> bool {
-        matches!(self, Node::Element(e) if e.name == name)
-    }
 }
 
 /// An XML element: a name, ordered attributes and ordered children.
@@ -162,11 +149,6 @@ impl Element {
     /// Returns the first child element with the given name.
     pub fn child(&self, name: &str) -> Option<&Element> {
         self.child_elements().find(|e| e.name == name)
-    }
-
-    /// Returns a mutable reference to the first child element with the name.
-    pub fn child_mut(&mut self, name: &str) -> Option<&mut Element> {
-        self.child_elements_mut().find(|e| e.name == name)
     }
 
     /// Returns all child elements with the given name.

@@ -58,16 +58,6 @@ impl Value {
         }
     }
 
-    /// Returns the value as an integer if it is an exact integer.
-    pub fn as_integer(&self) -> Option<i64> {
-        match self {
-            Value::Integer(i) => Some(*i),
-            Value::Float(f) if f.fract() == 0.0 => Some(*f as i64),
-            Value::Str(s) => s.trim().parse::<i64>().ok(),
-            _ => None,
-        }
-    }
-
     /// Returns the value as a boolean using XPath-style truthiness: false,
     /// zero and the empty string are false, everything else true.
     pub fn truthy(&self) -> bool {

@@ -1407,10 +1407,10 @@ impl Monitor {
         clock.lap("core.round.retire_idle_hosts", retired);
         self.last_round = clock.finish();
         self.rounds.absorb(&self.last_round);
-        // With self-monitoring on, the processing phase's time is kept for
-        // the next `monStats` snapshot (a bounded ring, so an unconsumed
-        // buffer cannot grow without limit).
-        if self.config.self_monitor {
+        // While a `monStats` alerter is installed, the processing phase's
+        // time is kept for the next snapshot (a bounded ring, so an
+        // unconsumed buffer cannot grow without limit).
+        if self.self_monitored() {
             if self.round_micros.len() >= 4096 {
                 self.round_micros.pop_front();
             }
@@ -1513,15 +1513,12 @@ impl Monitor {
         }
     }
 
-    /// Runs rounds until the system is quiescent.  With
-    /// [`MonitorConfig::self_monitor`](crate::MonitorConfig::self_monitor)
-    /// on, one self-metrics snapshot is emitted first, so `monStats`
-    /// subscribers observe the state the monitor had accumulated before
-    /// this call.
+    /// Runs rounds until the system is quiescent.  While a `monStats`
+    /// subscription is deployed, one self-metrics snapshot is emitted
+    /// first ([`Monitor::emit_self_metrics`]), so its subscribers observe
+    /// the state the monitor had accumulated before this call.
     pub fn run_until_idle(&mut self) {
-        if self.config.self_monitor {
-            self.emit_self_metrics();
-        }
+        self.emit_self_metrics();
         while self.tick() {}
     }
 }

@@ -49,7 +49,7 @@ use crate::slots::OperatorSlots;
 /// use p2pmon_core::{Monitor, MonitorConfig};
 ///
 /// let config = MonitorConfig {
-///     self_monitor: true, // emit the built-in `monStats` metrics stream
+///     enable_replicas: false, // every consumer pulls from the origin peer
 ///     ..MonitorConfig::default()
 /// };
 /// let monitor = Monitor::new(config);
@@ -92,17 +92,6 @@ pub struct MonitorConfig {
     /// Ignored; dispatch is sequential.  Kept only because the frozen
     /// `benchmark/` package names it.
     pub workers: usize,
-    /// Expose the monitor's own runtime statistics as a built-in monitored
-    /// stream: a `monStats(<p>self</p>)` alerter source on the synthetic
-    /// peer `self` that, once per [`Monitor::run_until_idle`] call, emits
-    /// one `<metric/>` snapshot per measured channel (delta bytes and
-    /// current rate), per recorded dispatch round (latency in
-    /// microseconds), plus cumulative dispatch/network/reuse/replica
-    /// counters.  Aggregate subscriptions over this stream answer
-    /// questions like "hottest channels by bytes" (`topk($m.channel, 5,
-    /// $m.bytes)`) or "p99 dispatch latency" (`quantile($m.micros,
-    /// 0.99)`) with the same sketch plane that monitors everything else.
-    pub self_monitor: bool,
 }
 
 impl Default for MonitorConfig {
@@ -118,14 +107,13 @@ impl Default for MonitorConfig {
             naive_dispatch: false,
             deep_clone_items: false,
             workers: 1,
-            self_monitor: false,
         }
     }
 }
 
-/// The synthetic peer hosting the self-monitoring `monStats` alerter (see
-/// [`MonitorConfig::self_monitor`]): subscriptions name it as
-/// `monStats(<p>self</p>)`.
+/// The synthetic peer hosting the self-monitoring `monStats` alerter:
+/// subscriptions name it as `monStats(<p>self</p>)`, and deploying the
+/// first one installs the alerter there (see [`Monitor::emit_self_metrics`]).
 pub const SELF_PEER: &str = "self";
 
 /// Handle to a submitted subscription.
@@ -296,8 +284,8 @@ pub struct Monitor {
     /// Total operator invocations (a processing-cost measure for E6/E7).
     pub operator_invocations: u64,
     /// The `core.round.process_pending` time of recent dispatch rounds in
-    /// microseconds, read off each round's profile only with
-    /// [`MonitorConfig::self_monitor`] on and drained into `<metric
+    /// microseconds, read off each round's profile only while a `monStats`
+    /// alerter is installed and drained into `<metric
     /// kind="dispatchRound"/>` items by [`Monitor::emit_self_metrics`].
     /// Bounded, so an unconsumed buffer cannot grow without limit.
     pub(crate) round_micros: std::collections::VecDeque<u64>,
@@ -977,9 +965,14 @@ impl Monitor {
     /// Emits one self-monitoring snapshot into the `monStats` alerter on the
     /// synthetic peer `self`, when one is installed (i.e. at least one
     /// `monStats(<p>self</p>)` subscription is deployed).  Runs
-    /// automatically at the start of every [`Monitor::run_until_idle`] call
-    /// with [`MonitorConfig::self_monitor`] on; callers driving
-    /// [`Monitor::tick`] by hand can invoke it directly.
+    /// automatically at the start of every [`Monitor::run_until_idle`]
+    /// call; callers driving [`Monitor::tick`] by hand can invoke it
+    /// directly.
+    ///
+    /// The stream answers questions like "hottest channels by bytes"
+    /// (`topk($m.channel, 5, $m.bytes)`) or "p99 dispatch latency"
+    /// (`quantile($m.micros, 0.99)`) with the same sketch plane that
+    /// monitors everything else.
     ///
     /// Snapshot contents, one `<metric/>` item per line:
     /// * `kind="channel"` — per measured channel: `channel`, `peer`,
@@ -990,11 +983,7 @@ impl Monitor {
     /// * `kind="dispatch"` / `kind="network"` / `kind="reuse"` /
     ///   `kind="replica"` — cumulative counters.
     pub fn emit_self_metrics(&mut self) {
-        let installed = self
-            .hosts
-            .get(SELF_PEER)
-            .is_some_and(|host| host.alerters.mon_stats.is_some());
-        if !installed {
+        if !self.self_monitored() {
             return;
         }
         let now = self.network.now();
@@ -1077,6 +1066,14 @@ impl Monitor {
             .as_mut()
             .expect("checked installed above")
             .extend(metrics);
+    }
+
+    /// Whether a deployed `monStats(<p>self</p>)` subscription installed the
+    /// self-monitoring alerter on the synthetic peer `self`.
+    pub(crate) fn self_monitored(&self) -> bool {
+        self.hosts
+            .get(SELF_PEER)
+            .is_some_and(|host| host.alerters.mon_stats.is_some())
     }
 
     /// Aggregate stream-reuse effectiveness (E7): hit rate, covered plan

@@ -251,7 +251,6 @@ fn multicast_plans_and_receiving_side_gates_are_compiled_once_too() {
 #[test]
 fn mon_stats_publishes_both_counters() {
     let mut monitor = Monitor::new(MonitorConfig {
-        self_monitor: true,
         ..MonitorConfig::default()
     });
     let storm = SubscriptionStorm::new(9);

@@ -290,3 +290,64 @@ fn engine_dispatch_is_on_the_meteo_hot_path() {
     );
     assert!(monitor.filter_stats().documents > 0);
 }
+
+#[test]
+fn activexml_replacements_reach_the_sink_through_both_filter_stages() {
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    monitor.add_peer("repo.org");
+    monitor.add_peer("admin");
+    let handle = monitor
+        .submit(
+            "admin",
+            r#"for $u in axmlUpdate(<p>repo.org</p>)
+               where $u.kind = "replace" and $u//change
+               return <changed document="{$u.document}" version="{$u.version}"/>
+               by email "ops@example.org";"#,
+        )
+        .unwrap();
+    let repository = monitor.axml_repository_mut("repo.org");
+    repository.insert(
+        "catalog",
+        parse(r#"<catalog><pkg name="bash"/></catalog>"#).unwrap(),
+    );
+    repository.insert(
+        "catalog",
+        parse(r#"<catalog><pkg name="bash"/><pkg name="vim"/></catalog>"#).unwrap(),
+    );
+    assert!(repository.delete("catalog"));
+    monitor.run_until_idle();
+
+    let results = monitor.results(&handle);
+    assert_eq!(results.len(), 1, "only the replace passes: {results:?}");
+    assert_eq!(results[0].attr("document"), Some("catalog"));
+    assert_eq!(results[0].attr("version"), Some("2"));
+    // The preFilter saw all three alerts; only the replace reached the
+    // YFilter's tree-pattern stage, and it matched there.
+    let filter = monitor.filter_stats();
+    assert_eq!(filter.documents, 3, "{filter:?}");
+    assert_eq!(filter.complex_stage_entered, 1, "{filter:?}");
+    assert_eq!(filter.documents_matched, 1, "{filter:?}");
+    // Nothing is left on the ready list: another round visits no host.
+    let visits = monitor.dispatch_stats().host_visits;
+    assert!(!monitor.tick());
+    assert_eq!(monitor.dispatch_stats().host_visits, visits);
+}
+
+#[test]
+fn a_mon_stats_subscription_answers_on_the_default_config() {
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    monitor.add_peer("ops.org");
+    let handle = monitor
+        .submit(
+            "ops.org",
+            r#"for $m in monStats(<p>self</p>)
+               where $m.kind = "network"
+               return <net messages="{$m.messages}"/>
+               by email "ops@example.org";"#,
+        )
+        .unwrap();
+    monitor.run_until_idle();
+    let results = monitor.results(&handle);
+    assert_eq!(results.len(), 1, "one snapshot per run_until_idle");
+    assert!(results[0].attr("messages").is_some());
+}

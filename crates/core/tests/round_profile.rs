@@ -195,7 +195,6 @@ fn a_sketch_rollup_batch_does_the_pinned_work_per_round() {
 #[test]
 fn each_round_leaves_one_dispatch_round_metric() {
     let mut monitor = Monitor::new(MonitorConfig {
-        self_monitor: true,
         ..MonitorConfig::default()
     });
     for peer in ["hub", "a.com"] {

@@ -249,7 +249,6 @@ fn every_cadence_batches_emissions_and_stamps_sequence_numbers() {
 #[test]
 fn self_monitoring_answers_hottest_channels_and_latency_quantiles() {
     let mut monitor = Monitor::new(MonitorConfig {
-        self_monitor: true,
         ..MonitorConfig::default()
     });
     for peer in ["hub", "a.com", "b.com"] {

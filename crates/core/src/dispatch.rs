@@ -1513,10 +1513,11 @@ impl Monitor {
         }
     }
 
-    /// Runs rounds until the system is quiescent.  While a `monStats`
-    /// subscription is deployed, one self-metrics snapshot is emitted
-    /// first ([`Monitor::emit_self_metrics`]), so its subscribers observe
-    /// the state the monitor had accumulated before this call.
+    /// Runs rounds until the system is quiescent.  Once a `monStats`
+    /// subscription has installed its alerter, one self-metrics snapshot
+    /// is emitted first ([`Monitor::emit_self_metrics`]), so its
+    /// subscribers observe the state the monitor had accumulated before
+    /// this call.
     pub fn run_until_idle(&mut self) {
         self.emit_self_metrics();
         while self.tick() {}

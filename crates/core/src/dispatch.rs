@@ -19,13 +19,18 @@
 //!    ([`p2pmon_filter::FilterEngine::match_batch`]) — and then runs the
 //!    work queue until empty.  Only matched subscriptions' operators
 //!    execute; the `Select` operator keeps its LET-derivation /
-//!    general-condition tail as the residual check.  Cross-peer outputs are
-//!    buffered as `Effect`s; nothing touches the monitor façade.
+//!    general-condition tail as the residual check.  A target that would
+//!    only forward the item to its sink (a `SinkTarget`: an untapped
+//!    pass-through plan root, what a covered subscription becomes) runs no
+//!    operator: each alert buffers one effect for all of its list's sink
+//!    targets.  Cross-peer outputs are buffered as `Effect`s; nothing
+//!    touches the monitor façade.
 //! 2. **Commit phase** — the buffered effects are applied in the same peer
-//!    order: channel multicasts and publisher deliveries hit the network and
-//!    the sinks.  Buffering is what fixes the commit order (a peer's outputs
-//!    reach the network only after every peer of the round has run) and what
-//!    lets a host be borrowed mutably while the façade's tables are read.
+//!    order: channel multicasts, publisher deliveries and sink-target
+//!    deliveries hit the network and the sinks.  Buffering is what fixes
+//!    the commit order (a peer's outputs reach the network only after every
+//!    peer of the round has run) and what lets a host be borrowed mutably
+//!    while the façade's tables are read.
 //!
 //! Channels are *shared physical streams*: every task output is also
 //! multicast on the task's canonical output channel whenever reuse
@@ -41,12 +46,12 @@
 //! shared filter offline, when a subscription is deployed (Figure 5), and
 //! from then on only executes.  Three things are compiled from the
 //! deployment and read by every batch: a channel's `MulticastPlan`, an
-//! alerter feed's target list, and the hosting peer's resolution of the
-//! engine gates of each such list (kept in the list itself, `TargetList`:
-//! one peer hosts all of a list's targets, so one peer resolves it).  Each
-//! is stamped with the monitor's one `FanoutEpoch` and recompiled — by the
-//! function that compiled it before it was kept, at the next lookup — only
-//! when the stamp is stale.  The epoch is bumped, in O(1), by everything that
+//! alerter feed's target list, and the hosting peer's resolution of each
+//! such list into engine-gated targets, sink targets and the rest (kept in
+//! the list itself, `TargetList`: one peer hosts all of a list's targets,
+//! so one peer resolves it).  Each is stamped with the monitor's one
+//! `FanoutEpoch` and recompiled — by the function that compiled it before
+//! it was kept, at the next lookup — only when the stamp is stale.  The epoch is bumped, in O(1), by everything that
 //! edits what they are compiled from: the `RoutingTable`'s edit methods (the
 //! consumer maps are private behind them; `deploy_plan` attaches,
 //! `sweep_retired` retracts through `RoutingTable::retract`, which edits only
@@ -103,6 +108,15 @@ use crate::slots::OperatorSlots;
 
 /// A delivery target `(subscription, task, port)`.
 pub(crate) type Target = (usize, usize, usize);
+
+/// A delivery target that runs no operator, as its host resolved it:
+/// `(subscription, root channel, manager)`.  A pass-through plan root (a
+/// `Source`, `ChannelSource` or `Union` task routed to its
+/// [`Route::Publisher`]) whose output channel has no tap forwards each
+/// item unchanged to its subscription's sink, so the commit phase does
+/// that directly — what [`Monitor::deliver_result`] does with a root's
+/// output — with no work item, operator call or route lookup per item.
+pub(crate) type SinkTarget = (usize, ChannelId, PeerId);
 
 /// A shared target list — every alert of a feed or a channel fans out to the
 /// same consumers until the deployment changes, so the list is built once per
@@ -169,7 +183,10 @@ pub(crate) enum Route {
     /// every registered consumer.
     Channel { channel: ChannelId },
     /// The plan root: deliver to the subscription's sink (and, when the BY
-    /// clause publishes a channel, also to that channel's subscribers).
+    /// clause publishes a channel, also to that channel's subscribers).  A
+    /// pass-through root routed here with no tap on its output channel runs
+    /// no operator: its host resolves it to a [`SinkTarget`], and the commit
+    /// phase hands each item it would have forwarded straight to the sink.
     Publisher,
     /// The task's plan-internal consumer was torn down, but the task itself
     /// survives because its output stream still has subscribers: outputs go
@@ -490,6 +507,12 @@ pub struct DispatchStats {
     /// items, or `naive_dispatch` mode).  Sketch partials are not among
     /// them: they go straight to the stage they are handed to.
     pub plain_deliveries: u64,
+    /// Plain deliveries to sink targets: batched items a pass-through plan
+    /// root would have forwarded unchanged to its sink, handed to the sink
+    /// without running the operator.  Each is one operator invocation the
+    /// monitor no longer makes (`Monitor::operator_invocations` counts only
+    /// operators that ran).
+    pub sink_target_deliveries: u64,
     /// Deliveries discarded because their host peer was down: queued work
     /// items, handed-over sketch partials and batched alert targets.
     /// Batched targets are counted before their engine pass runs, so gated
@@ -529,6 +552,7 @@ impl DispatchStats {
         self.gate_passes += other.gate_passes;
         self.gate_rejections += other.gate_rejections;
         self.plain_deliveries += other.plain_deliveries;
+        self.sink_target_deliveries += other.sink_target_deliveries;
         self.dropped_by_failure += other.dropped_by_failure;
         self.sink_clone_bytes += other.sink_clone_bytes;
         self.host_visits += other.host_visits;
@@ -652,6 +676,13 @@ pub(crate) enum Effect {
         /// The shared output tree.
         output: Arc<Element>,
     },
+    /// Deliver one batched item to every sink target of its list, in order.
+    Sinks {
+        /// The list's sink targets, shared with its resolution.
+        targets: Arc<[SinkTarget]>,
+        /// The shared item.
+        output: Arc<Element>,
+    },
 }
 
 /// Everything one peer's phase produced: buffered cross-peer effects plus
@@ -719,38 +750,67 @@ impl DispatchSnapshot<'_> {
         }
     }
 
-    /// Resolves the engine gate of every target of one shared list, split by
-    /// gating.  Depends on the target list, on whether the document is a
-    /// tuple and on the deployment — never on the document's content.
+    /// The sink target of a delivery target that runs no operator: a
+    /// pass-through task (one [`RuntimeOperator::Passthrough`] runs) routed
+    /// to its publisher, with no tap on its output channel.  A tapped one
+    /// stays an operator, since its output must also reach the channel's
+    /// subscribers.  Reads what [`execute`] reads to route the output.
+    ///
+    /// [`RuntimeOperator::Passthrough`]: crate::runtime::RuntimeOperator::Passthrough
+    fn sink_target(&self, sub: usize, task: usize) -> Option<SinkTarget> {
+        let subscription = &self.subs[sub];
+        let passes_through = matches!(
+            subscription.placed.tasks[task].kind,
+            TaskKind::Source { .. } | TaskKind::ChannelSource { .. } | TaskKind::Union
+        );
+        let to_sink =
+            subscription.routes[task] == Route::Publisher && self.tap(sub, task).is_none();
+        (passes_through && to_sink)
+            .then(|| (sub, subscription.channels[task], subscription.manager))
+    }
+
+    /// Resolves every target of one shared list: its engine gate, or else
+    /// whether it is a sink target.  Depends on the target list, on whether
+    /// the document is a tuple and on the deployment — never on the
+    /// document's content.
     fn resolve_targets(&self, host: &PeerHost, targets: &[Target], tuple: bool) -> ResolvedTargets {
         let mut ungated = Vec::new();
         let mut gated = Vec::new();
+        let mut sinks = Vec::new();
         for &(sub, task, port) in targets {
-            match self.resolve_gate(host, sub, task, port, tuple) {
-                Some((select_task, id)) => gated.push((id, sub, select_task)),
-                None => ungated.push((sub, task, port)),
+            if let Some((select_task, id)) = self.resolve_gate(host, sub, task, port, tuple) {
+                gated.push((id, sub, select_task));
+            } else if let Some(sink) = self.sink_target(sub, task) {
+                sinks.push(sink);
+            } else {
+                ungated.push((sub, task, port));
             }
         }
         gated.sort_unstable_by_key(|&(id, _, _)| id);
         ResolvedTargets {
-            ungated: (!gated.is_empty()).then(|| ungated.into()),
+            ungated: (!gated.is_empty() || !sinks.is_empty()).then(|| ungated.into()),
             gated,
+            sinks: sinks.into(),
         }
     }
 }
 
-/// One shared target list with its engine gates resolved, split by gating so
-/// the per-alert loop of [`drain_alert_batch`] never walks rejected targets:
-/// ungated targets deliver unconditionally, and gated targets are looked up
-/// *from the engine's matched ids* — per alert that is O(matched) instead of
-/// O(targets).
+/// One shared target list with its engine gates resolved, split three ways
+/// so the per-alert loop of [`drain_alert_batch`] never walks rejected
+/// targets: ungated targets deliver unconditionally, gated targets are
+/// looked up *from the engine's matched ids* — per alert that is
+/// O(matched) instead of O(targets) — and sink targets ride one effect.
 #[derive(Debug, PartialEq)]
 struct ResolvedTargets {
-    /// Targets delivered without an engine gate; `None` when no target of
-    /// the list is gated — the list is then its own ungated half.
+    /// Targets whose operator runs without an engine gate; `None` when no
+    /// target of the list is gated or a sink target — the list is then its
+    /// own ungated part.
     ungated: Option<Box<[Target]>>,
     /// Gated targets, sorted by filter id: (id, sub, select_task).
     gated: Vec<(SubscriptionId, usize, usize)>,
+    /// Sink targets, in list order: every alert of the list hands its
+    /// document to each of them, in one effect sharing this slice.
+    sinks: Arc<[SinkTarget]>,
 }
 
 /// Runs one peer's whole local phase: the sketch partials handed to its
@@ -772,8 +832,9 @@ pub(crate) fn run_peer(
 /// Drains the peer's pending alerts as one batch: finds every alert's
 /// resolved target list — resolving it against the current tables when this
 /// is the first batch to drain the list in the current deployment epoch —
-/// runs one amortized engine pass per *unique* gated document, and enqueues
-/// work for the matched (or ungated) targets.
+/// runs one amortized engine pass per *unique* gated document, enqueues
+/// work for the matched (or ungated) targets and buffers one effect per
+/// alert for the list's sink targets.
 fn drain_alert_batch(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>, out: &mut PeerEffects) {
     if host.pending_alerts.is_empty() {
         return;
@@ -864,6 +925,15 @@ fn drain_alert_batch(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>, out: 
                 port,
                 item,
                 prefiltered: false,
+            });
+        }
+        if !resolved.sinks.is_empty() {
+            let sinks = resolved.sinks.len() as u64;
+            out.stats.plain_deliveries += sinks;
+            out.stats.sink_target_deliveries += sinks;
+            out.effects.push(Effect::Sinks {
+                targets: Arc::clone(&resolved.sinks),
+                output: alert.doc.clone(),
             });
         }
         let Some(pos) = gated_pos[i] else { continue };
@@ -1131,6 +1201,9 @@ impl Monitor {
                             }
                         }
                         Effect::Result { sub, output } => self.deliver_result(sub, output),
+                        Effect::Sinks { targets, output } => {
+                            self.deliver_to_sinks(&targets, output)
+                        }
                     }
                 }
             }
@@ -1200,14 +1273,37 @@ impl Monitor {
     /// and the hop to the manager alike, and the sink keeps its handle.
     fn deliver_result(&mut self, sub_idx: usize, output: Arc<Element>) {
         let sub = &self.subscriptions[sub_idx];
-        if sub.retired {
-            return;
-        }
-        let bytes = output.byte_size();
         // The root task's canonical channel names the peer that produced
         // the result.
-        let root_channel = sub.channels[sub.placed.root];
-        let manager = sub.manager;
+        let target = (sub_idx, sub.channels[sub.placed.root], sub.manager);
+        let bytes = output.byte_size();
+        self.deliver_sized(target, output, bytes);
+    }
+
+    /// Delivers one item to every sink target of a list, in order, as each
+    /// target's pass-through root would have forwarded it: sized once for
+    /// them all, and — with `deep_clone_items` — copied per target, as an
+    /// item made for each would have been.
+    fn deliver_to_sinks(&mut self, targets: &[SinkTarget], output: Arc<Element>) {
+        let bytes = output.byte_size();
+        for &target in targets {
+            let output = if self.config.deep_clone_items {
+                Arc::new((*output).clone())
+            } else {
+                Arc::clone(&output)
+            };
+            self.deliver_sized(target, output, bytes);
+        }
+    }
+
+    /// Delivers a root's `bytes`-sized output to its sink target: the root
+    /// channel's rate row, the hop to the manager, the published channel's
+    /// history and the sink.
+    fn deliver_sized(&mut self, target: SinkTarget, output: Arc<Element>, bytes: usize) {
+        let (sub_idx, root_channel, manager) = target;
+        if self.subscriptions[sub_idx].retired {
+            return;
+        }
         // Keep the root channel's rate fresh even when nobody taps it yet:
         // a later subscription deciding whether to reuse this stream needs a
         // measured rate, and the multicast path (which also observes) only

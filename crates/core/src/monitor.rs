@@ -571,11 +571,17 @@ impl Monitor {
             let owner = entry.owner;
             self.def_refs.remove(&key);
             self.stream_db.retract(&key.peer, &key.stream);
-            if let Some(owner) = owner {
-                if self.subscriptions[owner].retired {
-                    clock.lap(phase, std::mem::take(&mut released));
-                    pending.extend(self.sweep_retired(owner, clock));
+            match owner {
+                Some(owner) => {
+                    if self.subscriptions[owner].retired {
+                        clock.lap(phase, std::mem::take(&mut released));
+                        pending.extend(self.sweep_retired(owner, clock));
+                    }
                 }
+                // An alerter's source stream lost its last subscriber.  The
+                // `monStats` buffer goes with it, so no snapshot is built
+                // and no round time kept for nobody.
+                None => self.release_mon_stats(&key),
             }
         }
         clock.lap(phase, released);
@@ -1029,6 +1035,7 @@ impl Monitor {
         m.set_attr("plansCompiled", d.plans_compiled.to_string());
         m.set_attr("gatesResolved", d.gates_resolved.to_string());
         m.set_attr("operatorInvocations", self.operator_invocations.to_string());
+        m.set_attr("sinkTargetDeliveries", d.sink_target_deliveries.to_string());
         metrics.push(m);
         let n = self.network.stats();
         let mut m = Element::new("metric");
@@ -1074,6 +1081,15 @@ impl Monitor {
         self.hosts
             .get(SELF_PEER)
             .is_some_and(|host| host.alerters.mon_stats.is_some())
+    }
+
+    /// Uninstalls the `monStats` alerter when `source` is its source stream,
+    /// with the round times kept for its next snapshot.
+    fn release_mon_stats(&mut self, source: &ChannelId) {
+        let host = self.hosts.get_mut(SELF_PEER);
+        if host.is_some_and(|host| host.alerters.release_mon_stats(source)) {
+            self.round_micros.clear();
+        }
     }
 
     /// Aggregate stream-reuse effectiveness (E7): hit rate, covered plan

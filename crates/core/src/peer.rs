@@ -137,6 +137,17 @@ impl AlerterSet {
         }
     }
 
+    /// Uninstalls the `monStats` buffer when `source` is its source stream
+    /// (its last subscriber has gone), dropping what it holds.  True when it
+    /// was installed.
+    pub fn release_mon_stats(&mut self, source: &ChannelId) -> bool {
+        let fed = self
+            .sources
+            .iter()
+            .any(|(function, fed)| *function == "monStats" && fed == source);
+        fed && self.mon_stats.take().is_some()
+    }
+
     /// True when an installed alerter buffers an alert not yet drained.
     pub fn has_pending(&self) -> bool {
         fn pending(alerter: &Option<impl Alerter>) -> bool {

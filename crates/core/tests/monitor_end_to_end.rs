@@ -351,3 +351,42 @@ fn a_mon_stats_subscription_answers_on_the_default_config() {
     assert_eq!(results.len(), 1, "one snapshot per run_until_idle");
     assert!(results[0].attr("messages").is_some());
 }
+
+#[test]
+fn the_mon_stats_alerter_goes_with_its_last_subscription() {
+    let text = r#"for $m in monStats(<p>self</p>)
+                  where $m.kind = "network"
+                  return <net messages="{$m.messages}"/>
+                  by email "ops@example.org";"#;
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    monitor.add_peer("ops.org");
+    let first = monitor.submit("ops.org", text).unwrap();
+    let second = monitor.submit("ops.org", text).unwrap();
+    monitor.run_until_idle();
+    assert_eq!(monitor.results(&second).len(), 1);
+    assert!(monitor.unsubscribe(&first));
+    monitor.run_until_idle();
+    assert_eq!(
+        monitor.results(&second).len(),
+        2,
+        "a remaining subscription keeps the alerter"
+    );
+    assert!(monitor.unsubscribe(&second));
+    let drained = |monitor: &Monitor| {
+        let profile = monitor.round_profile();
+        let phase = profile.phase("core.round.drain_alerters");
+        phase.map_or(0, |phase| phase.work)
+    };
+    let before = drained(&monitor);
+    for _ in 0..10 {
+        monitor.run_until_idle();
+    }
+    assert_eq!(drained(&monitor), before, "no snapshot is built for nobody");
+    let again = monitor.submit("ops.org", text).unwrap();
+    monitor.run_until_idle();
+    assert_eq!(
+        monitor.results(&again).len(),
+        1,
+        "a new subscription answers"
+    );
+}

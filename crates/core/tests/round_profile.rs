@@ -12,6 +12,15 @@
 //! them where they are, and a count that moves names the phase whose work
 //! changed.  To re-record, run `cargo test -q --release -p p2pmon-core
 //! --test round_profile -- --nocapture`: each test prints its constant.
+//!
+//! `ALERT_STORM` moved once on purpose: a pass-through plan root with no
+//! tap on its output channel stopped running as an operator, and its host
+//! hands each item straight to the sink (a sink-target delivery,
+//! `DispatchStats::sink_target_deliveries`).  `PARENT` keeps the rows
+//! recorded before, and each round must still account for every
+//! invocation it made: parent invocations = invocations + sink-target
+//! deliveries, every other phase unchanged.  The other shapes have no
+//! untapped pass-through root and deliver to no sink target.
 
 use p2pmon_alerters::SoapCall;
 use p2pmon_core::{LifetimeProfile, Monitor, MonitorConfig};
@@ -29,12 +38,16 @@ const PHASES: [&str; 5] = [
 ];
 
 /// Ticks until the monitor reports no work and returns every round's work
-/// counts, checking that the cumulative profile is their sum.
-fn rounds(monitor: &mut Monitor, name: &str) -> Vec<[u64; 5]> {
+/// counts, checking that the cumulative profile is their sum, beside every
+/// round's sink-target deliveries.
+fn rounds(monitor: &mut Monitor, name: &str) -> (Vec<[u64; 5]>, Vec<u64>) {
     let before = work(monitor.round_profile());
     let mut rounds = Vec::new();
+    let mut sinks = Vec::new();
     loop {
+        let delivered = monitor.dispatch_stats().sink_target_deliveries;
         let busy = monitor.tick();
+        sinks.push(monitor.dispatch_stats().sink_target_deliveries - delivered);
         let profile = monitor.last_round_profile();
         let names: Vec<_> = profile.phases().iter().map(|p| p.name).collect();
         assert_eq!(names, PHASES, "every phase is listed, in order");
@@ -56,7 +69,8 @@ fn rounds(monitor: &mut Monitor, name: &str) -> Vec<[u64; 5]> {
         );
     }
     println!("const {}: &[[u64; 5]] = &{rounds:?};", name.to_uppercase());
-    rounds
+    println!("sink-target deliveries per round: {sinks:?}");
+    (rounds, sinks)
 }
 
 /// A profile's work counts; all zero before the first round.
@@ -69,7 +83,11 @@ fn work(profile: &LifetimeProfile) -> Vec<u64> {
 
 /// `alert_storm`'s shape: `MassiveStorm` subscriptions, where reuse leaves
 /// two selects per hub, and one batch of 256 calls.
-const ALERT_STORM: &[[u64; 5]] = &[[256, 292, 0, 258, 1], [0, 939, 0, 0, 1], [0, 0, 0, 0, 0]];
+const ALERT_STORM: &[[u64; 5]] = &[[256, 292, 0, 258, 1], [0, 113, 0, 0, 1], [0, 0, 0, 0, 0]];
+
+/// The same batch's rows as recorded while every pass-through root ran as
+/// an operator (see the header).
+const PARENT: &[[u64; 5]] = &[[256, 292, 0, 258, 1], [0, 939, 0, 0, 1], [0, 0, 0, 0, 0]];
 
 #[test]
 fn an_alert_storm_batch_does_the_pinned_work_per_round() {
@@ -93,7 +111,23 @@ fn an_alert_storm_batch_does_the_pinned_work_per_round() {
     for call in storm.calls(256) {
         monitor.inject_soap_call(&call);
     }
-    assert_eq!(rounds(&mut monitor, "alert_storm"), ALERT_STORM);
+    let (rows, sinks) = rounds(&mut monitor, "alert_storm");
+    assert_eq!(rows, ALERT_STORM);
+    assert_eq!(rows.len(), PARENT.len());
+    for (round, ((row, parent), sinks)) in rows.iter().zip(PARENT).zip(&sinks).enumerate() {
+        assert_eq!(
+            parent[1],
+            row[1] + sinks,
+            "round {round}: every parent invocation still runs or reaches a sink target"
+        );
+        for phase in [0, 2, 3, 4] {
+            assert_eq!(
+                row[phase], parent[phase],
+                "round {round}: {}",
+                PHASES[phase]
+            );
+        }
+    }
 }
 
 /// A splitmix64 step: the filter storm's deterministic choices.
@@ -156,7 +190,9 @@ fn a_filter_storm_batch_does_the_pinned_work_per_round() {
         let call = SoapCall::new(id, caller, to, method, clock, clock + duration).with_body(body);
         monitor.inject_soap_call(&call);
     }
-    assert_eq!(rounds(&mut monitor, "filter_storm"), FILTER_STORM);
+    let (rows, sinks) = rounds(&mut monitor, "filter_storm");
+    assert_eq!(rows, FILTER_STORM);
+    assert!(sinks.iter().all(|&n| n == 0), "no covered subscription");
 }
 
 /// `sketch_rollup`'s shape: the three aggregates of a 64-peer sketch storm
@@ -187,7 +223,9 @@ fn a_sketch_rollup_batch_does_the_pinned_work_per_round() {
     for call in storm.calls(1_000) {
         monitor.inject_soap_call(&call);
     }
-    assert_eq!(rounds(&mut monitor, "sketch_rollup"), SKETCH_ROLLUP);
+    let (rows, sinks) = rounds(&mut monitor, "sketch_rollup");
+    assert_eq!(rows, SKETCH_ROLLUP);
+    assert!(sinks.iter().all(|&n| n == 0), "no pass-through root");
 }
 
 /// With self-monitoring on, every round leaves one `dispatchRound` metric:

@@ -10,10 +10,14 @@
 //! count that is the same on every host) and the time it took; after the
 //! batch, the same split of its dispatch rounds, summed.
 //!
-//! Then it submits the N subscriptions of a `MassiveStorm` and tears them
-//! down oldest first — the order in which every replica's forwarder leaves
-//! before the subscribers riding its copy — and prints each teardown phase's
-//! work summed over the teardown and its median and mean time.
+//! Then it submits the N subscriptions of a `MassiveStorm` (the end-to-end
+//! benchmark's `alert_storm` and `subscribe_storm` shape), dispatches one
+//! 256-call batch and prints its rounds' split, with the items handed
+//! straight to a sink target instead of a pass-through root's operator;
+//! then it tears them down oldest first — the order in which every
+//! replica's forwarder leaves before the subscribers riding its copy — and
+//! prints each teardown phase's work summed over the teardown and its
+//! median and mean time.
 //!
 //! Last, it runs the end-to-end benchmark's `churn_mix` script at seed 1
 //! (16 shapes over 8 hubs, consumers in 8 clusters of 8 peers, 1 024
@@ -111,10 +115,11 @@ impl TeardownSplit {
     }
 }
 
-/// Submits the `n` subscriptions of `MassiveStorm::sized(1, n)`, tears them
-/// down oldest first and prints the teardown's per-phase split.
+/// Submits the `n` subscriptions of `MassiveStorm::sized(1, n)`, prints the
+/// round split of one 256-call batch, tears them down oldest first and
+/// prints the teardown's per-phase split.
 fn storm_teardown(n: usize) {
-    let storm = MassiveStorm::sized(1, n);
+    let mut storm = MassiveStorm::sized(1, n);
     let mut monitor = Monitor::new(MonitorConfig {
         network: NetworkConfig {
             latency: storm.latency_model(),
@@ -133,6 +138,15 @@ fn storm_teardown(n: usize) {
                 .expect("storm subscription deploys")
         })
         .collect();
+
+    for call in storm.calls(256) {
+        monitor.inject_soap_call(&call);
+    }
+    monitor.run_until_idle();
+    println!("dispatch rounds of one 256-call batch over {n} storm subscriptions (summed):");
+    println!("{}", monitor.round_profile());
+    let sinks = monitor.dispatch_stats().sink_target_deliveries;
+    println!("sink-target deliveries (no operator ran) {sinks:>9}\n");
 
     let mut split = TeardownSplit::default();
     for handle in &handles {

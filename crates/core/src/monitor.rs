@@ -579,8 +579,8 @@ impl Monitor {
                     }
                 }
                 // An alerter's source stream lost its last subscriber.  The
-                // `monStats` buffer goes with it, so no snapshot is built
-                // and no round time kept for nobody.
+                // `monStats` buffer goes with it: while nobody subscribes, no
+                // snapshot is built and no round time kept.
                 None => self.release_mon_stats(&key),
             }
         }
@@ -970,7 +970,8 @@ impl Monitor {
 
     /// Emits one self-monitoring snapshot into the `monStats` alerter on the
     /// synthetic peer `self`, when one is installed (i.e. at least one
-    /// `monStats(<p>self</p>)` subscription is deployed).  Runs
+    /// `monStats(<p>self</p>)` subscription is deployed; the last one's
+    /// teardown uninstalls it).  Runs
     /// automatically at the start of every [`Monitor::run_until_idle`]
     /// call; callers driving [`Monitor::tick`] by hand can invoke it
     /// directly.

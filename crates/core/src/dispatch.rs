@@ -115,7 +115,8 @@ pub(crate) type Target = (usize, usize, usize);
 /// [`Route::Publisher`]) whose output channel has no tap forwards each
 /// item unchanged to its subscription's sink, so the commit phase does
 /// that directly — what [`Monitor::deliver_result`] does with a root's
-/// output — with no work item, operator call or route lookup per item.
+/// output — with no work item, operator call or route lookup per item,
+/// and charges the root channel's rate row once per phase.
 pub(crate) type SinkTarget = (usize, ChannelId, PeerId);
 
 /// A shared target list — every alert of a feed or a channel fans out to the
@@ -682,6 +683,8 @@ pub(crate) enum Effect {
         targets: Arc<[SinkTarget]>,
         /// The shared item.
         output: Arc<Element>,
+        /// The item's byte size.
+        bytes: usize,
     },
 }
 
@@ -695,6 +698,10 @@ pub(crate) struct PeerEffects {
     pub stats: DispatchStats,
     /// Operator invocations performed by this peer.
     pub operator_invocations: u64,
+    /// Every sink-target list the peer delivered to, with the bytes its
+    /// items carried, summed: each target's root channel is charged that
+    /// sum once per phase (see [`Monitor::charge_sink_rates`]).
+    pub sink_bytes: Vec<(Arc<[SinkTarget]>, usize)>,
 }
 
 impl DispatchSnapshot<'_> {
@@ -903,6 +910,8 @@ fn drain_alert_batch(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>, out: 
             docs.push(batch[i].doc.as_ref());
         }
     }
+    // Position of each sink-target list in `out.sink_bytes`, by address.
+    let mut carried: HashMap<*const SinkTarget, usize> = HashMap::new();
     let batch_outcome = if docs.is_empty() {
         BatchOutcome::default()
     } else {
@@ -931,9 +940,18 @@ fn drain_alert_batch(host: &mut PeerHost, snapshot: &DispatchSnapshot<'_>, out: 
             let sinks = resolved.sinks.len() as u64;
             out.stats.plain_deliveries += sinks;
             out.stats.sink_target_deliveries += sinks;
+            let bytes = alert.doc.byte_size();
+            match carried.entry(resolved.sinks.as_ptr()) {
+                Entry::Occupied(at) => out.sink_bytes[*at.get()].1 += bytes,
+                Entry::Vacant(at) => {
+                    at.insert(out.sink_bytes.len());
+                    out.sink_bytes.push((Arc::clone(&resolved.sinks), bytes));
+                }
+            }
             out.effects.push(Effect::Sinks {
                 targets: Arc::clone(&resolved.sinks),
                 output: alert.doc.clone(),
+                bytes,
             });
         }
         let Some(pos) = gated_pos[i] else { continue };
@@ -1201,11 +1219,14 @@ impl Monitor {
                             }
                         }
                         Effect::Result { sub, output } => self.deliver_result(sub, output),
-                        Effect::Sinks { targets, output } => {
-                            self.deliver_to_sinks(&targets, output)
-                        }
+                        Effect::Sinks {
+                            targets,
+                            output,
+                            bytes,
+                        } => self.deliver_to_sinks(&targets, output, bytes),
                     }
                 }
+                self.charge_sink_rates(result.sink_bytes);
             }
         }
     }
@@ -1273,37 +1294,14 @@ impl Monitor {
     /// and the hop to the manager alike, and the sink keeps its handle.
     fn deliver_result(&mut self, sub_idx: usize, output: Arc<Element>) {
         let sub = &self.subscriptions[sub_idx];
-        // The root task's canonical channel names the peer that produced
-        // the result.
-        let target = (sub_idx, sub.channels[sub.placed.root], sub.manager);
-        let bytes = output.byte_size();
-        self.deliver_sized(target, output, bytes);
-    }
-
-    /// Delivers one item to every sink target of a list, in order, as each
-    /// target's pass-through root would have forwarded it: sized once for
-    /// them all, and — with `deep_clone_items` — copied per target, as an
-    /// item made for each would have been.
-    fn deliver_to_sinks(&mut self, targets: &[SinkTarget], output: Arc<Element>) {
-        let bytes = output.byte_size();
-        for &target in targets {
-            let output = if self.config.deep_clone_items {
-                Arc::new((*output).clone())
-            } else {
-                Arc::clone(&output)
-            };
-            self.deliver_sized(target, output, bytes);
-        }
-    }
-
-    /// Delivers a root's `bytes`-sized output to its sink target: the root
-    /// channel's rate row, the hop to the manager, the published channel's
-    /// history and the sink.
-    fn deliver_sized(&mut self, target: SinkTarget, output: Arc<Element>, bytes: usize) {
-        let (sub_idx, root_channel, manager) = target;
-        if self.subscriptions[sub_idx].retired {
+        if sub.retired {
             return;
         }
+        let bytes = output.byte_size();
+        // The root task's canonical channel names the peer that produced
+        // the result.
+        let root_channel = sub.channels[sub.placed.root];
+        let target = (sub_idx, root_channel, sub.manager);
         // Keep the root channel's rate fresh even when nobody taps it yet:
         // a later subscription deciding whether to reuse this stream needs a
         // measured rate, and the multicast path (which also observes) only
@@ -1312,6 +1310,32 @@ impl Monitor {
             let now = self.network.now();
             self.rate_table.observe(root_channel, now, bytes);
         }
+        self.deliver_to_sink(target, output, bytes);
+    }
+
+    /// Delivers one `bytes`-sized item to every sink target of a list, in
+    /// order, as each target's pass-through root would have forwarded it —
+    /// with `deep_clone_items`, as a copy per target, as an item made for
+    /// each would have been.  Their rate rows are charged per phase
+    /// ([`Monitor::charge_sink_rates`]).
+    fn deliver_to_sinks(&mut self, targets: &[SinkTarget], output: Arc<Element>, bytes: usize) {
+        for &target in targets {
+            if self.subscriptions[target.0].retired {
+                continue;
+            }
+            let output = if self.config.deep_clone_items {
+                Arc::new((*output).clone())
+            } else {
+                Arc::clone(&output)
+            };
+            self.deliver_to_sink(target, output, bytes);
+        }
+    }
+
+    /// Hands a root's `bytes`-sized output to its subscription: the hop to
+    /// the manager, the published channel's history and the sink.
+    fn deliver_to_sink(&mut self, target: SinkTarget, output: Arc<Element>, bytes: usize) {
+        let (sub_idx, root_channel, manager) = target;
         // Ship the result from the peer that produced it to the manager's
         // publisher (counted as network traffic when they differ).
         if root_channel.peer != manager {
@@ -1330,6 +1354,27 @@ impl Monitor {
                 .push(Arc::clone(&output));
         }
         sub.sink.deliver(output);
+    }
+
+    /// Charges each sink target's root channel the bytes its list carried
+    /// in one peer's local phase, as one observation.  Every observation of
+    /// a phase falls on the same instant, where the rate table folds a sum
+    /// exactly as it folds its parts, so the rows end the phase as if each
+    /// item had been observed on delivery; a root whose channel is tapped
+    /// is not a sink target, so no multicast charges these rows.
+    fn charge_sink_rates(&mut self, lists: Vec<(Arc<[SinkTarget]>, usize)>) {
+        let now = self.network.now();
+        for (targets, bytes) in lists {
+            for &(sub, root_channel, _) in targets.iter() {
+                debug_assert!(
+                    !self.routing.has_consumers(&root_channel),
+                    "a sink target's root channel has no tap"
+                );
+                if !self.subscriptions[sub].retired {
+                    self.rate_table.observe(root_channel, now, bytes);
+                }
+            }
+        }
     }
 
     /// Delivers in-flight network messages and files channel traffic with

@@ -4,14 +4,12 @@
 //!   evaluate-everything baseline, as the number of subscriptions grows.
 //! * **E3** — the AES hash-tree vs. a linear scan over the subscriptions'
 //!   simple conditions.
-//! * **E4** — the shared YFilter NFA vs. matching every path query naively,
-//!   and the per-document pruning of YFilterσ.
 //! * **E5** — ActiveXML laziness: service calls avoided because the simple
 //!   conditions already rejected the document.
 //!
 //! Besides the Criterion groups, this bench writes the `BENCH_filter.json`
-//! trajectory to the workspace root (prefilter/AES/YFilter stage shapes for
-//! E2–E4).  Before it writes the file it asserts the axis's contract: the
+//! trajectory to the workspace root (preFilter probes and AES hash-tree sizes
+//! for E2 and E3).  Before it writes the file it asserts the axis's contract: the
 //! engine is never slower than naive at any measured count, and ≥ 5.5x at
 //! 10 000 subscriptions.
 
@@ -20,7 +18,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use p2pmon_bench::{full_run_requested, quick_criterion};
-use p2pmon_filter::{FilterEngine, NaiveFilter, YFilter};
+use p2pmon_filter::{FilterEngine, NaiveFilter};
 use p2pmon_workloads::SubscriptionWorkload;
 use p2pmon_xmlkit::{parse, PathPattern};
 
@@ -88,80 +86,6 @@ fn e3_aes_scaling(c: &mut Criterion) {
                 matched
             })
         });
-    }
-    group.finish();
-}
-
-fn e4_yfilter(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e4_yfilter");
-    for &queries in &[1_000usize, 10_000] {
-        // Path queries sharing prefixes: //log/e{i mod 50}/t{i mod 7}.
-        let patterns: Vec<PathPattern> = (0..queries)
-            .map(|i| {
-                PathPattern::parse(&format!("//log/e{}/t{}", i % 50, i % 7)).expect("valid pattern")
-            })
-            .collect();
-        let mut yfilter = YFilter::from_patterns(patterns.clone());
-        eprintln!(
-            "e4: {} path queries -> {} NFA states (prefix sharing)",
-            queries,
-            yfilter.state_count()
-        );
-        let documents: Vec<_> = (0..32)
-            .map(|i| {
-                parse(&format!(
-                    "<root><log><e{}><t{}>x</t{}></e{}></log></root>",
-                    i % 50,
-                    i % 7,
-                    i % 7,
-                    i % 50
-                ))
-                .expect("valid doc")
-            })
-            .collect();
-
-        group.bench_with_input(BenchmarkId::new("shared_nfa", queries), &queries, |b, _| {
-            b.iter(|| {
-                let mut matched = 0usize;
-                for doc in &documents {
-                    matched += yfilter.matching_queries(black_box(doc)).len();
-                }
-                matched
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("naive_per_query", queries),
-            &queries,
-            |b, _| {
-                b.iter(|| {
-                    let mut matched = 0usize;
-                    for doc in &documents {
-                        matched += patterns
-                            .iter()
-                            .filter(|p| p.matches(black_box(doc)))
-                            .count();
-                    }
-                    matched
-                })
-            },
-        );
-        // Pruned matching: only 10 subscriptions are active per document.
-        let allowed: Vec<usize> = (0..10).collect();
-        group.bench_with_input(
-            BenchmarkId::new("pruned_active10", queries),
-            &queries,
-            |b, _| {
-                b.iter(|| {
-                    let mut matched = 0usize;
-                    for doc in &documents {
-                        matched += yfilter
-                            .matching_queries_filtered(black_box(doc), Some(&allowed))
-                            .len();
-                    }
-                    matched
-                })
-            },
-        );
     }
     group.finish();
 }
@@ -239,8 +163,7 @@ fn best_ns_per_doc(repeats: usize, docs: usize, mut run: impl FnMut() -> usize) 
 /// Emits the BENCH_filter.json trajectory at the workspace root: the E2
 /// engine-vs-naive shape per subscription count, the preFilter probes the
 /// engine counted per document (deterministic, unlike the timings), the E3
-/// (AES hash-tree) and E4 (YFilter NFA) structural sizes per row, plus the E5
-/// lazy service-call counters.  Asserts the filter contract before writing.
+/// AES hash-tree size per row, plus the E5 lazy service-call counters.  Asserts the filter contract before writing.
 fn emit_trajectory(_c: &mut Criterion) {
     let repeats = if full_run_requested() { 5 } else { 3 };
     let n_docs = if full_run_requested() { 128 } else { 64 };
@@ -268,9 +191,8 @@ fn emit_trajectory(_c: &mut Criterion) {
         eprintln!(
             "filter [{subs} subs]: engine {engine_ns:.0} ns/doc vs naive {naive_ns:.0} ns/doc \
              (speedup {speedup:.2}x) at {probes_per_doc:.2} preFilter probes/doc; {} AES nodes, \
-             {} NFA states, {complex_per_doc:.1} complex evaluations/doc",
-            engine.aes_node_count(),
-            engine.yfilter_state_count()
+             {complex_per_doc:.1} complex evaluations/doc",
+            engine.aes_node_count()
         );
         assert!(
             speedup >= 1.0,
@@ -281,10 +203,9 @@ fn emit_trajectory(_c: &mut Criterion) {
             "    {{\"subscriptions\": {subs}, \"engine_ns_per_doc\": {engine_ns:.0}, \
              \"naive_ns_per_doc\": {naive_ns:.0}, \"speedup\": {speedup:.3}, \
              \"condition_probes_per_doc\": {probes_per_doc:.2}, \
-             \"aes_nodes\": {}, \"yfilter_states\": {}, \
+             \"aes_nodes\": {}, \
              \"complex_evaluations_per_doc\": {complex_per_doc:.2}}}",
-            engine.aes_node_count(),
-            engine.yfilter_state_count()
+            engine.aes_node_count()
         ));
         speedups.push((subs, speedup));
     }
@@ -334,7 +255,7 @@ fn emit_trajectory(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = e2_filter_throughput, e3_aes_scaling, e4_yfilter, e5_lazy_service_calls,
+    targets = e2_filter_throughput, e3_aes_scaling, e5_lazy_service_calls,
         emit_trajectory
 }
 criterion_main!(benches);

@@ -15,7 +15,8 @@
 //!    (an alert batched twice as one `Arc` by address, a copy by its root
 //!    and then its whole tree) and running **one** amortized pass of the
 //!    shared [`FilterEngine`]
-//!    (preFilter → AESFilter → YFilterσ) per unique document
+//!    (preFilter → AESFilter → YFilterσ, whose tree patterns are evaluated
+//!    for the active subscriptions only) per unique document
 //!    ([`p2pmon_filter::FilterEngine::match_batch`]) — and then runs the
 //!    work queue until empty.  Only matched subscriptions' operators
 //!    execute; the `Select` operator keeps its LET-derivation /

@@ -1,7 +1,8 @@
 //! The per-peer runtime: one [`PeerHost`] per participating peer.
 //!
 //! The paper's Figure 2 peer hosts alerters, stream processors and a *shared*
-//! two-stage filtering processor (preFilter → AESFilter → YFilterσ, Figure 5)
+//! two-stage filtering processor (preFilter → AESFilter → YFilterσ, Figure 5;
+//! the third stage evaluates the active subscriptions' tree patterns directly)
 //! through which every alert entering the peer flows once, no matter how many
 //! hosted subscriptions want it.  `PeerHost` reproduces that decomposition:
 //!

@@ -508,7 +508,7 @@ proptest! {
 /// Removals from a large index, end to end: 220 subscriptions with pairwise
 /// distinct WHERE clauses on one hub (reuse cannot collapse them) fill its
 /// engine, and most of them are unsubscribed between rounds — first one by
-/// one out of the hash-tree and the automaton, then across the rebuild a
+/// one out of the hash-tree, then across the rebuild a
 /// mostly dead alphabet triggers.  Every round carries an alert each
 /// subscription takes, so a survivor lost by a prune (or a victim kept) would
 /// show in its sink; the sinks stay byte-identical to the `naive_dispatch`

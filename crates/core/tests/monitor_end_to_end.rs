@@ -322,7 +322,7 @@ fn activexml_replacements_reach_the_sink_through_both_filter_stages() {
     assert_eq!(results[0].attr("document"), Some("catalog"));
     assert_eq!(results[0].attr("version"), Some("2"));
     // The preFilter saw all three alerts; only the replace reached the
-    // YFilter's tree-pattern stage, and it matched there.
+    // tree-pattern stage (YFilterσ), and it matched there.
     let filter = monitor.filter_stats();
     assert_eq!(filter.documents, 3, "{filter:?}");
     assert_eq!(filter.complex_stage_entered, 1, "{filter:?}");

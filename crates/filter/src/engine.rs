@@ -2,32 +2,28 @@
 //!
 //! Figure 5 of the paper: plain arrows are the per-document data flow through
 //! the three modules; dotted arrows are the *offline adjustment* performed
-//! when the subscription database changes.
+//! when the subscription database changes.  The third stage is YFilterσ's
+//! pruning applied per subscription: the patterns of the subscriptions the
+//! root attributes left active are evaluated directly, and no other pattern
+//! is read.
 //!
 //! Every adjustment is incremental: registering a subscription appends its
-//! conditions to the preFilter alphabet, inserts its prefix into the AES
-//! hash-tree and adds its patterns to the shared automaton; removing one
-//! prunes the hash-tree and the automaton (the alphabet is append-only, and
-//! the index is rebuilt once most of it is dead).  Either costs the
-//! subscription, not the database.  [`NaiveFilter`](crate::NaiveFilter) is
-//! the equivalence oracle (see `tests/prop_engine_vs_naive.rs`).
+//! conditions to the preFilter alphabet and inserts its prefix into the AES
+//! hash-tree; removing one prunes the hash-tree (the alphabet is
+//! append-only, and the index is rebuilt once most of it is dead).  Either
+//! costs the subscription, not the database.
+//! [`NaiveFilter`](crate::NaiveFilter) is the equivalence oracle (see
+//! `tests/prop_engine_vs_naive.rs`).
 
 use std::collections::HashMap;
 use std::ptr;
 
 use p2pmon_activexml::sc::{materialize, ServiceCall};
-use p2pmon_xmlkit::{Element, PathPattern};
+use p2pmon_xmlkit::Element;
 
 use crate::aes::AesFilter;
 use crate::prefilter::{ConditionId, PreFilter};
 use crate::subscription::{FilterSubscription, SubscriptionId};
-use crate::yfilter::{QueryIdx, YFilter};
-
-/// When at most this many complex subscriptions are active for a document,
-/// the engine evaluates their patterns directly instead of running the shared
-/// automaton — the "virtually pruned" YFilterσ of the paper degenerates to a
-/// handful of direct checks, which is cheaper than touching the big NFA.
-const DIRECT_EVALUATION_THRESHOLD: usize = 4;
 
 /// The one strategy there is.  Kept only because the frozen `benchmark/`
 /// package names it.
@@ -46,8 +42,7 @@ pub struct FilterStats {
     pub documents: u64,
     /// Documents for which at least one subscription matched.
     pub documents_matched: u64,
-    /// Complex subscriptions whose tree patterns were evaluated (either via
-    /// the automaton or directly).
+    /// Active complex subscriptions whose tree patterns were evaluated.
     pub complex_evaluations: u64,
     /// Documents that reached the complex stage at all.
     pub complex_stage_entered: u64,
@@ -133,29 +128,18 @@ type RootKey<'a> = (&'a str, &'a [(String, String)]);
 /// settled as matched, and the complex ones they left active.
 type SimpleStage = (Vec<SubscriptionId>, Vec<SubscriptionId>);
 
-/// Per-subscription back-references into the staged structures, enabling
-/// O(|sub|) removal from the AES hash-tree and allowed-list construction
-/// without scanning the whole query table.
-#[derive(Debug, Clone, Default)]
-struct StagedSub {
-    /// Sorted, deduplicated condition ids as inserted into the AES tree.
-    condition_ids: Vec<ConditionId>,
-    /// YFilter query indices owned by this subscription, one per pattern
-    /// (none: the subscription is simple).
-    queries: Vec<QueryIdx>,
-}
-
-/// The staged index: preFilter alphabet, AES hash-tree and YFilter automaton.
+/// The staged index: the preFilter alphabet and the AES hash-tree.  The
+/// tree-pattern parts stay in the subscription database, where the complex
+/// stage reads them.
 #[derive(Debug, Clone, Default)]
 struct StagedIndex {
     prefilter: PreFilter,
     aes: AesFilter,
-    yfilter: YFilter,
-    /// The subscription owning each YFilter query.
-    query_owner: Vec<SubscriptionId>,
     /// Subscriptions with no simple conditions: always active.
     always_active: Vec<SubscriptionId>,
-    subs: HashMap<SubscriptionId, StagedSub>,
+    /// Each subscription's sorted, deduplicated condition ids as inserted
+    /// into the AES tree, enabling O(|sub|) removal.
+    condition_ids: HashMap<SubscriptionId, Vec<ConditionId>>,
     /// Distinct prefilter conditions still referenced by some subscription
     /// (the alphabet itself is append-only; this is the live count).
     live_condition_refs: HashMap<ConditionId, u32>,
@@ -174,8 +158,8 @@ impl StagedIndex {
         index
     }
 
-    /// Indexes one subscription into the three stages; nothing already
-    /// indexed is rebuilt.
+    /// Indexes one subscription into the two stages; nothing already indexed
+    /// is rebuilt.
     fn insert(&mut self, sub: &FilterSubscription) {
         let mut condition_ids: Vec<ConditionId> = sub
             .simple
@@ -194,57 +178,27 @@ impl StagedIndex {
         } else {
             self.aes.insert(&condition_ids, sub.id, sub.is_simple());
         }
-        self.subs.insert(
-            sub.id,
-            StagedSub {
-                condition_ids,
-                queries: Vec::with_capacity(sub.complex.len()),
-            },
-        );
-        for pattern in &sub.complex {
-            self.add_query(sub.id, pattern.clone());
-        }
+        self.condition_ids.insert(sub.id, condition_ids);
     }
 
-    fn add_query(&mut self, owner: SubscriptionId, pattern: PathPattern) {
-        // The automaton reuses the slots of removed queries.
-        let q = self.yfilter.add(pattern);
-        if q == self.query_owner.len() {
-            self.query_owner.push(owner);
-        } else {
-            self.query_owner[q] = owner;
-        }
-        self.subs
-            .get_mut(&owner)
-            .expect("a query's owner is indexed")
-            .queries
-            .push(q);
-    }
-
-    /// Removes one subscription in O(|sub|): the AES tree and the automaton
-    /// each prune what only it reached, so `aes.node_count` and
-    /// `yfilter.state_count` never report stale structure.
-    fn remove(&mut self, id: SubscriptionId) {
-        let Some(gone) = self.subs.remove(&id) else {
+    /// Removes one subscription in O(|sub|): the AES tree prunes what only
+    /// it reached, so `aes.node_count` never reports stale structure.
+    fn remove(&mut self, sub: &FilterSubscription) {
+        let Some(condition_ids) = self.condition_ids.remove(&sub.id) else {
             return;
         };
-        if gone.condition_ids.is_empty() {
-            self.always_active.retain(|&a| a != id);
+        if condition_ids.is_empty() {
+            self.always_active.retain(|&a| a != sub.id);
         } else {
-            self.aes
-                .remove(&gone.condition_ids, id, gone.queries.is_empty());
+            self.aes.remove(&condition_ids, sub.id, sub.is_simple());
         }
-        for cid in &gone.condition_ids {
+        for cid in &condition_ids {
             if let Some(refs) = self.live_condition_refs.get_mut(cid) {
                 *refs -= 1;
                 if *refs == 0 {
                     self.live_condition_refs.remove(cid);
                 }
             }
-        }
-        for &q in &gone.queries {
-            let removed = self.yfilter.remove(q);
-            debug_assert!(removed, "an owned query is registered");
         }
     }
 
@@ -260,14 +214,14 @@ impl StagedIndex {
 
     /// Stages 1 and 2: simple conditions on the root attributes, then the
     /// AES hash-tree.
-    fn simple_stage(&mut self, document: &Element) -> SimpleStage {
+    fn simple_stage(&mut self, document: &Element, database: &Database) -> SimpleStage {
         let satisfied = self.prefilter.satisfied(document);
         let hit = self.aes.matches(&satisfied);
         let (mut matched, mut active) = (hit.matched_simple, hit.active_complex);
         // Subscriptions with no simple conditions are always active (or
         // always matched when they have no complex part either).
         for &id in &self.always_active {
-            if self.subs[&id].queries.is_empty() {
+            if database[&id].is_simple() {
                 matched.push(id);
             } else {
                 active.push(id);
@@ -275,48 +229,21 @@ impl StagedIndex {
         }
         (matched, active)
     }
+}
 
-    /// Stage 3: YFilterσ over the active complex subscriptions only, either
-    /// directly (few active) or through the pruned automaton (many active).
-    fn complex_stage(
-        &mut self,
-        document: &Element,
-        active: &[SubscriptionId],
-    ) -> Vec<SubscriptionId> {
-        if active.len() <= DIRECT_EVALUATION_THRESHOLD {
-            let patterns = self.yfilter.queries();
-            return active
-                .iter()
-                .copied()
-                .filter(|id| {
-                    let owned = &self.subs[id].queries;
-                    owned.iter().all(|&q| patterns[q].matches(document))
-                })
-                .collect();
-        }
-        // Restrict the automaton's accepts to the queries owned by active
-        // subscriptions.  Each subscription knows its own query indices, so
-        // this is O(active · patterns-per-sub), not a scan of every
-        // registered query.
-        let mut allowed: Vec<QueryIdx> = active
-            .iter()
-            .flat_map(|id| self.subs[id].queries.iter().copied())
-            .collect();
-        allowed.sort_unstable();
-        let matched_queries = self
-            .yfilter
-            .matching_queries_filtered(document, Some(&allowed));
-        // A subscription is confirmed when *all* of its patterns matched.
-        let mut per_subscription: HashMap<SubscriptionId, usize> = HashMap::new();
-        for q in matched_queries {
-            *per_subscription.entry(self.query_owner[q]).or_insert(0) += 1;
-        }
-        per_subscription
-            .into_iter()
-            .filter(|(id, n)| self.subs[id].queries.len() == *n)
-            .map(|(id, _)| id)
-            .collect()
-    }
+/// Stage 3: YFilterσ's pruning applied per subscription.  Only the active
+/// complex subscriptions are evaluated, each by its own patterns, and one
+/// matches when all of them do.
+fn complex_stage(
+    database: &Database,
+    document: &Element,
+    active: &[SubscriptionId],
+) -> Vec<SubscriptionId> {
+    active
+        .iter()
+        .copied()
+        .filter(|id| database[id].complex.iter().all(|p| p.matches(document)))
+        .collect()
 }
 
 /// Performs the remote call behind an `sc` element on demand.
@@ -387,17 +314,16 @@ impl FilterEngine {
     /// Registers a subscription (offline adjustment).
     ///
     /// The adjustment is *incremental*: the subscription's conditions are
-    /// appended to the preFilter alphabet, its prefix inserted into the AES
-    /// hash-tree and its patterns added to the shared automaton — nothing
-    /// already indexed is rebuilt.  This is what makes deployment of the
+    /// appended to the preFilter alphabet and its prefix inserted into the
+    /// AES hash-tree — nothing already indexed is rebuilt.  This is what makes deployment of the
     /// N-th subscription O(|subscription|) instead of O(N), so a peer can
     /// absorb hundreds of hosted subscriptions cheaply.  Re-adding an id
     /// replaces the old subscription, at the cost of the two.
     pub fn add(&mut self, subscription: FilterSubscription) {
         let id = subscription.id;
-        if self.subscriptions.insert(id, subscription).is_some() {
-            // Replacement: the old conditions/patterns must disappear.
-            self.stages.remove(id);
+        if let Some(old) = self.subscriptions.insert(id, subscription) {
+            // Replacement: the old conditions must disappear.
+            self.stages.remove(&old);
         }
         self.stages.insert(&self.subscriptions[&id]);
     }
@@ -412,13 +338,12 @@ impl FilterEngine {
 
     /// Removes a subscription in O(|subscription|); returns `true` when it
     /// existed.  The staged structures shrink symmetrically, so
-    /// `aes_node_count` and `yfilter_state_count` never report stale
-    /// structure.
+    /// `aes_node_count` never reports stale structure.
     pub fn remove(&mut self, id: SubscriptionId) -> bool {
-        if self.subscriptions.remove(&id).is_none() {
+        let Some(old) = self.subscriptions.remove(&id) else {
             return false;
-        }
-        self.stages.remove(id);
+        };
+        self.stages.remove(&old);
         if self.stages.alphabet_mostly_dead() {
             self.rebuild();
         }
@@ -428,18 +353,6 @@ impl FilterEngine {
     /// Size of the AES hash-tree (number of nodes), exposed for E3.
     pub fn aes_node_count(&self) -> usize {
         self.stages.aes.node_count()
-    }
-
-    /// Number of YFilter NFA states, exposed for E4.
-    pub fn yfilter_state_count(&self) -> usize {
-        self.stages.yfilter.state_count()
-    }
-
-    /// States the automaton has built so far ([`YFilter::states_built`]):
-    /// the difference across an adjustment is what it cost.  A rebuild
-    /// starts a new automaton, and the count, over.
-    pub fn yfilter_states_built(&self) -> u64 {
-        self.stages.yfilter.states_built
     }
 
     /// Rebuilds the index from the subscription database.
@@ -462,7 +375,7 @@ impl FilterEngine {
     ) -> (FilterOutcome, usize) {
         self.stats.documents += 1;
         let probes_before = self.stages.prefilter.condition_probes;
-        let (mut matched, mut active) = self.stages.simple_stage(document);
+        let (mut matched, mut active) = self.stages.simple_stage(document, &self.subscriptions);
         self.stats.condition_probes += self.stages.prefilter.condition_probes - probes_before;
         active.sort_unstable();
         active.dedup();
@@ -486,7 +399,7 @@ impl FilterEngine {
             let document = materialised.as_ref().unwrap_or(document);
             self.stats.complex_stage_entered += 1;
             self.stats.complex_evaluations += active.len() as u64;
-            matched.extend(self.stages.complex_stage(document, &active));
+            matched.extend(complex_stage(&self.subscriptions, document, &active));
         } else if resolver.is_some() {
             // No complex subscription cares: the service calls are avoided.
             self.stats.service_calls_avoided += ServiceCall::find_in(document).len() as u64;
@@ -646,7 +559,6 @@ mod tests {
             ));
         }
         let aes_before = engine.aes_node_count();
-        let yf_before = engine.yfilter_state_count();
         for i in 5..10 {
             assert!(engine.remove(SubscriptionId(i)));
         }
@@ -655,12 +567,6 @@ mod tests {
             "AES tree must shrink: {} !< {}",
             engine.aes_node_count(),
             aes_before
-        );
-        assert!(
-            engine.yfilter_state_count() < yf_before,
-            "automaton must shrink: {} !< {}",
-            engine.yfilter_state_count(),
-            yf_before
         );
         // And matching still works for the survivors.
         let doc = parse(r#"<alert k="v2"><a2><b2/></a2></alert>"#).unwrap();
@@ -680,8 +586,8 @@ mod tests {
                     PathPattern::parse("//b").unwrap(),
                 ]),
         );
-        // Pad with enough other complex subscriptions to push the engine into
-        // the shared-automaton path.
+        // Pad with other complex subscriptions on the same condition: each
+        // active one is judged by its own patterns only.
         for i in 10..20 {
             engine.add(sub_complex(i, "k", "v", "//zzz"));
         }
@@ -689,6 +595,46 @@ mod tests {
         let only_a = parse(r#"<r k="v"><a/></r>"#).unwrap();
         assert!(engine.process(&both).matched.contains(&SubscriptionId(9)));
         assert!(!engine.process(&only_a).matched.contains(&SubscriptionId(9)));
+    }
+
+    #[test]
+    fn many_active_complex_subscriptions_agree_with_naive() {
+        use crate::naive::NaiveFilter;
+        // 64 subscriptions share one simple condition and differ in their
+        // patterns, so every document leaves all 64 active.
+        let subs: Vec<FilterSubscription> = (0..64)
+            .map(|i| {
+                sub_complex(
+                    i,
+                    "m",
+                    "GetTemperature",
+                    &format!("//t{}//t{}", i % 8, i / 8),
+                )
+            })
+            .collect();
+        let mut engine = FilterEngine::from_subscriptions(subs.clone());
+        let mut naive = NaiveFilter::from_subscriptions(subs);
+        // Each document with the number of ancestor/descendant pairs in it.
+        let docs = [
+            (
+                r#"<alert m="GetTemperature"><t1><t2><t5/></t2></t1></alert>"#,
+                3,
+            ),
+            (
+                r#"<alert m="GetTemperature"><t0><t0/></t0><t7><t3/></t7></alert>"#,
+                2,
+            ),
+            (r#"<alert m="GetTemperature"><t4/></alert>"#, 0),
+        ];
+        for (d, pairs) in docs {
+            let doc = parse(d).unwrap();
+            let outcome = engine.process(&doc);
+            assert_eq!(outcome.active_complex.len(), 64, "{d}");
+            let mut reference = naive.matching(&doc);
+            reference.sort();
+            assert_eq!(outcome.matched, reference, "disagreement on {d}");
+            assert_eq!(outcome.matched.len(), pairs, "{d}");
+        }
     }
 
     #[test]
@@ -851,13 +797,12 @@ mod tests {
         for i in 0..200 {
             engine.add(sub_complex(i, "k", &format!("v{i}"), &format!("//a{i}/b")));
         }
-        let (states, built) = (engine.yfilter_state_count(), engine.yfilter_states_built());
+        let nodes = engine.aes_node_count();
         engine.add(sub_complex(7, "k", "other", "//a7/c"));
         assert_eq!(engine.len(), 200);
-        // `//a7/b` gave up the two states only it reached and `//a7/c`
-        // built two; a rebuild would have built all 401 again.
-        assert_eq!(engine.yfilter_states_built() - built, 2);
-        assert_eq!(engine.yfilter_state_count(), states);
+        // `k = v7`'s prefix gave up the node only it reached and `k = other`
+        // added one.
+        assert_eq!(engine.aes_node_count(), nodes);
         let old = parse(r#"<r k="v7"><a7><b/></a7></r>"#).unwrap();
         assert!(engine.process(&old).matched.is_empty());
         let new = parse(r#"<r k="other"><a7><c/></a7></r>"#).unwrap();

@@ -21,17 +21,16 @@
 //!    (i) the *simple* subscriptions that are fully matched and (ii) the
 //!    *complex* subscriptions whose simple prefix is satisfied and whose
 //!    tree-pattern part still has to be checked ("active" subscriptions).
-//! 3. [`YFilter`] — an NFA over the tree-pattern parts (Diao et al., ICDE
-//!    2002) that shares common path prefixes between queries.  For each
-//!    document it is "virtually pruned" to the active subscriptions:
-//!    [`FilterEngine`] either restricts the NFA's accept set or, when very
-//!    few subscriptions are active, evaluates them directly.
+//! 3. YFilterσ — the tree-pattern stage (after Diao et al., ICDE 2002),
+//!    "virtually pruned" to the active subscriptions.  The pruning is applied
+//!    per subscription: [`FilterEngine`] evaluates each active
+//!    subscription's patterns directly and reads no other pattern.
 //!
 //! The combined pipeline is [`FilterEngine`], the one index every peer runs:
-//! registering and removing a subscription adjust the three modules in place,
-//! at the cost of the subscription.  [`NaiveFilter`] is the
+//! registering and removing a subscription adjust the first two modules in
+//! place, at the cost of the subscription.  [`NaiveFilter`] is the
 //! baseline that evaluates every subscription from scratch on every
-//! document; the benches of experiments E2–E4 compare the two, and the
+//! document; the benches of experiments E2 and E3 compare the two, and the
 //! property tests assert they always agree.
 //!
 //! ActiveXML-awareness: documents may carry unevaluated service-call (`sc`)
@@ -45,14 +44,12 @@ pub mod engine;
 pub mod naive;
 pub mod prefilter;
 pub mod subscription;
-pub mod yfilter;
 
 pub use aes::AesFilter;
 pub use engine::{BatchOutcome, EngineMode, FilterEngine, FilterOutcome, FilterStats};
 pub use naive::NaiveFilter;
 pub use prefilter::PreFilter;
 pub use subscription::{FilterSubscription, SubscriptionId};
-pub use yfilter::YFilter;
 
 #[cfg(test)]
 mod lib_tests {

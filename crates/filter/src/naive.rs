@@ -1,7 +1,7 @@
 //! The naive baseline: evaluate every subscription in full on every document.
 //!
-//! This is what a system without the pre-filter / AES / YFilter organisation
-//! would do, and it is the baseline of experiments E2–E4.  It is also the
+//! This is what a system without the preFilter / AES / YFilterσ organisation
+//! would do, and it is the baseline of experiments E2 and E3.  It is also the
 //! ground truth the property tests compare [`crate::FilterEngine`] against.
 
 use p2pmon_xmlkit::Element;

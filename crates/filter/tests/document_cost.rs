@@ -10,16 +10,11 @@
 //! it is in a monitor's batch, and one per clone whose root no other
 //! document shares.  Comparing trees to find a shared allocation fails the
 //! third test here.
-//!
-//! And what an unsubscribe costs the automaton, as a count: removing one
-//! patterned subscription builds no state, beside 100 subscriptions or
-//! 10 000.  Re-adding the survivors' patterns in `StagedIndex::remove` fails
-//! the last test here.
 
-use p2pmon_filter::{FilterEngine, FilterSubscription, SubscriptionId};
+use p2pmon_filter::{FilterEngine, FilterSubscription};
 use p2pmon_streams::AttrCondition;
 use p2pmon_xmlkit::path::CompareOp;
-use p2pmon_xmlkit::{Element, PathPattern};
+use p2pmon_xmlkit::Element;
 
 /// One subscription per condition: `methods` `callMethod =`, as many
 /// `callee =`, and `thresholds` over `duration`, alternating `>` and `<=` —
@@ -145,52 +140,5 @@ fn a_shared_allocation_is_found_without_comparing_trees() {
         // Every root carries its own `callId`: a clone is compared with the
         // one earlier document of its root, and nothing else is.
         assert_eq!(engine.stats.trees_compared, compared);
-    }
-}
-
-/// `n` subscriptions, each one condition and one pattern; a tenth of the
-/// patterns share the `//soap/body` prefix, the rest are their own.
-fn patterned(n: u64) -> Vec<FilterSubscription> {
-    (0..n)
-        .map(|i| {
-            let pattern = if i % 10 == 0 {
-                format!("//soap/body/city{i}")
-            } else {
-                format!("//entry{i}/*")
-            };
-            FilterSubscription::new(i)
-                .with_simple(vec![AttrCondition::new(
-                    "callMethod",
-                    CompareOp::Eq,
-                    format!("M{i}"),
-                )])
-                .with_complex(vec![PathPattern::parse(&pattern).expect("valid pattern")])
-        })
-        .collect()
-}
-
-#[test]
-fn removing_a_patterned_subscription_builds_no_state() {
-    for n in [100u64, 10_000] {
-        let mut engine = FilterEngine::from_subscriptions(patterned(n));
-        let built = engine.yfilter_states_built();
-        assert!(built > n, "{n} patterns built {built} states");
-        // One whose prefix others share, one that shares nothing.
-        for victim in [50, 51] {
-            assert!(engine.remove(SubscriptionId(victim)));
-        }
-        assert_eq!(
-            engine.yfilter_states_built(),
-            built,
-            "removal from {n} subscriptions built states"
-        );
-        let survivors = patterned(n)
-            .into_iter()
-            .filter(|s| ![50, 51].contains(&s.id.0));
-        assert_eq!(
-            engine.yfilter_state_count(),
-            FilterEngine::from_subscriptions(survivors).yfilter_state_count(),
-            "{n} subscriptions: the automaton is what a fresh build makes it"
-        );
     }
 }

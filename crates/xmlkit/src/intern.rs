@@ -1,17 +1,14 @@
 //! A process-wide QName interner.
 //!
-//! The monitoring hot path compares element and attribute names constantly:
-//! every YFilter NFA transition, every pattern step and every prefilter
-//! lookup starts from a tag name.  The vocabulary of QNames in a monitoring
+//! The monitoring hot path compares names constantly: peer and channel names
+//! key the dispatch and rate tables, and every document carries its tag and
+//! attribute names.  The vocabulary of QNames in a monitoring
 //! deployment is tiny (SOAP envelopes, RSS items, alerter schemas), so the
 //! names are interned once into stable [`Symbol`]s and the hot paths compare
 //! 32-bit integers instead of hashing strings over and over.
 //!
 //! The tokenizer ([`crate::parser`]) interns every element and attribute
-//! name it reads, and pattern compilation interns every name test, so by the
-//! time a document reaches a filter its names are already in the table.  A
-//! [`lookup`] miss is therefore *informative*: a name nobody ever registered
-//! a pattern for cannot match any name test (only wildcards apply).
+//! name it reads.
 //!
 //! Interned names are leaked intentionally — the table is append-only and
 //! the QName vocabulary is bounded by the monitored schemas, not by traffic
@@ -88,8 +85,7 @@ pub fn intern(name: &str) -> Symbol {
 }
 
 /// Looks a name up without interning it.  `None` means the name was never
-/// seen by any tokenizer or pattern — so no registered name test can match
-/// it.
+/// interned.
 pub fn lookup(name: &str) -> Option<Symbol> {
     table()
         .read()

@@ -13,7 +13,7 @@
 //! * an XPath subset evaluator ([`path::XPath`]) covering the constructs the
 //!   paper's P2PML language and Filter need (child/descendant axes,
 //!   wildcards, attribute tests, positional and comparison predicates),
-//! * linear tree-pattern queries used by the YFilter automaton
+//! * linear tree-pattern queries, the complex part of a Filter subscription
 //!   ([`pattern::PathPattern`]),
 //! * a structural diff for the Web-page and RSS alerters ([`diff`]),
 //! * a convenience builder ([`builder::ElementBuilder`]).
@@ -38,7 +38,7 @@ pub use intern::{Name, Symbol};
 pub use node::{Element, Node};
 pub use parser::{parse, parse_fragment, ParseError};
 pub use path::{PathError, XPath};
-pub use pattern::{PathPattern, PatternStep};
+pub use pattern::PathPattern;
 pub use value::Value;
 
 #[cfg(test)]

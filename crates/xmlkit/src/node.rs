@@ -70,14 +70,6 @@ impl Element {
         e
     }
 
-    /// The interned symbol of this element's tag name, if the name has been
-    /// seen by any tokenizer or pattern compiler.  A `None` is informative:
-    /// no registered name test can match a name nobody interned, so callers
-    /// may skip name-keyed lookups entirely (only wildcards apply).
-    pub fn name_symbol(&self) -> Option<crate::intern::Symbol> {
-        crate::intern::lookup(&self.name)
-    }
-
     /// Looks up an attribute value by name.
     pub fn attr(&self, name: &str) -> Option<&str> {
         self.attributes

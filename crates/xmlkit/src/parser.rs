@@ -213,9 +213,8 @@ impl<'a> Parser<'a> {
         {
             return Err(ParseError::new(start, format!("invalid name `{name}`")));
         }
-        // Intern every element/attribute QName the tokenizer reads: by the
-        // time a parsed document reaches a filter, its names resolve to
-        // stable symbols and the NFA hot path compares integers, not strings.
+        // Intern every element/attribute QName the tokenizer reads, so
+        // `intern::lookup` resolves every name a parsed document carries.
         crate::intern::intern(name);
         Ok(name.to_string())
     }

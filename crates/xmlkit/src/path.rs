@@ -20,10 +20,10 @@
 //!       literal: `[@PeerId = "p1"]`, `[price > 10]`,
 //!     * positional predicates: `[2]` (1-based, per XPath).
 //!
-//! Evaluation is naive (tree walking).  The high-performance path for
-//! filtering thousands of such queries against a hot stream is the YFilter
-//! automaton in `p2pmon-filter`; this evaluator doubles as the reference
-//! implementation that the property tests check YFilter against.
+//! Evaluation is naive (tree walking).  The Filter's tree patterns are the
+//! linear subset ([`crate::pattern::PathPattern`]); the filter engine in
+//! `p2pmon-filter` evaluates only the patterns of the subscriptions a
+//! document's root attributes left active.
 
 use std::fmt;
 
@@ -208,8 +208,7 @@ impl XPath {
     }
 
     /// True when the path uses no descendant axis, no wildcards and no
-    /// predicates — such paths can be checked by the pre-filter without the
-    /// automaton.
+    /// predicates.
     pub fn is_simple_chain(&self) -> bool {
         self.steps.iter().all(|s| {
             s.axis == Axis::Child && matches!(s.name, NameTest::Name(_)) && s.predicates.is_empty()

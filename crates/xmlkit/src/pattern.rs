@@ -1,14 +1,14 @@
-//! Linear tree patterns — the query class handled by the YFilter automaton.
+//! Linear tree patterns — the query class of the Filter's YFilterσ stage.
 //!
-//! YFilter (Diao et al., ICDE 2002) indexes a large set of *linear path
-//! expressions* with `/` and `//` axes, name tests, wildcards and simple
-//! value predicates on the final step.  The paper's Filter compiles the
-//! complex part `Q'_i` of each subscription into such a pattern and feeds it
-//! to the (pruned) YFilter automaton.
+//! YFilter (Diao et al., ICDE 2002) handles *linear path expressions* with
+//! `/` and `//` axes, name tests, wildcards and simple value predicates on a
+//! step.  The paper's Filter compiles the complex part `Q'_i` of each
+//! subscription into such patterns.
 //!
-//! [`PathPattern`] is the shared representation: the automaton in
-//! `p2pmon-filter` is built from it, and the naive [`PathPattern::matches`]
-//! evaluation here is the reference implementation used by property tests.
+//! [`PathPattern::matches`] is the one way a pattern is evaluated: the
+//! filter engine in `p2pmon-filter` calls it on the patterns of the
+//! subscriptions a document left active, and the naive filter on all of
+//! them.
 
 use std::fmt;
 
@@ -20,30 +20,30 @@ use crate::value::Value;
 
 /// One step of a linear pattern.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PatternStep {
+struct PatternStep {
     /// Axis linking this step to its parent step.
-    pub axis: Axis,
+    axis: Axis,
     /// Element name test.
-    pub name: NameTest,
+    name: NameTest,
     /// Optional value predicate `@attr op literal` or `text() op literal`
     /// evaluated on the element matching this step.
-    pub predicate: Option<ValuePredicate>,
+    predicate: Option<ValuePredicate>,
 }
 
 /// A value predicate attached to a step.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ValuePredicate {
-    /// `true` → attribute test, `false` → text() test.
-    pub on_attribute: Option<String>,
+struct ValuePredicate {
+    /// `Some(attr)` → attribute test, `None` → text() test.
+    on_attribute: Option<String>,
     /// The comparison operator.
-    pub op: CompareOp,
+    op: CompareOp,
     /// The literal (raw string; typed lazily).
-    pub literal: String,
+    literal: String,
 }
 
 impl ValuePredicate {
     /// Evaluates the predicate on an element.
-    pub fn eval(&self, element: &Element) -> bool {
+    fn eval(&self, element: &Element) -> bool {
         let lit = Value::from_literal(&self.literal);
         match &self.on_attribute {
             Some(attr) => match element.attr(attr) {
@@ -59,7 +59,7 @@ impl ValuePredicate {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PathPattern {
     /// The sequence of steps, root-most first.
-    pub steps: Vec<PatternStep>,
+    steps: Vec<PatternStep>,
     source: String,
 }
 
@@ -237,6 +237,59 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
+    /// The indices of `patterns` that match `doc`.
+    fn matching(patterns: &[&str], doc: &Element) -> Vec<usize> {
+        patterns
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| PathPattern::parse(p).unwrap().matches(doc))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    #[test]
+    fn absolute_and_descendant_queries() {
+        let doc = parse("<rss><channel><item><title>x</title></item></channel></rss>").unwrap();
+        let patterns = ["/rss/channel/item", "//item/title", "/rss/missing"];
+        assert_eq!(matching(&patterns, &doc), vec![0, 1]);
+    }
+
+    #[test]
+    fn wildcard_queries() {
+        let patterns = ["/a/*/c", "/a/b/*"];
+        let doc = parse("<a><b><c/></b></a>").unwrap();
+        assert_eq!(matching(&patterns, &doc), vec![0, 1]);
+        let doc2 = parse("<a><b><d/></b></a>").unwrap();
+        assert_eq!(matching(&patterns, &doc2), vec![1]);
+    }
+
+    #[test]
+    fn predicates_on_steps() {
+        let patterns = [
+            r#"//alert[@method="GetTemperature"]"#,
+            r#"//alert[@method="GetHumidity"]"#,
+            "//alert",
+        ];
+        let doc = parse(r#"<root><alert method="GetTemperature"/></root>"#).unwrap();
+        assert_eq!(matching(&patterns, &doc), vec![0, 2]);
+    }
+
+    #[test]
+    fn root_element_is_matchable_by_first_step() {
+        let doc = parse("<alert><body/></alert>").unwrap();
+        assert_eq!(matching(&["/alert/body", "//alert"], &doc), vec![0, 1]);
+    }
+
+    #[test]
+    fn unparsed_documents_with_uninterned_names_still_match_wildcards() {
+        // Built programmatically (never through the tokenizer) with a name no
+        // pattern mentions: name tests must not match it, but wildcards must.
+        let mut root = Element::new("completely-uninterned-root-name");
+        root.push_element(Element::new("inner"));
+        assert_eq!(matching(&["/*/inner", "//inner"], &root), vec![0, 1]);
+        assert!(matching(&["/completely-absent-name/x"], &root).is_empty());
+    }
+
     #[test]
     fn simple_child_chain() {
         let doc = parse("<rss><channel><item><title>x</title></item></channel></rss>").unwrap();
@@ -285,6 +338,10 @@ mod tests {
         assert!(!PathPattern::parse("//price[text() > 20]")
             .unwrap()
             .matches(&doc));
+        let expensive = parse("<order><price>250</price></order>").unwrap();
+        assert!(PathPattern::parse("//price[text() > 100]")
+            .unwrap()
+            .matches(&expensive));
     }
 
     #[test]
@@ -306,5 +363,7 @@ mod tests {
         let doc = parse("<a><x><b><y><c/></y></b></x></a>").unwrap();
         assert!(PathPattern::parse("//b//c").unwrap().matches(&doc));
         assert!(!PathPattern::parse("//c//b").unwrap().matches(&doc));
+        let nested = parse("<a><b><c><d/></c></b></a>").unwrap();
+        assert_eq!(matching(&["//b//d", "//d//b"], &nested), vec![0]);
     }
 }

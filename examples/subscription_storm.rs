@@ -4,7 +4,8 @@
 //! single hub peer, each singling out a method (and, for some, a tree pattern
 //! or a LET-derived latency residual).  All 256 `Select` processors are
 //! pushed to the hub and register with its *shared* two-stage filtering
-//! processor (preFilter → AESFilter → YFilterσ, Figure 5 of the paper), so
+//! processor (preFilter → AESFilter → YFilterσ, Figure 5 of the paper; the
+//! third stage evaluates only the active subscriptions' tree patterns), so
 //! each alert is filtered once per peer — not once per subscription.
 //!
 //! Run with: `cargo run --release --example subscription_storm`

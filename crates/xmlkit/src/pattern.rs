@@ -338,10 +338,6 @@ mod tests {
         assert!(!PathPattern::parse("//price[text() > 20]")
             .unwrap()
             .matches(&doc));
-        let expensive = parse("<order><price>250</price></order>").unwrap();
-        assert!(PathPattern::parse("//price[text() > 100]")
-            .unwrap()
-            .matches(&expensive));
     }
 
     #[test]
@@ -363,7 +359,20 @@ mod tests {
         let doc = parse("<a><x><b><y><c/></y></b></x></a>").unwrap();
         assert!(PathPattern::parse("//b//c").unwrap().matches(&doc));
         assert!(!PathPattern::parse("//c//b").unwrap().matches(&doc));
-        let nested = parse("<a><b><c><d/></c></b></a>").unwrap();
-        assert_eq!(matching(&["//b//d", "//d//b"], &nested), vec![0]);
+    }
+
+    #[test]
+    fn double_descendant_and_deep_nesting() {
+        let doc = parse("<a><b><c><d/></c></b></a>").unwrap();
+        assert_eq!(matching(&["//b//d", "//d//b"], &doc), vec![0]);
+    }
+
+    #[test]
+    fn text_predicate() {
+        let patterns = ["//price[text() > 100]"];
+        let expensive = parse("<order><price>250</price></order>").unwrap();
+        let cheap = parse("<order><price>50</price></order>").unwrap();
+        assert_eq!(matching(&patterns, &expensive), vec![0]);
+        assert!(matching(&patterns, &cheap).is_empty());
     }
 }

@@ -12,32 +12,16 @@ use crate::Alerter;
 /// The ActiveXML alerter attached to one repository.
 #[derive(Debug)]
 pub struct AxmlAlerter {
-    peer: String,
     repository: Repository,
     buffer: Vec<Element>,
-    /// Update events turned into alerts so far.
-    pub events_seen: u64,
 }
 
 impl AxmlAlerter {
     /// Creates an alerter owning a fresh repository for `peer`.
     pub fn new(peer: impl Into<String>) -> Self {
-        let peer = peer.into();
         AxmlAlerter {
-            repository: Repository::new(peer.clone()),
-            peer,
+            repository: Repository::new(peer),
             buffer: Vec::new(),
-            events_seen: 0,
-        }
-    }
-
-    /// Wraps an existing repository.
-    pub fn with_repository(repository: Repository) -> Self {
-        AxmlAlerter {
-            peer: repository.peer().to_string(),
-            repository,
-            buffer: Vec::new(),
-            events_seen: 0,
         }
     }
 
@@ -47,31 +31,17 @@ impl AxmlAlerter {
         &mut self.repository
     }
 
-    /// Read access to the repository.
-    pub fn repository(&self) -> &Repository {
-        &self.repository
-    }
-
     /// Converts pending repository update events into buffered alerts;
     /// returns how many were produced.
     pub fn poll(&mut self) -> usize {
         let events = self.repository.drain_events();
         let produced = events.len();
-        self.events_seen += produced as u64;
         self.buffer.extend(events.iter().map(|e| e.to_alert()));
         produced
     }
 }
 
 impl Alerter for AxmlAlerter {
-    fn kind(&self) -> &str {
-        "axmlUpdate"
-    }
-
-    fn peer(&self) -> &str {
-        &self.peer
-    }
-
     fn drain(&mut self) -> Vec<Element> {
         // Pick up anything that happened since the last poll, too.
         self.poll();
@@ -110,7 +80,6 @@ mod tests {
         assert!(alerts
             .iter()
             .all(|al| al.attr("peer") == Some("edos-master")));
-        assert_eq!(a.events_seen, 3);
         assert_eq!(a.pending(), 0);
     }
 
@@ -122,14 +91,5 @@ mod tests {
         assert_eq!(a.poll(), 0);
         assert_eq!(a.drain().len(), 1);
         assert_eq!(a.drain().len(), 0);
-    }
-
-    #[test]
-    fn wrapping_an_existing_repository() {
-        let mut repo = Repository::new("peer9");
-        repo.insert("doc", Element::new("doc"));
-        let mut a = AxmlAlerter::with_repository(repo);
-        assert_eq!(a.peer(), "peer9");
-        assert_eq!(a.drain().len(), 1);
     }
 }

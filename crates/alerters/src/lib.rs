@@ -14,7 +14,7 @@
 //! * [`RssAlerter`] — compares successive snapshots of an RSS feed and emits
 //!   semantically tagged alerts: *add*, *remove*, *modify* entry.
 //! * [`WebPageAlerter`] — compares snapshots of XML/XHTML pages and emits a
-//!   change alert, optionally with the delta between the two versions.
+//!   change alert carrying the delta between the two versions.
 //! * [`AxmlAlerter`] — reports updates to an ActiveXML peer's repository.
 //! * [`MembershipAlerter`] — the `areRegistered` source: emits
 //!   `<p-join>`/`<p-leave>` events as peers enter and leave a DHT.
@@ -38,14 +38,6 @@ use p2pmon_xmlkit::Element;
 
 /// A source of monitoring alerts.
 pub trait Alerter: Send {
-    /// The alerter kind, matching the function names used in P2PML FOR
-    /// clauses ("inCOM", "outCOM", "rssFeed", "webPage", "axmlUpdate",
-    /// "areRegistered").
-    fn kind(&self) -> &str;
-
-    /// The peer on whose premises the alerter runs.
-    fn peer(&self) -> &str;
-
     /// Removes and returns the alerts detected since the last drain.
     fn drain(&mut self) -> Vec<Element>;
 
@@ -62,11 +54,11 @@ mod lib_tests {
         let mut alerter = WsAlerter::new("meteo.com", CallDirection::Incoming);
         let call = SoapCall::new(1, "a.com", "meteo.com", "GetTemperature", 100, 112);
         alerter.observe(&call);
-        assert_eq!(alerter.kind(), "inCOM");
-        assert_eq!(alerter.peer(), "meteo.com");
         assert_eq!(alerter.pending(), 1);
         let drained = alerter.drain();
         assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].attr("direction"), Some("inCOM"));
+        assert_eq!(drained[0].attr("callee"), Some("meteo.com"));
         assert_eq!(alerter.pending(), 0);
     }
 }

@@ -51,30 +51,16 @@ impl MembershipEvent {
 }
 
 /// The `areRegistered` alerter: tracks the currently registered peers of a
-/// monitored DHT and streams join/leave events.
-#[derive(Debug, Clone)]
+/// monitored DHT and streams join/leave events.  It runs at the peer its
+/// subscription names (typically the DHT's bootstrap peer, `s.com/dht` in
+/// the paper); its events do not carry that peer.
+#[derive(Debug, Clone, Default)]
 pub struct MembershipAlerter {
-    peer: String,
     registered: Vec<String>,
     buffer: Vec<Element>,
 }
 
 impl MembershipAlerter {
-    /// Creates a membership alerter hosted at `peer` (typically the DHT's
-    /// bootstrap peer, `s.com/dht` in the paper).
-    pub fn new(peer: impl Into<String>) -> Self {
-        MembershipAlerter {
-            peer: peer.into(),
-            registered: Vec::new(),
-            buffer: Vec::new(),
-        }
-    }
-
-    /// Currently registered peers, in join order.
-    pub fn registered(&self) -> &[String] {
-        &self.registered
-    }
-
     /// Records a join; duplicate joins are ignored.  Returns `true` when the
     /// event produced an alert.
     pub fn observe_join(&mut self, peer: impl Into<String>) -> bool {
@@ -101,14 +87,6 @@ impl MembershipAlerter {
 }
 
 impl Alerter for MembershipAlerter {
-    fn kind(&self) -> &str {
-        "areRegistered"
-    }
-
-    fn peer(&self) -> &str {
-        &self.peer
-    }
-
     fn drain(&mut self) -> Vec<Element> {
         std::mem::take(&mut self.buffer)
     }
@@ -124,7 +102,7 @@ mod tests {
 
     #[test]
     fn joins_and_leaves_stream_the_paper_events() {
-        let mut a = MembershipAlerter::new("s.com/dht");
+        let mut a = MembershipAlerter::default();
         assert!(a.observe_join("a.com"));
         assert!(!a.observe_join("a.com"), "duplicate join is a no-op");
         assert!(a.observe_join("b.com"));
@@ -135,7 +113,12 @@ mod tests {
         assert_eq!(events[0].name, "p-join");
         assert_eq!(events[0].text(), "a.com");
         assert_eq!(events[2].name, "p-leave");
-        assert_eq!(a.registered(), &["b.com".to_string()]);
+        // b.com is still registered: its leave is news, a second join is not.
+        assert!(!a.observe_join("b.com"));
+        assert!(a.observe_leave("b.com"));
+        let events = a.drain();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].text(), "b.com");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! "A WebPage Alerter detects changes in XML/XHTML pages by comparing their
 //! snapshots.  The alert may provide (if desired) the delta between two
 //! pages.  (This alerter uses an auxiliary Web crawler for the surveillance
-//! of collections of Web pages.)"
+//! of collections of Web pages.)"  Here a `changed` alert always carries
+//! the delta.
 //!
 //! The crawler of the reproduction is the caller: whatever fetches (or, in
 //! the benches, synthesises) page snapshots feeds them to
@@ -19,34 +20,24 @@ use crate::Alerter;
 #[derive(Debug, Clone)]
 pub struct WebPageAlerter {
     peer: String,
-    include_delta: bool,
     snapshots: HashMap<String, Element>,
     buffer: Vec<Element>,
-    /// Pages whose snapshot changed at least once.
-    pub changes_detected: u64,
 }
 
 impl WebPageAlerter {
-    /// Creates a Web-page alerter; `include_delta` controls whether alerts
-    /// carry the structural delta between the two versions.
-    pub fn new(peer: impl Into<String>, include_delta: bool) -> Self {
+    /// Creates a Web-page alerter running at `peer`.
+    pub fn new(peer: impl Into<String>) -> Self {
         WebPageAlerter {
             peer: peer.into(),
-            include_delta,
             snapshots: HashMap::new(),
             buffer: Vec::new(),
-            changes_detected: 0,
         }
     }
 
-    /// Number of pages currently under surveillance.
-    pub fn watched_pages(&self) -> usize {
-        self.snapshots.len()
-    }
-
     /// Observes a new snapshot of the page at `url`.  The first snapshot
-    /// produces a `new` alert; later ones produce a `changed` alert when the
-    /// content differs.  Returns `true` when an alert was produced.
+    /// produces a `new` alert; later ones produce a `changed` alert, with
+    /// the structural delta between the two versions, when the content
+    /// differs.  Returns `true` when an alert was produced.
     pub fn observe_snapshot(&mut self, url: &str, page: &Element) -> bool {
         match self.snapshots.get(url) {
             None => {
@@ -69,12 +60,9 @@ impl WebPageAlerter {
                     .attr("peer", self.peer.clone())
                     .attr("changes", delta.len())
                     .build();
-                if self.include_delta {
-                    alert.push_element(Self::delta_element(&delta));
-                }
+                alert.push_element(Self::delta_element(&delta));
                 self.buffer.push(alert);
                 self.snapshots.insert(url.to_string(), page.clone());
-                self.changes_detected += 1;
                 true
             }
         }
@@ -121,14 +109,6 @@ impl WebPageAlerter {
 }
 
 impl Alerter for WebPageAlerter {
-    fn kind(&self) -> &str {
-        "webPage"
-    }
-
-    fn peer(&self) -> &str {
-        &self.peer
-    }
-
     fn drain(&mut self) -> Vec<Element> {
         std::mem::take(&mut self.buffer)
     }
@@ -145,7 +125,7 @@ mod tests {
 
     #[test]
     fn first_snapshot_is_new_then_changes_are_detected() {
-        let mut a = WebPageAlerter::new("crawler", true);
+        let mut a = WebPageAlerter::new("crawler");
         let v1 = parse("<html><body><h1>P2P Monitor</h1><p>v1</p></body></html>").unwrap();
         let v2 = parse("<html><body><h1>P2P Monitor</h1><p>v2</p></body></html>").unwrap();
         assert!(a.observe_snapshot("http://site", &v1));
@@ -158,35 +138,36 @@ mod tests {
         assert_eq!(alerts.len(), 2);
         assert_eq!(alerts[0].attr("kind"), Some("new"));
         assert_eq!(alerts[1].attr("kind"), Some("changed"));
-        let delta = alerts[1].child("delta").expect("delta requested");
+        assert!(alerts.iter().all(|x| x.attr("url") == Some("http://site")));
+        let delta = alerts[1]
+            .child("delta")
+            .expect("a change carries its delta");
         assert_eq!(delta.child("change").unwrap().attr("kind"), Some("text"));
-        assert_eq!(a.changes_detected, 1);
-        assert_eq!(a.watched_pages(), 1);
-    }
-
-    #[test]
-    fn delta_can_be_omitted() {
-        let mut a = WebPageAlerter::new("crawler", false);
-        a.observe_snapshot("u", &parse("<p>a</p>").unwrap());
-        a.observe_snapshot("u", &parse("<p>b</p>").unwrap());
-        let alerts = a.drain();
-        assert!(alerts[1].child("delta").is_none());
         assert_eq!(alerts[1].attr("changes"), Some("1"));
     }
 
     #[test]
     fn multiple_pages_are_tracked_independently() {
-        let mut a = WebPageAlerter::new("crawler", false);
+        let mut a = WebPageAlerter::new("crawler");
         a.observe_snapshot("u1", &parse("<p>x</p>").unwrap());
         a.observe_snapshot("u2", &parse("<p>x</p>").unwrap());
-        assert_eq!(a.watched_pages(), 2);
+        let watched: Vec<_> = a
+            .drain()
+            .iter()
+            .map(|x| x.attr("url").map(str::to_string))
+            .collect();
+        assert_eq!(watched, [Some("u1".to_string()), Some("u2".to_string())]);
         assert!(a.observe_snapshot("u1", &parse("<p>y</p>").unwrap()));
         assert!(!a.observe_snapshot("u2", &parse("<p>x</p>").unwrap()));
+        let alerts = a.drain();
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].attr("url"), Some("u1"));
+        assert_eq!(alerts[0].attr("kind"), Some("changed"));
     }
 
     #[test]
     fn structural_additions_are_reported() {
-        let mut a = WebPageAlerter::new("crawler", true);
+        let mut a = WebPageAlerter::new("crawler");
         a.observe_snapshot("u", &parse("<div><item>1</item></div>").unwrap());
         a.drain();
         a.observe_snapshot(

@@ -12,7 +12,7 @@
 //! generators in `p2pmon-workloads` produce them), and the alerter observes
 //! the calls relevant to its peer and direction.
 
-use p2pmon_xmlkit::{Element, ElementBuilder};
+use p2pmon_xmlkit::{Element, ElementBuilder, Name};
 
 use crate::Alerter;
 
@@ -99,51 +99,41 @@ impl CallDirection {
 /// The Web-service alerter at one peer.
 #[derive(Debug, Clone)]
 pub struct WsAlerter {
-    peer: String,
+    /// The alerter's peer, normalized and interned once: dropping an
+    /// alerter frees nothing, and a call is compared with it without
+    /// normalizing it again.
+    peer: Name,
     direction: CallDirection,
     buffer: Vec<Element>,
-    /// Calls observed (relevant or not), for statistics.
-    pub observed: u64,
-    /// Alerts produced.
-    pub produced: u64,
 }
 
 impl WsAlerter {
     /// Creates an alerter for the given peer and direction.
     pub fn new(peer: impl Into<String>, direction: CallDirection) -> Self {
         WsAlerter {
-            peer: peer.into(),
+            peer: Name::new(&p2pmon_streams::normalize_peer(&peer.into())),
             direction,
             buffer: Vec::new(),
-            observed: 0,
-            produced: 0,
         }
-    }
-
-    /// The direction this alerter watches.
-    pub fn direction(&self) -> CallDirection {
-        self.direction
     }
 
     /// True when the call concerns this alerter (right peer and direction).
     /// Peer references are normalised, so `http://a.com` in the monitored
     /// traffic matches an alerter installed at `a.com`.
     pub fn is_relevant(&self, call: &SoapCall) -> bool {
-        let own = p2pmon_streams::normalize_peer(&self.peer);
-        match self.direction {
-            CallDirection::Incoming => p2pmon_streams::normalize_peer(&call.callee) == own,
-            CallDirection::Outgoing => p2pmon_streams::normalize_peer(&call.caller) == own,
-        }
+        let endpoint = match self.direction {
+            CallDirection::Incoming => &call.callee,
+            CallDirection::Outgoing => &call.caller,
+        };
+        p2pmon_streams::normalize_peer(endpoint) == self.peer.as_str()
     }
 
     /// Observes one SOAP exchange; buffers an alert when relevant.
     pub fn observe(&mut self, call: &SoapCall) -> bool {
-        self.observed += 1;
         if !self.is_relevant(call) {
             return false;
         }
         self.buffer.push(Self::alert_for(call, self.direction));
-        self.produced += 1;
         true
     }
 
@@ -178,14 +168,6 @@ impl WsAlerter {
 }
 
 impl Alerter for WsAlerter {
-    fn kind(&self) -> &str {
-        self.direction.function_name()
-    }
-
-    fn peer(&self) -> &str {
-        &self.peer
-    }
-
     fn drain(&mut self) -> Vec<Element> {
         std::mem::take(&mut self.buffer)
     }
@@ -225,8 +207,6 @@ mod tests {
         assert!(a.observe(&call()));
         let other = SoapCall::new(43, "a.com", "other.com", "X", 0, 1);
         assert!(!a.observe(&other));
-        assert_eq!(a.observed, 2);
-        assert_eq!(a.produced, 1);
         assert_eq!(a.drain().len(), 1);
     }
 
@@ -236,7 +216,9 @@ mod tests {
         assert!(a.observe(&call()));
         let other = SoapCall::new(44, "b.com", "meteo.com", "X", 0, 1);
         assert!(!a.observe(&other));
-        assert_eq!(a.kind(), "outCOM");
+        let alerts = a.drain();
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].attr("direction"), Some("outCOM"));
     }
 
     #[test]

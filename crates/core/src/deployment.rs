@@ -217,12 +217,13 @@ impl Monitor {
         // Build operators, routes and consumer registrations, fetching each
         // task's host once and registering a peer nobody named before.  A
         // source runs on its monitored peer (placement puts it there), so its
-        // alerter goes on the same host.  The offline adjustment of the
-        // per-peer shared filter engines happens on the same visit: a Select
-        // task's simple conditions and tree patterns register with its host's
-        // engine, so that an incoming alert is filtered once per peer rather
-        // than once per subscription.  Tasks that consume a shared stream
-        // take a reference on its definition.
+        // alerter goes on the same host; the last reference on its source
+        // stream releases it (`Monitor::release_refs`).  The offline
+        // adjustment of the per-peer shared filter engines happens on the
+        // same visit: a Select task's simple conditions and tree patterns
+        // register with its host's engine, so that an incoming alert is
+        // filtered once per peer rather than once per subscription.  Tasks
+        // that consume a shared stream take a reference on its definition.
         for task in &placed.tasks {
             let operator = RuntimeOperator::for_kind(&task.kind, self.config.join_window);
             operators.push(match placed.tree_of(task.id) {
@@ -242,7 +243,7 @@ impl Monitor {
             };
             let (host, epoch) = self.host_and_epoch(&task.peer);
             if let TaskKind::Source { function, .. } = &task.kind {
-                host.alerters.ensure(function, &task.peer);
+                host.alerters.install(function, &task.peer);
             }
             if let Some(filter) = filter {
                 host.register_select(sub_idx, task.id, filter, epoch);

@@ -101,8 +101,8 @@ use p2pmon_streams::binding::TUPLE_TAG;
 use p2pmon_streams::{AnySketch, ChannelId};
 use p2pmon_xmlkit::Element;
 
-use crate::monitor::{DeployedSubscription, Monitor};
-use crate::peer::{PeerHost, PendingAlert, Work};
+use crate::monitor::{DeployedSubscription, Monitor, SELF_PEER};
+use crate::peer::{AlerterKind, PeerHost, PendingAlert, Work, MON_STATS};
 use crate::placement::TaskKind;
 use crate::profile::{LifetimeProfile, PhaseClock, ROUND_PHASES};
 use crate::slots::OperatorSlots;
@@ -490,6 +490,12 @@ fn retract_from<C>(consumers: &mut Vec<C>, gone: impl Fn(&C) -> bool, scanned: &
 /// installed or a source task deployed; the alert path carries the id.
 pub(crate) fn source_channel(function: &str, peer: &str) -> ChannelId {
     ChannelId::new(peer, format!("src-{function}"))
+}
+
+/// The alerter function whose source stream `channel` is, when it is one
+/// ([`source_channel`] read backwards).
+pub(crate) fn source_function(channel: &ChannelId) -> Option<&'static str> {
+    channel.stream.as_str().strip_prefix("src-")
 }
 
 /// Counters for the engine-gated dispatch path.
@@ -1550,15 +1556,18 @@ impl Monitor {
         self.last_round = clock.finish();
         self.rounds.absorb(&self.last_round);
         // While a `monStats` alerter is installed, the processing phase's
-        // time is kept for the next snapshot (a bounded ring, so an
+        // time is kept for its next snapshot (a bounded ring, so an
         // unconsumed buffer cannot grow without limit).
-        if self.self_monitored() {
-            if self.round_micros.len() >= 4096 {
-                self.round_micros.pop_front();
+        let host = self.hosts.get_mut(SELF_PEER);
+        if let Some(AlerterKind::MonStats(state)) = host.and_then(|h| h.alerters.get_mut(MON_STATS))
+        {
+            if state.round_micros.len() >= 4096 {
+                state.round_micros.pop_front();
             }
             let pending = self.last_round.phase("core.round.process_pending");
             let micros = pending.map_or(0, |p| p.elapsed.as_micros());
-            self.round_micros
+            state
+                .round_micros
                 .push_back(u64::try_from(micros).unwrap_or(u64::MAX));
         }
         #[cfg(debug_assertions)]

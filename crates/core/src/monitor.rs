@@ -26,7 +26,10 @@ use p2pmon_streams::{ChannelId, RateTable};
 use p2pmon_xmlkit::Element;
 
 use crate::dispatch::{DispatchStats, FanoutEpoch, Route, RouteEntries, RoutingTable};
-use crate::peer::PeerHost;
+use crate::peer::{
+    AlerterKind, PeerHost, ARE_REGISTERED, AXML_UPDATE, IN_COM, MON_STATS, OUT_COM, RSS_FEED,
+    WEB_PAGE,
+};
 use crate::placement::{PlacedPlan, PlacementStrategy, TaskKind};
 use crate::profile::{LifetimeProfile, PhaseClock, UNSUBSCRIBE_PHASES};
 use crate::replica::Replicas;
@@ -283,16 +286,6 @@ pub struct Monitor {
     pub(crate) next_filter_id: u64,
     /// Total operator invocations (a processing-cost measure for E6/E7).
     pub operator_invocations: u64,
-    /// The `core.round.process_pending` time of recent dispatch rounds in
-    /// microseconds, read off each round's profile only while a `monStats`
-    /// alerter is installed and drained into `<metric
-    /// kind="dispatchRound"/>` items by [`Monitor::emit_self_metrics`].
-    /// Bounded, so an unconsumed buffer cannot grow without limit.
-    pub(crate) round_micros: std::collections::VecDeque<u64>,
-    /// Per-channel byte counts already reported through the self-monitoring
-    /// stream: channel metrics carry *deltas*, so repeated snapshots sum to
-    /// the true totals under the sketch plane's additive merges.
-    pub(crate) reported_channel_bytes: HashMap<ChannelId, u64>,
     /// The per-phase split of the last submit ([`Monitor::last_submit_profile`]).
     pub(crate) last_submit: LifetimeProfile,
     /// The per-phase split of the last teardown
@@ -323,8 +316,6 @@ impl Monitor {
             rate_table: RateTable::new(),
             next_filter_id: 0,
             operator_invocations: 0,
-            round_micros: std::collections::VecDeque::new(),
-            reported_channel_bytes: HashMap::new(),
             last_submit: LifetimeProfile::default(),
             last_unsubscribe: LifetimeProfile::default(),
             last_round: LifetimeProfile::default(),
@@ -578,10 +569,15 @@ impl Monitor {
                         pending.extend(self.sweep_retired(owner, clock));
                     }
                 }
-                // An alerter's source stream lost its last subscriber.  The
-                // `monStats` buffer goes with it: while nobody subscribes, no
-                // snapshot is built and no round time kept.
-                None => self.release_mon_stats(&key),
+                // An alerter's source stream lost its last subscriber: the
+                // alerter goes with it, whatever its kind, and with it what it
+                // buffers and remembers.  While nobody subscribes, no call is
+                // observed, no snapshot is built and no round time kept.
+                None => {
+                    if let Some(host) = self.hosts.get_mut(key.peer.as_str()) {
+                        host.alerters.release(&key);
+                    }
+                }
             }
         }
         clock.lap(phase, released);
@@ -758,21 +754,18 @@ impl Monitor {
     // ------------------------------------------------------------------
 
     /// Injects one SOAP RPC exchange into the monitored system.  The call is
-    /// observed by the out-call alerter at the caller and the in-call alerter
-    /// at the callee (when those alerters exist), and by any dynamic sources.
+    /// observed by the `outCOM` alerter at the caller and the `inCOM`
+    /// alerter at the callee (when a deployed subscription installed them),
+    /// and by any dynamic sources.
     pub fn inject_soap_call(&mut self, call: &SoapCall) {
         let caller = normalize_peer(&call.caller);
         let callee = normalize_peer(&call.callee);
-        if let Some(host) = self.hosts.get_mut(&caller) {
-            if let Some(alerter) = host.alerters.ws_out.as_mut() {
-                alerter.observe(call);
-                host.list_on(&mut self.ready);
-            }
-        }
-        if let Some(host) = self.hosts.get_mut(&callee) {
-            if let Some(alerter) = host.alerters.ws_in.as_mut() {
-                alerter.observe(call);
-                host.list_on(&mut self.ready);
+        for (peer, slot) in [(&caller, OUT_COM), (&callee, IN_COM)] {
+            if let Some(host) = self.hosts.get_mut(peer) {
+                if let Some(AlerterKind::Ws(alerter)) = host.alerters.get_mut(slot) {
+                    alerter.observe(call);
+                    host.list_on(&mut self.ready);
+                }
             }
         }
         // Dynamic sources see every call of their function, and filter by
@@ -787,68 +780,73 @@ impl Monitor {
         }
     }
 
-    /// The host of `peer` with the alerter for `function` installed, entered
-    /// on the ready list: the caller is about to feed that alerter (or, for
-    /// the ActiveXML repository, hand out the means to), and the next round
-    /// must drain it.
-    fn alerter_host(&mut self, function: &str, peer: &str) -> &mut PeerHost {
-        let peer = normalize_peer(peer);
-        self.host_mut(&peer).alerters.ensure(function, &peer);
-        let host = self.hosts.get_mut(&peer).expect("registered above");
+    /// The alerter a deployed source installed in `slot` at `peer`, its host
+    /// entered on the ready list: the caller is about to feed that alerter
+    /// (or, for the ActiveXML repository, hand out the means to), and the
+    /// next round must drain it.
+    fn alerter(&mut self, peer: &str, slot: usize) -> Option<&mut AlerterKind> {
+        let host = self.hosts.get_mut(&normalize_peer(peer))?;
+        host.alerters.get_mut(slot)?;
         host.list_on(&mut self.ready);
-        host
+        host.alerters.get_mut(slot)
     }
 
-    /// Injects a new snapshot of an RSS feed observed at `peer`.
+    /// Injects a new snapshot of an RSS feed observed at `peer`; returns the
+    /// number of add/remove/modify alerts it produced.  Only a deployed
+    /// `rssFeed(<p>peer</p>)` source observes it: while none is, the
+    /// snapshot is ignored and 0 returned, and a redeployed source compares
+    /// its first snapshot with nothing.
     pub fn inject_rss_snapshot(&mut self, peer: &str, url: &str, feed: &Element) -> usize {
-        self.alerter_host("rssFeed", peer)
-            .alerters
-            .rss
-            .as_mut()
-            .expect("just ensured")
-            .observe_snapshot(url, feed)
+        match self.alerter(peer, RSS_FEED) {
+            Some(AlerterKind::Rss(alerter)) => alerter.observe_snapshot(url, feed),
+            _ => 0,
+        }
     }
 
-    /// Injects a new snapshot of a Web page observed at `peer`.
+    /// Injects a new snapshot of a Web page observed at `peer`; true when it
+    /// produced an alert.  Only a deployed `webPage(<p>peer</p>)` source
+    /// observes it: while none is, the snapshot is ignored and `false`
+    /// returned, and a redeployed source sees every page as new.
     pub fn inject_page_snapshot(&mut self, peer: &str, url: &str, page: &Element) -> bool {
-        self.alerter_host("webPage", peer)
-            .alerters
-            .page
-            .as_mut()
-            .expect("just ensured")
-            .observe_snapshot(url, page)
+        match self.alerter(peer, WEB_PAGE) {
+            Some(AlerterKind::Page(alerter)) => alerter.observe_snapshot(url, page),
+            _ => false,
+        }
     }
 
     /// The ActiveXML repository monitored at `peer` (updates applied to it
-    /// produce alerts).
-    pub fn axml_repository_mut(&mut self, peer: &str) -> &mut p2pmon_activexml::Repository {
-        self.alerter_host("axmlUpdate", peer)
-            .alerters
-            .axml
-            .as_mut()
-            .expect("just ensured")
-            .repository_mut()
+    /// produce alerts), or `None` while no `axmlUpdate(<p>peer</p>)` source
+    /// is deployed.  The repository belongs to the alerter: it starts empty
+    /// when a source is deployed and goes with the source's last
+    /// subscription.
+    pub fn axml_repository_mut(&mut self, peer: &str) -> Option<&mut p2pmon_activexml::Repository> {
+        match self.alerter(peer, AXML_UPDATE) {
+            Some(AlerterKind::Axml(alerter)) => Some(alerter.repository_mut()),
+            _ => None,
+        }
     }
 
     /// Records a membership join in the monitored DHT whose `areRegistered`
-    /// alerter runs at `alerter_peer`.
-    pub fn inject_peer_join(&mut self, alerter_peer: &str, joining: &str) {
-        self.alerter_host("areRegistered", alerter_peer)
-            .alerters
-            .membership
-            .as_mut()
-            .expect("just ensured")
-            .observe_join(normalize_peer(joining));
+    /// alerter runs at `alerter_peer`; true when it produced an event.  Only
+    /// a deployed `areRegistered(<p>alerter_peer</p>)` source observes it:
+    /// while none is, the join is ignored and `false` returned, and a
+    /// redeployed source starts with nobody registered.
+    pub fn inject_peer_join(&mut self, alerter_peer: &str, joining: &str) -> bool {
+        match self.alerter(alerter_peer, ARE_REGISTERED) {
+            Some(AlerterKind::Membership(alerter)) => alerter.observe_join(normalize_peer(joining)),
+            _ => false,
+        }
     }
 
-    /// Records a membership leave.
-    pub fn inject_peer_leave(&mut self, alerter_peer: &str, leaving: &str) {
-        self.alerter_host("areRegistered", alerter_peer)
-            .alerters
-            .membership
-            .as_mut()
-            .expect("just ensured")
-            .observe_leave(&normalize_peer(leaving));
+    /// Records a membership leave; true when it produced an event (see
+    /// [`Monitor::inject_peer_join`]).
+    pub fn inject_peer_leave(&mut self, alerter_peer: &str, leaving: &str) -> bool {
+        match self.alerter(alerter_peer, ARE_REGISTERED) {
+            Some(AlerterKind::Membership(alerter)) => {
+                alerter.observe_leave(&normalize_peer(leaving))
+            }
+            _ => false,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -983,41 +981,40 @@ impl Monitor {
     ///
     /// Snapshot contents, one `<metric/>` item per line:
     /// * `kind="channel"` — per measured channel: `channel`, `peer`,
-    ///   `bytes` (the delta since the previous snapshot, so repeated
-    ///   snapshots stay additive under sketch merges) and `bps`;
+    ///   `bytes` (the delta since the alerter's previous snapshot, so
+    ///   repeated snapshots stay additive under sketch merges; a newly
+    ///   installed alerter's first snapshot reports the whole total) and
+    ///   `bps`;
     /// * `kind="dispatchRound"` — one per recorded dispatch round:
     ///   `micros` of wall-clock spent in the round's processing phase;
     /// * `kind="dispatch"` / `kind="network"` / `kind="reuse"` /
     ///   `kind="replica"` — cumulative counters.
     pub fn emit_self_metrics(&mut self) {
-        if !self.self_monitored() {
+        let r = self.reuse_stats();
+        let Some(host) = self.hosts.get_mut(SELF_PEER) else {
             return;
-        }
+        };
+        let Some(AlerterKind::MonStats(state)) = host.alerters.get_mut(MON_STATS) else {
+            return;
+        };
         let now = self.network.now();
-        let mut metrics: Vec<Element> = Vec::new();
-        let mut channel_deltas: Vec<(ChannelId, u64, f64)> = Vec::new();
+        let metrics = &mut state.buffer;
         for (channel, stats) in self.rate_table.channels() {
-            let reported = self
-                .reported_channel_bytes
-                .get(channel)
-                .copied()
-                .unwrap_or(0);
+            let reported = state.reported_bytes.get(channel).copied().unwrap_or(0);
             let delta = stats.bytes.saturating_sub(reported);
-            if delta > 0 {
-                channel_deltas.push((*channel, delta, stats.bytes_per_second_at(now)));
+            if delta == 0 {
+                continue;
             }
-        }
-        for (channel, delta, bps) in channel_deltas {
-            *self.reported_channel_bytes.entry(channel).or_insert(0) += delta;
+            state.reported_bytes.insert(*channel, stats.bytes);
             let mut m = Element::new("metric");
             m.set_attr("kind", "channel");
             m.set_attr("channel", channel.to_string());
             m.set_attr("peer", String::from(channel.peer));
             m.set_attr("bytes", delta.to_string());
-            m.set_attr("bps", format!("{bps:.0}"));
+            m.set_attr("bps", format!("{:.0}", stats.bytes_per_second_at(now)));
             metrics.push(m);
         }
-        while let Some(micros) = self.round_micros.pop_front() {
+        while let Some(micros) = state.round_micros.pop_front() {
             let mut m = Element::new("metric");
             m.set_attr("kind", "dispatchRound");
             m.set_attr("micros", micros.to_string());
@@ -1046,7 +1043,6 @@ impl Monitor {
         m.set_attr("dropped", n.dropped_messages.to_string());
         m.set_attr("multicastSaved", n.multicast_saved_messages.to_string());
         metrics.push(m);
-        let r = self.reuse_stats();
         let mut m = Element::new("metric");
         m.set_attr("kind", "reuse");
         m.set_attr("subscriptions", r.subscriptions.to_string());
@@ -1063,34 +1059,7 @@ impl Monitor {
         m.set_attr("viaReplica", p.consumers_via_replica.to_string());
         m.set_attr("viaOrigin", p.consumers_via_origin.to_string());
         metrics.push(m);
-
-        let host = self
-            .hosts
-            .get_mut(SELF_PEER)
-            .expect("checked installed above");
         host.list_on(&mut self.ready);
-        host.alerters
-            .mon_stats
-            .as_mut()
-            .expect("checked installed above")
-            .extend(metrics);
-    }
-
-    /// Whether a deployed `monStats(<p>self</p>)` subscription installed the
-    /// self-monitoring alerter on the synthetic peer `self`.
-    pub(crate) fn self_monitored(&self) -> bool {
-        self.hosts
-            .get(SELF_PEER)
-            .is_some_and(|host| host.alerters.mon_stats.is_some())
-    }
-
-    /// Uninstalls the `monStats` alerter when `source` is its source stream,
-    /// with the round times kept for its next snapshot.
-    fn release_mon_stats(&mut self, source: &ChannelId) {
-        let host = self.hosts.get_mut(SELF_PEER);
-        if host.is_some_and(|host| host.alerters.release_mon_stats(source)) {
-            self.round_micros.clear();
-        }
     }
 
     /// Aggregate stream-reuse effectiveness (E7): hit rate, covered plan

@@ -6,7 +6,7 @@
 //! through which every alert entering the peer flows once, no matter how many
 //! hosted subscriptions want it.  `PeerHost` reproduces that decomposition:
 //!
-//! * the peer's **alerters** (one per alerter function, `AlerterSet`),
+//! * the peer's **alerters** (one slot per alerter function, `AlerterSet`),
 //! * the peer's **shared [`FilterEngine`]**, holding the simple conditions
 //!   and tree patterns of every `Select` task deployed on this peer,
 //! * the peer's **alert batch** (`PendingAlert`s awaiting the next
@@ -34,7 +34,7 @@ use p2pmon_net::{Payload, StageId};
 use p2pmon_streams::{AnySketch, ChannelId, StreamItem};
 use p2pmon_xmlkit::Element;
 
-use crate::dispatch::{source_channel, FanoutEpoch, SharedTargets, TargetList};
+use crate::dispatch::{source_channel, source_function, FanoutEpoch, SharedTargets, TargetList};
 use crate::runtime::RuntimeOperator;
 use crate::slots::OperatorSlots;
 
@@ -69,134 +69,160 @@ pub(crate) struct PendingAlert {
     pub targets: SharedTargets,
 }
 
-/// The alerters installed on one peer, at most one per function (plus one per
-/// direction for Web-service calls).
-#[derive(Default)]
-pub(crate) struct AlerterSet {
-    pub ws_in: Option<WsAlerter>,
-    pub ws_out: Option<WsAlerter>,
-    pub rss: Option<RssAlerter>,
-    pub page: Option<WebPageAlerter>,
-    pub axml: Option<AxmlAlerter>,
-    pub membership: Option<MembershipAlerter>,
-    /// The self-monitoring feed (`monStats`): a plain buffer the monitor
-    /// façade fills with `<metric/>` snapshots of its own runtime counters
-    /// ([`crate::Monitor::emit_self_metrics`]); drained like any other
-    /// alerter, so aggregate subscriptions ride the normal dispatch path.
-    pub mon_stats: Option<Vec<Element>>,
-    /// The source stream each installed alerter feeds, by function
-    /// ([`source_channel`], minted at install): a drained feed carries the id
-    /// instead of rebuilding it from two strings per batch.
-    sources: Vec<(&'static str, ChannelId)>,
+/// The alerter functions in the fixed order a drain visits them.  An
+/// alerter's slot in [`AlerterSet`] is its function's index here.
+const FUNCTIONS: [&str; 7] = [
+    "inCOM",
+    "outCOM",
+    "rssFeed",
+    "webPage",
+    "axmlUpdate",
+    "areRegistered",
+    "monStats",
+];
+pub(crate) const IN_COM: usize = 0;
+pub(crate) const OUT_COM: usize = 1;
+pub(crate) const RSS_FEED: usize = 2;
+pub(crate) const WEB_PAGE: usize = 3;
+pub(crate) const AXML_UPDATE: usize = 4;
+pub(crate) const ARE_REGISTERED: usize = 5;
+pub(crate) const MON_STATS: usize = 6;
+
+/// The slot of an alerter function.
+fn slot_of(function: &str) -> Option<usize> {
+    FUNCTIONS.iter().position(|&f| f == function)
 }
 
-impl AlerterSet {
-    /// Installs the alerter for `function` (idempotent).
-    pub fn ensure(&mut self, function: &str, peer: &str) {
-        let function = match function {
-            "inCOM" => {
-                self.ws_in
-                    .get_or_insert_with(|| WsAlerter::new(peer, CallDirection::Incoming));
-                "inCOM"
-            }
-            "outCOM" => {
-                self.ws_out
-                    .get_or_insert_with(|| WsAlerter::new(peer, CallDirection::Outgoing));
-                "outCOM"
-            }
-            "rssFeed" => {
-                self.rss.get_or_insert_with(|| RssAlerter::new(peer));
-                "rssFeed"
-            }
-            "webPage" => {
-                self.page
-                    .get_or_insert_with(|| WebPageAlerter::new(peer, true));
-                "webPage"
-            }
-            "axmlUpdate" => {
-                self.axml.get_or_insert_with(|| AxmlAlerter::new(peer));
-                "axmlUpdate"
-            }
-            "areRegistered" => {
-                self.membership
-                    .get_or_insert_with(|| MembershipAlerter::new(peer));
-                "areRegistered"
-            }
-            "monStats" => {
-                self.mon_stats.get_or_insert_with(Vec::new);
-                "monStats"
-            }
-            _ => return,
-        };
-        if !self
-            .sources
-            .iter()
-            .any(|&(installed, _)| installed == function)
-        {
-            self.sources
-                .push((function, source_channel(function, peer)));
+/// The self-monitoring feed's state (`monStats`): the snapshots the monitor
+/// façade builds of its own runtime counters
+/// ([`crate::Monitor::emit_self_metrics`]), drained like any other alerter,
+/// so aggregate subscriptions ride the normal dispatch path.
+#[derive(Default)]
+pub(crate) struct MonStats {
+    /// Snapshot items not yet drained.
+    pub buffer: Vec<Element>,
+    /// The `core.round.process_pending` time of recent dispatch rounds in
+    /// microseconds, for the next snapshot's `<metric kind="dispatchRound"/>`
+    /// items.  Bounded, so an unconsumed buffer cannot grow without limit.
+    pub round_micros: VecDeque<u64>,
+    /// Per-channel byte counts already reported: channel metrics carry
+    /// *deltas*, so repeated snapshots sum to the true totals under the
+    /// sketch plane's additive merges.
+    pub reported_bytes: HashMap<ChannelId, u64>,
+}
+
+/// What an installed alerter is: one of the five alerter types, or the
+/// `monStats` state.  The Web-service alerter, installed on every peer a
+/// call source watches, is held inline and owns no heap memory while
+/// drained, so releasing one frees nothing; the other kinds are boxed to
+/// keep the slots small.
+pub(crate) enum AlerterKind {
+    Ws(WsAlerter),
+    Rss(Box<RssAlerter>),
+    Page(Box<WebPageAlerter>),
+    Axml(Box<AxmlAlerter>),
+    Membership(Box<MembershipAlerter>),
+    MonStats(Box<MonStats>),
+}
+
+impl AlerterKind {
+    fn drain(&mut self) -> Vec<Element> {
+        match self {
+            AlerterKind::Ws(a) => a.drain(),
+            AlerterKind::Rss(a) => a.drain(),
+            AlerterKind::Page(a) => a.drain(),
+            AlerterKind::Axml(a) => a.drain(),
+            AlerterKind::Membership(a) => a.drain(),
+            AlerterKind::MonStats(m) => std::mem::take(&mut m.buffer),
         }
     }
 
-    /// Uninstalls the `monStats` buffer when `source` is its source stream
-    /// (its last subscriber has gone), dropping what it holds.  True when it
-    /// was installed.
-    pub fn release_mon_stats(&mut self, source: &ChannelId) -> bool {
-        let fed = self
-            .sources
-            .iter()
-            .any(|(function, fed)| *function == "monStats" && fed == source);
-        fed && self.mon_stats.take().is_some()
+    fn pending(&self) -> bool {
+        match self {
+            AlerterKind::Ws(a) => a.pending() > 0,
+            AlerterKind::Rss(a) => a.pending() > 0,
+            AlerterKind::Page(a) => a.pending() > 0,
+            AlerterKind::Axml(a) => a.pending() > 0,
+            AlerterKind::Membership(a) => a.pending() > 0,
+            AlerterKind::MonStats(m) => !m.buffer.is_empty(),
+        }
+    }
+}
+
+/// One installed alerter and the source stream it feeds ([`source_channel`],
+/// minted at install): a drained feed carries the id instead of rebuilding
+/// it from two strings per batch.
+struct Installed {
+    source: ChannelId,
+    kind: AlerterKind,
+}
+
+/// The alerters installed on one peer, one slot per alerter function.  A
+/// deployed `Source` task installs its function's alerter
+/// ([`AlerterSet::install`]); the last reference on its source stream
+/// releases it with whatever state it holds ([`AlerterSet::release`]).
+#[derive(Default)]
+pub(crate) struct AlerterSet([Option<Installed>; 7]);
+
+impl AlerterSet {
+    /// Installs the alerter for `function` at `peer` (idempotent; a name
+    /// that is no alerter function installs nothing).
+    pub fn install(&mut self, function: &str, peer: &str) {
+        let Some(slot) = slot_of(function) else {
+            return;
+        };
+        self.0[slot].get_or_insert_with(|| Installed {
+            source: source_channel(function, peer),
+            kind: match slot {
+                IN_COM => AlerterKind::Ws(WsAlerter::new(peer, CallDirection::Incoming)),
+                OUT_COM => AlerterKind::Ws(WsAlerter::new(peer, CallDirection::Outgoing)),
+                RSS_FEED => AlerterKind::Rss(Box::new(RssAlerter::new(peer))),
+                WEB_PAGE => AlerterKind::Page(Box::new(WebPageAlerter::new(peer))),
+                AXML_UPDATE => AlerterKind::Axml(Box::new(AxmlAlerter::new(peer))),
+                ARE_REGISTERED => AlerterKind::Membership(Box::default()),
+                _ => AlerterKind::MonStats(Box::default()),
+            },
+        });
+    }
+
+    /// Drops the alerter feeding `source`, if one is installed, with
+    /// everything it buffers and remembers.  The source stream names the
+    /// one slot to visit.
+    pub fn release(&mut self, source: &ChannelId) {
+        if let Some(slot) = source_function(source).and_then(slot_of) {
+            if self.0[slot]
+                .as_ref()
+                .is_some_and(|fed| fed.source == *source)
+            {
+                self.0[slot] = None;
+            }
+        }
+    }
+
+    /// The alerter installed in `slot` (one of the function indices).
+    pub fn get_mut(&mut self, slot: usize) -> Option<&mut AlerterKind> {
+        self.0[slot].as_mut().map(|installed| &mut installed.kind)
     }
 
     /// True when an installed alerter buffers an alert not yet drained.
     pub fn has_pending(&self) -> bool {
-        fn pending(alerter: &Option<impl Alerter>) -> bool {
-            alerter.as_ref().is_some_and(|a| a.pending() > 0)
-        }
-        pending(&self.ws_in)
-            || pending(&self.ws_out)
-            || pending(&self.rss)
-            || pending(&self.page)
-            || pending(&self.axml)
-            || pending(&self.membership)
-            || self.mon_stats.as_ref().is_some_and(|b| !b.is_empty())
+        self.0
+            .iter()
+            .flatten()
+            .any(|installed| installed.kind.pending())
     }
 
     /// Drains every installed alerter, returning `(function, source stream,
-    /// alerts)` triples in a fixed function order.
+    /// alerts)` triples in the fixed function order.
     pub fn drain_all(&mut self) -> Vec<(&'static str, ChannelId, Vec<Element>)> {
         let mut out = Vec::new();
-        let sources = &self.sources;
-        let mut take = |function: &'static str, alerts: Vec<Element>| {
-            if !alerts.is_empty() {
-                let &(_, source) = sources
-                    .iter()
-                    .find(|&&(installed, _)| installed == function)
-                    .expect("an installed alerter's source stream is minted with it");
-                out.push((function, source, alerts));
+        for (function, slot) in FUNCTIONS.into_iter().zip(&mut self.0) {
+            if let Some(installed) = slot {
+                let alerts = installed.kind.drain();
+                if !alerts.is_empty() {
+                    out.push((function, installed.source, alerts));
+                }
             }
-        };
-        if let Some(a) = &mut self.ws_in {
-            take("inCOM", a.drain());
-        }
-        if let Some(a) = &mut self.ws_out {
-            take("outCOM", a.drain());
-        }
-        if let Some(a) = &mut self.rss {
-            take("rssFeed", a.drain());
-        }
-        if let Some(a) = &mut self.page {
-            take("webPage", a.drain());
-        }
-        if let Some(a) = &mut self.axml {
-            take("axmlUpdate", a.drain());
-        }
-        if let Some(a) = &mut self.membership {
-            take("areRegistered", a.drain());
-        }
-        if let Some(buffer) = &mut self.mon_stats {
-            take("monStats", std::mem::take(buffer));
         }
         out
     }
@@ -534,13 +560,16 @@ mod tests {
     #[test]
     fn alerter_set_installs_once_and_drains_in_fixed_order() {
         let mut set = AlerterSet::default();
-        set.ensure("outCOM", "a.com");
-        set.ensure("outCOM", "a.com");
-        set.ensure("rssFeed", "a.com");
-        assert!(set.ws_out.is_some());
-        assert!(set.ws_in.is_none());
+        set.install("outCOM", "a.com");
+        set.install("outCOM", "a.com");
+        set.install("rssFeed", "a.com");
+        assert!(set.get_mut(OUT_COM).is_some());
+        assert!(set.get_mut(IN_COM).is_none());
         let call = p2pmon_alerters::SoapCall::new(1, "a.com", "b.com", "Get", 10, 15);
-        set.ws_out.as_mut().unwrap().observe(&call);
+        let Some(AlerterKind::Ws(alerter)) = set.get_mut(OUT_COM) else {
+            panic!("outCOM installs a Web-service alerter");
+        };
+        alerter.observe(&call);
         let drained = set.drain_all();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].0, "outCOM");

@@ -305,7 +305,9 @@ fn activexml_replacements_reach_the_sink_through_both_filter_stages() {
                by email "ops@example.org";"#,
         )
         .unwrap();
-    let repository = monitor.axml_repository_mut("repo.org");
+    let repository = monitor
+        .axml_repository_mut("repo.org")
+        .expect("an axmlUpdate source is deployed at repo.org");
     repository.insert(
         "catalog",
         parse(r#"<catalog><pkg name="bash"/></catalog>"#).unwrap(),

@@ -2,10 +2,11 @@
 //!
 //! A deterministic, seeded sweep at the monitor's event boundary: an
 //! arbitrary `Element` (or `SoapCall`) handed to an `inject_*` call.  One
-//! monitor runs six subscriptions side by side — Figure 1 (a join), a
+//! monitor runs eight subscriptions side by side — Figure 1 (a join), a
 //! `distinct` one (duplicate removal), a two-peer union, a `quantile` and a
-//! `topk` aggregate, an `rssFeed` and an `areRegistered` one — and each
-//! injection, followed by `run_until_idle`, runs under `catch_unwind`:
+//! `topk` aggregate, an `rssFeed`, an `areRegistered` and a `webPage` one —
+//! so every alerter kind the sweep feeds is installed, and each injection,
+//! followed by `run_until_idle`, runs under `catch_unwind`:
 //!
 //! * SOAP calls between empty, scheme-only, non-ASCII, unknown and
 //!   identical peers, with markup and wide chars in the method, reversed and
@@ -85,6 +86,9 @@ const SUBSCRIPTIONS: &[&str] = &[
     r#"for $j in areRegistered(<p>dht.example</p>), $c in inCOM($j)
        return <q callee="{$c.callee}" method="{$c.callMethod}"/>
        by publish as channel "usage";"#,
+    r#"for $w in webPage(<p>portal</p>)
+       return <page url="{$w.url}" kind="{$w.kind}"/>
+       by email "ops@example.org";"#,
 ];
 
 /// splitmix64: a fixed seed gives the same sweep on every run.
@@ -228,11 +232,13 @@ fn hostile_events_never_panic_the_monitor() {
         }
     }
     assert!(panicked.is_none(), "first panicking input: {panicked:?}");
-    // The sweep is not vacuous: the join, the duplicate removal and the
-    // union all delivered, and the duplicate removal dropped repeats.
+    // The sweep is not vacuous: the join, the duplicate removal, the union
+    // and the page alerter all delivered, and the duplicate removal dropped
+    // repeats.
     let delivered = |i: usize| monitor.results(&handles[i]).len();
     assert!(delivered(0) > 0, "Figure 1's join never matched");
     assert!(delivered(2) > 0, "the union delivered nothing");
+    assert!(delivered(7) > 0, "the page alerter observed nothing");
     let seen = delivered(1);
     assert!(
         seen > 0 && seen < to_meteo,

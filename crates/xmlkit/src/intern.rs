@@ -1,18 +1,17 @@
 //! A process-wide QName interner.
 //!
 //! The monitoring hot path compares names constantly: peer and channel names
-//! key the dispatch and rate tables, and every document carries its tag and
-//! attribute names.  The vocabulary of QNames in a monitoring
-//! deployment is tiny (SOAP envelopes, RSS items, alerter schemas), so the
-//! names are interned once into stable [`Symbol`]s and the hot paths compare
+//! key the dispatch and rate tables.  Those names are interned once into
+//! stable [`Symbol`]s (a [`Name`] interns itself), and the hot paths compare
 //! 32-bit integers instead of hashing strings over and over.
 //!
-//! The tokenizer ([`crate::parser`]) interns every element and attribute
-//! name it reads.
+//! Parsing a document interns nothing: its element and attribute names stay
+//! strings, so monitored traffic with ever-new tag names cannot grow the
+//! table.
 //!
-//! Interned names are leaked intentionally — the table is append-only and
-//! the QName vocabulary is bounded by the monitored schemas, not by traffic
-//! volume.
+//! Interned names are leaked intentionally — the table is append-only, and
+//! what is interned is the peer and channel names deployments mint, not
+//! traffic.
 
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};

@@ -213,9 +213,6 @@ impl<'a> Parser<'a> {
         {
             return Err(ParseError::new(start, format!("invalid name `{name}`")));
         }
-        // Intern every element/attribute QName the tokenizer reads, so
-        // `intern::lookup` resolves every name a parsed document carries.
-        crate::intern::intern(name);
         Ok(name.to_string())
     }
 
@@ -355,6 +352,16 @@ fn flush_text(element: &mut Element, pending: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parsing_interns_no_name() {
+        let doc = r#"<parsedOnlyRoot parsedOnlyAttr="1"><parsedOnlyChild/></parsedOnlyRoot>"#;
+        let e = parse(doc).unwrap();
+        assert_eq!(e.attr("parsedOnlyAttr"), Some("1"));
+        for name in ["parsedOnlyRoot", "parsedOnlyAttr", "parsedOnlyChild"] {
+            assert_eq!(crate::intern::lookup(name), None, "{name} was interned");
+        }
+    }
 
     #[test]
     fn parses_simple_element() {

@@ -101,8 +101,8 @@ impl CallDirection {
 pub struct WsAlerter {
     /// The alerter's peer, normalized and interned once: dropping an
     /// alerter frees nothing, and a call is compared with it without
-    /// normalizing it again.
-    peer: Name,
+    /// normalizing it again or taking the interner's lock.
+    peer: &'static str,
     direction: CallDirection,
     buffer: Vec<Element>,
 }
@@ -111,7 +111,7 @@ impl WsAlerter {
     /// Creates an alerter for the given peer and direction.
     pub fn new(peer: impl Into<String>, direction: CallDirection) -> Self {
         WsAlerter {
-            peer: Name::new(&p2pmon_streams::normalize_peer(&peer.into())),
+            peer: Name::new(p2pmon_streams::normalize_peer(&peer.into())).as_str(),
             direction,
             buffer: Vec::new(),
         }
@@ -125,7 +125,7 @@ impl WsAlerter {
             CallDirection::Incoming => &call.callee,
             CallDirection::Outgoing => &call.caller,
         };
-        p2pmon_streams::normalize_peer(endpoint) == self.peer.as_str()
+        p2pmon_streams::normalize_peer(endpoint) == self.peer
     }
 
     /// Observes one SOAP exchange; buffers an alert when relevant.

@@ -78,7 +78,7 @@ fn canonicalize_channel_refs(
     match node {
         LogicalNode::ChannelIn { peer, stream, var } => {
             *resolved += 1;
-            let (peer, stream) = db.canonical_identity(&normalize_peer(&peer), &stream);
+            let (peer, stream) = db.canonical_identity(normalize_peer(&peer), &stream);
             let (peer, stream) = match proximity {
                 Some(select) => select(&peer, &stream),
                 None => (peer, stream),
@@ -124,8 +124,9 @@ impl Monitor {
         plan: LogicalPlan,
         mut clock: PhaseClock,
     ) -> SubscriptionHandle {
-        let manager = normalize_peer(manager);
-        self.host_mut(&manager);
+        let manager_name = normalize_peer(manager);
+        let manager = PeerId::new(manager_name);
+        self.host_and_epoch(manager);
 
         // Algebraic optimization: push selections below unions so that every
         // monitored peer filters its own alerts (Section 3.3's plan shape).
@@ -146,17 +147,16 @@ impl Monitor {
         // not the peers that exist.  Scored by id: the manager is interned
         // once per submit, and a candidate's name is never resolved.
         let scored = std::cell::Cell::new(0u64);
-        let manager_id = PeerId::from(manager.as_str());
         let proximity = |peer: PeerId| {
             scored.set(scored.get() + 1);
             if !self.network.has_peer(peer) {
                 u64::MAX / 2
             } else if self.network.is_down(peer) {
                 u64::MAX
-            } else if peer == manager_id {
+            } else if peer == manager {
                 0
             } else {
-                self.network.expected_latency(manager_id, peer)
+                self.network.expected_latency(manager, peer)
             }
         };
 
@@ -205,7 +205,7 @@ impl Monitor {
         clock.lap("core.submit.canonicalize", resolved);
 
         // Placement, and the canonical channel identity of every task output.
-        let placed = place(&rewritten, &manager, self.config.placement);
+        let placed = place(&rewritten, manager_name, self.config.placement);
         clock.lap("core.submit.place", placed.tasks.len() as u64);
         let sub_idx = self.subscriptions.len();
         let channels = placed.output_channels(sub_idx);
@@ -241,7 +241,7 @@ impl Monitor {
                 }
                 _ => None,
             };
-            let (host, epoch) = self.host_and_epoch(&task.peer);
+            let (host, epoch) = self.host_and_epoch(task.peer);
             if let TaskKind::Source { function, .. } = &task.kind {
                 host.alerters.install(function, &task.peer);
             }
@@ -312,7 +312,7 @@ impl Monitor {
         let published_channel = match &placed.by {
             ByClause::Channel(name) => {
                 let channel = channels[placed.root];
-                let declared = ChannelId::new(manager.clone(), name.clone());
+                let declared = ChannelId::new(manager, name.clone());
                 if declared != channel {
                     self.repoint_channel_consumers(&declared, &channel);
                 }
@@ -324,7 +324,6 @@ impl Monitor {
         };
 
         self.subscriptions.push(DeployedSubscription {
-            manager: manager.into(),
             sink: Sink::new(SinkKind::from(&placed.by)),
             placed,
             routes,

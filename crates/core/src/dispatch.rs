@@ -101,7 +101,7 @@ use p2pmon_streams::binding::TUPLE_TAG;
 use p2pmon_streams::{AnySketch, ChannelId};
 use p2pmon_xmlkit::Element;
 
-use crate::monitor::{DeployedSubscription, Monitor, SELF_PEER};
+use crate::monitor::{self_peer, DeployedSubscription, Monitor};
 use crate::peer::{AlerterKind, PeerHost, PendingAlert, Work, MON_STATS};
 use crate::placement::TaskKind;
 use crate::profile::{LifetimeProfile, PhaseClock, ROUND_PHASES};
@@ -779,8 +779,8 @@ impl DispatchSnapshot<'_> {
         );
         let to_sink =
             subscription.routes[task] == Route::Publisher && self.tap(sub, task).is_none();
-        (passes_through && to_sink)
-            .then(|| (sub, subscription.channels[task], subscription.manager))
+        let manager = subscription.placed.manager;
+        (passes_through && to_sink).then(|| (sub, subscription.channels[task], manager))
     }
 
     /// Resolves every target of one shared list: its engine gate, or else
@@ -1056,10 +1056,10 @@ impl Monitor {
         data: impl Into<Arc<Element>>,
     ) {
         let now = self.network.now();
-        let peer = &self.subscriptions[sub].placed.tasks[task].peer;
+        let peer = self.subscriptions[sub].placed.tasks[task].peer;
         let host = self
             .hosts
-            .get_mut(peer)
+            .get_mut(&peer)
             .expect("every placed task's host is created at deployment");
         host.list_on(&mut self.ready);
         let item = host.make_item(now, data);
@@ -1100,11 +1100,11 @@ impl Monitor {
         // the network, and with it message ids and delivery order.
         self.ready.sort_unstable();
         self.dispatch_stats.host_visits += self.ready.len() as u64;
-        for peer in &self.ready {
+        for &(_, peer) in &self.ready {
             if self.network.is_down(peer) {
                 continue;
             }
-            let host = self.hosts.get_mut(peer).expect("ready peers are hosted");
+            let host = self.hosts.get_mut(&peer).expect("ready peers are hosted");
             feeds.extend(host.alerters.drain_all());
         }
         let drained = feeds.iter().map(|(_, _, alerts)| alerts.len() as u64).sum();
@@ -1128,13 +1128,13 @@ impl Monitor {
             // subscriptions that reuse `src-<function>@peer`) receive every
             // alert as one physical multicast from the alerting peer.
             let source_plan = self.multicast_plan(&source_channel);
-            let peer = source_channel.peer.as_str();
+            let peer = source_channel.peer;
             let now = self.network.now();
             for alert in alerts {
                 // Wrap once; every consumer below shares the same tree.
                 let alert = &Arc::new(alert);
                 if let Some(targets) = &targets {
-                    let host = self.hosts.get_mut(peer).expect("alerting peer is hosted");
+                    let host = self.hosts.get_mut(&peer).expect("alerting peer is hosted");
                     host.list_on(&mut self.ready);
                     host.pending_alerts.push(PendingAlert {
                         doc: Arc::clone(alert),
@@ -1167,11 +1167,11 @@ impl Monitor {
             // and queued work (only a listed host can hold any).  The sweep
             // only runs while a failure is active.
             if self.network.any_down() {
-                for peer in &self.ready {
+                for &(_, peer) in &self.ready {
                     if !self.network.is_down(peer) {
                         continue;
                     }
-                    let host = self.hosts.get_mut(peer).expect("ready peers are hosted");
+                    let host = self.hosts.get_mut(&peer).expect("ready peers are hosted");
                     let dropped = host.queue.len() as u64
                         + host.pending_partials.len() as u64
                         + host
@@ -1204,7 +1204,7 @@ impl Monitor {
             let results: Vec<PeerEffects> = self
                 .ready
                 .iter()
-                .filter_map(|peer| {
+                .filter_map(|(_, peer)| {
                     let host = hosts.get_mut(peer).expect("ready peers are hosted");
                     host.has_local_work()
                         .then(|| run_peer(host, slots, &snapshot))
@@ -1268,10 +1268,7 @@ impl Monitor {
                 // Local attachment: straight to the peer's consumers.
                 if !self.network.is_down(peer) {
                     saved += targets.targets().len() as u64;
-                    let host = self
-                        .hosts
-                        .get_mut(peer.as_str())
-                        .expect("consumer peer is hosted");
+                    let host = self.hosts.get_mut(&peer).expect("consumer peer is hosted");
                     host.receive(output.clone(), targets, &mut self.ready);
                 }
             } else if self
@@ -1308,7 +1305,7 @@ impl Monitor {
         // The root task's canonical channel names the peer that produced
         // the result.
         let root_channel = sub.channels[sub.placed.root];
-        let target = (sub_idx, root_channel, sub.manager);
+        let target = (sub_idx, root_channel, sub.placed.manager);
         // Keep the root channel's rate fresh even when nobody taps it yet:
         // a later subscription deciding whether to reuse this stream needs a
         // measured rate, and the multicast path (which also observes) only
@@ -1399,12 +1396,8 @@ impl Monitor {
         }
         for (peer, inbox) in self.network.take_woken_inboxes() {
             self.dispatch_stats.host_visits += 1;
-            // Resolved once per inbox: every use of an interned name as a
-            // string goes through the interner's lock.
-            let host = self
-                .hosts
-                .get_mut(peer.as_str())
-                .expect("every network peer is hosted");
+            let host = self.hosts.get_mut(&peer);
+            let host = host.expect("every network peer is hosted");
             for message in inbox {
                 let Some(channel) = message.channel else {
                     continue;
@@ -1458,11 +1451,11 @@ impl Monitor {
         let mut flushed: Vec<(StageId, Payload)> = Vec::new();
         let mut pending = false;
         self.dispatch_stats.host_visits += self.ready.len() as u64;
-        for peer in &self.ready {
+        for &(_, peer) in &self.ready {
             // A downed host keeps its deltas for its recovery, and keeps
             // nobody waiting for them.
             if !self.network.is_down(peer) {
-                let host = self.hosts.get_mut(peer).expect("ready peers are hosted");
+                let host = self.hosts.get_mut(&peer).expect("ready peers are hosted");
                 pending |= host.flush_sketches(&mut self.operators, &mut flushed);
             }
         }
@@ -1506,7 +1499,7 @@ impl Monitor {
         let parent = tree.host(to.level, to.slot);
         let parent = parent.unwrap_or(subscription.channels[from.root].peer);
         if child == parent {
-            let host = self.hosts.get_mut(parent.as_str());
+            let host = self.hosts.get_mut(&parent);
             let host = host.expect("every placed stage's host is created at deployment");
             host.hand_partial(to, partial, &mut self.ready);
             return;
@@ -1542,7 +1535,7 @@ impl Monitor {
         let had_local = self
             .ready
             .iter()
-            .any(|peer| self.hosts[peer].has_local_work());
+            .any(|(_, peer)| self.hosts[peer].has_local_work());
         let invocations = self.operator_invocations;
         self.process_pending();
         let processed = self.operator_invocations - invocations;
@@ -1558,7 +1551,7 @@ impl Monitor {
         // While a `monStats` alerter is installed, the processing phase's
         // time is kept for its next snapshot (a bounded ring, so an
         // unconsumed buffer cannot grow without limit).
-        let host = self.hosts.get_mut(SELF_PEER);
+        let host = self.hosts.get_mut(&self_peer());
         if let Some(AlerterKind::MonStats(state)) = host.and_then(|h| h.alerters.get_mut(MON_STATS))
         {
             if state.round_micros.len() >= 4096 {
@@ -1599,7 +1592,7 @@ impl Monitor {
         self.dispatch_stats.host_visits += self.ready.len() as u64;
         let listed = self.ready.len();
         let hosts = &mut self.hosts;
-        self.ready.retain(|peer| {
+        self.ready.retain(|(_, peer)| {
             let host = hosts.get_mut(peer).expect("ready peers are hosted");
             host.ready = host.is_busy();
             host.ready
@@ -1621,12 +1614,12 @@ impl Monitor {
                 "{peer} has work but is not on the ready list"
             );
         }
-        let mut holding: Vec<(&str, StageId)> = Vec::new();
+        let mut holding: Vec<(PeerId, StageId)> = Vec::new();
         for (sub, root, operator) in self.operators.iter() {
             let placed = &self.subscriptions[sub].placed;
             for (level, slot) in operator.pending_stages() {
                 let host = placed.tree_of(root).and_then(|tree| tree.host(level, slot));
-                let peer = host.map_or(placed.tasks[root].peer.as_str(), |host| host.as_str());
+                let peer = host.unwrap_or(placed.tasks[root].peer);
                 holding.push((
                     peer,
                     StageId {
@@ -1638,16 +1631,16 @@ impl Monitor {
                 ));
             }
         }
-        holding.sort_unstable();
-        let mut listed: Vec<(&str, StageId)> = self
+        holding.sort_unstable_by_key(|&(peer, stage)| (peer.symbol(), stage));
+        let mut listed: Vec<(PeerId, StageId)> = self
             .hosts
             .iter()
-            .flat_map(|(peer, host)| {
+            .flat_map(|(&peer, host)| {
                 let stages = host.pending_sketches.iter();
-                stages.map(move |&stage| (peer.as_str(), stage))
+                stages.map(move |&stage| (peer, stage))
             })
             .collect();
-        listed.sort_unstable();
+        listed.sort_unstable_by_key(|&(peer, stage)| (peer.symbol(), stage));
         assert_eq!(
             holding, listed,
             "sketch stages holding state vs stages listed for the flush, as (host, stage)"
@@ -1659,8 +1652,8 @@ impl Monitor {
         );
         let flagged = self.hosts.values().filter(|host| host.ready).count();
         assert_eq!(flagged, self.ready.len(), "ready flags and list disagree");
-        for peer in &self.ready {
-            assert!(self.hosts[peer].ready, "{peer} is listed but not flagged");
+        for (peer, id) in &self.ready {
+            assert!(self.hosts[id].ready, "{peer} is listed but not flagged");
         }
     }
 

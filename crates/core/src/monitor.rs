@@ -14,7 +14,7 @@
 //! [`Monitor::dispatch_stats`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use p2pmon_alerters::{SoapCall, WsAlerter};
 use p2pmon_dht::{ChordNetwork, StreamDefinitionDatabase};
@@ -23,12 +23,12 @@ use p2pmon_net::{Network, NetworkConfig, NetworkStats, PeerId};
 use p2pmon_p2pml::plan::normalize_peer;
 use p2pmon_streams::ops::Window;
 use p2pmon_streams::{ChannelId, RateTable};
-use p2pmon_xmlkit::Element;
+use p2pmon_xmlkit::{intern, Element};
 
 use crate::dispatch::{DispatchStats, FanoutEpoch, Route, RouteEntries, RoutingTable};
 use crate::peer::{
-    AlerterKind, PeerHost, ARE_REGISTERED, AXML_UPDATE, IN_COM, MON_STATS, OUT_COM, RSS_FEED,
-    WEB_PAGE,
+    AlerterKind, PeerHost, ReadyList, ARE_REGISTERED, AXML_UPDATE, IN_COM, MON_STATS, OUT_COM,
+    RSS_FEED, WEB_PAGE,
 };
 use crate::placement::{PlacedPlan, PlacementStrategy, TaskKind};
 use crate::profile::{LifetimeProfile, PhaseClock, UNSUBSCRIBE_PHASES};
@@ -119,6 +119,18 @@ impl Default for MonitorConfig {
 /// first one installs the alerter there (see [`Monitor::emit_self_metrics`]).
 pub const SELF_PEER: &str = "self";
 
+/// [`SELF_PEER`]'s id, interned once per process.
+pub(crate) fn self_peer() -> PeerId {
+    static ID: OnceLock<PeerId> = OnceLock::new();
+    *ID.get_or_init(|| PeerId::new(SELF_PEER))
+}
+
+/// The id of the peer a public entry point names, looked up without
+/// interning it: a name never interned names no peer.
+fn known_peer(peer: &str) -> Option<PeerId> {
+    intern::lookup(normalize_peer(peer)).map(PeerId::from)
+}
+
 /// Handle to a submitted subscription.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubscriptionHandle(pub usize);
@@ -168,7 +180,6 @@ pub struct BookkeepingSnapshot {
 }
 
 pub(crate) struct DeployedSubscription {
-    pub manager: PeerId,
     pub placed: PlacedPlan,
     pub routes: Vec<Route>,
     /// The canonical output channel of every task, minted at deployment time
@@ -254,17 +265,17 @@ pub struct Monitor {
     /// Every deployed task's operator, in its subscription's slot: filled by
     /// a deploy, emptied by a teardown, lent to each host's local phase.
     pub(crate) operators: OperatorSlots,
-    /// The per-peer runtimes, keyed by (normalized) peer name.  Nothing
-    /// walks them in order — a round reaches its hosts by name, from the
-    /// sorted ready list — so the map is the one with the cheap lookup.
-    pub(crate) hosts: HashMap<String, PeerHost>,
+    /// The per-peer runtimes, keyed by peer id.  Nothing walks them in
+    /// order — a round reaches its hosts by id, from the sorted ready list —
+    /// so the map is the one with the cheap lookup.
+    pub(crate) hosts: HashMap<PeerId, PeerHost>,
     /// The ready list: the hosts with an undrained alerter, batched or
     /// queued work, or unflushed sketch state — the only hosts a dispatch
     /// round visits.  Kept in step with [`PeerHost::ready`]; a plain `Vec`
-    /// (entered through [`PeerHost::list_on`], sorted once per phase where
-    /// peer order matters) because an ordered insert per delivery costs
-    /// more than the sort.
-    pub(crate) ready: Vec<String>,
+    /// (entered through [`PeerHost::list_on`], sorted into name order once
+    /// per phase where peer order matters) because an ordered insert per
+    /// delivery costs more than the sort.
+    pub(crate) ready: ReadyList,
     /// Deployment-time routing tables.
     pub(crate) routing: RoutingTable,
     /// Engine-gated dispatch counters.
@@ -333,7 +344,7 @@ impl Monitor {
 
     /// Registers a peer in both the monitored and the monitoring network.
     pub fn add_peer(&mut self, peer: impl Into<String>) {
-        self.host_mut(&normalize_peer(&peer.into()));
+        self.host_and_epoch(PeerId::new(normalize_peer(&peer.into())));
     }
 
     /// All registered peers, sorted.
@@ -343,26 +354,19 @@ impl Monitor {
 
     /// The per-peer runtime of a registered peer.
     pub fn peer_host(&self, peer: &str) -> Option<&PeerHost> {
-        self.hosts.get(&normalize_peer(peer))
+        self.hosts.get(&known_peer(peer)?)
     }
 
-    /// Mutable host accessor used by deployment and dispatch.  A peer nobody
-    /// registered is registered here — network and host together — so
-    /// routing never dangles; a known peer costs the lookup.
-    pub(crate) fn host_mut(&mut self, peer: &str) -> &mut PeerHost {
-        self.host_and_epoch(peer).0
-    }
-
-    /// [`Monitor::host_mut`], beside the fan-out epoch that registering an
-    /// engine gate on the host bumps.
-    pub(crate) fn host_and_epoch(&mut self, peer: &str) -> (&mut PeerHost, &mut FanoutEpoch) {
-        if !self.hosts.contains_key(peer) {
+    /// The host of `peer`, beside the fan-out epoch that registering an
+    /// engine gate on it bumps.  A peer nobody registered is registered
+    /// here — network and host together — so routing never dangles.
+    pub(crate) fn host_and_epoch(&mut self, peer: PeerId) -> (&mut PeerHost, &mut FanoutEpoch) {
+        let host = self.hosts.entry(peer).or_insert_with(|| {
             self.network.add_peer(peer);
             let mut host = PeerHost::new(peer);
             host.deep_clone_items = self.config.deep_clone_items;
-            self.hosts.insert(peer.to_string(), host);
-        }
-        let host = self.hosts.get_mut(peer).expect("registered above");
+            host
+        });
         (host, &mut self.routing.epoch)
     }
 
@@ -395,7 +399,7 @@ impl Monitor {
         if from == to {
             0
         } else {
-            self.network.expected_latency(&from, &to)
+            self.network.expected_latency(from, to)
         }
     }
 
@@ -425,32 +429,28 @@ impl Monitor {
     /// Marks a peer as failed: its alerters stop, its queued work is
     /// discarded and messages to/from it are dropped until it recovers.
     pub fn fail_peer(&mut self, peer: &str) {
-        self.network.fail_peer(&normalize_peer(peer));
+        self.network.fail_peer(normalize_peer(peer));
     }
 
     /// Recovers a failed peer.
     pub fn recover_peer(&mut self, peer: &str) {
-        self.network.recover_peer(&normalize_peer(peer));
+        self.network.recover_peer(normalize_peer(peer));
     }
 
     /// True when the peer is currently failed.
     pub fn is_peer_down(&self, peer: &str) -> bool {
-        self.network.is_down(normalize_peer(peer))
+        known_peer(peer).is_some_and(|peer| self.network.is_down(peer))
     }
 
     /// Splits the network into isolated groups (see
     /// [`p2pmon_net::Network::partition`]): cross-group messages are dropped
     /// and attributed to the partition until [`Monitor::heal_partition`].
     pub fn partition_peers(&mut self, groups: &[Vec<String>]) {
-        let normalized: Vec<Vec<String>> = groups
+        let normalized: Vec<Vec<&str>> = groups
             .iter()
             .map(|g| g.iter().map(|p| normalize_peer(p)).collect())
             .collect();
-        let borrowed: Vec<Vec<&str>> = normalized
-            .iter()
-            .map(|g| g.iter().map(String::as_str).collect())
-            .collect();
-        self.network.partition(&borrowed);
+        self.network.partition(&normalized);
     }
 
     /// Heals an active partition.
@@ -574,7 +574,7 @@ impl Monitor {
                 // buffers and remembers.  While nobody subscribes, no call is
                 // observed, no snapshot is built and no round time kept.
                 None => {
-                    if let Some(host) = self.hosts.get_mut(key.peer.as_str()) {
+                    if let Some(host) = self.hosts.get_mut(&key.peer) {
                         host.alerters.release(&key);
                     }
                 }
@@ -713,7 +713,7 @@ impl Monitor {
         // stages keep their host busy); a host left with nothing to do leaves
         // the list with its tasks.
         let purged = self.ready.len();
-        for peer in &self.ready {
+        for (_, peer) in &self.ready {
             self.hosts
                 .get_mut(peer)
                 .expect("ready peers are hosted")
@@ -758,25 +758,22 @@ impl Monitor {
     /// alerter at the callee (when a deployed subscription installed them),
     /// and by any dynamic sources.
     pub fn inject_soap_call(&mut self, call: &SoapCall) {
-        let caller = normalize_peer(&call.caller);
-        let callee = normalize_peer(&call.callee);
-        for (peer, slot) in [(&caller, OUT_COM), (&callee, IN_COM)] {
-            if let Some(host) = self.hosts.get_mut(peer) {
-                if let Some(AlerterKind::Ws(alerter)) = host.alerters.get_mut(slot) {
-                    alerter.observe(call);
-                    host.list_on(&mut self.ready);
-                }
+        for (peer, slot) in [(&call.caller, OUT_COM), (&call.callee, IN_COM)] {
+            if let Some(AlerterKind::Ws(alerter)) = self.alerter(peer, slot) {
+                alerter.observe(call);
             }
         }
         // Dynamic sources see every call of their function, and filter by
         // membership themselves.
         if !self.routing.dynamic_consumers("inCOM").is_empty() {
             let alert = WsAlerter::alert_for(call, p2pmon_alerters::CallDirection::Incoming);
-            self.feed_dynamic(PeerId::from(&callee), "inCOM", &Arc::new(alert));
+            let callee = PeerId::new(normalize_peer(&call.callee));
+            self.feed_dynamic(callee, "inCOM", &Arc::new(alert));
         }
         if !self.routing.dynamic_consumers("outCOM").is_empty() {
             let alert = WsAlerter::alert_for(call, p2pmon_alerters::CallDirection::Outgoing);
-            self.feed_dynamic(PeerId::from(&caller), "outCOM", &Arc::new(alert));
+            let caller = PeerId::new(normalize_peer(&call.caller));
+            self.feed_dynamic(caller, "outCOM", &Arc::new(alert));
         }
     }
 
@@ -785,7 +782,7 @@ impl Monitor {
     /// (or, for the ActiveXML repository, hand out the means to), and the
     /// next round must drain it.
     fn alerter(&mut self, peer: &str, slot: usize) -> Option<&mut AlerterKind> {
-        let host = self.hosts.get_mut(&normalize_peer(peer))?;
+        let host = self.hosts.get_mut(&known_peer(peer)?)?;
         host.alerters.get_mut(slot)?;
         host.list_on(&mut self.ready);
         host.alerters.get_mut(slot)
@@ -843,7 +840,7 @@ impl Monitor {
     pub fn inject_peer_leave(&mut self, alerter_peer: &str, leaving: &str) -> bool {
         match self.alerter(alerter_peer, ARE_REGISTERED) {
             Some(AlerterKind::Membership(alerter)) => {
-                alerter.observe_leave(&normalize_peer(leaving))
+                alerter.observe_leave(normalize_peer(leaving))
             }
             _ => false,
         }
@@ -874,13 +871,12 @@ impl Monitor {
     /// subscribers usually know the channel by the name their subscription
     /// declared, wherever placement put the producer.
     pub fn published_channel(&self, peer: &str, name: &str) -> Vec<Arc<Element>> {
-        let exact = ChannelId::new(normalize_peer(peer), name);
-        if let Some(published) = self.routing.published_channels.get(&exact) {
+        let exact = known_peer(peer).zip(intern::lookup(name));
+        let channels = &self.routing.published_channels;
+        if let Some(published) = exact.and_then(|(p, s)| channels.get(&ChannelId::new(p, s))) {
             return published.items.clone();
         }
-        let mut by_name = self
-            .routing
-            .published_channels
+        let mut by_name = channels
             .iter()
             .filter(|(channel, _)| channel.stream == name);
         match (by_name.next(), by_name.next()) {
@@ -909,17 +905,16 @@ impl Monitor {
     /// Number of deployed tasks and merge-tree stages hosted on `peer` (a
     /// walk over every deployed operator).
     pub fn hosted_tasks(&self, peer: &str) -> usize {
-        let peer = normalize_peer(peer);
-        let id = p2pmon_xmlkit::intern::lookup(&peer);
+        let peer = known_peer(peer);
         self.operators
             .iter()
             .map(|(sub, task, _)| {
                 let placed = &self.subscriptions[sub].placed;
                 let stages = placed.tree_of(task).map_or(0, |tree| {
                     let hosts = tree.levels.iter().flatten();
-                    hosts.filter(|host| Some(host.symbol()) == id).count()
+                    hosts.filter(|&&host| Some(host) == peer).count()
                 });
-                usize::from(placed.tasks[task].peer == peer) + stages
+                usize::from(Some(placed.tasks[task].peer) == peer) + stages
             })
             .sum()
     }
@@ -947,9 +942,7 @@ impl Monitor {
 
     /// The shared filter engine statistics of one peer.
     pub fn peer_filter_stats(&self, peer: &str) -> Option<FilterStats> {
-        self.hosts
-            .get(&normalize_peer(peer))
-            .map(PeerHost::filter_stats)
+        self.peer_host(peer).map(PeerHost::filter_stats)
     }
 
     /// Aggregate filter-engine statistics across every peer.
@@ -991,7 +984,7 @@ impl Monitor {
     ///   `kind="replica"` — cumulative counters.
     pub fn emit_self_metrics(&mut self) {
         let r = self.reuse_stats();
-        let Some(host) = self.hosts.get_mut(SELF_PEER) else {
+        let Some(host) = self.hosts.get_mut(&self_peer()) else {
             return;
         };
         let Some(AlerterKind::MonStats(state)) = host.alerters.get_mut(MON_STATS) else {
@@ -1124,17 +1117,16 @@ impl Monitor {
     /// A deployment / execution report for a subscription.
     pub fn report(&self, handle: &SubscriptionHandle) -> Option<SubscriptionReport> {
         self.subscriptions.get(handle.0).map(|s| {
-            let mut select_peers: Vec<String> = s
+            let filter_stats: BTreeMap<String, FilterStats> = s
                 .placed
                 .tasks
                 .iter()
                 .filter(|t| matches!(t.kind, TaskKind::Select { .. }))
-                .map(|t| t.peer.clone())
+                .filter_map(|t| self.hosts.get(&t.peer))
+                .map(|host| (host.name().to_string(), host.filter_stats()))
                 .collect();
-            select_peers.sort();
-            select_peers.dedup();
             SubscriptionReport {
-                manager: s.manager.into(),
+                manager: s.placed.manager.into(),
                 tasks: s.placed.operators(),
                 cross_peer_edges: s.placed.cross_peer_edges(),
                 // The slice counts a reuse-search attempt, so it stays zero
@@ -1146,10 +1138,7 @@ impl Monitor {
                 },
                 reuse: s.reuse.clone(),
                 results_delivered: s.sink.len(),
-                filter_stats: select_peers
-                    .into_iter()
-                    .filter_map(|p| self.hosts.get(&p).map(|h| (p, h.filter_stats())))
-                    .collect(),
+                filter_stats: filter_stats.into_iter().collect(),
             }
         })
     }

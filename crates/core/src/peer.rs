@@ -30,13 +30,17 @@ use p2pmon_alerters::{
     Alerter, AxmlAlerter, CallDirection, MembershipAlerter, RssAlerter, WebPageAlerter, WsAlerter,
 };
 use p2pmon_filter::{EngineMode, FilterEngine, FilterStats, FilterSubscription, SubscriptionId};
-use p2pmon_net::{Payload, StageId};
+use p2pmon_net::{Payload, PeerId, StageId};
 use p2pmon_streams::{AnySketch, ChannelId, StreamItem};
 use p2pmon_xmlkit::Element;
 
 use crate::dispatch::{source_channel, source_function, FanoutEpoch, SharedTargets, TargetList};
 use crate::runtime::RuntimeOperator;
 use crate::slots::OperatorSlots;
+
+/// The monitor's ready list: each listed host's name beside its id, so it
+/// sorts into name order with no interner lock (names are unique).
+pub(crate) type ReadyList = Vec<(&'static str, PeerId)>;
 
 /// One unit of pending work: an item addressed to a hosted task.
 #[derive(Debug, Clone)]
@@ -231,8 +235,10 @@ impl AlerterSet {
 /// A monitoring peer: its alerters, its shared filtering processor and its
 /// work queue.
 pub struct PeerHost {
-    /// The peer's name (normalized).
-    name: String,
+    /// The peer (normalized), the key of its host.
+    name: PeerId,
+    /// The peer's name, resolved once when the host is registered.
+    label: &'static str,
     /// The shared two-stage filtering processor for every `Select` task
     /// hosted on this peer.
     pub(crate) engine: FilterEngine,
@@ -272,9 +278,11 @@ pub struct PeerHost {
 
 impl PeerHost {
     /// Creates an empty host for `name`.
-    pub(crate) fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<PeerId>) -> Self {
+        let name = name.into();
         PeerHost {
-            name: name.into(),
+            name,
+            label: name.as_str(),
             engine: FilterEngine::new(),
             gates: HashMap::new(),
             pending_sketches: Vec::new(),
@@ -290,7 +298,7 @@ impl PeerHost {
 
     /// The peer's name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.label
     }
 
     /// Number of `Select` tasks registered with the shared engine.
@@ -394,7 +402,7 @@ impl PeerHost {
         &mut self,
         doc: Arc<Element>,
         targets: &SharedTargets,
-        ready: &mut Vec<String>,
+        ready: &mut ReadyList,
     ) {
         self.list_on(ready);
         self.pending_alerts.push(PendingAlert {
@@ -409,7 +417,7 @@ impl PeerHost {
         &mut self,
         to: StageId,
         partial: Arc<AnySketch>,
-        ready: &mut Vec<String>,
+        ready: &mut ReadyList,
     ) {
         self.list_on(ready);
         self.pending_partials.push((to, partial));
@@ -487,10 +495,10 @@ impl PeerHost {
     /// already.  Every site that hands a host something a dispatch round
     /// must act on — feeding an alerter, batching an alert, enqueuing work —
     /// calls this first; the flag keeps the repeat case to one branch.
-    pub(crate) fn list_on(&mut self, ready: &mut Vec<String>) {
+    pub(crate) fn list_on(&mut self, ready: &mut ReadyList) {
         if !self.ready {
             self.ready = true;
-            ready.push(self.name.clone());
+            ready.push((self.label, self.name));
         }
     }
 

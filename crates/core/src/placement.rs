@@ -169,7 +169,7 @@ pub struct PlacedTask {
     /// Task identifier, unique within the plan.
     pub id: usize,
     /// The peer executing the task.
-    pub peer: String,
+    pub peer: PeerId,
     /// What the task does.
     pub kind: TaskKind,
     /// Where its output goes: `(task id, input port)` of the consumer, or
@@ -187,7 +187,7 @@ pub struct PlacedPlan {
     /// The root task (whose output feeds the publisher).
     pub root: usize,
     /// The manager peer (hosting the publisher).
-    pub manager: String,
+    pub manager: PeerId,
     /// The BY clause of the subscription.
     pub by: ByClause,
 }
@@ -218,8 +218,8 @@ impl PlacedPlan {
 
     /// All peers hosting at least one task.
     pub fn peers(&self) -> Vec<String> {
-        let mut peers: Vec<String> = self.tasks.iter().map(|t| t.peer.clone()).collect();
-        peers.push(self.manager.clone());
+        let mut peers: Vec<String> = self.tasks.iter().map(|t| t.peer.into()).collect();
+        peers.push(self.manager.into());
         peers.sort();
         peers.dedup();
         peers
@@ -244,7 +244,7 @@ impl PlacedPlan {
                     (None, ByClause::Channel(name)) => name.clone(),
                     _ => format!("s{sub_idx}-t{}", task.id),
                 };
-                ChannelId::new(task.peer.clone(), stream)
+                ChannelId::new(task.peer, stream)
             })
             .collect()
     }
@@ -255,15 +255,14 @@ impl PlacedPlan {
     pub fn cross_peer_edges(&self) -> usize {
         let tasks = self.tasks.iter().filter(|t| match t.downstream {
             Some((consumer, port)) => match self.leaf_host(consumer, port) {
-                Some(leaf) => *leaf != *t.peer,
+                Some(leaf) => leaf != t.peer,
                 None => self.tasks[consumer].peer != t.peer,
             },
             None => t.peer != self.manager,
         });
-        let trees = self.trees.iter().flat_map(|tree| {
-            let root = PeerId::from(&self.tasks[tree.root].peer);
-            tree.edges(root).filter(|(child, parent)| child != parent)
-        });
+        let trees = (self.trees.iter())
+            .flat_map(|tree| tree.edges(self.tasks[tree.root].peer))
+            .filter(|(child, parent)| child != parent);
         tasks.count() + trees.count()
     }
 }
@@ -321,7 +320,7 @@ pub fn push_selections_below_unions(node: LogicalNode) -> LogicalNode {
             var,
         } => LogicalNode::Alerter {
             function,
-            peer: normalize_peer(&peer),
+            peer: normalize_peer(&peer).to_string(),
             var,
         },
         node => node.map_children(push_selections_below_unions),
@@ -330,10 +329,11 @@ pub fn push_selections_below_unions(node: LogicalNode) -> LogicalNode {
 
 /// Places a logical plan.  `manager` is the subscription-manager peer.
 pub fn place(plan: &LogicalPlan, manager: &str, strategy: PlacementStrategy) -> PlacedPlan {
+    let manager = PeerId::new(manager);
     let mut builder = Builder {
         tasks: Vec::new(),
         trees: Vec::new(),
-        manager: manager.to_string(),
+        manager,
         strategy,
     };
     let root = builder.place_node(&plan.root);
@@ -341,7 +341,7 @@ pub fn place(plan: &LogicalPlan, manager: &str, strategy: PlacementStrategy) -> 
         tasks: builder.tasks,
         trees: builder.trees,
         root,
-        manager: manager.to_string(),
+        manager,
         by: plan.by.clone(),
     };
     // Co-place channel sources with their consumer: a subscribing task is
@@ -353,18 +353,15 @@ pub fn place(plan: &LogicalPlan, manager: &str, strategy: PlacementStrategy) -> 
     // wants the results anyway — and where all of a shared stream's
     // same-manager subscribers ride one multicast message.  (A channel
     // source feeding an aggregate moves to its leaf.)
-    let moves: Vec<(usize, String)> = placed
+    let moves: Vec<(usize, PeerId)> = placed
         .tasks
         .iter()
         .filter_map(|task| match (&task.kind, task.downstream) {
             (TaskKind::ChannelSource { .. }, Some((consumer, port))) => {
-                let peer = match placed.leaf_host(consumer, port) {
-                    Some(leaf) => leaf.to_string(),
-                    None => placed.tasks[consumer].peer.clone(),
-                };
-                Some((task.id, peer))
+                let peer = placed.leaf_host(consumer, port);
+                Some((task.id, peer.unwrap_or(placed.tasks[consumer].peer)))
             }
-            (TaskKind::ChannelSource { .. }, None) => Some((task.id, manager.to_string())),
+            (TaskKind::ChannelSource { .. }, None) => Some((task.id, manager)),
             _ => None,
         })
         .collect();
@@ -377,12 +374,12 @@ pub fn place(plan: &LogicalPlan, manager: &str, strategy: PlacementStrategy) -> 
 struct Builder {
     tasks: Vec<PlacedTask>,
     trees: Vec<MergeTree>,
-    manager: String,
+    manager: PeerId,
     strategy: PlacementStrategy,
 }
 
 impl Builder {
-    fn push(&mut self, peer: String, kind: TaskKind) -> usize {
+    fn push(&mut self, peer: PeerId, kind: TaskKind) -> usize {
         let id = self.tasks.len();
         self.tasks.push(PlacedTask {
             id,
@@ -401,10 +398,10 @@ impl Builder {
     /// its (smaller) output crosses the network — the paper's example
     /// restructures at the join peer and ships only the incidents to the
     /// manager — or at the manager under the centralized strategy.
-    fn beside(&self, input_task: usize) -> &str {
+    fn beside(&self, input_task: usize) -> PeerId {
         match self.strategy {
-            PlacementStrategy::Centralized => &self.manager,
-            PlacementStrategy::PushToSources => &self.tasks[input_task].peer,
+            PlacementStrategy::Centralized => self.manager,
+            PlacementStrategy::PushToSources => self.tasks[input_task].peer,
         }
     }
 
@@ -412,31 +409,28 @@ impl Builder {
     /// (anchor) peers: the one currently hosting the fewest tasks, ties to
     /// the first in input order — or the manager under the centralized
     /// strategy.
-    fn inner_peer(&self, candidates: &[String]) -> String {
+    fn inner_peer(&self, candidates: &[PeerId]) -> PeerId {
         match self.strategy {
-            PlacementStrategy::Centralized => self.manager.clone(),
+            PlacementStrategy::Centralized => self.manager,
             PlacementStrategy::PushToSources => candidates
                 .iter()
-                .min_by_key(|p| self.tasks.iter().filter(|t| &&t.peer == p).count())
-                .cloned()
-                .unwrap_or_else(|| self.manager.clone()),
+                .min_by_key(|&&p| self.tasks.iter().filter(|t| t.peer == p).count())
+                .copied()
+                .unwrap_or(self.manager),
         }
     }
 
     /// The input peers that anchor an inner operator's placement.  Channel
     /// sources are movable — they are co-placed with their consumer after
     /// placement — so they only anchor when *every* input is one.
-    fn anchor_peers(&self, input_tasks: &[usize]) -> Vec<String> {
-        let anchored: Vec<String> = input_tasks
+    fn anchor_peers(&self, input_tasks: &[usize]) -> Vec<PeerId> {
+        let anchored: Vec<PeerId> = input_tasks
             .iter()
             .filter(|&&t| !matches!(self.tasks[t].kind, TaskKind::ChannelSource { .. }))
-            .map(|&t| self.tasks[t].peer.clone())
+            .map(|&t| self.tasks[t].peer)
             .collect();
         if anchored.is_empty() {
-            input_tasks
-                .iter()
-                .map(|&t| self.tasks[t].peer.clone())
-                .collect()
+            input_tasks.iter().map(|&t| self.tasks[t].peer).collect()
         } else {
             anchored
         }
@@ -452,15 +446,18 @@ impl Builder {
                 function,
                 peer,
                 var,
-            } => self.push(
-                peer.clone(),
-                TaskKind::Source {
-                    function: function.clone(),
-                    monitored_peer: peer.clone(),
-                    var: var.clone(),
-                    feed: source_channel(function, peer),
-                },
-            ),
+            } => {
+                let feed = source_channel(function, peer);
+                self.push(
+                    feed.peer,
+                    TaskKind::Source {
+                        function: function.clone(),
+                        monitored_peer: peer.clone(),
+                        var: var.clone(),
+                        feed,
+                    },
+                )
+            }
             LogicalNode::DynamicAlerter {
                 function,
                 var,
@@ -468,7 +465,7 @@ impl Builder {
             } => {
                 let driver_task = self.place_node(driver);
                 let dynamic = self.push(
-                    self.beside(driver_task).to_string(),
+                    self.beside(driver_task),
                     TaskKind::DynamicSource {
                         function: function.clone(),
                         var: var.clone(),
@@ -486,7 +483,7 @@ impl Builder {
                 // (e.g. a filter over a reused source) run next to the data
                 // and only their derived output crosses the network.
                 self.push(
-                    normalize_peer(peer),
+                    PeerId::new(normalize_peer(peer)),
                     TaskKind::ChannelSource {
                         channel: ChannelId::new(peer.clone(), stream.clone()),
                         var: var.clone(),
@@ -513,7 +510,7 @@ impl Builder {
             } => {
                 let input_task = self.place_node(input);
                 let select = self.push(
-                    self.beside(input_task).to_string(),
+                    self.beside(input_task),
                     TaskKind::Select {
                         var: var.clone(),
                         simple: simple.clone(),
@@ -551,7 +548,7 @@ impl Builder {
             }
             LogicalNode::Dedup { input } => {
                 let input_task = self.place_node(input);
-                let dedup = self.push(self.beside(input_task).to_string(), TaskKind::Dedup);
+                let dedup = self.push(self.beside(input_task), TaskKind::Dedup);
                 self.connect(input_task, dedup, 0);
                 dedup
             }
@@ -562,7 +559,7 @@ impl Builder {
             } => {
                 let input_task = self.place_node(input);
                 let restructure = self.push(
-                    self.beside(input_task).to_string(),
+                    self.beside(input_task),
                     TaskKind::Restructure {
                         template: template.clone(),
                         derived: derived.clone(),
@@ -591,7 +588,7 @@ impl Builder {
                 let mut leaves = Vec::with_capacity(branches.len());
                 for branch in branches {
                     let upstream = self.place_node(branch);
-                    leaves.push(PeerId::from(self.beside(upstream)));
+                    leaves.push(self.beside(upstream));
                     inputs.push(upstream);
                 }
                 let mut levels = vec![leaves];
@@ -602,8 +599,7 @@ impl Builder {
                     let merges = level.chunks(SKETCH_MERGE_FANIN).map(|chunk| chunk[0]);
                     levels.push(merges.collect());
                 }
-                let manager = self.manager.clone();
-                let root = self.push(manager, TaskKind::SketchRoot { spec: spec.clone() });
+                let root = self.push(self.manager, TaskKind::SketchRoot { spec: spec.clone() });
                 for (port, task) in inputs.into_iter().enumerate() {
                     self.connect(task, root, port);
                 }

@@ -366,7 +366,7 @@ impl RuntimeOperator {
                     .or_else(|| item.data.attr("peer"))
                     .map(p2pmon_p2pml::plan::normalize_peer)
                     .unwrap_or_default();
-                if members.contains(&peer) {
+                if members.contains(peer) {
                     vec![item.data.clone()]
                 } else {
                     Vec::new()

@@ -81,10 +81,13 @@ fn interner_acquisitions_follow_the_messages_not_the_registered_peers() {
         few, many,
         "1 800 more idle peers must not change what moving a message costs"
     );
-    // What remains is per round and per batch — a feed's peer resolved once
-    // to find its host, a woken inbox's once, the distinct peers of a
-    // multicast plan put in name order — never per consumer or per tree
-    // level.
+    // Hosts are keyed by id, so no round resolves a peer to find one: a
+    // feed's peer, a woken inbox and a ready host are found by integer.
+    // Only the `&str` entry points still take the lock — each injected
+    // call's caller and callee are looked up once — and, in these debug
+    // builds alone, the multicast plans the audit recompiles at a round's
+    // first hit, which put their distinct peers in name order.  Never per
+    // consumer, per host or per tree level.
     let per_message = few as f64 / messages as f64;
     assert!(
         per_message < 1.0,

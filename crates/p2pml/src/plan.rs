@@ -547,7 +547,7 @@ fn build_source(
                 .iter()
                 .map(|p| LogicalNode::Alerter {
                     function: function.clone(),
-                    peer: normalize_peer(p),
+                    peer: normalize_peer(p).to_string(),
                     var: var.to_string(),
                 })
                 .collect();
@@ -589,7 +589,7 @@ fn build_source(
             })
         }
         SourceExpr::Channel { peer, stream } => Ok(LogicalNode::ChannelIn {
-            peer: normalize_peer(peer),
+            peer: normalize_peer(peer).to_string(),
             stream: stream.clone(),
             var: var.to_string(),
         }),

@@ -17,11 +17,11 @@ use p2pmon_xmlkit::Name;
 /// Strips the URL scheme and trailing slash from a peer reference so that
 /// `http://a.com` and `a.com` denote the same peer throughout the system
 /// (subscriptions use URLs, the network and the alerters use bare names).
-pub fn normalize_peer(raw: &str) -> String {
+pub fn normalize_peer(raw: &str) -> &str {
     let s = raw.trim();
     let s = s.strip_prefix("http://").unwrap_or(s);
     let s = s.strip_prefix("https://").unwrap_or(s);
-    s.trim_end_matches('/').to_string()
+    s.trim_end_matches('/')
 }
 
 /// Identifies a stream system-wide: the pair `(PeerId, StreamId)`.

@@ -210,6 +210,13 @@ impl From<&str> for Name {
     }
 }
 
+/// `lookup(raw).map(Name::from)` finds a name without interning it.
+impl From<Symbol> for Name {
+    fn from(sym: Symbol) -> Self {
+        Name(sym)
+    }
+}
+
 impl From<&Name> for Name {
     fn from(name: &Name) -> Self {
         *name

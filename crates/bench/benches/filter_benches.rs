@@ -20,7 +20,7 @@ use std::time::Instant;
 use p2pmon_bench::{full_run_requested, quick_criterion};
 use p2pmon_filter::{FilterEngine, NaiveFilter};
 use p2pmon_workloads::SubscriptionWorkload;
-use p2pmon_xmlkit::{parse, PathPattern};
+use p2pmon_xmlkit::{parse, XPath};
 
 fn e2_filter_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_filter_throughput");
@@ -98,7 +98,7 @@ fn e5_lazy_service_calls(c: &mut Criterion) {
     workload.complex_fraction = 1.0;
     let mut subscriptions = workload.subscriptions(500);
     for s in &mut subscriptions {
-        s.complex = vec![PathPattern::parse("//c/d").unwrap()];
+        s.complex = vec![XPath::parse("//c/d").unwrap()];
     }
     let documents: Vec<_> = (0..64)
         .map(|i| {
@@ -223,7 +223,7 @@ fn emit_trajectory(_c: &mut Criterion) {
     workload.complex_fraction = 1.0;
     let mut subscriptions = workload.subscriptions(500);
     for s in &mut subscriptions {
-        s.complex = vec![PathPattern::parse("//c/d").expect("valid pattern")];
+        s.complex = vec![XPath::parse("//c/d").expect("valid pattern")];
     }
     let mut lazy = FilterEngine::from_subscriptions(subscriptions);
     let payload = parse("<c><d>payload</d></c>").expect("valid doc");

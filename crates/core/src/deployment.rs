@@ -242,8 +242,8 @@ impl Monitor {
                 _ => None,
             };
             let (host, epoch) = self.host_and_epoch(task.peer);
-            if let TaskKind::Source { function, .. } = &task.kind {
-                host.alerters.install(function, &task.peer);
+            if let TaskKind::Source { feed, .. } = &task.kind {
+                host.alerters.install(*feed);
             }
             if let Some(filter) = filter {
                 host.register_select(sub_idx, task.id, filter, epoch);

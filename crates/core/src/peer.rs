@@ -34,7 +34,7 @@ use p2pmon_net::{Payload, PeerId, StageId};
 use p2pmon_streams::{AnySketch, ChannelId, StreamItem};
 use p2pmon_xmlkit::Element;
 
-use crate::dispatch::{source_channel, source_function, FanoutEpoch, SharedTargets, TargetList};
+use crate::dispatch::{source_function, FanoutEpoch, SharedTargets, TargetList};
 use crate::runtime::RuntimeOperator;
 use crate::slots::OperatorSlots;
 
@@ -153,9 +153,9 @@ impl AlerterKind {
     }
 }
 
-/// One installed alerter and the source stream it feeds ([`source_channel`],
-/// minted at install): a drained feed carries the id instead of rebuilding
-/// it from two strings per batch.
+/// One installed alerter and the source stream it feeds (its `Source` task's
+/// `feed`, a [`source_channel`](crate::dispatch::source_channel)): a drained
+/// feed carries the id instead of rebuilding it from two strings per batch.
 struct Installed {
     source: ChannelId,
     kind: AlerterKind,
@@ -169,23 +169,27 @@ struct Installed {
 pub(crate) struct AlerterSet([Option<Installed>; 7]);
 
 impl AlerterSet {
-    /// Installs the alerter for `function` at `peer` (idempotent; a name
-    /// that is no alerter function installs nothing).
-    pub fn install(&mut self, function: &str, peer: &str) {
-        let Some(slot) = slot_of(function) else {
+    /// Installs the alerter whose source stream is `feed`, a
+    /// [`source_channel`](crate::dispatch::source_channel) (idempotent; a
+    /// channel that is no alerter's source installs nothing).
+    pub fn install(&mut self, feed: ChannelId) {
+        let Some(slot) = source_function(&feed).and_then(slot_of) else {
             return;
         };
-        self.0[slot].get_or_insert_with(|| Installed {
-            source: source_channel(function, peer),
-            kind: match slot {
-                IN_COM => AlerterKind::Ws(WsAlerter::new(peer, CallDirection::Incoming)),
-                OUT_COM => AlerterKind::Ws(WsAlerter::new(peer, CallDirection::Outgoing)),
-                RSS_FEED => AlerterKind::Rss(Box::new(RssAlerter::new(peer))),
-                WEB_PAGE => AlerterKind::Page(Box::new(WebPageAlerter::new(peer))),
-                AXML_UPDATE => AlerterKind::Axml(Box::new(AxmlAlerter::new(peer))),
-                ARE_REGISTERED => AlerterKind::Membership(Box::default()),
-                _ => AlerterKind::MonStats(Box::default()),
-            },
+        self.0[slot].get_or_insert_with(|| {
+            let peer = feed.peer.as_str();
+            Installed {
+                source: feed,
+                kind: match slot {
+                    IN_COM => AlerterKind::Ws(WsAlerter::new(peer, CallDirection::Incoming)),
+                    OUT_COM => AlerterKind::Ws(WsAlerter::new(peer, CallDirection::Outgoing)),
+                    RSS_FEED => AlerterKind::Rss(Box::new(RssAlerter::new(peer))),
+                    WEB_PAGE => AlerterKind::Page(Box::new(WebPageAlerter::new(peer))),
+                    AXML_UPDATE => AlerterKind::Axml(Box::new(AxmlAlerter::new(peer))),
+                    ARE_REGISTERED => AlerterKind::Membership(Box::default()),
+                    _ => AlerterKind::MonStats(Box::default()),
+                },
+            }
         });
     }
 
@@ -561,6 +565,7 @@ impl PeerHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::source_channel;
     use p2pmon_streams::AttrCondition;
     use p2pmon_xmlkit::parse;
     use p2pmon_xmlkit::path::CompareOp;
@@ -568,9 +573,9 @@ mod tests {
     #[test]
     fn alerter_set_installs_once_and_drains_in_fixed_order() {
         let mut set = AlerterSet::default();
-        set.install("outCOM", "a.com");
-        set.install("outCOM", "a.com");
-        set.install("rssFeed", "a.com");
+        set.install(source_channel("outCOM", "a.com"));
+        set.install(source_channel("outCOM", "a.com"));
+        set.install(source_channel("rssFeed", "a.com"));
         assert!(set.get_mut(OUT_COM).is_some());
         assert!(set.get_mut(IN_COM).is_none());
         let call = p2pmon_alerters::SoapCall::new(1, "a.com", "b.com", "Get", 10, 15);

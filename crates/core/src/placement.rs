@@ -15,7 +15,7 @@ use p2pmon_net::PeerId;
 use p2pmon_p2pml::plan::{normalize_peer, LogicalNode, LogicalPlan};
 use p2pmon_p2pml::{ByClause, ValueExpr};
 use p2pmon_streams::{AggregateSpec, AttrCondition, ChannelId, Condition, Template};
-use p2pmon_xmlkit::PathPattern;
+use p2pmon_xmlkit::XPath;
 
 use crate::dispatch::source_channel;
 
@@ -73,7 +73,7 @@ pub enum TaskKind {
         /// Simple conditions on root attributes.
         simple: Vec<AttrCondition>,
         /// Tree-pattern conditions.
-        patterns: Vec<PathPattern>,
+        patterns: Vec<XPath>,
         /// Derived values computed before evaluating the general conditions.
         derived: Vec<(String, ValueExpr)>,
         /// General conditions.

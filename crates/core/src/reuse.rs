@@ -166,7 +166,7 @@ impl ReuseStats {
 /// the same filter are recognised as identical by the reuse machinery.
 pub fn select_parameters(
     simple: &[AttrCondition],
-    patterns: &[p2pmon_xmlkit::PathPattern],
+    patterns: &[p2pmon_xmlkit::XPath],
     derived: &[(String, ValueExpr)],
     conditions: &[Condition],
 ) -> String {

@@ -21,7 +21,7 @@ use p2pmon_streams::ops::{Dedup, Join, JoinSpec, Window};
 use p2pmon_streams::{
     AggregateSpec, AnySketch, AttrCondition, Bindings, ChannelId, Condition, StreamItem, Template,
 };
-use p2pmon_xmlkit::{Element, PathPattern};
+use p2pmon_xmlkit::{Element, XPath};
 
 use crate::placement::{MergeTree, TaskKind, SKETCH_MERGE_FANIN};
 
@@ -48,7 +48,7 @@ pub enum RuntimeOperator {
         /// Simple conditions.
         simple: Vec<AttrCondition>,
         /// Tree patterns.
-        patterns: Vec<PathPattern>,
+        patterns: Vec<XPath>,
         /// LET derivations.
         derived: Vec<(String, ValueExpr)>,
         /// General conditions.
@@ -433,7 +433,7 @@ impl RuntimeOperator {
 fn eval_select(
     var: &str,
     simple: &[AttrCondition],
-    patterns: &[PathPattern],
+    patterns: &[XPath],
     derived: &[(String, ValueExpr)],
     conditions: &[Condition],
     item: &StreamItem,

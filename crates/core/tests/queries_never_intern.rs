@@ -43,6 +43,8 @@ fn queries_about_unknown_names_intern_nothing() {
     assert!(!monitor.inject_peer_join("qi-join.test", "qi-joining.test"));
     assert!(!monitor.inject_peer_leave("qi-leave.test", "qi-leaving.test"));
     assert!(monitor.axml_repository_mut("qi-axml.test").is_none());
+    monitor.fail_peer("qi-fail.test");
+    monitor.recover_peer("qi-recover.test");
 
     for name in [
         "qi-down.test",
@@ -60,6 +62,8 @@ fn queries_about_unknown_names_intern_nothing() {
         "qi-leave.test",
         "qi-leaving.test",
         "qi-axml.test",
+        "qi-fail.test",
+        "qi-recover.test",
     ] {
         assert_eq!(lookup(name), None, "a query interned {name}");
     }

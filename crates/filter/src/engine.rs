@@ -486,7 +486,7 @@ mod tests {
     use super::*;
     use p2pmon_streams::AttrCondition;
     use p2pmon_xmlkit::path::CompareOp;
-    use p2pmon_xmlkit::{parse, PathPattern};
+    use p2pmon_xmlkit::{parse, XPath};
 
     fn sub_simple(id: u64, attr: &str, value: &str) -> FilterSubscription {
         FilterSubscription::new(id).with_simple(vec![AttrCondition::new(
@@ -499,7 +499,7 @@ mod tests {
     fn sub_complex(id: u64, attr: &str, value: &str, pattern: &str) -> FilterSubscription {
         FilterSubscription::new(id)
             .with_simple(vec![AttrCondition::new(attr, CompareOp::Eq, value)])
-            .with_complex(vec![PathPattern::parse(pattern).unwrap()])
+            .with_complex(vec![XPath::parse(pattern).unwrap()])
     }
 
     #[test]
@@ -523,8 +523,7 @@ mod tests {
     fn no_simple_condition_subscriptions_are_always_considered() {
         let mut engine = FilterEngine::new();
         engine.add(FilterSubscription::new(1)); // matches everything
-        engine
-            .add(FilterSubscription::new(2).with_complex(vec![PathPattern::parse("//x").unwrap()]));
+        engine.add(FilterSubscription::new(2).with_complex(vec![XPath::parse("//x").unwrap()]));
         let doc = parse("<r><x/></r>").unwrap();
         assert_eq!(
             engine.process(&doc).matched,
@@ -582,8 +581,8 @@ mod tests {
             FilterSubscription::new(9)
                 .with_simple(vec![AttrCondition::new("k", CompareOp::Eq, "v")])
                 .with_complex(vec![
-                    PathPattern::parse("//a").unwrap(),
-                    PathPattern::parse("//b").unwrap(),
+                    XPath::parse("//a").unwrap(),
+                    XPath::parse("//b").unwrap(),
                 ]),
         );
         // Pad with other complex subscriptions on the same condition: each
@@ -650,7 +649,7 @@ mod tests {
                     AttrCondition::new("m", CompareOp::Eq, "GetTemperature"),
                     AttrCondition::new("callee", CompareOp::Eq, "meteo.com"),
                 ])
-                .with_complex(vec![PathPattern::parse("//city[text()=\"Orsay\"]").unwrap()]),
+                .with_complex(vec![XPath::parse("//city[text()=\"Orsay\"]").unwrap()]),
             FilterSubscription::new(6).with_simple(vec![AttrCondition::new(
                 "dur",
                 CompareOp::Gt,
@@ -685,7 +684,7 @@ mod tests {
                     AttrCondition::new("attr1", CompareOp::Eq, "x"),
                     AttrCondition::new("attr2", CompareOp::Eq, "z"),
                 ])
-                .with_complex(vec![PathPattern::parse("//c/d").unwrap()]),
+                .with_complex(vec![XPath::parse("//c/d").unwrap()]),
         );
         let doc = parse(
             r#"<root attr1="x" attr2="y"><sc service="storage" address="site"><parameters/></sc></root>"#,
@@ -708,7 +707,7 @@ mod tests {
         engine.add(
             FilterSubscription::new(1)
                 .with_simple(vec![AttrCondition::new("attr1", CompareOp::Eq, "x")])
-                .with_complex(vec![PathPattern::parse("//c/d").unwrap()]),
+                .with_complex(vec![XPath::parse("//c/d").unwrap()]),
         );
         let doc = parse(
             r#"<root attr1="x"><sc service="storage" address="site"><parameters/></sc></root>"#,
@@ -755,7 +754,7 @@ mod tests {
                 0 => sub_simple(i, "m", &format!("v{}", i % 5)),
                 1 => sub_complex(i, "m", &format!("v{}", i % 5), "//item/title"),
                 _ => FilterSubscription::new(i)
-                    .with_complex(vec![PathPattern::parse("//item/enclosure").unwrap()]),
+                    .with_complex(vec![XPath::parse("//item/enclosure").unwrap()]),
             })
             .collect();
         let docs = [

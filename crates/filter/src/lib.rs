@@ -7,8 +7,10 @@
 //!
 //! Each subscription is a conjunction `Qᵢ = ∧ⱼ Cᵢⱼ (∧ Q'ᵢ)` of *simple
 //! conditions* `Cᵢⱼ` on the root attributes and an optional *complex* part
-//! `Q'ᵢ` (a linear tree-pattern query).  The filter exploits that split by
-//! running three modules in sequence:
+//! `Q'ᵢ` (tree patterns, each an [`XPath`](p2pmon_xmlkit::XPath)).  The
+//! paper restricts them to linear paths for YFilter's shared automaton; here
+//! each is evaluated on its own, so any path will do.  The filter exploits
+//! that split by running three modules in sequence:
 //!
 //! 1. [`PreFilter`] — reads only the root tag and looks each attribute's
 //!    value up among the registered simple conditions, organised in a hash
@@ -56,7 +58,7 @@ mod lib_tests {
     use super::*;
     use p2pmon_streams::AttrCondition;
     use p2pmon_xmlkit::path::CompareOp;
-    use p2pmon_xmlkit::{parse, PathPattern};
+    use p2pmon_xmlkit::{parse, XPath};
 
     #[test]
     fn end_to_end_filtering_of_the_paper_example() {
@@ -67,7 +69,7 @@ mod lib_tests {
         engine.add(
             FilterSubscription::new(4)
                 .with_simple(vec![c1.clone(), c3.clone()])
-                .with_complex(vec![PathPattern::parse("//c/d").unwrap()]),
+                .with_complex(vec![XPath::parse("//c/d").unwrap()]),
         );
         engine.add(FilterSubscription::new(5).with_simple(vec![c1.clone()]));
 

@@ -73,7 +73,7 @@ mod tests {
     use super::*;
     use p2pmon_streams::AttrCondition;
     use p2pmon_xmlkit::path::CompareOp;
-    use p2pmon_xmlkit::{parse, PathPattern};
+    use p2pmon_xmlkit::{parse, XPath};
 
     #[test]
     fn scans_every_subscription() {
@@ -85,7 +85,7 @@ mod tests {
                 "a",
             )]),
         );
-        nf.add(FilterSubscription::new(2).with_complex(vec![PathPattern::parse("//x").unwrap()]));
+        nf.add(FilterSubscription::new(2).with_complex(vec![XPath::parse("//x").unwrap()]));
         nf.add(
             FilterSubscription::new(3).with_simple(vec![AttrCondition::new(
                 "k",

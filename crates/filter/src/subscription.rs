@@ -7,7 +7,7 @@
 //! subscribing plan places downstream of its Select.
 
 use p2pmon_streams::AttrCondition;
-use p2pmon_xmlkit::PathPattern;
+use p2pmon_xmlkit::XPath;
 
 /// Identifier of a subscription registered with the Filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,7 +29,7 @@ pub struct FilterSubscription {
     pub simple: Vec<AttrCondition>,
     /// The complex part `Q'ᵢ`: zero or more tree patterns that must all
     /// match.  Empty means the subscription is *simple*.
-    pub complex: Vec<PathPattern>,
+    pub complex: Vec<XPath>,
 }
 
 impl FilterSubscription {
@@ -49,7 +49,7 @@ impl FilterSubscription {
     }
 
     /// Sets the complex tree patterns.
-    pub fn with_complex(mut self, complex: Vec<PathPattern>) -> Self {
+    pub fn with_complex(mut self, complex: Vec<XPath>) -> Self {
         self.complex = complex;
         self
     }
@@ -79,7 +79,7 @@ mod tests {
     fn reference_matching() {
         let sub = FilterSubscription::new(1)
             .with_simple(vec![AttrCondition::new("a", CompareOp::Eq, "1")])
-            .with_complex(vec![PathPattern::parse("//x/y").unwrap()]);
+            .with_complex(vec![XPath::parse("//x/y").unwrap()]);
         assert!(sub.matches(&parse(r#"<r a="1"><x><y/></x></r>"#).unwrap()));
         assert!(!sub.matches(&parse(r#"<r a="2"><x><y/></x></r>"#).unwrap()));
         assert!(!sub.matches(&parse(r#"<r a="1"><x/></r>"#).unwrap()));

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use p2pmon_filter::{BatchOutcome, FilterEngine, FilterSubscription};
 use p2pmon_streams::AttrCondition;
 use p2pmon_xmlkit::path::CompareOp;
-use p2pmon_xmlkit::{parse, Element, PathPattern};
+use p2pmon_xmlkit::{parse, Element, XPath};
 
 /// The parent's `match_batch`.
 fn model(engine: &mut FilterEngine, docs: &[&Element]) -> BatchOutcome {
@@ -41,7 +41,7 @@ fn model(engine: &mut FilterEngine, docs: &[&Element]) -> BatchOutcome {
 /// by children, and by tag.
 fn engine() -> FilterEngine {
     let simple = |attr: &str, value: &str| vec![AttrCondition::new(attr, CompareOp::Eq, value)];
-    let pattern = |text: &str| vec![PathPattern::parse(text).expect("valid pattern")];
+    let pattern = |text: &str| vec![XPath::parse(text).expect("valid pattern")];
     FilterEngine::from_subscriptions([
         FilterSubscription::new(1).with_simple(simple("kind", "rss")),
         FilterSubscription::new(2)

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use p2pmon_filter::{FilterEngine, FilterSubscription, NaiveFilter, SubscriptionId};
 use p2pmon_streams::AttrCondition;
 use p2pmon_xmlkit::path::CompareOp;
-use p2pmon_xmlkit::{Element, PathPattern};
+use p2pmon_xmlkit::{Element, XPath};
 
 const ATTRS: &[&str] = &["callMethod", "callee", "dur", "kind", "peer"];
 /// Strings and numbers, two of them one number spelled twice: range
@@ -39,7 +39,7 @@ fn attr_condition_strategy() -> impl Strategy<Value = AttrCondition> {
         .prop_map(|(a, op, v)| AttrCondition::new(a, op, v))
 }
 
-fn pattern_strategy() -> impl Strategy<Value = PathPattern> {
+fn pattern_strategy() -> impl Strategy<Value = XPath> {
     (
         proptest::sample::select(TAGS.to_vec()),
         proptest::sample::select(TAGS.to_vec()),
@@ -51,7 +51,7 @@ fn pattern_strategy() -> impl Strategy<Value = PathPattern> {
             } else {
                 format!("//{a}//{b}")
             };
-            PathPattern::parse(&src).expect("valid pattern")
+            XPath::parse(&src).expect("valid pattern")
         })
 }
 

@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use p2pmon_streams::ChannelId;
+use p2pmon_xmlkit::intern::lookup;
 
 use crate::latency::{LatencyModel, LatencySampler};
 use crate::message::{Message, Payload};
@@ -123,16 +124,20 @@ impl Network {
     }
 
     /// Marks a peer as failed: messages to it are dropped until it recovers.
+    /// An unknown name is ignored and not interned.
     pub fn fail_peer(&mut self, peer: &str) {
-        let peer = PeerId::from(peer);
-        if self.inboxes.contains_key(&peer) {
-            self.down.insert(peer);
+        if let Some(peer) = lookup(peer).map(PeerId::from) {
+            if self.inboxes.contains_key(&peer) {
+                self.down.insert(peer);
+            }
         }
     }
 
-    /// Recovers a failed peer.
+    /// Recovers a failed peer.  An unknown name is ignored and not interned.
     pub fn recover_peer(&mut self, peer: &str) {
-        self.down.remove(&PeerId::from(peer));
+        if let Some(peer) = lookup(peer).map(PeerId::from) {
+            self.down.remove(&peer);
+        }
     }
 
     /// True when the peer is currently failed.  Takes a name or an id; a

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use p2pmon_streams::{AggregateSpec, AttrCondition, Condition, Operand, Template};
-use p2pmon_xmlkit::PathPattern;
+use p2pmon_xmlkit::XPath;
 
 use crate::ast::{ByClause, SourceExpr, Subscription, ValueExpr};
 use crate::parser::EXISTENCE_SENTINEL;
@@ -89,8 +89,8 @@ pub enum LogicalNode {
         input: Box<LogicalNode>,
         /// Simple conditions on root attributes.
         simple: Vec<AttrCondition>,
-        /// Linear tree-pattern conditions.
-        patterns: Vec<PathPattern>,
+        /// Tree patterns: the existence conditions on `var`.
+        patterns: Vec<XPath>,
         /// Derived (LET) values needed by the general conditions.
         derived: Vec<(String, ValueExpr)>,
         /// Remaining general conditions.
@@ -614,7 +614,7 @@ fn build_select(
                 continue;
             }
         }
-        // Existence conditions over linear paths become tree patterns.
+        // Existence conditions on the variable become tree patterns.
         if let (Operand::VarPath { var: pv, path }, Operand::Const(c)) =
             (&condition.left, &condition.right)
         {
@@ -622,10 +622,8 @@ fn build_select(
                 && condition.op == p2pmon_xmlkit::path::CompareOp::Ne
                 && c.as_string() == EXISTENCE_SENTINEL
             {
-                if let Ok(pattern) = PathPattern::from_xpath(path) {
-                    patterns.push(pattern);
-                    continue;
-                }
+                patterns.push(path.clone());
+                continue;
             }
         }
         general.push(condition);

@@ -47,7 +47,7 @@ use p2pmon_filter::FilterSubscription;
 use p2pmon_net::LatencyModel;
 use p2pmon_streams::AttrCondition;
 use p2pmon_xmlkit::path::CompareOp;
-use p2pmon_xmlkit::{Element, ElementBuilder, PathPattern};
+use p2pmon_xmlkit::{Element, ElementBuilder, XPath};
 
 /// Web-service RPC traffic generator.
 #[derive(Debug, Clone)]
@@ -348,7 +348,7 @@ impl SubscriptionWorkload {
             let a = self.rng.gen_range(0..self.tags);
             let b = self.rng.gen_range(0..self.tags);
             let axis = if self.rng.gen::<bool>() { "/" } else { "//" };
-            let pattern = PathPattern::parse(&format!("//t{a}{axis}t{b}")).expect("valid pattern");
+            let pattern = XPath::parse(&format!("//t{a}{axis}t{b}")).expect("valid pattern");
             subscription = subscription.with_complex(vec![pattern]);
         }
         subscription

@@ -12,9 +12,8 @@
 //! * typed atomic values and comparisons ([`Value`]),
 //! * an XPath subset evaluator ([`path::XPath`]) covering the constructs the
 //!   paper's P2PML language and Filter need (child/descendant axes,
-//!   wildcards, attribute tests, positional and comparison predicates),
-//! * linear tree-pattern queries, the complex part of a Filter subscription
-//!   ([`pattern::PathPattern`]),
+//!   wildcards, attribute tests, positional and comparison predicates); its
+//!   paths are also the tree patterns of a Filter subscription's complex part,
 //! * a structural diff for the Web-page and RSS alerters ([`diff`]),
 //! * a convenience builder ([`builder::ElementBuilder`]).
 //!
@@ -28,7 +27,6 @@ pub mod intern;
 pub mod node;
 pub mod parser;
 pub mod path;
-pub mod pattern;
 pub mod value;
 pub mod writer;
 
@@ -38,7 +36,6 @@ pub use intern::{Name, Symbol};
 pub use node::{Element, Node};
 pub use parser::{parse, parse_fragment, ParseError};
 pub use path::{PathError, XPath};
-pub use pattern::PathPattern;
 pub use value::Value;
 
 #[cfg(test)]

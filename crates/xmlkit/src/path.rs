@@ -20,10 +20,11 @@
 //!       literal: `[@PeerId = "p1"]`, `[price > 10]`,
 //!     * positional predicates: `[2]` (1-based, per XPath).
 //!
-//! Evaluation is naive (tree walking).  The Filter's tree patterns are the
-//! linear subset ([`crate::pattern::PathPattern`]); the filter engine in
-//! `p2pmon-filter` evaluates only the patterns of the subscriptions a
-//! document's root attributes left active.
+//! Evaluation is naive (tree walking).  [`XPath::select`] builds each step's
+//! whole node list; [`XPath::matches`], which the Filter's tree patterns and
+//! existence conditions use, walks depth-first and stops at the first
+//! complete match.  The filter engine in `p2pmon-filter` evaluates only the
+//! patterns of the subscriptions a document's root attributes left active.
 
 use std::fmt;
 
@@ -289,12 +290,56 @@ impl XPath {
         self.select_values(root).into_iter().next()
     }
 
-    /// True when the expression selects at least one node/value on `root`.
+    /// True when the expression selects at least one node/value on `root`
+    /// (`!select_values(root).is_empty()`).
+    ///
+    /// A depth-first walk that stops at the first element completing the
+    /// path.  A positional predicate depends on its step's other candidates,
+    /// not on one element, so a path with one is selected in full instead.
     pub fn matches(&self, root: &Element) -> bool {
-        match &self.output {
-            Output::Elements => !self.select(root).is_empty(),
-            _ => !self.select_values(root).is_empty(),
+        let positional = self
+            .steps
+            .iter()
+            .flat_map(|step| &step.predicates)
+            .any(|pred| matches!(pred, Predicate::Position(_)));
+        if positional {
+            self.select(root).into_iter().any(|e| self.has_output(e))
+        } else {
+            self.matches_from(root, 0)
         }
+    }
+
+    /// Whether steps `idx..` match from `context` (the document element
+    /// before the first step) and the last element reached has the output.
+    fn matches_from(&self, context: &Element, idx: usize) -> bool {
+        let Some(step) = self.steps.get(idx) else {
+            return self.has_output(context);
+        };
+        let hit = |e: &Element| step.accepts(e) && self.matches_from(e, idx + 1);
+        match step.axis {
+            // The root element is the only "child" of the document node.
+            Axis::Child if idx == 0 && self.absolute => hit(context),
+            Axis::Child => context.child_elements().any(hit),
+            // descendant-or-self for the first step.
+            Axis::Descendant => (idx == 0 && hit(context)) || any_descendant(context, &hit),
+        }
+    }
+
+    /// Whether a selected element yields a value: the attribute output needs
+    /// its attribute, element and text outputs always have one.
+    fn has_output(&self, e: &Element) -> bool {
+        match &self.output {
+            Output::Attribute(name) => e.attr(name).is_some(),
+            Output::Elements | Output::Text => true,
+        }
+    }
+}
+
+impl Step {
+    /// Whether `e` passes the name test and every predicate that can be
+    /// judged on one element.
+    fn accepts(&self, e: &Element) -> bool {
+        self.name.matches(&e.name) && self.predicates.iter().all(|pred| holds(pred, e))
     }
 }
 
@@ -317,31 +362,38 @@ fn dedup_preserving_order(v: &mut Vec<&Element>) {
     });
 }
 
-fn apply_predicate<'a>(candidates: Vec<&'a Element>, pred: &Predicate) -> Vec<&'a Element> {
+/// Whether `hit` holds on some element strictly below `e`, in document
+/// order, stopping at the first.
+fn any_descendant<'a>(e: &'a Element, hit: &dyn Fn(&'a Element) -> bool) -> bool {
+    e.child_elements()
+        .any(|child| hit(child) || any_descendant(child, hit))
+}
+
+fn apply_predicate<'a>(mut candidates: Vec<&'a Element>, pred: &Predicate) -> Vec<&'a Element> {
+    if let Predicate::Position(n) = pred {
+        return n
+            .checked_sub(1)
+            .and_then(|i| candidates.get(i))
+            .map_or_else(Vec::new, |e| vec![*e]);
+    }
+    candidates.retain(|e| holds(pred, e));
+    candidates
+}
+
+/// Whether `pred` holds on the element `e`: the per-element test of both
+/// [`XPath::select`] and [`XPath::matches`].  A position is judged against
+/// its step's candidates in `apply_predicate`, never here.
+fn holds(pred: &Predicate, e: &Element) -> bool {
     match pred {
-        Predicate::Position(n) => {
-            if *n >= 1 && *n <= candidates.len() {
-                vec![candidates[*n - 1]]
-            } else {
-                Vec::new()
-            }
-        }
-        Predicate::Exists(operand) => candidates
-            .into_iter()
-            .filter(|e| {
-                operand_values(e, operand).iter().any(Value::truthy) || operand_exists(e, operand)
-            })
-            .collect(),
+        Predicate::Position(_) => true,
+        Predicate::Exists(operand) => operand_exists(e, operand),
         Predicate::Compare {
             operand,
             op,
             literal,
         } => {
             let lit = Value::from_literal(literal);
-            candidates
-                .into_iter()
-                .filter(|e| operand_values(e, operand).iter().any(|v| op.apply(v, &lit)))
-                .collect()
+            operand_values(e, operand).iter().any(|v| op.apply(v, &lit))
         }
     }
 }
@@ -748,6 +800,77 @@ mod tests {
         assert!(XPath::parse("/a[@x = ").is_err());
         assert!(XPath::parse("/a[0]").is_err());
         assert!(XPath::parse("/a/b junk more").is_err());
+    }
+
+    /// Tree patterns as the Filter writes them, with the answer `matches`
+    /// and the reference `select` must both give.  A relative path keeps its
+    /// XPath meaning: its first step is a child of the document element, not
+    /// any element at any depth.
+    #[test]
+    fn tree_patterns_match_like_select() {
+        let rss = "<rss><channel><item><title>x</title></item></channel></rss>";
+        let abc = "<a><b><c/></b></a>";
+        let temperature = r#"<root><alert method="GetTemperature"/></root>"#;
+        let alert = r#"<alert method="GetTemperature"><body/></alert>"#;
+        let table = [
+            ("/rss/channel/item", rss, true),
+            ("//item/title", rss, true),
+            ("/rss/missing", rss, false),
+            ("/rss/item", rss, false),
+            ("/a/*/c", abc, true),
+            ("/a/b/*", abc, true),
+            ("/a/*/c", "<a><b><d/></b></a>", false),
+            ("/a/b/*", "<a><b><d/></b></a>", true),
+            (r#"//alert[@method="GetTemperature"]"#, temperature, true),
+            (r#"//alert[@method="GetHumidity"]"#, temperature, false),
+            ("//alert", temperature, true),
+            ("/alert/body", alert, true),
+            ("//alert", alert, true),
+            (r#"//alert[@method="Other"]"#, alert, false),
+            ("//c/d", "<root><x><c><d>1</d></c></x></root>", true),
+            ("//c/e", "<root><x><c><d>1</d></c></x></root>", false),
+            ("a/b", "<root><a><b/></a></root>", true),
+            ("a/b", "<a><b/></a>", false),
+            ("a/b", "<r><x><a><b/></a></x></r>", false),
+            ("//price[text() > 10]", "<m><price>15</price></m>", true),
+            ("//price[text() > 20]", "<m><price>15</price></m>", false),
+            ("//price[text() > 100]", "<o><price>250</price></o>", true),
+            ("//price[text() > 100]", "<o><price>50</price></o>", false),
+            ("//b[@x]", r#"<a><b x="1"/><b/></a>"#, true),
+            ("//b[@missing]", r#"<a><b x="1"/><b/></a>"#, false),
+            ("//b//c", "<a><x><b><y><c/></y></b></x></a>", true),
+            ("//c//b", "<a><x><b><y><c/></y></b></x></a>", false),
+            ("//b//d", "<a><b><c><d/></c></b></a>", true),
+            ("//d//b", "<a><b><c><d/></c></b></a>", false),
+            // Beyond the linear class: attribute output, a nested path, positions.
+            ("/a/@x", r#"<a x="1"/>"#, true),
+            ("/a/@x", "<a/>", false),
+            ("/a[b/c]/d", "<a><b><c/></b><d/></a>", true),
+            ("/a[b/c]/d", "<a><b/><d/></a>", false),
+            ("/a[1]", "<a/>", true),
+            ("/a[2]", "<a/>", false),
+        ];
+        let mut rows: Vec<(&str, Element, bool)> = table
+            .iter()
+            .map(|&(path, doc, expected)| (path, parse(doc).unwrap(), expected))
+            .collect();
+        // Built without the tokenizer, with a name no path mentions: name
+        // tests must not match it, but wildcards must.
+        let mut unparsed = Element::new("completely-uninterned-root-name");
+        unparsed.push_element(Element::new("inner"));
+        rows.push(("/*/inner", unparsed.clone(), true));
+        rows.push(("//inner", unparsed.clone(), true));
+        rows.push(("/completely-absent-name/x", unparsed, false));
+        for (path, doc, expected) in &rows {
+            let xpath = XPath::parse(path).unwrap();
+            assert_eq!(xpath.matches(doc), *expected, "{path} on {}", doc.to_xml());
+            assert_eq!(
+                !xpath.select_values(doc).is_empty(),
+                *expected,
+                "select: {path} on {}",
+                doc.to_xml()
+            );
+        }
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //! instructions, and a set of path strings, each mutated by deleting,
 //! inserting, duplicating and truncating bytes (the result read back as
 //! lossy UTF-8, so multi-byte chars get split too).  Every variant goes
-//! through `parse` and `parse_fragment`, or `XPath::parse` and
-//! `PathPattern::parse`; a path that parses is also evaluated over the
-//! unmutated document.
+//! through `parse` and `parse_fragment`, or `XPath::parse`; a path that
+//! parses is also selected and matched over the unmutated document.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use p2pmon_xmlkit::{parse, parse_fragment, PathPattern, XPath};
+use p2pmon_xmlkit::{parse, parse_fragment, XPath};
 
 const DOCUMENT: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
 <!-- one monitored call -->
@@ -127,10 +126,8 @@ fn mutated_paths_never_panic_the_path_parsers() {
     let panicked = panicking(&inputs, |input| {
         if let Ok(xpath) = XPath::parse(input) {
             let _ = xpath.select_values(&doc);
-        }
-        if let Ok(pattern) = PathPattern::parse(input) {
-            let _ = pattern.matches(&doc);
+            let _ = xpath.matches(&doc);
         }
     });
-    assert_none_panicked("XPath::parse / PathPattern::parse", &inputs, &panicked);
+    assert_none_panicked("XPath::parse / select_values / matches", &inputs, &panicked);
 }

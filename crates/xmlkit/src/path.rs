@@ -802,77 +802,6 @@ mod tests {
         assert!(XPath::parse("/a/b junk more").is_err());
     }
 
-    /// Tree patterns as the Filter writes them, with the answer `matches`
-    /// and the reference `select` must both give.  A relative path keeps its
-    /// XPath meaning: its first step is a child of the document element, not
-    /// any element at any depth.
-    #[test]
-    fn tree_patterns_match_like_select() {
-        let rss = "<rss><channel><item><title>x</title></item></channel></rss>";
-        let abc = "<a><b><c/></b></a>";
-        let temperature = r#"<root><alert method="GetTemperature"/></root>"#;
-        let alert = r#"<alert method="GetTemperature"><body/></alert>"#;
-        let table = [
-            ("/rss/channel/item", rss, true),
-            ("//item/title", rss, true),
-            ("/rss/missing", rss, false),
-            ("/rss/item", rss, false),
-            ("/a/*/c", abc, true),
-            ("/a/b/*", abc, true),
-            ("/a/*/c", "<a><b><d/></b></a>", false),
-            ("/a/b/*", "<a><b><d/></b></a>", true),
-            (r#"//alert[@method="GetTemperature"]"#, temperature, true),
-            (r#"//alert[@method="GetHumidity"]"#, temperature, false),
-            ("//alert", temperature, true),
-            ("/alert/body", alert, true),
-            ("//alert", alert, true),
-            (r#"//alert[@method="Other"]"#, alert, false),
-            ("//c/d", "<root><x><c><d>1</d></c></x></root>", true),
-            ("//c/e", "<root><x><c><d>1</d></c></x></root>", false),
-            ("a/b", "<root><a><b/></a></root>", true),
-            ("a/b", "<a><b/></a>", false),
-            ("a/b", "<r><x><a><b/></a></x></r>", false),
-            ("//price[text() > 10]", "<m><price>15</price></m>", true),
-            ("//price[text() > 20]", "<m><price>15</price></m>", false),
-            ("//price[text() > 100]", "<o><price>250</price></o>", true),
-            ("//price[text() > 100]", "<o><price>50</price></o>", false),
-            ("//b[@x]", r#"<a><b x="1"/><b/></a>"#, true),
-            ("//b[@missing]", r#"<a><b x="1"/><b/></a>"#, false),
-            ("//b//c", "<a><x><b><y><c/></y></b></x></a>", true),
-            ("//c//b", "<a><x><b><y><c/></y></b></x></a>", false),
-            ("//b//d", "<a><b><c><d/></c></b></a>", true),
-            ("//d//b", "<a><b><c><d/></c></b></a>", false),
-            // Beyond the linear class: attribute output, a nested path, positions.
-            ("/a/@x", r#"<a x="1"/>"#, true),
-            ("/a/@x", "<a/>", false),
-            ("/a[b/c]/d", "<a><b><c/></b><d/></a>", true),
-            ("/a[b/c]/d", "<a><b/><d/></a>", false),
-            ("/a[1]", "<a/>", true),
-            ("/a[2]", "<a/>", false),
-        ];
-        let mut rows: Vec<(&str, Element, bool)> = table
-            .iter()
-            .map(|&(path, doc, expected)| (path, parse(doc).unwrap(), expected))
-            .collect();
-        // Built without the tokenizer, with a name no path mentions: name
-        // tests must not match it, but wildcards must.
-        let mut unparsed = Element::new("completely-uninterned-root-name");
-        unparsed.push_element(Element::new("inner"));
-        rows.push(("/*/inner", unparsed.clone(), true));
-        rows.push(("//inner", unparsed.clone(), true));
-        rows.push(("/completely-absent-name/x", unparsed, false));
-        for (path, doc, expected) in &rows {
-            let xpath = XPath::parse(path).unwrap();
-            assert_eq!(xpath.matches(doc), *expected, "{path} on {}", doc.to_xml());
-            assert_eq!(
-                !xpath.select_values(doc).is_empty(),
-                *expected,
-                "select: {path} on {}",
-                doc.to_xml()
-            );
-        }
-    }
-
     #[test]
     fn display_round_trips_source() {
         let src = r#"/Stream[@PeerId = "p1"][Operator/inCom]"#;

@@ -1,6 +1,6 @@
 //! A subscription costs what it touches.
 //!
-//! Six pins on the subscription lifetime's history walks, each a
+//! Seven pins on the subscription lifetime's history walks, each a
 //! deterministic counter compared across two sizes of what is already
 //! deployed or of the plan itself:
 //!
@@ -18,6 +18,10 @@
 //!   lists its definition was posted under; with no operator-wide term, no
 //!   list holds every source of an aggregate, and tearing one down is
 //!   linear in its leaves rather than quadratic.
+//! * `IndexStats::postings_read` for a Filter's teardown.  Only a source
+//!   posts the alerter lookup's `peer+operator` term, so no list holds every
+//!   Filter on a hub, and tearing N of them down oldest first scans the same
+//!   postings per unsubscribe for any N.
 //! * `DispatchStats::registrations_scanned` for route retraction.  A
 //!   teardown edits the routing entries its tasks registered in, not every
 //!   consumer list of the deployment.
@@ -234,6 +238,48 @@ fn tearing_an_aggregate_down_scans_postings_linearly_in_its_leaves() {
         (3.5..=4.5).contains(&ratio),
         "4x the leaves scanned {large} postings against {small}: ratio {ratio:.2}, \
          linear would be 4"
+    );
+}
+
+/// Postings scanned by each unsubscribe of an oldest-first teardown of `n`
+/// distinct Filters over one hub, the last one (which also releases the
+/// hub's source) left out.
+fn postings_per_filter_unsubscribe(n: usize) -> Vec<u64> {
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    let handles: Vec<_> = (0..n)
+        .map(|i| {
+            monitor
+                .submit(MANAGER, &distinct_filter(i))
+                .expect("filter deploys")
+        })
+        .collect();
+    let mut scanned: Vec<u64> = handles
+        .iter()
+        .map(|handle| {
+            let before = monitor.dht_stats().postings_read;
+            assert!(monitor.unsubscribe(handle));
+            monitor.dht_stats().postings_read - before
+        })
+        .collect();
+    scanned.pop();
+    scanned
+}
+
+#[test]
+fn tearing_filters_down_oldest_first_scans_the_same_postings_per_unsubscribe() {
+    let few = postings_per_filter_unsubscribe(100);
+    let many = postings_per_filter_unsubscribe(1_000);
+    let span = |scanned: &[u64]| (scanned.iter().min().copied(), scanned.iter().max().copied());
+    let per_unsubscribe = Some(few[0]);
+    assert!(few[0] > 0, "a Filter's own definitions are retracted");
+    assert_eq!(
+        (span(&few), span(&many)),
+        (
+            (per_unsubscribe, per_unsubscribe),
+            (per_unsubscribe, per_unsubscribe)
+        ),
+        "every unsubscribe of 100 and of 1 000 Filters over the hub scans the same \
+         postings (min, max)"
     );
 }
 

@@ -1,4 +1,5 @@
-//! Model-based test of the reuse query, `find_derived_streams`.
+//! Model-based tests of the discovery queries: the reuse query,
+//! `find_derived_streams`, and the alerter lookup, `find_alerter_streams`.
 //!
 //! The database indexes a derived definition under one term per operand
 //! that also carries a digest of its parameters, and the query reads only
@@ -18,6 +19,14 @@
 //! flat scan.  The model also states how many index lookups that exit
 //! leaves: one per operand up to the first prefix no live definition
 //! names whole.
+//!
+//! The alerter lookup, `find_alerter_streams`, is modelled the same way:
+//! the live sources (definitions without operands) at a peer whose
+//! operator is the alerter asked for, in publish order.  Sources and
+//! derived definitions are published and retracted interleaved, on the
+//! same peers, and the lookup is asked for every operator — the derived
+//! ones too — so a derived definition is never found by it, and the model
+//! also states what it reads: one posting per source found.
 
 use p2pmon_dht::{ChordNetwork, StreamDefinition, StreamDefinitionDatabase};
 use proptest::prelude::*;
@@ -110,6 +119,14 @@ impl FlatModel {
             .collect()
     }
 
+    fn find_alerter_streams(&self, peer: &str, alerter: &str) -> Vec<Key> {
+        self.live
+            .iter()
+            .filter(|d| d.operands.is_empty() && d.peer_id == peer && d.operator == alerter)
+            .map(|d| (d.peer_id.clone(), d.stream_id.clone()))
+            .collect()
+    }
+
     /// Index lookups the query makes: operand by operand, up to the first
     /// prefix of `operands` that no live definition of this operator and
     /// these parameters names in full.
@@ -163,6 +180,47 @@ fn op() -> BoxedStrategy<Op> {
                     operands,
                 }
             }
+        })
+        .boxed()
+}
+
+/// The alerters sources are published as.
+const ALERTERS: [&str; 2] = ["inCOM", "outCOM"];
+
+/// A source or a derived definition, published at `key`, or a retraction.
+#[derive(Debug, Clone)]
+enum Mixed {
+    Source {
+        key: (usize, usize),
+        alerter: usize,
+    },
+    Derived {
+        key: (usize, usize),
+        operator: usize,
+        operands: usize,
+    },
+    Retract(usize, usize),
+}
+
+fn mixed() -> BoxedStrategy<Mixed> {
+    (
+        0usize..5,
+        0usize..3,
+        0usize..4,
+        0usize..2,
+        0usize..operand_lists().len(),
+    )
+        .prop_map(|(kind, peer, stream, pick, operands)| match kind {
+            0 => Mixed::Retract(peer, stream),
+            1 | 2 => Mixed::Source {
+                key: (peer, stream),
+                alerter: pick,
+            },
+            _ => Mixed::Derived {
+                key: (peer, stream),
+                operator: pick,
+                operands,
+            },
         })
         .boxed()
 }
@@ -222,6 +280,62 @@ proptest! {
                             "lookups of ({}, {:?}, {:?})", operator, parameters, operands
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_alerter_lookup_finds_the_live_sources_in_publish_order(
+        ops in proptest::collection::vec(mixed(), 1..80),
+    ) {
+        let lists = operand_lists();
+        let mut db = StreamDefinitionDatabase::new(ChordNetwork::with_nodes(8, 5));
+        let mut model = FlatModel::default();
+        for op in ops {
+            let definition = match &op {
+                Mixed::Source { key, alerter } => {
+                    StreamDefinition::source(PEERS[key.0], STREAMS[key.1], ALERTERS[*alerter])
+                }
+                Mixed::Derived { key, operator, operands } => StreamDefinition::derived(
+                    PEERS[key.0],
+                    STREAMS[key.1],
+                    OPERATORS[*operator],
+                    "",
+                    lists[*operands].clone(),
+                ),
+                Mixed::Retract(p, s) => {
+                    prop_assert_eq!(
+                        db.retract(PEERS[*p], STREAMS[*s]),
+                        model.retract(PEERS[*p], STREAMS[*s])
+                    );
+                    continue;
+                }
+            };
+            // As the monitor does: a live key is never published over.
+            if db.get(&definition.peer_id, &definition.stream_id).is_none() {
+                db.publish(definition.clone());
+                model.publish(definition);
+            }
+            prop_assert_eq!(db.len(), model.live.len());
+            for peer in PEERS {
+                for operator in ALERTERS.iter().chain(&OPERATORS) {
+                    let before = db.index_stats().postings_read;
+                    let found: Vec<Key> = db
+                        .find_alerter_streams(peer, operator)
+                        .iter()
+                        .map(|d| (d.peer_id.clone(), d.stream_id.clone()))
+                        .collect();
+                    let expected = model.find_alerter_streams(peer, operator);
+                    prop_assert_eq!(
+                        db.index_stats().postings_read - before,
+                        expected.len() as u64,
+                        "postings read by find_alerter_streams({}, {})", peer, operator
+                    );
+                    prop_assert_eq!(
+                        found, expected,
+                        "find_alerter_streams({}, {}) after {:?}", peer, operator, op
+                    );
                 }
             }
         }

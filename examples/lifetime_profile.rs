@@ -19,6 +19,11 @@
 //! prints each teardown phase's work summed over the teardown and its
 //! median and mean time.
 //!
+//! Then it submits 1 500 Filters over one hub, no two with the same clause
+//! (one hub's share of the end-to-end benchmark's `filter_storm`), prints
+//! the last submit's split, tears them down oldest first and prints the
+//! teardown's split beside the DHT postings each unsubscribe scanned.
+//!
 //! Last, it runs the end-to-end benchmark's `churn_mix` script at seed 1
 //! (16 shapes over 8 hubs, consumers in 8 clusters of 8 peers, 1 024
 //! standing subscriptions, then 30 steps that each retire the 8 oldest,
@@ -28,7 +33,8 @@
 //! and re-attaches its orphans, which is `core.unsubscribe.replica`'s work.
 //!
 //! Run with: `cargo run --release --example lifetime_profile -- [N]`
-//! (N defaults to 10 000; the churn script does not depend on it).
+//! (N defaults to 10 000; the Filter teardown and the churn script do not
+//! depend on it).
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -81,6 +87,7 @@ fn main() {
     assert_eq!(monitor.operator_count(), 0, "every aggregate is gone");
 
     storm_teardown(peers);
+    filter_teardown();
     churn_teardown();
 }
 
@@ -158,6 +165,48 @@ fn storm_teardown(n: usize) {
         monitor.operator_count(),
         0,
         "the storm tears down to no operator"
+    );
+}
+
+/// Submits 1 500 distinct Filters over one hub, prints the last submit's
+/// split, tears them down oldest first and prints the teardown's split and
+/// the postings each unsubscribe scanned.
+fn filter_teardown() {
+    const FILTERS: usize = 1_500;
+    const HUB: &str = "f-hub0.net";
+    const MANAGER: &str = "f-mgr.org";
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    let handles: Vec<_> = (0..FILTERS)
+        .map(|i| {
+            let text = format!(
+                "for $c in outCOM(<p>{HUB}</p>)\nwhere $c.callMethod = \"M{i}\" and \
+                 $c.duration > 8\nreturn <hit sub=\"f{i}\"/>\nby email \"f{i}@example.org\";"
+            );
+            monitor.submit(MANAGER, &text).expect("filter deploys")
+        })
+        .collect();
+    println!(
+        "\nsubmit {} of {FILTERS} distinct Filters over one hub:",
+        FILTERS - 1
+    );
+    println!("{}", monitor.last_submit_profile());
+
+    let mut split = TeardownSplit::default();
+    let mut scanned = Vec::with_capacity(FILTERS);
+    for handle in &handles {
+        let before = monitor.dht_stats().postings_read;
+        split.unsubscribe(&mut monitor, handle);
+        scanned.push(monitor.dht_stats().postings_read - before);
+    }
+    println!("oldest-first teardown of {FILTERS} distinct Filters over one hub (work summed, p50 and mean time):");
+    split.print();
+    let (first, max) = (scanned[0], scanned.iter().max().copied().unwrap_or(0));
+    let mean = scanned.iter().sum::<u64>() as f64 / FILTERS as f64;
+    println!("postings_read per unsubscribe: first {first}  max {max}  mean {mean:.2}");
+    assert_eq!(
+        monitor.operator_count(),
+        0,
+        "the Filters tear down to no operator"
     );
 }
 

@@ -32,7 +32,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use p2pmon_dht::{StreamDefinition, StreamDefinitionDatabase};
+use p2pmon_dht::StreamDefinitionDatabase;
 use p2pmon_filter::FilterSubscription;
 use p2pmon_net::PeerId;
 use p2pmon_p2pml::plan::{normalize_peer, LogicalNode, LogicalPlan};
@@ -40,7 +40,7 @@ use p2pmon_p2pml::{compile_subscription, ByClause, CompileError};
 use p2pmon_streams::ChannelId;
 
 use crate::dispatch::Route;
-use crate::monitor::{identity, DeployedSubscription, Monitor, SubscriptionHandle};
+use crate::monitor::{DeployedSubscription, Monitor, SubscriptionHandle};
 use crate::placement::{place, push_selections_below_unions, PlacedPlan, TaskKind};
 use crate::profile::{LifetimeProfile, PhaseClock, SUBMIT_PHASES};
 use crate::reuse::{
@@ -50,9 +50,9 @@ use crate::reuse::{
 use crate::runtime::RuntimeOperator;
 use crate::sink::{Sink, SinkKind};
 
-/// Maps a canonical `(peer, stream)` identity to the closest live provider
-/// of that stream (the origin or one of its replicas).
-type SelectProviders<'a> = dyn Fn(&str, &str) -> (String, String) + 'a;
+/// Maps a canonical channel identity to the closest live provider of that
+/// stream (the origin or one of its replicas).
+type SelectProviders<'a> = dyn Fn(ChannelId) -> ChannelId + 'a;
 
 /// Resolves every explicit channel reference in a plan to its canonical
 /// identity, then — when replica re-publication is enabled — routes it to
@@ -76,14 +76,14 @@ fn canonicalize_channel_refs(
     resolved: &mut u64,
 ) -> LogicalNode {
     match node {
-        LogicalNode::ChannelIn { peer, stream, var } => {
+        LogicalNode::ChannelIn { channel, var } => {
             *resolved += 1;
-            let (peer, stream) = db.canonical_identity(normalize_peer(&peer), &stream);
-            let (peer, stream) = match proximity {
-                Some(select) => select(&peer, &stream),
-                None => (peer, stream),
+            let channel = db.canonical_identity(channel);
+            let channel = match proximity {
+                Some(select) => select(channel),
+                None => channel,
             };
-            LogicalNode::ChannelIn { peer, stream, var }
+            LogicalNode::ChannelIn { channel, var }
         }
         node => {
             node.map_children(|input| canonicalize_channel_refs(db, proximity, input, resolved))
@@ -179,9 +179,9 @@ impl Monitor {
         // deterministic.
         let now = self.network.now();
         let loads_read = std::cell::Cell::new(0u64);
-        let select_provider = |peer: &str, stream: &str| {
+        let select_provider = |origin: ChannelId| {
             self.stream_db
-                .select_provider_loaded(peer, stream, proximity, |p: PeerId| {
+                .select_provider_loaded(origin, proximity, |p: PeerId| {
                     let (load, read) = self.rate_table.peer_load_at(p, now);
                     loads_read.set(loads_read.get() + read as u64);
                     load
@@ -413,12 +413,9 @@ impl Monitor {
         for task in &placed.tasks {
             match &task.kind {
                 TaskKind::Source { function, feed, .. } => {
-                    if self.stream_db.get(&feed.peer, &feed.stream).is_none() {
-                        self.stream_db.publish(StreamDefinition::source(
-                            feed.peer,
-                            feed.stream,
-                            function.clone(),
-                        ));
+                    if !self.stream_db.contains(*feed) {
+                        self.stream_db
+                            .publish_channel(*feed, function, String::new(), Vec::new());
                     }
                     identities[task.id] = Some(*feed);
                 }
@@ -440,9 +437,9 @@ impl Monitor {
                 // downstream unpublished.
                 TaskKind::SketchRoot { .. } => {}
                 _ => {
-                    let operand_ids: Option<Vec<(String, String)>> = children[task.id]
+                    let operand_ids: Option<Vec<ChannelId>> = children[task.id]
                         .iter()
-                        .map(|(_, child)| identities[*child].as_ref().map(identity))
+                        .map(|(_, child)| identities[*child])
                         .collect();
                     let Some(operands) = operand_ids else {
                         continue;
@@ -476,10 +473,9 @@ impl Monitor {
                     // "X"` roots placed on the same peer), this one must not
                     // take an owner reference it can never release — its
                     // tasks stay its own and are torn down normally.
-                    if self.stream_db.get(&key.peer, &key.stream).is_none() {
-                        self.stream_db.publish(StreamDefinition::derived(
-                            key.peer, key.stream, operator, parameters, operands,
-                        ));
+                    if !self.stream_db.contains(key) {
+                        self.stream_db
+                            .publish_channel(key, operator, parameters, operands);
                         def_tasks.insert(key, upstream(task.id));
                         owned_defs.push(key);
                     }

@@ -561,7 +561,7 @@ impl Monitor {
             }
             let owner = entry.owner;
             self.def_refs.remove(&key);
-            self.stream_db.retract(&key.peer, &key.stream);
+            self.stream_db.retract(key);
             match owner {
                 Some(owner) => {
                     if self.subscriptions[owner].retired {

@@ -475,7 +475,7 @@ impl Builder {
                 self.connect(driver_task, dynamic, 1);
                 dynamic
             }
-            LogicalNode::ChannelIn { peer, stream, var } => {
+            LogicalNode::ChannelIn { channel, var } => {
                 // The subscribing task runs wherever its consumer runs (it is
                 // co-placed after the fact); until the consumer is known,
                 // host it on the *providing* peer — the stream is already
@@ -483,9 +483,9 @@ impl Builder {
                 // (e.g. a filter over a reused source) run next to the data
                 // and only their derived output crosses the network.
                 self.push(
-                    PeerId::new(normalize_peer(peer)),
+                    channel.peer,
                     TaskKind::ChannelSource {
-                        channel: ChannelId::new(peer.clone(), stream.clone()),
+                        channel: *channel,
                         var: var.clone(),
                     },
                 )

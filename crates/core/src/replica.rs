@@ -200,7 +200,7 @@ impl Monitor {
         // Only a stream that actually exists can be re-published; a
         // subscriber of a not-yet-deployed channel (submit order is not a
         // contract) declares nothing.
-        if origin.peer == peer || self.stream_db.get(&origin.peer, &origin.stream).is_none() {
+        if origin.peer == peer || !self.stream_db.contains(origin) {
             return;
         }
         if self.replicas.is_replica(subscribed) {
@@ -215,10 +215,11 @@ impl Monitor {
         self.replicas
             .declare(origin, peer, (sub, task), *own_channel);
         self.stream_db.publish_replica(ReplicaDeclaration {
-            peer_id: origin.peer.into(),
-            stream_id: origin.stream.into(),
-            replica_peer: peer.into(),
-            replica_stream: own_channel.stream.into(),
+            origin,
+            replica: ChannelId {
+                peer,
+                stream: own_channel.stream,
+            },
         });
     }
 
@@ -250,8 +251,7 @@ impl Monitor {
         let forwarder = entry.forwarder;
         if entry.subscribers.is_empty() {
             let old_channel = self.replicas.retract(origin, peer);
-            self.stream_db
-                .retract_replica(&origin.peer, &origin.stream, peer);
+            self.stream_db.retract_replica(*origin, peer);
             self.reattach_orphaned_consumers(&old_channel, origin);
         } else if entry.subscribers.len() == 1
             && removed.0 != forwarder.0
@@ -308,13 +308,8 @@ impl Monitor {
                     chains_walked.set(chains_walked.get() + 1);
                     self.replicas.chain_reaches_origin(origin, p, subscribed)
                 };
-                let (p, s) = self.stream_db.select_provider_where(
-                    &origin.peer,
-                    &origin.stream,
-                    proximity,
-                    eligible,
-                );
-                ChannelId::new(p, s)
+                self.stream_db
+                    .select_provider_where(*origin, proximity, eligible)
             };
             if let TaskKind::ChannelSource { channel, .. } =
                 &mut self.subscriptions[sub].placed.tasks[task].kind

@@ -21,15 +21,16 @@
 //! sources, and the five derived operators named below.
 
 use std::collections::HashSet;
+use std::fmt;
 
 use p2pmon_dht::StreamDefinitionDatabase;
 use p2pmon_net::PeerId;
 use p2pmon_p2pml::plan::LogicalNode;
 use p2pmon_p2pml::ValueExpr;
-use p2pmon_streams::{AttrCondition, Condition};
+use p2pmon_streams::{AttrCondition, ChannelId, Condition};
 
 /// The result of applying reuse to a plan.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct ReuseReport {
     /// Number of plan nodes served by existing streams.
     pub reused_nodes: usize,
@@ -37,16 +38,36 @@ pub struct ReuseReport {
     pub new_nodes: usize,
     /// The channels the rewritten plan subscribes to — the selected
     /// *providers* (original or replica), one per covered subtree.
-    pub subscribed_channels: Vec<(String, String)>,
-    /// The canonical `(peer, stream)` identities of the *original* stream
-    /// definitions backing each subscription — what the definition database
-    /// keys on (and what teardown refcounts), independent of which replica
-    /// was picked as the provider.
-    pub reused_defs: Vec<(String, String)>,
+    pub subscribed_channels: Vec<ChannelId>,
+    /// The canonical identities of the *original* stream definitions
+    /// backing each subscription — what the definition database keys on
+    /// (and what teardown refcounts), independent of which replica was
+    /// picked as the provider.
+    pub reused_defs: Vec<ChannelId>,
     /// Operator instances *not* deployed because an existing stream covers
     /// them: plan nodes of covered subtrees minus the channel subscriptions
     /// that replace them.
     pub operators_saved: usize,
+}
+
+/// Lists each channel as its `(peer, stream)` pair of names: the printed
+/// form the recorded reuse outcomes (`reuse_recorded.rs`) digest.
+impl fmt::Debug for ReuseReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pairs = |channels: &[ChannelId]| -> Vec<(&str, &str)> {
+            channels
+                .iter()
+                .map(|c| (c.peer.as_str(), c.stream.as_str()))
+                .collect()
+        };
+        f.debug_struct("ReuseReport")
+            .field("reused_nodes", &self.reused_nodes)
+            .field("new_nodes", &self.new_nodes)
+            .field("subscribed_channels", &pairs(&self.subscribed_channels))
+            .field("reused_defs", &pairs(&self.reused_defs))
+            .field("operators_saved", &self.operators_saved)
+            .finish()
+    }
 }
 
 /// Replica re-publication effectiveness — how much of a hot channel's
@@ -242,15 +263,15 @@ pub(crate) fn apply_reuse_ids(
         new: 0,
     };
     let root = match search.cover(plan) {
-        Cover::Covered(root) => subscribe(root, &search.providers[0]),
+        Cover::Covered(root) => subscribe(root, search.providers[0]),
         Cover::New(root) => root,
     };
     let mut listed = HashSet::new();
     let reused_defs = search
         .originals
         .iter()
+        .copied()
         .filter(|original| listed.insert(*original))
-        .cloned()
         .collect();
     let report = ReuseReport {
         reused_nodes: search.reused,
@@ -278,17 +299,17 @@ enum Cover {
 struct Search<'a, P> {
     db: &'a mut StreamDefinitionDatabase,
     proximity: P,
-    /// The `(peer, stream)` identities of the covered nodes whose parent is
-    /// not known to be covered, in plan order: what the definition database
+    /// The channel identities of the covered nodes whose parent is not
+    /// known to be covered, in plan order: what the definition database
     /// keys on, whichever replica serves them.  A node that turns out
     /// covered truncates the list back to its length when the node was
     /// entered (dropping its inputs' entries) and pushes its own, so a node
     /// whose inputs are all covered finds their identities, in input
     /// order, from that mark on — the operands of its query.  At the end the
     /// list holds the topmost covered subtrees.
-    originals: Vec<(String, String)>,
+    originals: Vec<ChannelId>,
     /// The provider selected for each entry of `originals`.
-    providers: Vec<(String, String)>,
+    providers: Vec<ChannelId>,
     /// For each input of the nodes on the path being covered, the index of
     /// its entry in `originals` when it is covered.
     inputs: Vec<Option<usize>>,
@@ -316,12 +337,9 @@ impl<P: Fn(PeerId) -> u64> Search<'_, P> {
         };
         match found {
             Some(original) => {
-                let provider = self.db.select_provider_where(
-                    &original.0,
-                    &original.1,
-                    &self.proximity,
-                    |_| true,
-                );
+                let provider = self
+                    .db
+                    .select_provider_where(original, &self.proximity, |_| true);
                 self.inputs.truncate(first_input);
                 self.originals.truncate(mark);
                 self.providers.truncate(mark);
@@ -335,7 +353,7 @@ impl<P: Fn(PeerId) -> u64> Search<'_, P> {
                 let providers = &self.providers;
                 let mut entries = self.inputs.drain(first_input..);
                 let node = node.map_children(|input| match entries.next().flatten() {
-                    Some(entry) => subscribe(input, &providers[entry]),
+                    Some(entry) => subscribe(input, providers[entry]),
                     None => input,
                 });
                 Cover::New(node)
@@ -347,7 +365,7 @@ impl<P: Fn(PeerId) -> u64> Search<'_, P> {
     /// entries of `originals` from `mark` on.  Channel subscriptions,
     /// dynamic alerters and aggregates are never published, so they are
     /// never looked up.
-    fn query(&mut self, node: &LogicalNode, mark: usize) -> Option<(String, String)> {
+    fn query(&mut self, node: &LogicalNode, mark: usize) -> Option<ChannelId> {
         let operands = &self.originals[mark..];
         let found = match node {
             LogicalNode::Alerter { function, peer, .. } => {
@@ -359,7 +377,7 @@ impl<P: Fn(PeerId) -> u64> Search<'_, P> {
                 derived,
                 conditions,
                 ..
-            } => self.db.find_derived_streams(
+            } => self.db.find_derived_channels(
                 FILTER,
                 &select_parameters(simple, patterns, derived, conditions),
                 operands,
@@ -369,41 +387,36 @@ impl<P: Fn(PeerId) -> u64> Search<'_, P> {
                 right_key,
                 residual,
                 ..
-            } => self.db.find_derived_streams(
+            } => self.db.find_derived_channels(
                 JOIN,
                 &join_parameters(left_key, right_key, residual),
                 operands,
             ),
-            LogicalNode::Union { .. } => self.db.find_derived_streams(UNION, "", operands),
+            LogicalNode::Union { .. } => self.db.find_derived_channels(UNION, "", operands),
             LogicalNode::Dedup { .. } => {
                 self.db
-                    .find_derived_streams(DUPLICATE_REMOVAL, "", operands)
+                    .find_derived_channels(DUPLICATE_REMOVAL, "", operands)
             }
             LogicalNode::Restructure { template, .. } => {
                 self.db
-                    .find_derived_streams(RESTRUCTURE, template.source(), operands)
+                    .find_derived_channels(RESTRUCTURE, template.source(), operands)
             }
             LogicalNode::ChannelIn { .. }
             | LogicalNode::DynamicAlerter { .. }
             | LogicalNode::Aggregate { .. } => return None,
         };
-        found
-            .first()
-            .map(|d| (d.peer_id.clone(), d.stream_id.clone()))
+        found.first().copied()
     }
 }
 
 /// The subscription that replaces a covered subtree: its provider's
 /// channel, bound to the subtree's variable.
-fn subscribe(covered: LogicalNode, provider: &(String, String)) -> LogicalNode {
+fn subscribe(covered: LogicalNode, provider: ChannelId) -> LogicalNode {
     let var = covered
-        .output_vars()
-        .into_iter()
-        .next()
+        .into_output_var()
         .unwrap_or_else(|| "item".to_string());
     LogicalNode::ChannelIn {
-        peer: provider.0.clone(),
-        stream: provider.1.clone(),
+        channel: provider,
         var,
     }
 }
@@ -468,7 +481,7 @@ mod tests {
         assert!(report.reused_nodes >= 2);
         assert_eq!(
             report.subscribed_channels,
-            vec![("meteo.com".to_string(), "filtered-7".to_string())]
+            vec![ChannelId::new("meteo.com", "filtered-7")]
         );
         assert_eq!(
             report.reused_defs, report.subscribed_channels,
@@ -485,7 +498,7 @@ mod tests {
             panic!()
         };
         assert!(
-            matches!(input.as_ref(), LogicalNode::ChannelIn { stream, .. } if stream == "filtered-7")
+            matches!(input.as_ref(), LogicalNode::ChannelIn { channel, .. } if channel.stream == "filtered-7")
         );
     }
 
@@ -521,7 +534,7 @@ mod tests {
             inputs: vec![select("B"), select("A"), select("B")],
         };
         let (_, report) = apply_reuse(&plan, &mut db, &|_| 10);
-        let only = |method: &str| ("meteo.com".to_string(), format!("only-{method}"));
+        let only = |method: &str| ChannelId::new("meteo.com", format!("only-{method}"));
         assert_eq!(
             report.subscribed_channels,
             vec![only("B"), only("A"), only("B")]
@@ -539,14 +552,17 @@ mod tests {
 
     fn channel(peer: &str, stream: &str, var: &str) -> LogicalNode {
         LogicalNode::ChannelIn {
-            peer: peer.into(),
-            stream: stream.into(),
+            channel: id(peer, stream),
             var: var.into(),
         }
     }
 
-    fn id(peer: &str, stream: &str) -> (String, String) {
-        (peer.to_string(), stream.to_string())
+    fn id(peer: &str, stream: &str) -> ChannelId {
+        ChannelId::new(peer, stream)
+    }
+
+    fn named(channel: ChannelId) -> (String, String) {
+        (channel.peer.to_string(), channel.stream.to_string())
     }
 
     fn method_is(method: &str) -> AttrCondition {
@@ -608,7 +624,7 @@ mod tests {
             "s3",
             FILTER,
             filter_parameters("F"),
-            vec![id("p1", "s1")],
+            vec![named(id("p1", "s1"))],
         ));
         db
     }
@@ -619,7 +635,7 @@ mod tests {
             "sJ",
             JOIN,
             section5_join_parameters(),
-            vec![id("p1", "s3"), id("p2", "s2")],
+            vec![named(id("p1", "s3")), named(id("p2", "s2"))],
         ));
     }
 
@@ -680,10 +696,8 @@ mod tests {
     fn replica_substitution_uses_proximity() {
         let mut db = database_with_meteo_streams();
         db.publish_replica(ReplicaDeclaration {
-            peer_id: "p1".into(),
-            stream_id: "s3".into(),
-            replica_peer: "edge.com".into(),
-            replica_stream: "copy3".into(),
+            origin: id("p1", "s3"),
+            replica: id("edge.com", "copy3"),
         });
         let plan = filter("F", alerter("inCOM", "p1", "c"));
         // edge.com is much closer than p1.
@@ -731,7 +745,7 @@ mod tests {
         let subscribed: Vec<&str> = report
             .subscribed_channels
             .iter()
-            .map(|(peer, _)| peer.as_str())
+            .map(|channel| channel.peer.as_str())
             .collect();
         assert_eq!(subscribed, peers);
         assert_eq!(

@@ -7,7 +7,7 @@ use p2pmon_alerters::SoapCall;
 use p2pmon_core::{place, Monitor, MonitorConfig, PlacementStrategy, TaskKind};
 use p2pmon_p2pml::plan::{LogicalNode, LogicalPlan};
 use p2pmon_p2pml::ByClause;
-use p2pmon_streams::Template;
+use p2pmon_streams::{ChannelId, Template};
 
 /// ∪(channel src-outCOM@hub.net, σ(inCOM@backend.net)) → Π, managed at
 /// manager.org: the union is anchored at backend.net (the only non-movable
@@ -19,8 +19,7 @@ fn consumer_plan() -> LogicalPlan {
                 var: "u".into(),
                 inputs: vec![
                     LogicalNode::ChannelIn {
-                        peer: "hub.net".into(),
-                        stream: "src-outCOM".into(),
+                        channel: ChannelId::new("hub.net", "src-outCOM"),
                         var: "c".into(),
                     },
                     LogicalNode::Select {

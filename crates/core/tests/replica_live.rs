@@ -10,9 +10,21 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use p2pmon_core::{Monitor, MonitorConfig, SubscriptionHandle};
-use p2pmon_dht::ReplicaDeclaration;
 use p2pmon_net::NetworkConfig;
+use p2pmon_streams::ChannelId;
 use p2pmon_workloads::{MassiveStorm, OverlappingStorm};
+
+/// A channel as its `(peer, stream)` names, the form
+/// `Monitor::subscribed_providers` lists providers in.
+trait Named {
+    fn named(&self) -> (String, String);
+}
+
+impl Named for ChannelId {
+    fn named(&self) -> (String, String) {
+        (self.peer.to_string(), self.stream.to_string())
+    }
+}
 
 const ORIGIN: &str = "hub.net";
 
@@ -137,7 +149,7 @@ fn last_subscriber_retracts_the_replica_and_selection_falls_back_to_origin() {
         .reuse
         .reused_defs
         .first()
-        .cloned()
+        .map(Named::named)
         .expect("the duplicate reuses the producer's stream");
     assert_eq!(origin.0, ORIGIN, "the pipeline root runs at the hub");
     // A second duplicate on another peer attaches to the replica (close)
@@ -150,7 +162,7 @@ fn last_subscriber_retracts_the_replica_and_selection_falls_back_to_origin() {
         .expect("report")
         .reuse
         .subscribed_channels[0]
-        .clone();
+        .named();
     assert_eq!(
         provider.0, "c0-peer1.org",
         "the close replica beats the far origin"
@@ -158,7 +170,7 @@ fn last_subscriber_retracts_the_replica_and_selection_falls_back_to_origin() {
     assert_eq!(
         monitor
             .stream_db_mut()
-            .replicas_of(&origin.0, &origin.1)
+            .replicas_of(ChannelId::new(&origin.0, &origin.1))
             .len(),
         2,
         "both consuming peers re-publish"
@@ -169,7 +181,7 @@ fn last_subscriber_retracts_the_replica_and_selection_falls_back_to_origin() {
     assert!(
         monitor
             .stream_db_mut()
-            .replicas_of(&origin.0, &origin.1)
+            .replicas_of(ChannelId::new(&origin.0, &origin.1))
             .is_empty(),
         "replica declarations retract with their last subscriber"
     );
@@ -186,7 +198,7 @@ fn last_subscriber_retracts_the_replica_and_selection_falls_back_to_origin() {
         .expect("report")
         .reuse
         .subscribed_channels[0]
-        .clone();
+        .named();
     assert_eq!(provider, origin, "selection falls back to the origin");
     let mut traffic = storm.clone();
     for call in traffic.calls(40) {
@@ -222,6 +234,7 @@ fn orphaned_replica_subscribers_fall_back_to_the_origin() {
             .expect("report")
             .reuse
             .subscribed_channels[0]
+            .named()
             .0,
         "c0-peer1.org"
     );
@@ -253,13 +266,13 @@ fn declarations_on(
     monitor: &mut Monitor,
     origin: &(String, String),
     peer: &str,
-) -> Vec<ReplicaDeclaration> {
+) -> Vec<(String, String)> {
     monitor
         .stream_db_mut()
-        .replicas_of(&origin.0, &origin.1)
-        .into_iter()
-        .filter(|r| r.replica_peer == peer)
-        .cloned()
+        .replicas_of(ChannelId::new(&origin.0, &origin.1))
+        .iter()
+        .filter(|r| r.peer == peer)
+        .map(Named::named)
         .collect()
 }
 
@@ -290,7 +303,7 @@ fn a_departing_forwarder_keeps_forwarding_until_its_replica_drains() {
         .expect("report")
         .reuse
         .reused_defs[0]
-        .clone();
+        .named();
     let declared = declarations_on(&mut monitor, &origin, "c0-peer1.org");
     assert_eq!(
         declared.len(),
@@ -387,7 +400,7 @@ fn downed_replica_peer_is_skipped_by_provider_selection() {
         .expect("report")
         .reuse
         .reused_defs[0]
-        .clone();
+        .named();
 
     monitor.fail_peer("c0-peer1.org");
     // The replica at c0-peer1 would be closest, but its peer is down.
@@ -399,7 +412,8 @@ fn downed_replica_peer_is_skipped_by_provider_selection() {
             .report(&late)
             .expect("report")
             .reuse
-            .subscribed_channels[0],
+            .subscribed_channels[0]
+            .named(),
         origin,
         "a downed replica peer is never selected as provider"
     );
@@ -457,9 +471,9 @@ fn never_noted_subscriber_removal_does_not_retract_a_live_replica() {
     assert_eq!(
         monitor
             .stream_db_mut()
-            .replicas_of(ORIGIN, "shared")
+            .replicas_of(ChannelId::new(ORIGIN, "shared"))
             .iter()
-            .filter(|r| r.replica_peer == "hub2.net")
+            .filter(|r| r.peer == "hub2.net")
             .count(),
         1,
         "the post-producer subscriber re-publishes the channel"
@@ -500,9 +514,9 @@ fn never_noted_subscriber_removal_does_not_retract_a_live_replica() {
     assert_eq!(
         monitor
             .stream_db_mut()
-            .replicas_of(ORIGIN, "shared")
+            .replicas_of(ChannelId::new(ORIGIN, "shared"))
             .iter()
-            .filter(|r| r.replica_peer == "hub2.net")
+            .filter(|r| r.peer == "hub2.net")
             .count(),
         1,
         "removing a never-noted subscriber must not retract the live replica"
@@ -518,7 +532,7 @@ fn never_noted_subscriber_removal_does_not_retract_a_live_replica() {
     assert!(monitor.unsubscribe(&noted));
     assert!(monitor
         .stream_db_mut()
-        .replicas_of(ORIGIN, "shared")
+        .replicas_of(ChannelId::new(ORIGIN, "shared"))
         .is_empty());
     assert_eq!(monitor.replica_stats().replicas_retracted, 1);
     let _ = producer;
@@ -556,7 +570,7 @@ fn orphans_reattach_to_the_closest_surviving_replica_not_the_origin() {
         .reuse
         .reused_defs
         .first()
-        .cloned()
+        .map(Named::named)
         .expect("x1 reuses the producer's stream");
     assert_eq!(origin.0, ORIGIN);
     for handle in [&x2, &x3] {
@@ -580,9 +594,9 @@ fn orphans_reattach_to_the_closest_surviving_replica_not_the_origin() {
     assert!(monitor.unsubscribe(&x1));
     let survivors: Vec<String> = monitor
         .stream_db_mut()
-        .replicas_of(&origin.0, &origin.1)
+        .replicas_of(ChannelId::new(&origin.0, &origin.1))
         .iter()
-        .map(|r| r.replica_peer.clone())
+        .map(|r| r.peer.to_string())
         .collect();
     assert!(
         survivors.contains(&"c0-peer2.org".to_string())
@@ -653,7 +667,7 @@ fn orphan_reattachment_skips_downed_replica_peers() {
         .reuse
         .reused_defs
         .first()
-        .cloned()
+        .map(Named::named)
         .expect("x1 reuses the producer's stream");
 
     // The peer that would become the surviving intra-cluster provider is
@@ -723,9 +737,7 @@ fn a_self_joins_own_subscribers_never_pin_its_forwarder() {
             "one declaration for all three subscribers"
         );
         assert!(
-            declared[0]
-                .replica_stream
-                .starts_with(&format!("s{}-", twice.0)),
+            declared[0].1.starts_with(&format!("s{}-", twice.0)),
             "the self-join forwards it"
         );
         let producer_tasks = monitor.report(&producer).expect("report").tasks;
@@ -783,6 +795,7 @@ fn an_oldest_first_storm_teardown_never_moves_a_live_replicas_consumers() {
             .submit(&storm.manager_of(i), &storm.subscription(i))
             .expect("storm subscription deploys");
         for origin in monitor.report(&handle).expect("report").reuse.reused_defs {
+            let origin = origin.named();
             if !origins.contains(&origin) {
                 origins.push(origin);
             }
@@ -791,15 +804,13 @@ fn an_oldest_first_storm_teardown_never_moves_a_live_replicas_consumers() {
     }
     // Every live replica channel, with the origin it copies.
     let live_replicas = |monitor: &mut Monitor| -> BTreeMap<(String, String), (String, String)> {
-        let db = monitor.stream_db_mut();
+        let db = &*monitor.stream_db_mut();
         origins
             .iter()
-            .flat_map(|o| db.replicas_of(&o.0, &o.1).into_iter().map(move |r| (o, r)))
-            .map(|(o, r)| {
-                (
-                    (r.replica_peer.clone(), r.replica_stream.clone()),
-                    o.clone(),
-                )
+            .flat_map(|o| {
+                db.replicas_of(ChannelId::new(&o.0, &o.1))
+                    .iter()
+                    .map(move |r| (r.named(), o.clone()))
             })
             .collect()
     };

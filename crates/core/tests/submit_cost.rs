@@ -19,6 +19,7 @@
 
 use p2pmon_core::{Monitor, MonitorConfig, SubscriptionHandle};
 use p2pmon_net::NetworkConfig;
+use p2pmon_streams::ChannelId;
 use p2pmon_workloads::{MassiveStorm, OverlappingStorm};
 
 /// Deploys the first `subs` subscriptions of the 1k-tier storm into a
@@ -107,9 +108,9 @@ fn replica_outcome(
     for origin in &origins {
         let declared: Vec<String> = monitor
             .stream_db_mut()
-            .replicas_of(&origin.0, &origin.1)
+            .replicas_of(ChannelId::new(&origin.0, &origin.1))
             .iter()
-            .map(|r| format!("{}/{}", r.replica_peer, r.replica_stream))
+            .map(|r| format!("{}/{}", r.peer, r.stream))
             .collect();
         out.push_str(&format!(
             "{}/{}: [{}]\n",
@@ -194,6 +195,7 @@ fn the_default_replica_rule_keeps_its_recorded_outcome() {
             .submit(storm.manager_of(i), &storm.subscription(i))
             .expect("clustered storm deploys");
         for origin in monitor.report(&handle).expect("report").reuse.reused_defs {
+            let origin = (origin.peer.to_string(), origin.stream.to_string());
             if !origins.contains(&origin) {
                 origins.push(origin);
             }

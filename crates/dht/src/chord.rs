@@ -25,27 +25,62 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::index::Posting;
+
 /// A position on the ring (also used for keys).
 pub type NodeId = u64;
 
-/// Hashes an arbitrary string onto the ring.
-///
-/// FNV-1a followed by a splitmix64 finalizer: FNV alone clusters short,
-/// sequential identifiers ("k1", "k2", …) into narrow bands of the ring,
-/// which would skew key ownership and routing in the simulation; the final
-/// mix spreads them uniformly.
+/// Hashes an arbitrary string onto the ring: [`KeyHasher`] over its bytes.
 pub fn hash_key(key: &str) -> NodeId {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    KeyHasher::new().str(key).finish()
+}
+
+/// Streams bytes onto the ring: FNV-1a followed by a splitmix64 finalizer.
+/// FNV alone clusters short, sequential identifiers ("k1", "k2", …) into
+/// narrow bands of the ring, which would skew key ownership and routing in
+/// the simulation; the final mix spreads them uniformly.
+///
+/// The state after some bytes depends on those bytes only, not on how they
+/// were split across calls, so a key hashed from its parts lands where the
+/// concatenated string would: an index term never has to be built to be
+/// routed.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl Default for KeyHasher {
+    fn default() -> Self {
+        Self::new()
     }
-    // splitmix64 finalizer.
-    hash = hash.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = hash;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+}
+
+impl KeyHasher {
+    /// The hasher before any byte.
+    pub const fn new() -> Self {
+        KeyHasher(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feeds `bytes`.
+    pub fn bytes(mut self, bytes: &[u8]) -> Self {
+        for b in bytes {
+            self.0 ^= *b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// Feeds a string's bytes.
+    pub fn str(self, s: &str) -> Self {
+        self.bytes(s.as_bytes())
+    }
+
+    /// The ring key of everything fed so far.
+    pub fn finish(self) -> NodeId {
+        // splitmix64 finalizer.
+        let mut z = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
 }
 
 /// The outcome of a lookup.
@@ -57,10 +92,10 @@ pub struct LookupResult {
     pub hops: usize,
 }
 
-/// Storage held by one node: term key → posting payloads.
+/// Storage held by one node: term key → postings.
 #[derive(Debug, Clone, Default)]
 struct NodeStorage {
-    entries: HashMap<u64, Vec<String>>,
+    entries: HashMap<u64, Vec<Posting>>,
 }
 
 /// The simulated Chord ring.
@@ -240,35 +275,36 @@ impl ChordNetwork {
         self.locate(key).1
     }
 
-    /// Stores a value under a string key at the responsible node.  Returns
-    /// the lookup result used for routing.
-    pub fn put(&mut self, key: &str, value: String) -> LookupResult {
-        let k = hash_key(key);
-        let (at, result) = self.locate(k);
-        self.storage[at].entries.entry(k).or_default().push(value);
+    /// Stores a value under a ring key (see [`KeyHasher`]) at the
+    /// responsible node.  Returns the lookup result used for routing.
+    pub fn put(&mut self, key: NodeId, value: Posting) -> LookupResult {
+        let (at, result) = self.locate(key);
+        self.storage[at].entries.entry(key).or_default().push(value);
         result
     }
 
-    /// Retrieves all values stored under a string key.  Returns the values
+    /// Retrieves all values stored under a ring key.  Returns the values
     /// and the lookup result.
-    pub fn get(&mut self, key: &str) -> (Vec<String>, LookupResult) {
-        let k = hash_key(key);
-        let (at, result) = self.locate(k);
+    pub fn get(&mut self, key: NodeId) -> (Vec<Posting>, LookupResult) {
+        let (at, result) = self.locate(key);
         let values = self.storage[at]
             .entries
-            .get(&k)
+            .get(&key)
             .cloned()
             .unwrap_or_default();
         (values, result)
     }
 
-    /// Removes values matching a predicate under a key; returns how many were
-    /// removed and how many the predicate was asked about (the key's whole
-    /// list).
-    pub fn remove_where(&mut self, key: &str, predicate: impl Fn(&str) -> bool) -> (usize, usize) {
-        let k = hash_key(key);
-        let (at, _) = self.locate(k);
-        match self.storage[at].entries.get_mut(&k) {
+    /// Removes values matching a predicate under a ring key; returns how
+    /// many were removed and how many the predicate was asked about (the
+    /// key's whole list).
+    pub fn remove_where(
+        &mut self,
+        key: NodeId,
+        predicate: impl Fn(&Posting) -> bool,
+    ) -> (usize, usize) {
+        let (at, _) = self.locate(key);
+        match self.storage[at].entries.get_mut(&key) {
             Some(values) => {
                 let before = values.len();
                 values.retain(|v| !predicate(v));
@@ -339,22 +375,30 @@ impl ChordNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2pmon_streams::ChannelId;
+
+    /// A posting named `stream`.
+    fn posting(stream: &str) -> Posting {
+        ChannelId::new("peer", stream)
+    }
 
     #[test]
     fn hash_is_deterministic_and_spread() {
         assert_eq!(hash_key("PeerId=p1"), hash_key("PeerId=p1"));
         assert_ne!(hash_key("PeerId=p1"), hash_key("PeerId=p2"));
+        let parts = KeyHasher::new().str("Peer").bytes(b"Id=").str("p1");
+        assert_eq!(parts.finish(), hash_key("PeerId=p1"), "split anywhere");
     }
 
     #[test]
     fn put_then_get_round_trips() {
         let mut net = ChordNetwork::with_nodes(32, 1);
-        net.put("term:a", "stream1".into());
-        net.put("term:a", "stream2".into());
-        net.put("term:b", "stream3".into());
-        let (values, _) = net.get("term:a");
-        assert_eq!(values, vec!["stream1", "stream2"]);
-        let (values, _) = net.get("term:missing");
+        net.put(hash_key("term:a"), posting("stream1"));
+        net.put(hash_key("term:a"), posting("stream2"));
+        net.put(hash_key("term:b"), posting("stream3"));
+        let (values, _) = net.get(hash_key("term:a"));
+        assert_eq!(values, vec![posting("stream1"), posting("stream2")]);
+        let (values, _) = net.get(hash_key("term:missing"));
         assert!(values.is_empty());
         assert_eq!(net.stored_values(), 3);
     }
@@ -419,7 +463,7 @@ mod tests {
     fn join_takes_over_keys_and_get_still_works() {
         let mut net = ChordNetwork::with_nodes(16, 4);
         for i in 0..200 {
-            net.put(&format!("k{i}"), format!("v{i}"));
+            net.put(hash_key(&format!("k{i}")), posting(&format!("v{i}")));
         }
         // A batch of new nodes joins.
         for j in 0..16 {
@@ -428,8 +472,12 @@ mod tests {
         assert_eq!(net.node_count(), 32);
         assert!(net.keys_transferred > 0, "joins should move some keys");
         for i in 0..200 {
-            let (values, _) = net.get(&format!("k{i}"));
-            assert_eq!(values, vec![format!("v{i}")], "k{i} lost after joins");
+            let (values, _) = net.get(hash_key(&format!("k{i}")));
+            assert_eq!(
+                values,
+                vec![posting(&format!("v{i}"))],
+                "k{i} lost after joins"
+            );
         }
     }
 
@@ -437,15 +485,19 @@ mod tests {
     fn leave_hands_keys_to_successor() {
         let mut net = ChordNetwork::with_nodes(8, 5);
         for i in 0..50 {
-            net.put(&format!("k{i}"), format!("v{i}"));
+            net.put(hash_key(&format!("k{i}")), posting(&format!("v{i}")));
         }
         let victim = net.node_ids()[3];
         assert!(net.leave(victim));
         assert!(!net.leave(victim), "cannot leave twice");
         assert_eq!(net.node_count(), 7);
         for i in 0..50 {
-            let (values, _) = net.get(&format!("k{i}"));
-            assert_eq!(values, vec![format!("v{i}")], "k{i} lost after leave");
+            let (values, _) = net.get(hash_key(&format!("k{i}")));
+            assert_eq!(
+                values,
+                vec![posting(&format!("v{i}"))],
+                "k{i} lost after leave"
+            );
         }
     }
 
@@ -459,10 +511,14 @@ mod tests {
     #[test]
     fn remove_where_deletes_matching_values() {
         let mut net = ChordNetwork::with_nodes(8, 7);
-        net.put("k", "keep".into());
-        net.put("k", "drop-me".into());
-        assert_eq!(net.remove_where("k", |v| v.starts_with("drop")), (1, 2));
-        let (values, _) = net.get("k");
-        assert_eq!(values, vec!["keep"]);
+        let k = hash_key("k");
+        net.put(k, posting("keep"));
+        net.put(k, posting("drop-me"));
+        assert_eq!(
+            net.remove_where(k, |v| v.stream.starts_with("drop")),
+            (1, 2)
+        );
+        let (values, _) = net.get(k);
+        assert_eq!(values, vec![posting("keep")]);
     }
 }

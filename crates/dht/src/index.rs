@@ -7,10 +7,12 @@
 //! query is a handful of DHT lookups — independent of how many peers or
 //! streams exist, except through the O(log n) routing hops (experiment E8).
 
-use crate::chord::{ChordNetwork, LookupResult};
+use p2pmon_streams::ChannelId;
 
-/// One posting: the identifier of an indexed resource.
-pub type Posting = String;
+use crate::chord::{ChordNetwork, LookupResult, NodeId};
+
+/// One posting: the channel identity of an indexed stream definition.
+pub type Posting = ChannelId;
 
 /// Counters describing the index's DHT usage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,29 +75,30 @@ impl DistributedIndex {
         self.stats.messages += result.hops as u64 + 1;
     }
 
-    /// Adds `posting` to the posting list of `term`.
-    pub fn insert(&mut self, term: &str, posting: &str) {
-        let result = self.dht.put(term, posting.to_string());
+    /// Adds `posting` to the posting list of the term hashed to `term`
+    /// (see [`crate::chord::KeyHasher`]).
+    pub fn insert(&mut self, term: NodeId, posting: Posting) {
+        let result = self.dht.put(term, posting);
         self.stats.insert_operations += 1;
         self.record(&result);
     }
 
     /// Returns the posting list of `term` (order of insertion, deduplicated).
-    pub fn query(&mut self, term: &str) -> Vec<Posting> {
+    pub fn query(&mut self, term: NodeId) -> Vec<Posting> {
         let (mut values, result) = self.dht.get(term);
         self.stats.query_operations += 1;
         self.record(&result);
         if values.len() > 1 {
             let mut seen = std::collections::HashSet::with_capacity(values.len());
-            values.retain(|v| seen.insert(v.clone()));
+            values.retain(|v| seen.insert(*v));
         }
         self.stats.postings_read += values.len() as u64;
         values
     }
 
     /// Removes a posting from a term's list; returns `true` when it existed.
-    pub fn remove(&mut self, term: &str, posting: &str) -> bool {
-        let (removed, scanned) = self.dht.remove_where(term, |v| v == posting);
+    pub fn remove(&mut self, term: NodeId, posting: Posting) -> bool {
+        let (removed, scanned) = self.dht.remove_where(term, |v| *v == posting);
         self.stats.postings_read += scanned as u64;
         removed > 0
     }
@@ -104,46 +107,54 @@ impl DistributedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chord::hash_key;
 
     fn index() -> DistributedIndex {
         DistributedIndex::new(ChordNetwork::with_nodes(64, 21))
     }
 
+    fn id(peer: &str, stream: &str) -> Posting {
+        ChannelId::new(peer, stream)
+    }
+
     #[test]
     fn insert_and_query() {
         let mut idx = index();
-        idx.insert("operator=Filter", "p1|s3");
-        idx.insert("operator=Filter", "p2|s9");
-        idx.insert("operator=Join", "p1|s7");
-        assert_eq!(idx.query("operator=Filter"), vec!["p1|s3", "p2|s9"]);
-        assert_eq!(idx.query("operator=Join"), vec!["p1|s7"]);
-        assert!(idx.query("operator=Union").is_empty());
+        let (filter, join) = (hash_key("operator=Filter"), hash_key("operator=Join"));
+        idx.insert(filter, id("p1", "s3"));
+        idx.insert(filter, id("p2", "s9"));
+        idx.insert(join, id("p1", "s7"));
+        assert_eq!(idx.query(filter), vec![id("p1", "s3"), id("p2", "s9")]);
+        assert_eq!(idx.query(join), vec![id("p1", "s7")]);
+        assert!(idx.query(hash_key("operator=Union")).is_empty());
     }
 
     #[test]
     fn duplicate_postings_are_deduplicated_on_read() {
         let mut idx = index();
-        idx.insert("t", "x");
-        idx.insert("t", "x");
-        assert_eq!(idx.query("t"), vec!["x"]);
+        let t = hash_key("t");
+        idx.insert(t, id("p", "x"));
+        idx.insert(t, id("p", "x"));
+        assert_eq!(idx.query(t), vec![id("p", "x")]);
     }
 
     #[test]
     fn remove_posting() {
         let mut idx = index();
-        idx.insert("t", "gone");
-        idx.insert("t", "stays");
-        assert!(idx.remove("t", "gone"));
-        assert!(!idx.remove("t", "gone"));
-        assert_eq!(idx.query("t"), vec!["stays"]);
+        let t = hash_key("t");
+        idx.insert(t, id("p", "gone"));
+        idx.insert(t, id("p", "stays"));
+        assert!(idx.remove(t, id("p", "gone")));
+        assert!(!idx.remove(t, id("p", "gone")));
+        assert_eq!(idx.query(t), vec![id("p", "stays")]);
     }
 
     #[test]
     fn stats_count_operations_and_messages() {
         let mut idx = index();
-        idx.insert("t", "a");
-        idx.query("t");
-        idx.query("u");
+        idx.insert(hash_key("t"), id("p", "a"));
+        idx.query(hash_key("t"));
+        idx.query(hash_key("u"));
         let s = idx.stats();
         assert_eq!(s.insert_operations, 1);
         assert_eq!(s.query_operations, 2);
@@ -154,15 +165,16 @@ mod tests {
     #[test]
     fn postings_read_counts_returned_lists_and_scanned_removals() {
         let mut idx = index();
+        let t = hash_key("t");
         for posting in ["a", "b", "a", "c"] {
-            idx.insert("t", posting);
+            idx.insert(t, id("p", posting));
         }
         assert_eq!(idx.stats().postings_read, 0, "inserts read nothing");
-        idx.query("t");
+        idx.query(t);
         assert_eq!(idx.stats().postings_read, 3, "the deduplicated list");
-        idx.query("missing");
+        idx.query(hash_key("missing"));
         assert_eq!(idx.stats().postings_read, 3);
-        assert!(idx.remove("t", "b"));
+        assert!(idx.remove(t, id("p", "b")));
         assert_eq!(idx.stats().postings_read, 3 + 4, "a removal scans the list");
     }
 }

@@ -31,7 +31,7 @@ pub mod chord;
 pub mod index;
 pub mod streamdef;
 
-pub use chord::{ChordNetwork, LookupResult, NodeId};
+pub use chord::{ChordNetwork, KeyHasher, LookupResult, NodeId};
 pub use index::{DistributedIndex, IndexStats, Posting};
 pub use streamdef::{ReplicaDeclaration, StreamDefinition, StreamDefinitionDatabase};
 
@@ -45,7 +45,6 @@ mod lib_tests {
         let def = StreamDefinition::source("p1", "s1", "inCOM");
         db.publish(def);
         let found = db.find_alerter_streams("p1", "inCOM");
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].stream_id, "s1");
+        assert_eq!(found, vec![p2pmon_streams::ChannelId::new("p1", "s1")]);
     }
 }

@@ -27,6 +27,17 @@
 //! deployment layer) mint one `ChannelId` per produced stream and use it for
 //! both the definition and the live routing tables.
 //!
+//! **Keys.**  Inside the database a stream is that [`ChannelId`], never a
+//! string: descriptors, replica declarations and replica coordinates are
+//! keyed by it, a posting *is* one (the index's [`Posting`]), and every
+//! query, selection and [`canonical_identity`] answer is one.  So a reuse
+//! hit — a posting read, a descriptor probed, a provider selected — builds,
+//! hashes and interns no string.  [`StreamDefinition`] and
+//! [`ReplicaDeclaration`] are the paper's XML forms: [`publish`] interns a
+//! definition's names once, and [`find_derived_streams`], the query by
+//! name, looks names up with [`intern::lookup`] and never interns one (a
+//! name nobody interned names no published stream, so it finds nothing).
+//!
 //! **What is indexed, and who reads it.**  A published definition posts one
 //! DHT term per discovery query that can find it — a term nobody queries is
 //! a posting list every retraction still has to walk, so no such term is
@@ -35,7 +46,7 @@
 //! | term | posted | read by |
 //! |---|---|---|
 //! | `peer+operator=<PeerId>\|<Operator>` | once per source definition | [`StreamDefinitionDatabase::find_alerter_streams`] |
-//! | `operator+operand=<Operator>\|<digest>\|<OPeerId>\|<OStreamId>` | once per operand | [`StreamDefinitionDatabase::find_derived_streams`] |
+//! | `operator+operand=<Operator>\|<digest>\|<OPeerId>\|<OStreamId>` | once per operand | [`StreamDefinitionDatabase::find_derived_channels`] |
 //!
 //! `<digest>` is [`hash_key`] of the definition's `parameters` as 16 hex
 //! digits, so Section 5's reuse query — an equality on operator, operands
@@ -46,29 +57,40 @@
 //! There is no operator-only term, so a derived-stream query without
 //! operands finds nothing.
 //!
-//! `<InChannel>` replica declarations are not index terms: they are kept
-//! keyed by the *origin* `(PeerId, StreamId)` they replicate, each origin's
-//! list in declaration order, so [`StreamDefinitionDatabase::replicas_of`],
-//! the `select_provider_*`s, `publish_replica`, `retract_replica` and
-//! `retract` touch one origin's declarations — never the whole table — and
-//! no lookup builds an owned key.  A reverse count per replica coordinate
-//! `(ReplicaPeerId, ReplicaStreamId)` answers
-//! [`StreamDefinitionDatabase::canonical_identity`]'s "is this a live
-//! replica?" the same way.
+//! A term is never built: it is hashed from its parts with [`KeyHasher`],
+//! which streams bytes, so the ring key — and with it every insert, query,
+//! hop and posting read — is the one the concatenated string would have.
 //!
-//! Each origin's list carries every declaration's replica peer as an
-//! interned [`Name`], interned once by `publish_replica`, so provider
-//! selection is integer work: every candidate is scored by its `Name`
-//! (proximity and load are `Fn(Name) -> u64`), and `retract_replica` finds
-//! the declaring peer by comparing ids.  A selection interns no name per
-//! candidate — only the origin's, once.
+//! `<InChannel>` replica declarations are not index terms: they are kept
+//! keyed by the *origin* channel they replicate, each origin's list of
+//! replica channels in declaration order, so
+//! [`StreamDefinitionDatabase::replicas_of`], the `select_provider_*`s,
+//! `publish_replica`, `retract_replica` and `retract` touch one origin's
+//! declarations — never the whole table.  A reverse count per replica
+//! channel answers [`canonical_identity`]'s "is this a live replica?" the
+//! same way.  Provider selection scores each candidate by its replica
+//! channel's peer id (proximity and load are `Fn(Name) -> u64`), so a
+//! selection resolves no name at all.
+//!
+//! [`canonical_identity`]'s last resort — a reference naming a stream no
+//! definition is published under at that peer — is answered by a count per
+//! stream name, kept by `publish` and `retract`, beside the XOR of the
+//! peers' symbols: with one definition carrying the name, the XOR *is* its
+//! peer.  No fallback scans the descriptors.
+//!
+//! [`publish`]: StreamDefinitionDatabase::publish
+//! [`find_derived_streams`]: StreamDefinitionDatabase::find_derived_streams
+//! [`canonical_identity`]: StreamDefinitionDatabase::canonical_identity
+//! [`intern::lookup`]: p2pmon_xmlkit::intern::lookup
+//! [`Posting`]: crate::index::Posting
 
 use std::collections::HashMap;
 
 use p2pmon_streams::ChannelId;
-use p2pmon_xmlkit::{Element, ElementBuilder, Name};
+use p2pmon_xmlkit::intern::lookup;
+use p2pmon_xmlkit::{Element, ElementBuilder, Name, Symbol};
 
-use crate::chord::{hash_key, ChordNetwork};
+use crate::chord::{hash_key, ChordNetwork, KeyHasher, NodeId};
 use crate::index::{DistributedIndex, IndexStats};
 
 /// The description of one stream.
@@ -130,7 +152,7 @@ impl StreamDefinition {
 
     /// The channel identifier of this stream.
     pub fn channel_id(&self) -> ChannelId {
-        ChannelId::new(self.peer_id.clone(), self.stream_id.clone())
+        ChannelId::new(self.peer_id.as_str(), self.stream_id.as_str())
     }
 
     /// Serializes to the paper's `<Stream>` XML form.
@@ -191,41 +213,38 @@ impl StreamDefinition {
     }
 }
 
-/// A replica declaration: `replica_peer` also provides the channel
-/// `(peer_id, stream_id)` under its local id `replica_stream`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A replica declaration: the peer of `replica` also provides the channel
+/// `origin`, under the local stream id of `replica`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaDeclaration {
-    /// Original publishing peer.
-    pub peer_id: String,
-    /// Original stream id.
-    pub stream_id: String,
-    /// The replicating peer.
-    pub replica_peer: String,
-    /// The replica's local stream id.
-    pub replica_stream: String,
+    /// The original channel.
+    pub origin: ChannelId,
+    /// The replicating peer and its local stream id.
+    pub replica: ChannelId,
 }
 
 impl ReplicaDeclaration {
     /// Serializes to the `<InChannel>` form of Section 5.
     pub fn to_element(&self) -> Element {
         ElementBuilder::new("InChannel")
-            .attr("PeerId", self.peer_id.clone())
-            .attr("StreamId", self.stream_id.clone())
-            .attr("ReplicaPeerId", self.replica_peer.clone())
-            .attr("ReplicaStreamId", self.replica_stream.clone())
+            .attr("PeerId", self.origin.peer.as_str())
+            .attr("StreamId", self.origin.stream.as_str())
+            .attr("ReplicaPeerId", self.replica.peer.as_str())
+            .attr("ReplicaStreamId", self.replica.stream.as_str())
             .build()
     }
 
-    /// Parses an `<InChannel>` element.
+    /// Parses an `<InChannel>` element (interning its names).
     pub fn from_element(element: &Element) -> Option<ReplicaDeclaration> {
         if element.name != "InChannel" {
             return None;
         }
         Some(ReplicaDeclaration {
-            peer_id: element.attr("PeerId")?.to_string(),
-            stream_id: element.attr("StreamId")?.to_string(),
-            replica_peer: element.attr("ReplicaPeerId")?.to_string(),
-            replica_stream: element.attr("ReplicaStreamId")?.to_string(),
+            origin: ChannelId::new(element.attr("PeerId")?, element.attr("StreamId")?),
+            replica: ChannelId::new(
+                element.attr("ReplicaPeerId")?,
+                element.attr("ReplicaStreamId")?,
+            ),
         })
     }
 }
@@ -235,57 +254,40 @@ impl ReplicaDeclaration {
 #[derive(Debug)]
 pub struct StreamDefinitionDatabase {
     index: DistributedIndex,
-    /// Full descriptors keyed by their posting id, `"peer|stream"` — in
-    /// KadoP the repository part is also distributed; here the payload side
-    /// is small so it rides along with the index postings, and a posting a
-    /// query returns is looked up as it is.
-    descriptors: HashMap<String, StreamDefinition>,
-    /// `<InChannel>` declarations by origin `(peer, stream)`, each origin's
-    /// list in declaration order.
-    replicas: PairMap<Vec<Declared>>,
-    /// Reverse entry: how many live declarations name each replica
-    /// coordinate `(replica peer, replica stream)`.
-    replica_coordinates: PairMap<usize>,
+    /// Full descriptors by channel — in KadoP the repository part is also
+    /// distributed; here the payload side is small so it rides along with
+    /// the index postings, and a posting a query returns is probed as it
+    /// is.
+    descriptors: HashMap<ChannelId, Descriptor>,
+    /// `<InChannel>` declarations: each origin's replica channels, in
+    /// declaration order.
+    replicas: HashMap<ChannelId, Vec<ChannelId>>,
+    /// Reverse entry: how many live declarations name each replica channel.
+    replica_coordinates: HashMap<ChannelId, usize>,
+    /// The published definitions carrying each stream name.
+    stream_names: HashMap<Name, Named>,
 }
 
-/// One live declaration, beside its replica peer interned at publish: what
-/// selection scores and retraction compares.
+/// One published definition, by ids.
 #[derive(Debug)]
-struct Declared {
-    replica_peer: Name,
-    declaration: ReplicaDeclaration,
+struct Descriptor {
+    operator: String,
+    parameters: String,
+    operands: Vec<ChannelId>,
 }
 
-/// A map keyed by a `(peer, stream)` pair, nested so that a lookup borrows
-/// both halves as `&str` and never builds an owned key.
+/// How many live definitions carry one stream name, and the XOR of their
+/// peers' symbols: while `count` is 1, `peers` is that definition's peer.
 #[derive(Debug, Default)]
-struct PairMap<V>(HashMap<String, HashMap<String, V>>);
+struct Named {
+    count: usize,
+    peers: u32,
+}
 
-impl<V> PairMap<V> {
-    fn get(&self, peer: &str, stream: &str) -> Option<&V> {
-        self.0.get(peer)?.get(stream)
-    }
-
-    fn get_mut(&mut self, peer: &str, stream: &str) -> Option<&mut V> {
-        self.0.get_mut(peer)?.get_mut(stream)
-    }
-
-    /// The entry for the pair, inserted as `V::default()` when missing.
-    fn get_or_default(&mut self, peer: &str, stream: &str) -> &mut V
-    where
-        V: Default,
-    {
-        let streams = self.0.entry(peer.to_string()).or_default();
-        streams.entry(stream.to_string()).or_default()
-    }
-
-    fn remove(&mut self, peer: &str, stream: &str) -> Option<V> {
-        let streams = self.0.get_mut(peer)?;
-        let removed = streams.remove(stream);
-        if streams.is_empty() {
-            self.0.remove(peer);
-        }
-        removed
+impl Named {
+    /// The peer of the one definition carrying the name, when it is unique.
+    fn unique_peer(&self) -> Option<Name> {
+        (self.count == 1).then(|| Name::from(Symbol(self.peers)))
     }
 }
 
@@ -295,8 +297,9 @@ impl StreamDefinitionDatabase {
         StreamDefinitionDatabase {
             index: DistributedIndex::new(dht),
             descriptors: HashMap::new(),
-            replicas: PairMap::default(),
-            replica_coordinates: PairMap::default(),
+            replicas: HashMap::new(),
+            replica_coordinates: HashMap::new(),
+            stream_names: HashMap::new(),
         }
     }
 
@@ -321,195 +324,239 @@ impl StreamDefinitionDatabase {
         self.descriptors.is_empty()
     }
 
-    /// Publishes a stream definition: stores the descriptor and posts its
-    /// index terms into the DHT.
+    /// Publishes a stream definition given in its XML form: interns its
+    /// names and [`publish_channel`](Self::publish_channel)s it.
     pub fn publish(&mut self, definition: StreamDefinition) {
-        let id = Self::posting_id(&definition.peer_id, &definition.stream_id);
-        for term in Self::index_terms(&definition) {
-            self.index.insert(&term, &id);
-        }
-        self.descriptors.insert(id, definition);
+        let operands = definition
+            .operands
+            .iter()
+            .map(|(peer, stream)| ChannelId::new(peer, stream))
+            .collect();
+        let channel = definition.channel_id();
+        self.publish_channel(
+            channel,
+            &definition.operator,
+            definition.parameters,
+            operands,
+        );
     }
 
-    /// The id a definition is posted under and its descriptor kept by.
-    fn posting_id(peer: &str, stream: &str) -> String {
-        format!("{peer}|{stream}")
+    /// Publishes the definition of `channel`, produced by `operator` with
+    /// `parameters` over `operands` (none for an alerter-produced source):
+    /// stores the descriptor and posts its index terms into the DHT.
+    pub fn publish_channel(
+        &mut self,
+        channel: ChannelId,
+        operator: &str,
+        parameters: String,
+        operands: Vec<ChannelId>,
+    ) {
+        let descriptor = Descriptor {
+            operator: operator.to_string(),
+            parameters,
+            operands,
+        };
+        for term in Self::index_terms(channel, &descriptor) {
+            self.index.insert(term, channel);
+        }
+        if self.descriptors.insert(channel, descriptor).is_none() {
+            let named = self.stream_names.entry(channel.stream).or_default();
+            named.count += 1;
+            named.peers ^= channel.peer.symbol().0;
+        }
     }
 
     /// Retracts a published stream definition: removes the descriptor, its
     /// index postings and any replica declarations for it (subscription
     /// teardown).  Returns `true` when the definition existed.
-    pub fn retract(&mut self, peer: &str, stream: &str) -> bool {
-        let id = Self::posting_id(peer, stream);
-        let Some(definition) = self.descriptors.remove(&id) else {
+    pub fn retract(&mut self, channel: ChannelId) -> bool {
+        let Some(descriptor) = self.descriptors.remove(&channel) else {
             return false;
         };
-        for term in Self::index_terms(&definition) {
-            self.index.remove(&term, &id);
+        for term in Self::index_terms(channel, &descriptor) {
+            self.index.remove(term, channel);
         }
-        for replica in self.replicas.remove(peer, stream).unwrap_or_default() {
-            self.forget_coordinate(&replica.declaration);
+        let named = self
+            .stream_names
+            .get_mut(&channel.stream)
+            .expect("every live definition's name is counted");
+        named.count -= 1;
+        named.peers ^= channel.peer.symbol().0;
+        if named.count == 0 {
+            self.stream_names.remove(&channel.stream);
+        }
+        for replica in self.replicas.remove(&channel).unwrap_or_default() {
+            self.forget_coordinate(replica);
         }
         true
     }
 
     /// Drops one declaration's share of its reverse entry.
-    fn forget_coordinate(&mut self, replica: &ReplicaDeclaration) {
-        let (peer, stream) = (&replica.replica_peer, &replica.replica_stream);
+    fn forget_coordinate(&mut self, replica: ChannelId) {
         let count = self
             .replica_coordinates
-            .get_mut(peer, stream)
+            .get_mut(&replica)
             .expect("every live declaration is counted");
         *count -= 1;
         if *count == 0 {
-            self.replica_coordinates.remove(peer, stream);
+            self.replica_coordinates.remove(&replica);
         }
     }
 
     /// Publishes a replica declaration.  One peer provides at most one
-    /// replica of a given channel: a re-declaration from the same
-    /// `replica_peer` for the same original *replaces* the previous entry,
-    /// so duplicate declarations can never accumulate.
-    pub fn publish_replica(&mut self, replica: ReplicaDeclaration) {
-        let replica_peer = Name::new(&replica.replica_peer);
-        self.retract_replica(&replica.peer_id, &replica.stream_id, replica_peer);
-        *self
-            .replica_coordinates
-            .get_or_default(&replica.replica_peer, &replica.replica_stream) += 1;
-        self.replicas
-            .get_or_default(&replica.peer_id, &replica.stream_id)
-            .push(Declared {
-                replica_peer,
-                declaration: replica,
-            });
+    /// replica of a given channel: a re-declaration from the same replica
+    /// peer for the same original *replaces* the previous entry, so
+    /// duplicate declarations can never accumulate.
+    pub fn publish_replica(&mut self, declaration: ReplicaDeclaration) {
+        let ReplicaDeclaration { origin, replica } = declaration;
+        self.retract_replica(origin, replica.peer);
+        *self.replica_coordinates.entry(replica).or_default() += 1;
+        self.replicas.entry(origin).or_default().push(replica);
     }
 
-    /// Retracts the replica of `(peer, stream)` declared by `replica_peer`
-    /// (replica teardown: the last local subscriber of the replicated channel
+    /// Retracts the replica of `origin` declared by `replica_peer` (replica
+    /// teardown: the last local subscriber of the replicated channel
     /// unsubscribed).  Returns `true` when a declaration existed.
-    pub fn retract_replica(
-        &mut self,
-        peer: &str,
-        stream: &str,
-        replica_peer: impl Into<Name>,
-    ) -> bool {
-        let Some(declared) = self.replicas.get_mut(peer, stream) else {
+    pub fn retract_replica(&mut self, origin: ChannelId, replica_peer: Name) -> bool {
+        let Some(declared) = self.replicas.get_mut(&origin) else {
             return false;
         };
-        let replica_peer = replica_peer.into();
-        let Some(at) = declared.iter().position(|r| r.replica_peer == replica_peer) else {
+        let Some(at) = declared.iter().position(|r| r.peer == replica_peer) else {
             return false;
         };
         let removed = declared.remove(at);
         if declared.is_empty() {
-            self.replicas.remove(peer, stream);
+            self.replicas.remove(&origin);
         }
-        self.forget_coordinate(&removed.declaration);
+        self.forget_coordinate(removed);
         true
     }
 
-    /// The replicas known for a given original channel, in declaration
-    /// order.
-    pub fn replicas_of(&self, peer: &str, stream: &str) -> Vec<&ReplicaDeclaration> {
-        self.declared(peer, stream)
-            .iter()
-            .map(|d| &d.declaration)
-            .collect()
+    /// The replica channels known for a given original channel, in
+    /// declaration order.
+    pub fn replicas_of(&self, origin: ChannelId) -> &[ChannelId] {
+        self.replicas.get(&origin).map_or(&[], Vec::as_slice)
     }
 
-    /// One origin's declarations, borrowed from the index.
-    fn declared(&self, peer: &str, stream: &str) -> &[Declared] {
-        self.replicas.get(peer, stream).map_or(&[], Vec::as_slice)
-    }
-
-    /// Looks up a full descriptor.
-    pub fn get(&self, peer: &str, stream: &str) -> Option<&StreamDefinition> {
-        self.descriptors.get(&Self::posting_id(peer, stream))
+    /// True when a definition is published under `channel`.
+    pub fn contains(&self, channel: ChannelId) -> bool {
+        self.descriptors.contains_key(&channel)
     }
 
     /// Resolves a channel reference to its canonical identity.  Users
     /// address a published channel by the name and manager their
     /// subscription declared (`#alertQoS@p`), but the canonical identity
     /// names the peer placement chose to *emit* the stream — so an exact
-    /// `(peer, stream)` match wins, a unique definition carrying the same
-    /// `StreamId` resolves the reference, and anything else (unknown or
-    /// ambiguous) is returned unchanged.
-    pub fn canonical_identity(&self, peer: &str, stream: &str) -> (String, String) {
-        let exact = (peer.to_string(), stream.to_string());
-        if self.get(peer, stream).is_some() {
-            return exact;
-        }
+    /// match wins, a unique definition carrying the same stream name
+    /// resolves the reference, and anything else (unknown or ambiguous) is
+    /// returned unchanged.  Hash probes only: no descriptor is scanned.
+    pub fn canonical_identity(&self, channel: ChannelId) -> ChannelId {
         // A live replica's coordinates are canonical too: the replica peer
         // really multicasts the stream under its local id, so a reference the
         // reuse rewriting pointed at a selected replica must not be rewritten
         // away to the original.
-        if self.replica_coordinates.get(peer, stream).is_some() {
-            return exact;
+        if self.descriptors.contains_key(&channel)
+            || self.replica_coordinates.contains_key(&channel)
+        {
+            return channel;
         }
-        let mut by_name = self.descriptors.values().filter(|d| d.stream_id == stream);
-        match (by_name.next(), by_name.next()) {
-            (Some(d), None) => (d.peer_id.clone(), d.stream_id.clone()),
-            _ => exact,
+        match self
+            .stream_names
+            .get(&channel.stream)
+            .and_then(Named::unique_peer)
+        {
+            Some(peer) => ChannelId {
+                peer,
+                stream: channel.stream,
+            },
+            None => channel,
         }
     }
 
-    /// Index terms of a descriptor: one per discovery query that can find
-    /// it (see the module docs for which query reads which).  A source — a
-    /// definition without operands — is found by the alerter lookup only, a
-    /// derived definition by the reuse query only.
-    fn index_terms(definition: &StreamDefinition) -> Vec<String> {
-        if definition.operands.is_empty() {
-            return vec![Self::alerter_term(
-                &definition.peer_id,
-                &definition.operator,
-            )];
-        }
-        definition
+    /// Ring keys of a descriptor's index terms: one per discovery query that
+    /// can find it (see the module docs for which query reads which).  A
+    /// source — a definition without operands — is found by the alerter
+    /// lookup only, a derived definition by the reuse query only.
+    fn index_terms(
+        channel: ChannelId,
+        descriptor: &Descriptor,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        let source = descriptor
+            .operands
+            .is_empty()
+            .then(|| Self::alerter_term(&channel.peer, &descriptor.operator));
+        let digest = hash_key(&descriptor.parameters);
+        let derived = descriptor
             .operands
             .iter()
-            .map(|(op_peer, op_stream)| {
-                Self::operand_term(
-                    &definition.operator,
-                    &definition.parameters,
-                    op_peer,
-                    op_stream,
-                )
-            })
-            .collect()
+            .map(move |operand| Self::operand_term(&descriptor.operator, digest, *operand));
+        source.into_iter().chain(derived)
     }
 
-    /// The alerter lookup's term.
-    fn alerter_term(peer: &str, alerter: &str) -> String {
-        format!("peer+operator={peer}|{alerter}")
+    /// The alerter lookup's term, `peer+operator=<peer>|<alerter>`.
+    fn alerter_term(peer: &str, alerter: &str) -> NodeId {
+        KeyHasher::new()
+            .str("peer+operator=")
+            .str(peer)
+            .str("|")
+            .str(alerter)
+            .finish()
     }
 
-    /// The reuse query's term for one operand.
-    fn operand_term(operator: &str, parameters: &str, peer: &str, stream: &str) -> String {
-        let digest = hash_key(parameters);
-        format!("operator+operand={operator}|{digest:016x}|{peer}|{stream}")
-    }
-
-    /// The live descriptors behind posting ids that `keep` admits, in id
-    /// order.
-    fn resolve(
-        &self,
-        ids: &[String],
-        keep: impl Fn(&StreamDefinition) -> bool,
-    ) -> Vec<&StreamDefinition> {
-        ids.iter()
-            .filter_map(|id| self.descriptors.get(id))
-            .filter(|d| keep(d))
-            .collect()
+    /// The reuse query's term for one operand,
+    /// `operator+operand=<operator>|<digest>|<peer>|<stream>`, the digest as
+    /// 16 lowercase hex digits.
+    fn operand_term(operator: &str, digest: u64, operand: ChannelId) -> NodeId {
+        let hex: [u8; 16] =
+            std::array::from_fn(|i| b"0123456789abcdef"[(digest >> (60 - 4 * i)) as usize & 0xf]);
+        KeyHasher::new()
+            .str("operator+operand=")
+            .str(operator)
+            .str("|")
+            .bytes(&hex)
+            .str("|")
+            .str(&operand.peer)
+            .str("|")
+            .str(&operand.stream)
+            .finish()
     }
 
     /// Finds alerter-produced streams of a given kind at a peer — the query
     /// `/Stream[@PeerId = $p1][Operator/inCom]` of the paper — in publish
     /// order.  Only sources (definitions without operands) post the term it
     /// reads, so a derived stream at the same peer is never found, and its
-    /// posting is never scanned.
-    pub fn find_alerter_streams(&mut self, peer: &str, alerter: &str) -> Vec<&StreamDefinition> {
-        let ids = self.index.query(&Self::alerter_term(peer, alerter));
-        self.resolve(&ids, |_| true)
+    /// posting is never scanned.  The term is hashed from the names as
+    /// given, so nothing is interned or looked up.
+    pub fn find_alerter_streams(&mut self, peer: &str, alerter: &str) -> Vec<ChannelId> {
+        let mut found = self.index.query(Self::alerter_term(peer, alerter));
+        found.retain(|channel| self.descriptors.contains_key(channel));
+        found
+    }
+
+    /// [`find_derived_channels`](Self::find_derived_channels) over operands
+    /// given by name.  Each name is looked up, never interned: an operand
+    /// whose name nobody interned was never published, so the query finds
+    /// nothing without asking the index.
+    pub fn find_derived_streams(
+        &mut self,
+        operator: &str,
+        parameters: &str,
+        operands: &[(String, String)],
+    ) -> Vec<ChannelId> {
+        let known = |name: &str| lookup(name).map(Name::from);
+        let operands: Option<Vec<ChannelId>> = operands
+            .iter()
+            .map(|(peer, stream)| {
+                Some(ChannelId {
+                    peer: known(peer)?,
+                    stream: known(stream)?,
+                })
+            })
+            .collect();
+        match operands {
+            Some(operands) => self.find_derived_channels(operator, parameters, &operands),
+            None => Vec::new(),
+        }
     }
 
     /// Finds streams produced by `operator` over exactly the given operands —
@@ -522,33 +569,37 @@ impl StreamDefinitionDatabase {
     /// stops at the first empty intersection: no further operand can add a
     /// candidate back.  So a query over operands nobody combined yet costs
     /// one lookup, not one per operand.
-    pub fn find_derived_streams(
+    pub fn find_derived_channels(
         &mut self,
         operator: &str,
         parameters: &str,
-        operands: &[(String, String)],
-    ) -> Vec<&StreamDefinition> {
+        operands: &[ChannelId],
+    ) -> Vec<ChannelId> {
+        let digest = hash_key(parameters);
         let mut terms = operands
             .iter()
-            .map(|(peer, stream)| Self::operand_term(operator, parameters, peer, stream));
+            .map(|operand| Self::operand_term(operator, digest, *operand));
         let Some(first) = terms.next() else {
             return Vec::new();
         };
-        let mut ids = self.index.query(&first);
+        let mut found = self.index.query(first);
         for term in terms {
-            if ids.is_empty() {
+            if found.is_empty() {
                 break;
             }
-            let listed = self.index.query(&term);
-            ids.retain(|id| listed.contains(id));
+            let listed = self.index.query(term);
+            found.retain(|channel| listed.contains(channel));
         }
         // Verify the exact operand set and parameters on the descriptor.
-        self.resolve(&ids, |d| {
-            d.operator == operator
-                && d.parameters == parameters
-                && d.operands.len() == operands.len()
-                && operands.iter().all(|o| d.operands.contains(o))
-        })
+        found.retain(|channel| {
+            self.descriptors.get(channel).is_some_and(|d| {
+                d.operator == operator
+                    && d.parameters == parameters
+                    && d.operands.len() == operands.len()
+                    && operands.iter().all(|o| d.operands.contains(o))
+            })
+        });
+        found
     }
 
     /// Selects the provider for a discovered stream: the original publisher or
@@ -566,25 +617,24 @@ impl StreamDefinitionDatabase {
     /// last — once per replica at most, and only of a replica whose score
     /// would beat the best so far.  The original publisher is never asked.
     ///
-    /// Providers are scored by interned peer id: the origin's name is
-    /// interned once per selection, and no candidate's name is resolved.
+    /// Providers are scored by their channels' peer ids: no name is
+    /// resolved or interned.
     pub fn select_provider_where(
         &self,
-        peer: &str,
-        stream: &str,
+        origin: ChannelId,
         proximity: impl Fn(Name) -> u64,
         eligible: impl Fn(Name) -> bool,
-    ) -> (String, String) {
-        let mut best = None;
-        let mut best_score = proximity(Name::new(peer));
-        for replica in self.declared(peer, stream) {
-            let score = proximity(replica.replica_peer);
-            if score < best_score && score < u64::MAX && eligible(replica.replica_peer) {
+    ) -> ChannelId {
+        let mut best = origin;
+        let mut best_score = proximity(origin.peer);
+        for &replica in self.replicas_of(origin) {
+            let score = proximity(replica.peer);
+            if score < best_score && score < u64::MAX && eligible(replica.peer) {
                 best_score = score;
-                best = Some(replica);
+                best = replica;
             }
         }
-        Self::provider(peer, stream, best)
+        best
     }
 
     /// Like [`select_provider_where`](Self::select_provider_where) over
@@ -596,41 +646,27 @@ impl StreamDefinitionDatabase {
     /// load shedding only ever redirects between equally-close providers.
     pub fn select_provider_loaded(
         &self,
-        peer: &str,
-        stream: &str,
+        origin: ChannelId,
         proximity: impl Fn(Name) -> u64,
         load: impl Fn(Name) -> u64,
-    ) -> (String, String) {
-        let origin = Name::new(peer);
-        let mut best = None;
-        let mut best_score = proximity(origin);
-        let mut best_load = load(origin);
-        for replica in self.declared(peer, stream) {
-            let score = proximity(replica.replica_peer);
+    ) -> ChannelId {
+        let mut best = origin;
+        let mut best_score = proximity(origin.peer);
+        let mut best_load = load(origin.peer);
+        for &replica in self.replicas_of(origin) {
+            let score = proximity(replica.peer);
             if score == u64::MAX {
                 continue;
             }
             let closer = score < best_score;
-            let lighter = score == best_score && load(replica.replica_peer) < best_load;
+            let lighter = score == best_score && load(replica.peer) < best_load;
             if closer || lighter {
                 best_score = score;
-                best_load = load(replica.replica_peer);
-                best = Some(replica);
+                best_load = load(replica.peer);
+                best = replica;
             }
         }
-        Self::provider(peer, stream, best)
-    }
-
-    /// The selected provider as `(peer, stream)`: the chosen replica's
-    /// coordinates, or the origin's when none beat it.
-    fn provider(peer: &str, stream: &str, chosen: Option<&Declared>) -> (String, String) {
-        match chosen {
-            Some(d) => (
-                d.declaration.replica_peer.clone(),
-                d.declaration.replica_stream.clone(),
-            ),
-            None => (peer.to_string(), stream.to_string()),
-        }
+        best
     }
 }
 
@@ -641,6 +677,17 @@ mod tests {
 
     fn db() -> StreamDefinitionDatabase {
         StreamDefinitionDatabase::new(ChordNetwork::with_nodes(32, 11))
+    }
+
+    fn id(peer: &str, stream: &str) -> ChannelId {
+        ChannelId::new(peer, stream)
+    }
+
+    fn replica(origin: (&str, &str), replica: (&str, &str)) -> ReplicaDeclaration {
+        ReplicaDeclaration {
+            origin: id(origin.0, origin.1),
+            replica: id(replica.0, replica.1),
+        }
     }
 
     #[test]
@@ -666,29 +713,19 @@ mod tests {
     fn retract_removes_descriptor_index_postings_and_replicas() {
         let mut db = db();
         db.publish(StreamDefinition::source("p1", "s1", "inCOM"));
-        db.publish_replica(ReplicaDeclaration {
-            peer_id: "p1".into(),
-            stream_id: "s1".into(),
-            replica_peer: "p2".into(),
-            replica_stream: "r1".into(),
-        });
+        db.publish_replica(replica(("p1", "s1"), ("p2", "r1")));
         assert_eq!(db.find_alerter_streams("p1", "inCOM").len(), 1);
-        assert!(db.retract("p1", "s1"));
-        assert!(!db.retract("p1", "s1"), "second retraction is a no-op");
-        assert!(db.get("p1", "s1").is_none());
+        assert!(db.retract(id("p1", "s1")));
+        assert!(!db.retract(id("p1", "s1")), "second retraction is a no-op");
+        assert!(!db.contains(id("p1", "s1")));
         assert!(db.find_alerter_streams("p1", "inCOM").is_empty());
-        assert!(db.replicas_of("p1", "s1").is_empty());
+        assert!(db.replicas_of(id("p1", "s1")).is_empty());
         assert!(db.is_empty());
     }
 
     #[test]
     fn replica_declaration_round_trip() {
-        let r = ReplicaDeclaration {
-            peer_id: "p".into(),
-            stream_id: "s".into(),
-            replica_peer: "p2".into(),
-            replica_stream: "s2".into(),
-        };
+        let r = replica(("p", "s"), ("p2", "s2"));
         let el = r.to_element();
         assert_eq!(ReplicaDeclaration::from_element(&el), Some(r));
         assert!(ReplicaDeclaration::from_element(&parse("<Other/>").unwrap()).is_none());
@@ -701,8 +738,7 @@ mod tests {
         db.publish(StreamDefinition::source("p1", "s2", "outCOM"));
         db.publish(StreamDefinition::source("p2", "s1", "inCOM"));
         let found = db.find_alerter_streams("p1", "inCOM");
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].stream_id, "s1");
+        assert_eq!(found, vec![id("p1", "s1")]);
         assert!(db.find_alerter_streams("p3", "inCOM").is_empty());
     }
 
@@ -725,8 +761,7 @@ mod tests {
             vec![("p1".into(), "s1".into())],
         ));
         let found = db.find_derived_streams("Filter", "F", &[("p1".into(), "s1".into())]);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].stream_id, "s3");
+        assert_eq!(found, vec![id("p1", "s3")]);
         // Different operand: nothing.
         assert!(db
             .find_derived_streams("Filter", "F", &[("p9".into(), "s9".into())])
@@ -764,12 +799,8 @@ mod tests {
             ));
         }
         let before = db.index_stats().postings_read;
-        let found: Vec<String> = db
-            .find_derived_streams("Filter", "x=7", &operand)
-            .iter()
-            .map(|d| d.stream_id.clone())
-            .collect();
-        assert_eq!(found, vec!["f7"]);
+        let found = db.find_derived_streams("Filter", "x=7", &operand);
+        assert_eq!(found, vec![id("hub", "f7")]);
         assert_eq!(db.index_stats().postings_read - before, 1);
     }
 
@@ -789,78 +820,69 @@ mod tests {
             "callId",
             &[("p1".into(), "s3".into()), ("p2".into(), "s2".into())],
         );
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].stream_id, "sj");
+        assert_eq!(found, vec![id("p1", "sj")]);
     }
 
     #[test]
     fn replica_selection_prefers_closer_provider() {
         let mut db = db();
+        let origin = id("origin.com", "s1");
         db.publish(StreamDefinition::source("origin.com", "s1", "inCOM"));
-        db.publish_replica(ReplicaDeclaration {
-            peer_id: "origin.com".into(),
-            stream_id: "s1".into(),
-            replica_peer: "nearby.com".into(),
-            replica_stream: "r1".into(),
-        });
+        db.publish_replica(replica(("origin.com", "s1"), ("nearby.com", "r1")));
         let proximity = |peer: Name| if peer == "nearby.com" { 5 } else { 100 };
         assert_eq!(
-            db.select_provider_where("origin.com", "s1", proximity, |_| true),
-            ("nearby.com".to_string(), "r1".to_string())
+            db.select_provider_where(origin, proximity, |_| true),
+            id("nearby.com", "r1")
         );
         // When the original is closest, keep it.
         let proximity = |peer: Name| if peer == "origin.com" { 1 } else { 50 };
         assert_eq!(
-            db.select_provider_where("origin.com", "s1", proximity, |_| true),
-            ("origin.com".to_string(), "s1".to_string())
+            db.select_provider_where(origin, proximity, |_| true),
+            id("origin.com", "s1")
         );
     }
 
     #[test]
     fn loaded_selection_breaks_proximity_ties_by_load() {
         let mut db = db();
+        let origin = id("origin.com", "s1");
         db.publish(StreamDefinition::source("origin.com", "s1", "inCOM"));
-        db.publish_replica(ReplicaDeclaration {
-            peer_id: "origin.com".into(),
-            stream_id: "s1".into(),
-            replica_peer: "twin.com".into(),
-            replica_stream: "r1".into(),
-        });
+        db.publish_replica(replica(("origin.com", "s1"), ("twin.com", "r1")));
         // Equal proximity everywhere: with zero load the original wins, just
         // like `select_provider_where`; under load the lighter twin takes over.
         let flat = |_: Name| 10u64;
         assert_eq!(
-            db.select_provider_loaded("origin.com", "s1", flat, |_| 0),
-            db.select_provider_where("origin.com", "s1", flat, |_| true)
+            db.select_provider_loaded(origin, flat, |_| 0),
+            db.select_provider_where(origin, flat, |_| true)
         );
         assert_eq!(
-            db.select_provider_loaded("origin.com", "s1", flat, |p| {
+            db.select_provider_loaded(origin, flat, |p| {
                 if p == "origin.com" {
                     5_000
                 } else {
                     100
                 }
             }),
-            ("twin.com".to_string(), "r1".to_string())
+            id("twin.com", "r1")
         );
         // Load never overrides proximity: a busier but strictly closer
         // provider still wins.
         let near_origin = |p: Name| if p == "origin.com" { 1 } else { 50 };
         assert_eq!(
-            db.select_provider_loaded("origin.com", "s1", near_origin, |p| {
+            db.select_provider_loaded(origin, near_origin, |p| {
                 if p == "origin.com" {
                     9_999
                 } else {
                     0
                 }
             }),
-            ("origin.com".to_string(), "s1".to_string())
+            id("origin.com", "s1")
         );
         // An unavailable provider is skipped regardless of load.
         let origin_down = |p: Name| if p == "origin.com" { u64::MAX } else { 50 };
         assert_eq!(
-            db.select_provider_loaded("origin.com", "s1", origin_down, |_| 0),
-            ("twin.com".to_string(), "r1".to_string())
+            db.select_provider_loaded(origin, origin_down, |_| 0),
+            id("twin.com", "r1")
         );
     }
 
@@ -869,17 +891,13 @@ mod tests {
         let mut db = db();
         db.publish(StreamDefinition::source("origin.com", "s1", "inCOM"));
         for stream in ["r1", "r2"] {
-            db.publish_replica(ReplicaDeclaration {
-                peer_id: "origin.com".into(),
-                stream_id: "s1".into(),
-                replica_peer: "edge.com".into(),
-                replica_stream: stream.into(),
-            });
+            db.publish_replica(replica(("origin.com", "s1"), ("edge.com", stream)));
         }
-        let replicas = db.replicas_of("origin.com", "s1");
+        let replicas = db.replicas_of(id("origin.com", "s1"));
         assert_eq!(replicas.len(), 1, "one replica per declaring peer");
         assert_eq!(
-            replicas[0].replica_stream, "r2",
+            replicas[0],
+            id("edge.com", "r2"),
             "a re-declaration replaces the previous entry"
         );
     }
@@ -889,56 +907,41 @@ mod tests {
         let mut db = db();
         db.publish(StreamDefinition::source("origin.com", "s1", "inCOM"));
         for peer in ["edge.com", "far.com"] {
-            db.publish_replica(ReplicaDeclaration {
-                peer_id: "origin.com".into(),
-                stream_id: "s1".into(),
-                replica_peer: peer.into(),
-                replica_stream: "r".into(),
-            });
+            db.publish_replica(replica(("origin.com", "s1"), (peer, "r")));
         }
-        assert!(db.retract_replica("origin.com", "s1", "edge.com"));
-        assert!(!db.retract_replica("origin.com", "s1", "edge.com"));
-        let left = db.replicas_of("origin.com", "s1");
-        assert_eq!(left.len(), 1);
-        assert_eq!(left[0].replica_peer, "far.com");
+        let origin = id("origin.com", "s1");
+        assert!(db.retract_replica(origin, "edge.com".into()));
+        assert!(!db.retract_replica(origin, "edge.com".into()));
+        assert_eq!(db.replicas_of(origin), [id("far.com", "r")]);
     }
 
     #[test]
     fn unavailable_replicas_are_never_selected() {
         let mut db = db();
+        let origin = id("origin.com", "s1");
         db.publish(StreamDefinition::source("origin.com", "s1", "inCOM"));
-        db.publish_replica(ReplicaDeclaration {
-            peer_id: "origin.com".into(),
-            stream_id: "s1".into(),
-            replica_peer: "down.com".into(),
-            replica_stream: "r1".into(),
-        });
+        db.publish_replica(replica(("origin.com", "s1"), ("down.com", "r1")));
         // The replica would be closest, but it is down (proximity = MAX):
         // selection falls back to the origin.
         let proximity = |peer: Name| if peer == "down.com" { u64::MAX } else { 80 };
         assert_eq!(
-            db.select_provider_where("origin.com", "s1", proximity, |_| true),
-            ("origin.com".to_string(), "s1".to_string())
+            db.select_provider_where(origin, proximity, |_| true),
+            id("origin.com", "s1")
         );
         // A downed *origin* yields to any reachable replica.
-        db.publish_replica(ReplicaDeclaration {
-            peer_id: "origin.com".into(),
-            stream_id: "s1".into(),
-            replica_peer: "alive.com".into(),
-            replica_stream: "r2".into(),
-        });
+        db.publish_replica(replica(("origin.com", "s1"), ("alive.com", "r2")));
         let proximity = |peer: Name| match peer.as_str() {
             "origin.com" | "down.com" => u64::MAX,
             _ => 200,
         };
         assert_eq!(
-            db.select_provider_where("origin.com", "s1", proximity, |_| true),
-            ("alive.com".to_string(), "r2".to_string())
+            db.select_provider_where(origin, proximity, |_| true),
+            id("alive.com", "r2")
         );
         // Nothing reachable: the (dead) original is the default.
         assert_eq!(
-            db.select_provider_where("origin.com", "s1", |_| u64::MAX, |_| true),
-            ("origin.com".to_string(), "s1".to_string())
+            db.select_provider_where(origin, |_| u64::MAX, |_| true),
+            id("origin.com", "s1")
         );
     }
 
@@ -952,15 +955,10 @@ mod tests {
             "<incident/>",
             vec![("p1".into(), "s1".into())],
         ));
-        db.publish_replica(ReplicaDeclaration {
-            peer_id: "origin.com".into(),
-            stream_id: "s0-t4".into(),
-            replica_peer: "edge.com".into(),
-            replica_stream: "s1-t0".into(),
-        });
+        db.publish_replica(replica(("origin.com", "s0-t4"), ("edge.com", "s1-t0")));
         assert_eq!(
-            db.canonical_identity("edge.com", "s1-t0"),
-            ("edge.com".to_string(), "s1-t0".to_string()),
+            db.canonical_identity(id("edge.com", "s1-t0")),
+            id("edge.com", "s1-t0"),
             "a replica's coordinates are already canonical"
         );
     }
@@ -977,17 +975,17 @@ mod tests {
         ));
         // Exact match wins; a unique name resolves; unknown stays put.
         assert_eq!(
-            db.canonical_identity("meteo.com", "alertQoS"),
-            ("meteo.com".to_string(), "alertQoS".to_string())
+            db.canonical_identity(id("meteo.com", "alertQoS")),
+            id("meteo.com", "alertQoS")
         );
         assert_eq!(
-            db.canonical_identity("p", "alertQoS"),
-            ("meteo.com".to_string(), "alertQoS".to_string()),
+            db.canonical_identity(id("p", "alertQoS")),
+            id("meteo.com", "alertQoS"),
             "a manager-qualified reference resolves to the emitting peer"
         );
         assert_eq!(
-            db.canonical_identity("p", "nowhere"),
-            ("p".to_string(), "nowhere".to_string())
+            db.canonical_identity(id("p", "nowhere")),
+            id("p", "nowhere")
         );
         // An ambiguous name is left alone.
         db.publish(StreamDefinition::derived(
@@ -998,8 +996,8 @@ mod tests {
             vec![("p2".into(), "s2".into())],
         ));
         assert_eq!(
-            db.canonical_identity("p", "alertQoS"),
-            ("p".to_string(), "alertQoS".to_string())
+            db.canonical_identity(id("p", "alertQoS")),
+            id("p", "alertQoS")
         );
     }
 

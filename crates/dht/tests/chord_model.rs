@@ -18,7 +18,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use p2pmon_dht::chord::{hash_key, LookupResult, NodeId};
-use p2pmon_dht::ChordNetwork;
+use p2pmon_dht::{ChordNetwork, Posting};
+use p2pmon_streams::ChannelId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +27,7 @@ use rand::{Rng, SeedableRng};
 /// The ring as a `BTreeMap` of node id → its stored term lists, with
 /// finger tables of 64 entries keyed by node id.
 struct ModelRing {
-    nodes: BTreeMap<NodeId, HashMap<u64, Vec<String>>>,
+    nodes: BTreeMap<NodeId, HashMap<u64, Vec<Posting>>>,
     fingers: HashMap<NodeId, Vec<NodeId>>,
     rng: StdRng,
     lookups: u64,
@@ -128,7 +129,7 @@ impl ModelRing {
         self.lookup_from(start, key)
     }
 
-    fn put(&mut self, key: &str, value: String) -> LookupResult {
+    fn put(&mut self, key: &str, value: Posting) -> LookupResult {
         let k = hash_key(key);
         let result = self.lookup(k);
         let storage = self.nodes.get_mut(&result.node).expect("responsible");
@@ -136,7 +137,7 @@ impl ModelRing {
         result
     }
 
-    fn get(&mut self, key: &str) -> (Vec<String>, LookupResult) {
+    fn get(&mut self, key: &str) -> (Vec<Posting>, LookupResult) {
         let k = hash_key(key);
         let result = self.lookup(k);
         let values = self.nodes[&result.node]
@@ -146,7 +147,7 @@ impl ModelRing {
         (values, result)
     }
 
-    fn remove_where(&mut self, key: &str, predicate: impl Fn(&str) -> bool) -> (usize, usize) {
+    fn remove_where(&mut self, key: &str, predicate: impl Fn(&Posting) -> bool) -> (usize, usize) {
         let k = hash_key(key);
         let result = self.lookup(k);
         match self.nodes.get_mut(&result.node).expect("node").get_mut(&k) {
@@ -327,18 +328,18 @@ proptest! {
                     prop_assert_eq!(net.leave(id), model.leave(id), "leave {} after {:?}", id, op);
                 }
                 Op::Put { term, value } => {
-                    let (term, value) = (format!("t{term}"), format!("v{value}"));
-                    prop_assert_eq!(net.put(&term, value.clone()), model.put(&term, value));
+                    let (term, value) = (format!("t{term}"), ChannelId::new("p", format!("v{value}")));
+                    prop_assert_eq!(net.put(hash_key(&term), value), model.put(&term, value));
                 }
                 Op::Get { term } => {
                     let term = format!("t{term}");
-                    prop_assert_eq!(net.get(&term), model.get(&term), "get {}", term);
+                    prop_assert_eq!(net.get(hash_key(&term)), model.get(&term), "get {}", term);
                 }
                 Op::RemoveWhere { term, digit } => {
                     let (term, digit) = (format!("t{term}"), digit.to_string());
-                    let predicate = |v: &str| v.ends_with(digit.as_str());
+                    let predicate = |v: &Posting| v.stream.ends_with(digit.as_str());
                     prop_assert_eq!(
-                        net.remove_where(&term, predicate),
+                        net.remove_where(hash_key(&term), predicate),
                         model.remove_where(&term, predicate)
                     );
                 }

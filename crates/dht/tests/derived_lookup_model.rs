@@ -1,5 +1,5 @@
 //! Model-based tests of the discovery queries: the reuse query,
-//! `find_derived_streams`, and the alerter lookup, `find_alerter_streams`.
+//! `find_derived_channels`, and the alerter lookup, `find_alerter_streams`.
 //!
 //! The database indexes a derived definition under one term per operand
 //! that also carries a digest of its parameters, and the query reads only
@@ -29,6 +29,7 @@
 //! also states what it reads: one posting per source found.
 
 use p2pmon_dht::{ChordNetwork, StreamDefinition, StreamDefinitionDatabase};
+use p2pmon_streams::ChannelId;
 use proptest::prelude::*;
 
 const PEERS: [&str; 3] = ["p0", "p1", "p2"];
@@ -46,6 +47,14 @@ const GHOST: (&str, &str) = ("p2", "s9");
 
 fn key((peer, stream): (&str, &str)) -> Key {
     (peer.to_string(), stream.to_string())
+}
+
+fn channel((peer, stream): &Key) -> ChannelId {
+    ChannelId::new(peer, stream)
+}
+
+fn named(channel: &ChannelId) -> Key {
+    (channel.peer.to_string(), channel.stream.to_string())
 }
 
 /// The operand lists definitions are published with: every list of one or
@@ -240,7 +249,7 @@ proptest! {
                 Op::Publish { key, operator, parameters, operands } => {
                     let (peer, stream) = (PEERS[key.0], STREAMS[key.1]);
                     // As the monitor does: a live key is never published over.
-                    if db.get(peer, stream).is_some() {
+                    if db.contains(ChannelId::new(peer, stream)) {
                         continue;
                     }
                     let definition = StreamDefinition::derived(
@@ -254,7 +263,7 @@ proptest! {
                     model.publish(definition);
                 }
                 Op::Retract(p, s) => prop_assert_eq!(
-                    db.retract(PEERS[*p], STREAMS[*s]),
+                    db.retract(ChannelId::new(PEERS[*p], STREAMS[*s])),
                     model.retract(PEERS[*p], STREAMS[*s])
                 ),
             }
@@ -263,15 +272,16 @@ proptest! {
                 for parameters in PARAMETERS {
                     for operands in &queries {
                         let before = db.index_stats().query_operations;
+                        let ids: Vec<ChannelId> = operands.iter().map(channel).collect();
                         let found: Vec<Key> = db
-                            .find_derived_streams(operator, parameters, operands)
+                            .find_derived_channels(operator, parameters, &ids)
                             .iter()
-                            .map(|d| (d.peer_id.clone(), d.stream_id.clone()))
+                            .map(named)
                             .collect();
                         prop_assert_eq!(
                             found,
                             model.find_derived_streams(operator, parameters, operands),
-                            "find_derived_streams({}, {:?}, {:?}) after {:?}",
+                            "find_derived_channels({}, {:?}, {:?}) after {:?}",
                             operator, parameters, operands, op
                         );
                         prop_assert_eq!(
@@ -306,14 +316,14 @@ proptest! {
                 ),
                 Mixed::Retract(p, s) => {
                     prop_assert_eq!(
-                        db.retract(PEERS[*p], STREAMS[*s]),
+                        db.retract(ChannelId::new(PEERS[*p], STREAMS[*s])),
                         model.retract(PEERS[*p], STREAMS[*s])
                     );
                     continue;
                 }
             };
             // As the monitor does: a live key is never published over.
-            if db.get(&definition.peer_id, &definition.stream_id).is_none() {
+            if !db.contains(definition.channel_id()) {
                 db.publish(definition.clone());
                 model.publish(definition);
             }
@@ -324,7 +334,7 @@ proptest! {
                     let found: Vec<Key> = db
                         .find_alerter_streams(peer, operator)
                         .iter()
-                        .map(|d| (d.peer_id.clone(), d.stream_id.clone()))
+                        .map(named)
                         .collect();
                     let expected = model.find_alerter_streams(peer, operator);
                     prop_assert_eq!(

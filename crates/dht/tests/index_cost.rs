@@ -13,6 +13,7 @@
 //!   runs — and retracting the peer's source reads the sources alone.
 
 use p2pmon_dht::{ChordNetwork, StreamDefinition, StreamDefinitionDatabase};
+use p2pmon_streams::ChannelId;
 
 const HUB: &str = "hub.net";
 const SOURCE: &str = "src";
@@ -50,7 +51,10 @@ fn hub_with_filters(n: usize) -> StreamDefinitionDatabase {
 /// Postings scanned by retracting `(peer, stream)`.
 fn postings_to_retract(db: &mut StreamDefinitionDatabase, peer: &str, stream: &str) -> u64 {
     let before = db.index_stats().postings_read;
-    assert!(db.retract(peer, stream), "{peer}|{stream} is live");
+    assert!(
+        db.retract(ChannelId::new(peer, stream)),
+        "{peer}|{stream} is live"
+    );
     db.index_stats().postings_read - before
 }
 

@@ -16,18 +16,19 @@
 //! at most, and only of a replica scoring below the best eligible provider
 //! before it.
 //!
-//! The database scores providers by interned peer id; the model still
-//! scores them by name, from the same tables, so every comparison below also
-//! holds the id-keyed selection to the string-scored one it replaced.  Over
-//! origins with 8 and 64 declarations, a selection must agree with the model
-//! and — in debug builds, where the interner counts its lock acquisitions —
-//! take the same number of interner locks: a constant per selection, none
-//! per scored candidate.
+//! The database keys everything by `ChannelId` and scores providers by
+//! interned peer id; the model still keys declarations by name pairs and
+//! scores them by name, from the same tables, so every comparison below
+//! also holds the id-keyed store and selection to the string-keyed ones
+//! they replaced.  Over origins with 8 and 64 declarations, a selection
+//! must agree with the model and — in debug builds, where the interner
+//! counts its lock acquisitions — take no interner lock at all.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 use p2pmon_dht::{ChordNetwork, ReplicaDeclaration, StreamDefinition, StreamDefinitionDatabase};
+use p2pmon_streams::ChannelId;
 use p2pmon_xmlkit::Name;
 use proptest::prelude::*;
 
@@ -36,12 +37,44 @@ const PEERS: [&str; 4] = ["p0", "p1", "p2", "p3"];
 /// replica coordinate may coincide with a published definition's identity.
 const STREAMS: [&str; 4] = ["s0", "s1", "r0", "r1"];
 
+type Key = (String, String);
+
+fn key(peer: &str, stream: &str) -> Key {
+    (peer.to_string(), stream.to_string())
+}
+
+fn named(channel: ChannelId) -> Key {
+    key(&channel.peer, &channel.stream)
+}
+
+/// One declaration as the model keeps it: the origin and the replica's
+/// coordinates, by name.
+#[derive(Debug, Clone, PartialEq)]
+struct Declared {
+    peer_id: String,
+    stream_id: String,
+    replica_peer: String,
+    replica_stream: String,
+}
+
+impl Declared {
+    fn of(declaration: &ReplicaDeclaration) -> Self {
+        let (origin, replica) = (declaration.origin, declaration.replica);
+        Declared {
+            peer_id: origin.peer.to_string(),
+            stream_id: origin.stream.to_string(),
+            replica_peer: replica.peer.to_string(),
+            replica_stream: replica.stream.to_string(),
+        }
+    }
+}
+
 /// The flat-`Vec` replica store, as the database implemented it before the
 /// origin-keyed index.
 #[derive(Default)]
 struct FlatModel {
-    descriptors: Vec<(String, String)>,
-    replicas: Vec<ReplicaDeclaration>,
+    descriptors: Vec<Key>,
+    replicas: Vec<Declared>,
 }
 
 impl FlatModel {
@@ -64,7 +97,8 @@ impl FlatModel {
         true
     }
 
-    fn publish_replica(&mut self, replica: ReplicaDeclaration) {
+    fn publish_replica(&mut self, replica: &ReplicaDeclaration) {
+        let replica = Declared::of(replica);
         self.replicas.retain(|r| {
             !(r.peer_id == replica.peer_id
                 && r.stream_id == replica.stream_id
@@ -81,7 +115,7 @@ impl FlatModel {
         self.replicas.len() != before
     }
 
-    fn replicas_of(&self, peer: &str, stream: &str) -> Vec<ReplicaDeclaration> {
+    fn replicas_of(&self, peer: &str, stream: &str) -> Vec<Declared> {
         self.replicas
             .iter()
             .filter(|r| r.peer_id == peer && r.stream_id == stream)
@@ -257,53 +291,57 @@ proptest! {
                     model.publish(PEERS[*p], STREAMS[*s]);
                 }
                 Op::Retract(p, s) => prop_assert_eq!(
-                    db.retract(PEERS[*p], STREAMS[*s]),
+                    db.retract(ChannelId::new(PEERS[*p], STREAMS[*s])),
                     model.retract(PEERS[*p], STREAMS[*s])
                 ),
                 Op::PublishReplica { origin, replica } => {
                     let declaration = ReplicaDeclaration {
-                        peer_id: PEERS[origin.0].into(),
-                        stream_id: STREAMS[origin.1].into(),
-                        replica_peer: PEERS[replica.0].into(),
-                        replica_stream: STREAMS[replica.1].into(),
+                        origin: ChannelId::new(PEERS[origin.0], STREAMS[origin.1]),
+                        replica: ChannelId::new(PEERS[replica.0], STREAMS[replica.1]),
                     };
-                    db.publish_replica(declaration.clone());
-                    model.publish_replica(declaration);
+                    db.publish_replica(declaration);
+                    model.publish_replica(&declaration);
                 }
                 Op::RetractReplica { origin, replica_peer } => prop_assert_eq!(
-                    db.retract_replica(PEERS[origin.0], STREAMS[origin.1], PEERS[*replica_peer]),
+                    db.retract_replica(
+                        ChannelId::new(PEERS[origin.0], STREAMS[origin.1]),
+                        Name::new(PEERS[*replica_peer]),
+                    ),
                     model.retract_replica(PEERS[origin.0], STREAMS[origin.1], PEERS[*replica_peer])
                 ),
             }
             for peer in PEERS {
                 for stream in STREAMS {
+                    let channel = ChannelId::new(peer, stream);
                     prop_assert_eq!(
-                        db.replicas_of(peer, stream),
-                        model.replicas_of(peer, stream).iter().collect::<Vec<_>>(),
+                        db.replicas_of(channel).iter().map(|r| named(*r)).collect::<Vec<_>>(),
+                        model
+                            .replicas_of(peer, stream)
+                            .into_iter()
+                            .map(|r| (r.replica_peer, r.replica_stream))
+                            .collect::<Vec<_>>(),
                         "replicas_of({}, {}) after {:?}", peer, stream, op
                     );
                     prop_assert_eq!(
-                        db.canonical_identity(peer, stream),
+                        named(db.canonical_identity(channel)),
                         model.canonical_identity(peer, stream),
                         "canonical_identity({}, {}) after {:?}", peer, stream, op
                     );
                     prop_assert_eq!(
-                        db.select_provider_where(
-                            peer,
-                            stream,
+                        named(db.select_provider_where(
+                            channel,
                             id_score_of(&proximity, true),
                             |_| true,
-                        ),
+                        )),
                         model.select_provider(peer, stream, score_of(&proximity, true)),
                         "select_provider_where({}, {}, all) after {:?}", peer, stream, op
                     );
                     prop_assert_eq!(
-                        db.select_provider_loaded(
-                            peer,
-                            stream,
+                        named(db.select_provider_loaded(
+                            channel,
                             id_score_of(&proximity, true),
                             id_score_of(&load, false),
-                        ),
+                        )),
                         model.select_provider_loaded(
                             peer,
                             stream,
@@ -313,7 +351,7 @@ proptest! {
                         "select_provider_loaded({}, {}) after {:?}", peer, stream, op
                     );
                     let asked = RefCell::new(Vec::new());
-                    let chosen = db.select_provider_where(peer, stream, |p: Name| near(&p), |p: Name| {
+                    let chosen = db.select_provider_where(channel, |p: Name| near(&p), |p: Name| {
                         asked.borrow_mut().push(p.to_string());
                         is_eligible(&p)
                     });
@@ -322,7 +360,7 @@ proptest! {
                     let unless_ineligible =
                         |p: &str| if p != peer && !is_eligible(p) { u64::MAX } else { near(p) };
                     prop_assert_eq!(
-                        chosen,
+                        named(chosen),
                         model.select_provider(peer, stream, unless_ineligible),
                         "select_provider_where({}, {}) after {:?}", peer, stream, op
                     );
@@ -360,13 +398,11 @@ fn wide_origin(
     for k in 0..declared {
         let peer = format!("edge{k}.org");
         let declaration = ReplicaDeclaration {
-            peer_id: "hub.net".into(),
-            stream_id: "s".into(),
-            replica_peer: peer.clone(),
-            replica_stream: format!("s-r{k}"),
+            origin: ChannelId::new("hub.net", "s"),
+            replica: ChannelId::new(&peer, format!("s-r{k}")),
         };
-        db.publish_replica(declaration.clone());
-        model.publish_replica(declaration);
+        db.publish_replica(declaration);
+        model.publish_replica(&declaration);
         let score = if k % 4 == 0 {
             u64::MAX
         } else {
@@ -386,8 +422,8 @@ fn select_wide(declared: usize) -> ((String, String), (String, String)) {
     let (db, model, proximity, eligible) = wide_origin(declared);
     let by_id: HashMap<Name, u64> = proximity.iter().map(|(p, s)| (p.into(), *s)).collect();
     let eligible_ids: HashSet<Name> = eligible.iter().map(Name::from).collect();
-    let chosen =
-        db.select_provider_where("hub.net", "s", |p| by_id[&p], |p| eligible_ids.contains(&p));
+    let origin = ChannelId::new("hub.net", "s");
+    let chosen = db.select_provider_where(origin, |p| by_id[&p], |p| eligible_ids.contains(&p));
     let expected = model.select_provider("hub.net", "s", |p| {
         if p != "hub.net" && !eligible.contains(p) {
             u64::MAX
@@ -395,7 +431,7 @@ fn select_wide(declared: usize) -> ((String, String), (String, String)) {
             proximity[p]
         }
     });
-    (chosen, expected)
+    (named(chosen), expected)
 }
 
 #[test]
@@ -416,8 +452,9 @@ fn a_selection_takes_no_interner_lock_per_score() {
         let (db, _, proximity, eligible) = wide_origin(declared);
         let by_id: HashMap<Name, u64> = proximity.iter().map(|(p, s)| (p.into(), *s)).collect();
         let eligible_ids: HashSet<Name> = eligible.iter().map(Name::from).collect();
+        let origin = ChannelId::new("hub.net", "s");
         let before = lock_acquisitions();
-        db.select_provider_where("hub.net", "s", |p| by_id[&p], |p| eligible_ids.contains(&p));
+        db.select_provider_where(origin, |p| by_id[&p], |p| eligible_ids.contains(&p));
         lock_acquisitions() - before
     };
     let (few, many) = (locks(8), locks(64));
@@ -425,8 +462,5 @@ fn a_selection_takes_no_interner_lock_per_score() {
         few, many,
         "56 more declarations must not take one more interner lock"
     );
-    assert!(
-        few <= 4,
-        "a selection resolves a constant few names, took {few}"
-    );
+    assert_eq!(few, 0, "a selection resolves and interns no name");
 }

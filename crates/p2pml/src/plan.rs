@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use p2pmon_streams::{AggregateSpec, AttrCondition, Condition, Operand, Template};
+use p2pmon_streams::{AggregateSpec, AttrCondition, ChannelId, Condition, Operand, Template};
 use p2pmon_xmlkit::XPath;
 
 use crate::ast::{ByClause, SourceExpr, Subscription, ValueExpr};
@@ -67,10 +67,8 @@ pub enum LogicalNode {
     },
     /// A subscription to an existing channel.
     ChannelIn {
-        /// Publishing peer.
-        peer: String,
-        /// Stream identifier.
-        stream: String,
+        /// The channel: its publishing peer (normalised) and stream id.
+        channel: ChannelId,
         /// The FOR variable the received items bind to.
         var: String,
     },
@@ -157,6 +155,23 @@ impl LogicalNode {
         }
     }
 
+    /// The first of [`LogicalNode::output_vars`], moved out of the node.
+    pub fn into_output_var(self) -> Option<String> {
+        match self {
+            LogicalNode::Alerter { var, .. }
+            | LogicalNode::DynamicAlerter { var, .. }
+            | LogicalNode::ChannelIn { var, .. }
+            | LogicalNode::Union { var, .. } => Some(var),
+            LogicalNode::Select { input, .. }
+            | LogicalNode::Dedup { input }
+            | LogicalNode::Restructure { input, .. }
+            | LogicalNode::Aggregate { input, .. } => input.into_output_var(),
+            LogicalNode::Join { left, right, .. } => {
+                left.into_output_var().or_else(|| right.into_output_var())
+            }
+        }
+    }
+
     /// All monitored peers mentioned by the plan.
     pub fn peers(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -168,9 +183,8 @@ impl LogicalNode {
 
     fn collect_peers(&self, out: &mut Vec<String>) {
         match self {
-            LogicalNode::Alerter { peer, .. } | LogicalNode::ChannelIn { peer, .. } => {
-                out.push(peer.clone());
-            }
+            LogicalNode::Alerter { peer, .. } => out.push(peer.clone()),
+            LogicalNode::ChannelIn { channel, .. } => out.push(channel.peer.to_string()),
             _ => self.children().for_each(|input| input.collect_peers(out)),
         }
     }
@@ -244,9 +258,7 @@ impl fmt::Display for LogicalNode {
             } => {
                 write!(f, "{function}[{driver}]→${var}")
             }
-            LogicalNode::ChannelIn { peer, stream, var } => {
-                write!(f, "#{stream}@{peer}→${var}")
-            }
+            LogicalNode::ChannelIn { channel, var } => write!(f, "{channel}→${var}"),
             LogicalNode::Union { inputs, .. } => {
                 write!(f, "union(")?;
                 for (i, input) in inputs.iter().enumerate() {
@@ -589,8 +601,7 @@ fn build_source(
             })
         }
         SourceExpr::Channel { peer, stream } => Ok(LogicalNode::ChannelIn {
-            peer: normalize_peer(peer).to_string(),
-            stream: stream.clone(),
+            channel: ChannelId::new(normalize_peer(peer), stream.as_str()),
             var: var.to_string(),
         }),
     }
@@ -651,7 +662,8 @@ mod tests {
     /// Preorder of a plan through `children()`, one label per node.
     fn preorder(node: &LogicalNode, out: &mut Vec<String>) {
         out.push(match node {
-            LogicalNode::Alerter { peer, .. } | LogicalNode::ChannelIn { peer, .. } => peer.clone(),
+            LogicalNode::Alerter { peer, .. } => peer.clone(),
+            LogicalNode::ChannelIn { channel, .. } => channel.peer.to_string(),
             LogicalNode::DynamicAlerter { .. } => "dynamic".into(),
             LogicalNode::Union { .. } => "union".into(),
             LogicalNode::Join { .. } => "join".into(),
@@ -679,8 +691,7 @@ mod tests {
                 inputs: vec![
                     alerter("a"),
                     LogicalNode::ChannelIn {
-                        peer: "b".into(),
-                        stream: "s".into(),
+                        channel: ChannelId::new("b", "s"),
                         var: "c".into(),
                     },
                     LogicalNode::Dedup {

@@ -296,22 +296,23 @@ impl ChordNetwork {
     }
 
     /// Removes values matching a predicate under a ring key; returns how
-    /// many were removed and how many the predicate was asked about (the
-    /// key's whole list).
+    /// many were removed, how many the predicate was asked about (the key's
+    /// whole list) and the lookup result used for routing.
     pub fn remove_where(
         &mut self,
         key: NodeId,
         predicate: impl Fn(&Posting) -> bool,
-    ) -> (usize, usize) {
-        let (at, _) = self.locate(key);
-        match self.storage[at].entries.get_mut(&key) {
+    ) -> (usize, usize, LookupResult) {
+        let (at, result) = self.locate(key);
+        let (removed, scanned) = match self.storage[at].entries.get_mut(&key) {
             Some(values) => {
                 let before = values.len();
                 values.retain(|v| !predicate(v));
                 (before - values.len(), before)
             }
             None => (0, 0),
-        }
+        };
+        (removed, scanned, result)
     }
 
     /// A new node joins the ring: keys it now owns are handed over.
@@ -514,10 +515,8 @@ mod tests {
         let k = hash_key("k");
         net.put(k, posting("keep"));
         net.put(k, posting("drop-me"));
-        assert_eq!(
-            net.remove_where(k, |v| v.stream.starts_with("drop")),
-            (1, 2)
-        );
+        let (removed, scanned, _) = net.remove_where(k, |v| v.stream.starts_with("drop"));
+        assert_eq!((removed, scanned), (1, 2));
         let (values, _) = net.get(k);
         assert_eq!(values, vec![posting("keep")]);
     }

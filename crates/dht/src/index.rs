@@ -21,6 +21,8 @@ pub struct IndexStats {
     pub insert_operations: u64,
     /// Term queries performed.
     pub query_operations: u64,
+    /// Posting removals performed (one per term a retraction names).
+    pub remove_operations: u64,
     /// Total routing hops across all operations.
     pub total_hops: u64,
     /// DHT messages (each hop is one request/response pair, counted once).
@@ -34,7 +36,7 @@ pub struct IndexStats {
 impl IndexStats {
     /// Average hops per operation.
     pub fn avg_hops(&self) -> f64 {
-        let ops = self.insert_operations + self.query_operations;
+        let ops = self.insert_operations + self.query_operations + self.remove_operations;
         if ops == 0 {
             0.0
         } else {
@@ -98,7 +100,9 @@ impl DistributedIndex {
 
     /// Removes a posting from a term's list; returns `true` when it existed.
     pub fn remove(&mut self, term: NodeId, posting: Posting) -> bool {
-        let (removed, scanned) = self.dht.remove_where(term, |v| *v == posting);
+        let (removed, scanned, result) = self.dht.remove_where(term, |v| *v == posting);
+        self.stats.remove_operations += 1;
+        self.record(&result);
         self.stats.postings_read += scanned as u64;
         removed > 0
     }
@@ -160,6 +164,27 @@ mod tests {
         assert_eq!(s.query_operations, 2);
         assert!(s.messages >= 3, "at least one message per operation");
         assert!(s.avg_hops() >= 0.0);
+    }
+
+    #[test]
+    fn removals_count_as_operations_with_their_hops() {
+        let mut idx = index();
+        let t = hash_key("t");
+        idx.insert(t, id("p", "a"));
+        let before = idx.stats();
+        assert!(idx.remove(t, id("p", "a")));
+        assert!(!idx.remove(t, id("p", "a")), "a miss is routed too");
+        let after = idx.stats();
+        assert_eq!(after.remove_operations, 2);
+        let hops = after.total_hops - before.total_hops;
+        assert_eq!(
+            after.messages - before.messages,
+            hops + 2,
+            "one request each"
+        );
+        let ops =
+            (after.insert_operations + after.query_operations + after.remove_operations) as f64;
+        assert_eq!(after.avg_hops(), after.total_hops as f64 / ops);
     }
 
     #[test]

@@ -147,17 +147,22 @@ impl ModelRing {
         (values, result)
     }
 
-    fn remove_where(&mut self, key: &str, predicate: impl Fn(&Posting) -> bool) -> (usize, usize) {
+    fn remove_where(
+        &mut self,
+        key: &str,
+        predicate: impl Fn(&Posting) -> bool,
+    ) -> (usize, usize, LookupResult) {
         let k = hash_key(key);
         let result = self.lookup(k);
-        match self.nodes.get_mut(&result.node).expect("node").get_mut(&k) {
+        let (removed, scanned) = match self.nodes.get_mut(&result.node).expect("node").get_mut(&k) {
             Some(values) => {
                 let before = values.len();
                 values.retain(|v| !predicate(v));
                 (before - values.len(), before)
             }
             None => (0, 0),
-        }
+        };
+        (removed, scanned, result)
     }
 
     fn join(&mut self, id: NodeId) {

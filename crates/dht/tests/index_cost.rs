@@ -11,6 +11,10 @@
 //!   definition was posted under, so retracting one of N Filters on a peer
 //!   reads the postings of its own clause — not one per Filter the peer
 //!   runs — and retracting the peer's source reads the sources alone.
+//!
+//! A retraction's DHT traffic is counted like any other operation's: one
+//! `remove_operations` per term its definition posted, each routed hop in
+//! `total_hops` and `messages`.
 
 use p2pmon_dht::{ChordNetwork, StreamDefinition, StreamDefinitionDatabase};
 use p2pmon_streams::ChannelId;
@@ -108,4 +112,31 @@ fn a_publish_inserts_one_posting_per_operand_or_one_for_a_source() {
     // However many Filters the hub already runs.
     let mut db = hub_with_filters(1_000);
     assert_eq!(inserts(&mut db, filter(1_000)), 1);
+}
+
+#[test]
+fn a_retraction_removes_exactly_its_definitions_terms() {
+    let mut db = hub_with_filters(10);
+    let operands = (0..3).map(|i| operand(HUB, &format!("s{i}"))).collect();
+    db.publish(StreamDefinition::derived(HUB, "u", "Union", "", operands));
+    for (stream, terms) in [("f3", 1), ("u", 3), (SOURCE, 1)] {
+        let before = db.index_stats();
+        assert!(db.retract(ChannelId::new(HUB, stream)), "{stream} is live");
+        let after = db.index_stats();
+        assert_eq!(
+            after.remove_operations - before.remove_operations,
+            terms,
+            "retracting {stream} removes one posting per term it posted"
+        );
+        let hops = after.total_hops - before.total_hops;
+        assert_eq!(
+            after.messages - before.messages,
+            hops + terms,
+            "each removal is a routed request"
+        );
+        assert_eq!(
+            (after.insert_operations, after.query_operations),
+            (before.insert_operations, before.query_operations)
+        );
+    }
 }

@@ -433,7 +433,7 @@ pub fn run_scale(seed: u64, n_subs: usize, calls_n: usize) -> ScaleRow {
         sink_clone_bytes: monitor.dispatch_stats().sink_clone_bytes,
         network_bytes: monitor.network_stats().total_bytes,
         dht_avg_hops: dht.avg_hops(),
-        dht_operations: dht.insert_operations + dht.query_operations,
+        dht_operations: dht.insert_operations + dht.query_operations + dht.remove_operations,
         operators: monitor.operator_count() as u64,
     }
 }

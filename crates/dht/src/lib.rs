@@ -31,7 +31,7 @@ pub mod chord;
 pub mod index;
 pub mod streamdef;
 
-pub use chord::{ChordNetwork, KeyHasher, LookupResult, NodeId};
+pub use chord::{ChordNetwork, LookupResult, NodeId};
 pub use index::{DistributedIndex, IndexStats, Posting};
 pub use streamdef::{ReplicaDeclaration, StreamDefinition, StreamDefinitionDatabase};
 

@@ -1002,6 +1002,19 @@ mod tests {
     }
 
     #[test]
+    fn terms_hash_to_the_keys_of_their_spelled_out_strings() {
+        assert_eq!(
+            StreamDefinitionDatabase::alerter_term("p1", "inCOM"),
+            hash_key("peer+operator=p1|inCOM")
+        );
+        let digest = hash_key("callee=meteo.com");
+        assert_eq!(
+            StreamDefinitionDatabase::operand_term("Filter", digest, id("p1", "s1")),
+            hash_key(&format!("operator+operand=Filter|{digest:016x}|p1|s1"))
+        );
+    }
+
+    #[test]
     fn index_stats_accumulate() {
         let mut db = db();
         for i in 0..20 {

@@ -413,7 +413,9 @@ impl<P: Fn(PeerId) -> u64> Search<'_, P> {
 /// channel, bound to the subtree's variable.
 fn subscribe(covered: LogicalNode, provider: ChannelId) -> LogicalNode {
     let var = covered
-        .into_output_var()
+        .output_vars()
+        .into_iter()
+        .next()
         .unwrap_or_else(|| "item".to_string());
     LogicalNode::ChannelIn {
         channel: provider,

@@ -73,10 +73,10 @@
 //! selection resolves no name at all.
 //!
 //! [`canonical_identity`]'s last resort — a reference naming a stream no
-//! definition is published under at that peer — is answered by a count per
-//! stream name, kept by `publish` and `retract`, beside the XOR of the
-//! peers' symbols: with one definition carrying the name, the XOR *is* its
-//! peer.  No fallback scans the descriptors.
+//! definition is published under at that peer — scans the descriptors once
+//! for the stream name, comparing ids.  The monitor's own references never
+//! get there: each is an exact descriptor or a live replica coordinate,
+//! answered by the two probes before it.
 //!
 //! [`publish`]: StreamDefinitionDatabase::publish
 //! [`find_derived_streams`]: StreamDefinitionDatabase::find_derived_streams
@@ -88,7 +88,7 @@ use std::collections::HashMap;
 
 use p2pmon_streams::ChannelId;
 use p2pmon_xmlkit::intern::lookup;
-use p2pmon_xmlkit::{Element, ElementBuilder, Name, Symbol};
+use p2pmon_xmlkit::{Element, ElementBuilder, Name};
 
 use crate::chord::{hash_key, ChordNetwork, KeyHasher, NodeId};
 use crate::index::{DistributedIndex, IndexStats};
@@ -264,8 +264,6 @@ pub struct StreamDefinitionDatabase {
     replicas: HashMap<ChannelId, Vec<ChannelId>>,
     /// Reverse entry: how many live declarations name each replica channel.
     replica_coordinates: HashMap<ChannelId, usize>,
-    /// The published definitions carrying each stream name.
-    stream_names: HashMap<Name, Named>,
 }
 
 /// One published definition, by ids.
@@ -276,21 +274,6 @@ struct Descriptor {
     operands: Vec<ChannelId>,
 }
 
-/// How many live definitions carry one stream name, and the XOR of their
-/// peers' symbols: while `count` is 1, `peers` is that definition's peer.
-#[derive(Debug, Default)]
-struct Named {
-    count: usize,
-    peers: u32,
-}
-
-impl Named {
-    /// The peer of the one definition carrying the name, when it is unique.
-    fn unique_peer(&self) -> Option<Name> {
-        (self.count == 1).then(|| Name::from(Symbol(self.peers)))
-    }
-}
-
 impl StreamDefinitionDatabase {
     /// Creates a database over the given DHT.
     pub fn new(dht: ChordNetwork) -> Self {
@@ -299,7 +282,6 @@ impl StreamDefinitionDatabase {
             descriptors: HashMap::new(),
             replicas: HashMap::new(),
             replica_coordinates: HashMap::new(),
-            stream_names: HashMap::new(),
         }
     }
 
@@ -359,11 +341,7 @@ impl StreamDefinitionDatabase {
         for term in Self::index_terms(channel, &descriptor) {
             self.index.insert(term, channel);
         }
-        if self.descriptors.insert(channel, descriptor).is_none() {
-            let named = self.stream_names.entry(channel.stream).or_default();
-            named.count += 1;
-            named.peers ^= channel.peer.symbol().0;
-        }
+        self.descriptors.insert(channel, descriptor);
     }
 
     /// Retracts a published stream definition: removes the descriptor, its
@@ -375,15 +353,6 @@ impl StreamDefinitionDatabase {
         };
         for term in Self::index_terms(channel, &descriptor) {
             self.index.remove(term, channel);
-        }
-        let named = self
-            .stream_names
-            .get_mut(&channel.stream)
-            .expect("every live definition's name is counted");
-        named.count -= 1;
-        named.peers ^= channel.peer.symbol().0;
-        if named.count == 0 {
-            self.stream_names.remove(&channel.stream);
         }
         for replica in self.replicas.remove(&channel).unwrap_or_default() {
             self.forget_coordinate(replica);
@@ -449,7 +418,7 @@ impl StreamDefinitionDatabase {
     /// names the peer placement chose to *emit* the stream — so an exact
     /// match wins, a unique definition carrying the same stream name
     /// resolves the reference, and anything else (unknown or ambiguous) is
-    /// returned unchanged.  Hash probes only: no descriptor is scanned.
+    /// returned unchanged.
     pub fn canonical_identity(&self, channel: ChannelId) -> ChannelId {
         // A live replica's coordinates are canonical too: the replica peer
         // really multicasts the stream under its local id, so a reference the
@@ -460,16 +429,13 @@ impl StreamDefinitionDatabase {
         {
             return channel;
         }
-        match self
-            .stream_names
-            .get(&channel.stream)
-            .and_then(Named::unique_peer)
-        {
-            Some(peer) => ChannelId {
-                peer,
-                stream: channel.stream,
-            },
-            None => channel,
+        let mut by_name = self
+            .descriptors
+            .keys()
+            .filter(|published| published.stream == channel.stream);
+        match (by_name.next(), by_name.next()) {
+            (Some(&unique), None) => unique,
+            _ => channel,
         }
     }
 

@@ -1,12 +1,11 @@
 //! Model-based test of `canonical_identity`, and of the query entry points
 //! by name.
 //!
-//! `canonical_identity` answers from hash probes: the exact definition, a
-//! live replica coordinate, then a count per stream name kept by `publish`
-//! and `retract` (with the XOR of the peers carrying the name, which is the
-//! peer itself while the count is 1).  The model below is the definition of
-//! the answer — a brute-force scan over the live definitions and replica
-//! declarations — kept here as the oracle.  Seeded histories interleave
+//! `canonical_identity` answers by ids: the exact definition, a live
+//! replica coordinate, then the one definition carrying the stream name.
+//! The model below is the definition of the answer — a brute-force scan
+//! over the live definitions and replica declarations, by names — kept
+//! here as the oracle.  Seeded histories interleave
 //! source and derived publishes, retractions (a live origin's replicas go
 //! with it), replica declarations, re-declarations and retractions; after
 //! every step both must agree for every reference in the vocabulary: exact
@@ -157,7 +156,7 @@ fn replay(seed: u64, steps: usize, rules: &mut Vec<Rule>) {
 }
 
 #[test]
-fn counted_names_agree_with_a_scan_over_every_history() {
+fn canonical_identity_agrees_with_a_scan_over_every_history() {
     let mut rules = Vec::new();
     for seed in 0..24 {
         replay(seed, 150, &mut rules);

@@ -1,5 +1,6 @@
 //! Model-based tests of the discovery queries: the reuse query,
-//! `find_derived_channels`, and the alerter lookup, `find_alerter_streams`.
+//! `find_derived_channels` by ids and `find_derived_streams` by names, and
+//! the alerter lookup, `find_alerter_streams`.
 //!
 //! The database indexes a derived definition under one term per operand
 //! that also carries a digest of its parameters, and the query reads only
@@ -271,6 +272,10 @@ proptest! {
             for operator in OPERATORS {
                 for parameters in PARAMETERS {
                     for operands in &queries {
+                        let expected = model.find_derived_streams(operator, parameters, operands);
+                        let lookups = model.lookups(operator, parameters, operands);
+                        // The id path, then the by-name adapter over it:
+                        // both must answer the model with its lookups.
                         let before = db.index_stats().query_operations;
                         let ids: Vec<ChannelId> = operands.iter().map(channel).collect();
                         let found: Vec<Key> = db
@@ -279,15 +284,32 @@ proptest! {
                             .map(named)
                             .collect();
                         prop_assert_eq!(
-                            found,
-                            model.find_derived_streams(operator, parameters, operands),
+                            &found,
+                            &expected,
                             "find_derived_channels({}, {:?}, {:?}) after {:?}",
                             operator, parameters, operands, op
                         );
                         prop_assert_eq!(
                             db.index_stats().query_operations - before,
-                            model.lookups(operator, parameters, operands),
+                            lookups,
                             "lookups of ({}, {:?}, {:?})", operator, parameters, operands
+                        );
+                        let before = db.index_stats().query_operations;
+                        let found: Vec<Key> = db
+                            .find_derived_streams(operator, parameters, operands)
+                            .iter()
+                            .map(named)
+                            .collect();
+                        prop_assert_eq!(
+                            &found,
+                            &expected,
+                            "find_derived_streams({}, {:?}, {:?}) after {:?}",
+                            operator, parameters, operands, op
+                        );
+                        prop_assert_eq!(
+                            db.index_stats().query_operations - before,
+                            lookups,
+                            "by-name lookups of ({}, {:?}, {:?})", operator, parameters, operands
                         );
                     }
                 }

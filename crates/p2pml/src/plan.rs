@@ -155,23 +155,6 @@ impl LogicalNode {
         }
     }
 
-    /// The first of [`LogicalNode::output_vars`], moved out of the node.
-    pub fn into_output_var(self) -> Option<String> {
-        match self {
-            LogicalNode::Alerter { var, .. }
-            | LogicalNode::DynamicAlerter { var, .. }
-            | LogicalNode::ChannelIn { var, .. }
-            | LogicalNode::Union { var, .. } => Some(var),
-            LogicalNode::Select { input, .. }
-            | LogicalNode::Dedup { input }
-            | LogicalNode::Restructure { input, .. }
-            | LogicalNode::Aggregate { input, .. } => input.into_output_var(),
-            LogicalNode::Join { left, right, .. } => {
-                left.into_output_var().or_else(|| right.into_output_var())
-            }
-        }
-    }
-
     /// All monitored peers mentioned by the plan.
     pub fn peers(&self) -> Vec<String> {
         let mut out = Vec::new();

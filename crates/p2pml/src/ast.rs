@@ -24,18 +24,6 @@ pub struct Subscription {
     pub by: ByClause,
 }
 
-impl Subscription {
-    /// The variables bound by the FOR clause, in order.
-    pub fn for_variables(&self) -> Vec<&str> {
-        self.for_clause.iter().map(|b| b.var.as_str()).collect()
-    }
-
-    /// The variables bound by the LET clause, in order.
-    pub fn let_variables(&self) -> Vec<&str> {
-        self.let_clause.iter().map(|b| b.var.as_str()).collect()
-    }
-}
-
 /// One FOR binding: `$var in <source>`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForBinding {
@@ -75,20 +63,6 @@ pub enum SourceExpr {
     },
 }
 
-impl SourceExpr {
-    /// A short description used in plan displays.
-    pub fn describe(&self) -> String {
-        match self {
-            SourceExpr::Alerter { function, peers } => {
-                format!("{function}({})", peers.join(", "))
-            }
-            SourceExpr::DynamicAlerter { function, driver } => format!("{function}(${driver})"),
-            SourceExpr::Nested(_) => "(nested subscription)".to_string(),
-            SourceExpr::Channel { peer, stream } => format!("#{stream}@{peer}"),
-        }
-    }
-}
-
 /// One LET binding: `$var := <expr>`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LetBinding {
@@ -115,16 +89,22 @@ pub enum ValueExpr {
 }
 
 impl ValueExpr {
-    /// The FOR variables this expression depends on.
-    pub fn variables(&self) -> Vec<String> {
+    /// The variables (FOR or LET) this expression reads, sorted and
+    /// deduplicated.
+    pub fn variables(&self) -> Vec<&str> {
+        let mut vars = Vec::new();
+        self.collect_variables(&mut vars);
+        vars.sort_unstable();
+        vars.dedup();
+        vars
+    }
+
+    fn collect_variables<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
-            ValueExpr::Operand(op) => op.variables().into_iter().map(str::to_string).collect(),
+            ValueExpr::Operand(op) => out.extend(operand_var(op)),
             ValueExpr::Binary { left, right, .. } => {
-                let mut vars = left.variables();
-                vars.extend(right.variables());
-                vars.sort();
-                vars.dedup();
-                vars
+                left.collect_variables(out);
+                right.collect_variables(out);
             }
         }
     }
@@ -143,6 +123,16 @@ impl ValueExpr {
                     ArithOp::Div => l.div(&r),
                 }
             }
+        }
+    }
+}
+
+/// The variable an operand reads, if any.
+pub(crate) fn operand_var(operand: &Operand) -> Option<&str> {
+    match operand {
+        Operand::Const(_) => None,
+        Operand::VarAttr { var, .. } | Operand::VarPath { var, .. } | Operand::Var(var) => {
+            Some(var)
         }
     }
 }
@@ -174,16 +164,6 @@ pub enum ByClause {
     Rss(String),
 }
 
-impl ByClause {
-    /// The channel name when the clause publishes a channel.
-    pub fn channel_name(&self) -> Option<&str> {
-        match self {
-            ByClause::Channel(name) => Some(name),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,30 +190,5 @@ mod tests {
         };
         assert_eq!(expr.eval(&b), Some(Value::Integer(30)));
         assert_eq!(expr.variables(), vec!["c1".to_string()]);
-    }
-
-    #[test]
-    fn by_clause_channel_name() {
-        assert_eq!(ByClause::Channel("x".into()).channel_name(), Some("x"));
-        assert_eq!(ByClause::Email("a@b".into()).channel_name(), None);
-    }
-
-    #[test]
-    fn source_descriptions() {
-        let s = SourceExpr::Alerter {
-            function: "outCOM".into(),
-            peers: vec!["a.com".into(), "b.com".into()],
-        };
-        assert_eq!(s.describe(), "outCOM(a.com, b.com)");
-        let d = SourceExpr::DynamicAlerter {
-            function: "inCOM".into(),
-            driver: "j".into(),
-        };
-        assert_eq!(d.describe(), "inCOM($j)");
-        let c = SourceExpr::Channel {
-            peer: "p".into(),
-            stream: "X".into(),
-        };
-        assert_eq!(c.describe(), "#X@p");
     }
 }

@@ -47,10 +47,11 @@ pub use ast::{ByClause, ForBinding, LetBinding, SourceExpr, Subscription, ValueE
 pub use parser::{parse_subscription, ParseErrorP2pml};
 pub use plan::{compile, LogicalNode, LogicalPlan, PlanError};
 
-/// Parses and compiles a subscription in one step.
+/// Parses and compiles a subscription in one step: the parsed subscription
+/// moves into the plan.
 pub fn compile_subscription(source: &str) -> Result<LogicalPlan, CompileError> {
     let subscription = parse_subscription(source).map_err(CompileError::Parse)?;
-    compile(&subscription).map_err(CompileError::Plan)
+    plan::compile_owned(subscription).map_err(CompileError::Plan)
 }
 
 /// Errors from [`compile_subscription`].

@@ -3,14 +3,18 @@
 //! A hand-written recursive-descent scanner (the paper generates its parser
 //! with JavaCC; the grammar is small enough that a direct implementation is
 //! clearer and dependency-free).  The parser is case-insensitive on keywords
-//! and whitespace-insensitive; XML fragments (FOR-clause arguments and the
-//! RETURN template) are delegated to `p2pmon-xmlkit`.
+//! and whitespace-insensitive.  It reads the text in one pass: the XML it
+//! embeds (an alerter's `<p>` peer list and the RETURN template) is parsed
+//! where it stands by `p2pmon-xmlkit`'s [`parse_element_at`], which reports
+//! how many bytes each element spans, so neither is captured as text first.
+//! The scanner peeks bytes and decodes a char only where a non-ASCII byte
+//! meets a char-class test.
 
 use std::fmt;
 
 use p2pmon_streams::{AggregateKind, AggregateSpec, Condition, Operand, Template};
 use p2pmon_xmlkit::path::CompareOp;
-use p2pmon_xmlkit::{parse_fragment, Value, XPath};
+use p2pmon_xmlkit::{parse_element_at, Element, Node, Value, XPath};
 
 use crate::ast::{ArithOp, ByClause, ForBinding, LetBinding, SourceExpr, Subscription, ValueExpr};
 
@@ -86,8 +90,16 @@ impl<'a> Scanner<'a> {
         self.pos >= self.src.len()
     }
 
+    fn peek_byte(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// The char at `pos`, decoded only when its first byte is not ASCII.
     fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
+        match self.peek_byte()? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.rest().chars().next(),
+        }
     }
 
     fn bump(&mut self) -> Option<char> {
@@ -96,10 +108,18 @@ impl<'a> Scanner<'a> {
         Some(c)
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
+    /// Advances past the chars `accept` takes.
+    fn skip_while(&mut self, accept: impl Fn(char) -> bool) {
+        while let Some(c) = self.peek() {
+            if !accept(c) {
+                break;
+            }
+            self.pos += c.len_utf8();
         }
+    }
+
+    fn skip_ws(&mut self) {
+        self.skip_while(char::is_whitespace);
     }
 
     /// Eats a literal string if present.
@@ -144,9 +164,7 @@ impl<'a> Scanner<'a> {
     fn parse_identifier(&mut self) -> Result<String, ParseErrorP2pml> {
         self.skip_ws();
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_' || c == '-') {
-            self.bump();
-        }
+        self.skip_while(|c| c.is_alphanumeric() || c == '_' || c == '-');
         if self.pos == start {
             return Err(ParseErrorP2pml::new(
                 start,
@@ -180,47 +198,25 @@ impl<'a> Scanner<'a> {
         };
         self.bump();
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == quote {
-                let lit = self.src[start..self.pos].to_string();
-                self.bump();
-                return Ok(lit);
-            }
-            self.bump();
-        }
-        Err(ParseErrorP2pml::new(start, "unterminated string literal"))
+        let len = self
+            .rest()
+            .find(quote)
+            .ok_or_else(|| ParseErrorP2pml::new(start, "unterminated string literal"))?;
+        self.pos += len + 1;
+        Ok(self.src[start..start + len].to_string())
     }
 
-    /// Captures text up to the matching closing parenthesis (the opening one
-    /// has already been consumed), ignoring parentheses inside quotes.
-    fn capture_until_matching_paren(&mut self) -> Result<&'a str, ParseErrorP2pml> {
-        let start = self.pos;
-        let mut depth = 1usize;
-        let mut in_quote: Option<char> = None;
-        while let Some(c) = self.peek() {
-            match in_quote {
-                Some(q) => {
-                    if c == q {
-                        in_quote = None;
-                    }
-                }
-                None => match c {
-                    '"' | '\'' => in_quote = Some(c),
-                    '(' => depth += 1,
-                    ')' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            let captured = &self.src[start..self.pos];
-                            self.bump();
-                            return Ok(captured);
-                        }
-                    }
-                    _ => {}
-                },
-            }
-            self.bump();
+    /// Eats `)`, after optional whitespace.
+    fn expect_close_paren(&mut self, what: &str) -> Result<(), ParseErrorP2pml> {
+        self.skip_ws();
+        if self.eat(")") {
+            Ok(())
+        } else {
+            Err(ParseErrorP2pml::new(
+                self.pos,
+                format!("expected `)` {what}"),
+            ))
         }
-        Err(ParseErrorP2pml::new(start, "unterminated `(`"))
     }
 }
 
@@ -274,23 +270,24 @@ fn parse_flwr(scanner: &mut Scanner<'_>, nested: bool) -> Result<Subscription, P
         // Restructure; the template is a placeholder.
         Template::parse("<aggregate/>")
             .map_err(|e| ParseErrorP2pml::new(scanner.pos, format!("invalid RETURN: {e}")))?
+    } else if scanner.peek() == Some('<') {
+        // The template element is parsed where it stands: a `by` or a `)`
+        // in its text is the template's, not the end of the clause.
+        let (template, used) = Template::parse_at(scanner.src, scanner.pos).map_err(|e| {
+            ParseErrorP2pml::new(scanner.pos, format!("invalid RETURN template: {e}"))
+        })?;
+        scanner.pos += used;
+        template
+    } else if let Some(var) = capture_return_body(scanner, nested)?.strip_prefix('$') {
+        // `return $e` — wrap the whole bound tree.
+        Template::parse(&format!("<result>{{${}}}</result>", var.trim()))
+            .map_err(|e| ParseErrorP2pml::new(scanner.pos, format!("invalid RETURN: {e}")))?
     } else {
-        let template_text = capture_return_body(scanner, nested)?;
-        if template_text.trim().starts_with('<') {
-            Template::parse(template_text.trim()).map_err(|e| {
-                ParseErrorP2pml::new(scanner.pos, format!("invalid RETURN template: {e}"))
-            })?
-        } else if let Some(var) = template_text.trim().strip_prefix('$') {
-            // `return $e` — wrap the whole bound tree.
-            Template::parse(&format!("<result>{{${}}}</result>", var.trim()))
-                .map_err(|e| ParseErrorP2pml::new(scanner.pos, format!("invalid RETURN: {e}")))?
-        } else {
-            return Err(ParseErrorP2pml::new(
-                scanner.pos,
-                "RETURN must be an XML template, a `$variable`, or an aggregate \
-                 (`topk(...)`, `entropy(...)`, `quantile(...)`)",
-            ));
-        }
+        return Err(ParseErrorP2pml::new(
+            scanner.pos,
+            "RETURN must be an XML template, a `$variable`, or an aggregate \
+             (`topk(...)`, `entropy(...)`, `quantile(...)`)",
+        ));
     };
 
     scanner.skip_ws();
@@ -427,9 +424,7 @@ fn expect_comma(scanner: &mut Scanner<'_>) -> Result<(), ParseErrorP2pml> {
 fn parse_integer(scanner: &mut Scanner<'_>) -> Result<u64, ParseErrorP2pml> {
     scanner.skip_ws();
     let start = scanner.pos;
-    while matches!(scanner.peek(), Some(c) if c.is_ascii_digit()) {
-        scanner.bump();
-    }
+    scanner.skip_while(|c| c.is_ascii_digit());
     scanner.src[start..scanner.pos]
         .parse()
         .map_err(|_| ParseErrorP2pml::new(start, "expected an integer"))
@@ -438,9 +433,7 @@ fn parse_integer(scanner: &mut Scanner<'_>) -> Result<u64, ParseErrorP2pml> {
 fn parse_decimal(scanner: &mut Scanner<'_>) -> Result<f64, ParseErrorP2pml> {
     scanner.skip_ws();
     let start = scanner.pos;
-    while matches!(scanner.peek(), Some(c) if c.is_ascii_digit() || c == '.') {
-        scanner.bump();
-    }
+    scanner.skip_while(|c| c.is_ascii_digit() || c == '.');
     scanner.src[start..scanner.pos]
         .parse()
         .map_err(|_| ParseErrorP2pml::new(start, "expected a number"))
@@ -459,13 +452,7 @@ fn parse_source(scanner: &mut Scanner<'_>) -> Result<SourceExpr, ParseErrorP2pml
     if scanner.eat("(") {
         // A nested subscription.
         let nested = parse_flwr(scanner, true)?;
-        scanner.skip_ws();
-        if !scanner.eat(")") {
-            return Err(ParseErrorP2pml::new(
-                scanner.pos,
-                "expected `)` after nested subscription",
-            ));
-        }
+        scanner.expect_close_paren("after nested subscription")?;
         return Ok(SourceExpr::Nested(Box::new(nested)));
     }
     let function = scanner.parse_identifier()?;
@@ -498,25 +485,13 @@ fn parse_source(scanner: &mut Scanner<'_>) -> Result<SourceExpr, ParseErrorP2pml
             format!("expected `(` after alerter function `{function}`"),
         ));
     }
-    let args = scanner.capture_until_matching_paren()?.trim().to_string();
-    if let Some(var) = args.strip_prefix('$') {
-        return Ok(SourceExpr::DynamicAlerter {
-            function,
-            driver: var.trim().to_string(),
-        });
+    scanner.skip_ws();
+    if scanner.peek() == Some('$') {
+        let driver = scanner.parse_variable()?;
+        scanner.expect_close_paren("after the driver variable")?;
+        return Ok(SourceExpr::DynamicAlerter { function, driver });
     }
-    // Static peer list given as XML fragments: <p>http://a.com</p> …
-    let peers = if args.is_empty() {
-        Vec::new()
-    } else {
-        let fragments = parse_fragment(&args).map_err(|e| {
-            ParseErrorP2pml::new(scanner.pos, format!("invalid alerter arguments: {e}"))
-        })?;
-        fragments
-            .iter()
-            .map(|f| f.text().trim().to_string())
-            .collect()
-    };
+    let peers = parse_peer_list(scanner)?;
     if peers.is_empty() {
         return Err(ParseErrorP2pml::new(
             scanner.pos,
@@ -524,6 +499,46 @@ fn parse_source(scanner: &mut Scanner<'_>) -> Result<SourceExpr, ParseErrorP2pml
         ));
     }
     Ok(SourceExpr::Alerter { function, peers })
+}
+
+/// Parses a static peer list where it stands, through its closing `)`:
+/// each element's text (`<p>http://a.com</p>` …) names a monitored peer,
+/// and stray text between the elements is skipped.
+fn parse_peer_list(scanner: &mut Scanner<'_>) -> Result<Vec<String>, ParseErrorP2pml> {
+    let start = scanner.pos;
+    let mut peers = Vec::new();
+    loop {
+        scanner.skip_ws();
+        match scanner.peek_byte() {
+            Some(b')') => {
+                scanner.pos += 1;
+                return Ok(peers);
+            }
+            Some(b'<') => {
+                let (element, used) = parse_element_at(scanner.src, scanner.pos).map_err(|e| {
+                    ParseErrorP2pml::new(scanner.pos, format!("invalid alerter arguments: {e}"))
+                })?;
+                scanner.pos += used;
+                peers.push(peer_text(element));
+            }
+            Some(_) => {
+                let stray = scanner.rest().find(['<', ')']);
+                scanner.pos = stray.map_or(scanner.src.len(), |at| scanner.pos + at);
+            }
+            None => return Err(ParseErrorP2pml::new(start, "unterminated `(`")),
+        }
+    }
+}
+
+/// A peer element's trimmed text, moved out of the element when it is one
+/// text run that is already trimmed.
+fn peer_text(mut element: Element) -> String {
+    if let [Node::Text(text)] = element.children.as_mut_slice() {
+        if text.trim().len() == text.len() {
+            return std::mem::take(text);
+        }
+    }
+    element.text().trim().to_string()
 }
 
 fn parse_let_binding(scanner: &mut Scanner<'_>) -> Result<LetBinding, ParseErrorP2pml> {
@@ -615,7 +630,7 @@ fn parse_operand(scanner: &mut Scanner<'_>) -> Result<Operand, ParseErrorP2pml> 
                 }
                 Some('/') => {
                     let path_text = capture_path(scanner);
-                    let path = XPath::parse(&path_text).map_err(|e| {
+                    let path = XPath::parse(path_text).map_err(|e| {
                         ParseErrorP2pml::new(
                             scanner.pos,
                             format!("invalid XPath in condition: {e}"),
@@ -629,9 +644,7 @@ fn parse_operand(scanner: &mut Scanner<'_>) -> Result<Operand, ParseErrorP2pml> 
         Some(c) if c.is_ascii_digit() || c == '-' => {
             let start = scanner.pos;
             scanner.bump();
-            while matches!(scanner.peek(), Some(c) if c.is_ascii_digit() || c == '.') {
-                scanner.bump();
-            }
+            scanner.skip_while(|c| c.is_ascii_digit() || c == '.');
             let text = &scanner.src[start..scanner.pos];
             Ok(Operand::Const(Value::from_literal(text)))
         }
@@ -644,7 +657,7 @@ fn parse_operand(scanner: &mut Scanner<'_>) -> Result<Operand, ParseErrorP2pml> 
 
 /// Captures an XPath starting at `/`, stopping at whitespace or a comparison
 /// operator that is *outside* brackets and quotes.
-fn capture_path(scanner: &mut Scanner<'_>) -> String {
+fn capture_path<'a>(scanner: &mut Scanner<'a>) -> &'a str {
     let start = scanner.pos;
     let mut depth = 0usize;
     let mut in_quote: Option<char> = None;
@@ -669,12 +682,16 @@ fn capture_path(scanner: &mut Scanner<'_>) -> String {
         }
         scanner.bump();
     }
-    scanner.src[start..scanner.pos].to_string()
+    &scanner.src[start..scanner.pos]
 }
 
-/// Captures the RETURN body: everything up to the top-level `by` keyword (or
-/// the closing parenthesis of a nested subscription, or end of input).
-fn capture_return_body(scanner: &mut Scanner<'_>, nested: bool) -> Result<String, ParseErrorP2pml> {
+/// Captures a RETURN body that is not a template (`$e`): everything up to
+/// the top-level `by` keyword (or the closing parenthesis of a nested
+/// subscription, or end of input).
+fn capture_return_body<'a>(
+    scanner: &mut Scanner<'a>,
+    nested: bool,
+) -> Result<&'a str, ParseErrorP2pml> {
     let start = scanner.pos;
     let mut angle_depth = 0usize;
     let mut brace_depth = 0usize;
@@ -718,7 +735,7 @@ fn capture_return_body(scanner: &mut Scanner<'_>, nested: bool) -> Result<String
             }
         }
     }
-    let body = scanner.src[start..scanner.pos].trim().to_string();
+    let body = scanner.src[start..scanner.pos].trim();
     if body.is_empty() {
         return Err(ParseErrorP2pml::new(start, "empty RETURN clause"));
     }
@@ -776,11 +793,17 @@ mod tests {
     use super::*;
     use crate::METEO_SUBSCRIPTION;
 
+    /// The variables the FOR clause binds, in order.
+    fn for_vars(sub: &Subscription) -> Vec<&str> {
+        sub.for_clause.iter().map(|b| b.var.as_str()).collect()
+    }
+
     #[test]
     fn parses_the_figure_1_subscription() {
         let sub = parse_subscription(METEO_SUBSCRIPTION).unwrap();
-        assert_eq!(sub.for_variables(), vec!["c1", "c2"]);
-        assert_eq!(sub.let_variables(), vec!["duration"]);
+        assert_eq!(for_vars(&sub), vec!["c1", "c2"]);
+        assert_eq!(sub.let_clause[0].var, "duration");
+        assert_eq!(sub.let_clause.len(), 1);
         assert_eq!(sub.where_clause.len(), 4);
         assert!(!sub.distinct);
         assert_eq!(sub.by, ByClause::Channel("alertQoS".to_string()));
@@ -811,7 +834,7 @@ mod tests {
                by email "admin@example.org";"#,
         )
         .unwrap();
-        assert_eq!(sub.for_variables(), vec!["e"]);
+        assert_eq!(for_vars(&sub), vec!["e"]);
         assert_eq!(sub.by, ByClause::Email("admin@example.org".to_string()));
         assert!(sub.where_clause[0].is_simple());
     }
@@ -856,7 +879,7 @@ mod tests {
         .unwrap();
         match &nested.for_clause[0].source {
             SourceExpr::Nested(inner) => {
-                assert_eq!(inner.for_variables(), vec!["y"]);
+                assert_eq!(for_vars(inner), vec!["y"]);
                 assert_eq!(inner.by, ByClause::Channel("__nested__".to_string()));
             }
             other => panic!("expected a nested subscription, got {other:?}"),
@@ -933,6 +956,57 @@ mod tests {
             r#"FOR $x IN inCOM(<p>a</p>) WHERE $x.callId = 1 RETURN <a/> BY EMAIL "x";"#,
         )
         .unwrap();
-        assert_eq!(sub.for_variables(), vec!["x"]);
+        assert_eq!(for_vars(&sub), vec!["x"]);
+    }
+
+    #[test]
+    fn a_by_word_in_template_text_is_the_templates() {
+        let sub = parse_subscription(
+            r#"for $x in inCOM(<p>a</p>) return <a>stand by me</a> by email "x";"#,
+        )
+        .unwrap();
+        assert_eq!(sub.return_template.source(), "<a>stand by me</a>");
+        assert_eq!(sub.by, ByClause::Email("x".to_string()));
+    }
+
+    #[test]
+    fn a_paren_in_nested_template_text_is_the_templates() {
+        let sub = parse_subscription(
+            r#"for $x in ( for $y in inCOM(<p>a.com</p>) return <p>x (y)</p> )
+               return <caller>{$x}</caller>
+               by publish as channel "pings";"#,
+        )
+        .unwrap();
+        let SourceExpr::Nested(inner) = &sub.for_clause[0].source else {
+            panic!("expected a nested subscription");
+        };
+        assert_eq!(inner.return_template.source(), "<p>x (y)</p>");
+        assert_eq!(inner.by, ByClause::Channel("__nested__".to_string()));
+    }
+
+    #[test]
+    fn by_in_an_attribute_or_a_placeholder_stays_in_the_template() {
+        let sub = parse_subscription(
+            r#"for $x in inCOM(<p>a</p>) return <a note="by me">{$x.by}</a> by email "x";"#,
+        )
+        .unwrap();
+        assert_eq!(
+            sub.return_template.source(),
+            r#"<a note="by me">{$x.by}</a>"#
+        );
+        assert_eq!(sub.return_template.variables(), vec!["x".to_string()]);
+    }
+
+    #[test]
+    fn peer_text_is_read_as_xml_text() {
+        let sub = parse_subscription(
+            r#"for $x in inCOM(<p> it's (a).com </p> <p>b)</p> <!-- c --> <p>c&amp;d</p>)
+               return <a/> by email "x";"#,
+        )
+        .unwrap();
+        let SourceExpr::Alerter { peers, .. } = &sub.for_clause[0].source else {
+            panic!("expected a static alerter");
+        };
+        assert_eq!(peers, &["it's (a).com", "b)", "c&d"]);
     }
 }

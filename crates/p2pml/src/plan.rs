@@ -8,14 +8,22 @@
 //! possible to the proximity of the sources to save on communications"),
 //! joins connect the sources pairwise, and the RETURN template sits on top.
 //! Placement, reuse and deployment are the business of `p2pmon-core`.
+//!
+//! The compiler takes the subscription by value: every name, condition, LET
+//! value and the template moves from the AST into the plan, and variables
+//! are resolved to FOR-binding indices rather than looked up by name in
+//! maps.  [`compile`] borrows a subscription and clones it into the same
+//! compiler.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use p2pmon_streams::{AggregateSpec, AttrCondition, ChannelId, Condition, Operand, Template};
+use p2pmon_xmlkit::path::CompareOp;
 use p2pmon_xmlkit::XPath;
 
-use crate::ast::{ByClause, SourceExpr, Subscription, ValueExpr};
+use crate::ast::{
+    operand_var, ByClause, ForBinding, LetBinding, SourceExpr, Subscription, ValueExpr,
+};
 use crate::parser::EXISTENCE_SENTINEL;
 
 pub use p2pmon_streams::normalize_peer;
@@ -312,164 +320,221 @@ impl fmt::Display for LogicalPlan {
     }
 }
 
-/// Compiles a parsed subscription into a logical plan.
+/// Compiles a parsed subscription into a logical plan: a clone of it goes
+/// through the same by-value compiler that [`crate::compile_subscription`]
+/// hands its freshly parsed subscription to.
 pub fn compile(subscription: &Subscription) -> Result<LogicalPlan, PlanError> {
-    if subscription.for_clause.is_empty() {
+    compile_owned(subscription.clone())
+}
+
+/// Where a LET value goes: into the Select of the one FOR variable it
+/// depends on (`owner`), into the Restructure, or both.  `uses` counts the
+/// places still to fill, so the last one moves the value.
+struct LetPlacement {
+    owner: Option<usize>,
+    in_template: bool,
+    uses: usize,
+}
+
+/// Compiles a subscription by value: names, conditions, derived values and
+/// the template move from the AST into the plan.  A variable is resolved to
+/// the index of the first FOR binding of that name, and a LET variable to
+/// the FOR indices it depends on, transitively.
+pub(crate) fn compile_owned(subscription: Subscription) -> Result<LogicalPlan, PlanError> {
+    let Subscription {
+        mut for_clause,
+        mut let_clause,
+        where_clause,
+        distinct,
+        return_template,
+        aggregate,
+        by,
+    } = subscription;
+    if for_clause.is_empty() {
         return Err(PlanError::new(
             "a subscription needs at least one FOR binding",
         ));
     }
-    let for_vars: Vec<String> = subscription
-        .for_clause
-        .iter()
-        .map(|b| b.var.clone())
-        .collect();
 
     // Which FOR variables does each LET variable (transitively) depend on?
-    let mut let_deps: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for binding in &subscription.let_clause {
+    // A name refers to the latest LET binding of that name before it.
+    let mut let_deps: Vec<Vec<usize>> = Vec::with_capacity(let_clause.len());
+    for (j, binding) in let_clause.iter().enumerate() {
         let mut deps = Vec::new();
         for v in binding.expr.variables() {
-            if for_vars.contains(&v) {
-                deps.push(v);
-            } else if let Some(inner) = let_deps.get(&v) {
-                deps.extend(inner.clone());
+            match for_index(&for_clause, v) {
+                Some(i) => deps.push(i),
+                None => {
+                    if let Some(k) = let_index(&let_clause[..j], v) {
+                        deps.extend_from_slice(&let_deps[k]);
+                    }
+                }
             }
         }
-        deps.sort();
+        deps.sort_unstable();
         deps.dedup();
-        let_deps.insert(binding.var.clone(), deps);
+        let_deps.push(deps);
     }
-    let resolve_vars = |condition: &Condition| -> Vec<String> {
-        let mut out = Vec::new();
-        for v in condition.variables() {
-            if for_vars.iter().any(|fv| fv == v) {
-                out.push(v.to_string());
-            } else if let Some(deps) = let_deps.get(v) {
-                out.extend(deps.clone());
+    // After the LET clause, a name refers to its last LET binding.
+    let final_deps = |name: &str| let_index(&let_clause, name).map_or(&[][..], |k| &let_deps[k]);
+    let resolve = |condition: &Condition, out: &mut Vec<usize>| {
+        out.clear();
+        for v in [&condition.left, &condition.right]
+            .into_iter()
+            .filter_map(operand_var)
+        {
+            match for_index(&for_clause, v) {
+                Some(i) => out.push(i),
+                None => out.extend_from_slice(final_deps(v)),
             }
         }
-        out.sort();
+        out.sort_unstable();
         out.dedup();
-        out
     };
 
-    // Partition the WHERE conditions.
-    let mut per_var: BTreeMap<String, Vec<Condition>> = BTreeMap::new();
-    let mut join_conditions: Vec<Condition> = Vec::new();
-    for condition in &subscription.where_clause {
-        let vars = resolve_vars(condition);
-        match vars.len() {
-            0 | 1 => {
-                let var = vars.first().cloned().unwrap_or_else(|| for_vars[0].clone());
-                per_var.entry(var).or_default().push(condition.clone());
-            }
-            _ => join_conditions.push(condition.clone()),
+    // Partition the WHERE conditions: single-variable ones by FOR index,
+    // the others with the FOR indices they join.
+    let mut per_var: Vec<Vec<Condition>> = (0..for_clause.len()).map(|_| Vec::new()).collect();
+    let mut joins: Vec<(Condition, Vec<usize>)> = Vec::new();
+    let mut vars = Vec::new();
+    for condition in where_clause {
+        resolve(&condition, &mut vars);
+        match vars.as_slice() {
+            [] => per_var[0].push(condition),
+            [i] => per_var[*i].push(condition),
+            _ => joins.push((condition, vars.clone())),
         }
-    }
-
-    // Build one (possibly filtered) source sub-plan per FOR variable.
-    let sources_by_var: BTreeMap<&str, &SourceExpr> = subscription
-        .for_clause
-        .iter()
-        .map(|b| (b.var.as_str(), &b.source))
-        .collect();
-    let mut sub_plans: Vec<(String, LogicalNode)> = Vec::new();
-    for binding in &subscription.for_clause {
-        let source = build_source(&binding.var, &binding.source, &sources_by_var)?;
-        let conditions = per_var.remove(&binding.var).unwrap_or_default();
-        let derived: Vec<(String, ValueExpr)> = subscription
-            .let_clause
-            .iter()
-            .filter(|l| {
-                let_deps
-                    .get(&l.var)
-                    .map(|deps| deps.len() == 1 && deps[0] == binding.var)
-                    .unwrap_or(false)
-            })
-            .map(|l| (l.var.clone(), l.expr.clone()))
-            .collect();
-        let node = if conditions.is_empty() && derived.is_empty() {
-            source
-        } else {
-            build_select(&binding.var, source, conditions, derived)
-        };
-        sub_plans.push((binding.var.clone(), node));
     }
 
     // Some FOR variables only exist to drive a dynamic alerter; they are
     // consumed inside the DynamicAlerter node and do not join with anything.
-    let driver_vars: Vec<String> = subscription
-        .for_clause
+    let drivers: Vec<bool> = for_clause
         .iter()
-        .filter_map(|b| match &b.source {
-            SourceExpr::DynamicAlerter { driver, .. } => Some(driver.clone()),
-            _ => None,
+        .map(|b| {
+            for_clause.iter().any(|d| {
+                matches!(&d.source, SourceExpr::DynamicAlerter { driver, .. } if *driver == b.var)
+            })
         })
         .collect();
-    sub_plans.retain(|(var, _)| !driver_vars.contains(var));
 
-    // Chain the remaining sub-plans with joins.
-    let mut iter = sub_plans.into_iter();
-    let (first_var, mut current) = iter
-        .next()
-        .ok_or_else(|| PlanError::new("no usable FOR binding after removing driver variables"))?;
-    let mut joined_vars = vec![first_var];
-    for (var, node) in iter {
+    let template_vars = if aggregate.is_none() && !let_clause.is_empty() {
+        return_template.variables()
+    } else {
+        Vec::new()
+    };
+    let mut placements: Vec<LetPlacement> = let_clause
+        .iter()
+        .map(|binding| {
+            let owner = match final_deps(&binding.var) {
+                [i] => Some(*i),
+                _ => None,
+            };
+            let in_template =
+                aggregate.is_none() && (owner.is_none() || template_vars.contains(&binding.var));
+            let selects = (0..for_clause.len())
+                .filter(|&i| !drivers[i] && Some(first_of(&for_clause, i)) == owner)
+                .count();
+            LetPlacement {
+                owner,
+                in_template,
+                uses: selects + usize::from(in_template),
+            }
+        })
+        .collect();
+
+    // Build one (possibly filtered) source sub-plan per FOR variable and
+    // chain them with joins, left-deep in FOR order.
+    let mut current: Option<LogicalNode> = None;
+    for i in 0..for_clause.len() {
+        let var_index = first_of(&for_clause, i);
+        let conditions = std::mem::take(&mut per_var[var_index]);
+        if drivers[i] {
+            continue;
+        }
+        let placeholder = SourceExpr::Alerter {
+            function: String::new(),
+            peers: Vec::new(),
+        };
+        let source = std::mem::replace(&mut for_clause[i].source, placeholder);
+        let var = for_clause[i].var.as_str();
+        let source = build_source(var, source, &for_clause, 0)?;
+        let derived: Vec<(String, ValueExpr)> = placements
+            .iter_mut()
+            .zip(&mut let_clause)
+            .filter(|(placement, _)| placement.owner == Some(var_index))
+            .map(|(placement, binding)| take_let(placement, binding))
+            .collect();
+        let node = if conditions.is_empty() && derived.is_empty() {
+            source
+        } else {
+            build_select(var, source, conditions, derived)
+        };
+        let Some(left) = current.take() else {
+            current = Some(node);
+            continue;
+        };
+
         // Find an equality predicate connecting `var` to one of the joined
-        // variables.
-        let mut key: Option<((String, String), (String, String))> = None;
+        // variables: those of the non-driver bindings before it.
+        let joined = |k: usize| {
+            (0..i).any(|earlier| !drivers[earlier] && first_of(&for_clause, earlier) == k)
+        };
+        let mut key = None;
         let mut residual: Vec<Condition> = Vec::new();
-        join_conditions.retain(|c| {
-            let involved = resolve_vars(c);
-            let connects = involved.contains(&var)
-                && involved.iter().any(|v| joined_vars.contains(v))
-                && involved.len() == 2;
-            if !connects {
-                return true;
+        let mut c = 0;
+        while c < joins.len() {
+            let involved = &joins[c].1;
+            if !(involved.len() == 2
+                && involved.contains(&var_index)
+                && involved.iter().any(|&k| joined(k)))
+            {
+                c += 1;
+                continue;
             }
-            if key.is_none() {
-                if let (
-                    Operand::VarAttr { var: lv, attr: la },
-                    Operand::VarAttr { var: rv, attr: ra },
-                ) = (&c.left, &c.right)
-                {
-                    if c.op == p2pmon_xmlkit::path::CompareOp::Eq {
-                        // Orient the key so the left side is an already-joined
-                        // variable.
-                        let (lk, rk) = if joined_vars.contains(lv) {
-                            ((lv.clone(), la.clone()), (rv.clone(), ra.clone()))
-                        } else {
-                            ((rv.clone(), ra.clone()), (lv.clone(), la.clone()))
-                        };
-                        key = Some((lk, rk));
-                        return false;
-                    }
-                }
+            let (condition, _) = joins.remove(c);
+            if key.is_some() {
+                residual.push(condition);
+                continue;
             }
-            residual.push(c.clone());
-            false
-        });
+            let Condition {
+                left: Operand::VarAttr { var: lv, attr: la },
+                op: CompareOp::Eq,
+                right: Operand::VarAttr { var: rv, attr: ra },
+            } = condition
+            else {
+                residual.push(condition);
+                continue;
+            };
+            // Orient the key so the left side is an already-joined variable.
+            key = Some(if for_index(&for_clause, &lv).is_some_and(joined) {
+                ((lv, la), (rv, ra))
+            } else {
+                ((rv, ra), (lv, la))
+            });
+        }
         let (left_key, right_key) = key.ok_or_else(|| {
             PlanError::new(format!(
                 "no equality join predicate connects ${var} to the other sources \
                  (cartesian products are not supported)"
             ))
         })?;
-        current = LogicalNode::Join {
-            left: Box::new(current),
+        current = Some(LogicalNode::Join {
+            left: Box::new(left),
             right: Box::new(node),
             left_key,
             right_key,
             residual,
-        };
-        joined_vars.push(var);
+        });
     }
-    if !join_conditions.is_empty() {
+    let mut current = current
+        .ok_or_else(|| PlanError::new("no usable FOR binding after removing driver variables"))?;
+    if !joins.is_empty() {
         // Leftover multi-variable conditions become residuals of the topmost
         // join when one exists.
         match &mut current {
-            LogicalNode::Join { residual, .. } => residual.extend(join_conditions),
+            LogicalNode::Join { residual, .. } => {
+                residual.extend(joins.into_iter().map(|(condition, _)| condition))
+            }
             _ => {
                 return Err(PlanError::new(
                     "multi-variable conditions require at least two sources",
@@ -478,25 +543,10 @@ pub fn compile(subscription: &Subscription) -> Result<LogicalPlan, PlanError> {
         }
     }
 
-    // Derived values the template needs (those not already attached to a
-    // single-variable Select, i.e. multi-variable LETs).
-    let template_derived: Vec<(String, ValueExpr)> = subscription
-        .let_clause
-        .iter()
-        .filter(|l| {
-            let_deps
-                .get(&l.var)
-                .map(|deps| deps.len() != 1)
-                .unwrap_or(true)
-                || subscription.return_template.variables().contains(&l.var)
-        })
-        .map(|l| (l.var.clone(), l.expr.clone()))
-        .collect();
-
-    if let Some(spec) = &subscription.aggregate {
+    if let Some(spec) = aggregate {
         // Aggregates replace the Dedup/Restructure top: the sketch root
         // materializes the answers itself.
-        if !for_vars.contains(&spec.var) {
+        if for_index(&for_clause, &spec.var).is_none() {
             return Err(PlanError::new(format!(
                 "aggregate key variable ${} is not bound by the FOR clause",
                 spec.var
@@ -506,72 +556,126 @@ pub fn compile(subscription: &Subscription) -> Result<LogicalPlan, PlanError> {
             root: LogicalNode::Aggregate {
                 var: spec.var.clone(),
                 input: Box::new(current),
-                spec: spec.clone(),
+                spec,
             },
-            by: subscription.by.clone(),
+            by,
             distinct: false,
         });
     }
 
-    if subscription.distinct {
+    // Derived values the template needs (those not already attached to a
+    // single-variable Select, i.e. multi-variable LETs).
+    let template_derived: Vec<(String, ValueExpr)> = placements
+        .iter_mut()
+        .zip(&mut let_clause)
+        .filter(|(placement, _)| placement.in_template)
+        .map(|(placement, binding)| take_let(placement, binding))
+        .collect();
+    if distinct {
         current = LogicalNode::Dedup {
             input: Box::new(current),
         };
     }
-    current = LogicalNode::Restructure {
-        input: Box::new(current),
-        template: subscription.return_template.clone(),
-        derived: template_derived,
-    };
-
     Ok(LogicalPlan {
-        root: current,
-        by: subscription.by.clone(),
-        distinct: subscription.distinct,
+        root: LogicalNode::Restructure {
+            input: Box::new(current),
+            template: return_template,
+            derived: template_derived,
+        },
+        by,
+        distinct,
     })
 }
 
+/// The index of the first FOR binding of `var`.
+fn for_index(bindings: &[ForBinding], var: &str) -> Option<usize> {
+    bindings.iter().position(|b| b.var == var)
+}
+
+/// The index of the first FOR binding of binding `i`'s variable.
+fn first_of(bindings: &[ForBinding], i: usize) -> usize {
+    for_index(bindings, &bindings[i].var).unwrap_or(i)
+}
+
+/// The LET value for one more of its places: a copy, or the value itself
+/// for the last place.
+fn take_let(placement: &mut LetPlacement, binding: &mut LetBinding) -> (String, ValueExpr) {
+    placement.uses -= 1;
+    if placement.uses == 0 {
+        let expr = ValueExpr::Operand(Operand::Var(String::new()));
+        (
+            std::mem::take(&mut binding.var),
+            std::mem::replace(&mut binding.expr, expr),
+        )
+    } else {
+        (binding.var.clone(), binding.expr.clone())
+    }
+}
+
+/// The index of the last LET binding of `var`.
+fn let_index(bindings: &[LetBinding], var: &str) -> Option<usize> {
+    bindings.iter().rposition(|b| b.var == var)
+}
+
+/// Builds the sub-plan of the FOR binding of `var` from its source.  A
+/// dynamic alerter inlines its driver variable's source, found among
+/// `bindings` (the last binding of that name); `depth` counts those hops,
+/// so drivers that name each other in a cycle are an error.
 fn build_source(
     var: &str,
-    source: &SourceExpr,
-    sources_by_var: &BTreeMap<&str, &SourceExpr>,
+    source: SourceExpr,
+    bindings: &[ForBinding],
+    depth: usize,
 ) -> Result<LogicalNode, PlanError> {
     match source {
         SourceExpr::Alerter { function, peers } => {
-            let mut nodes: Vec<LogicalNode> = peers
-                .iter()
-                .map(|p| LogicalNode::Alerter {
-                    function: function.clone(),
-                    peer: normalize_peer(p).to_string(),
-                    var: var.to_string(),
-                })
-                .collect();
-            if nodes.len() == 1 {
-                Ok(nodes.pop().expect("one node"))
-            } else {
-                Ok(LogicalNode::Union {
-                    var: var.to_string(),
-                    inputs: nodes,
-                })
+            let var = var.to_string();
+            match <[String; 1]>::try_from(peers) {
+                Ok([peer]) => Ok(LogicalNode::Alerter {
+                    function,
+                    peer: normalized(peer),
+                    var,
+                }),
+                Err(peers) => Ok(LogicalNode::Union {
+                    inputs: peers
+                        .into_iter()
+                        .map(|peer| LogicalNode::Alerter {
+                            function: function.clone(),
+                            peer: normalized(peer),
+                            var: var.clone(),
+                        })
+                        .collect(),
+                    var,
+                }),
             }
         }
         SourceExpr::DynamicAlerter { function, driver } => {
             // Inline the driver variable's own source as the membership feed.
-            let driver_source = sources_by_var.get(driver.as_str()).ok_or_else(|| {
-                PlanError::new(format!(
-                    "dynamic alerter {function}(${driver}) refers to an unbound variable"
-                ))
-            })?;
-            let driver_node = build_source(driver, driver_source, sources_by_var)?;
+            let driver_source =
+                bindings
+                    .iter()
+                    .rev()
+                    .find(|b| b.var == driver)
+                    .ok_or_else(|| {
+                        PlanError::new(format!(
+                            "dynamic alerter {function}(${driver}) refers to an unbound variable"
+                        ))
+                    })?;
+            if depth >= bindings.len() {
+                return Err(PlanError::new(format!(
+                    "dynamic alerter {function}(${driver}) is driven by itself through a cycle"
+                )));
+            }
+            let driver_node =
+                build_source(&driver, driver_source.source.clone(), bindings, depth + 1)?;
             Ok(LogicalNode::DynamicAlerter {
-                function: function.clone(),
+                function,
                 var: var.to_string(),
                 driver: Box::new(driver_node),
             })
         }
         SourceExpr::Nested(inner) => {
-            let plan = compile(inner)?;
-            let _ = sources_by_var;
+            let plan = compile_owned(*inner)?;
             // The nested subscription's output items bind to the outer
             // variable; wrap so the variable name is visible to the runtime.
             Ok(LogicalNode::Select {
@@ -584,9 +688,18 @@ fn build_source(
             })
         }
         SourceExpr::Channel { peer, stream } => Ok(LogicalNode::ChannelIn {
-            channel: ChannelId::new(normalize_peer(peer), stream.as_str()),
+            channel: ChannelId::new(normalize_peer(&peer), stream.as_str()),
             var: var.to_string(),
         }),
+    }
+}
+
+/// `peer` normalised, moved when normalising leaves it as it is.
+fn normalized(peer: String) -> String {
+    if normalize_peer(&peer).len() == peer.len() {
+        peer
+    } else {
+        normalize_peer(&peer).to_string()
     }
 }
 
@@ -602,25 +715,19 @@ fn build_select(
     let mut patterns = Vec::new();
     let mut general = Vec::new();
     for condition in conditions {
-        if let Some((cond_var, attr_condition)) = condition.as_attr_condition() {
-            if cond_var == var {
-                simple.push(attr_condition);
-                continue;
-            }
+        if condition.simple_var() == Some(var) {
+            simple.extend(condition.into_attr_condition());
+            continue;
         }
         // Existence conditions on the variable become tree patterns.
-        if let (Operand::VarPath { var: pv, path }, Operand::Const(c)) =
-            (&condition.left, &condition.right)
-        {
-            if pv == var
-                && condition.op == p2pmon_xmlkit::path::CompareOp::Ne
-                && c.as_string() == EXISTENCE_SENTINEL
-            {
-                patterns.push(path.clone());
-                continue;
-            }
+        match condition {
+            Condition {
+                left: Operand::VarPath { var: pv, path },
+                op: CompareOp::Ne,
+                right: Operand::Const(c),
+            } if pv == var && c.canonical_str() == EXISTENCE_SENTINEL => patterns.push(path),
+            other => general.push(other),
         }
-        general.push(condition);
     }
     LogicalNode::Select {
         var: var.to_string(),
@@ -960,6 +1067,48 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("not bound"), "{err}");
+    }
+
+    #[test]
+    fn drivers_in_a_cycle_are_an_error() {
+        for text in [
+            r#"for $c in inCOM($c) return <a/> by email "x";"#,
+            r#"for $j in inCOM($j), $c in outCOM($j) return <a/> by email "x";"#,
+            r#"for $a in inCOM($b), $b in outCOM($a), $c in inCOM($a)
+               return <a/> by email "x";"#,
+        ] {
+            let subscription = parse_subscription(text).unwrap();
+            assert!(compile(&subscription).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_let_value_goes_to_its_select_and_to_the_template() {
+        let plan = compile(
+            &parse_subscription(
+                r#"for $c in outCOM(<p>hub.net</p>)
+                   let $d := $c.responseTimestamp - $c.callTimestamp, $e := $d * 2
+                   where $e > 20
+                   return <slow d="{$d}"/>
+                   by email "slow@example.org";"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let LogicalNode::Restructure { input, derived, .. } = &plan.root else {
+            panic!("expected restructure at the root")
+        };
+        let LogicalNode::Select {
+            derived: select_derived,
+            ..
+        } = input.as_ref()
+        else {
+            panic!("expected a select below the restructure")
+        };
+        let names =
+            |d: &[(String, ValueExpr)]| d.iter().map(|(v, _)| v.clone()).collect::<Vec<_>>();
+        assert_eq!(names(select_derived), ["d", "e"], "both depend on $c alone");
+        assert_eq!(names(derived), ["d"], "the template reads $d");
     }
 
     #[test]

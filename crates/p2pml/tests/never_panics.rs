@@ -54,3 +54,32 @@ fn wide_chars_get_a_parse_error_or_parse_normally() {
         .replace("slowAnswer", "slowAnswer-é€𝄞");
     compile_subscription(&text).expect("wide chars inside literals compile");
 }
+
+/// A second base text through the scanner's other paths: a nested
+/// subscription, a `channel(...)` source, a LET, a `$c//detail` pattern and
+/// an aggregate RETURN.
+const SECOND_BASE: &str = r##"
+for $x in ( for $y in inCOM(<p>a.com</p>) where $y.callMethod = "Ping" return <p>{$y.caller}</p> ),
+    $c in outCOM(<p>http://hub.net</p> <p>b.net</p>),
+    $k in channel("#alertQoS@p.org")
+let $d := $c.responseTimestamp - $c.callTimestamp
+where $c.callId = $x.callId and $c.callId = $k.callId and $c//detail and $d > 10
+return topk($c.callMethod, 3, $c.bytes) every 2
+by email "ops@example.org";
+"##;
+
+#[test]
+fn the_second_base_text_never_panics() {
+    compile_subscription(SECOND_BASE).expect("the second base text compiles");
+    let inputs = variants(SECOND_BASE);
+    let panicking = inputs
+        .iter()
+        .filter(|input| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let _ = compile_subscription(input);
+            }))
+            .is_err()
+        })
+        .count();
+    assert_eq!(panicking, 0, "of {} inputs", inputs.len());
+}

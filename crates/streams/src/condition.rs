@@ -191,17 +191,42 @@ impl Condition {
     /// Converts a simple condition into its [`AttrCondition`] form (with the
     /// variable it applies to).  Returns `None` for non-simple conditions.
     pub fn as_attr_condition(&self) -> Option<(String, AttrCondition)> {
+        let var = self.simple_var()?.to_string();
+        Some((var, self.clone().into_attr_condition()?))
+    }
+
+    /// The variable a simple condition applies to; `None` for non-simple
+    /// conditions.
+    pub fn simple_var(&self) -> Option<&str> {
         match (&self.left, &self.right) {
-            (Operand::VarAttr { var, attr }, Operand::Const(c)) => Some((
-                var.clone(),
-                AttrCondition::new(attr.clone(), self.op, c.as_string()),
-            )),
-            (Operand::Const(c), Operand::VarAttr { var, attr }) => Some((
-                var.clone(),
-                AttrCondition::new(attr.clone(), flip(self.op), c.as_string()),
-            )),
+            (Operand::VarAttr { var, .. }, Operand::Const(_))
+            | (Operand::Const(_), Operand::VarAttr { var, .. }) => Some(var),
             _ => None,
         }
+    }
+
+    /// Turns a simple condition into its [`AttrCondition`] form by value,
+    /// moving the attribute name and the constant.  Returns `None` for
+    /// non-simple conditions.
+    pub fn into_attr_condition(self) -> Option<AttrCondition> {
+        let (attr, op, constant) = match self {
+            Condition {
+                left: Operand::VarAttr { attr, .. },
+                op,
+                right: Operand::Const(c),
+            } => (attr, op, c),
+            Condition {
+                left: Operand::Const(c),
+                op,
+                right: Operand::VarAttr { attr, .. },
+            } => (attr, flip(op), c),
+            _ => return None,
+        };
+        let constant = match constant {
+            Value::Str(s) => s,
+            other => other.as_string(),
+        };
+        Some(AttrCondition { attr, op, constant })
     }
 }
 

@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use p2pmon_xmlkit::{parse, Element, Node, ParseError, Value, XPath};
+use p2pmon_xmlkit::{parse, parse_element_at, Element, Node, ParseError, Value, XPath};
 
 use crate::binding::Bindings;
 
@@ -119,6 +119,17 @@ impl Template {
         })
     }
 
+    /// Parses the template element that starts at byte `pos` of `text` and
+    /// returns it with the number of bytes it spans, as
+    /// [`p2pmon_xmlkit::parse_element_at`] does: a language that embeds a
+    /// template (P2PML's RETURN clause) parses it where it stands.
+    pub fn parse_at(text: &str, pos: usize) -> Result<(Template, usize), TemplateError> {
+        let (skeleton, used) = parse_element_at(text, pos).map_err(TemplateError::Xml)?;
+        validate_placeholders(&skeleton)?;
+        let source = text[pos..pos + used].trim().to_string();
+        Ok((Template { skeleton, source }, used))
+    }
+
     /// Builds a template directly from an already-constructed skeleton.
     pub fn from_element(skeleton: Element) -> Result<Template, TemplateError> {
         validate_placeholders(&skeleton)?;
@@ -157,15 +168,15 @@ impl fmt::Display for Template {
 
 fn validate_placeholders(element: &Element) -> Result<(), TemplateError> {
     for (_, v) in &element.attributes {
-        for expr in extract_placeholders(v) {
-            Placeholder::parse(&expr)?;
+        for expr in placeholder_exprs(v) {
+            Placeholder::parse(expr)?;
         }
     }
     for child in &element.children {
         match child {
             Node::Text(t) => {
-                for expr in extract_placeholders(t) {
-                    Placeholder::parse(&expr)?;
+                for expr in placeholder_exprs(t) {
+                    Placeholder::parse(expr)?;
                 }
             }
             Node::Element(e) => validate_placeholders(e)?,
@@ -176,8 +187,8 @@ fn validate_placeholders(element: &Element) -> Result<(), TemplateError> {
 
 fn collect_variables(element: &Element, out: &mut Vec<String>) {
     for (_, v) in &element.attributes {
-        for expr in extract_placeholders(v) {
-            if let Ok(p) = Placeholder::parse(&expr) {
+        for expr in placeholder_exprs(v) {
+            if let Ok(p) = Placeholder::parse(expr) {
                 out.push(p.variable().to_string());
             }
         }
@@ -185,8 +196,8 @@ fn collect_variables(element: &Element, out: &mut Vec<String>) {
     for child in &element.children {
         match child {
             Node::Text(t) => {
-                for expr in extract_placeholders(t) {
-                    if let Ok(p) = Placeholder::parse(&expr) {
+                for expr in placeholder_exprs(t) {
+                    if let Ok(p) = Placeholder::parse(expr) {
                         out.push(p.variable().to_string());
                     }
                 }
@@ -196,20 +207,16 @@ fn collect_variables(element: &Element, out: &mut Vec<String>) {
     }
 }
 
-/// Extracts the `{...}` placeholder expressions from a text run.
-fn extract_placeholders(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
+/// The `{...}` placeholder expressions of a text run, borrowed from it.
+fn placeholder_exprs(text: &str) -> impl Iterator<Item = &str> {
     let mut rest = text;
-    while let Some(open) = rest.find('{') {
-        match rest[open..].find('}') {
-            Some(close) => {
-                out.push(rest[open + 1..open + close].to_string());
-                rest = &rest[open + close + 1..];
-            }
-            None => break,
-        }
-    }
-    out
+    std::iter::from_fn(move || {
+        let open = rest.find('{')?;
+        let close = open + rest[open..].find('}')?;
+        let expr = &rest[open + 1..close];
+        rest = &rest[close + 1..];
+        Some(expr)
+    })
 }
 
 fn instantiate_element(skeleton: &Element, bindings: &Bindings) -> Element {

@@ -34,7 +34,7 @@ pub use builder::ElementBuilder;
 pub use diff::{diff_elements, DiffOp};
 pub use intern::{Name, Symbol};
 pub use node::{Element, Node};
-pub use parser::{parse, parse_fragment, ParseError};
+pub use parser::{parse, parse_element_at, parse_fragment, ParseError};
 pub use path::{PathError, XPath};
 pub use value::Value;
 

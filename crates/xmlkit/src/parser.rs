@@ -51,11 +51,11 @@ impl std::error::Error for ParseError {}
 pub fn parse(input: &str) -> Result<Element, ParseError> {
     let mut p = Parser::new(input);
     p.skip_prolog();
-    let root = p.parse_element()?;
-    p.skip_misc();
-    if !p.at_end() {
+    let (root, used) = parse_element_at(input, p.pos)?;
+    let end = p.pos + used;
+    if end < input.len() {
         return Err(ParseError::new(
-            p.pos,
+            end,
             "unexpected content after root element",
         ));
     }
@@ -63,31 +63,50 @@ pub fn parse(input: &str) -> Result<Element, ParseError> {
 }
 
 /// Parses a fragment that may contain several sibling elements (and text,
-/// which is ignored at the top level).  Used by the RETURN-clause template
-/// engine and by the RSS alerter when feeds are concatenated.
+/// which is ignored at the top level), each through [`parse_element_at`].
 pub fn parse_fragment(input: &str) -> Result<Vec<Element>, ParseError> {
     let mut p = Parser::new(input);
     let mut out = Vec::new();
     loop {
         p.skip_misc();
-        if p.at_end() {
-            break;
-        }
-        if p.peek() == Some('<') {
-            out.push(p.parse_element()?);
-        } else {
-            // Skip stray top-level text.
-            while let Some(c) = p.peek() {
-                if c == '<' {
-                    break;
-                }
-                p.bump();
+        match p.peek_byte() {
+            None => break,
+            Some(b'<') => {
+                let (element, used) = parse_element_at(input, p.pos)?;
+                p.pos += used;
+                out.push(element);
             }
+            // Skip stray top-level text.
+            Some(_) => p.pos = p.next_tag(),
         }
     }
     Ok(out)
 }
 
+/// Parses the element that starts at byte `pos` of `input` and returns it
+/// with the number of bytes it spans from `pos`.  The whitespace, comments
+/// and processing instructions before and after the element are part of
+/// the span; whatever follows them is left to the caller, which is how a
+/// language embedding XML (a P2PML RETURN template, an alerter's peer list)
+/// parses it where it stands.
+pub fn parse_element_at(input: &str, pos: usize) -> Result<(Element, usize), ParseError> {
+    if !input.is_char_boundary(pos) {
+        return Err(ParseError::new(
+            pos,
+            "element offset is not a char boundary",
+        ));
+    }
+    let mut p = Parser { input, pos };
+    p.skip_misc();
+    let element = p.parse_element()?;
+    p.skip_misc();
+    Ok((element, p.pos - pos))
+}
+
+/// The scanner: it peeks bytes, and decodes a char only where a non-ASCII
+/// byte meets a char-class test (whitespace, name chars).  Every delimiter
+/// it looks for is ASCII, which never occurs inside a multi-byte char, so
+/// `pos` stays on a char boundary.
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
@@ -106,14 +125,37 @@ impl<'a> Parser<'a> {
         &self.input[self.pos..]
     }
 
-    fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
+    fn peek_byte(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
+    /// The char at `pos`, decoded only when its first byte is not ASCII.
+    fn peek(&self) -> Option<char> {
+        match self.peek_byte()? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.rest().chars().next(),
+        }
+    }
+
+    /// Advances past the chars `accept` takes.
+    fn skip_while(&mut self, accept: impl Fn(char) -> bool) {
+        while let Some(c) = self.peek() {
+            if !accept(c) {
+                break;
+            }
+            self.pos += c.len_utf8();
+        }
+    }
+
+    /// The offset of the next `<` at or after `pos`, or the input's end.
+    fn next_tag(&self) -> usize {
+        let rest = &self.input.as_bytes()[self.pos..];
+        self.pos + rest.iter().position(|&b| b == b'<').unwrap_or(rest.len())
+    }
+
+    /// The absolute offset of the next `marker` at or after `pos`.
+    fn find_from_here(&self, marker: &str) -> Option<usize> {
+        self.rest().find(marker).map(|idx| self.pos + idx)
     }
 
     fn starts_with(&self, s: &str) -> bool {
@@ -130,19 +172,13 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_whitespace(&mut self) {
-        while let Some(c) = self.peek() {
-            if c.is_whitespace() {
-                self.bump();
-            } else {
-                break;
-            }
-        }
+        self.skip_while(char::is_whitespace);
     }
 
     fn skip_until(&mut self, marker: &str) -> Result<(), ParseError> {
-        match self.rest().find(marker) {
-            Some(idx) => {
-                self.pos += idx + marker.len();
+        match self.find_from_here(marker) {
+            Some(at) => {
+                self.pos = at + marker.len();
                 Ok(())
             }
             None => Err(ParseError::new(
@@ -192,69 +228,54 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> Result<String, ParseError> {
+    fn parse_name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':') {
-                self.bump();
-            } else {
-                break;
-            }
-        }
+        self.skip_while(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':'));
         if self.pos == start {
             return Err(ParseError::new(start, "expected a name"));
         }
         let name = &self.input[start..self.pos];
-        if name
-            .chars()
-            .next()
-            .map(|c| c.is_ascii_digit() || c == '-' || c == '.')
-            .unwrap_or(true)
-        {
+        if matches!(name.as_bytes()[0], b'0'..=b'9' | b'-' | b'.') {
             return Err(ParseError::new(start, format!("invalid name `{name}`")));
         }
-        Ok(name.to_string())
+        Ok(name)
     }
 
     fn parse_attr_value(&mut self) -> Result<String, ParseError> {
-        let quote = match self.peek() {
-            Some(q @ ('"' | '\'')) => q,
+        let quote = match self.peek_byte() {
+            Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(ParseError::new(self.pos, "expected quoted attribute value")),
         };
-        self.bump();
+        self.pos += 1;
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == quote {
-                let raw = &self.input[start..self.pos];
-                self.bump();
-                return Ok(unescape(raw));
+        let value = &self.input.as_bytes()[start..];
+        match value.iter().position(|&b| b == quote || b == b'<') {
+            Some(len) if value[len] == quote => {
+                self.pos = start + len + 1;
+                Ok(unescaped(&self.input[start..start + len]))
             }
-            if c == '<' {
-                return Err(ParseError::new(
-                    self.pos,
-                    "`<` not allowed in attribute value",
-                ));
-            }
-            self.bump();
+            Some(len) => Err(ParseError::new(
+                start + len,
+                "`<` not allowed in attribute value",
+            )),
+            None => Err(ParseError::new(start, "unterminated attribute value")),
         }
-        Err(ParseError::new(start, "unterminated attribute value"))
     }
 
     fn parse_element(&mut self) -> Result<Element, ParseError> {
         self.expect("<")?;
-        let name = self.parse_name()?;
-        let mut element = Element::new(name);
+        let mut element = Element::new(self.parse_name()?);
 
         // Attributes.
         loop {
             self.skip_whitespace();
-            match self.peek() {
-                Some('>') => {
-                    self.bump();
+            match self.peek_byte() {
+                Some(b'>') => {
+                    self.pos += 1;
                     break;
                 }
-                Some('/') => {
-                    self.bump();
+                Some(b'/') => {
+                    self.pos += 1;
                     self.expect(">")?;
                     return Ok(element);
                 }
@@ -265,13 +286,13 @@ impl<'a> Parser<'a> {
                     self.expect("=")?;
                     self.skip_whitespace();
                     let value = self.parse_attr_value()?;
-                    if element.attr(&attr_name).is_some() {
+                    if element.attr(attr_name).is_some() {
                         return Err(ParseError::new(
                             attr_start,
                             format!("duplicate attribute `{attr_name}`"),
                         ));
                     }
-                    element.attributes.push((attr_name, value));
+                    element.attributes.push((attr_name.to_string(), value));
                 }
                 None => return Err(ParseError::new(self.pos, "unterminated start tag")),
             }
@@ -303,10 +324,10 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<![CDATA[") {
                 self.pos += "<![CDATA[".len();
                 let start = self.pos;
-                match self.rest().find("]]>") {
-                    Some(idx) => {
-                        pending_text.push_str(&self.input[start..start + idx]);
-                        self.pos = start + idx + 3;
+                match self.find_from_here("]]>") {
+                    Some(end) => {
+                        pending_text.push_str(&self.input[start..end]);
+                        self.pos = end + 3;
                     }
                     None => return Err(ParseError::new(start, "unterminated CDATA section")),
                 }
@@ -324,15 +345,25 @@ impl<'a> Parser<'a> {
                 ));
             } else {
                 let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if c == '<' {
-                        break;
-                    }
-                    self.bump();
+                self.pos = self.next_tag();
+                let raw = &self.input[start..self.pos];
+                if raw.contains('&') {
+                    pending_text.push_str(&unescape(raw));
+                } else {
+                    pending_text.push_str(raw);
                 }
-                pending_text.push_str(&unescape(&self.input[start..self.pos]));
             }
         }
+    }
+}
+
+/// `raw` with its entities replaced; only text holding a `&` goes through
+/// [`unescape`].
+fn unescaped(raw: &str) -> String {
+    if raw.contains('&') {
+        unescape(raw)
+    } else {
+        raw.to_owned()
     }
 }
 
@@ -443,6 +474,25 @@ mod tests {
         let frags = parse_fragment("<a/> <b x=\"1\"/> <c>t</c>").unwrap();
         assert_eq!(frags.len(), 3);
         assert_eq!(frags[1].attr("x"), Some("1"));
+    }
+
+    #[test]
+    fn an_element_parses_where_it_stands() {
+        let text = "by x <a k=\"v\">t<b/></a> <!-- c --> by y";
+        let (e, used) = parse_element_at(text, 5).unwrap();
+        assert_eq!(
+            (e.name.as_str(), e.attr("k"), e.text()),
+            ("a", Some("v"), "t".into())
+        );
+        assert_eq!(
+            &text[5 + used..],
+            "by y",
+            "the span ends after the trailing comment"
+        );
+        let err = parse_element_at(text, 0).unwrap_err();
+        assert_eq!(err.offset, 0, "offsets are absolute");
+        assert!(parse_element_at("é<a/>", 1).is_err(), "not a char boundary");
+        assert!(parse_element_at("<a/>", 9).is_err());
     }
 
     #[test]

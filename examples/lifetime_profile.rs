@@ -11,8 +11,10 @@
 //! batch, the same split of its dispatch rounds, summed.
 //!
 //! Then it submits the N subscriptions of a `MassiveStorm` (the end-to-end
-//! benchmark's `alert_storm` and `subscribe_storm` shape), dispatches one
-//! 256-call batch and prints its rounds' split, with the items handed
+//! benchmark's `alert_storm` and `subscribe_storm` shape) and prints each
+//! submit phase's work summed over them, its median and mean time, and the
+//! median and mean of the whole submit; it dispatches one 256-call batch
+//! and prints its rounds' split, with the items handed
 //! straight to a sink target instead of a pass-through root's operator;
 //! then it tears them down oldest first — the order in which every
 //! replica's forwarder leaves before the subscribers riding its copy — and
@@ -39,7 +41,7 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use p2pmon::core::{Monitor, MonitorConfig, SubscriptionHandle};
+use p2pmon::core::{LifetimeProfile, Monitor, MonitorConfig, SubscriptionHandle};
 use p2pmon::net::NetworkConfig;
 use p2pmon::workloads::{MassiveStorm, OverlappingStorm, SketchStorm};
 
@@ -91,34 +93,49 @@ fn main() {
     churn_teardown();
 }
 
-/// Each teardown phase's name, its work summed and every teardown's time.
+/// Each phase's name, its work summed and every profile's time, beside
+/// every profile's total time: the split of many submits or teardowns.
 #[derive(Default)]
-struct TeardownSplit(Vec<(&'static str, u64, Vec<Duration>)>);
+struct PhaseSplit {
+    phases: Vec<(&'static str, u64, Vec<Duration>)>,
+    totals: Vec<Duration>,
+}
 
-impl TeardownSplit {
+impl PhaseSplit {
+    /// Adds one submit's or teardown's profile to the split.
+    fn add(&mut self, profile: &LifetimeProfile) {
+        let phases = profile.phases();
+        self.phases.resize_with(phases.len(), Default::default);
+        for (total, phase) in self.phases.iter_mut().zip(phases) {
+            total.0 = phase.name;
+            total.1 += phase.work;
+            total.2.push(phase.elapsed);
+        }
+        self.totals.push(profile.total());
+    }
+
     /// Tears `handle` down and adds its profile to the split.
     fn unsubscribe(&mut self, monitor: &mut Monitor, handle: &SubscriptionHandle) {
         assert!(
             monitor.unsubscribe(handle),
             "a live subscription tears down"
         );
-        let profile = monitor.last_unsubscribe_profile().phases();
-        self.0.resize_with(profile.len(), Default::default);
-        for (total, phase) in self.0.iter_mut().zip(profile) {
-            total.0 = phase.name;
-            total.1 += phase.work;
-            total.2.push(phase.elapsed);
-        }
+        self.add(monitor.last_unsubscribe_profile());
     }
 
-    /// Prints every phase's summed work, p50 and mean time.
+    /// Prints every phase's summed work, p50 and mean time, then the p50
+    /// and mean of the whole.
     fn print(self) {
-        for (name, work, mut times) in self.0 {
+        let row = |name: &str, work: String, mut times: Vec<Duration>| {
             times.sort_unstable();
             let p50 = times[times.len() / 2].as_secs_f64() * 1e6;
             let mean = times.iter().sum::<Duration>().as_secs_f64() * 1e6 / times.len() as f64;
             println!("{name:<32} {work:>9} {p50:>9.2} us {mean:>9.2} us");
+        };
+        for (name, work, times) in self.phases {
+            row(name, work.to_string(), times);
         }
+        row("total", String::new(), self.totals);
     }
 }
 
@@ -138,13 +155,19 @@ fn storm_teardown(n: usize) {
     for peer in storm.monitored_peers.iter().chain(&storm.manager_peers()) {
         monitor.add_peer(peer.as_str());
     }
+    let mut submits = PhaseSplit::default();
     let handles: Vec<_> = (0..n)
         .map(|i| {
-            monitor
+            let handle = monitor
                 .submit(&storm.manager_of(i), &storm.subscription(i))
-                .expect("storm subscription deploys")
+                .expect("storm subscription deploys");
+            submits.add(monitor.last_submit_profile());
+            handle
         })
         .collect();
+    println!("submits of {n} storm subscriptions (work summed, p50 and mean time):");
+    submits.print();
+    println!();
 
     for call in storm.calls(256) {
         monitor.inject_soap_call(&call);
@@ -155,7 +178,7 @@ fn storm_teardown(n: usize) {
     let sinks = monitor.dispatch_stats().sink_target_deliveries;
     println!("sink-target deliveries (no operator ran) {sinks:>9}\n");
 
-    let mut split = TeardownSplit::default();
+    let mut split = PhaseSplit::default();
     for handle in &handles {
         split.unsubscribe(&mut monitor, handle);
     }
@@ -191,7 +214,7 @@ fn filter_teardown() {
     );
     println!("{}", monitor.last_submit_profile());
 
-    let mut split = TeardownSplit::default();
+    let mut split = PhaseSplit::default();
     let mut scanned = Vec::with_capacity(FILTERS);
     for handle in &handles {
         let before = monitor.dht_stats().postings_read;
@@ -243,7 +266,7 @@ fn churn_teardown() {
             .expect("churn storm subscription deploys")
     };
     let mut live: VecDeque<_> = (0..STANDING).map(|i| submit(&mut monitor, i)).collect();
-    let mut split = TeardownSplit::default();
+    let mut split = PhaseSplit::default();
     for step in 0..STEPS {
         for _ in 0..CHURN {
             let oldest = live.pop_front().expect("standing subscriptions");

@@ -175,11 +175,7 @@ impl Condition {
     /// its *root attributes* to a constant — i.e. it is a *simple condition*
     /// that the pre-filter can check on the fly.
     pub fn is_simple(&self) -> bool {
-        matches!(
-            (&self.left, &self.right),
-            (Operand::VarAttr { .. }, Operand::Const(_))
-                | (Operand::Const(_), Operand::VarAttr { .. })
-        )
+        self.simple_var().is_some()
     }
 
     /// True when the condition compares attributes of two *different*

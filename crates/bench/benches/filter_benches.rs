@@ -1,11 +1,9 @@
-//! Experiments E2–E5: the Filter (Section 4).
+//! Experiments E2 and E3: the Filter (Section 4).
 //!
 //! * **E2** — throughput of the two-stage FilterEngine vs. the naive
 //!   evaluate-everything baseline, as the number of subscriptions grows.
 //! * **E3** — the AES hash-tree vs. a linear scan over the subscriptions'
 //!   simple conditions.
-//! * **E5** — ActiveXML laziness: service calls avoided because the simple
-//!   conditions already rejected the document.
 //!
 //! Besides the Criterion groups, this bench writes the `BENCH_filter.json`
 //! trajectory to the workspace root (preFilter probes and AES hash-tree sizes
@@ -20,7 +18,6 @@ use std::time::Instant;
 use p2pmon_bench::{full_run_requested, quick_criterion};
 use p2pmon_filter::{FilterEngine, NaiveFilter};
 use p2pmon_workloads::SubscriptionWorkload;
-use p2pmon_xmlkit::{parse, XPath};
 
 fn e2_filter_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_filter_throughput");
@@ -90,63 +87,6 @@ fn e3_aes_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn e5_lazy_service_calls(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e5_lazy_service_calls");
-    // The paper's example: attr conditions + //c/d over a document whose
-    // payload sits behind a storage service call.
-    let mut workload = SubscriptionWorkload::new(3);
-    workload.complex_fraction = 1.0;
-    let mut subscriptions = workload.subscriptions(500);
-    for s in &mut subscriptions {
-        s.complex = vec![XPath::parse("//c/d").unwrap()];
-    }
-    let documents: Vec<_> = (0..64)
-        .map(|i| {
-            parse(&format!(
-                r#"<alert extra{}="v{}" a1="v1"><sc service="storage" address="site"><parameters/></sc></alert>"#,
-                i % 20,
-                i % 10
-            ))
-            .expect("valid doc")
-        })
-        .collect();
-    let payload = parse("<c><d>big payload fetched on demand</d></c>").unwrap();
-
-    let mut lazy_engine = FilterEngine::from_subscriptions(subscriptions.clone());
-    group.bench_function("lazy_sc_materialization", |b| {
-        b.iter(|| {
-            let mut calls = 0usize;
-            for doc in &documents {
-                let (_, made) = lazy_engine
-                    .process_intensional(black_box(doc), &mut |_| Ok(vec![payload.clone()]));
-                calls += made;
-            }
-            calls
-        })
-    });
-
-    let mut eager_engine = FilterEngine::from_subscriptions(subscriptions);
-    group.bench_function("eager_materialize_everything", |b| {
-        b.iter(|| {
-            let mut calls = 0usize;
-            for doc in &documents {
-                let mut materialised = doc.clone();
-                calls += p2pmon_activexml::sc::materialize(&mut materialised, &mut |_| {
-                    Ok(vec![payload.clone()])
-                })
-                .unwrap_or(0);
-                eager_engine.process(black_box(&materialised));
-            }
-            calls
-        })
-    });
-    eprintln!(
-        "e5: lazy engine avoided {} service calls and made {}",
-        lazy_engine.stats.service_calls_avoided, lazy_engine.stats.service_calls_made
-    );
-    group.finish();
-}
-
 /// Best-of-N wall-clock nanoseconds per document for a closure run over a
 /// document set.
 fn best_ns_per_doc(repeats: usize, docs: usize, mut run: impl FnMut() -> usize) -> f64 {
@@ -163,7 +103,7 @@ fn best_ns_per_doc(repeats: usize, docs: usize, mut run: impl FnMut() -> usize) 
 /// Emits the BENCH_filter.json trajectory at the workspace root: the E2
 /// engine-vs-naive shape per subscription count, the preFilter probes the
 /// engine counted per document (deterministic, unlike the timings), the E3
-/// AES hash-tree size per row, plus the E5 lazy service-call counters.  Asserts the filter contract before writing.
+/// AES hash-tree size per row.  Asserts the filter contract before writing.
 fn emit_trajectory(_c: &mut Criterion) {
     let repeats = if full_run_requested() { 5 } else { 3 };
     let n_docs = if full_run_requested() { 128 } else { 64 };
@@ -218,34 +158,12 @@ fn emit_trajectory(_c: &mut Criterion) {
         "filter speedup at 10000 subscriptions regressed below 5.5x: {ceiling:.3}x"
     );
 
-    // E5: service calls avoided on intensional documents.
-    let mut workload = SubscriptionWorkload::new(3);
-    workload.complex_fraction = 1.0;
-    let mut subscriptions = workload.subscriptions(500);
-    for s in &mut subscriptions {
-        s.complex = vec![XPath::parse("//c/d").expect("valid pattern")];
-    }
-    let mut lazy = FilterEngine::from_subscriptions(subscriptions);
-    let payload = parse("<c><d>payload</d></c>").expect("valid doc");
-    for i in 0..n_docs {
-        let doc = parse(&format!(
-            r#"<alert extra{}="v{}" a1="v1"><sc service="storage" address="site"><parameters/></sc></alert>"#,
-            i % 20,
-            i % 10
-        ))
-        .expect("valid doc");
-        lazy.process_intensional(&doc, &mut |_| Ok(vec![payload.clone()]));
-    }
-
     let json =
         format!(
         "{{\n  \"bench\": \"filter\",\n  \"mode\": \"{}\",\n  \"documents_per_run\": {n_docs},\n  \
-         \"results\": [\n{}\n  ],\n  \
-         \"lazy_service_calls\": {{\"made\": {}, \"avoided\": {}}}\n}}\n",
+         \"results\": [\n{}\n  ]\n}}\n",
         if full_run_requested() { "full" } else { "quick" },
         rows.join(",\n"),
-        lazy.stats.service_calls_made,
-        lazy.stats.service_calls_avoided
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_filter.json");
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
@@ -255,7 +173,6 @@ fn emit_trajectory(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = e2_filter_throughput, e3_aes_scaling, e5_lazy_service_calls,
-        emit_trajectory
+    targets = e2_filter_throughput, e3_aes_scaling, emit_trajectory
 }
 criterion_main!(benches);

@@ -816,7 +816,10 @@ impl Monitor {
     /// is deployed.  The repository belongs to the alerter: it starts empty
     /// when a source is deployed and goes with the source's last
     /// subscription.
-    pub fn axml_repository_mut(&mut self, peer: &str) -> Option<&mut p2pmon_activexml::Repository> {
+    pub fn axml_repository_mut(
+        &mut self,
+        peer: &str,
+    ) -> Option<&mut p2pmon_alerters::axml::Repository> {
         match self.alerter(peer, AXML_UPDATE) {
             Some(AlerterKind::Axml(alerter)) => Some(alerter.repository_mut()),
             _ => None,

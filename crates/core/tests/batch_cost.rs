@@ -138,8 +138,6 @@ const HUB_STATS: FilterStats = FilterStats {
     documents_matched: 12,
     complex_evaluations: 9,
     complex_stage_entered: 9,
-    service_calls_made: 0,
-    service_calls_avoided: 0,
     promotions: 0,
     condition_probes: 32,
     trees_compared: 0,

@@ -7,18 +7,18 @@
 //! root attributes left active are evaluated directly, and no other pattern
 //! is read.
 //!
-//! Every adjustment is incremental: registering a subscription appends its
-//! conditions to the preFilter alphabet and inserts its prefix into the AES
-//! hash-tree; removing one prunes the hash-tree (the alphabet is
-//! append-only, and the index is rebuilt once most of it is dead).  Either
-//! costs the subscription, not the database.
+//! Registering a subscription appends its conditions to the preFilter
+//! alphabet and inserts its prefix into the AES hash-tree, at the cost of the
+//! subscription.  Removing one prunes the hash-tree at the same cost, but the
+//! alphabet is append-only: the removal that leaves it mostly dead rebuilds
+//! the whole index from the database ([`FilterEngine::remove`] states when),
+//! and so does every [`FilterEngine::add_all`].
 //! [`NaiveFilter`](crate::NaiveFilter) is the equivalence oracle (see
 //! `tests/prop_engine_vs_naive.rs`).
 
 use std::collections::HashMap;
 use std::ptr;
 
-use p2pmon_activexml::sc::{materialize, ServiceCall};
 use p2pmon_xmlkit::Element;
 
 use crate::aes::AesFilter;
@@ -34,8 +34,8 @@ pub enum EngineMode {
     Staged,
 }
 
-/// Aggregate statistics maintained by the engine (experiments E2–E5 read
-/// these).
+/// Aggregate statistics maintained by the engine (experiments E2 and E3
+/// read these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Documents processed.
@@ -46,11 +46,6 @@ pub struct FilterStats {
     pub complex_evaluations: u64,
     /// Documents that reached the complex stage at all.
     pub complex_stage_entered: u64,
-    /// Service calls (`sc` elements) materialised.
-    pub service_calls_made: u64,
-    /// Service calls avoided because no active subscription needed the
-    /// payload.
-    pub service_calls_avoided: u64,
     /// Always 0.  Kept only because the frozen `benchmark/` package names
     /// it.
     #[doc(hidden)]
@@ -73,8 +68,6 @@ impl FilterStats {
         self.documents_matched += other.documents_matched;
         self.complex_evaluations += other.complex_evaluations;
         self.complex_stage_entered += other.complex_stage_entered;
-        self.service_calls_made += other.service_calls_made;
-        self.service_calls_avoided += other.service_calls_avoided;
         self.condition_probes += other.condition_probes;
         self.trees_compared += other.trees_compared;
     }
@@ -246,9 +239,6 @@ fn complex_stage(
         .collect()
 }
 
-/// Performs the remote call behind an `sc` element on demand.
-type Resolver<'a> = dyn FnMut(&ServiceCall) -> Result<Vec<Element>, String> + 'a;
-
 /// The two-stage, many-subscription Filter.
 ///
 /// # Example
@@ -336,9 +326,20 @@ impl FilterEngine {
         self.rebuild();
     }
 
-    /// Removes a subscription in O(|subscription|); returns `true` when it
-    /// existed.  The staged structures shrink symmetrically, so
-    /// `aes_node_count` never reports stale structure.
+    /// Removes a subscription; returns `true` when it existed.  The staged
+    /// structures shrink symmetrically, so `aes_node_count` never reports
+    /// stale structure.
+    ///
+    /// A removal costs O(|subscription|), except one that leaves the
+    /// preFilter alphabet mostly dead — more than 64 conditions, over half of
+    /// them referenced by no subscription — which rebuilds the whole index
+    /// from the database, in O(|database|).  Only removals kill conditions,
+    /// and after a rebuild the alphabet holds only live ones, so more than
+    /// half of the alphabet (at least 33 conditions) dies between two
+    /// rebuilds: amortized, a removal costs O(|subscription| · |database| /
+    /// max(33, live conditions)).  When every subscription has conditions of
+    /// its own, removing them all oldest first rebuilds the index about half,
+    /// three quarters, seven eighths, … of the way through.
     pub fn remove(&mut self, id: SubscriptionId) -> bool {
         let Some(old) = self.subscriptions.remove(&id) else {
             return false;
@@ -360,19 +361,9 @@ impl FilterEngine {
         self.stages = StagedIndex::build(&self.subscriptions);
     }
 
-    /// Filters one (fully materialised) document.
+    /// Filters one document: simple stage, then the complex stage only if
+    /// some complex subscription is still active.
     pub fn process(&mut self, document: &Element) -> FilterOutcome {
-        self.run(document, None).0
-    }
-
-    /// The one match path: simple stage → service calls, only if a resolver
-    /// was given and something is still active → complex stage → epilogue.
-    /// Returns the outcome together with the number of calls made.
-    fn run(
-        &mut self,
-        document: &Element,
-        resolver: Option<&mut Resolver<'_>>,
-    ) -> (FilterOutcome, usize) {
         self.stats.documents += 1;
         let probes_before = self.stages.prefilter.condition_probes;
         let (mut matched, mut active) = self.stages.simple_stage(document, &self.subscriptions);
@@ -380,29 +371,10 @@ impl FilterEngine {
         active.sort_unstable();
         active.dedup();
 
-        let mut calls = 0usize;
         if !active.is_empty() {
-            // Some complex subscription is active: materialise and evaluate.
-            let materialised = resolver.map(|resolver| {
-                let mut materialised = document.clone();
-                // A failing call ends materialisation, but the calls before
-                // it were made and their results merged into the document the
-                // patterns now see: count each where it succeeds.
-                let _ = materialize(&mut materialised, &mut |call| {
-                    let results = resolver(call)?;
-                    calls += 1;
-                    Ok(results)
-                });
-                materialised
-            });
-            self.stats.service_calls_made += calls as u64;
-            let document = materialised.as_ref().unwrap_or(document);
             self.stats.complex_stage_entered += 1;
             self.stats.complex_evaluations += active.len() as u64;
             matched.extend(complex_stage(&self.subscriptions, document, &active));
-        } else if resolver.is_some() {
-            // No complex subscription cares: the service calls are avoided.
-            self.stats.service_calls_avoided += ServiceCall::find_in(document).len() as u64;
         }
 
         matched.sort_unstable();
@@ -410,13 +382,10 @@ impl FilterEngine {
         if !matched.is_empty() {
             self.stats.documents_matched += 1;
         }
-        (
-            FilterOutcome {
-                matched,
-                active_complex: active,
-            },
-            calls,
-        )
+        FilterOutcome {
+            matched,
+            active_complex: active,
+        }
     }
 
     /// Filters a batch of documents, running the three stages once per
@@ -462,22 +431,6 @@ impl FilterEngine {
             index.push(i);
         }
         BatchOutcome { outcomes, index }
-    }
-
-    /// Filters a document that may contain unevaluated service calls
-    /// (`sc` elements).  `resolver` performs the remote call on demand.
-    ///
-    /// The optimisation of Section 4: the simple conditions are checked on
-    /// the root attributes *before* any service call; if no complex
-    /// subscription remains active, the (possibly expensive) call is avoided
-    /// entirely.  Returns the outcome together with the number of calls made.
-    pub fn process_intensional(
-        &mut self,
-        document: &Element,
-        resolver: &mut Resolver<'_>,
-    ) -> (FilterOutcome, usize) {
-        let resolver = ServiceCall::document_is_intensional(document).then_some(resolver);
-        self.run(document, resolver)
     }
 }
 
@@ -675,77 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn intensional_documents_avoid_service_calls_when_simple_conditions_fail() {
-        let mut engine = FilterEngine::new();
-        // The paper's example: attr1="x" and attr2="z" and //c/d.
-        engine.add(
-            FilterSubscription::new(1)
-                .with_simple(vec![
-                    AttrCondition::new("attr1", CompareOp::Eq, "x"),
-                    AttrCondition::new("attr2", CompareOp::Eq, "z"),
-                ])
-                .with_complex(vec![XPath::parse("//c/d").unwrap()]),
-        );
-        let doc = parse(
-            r#"<root attr1="x" attr2="y"><sc service="storage" address="site"><parameters/></sc></root>"#,
-        )
-        .unwrap();
-        let mut calls = 0usize;
-        let (outcome, made) = engine.process_intensional(&doc, &mut |_| {
-            calls += 1;
-            Ok(vec![parse("<c><d/></c>").unwrap()])
-        });
-        assert!(outcome.matched.is_empty());
-        assert_eq!(made, 0, "attr2 failed, the storage call must be avoided");
-        assert_eq!(calls, 0);
-        assert_eq!(engine.stats.service_calls_avoided, 1);
-    }
-
-    #[test]
-    fn intensional_documents_materialise_when_needed() {
-        let mut engine = FilterEngine::new();
-        engine.add(
-            FilterSubscription::new(1)
-                .with_simple(vec![AttrCondition::new("attr1", CompareOp::Eq, "x")])
-                .with_complex(vec![XPath::parse("//c/d").unwrap()]),
-        );
-        let doc = parse(
-            r#"<root attr1="x"><sc service="storage" address="site"><parameters/></sc></root>"#,
-        )
-        .unwrap();
-        let (outcome, made) =
-            engine.process_intensional(&doc, &mut |_| Ok(vec![parse("<c><d/></c>").unwrap()]));
-        assert_eq!(outcome.matched, vec![SubscriptionId(1)]);
-        assert_eq!(made, 1);
-        assert_eq!(engine.stats.service_calls_made, 1);
-    }
-
-    #[test]
-    fn a_resolver_failing_part_way_keeps_the_calls_already_made() {
-        let mut engine = FilterEngine::new();
-        engine.add(sub_complex(1, "attr1", "x", "//c/d"));
-        engine.add(sub_complex(2, "attr1", "x", "//never"));
-        let sc = r#"<sc service="storage" address="site"><parameters/></sc>"#;
-        let doc = parse(&format!(r#"<root attr1="x">{sc}{sc}{sc}</root>"#)).unwrap();
-        let mut asked = 0usize;
-        let (outcome, made) = engine.process_intensional(&doc, &mut |_| {
-            asked += 1;
-            if asked == 2 {
-                return Err("service unreachable".into());
-            }
-            Ok(vec![parse("<c><d/></c>").unwrap()])
-        });
-        assert_eq!(asked, 2, "materialisation stops at the failure");
-        assert_eq!(made, 1, "the first call was made and merged");
-        assert_eq!(engine.stats.service_calls_made, 1);
-        assert_eq!(outcome.matched, vec![SubscriptionId(1)]);
-        assert_eq!(
-            outcome.active_complex,
-            vec![SubscriptionId(1), SubscriptionId(2)]
-        );
-    }
-
-    #[test]
     fn incremental_add_agrees_with_bulk_construction() {
         // Interleave adds with processing: the incrementally grown engine
         // must agree with one built in bulk at every prefix.
@@ -846,8 +728,6 @@ mod tests {
             documents_matched: 2,
             complex_evaluations: 5,
             complex_stage_entered: 1,
-            service_calls_made: 1,
-            service_calls_avoided: 4,
             promotions: 0,
             condition_probes: 7,
             trees_compared: 2,
@@ -856,7 +736,6 @@ mod tests {
         b.absorb(&a);
         assert_eq!(b.documents, 6);
         assert_eq!(b.complex_evaluations, 10);
-        assert_eq!(b.service_calls_avoided, 8);
         assert_eq!(b.condition_probes, 14);
         assert_eq!(b.trees_compared, 4);
     }

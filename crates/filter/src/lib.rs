@@ -30,16 +30,11 @@
 //!
 //! The combined pipeline is [`FilterEngine`], the one index every peer runs:
 //! registering and removing a subscription adjust the first two modules in
-//! place, at the cost of the subscription.  [`NaiveFilter`] is the
+//! place, at the cost of the subscription except when a removal rebuilds the
+//! index (see [`FilterEngine::remove`]).  [`NaiveFilter`] is the
 //! baseline that evaluates every subscription from scratch on every
 //! document; the benches of experiments E2 and E3 compare the two, and the
 //! property tests assert they always agree.
-//!
-//! ActiveXML-awareness: documents may carry unevaluated service-call (`sc`)
-//! elements instead of a large payload.  [`FilterEngine::process_intensional`]
-//! materialises those calls *only when* some active subscription still needs
-//! the payload — the optimisation of the "Web service calls" paragraph of
-//! Section 4 (experiment E5).
 
 pub mod aes;
 pub mod engine;

@@ -181,12 +181,6 @@ impl Network {
         !self.partition.is_empty()
     }
 
-    /// True when the active partition separates the two peers.  Unlisted
-    /// peers share an implicit group, so two of them are never separated.
-    pub fn is_cross_partition(&self, from: &str, to: &str) -> bool {
-        self.blocked(PeerId::from(from), PeerId::from(to))
-    }
-
     fn blocked(&self, from: PeerId, to: PeerId) -> bool {
         if self.partition.is_empty() || from == to {
             return false;
@@ -220,11 +214,6 @@ impl Network {
         self.drop_probability = loss_probability(probability);
     }
 
-    /// The current random-loss probability.
-    pub fn drop_probability(&self) -> f64 {
-        self.drop_probability
-    }
-
     /// Records messages avoided by channel multicast (see
     /// [`NetworkStats::multicast_saved_messages`]).
     pub fn record_multicast_saving(&mut self, saved: u64) {
@@ -245,11 +234,6 @@ impl Network {
     /// selection.  Either end may be a name or an already interned id.
     pub fn expected_latency(&self, from: impl Into<PeerId>, to: impl Into<PeerId>) -> u64 {
         self.latency.expected(from, to)
-    }
-
-    /// Number of messages currently in flight.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
     }
 
     /// Sends a payload from `from` to `to`.  Returns the message id, or
@@ -331,31 +315,6 @@ impl Network {
         Some(id)
     }
 
-    /// Multicasts a payload to several peers (one message per subscriber, as
-    /// a channel publication does; all messages share the same payload,
-    /// sized once).  Returns the number of messages actually sent.
-    pub fn multicast(
-        &mut self,
-        from: &str,
-        to: &[PeerId],
-        channel: Option<ChannelId>,
-        payload: impl Into<Payload>,
-    ) -> usize {
-        let from = PeerId::from(from);
-        let payload = payload.into();
-        let bytes = payload.byte_size();
-        let mut sent = 0;
-        for &peer in to {
-            if self
-                .send_sized(from, peer, channel, payload.clone(), bytes)
-                .is_some()
-            {
-                sent += 1;
-            }
-        }
-        sent
-    }
-
     /// Delivers the next in-flight message (advancing the clock to its
     /// delivery time).  Returns the recipient, or `None` when nothing is in
     /// flight.
@@ -405,23 +364,6 @@ impl Network {
         delivered
     }
 
-    /// Delivers messages whose delivery time is ≤ `deadline`, advancing the
-    /// clock to `deadline` at most.
-    pub fn run_until(&mut self, deadline: u64) -> usize {
-        let mut delivered = 0;
-        loop {
-            match self.in_flight.first_key_value() {
-                Some((&(t, _), _)) if t <= deadline => {
-                    self.step();
-                    delivered += 1;
-                }
-                _ => break,
-            }
-        }
-        self.clock = self.clock.max(deadline);
-        delivered
-    }
-
     /// Drains and returns the inbox of a peer.
     pub fn take_inbox(&mut self, peer: &str) -> Vec<Message> {
         self.inboxes
@@ -450,8 +392,7 @@ impl Network {
     }
 
     /// The peers holding delivered-but-unread messages, sorted.  A walk over
-    /// every inbox that resolves no name unless it has one to report: what a
-    /// whole-network audit asks instead of [`Network::inbox_len`] per peer.
+    /// every inbox that resolves no name unless it has one to report.
     pub fn unread_peers(&self) -> Vec<&str> {
         let mut unread: Vec<&str> = self
             .inboxes
@@ -461,15 +402,6 @@ impl Network {
             .collect();
         unread.sort_unstable();
         unread
-    }
-
-    /// Number of undelivered-to-application messages waiting in a peer's
-    /// inbox.
-    pub fn inbox_len(&self, peer: &str) -> usize {
-        self.inboxes
-            .get(&PeerId::from(peer))
-            .map(|inbox| inbox.queue.len())
-            .unwrap_or(0)
     }
 }
 
@@ -519,7 +451,7 @@ mod tests {
         n.send("p", "p", None, Element::new("loop"));
         n.step();
         assert_eq!(n.now(), 0);
-        assert_eq!(n.inbox_len("p"), 1);
+        assert_eq!(n.take_inbox("p").len(), 1);
     }
 
     #[test]
@@ -539,7 +471,7 @@ mod tests {
             .collect();
         assert_eq!(summary, vec![("p", 2), ("meteo.com", 1)]);
         assert!(n.take_woken_inboxes().is_empty(), "nothing new arrived");
-        assert_eq!(n.inbox_len("p"), 0);
+        assert!(n.unread_peers().is_empty());
         // A peer is listed again by its next delivery.
         n.send("a.com", "b.com", None, Element::new("five"));
         n.run_until_idle();
@@ -568,7 +500,7 @@ mod tests {
             .send("a.com", "meteo.com", None, Element::new("x"))
             .is_some());
         n.run_until_idle();
-        assert_eq!(n.inbox_len("meteo.com"), 1);
+        assert_eq!(n.take_inbox("meteo.com").len(), 1);
     }
 
     #[test]
@@ -577,22 +509,20 @@ mod tests {
         n.send("a.com", "meteo.com", None, Element::new("x"));
         n.fail_peer("meteo.com");
         n.run_until_idle();
-        assert_eq!(n.inbox_len("meteo.com"), 0);
+        assert!(n.take_inbox("meteo.com").is_empty());
         assert_eq!(n.stats().dropped_messages, 1);
     }
 
     #[test]
     fn multicast_counts_and_channel_accounting() {
         let mut n = net();
+        // A channel publication sends one message per subscriber.
         let ch = ChannelId::new("a.com", "X");
-        let sent = n.multicast(
-            "a.com",
-            &["b.com".into(), "meteo.com".into()],
-            Some(ch),
-            Element::new("item"),
-        );
-        assert_eq!(sent, 2);
-        n.run_until_idle();
+        let item = Arc::new(Element::new("item"));
+        for to in ["b.com", "meteo.com"] {
+            assert!(n.send("a.com", to, Some(ch), Arc::clone(&item)).is_some());
+        }
+        assert_eq!(n.run_until_idle(), 2);
         assert_eq!(n.stats().channel_messages, 2);
         assert_eq!(n.stats().control_messages, 0);
     }
@@ -607,10 +537,10 @@ mod tests {
         let mut n = net();
         let payload = Arc::new(Element::text_element("alert", "meteo.com says rain"));
         let per_message = payload.byte_size() as u64;
-        let recipients: Vec<PeerId> = vec!["b.com".into(), "meteo.com".into(), "p".into()];
-        let sent = n.multicast("a.com", &recipients, None, Arc::clone(&payload));
-        assert_eq!(sent, 3);
-        n.run_until_idle();
+        for to in ["b.com", "meteo.com", "p"] {
+            assert!(n.send("a.com", to, None, Arc::clone(&payload)).is_some());
+        }
+        assert_eq!(n.run_until_idle(), 3);
         assert_eq!(
             n.stats().total_bytes,
             3 * per_message,
@@ -640,29 +570,43 @@ mod tests {
             drop_probability: f64::NAN,
             ..NetworkConfig::default()
         });
-        assert_eq!(n.drop_probability(), 0.0);
-        n.set_drop_probability(2.0);
-        assert_eq!(n.drop_probability(), 1.0);
-        n.set_drop_probability(f64::NAN);
-        assert_eq!(n.drop_probability(), 0.0);
         n.add_peer("a");
         n.add_peer("b");
-        assert!(n.send("a", "b", None, Element::new("x")).is_some());
-        assert_eq!(n.stats().dropped_messages, 0);
+        // Sends 100 messages and returns how many were dropped.
+        let dropped_of_100 = |n: &mut Network| {
+            let before = n.stats().dropped_by_cause.random;
+            for _ in 0..100 {
+                n.send("a", "b", None, Element::new("x"));
+            }
+            n.stats().dropped_by_cause.random - before
+        };
+        assert_eq!(dropped_of_100(&mut n), 0);
+        // Above 1 is clamped to certain loss, below 0 to none.
+        n.set_drop_probability(2.0);
+        assert_eq!(dropped_of_100(&mut n), 100);
+        n.set_drop_probability(-1.0);
+        assert_eq!(dropped_of_100(&mut n), 0);
+        n.set_drop_probability(1.0);
+        n.set_drop_probability(f64::NAN);
+        assert_eq!(dropped_of_100(&mut n), 0);
     }
 
     #[test]
-    fn run_until_respects_deadline() {
+    fn a_delivery_never_moves_the_clock_back() {
         let mut n = net(); // constant 10ms latency
         n.send("a.com", "p", None, Element::new("one"));
         n.advance_clock(100);
         n.send("a.com", "p", None, Element::new("two"));
-        let delivered = n.run_until(50);
-        assert_eq!(delivered, 1);
-        assert_eq!(n.in_flight_count(), 1);
-        // The clock had already been advanced to 100 by advance_clock, so the
-        // deadline cannot move it backwards.
+        // "one" was due at 10, but the clock had already been advanced to
+        // 100; "two" is due at 110.
+        assert_eq!(n.step(), Some(PeerId::from("p")));
         assert_eq!(n.now(), 100);
+        assert_eq!(n.step(), Some(PeerId::from("p")));
+        assert_eq!(n.now(), 110);
+        assert_eq!(n.step(), None);
+        let inbox = n.take_inbox("p");
+        assert_eq!(inbox[0].payload, Element::new("one").into());
+        assert_eq!(inbox[1].payload, Element::new("two").into());
     }
 
     #[test]
@@ -670,8 +614,6 @@ mod tests {
         let mut n = net();
         n.partition(&[vec!["a.com", "b.com"], vec!["meteo.com", "p"]]);
         assert!(n.is_partitioned());
-        assert!(n.is_cross_partition("a.com", "p"));
-        assert!(!n.is_cross_partition("a.com", "b.com"));
         // Intra-group traffic flows, cross-group traffic is dropped and
         // attributed to the partition.
         assert!(n.send("a.com", "b.com", None, Element::new("in")).is_some());
@@ -680,13 +622,13 @@ mod tests {
         assert_eq!(n.stats().dropped_messages, 1);
         assert_eq!(n.stats().dropped_by_cause.partition, 1);
         n.run_until_idle();
-        assert_eq!(n.inbox_len("b.com"), 1);
-        assert_eq!(n.inbox_len("p"), 1);
+        assert_eq!(n.take_inbox("b.com").len(), 1);
+        assert_eq!(n.take_inbox("p").len(), 1);
         n.heal();
         assert!(!n.is_partitioned());
         assert!(n.send("a.com", "p", None, Element::new("late")).is_some());
         n.run_until_idle();
-        assert_eq!(n.inbox_len("p"), 2);
+        assert_eq!(n.take_inbox("p").len(), 1);
     }
 
     #[test]
@@ -695,7 +637,7 @@ mod tests {
         n.send("a.com", "p", None, Element::new("doomed"));
         n.partition(&[vec!["a.com"], vec!["p"]]);
         n.run_until_idle();
-        assert_eq!(n.inbox_len("p"), 0);
+        assert!(n.take_inbox("p").is_empty());
         assert_eq!(n.stats().dropped_messages, 1);
         assert_eq!(n.stats().dropped_by_cause.partition, 1);
         let rollup = n.stats().per_peer();
@@ -710,8 +652,8 @@ mod tests {
         // b.com and p are unlisted: connected to each other, cut from a.com.
         assert!(n.send("b.com", "p", None, Element::new("ok")).is_some());
         assert!(n.send("a.com", "b.com", None, Element::new("no")).is_none());
-        assert!(!n.is_cross_partition("b.com", "p"));
-        assert!(n.is_cross_partition("a.com", "p"));
+        assert!(n.send("a.com", "p", None, Element::new("no")).is_none());
+        assert_eq!(n.stats().dropped_by_cause.partition, 2);
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! sorts only where a listing is read.  The model below is the simulator it
 //! replaced — every table an ordered map keyed by `PeerId`, whose `Ord`
 //! compares the names — kept here as the oracle: after every step of a random
-//! `add_peer` / `send` / `multicast` / `fail_peer` / `recover_peer` /
-//! `partition` / `heal` / `set_drop_probability` / `step` / `run_until` /
+//! `add_peer` / `send` (alone, or of one shared payload to many peers) /
+//! `fail_peer` / `recover_peer` / `partition` / `heal` /
+//! `set_drop_probability` / `advance_clock` / `step` / `run_until_idle` /
 //! `take_inbox` / `take_woken_inboxes` sequence both must return the same
-//! ids, hold the same inbox lengths, clock and fault state, and account the
-//! same traffic in every `NetworkStats` field; drained inboxes must hold the
-//! same message ids in the same order.
+//! ids, list the same unread inboxes, hold the same clock and fault state,
+//! and account the same traffic in every `NetworkStats` field; drained
+//! inboxes must hold the same message ids in the same order.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -220,13 +221,11 @@ impl OrderedNetwork {
         Some(flight.to)
     }
 
-    fn run_until(&mut self, deadline: u64) -> usize {
+    fn run_until_idle(&mut self) -> usize {
         let mut delivered = 0;
-        while matches!(self.in_flight.keys().next(), Some(&(t, _)) if t <= deadline) {
-            self.step();
+        while self.step().is_some() {
             delivered += 1;
         }
-        self.clock = self.clock.max(deadline);
         delivered
     }
 
@@ -289,7 +288,8 @@ enum Op {
     Heal,
     SetDropProbability(f64),
     Step,
-    RunUntil(u64),
+    AdvanceClock(u64),
+    RunUntilIdle,
     TakeInbox(usize),
     TakeWoken,
 }
@@ -310,7 +310,8 @@ fn op() -> BoxedStrategy<Op> {
             4 => Op::Heal,
             5 => Op::SetDropProbability([0.0, 0.0, 0.3, 1.0][n % 4]),
             6 | 7 => Op::Step,
-            8 => Op::RunUntil(n as u64),
+            8 => Op::AdvanceClock(n as u64),
+            12 => Op::RunUntilIdle,
             9 => Op::TakeInbox(a),
             10 => Op::TakeWoken,
             11 => Op::Multicast {
@@ -367,28 +368,26 @@ fn sorted<K: Ord + Copy, V: Copy>(table: impl IntoIterator<Item = (K, V)>) -> Ve
 /// Every observable of the two simulators that does not consume state.
 fn assert_same_state(network: &Network, model: &OrderedNetwork, after: &Op) {
     assert_eq!(network.now(), model.clock, "clock after {after:?}");
-    assert_eq!(network.in_flight_count(), model.in_flight.len());
     assert_eq!(network.is_partitioned(), !model.partition.is_empty());
     assert_eq!(
         network.peers(),
         model.peers.iter().map(|p| p.as_str()).collect::<Vec<_>>(),
         "peers() lists in name order"
     );
+    assert_eq!(
+        network.unread_peers(),
+        model
+            .inboxes
+            .iter()
+            .filter(|(_, inbox)| !inbox.queue.is_empty())
+            .map(|(peer, _)| peer.as_str())
+            .collect::<Vec<_>>(),
+        "unread inboxes, in name order, after {after:?}"
+    );
     for name in NAMES {
         let id = PeerId::from(name);
         assert_eq!(network.has_peer(name), model.peers.contains(&id));
         assert_eq!(network.is_down(name), model.down.contains(&id));
-        assert_eq!(
-            network.inbox_len(name),
-            model.inboxes.get(&id).map_or(0, |inbox| inbox.queue.len()),
-            "inbox of {name} after {after:?}"
-        );
-        for other in NAMES {
-            assert_eq!(
-                network.is_cross_partition(name, other),
-                model.blocked(id, PeerId::from(other))
-            );
-        }
     }
     let stats: &NetworkStats = network.stats();
     assert_eq!(stats.total_messages, model.total_messages);
@@ -457,7 +456,7 @@ proptest! {
         // Drains through both readers at the end, so every queued id is
         // compared even when the sequence never took it.
         let drain = (0..NAMES.len()).map(Op::TakeInbox);
-        let ops = ops.into_iter().chain([Op::RunUntil(1_000), Op::TakeWoken]).chain(drain);
+        let ops = ops.into_iter().chain([Op::RunUntilIdle, Op::TakeWoken]).chain(drain);
         for op in ops {
             match &op {
                 Op::AddPeer(p) => {
@@ -474,13 +473,13 @@ proptest! {
                 }
                 Op::Multicast { from, to, size } => {
                     let payload = payload(*size);
-                    let peers: Vec<PeerId> = to.iter().map(|p| NAMES[*p].into()).collect();
-                    let mut sent = 0;
                     for p in to {
-                        let id = model.send(NAMES[*from], NAMES[*p], false, payload.byte_size());
-                        sent += usize::from(id.is_some());
+                        prop_assert_eq!(
+                            network.send(NAMES[*from], NAMES[*p], None, Arc::clone(&payload)),
+                            model.send(NAMES[*from], NAMES[*p], false, payload.byte_size()),
+                            "shared send after {:?}", op
+                        );
                     }
-                    prop_assert_eq!(network.multicast(NAMES[*from], &peers, None, Arc::clone(&payload)), sent);
                 }
                 Op::Fail(p) => {
                     network.fail_peer(NAMES[*p]);
@@ -513,9 +512,12 @@ proptest! {
                     model.drop_probability = *p;
                 }
                 Op::Step => prop_assert_eq!(network.step(), model.step()),
-                Op::RunUntil(delta) => {
-                    let deadline = model.clock + delta;
-                    prop_assert_eq!(network.run_until(deadline), model.run_until(deadline));
+                Op::AdvanceClock(delta) => {
+                    network.advance_clock(*delta);
+                    model.clock += delta;
+                }
+                Op::RunUntilIdle => {
+                    prop_assert_eq!(network.run_until_idle(), model.run_until_idle());
                 }
                 Op::TakeInbox(p) => prop_assert_eq!(
                     ids(&network.take_inbox(NAMES[*p])),
@@ -533,6 +535,6 @@ proptest! {
             }
             assert_same_state(&network, &model, &op);
         }
-        prop_assert_eq!(network.in_flight_count(), 0);
+        prop_assert_eq!(network.step(), None, "nothing is left in flight");
     }
 }

@@ -83,3 +83,34 @@ fn the_second_base_text_never_panics() {
         .count();
     assert_eq!(panicking, 0, "of {} inputs", inputs.len());
 }
+
+/// A RETURN template `levels` elements deep.
+fn nested_template(levels: usize) -> String {
+    format!(
+        "for $c in inCOM(<p>a.com</p>) return {}{{$c.caller}}{} by publish as channel \"deep\";",
+        "<a>".repeat(levels),
+        "</a>".repeat(levels)
+    )
+}
+
+/// The template's XML parser recurses once per level.  Past `xmlkit`'s
+/// documented limit of 256 levels the text gets a parse error instead of a
+/// stack overflow, which aborts the process where no `catch_unwind` sees
+/// it.  Run on a 2 MB stack, the size test threads get.
+#[test]
+fn a_deeply_nested_template_is_a_parse_error() {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            compile_subscription(&nested_template(256)).expect("the limit itself compiles");
+            for levels in [257, 30_000] {
+                assert!(
+                    compile_subscription(&nested_template(levels)).is_err(),
+                    "{levels} levels"
+                );
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}

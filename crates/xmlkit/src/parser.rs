@@ -14,6 +14,13 @@ use std::fmt;
 use crate::escape::unescape;
 use crate::node::{Element, Node};
 
+/// The deepest nesting the parser accepts: the root is level 1, and an
+/// element below level 256 is a [`ParseError`].  The parser recurses once per
+/// level, so an unbounded depth would overflow the stack and abort the
+/// process; 256 levels fit a debug build on a 2 MB thread stack with room to
+/// spare, and no document the monitored systems emit comes near it.
+const MAX_DEPTH: usize = 256;
+
 /// A parse failure with its location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -47,7 +54,8 @@ impl std::error::Error for ParseError {}
 /// Parses a complete XML document and returns its root element.
 ///
 /// Leading/trailing whitespace, an XML declaration, a DOCTYPE and comments
-/// around the root are accepted; trailing non-whitespace content is an error.
+/// around the root are accepted; trailing non-whitespace content is an error,
+/// and so is an element nested more than 256 levels deep.
 pub fn parse(input: &str) -> Result<Element, ParseError> {
     let mut p = Parser::new(input);
     p.skip_prolog();
@@ -98,7 +106,7 @@ pub fn parse_element_at(input: &str, pos: usize) -> Result<(Element, usize), Par
     }
     let mut p = Parser { input, pos };
     p.skip_misc();
-    let element = p.parse_element()?;
+    let element = p.parse_element(1)?;
     p.skip_misc();
     Ok((element, p.pos - pos))
 }
@@ -262,7 +270,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_element(&mut self) -> Result<Element, ParseError> {
+    /// Parses the element at `pos`, which sits at nesting level `depth`.
+    fn parse_element(&mut self, depth: usize) -> Result<Element, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(ParseError::new(
+                self.pos,
+                format!("elements nested more than {MAX_DEPTH} levels deep"),
+            ));
+        }
         self.expect("<")?;
         let mut element = Element::new(self.parse_name()?);
 
@@ -336,7 +351,7 @@ impl<'a> Parser<'a> {
                 self.skip_until("?>")?;
             } else if self.starts_with("<") {
                 flush_text(&mut element, &mut pending_text);
-                let child = self.parse_element()?;
+                let child = self.parse_element(depth + 1)?;
                 element.children.push(Node::Element(child));
             } else if self.at_end() {
                 return Err(ParseError::new(
@@ -493,6 +508,37 @@ mod tests {
         assert_eq!(err.offset, 0, "offsets are absolute");
         assert!(parse_element_at("é<a/>", 1).is_err(), "not a char boundary");
         assert!(parse_element_at("<a/>", 9).is_err());
+    }
+
+    /// `levels` nested `<a>` elements.
+    fn nested(levels: usize) -> String {
+        format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_an_error_not_an_abort() {
+        // Test threads get 2 MB stacks; pin that size, where a debug build
+        // without the limit aborts at about 700 levels.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut e = parse(&nested(MAX_DEPTH)).expect("the limit itself parses");
+                for _ in 1..MAX_DEPTH {
+                    e = e.child("a").expect("one level per element").clone();
+                }
+                assert!(e.children.is_empty());
+                let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+                assert_eq!(err.offset, 3 * MAX_DEPTH, "at the too-deep `<a>`");
+                assert!(err.message.contains("nested"), "{err}");
+                for levels in [MAX_DEPTH + 1, 30_000] {
+                    assert!(parse(&nested(levels)).is_err(), "{levels} levels");
+                    assert!(parse_fragment(&nested(levels)).is_err());
+                    assert!(parse_element_at(&nested(levels), 0).is_err());
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -1,5 +1,4 @@
 //! Umbrella crate re-exporting the p2pmon workspace.
-pub use p2pmon_activexml as activexml;
 pub use p2pmon_alerters as alerters;
 pub use p2pmon_core as core;
 pub use p2pmon_dht as dht;

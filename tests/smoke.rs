@@ -17,10 +17,6 @@ fn umbrella_reexports_resolve() {
     let _ = p2pmon::filter::FilterEngine::from_subscriptions(Vec::new());
     let _ = p2pmon::net::NetworkStats::default();
     let _ = p2pmon::dht::ChordNetwork::with_nodes(4, 1);
-    let _ =
-        p2pmon::activexml::sc::materialize(&mut p2pmon::xmlkit::Element::new("doc"), &mut |_| {
-            Ok(Vec::new())
-        });
     let _ = p2pmon::alerters::RssAlerter::new("http://example.org/feed");
     let _ = p2pmon::core::MonitorConfig::default();
     let _ = p2pmon::workloads::SubscriptionWorkload::new(1);

@@ -2,11 +2,13 @@
 //! integration tests of the façade's public API after the PeerHost
 //! decomposition).
 
+use std::sync::mpsc;
+
 use p2pmon_alerters::SoapCall;
 use p2pmon_core::{Monitor, MonitorConfig, PlacementStrategy};
 use p2pmon_p2pml::METEO_SUBSCRIPTION;
 use p2pmon_streams::ops::Window;
-use p2pmon_xmlkit::parse;
+use p2pmon_xmlkit::{parse, Element};
 
 fn meteo_monitor(placement: PlacementStrategy, enable_reuse: bool) -> Monitor {
     let mut monitor = Monitor::new(MonitorConfig {
@@ -206,6 +208,68 @@ fn rss_subscription_routes_add_alerts_to_email_sink() {
     assert_eq!(monitor.results(&handle).len(), 2);
     let rendered = monitor.sink(&handle).unwrap().render();
     assert!(rendered.contains("To: ops@example.org"));
+}
+
+/// An RSS item `levels` deep: a `<guid>` beside a chain of `<a>`s ending in
+/// a `<b/>` when `with_b`, or in one more `<a/>`.
+fn deep_item(guid: &str, levels: usize, with_b: bool) -> String {
+    let chain = levels - 2;
+    let bottom = if with_b { "<b/>" } else { "<a/>" };
+    format!(
+        "<item><guid>{guid}</guid>{}{bottom}{}</item>",
+        "<a>".repeat(chain),
+        "</a>".repeat(chain)
+    )
+}
+
+/// A chain of `//` steps in a WHERE clause costs the alert path elements ×
+/// steps: one round over two items 256 levels deep (the deepest document
+/// the parser accepts) finishes well inside a deadline, and only the item
+/// with a `b` at the bottom of its chain is delivered.
+#[test]
+fn a_descendant_chain_over_a_deep_rss_item_finishes_within_a_deadline() {
+    const DEADLINE: std::time::Duration = std::time::Duration::from_secs(30);
+    let (tx, rx) = mpsc::channel();
+    // On a 2 MB stack, the size test threads get.
+    let worker = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let mut monitor = Monitor::new(MonitorConfig::default());
+            monitor.add_peer("portal");
+            monitor.add_peer("admin");
+            let handle = monitor
+                .submit(
+                    "admin",
+                    r#"for $e in rssFeed(<p>portal</p>)
+                       where $e//a//a//a//a//b
+                       return <deep entry="{$e.entry}"/>
+                       by email "ops@example.org";"#,
+                )
+                .unwrap();
+            let mut channel = Element::new("channel");
+            for (guid, with_b) in [("1", false), ("2", true)] {
+                channel.push_element(parse(&deep_item(guid, 256, with_b)).unwrap());
+            }
+            let mut feed = Element::new("rss");
+            feed.push_element(channel);
+            assert_eq!(
+                monitor.inject_rss_snapshot("portal", "http://portal/feed", &feed),
+                2
+            );
+            monitor.run_until_idle();
+            let results = monitor.results(&handle);
+            assert_eq!(results.len(), 1);
+            assert_eq!(results[0].attr("entry"), Some("2"));
+            tx.send(()).unwrap();
+        })
+        .unwrap();
+    // A worker past the deadline cannot be joined; it is left running.
+    if let Err(mpsc::RecvTimeoutError::Timeout) = rx.recv_timeout(DEADLINE) {
+        panic!("the round did not finish within {DEADLINE:?}");
+    }
+    if let Err(panic) = worker.join() {
+        std::panic::resume_unwind(panic);
+    }
 }
 
 #[test]

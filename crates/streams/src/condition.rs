@@ -82,8 +82,8 @@ pub enum Operand {
         /// Attribute name.
         attr: String,
     },
-    /// `$var/relative/path` — the first value selected by an XPath from the
-    /// bound tree.
+    /// `$var/relative/path` — the first value, in document order, that an
+    /// XPath selects from the bound tree.
     VarPath {
         /// Variable name.
         var: String,

@@ -16,7 +16,8 @@
 //! * `{$var}` — in element content, embeds a copy of the bound tree (or the
 //!   derived value's text); in attribute values, the value's text.
 //! * `{$var.attr}` — a root attribute of the bound tree.
-//! * `{$var/relative/path}` — the first value selected by an XPath.
+//! * `{$var/relative/path}` — the first value, in document order, that an
+//!   XPath selects.
 
 use std::fmt;
 

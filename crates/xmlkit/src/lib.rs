@@ -12,8 +12,9 @@
 //! * typed atomic values and comparisons ([`Value`]),
 //! * an XPath subset evaluator ([`path::XPath`]) covering the constructs the
 //!   paper's P2PML language and Filter need (child/descendant axes,
-//!   wildcards, attribute tests, positional and comparison predicates); its
-//!   paths are also the tree patterns of a Filter subscription's complex part,
+//!   wildcards, attribute tests, existence and comparison predicates), one
+//!   document-order walk per evaluation; its paths are also the tree
+//!   patterns of a Filter subscription's complex part,
 //! * a structural diff for the Web-page and RSS alerters ([`diff`]),
 //! * a convenience builder ([`builder::ElementBuilder`]).
 //!
@@ -56,30 +57,22 @@ mod lib_tests {
     fn xpath_over_parsed_tree() {
         let el = parse("<r><a><b>1</b></a><a><b>2</b></a></r>").unwrap();
         let p = XPath::parse("//a/b").unwrap();
-        let hits = p.select(&el);
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].text(), "1");
+        assert!(p.matches(&el));
+        assert_eq!(p.first_value(&el), Some(Value::Integer(1)));
     }
 }
 
 /// Tree patterns as the Filter writes them: each case gives the answer that
-/// [`XPath::matches`] and the reference [`XPath::select`] must both give.
+/// [`XPath::matches`] must give.
 #[cfg(test)]
 mod pattern {
     mod tests {
         use crate::{parse, Element, XPath};
 
-        /// `path` holds on `doc` exactly when `expected`, through both the
-        /// early-exit walk and `select`.
+        /// `path` holds on `doc` exactly when `expected`.
         fn check_element(path: &str, doc: &Element, expected: bool) {
             let xpath = XPath::parse(path).unwrap();
             assert_eq!(xpath.matches(doc), expected, "{path} on {}", doc.to_xml());
-            assert_eq!(
-                !xpath.select_values(doc).is_empty(),
-                expected,
-                "select: {path} on {}",
-                doc.to_xml()
-            );
         }
 
         /// Every `(path, document, expected)` row, the document as XML text.
@@ -191,8 +184,8 @@ mod pattern {
             check(&[("//b[@x]", doc, true), ("//b[@missing]", doc, false)]);
         }
 
-        /// Attribute output, a nested path and positions: paths outside the
-        /// old linear class parse and match like `select`.
+        /// Attribute output and a nested path: paths outside the old linear
+        /// class parse and match.
         #[test]
         fn non_linear_expressions_match_like_select() {
             check(&[
@@ -200,8 +193,6 @@ mod pattern {
                 ("/a/@x", "<a/>", false),
                 ("/a[b/c]/d", "<a><b><c/></b><d/></a>", true),
                 ("/a[b/c]/d", "<a><b/><d/></a>", false),
-                ("/a[1]", "<a/>", true),
-                ("/a[2]", "<a/>", false),
             ]);
         }
 

@@ -17,14 +17,20 @@
 //! * predicates on any step:
 //!     * existence of a relative path: `[Operator/inCom]`,
 //!     * comparison of `@attr`, `text()`, a relative path or `.` against a
-//!       literal: `[@PeerId = "p1"]`, `[price > 10]`,
-//!     * positional predicates: `[2]` (1-based, per XPath).
+//!       literal: `[@PeerId = "p1"]`, `[price > 10]`.
 //!
-//! Evaluation is naive (tree walking).  [`XPath::select`] builds each step's
-//! whole node list; [`XPath::matches`], which the Filter's tree patterns and
-//! existence conditions use, walks depth-first and stops at the first
-//! complete match.  The filter engine in `p2pmon-filter` evaluates only the
-//! patterns of the subscriptions a document's root attributes left active.
+//! Every evaluation is one walk of the tree in document order that visits
+//! each element once.  An element carries the set of steps that may match
+//! it as a `u64` bit set: a `//` step's bit stays set below the element
+//! that opened it, a `/` step's bit reaches only that element's children.
+//! So a path costs elements × steps, however many `//` steps it has.
+//! [`XPath::matches`], [`XPath::first_value`] and a predicate comparing a
+//! relative path's values all stop at the first element, in document order,
+//! that completes the path (and, for a comparison, whose value satisfies
+//! it).  Two limits keep that bound, each a [`PathError`] at parse time: a
+//! path has at most 64 steps (the bit set's width), and paths nest at most
+//! 2 deep inside predicates, since a nested path is a fresh walk from every
+//! element its step tests.
 
 use std::fmt;
 
@@ -138,8 +144,9 @@ pub enum PredicateOperand {
     Attribute(String),
     /// `text()` or `.` — the text content of the context element.
     Text,
-    /// A relative path from the context element; its first selected node's
-    /// text is used for comparisons, and non-emptiness for existence tests.
+    /// A relative path from the context element: a comparison holds when
+    /// some value it selects satisfies it, an existence test when it
+    /// matches.
     RelativePath(Box<XPath>),
 }
 
@@ -157,8 +164,6 @@ pub enum Predicate {
     },
     /// `[operand]` — existence / truthiness.
     Exists(PredicateOperand),
-    /// `[n]` — positional, 1-based among the nodes selected by this step.
-    Position(usize),
 }
 
 /// One step of a path expression.
@@ -197,10 +202,20 @@ pub struct XPath {
     source: String,
 }
 
+/// The most steps a path may have: the width of the bit set the walk
+/// carries.
+const MAX_STEPS: usize = 64;
+
+/// How deep paths may nest inside predicates (`//a[b[c]]` nests 2 deep).
+/// A nested path is a fresh walk from every element its step tests, so a
+/// path of s steps over n elements nested k deep costs O(s · n^(k+1)) step
+/// tests; at this cap the worst case is O(s · n³).
+const MAX_NESTING: usize = 2;
+
 impl XPath {
     /// Parses an expression in the supported subset.
     pub fn parse(input: &str) -> Result<XPath, PathError> {
-        PathParser::new(input).parse_path()
+        PathParser::new(input, 0).parse_path()
     }
 
     /// The original source text of the expression.
@@ -208,136 +223,86 @@ impl XPath {
         &self.source
     }
 
-    /// True when the path uses no descendant axis, no wildcards and no
-    /// predicates.
-    pub fn is_simple_chain(&self) -> bool {
-        self.steps.iter().all(|s| {
-            s.axis == Axis::Child && matches!(s.name, NameTest::Name(_)) && s.predicates.is_empty()
-        })
-    }
-
-    /// Selects matching elements starting from `root`.
+    /// The first value the expression selects from `root`, in document
+    /// order: the attribute or the text of the first element completing the
+    /// path that has one.
     ///
     /// For absolute paths the first step is tested against `root` itself
     /// (the "document element"), mirroring how `/Stream[...]` is used against
     /// stream-description documents in Section 5 of the paper.
-    pub fn select<'a>(&self, root: &'a Element) -> Vec<&'a Element> {
-        let mut current: Vec<&'a Element> = vec![root];
-        for (idx, step) in self.steps.iter().enumerate() {
-            let mut next: Vec<&'a Element> = Vec::new();
-            for ctx in &current {
-                let candidates: Vec<&'a Element> = match step.axis {
-                    Axis::Child => {
-                        if idx == 0 && self.absolute {
-                            // The root element is the only "child" of the
-                            // document node.
-                            vec![*ctx]
-                        } else {
-                            ctx.child_elements().collect()
-                        }
-                    }
-                    Axis::Descendant => {
-                        let mut v = Vec::new();
-                        if idx == 0 {
-                            // descendant-or-self for the first step.
-                            v.push(*ctx);
-                        }
-                        v.extend(ctx.descendants());
-                        v
-                    }
-                };
-                let mut matched: Vec<&'a Element> = candidates
-                    .into_iter()
-                    .filter(|e| step.name.matches(&e.name))
-                    .collect();
-                // Apply predicates in order; positional predicates apply to
-                // the list as filtered so far (per-context, like XPath).
-                for pred in &step.predicates {
-                    matched = apply_predicate(matched, pred);
-                }
-                next.extend(matched);
-            }
-            // De-duplicate while preserving document order: descendant axes
-            // from overlapping contexts can select the same node twice.
-            dedup_preserving_order(&mut next);
-            current = next;
-            if current.is_empty() {
-                break;
-            }
-        }
-        current
-    }
-
-    /// Selects output values: attribute values or text, depending on the
-    /// expression's final step; for element outputs, the text content.
-    pub fn select_values(&self, root: &Element) -> Vec<Value> {
-        let elements = self.select(root);
-        match &self.output {
-            Output::Elements | Output::Text => elements
-                .iter()
-                .map(|e| Value::from_literal(&e.text()))
-                .collect(),
-            Output::Attribute(name) => elements
-                .iter()
-                .filter_map(|e| e.attr(name))
-                .map(Value::from_literal)
-                .collect(),
-        }
-    }
-
-    /// First selected value, if any.
     pub fn first_value(&self, root: &Element) -> Option<Value> {
-        self.select_values(root).into_iter().next()
+        let mut value = None;
+        self.find(root, &mut |e| {
+            value = self.value(e);
+            value.is_some()
+        });
+        value
     }
 
-    /// True when the expression selects at least one node/value on `root`
-    /// (`!select_values(root).is_empty()`).
-    ///
-    /// A depth-first walk that stops at the first element completing the
-    /// path.  A positional predicate depends on its step's other candidates,
-    /// not on one element, so a path with one is selected in full instead.
+    /// True when the expression selects at least one value on `root`.
     pub fn matches(&self, root: &Element) -> bool {
-        let positional = self
-            .steps
-            .iter()
-            .flat_map(|step| &step.predicates)
-            .any(|pred| matches!(pred, Predicate::Position(_)));
-        if positional {
-            self.select(root).into_iter().any(|e| self.has_output(e))
-        } else {
-            self.matches_from(root, 0)
-        }
-    }
-
-    /// Whether steps `idx..` match from `context` (the document element
-    /// before the first step) and the last element reached has the output.
-    fn matches_from(&self, context: &Element, idx: usize) -> bool {
-        let Some(step) = self.steps.get(idx) else {
-            return self.has_output(context);
-        };
-        let hit = |e: &Element| step.accepts(e) && self.matches_from(e, idx + 1);
-        match step.axis {
-            // The root element is the only "child" of the document node.
-            Axis::Child if idx == 0 && self.absolute => hit(context),
-            Axis::Child => context.child_elements().any(hit),
-            // descendant-or-self for the first step.
-            Axis::Descendant => (idx == 0 && hit(context)) || any_descendant(context, &hit),
-        }
-    }
-
-    /// Whether a selected element yields a value: the attribute output needs
-    /// its attribute, element and text outputs always have one.
-    fn has_output(&self, e: &Element) -> bool {
-        match &self.output {
+        self.find(root, &mut |e| match &self.output {
             Output::Attribute(name) => e.attr(name).is_some(),
             Output::Elements | Output::Text => true,
+        })
+    }
+
+    /// Whether some element completing the path over `root` passes
+    /// `accept`: one walk in document order that stops at the first such
+    /// element.
+    fn find(&self, root: &Element, accept: &mut dyn FnMut(&Element) -> bool) -> bool {
+        match self.steps.first() {
+            // No location step: the context element's own output.
+            None => accept(root),
+            // The root element is the only "child" of the document node, and
+            // `//` is descendant-or-self for the first step.
+            Some(first) if self.absolute || first.axis == Axis::Descendant => {
+                self.visit(root, 1, accept)
+            }
+            Some(_) => root.child_elements().any(|e| self.visit(e, 1, accept)),
+        }
+    }
+
+    /// Whether `e`, a candidate for the steps in `open` (bit `i` for step
+    /// `i`), or an element below it completes the path and passes `accept`,
+    /// stopping at the first.
+    fn visit(&self, e: &Element, open: u64, accept: &mut dyn FnMut(&Element) -> bool) -> bool {
+        let last: u64 = 1 << (self.steps.len() - 1);
+        let (mut below, mut matched) = (0, 0);
+        let mut bits = open;
+        while bits != 0 {
+            let bit = bits & bits.wrapping_neg();
+            bits ^= bit;
+            let step = &self.steps[bit.trailing_zeros() as usize];
+            // A `//` step stays open below the element that opened it.
+            if step.axis == Axis::Descendant {
+                below |= bit;
+            }
+            if step.accepts(e) {
+                matched |= bit;
+            }
+        }
+        if matched & last != 0 && accept(e) {
+            return true;
+        }
+        // Each step `e` matches opens the next one for its children.
+        below |= (matched & !last) << 1;
+        below != 0
+            && e.child_elements()
+                .any(|child| self.visit(child, below, accept))
+    }
+
+    /// The value an element completing the path yields, if it has one.
+    fn value(&self, e: &Element) -> Option<Value> {
+        match &self.output {
+            Output::Attribute(name) => e.attr(name).map(Value::from_literal),
+            Output::Elements | Output::Text => Some(Value::from_literal(&e.text())),
         }
     }
 }
 
 impl Step {
-    /// Whether `e` passes the name test and every predicate that can be
-    /// judged on one element.
+    /// Whether `e` passes the name test and every predicate.
     fn accepts(&self, e: &Element) -> bool {
         self.name.matches(&e.name) && self.predicates.iter().all(|pred| holds(pred, e))
     }
@@ -349,70 +314,29 @@ impl fmt::Display for XPath {
     }
 }
 
-fn dedup_preserving_order(v: &mut Vec<&Element>) {
-    let mut seen: Vec<*const Element> = Vec::with_capacity(v.len());
-    v.retain(|e| {
-        let ptr = *e as *const Element;
-        if seen.contains(&ptr) {
-            false
-        } else {
-            seen.push(ptr);
-            true
-        }
-    });
-}
-
-/// Whether `hit` holds on some element strictly below `e`, in document
-/// order, stopping at the first.
-fn any_descendant<'a>(e: &'a Element, hit: &dyn Fn(&'a Element) -> bool) -> bool {
-    e.child_elements()
-        .any(|child| hit(child) || any_descendant(child, hit))
-}
-
-fn apply_predicate<'a>(mut candidates: Vec<&'a Element>, pred: &Predicate) -> Vec<&'a Element> {
-    if let Predicate::Position(n) = pred {
-        return n
-            .checked_sub(1)
-            .and_then(|i| candidates.get(i))
-            .map_or_else(Vec::new, |e| vec![*e]);
-    }
-    candidates.retain(|e| holds(pred, e));
-    candidates
-}
-
-/// Whether `pred` holds on the element `e`: the per-element test of both
-/// [`XPath::select`] and [`XPath::matches`].  A position is judged against
-/// its step's candidates in `apply_predicate`, never here.
+/// Whether `pred` holds on the element `e`.
 fn holds(pred: &Predicate, e: &Element) -> bool {
     match pred {
-        Predicate::Position(_) => true,
-        Predicate::Exists(operand) => operand_exists(e, operand),
+        Predicate::Exists(PredicateOperand::Attribute(name)) => e.attr(name).is_some(),
+        Predicate::Exists(PredicateOperand::Text) => !e.text().is_empty(),
+        Predicate::Exists(PredicateOperand::RelativePath(p)) => p.matches(e),
         Predicate::Compare {
             operand,
             op,
             literal,
         } => {
             let lit = Value::from_literal(literal);
-            operand_values(e, operand).iter().any(|v| op.apply(v, &lit))
+            let test = |v: Value| op.apply(&v, &lit);
+            match operand {
+                PredicateOperand::Attribute(name) => {
+                    e.attr(name).map(Value::from_literal).is_some_and(test)
+                }
+                PredicateOperand::Text => test(Value::from_literal(&e.text())),
+                PredicateOperand::RelativePath(p) => {
+                    p.find(e, &mut |x| p.value(x).is_some_and(test))
+                }
+            }
         }
-    }
-}
-
-fn operand_exists(e: &Element, operand: &PredicateOperand) -> bool {
-    match operand {
-        PredicateOperand::Attribute(name) => e.attr(name).is_some(),
-        PredicateOperand::Text => !e.text().is_empty(),
-        PredicateOperand::RelativePath(p) => p.matches(e),
-    }
-}
-
-fn operand_values(e: &Element, operand: &PredicateOperand) -> Vec<Value> {
-    match operand {
-        PredicateOperand::Attribute(name) => {
-            e.attr(name).map(Value::from_literal).into_iter().collect()
-        }
-        PredicateOperand::Text => vec![Value::from_literal(&e.text())],
-        PredicateOperand::RelativePath(p) => p.select_values(e),
     }
 }
 
@@ -423,11 +347,17 @@ fn operand_values(e: &Element, operand: &PredicateOperand) -> Vec<Value> {
 struct PathParser<'a> {
     input: &'a str,
     pos: usize,
+    /// How deep inside predicates this path is.
+    nesting: usize,
 }
 
 impl<'a> PathParser<'a> {
-    fn new(input: &'a str) -> Self {
-        PathParser { input, pos: 0 }
+    fn new(input: &'a str, nesting: usize) -> Self {
+        PathParser {
+            input,
+            pos: 0,
+            nesting,
+        }
     }
 
     fn rest(&self) -> &'a str {
@@ -504,6 +434,11 @@ impl<'a> PathParser<'a> {
                     break;
                 }
             }
+            if steps.len() == MAX_STEPS {
+                return Err(PathError::new(format!(
+                    "a path has at most {MAX_STEPS} steps"
+                )));
+            }
             steps.push(Step {
                 axis: pending_axis,
                 name,
@@ -557,21 +492,9 @@ impl<'a> PathParser<'a> {
 
     fn parse_predicate(&mut self) -> Result<Predicate, PathError> {
         self.skip_ws();
-        // Positional predicate.
         if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            let start = self.pos;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
-            let n: usize = self.input[start..self.pos]
-                .parse()
-                .map_err(|_| PathError::new("invalid position"))?;
-            if n == 0 {
-                return Err(PathError::new("positions are 1-based"));
-            }
-            return Ok(Predicate::Position(n));
+            return Err(PathError::new("positional predicates are not supported"));
         }
-
         let operand = self.parse_operand()?;
         self.skip_ws();
         let op = if self.eat("!=") {
@@ -639,7 +562,12 @@ impl<'a> PathParser<'a> {
         if raw.is_empty() {
             return Err(PathError::new("empty predicate operand"));
         }
-        let inner = XPath::parse(raw)?;
+        if self.nesting == MAX_NESTING {
+            return Err(PathError::new(format!(
+                "paths nest at most {MAX_NESTING} deep inside predicates"
+            )));
+        }
+        let inner = PathParser::new(raw, self.nesting + 1).parse_path()?;
         Ok(PredicateOperand::RelativePath(Box::new(inner)))
     }
 
@@ -727,24 +655,37 @@ mod tests {
     fn descendant_axis() {
         let doc = parse("<r><a><b>1</b></a><c><a><b>2</b></a></c></r>").unwrap();
         let p = XPath::parse("//a/b").unwrap();
-        let hits = p.select(&doc);
-        assert_eq!(hits.len(), 2);
-        let vals = p.select_values(&doc);
-        assert_eq!(vals, vec![Value::Integer(1), Value::Integer(2)]);
+        assert!(p.matches(&doc));
+        assert_eq!(p.first_value(&doc), Some(Value::Integer(1)));
+        let p = XPath::parse("//c//b").unwrap();
+        assert_eq!(p.first_value(&doc), Some(Value::Integer(2)));
+        assert!(!XPath::parse("//b//a").unwrap().matches(&doc));
     }
 
     #[test]
     fn descendant_axis_matches_root_itself() {
         let doc = parse("<a><b/></a>").unwrap();
-        let p = XPath::parse("//a").unwrap();
-        assert_eq!(p.select(&doc).len(), 1);
+        assert!(XPath::parse("//a").unwrap().matches(&doc));
+        // A later `//` step looks strictly below its context.
+        assert!(!XPath::parse("/a//a").unwrap().matches(&doc));
     }
 
     #[test]
     fn wildcard_step() {
         let doc = parse("<r><x>1</x><y>2</y></r>").unwrap();
         let p = XPath::parse("/r/*").unwrap();
-        assert_eq!(p.select(&doc).len(), 2);
+        assert_eq!(p.first_value(&doc), Some(Value::Integer(1)));
+        assert!(XPath::parse("/r/*[. = 2]").unwrap().matches(&doc));
+        assert!(!XPath::parse("/r/*[. = 3]").unwrap().matches(&doc));
+    }
+
+    /// The first value is the first in document order (XPath 1.0), not the
+    /// first found from the first context: here the inner `a`'s `b`.
+    #[test]
+    fn first_value_is_in_document_order() {
+        let doc = parse("<r><a><a><b>2</b></a><b>1</b></a></r>").unwrap();
+        let p = XPath::parse("//a/b").unwrap();
+        assert_eq!(p.first_value(&doc), Some(Value::Integer(2)));
     }
 
     #[test]
@@ -766,15 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn positional_predicate() {
-        let doc = parse("<r><i>a</i><i>b</i><i>c</i></r>").unwrap();
-        let p = XPath::parse("/r/i[2]").unwrap();
-        assert_eq!(p.select(&doc)[0].text(), "b");
-        let p = XPath::parse("/r/i[9]").unwrap();
-        assert!(p.select(&doc).is_empty());
-    }
-
-    #[test]
     fn relative_path_evaluated_from_context() {
         let doc = parse("<alert callMethod=\"GetTemperature\"><x/></alert>").unwrap();
         let p = XPath::parse(r#"alert[@callMethod = "GetTemperature"]"#).unwrap();
@@ -787,19 +719,38 @@ mod tests {
     }
 
     #[test]
-    fn simple_chain_detection() {
-        assert!(XPath::parse("/a/b/c").unwrap().is_simple_chain());
-        assert!(!XPath::parse("/a//c").unwrap().is_simple_chain());
-        assert!(!XPath::parse("/a/*[1]").unwrap().is_simple_chain());
-    }
-
-    #[test]
     fn parse_errors() {
         assert!(XPath::parse("").is_err());
         assert!(XPath::parse("/a[").is_err());
         assert!(XPath::parse("/a[@x = ").is_err());
         assert!(XPath::parse("/a[0]").is_err());
         assert!(XPath::parse("/a/b junk more").is_err());
+    }
+
+    #[test]
+    fn positions_are_parse_errors() {
+        for src in ["/a[1]", "//a[2]/b", "/a[@x][3]"] {
+            let err = XPath::parse(src).unwrap_err();
+            assert!(err.message.contains("positional"), "{src}: {err}");
+        }
+    }
+
+    /// The last of 64 steps is the bit set's top bit: a 64-deep chain
+    /// completes the path, a 63-deep one does not.
+    #[test]
+    fn the_last_of_the_most_steps_is_walked() {
+        let deep = |depth: usize| {
+            let mut doc = Element::new("a");
+            for _ in 1..depth {
+                let mut parent = Element::new("a");
+                parent.push_element(doc);
+                doc = parent;
+            }
+            doc
+        };
+        let path = XPath::parse(&"/a".repeat(MAX_STEPS)).unwrap();
+        assert!(path.matches(&deep(MAX_STEPS)));
+        assert!(!path.matches(&deep(MAX_STEPS - 1)));
     }
 
     #[test]

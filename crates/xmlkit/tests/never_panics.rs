@@ -6,11 +6,17 @@
 //! inserting, duplicating and truncating bytes (the result read back as
 //! lossy UTF-8, so multi-byte chars get split too).  Every variant goes
 //! through `parse` and `parse_fragment`, or `XPath::parse`; a path that
-//! parses is also selected and matched over the unmutated document.
+//! parses is also matched and read over the unmutated document.
+//!
+//! Nor does a path hang its caller: a chain of `//` steps over the deepest
+//! document the parser accepts finishes well inside a deadline, and the
+//! paths whose cost the walk does not bound are parse errors.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 
-use p2pmon_xmlkit::{parse, parse_fragment, XPath};
+use p2pmon_xmlkit::{parse, parse_fragment, Value, XPath};
 
 const DOCUMENT: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
 <!-- one monitored call -->
@@ -101,7 +107,8 @@ fn the_seed_inputs_parse() {
     );
     for path in PATHS {
         let xpath = XPath::parse(path).unwrap_or_else(|e| panic!("{path}: {e:?}"));
-        assert!(!xpath.select(&doc).is_empty(), "{path} selects nothing");
+        assert!(xpath.matches(&doc), "{path} matches nothing");
+        assert!(xpath.first_value(&doc).is_some(), "{path} reads no value");
     }
 }
 
@@ -125,9 +132,74 @@ fn mutated_paths_never_panic_the_path_parsers() {
         .collect();
     let panicked = panicking(&inputs, |input| {
         if let Ok(xpath) = XPath::parse(input) {
-            let _ = xpath.select_values(&doc);
+            let _ = xpath.first_value(&doc);
             let _ = xpath.matches(&doc);
         }
     });
-    assert_none_panicked("XPath::parse / select_values / matches", &inputs, &panicked);
+    assert_none_panicked("XPath::parse / first_value / matches", &inputs, &panicked);
+}
+
+/// The deepest document `parse` accepts.
+const DEEPEST: usize = 256;
+
+/// How long a path over a [`DEEPEST`]-level chain may take.  The walk needs
+/// microseconds; a walk that re-searches a subtree per `//` step needs
+/// minutes for five steps.
+const DEADLINE: Duration = Duration::from_secs(30);
+
+/// `//a` `steps` times, then `//b`.
+fn descendant_chain(steps: usize) -> String {
+    format!("{}//b", "//a".repeat(steps))
+}
+
+/// A chain of [`DEEPEST`] elements: `a`s, the deepest of them a
+/// `<b>1</b>` instead when `with_b`.
+fn deep_chain(with_b: bool) -> String {
+    let (open, close) = ("<a>".repeat(DEEPEST - 1), "</a>".repeat(DEEPEST - 1));
+    let bottom = if with_b { "<b>1</b>" } else { "<a/>" };
+    format!("{open}{bottom}{close}")
+}
+
+#[test]
+fn descendant_chains_over_the_deepest_document_finish() {
+    let (tx, rx) = mpsc::channel();
+    // On a 2 MB stack, the size test threads get: the walk recurses once
+    // per level.
+    let worker = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let without_b = parse(&deep_chain(false)).expect("the deepest chain parses");
+            let with_b = parse(&deep_chain(true)).expect("the deepest chain parses");
+            for steps in [5, 6] {
+                let src = descendant_chain(steps);
+                let path = XPath::parse(&src).unwrap();
+                assert!(!path.matches(&without_b), "{src}");
+                assert_eq!(path.first_value(&without_b), None, "{src}");
+                assert!(path.matches(&with_b), "{src}");
+                assert_eq!(path.first_value(&with_b), Some(Value::Integer(1)), "{src}");
+            }
+            tx.send(()).unwrap();
+        })
+        .unwrap();
+    // A worker past the deadline cannot be joined; it is left running.
+    if let Err(mpsc::RecvTimeoutError::Timeout) = rx.recv_timeout(DEADLINE) {
+        panic!("the paths did not finish within {DEADLINE:?}");
+    }
+    if let Err(panic) = worker.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+#[test]
+fn paths_the_walk_does_not_bound_are_parse_errors() {
+    // 64 steps fill the walk's bit set; a 65th is an error.
+    assert!(XPath::parse(&"/a".repeat(64)).is_ok());
+    assert!(XPath::parse(&"/a".repeat(65)).is_err());
+    assert!(XPath::parse(&descendant_chain(64)).is_err());
+    // Each path nested inside a predicate is a fresh walk per candidate:
+    // two levels of nesting parse, a third is an error.
+    assert!(XPath::parse("//a[a//a[a//b]]").is_ok());
+    assert!(XPath::parse("//a[a//a[a//a[a//b]]]").is_err());
+    assert!(XPath::parse("//a[a[a[a]]]").is_err());
+    assert!(XPath::parse("//a[@x = 1][b[c[d = 2]]]").is_err());
 }

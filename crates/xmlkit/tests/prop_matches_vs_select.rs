@@ -1,18 +1,24 @@
-//! Property test: `XPath::matches`, the early-exit walk the Filter's tree
-//! patterns and existence conditions run on, must answer exactly whether
-//! `XPath::select` — the reference — selects anything.
+//! Property test: the one document-order walk behind `XPath::matches` and
+//! `XPath::first_value` must agree with `select`, the set-at-a-time
+//! evaluator it replaced, kept below verbatim as the reference:
+//!
+//! * `matches` answers exactly whether the reference selects a value;
+//! * `first_value` is the reference's first value once the elements it
+//!   selects are sorted into document order.
 //!
 //! Documents are random trees up to five levels deep over a three-name,
 //! two-attribute alphabet, so that about a third of the paths over the same
 //! alphabet match.  Paths cover the whole parsed subset: absolute and
 //! relative forms, `/` and `//`, wildcards, up to two predicates per step
-//! (positions, existence and comparison tests on `@attr`, `text()`, `.` and
-//! nested relative or absolute paths), and `@attr` / `text()` outputs.
+//! (existence and comparison tests on `@attr`, `text()`, `.` and nested
+//! relative or absolute paths), and `@attr` / `text()` outputs.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use p2pmon_xmlkit::path::Output;
-use p2pmon_xmlkit::{Element, XPath};
+use p2pmon_xmlkit::path::{Axis, Output, Predicate, PredicateOperand};
+use p2pmon_xmlkit::{Element, Value, XPath};
 
 const NAMES: &[&str] = &["a", "b", "c"];
 const ATTRS: &[&str] = &["x", "y"];
@@ -79,7 +85,7 @@ fn path(rng: &mut TestRng, nesting: usize) -> String {
 
 fn predicate(rng: &mut TestRng, nesting: usize) -> String {
     if rng.next_index(10) == 0 {
-        return format!("[{}]", 1 + rng.next_index(3));
+        return format!("[@{}]", pick(rng, ATTRS));
     }
     let operand = match rng.next_index(if nesting < MAX_NESTING { 5 } else { 3 }) {
         0 => format!("@{}", pick(rng, ATTRS)),
@@ -94,24 +100,155 @@ fn predicate(rng: &mut TestRng, nesting: usize) -> String {
     }
 }
 
+/// The set-at-a-time evaluator: each step builds its whole node list from
+/// every context, in context order, deduplicated.
+fn select<'a>(xpath: &XPath, root: &'a Element) -> Vec<&'a Element> {
+    let mut current: Vec<&'a Element> = vec![root];
+    for (idx, step) in xpath.steps.iter().enumerate() {
+        let mut next: Vec<&'a Element> = Vec::new();
+        for ctx in &current {
+            let candidates: Vec<&'a Element> = match step.axis {
+                Axis::Child => {
+                    if idx == 0 && xpath.absolute {
+                        // The root element is the only "child" of the
+                        // document node.
+                        vec![*ctx]
+                    } else {
+                        ctx.child_elements().collect()
+                    }
+                }
+                Axis::Descendant => {
+                    let mut v = Vec::new();
+                    if idx == 0 {
+                        // descendant-or-self for the first step.
+                        v.push(*ctx);
+                    }
+                    v.extend(ctx.descendants());
+                    v
+                }
+            };
+            let mut matched: Vec<&'a Element> = candidates
+                .into_iter()
+                .filter(|e| step.name.matches(&e.name))
+                .collect();
+            for pred in &step.predicates {
+                matched.retain(|e| holds(pred, e));
+            }
+            next.extend(matched);
+        }
+        // De-duplicate while preserving document order: descendant axes
+        // from overlapping contexts can select the same node twice.
+        dedup_preserving_order(&mut next);
+        current = next;
+        if current.is_empty() {
+            break;
+        }
+    }
+    current
+}
+
+/// The output values of `elements`: attribute values or text, depending on
+/// the expression's final step; for element outputs, the text content.
+fn values(xpath: &XPath, elements: &[&Element]) -> Vec<Value> {
+    match &xpath.output {
+        Output::Elements | Output::Text => elements
+            .iter()
+            .map(|e| Value::from_literal(&e.text()))
+            .collect(),
+        Output::Attribute(name) => elements
+            .iter()
+            .filter_map(|e| e.attr(name))
+            .map(Value::from_literal)
+            .collect(),
+    }
+}
+
+fn select_values(xpath: &XPath, root: &Element) -> Vec<Value> {
+    values(xpath, &select(xpath, root))
+}
+
+fn dedup_preserving_order(v: &mut Vec<&Element>) {
+    let mut seen: Vec<*const Element> = Vec::with_capacity(v.len());
+    v.retain(|e| {
+        let ptr = *e as *const Element;
+        if seen.contains(&ptr) {
+            false
+        } else {
+            seen.push(ptr);
+            true
+        }
+    });
+}
+
+/// Whether `pred` holds on the element `e`, nested paths selected in full.
+fn holds(pred: &Predicate, e: &Element) -> bool {
+    match pred {
+        Predicate::Exists(operand) => operand_exists(e, operand),
+        Predicate::Compare {
+            operand,
+            op,
+            literal,
+        } => {
+            let lit = Value::from_literal(literal);
+            operand_values(e, operand).iter().any(|v| op.apply(v, &lit))
+        }
+    }
+}
+
+fn operand_exists(e: &Element, operand: &PredicateOperand) -> bool {
+    match operand {
+        PredicateOperand::Attribute(name) => e.attr(name).is_some(),
+        PredicateOperand::Text => !e.text().is_empty(),
+        PredicateOperand::RelativePath(p) => !select_values(p, e).is_empty(),
+    }
+}
+
+fn operand_values(e: &Element, operand: &PredicateOperand) -> Vec<Value> {
+    match operand {
+        PredicateOperand::Attribute(name) => {
+            e.attr(name).map(Value::from_literal).into_iter().collect()
+        }
+        PredicateOperand::Text => vec![Value::from_literal(&e.text())],
+        PredicateOperand::RelativePath(p) => select_values(p, e),
+    }
+}
+
+/// Each element of `doc`'s tree by address, numbered in document order.
+fn preorder(doc: &Element) -> HashMap<*const Element, usize> {
+    let mut order = HashMap::new();
+    doc.walk(&mut |e| {
+        let next = order.len();
+        order.insert(e as *const Element, next);
+    });
+    order
+}
+
 #[test]
 fn matches_agrees_with_select() {
-    // Paths without a position, which `matches` walks, and their matches.
-    let (mut walked, mut hits) = (0, 0);
+    // Every pair is walked; `reordered` counts those whose first value
+    // differs between the reference's context order and document order.
+    let (mut walked, mut hits, mut reordered) = (0, 0, 0);
     TestRunner::new(ProptestConfig::with_cases(CASES)).run(|rng| {
         let doc = element(rng, 1);
+        let order = preorder(&doc);
         for _ in 0..PATHS_PER_DOCUMENT {
             let src = path(rng, 0);
             let xpath = XPath::parse(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
-            let reference = match xpath.output {
-                Output::Elements => !xpath.select(&doc).is_empty(),
-                Output::Attribute(_) | Output::Text => !xpath.select_values(&doc).is_empty(),
-            };
+            let mut selected = select(&xpath, &doc);
+            let in_context_order = values(&xpath, &selected).into_iter().next();
+            selected.sort_by_key(|e| order[&(*e as *const Element)]);
+            let first = values(&xpath, &selected).into_iter().next();
+            let reference = first.is_some();
             assert_eq!(xpath.matches(&doc), reference, "{src} on {}", doc.to_xml());
-            if !["[1]", "[2]", "[3]"].iter().any(|p| src.contains(p)) {
-                walked += 1;
-                hits += usize::from(reference);
-            }
+            assert_eq!(
+                xpath.first_value(&doc),
+                first,
+                "first value: {src} on {}",
+                doc.to_xml()
+            );
+            walked += 1;
+            hits += usize::from(reference);
+            reordered += usize::from(in_context_order != first);
         }
         Ok(())
     });
@@ -125,4 +262,7 @@ fn matches_agrees_with_select() {
         (walked - hits) * 4 > walked,
         "{hits} of {walked} walked paths matched"
     );
+    // And some first values depend on the order, so a walk that returned
+    // the first value in context order could not pass either.
+    assert!(reordered > 0, "no first value depends on the order");
 }

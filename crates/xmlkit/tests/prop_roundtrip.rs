@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use p2pmon_xmlkit::{parse, Element, Node, XPath};
+use p2pmon_xmlkit::{parse, Element, Node, Value, XPath};
 
 /// Strategy producing XML-safe tag/attribute names.
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -131,16 +131,15 @@ proptest! {
     }
 
     #[test]
-    fn xpath_select_count_matches_manual_walk(el in element_strategy(), target in name_strategy()) {
-        let p = XPath::parse(&format!("//{target}")).unwrap();
-        let selected = p.select(&el).len();
-        let mut manual = 0usize;
+    fn xpath_first_value_is_the_first_target_in_preorder(el in element_strategy(), target in name_strategy()) {
+        let p = XPath::parse(&format!("//{target}/text()")).unwrap();
+        let mut first = None;
         el.walk(&mut |e| {
-            if e.name == target {
-                manual += 1;
+            if first.is_none() && e.name == target {
+                first = Some(Value::from_literal(&e.text()));
             }
         });
-        prop_assert_eq!(selected, manual);
+        prop_assert_eq!(p.first_value(&el), first);
     }
 }
 
